@@ -27,6 +27,7 @@ from typing import Callable, Optional
 from repro.noc.channel import ChannelKind, ChannelSpec
 from repro.noc.flit import FLIT_BITS, Flit
 from repro.noc.link import Link
+from repro.noc.vc import VC_IDLE
 from .rob import ReorderBuffer, rob_capacity
 from .scheduling import PARALLEL, SERIAL, DispatchPolicy
 
@@ -63,9 +64,9 @@ class HeteroPhyLink(Link):
         self._ser_energy_per_flit = FLIT_BITS * self.serial.energy_pj_per_bit
         self._txq: deque[tuple[Flit, int]] = deque()
         self._bypassq: deque[tuple[Flit, int]] = deque()
-        self._txq_vc_count: dict[int, int] = {}
+        self._txq_vc_count = [0] * spec.n_vcs
         self._bypass_vcs: set[int] = set()
-        self._next_sn: dict[int, int] = {}
+        self._next_sn = [0] * spec.n_vcs
         self._par_pipe: deque[tuple[int, Flit, int]] = deque()
         self._ser_pipe: deque[tuple[int, Flit, int]] = deque()
         # Per-PHY flit counters (for utilization / ablation studies).
@@ -77,10 +78,15 @@ class HeteroPhyLink(Link):
     def accept_budget(self, now: int) -> int:
         total_bw = self.parallel.bandwidth + self.serial.bandwidth
         free = self.tx_fifo_depth - len(self._txq) - len(self._bypassq)
-        return min(total_bw, free) - self._accepted_in(now)
+        accepted = self._accepted if now == self._accept_cycle else 0
+        return min(total_bw, free) - accepted
 
     def accept(self, flit: Flit, vc: int, now: int) -> None:
-        self._note_accept(now)
+        if now != self._accept_cycle:
+            self._accept_cycle = now
+            self._accepted = 1
+        else:
+            self._accepted += 1
         if self._telemetry.link_accept is not None:
             self._telemetry.link_accept(self, flit, vc, now)
         if flit.is_head:
@@ -92,8 +98,10 @@ class HeteroPhyLink(Link):
                 self._bypass_vcs.discard(vc)
         else:
             self._txq.append((flit, vc))
-            self._txq_vc_count[vc] = self._txq_vc_count.get(vc, 0) + 1
-        self.network.activate_link(self)
+            self._txq_vc_count[vc] += 1
+        if not self.active:
+            self.active = True
+            self.network._link_work.append(self)
 
     def _decide_bypass(self, flit: Flit, vc: int) -> None:
         """Admit a whole packet to the bypass queue if safe and eligible."""
@@ -101,7 +109,7 @@ class HeteroPhyLink(Link):
         eligible = self.policy.bypass_enabled and (
             packet.priority > 0 or not packet.ordered
         )
-        if eligible and self._txq_vc_count.get(vc, 0) == 0:
+        if eligible and self._txq_vc_count[vc] == 0:
             self._bypass_vcs.add(vc)
 
     # -- per-cycle operation ---------------------------------------------------
@@ -143,21 +151,26 @@ class HeteroPhyLink(Link):
         )
 
     def _dispatch(self, now: int) -> None:
+        bypassq = self._bypassq
+        txq = self._txq
+        if not (txq or bypassq):
+            return
         par_free = self.parallel.bandwidth
         ser_free = self.serial.bandwidth
         # Bypass first: parallel PHY only (Sec 4.2).
-        while self._bypassq and par_free > 0:
-            flit, vc = self._bypassq.popleft()
+        while bypassq and par_free > 0:
+            flit, vc = bypassq.popleft()
             self._issue(flit, vc, PARALLEL, now)
             par_free -= 1
             self.flits_bypassed += 1
         # Main dispatch queue: FIFO, policy chooses the PHY per flit.  The
         # queue length seen by the policy is the state at cycle start
         # (threshold logic samples the FIFO level, Sec 7.3).
-        queue_len = len(self._txq)
-        while self._txq and (par_free > 0 or ser_free > 0):
-            flit, vc = self._txq[0]
-            phy = self.policy.choose_phy(flit, queue_len, par_free, ser_free)
+        queue_len = len(txq)
+        choose_phy = self.policy.choose_phy
+        while txq and (par_free > 0 or ser_free > 0):
+            flit, vc = txq[0]
+            phy = choose_phy(flit, queue_len, par_free, ser_free)
             if phy is None:
                 break
             if phy == PARALLEL and par_free > 0:
@@ -166,24 +179,31 @@ class HeteroPhyLink(Link):
                 ser_free -= 1
             else:
                 break
-            self._txq.popleft()
+            txq.popleft()
             self._txq_vc_count[vc] -= 1
             self._issue(flit, vc, phy, now)
 
     def _issue(self, flit: Flit, vc: int, phy: str, now: int) -> None:
-        sn = self._next_sn.get(vc, 0)
+        sn = self._next_sn[vc]
         self._next_sn[vc] = sn + 1
         flit.sn = sn
         if self._telemetry.phy_dispatch is not None:
             self._telemetry.phy_dispatch(self, flit, vc, phy, now)
+        # Charge the energy of the PHY that carries the flit, and the hop.
         if phy == PARALLEL:
-            self._account(flit, self._par_energy_per_flit)
+            energy_pj = self._par_energy_per_flit
             self._par_pipe.append((now + self.parallel.delay, flit, vc))
             self.flits_parallel += 1
         else:
-            self._account(flit, self._ser_energy_per_flit)
+            energy_pj = self._ser_energy_per_flit
             self._ser_pipe.append((now + self.serial.delay, flit, vc))
             self.flits_serial += 1
+        self.flits_carried += 1
+        packet = flit.packet
+        packet.energy_interface_pj += energy_pj
+        if flit.is_head:
+            packet.hops_interface += 1
+        self._stats.note_link_flit(self._kind_id, energy_pj)
 
     # -- receive side --------------------------------------------------------------
     def _receive(self, now: int) -> None:
@@ -197,13 +217,17 @@ class HeteroPhyLink(Link):
         # wait for a predecessor on the slower PHY.
         rob = self.rob
         rob_insert = self._telemetry.rob_insert
+        arrived = False
         for pipe in (self._par_pipe, self._ser_pipe):
             while pipe and pipe[0][0] <= now:
                 _, flit, vc = pipe.popleft()
                 rob.insert(flit, vc)
                 if rob_insert is not None:
                     rob_insert(self, flit, vc, now)
-        if rob.occupancy == 0:
+                arrived = True
+        if not arrived:
+            # The last pass drained everything releasable, and only an
+            # arrival can make a parked flit releasable.
             return
         # The RX forwards every releasable flit in the cycle it becomes
         # in-order: the heterogeneous router's multi-port input buffer can
@@ -211,11 +235,25 @@ class HeteroPhyLink(Link):
         # downstream space.  Unbounded draining keeps Eq (1) an exact
         # occupancy bound (see tests/test_phy_link.py).
         rob_release = self._telemetry.rob_release
+        flit_recv = self._telemetry.flit_recv
+        router = self.dst_router
+        port = self.dst_port
+        vcs = self._dst_vcs
         for flit, vc in rob.release(None):
             flit.sn = None
             if rob_release is not None:
                 rob_release(self, flit, vc, now)
-            self.dst_router.receive_flit(self.dst_port, vc, flit, now)
+            # Arrival bookkeeping of ``Router.receive_flit``, inline.
+            ivc = vcs[vc]
+            ivc.queue.append(flit)
+            if flit.is_head and ivc.state == VC_IDLE and not ivc.queued:
+                ivc.queued = True
+                router._pending.append(ivc)
+            if flit_recv is not None:
+                flit_recv(router, port, vc, flit, now)
+            if not router.active:
+                router.active = True
+                self.network._router_work.append(router)
 
     # -- introspection ----------------------------------------------------------------
     @property

@@ -15,7 +15,7 @@ exceeding it raises, which the property tests use to validate Eq (1).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.noc.flit import Flit
 
@@ -100,15 +100,21 @@ class ReorderBuffer:
         waiting = self._waiting
         expected = self._expected
         progress = True
-        while progress and (budget is None or released < budget):
+        while progress and waiting and (budget is None or released < budget):
             progress = False
             # Ascending-VC order makes the within-cycle release sequence
             # well-defined, so downstream arbitration and telemetry
             # subscribers see a reproducible event order.
-            for vc in sorted({vc for vc, _sn in waiting}):
-                sn = expected.get(vc, 0)
-                flit = waiting.pop((vc, sn), None)
-                if flit is not None:
+            if len(waiting) == 1:
+                ((only_vc, _sn),) = waiting
+                vcs: Iterable[int] = (only_vc,)
+            else:
+                vcs = sorted({vc for vc, _sn in waiting})
+            for vc in vcs:
+                sn = expected[vc] if vc in expected else 0
+                key = (vc, sn)
+                if key in waiting:
+                    flit = waiting.pop(key)
                     expected[vc] = sn + 1
                     released += 1
                     progress = True

@@ -21,9 +21,10 @@ from repro.telemetry.bus import NULL_BUS, TelemetryBus
 
 from .channel import KIND_IDS, ChannelKind, ChannelSpec
 from .flit import FLIT_BITS, Flit
+from .vc import VC_IDLE, InputVC
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .network import Network
+    from .network import Network, StatsSink
     from .router import Router
 
 #: Latency-ledger stage charged for a tail flit's traversal of a link of
@@ -48,6 +49,15 @@ class Link:
     and credits).  The switch allocator consults :meth:`accept_budget`
     before granting flits to the link in the current cycle and never
     exceeds it.
+
+    :meth:`accept_budget`, :meth:`accept`, :meth:`return_credit` and
+    :meth:`step` are the per-item seams of the cycle kernel: the router
+    and the network call each exactly once per budget query, flit, credit
+    and link-cycle, so a subclass overriding one sees every item (the
+    fault-injecting links of ``tests/test_sanitizer.py`` do).  Inside
+    them the work is flat — a delivery loop writes arriving flits straight
+    into the downstream :class:`~repro.noc.vc.InputVC` and arriving credits
+    straight into the upstream credit counters.
     """
 
     def __init__(self, spec: ChannelSpec) -> None:
@@ -69,8 +79,14 @@ class Link:
         self.traversal_stage = TRAVERSAL_STAGES[spec.kind]
         self._is_interface = spec.is_interface
         self._credit_delay = max(1, spec.min_delay)
-        # Rebound to the network's bus at attach(); inert until then.
+        #: True while the link sits on ``network._link_work``.
+        self.active = False
+        # Bound at attach(): the bus, the stats sink, and where deliveries
+        # land (downstream input VCs, upstream credit counters).
         self._telemetry: TelemetryBus = NULL_BUS
+        self._stats: "StatsSink"
+        self._dst_vcs: list[InputVC]
+        self._src_credits: list[int]
 
     # -- wiring -----------------------------------------------------------
     def attach(
@@ -88,6 +104,9 @@ class Link:
         self.dst_router = dst_router
         self.dst_port = dst_port
         self._telemetry = network.telemetry
+        self._stats = network.stats
+        self._dst_vcs = dst_router.inputs[dst_port].vcs
+        self._src_credits = src_router.outputs[src_port].credits
 
     @property
     def index(self) -> int:
@@ -102,15 +121,6 @@ class Link:
     def accept(self, flit: Flit, vc: int, now: int) -> None:
         """Take one flit from the transmitting router's switch."""
         raise NotImplementedError
-
-    def _note_accept(self, now: int) -> None:
-        if now != self._accept_cycle:
-            self._accept_cycle = now
-            self._accepted = 0
-        self._accepted += 1
-
-    def _accepted_in(self, now: int) -> int:
-        return self._accepted if now == self._accept_cycle else 0
 
     # -- receive side -----------------------------------------------------
     def step(self, now: int) -> bool:
@@ -139,7 +149,9 @@ class Link:
         self._credit_queue.append((now + self._credit_delay, vc))
         if self._telemetry.credit_return is not None:
             self._telemetry.credit_return(self, vc, now)
-        self.network.activate_link(self)
+        if not self.active:
+            self.active = True
+            self.network._link_work.append(self)
 
     @property
     def credit_delay(self) -> int:
@@ -147,15 +159,29 @@ class Link:
         return self._credit_delay
 
     def _deliver_credits(self, now: int) -> None:
+        """Hand every due credit to the upstream output port.
+
+        The credit bookkeeping of ``Router.credit_arrive``, inline.
+        """
         queue = self._credit_queue
-        while queue and queue[0][0] <= now:
-            _, vc = queue.popleft()
-            self.src_router.credit_arrive(self.src_port, vc)
+        if queue and queue[0][0] <= now:
+            credits = self._src_credits
+            while queue and queue[0][0] <= now:
+                credits[queue.popleft()[1]] += 1
+            router = self.src_router
+            if not router.active:
+                router.active = True
+                self.network._router_work.append(router)
 
     # -- introspection (used by the invariant sanitizer) -------------------
     def pending_credits(self, vc: int) -> int:
         """Credits for ``vc`` scheduled but not yet delivered upstream."""
         return sum(1 for _, credit_vc in self._credit_queue if credit_vc == vc)
+
+    @property
+    def occupancy(self) -> int:
+        """Flits currently inside the link (pipelines, adapters)."""
+        raise NotImplementedError
 
     def vc_flits(self, vc: int) -> int:
         """Flits of ``vc`` currently inside the link (pipelines, adapters)."""
@@ -173,30 +199,11 @@ class Link:
             "kind": self.spec.kind.value,
             "src": self.spec.src,
             "dst": self.spec.dst,
-            "occupancy": getattr(self, "occupancy", 0),
+            "occupancy": self.occupancy,
             "pending_credits": [
                 self.pending_credits(vc) for vc in range(self.spec.n_vcs)
             ],
         }
-
-    # -- accounting -------------------------------------------------------
-    def _account(self, flit: Flit, energy_pj: float) -> None:
-        """Charge link-traversal energy and hop counts to the packet.
-
-        ``energy_pj`` is the per-flit energy of the PHY that carried the
-        flit (hetero-PHY links charge per dispatched PHY).
-        """
-        self.flits_carried += 1
-        packet = flit.packet
-        if self._is_interface:
-            packet.energy_interface_pj += energy_pj
-            if flit.is_head:
-                packet.hops_interface += 1
-        else:
-            packet.energy_onchip_pj += energy_pj
-            if flit.is_head:
-                packet.hops_onchip += 1
-        self.network.stats.note_link_flit(self._kind_id, energy_pj)
 
 
 class PipelinedLink(Link):
@@ -218,21 +225,54 @@ class PipelinedLink(Link):
         self._energy_per_flit = FLIT_BITS * spec.phy.energy_pj_per_bit
 
     def accept_budget(self, now: int) -> int:
-        return self._bandwidth - self._accepted_in(now)
+        return self._bandwidth - (self._accepted if now == self._accept_cycle else 0)
 
     def accept(self, flit: Flit, vc: int, now: int) -> None:
-        self._note_accept(now)
-        self._account(flit, self._energy_per_flit)
+        if now != self._accept_cycle:
+            self._accept_cycle = now
+            self._accepted = 1
+        else:
+            self._accepted += 1
+        # Charge traversal energy and the hop to the packet.
+        self.flits_carried += 1
+        energy_pj = self._energy_per_flit
+        packet = flit.packet
+        if self._is_interface:
+            packet.energy_interface_pj += energy_pj
+            if flit.is_head:
+                packet.hops_interface += 1
+        else:
+            packet.energy_onchip_pj += energy_pj
+            if flit.is_head:
+                packet.hops_onchip += 1
+        self._stats.note_link_flit(self._kind_id, energy_pj)
         self._pipe.append((now + self._delay, flit, vc))
         if self._telemetry.link_accept is not None:
             self._telemetry.link_accept(self, flit, vc, now)
-        self.network.activate_link(self)
+        if not self.active:
+            self.active = True
+            self.network._link_work.append(self)
 
     def step(self, now: int) -> bool:
         pipe = self._pipe
-        while pipe and pipe[0][0] <= now:
-            _, flit, vc = pipe.popleft()
-            self.dst_router.receive_flit(self.dst_port, vc, flit, now)
+        if pipe and pipe[0][0] <= now:
+            # Arrival bookkeeping of ``Router.receive_flit``, inline.
+            router = self.dst_router
+            port = self.dst_port
+            vcs = self._dst_vcs
+            flit_recv = self._telemetry.flit_recv
+            while pipe and pipe[0][0] <= now:
+                _, flit, vc = pipe.popleft()
+                ivc = vcs[vc]
+                ivc.queue.append(flit)
+                if flit.is_head and ivc.state == VC_IDLE and not ivc.queued:
+                    ivc.queued = True
+                    router._pending.append(ivc)
+                if flit_recv is not None:
+                    flit_recv(router, port, vc, flit, now)
+            if not router.active:
+                router.active = True
+                self.network._router_work.append(router)
         self._deliver_credits(now)
         return bool(pipe or self._credit_queue)
 

@@ -5,8 +5,9 @@ and advances them cycle by cycle.  Only *active* routers and links — those
 holding flits, credits or queued work — are stepped, which keeps large
 lightly-loaded systems fast without changing cycle-level behaviour.
 
-Activity bookkeeping is deterministic (index-ordered flags plus append-only
-work lists), so two runs with the same seed produce identical results.
+Activity bookkeeping is deterministic (an ``active`` flag on each router
+and link plus append-only work lists, filled in activation order), so two
+runs with the same seed produce identical results.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class StatsSink(Protocol):
 
     def note_link_flit(self, kind_id: int, energy_pj: float) -> None: ...
 
-    def note_router_flit(self) -> None: ...
+    def note_router_flit(self, count: int = 1) -> None: ...
 
     def note_packet_delivered(self, packet: Packet, now: int) -> None: ...
 
@@ -73,10 +74,11 @@ class Network:
         ]
         self.links: list[Link] = []
         self.specs: list[ChannelSpec] = []
-        self._router_active = [False] * n_nodes
-        self._router_work: list[int] = []
-        self._link_active: list[bool] = []
-        self._link_work: list[int] = []
+        # Work lists of the entities whose ``active`` flag is set, in
+        # activation order.  Whoever hands an idle router or link something
+        # to do sets the flag and appends it here.
+        self._router_work: list[Router] = []
+        self._link_work: list[Link] = []
         self._finalized = False
 
     @property
@@ -110,7 +112,6 @@ class Network:
         link.attach(self, src, out_port, dst, in_port)
         self.links.append(link)
         self.specs.append(spec)
-        self._link_active.append(False)
         return link
 
     def set_routing(self, routing_fn) -> None:
@@ -124,40 +125,35 @@ class Network:
             router.finalize()
         self._finalized = True
 
-    # -- activity tracking ----------------------------------------------------
-    def activate_router(self, router: Router) -> None:
-        node = router.node
-        if not self._router_active[node]:
-            self._router_active[node] = True
-            self._router_work.append(node)
-
-    def activate_link(self, link: Link) -> None:
-        idx = link.index
-        if not self._link_active[idx]:
-            self._link_active[idx] = True
-            self._link_work.append(idx)
-
     # -- simulation ------------------------------------------------------------
     def step(self, now: int) -> None:
-        """Advance the whole network by one cycle."""
+        """Advance the whole network by one cycle.
+
+        Links first (they deliver into routers), then routers, each in the
+        order its entities became active; a router runs RC/VA, then SA/ST.
+        """
         if not self._finalized:
             raise RuntimeError("call finalize() before stepping the network")
-        links = self.links
         work = self._link_work
-        self._link_work = []
-        for idx in work:
-            if links[idx].step(now):
-                self._link_work.append(idx)
+        keep: list[Link] = []
+        self._link_work = keep
+        for link in work:
+            if link.step(now):
+                keep.append(link)
             else:
-                self._link_active[idx] = False
-        routers = self.routers
+                link.active = False
         work_r = self._router_work
-        self._router_work = []
-        for node in work_r:
-            if routers[node].step(now):
-                self._router_work.append(node)
+        keep_r: list[Router] = []
+        self._router_work = keep_r
+        for router in work_r:
+            if router._pending:
+                router._stage_rc_va(now)
+            if router._active:
+                router._stage_sa(now)
+            if router._pending or router._active:
+                keep_r.append(router)
             else:
-                self._router_active[node] = False
+                router.active = False
         if self.telemetry.cycle_end is not None:
             self.telemetry.cycle_end(self, now)
 
@@ -169,34 +165,42 @@ class Network:
         Mirrors :meth:`step` exactly — same work-list swap and the same
         entity order (step order affects VC-allocation arrival order, so
         reordering would change simulated behaviour).  ``t`` is the
-        caller's last clock reading; each entity charges its lap into
-        ``phases`` via its own ``step_timed`` (links split plain-link vs.
-        hetero-PHY rx/tx; routers split RC/VA vs. SA/ST), so attribution
-        is exact — work-list bookkeeping and clock overhead land in the
-        phase they precede, never in a residual.  Returns the final clock
-        reading.  Phase keys sync with
-        :data:`repro.telemetry.hostprof.PHASES`.
+        caller's last clock reading; links charge their lap into ``phases``
+        via their own ``step_timed`` (plain link vs. hetero-PHY rx/tx), and
+        the two router stages are lapped here, so attribution is exact —
+        work-list bookkeeping and clock overhead land in the phase they
+        precede, never in a residual.  Returns the final clock reading.
+        Phase keys sync with :data:`repro.telemetry.hostprof.PHASES`.
         """
         if not self._finalized:
             raise RuntimeError("call finalize() before stepping the network")
-        links = self.links
         work = self._link_work
-        self._link_work = []
-        for idx in work:
-            alive, t = links[idx].step_timed(now, pc, phases, t)
+        keep: list[Link] = []
+        self._link_work = keep
+        for link in work:
+            alive, t = link.step_timed(now, pc, phases, t)
             if alive:
-                self._link_work.append(idx)
+                keep.append(link)
             else:
-                self._link_active[idx] = False
-        routers = self.routers
+                link.active = False
         work_r = self._router_work
-        self._router_work = []
-        for node in work_r:
-            alive, t = routers[node].step_timed(now, pc, phases, t)
-            if alive:
-                self._router_work.append(node)
+        keep_r: list[Router] = []
+        self._router_work = keep_r
+        for router in work_r:
+            if router._pending:
+                router._stage_rc_va(now)
+                t2 = pc()
+                phases["rc_va"] += t2 - t
+                t = t2
+            if router._active:
+                router._stage_sa(now)
+                t2 = pc()
+                phases["sa_st"] += t2 - t
+                t = t2
+            if router._pending or router._active:
+                keep_r.append(router)
             else:
-                self._router_active[node] = False
+                router.active = False
         if self.telemetry.cycle_end is not None:
             self.telemetry.cycle_end(self, now)
             t2 = pc()
@@ -206,6 +210,12 @@ class Network:
 
     def inject(self, packet: Packet) -> None:
         """Hand a freshly generated packet to its source router."""
+        n_nodes = len(self.routers)
+        if not (0 <= packet.src < n_nodes and 0 <= packet.dst < n_nodes):
+            raise ValueError(
+                f"{packet!r} has an endpoint outside this network's "
+                f"nodes 0..{n_nodes - 1}"
+            )
         if self.telemetry.packet_inject is not None:
             self.telemetry.packet_inject(self, packet)
         self.routers[packet.src].inject(packet)
@@ -217,9 +227,24 @@ class Network:
 
     def in_flight_flits(self) -> int:
         """Flits inside link pipelines."""
-        total = 0
-        for link in self.links:
-            occupancy = getattr(link, "occupancy", None)
-            if occupancy is not None:
-                total += occupancy
-        return total
+        return sum(link.occupancy for link in self.links)
+
+    def holds_flits(self) -> bool:
+        """True while any flit is buffered in a router or inside a link.
+
+        Scans the work lists only: a router with a buffered flit has that
+        flit's VC on its pending or active list, and a link with a flit in
+        it asked to be stepped again, so both are listed by construction
+        (``tests/test_network.py`` checks this against the full scans).
+        """
+        for router in self._router_work:
+            for ivc in router._pending:
+                if ivc.queue:
+                    return True
+            for ivc in router._active:
+                if ivc.queue:
+                    return True
+        for link in self._link_work:
+            if link.occupancy:
+                return True
+        return False

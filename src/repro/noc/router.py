@@ -22,62 +22,24 @@ Implementation note: the router is event-driven internally — input VCs
 needing routing computation or VC allocation sit on a pending list, and
 VCs holding an output sit on an active list — so per-cycle cost scales
 with traffic, not with port count.  Allocation semantics are unchanged
-from the textbook router.
+from the textbook router.  Switch allocation and traversal run as one
+flat pass (:meth:`Router._stage_sa`); the per-flit call chain and the
+ordering invariants it must keep are in ``docs/architecture.md``
+("Hot path").
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .flit import Flit, Packet
 from .link import Link
+from .vc import VC_ACTIVE, VC_IDLE, VC_VA, Candidate, InputVC
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .network import Network
 
-#: A routing candidate: (output port index, output VC index, is_escape).
-Candidate = tuple[int, int, bool]
 RoutingFunction = Callable[["Router", Packet], list[Candidate]]
-
-# Input-VC pipeline states.
-VC_IDLE = 0  # waiting for a head flit / routing computation
-VC_VA = 1  # route computed, waiting to win an output VC
-VC_ACTIVE = 2  # output VC held, flits flow through switch allocation
-
-
-class InputVC:
-    """One virtual-channel buffer of an input port."""
-
-    __slots__ = (
-        "port",
-        "index",
-        "queue",
-        "state",
-        "candidates",
-        "out_port",
-        "out_vc",
-        "ready_cycle",
-        "queued",
-    )
-
-    def __init__(self, port: int, index: int) -> None:
-        self.port = port
-        self.index = index
-        self.queue: deque[Flit] = deque()
-        self.state = VC_IDLE
-        self.candidates: Optional[list[Candidate]] = None
-        self.out_port = -1
-        self.out_vc = -1
-        self.ready_cycle = 0
-        # True while the VC sits on one of the router's work lists.
-        self.queued = False
-
-    def reset_route(self) -> None:
-        self.state = VC_IDLE
-        self.candidates = None
-        self.out_port = -1
-        self.out_vc = -1
 
 
 class InputPort:
@@ -88,7 +50,7 @@ class InputPort:
     def __init__(self, index: int, link: Optional[Link], n_vcs: int, buffer_depth: int) -> None:
         self.index = index
         self.link = link
-        self.vcs = [InputVC(index, v) for v in range(n_vcs)]
+        self.vcs = [InputVC(index, v, link) for v in range(n_vcs)]
         self.buffer_depth = buffer_depth
 
     @property
@@ -159,6 +121,8 @@ class Router:
         # Work lists: VCs awaiting RC/VA, and VCs holding an output VC.
         self._pending: list[InputVC] = []
         self._active: list[InputVC] = []
+        #: True while the router sits on ``network._router_work``.
+        self.active = False
 
     def finalize(self) -> None:
         """Validate wiring; part of the network construction protocol."""
@@ -199,8 +163,15 @@ class Router:
         if was_empty and vc.state == VC_IDLE and not vc.queued:
             vc.queued = True
             self._pending.append(vc)
-        self.network.activate_router(self)
+        if not self.active:
+            self.active = True
+            self.network._router_work.append(self)
 
+    # The two methods below are the single-item forms of what the links'
+    # delivery loops do inline (``PipelinedLink.step``,
+    # ``HeteroPhyLink._receive`` / ``_deliver_credits``); the loops own the
+    # bookkeeping for speed, and ``tests/test_link.py`` pins both forms
+    # equivalent.
     def receive_flit(self, port: int, vc_idx: int, flit: Flit, now: int) -> None:
         """A flit arrives from an upstream link into an input VC buffer."""
         vc = self.inputs[port].vcs[vc_idx]
@@ -210,43 +181,21 @@ class Router:
             self._pending.append(vc)
         if self._telemetry.flit_recv is not None:
             self._telemetry.flit_recv(self, port, vc_idx, flit, now)
-        self.network.activate_router(self)
+        if not self.active:
+            self.active = True
+            self.network._router_work.append(self)
 
     def credit_arrive(self, out_port: int, vc: int) -> None:
         """A downstream buffer slot was freed."""
         self.outputs[out_port].credits[vc] += 1
-        self.network.activate_router(self)
+        if not self.active:
+            self.active = True
+            self.network._router_work.append(self)
 
     # -- per-cycle operation ------------------------------------------------
-    def step(self, now: int) -> bool:
-        """Run one cycle; return True if the router still holds work."""
-        if self._pending:
-            self._stage_rc_va(now)
-        if self._active:
-            self._stage_sa(now)
-        return bool(self._pending or self._active)
-
-    def step_timed(self, now: int, pc, phases: dict, t: int) -> tuple[bool, int]:
-        """:meth:`step` with host wall-time attribution (lap-timer protocol).
-
-        Calls the same stage methods in the same order.  ``t`` is the
-        caller's last clock reading; each stage charges ``pc() - t`` to
-        its phase and advances the lap, so attribution is exact — clock
-        overhead lands in the phase it follows, never in a residual.
-        Returns ``(still_active, last_timestamp)``.  Phase keys sync with
-        :data:`repro.telemetry.hostprof.PHASES`.
-        """
-        if self._pending:
-            self._stage_rc_va(now)
-            t2 = pc()
-            phases["rc_va"] += t2 - t
-            t = t2
-        if self._active:
-            self._stage_sa(now)
-            t2 = pc()
-            phases["sa_st"] += t2 - t
-            t = t2
-        return bool(self._pending or self._active), t
+    # ``Network.step`` runs ``_stage_rc_va`` then ``_stage_sa`` on every
+    # router of its work list; the router stays listed while either of its
+    # own lists is non-empty.
 
     # Routing computation + VC allocation.
     def _stage_rc_va(self, now: int) -> None:
@@ -338,96 +287,124 @@ class Router:
             )
         return True
 
-    # Switch allocation + transmission.
+    # Switch allocation + transmission, as one flat pass: per flit the only
+    # calls left are the link seams (``return_credit`` upstream, ``accept``
+    # downstream), the bus events and the buffer pop.
     def _stage_sa(self, now: int) -> None:
-        requesters: dict[int, list[InputVC]] = {}
         active = self._active
-        self._active = []
-        keep = self._active
+        # Requests per output port, in work-list order.  Most cycles see a
+        # single requesting VC, which needs no grouping and no rotation.
+        # A VC can be listed twice (its stale entry outlives the tail by one
+        # pass, by which time the VC may hold its next output); the duplicate
+        # counts as a contender, and the goldens pin that.
+        sole: Optional[InputVC] = None
+        requesters: Optional[dict[int, list[InputVC]]] = None
+        stale = False
         for ivc in active:
             if ivc.state != VC_ACTIVE:
                 ivc.queued = False  # stale (tail already sent)
-                continue
-            keep.append(ivc)
-            if ivc.queue and now >= ivc.ready_cycle:
-                lst = requesters.get(ivc.out_port)
-                if lst is None:
-                    requesters[ivc.out_port] = [ivc]
+                stale = True
+            elif ivc.queue and now >= ivc.ready_cycle:
+                if sole is None:
+                    sole = ivc
+                    continue
+                if requesters is None:
+                    requesters = {sole.out_port: [sole]}
+                out_port = ivc.out_port
+                if out_port in requesters:
+                    requesters[out_port].append(ivc)
                 else:
-                    lst.append(ivc)
-        for out_idx, vcs in requesters.items():
-            self._allocate_output(self.outputs[out_idx], vcs, now)
-
-    def _allocate_output(self, out: OutputPort, vcs: list[InputVC], now: int) -> None:
-        link = out.link
-        if self._telemetry.credit_stall is not None and link is not None:
-            # One event per (output VC, cycle) with a flit ready but no
-            # downstream credit — the epoch collector's credit-stall metric.
-            for ivc in vcs:
-                if ivc.queue and out.credits[ivc.out_vc] <= 0:
-                    self._telemetry.credit_stall(self, out.index, ivc.out_vc, now)
-        budget = out.bandwidth if link is None else min(out.bandwidth, link.accept_budget(now))
-        if budget <= 0:
+                    requesters[out_port] = [ivc]
+        if stale:
+            self._active = [ivc for ivc in active if ivc.state == VC_ACTIVE]
+        if sole is None:
             return
-        # Rotate contenders for fairness, then grant greedily; one contender
-        # may win several slots per cycle (multi-width FIFO read, Sec 7.3).
-        if len(vcs) > 1:
-            start = out.rr_next % len(vcs)
-            vcs = vcs[start:] + vcs[:start]
-            out.rr_next += 1
-        credits = out.credits
-        progressed = True
-        while budget > 0 and progressed:
-            progressed = False
-            for ivc in vcs:
-                if budget <= 0:
-                    break
-                if not ivc.queue or ivc.state != VC_ACTIVE:
-                    continue
-                if link is not None and credits[ivc.out_vc] <= 0:
-                    continue
-                self._send_flit(ivc, out, now)
-                budget -= 1
-                progressed = True
+        groups: Iterable[tuple[int, list[InputVC]]] = (
+            ((sole.out_port, [sole]),) if requesters is None else requesters.items()
+        )
+        outputs = self.outputs
+        flit_send = self._telemetry.flit_send
+        credit_stall = self._telemetry.credit_stall
+        sent = 0
+        for out_idx, vcs in groups:
+            out = outputs[out_idx]
+            link = out.link
+            credits = out.credits
+            budget = out.bandwidth
+            if link is not None:
+                if credit_stall is not None:
+                    # One event per (output VC, cycle) with a flit ready but
+                    # no downstream credit — the epoch collector's
+                    # credit-stall metric.
+                    for ivc in vcs:
+                        if ivc.queue and credits[ivc.out_vc] <= 0:
+                            credit_stall(self, out_idx, ivc.out_vc, now)
+                link_budget = link.accept_budget(now)
+                if link_budget < budget:
+                    budget = link_budget
+            if budget <= 0:
+                continue
+            # Rotate contenders for fairness, then grant greedily; one
+            # contender may win several slots per cycle (multi-width FIFO
+            # read, Sec 7.3).
+            if len(vcs) > 1:
+                start = out.rr_next % len(vcs)
+                vcs = vcs[start:] + vcs[:start]
+                out.rr_next += 1
+            progressed = True
+            while budget > 0 and progressed:
+                progressed = False
+                for ivc in vcs:
+                    if budget <= 0:
+                        break
+                    queue = ivc.queue
+                    if not queue or ivc.state != VC_ACTIVE:
+                        continue
+                    out_vc = ivc.out_vc
+                    if link is not None and credits[out_vc] <= 0:
+                        continue
+                    flit = queue.popleft()
+                    in_link = ivc.in_link
+                    if in_link is not None:
+                        in_link.return_credit(ivc.index, now)
+                    if flit_send is not None:
+                        flit_send(self, flit, out_idx, out_vc, now)
+                    if link is None:
+                        packet = flit.packet
+                        if packet.dst != self.node:
+                            raise RuntimeError(
+                                f"flit for node {packet.dst} ejected at node {self.node}"
+                            )
+                        packet.flits_delivered += 1
+                        if flit.is_tail:
+                            self._eject_packet(packet, now)
+                    else:
+                        credits[out_vc] -= 1
+                        link.accept(flit, out_vc, now)
+                    if flit.is_tail:
+                        out.vc_owner[out_vc] = None
+                        ivc.reset_route()
+                        # The next packet in this buffer (if any) needs a
+                        # fresh route.
+                        if queue and queue[0].is_head:
+                            ivc.queued = True
+                            self._pending.append(ivc)
+                        else:
+                            ivc.queued = False
+                    sent += 1
+                    budget -= 1
+                    progressed = True
+        if sent:
+            self._stats.note_router_flit(sent)
 
-    def _send_flit(self, ivc: InputVC, out: OutputPort, now: int) -> None:
-        flit = ivc.queue.popleft()
-        in_port = self.inputs[ivc.port]
-        if in_port.link is not None:
-            in_port.link.return_credit(ivc.index, now)
-        self._stats.note_router_flit()
-        if self._telemetry.flit_send is not None:
-            self._telemetry.flit_send(self, flit, out.index, ivc.out_vc, now)
-        link = out.link
-        if link is None:
-            self._eject(flit, now)
-        else:
-            out.credits[ivc.out_vc] -= 1
-            link.accept(flit, ivc.out_vc, now)
-        if flit.is_tail:
-            out.vc_owner[ivc.out_vc] = None
-            ivc.reset_route()
-            # The next packet in this buffer (if any) needs a fresh route.
-            if ivc.queue and ivc.queue[0].is_head:
-                ivc.queued = True
-                self._pending.append(ivc)
-            else:
-                ivc.queued = False
-
-    def _eject(self, flit: Flit, now: int) -> None:
-        packet = flit.packet
-        if packet.dst != self.node:
-            raise RuntimeError(
-                f"flit for node {packet.dst} ejected at node {self.node}"
-            )
-        packet.flits_delivered += 1
-        if flit.is_tail:
-            if packet.flits_delivered != packet.length:
-                raise RuntimeError(f"packet {packet.pid} lost flits in flight")
-            packet.arrive_cycle = now
-            self.network.stats.note_packet_delivered(packet, now)
-            if self._telemetry.packet_eject is not None:
-                self._telemetry.packet_eject(self, packet, now)
+    def _eject_packet(self, packet: Packet, now: int) -> None:
+        """The tail flit left through the ejection port: the packet is done."""
+        if packet.flits_delivered != packet.length:
+            raise RuntimeError(f"packet {packet.pid} lost flits in flight")
+        packet.arrive_cycle = now
+        self._stats.note_packet_delivered(packet, now)
+        if self._telemetry.packet_eject is not None:
+            self._telemetry.packet_eject(self, packet, now)
 
     # -- introspection ------------------------------------------------------
     def buffered_flits(self) -> int:

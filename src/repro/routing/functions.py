@@ -29,6 +29,7 @@ from repro.core.weighted_path import HopCostModel
 from repro.noc.channel import ChannelKind
 from repro.noc.flit import Packet
 from repro.noc.router import Candidate, Router
+from repro.topology.grid import ChipletGrid
 from repro.topology.system import SystemSpec
 from .cube_moves import CubeHostIndex, split_dims
 from .mesh_moves import minimal_moves, negative_first_moves
@@ -41,6 +42,22 @@ _X_DIR = {1: "E", -1: "W"}
 _Y_DIR = {1: "N", -1: "S"}
 
 
+def node_coords(grid: ChipletGrid) -> list[tuple[int, int]]:
+    """Global ``(gx, gy)`` of every node, indexed by node id.
+
+    Routing runs once per packet per hop; a table lookup replaces the
+    range check and the four size properties behind ``grid.coords``.
+    ``Network.inject`` rejects out-of-range endpoints, so the index is
+    always valid (a negative one would silently wrap).
+    """
+    return [grid.coords(node) for node in range(grid.n_nodes)]
+
+
+def node_chiplets(grid: ChipletGrid) -> list[int]:
+    """Chiplet id of every node, indexed by node id (see :func:`node_coords`)."""
+    return [grid.chiplet_of(node) for node in range(grid.n_nodes)]
+
+
 class MeshRouting:
     """Negative-first-based adaptive routing on the global 2D mesh.
 
@@ -51,12 +68,13 @@ class MeshRouting:
     def __init__(self, spec: SystemSpec) -> None:
         self.grid = spec.grid
         self.n_vcs = spec.config.n_vcs
+        self._coords = node_coords(spec.grid)
 
     def __call__(self, router: Router, packet: Packet) -> list[Candidate]:
         if packet.dst == router.node:
             return _EJECT
-        cur = self.grid.coords(router.node)
-        dst = self.grid.coords(packet.dst)
+        cur = self._coords[router.node]
+        dst = self._coords[packet.dst]
         return self._mesh_candidates(router, cur, dst, packet.adaptive_banned)
 
     def _mesh_candidates(
@@ -110,9 +128,8 @@ class TorusRouting(MeshRouting):
     def __call__(self, router: Router, packet: Packet) -> list[Candidate]:
         if packet.dst == router.node:
             return _EJECT
-        grid = self.grid
-        cur = grid.coords(router.node)
-        dst = grid.coords(packet.dst)
+        cur = self._coords[router.node]
+        dst = self._coords[packet.dst]
         by_tag = router.out_port_by_tag
         escape_dirs = negative_first_moves(cur, dst)
         candidates: list[Candidate] = [
@@ -162,19 +179,19 @@ class HypercubeRouting:
         self.grid = spec.grid
         self.n_vcs = spec.config.n_vcs
         self.hosts = CubeHostIndex(spec)
+        self._coords = node_coords(spec.grid)
+        self._chiplets = node_chiplets(spec.grid)
 
     def __call__(self, router: Router, packet: Packet) -> list[Candidate]:
         node = router.node
         if packet.dst == node:
             return _EJECT
-        grid = self.grid
-        chiplet = grid.chiplet_of(node)
-        dst_chiplet = grid.chiplet_of(packet.dst)
+        coords = self._coords
+        chiplet = self._chiplets[node]
+        dst_chiplet = self._chiplets[packet.dst]
         by_tag = router.out_port_by_tag
         if chiplet == dst_chiplet:
-            return self._onchip(
-                router, grid.coords(node), grid.coords(packet.dst), self.PLUS_VC
-            )
+            return self._onchip(router, coords[node], coords[packet.dst], self.PLUS_VC)
         minus, plus = split_dims(chiplet, dst_chiplet)
         phase_dims = minus if minus else plus
         phase_vc = self.MINUS_VC if minus else self.PLUS_VC
@@ -182,9 +199,7 @@ class HypercubeRouting:
         if host == node:
             candidates: list[Candidate] = [(by_tag[("cube", dim)], phase_vc, True)]
         else:
-            candidates = self._onchip(
-                router, grid.coords(node), grid.coords(host), phase_vc
-            )
+            candidates = self._onchip(router, coords[node], coords[host], phase_vc)
         if packet.adaptive_banned:
             return candidates
         # Adaptive: any hosted link of the current phase.  Escape claims
@@ -198,7 +213,7 @@ class HypercubeRouting:
                 for vc in serial_adaptive_vcs:
                     candidates.append((port, vc, False))
         if host != node:
-            for direction in minimal_moves(grid.coords(node), grid.coords(host)):
+            for direction in minimal_moves(coords[node], coords[host]):
                 port = by_tag[("mesh", direction)]
                 for vc in range(self.PLUS_VC + 1, self.n_vcs):
                     candidates.append((port, vc, False))
@@ -240,16 +255,16 @@ class HeteroChannelRouting(MeshRouting):
             raise ValueError("HeteroChannelRouting requires a hetero_channel system")
         self.hosts = CubeHostIndex(spec)
         self.selector = selector
+        self._chiplets = node_chiplets(spec.grid)
 
     def __call__(self, router: Router, packet: Packet) -> list[Candidate]:
         node = router.node
         if packet.dst == node:
             return _EJECT
-        grid = self.grid
-        cur = grid.coords(node)
-        dst = grid.coords(packet.dst)
-        chiplet = grid.chiplet_of(node)
-        dst_chiplet = grid.chiplet_of(packet.dst)
+        cur = self._coords[node]
+        dst = self._coords[packet.dst]
+        chiplet = self._chiplets[node]
+        dst_chiplet = self._chiplets[packet.dst]
         if chiplet == dst_chiplet or packet.adaptive_banned:
             packet.subnet_choice = MESH
             return self._mesh_candidates(router, cur, dst, packet.adaptive_banned)
@@ -290,7 +305,7 @@ class HeteroChannelRouting(MeshRouting):
                     candidates.append((port, vc, False))
         else:
             host, _dim = self.hosts.nearest_host(router.node, needed)
-            for direction in minimal_moves(cur, self.grid.coords(host)):
+            for direction in minimal_moves(cur, self._coords[host]):
                 port = by_tag[("mesh", direction)]
                 for vc in range(1, self.n_vcs):
                     candidates.append((port, vc, False))

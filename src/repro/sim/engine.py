@@ -135,7 +135,7 @@ class Engine:
         try:
             while self.cycle < deadline:
                 tick()
-                if self.workload.done(self.cycle) and self._empty():
+                if self.workload.done(self.cycle) and not self.network.holds_flits():
                     return self.stats
         except (RuntimeError, AssertionError) as exc:
             self._capture_failure(exc)
@@ -220,9 +220,6 @@ class Engine:
         finally:
             profiler.disable()
         return self.stats, ProfileReport(profiler, sort=sort, top=top)
-
-    def _empty(self) -> bool:
-        return self.network.buffered_flits() == 0 and self.network.in_flight_flits() == 0
 
     def _tick(self) -> None:
         now = self.cycle

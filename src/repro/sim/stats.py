@@ -71,8 +71,9 @@ class Stats:
         self._link_flits[kind_id] += 1
         self._link_energy_pj[kind_id] += energy_pj
 
-    def note_router_flit(self) -> None:
-        self.router_flits += 1
+    def note_router_flit(self, count: int = 1) -> None:
+        """``count`` flits crossed a router's switch this cycle."""
+        self.router_flits += count
         self.last_movement_cycle = self.now
 
     @property

@@ -12,7 +12,7 @@ Two instruments live here:
 * :class:`HostTimeLedger` — cheap ``perf_counter_ns`` phase timers the
   engine installs at its phase boundaries (see
   :meth:`repro.sim.engine.Engine.run` and the ``step_timed`` hooks on
-  :class:`~repro.noc.router.Router`, :class:`~repro.noc.link.Link` and
+  :class:`~repro.noc.network.Network`, :class:`~repro.noc.link.Link` and
   :class:`~repro.core.phy.HeteroPhyLink`).  Attributed time is checked
   against the timed-loop total (the same conservation discipline as the
   latency ledger's invariant).  A *strided* mode times every Nth cycle
@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Host phases the engine attributes wall time to, in pipeline order.
 #: The string literals at the timing sites (``Engine._tick_profiled``,
-#: ``Network.step_timed``, ``Router.step_timed``, ``Link.step_timed``,
+#: ``Network.step_timed``, ``Link.step_timed``,
 #: ``HeteroPhyLink.step_timed``) must stay in sync with this tuple —
 #: ``tests/test_hostprof.py`` checks that a profiled run never
 #: accumulates time under an unknown phase name.
@@ -248,9 +248,7 @@ _PHASE_BY_FUNC: dict[str, str] = {
     "_stage_rc_va": "rc_va",
     "_try_vc_allocate": "rc_va",
     "_stage_sa": "sa_st",
-    "_allocate_output": "sa_st",
-    "_send_flit": "sa_st",
-    "_eject": "sa_st",
+    "_eject_packet": "sa_st",
     "inject": "inject",
     # repro/core/phy.py
     "_receive": "phy_rx",

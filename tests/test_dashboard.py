@@ -121,7 +121,9 @@ def test_dashboard_hostperf_section(tmp_path):
             }},
         ))
 
-    page = build_dashboard(results, scale="tiny", runs_dir=runs)
+    page = build_dashboard(
+        results, scale="tiny", runs_dir=runs, bench_dirs=[tmp_path / "no-bench"]
+    )
     assert "Host performance" in page
     # fig11 curves + throughput trajectory + phase-share bars + the
     # sentinel's cps figure over the two bench records
@@ -136,7 +138,9 @@ def test_dashboard_hostperf_empty_state(tmp_path):
     write_fig11_csv(results)
     runs = tmp_path / "runs"
     RunStore(runs).append(make_record(label="plain"))
-    page = build_dashboard(results, scale="tiny", runs_dir=runs)
+    page = build_dashboard(
+        results, scale="tiny", runs_dir=runs, bench_dirs=[tmp_path / "no-bench"]
+    )
     assert "no bench history yet" in page
     assert "repro bench" in page
 
@@ -152,7 +156,9 @@ def test_dashboard_breakdown_section(tmp_path):
         breakdown=make_breakdown(switch_wait=4.0, link_serial=16.0),
     ))
 
-    page = build_dashboard(results, scale="tiny", runs_dir=runs)
+    page = build_dashboard(
+        results, scale="tiny", runs_dir=runs, bench_dirs=[tmp_path / "no-bench"]
+    )
     assert "Latency attribution" in page
     assert page.count("<svg") == 2  # fig11 curves + the stacked bars
     assert "mean cycles per packet" in page
@@ -168,7 +174,9 @@ def test_dashboard_breakdown_empty_state(tmp_path):
     write_fig11_csv(results)
     runs = tmp_path / "runs"
     RunStore(runs).append(make_record(label="plain"))
-    page = build_dashboard(results, scale="tiny", runs_dir=runs)
+    page = build_dashboard(
+        results, scale="tiny", runs_dir=runs, bench_dirs=[tmp_path / "no-bench"]
+    )
     assert "no runs with a latency breakdown yet" in page
     assert "--latency-breakdown" in page
 
@@ -195,7 +203,9 @@ def test_dashboard_health_section(tmp_path):
         },
     ))
 
-    page = build_dashboard(results, scale="tiny", runs_dir=runs)
+    page = build_dashboard(
+        results, scale="tiny", runs_dir=runs, bench_dirs=[tmp_path / "no-bench"]
+    )
     assert "Run health" in page
     assert "no-throughput" in page
     assert "<polyline" in page  # the oldest-age sparkline
@@ -208,7 +218,9 @@ def test_dashboard_health_empty_state(tmp_path):
     write_fig11_csv(results)
     runs = tmp_path / "runs"
     RunStore(runs).append(make_record(label="plain"))
-    page = build_dashboard(results, scale="tiny", runs_dir=runs)
+    page = build_dashboard(
+        results, scale="tiny", runs_dir=runs, bench_dirs=[tmp_path / "no-bench"]
+    )
     assert "no runs with health probes yet" in page
     assert "--health" in page
 
@@ -222,7 +234,9 @@ def test_dashboard_warns_about_skipped_registry_lines(tmp_path):
     with store.path.open("a") as handle:
         handle.write("{corrupt line\n")
 
-    page = build_dashboard(results, scale="tiny", runs_dir=runs)
+    page = build_dashboard(
+        results, scale="tiny", runs_dir=runs, bench_dirs=[tmp_path / "no-bench"]
+    )
     assert "1 unreadable registry line skipped" in page
     assert "good" in page  # the readable record still renders
     assert "<script" not in page  # the static page stays script-free

@@ -44,14 +44,14 @@ def small_spec(family="hetero_phy_torus", cycles=800, warmup=100):
     return build_system(family, grid, config)
 
 
-def run_with_ledger(spec, *, stride=1, seed=1, rate=0.1):
+def run_with_ledger(spec, *, stride=1, seed=1, rate=0.1, digest=False):
     result = run_synthetic(
         spec,
         "uniform",
         rate,
         seed=seed,
         telemetry=TelemetryConfig(
-            host_time=True, host_stride=stride, epoch_metrics=False
+            host_time=True, host_stride=stride, epoch_metrics=False, digest=digest
         ),
     )
     return result, result.telemetry.hostprof
@@ -147,18 +147,37 @@ def test_conservation_holds_for_every_family(family):
 
 
 def test_ledger_is_a_passive_observer(family):
+    """The timed twins (``Network.step_timed`` and below) replay ``step``.
+
+    Digest chains cover every bus event in order, so a twin that drifted
+    from the plain path — another stage order, a missed delivery — shows
+    here even when the headline statistics happen to agree.
+    """
+
     def stats_fingerprint(result):
         return json.dumps(result.stats.summary(), sort_keys=True)
 
-    baseline = run_synthetic(small_spec(family, cycles=600), "uniform", 0.1, seed=9)
+    def chain(result):
+        block = result.digest
+        return block["final"], block["checkpoints"], block["events"]
+
+    baseline = run_synthetic(
+        small_spec(family, cycles=600),
+        "uniform",
+        0.1,
+        seed=9,
+        telemetry=TelemetryConfig(digest=True, epoch_metrics=False),
+    )
     with_ledger, ledger1 = run_with_ledger(
-        small_spec(family, cycles=600), stride=1, seed=9
+        small_spec(family, cycles=600), stride=1, seed=9, digest=True
     )
     strided, ledger3 = run_with_ledger(
-        small_spec(family, cycles=600), stride=3, seed=9
+        small_spec(family, cycles=600), stride=3, seed=9, digest=True
     )
     assert stats_fingerprint(baseline) == stats_fingerprint(with_ledger)
     assert stats_fingerprint(baseline) == stats_fingerprint(strided)
+    assert chain(baseline) == chain(with_ledger)
+    assert chain(baseline) == chain(strided)
     assert baseline.stats.packets_delivered == with_ledger.stats.packets_delivered
     assert ledger1.total_cycles == ledger3.total_cycles
 
@@ -189,7 +208,8 @@ def test_router_work_lands_in_pipeline_phases():
 # -- cProfile folding + speedscope -------------------------------------------
 def test_phase_of_mapping():
     assert phase_of("src/repro/noc/router.py", "_stage_rc_va") == "rc_va"
-    assert phase_of("src/repro/noc/router.py", "_send_flit") == "sa_st"
+    assert phase_of("src/repro/noc/router.py", "_stage_sa") == "sa_st"
+    assert phase_of("src/repro/noc/router.py", "_eject_packet") == "sa_st"
     assert phase_of("src/repro/core/phy.py", "_receive") == "phy_rx"
     assert phase_of("src/repro/core/phy.py", "_dispatch") == "phy_tx"
     assert phase_of("src/repro/noc/link.py", "step") == "link"
@@ -241,7 +261,7 @@ def test_fold_profile_produces_phase_rooted_stacks():
 
 def test_speedscope_roundtrip_and_validation(tmp_path):
     rows = [
-        (("engine", "sa_st", "repro/noc/router.py:_send_flit"), 1_500_000),
+        (("engine", "sa_st", "repro/noc/router.py:_stage_sa"), 1_500_000),
         (("engine", "link", "repro/noc/link.py:step"), 500_000),
     ]
     doc = speedscope_document(rows, name="roundtrip")

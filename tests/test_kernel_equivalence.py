@@ -90,18 +90,21 @@ class _MixedClassWorkload(SyntheticWorkload):
     and the ordered FIFO side by side.
     """
 
+    _made = 0
+
     def step(self, now: int):
         packets = super().step(now)
         for packet in packets:
-            serial = self._made = getattr(self, "_made", 0) + 1
-            if serial % 3 == 0:
+            self._made += 1
+            if self._made % 3 == 0:
                 packet.ordered = False
-            if serial % 5 == 0:
+            if self._made % 5 == 0:
                 packet.priority = 1
         return packets
 
 
-def _family_case(family: str, vct: bool) -> dict:
+def _uniform_run(family: str, rate: float, seed: int, *, vct=True, workload=SyntheticWorkload):
+    """600 cycles of uniform traffic on GRID, digested; returns (observation, network)."""
     cycles, warmup = 600, 100
     config = SimConfig(sim_cycles=cycles, warmup_cycles=warmup)
     spec = build_system(family, GRID, config)
@@ -109,18 +112,22 @@ def _family_case(family: str, vct: bool) -> dict:
     network = build_network(spec, stats)
     for router in network.routers:
         router.vct = vct
-    workload = SyntheticWorkload(
+    source = workload(
         make_pattern("uniform", GRID.n_nodes),
         GRID.n_nodes,
-        0.5,
+        rate,
         config.packet_length,
         until=cycles,
-        seed=3,
+        seed=seed,
     )
     digest = RunDigest(network, checkpoint_every=CHECKPOINT_EVERY)
-    Engine(network, workload, stats).run(cycles)
+    Engine(network, source, stats).run(cycles)
     digest.detach()
-    return _observation(digest, stats, cycles)
+    return _observation(digest, stats, cycles), network
+
+
+def _family_case(family: str, vct: bool) -> dict:
+    return _uniform_run(family, 0.5, 3, vct=vct)[0]
 
 
 def _saturated_mesh_case() -> dict:
@@ -151,25 +158,11 @@ def _parsec_trace_case() -> dict:
 
 
 def _bypass_case() -> dict:
-    cycles, warmup = 600, 100
-    config = SimConfig(sim_cycles=cycles, warmup_cycles=warmup)
-    spec = build_system("hetero_phy_torus", GRID, config)
-    stats = Stats(measure_from=warmup)
-    network = build_network(spec, stats)
-    workload = _MixedClassWorkload(
-        make_pattern("uniform", GRID.n_nodes),
-        GRID.n_nodes,
-        0.3,
-        config.packet_length,
-        until=cycles,
-        seed=11,
+    observed, network = _uniform_run(
+        "hetero_phy_torus", 0.3, 11, workload=_MixedClassWorkload
     )
-    digest = RunDigest(network, checkpoint_every=CHECKPOINT_EVERY)
-    Engine(network, workload, stats).run(cycles)
-    digest.detach()
     bypassed = sum(getattr(link, "flits_bypassed", 0) for link in network.links)
     assert bypassed > 0, "the bypass case must exercise the bypass queue"
-    observed = _observation(digest, stats, cycles)
     observed["bypassed"] = bypassed
     return observed
 

@@ -127,3 +127,97 @@ def test_occupancy_tracks_in_flight():
         peak = max(peak, link.occupancy)
     assert peak > 0
     assert link.occupancy == 0
+
+
+# -- delivery loops vs. the routers' single-item entry points ------------------
+def _downstream_state(network):
+    """Everything a delivery can touch, in comparable (object-free) form."""
+    src, dst = network.routers
+    position = {id(ivc): (ivc.port, ivc.index) for port in dst.inputs for ivc in port.vcs}
+    return {
+        "vcs": [
+            (
+                ivc.port,
+                ivc.index,
+                [(flit.packet.length, flit.index) for flit in ivc.queue],
+                ivc.state,
+                ivc.queued,
+            )
+            for port in dst.inputs
+            for ivc in port.vcs
+        ],
+        "pending": [position[id(ivc)] for ivc in dst._pending],
+        "credits": [list(out.credits) for out in src.outputs],
+        "active": [router.active for router in network.routers],
+        "work": [router.node for router in network._router_work],
+    }
+
+
+@pytest.mark.parametrize("kind", [ChannelKind.PARALLEL, ChannelKind.HETERO_PHY])
+def test_delivery_loops_match_single_item_entry_points(kind):
+    """A link's delivery loops and ``Router.receive_flit`` / ``credit_arrive``
+    are two forms of one bookkeeping.
+
+    Network A pushes flits and credits through the link and steps it;
+    network B is handed the same flits and credits, at the same cycles, by
+    calling the router methods directly.  Both must end in the same input-VC
+    state, ``_pending`` order, credit counts, activation and ``flit_recv``
+    event stream.
+    """
+    driven, _ = build_chain(2, kind, bandwidth=2, delay=3)
+    by_hand, _ = build_chain(2, kind, bandwidth=2, delay=3)
+    link = driven.links[0]
+
+    def flit_recv_log(network):
+        log: list[tuple] = []
+        network.telemetry.subscribe(
+            "flit_recv",
+            lambda router, port, vc, flit, now: log.append(
+                (router.node, port, vc, flit.packet.length, flit.index, now)
+            ),
+        )
+        return log
+
+    driven_events, hand_events = flit_recv_log(driven), flit_recv_log(by_hand)
+
+    # Two packets of distinct lengths (length doubles as the packet's name)
+    # interleaved on two VCs, fed at the link's width; credits on both VCs.
+    def make_feed():
+        a, b = Packet(0, 1, 3, 0).make_flits(), Packet(0, 1, 4, 0).make_flits()
+        return {
+            0: [(a[0], 0), (b[0], 1)],
+            1: [(a[1], 0), (b[1], 1)],
+            2: [(a[2], 0), (b[2], 1)],
+            4: [(b[3], 1)],
+        }
+
+    credit_returns = {0: [1], 1: [0, 1], 5: [0]}
+    credit_arrivals: dict[int, list[int]] = {}
+    feed = make_feed()
+    for now in range(40):
+        for flit, vc in feed.get(now, []):
+            link.accept(flit, vc, now)
+        for vc in credit_returns.get(now, []):
+            link.return_credit(vc, now)
+            credit_arrivals.setdefault(now + link.credit_delay, []).append(vc)
+        link.step(now)
+    assert len(driven_events) == 7 and link.occupancy == 0
+
+    replay = {
+        (flit.packet.length, flit.index): flit
+        for flits in make_feed().values()
+        for flit, _vc in flits
+    }
+    src, dst = by_hand.routers
+    for now in range(40):
+        for _node, port, vc, length, index, when in driven_events:
+            if when == now:
+                dst.receive_flit(port, vc, replay[(length, index)], now)
+        for vc in credit_arrivals.get(now, []):
+            src.credit_arrive(by_hand.links[0].src_port, vc)
+
+    assert hand_events == driven_events
+    assert _downstream_state(by_hand) == _downstream_state(driven)
+    # The heads found idle VCs, so both forms queued them for RC, in order.
+    assert _downstream_state(driven)["pending"] == [(1, 0), (1, 1)]
+    assert _downstream_state(driven)["work"] == [1, 0]

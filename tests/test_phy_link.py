@@ -79,20 +79,16 @@ def test_flits_delivered_in_order_despite_phy_split():
     """The reorder buffer restores per-VC transmit order (SN order)."""
     network, _ = hetero_chain(policy="performance")
     delivered: list[tuple[int, int]] = []
-    original = Router._eject
 
-    def spy(self, flit, now):
-        delivered.append((flit.packet.pid, flit.index))
-        original(self, flit, now)
+    def spy(router, flit, out_port, out_vc, now):
+        if out_port == Router.EJECT_PORT:
+            delivered.append((flit.packet.pid, flit.index))
 
-    Router._eject = spy
-    try:
-        packets = [Packet(0, 1, 16, 0) for _ in range(4)]
-        for packet in packets:
-            network.inject(packet)
-        run_cycles(network, 300)
-    finally:
-        Router._eject = original
+    network.telemetry.subscribe("flit_send", spy)
+    packets = [Packet(0, 1, 16, 0) for _ in range(4)]
+    for packet in packets:
+        network.inject(packet)
+    run_cycles(network, 300)
     assert all(p.arrive_cycle is not None for p in packets)
     # per-packet flit order is strictly increasing
     by_packet: dict[int, list[int]] = {}

@@ -26,21 +26,17 @@ def test_wormhole_packets_stay_contiguous_per_vc():
     """Two packets on the same path do not interleave flits at delivery."""
     network, _ = build_chain(2, bandwidth=2, delay=1)
     delivered: list[int] = []
-    original_eject = Router._eject
 
-    def spy(self, flit, now):
-        delivered.append(flit.packet.pid)
-        original_eject(self, flit, now)
+    def spy(router, flit, out_port, out_vc, now):
+        if out_port == Router.EJECT_PORT:
+            delivered.append(flit.packet.pid)
 
-    Router._eject = spy
-    try:
-        a = Packet(0, 1, 8, 0)
-        b = Packet(0, 1, 8, 0)
-        network.inject(a)
-        network.inject(b)
-        run_cycles(network, 60)
-    finally:
-        Router._eject = original_eject
+    network.telemetry.subscribe("flit_send", spy)
+    a = Packet(0, 1, 8, 0)
+    b = Packet(0, 1, 8, 0)
+    network.inject(a)
+    network.inject(b)
+    run_cycles(network, 60)
     assert a.arrive_cycle is not None and b.arrive_cycle is not None
     # With 2 injection VCs both packets are in flight concurrently, but
     # each packet's flits are delivered in order.

@@ -125,13 +125,15 @@ def test_hetero_budget_respected_by_sa():
         2, ChannelKind.HETERO_PHY, policy="performance", bandwidth=2,
         serial_bandwidth=4,
     )
-    link = network.links[0]
+    accepts: list[int] = []
+    network.telemetry.subscribe(
+        "link_accept", lambda link, flit, vc, now: accepts.append(now)
+    )
     for _ in range(6):
         network.inject(Packet(0, 1, 16, 0))
     for now in range(200):
         network.stats.now = now
-        before = link._accepted_in(now)
         network.step(now)
-        accepted = link._accepted_in(now) - before
-        assert accepted <= 6
+        assert accepts.count(now) <= 6
+    assert len(accepts) == 6 * 16
     assert network.buffered_flits() == 0
