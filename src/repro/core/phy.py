@@ -60,11 +60,16 @@ class HeteroPhyLink(Link):
             )
         )
         self.rob = ReorderBuffer(capacity)
+        # Hot-path constants (bound at construction).
+        self._par_bw = self.parallel.bandwidth
+        self._ser_bw = self.serial.bandwidth
+        self._total_bw = self._par_bw + self._ser_bw
+        self._par_delay = self.parallel.delay
+        self._ser_delay = self.serial.delay
         self._par_energy_per_flit = FLIT_BITS * self.parallel.energy_pj_per_bit
         self._ser_energy_per_flit = FLIT_BITS * self.serial.energy_pj_per_bit
         self._txq: deque[tuple[Flit, int]] = deque()
         self._bypassq: deque[tuple[Flit, int]] = deque()
-        self._txq_vc_count = [0] * spec.n_vcs
         self._bypass_vcs: set[int] = set()
         self._next_sn = [0] * spec.n_vcs
         self._par_pipe: deque[tuple[int, Flit, int]] = deque()
@@ -76,10 +81,10 @@ class HeteroPhyLink(Link):
 
     # -- transmit side ------------------------------------------------------
     def accept_budget(self, now: int) -> int:
-        total_bw = self.parallel.bandwidth + self.serial.bandwidth
-        free = self.tx_fifo_depth - len(self._txq) - len(self._bypassq)
-        accepted = self._accepted if now == self._accept_cycle else 0
-        return min(total_bw, free) - accepted
+        budget = self.tx_fifo_depth - len(self._txq) - len(self._bypassq)
+        if budget > self._total_bw:
+            budget = self._total_bw
+        return budget - (self._accepted if now == self._accept_cycle else 0)
 
     def accept(self, flit: Flit, vc: int, now: int) -> None:
         if now != self._accept_cycle:
@@ -98,148 +103,175 @@ class HeteroPhyLink(Link):
                 self._bypass_vcs.discard(vc)
         else:
             self._txq.append((flit, vc))
-            self._txq_vc_count[vc] += 1
         if not self.active:
             self.active = True
             self.network._link_work.append(self)
 
     def _decide_bypass(self, flit: Flit, vc: int) -> None:
-        """Admit a whole packet to the bypass queue if safe and eligible."""
+        """Admit a whole packet to the bypass queue if eligible and safe."""
         packet = flit.packet
-        eligible = self.policy.bypass_enabled and (
-            packet.priority > 0 or not packet.ordered
-        )
-        if eligible and self._txq_vc_count[vc] == 0:
+        if (
+            (packet.priority > 0 or not packet.ordered)
+            and self.policy.bypass_enabled
+            # Safe only while no flit of this VC waits in the TX FIFO,
+            # which the packet would otherwise overtake.
+            and not any(queued_vc == vc for _flit, queued_vc in self._txq)
+        ):
             self._bypass_vcs.add(vc)
 
     # -- per-cycle operation ---------------------------------------------------
     def step(self, now: int) -> bool:
-        self._receive(now)
-        self._dispatch(now)
-        self._deliver_credits(now)
-        return self._holds_state()
+        # Only the stages that have work run: receive iff a PHY pipe head
+        # is due, dispatch iff a flit waits at the transmitter, credit
+        # delivery iff a credit is due.
+        par_pipe = self._par_pipe
+        ser_pipe = self._ser_pipe
+        if (par_pipe and par_pipe[0][0] <= now) or (ser_pipe and ser_pipe[0][0] <= now):
+            self._receive(now)
+        if self._txq or self._bypassq:
+            self._dispatch(now)
+        credit_queue = self._credit_queue
+        if credit_queue and credit_queue[0][0] <= now:
+            self._deliver_credits(now)
+        # Live while any queue, pipe, pending credit or ROB slot is (the
+        # ROB last: it is only asked when everything else has drained).
+        return bool(
+            par_pipe
+            or ser_pipe
+            or self._txq
+            or self._bypassq
+            or credit_queue
+            or self.rob.occupancy
+        )
 
     def step_timed(self, now: int, pc, phases: dict, t: int) -> tuple[bool, int]:
         """:meth:`step` with host wall-time attribution (lap-timer protocol).
 
-        Same sub-step order; ``t`` is the caller's last clock reading and
-        each sub-step charges ``pc() - t`` to its phase (see
+        Same stage gating and order; ``t`` is the caller's last clock
+        reading and each half charges ``pc() - t`` to its phase (see
         :meth:`repro.noc.link.Link.step_timed`).  Receive/reorder time
-        (ROB insert + release + downstream delivery) lands in
-        ``"phy_rx"``, serialize/dispatch and credit delivery in
-        ``"phy_tx"``.  Phase keys sync with
-        :data:`repro.telemetry.hostprof.PHASES`.
+        (ROB reorder + downstream delivery) lands in ``"phy_rx"``,
+        serialize/dispatch and credit delivery in ``"phy_tx"``.  An idle
+        stage still laps the clock, so its gate test and the timer's own
+        cost stay attributed and the ledger conserves.  Phase keys sync
+        with :data:`repro.telemetry.hostprof.PHASES`.
         """
-        self._receive(now)
+        par_pipe = self._par_pipe
+        ser_pipe = self._ser_pipe
+        if (par_pipe and par_pipe[0][0] <= now) or (ser_pipe and ser_pipe[0][0] <= now):
+            self._receive(now)
         t2 = pc()
         phases["phy_rx"] += t2 - t
-        self._dispatch(now)
-        self._deliver_credits(now)
+        if self._txq or self._bypassq:
+            self._dispatch(now)
+        credit_queue = self._credit_queue
+        if credit_queue and credit_queue[0][0] <= now:
+            self._deliver_credits(now)
+        alive = bool(
+            par_pipe
+            or ser_pipe
+            or self._txq
+            or self._bypassq
+            or credit_queue
+            or self.rob.occupancy
+        )
         t3 = pc()
         phases["phy_tx"] += t3 - t2
-        return self._holds_state(), t3
-
-    def _holds_state(self) -> bool:
-        """True while any queue, pipe, ROB slot or pending credit is live."""
-        return bool(
-            self._txq
-            or self._bypassq
-            or self._par_pipe
-            or self._ser_pipe
-            or self.rob.occupancy
-            or self._credit_queue
-        )
+        return alive, t3
 
     def _dispatch(self, now: int) -> None:
+        """Move flits from the bypass queue and the TX FIFO onto the PHYs.
+
+        Bypass first, parallel PHY only (Sec 4.2); then the main queue in
+        FIFO order, the policy choosing the PHY per flit.  Each issued flit
+        gets its per-VC sequence number and is charged the energy of the
+        PHY that carries it, and the hop.
+        """
         bypassq = self._bypassq
         txq = self._txq
-        if not (txq or bypassq):
-            return
-        par_free = self.parallel.bandwidth
-        ser_free = self.serial.bandwidth
-        # Bypass first: parallel PHY only (Sec 4.2).
-        while bypassq and par_free > 0:
-            flit, vc = bypassq.popleft()
-            self._issue(flit, vc, PARALLEL, now)
-            par_free -= 1
-            self.flits_bypassed += 1
-        # Main dispatch queue: FIFO, policy chooses the PHY per flit.  The
-        # queue length seen by the policy is the state at cycle start
+        par_free = self._par_bw
+        ser_free = self._ser_bw
+        # The queue length seen by the policy is the state at cycle start
         # (threshold logic samples the FIFO level, Sec 7.3).
         queue_len = len(txq)
         choose_phy = self.policy.choose_phy
-        while txq and (par_free > 0 or ser_free > 0):
-            flit, vc = txq[0]
-            phy = choose_phy(flit, queue_len, par_free, ser_free)
-            if phy is None:
-                break
-            if phy == PARALLEL and par_free > 0:
+        next_sn = self._next_sn
+        phy_dispatch = self._telemetry.phy_dispatch
+        note_link_flit = self._stats.note_link_flit
+        kind_id = self._kind_id
+        while True:
+            if bypassq and par_free > 0:
+                flit, vc = bypassq.popleft()
+                phy = PARALLEL
                 par_free -= 1
-            elif phy == SERIAL and ser_free > 0:
-                ser_free -= 1
+                self.flits_bypassed += 1
+            elif txq and (par_free > 0 or ser_free > 0):
+                flit, vc = txq[0]
+                phy = choose_phy(flit, queue_len, par_free, ser_free)
+                if phy == PARALLEL and par_free > 0:
+                    par_free -= 1
+                elif phy == SERIAL and ser_free > 0:
+                    ser_free -= 1
+                else:
+                    break
+                txq.popleft()
             else:
                 break
-            txq.popleft()
-            self._txq_vc_count[vc] -= 1
-            self._issue(flit, vc, phy, now)
-
-    def _issue(self, flit: Flit, vc: int, phy: str, now: int) -> None:
-        sn = self._next_sn[vc]
-        self._next_sn[vc] = sn + 1
-        flit.sn = sn
-        if self._telemetry.phy_dispatch is not None:
-            self._telemetry.phy_dispatch(self, flit, vc, phy, now)
-        # Charge the energy of the PHY that carries the flit, and the hop.
-        if phy == PARALLEL:
-            energy_pj = self._par_energy_per_flit
-            self._par_pipe.append((now + self.parallel.delay, flit, vc))
-            self.flits_parallel += 1
-        else:
-            energy_pj = self._ser_energy_per_flit
-            self._ser_pipe.append((now + self.serial.delay, flit, vc))
-            self.flits_serial += 1
-        self.flits_carried += 1
-        packet = flit.packet
-        packet.energy_interface_pj += energy_pj
-        if flit.is_head:
-            packet.hops_interface += 1
-        self._stats.note_link_flit(self._kind_id, energy_pj)
+            sn = next_sn[vc]
+            next_sn[vc] = sn + 1
+            flit.sn = sn
+            if phy_dispatch is not None:
+                phy_dispatch(self, flit, vc, phy, now)
+            if phy == PARALLEL:
+                energy_pj = self._par_energy_per_flit
+                self._par_pipe.append((now + self._par_delay, flit, vc))
+                self.flits_parallel += 1
+            else:
+                energy_pj = self._ser_energy_per_flit
+                self._ser_pipe.append((now + self._ser_delay, flit, vc))
+                self.flits_serial += 1
+            self.flits_carried += 1
+            packet = flit.packet
+            packet.energy_interface_pj += energy_pj
+            if flit.is_head:
+                packet.hops_interface += 1
+            note_link_flit(kind_id, energy_pj)
 
     # -- receive side --------------------------------------------------------------
     def _receive(self, now: int) -> None:
-        # Event-ordering contract (the latency ledger depends on it): for a
-        # flit arriving in cycle ``now``, ``rob_insert`` fires first, then —
-        # in the same cycle, because the drain below is unbounded —
-        # ``rob_release`` followed by the downstream router's ``flit_recv``.
-        # A flit therefore never shows a hidden gap between ROB release and
-        # input-buffer arrival; ROB reorder wait is exactly the
-        # insert-to-release distance, which is zero unless the flit had to
-        # wait for a predecessor on the slower PHY.
-        rob = self.rob
-        rob_insert = self._telemetry.rob_insert
-        arrived = False
+        # Event-ordering contract (the latency ledger depends on it): for
+        # the flits arriving in cycle ``now``, every ``rob_insert`` fires
+        # first, then — in the same cycle, because the drain is unbounded —
+        # per released flit ``rob_release`` followed by the downstream
+        # router's ``flit_recv``.  A flit therefore never shows a hidden
+        # gap between ROB release and input-buffer arrival; ROB reorder
+        # wait is exactly the insert-to-release distance, which is zero
+        # unless the flit had to wait for a predecessor on the slower PHY.
+        arrivals = []
         for pipe in (self._par_pipe, self._ser_pipe):
             while pipe and pipe[0][0] <= now:
                 _, flit, vc = pipe.popleft()
-                rob.insert(flit, vc)
-                if rob_insert is not None:
-                    rob_insert(self, flit, vc, now)
-                arrived = True
-        if not arrived:
-            # The last pass drained everything releasable, and only an
-            # arrival can make a parked flit releasable.
-            return
+                arrivals.append((flit, vc))
+        rob_insert = self._telemetry.rob_insert
+        if rob_insert is not None:
+            for flit, vc in arrivals:
+                rob_insert(self, flit, vc, now)
         # The RX forwards every releasable flit in the cycle it becomes
         # in-order: the heterogeneous router's multi-port input buffer can
         # sink the full interface width (Sec 4.1), and credits guarantee
         # downstream space.  Unbounded draining keeps Eq (1) an exact
         # occupancy bound (see tests/test_phy_link.py).
+        released = self.rob.reorder(arrivals)
+        if not released:
+            # Everything parked behind a predecessor still in flight: the
+            # downstream router has nothing new and is not woken.
+            return
         rob_release = self._telemetry.rob_release
         flit_recv = self._telemetry.flit_recv
         router = self.dst_router
         port = self.dst_port
         vcs = self._dst_vcs
-        for flit, vc in rob.release(None):
+        for flit, vc in released:
             flit.sn = None
             if rob_release is not None:
                 rob_release(self, flit, vc, now)
@@ -251,9 +283,9 @@ class HeteroPhyLink(Link):
                 router._pending.append(ivc)
             if flit_recv is not None:
                 flit_recv(router, port, vc, flit, now)
-            if not router.active:
-                router.active = True
-                self.network._router_work.append(router)
+        if not router.active:
+            router.active = True
+            self.network._router_work.append(router)
 
     # -- introspection ----------------------------------------------------------------
     @property

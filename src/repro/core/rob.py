@@ -15,8 +15,6 @@ exceeding it raises, which the property tests use to validate Eq (1).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
-
 from repro.noc.flit import Flit
 
 
@@ -34,9 +32,11 @@ class RobOverflowError(RuntimeError):
 class ReorderBuffer:
     """Sequence-number reorder buffer shared by all VCs of one link.
 
-    ``insert`` files an arrived flit under its (vc, sn); ``release`` pops
-    flits whose sequence number is the next expected one for their VC, in
-    at most ``budget`` flits per call.  ``max_occupancy`` records the peak
+    :meth:`reorder` is the per-cycle entry point: it takes the flits that
+    arrived this cycle and returns the ones now in order.  :meth:`insert`
+    (file one arrived flit under its ``(vc, sn)``) and :meth:`release`
+    (pop every flit whose sequence number is the next expected one for its
+    VC) are its single-item forms.  ``max_occupancy`` records the peak
     number of flits left waiting *after* a release pass — the quantity
     Eq (1) bounds.
     """
@@ -85,42 +85,68 @@ class ReorderBuffer:
             ],
         }
 
+    def reorder(self, arrivals: list[tuple[Flit, int]]) -> list[tuple[Flit, int]]:
+        """File one cycle's arrived ``(flit, vc)`` pairs; return those now in order.
+
+        Same result as :meth:`insert` per arrival followed by
+        :meth:`release`.  When nothing is parked and the arrivals are the
+        next expected sequence numbers of a single VC — traffic that stayed
+        on one PHY — they pass straight through, never entering the table.
+        """
+        if arrivals and not self._waiting:
+            expected = self._expected
+            vc = arrivals[0][1]
+            sn = expected[vc] if vc in expected else 0
+            for flit, flit_vc in arrivals:
+                if flit_vc != vc or flit.sn != sn:
+                    break
+                sn += 1
+            else:
+                # Nothing waits after this pass, so neither occupancy peak
+                # nor the Eq (1) check can move.
+                expected[vc] = sn
+                return arrivals
+        for flit, vc in arrivals:
+            self.insert(flit, vc)
+        return self.release()
+
     def insert(self, flit: Flit, vc: int) -> None:
         if flit.sn is None:
             raise ValueError("flit has no sequence number")
-        self._waiting[(vc, flit.sn)] = flit
+        key = (vc, flit.sn)
+        waiting = self._waiting
+        if key in waiting:
+            raise ValueError(
+                f"duplicate sequence number {flit.sn} on VC {vc}: "
+                f"{flit!r} arrived while {waiting[key]!r} is still parked"
+            )
+        waiting[key] = flit
 
-    def release(self, budget: Optional[int] = None) -> Iterator[tuple[Flit, int]]:
-        """Yield in-order (flit, vc) pairs, up to ``budget`` flits.
+    def release(self) -> list[tuple[Flit, int]]:
+        """Pop every in-order flit; return them as (flit, vc) pairs.
 
         Raises :class:`RobOverflowError` if, after releasing, occupancy
         still exceeds the provisioned capacity — the invariant of Eq (1).
         """
-        released = 0
+        released: list[tuple[Flit, int]] = []
         waiting = self._waiting
         expected = self._expected
-        progress = True
-        while progress and waiting and (budget is None or released < budget):
-            progress = False
-            # Ascending-VC order makes the within-cycle release sequence
-            # well-defined, so downstream arbitration and telemetry
-            # subscribers see a reproducible event order.
-            if len(waiting) == 1:
-                ((only_vc, _sn),) = waiting
-                vcs: Iterable[int] = (only_vc,)
-            else:
-                vcs = sorted({vc for vc, _sn in waiting})
+        # One flit per VC per round, VCs in ascending order: the
+        # within-cycle release sequence is well-defined, so downstream
+        # arbitration and telemetry subscribers see a reproducible event
+        # order.  A VC that cannot release in one round cannot in a later
+        # one (nothing arrives meanwhile), so it drops out.
+        vcs = sorted({vc for vc, _sn in waiting})
+        while vcs:
+            ready = []
             for vc in vcs:
                 sn = expected[vc] if vc in expected else 0
-                key = (vc, sn)
-                if key in waiting:
-                    flit = waiting.pop(key)
+                flit = waiting.pop((vc, sn), None)
+                if flit is not None:
                     expected[vc] = sn + 1
-                    released += 1
-                    progress = True
-                    yield flit, vc
-                    if budget is not None and released >= budget:
-                        break
+                    released.append((flit, vc))
+                    ready.append(vc)
+            vcs = ready
         if len(waiting) > self.max_occupancy:
             # Occupancy is sampled after the in-order drain: it counts the
             # flits that must actually *wait* across cycles, which is what
@@ -133,3 +159,4 @@ class ReorderBuffer:
                 f"reorder buffer holds {len(waiting)} flits, "
                 f"capacity {self.capacity} (Eq 1 bound violated)"
             )
+        return released

@@ -250,10 +250,10 @@ _PHASE_BY_FUNC: dict[str, str] = {
     "_stage_sa": "sa_st",
     "_eject_packet": "sa_st",
     "inject": "inject",
-    # repro/core/phy.py
+    # repro/core/phy.py, repro/core/rob.py
     "_receive": "phy_rx",
+    "reorder": "phy_rx",
     "_dispatch": "phy_tx",
-    "_issue": "phy_tx",
     "_decide_bypass": "phy_tx",
 }
 

@@ -11,7 +11,8 @@ load without changing the communication structure.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -39,6 +40,11 @@ class TraceRecord:
             raise ValueError("src and dst must differ")
 
 
+#: Sort key giving the order of ``TraceRecord.__lt__`` (all fields, in
+#: declaration order) with the comparisons done in C.
+_RECORD_ORDER = attrgetter(*(f.name for f in fields(TraceRecord) if f.compare))
+
+
 @dataclass
 class Trace:
     """An ordered collection of trace records."""
@@ -47,7 +53,7 @@ class Trace:
     name: str = "trace"
 
     def __post_init__(self) -> None:
-        self.records = sorted(self.records)
+        self.records = sorted(self.records, key=_RECORD_ORDER)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -79,7 +85,16 @@ class Trace:
         if time_scale <= 0:
             raise ValueError("time_scale must be > 0")
         records = [
-            replace(r, cycle=int(r.cycle / time_scale)) for r in self.records
+            TraceRecord(
+                int(r.cycle / time_scale),
+                r.src,
+                r.dst,
+                r.length,
+                r.msg_class,
+                r.priority,
+                r.ordered,
+            )
+            for r in self.records
         ]
         return Trace(records, name=f"{self.name}@x{time_scale:g}")
 
@@ -125,14 +140,15 @@ class TraceWorkload:
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
+        self._cycles = [r.cycle for r in trace.records]
         self._pos = 0
 
     def step(self, now: int) -> Iterable[Packet]:
-        records = self.trace.records
         pos = self._pos
-        end = bisect.bisect_right(records, now, lo=pos, key=lambda r: r.cycle)
+        end = bisect.bisect_right(self._cycles, now, lo=pos)
         if end == pos:
             return []
+        records = self.trace.records
         packets = [
             Packet(
                 r.src,

@@ -182,6 +182,42 @@ def test_ledger_is_a_passive_observer(family):
     assert ledger1.total_cycles == ledger3.total_cycles
 
 
+def test_ledger_is_a_passive_observer_on_the_bypass_mix():
+    """Stride 1 sends every link-cycle through ``HeteroPhyLink.step_timed``;
+    with bypass-eligible packets mixed in, the timed twin must reproduce the
+    chain pinned for the plain path (stage gating, bypass queue, ROB parking)."""
+    from repro.sim.build import build_network
+    from repro.sim.engine import Engine
+    from repro.sim.stats import Stats
+    from repro.telemetry.digest import RunDigest
+    from repro.traffic.patterns import make_pattern
+
+    from . import test_kernel_equivalence as pinned
+
+    cycles, warmup = 600, 100
+    config = SimConfig(sim_cycles=cycles, warmup_cycles=warmup)
+    stats = Stats(measure_from=warmup)
+    network = build_network(build_system("hetero_phy_torus", pinned.GRID, config), stats)
+    n_nodes = pinned.GRID.n_nodes
+    source = pinned._MixedClassWorkload(
+        make_pattern("uniform", n_nodes), n_nodes, 0.3, config.packet_length,
+        until=cycles, seed=11,
+    )
+    digest = RunDigest(network, checkpoint_every=pinned.CHECKPOINT_EVERY)
+    engine = Engine(network, source, stats)
+    engine.hostprof = ledger = HostTimeLedger(stride=1)
+    engine.run(cycles)
+    digest.detach()
+    expected = dict(pinned.PINS["hetero_phy_torus-bypass"])
+    bypassed = sum(getattr(link, "flits_bypassed", 0) for link in network.links)
+    assert bypassed == expected.pop("bypassed")
+    assert pinned._observation(digest, stats, cycles) == expected
+    assert ledger.timed_cycles == ledger.total_cycles >= cycles
+    assert ledger.phases["phy_rx"] > 0 and ledger.phases["phy_tx"] > 0
+    ledger.check_conservation()
+    assert ledger.conservation == pytest.approx(1.0, abs=1e-9)
+
+
 def test_strided_sampling_times_every_nth_cycle():
     result, ledger = run_with_ledger(small_spec(cycles=900), stride=4)
     assert ledger.total_cycles >= 900
@@ -212,10 +248,29 @@ def test_phase_of_mapping():
     assert phase_of("src/repro/noc/router.py", "_eject_packet") == "sa_st"
     assert phase_of("src/repro/core/phy.py", "_receive") == "phy_rx"
     assert phase_of("src/repro/core/phy.py", "_dispatch") == "phy_tx"
+    assert phase_of("src/repro/core/rob.py", "reorder") == "phy_rx"
     assert phase_of("src/repro/noc/link.py", "step") == "link"
     assert phase_of("src/repro/traffic/injection.py", "step") == "inject"
     assert phase_of("src/repro/sim/engine.py", "run") == RESIDUAL_PHASE
     assert phase_of("~", "<built-in method time.sleep>") == "other"
+
+
+def test_every_function_override_names_a_live_method():
+    """``_PHASE_BY_FUNC`` keys are bare function names: a refactor that
+    renames or inlines one would orphan its entry without any error."""
+    from repro.core.phy import HeteroPhyLink
+    from repro.core.rob import ReorderBuffer
+    from repro.noc.router import Router
+    from repro.telemetry.hostprof import _PHASE_BY_FUNC
+
+    owners = (Router, HeteroPhyLink, ReorderBuffer)
+    orphans = [
+        name
+        for name in _PHASE_BY_FUNC
+        if not any(callable(getattr(owner, name, None)) for owner in owners)
+    ]
+    assert orphans == []
+    assert set(_PHASE_BY_FUNC.values()) <= set(PHASES)
 
 
 def test_fold_profile_produces_phase_rooted_stacks():

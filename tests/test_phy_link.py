@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.phy import HeteroPhyLink
-from repro.core.scheduling import make_dispatch_policy
+from repro.core.scheduling import PARALLEL, SERIAL, make_dispatch_policy
 from repro.noc.channel import ChannelKind
 from repro.noc.flit import Packet
 from repro.noc.router import Router
@@ -176,3 +176,133 @@ def test_accept_budget_respects_tx_fifo():
     link = network.links[0]
     assert link.tx_fifo_depth == 8
     assert link.accept_budget(0) <= 6  # total bandwidth cap
+
+
+# -- adapter datapath contracts: event order, activation, liveness ----------------
+class ScriptedPolicy:
+    """Dispatch by a per-flit-index script; anything unlisted rides the parallel PHY."""
+
+    bypass_enabled = False
+
+    def __init__(self, by_index=None, hold=False):
+        self.by_index = by_index or {}
+        self.hold = hold
+
+    def choose_phy(self, flit, queue_len, par_free, ser_free):
+        if self.hold:
+            return None
+        phy = self.by_index.get(flit.index, PARALLEL)
+        return phy if (par_free if phy == PARALLEL else ser_free) > 0 else None
+
+
+def adapter_event_log(network):
+    """(event, vc, packet length, flit index, cycle) for the three RX events."""
+    log: list[tuple] = []
+
+    def tap(name, flit_at, vc_at):
+        def handler(*args):
+            flit = args[flit_at]
+            log.append((name, args[vc_at], flit.packet.length, flit.index, args[-1]))
+
+        network.telemetry.subscribe(name, handler)
+
+    tap("rob_insert", 1, 2)  # (link, flit, vc, now)
+    tap("rob_release", 1, 2)
+    tap("flit_recv", 3, 2)  # (router, port, vc, flit, now)
+    return log
+
+
+@pytest.mark.parametrize("second_vc", [0, 1])
+def test_same_cycle_arrivals_insert_first_then_release_and_deliver(second_vc):
+    """Bus order within a cycle: every ``rob_insert``, then ``rob_release`` ->
+    ``flit_recv`` per released flit, VCs taking turns in ascending order."""
+    network, _ = hetero_chain(policy="performance", bandwidth=2, delay=3)
+    link = network.links[0]
+    log = adapter_event_log(network)
+    if second_vc == 0:
+        a = Packet(0, 1, 2, 0).make_flits()
+        feed = [(a[0], 0), (a[1], 0)]
+        released = [(0, 2, 0), (0, 2, 1)]
+    else:
+        # Accepted (and so inserted) VC 1 first; released lowest VC first.
+        a, b = Packet(0, 1, 2, 0).make_flits(), Packet(0, 1, 3, 0).make_flits()
+        feed = [(b[0], 1), (a[0], 0)]
+        released = [(0, 2, 0), (1, 3, 0)]
+    for flit, vc in feed:
+        link.accept(flit, vc, 0)
+    for now in range(3):
+        link.step(now)
+    assert log == [] and link.flits_parallel == 2
+    link.step(3)
+    inserted = [(vc, flit.packet.length, flit.index) for flit, vc in feed]
+    expected = [("rob_insert", *entry, 3) for entry in inserted]
+    for entry in released:
+        expected += [("rob_release", *entry, 3), ("flit_recv", *entry, 3)]
+    assert log == expected
+    assert network._router_work == [network.routers[1]]
+
+
+def test_parallel_flit_ahead_of_serial_predecessor_parks_without_waking_router():
+    network, _ = hetero_chain(bandwidth=2, delay=3)
+    link = network.links[0]
+    link.policy = ScriptedPolicy({0: SERIAL})
+    log = adapter_event_log(network)
+    head, tail = Packet(0, 1, 2, 0).make_flits()
+    link.accept(head, 0, 0)
+    link.accept(tail, 0, 0)
+    for now in range(20):
+        assert link.step(now)
+    assert (link.flits_serial, link.flits_parallel) == (1, 1)
+    # The tail overtook the head on the parallel PHY and waits in the ROB:
+    # nothing was delivered, so the downstream router was not put to work.
+    assert log == [("rob_insert", 0, 2, 1, 3)]
+    assert link.rob.occupancy == 1
+    downstream = network.routers[1]
+    assert not downstream.active and network._router_work == []
+    assert not link.step(20)  # the head arrives, both leave, the link drains
+    assert log[1:] == [
+        ("rob_insert", 0, 2, 0, 20),
+        ("rob_release", 0, 2, 0, 20),
+        ("flit_recv", 0, 2, 0, 20),
+        ("rob_release", 0, 2, 1, 20),
+        ("flit_recv", 0, 2, 1, 20),
+    ]
+    assert downstream.active and network._router_work == [downstream]
+    assert link.rob.max_occupancy == 1 and link.rob.occupancy == 0
+
+
+@pytest.mark.parametrize("holding", ["credit", "rob", "tx_fifo"])
+def test_link_with_a_single_live_item_stays_on_the_work_list(holding):
+    """Each term of the liveness test alone keeps the link stepped."""
+    network, _ = hetero_chain(bandwidth=2, delay=3)
+    link = network.links[0]
+    flit = Packet(0, 1, 1, 0).make_flits()[0]
+    if holding == "credit":
+        link.return_credit(0, 0)
+        wait = link.credit_delay  # delivered in that cycle's step
+    elif holding == "rob":
+        link._next_sn[0] = 1  # the flit's predecessor never shows up
+        link.accept(flit, 0, 0)
+        wait = 12
+    else:
+        link.policy = ScriptedPolicy(hold=True)
+        link.accept(flit, 0, 0)
+        wait = 12
+    assert link.active and network._link_work == [link]
+    for now in range(wait):
+        network.step(now)
+        assert link.active and network._link_work == [link], (holding, now)
+    if holding == "credit":
+        before = network.routers[0].outputs[link.src_port].credits[0]
+        network.step(wait)
+        assert network.routers[0].outputs[link.src_port].credits[0] == before + 1
+        assert not link.active and network._link_work == []
+    elif holding == "rob":
+        assert link.rob.occupancy == 1 and link.occupancy == 1
+        assert network.holds_flits()
+    else:
+        assert link.occupancy == 1 and link.rob.occupancy == 0
+        link.policy.hold = False
+        for now in range(wait, wait + 16):  # cross, eject, and the credit's way back
+            network.step(now)
+        assert not link.active and link.occupancy == 0

@@ -60,14 +60,37 @@ def test_per_vc_independence():
     assert rob.occupancy == 1
 
 
-def test_release_budget_respected():
+def test_release_round_robins_over_vcs_in_ascending_order():
+    """One flit per VC per round, lowest VC first, whatever the arrival order."""
     rob = ReorderBuffer(8)
-    for sn in range(5):
-        rob.insert(make_flit(sn), vc=0)
-    first = list(rob.release(budget=2))
-    assert len(first) == 2
-    rest = list(rob.release())
-    assert len(rest) == 3
+    arrivals = [(make_flit(0), 1), (make_flit(0), 0), (make_flit(1), 0), (make_flit(1), 1)]
+    released = rob.reorder(arrivals)
+    assert [(vc, f.sn) for f, vc in released] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+def test_in_order_single_vc_arrivals_pass_straight_through():
+    rob = ReorderBuffer(4)
+    arrivals = [(make_flit(0), 2), (make_flit(1), 2)]
+    assert rob.reorder(arrivals) == arrivals
+    assert rob.occupancy == 0 and rob.max_occupancy == 0
+    # The expected sequence number advanced: the next flit is in order too.
+    nxt = [(make_flit(2), 2)]
+    assert rob.reorder(nxt) == nxt
+    assert rob.reorder([]) == []
+
+
+def test_duplicate_sequence_number_names_both_flits():
+    """A second flit under a parked (vc, sn) is a lost flit, not an overwrite."""
+    rob = ReorderBuffer(4)
+    parked, intruder = make_flit(1), make_flit(1)
+    rob.insert(parked, vc=0)
+    with pytest.raises(ValueError) as raised:
+        rob.insert(intruder, vc=0)
+    assert repr(parked) in str(raised.value) and repr(intruder) in str(raised.value)
+    assert rob.waiting_flits() == [parked]
+    with pytest.raises(ValueError, match="duplicate sequence number 1 on VC 0"):
+        rob.reorder([(make_flit(1), 0)])
+    rob.insert(make_flit(1), vc=1)  # same SN on another VC is a different slot
 
 
 def test_insert_requires_sequence_number():
@@ -82,7 +105,7 @@ def test_overflow_detected():
     for sn in (1, 2, 3):  # sn 0 missing: nothing can release
         rob.insert(make_flit(sn), vc=0)
     with pytest.raises(RobOverflowError):
-        list(rob.release())
+        rob.release()
 
 
 def test_capacity_validation():
@@ -139,3 +162,52 @@ def test_release_in_order_per_vc(pairs):
             seen.setdefault(flit_vc, []).append(flit.sn)
     for vc, sns in seen.items():
         assert sns == list(range(len(sns)))
+
+
+@given(
+    st.lists(st.integers(0, 6), min_size=1, max_size=3),
+    st.integers(0, 4),
+    st.lists(st.integers(0, 4), min_size=18, max_size=18),
+    st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=24),
+    st.integers(1, 6),
+)
+def test_reorder_matches_insert_then_release(streams, jitter, noise, cycles, capacity):
+    """``reorder(arrivals)`` is ``insert`` per arrival + ``release()``.
+
+    ``streams[vc]`` flits per VC arrive in cycles of 0-4 flits (then one
+    per cycle), from in order (``jitter`` 0, the pass-through case) to
+    scrambled, into a buffer small enough to overflow: released order,
+    occupancy, both peaks and the overflow verdict must agree cycle by cycle.
+    """
+    pairs = [(vc, sn) for vc, count in enumerate(streams) for sn in range(count)]
+    order = sorted(
+        range(len(pairs)), key=lambda i: (pairs[i][1] + noise[i] % (jitter + 1), i)
+    )
+    one_call, single = ReorderBuffer(capacity), ReorderBuffer(capacity)
+
+    def outcome(step, batch):
+        try:
+            return [(vc, flit.sn) for flit, vc in step([(make_flit(sn), vc) for vc, sn in batch])]
+        except RobOverflowError:
+            return "overflow"
+
+    def single_step(batch):
+        for flit, vc in batch:
+            single.insert(flit, vc)
+        return single.release()
+
+    def state(rob):
+        snap = rob.snapshot_state()
+        parked = [(entry["vc"], entry["sn"]) for entry in snap["waiting"]]
+        return snap["occupancy"], snap["max_occupancy"], snap["expected"], parked
+
+    pos = 0
+    while pos < len(order):
+        size, epoch_boundary = cycles.pop() if cycles else (1, False)
+        batch = [pairs[i] for i in order[pos : pos + size]]
+        pos += size
+        assert outcome(one_call.reorder, batch) == outcome(single_step, batch)
+        assert state(one_call) == state(single)
+        if epoch_boundary:
+            assert one_call.take_window_peak() == single.take_window_peak()
+    assert one_call.take_window_peak() == single.take_window_peak()

@@ -21,6 +21,37 @@ def test_records_sorted_by_cycle():
     assert [r.cycle for r in trace.records] == [0, 5, 10]
 
 
+def test_equal_cycle_ties_keep_the_field_order():
+    """The key-based sort orders ties exactly as ``TraceRecord.__lt__`` does:
+    by the remaining fields in declaration order, equal records stable."""
+    tied = [
+        TraceRecord(4, 2, 1, 8, "data"),
+        TraceRecord(4, 2, 1, 8, "bulk"),
+        TraceRecord(4, 2, 0, 8),
+        TraceRecord(4, 1, 3, 2, "data", 1),
+        TraceRecord(4, 1, 3, 2, "data", 0, False),
+        TraceRecord(4, 1, 3, 2),
+        TraceRecord(3, 3, 0, 1),
+        TraceRecord(4, 2, 1, 8, "bulk"),
+    ]
+    trace = Trace(tied)
+    assert trace.records == sorted(tied)  # the dataclass-generated compare
+    assert trace.records[0].cycle == 3
+    # Scaling folds cycles 4..5 onto one cycle; the result is ordered the same way.
+    folded = Trace([TraceRecord(5, 0, 1), TraceRecord(4, 2, 1), TraceRecord(4, 0, 2)])
+    assert folded.scaled(2.0).records == [
+        TraceRecord(2, 0, 1),
+        TraceRecord(2, 0, 2),
+        TraceRecord(2, 2, 1),
+    ]
+    # Replay hands out same-cycle records in that order.
+    assert [(p.src, p.dst) for p in TraceWorkload(folded.scaled(2.0)).step(2)] == [
+        (0, 1),
+        (0, 2),
+        (2, 1),
+    ]
+
+
 def test_record_validation():
     with pytest.raises(ValueError):
         TraceRecord(-1, 0, 1)
