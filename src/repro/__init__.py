@@ -48,14 +48,7 @@ from .sim.experiment import (
     saturation_rate,
 )
 from .sim.stats import DeadlockError, Stats
-from .telemetry import (
-    ChromeTraceBuilder,
-    EpochMetrics,
-    ProgressReporter,
-    TelemetryBus,
-    TelemetryConfig,
-    TelemetrySession,
-)
+from .telemetry.bus import TelemetryBus
 from .topology.grid import ChipletGrid
 from .topology.multipackage import build_hetero_channel_packages
 from .topology.system import FAMILIES, SystemSpec, build_system
@@ -67,6 +60,28 @@ from .traffic.patterns import PATTERNS, make_pattern
 from .traffic.trace import Trace, TraceRecord, TraceWorkload
 
 __version__ = "1.0.0"
+
+#: Observatory names resolved on first access (PEP 562), so ``import repro``
+#: and a plain run do not load the collectors behind them.
+_LAZY_TELEMETRY = frozenset(
+    {
+        "ChromeTraceBuilder",
+        "EpochMetrics",
+        "ProgressReporter",
+        "TelemetryConfig",
+        "TelemetrySession",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_TELEMETRY:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    from . import telemetry
+
+    value = globals()[name] = getattr(telemetry, name)
+    return value
+
 
 __all__ = [
     "AIB",

@@ -87,47 +87,50 @@ def prove_network(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     network = factory()
-    report = verify_network(spec, network, mode=mode)
+    try:
+        report = verify_network(spec, network, mode=mode)
 
-    report.passes.append("contracts")
-    check_contracts(spec, network, report)
+        report.passes.append("contracts")
+        check_contracts(spec, network, report)
 
-    report.passes.append("reachability")
-    analysis = reachability_pass(network, report)
-    report.metrics["reach_states"] = analysis.n_states
-    if analysis.max_hops >= 0:
-        report.metrics["reach_max_hops"] = analysis.max_hops
+        report.passes.append("reachability")
+        analysis = reachability_pass(network, report)
+        report.metrics["reach_states"] = analysis.n_states
+        if analysis.max_hops >= 0:
+            report.metrics["reach_max_hops"] = analysis.max_hops
 
-    sweep_info: dict = {"swept": 0, "links": [], "broken": []}
-    if fault_masks:
-        report.passes.append("fault-sweep")
-        sweep = sweep_fault_masks(factory, spec)
-        sweep_info = {
-            "swept": sweep.swept,
-            "links": list(sweep.links),
-            "broken": list(sweep.broken),
-        }
-        report.metrics["fault_masks"] = sweep.swept
-        for link, masked in zip(sweep.links, sweep.analyses):
-            if not masked.ok:
-                fold_reachability(
-                    masked, report, fault_target=f"fault link {link}: "
-                )
+        sweep_info: dict = {"swept": 0, "links": [], "broken": []}
+        if fault_masks:
+            report.passes.append("fault-sweep")
+            sweep = sweep_fault_masks(factory, spec)
+            sweep_info = {
+                "swept": sweep.swept,
+                "links": list(sweep.links),
+                "broken": list(sweep.broken),
+            }
+            report.metrics["fault_masks"] = sweep.swept
+            for link, masked in zip(sweep.links, sweep.analyses):
+                if not masked.ok:
+                    fold_reachability(
+                        masked, report, fault_target=f"fault link {link}: "
+                    )
 
-    mc_result: Optional[ModelCheckResult] = None
-    mc_info: dict = {}
-    if any(f.code in _CYCLE_CODES for f in report.errors):
-        report.passes.append("modelcheck")
-        mc_result, mc_info = _adjudicate(
-            spec,
-            network,
-            factory,
-            report,
-            mode=mode,
-            max_states=max_states,
-            max_packets=max_packets,
-            replay=replay,
-        )
+        mc_result: Optional[ModelCheckResult] = None
+        mc_info: dict = {}
+        if any(f.code in _CYCLE_CODES for f in report.errors):
+            report.passes.append("modelcheck")
+            mc_result, mc_info = _adjudicate(
+                spec,
+                network,
+                factory,
+                report,
+                mode=mode,
+                max_states=max_states,
+                max_packets=max_packets,
+                replay=replay,
+            )
+    finally:
+        network.close()
 
     certificate = Certificate(
         system=spec.name,
@@ -197,7 +200,10 @@ def _adjudicate(
                 replay_network.stats = stats
                 for router in replay_network.routers:
                     router._stats = stats
-            outcome = replay_counterexample(replay_network, stats, trace)
+            try:
+                outcome = replay_counterexample(replay_network, stats, trace)
+            finally:
+                replay_network.close()
             info["replay"] = {
                 "deadlocked": outcome.deadlocked,
                 "cycles": outcome.cycles,

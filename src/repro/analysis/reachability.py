@@ -205,11 +205,16 @@ def sweep_fault_masks(
     """
     sweep = FaultSweep()
     if links is None:
-        links = adaptive_link_indices(factory(), spec)
+        probe = factory()
+        links = adaptive_link_indices(probe, spec)
+        probe.close()
     for link in links:
         network = factory()
         apply_faults(network, [link])
-        analysis = analyse_reachability(network)
+        try:
+            analysis = analyse_reachability(network)
+        finally:
+            network.close()
         sweep.links.append(link)
         sweep.analyses.append(analysis)
         if not analysis.ok:

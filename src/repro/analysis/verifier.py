@@ -134,7 +134,10 @@ def verify_family(
     spec = build_system(family, grid, config)
     stats = Stats()
     network = build_network(spec, stats, routing=routing)
-    return verify_network(spec, network, mode=mode)
+    try:
+        return verify_network(spec, network, mode=mode)
+    finally:
+        network.close()
 
 
 def verify_all(

@@ -79,7 +79,11 @@ class Network:
         # to do sets the flag and appends it here.
         self._router_work: list[Router] = []
         self._link_work: list[Link] = []
+        # True between finalize() and close(): the span in which the network
+        # may be stepped and injected into.
         self._finalized = False
+        #: Set by :meth:`close`; a closed network is read-only.
+        self.closed = False
 
     @property
     def n_nodes(self) -> int:
@@ -125,6 +129,38 @@ class Network:
             router.finalize()
         self._finalized = True
 
+    def close(self) -> None:
+        """End the network's life: cut the back-references that make it cyclic.
+
+        Routers and links point back at the network and at each other
+        (``Router.network``, ``Link.network``, ``Link.src_router``,
+        ``Link.dst_router`` and ``Link._dst_vcs`` → ``InputVC.in_link``), so
+        a finished run is cyclic garbage that only a generation-2 collection
+        frees.  Cutting exactly those five fields (and emptying the work
+        lists) leaves a tree: plain reference counting then frees routers,
+        links, buffers and flits the moment the last holder lets go.
+
+        Whoever built the network closes it once the run is over (see
+        "Run lifecycle" in ``docs/architecture.md``).  Buffers, credit
+        ledgers, ``links``, ``specs`` and per-link counters stay intact, so
+        the flit counts, ``snapshot_state()`` and post-run telemetry reports
+        read the same after ``close()`` as before; stepping or injecting
+        raises ``RuntimeError``.  Idempotent.
+        """
+        if self.closed:
+            return
+        self.closed = True
+        self._finalized = False
+        for router in self.routers:
+            router.network = None  # type: ignore[assignment]
+        for link in self.links:
+            link.network = None
+            link.src_router = None
+            link.dst_router = None
+            link._dst_vcs = None  # type: ignore[assignment]
+        self._router_work = []
+        self._link_work = []
+
     # -- simulation ------------------------------------------------------------
     def step(self, now: int) -> None:
         """Advance the whole network by one cycle.
@@ -133,7 +169,7 @@ class Network:
         order its entities became active; a router runs RC/VA, then SA/ST.
         """
         if not self._finalized:
-            raise RuntimeError("call finalize() before stepping the network")
+            raise self._not_steppable()
         work = self._link_work
         keep: list[Link] = []
         self._link_work = keep
@@ -173,7 +209,7 @@ class Network:
         Phase keys sync with :data:`repro.telemetry.hostprof.PHASES`.
         """
         if not self._finalized:
-            raise RuntimeError("call finalize() before stepping the network")
+            raise self._not_steppable()
         work = self._link_work
         keep: list[Link] = []
         self._link_work = keep
@@ -208,8 +244,15 @@ class Network:
             t = t2
         return t
 
+    def _not_steppable(self) -> RuntimeError:
+        if self.closed:
+            return RuntimeError("network is closed")
+        return RuntimeError("call finalize() before stepping the network")
+
     def inject(self, packet: Packet) -> None:
         """Hand a freshly generated packet to its source router."""
+        if self.closed:
+            raise RuntimeError("network is closed")
         n_nodes = len(self.routers)
         if not (0 <= packet.src < n_nodes and 0 <= packet.dst < n_nodes):
             raise ValueError(
@@ -235,7 +278,8 @@ class Network:
         Scans the work lists only: a router with a buffered flit has that
         flit's VC on its pending or active list, and a link with a flit in
         it asked to be stepped again, so both are listed by construction
-        (``tests/test_network.py`` checks this against the full scans).
+        (``tests/test_network.py`` checks this against the full scans).  A
+        closed network has no work lists left and answers from the full scans.
         """
         for router in self._router_work:
             for ivc in router._pending:
@@ -247,4 +291,4 @@ class Network:
         for link in self._link_work:
             if link.occupancy:
                 return True
-        return False
+        return self.closed and self.buffered_flits() + self.in_flight_flits() > 0

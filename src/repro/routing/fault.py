@@ -38,9 +38,10 @@ class UnroutableError(RuntimeError):
 class FaultTolerantRouting:
     """Wraps a routing function, filtering candidates over failed links."""
 
-    def __init__(self, base, network: Network, failed: Iterable[int]) -> None:
+    def __init__(self, base, failed: Iterable[int]) -> None:
+        # Deliberately no reference to the network: a routing function that
+        # points back at it would keep a closed network cyclic.
         self.base = base
-        self.network = network
         self.failed = frozenset(failed)
 
     def __call__(self, router: Router, packet):
@@ -72,7 +73,7 @@ def apply_faults(network: Network, failed: Sequence[int]) -> None:
         if not 0 <= index < len(network.links):
             raise ValueError(f"no link with index {index}")
     for router in network.routers:
-        router.routing_fn = FaultTolerantRouting(router.routing_fn, network, failed)
+        router.routing_fn = FaultTolerantRouting(router.routing_fn, failed)
 
 
 def adaptive_link_indices(network: Network, spec: SystemSpec) -> list[int]:

@@ -153,7 +153,12 @@ class Engine:
             self.cycle - self.stats.last_movement_cycle,
         )
         self._capture_failure(error)
-        raise error
+        try:
+            raise error
+        finally:
+            # The traceback holds this frame; a local naming the exception
+            # would close a cycle that pins the engine and its network.
+            del error
 
     def _capture_failure(self, exc: BaseException) -> None:
         """Write a postmortem bundle for ``exc`` (best effort, never masks it).

@@ -11,19 +11,21 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.phy import HeteroPhyLink
 from repro.noc.network import Network
-from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.telemetry.runstore import system_digest
 from repro.topology.system import SystemSpec
 from repro.traffic.injection import SyntheticWorkload
 from repro.traffic.patterns import make_pattern
 from repro.traffic.trace import Trace, TraceWorkload
 from .build import build_network
-from .engine import Engine
+from .engine import Engine, Workload
 from .stats import Stats
+
+if TYPE_CHECKING:  # pragma: no cover - the observatory loads on demand
+    from repro.telemetry.session import TelemetryConfig, TelemetrySession
 
 
 @dataclass
@@ -108,6 +110,107 @@ def _collect_phy_split(network: Network) -> tuple[int, int]:
     return par, ser
 
 
+def _run(
+    spec: SystemSpec,
+    workload: Workload,
+    workload_name: str,
+    descriptor: dict,
+    horizon: int,
+    *,
+    drain: bool,
+    policy: Optional[str],
+    warmup: int,
+    telemetry: Optional[TelemetryConfig],
+    seed: Optional[int] = None,
+    strict: bool = True,
+) -> RunResult:
+    """One run, start to end: build, attach, run, finalize, collect, close.
+
+    ``descriptor`` is the workload part of the digest ``meta`` block;
+    ``drain`` selects run-until-drained (``horizon`` is then the deadline).
+    Whoever builds a network closes it (``Network.close``), so the run's
+    routers, links and flits are freed by reference counting as soon as the
+    caller drops the result — on the failure path too.
+    """
+    stats = Stats(measure_from=warmup)
+    network = build_network(spec, stats, policy=policy)
+    engine = Engine(network, workload, stats)
+    resolved_policy = policy or spec.config.scheduling_policy
+    config_hash = system_digest(spec, workload=workload_name, policy=resolved_policy)
+    session: Optional[TelemetrySession] = None
+    try:
+        if telemetry is not None:
+            from repro.telemetry.session import TelemetrySession
+
+            session = TelemetrySession.attach(
+                network,
+                telemetry,
+                warmup=warmup,
+                total_cycles=None if drain else horizon,
+            )
+            engine.forensics = session.forensics
+            engine.hostprof = session.hostprof
+            engine.livefeed = session.live
+            if session.digest is not None:
+                grid = spec.grid
+                session.digest.meta = {
+                    "system": spec.name,
+                    "family": spec.family,
+                    "chiplets": [grid.chiplets_x, grid.chiplets_y],
+                    "nodes": [grid.nodes_x, grid.nodes_y],
+                    **descriptor,
+                    "warmup": warmup,
+                    "policy": resolved_policy,
+                    "config_hash": config_hash,
+                }
+            if session.live is not None:
+                session.live.start(
+                    {
+                        "system": spec.name,
+                        "workload": workload_name,
+                        "policy": resolved_policy,
+                        "n_nodes": spec.grid.n_nodes,
+                        **({} if seed is None else {"seed": seed}),
+                        "warmup": warmup,
+                        "config_hash": config_hash,
+                    }
+                )
+        start = time.perf_counter()
+        try:
+            if session is not None and telemetry.profile:
+                _, report = engine.run_profiled(
+                    horizon, drain=drain, top=telemetry.profile_top
+                )
+                session.profile_report = report
+                session.profile_text = report.text()
+            elif drain:
+                engine.run_until_drained(horizon)
+            else:
+                engine.run(horizon)
+        except RuntimeError:
+            if strict:
+                raise
+        wall_seconds = time.perf_counter() - start
+    finally:
+        if session is not None:
+            session.finalize(engine.cycle)
+        phy_split = _collect_phy_split(network)
+        network.close()
+    return RunResult(
+        system=spec.name,
+        workload=workload_name,
+        policy=resolved_policy,
+        n_nodes=spec.grid.n_nodes,
+        cycles=engine.cycle,
+        stats=stats,
+        phy_split=phy_split,
+        telemetry=session,
+        seed=seed,
+        wall_seconds=wall_seconds,
+        config_hash=config_hash,
+    )
+
+
 def run_synthetic(
     spec: SystemSpec,
     pattern: str,
@@ -129,81 +232,25 @@ def run_synthetic(
     config = spec.config
     cycles = cycles if cycles is not None else config.sim_cycles
     warmup = warmup if warmup is not None else config.warmup_cycles
-    stats = Stats(measure_from=warmup)
-    network = build_network(spec, stats, policy=policy)
-    pattern_obj = make_pattern(pattern, spec.grid.n_nodes, **(pattern_kwargs or {}))
     workload = SyntheticWorkload(
-        pattern_obj,
+        make_pattern(pattern, spec.grid.n_nodes, **(pattern_kwargs or {})),
         spec.grid.n_nodes,
         rate,
         config.packet_length,
         until=cycles,
         seed=seed,
     )
-    engine = Engine(network, workload, stats)
-    workload_name = f"{pattern}@{rate:g}"
-    resolved_policy = policy or config.scheduling_policy
-    session: Optional[TelemetrySession] = None
-    if telemetry is not None:
-        session = TelemetrySession.attach(
-            network, telemetry, warmup=warmup, total_cycles=cycles
-        )
-        engine.forensics = session.forensics
-        engine.hostprof = session.hostprof
-        engine.livefeed = session.live
-        if session.digest is not None:
-            grid = spec.grid
-            session.digest.meta = {
-                "system": spec.name,
-                "family": spec.family,
-                "chiplets": [grid.chiplets_x, grid.chiplets_y],
-                "nodes": [grid.nodes_x, grid.nodes_y],
-                "pattern": pattern,
-                "rate": rate,
-                "seed": seed,
-                "cycles": cycles,
-                "warmup": warmup,
-                "policy": resolved_policy,
-                "config_hash": system_digest(
-                    spec, workload=workload_name, policy=resolved_policy
-                ),
-            }
-        if session.live is not None:
-            session.live.start(
-                {
-                    "system": spec.name,
-                    "workload": workload_name,
-                    "policy": resolved_policy,
-                    "n_nodes": spec.grid.n_nodes,
-                    "seed": seed,
-                    "warmup": warmup,
-                    "config_hash": system_digest(
-                        spec, workload=workload_name, policy=resolved_policy
-                    ),
-                }
-            )
-    start = time.perf_counter()
-    if session is not None and telemetry is not None and telemetry.profile:
-        _, report = engine.run_profiled(cycles, top=telemetry.profile_top)
-        session.profile_report = report
-        session.profile_text = report.text()
-    else:
-        engine.run(cycles)
-    wall_seconds = time.perf_counter() - start
-    if session is not None:
-        session.finalize(engine.cycle)
-    return RunResult(
-        system=spec.name,
-        workload=workload_name,
-        policy=resolved_policy,
-        n_nodes=spec.grid.n_nodes,
-        cycles=cycles,
-        stats=stats,
-        phy_split=_collect_phy_split(network),
-        telemetry=session,
+    return _run(
+        spec,
+        workload,
+        f"{pattern}@{rate:g}",
+        {"pattern": pattern, "rate": rate, "seed": seed, "cycles": cycles},
+        cycles,
+        drain=False,
+        policy=policy,
+        warmup=warmup,
+        telemetry=telemetry,
         seed=seed,
-        wall_seconds=wall_seconds,
-        config_hash=system_digest(spec, workload=workload_name, policy=resolved_policy),
     )
 
 
@@ -224,78 +271,20 @@ def run_trace(
     instead of raising; ``delivered_fraction`` then reflects the loss.
     Pass ``telemetry=`` exactly as in :func:`run_synthetic`.
     """
-    stats = Stats(measure_from=warmup)
-    network = build_network(spec, stats, policy=policy)
-    workload = TraceWorkload(trace)
-    engine = Engine(network, workload, stats)
-    deadline = trace.duration + drain_margin
-    resolved_policy = policy or spec.config.scheduling_policy
-    session: Optional[TelemetrySession] = None
-    if telemetry is not None:
-        session = TelemetrySession.attach(
-            network, telemetry, warmup=warmup, total_cycles=None
-        )
-        engine.forensics = session.forensics
-        engine.hostprof = session.hostprof
-        engine.livefeed = session.live
-        if session.digest is not None:
-            # Trace replays carry no synthetic-workload descriptor, so the
-            # meta is not re-simulable; ``repro diff`` then localizes only
-            # to checkpoint granularity.
-            grid = spec.grid
-            session.digest.meta = {
-                "system": spec.name,
-                "family": spec.family,
-                "chiplets": [grid.chiplets_x, grid.chiplets_y],
-                "nodes": [grid.nodes_x, grid.nodes_y],
-                "workload": trace.name,
-                "warmup": warmup,
-                "policy": resolved_policy,
-                "config_hash": system_digest(
-                    spec, workload=trace.name, policy=resolved_policy
-                ),
-            }
-        if session.live is not None:
-            session.live.start(
-                {
-                    "system": spec.name,
-                    "workload": trace.name,
-                    "policy": resolved_policy,
-                    "n_nodes": spec.grid.n_nodes,
-                    "warmup": warmup,
-                    "config_hash": system_digest(
-                        spec, workload=trace.name, policy=resolved_policy
-                    ),
-                }
-            )
-    start = time.perf_counter()
-    try:
-        if session is not None and telemetry is not None and telemetry.profile:
-            _, report = engine.run_profiled(
-                deadline, drain=True, top=telemetry.profile_top
-            )
-            session.profile_report = report
-            session.profile_text = report.text()
-        else:
-            engine.run_until_drained(deadline)
-    except RuntimeError:
-        if strict:
-            raise
-    finally:
-        wall_seconds = time.perf_counter() - start
-        if session is not None:
-            session.finalize(engine.cycle)
-    return RunResult(
-        system=spec.name,
-        workload=trace.name,
-        policy=resolved_policy,
-        n_nodes=spec.grid.n_nodes,
-        cycles=engine.cycle,
-        stats=stats,
-        phy_split=_collect_phy_split(network),
-        telemetry=session,
-        wall_seconds=wall_seconds,
-        config_hash=system_digest(spec, workload=trace.name, policy=resolved_policy),
+    # Trace replays carry no synthetic-workload descriptor, so the digest
+    # meta is not re-simulable; ``repro diff`` then localizes only to
+    # checkpoint granularity.
+    return _run(
+        spec,
+        TraceWorkload(trace),
+        trace.name,
+        {"workload": trace.name},
+        trace.duration + drain_margin,
+        drain=True,
+        policy=policy,
+        warmup=warmup,
+        telemetry=telemetry,
+        strict=strict,
     )
 
 

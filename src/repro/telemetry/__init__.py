@@ -50,192 +50,88 @@
   (see ``docs/perf.md``).
 
 Import note: ``repro.noc`` imports :mod:`repro.telemetry.bus` at module
-load, so this package initializer must stay free of ``repro.noc`` imports;
-collector submodules only reference simulator types under
-``typing.TYPE_CHECKING``, and the bench/dashboard modules import the
-simulator inside functions only.
+load, so running a point pays for this initializer.  It therefore imports
+nothing itself: every re-export below resolves on first access (PEP 562),
+and a plain ``run_synthetic`` never loads the bench / compare / diff /
+forensics / sentinel / dashboard modules.  Collector submodules only
+reference simulator types under ``typing.TYPE_CHECKING``, and the
+bench/dashboard modules import the simulator inside functions only.
 """
 
-from .attribution import (
-    STAGES,
-    AttributionError,
-    LatencyLedger,
-    render_breakdown,
-)
-from .bench import BENCH_SCHEMA_VERSION, EventCounters, run_bench, write_bench
-from .bus import EVENT_NAMES, NULL_BUS, TelemetryBus
-from .compare import MetricVerdict, compare_bench, compare_records, compare_paths
-from .diff import (
-    DiffError,
-    DiffReport,
-    Diffable,
-    check_golden_file,
-    diff_runs,
-    load_diffable,
-    parse_sim_spec,
-    record_golden_case,
-    resimulate,
-)
-from .digest import (
-    DIGEST_ALGO,
-    DIGEST_SCHEMA_VERSION,
-    GOLDEN_SCHEMA_VERSION,
-    DigestError,
-    RunDigest,
-    digests_comparable,
-    golden_files,
-    golden_path,
-    load_golden,
-    make_golden,
-    validate_digest_block,
-    write_golden,
-)
-from .forensics import (
-    FORENSICS_SCHEMA_VERSION,
-    FlightRecorder,
-    ForensicsConfig,
-    ForensicsSession,
-    HealthMonitor,
-    HealthThresholds,
-    capture_bundle,
-    load_bundle,
-    render_bundle_html,
-    render_bundle_text,
-    validate_bundle,
-    write_bundle,
-)
-from .history import MetricSeries, RunHistory, SeriesPoint, load_history
-from .hostprof import (
-    PHASES as HOST_PHASES,  # package-level alias: avoids clashing with attribution.STAGES
-    HostprofError,
-    HostTimeLedger,
-    render_host_table,
-    validate_speedscope,
-)
-from .live import (
-    LIVE_SCHEMA_VERSION,
-    LiveFeed,
-    LiveFeedError,
-    feed_status,
-    live_feed_path,
-    read_feed,
-    validate_live_event,
-)
-from .memprof import (
-    MEM_SCHEMA_VERSION,
-    MemLedger,
-    MemProfError,
-    render_mem_table,
-    validate_mem_block,
-)
-from .metrics import EpochMetrics, EpochSample
-from .progress import EtaEstimator, ProgressReporter, format_eta
-from .runstore import (
-    RUN_SCHEMA_VERSION,
-    RunRecord,
-    RunStore,
-    RunStoreError,
-    record_from_result,
-)
-from .sentinel import (
-    SENTINEL_SCHEMA_VERSION,
-    MetricReport,
-    SentinelConfig,
-    SentinelReport,
-    analyze_history,
-    detect_changepoint,
-    render_sentinel,
-)
-from .session import TelemetryConfig, TelemetrySession
-from .trace import ChromeTraceBuilder
+from importlib import import_module
 
-__all__ = [
-    "AttributionError",
-    "BENCH_SCHEMA_VERSION",
-    "DIGEST_ALGO",
-    "DIGEST_SCHEMA_VERSION",
-    "DiffError",
-    "DiffReport",
-    "Diffable",
-    "DigestError",
-    "EVENT_NAMES",
-    "GOLDEN_SCHEMA_VERSION",
-    "FORENSICS_SCHEMA_VERSION",
-    "FlightRecorder",
-    "ForensicsConfig",
-    "ForensicsSession",
-    "HealthMonitor",
-    "HealthThresholds",
-    "HOST_PHASES",
-    "HostTimeLedger",
-    "HostprofError",
-    "LIVE_SCHEMA_VERSION",
-    "LatencyLedger",
-    "LiveFeed",
-    "LiveFeedError",
-    "MEM_SCHEMA_VERSION",
-    "MemLedger",
-    "MemProfError",
-    "MetricReport",
-    "MetricSeries",
-    "NULL_BUS",
-    "RUN_SCHEMA_VERSION",
-    "SENTINEL_SCHEMA_VERSION",
-    "STAGES",
-    "SentinelConfig",
-    "SentinelReport",
-    "SeriesPoint",
-    "render_breakdown",
-    "TelemetryBus",
-    "EpochMetrics",
-    "EpochSample",
-    "EtaEstimator",
-    "EventCounters",
-    "MetricVerdict",
-    "ProgressReporter",
-    "RunDigest",
-    "RunHistory",
-    "RunRecord",
-    "RunStore",
-    "RunStoreError",
-    "TelemetryConfig",
-    "TelemetrySession",
-    "ChromeTraceBuilder",
-    "analyze_history",
-    "capture_bundle",
-    "check_golden_file",
-    "compare_bench",
-    "compare_paths",
-    "compare_records",
-    "detect_changepoint",
-    "diff_runs",
-    "digests_comparable",
-    "feed_status",
-    "golden_files",
-    "golden_path",
-    "load_diffable",
-    "load_golden",
-    "make_golden",
-    "parse_sim_spec",
-    "record_golden_case",
-    "resimulate",
-    "validate_digest_block",
-    "write_golden",
-    "format_eta",
-    "live_feed_path",
-    "load_bundle",
-    "load_history",
-    "record_from_result",
-    "render_bundle_html",
-    "render_bundle_text",
-    "render_host_table",
-    "render_mem_table",
-    "render_sentinel",
-    "read_feed",
-    "run_bench",
-    "validate_bundle",
-    "validate_live_event",
-    "validate_mem_block",
-    "validate_speedscope",
-    "write_bundle",
-]
+#: Submodule -> the names it contributes to this namespace.
+_SUBMODULE_EXPORTS = {
+    "attribution": ("STAGES", "AttributionError", "LatencyLedger", "render_breakdown"),
+    "bench": ("BENCH_SCHEMA_VERSION", "EventCounters", "run_bench", "write_bench"),
+    "bus": ("EVENT_NAMES", "NULL_BUS", "TelemetryBus"),
+    "compare": ("MetricVerdict", "compare_bench", "compare_records", "compare_paths"),
+    "diff": (
+        "DiffError", "DiffReport", "Diffable", "check_golden_file", "diff_runs",
+        "load_diffable", "parse_sim_spec", "record_golden_case", "resimulate",
+    ),
+    "digest": (
+        "DIGEST_ALGO", "DIGEST_SCHEMA_VERSION", "GOLDEN_SCHEMA_VERSION",
+        "DigestError", "RunDigest", "digests_comparable", "golden_files",
+        "golden_path", "load_golden", "make_golden", "validate_digest_block",
+        "write_golden",
+    ),
+    "forensics": (
+        "FORENSICS_SCHEMA_VERSION", "FlightRecorder", "ForensicsConfig",
+        "ForensicsSession", "HealthMonitor", "HealthThresholds",
+        "capture_bundle", "load_bundle", "render_bundle_html",
+        "render_bundle_text", "validate_bundle", "write_bundle",
+    ),
+    "history": ("MetricSeries", "RunHistory", "SeriesPoint", "load_history"),
+    "hostprof": (
+        "HostprofError", "HostTimeLedger", "render_host_table",
+        "validate_speedscope",
+    ),
+    "live": (
+        "LIVE_SCHEMA_VERSION", "LiveFeed", "LiveFeedError", "feed_status",
+        "live_feed_path", "read_feed", "validate_live_event",
+    ),
+    "memprof": (
+        "MEM_SCHEMA_VERSION", "MemLedger", "MemProfError", "render_mem_table",
+        "validate_mem_block",
+    ),
+    "metrics": ("EpochMetrics", "EpochSample"),
+    "progress": ("EtaEstimator", "ProgressReporter", "format_eta"),
+    "runstore": (
+        "RUN_SCHEMA_VERSION", "RunRecord", "RunStore", "RunStoreError",
+        "record_from_result",
+    ),
+    "sentinel": (
+        "SENTINEL_SCHEMA_VERSION", "MetricReport", "SentinelConfig",
+        "SentinelReport", "analyze_history", "detect_changepoint",
+        "render_sentinel",
+    ),
+    "session": ("TelemetryConfig", "TelemetrySession"),
+    "trace": ("ChromeTraceBuilder",),
+}
+#: Re-export -> (submodule, attribute there), resolved on first access.
+_EXPORTS = {
+    name: (module, name)
+    for module, names in _SUBMODULE_EXPORTS.items()
+    for name in names
+}
+# Package-level alias: avoids clashing with attribution.STAGES.
+_EXPORTS["HOST_PHASES"] = ("hostprof", "PHASES")
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module, attr = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module 'repro.telemetry' has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(f"{__name__}.{module}"), attr)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -170,9 +170,12 @@ def _run_case(
         until=cycles,
         seed=seed,
     )
-    Engine(network, workload, stats).run(cycles)
-    counters.detach()
-    digest.detach()
+    try:
+        Engine(network, workload, stats).run(cycles)
+    finally:
+        counters.detach()
+        digest.detach()
+        network.close()
 
     # One more untimed repetition with the host-time ledger attached: the
     # per-phase wall-time shares that tell `repro compare` *which* pipeline

@@ -280,10 +280,13 @@ def resimulate(
         if recorder
         else None
     )
-    Engine(network, workload, stats).run(run_cycles)
-    digest.detach()
-    if flight is not None:
-        flight.detach()
+    try:
+        Engine(network, workload, stats).run(run_cycles)
+    finally:
+        digest.detach()
+        if flight is not None:
+            flight.detach()
+        network.close()
     return stats, digest, flight
 
 

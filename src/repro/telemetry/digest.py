@@ -347,6 +347,9 @@ class RunDigest:
         bus = self.network.telemetry
         for name, handler in self._handlers.items():
             bus.unsubscribe(name, handler)
+        # The bound taps point back at this digest; dropping them leaves it
+        # (and the network it names) to plain reference counting.
+        self._handlers = {}
         self._attached = False
 
     def summary(self) -> dict[str, Any]:

@@ -72,7 +72,7 @@ def utilization_heatmap(network: Network, spec: SystemSpec, cycles: int) -> str:
     grid = spec.grid
     load = [0.0] * grid.n_nodes
     for link in network.links:
-        load[link.src_router.node] += link.flits_carried
+        load[link.spec.src] += link.flits_carried
     peak = max(load) or 1.0
     lines = [f"per-node forwarded flits over {cycles} cycles (peak "
              f"{peak / cycles:.2f} flits/cycle)"]

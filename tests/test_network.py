@@ -176,3 +176,70 @@ def test_stats_flow_from_network():
     run_cycles(network, 20)
     assert stats.packets_delivered == 1
     assert stats.router_flits > 0
+
+
+# -- closed-network contract ------------------------------------------------
+def _saturated(family):
+    """A network stopped mid-flight with full buffers and busy links."""
+    config = SimConfig(sim_cycles=300, warmup_cycles=0)
+    spec = build_system(family, ChipletGrid(2, 2, 3, 3), config)
+    stats = Stats()
+    network = build_network(spec, stats)
+    workload = SyntheticWorkload(
+        make_pattern("uniform", spec.grid.n_nodes),
+        spec.grid.n_nodes,
+        0.8,
+        config.packet_length,
+        until=300,
+        seed=2,
+    )
+    Engine(network, workload, stats).run(300)
+    return network
+
+
+def test_closed_network_reads_like_the_open_one(family):
+    network = _saturated(family)
+
+    def reading():
+        return (
+            network.buffered_flits(),
+            network.in_flight_flits(),
+            network.holds_flits(),
+            [router.snapshot_state() for router in network.routers],
+            [link.snapshot_state() for link in network.links],
+            [link.flits_carried for link in network.links],
+        )
+
+    before = reading()
+    assert before[0] > 0 and before[1] > 0 and before[2]
+    network.close()
+    assert network.closed
+    assert reading() == before
+    network.close()  # idempotent
+    assert reading() == before
+
+
+def test_close_cuts_the_back_references():
+    network = _saturated("hetero_phy_torus")
+    network.close()
+    assert not network._router_work and not network._link_work
+    assert all(router.network is None for router in network.routers)
+    for link in network.links:
+        assert link.network is None
+        assert link.src_router is None and link.dst_router is None
+        assert link._dst_vcs is None
+    # What the post-run reports read stays in place.
+    assert len(network.links) == len(network.specs) > 0
+
+
+def test_closed_network_refuses_to_run():
+    network, _ = build_chain(2)
+    network.inject(Packet(0, 1, 4, 0))
+    run_cycles(network, 2)
+    network.close()
+    with pytest.raises(RuntimeError, match="network is closed"):
+        network.step(2)
+    with pytest.raises(RuntimeError, match="network is closed"):
+        network.step_timed(2, lambda: 0, {}, 0)
+    with pytest.raises(RuntimeError, match="network is closed"):
+        network.inject(Packet(0, 1, 1, 2))

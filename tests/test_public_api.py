@@ -58,3 +58,25 @@ def test_quickstart_docstring_example_runs():
     system = build_system("hetero_phy_torus", grid, config)
     result = run_synthetic(system, "uniform", rate=0.1)
     assert result.avg_latency > 0
+
+
+def test_running_a_point_does_not_import_the_observatory():
+    """``repro.telemetry`` resolves its re-exports lazily (PEP 562)."""
+    import subprocess
+    import sys
+
+    heavy = ("forensics", "bench", "compare", "diff", "sentinel", "history",
+             "dashboard", "server")
+    script = f"""
+import sys
+import repro
+import repro.sim.experiment
+loaded = [m for m in {heavy!r} if "repro.telemetry." + m in sys.modules]
+assert loaded == [], loaded
+from repro.telemetry import RunDigest, TelemetryConfig, compare_bench
+from repro import TelemetrySession, EpochMetrics
+assert "repro.telemetry.compare" in sys.modules
+import repro.telemetry
+assert set(repro.telemetry.__all__) <= set(dir(repro.telemetry))
+"""
+    subprocess.run([sys.executable, "-c", script], check=True)

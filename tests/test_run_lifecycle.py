@@ -1,0 +1,232 @@
+"""A run has an end of life: its network is freed without the cycle collector.
+
+Deterministic by construction — weak references and ``gc.collect()``
+counts under ``gc.disable()``, never resident-memory thresholds.  Every
+site that builds a network in a loop (``run_synthetic`` / ``run_trace``,
+the rate sweep, ``resimulate``, the prove fault-mask sweep) must leave
+zero cyclic garbage behind, on the failure path too.
+"""
+
+from __future__ import annotations
+
+import gc
+import re
+import weakref
+from pathlib import Path
+
+import pytest
+
+import repro.analysis.reachability as reachability
+import repro.sim.build as build_module
+import repro.sim.experiment as experiment
+from repro.analysis.verifier import verify_family
+from repro.sim.build import build_network
+from repro.sim.config import SimConfig
+from repro.sim.engine import Engine
+from repro.sim.experiment import latency_rate_sweep, run_synthetic, run_trace
+from repro.sim.stats import DrainTimeoutError, Stats
+from repro.telemetry import EpochMetrics, LatencyLedger, TelemetryConfig, resimulate
+from repro.topology.grid import ChipletGrid
+from repro.topology.system import build_system
+from repro.traffic.injection import SyntheticWorkload
+from repro.traffic.parsec import generate_parsec_trace
+from repro.traffic.patterns import make_pattern
+
+GRID = ChipletGrid(2, 2, 3, 3)
+CONFIG = SimConfig(sim_cycles=500, warmup_cycles=100)
+OBSERVED = dict(digest=True, epoch_metrics=True, latency_breakdown=True, host_time=True)
+
+
+@pytest.fixture
+def no_collector():
+    """Run the test with the cycle collector off, starting from a clean slate."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _track(monkeypatch, module, *, strong: bool = False) -> list:
+    """Record the networks ``module.build_network`` hands out (weakly by default)."""
+    seen: list = []
+    original = module.build_network
+
+    def tracking(*args, **kwargs):
+        network = original(*args, **kwargs)
+        seen.append(network if strong else weakref.ref(network))
+        return network
+
+    monkeypatch.setattr(module, "build_network", tracking)
+    return seen
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Weak references to the networks the experiment harness builds."""
+    return _track(monkeypatch, experiment)
+
+
+def _point(spec, mode, telemetry):
+    if mode == "synthetic":
+        return run_synthetic(spec, "uniform", 0.15, telemetry=telemetry)
+    trace = generate_parsec_trace("canneal", GRID, 200, seed=3)
+    return run_trace(spec, trace, telemetry=telemetry)
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "trace"])
+@pytest.mark.parametrize("observed", [False, True], ids=["bare", "observed"])
+def test_run_leaves_no_cyclic_garbage(family, observed, mode, built, no_collector):
+    spec = build_system(family, GRID, CONFIG)
+    telemetry = TelemetryConfig(**OBSERVED) if observed else None
+    result = _point(spec, mode, telemetry)
+    assert result.stats.packets_delivered > 0
+    (network,) = built
+    if observed:
+        # The session's collectors read ``links`` / ``specs`` after the run.
+        assert network() is result.telemetry.network and network().closed
+        assert result.digest["final"] and result.latency_breakdown["packets"] > 0
+    else:
+        assert network() is None
+    del result
+    assert network() is None
+    assert gc.collect() == 0
+
+
+def test_sweep_leaves_no_cyclic_garbage(built, no_collector):
+    spec = build_system("hetero_phy_torus", GRID, CONFIG)
+    rates = [0.02, 0.04, 0.06, 0.08, 0.10, 0.12]
+    points = latency_rate_sweep(spec, "uniform", rates, stop_after_saturation=False)
+    assert len(points) == len(built) == 6
+    assert all(network() is None for network in built)
+    assert gc.collect() == 0
+
+
+def test_drain_timeout_closes_the_network(monkeypatch):
+    networks = _track(monkeypatch, experiment, strong=True)
+    spec = build_system("serial_torus", GRID, CONFIG)
+    trace = generate_parsec_trace("canneal", GRID, 200, seed=3)
+    with pytest.raises(DrainTimeoutError):
+        run_trace(spec, trace, drain_margin=1)
+    (network,) = networks
+    assert network.closed and network.holds_flits()
+
+
+def test_swallowed_drain_timeout_leaves_no_cyclic_garbage(built, no_collector):
+    """``strict=False``: the exception dies inside the harness, frames and all."""
+    spec = build_system("serial_torus", GRID, CONFIG)
+    trace = generate_parsec_trace("canneal", GRID, 200, seed=3)
+    result = run_trace(spec, trace, drain_margin=1, strict=False)
+    assert result.stats.delivered_fraction < 1.0
+    (network,) = built
+    assert network() is None
+    assert gc.collect() == 0
+
+
+def test_failing_routing_function_closes_the_network(monkeypatch):
+    networks: list = []
+    original = experiment.build_network
+
+    def sabotaged(*args, **kwargs):
+        network = original(*args, **kwargs)
+        route = network.routers[0].routing_fn
+        calls = []
+
+        def failing(router, packet):
+            calls.append(packet)
+            if len(calls) > 50:
+                raise ValueError("routing table corrupted")
+            return route(router, packet)
+
+        network.set_routing(failing)
+        networks.append(network)
+        return network
+
+    monkeypatch.setattr(experiment, "build_network", sabotaged)
+    spec = build_system("parallel_mesh", GRID, CONFIG)
+    with pytest.raises(ValueError, match="routing table corrupted"):
+        run_synthetic(spec, "uniform", 0.2, telemetry=TelemetryConfig(**OBSERVED))
+    (network,) = networks
+    assert network.closed
+    # The session was finalized on the way out: the bus is back to zero taps.
+    assert network.telemetry.cycle_end is None
+
+
+def test_resimulate_leaves_no_cyclic_garbage(monkeypatch, no_collector):
+    refs = _track(monkeypatch, build_module)
+    meta = {
+        "family": "hetero_channel",
+        "chiplets": [2, 2],
+        "nodes": [3, 3],
+        "pattern": "uniform",
+        "rate": 0.1,
+        "seed": 5,
+        "cycles": 400,
+    }
+    stats, digest, flight = resimulate(meta, recorder=True)
+    assert stats.packets_delivered > 0 and digest.cycles == 400
+    assert flight.events()
+    (network,) = refs
+    assert network().closed
+    del stats, digest, flight
+    assert network() is None
+    assert gc.collect() == 0
+
+
+def test_fault_mask_replay_leaves_no_cyclic_garbage(no_collector):
+    spec = build_system("hetero_channel", GRID, CONFIG)
+    refs = []
+
+    def factory():
+        network = build_network(spec, Stats())
+        refs.append(weakref.ref(network))
+        return network
+
+    sweep = reachability.sweep_fault_masks(factory, spec)
+    assert sweep.swept > 0 and len(refs) == sweep.swept + 1
+    assert all(network() is None for network in refs)
+    assert gc.collect() == 0
+    # The whole-family verifier owns the network it builds as well.
+    assert verify_family("hetero_channel", chiplets=(2, 2), nodes=(3, 3)).ok
+    assert gc.collect() == 0
+
+
+def test_reports_read_the_same_after_close(tmp_path):
+    spec = build_system("hetero_phy_torus", GRID, CONFIG)
+    stats = Stats(measure_from=100)
+    network = build_network(spec, stats)
+    metrics = EpochMetrics(network, epoch_length=100, warmup=100)
+    ledger = LatencyLedger(network, measure_from=100)
+    workload = SyntheticWorkload(
+        make_pattern("uniform", GRID.n_nodes), GRID.n_nodes, 0.2, 16, until=500, seed=1
+    )
+    Engine(network, workload, stats).run(500)
+    metrics.finish(500)
+    ledger.detach()
+
+    def reports(directory: Path):
+        files = sorted(metrics.write(directory))
+        assert {path.suffix for path in files} == {".csv", ".json"}
+        return (
+            [(path.name, path.read_bytes()) for path in files],
+            metrics.to_json(),
+            ledger.summary(),
+        )
+
+    before = reports(tmp_path / "open")
+    network.close()
+    assert reports(tmp_path / "closed") == before
+
+
+def test_simulator_core_never_reaches_for_the_collector():
+    """No ``gc`` call and no ``weakref`` under noc/, core/ or sim/."""
+    src = Path(experiment.__file__).resolve().parents[1]
+    banned = re.compile(r"\bgc\.(collect|disable|freeze)\b|\bweakref\b|^\s*import gc\b", re.M)
+    offenders = [
+        str(path.relative_to(src))
+        for package in ("noc", "core", "sim")
+        for path in sorted((src / package).glob("*.py"))
+        if banned.search(path.read_text())
+    ]
+    assert offenders == []
