@@ -182,7 +182,6 @@ def _run(
                     horizon, drain=drain, top=telemetry.profile_top
                 )
                 session.profile_report = report
-                session.profile_text = report.text()
             elif drain:
                 engine.run_until_drained(horizon)
             else:
@@ -269,8 +268,19 @@ def run_trace(
     With ``strict=False`` a network that cannot drain the trace within the
     margin (a saturated operating point) returns its partial statistics
     instead of raising; ``delivered_fraction`` then reflects the loss.
-    Pass ``telemetry=`` exactly as in :func:`run_synthetic`.
+    Pass ``telemetry=`` exactly as in :func:`run_synthetic`.  A trace with
+    an endpoint outside the system is rejected here, before the first cycle.
     """
+    n_nodes = spec.grid.n_nodes
+    for column in (trace.src, trace.dst):
+        outside = (column < 0) | (column >= n_nodes)
+        if outside.any():
+            row = int(outside.argmax())
+            raise ValueError(
+                f"trace {trace.name!r} row {row} ({int(trace.src[row])} -> "
+                f"{int(trace.dst[row])}): node {int(column[row])} is outside "
+                f"{spec.name}, n_nodes={n_nodes}"
+            )
     # Trace replays carry no synthetic-workload descriptor, so the digest
     # meta is not re-simulable; ``repro diff`` then localizes only to
     # checkpoint granularity.

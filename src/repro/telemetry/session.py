@@ -142,10 +142,6 @@ class TelemetrySession:
     digest: Optional[RunDigest] = None
     #: cProfile capture (set by the harness when profiling was requested).
     profile_report: Optional["ProfileReport"] = None
-    #: Deprecated: rendered pstats text of ``profile_report``.  Kept for
-    #: callers of the old ``--profile`` dump; prefer ``profile_report``
-    #: and the ``repro profile`` speedscope artifact.
-    profile_text: Optional[str] = None
     #: Files written by :meth:`finalize`.
     written: list[Path] = field(default_factory=list)
 

@@ -28,6 +28,13 @@ from .trace import Trace, TraceRecord
 BYTES_PER_FLIT = 8
 
 
+def _train_lengths(n_bytes: int, max_packet_flits: int = 16) -> list[int]:
+    """Packet lengths (flits) of the train that carries one message."""
+    flits = max(1, -(-n_bytes // BYTES_PER_FLIT))
+    full, rest = divmod(flits, max_packet_flits)
+    return [max_packet_flits] * full + ([rest] if rest else [])
+
+
 def packetize(
     cycle: int,
     src: int,
@@ -46,17 +53,29 @@ def packetize(
     """
     if src == dst:
         return []
-    flits = max(1, -(-n_bytes // BYTES_PER_FLIT))
-    records: list[TraceRecord] = []
-    offset = 0
-    while flits > 0:
-        length = min(flits, max_packet_flits)
-        records.append(
-            TraceRecord(cycle + offset, src, dst, length, msg_class, 0, ordered)
-        )
-        flits -= length
-        offset += 1
-    return records
+    return [
+        TraceRecord(cycle + offset, src, dst, length, msg_class, 0, ordered)
+        for offset, length in enumerate(_train_lengths(n_bytes, max_packet_flits))
+    ]
+
+
+#: A batch of equal-size messages: (cycle, src, dst) arrays and the byte count.
+_Batch = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+
+def _to_trace(batches: list[_Batch], name: str) -> Trace:
+    """Packetize message batches (as :func:`packetize` does one message)."""
+    if not batches:
+        return Trace(name=name)
+    columns: tuple[list, ...] = ([], [], [], [])
+    for cycle, src, dst, n_bytes in batches:
+        remote = src != dst  # a message to oneself never enters the network
+        lengths = np.array(_train_lengths(n_bytes), np.int32)
+        columns[0].append((cycle[remote, None] + np.arange(len(lengths))).ravel())
+        columns[1].append(np.repeat(src[remote], len(lengths)))
+        columns[2].append(np.repeat(dst[remote], len(lengths)))
+        columns[3].append(np.tile(lengths, int(remote.sum())))
+    return Trace.from_columns(*map(np.concatenate, columns), msg_class="bulk", name=name)
 
 
 def _rank_grid_shape(n_ranks: int) -> tuple[int, int, int]:
@@ -78,23 +97,6 @@ def _rank_grid_shape(n_ranks: int) -> tuple[int, int, int]:
     return best
 
 
-def _allreduce_records(
-    cycle: int, n_ranks: int, n_bytes: int
-) -> list[tuple[int, int, int, int]]:
-    """(cycle, src, dst, bytes) tuples of a recursive-doubling allreduce."""
-    out: list[tuple[int, int, int, int]] = []
-    stage = 1
-    t = cycle
-    while stage < n_ranks:
-        for rank in range(n_ranks):
-            partner = rank ^ stage
-            if partner < n_ranks:
-                out.append((t, rank, partner, n_bytes))
-        stage <<= 1
-        t += 4  # per-stage pipelining gap
-    return out
-
-
 def generate_cns_trace(
     n_ranks: int = 1024,
     iterations: int = 20,
@@ -110,32 +112,30 @@ def generate_cns_trace(
         raise ValueError("need at least two ranks")
     rx, ry, rz = _rank_grid_shape(n_ranks)
     rng = np.random.default_rng(seed)
-    messages: list[tuple[int, int, int, int]] = []  # (cycle, src, dst, bytes)
+    ranks = np.arange(n_ranks, dtype=np.int32)
+    x, y, z = ranks % rx, (ranks // rx) % ry, ranks // (rx * ry)
+    # Halo partners: the six face neighbours that exist, the same every iteration.
+    halo_src, halo_dst = [], []
+    for coord, size, stride in ((x, rx, 1), (y, ry, rx), (z, rz, rx * ry)):
+        for step in (1, -1):
+            inside = (coord + step >= 0) & (coord + step < size)
+            halo_src.append(ranks[inside])
+            halo_dst.append(ranks[inside] + step * stride)
+    halo_src, halo_dst = np.concatenate(halo_src), np.concatenate(halo_dst)
+    batches: list[_Batch] = []
     for it in range(iterations):
         base = it * iteration_gap
-        for rank in range(n_ranks):
-            x = rank % rx
-            y = (rank // rx) % ry
-            z = rank // (rx * ry)
-            jitter = int(rng.integers(0, 8))
-            for dx, dy, dz in (
-                (1, 0, 0),
-                (-1, 0, 0),
-                (0, 1, 0),
-                (0, -1, 0),
-                (0, 0, 1),
-                (0, 0, -1),
-            ):
-                nx, ny, nz = x + dx, y + dy, z + dz
-                if not (0 <= nx < rx and 0 <= ny < ry and 0 <= nz < rz):
-                    continue
-                partner = nx + ny * rx + nz * rx * ry
-                messages.append((base + jitter, rank, partner, halo_bytes))
+        jitter = rng.integers(0, 8, size=n_ranks)  # one draw per rank, in rank order
+        batches.append((base + jitter[halo_src], halo_src, halo_dst, halo_bytes))
         if it % allreduce_every == allreduce_every - 1:
-            messages.extend(
-                _allreduce_records(base + iteration_gap // 2, n_ranks, allreduce_bytes)
-            )
-    return _to_trace(messages, name="hpc-cns")
+            # Recursive-doubling allreduce, 4 cycles of pipelining per stage.
+            t, stage = base + iteration_gap // 2, 1
+            while stage < n_ranks:
+                src = ranks[ranks ^ stage < n_ranks]
+                batches.append((np.full(len(src), t), src, src ^ stage, allreduce_bytes))
+                stage <<= 1
+                t += 4
+    return _to_trace(batches, name="hpc-cns")
 
 
 def generate_moc_trace(
@@ -157,30 +157,20 @@ def generate_moc_trace(
         raise ValueError("need at least two ranks")
     rng = np.random.default_rng(seed)
     bits = max(1, (n_ranks - 1).bit_length())
-    messages: list[tuple[int, int, int, int]] = []
+    ranks = np.arange(n_ranks, dtype=np.int32)
+    # transpose-like partner: bit-reversed rank
+    reversed_rank = np.zeros_like(ranks)
+    for bit in range(bits):
+        reversed_rank |= ((ranks >> bit) & 1) << (bits - 1 - bit)
+    reversed_rank %= n_ranks
+    batches: list[_Batch] = []
     for it in range(iterations):
-        base = it * iteration_gap
-        strides = sorted(
-            int(s) for s in rng.choice(bits, size=min(partners_per_sweep, bits), replace=False)
-        )
-        for rank in range(n_ranks):
-            jitter = int(rng.integers(0, 16))
-            for k in strides:
-                partner = (rank ^ (1 << k)) % n_ranks
-                if partner != rank:
-                    messages.append((base + jitter, rank, partner, sweep_bytes))
-            # transpose-like partner: bit-reversed rank
-            rev = int(format(rank, f"0{bits}b")[::-1], 2) % n_ranks
-            if rev != rank:
-                messages.append((base + jitter + 8, rank, rev, sweep_bytes))
-    return _to_trace(messages, name="hpc-moc")
-
-
-def _to_trace(messages: list[tuple[int, int, int, int]], name: str) -> Trace:
-    records: list[TraceRecord] = []
-    for cycle, src, dst, n_bytes in messages:
-        records.extend(packetize(cycle, src, dst, n_bytes, msg_class="bulk"))
-    return Trace(records, name=name)
+        strides = rng.choice(bits, size=min(partners_per_sweep, bits), replace=False)
+        start = it * iteration_gap + rng.integers(0, 16, size=n_ranks)  # per-rank jitter
+        for k in strides:
+            batches.append((start, ranks, (ranks ^ (1 << int(k))) % n_ranks, sweep_bytes))
+        batches.append((start + 8, ranks, reversed_rank, sweep_bytes))
+    return _to_trace(batches, name="hpc-moc")
 
 
 def embed_ranks(
@@ -192,18 +182,10 @@ def embed_ranks(
     core nodes only for Fig 15).  Messages whose endpoints land on the
     same node become local and are dropped.
     """
-    nodes = grid.core_nodes() if core_only else list(range(grid.n_nodes))
-    if not nodes:
+    nodes = np.array(grid.core_nodes() if core_only else range(grid.n_nodes), np.int32)
+    if not len(nodes):
         raise ValueError("grid has no eligible nodes for embedding")
-    n_ranks = max(max(r.src, r.dst) for r in trace.records) + 1 if trace.records else 0
-    records: list[TraceRecord] = []
-    count = len(nodes)
-    for r in trace.records:
-        src = nodes[r.src * count // max(n_ranks, 1) % count]
-        dst = nodes[r.dst * count // max(n_ranks, 1) % count]
-        if src == dst:
-            continue
-        records.append(
-            TraceRecord(r.cycle, src, dst, r.length, r.msg_class, r.priority, r.ordered)
-        )
-    return Trace(records, name=f"{trace.name}-embedded")
+    n_ranks = int(max(trace.src.max(), trace.dst.max())) + 1 if len(trace) else 0
+    node_of_rank = nodes[np.arange(n_ranks) * len(nodes) // max(n_ranks, 1) % len(nodes)]
+    src, dst = node_of_rank[trace.src], node_of_rank[trace.dst]
+    return trace.with_columns(f"{trace.name}-embedded", src=src, dst=dst, keep=src != dst)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.topology.grid import ChipletGrid
-from .trace import Trace, TraceRecord
+from .trace import Trace
 
 #: Flit counts of the two Netrace packet sizes (8 B and 72 B at 8 B/flit).
 CONTROL_FLITS = 1
@@ -94,7 +94,7 @@ def generate_parsec_trace(
         raise ValueError("duration must be >= 1")
     rng = np.random.default_rng(seed)
     n = grid.n_nodes
-    records: list[TraceRecord] = []
+    transactions: list[tuple[int, int, int, bool]] = []  # (cycle, core, home, is_read)
     # Two-state Markov burst process per core.
     on = rng.random(n) < profile.duty
     p_exit_on = 1.0 / profile.burst_length
@@ -113,27 +113,19 @@ def generate_parsec_trace(
             home = _pick_home(src, coords, grid, profile, rng)
             if home == src:
                 continue  # local access, no network traffic
-            if rng.random() < profile.read_fraction:
-                records.append(
-                    TraceRecord(cycle, src, home, CONTROL_FLITS, "coherence")
-                )
-                records.append(
-                    TraceRecord(
-                        cycle + profile.service_delay, home, src, DATA_FLITS, "data"
-                    )
-                )
-            else:
-                records.append(TraceRecord(cycle, src, home, DATA_FLITS, "data"))
-                records.append(
-                    TraceRecord(
-                        cycle + profile.service_delay,
-                        home,
-                        src,
-                        CONTROL_FLITS,
-                        "coherence",
-                    )
-                )
-    return Trace(records, name=f"parsec-{app}")
+            transactions.append((cycle, src, home, rng.random() < profile.read_fraction))
+    cycle, core, home, is_read = np.array(transactions, np.int64).reshape(-1, 4).T
+    # A read is a control request answered by a cache line; a write-back is
+    # a cache line answered by a control ack.
+    control = np.concatenate((is_read, 1 - is_read)).astype(bool)
+    return Trace.from_columns(
+        np.concatenate((cycle, cycle + profile.service_delay)),
+        np.concatenate((core, home)),
+        np.concatenate((home, core)),
+        np.where(control, CONTROL_FLITS, DATA_FLITS),
+        np.where(control, "coherence", "data"),
+        name=f"parsec-{app}",
+    )
 
 
 def _pick_home(

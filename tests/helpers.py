@@ -7,6 +7,8 @@ between neighbours and a trivial "always forward" routing function.
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.core.phy import HeteroPhyLink
 from repro.core.scheduling import make_dispatch_policy
 from repro.noc.channel import ChannelKind, ChannelSpec, PhyParams
@@ -87,3 +89,14 @@ def run_cycles(network: Network, cycles: int, start: int = 0) -> int:
         network.stats.now = now
         network.step(now)
     return start + cycles
+
+
+def rows_sha256(trace) -> str:
+    """sha256 over a trace's rows, in order, in the CSV line format."""
+    digest = hashlib.sha256()
+    for r in trace:
+        digest.update(
+            f"{r.cycle},{r.src},{r.dst},{r.length},{r.msg_class},"
+            f"{r.priority},{int(r.ordered)}\n".encode()
+        )
+    return digest.hexdigest()

@@ -67,6 +67,24 @@ def test_run_trace_nonstrict_returns_partial():
     assert result.stats.delivered_fraction < 1.0
 
 
+def test_run_trace_rejects_endpoints_outside_the_system_up_front(monkeypatch):
+    """A node id the system does not have fails before the first cycle, not
+    at the cycle the record comes due."""
+    from repro.sim import experiment
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the trace must be checked before anything is built")
+
+    monkeypatch.setattr(experiment, "build_network", no_build)
+    late = Trace([TraceRecord(0, 1, 2), TraceRecord(90_000, 1, 99, 2)], name="late")
+    with pytest.raises(ValueError) as err:
+        run_trace(spec(), late)
+    for part in ("trace 'late'", "row 1", "node 99", "n_nodes=36"):
+        assert part in str(err.value)
+    with pytest.raises(ValueError, match=r"row 0 \(-1 -> 2\): node -1 "):
+        run_trace(spec(), Trace([TraceRecord(5, -1, 2)], name="negative"))
+
+
 def test_sweep_stops_after_saturation():
     points = latency_rate_sweep(
         spec(), "uniform", [0.05, 2.0, 3.0, 4.0], cycles=800, warmup=100

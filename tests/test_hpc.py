@@ -1,5 +1,7 @@
 """Tests for the HPC (DUMPI-substitute) trace generators."""
 
+import tracemalloc
+
 import pytest
 
 from repro.topology.grid import ChipletGrid
@@ -9,6 +11,9 @@ from repro.traffic.hpc import (
     generate_moc_trace,
     packetize,
 )
+from repro.traffic.trace import TraceWorkload
+
+from .helpers import rows_sha256
 
 GRID = ChipletGrid(4, 4, 4, 4)
 
@@ -59,6 +64,11 @@ def test_rank_validation():
         generate_moc_trace(n_ranks=1)
 
 
+def test_zero_iterations_give_an_empty_trace():
+    assert len(generate_cns_trace(8, 0)) == len(generate_moc_trace(8, 0)) == 0
+    assert len(embed_ranks(generate_moc_trace(8, 0), GRID)) == 0
+
+
 def test_traces_deterministic():
     a = generate_cns_trace(64, 2, seed=5)
     b = generate_cns_trace(64, 2, seed=5)
@@ -102,3 +112,82 @@ def test_moc_load_in_sane_range():
     trace = embed_ranks(generate_moc_trace(256, 3), ChipletGrid(4, 4, 4, 4))
     load = trace.offered_load(256)
     assert 0.01 < load < 1.0
+
+
+# -- pinned rows ---------------------------------------------------------------
+# (records, sha256 over the rows), recorded with the row-at-a-time generators
+# of the commit before traces became columnar: the vectorised jitter draws
+# (one ``rng.integers(0, k, size=n_ranks)`` per iteration) must be the same
+# random stream as the per-rank scalar draws they replaced.  The first four
+# of each are Fig 13 / Fig 15 at tiny and small scale.
+CNS_PINS = {
+    (16, 3): (672, 'd796584e4c2d853cd7ae71a20b95195e771c31236737482b2ebaa4d6547da9d1'),
+    (64, 3): (3456, '2fecdd1eaf89fa9d1c9dd71a19ffee46860409d1a9a59b9fae1169b38b325427'),
+    (64, 5): (6144, '4fa94af184887f2fa76e1a2e05e5f19d0af5d4e2ef31a5eb4d6e77e5b2c9078a'),
+    (256, 5): (27648, '04a4ef40183b9dbc86958ecdfe9e8341b8f4dce0581f4e054ac6272ae332c2a1'),
+}
+MOC_PINS = {
+    (16, 2): (304, 'a6955502237166aeeb7b132767e08d201d5df6bcd9d807d1a3e881cee0b79e25'),
+    (64, 2): (1248, 'a8ce55c63da53cae1f68d269b8dceeadaa91faa1b71976f790fd58dad8560a43'),
+    (64, 3): (1872, '894023cdb44fdf954715e77e5623916ee93ec8ff457256fb36039d82559d8ae3'),
+    (256, 3): (7584, '449a068fc2452a3d5602a1981363780dd6f0bf50b0d0cb842962c1bc0a96ba09'),
+}
+#: The repo benchmark's trace (``channel_moc_trace_256``, seed 1).
+BENCH_MOC = dict(sweep_bytes=64, partners_per_sweep=10, seed=1)
+
+
+@pytest.mark.parametrize("args, pin", CNS_PINS.items())
+def test_cns_rows_are_pinned(args, pin):
+    trace = generate_cns_trace(*args)
+    assert (len(trace), rows_sha256(trace)) == pin
+
+
+@pytest.mark.parametrize("args, pin", MOC_PINS.items())
+def test_moc_rows_are_pinned(args, pin):
+    trace = generate_moc_trace(*args)
+    assert (len(trace), rows_sha256(trace)) == pin
+
+
+def test_odd_rank_counts_are_pinned():
+    """Rank counts that are no power of two or cube: grid edges, ``% n_ranks``
+    wrap-around, bit-reversed partners that fall on the rank itself."""
+    cns = generate_cns_trace(30, 5, seed=3, halo_bytes=200)
+    assert (len(cns), rows_sha256(cns)) == (1322, 'a4036c6eb4561eb79d0b9c06a8d020bf51d0d123953876a753f85b5bd4b2f5ad')
+    moc = generate_moc_trace(24, 2, seed=3)
+    assert (len(moc), rows_sha256(moc)) == (456, '61e95b1546ae9d8e5ced9649cab7f1e3db26c1bffb378ebe7def259db293f84c')
+
+
+def test_benchmark_trace_is_pinned():
+    base = generate_moc_trace(1024, 3, **BENCH_MOC)
+    assert (len(base), rows_sha256(base)) == (33696, 'e91328b4153285e4f32bd4f72afeb842c198181fabdc1314358aabfad26ab46b')
+    trace = embed_ranks(base, GRID, core_only=True).scaled(0.5)
+    assert trace.name == "hpc-moc-embedded@x0.5"
+    assert (len(trace), trace.duration, trace.total_flits) == (21408, 4847, 171264)
+    assert rows_sha256(trace) == 'b3f05b88352cc9081f74675ba18ac6dbc3c0eafe98851dfb12b7d2a3e085a3a8'
+
+
+def test_paper_scale_setup_stays_small():
+    """Scaling guard: Fig 15's trace set-up at paper scale (1024 ranks on
+    64 chiplets of 7x7 nodes, 491,520 CNS records) plus its replay workload
+    peaks under 80 MB of traced memory (measured: 51 MB) — as lists of
+    records it took 335 MB before the workload existed."""
+    grid = ChipletGrid(8, 8, 7, 7)
+    tracemalloc.start()
+    try:
+        bases = (
+            embed_ranks(generate_cns_trace(1024, 20), grid, core_only=True),
+            embed_ranks(generate_moc_trace(1024, 12), grid, core_only=True),
+        )
+        for base in bases:
+            for time_scale in (0.25, 0.5, 1.0, 2.0, 4.0):
+                trace = base.scaled(time_scale)
+        trace = bases[0].scaled(4.0)
+        before, _ = tracemalloc.get_traced_memory()
+        workload = TraceWorkload(trace)
+        workload.step(0)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bases[0]) == 491_520
+    assert peak < 80e6
+    assert after - before < 64e3  # a cursor into the columns, not a copy of the rows

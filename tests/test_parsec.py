@@ -10,6 +10,8 @@ from repro.traffic.parsec import (
     generate_parsec_trace,
 )
 
+from .helpers import rows_sha256
+
 GRID = ChipletGrid(4, 4, 2, 2)  # the paper's 64-node PARSEC system
 
 
@@ -98,3 +100,29 @@ def test_traffic_present_across_nodes():
     trace = generate_parsec_trace("vips", GRID, 4000)
     sources = {r.src for r in trace.records}
     assert len(sources) > GRID.n_nodes // 2
+
+
+# (records, sha256 over the rows) of Fig 12's traces at tiny scale (all nine
+# applications) and small scale (the lightest and the heaviest), recorded on
+# the commit before traces became columnar.
+PARSEC_PINS = {
+    ('blackscholes', 2000): (458, 'b5e110295099a6b22c72eceaf25d6b01abbda17b42fba7a393d099efe8369595'),
+    ('bodytrack', 2000): (1778, 'f98160853175ddbdf0acb0a2668bed471650f3fadbcfc823a6fb30cdc7c0ea10'),
+    ('canneal', 2000): (5274, 'd8adf553130df598ae1d27ab1be407f07395a8faa816cf90ea8973e25ae446e9'),
+    ('dedup', 2000): (2256, '31328cf0ae816d236d26be3adee9be17d285d68a22b04cc2df650b5f7282434c'),
+    ('ferret', 2000): (2954, 'acae1480eb37e28e3aaccdde5f0af2ae3d57f61d83be6035817ac448c0fe795f'),
+    ('fluidanimate', 2000): (1544, 'e4b3843a23c36dadffe280880aff6c2173f6030a50f3d83120652a1646b69143'),
+    ('swaptions', 2000): (712, '383e3bd1f013b812eafe5a1e10ad687dcf13d666a8a19eb91b5318a66a933cdd'),
+    ('vips', 2000): (2054, 'f7fe272ad5f26f2bf5d3295176b7d558a2e5afbb15a5574b13355fc2b15c4fd4'),
+    ('x264', 2000): (4356, '0f9bf762e36db709e2c0e92706f528670ca6de686d5d188ef110a74b2de00187'),
+    ('blackscholes', 6000): (1478, '67577c24019ddfd30c0d21405bcd494eca856da63757a98663708c05c399e4fb'),
+    ('canneal', 6000): (15544, '5ddf3058c1b935b8b65259168ea2d2f764e8bbd391768da2e4b7f43308452674'),
+}
+
+
+@pytest.mark.parametrize("args, pin", PARSEC_PINS.items())
+def test_rows_are_pinned(args, pin):
+    app, duration = args
+    trace = generate_parsec_trace(app, GRID, duration)
+    assert (len(trace), rows_sha256(trace)) == pin
+    assert trace.classes == ("coherence", "data")

@@ -386,7 +386,7 @@ def test_run_synthetic_telemetry_session(tmp_path, small_grid):
     assert (tmp_path / "breakdown.csv") in session.written
     assert session.ledger.packets == result.stats.packets_delivered
     assert json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
-    assert "function calls" in session.profile_text
+    assert "function calls" in session.profile_report.text()
     # Warm-up exclusion: the first epoch (start 0 < 200) is flagged.
     flagged = session.metrics.epochs(include_warmup=True)
     assert flagged[0].warmup and not flagged[-1].warmup

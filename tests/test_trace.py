@@ -1,7 +1,12 @@
 """Tests for the trace format, persistence, scaling and replay."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.topology.grid import ChipletGrid
+from repro.traffic.hpc import embed_ranks
 from repro.traffic.trace import Trace, TraceRecord, TraceWorkload
 
 
@@ -131,3 +136,165 @@ def test_workload_catches_up_after_gap():
     packets = list(workload.step(7))
     assert len(packets) == 2  # cycles 0 and 5
     assert packets[0].create_cycle == 0  # creation keeps the trace time
+
+
+# -- the columnar store against row-wise references ---------------------------
+# Names chosen so alphabetical (= code) order differs from insertion order,
+# with an upper-case and an empty name among them.
+CLASS_NAMES = ["data", "bulk", "coherence", "Zeta", "ack", ""]
+N_RANKS = 12
+
+
+@st.composite
+def record_lists(draw):
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 6) | st.integers(0, 10**9),  # many duplicate cycles
+                st.integers(0, N_RANKS - 1),
+                st.integers(1, N_RANKS - 1),  # dst offset, so src != dst
+                st.integers(1, 20),
+                st.sampled_from(CLASS_NAMES),
+                st.integers(-2, 3),
+                st.booleans(),
+            ),
+            max_size=30,
+        )
+    )
+    return [
+        TraceRecord(cycle, src, (src + step) % N_RANKS, length, name, priority, ordered)
+        for cycle, src, step, length, name, priority, ordered in rows
+    ]
+
+
+def scaled_rowwise(records, time_scale):
+    return sorted(
+        TraceRecord(
+            int(r.cycle / time_scale), r.src, r.dst, r.length, r.msg_class, r.priority, r.ordered
+        )
+        for r in records
+    )
+
+
+def embed_rowwise(records, grid, core_only):
+    nodes = grid.core_nodes() if core_only else list(range(grid.n_nodes))
+    n_ranks = max((max(r.src, r.dst) for r in records), default=-1) + 1
+    out = []
+    for r in records:
+        src = nodes[r.src * len(nodes) // max(n_ranks, 1) % len(nodes)]
+        dst = nodes[r.dst * len(nodes) // max(n_ranks, 1) % len(nodes)]
+        if src != dst:
+            out.append(
+                TraceRecord(r.cycle, src, dst, r.length, r.msg_class, r.priority, r.ordered)
+            )
+    return sorted(out)
+
+
+@given(record_lists())
+def test_columns_hold_the_rows_in_record_order(records):
+    trace = Trace(records, name="t")
+    assert trace.records == sorted(records)
+    assert list(trace) == trace.records and len(trace) == len(records)
+    assert list(trace.classes) == sorted({r.msg_class for r in records})
+    assert trace.total_flits == sum(r.length for r in records)
+    assert trace.duration == max((r.cycle for r in records), default=-1) + 1
+    assert trace == Trace(reversed(records), name="t")
+    assert trace != Trace(records, name="other")
+
+
+@given(record_lists())
+def test_scaled_matches_the_rowwise_reference(records):
+    trace = Trace(records, name="t")
+    for time_scale in (0.25, 0.5, 1, 3, 7.5):
+        scaled = trace.scaled(time_scale)
+        assert scaled.records == scaled_rowwise(records, time_scale)
+        assert scaled.name == f"t@x{time_scale:g}"
+
+
+@given(record_lists(), st.booleans())
+def test_embed_ranks_matches_the_rowwise_reference(records, core_only):
+    # 2x1 chiplets of 3x3 nodes: 18 nodes, 2 core nodes -> most pairs collapse.
+    grid = ChipletGrid(2, 1, 3, 3)
+    embedded = embed_ranks(Trace(records, name="t"), grid, core_only=core_only)
+    assert embedded.records == embed_rowwise(records, grid, core_only)
+    assert embedded.name == "t-embedded"
+    # A class that lost all its rows leaves the name table too.
+    assert list(embedded.classes) == sorted({r.msg_class for r in embedded.records})
+
+
+@given(record_lists())
+def test_csv_roundtrip_property(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("trace") / "t.csv"
+    trace = Trace(records, name="t")
+    trace.save(path)
+    assert Trace.load(path) == trace
+
+
+def test_from_columns_equals_the_record_constructor():
+    records = [TraceRecord(7, 0, 1, 3, "data"), TraceRecord(2, 4, 0, 3, "ack")]
+    columns = Trace.from_columns(
+        [7, 2], np.array([0, 4]), (1, 0), 3, ["data", "ack"], name="t"
+    )
+    assert columns == Trace(records, name="t")
+    assert columns.cycle.dtype == np.int64 and columns.msg_class.dtype == np.uint8
+    assert columns.src.dtype == columns.length.dtype == np.int32
+    assert Trace.from_columns([], [], []) == Trace([])
+
+
+def test_saved_file_bytes_are_pinned(tmp_path):
+    path = tmp_path / "sample.csv"
+    sample_trace().save(path)
+    assert path.read_bytes() == (
+        b"cycle,src,dst,length,msg_class,priority,ordered\n"
+        b"0,2,3,1,coherence,1,0\n"
+        b"5,1,2,9,data,0,1\n"
+        b"10,0,1,4,data,0,1\n"
+    )
+
+
+HEADER = "cycle,src,dst,length,msg_class,priority,ordered\n"
+
+
+def test_load_skips_blank_lines(tmp_path):
+    path = tmp_path / "edited.csv"
+    path.write_text(HEADER + "\n5,1,2,9,data,0,1\n   \n0,2,3,1,coherence,1,0\n\n")
+    assert Trace.load(path).records == sample_trace().records[:2]
+
+
+@pytest.mark.parametrize(
+    "line, complaint",
+    [
+        ("5,3", "expected 7 fields"),
+        ("5,3,x,1,data,0,1", "dst must be an integer, got 'x'"),
+        ("5,3,3,1,data,0,1", "src and dst must differ"),
+        ("-5,3,4,1,data,0,1", "cycle must be >= 0, got -5"),
+        ("5,3,4,0,data,0,1", "length must be >= 1, got 0"),
+    ],
+)
+def test_load_names_the_file_line_and_field(tmp_path, line, complaint):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER + "0,1,2,1,data,0,1\n\n" + line + "\n")
+    with pytest.raises(ValueError) as err:
+        Trace.load(path)
+    assert str(err.value).startswith(f"{path}:4: ")  # the blank line 3 counts
+    assert complaint in str(err.value)
+
+
+def test_from_columns_names_the_first_offending_row():
+    with pytest.raises(ValueError, match=r"trace 'cols' row 1: length must be >= 1, got 0"):
+        Trace.from_columns([0, 1, 2], [0, 1, 2], [1, 2, 2], [1, 0, 1], name="cols")
+    with pytest.raises(ValueError, match="row 2: src and dst must differ, both are 2"):
+        Trace.from_columns([0, 1, 2], [0, 1, 2], [1, 2, 2])
+    with pytest.raises(TypeError, match="unknown trace columns"):
+        sample_trace().with_columns("x", cycles=[1, 2, 3])
+
+
+def test_workload_converts_only_the_rows_it_injects():
+    trace = sample_trace()
+    workload = TraceWorkload(trace)
+    assert workload.step(3) != [] and workload.step(4) == ()
+    held = [v for v in vars(workload).values() if v is not trace]
+    assert all(isinstance(v, int) for v in held)  # a cursor, no copy of the rows
+    packet = workload.step(5)[0]
+    assert [type(v) for v in (packet.src, packet.length, packet.create_cycle)] == [int] * 3
+    assert type(packet.ordered) is bool and type(packet.msg_class) is str
