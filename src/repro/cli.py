@@ -81,6 +81,14 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
         raise SystemExit(f"invalid {what} {text!r}; expected e.g. 4x4") from None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count, period or stride: an integer >= 1."""
+    value = int(text)  # a ValueError becomes argparse's "invalid ... value"
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def _cmd_list(_args) -> int:
     from repro.exps import EXPERIMENTS
 
@@ -188,8 +196,6 @@ def _cmd_simulate(args) -> int:
     forensics_wanted = (
         not args.no_forensics or args.flight_recorder or args.health
     )
-    if args.live and args.live_every < 1:
-        raise SystemExit("--live-every must be >= 1")
     run_id = None
     if epoch_wanted or forensics_wanted or args.digest:
         from repro.telemetry import TelemetryConfig
@@ -929,7 +935,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sim_p.add_argument(
         "--epoch",
-        type=int,
+        type=_positive_int,
         default=1_000,
         help="epoch length in cycles for --metrics time series (default: 1000)",
     )
@@ -993,7 +999,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sim_p.add_argument(
         "--health-every",
-        type=int,
+        type=_positive_int,
         default=2_000,
         metavar="CYCLES",
         help="health-probe period in cycles (default: 2000)",
@@ -1007,7 +1013,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sim_p.add_argument(
         "--live-every",
-        type=int,
+        type=_positive_int,
         default=1_000,
         metavar="CYCLES",
         help="live-feed heartbeat period in cycles (default: 1000)",
@@ -1054,7 +1060,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     prof_p.add_argument(
         "--stride",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="time every Nth cycle and extrapolate (default: 1 — every cycle)",
@@ -1085,7 +1091,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     prof_p.add_argument(
         "--mem-top",
-        type=int,
+        type=_positive_int,
         default=10,
         metavar="N",
         help="allocation sites kept by --mem (default: 10)",
@@ -1121,7 +1127,7 @@ def main(argv: list[str] | None = None) -> int:
         "--scale", choices=("tiny", "small", "paper"), default="tiny"
     )
     bench_p.add_argument(
-        "--reps", type=int, default=5, help="timed repetitions per case (default: 5)"
+        "--reps", type=_positive_int, default=5, help="timed repetitions per case (default: 5)"
     )
     bench_p.add_argument("--seed", type=int, default=1)
     bench_p.add_argument(
@@ -1136,7 +1142,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench_p.add_argument(
         "--host-stride",
-        type=int,
+        type=_positive_int,
         default=4,
         metavar="N",
         help="host-time ledger sampling stride on the attribution "
@@ -1144,7 +1150,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench_p.add_argument(
         "--mem-top",
-        type=int,
+        type=_positive_int,
         default=10,
         metavar="N",
         help="allocation sites kept in each case's mem block (default: 10)",

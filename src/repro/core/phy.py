@@ -35,6 +35,10 @@ from .scheduling import PARALLEL, SERIAL, DispatchPolicy
 class HeteroPhyLink(Link):
     """A directed hetero-PHY channel with its transmit/receive adapters."""
 
+    #: A step is charged to ``phy_tx`` (serialize/dispatch, credit
+    #: delivery) except for a receive that ran, which laps ``phy_rx``.
+    host_phase = "phy_tx"
+
     def __init__(
         self,
         spec: ChannelSpec,
@@ -128,6 +132,9 @@ class HeteroPhyLink(Link):
         ser_pipe = self._ser_pipe
         if (par_pipe and par_pipe[0][0] <= now) or (ser_pipe and ser_pipe[0][0] <= now):
             self._receive(now)
+            lap = self.network.lap
+            if lap is not None:
+                lap("phy_rx")
         if self._txq or self._bypassq:
             self._dispatch(now)
         credit_queue = self._credit_queue
@@ -143,41 +150,6 @@ class HeteroPhyLink(Link):
             or credit_queue
             or self.rob.occupancy
         )
-
-    def step_timed(self, now: int, pc, phases: dict, t: int) -> tuple[bool, int]:
-        """:meth:`step` with host wall-time attribution (lap-timer protocol).
-
-        Same stage gating and order; ``t`` is the caller's last clock
-        reading and each half charges ``pc() - t`` to its phase (see
-        :meth:`repro.noc.link.Link.step_timed`).  Receive/reorder time
-        (ROB reorder + downstream delivery) lands in ``"phy_rx"``,
-        serialize/dispatch and credit delivery in ``"phy_tx"``.  An idle
-        stage still laps the clock, so its gate test and the timer's own
-        cost stay attributed and the ledger conserves.  Phase keys sync
-        with :data:`repro.telemetry.hostprof.PHASES`.
-        """
-        par_pipe = self._par_pipe
-        ser_pipe = self._ser_pipe
-        if (par_pipe and par_pipe[0][0] <= now) or (ser_pipe and ser_pipe[0][0] <= now):
-            self._receive(now)
-        t2 = pc()
-        phases["phy_rx"] += t2 - t
-        if self._txq or self._bypassq:
-            self._dispatch(now)
-        credit_queue = self._credit_queue
-        if credit_queue and credit_queue[0][0] <= now:
-            self._deliver_credits(now)
-        alive = bool(
-            par_pipe
-            or ser_pipe
-            or self._txq
-            or self._bypassq
-            or credit_queue
-            or self.rob.occupancy
-        )
-        t3 = pc()
-        phases["phy_tx"] += t3 - t2
-        return alive, t3
 
     def _dispatch(self, now: int) -> None:
         """Move flits from the bypass queue and the TX FIFO onto the PHYs.

@@ -54,11 +54,17 @@ class Link:
     :meth:`step` are the per-item seams of the cycle kernel: the router
     and the network call each exactly once per budget query, flit, credit
     and link-cycle, so a subclass overriding one sees every item (the
-    fault-injecting links of ``tests/test_sanitizer.py`` do).  Inside
+    fault-injecting links of ``tests/test_sanitizer.py`` do) — with or
+    without a host-time ledger attached, which times the same ``step``
+    from outside and charges it to :attr:`host_phase`.  Inside
     them the work is flat — a delivery loop writes arriving flits straight
     into the downstream :class:`~repro.noc.vc.InputVC` and arriving credits
     straight into the upstream credit counters.
     """
+
+    #: Host-time phase one ``step`` of this link is charged to
+    #: (:data:`repro.telemetry.hostprof.PHASES`).
+    host_phase = "link"
 
     def __init__(self, spec: ChannelSpec) -> None:
         self.spec = spec
@@ -126,23 +132,6 @@ class Link:
     def step(self, now: int) -> bool:
         """Advance one cycle; return True while the link still holds state."""
         raise NotImplementedError
-
-    def step_timed(self, now: int, pc, phases: dict, t: int) -> tuple[bool, int]:
-        """:meth:`step` with host wall-time attribution (lap-timer protocol).
-
-        ``t`` is the caller's last clock reading; the step charges
-        ``pc() - t`` to its phase and returns ``(still_active,
-        last_timestamp)``, so attribution is exact and clock overhead
-        lands in the phase it follows.  Plain links bank the whole step
-        under ``"link"``; :class:`repro.core.phy.HeteroPhyLink` overrides
-        this to split receive (``"phy_rx"``) from serialize/dispatch
-        (``"phy_tx"``).  Phase keys sync with
-        :data:`repro.telemetry.hostprof.PHASES`.
-        """
-        alive = self.step(now)
-        t2 = pc()
-        phases["link"] += t2 - t
-        return alive, t2
 
     def return_credit(self, vc: int, now: int) -> None:
         """Schedule a credit back to the transmitter for buffer slot ``vc``."""

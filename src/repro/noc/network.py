@@ -62,6 +62,10 @@ class Network:
         self.stats = stats
         #: Instrumentation seam: probes subscribe here (see repro.telemetry).
         self.telemetry = TelemetryBus()
+        #: Timing seam: the host-time ledger's ``lap(phase)`` while the
+        #: engine runs a cycle the ledger samples, else None.  :meth:`step`
+        #: and the links call it at their phase boundaries when it is set.
+        self.lap: Optional[Callable[[str], None]] = None
         self.routers = [
             Router(
                 node,
@@ -170,6 +174,7 @@ class Network:
         """
         if not self._finalized:
             raise self._not_steppable()
+        lap = self.lap
         work = self._link_work
         keep: list[Link] = []
         self._link_work = keep
@@ -178,71 +183,28 @@ class Network:
                 keep.append(link)
             else:
                 link.active = False
+            if lap is not None:
+                lap(link.host_phase)
         work_r = self._router_work
         keep_r: list[Router] = []
         self._router_work = keep_r
         for router in work_r:
             if router._pending:
                 router._stage_rc_va(now)
+                if lap is not None:
+                    lap("rc_va")
             if router._active:
                 router._stage_sa(now)
+                if lap is not None:
+                    lap("sa_st")
             if router._pending or router._active:
                 keep_r.append(router)
             else:
                 router.active = False
         if self.telemetry.cycle_end is not None:
             self.telemetry.cycle_end(self, now)
-
-    def step_timed(
-        self, now: int, pc: Callable[[], int], phases: dict[str, int], t: int
-    ) -> int:
-        """:meth:`step` with host wall-time attribution (lap-timer protocol).
-
-        Mirrors :meth:`step` exactly — same work-list swap and the same
-        entity order (step order affects VC-allocation arrival order, so
-        reordering would change simulated behaviour).  ``t`` is the
-        caller's last clock reading; links charge their lap into ``phases``
-        via their own ``step_timed`` (plain link vs. hetero-PHY rx/tx), and
-        the two router stages are lapped here, so attribution is exact —
-        work-list bookkeeping and clock overhead land in the phase they
-        precede, never in a residual.  Returns the final clock reading.
-        Phase keys sync with :data:`repro.telemetry.hostprof.PHASES`.
-        """
-        if not self._finalized:
-            raise self._not_steppable()
-        work = self._link_work
-        keep: list[Link] = []
-        self._link_work = keep
-        for link in work:
-            alive, t = link.step_timed(now, pc, phases, t)
-            if alive:
-                keep.append(link)
-            else:
-                link.active = False
-        work_r = self._router_work
-        keep_r: list[Router] = []
-        self._router_work = keep_r
-        for router in work_r:
-            if router._pending:
-                router._stage_rc_va(now)
-                t2 = pc()
-                phases["rc_va"] += t2 - t
-                t = t2
-            if router._active:
-                router._stage_sa(now)
-                t2 = pc()
-                phases["sa_st"] += t2 - t
-                t = t2
-            if router._pending or router._active:
-                keep_r.append(router)
-            else:
-                router.active = False
-        if self.telemetry.cycle_end is not None:
-            self.telemetry.cycle_end(self, now)
-            t2 = pc()
-            phases["telemetry"] += t2 - t
-            t = t2
-        return t
+            if lap is not None:
+                lap("telemetry")
 
     def _not_steppable(self) -> RuntimeError:
         if self.closed:

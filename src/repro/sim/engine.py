@@ -97,9 +97,9 @@ class Engine:
         self.forensics = None
         #: Optional host-time ledger (duck-typed
         #: :class:`repro.telemetry.hostprof.HostTimeLedger`).  When set,
-        #: ticks route through :meth:`_tick_profiled`, which attributes
-        #: wall time to named phases; when ``None`` the plain tick runs
-        #: and the engine behaves identically (passive observer).
+        #: each tick it samples calls ``lap(phase)`` at the phase
+        #: boundaries of the one cycle loop; simulated behaviour is the
+        #: same either way (passive observer).
         self.hostprof = None
         #: Optional live feed (duck-typed
         #: :class:`repro.telemetry.live.LiveFeed`).  When set, a failure
@@ -112,10 +112,9 @@ class Engine:
     def run(self, cycles: int) -> Stats:
         """Advance the simulation by ``cycles`` cycles."""
         end = self.cycle + cycles
-        tick = self._tick if self.hostprof is None else self._tick_profiled
         try:
             while self.cycle < end:
-                tick()
+                self._tick()
         except (RuntimeError, AssertionError) as exc:
             self._capture_failure(exc)
             raise
@@ -131,10 +130,9 @@ class Engine:
         ``max_cycles``.
         """
         deadline = self.cycle + max_cycles
-        tick = self._tick if self.hostprof is None else self._tick_profiled
         try:
             while self.cycle < deadline:
-                tick()
+                self._tick()
                 if self.workload.done(self.cycle) and not self.network.holds_flits():
                     return self.stats
         except (RuntimeError, AssertionError) as exc:
@@ -230,58 +228,30 @@ class Engine:
         now = self.cycle
         stats = self.stats
         stats.now = now
-        for packet in self.workload.step(now):
-            stats.note_packet_injected(packet)
-            self.network.inject(packet)
-        self.network.step(now)
-        self.cycle = now + 1
-        if (
-            self.deadlock_threshold is not None
-            and now - stats.last_movement_cycle > self.deadlock_threshold
-        ):
-            buffered = self.network.buffered_flits()
-            if buffered > 0:
-                raise DeadlockError(now, buffered, now - stats.last_movement_cycle)
-            stats.last_movement_cycle = now
-
-    def _tick_profiled(self) -> None:
-        """:meth:`_tick` with host wall-time attribution.
-
-        Same statement order and semantics as :meth:`_tick`; the only
-        additions are ``perf_counter_ns`` reads at phase boundaries,
-        chained lap-timer style (each phase charges the time since the
-        previous reading), so every timed nanosecond is attributed — the
-        conservation check in :mod:`repro.telemetry.hostprof` would catch
-        any phase this tick forgot to charge.  Phase keys sync with
-        :data:`repro.telemetry.hostprof.PHASES`.  Stride-skipped cycles
-        run the plain tick so sampling overhead stays near zero.
-        """
+        # Timing seam: ``lap`` is the ledger's lap timer on a cycle it
+        # samples, else None — then nothing below calls or reads a clock.
         ledger = self.hostprof
-        now = self.cycle
-        if not ledger.wants(now):
-            self._tick()
-            ledger.note_plain_cycle()
-            return
-        pc = ledger.clock
-        phases = ledger.phases
-        t0 = pc()
-        stats = self.stats
-        stats.now = now
-        for packet in self.workload.step(now):
-            stats.note_packet_injected(packet)
-            self.network.inject(packet)
-        t1 = pc()
-        phases["inject"] += t1 - t0
-        t2 = self.network.step_timed(now, pc, phases, t1)
-        self.cycle = now + 1
-        if (
-            self.deadlock_threshold is not None
-            and now - stats.last_movement_cycle > self.deadlock_threshold
-        ):
-            buffered = self.network.buffered_flits()
-            if buffered > 0:
-                raise DeadlockError(now, buffered, now - stats.last_movement_cycle)
-            stats.last_movement_cycle = now
-        t3 = pc()
-        phases["stats"] += t3 - t2
-        ledger.note_timed_cycle(t3 - t0)
+        lap = None
+        if ledger is not None:
+            lap = self.network.lap = ledger.begin_cycle(now)
+        try:
+            for packet in self.workload.step(now):
+                stats.note_packet_injected(packet)
+                self.network.inject(packet)
+            if lap is not None:
+                lap("inject")
+            self.network.step(now)
+            self.cycle = now + 1
+            if (
+                self.deadlock_threshold is not None
+                and now - stats.last_movement_cycle > self.deadlock_threshold
+            ):
+                buffered = self.network.buffered_flits()
+                if buffered > 0:
+                    raise DeadlockError(now, buffered, now - stats.last_movement_cycle)
+                stats.last_movement_cycle = now
+        finally:
+            if lap is not None:
+                self.network.lap = None
+                lap("stats")
+                ledger.end_cycle()

@@ -65,7 +65,7 @@ _SUBMODULE_EXPORTS = {
     "attribution": ("STAGES", "AttributionError", "LatencyLedger", "render_breakdown"),
     "bench": ("BENCH_SCHEMA_VERSION", "EventCounters", "run_bench", "write_bench"),
     "bus": ("EVENT_NAMES", "NULL_BUS", "TelemetryBus"),
-    "compare": ("MetricVerdict", "compare_bench", "compare_records", "compare_paths"),
+    "compare": ("MetricVerdict", "compare_bench", "compare_records"),
     "diff": (
         "DiffError", "DiffReport", "Diffable", "check_golden_file", "diff_runs",
         "load_diffable", "parse_sim_spec", "record_golden_case", "resimulate",

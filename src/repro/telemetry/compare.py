@@ -355,25 +355,6 @@ def load_comparable(path: str | Path) -> tuple[str, Any]:
     raise ValueError(f"{path}: neither a bench document nor a run record")
 
 
-def compare_paths(
-    path_a: str | Path,
-    path_b: str | Path,
-    *,
-    rel_floor: float = DEFAULT_REL_FLOOR,
-    k: float = DEFAULT_IQR_K,
-) -> list[MetricVerdict]:
-    """Compare two files of matching type (bench/bench or record/record)."""
-    kind_a, a = load_comparable(path_a)
-    kind_b, b = load_comparable(path_b)
-    if kind_a != kind_b:
-        raise ValueError(
-            f"cannot compare a {kind_a} ({path_a}) against a {kind_b} ({path_b})"
-        )
-    if kind_a == "bench":
-        return compare_bench(a, b, rel_floor=rel_floor, k=k)
-    return compare_records(a, b, rel_floor=rel_floor, k=k)
-
-
 def compare_chain(
     paths: Sequence[str | Path],
     *,

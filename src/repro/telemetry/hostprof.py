@@ -1,22 +1,20 @@
 """Host wall-time attribution and profiler folding (``repro profile``).
 
-PR 4's latency ledger answered "where do a packet's *simulated* cycles
-go?".  This module answers the twin question for the machine running the
+The latency ledger answers "where do a packet's *simulated* cycles go?";
+this module answers the twin question for the machine running the
 simulation: **where does host wall-clock time go inside the per-cycle
-loop?**  That attribution is the oracle the planned batched engine core
-will be motivated and validated against — you cannot claim a kernel
-rewrite helped a phase you never measured.
+loop?**  You cannot claim a kernel change helped a phase you never
+measured.
 
 Two instruments live here:
 
-* :class:`HostTimeLedger` — cheap ``perf_counter_ns`` phase timers the
-  engine installs at its phase boundaries (see
-  :meth:`repro.sim.engine.Engine.run` and the ``step_timed`` hooks on
-  :class:`~repro.noc.network.Network`, :class:`~repro.noc.link.Link` and
-  :class:`~repro.core.phy.HeteroPhyLink`).  Attributed time is checked
-  against the timed-loop total (the same conservation discipline as the
-  latency ledger's invariant).  A *strided* mode times every Nth cycle
-  and extrapolates, dropping overhead below the 5% budget.
+* :class:`HostTimeLedger` — a ``perf_counter_ns`` lap timer.  On a cycle
+  it samples, the engine puts the ledger's :meth:`~HostTimeLedger.lap` in
+  ``network.lap`` and the one cycle loop calls ``lap(phase)`` at its phase
+  boundaries; on any other cycle the hook is ``None`` and nothing is
+  called.  Attributed time is checked against the timed-loop total.  A
+  *strided* mode times every Nth cycle and extrapolates, dropping
+  overhead below the 5% budget.
 * cProfile **folding** — :func:`fold_profile` maps every profiled
   function to a phase-rooted synthetic stack, emitted as a
   speedscope-compatible JSON document (:func:`speedscope_document`) and
@@ -33,17 +31,13 @@ import math
 import pstats
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import cProfile
 
 #: Host phases the engine attributes wall time to, in pipeline order.
-#: The string literals at the timing sites (``Engine._tick_profiled``,
-#: ``Network.step_timed``, ``Link.step_timed``,
-#: ``HeteroPhyLink.step_timed``) must stay in sync with this tuple —
-#: ``tests/test_hostprof.py`` checks that a profiled run never
-#: accumulates time under an unknown phase name.
+#: These are the only names :meth:`HostTimeLedger.lap` accepts.
 PHASES: tuple[str, ...] = (
     "inject",  # workload step + packet injection (source queues)
     "rc_va",  # router routing computation + VC allocation
@@ -108,21 +102,37 @@ class HostTimeLedger:
         self.total_cycles = 0
         #: Total wall nanoseconds of the timed ticks (phase sums + residual).
         self.loop_ns = 0
+        # Clock readings of the sampled cycle in progress: its start, its last lap.
+        self._start = self._last = 0
 
     # -- engine-side hooks --------------------------------------------------
-    def wants(self, cycle: int) -> bool:
-        """True when ``cycle`` should be timed (the stride filter)."""
-        return cycle % self.stride == 0
+    def begin_cycle(self, cycle: int) -> Optional[Callable[[str], None]]:
+        """Count ``cycle``; if it is sampled, start the lap chain and return :meth:`lap`.
 
-    def note_plain_cycle(self) -> None:
-        """An untimed (stride-skipped) cycle ran."""
+        A stride-skipped cycle returns ``None``: the loop then makes no
+        call and reads no clock.
+        """
         self.total_cycles += 1
+        if cycle % self.stride:
+            return None
+        self._start = self._last = self.clock()
+        return self.lap
 
-    def note_timed_cycle(self, tick_ns: int) -> None:
-        """A timed cycle ran; ``tick_ns`` is its full tick wall time."""
+    def lap(self, phase: str) -> None:
+        """Charge the time since the previous reading to ``phase``.
+
+        Chained, so every nanosecond from :meth:`begin_cycle` to the last
+        lap is attributed, loop bookkeeping and the clock's own cost
+        included.  An unknown phase name raises ``KeyError``.
+        """
+        now = self.clock()
+        self.phases[phase] += now - self._last
+        self._last = now
+
+    def end_cycle(self) -> None:
+        """Close a sampled cycle: it ran from :meth:`begin_cycle` to the last lap."""
         self.timed_cycles += 1
-        self.total_cycles += 1
-        self.loop_ns += tick_ns
+        self.loop_ns += self._last - self._start
 
     # -- results ------------------------------------------------------------
     @property

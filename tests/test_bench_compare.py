@@ -20,7 +20,6 @@ from repro.telemetry.compare import (
     classify,
     compare_bench,
     compare_chain,
-    compare_paths,
     compare_records,
     load_comparable,
     regressions,
@@ -250,7 +249,7 @@ def test_compare_paths_rejects_mixed_kinds(tmp_path):
     record_path = tmp_path / "one.json"
     record_path.write_text(json.dumps(make_record().to_dict()))
     with pytest.raises(ValueError, match="cannot compare"):
-        compare_paths(bench_path, record_path)
+        compare_chain([bench_path, record_path])
 
 
 # -- BENCH_<n>.json plumbing -------------------------------------------------

@@ -746,6 +746,30 @@ def test_simulate_live_validates_interval(tmp_path):
               "--runs-dir", str(tmp_path)])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--stride", "0"],
+        ["bench", "--host-stride", "0"],
+        ["bench", "--reps", "0"],
+        ["bench", "--mem-top", "0"],
+        ["simulate", "--epoch", "0"],
+        ["simulate", "--health", "--health-every", "0"],
+        ["simulate", "--live", "--live-every", "-5"],
+    ],
+    ids=lambda argv: argv[-2],
+)
+def test_a_count_below_one_is_a_usage_error(argv, capsys):
+    """The parser rejects it by flag name; nothing is built, run or written."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    last_line = capsys.readouterr().err.splitlines()[-1]
+    assert re.fullmatch(
+        rf"repro {argv[0]}: error: argument {argv[-2]}: must be >= 1", last_line
+    )
+
+
 def test_watch_once_prints_fleet_state(tmp_path, capsys):
     runs_dir = tmp_path / "runs"
     assert main([*SIM_ARGS, "--seed", "7", "--live", "--runs-dir",

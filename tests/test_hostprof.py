@@ -1,20 +1,32 @@
 """Tests for the host-time observatory (``repro.telemetry.hostprof``).
 
-Covers the ledger's accounting math with a fake clock, the engine-side
-conservation invariant across every system family, the passive-observer
-guarantee (attaching the ledger never changes simulated results), the
-strided extrapolation, the cProfile→speedscope folding, and the
-end-to-end acceptance story: an injected per-phase slowdown must show up
-in ``repro compare`` under the guilty phase's name.
+Covers the ledger's accounting math with a fake clock, the timing seam
+(one cycle loop that laps the ledger at its phase boundaries), the
+engine-side conservation invariant across every system family, the
+passive-observer guarantee (attaching the ledger never changes simulated
+results), the strided extrapolation, the cProfile→speedscope folding, and
+the end-to-end acceptance story: an injected per-phase slowdown must show
+up in ``repro compare`` under the guilty phase's name.
 """
 
+import itertools
 import json
 import time
+from collections import Counter
 
 import pytest
 
+from repro.core.phy import HeteroPhyLink
+from repro.core.scheduling import make_dispatch_policy
+from repro.noc.channel import ChannelKind
+from repro.noc.flit import Packet
+from repro.noc.link import Link, PipelinedLink
+from repro.noc.network import Network
+from repro.noc.router import Router
 from repro.sim.config import SimConfig
+from repro.sim.engine import Engine
 from repro.sim.experiment import run_synthetic
+from repro.sim.stats import DeadlockError, Stats
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.compare import compare_bench, regressions
 from repro.telemetry.hostprof import (
@@ -35,7 +47,9 @@ from repro.telemetry.hostprof import (
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import build_system
 
+from .helpers import build_chain, chain_spec, forward_routing
 from .test_bench_compare import make_bench_doc, make_case
+from .test_engine import ListWorkload
 
 
 def small_spec(family="hetero_phy_torus", cycles=800, warmup=100):
@@ -63,23 +77,38 @@ def test_ledger_rejects_bad_stride():
         HostTimeLedger(stride=0)
 
 
+def scripted_clock(*deltas):
+    """A clock whose successive readings advance by ``deltas``, cyclically."""
+    return itertools.accumulate(itertools.cycle(deltas)).__next__
+
+
+def ledger_with_books(loop_ns, **phases):
+    """One sampled cycle with books written by hand (``lap`` always balances)."""
+    ledger = HostTimeLedger()
+    ledger.phases.update(phases)
+    ledger.timed_cycles = ledger.total_cycles = 1
+    ledger.loop_ns = loop_ns
+    return ledger
+
+
 def test_wants_follows_stride():
     ledger = HostTimeLedger(stride=4)
-    assert [ledger.wants(c) for c in range(6)] == [
+    assert [ledger.begin_cycle(c) is not None for c in range(6)] == [
         True, False, False, False, True, False,
     ]
-    assert all(HostTimeLedger(stride=1).wants(c) for c in range(5))
+    every = HostTimeLedger(stride=1)
+    assert all(every.begin_cycle(c) == every.lap for c in range(5))
 
 
 def test_summary_math_is_exact():
-    ledger = HostTimeLedger(stride=4)
+    # Per sampled cycle: 5 ns outside it, then 70 ns of inject, 30 ns of sa_st.
+    ledger = HostTimeLedger(stride=4, clock=scripted_clock(5, 70, 30))
     for cycle in range(12):
-        if ledger.wants(cycle):
-            ledger.phases["inject"] += 70
-            ledger.phases["sa_st"] += 30
-            ledger.note_timed_cycle(100)
-        else:
-            ledger.note_plain_cycle()
+        lap = ledger.begin_cycle(cycle)
+        if lap is not None:
+            lap("inject")
+            lap("sa_st")
+            ledger.end_cycle()
     assert (ledger.timed_cycles, ledger.total_cycles) == (3, 12)
     assert ledger.loop_ns == 300 and ledger.attributed_ns == 300
     assert ledger.conservation == 1.0
@@ -101,16 +130,20 @@ def test_summary_math_is_exact():
     assert set(record["ns_per_cycle"]) == {*PHASES, RESIDUAL_PHASE}
 
 
+def test_lap_rejects_an_unknown_phase():
+    ledger = HostTimeLedger()
+    lap = ledger.begin_cycle(0)
+    with pytest.raises(KeyError, match="no_such_phase"):
+        lap("no_such_phase")
+    assert set(ledger.phases) == set(PHASES)
+
+
 def test_conservation_check_is_two_sided():
-    under = HostTimeLedger()
-    under.phases["link"] += 500
-    under.note_timed_cycle(1000)  # half the loop unattributed
+    under = ledger_with_books(1000, link=500)  # half the loop unattributed
     with pytest.raises(HostprofError, match="50.0%"):
         under.check_conservation()
 
-    over = HostTimeLedger()
-    over.phases["link"] += 2000  # double-counted phase
-    over.note_timed_cycle(1000)
+    over = ledger_with_books(1000, link=2000)  # double-counted phase
     with pytest.raises(HostprofError, match="conservation"):
         over.check_conservation()
 
@@ -118,21 +151,194 @@ def test_conservation_check_is_two_sided():
     with pytest.raises(HostprofError, match="no timed cycles"):
         empty.check_conservation()
     # A ratio just inside the tolerance band passes.
-    close = HostTimeLedger()
-    close.phases["link"] += int(1000 * (1 - CONSERVATION_TOLERANCE / 2))
-    close.note_timed_cycle(1000)
+    close = ledger_with_books(1000, link=int(1000 * (1 - CONSERVATION_TOLERANCE / 2)))
     close.check_conservation()
 
 
 def test_render_host_table_lists_hot_phases():
-    ledger = HostTimeLedger()
-    ledger.phases["sa_st"] += 600
-    ledger.phases["link"] += 400
-    ledger.note_timed_cycle(1000)
+    ledger = HostTimeLedger(clock=scripted_clock(0, 600, 400))
+    lap = ledger.begin_cycle(0)
+    lap("sa_st")
+    lap("link")
+    ledger.end_cycle()
     table = render_host_table(ledger.summary())
     assert "conservation 100.0%" in table
     assert table.index("sa_st") < table.index("link")  # hottest first
     assert "inject" not in table  # zero phases are dropped
+
+
+# -- the timing seam: one loop, lapped ---------------------------------------
+class CountingClock:
+    """Advances 1 ns per reading, so a phase's nanoseconds count its laps."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.calls
+
+
+class TapedLedger(HostTimeLedger):
+    """Keeps the phase of every lap it is asked for, in order, on ``tape``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.tape = []
+
+    def lap(self, phase):
+        self.tape.append(phase)
+        super().lap(phase)
+
+
+def mixed_chain(pipelined=PipelinedLink, hetero=HeteroPhyLink):
+    """0 -on-chip-> 1 -hetero-PHY-> 2, every link built by a link factory."""
+    stats = Stats()
+    network = Network(3, stats)
+
+    def factory(spec):
+        if spec.kind is ChannelKind.HETERO_PHY:
+            return hetero(spec, make_dispatch_policy("performance", SimConfig()))
+        return pipelined(spec)
+
+    network.add_channel(chain_spec(0, 1), factory)
+    network.add_channel(chain_spec(1, 2, ChannelKind.HETERO_PHY), factory)
+    network.set_routing(forward_routing)
+    network.finalize()
+    return network, stats
+
+
+def bursts(*cycles):
+    return ListWorkload([(cycle, Packet(0, 2, 8, cycle)) for cycle in cycles])
+
+
+def counting_steps(base):
+    class Counting(base):
+        steps = 0
+
+        def step(self, now):
+            self.steps += 1
+            return super().step(now)
+
+    return Counting
+
+
+def test_a_link_subclass_overriding_step_sees_every_link_cycle():
+    """The ``Link`` seam contract holds with a ledger attached: it times the
+    one ``step`` there is instead of running a copy of its body."""
+
+    def link_cycles(ledger):
+        network, stats = mixed_chain(
+            counting_steps(PipelinedLink), counting_steps(HeteroPhyLink)
+        )
+        engine = Engine(network, bursts(0, 3, 60), stats)
+        engine.hostprof = ledger
+        engine.run(150)
+        assert stats.packets_delivered == 3
+        return [link.steps for link in network.links]
+
+    plain = link_cycles(None)
+    assert all(plain)
+    assert link_cycles(HostTimeLedger(stride=1)) == plain
+    for owner in (Engine, Network, Link, HeteroPhyLink):
+        twins = [n for n in dir(owner) if n.endswith("_timed") or n == "_tick_profiled"]
+        assert twins == [], owner
+
+
+def test_a_sampled_tick_laps_its_phases_in_loop_order(monkeypatch):
+    work = []  # what the loop ran this tick, as the phase each piece belongs to
+
+    class TapedPipelined(PipelinedLink):
+        def step(self, now):
+            work.append("link")
+            return super().step(now)
+
+    class TapedHetero(HeteroPhyLink):
+        def _receive(self, now):
+            super()._receive(now)
+            work.append("phy_rx")
+
+        def step(self, now):
+            alive = super().step(now)
+            work.append("phy_tx")
+            return alive
+
+    for stage, phase in (("_stage_rc_va", "rc_va"), ("_stage_sa", "sa_st")):
+
+        def taped(self, now, _stage=getattr(Router, stage), _phase=phase):
+            _stage(self, now)
+            work.append(_phase)
+
+        monkeypatch.setattr(Router, stage, taped)
+
+    clock = CountingClock()
+    ledger = TapedLedger(clock=clock)
+    laps = ledger.tape  # what the ledger was asked to charge this tick
+    network, stats = mixed_chain(TapedPipelined, TapedHetero)
+    engine = Engine(network, bursts(0, 3, 60), stats)
+    engine.hostprof = ledger
+    charged = Counter()
+    for tick in range(150):
+        if tick == 70:  # ``telemetry`` is lapped iff cycle_end has a subscriber
+            network.telemetry.subscribe(
+                "cycle_end", lambda _network, _now: work.append("telemetry")
+            )
+        engine.run(1)
+        assert laps == ["inject", *work, "stats"], tick
+        charged.update(laps)
+        work.clear()
+        laps.clear()
+    assert stats.packets_delivered == 3
+    assert set(charged) == set(PHASES)  # every boundary was exercised
+    assert charged["telemetry"] == 80
+    # One clock reading to open each tick, one per lap; each lap is 1 ns.
+    assert clock.calls == 150 + sum(charged.values())
+    assert ledger.phases == charged
+    assert ledger.loop_ns == sum(charged.values())
+    assert (ledger.timed_cycles, ledger.total_cycles) == (150, 150)
+
+
+def test_skipped_ticks_read_no_clock_and_see_no_hook():
+    clock = CountingClock()
+    ledger = TapedLedger(stride=4, clock=clock)
+    network, stats = mixed_chain()
+    workload = bursts(0, 3, 60)
+    hook_at = {}  # network.lap as the workload saw it inside each tick
+    plain_step = workload.step
+
+    def watching_step(now):
+        hook_at[now] = network.lap
+        return plain_step(now)
+
+    workload.step = watching_step
+    engine = Engine(network, workload, stats)
+    engine.hostprof = ledger
+    engine.run(150)
+    assert stats.packets_delivered == 3
+    sampled = [now for now in range(150) if now % 4 == 0]
+    assert [now for now, hook in hook_at.items() if hook is not None] == sampled
+    assert all(hook_at[now] == ledger.lap for now in sampled)
+    assert network.lap is None
+    assert (ledger.timed_cycles, ledger.total_cycles) == (len(sampled), 150)
+    assert clock.calls == len(sampled) + len(ledger.tape)
+    assert ledger.loop_ns == sum(ledger.phases.values()) == len(ledger.tape)
+
+
+def test_a_failing_sampled_tick_leaves_the_books_balanced():
+    # Buffer too small for VCT: the packet never advances, the watchdog fires.
+    network, stats = build_chain(2, buffer_depth=8)
+    ledger = HostTimeLedger(clock=CountingClock())
+    engine = Engine(
+        network, ListWorkload([(0, Packet(0, 1, 16, 0))]), stats, deadlock_threshold=50
+    )
+    engine.hostprof = ledger
+    with pytest.raises(DeadlockError):
+        engine.run(1000)
+    assert network.lap is None
+    assert ledger.timed_cycles == ledger.total_cycles == engine.cycle
+    assert ledger.loop_ns == sum(ledger.phases.values())
+    # The watchdog's own scan of the failing tick is charged like any other.
+    assert ledger.phases["inject"] == ledger.phases["stats"] == engine.cycle
 
 
 # -- engine integration ------------------------------------------------------
@@ -147,11 +353,11 @@ def test_conservation_holds_for_every_family(family):
 
 
 def test_ledger_is_a_passive_observer(family):
-    """The timed twins (``Network.step_timed`` and below) replay ``step``.
+    """Sampled and skipped ticks run the same loop as an unobserved run.
 
-    Digest chains cover every bus event in order, so a twin that drifted
-    from the plain path — another stage order, a missed delivery — shows
-    here even when the headline statistics happen to agree.
+    Digest chains cover every bus event in order, so a lap hook that
+    changed what the loop does — another stage order, a missed delivery —
+    shows here even when the headline statistics happen to agree.
     """
 
     def stats_fingerprint(result):
@@ -183,12 +389,10 @@ def test_ledger_is_a_passive_observer(family):
 
 
 def test_ledger_is_a_passive_observer_on_the_bypass_mix():
-    """Stride 1 sends every link-cycle through ``HeteroPhyLink.step_timed``;
-    with bypass-eligible packets mixed in, the timed twin must reproduce the
-    chain pinned for the plain path (stage gating, bypass queue, ROB parking)."""
+    """Stride 1 laps every link-cycle; with bypass-eligible packets mixed in,
+    the lapped run must reproduce the chain pinned for the unobserved one
+    (stage gating, bypass queue, ROB parking)."""
     from repro.sim.build import build_network
-    from repro.sim.engine import Engine
-    from repro.sim.stats import Stats
     from repro.telemetry.digest import RunDigest
     from repro.traffic.patterns import make_pattern
 
@@ -277,8 +481,6 @@ def test_fold_profile_produces_phase_rooted_stacks():
     import cProfile
 
     from repro.sim.build import build_network
-    from repro.sim.engine import Engine
-    from repro.sim.stats import Stats
     from repro.traffic.injection import SyntheticWorkload
     from repro.traffic.patterns import make_pattern
 

@@ -240,6 +240,4 @@ def test_closed_network_refuses_to_run():
     with pytest.raises(RuntimeError, match="network is closed"):
         network.step(2)
     with pytest.raises(RuntimeError, match="network is closed"):
-        network.step_timed(2, lambda: 0, {}, 0)
-    with pytest.raises(RuntimeError, match="network is closed"):
         network.inject(Packet(0, 1, 1, 2))
