@@ -21,7 +21,6 @@ prototype's "reordering logic adds one extra cycle" (Sec 8.2).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Optional
 
 from repro.noc.channel import ChannelKind, ChannelSpec
@@ -72,12 +71,12 @@ class HeteroPhyLink(Link):
         self._ser_delay = self.serial.delay
         self._par_energy_per_flit = FLIT_BITS * self.parallel.energy_pj_per_bit
         self._ser_energy_per_flit = FLIT_BITS * self.serial.energy_pj_per_bit
-        self._txq: deque[tuple[Flit, int]] = deque()
-        self._bypassq: deque[tuple[Flit, int]] = deque()
+        self._txq: list[tuple[Flit, int]] = []
+        self._bypassq: list[tuple[Flit, int]] = []
         self._bypass_vcs: set[int] = set()
         self._next_sn = [0] * spec.n_vcs
-        self._par_pipe: deque[tuple[int, Flit, int]] = deque()
-        self._ser_pipe: deque[tuple[int, Flit, int]] = deque()
+        self._par_pipe: list[tuple[int, Flit, int]] = []
+        self._ser_pipe: list[tuple[int, Flit, int]] = []
         # Per-PHY flit counters (for utilization / ablation studies).
         self.flits_parallel = 0
         self.flits_serial = 0
@@ -173,7 +172,7 @@ class HeteroPhyLink(Link):
         kind_id = self._kind_id
         while True:
             if bypassq and par_free > 0:
-                flit, vc = bypassq.popleft()
+                flit, vc = bypassq.pop(0)
                 phy = PARALLEL
                 par_free -= 1
                 self.flits_bypassed += 1
@@ -186,7 +185,7 @@ class HeteroPhyLink(Link):
                     ser_free -= 1
                 else:
                     break
-                txq.popleft()
+                txq.pop(0)
             else:
                 break
             sn = next_sn[vc]
@@ -222,7 +221,7 @@ class HeteroPhyLink(Link):
         arrivals = []
         for pipe in (self._par_pipe, self._ser_pipe):
             while pipe and pipe[0][0] <= now:
-                _, flit, vc = pipe.popleft()
+                _, flit, vc = pipe.pop(0)
                 arrivals.append((flit, vc))
         rob_insert = self._telemetry.rob_insert
         if rob_insert is not None:
@@ -286,13 +285,13 @@ class HeteroPhyLink(Link):
         )
 
     def snapshot_state(self) -> dict:
-        def queue(pairs: deque[tuple[Flit, int]]) -> list[dict]:
+        def queue(pairs: list[tuple[Flit, int]]) -> list[dict]:
             return [
                 {"pid": flit.packet.pid, "flit": flit.index, "vc": vc}
                 for flit, vc in pairs
             ]
 
-        def pipe(entries: deque[tuple[int, Flit, int]]) -> list[dict]:
+        def pipe(entries: list[tuple[int, Flit, int]]) -> list[dict]:
             return [
                 {"due": due, "pid": flit.packet.pid, "flit": flit.index, "vc": vc}
                 for due, flit, vc in entries

@@ -14,7 +14,6 @@ does not throttle the link (the paper's "additional buffer", Sec 7.1).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from repro.telemetry.bus import NULL_BUS, TelemetryBus
@@ -74,7 +73,7 @@ class Link:
         self.dst_router: Optional["Router"] = None
         self.dst_port: int = -1
         self._index = -1
-        self._credit_queue: deque[tuple[int, int]] = deque()
+        self._credit_queue: list[tuple[int, int]] = []
         self._accept_cycle = -1
         self._accepted = 0
         #: Total flits this link has carried (utilization analysis).
@@ -156,7 +155,7 @@ class Link:
         if queue and queue[0][0] <= now:
             credits = self._src_credits
             while queue and queue[0][0] <= now:
-                credits[queue.popleft()[1]] += 1
+                credits[queue.pop(0)[1]] += 1
             router = self.src_router
             if not router.active:
                 router.active = True
@@ -208,7 +207,7 @@ class PipelinedLink(Link):
         super().__init__(spec)
         if spec.kind is ChannelKind.HETERO_PHY:
             raise ValueError("use HeteroPhyLink for HETERO_PHY channels")
-        self._pipe: deque[tuple[int, Flit, int]] = deque()
+        self._pipe: list[tuple[int, Flit, int]] = []
         self._bandwidth = spec.phy.bandwidth
         self._delay = spec.phy.delay
         self._energy_per_flit = FLIT_BITS * spec.phy.energy_pj_per_bit
@@ -251,7 +250,7 @@ class PipelinedLink(Link):
             vcs = self._dst_vcs
             flit_recv = self._telemetry.flit_recv
             while pipe and pipe[0][0] <= now:
-                _, flit, vc = pipe.popleft()
+                _, flit, vc = pipe.pop(0)
                 ivc = vcs[vc]
                 ivc.queue.append(flit)
                 if flit.is_head and ivc.state == VC_IDLE and not ivc.queued:

@@ -30,6 +30,7 @@ ordering invariants it must keep are in ``docs/architecture.md``
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .flit import Flit, Packet
@@ -154,15 +155,30 @@ class Router:
 
     # -- external events ---------------------------------------------------
     def inject(self, packet: Packet) -> None:
-        """Queue a packet's flits at the injection port (source queue)."""
+        """Queue a packet at the injection port (source queue).
+
+        Injection VCs are chosen round-robin.  The source queue is the one
+        unbounded FIFO of the network, so it holds packets, not flits: the
+        packet is carved into flits only if its VC is empty; otherwise it
+        joins that VC's ``backlog`` and is carved by :meth:`_stage_sa` when
+        the tail of the packet ahead of it leaves.  A VC never looks past
+        its head packet, so the router behaves as if every flit were queued
+        here.
+        """
         vcs = self.inputs[self.INJECT_PORT].vcs
         vc = vcs[self._inj_rr % len(vcs)]
         self._inj_rr += 1
-        was_empty = not vc.queue
-        vc.queue.extend(packet.make_flits())
-        if was_empty and vc.state == VC_IDLE and not vc.queued:
-            vc.queued = True
-            self._pending.append(vc)
+        if vc.queue:
+            if vc.backlog is None:
+                # The one deque of the cycle kernel: unbounded, so a list's
+                # pop(0) would not do.
+                vc.backlog = deque()
+            vc.backlog.append(packet)
+        else:
+            vc.queue.extend(packet.make_flits())
+            if vc.state == VC_IDLE and not vc.queued:
+                vc.queued = True
+                self._pending.append(vc)
         if not self.active:
             self.active = True
             self.network._router_work.append(self)
@@ -363,7 +379,7 @@ class Router:
                     out_vc = ivc.out_vc
                     if link is not None and credits[out_vc] <= 0:
                         continue
-                    flit = queue.popleft()
+                    flit = queue.pop(0)
                     in_link = ivc.in_link
                     if in_link is not None:
                         in_link.return_credit(ivc.index, now)
@@ -384,6 +400,10 @@ class Router:
                     if flit.is_tail:
                         out.vc_owner[out_vc] = None
                         ivc.reset_route()
+                        if ivc.backlog:
+                            # Injection VC: its packet has left, carve the
+                            # next one of the source queue.
+                            queue.extend(ivc.backlog.popleft().make_flits())
                         # The next packet in this buffer (if any) needs a
                         # fresh route.
                         if queue and queue[0].is_head:
@@ -408,8 +428,11 @@ class Router:
 
     # -- introspection ------------------------------------------------------
     def buffered_flits(self) -> int:
-        """Total flits currently buffered at this router's input ports."""
-        return sum(len(vc.queue) for port in self.inputs for vc in port.vcs)
+        """Total flits currently buffered at this router's input ports.
+
+        Counts the source queue in full: flits of backlog packets included.
+        """
+        return sum(vc.held for port in self.inputs for vc in port.vcs)
 
     def snapshot_state(self) -> dict:
         """Forensic snapshot: occupied input VCs plus the credit ledger.
@@ -428,7 +451,7 @@ class Router:
                 head = ivc.queue[0] if ivc.queue else None
                 entry: dict = {
                     "vc": ivc.index,
-                    "occupancy": len(ivc.queue),
+                    "occupancy": ivc.held,
                     "state": state_names[ivc.state],
                 }
                 if head is not None:

@@ -8,10 +8,9 @@ both sides can import it without a cycle.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
-from .flit import Flit
+from .flit import Flit, Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .link import Link
@@ -26,7 +25,17 @@ VC_ACTIVE = 2  # output VC held, flits flow through switch allocation
 
 
 class InputVC:
-    """One virtual-channel buffer of an input port."""
+    """One virtual-channel buffer of an input port.
+
+    ``queue`` is a plain list used first-in first-out (``append`` /
+    ``pop(0)``).  A link-fed buffer never holds more than its port's
+    ``buffer_depth`` flits (credit flow control), so the pop moves a bounded
+    handful of pointers.  The injection port has no credits to bound it;
+    there ``queue`` holds the flits of one packet only — the one the VC is
+    routing or sending — and the packets behind it wait un-carved in
+    ``backlog`` (see :meth:`repro.noc.router.Router.inject`).  Observers
+    read :attr:`held`, which counts both.
+    """
 
     __slots__ = (
         "port",
@@ -39,6 +48,7 @@ class InputVC:
         "out_vc",
         "ready_cycle",
         "queued",
+        "backlog",
     )
 
     def __init__(self, port: int, index: int, in_link: Optional["Link"] = None) -> None:
@@ -47,7 +57,7 @@ class InputVC:
         #: The link feeding this buffer (None at the injection port); each
         #: flit leaving the buffer returns one credit over it.
         self.in_link = in_link
-        self.queue: deque[Flit] = deque()
+        self.queue: list[Flit] = []
         self.state = VC_IDLE
         self.candidates: Optional[list[Candidate]] = None
         self.out_port = -1
@@ -55,6 +65,16 @@ class InputVC:
         self.ready_cycle = 0
         # True while the VC sits on one of the router's work lists.
         self.queued = False
+        #: Source queue behind ``queue``: whole packets, oldest first.  None
+        #: until this (injection) VC first backs up.
+        self.backlog: Optional[Deque[Packet]] = None
+
+    @property
+    def held(self) -> int:
+        """Flits this buffer holds: carved ones plus those of backlog packets."""
+        if not self.backlog:
+            return len(self.queue)
+        return len(self.queue) + sum(packet.length for packet in self.backlog)
 
     def reset_route(self) -> None:
         self.state = VC_IDLE

@@ -665,8 +665,10 @@ def inflight_packet_table(
     """
     entries: dict[int, dict[str, Any]] = {}
 
-    def note(flit: "Flit", stage: str, position: dict[str, Any]) -> None:
-        packet = flit.packet
+    def note(
+        packet: "Packet", index: int, stage: str, position: dict[str, Any], flits: int = 1
+    ) -> None:
+        """Count ``flits`` flits of ``packet``, the head-most at ``index``."""
         entry = entries.get(packet.pid)
         if entry is None:
             entry = entries[packet.pid] = {
@@ -678,13 +680,13 @@ def inflight_packet_table(
                 "flits_in_network": 0,
                 "stage": stage,
                 "positions": [],
-                "_head_index": flit.index,
+                "_head_index": index,
             }
-        entry["flits_in_network"] += 1
+        entry["flits_in_network"] += flits
         if len(entry["positions"]) < 4 and position not in entry["positions"]:
             entry["positions"].append(position)
-        if flit.index <= entry["_head_index"]:
-            entry["_head_index"] = flit.index
+        if index <= entry["_head_index"]:
+            entry["_head_index"] = index
             entry["stage"] = stage
 
     for router in network.routers:
@@ -712,11 +714,15 @@ def inflight_packet_table(
                     "vc": ivc.index,
                 }
                 for flit in ivc.queue:
-                    note(flit, stage, position)
+                    note(flit.packet, flit.index, stage, position)
+                # Source queue behind the head packet: whole packets, not
+                # yet carved into flits.
+                for packet in ivc.backlog or ():
+                    note(packet, 0, "source_queue", position, packet.length)
     for link in network.links:
         position = {"loc": "link", "link": link.index}
         for flit, stage in _link_flit_stages(link):
-            note(flit, stage, position)
+            note(flit.packet, flit.index, stage, position)
     table = sorted(entries.values(), key=lambda e: (-e["age"], e["pid"]))
     for entry in table:
         del entry["_head_index"]

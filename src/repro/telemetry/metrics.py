@@ -220,7 +220,7 @@ class EpochMetrics:
             for router in network.routers:
                 for port in router.inputs:
                     for vc in port.vcs:
-                        held = len(vc.queue)
+                        held = vc.held
                         if held:
                             buffer_occupancy[(router.node, port.index, vc.index)] = held
         sample = EpochSample(

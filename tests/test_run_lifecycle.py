@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import re
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -20,6 +21,8 @@ import repro.analysis.reachability as reachability
 import repro.sim.build as build_module
 import repro.sim.experiment as experiment
 from repro.analysis.verifier import verify_family
+from repro.noc.flit import Flit, Packet
+from repro.noc.router import Router
 from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
@@ -31,6 +34,8 @@ from repro.topology.system import build_system
 from repro.traffic.injection import SyntheticWorkload
 from repro.traffic.parsec import generate_parsec_trace
 from repro.traffic.patterns import make_pattern
+
+from .helpers import build_chain, run_cycles
 
 GRID = ChipletGrid(2, 2, 3, 3)
 CONFIG = SimConfig(sim_cycles=500, warmup_cycles=100)
@@ -217,6 +222,59 @@ def test_reports_read_the_same_after_close(tmp_path):
     before = reports(tmp_path / "open")
     network.close()
     assert reports(tmp_path / "closed") == before
+
+
+# -- what a network costs while it lives ---------------------------------------
+@pytest.mark.parametrize(
+    "family, chiplets, nodes, budget_bytes",
+    [
+        ("hetero_phy_torus", (4, 4), (4, 4), 256 * 10_000),
+        ("hetero_channel", (4, 4), (4, 4), 256 * 10_000),
+        ("hetero_phy_torus", (8, 8), (7, 7), 30_000_000),  # Table 3's wafer row
+    ],
+    ids=["phy-256", "channel-256", "phy-3136"],
+)
+def test_built_network_heap_budget(family, chiplets, nodes, budget_bytes):
+    """An idle network is cheap: no per-buffer container heavier than a list."""
+    spec = build_system(family, ChipletGrid(*chiplets, *nodes), SimConfig())
+    tracemalloc.start()
+    try:
+        network = build_network(spec, Stats())
+        built, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    network.close()
+    assert built <= budget_bytes, f"{built / network.n_nodes:.0f} B/node"
+
+
+def test_backed_up_source_carves_flits_only_for_packets_that_are_leaving():
+    network, _ = build_chain(2, bandwidth=1)
+    packets = {packet.pid: packet for packet in (Packet(0, 1, 16, 0) for _ in range(100))}
+    for packet in packets.values():
+        network.inject(packet)
+    vcs = network.routers[0].inputs[Router.INJECT_PORT].vcs
+
+    def live_flit_pids():
+        """One pid per live flit of this test's packets (holds no flit alive)."""
+        return [
+            obj.packet.pid
+            for obj in gc.get_objects()
+            if type(obj) is Flit and packets.get(obj.packet.pid) is obj.packet
+        ]
+
+    assert len(live_flit_pids()) == len(vcs) * 16
+    now = 0
+    while network.holds_flits():
+        now = run_cycles(network, 20, start=now)  # gc.get_objects() is slow
+        live = live_flit_pids()
+        parked = {packet.pid for vc in vcs for packet in vc.backlog}
+        assert not parked & set(live)
+        # Every live flit is in a buffer or on the link: at most the two
+        # packets being sent, whatever the backlog.
+        assert len(live) == (
+            network.buffered_flits() + network.in_flight_flits() - 16 * len(parked)
+        ) <= 2 * 16 + 2
+    assert now > 1_600 and all(p.arrive_cycle is not None for p in packets.values())
 
 
 def test_simulator_core_never_reaches_for_the_collector():
