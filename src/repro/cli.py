@@ -179,14 +179,19 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _spec_from_args(args):
+    """The system an ``add_point_args`` parser's point flags describe."""
     chiplets = _parse_pair(args.chiplets, "--chiplets")
     nodes = _parse_pair(args.nodes, "--nodes")
     grid = ChipletGrid(chiplets[0], chiplets[1], nodes[0], nodes[1])
     config = SimConfig().scaled(args.cycles)
     if args.halved:
         config = config.halved()
-    spec = build_system(args.family, grid, config)
+    return build_system(args.family, grid, config)
+
+
+def _cmd_simulate(args) -> int:
+    spec = _spec_from_args(args)
     telemetry = None
     breakdown_wanted = args.latency_breakdown or args.breakdown_csv
     epoch_wanted = bool(
@@ -243,7 +248,7 @@ def _cmd_simulate(args) -> int:
     except (RuntimeError, AssertionError) as exc:
         return _report_failure(spec.name, exc)
     print(f"system   : {spec.name}")
-    print(f"workload : {result.workload} ({grid.n_nodes} nodes, {args.cycles} cycles)")
+    print(f"workload : {result.workload} ({spec.grid.n_nodes} nodes, {args.cycles} cycles)")
     print(f"policy   : {result.policy}")
     print(f"seed     : {args.seed}")
     for key, value in result.stats.summary().items():
@@ -308,13 +313,7 @@ def _cmd_profile(args) -> int:
         write_speedscope,
     )
 
-    chiplets = _parse_pair(args.chiplets, "--chiplets")
-    nodes = _parse_pair(args.nodes, "--nodes")
-    grid = ChipletGrid(chiplets[0], chiplets[1], nodes[0], nodes[1])
-    config = SimConfig().scaled(args.cycles)
-    if args.halved:
-        config = config.halved()
-    spec = build_system(args.family, grid, config)
+    spec = _spec_from_args(args)
     # Pass 1 — host-time ledger, no cProfile: the profiler's tracing hooks
     # would inflate the wall times the phase table reports.
     ledger_config = TelemetryConfig(
@@ -337,7 +336,7 @@ def _cmd_profile(args) -> int:
     except HostprofError as exc:
         print(f"warning: {exc}", file=sys.stderr)
     print(f"system   : {spec.name}")
-    print(f"workload : {result.workload} ({grid.n_nodes} nodes, {args.cycles} cycles)")
+    print(f"workload : {result.workload} ({spec.grid.n_nodes} nodes, {args.cycles} cycles)")
     print(f"policy   : {result.policy}")
     print(f"seed     : {args.seed}")
     print(f"cycles/s : {result.cycles_per_second:,.0f}")
@@ -417,7 +416,13 @@ def _cmd_postmortem(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.telemetry.bench import CASES, render_bench, run_bench, write_bench
+    from repro.telemetry.bench import (
+        CASES,
+        registry_cases,
+        render_bench,
+        run_bench,
+        write_bench,
+    )
 
     cases = None
     if args.case:
@@ -450,25 +455,9 @@ def _cmd_bench(args) -> int:
             new_run_id,
         )
 
-        # One registry record per suite run: the dashboard's "Host
-        # performance" panel and the regression sentinel both read these.
+        # One registry record per suite run: the dashboard's performance
+        # panel and the regression sentinel both read these.
         store = RunStore(args.runs_dir)
-        # The registry keeps a slim mem block (no allocation sites — the
-        # BENCH file has them); the sentinel only needs the peaks.
-        bench_summary = {
-            name: {
-                "cps_median": case["cps"]["median"],
-                "host": case.get("host"),
-                "mem": {
-                    k: v
-                    for k, v in (case.get("mem") or {}).items()
-                    if k != "top_sites"
-                }
-                or None,
-                "digest_final": (case.get("digest") or {}).get("final"),
-            }
-            for name, case in doc["cases"].items()
-        }
         record = RunRecord(
             run_id=new_run_id(),
             created=doc["created"],
@@ -482,7 +471,7 @@ def _cmd_bench(args) -> int:
             git_rev=doc["git_rev"],
             wall_seconds=elapsed,
             artifacts={"bench": str(path)},
-            bench=bench_summary,
+            bench=registry_cases(doc),
         )
         record_path = store.append(record)
         print(f"recorded {record_path}#{record.run_id}")
@@ -544,13 +533,7 @@ def _cmd_regress(args) -> int:
             _write_json_doc(args.json, report.to_json())
         return 0
     print(render_sentinel(report))
-    if history.skipped:
-        noun = "source" if history.skipped == 1 else "sources"
-        print(
-            f"warning: skipped {history.skipped} unreadable {noun} "
-            f"(registry lines / bench files)",
-            file=sys.stderr,
-        )
+    _warn_skipped(history.skipped, "source", " (registry lines / bench files)")
     if args.json:
         _write_json_doc(args.json, report.to_json())
     if args.strict and report.regressions():
@@ -647,13 +630,7 @@ def _cmd_dashboard(args) -> int:
 
     store = RunStore(args.runs_dir)
     store.load(strict=False)
-    if store.skipped:
-        noun = "line" if store.skipped == 1 else "lines"
-        print(
-            f"warning: skipped {store.skipped} unreadable registry {noun} "
-            f"in {store.path}",
-            file=sys.stderr,
-        )
+    _warn_skipped(store.skipped, "registry line", f" in {store.path}")
     return 0
 
 
@@ -664,13 +641,11 @@ def _cmd_watch(args) -> int:
         service = WatchService(args.runs_dir, top_runs=args.top)
         state = service.fleet_state()
         print(json.dumps(state, indent=1, sort_keys=True))
-        if state["skipped"]:
-            noun = "line" if state["skipped"] == 1 else "lines"
-            print(
-                f"warning: skipped {state['skipped']} unreadable registry "
-                f"{noun} in {Path(args.runs_dir) / 'runs.jsonl'}",
-                file=sys.stderr,
-            )
+        _warn_skipped(
+            state["skipped"],
+            "registry line",
+            f" in {Path(args.runs_dir) / 'runs.jsonl'}",
+        )
         return 0
     serve(
         args.runs_dir,
@@ -680,6 +655,16 @@ def _cmd_watch(args) -> int:
         top_runs=args.top,
     )
     return 0
+
+
+def _warn_skipped(count: int, noun: str, where: str) -> None:
+    """The one "skipped N unreadable ..." warning of the registry readers."""
+    if count:
+        plural = "" if count == 1 else "s"
+        print(
+            f"warning: skipped {count} unreadable {noun}{plural}{where}",
+            file=sys.stderr,
+        )
 
 
 def _write_json_doc(path: str, doc: dict) -> None:
@@ -883,6 +868,43 @@ def main(argv: list[str] | None = None) -> int:
             help="do not append a record to the run registry",
         )
 
+    def add_point_args(
+        p: argparse.ArgumentParser,
+        *,
+        chiplets: str,
+        rate: float,
+        cycles: int,
+        chiplets_note: str = "",
+    ) -> None:
+        """The flags that name one simulation point (see ``_spec_from_args``)."""
+        p.add_argument("--family", choices=FAMILIES, default="hetero_phy_torus")
+        p.add_argument(
+            "--chiplets",
+            default=chiplets,
+            help=f"chiplet grid, e.g. {chiplets}{chiplets_note}",
+        )
+        p.add_argument("--nodes", default="4x4", help="per-chiplet mesh, e.g. 4x4")
+        p.add_argument("--pattern", default="uniform")
+        p.add_argument("--rate", type=float, default=rate, help="flits/cycle/node")
+        p.add_argument("--cycles", type=int, default=cycles)
+        p.add_argument(
+            "--policy",
+            choices=(
+                "performance",
+                "balanced",
+                "energy_efficient",
+                "application_aware",
+                "passive_aware",
+            ),
+            default=None,
+        )
+        p.add_argument(
+            "--halved", action="store_true", help="pin-constrained halved interfaces"
+        )
+        p.add_argument(
+            "--seed", type=int, default=1, help="workload RNG seed (default: 1)"
+        )
+
     run_p = sub.add_parser("run", help="run a paper experiment (or 'all')")
     run_p.add_argument("experiment")
     run_p.add_argument("--scale", choices=("tiny", "small", "paper"), default="small")
@@ -898,29 +920,7 @@ def main(argv: list[str] | None = None) -> int:
     report_p.set_defaults(func=_cmd_report)
 
     sim_p = sub.add_parser("simulate", help="run one ad-hoc simulation")
-    sim_p.add_argument("--family", choices=FAMILIES, default="hetero_phy_torus")
-    sim_p.add_argument("--chiplets", default="4x4", help="chiplet grid, e.g. 4x4")
-    sim_p.add_argument("--nodes", default="4x4", help="per-chiplet mesh, e.g. 4x4")
-    sim_p.add_argument("--pattern", default="uniform")
-    sim_p.add_argument("--rate", type=float, default=0.1, help="flits/cycle/node")
-    sim_p.add_argument("--cycles", type=int, default=10_000)
-    sim_p.add_argument(
-        "--policy",
-        choices=(
-            "performance",
-            "balanced",
-            "energy_efficient",
-            "application_aware",
-            "passive_aware",
-        ),
-        default=None,
-    )
-    sim_p.add_argument(
-        "--halved", action="store_true", help="pin-constrained halved interfaces"
-    )
-    sim_p.add_argument(
-        "--seed", type=int, default=1, help="workload RNG seed (default: 1)"
-    )
+    add_point_args(sim_p, chiplets="4x4", rate=0.1, cycles=10_000)
     sim_p.add_argument(
         "--metrics",
         metavar="DIR",
@@ -1033,30 +1033,8 @@ def main(argv: list[str] | None = None) -> int:
         help="attribute host wall time to engine phases and emit "
         "speedscope + flamegraph artifacts",
     )
-    prof_p.add_argument("--family", choices=FAMILIES, default="hetero_phy_torus")
-    prof_p.add_argument(
-        "--chiplets", default="2x2", help="chiplet grid, e.g. 2x2 (fig11 seed)"
-    )
-    prof_p.add_argument("--nodes", default="4x4", help="per-chiplet mesh, e.g. 4x4")
-    prof_p.add_argument("--pattern", default="uniform")
-    prof_p.add_argument("--rate", type=float, default=0.15, help="flits/cycle/node")
-    prof_p.add_argument("--cycles", type=int, default=6_000)
-    prof_p.add_argument(
-        "--policy",
-        choices=(
-            "performance",
-            "balanced",
-            "energy_efficient",
-            "application_aware",
-            "passive_aware",
-        ),
-        default=None,
-    )
-    prof_p.add_argument(
-        "--halved", action="store_true", help="pin-constrained halved interfaces"
-    )
-    prof_p.add_argument(
-        "--seed", type=int, default=1, help="workload RNG seed (default: 1)"
+    add_point_args(
+        prof_p, chiplets="2x2", rate=0.15, cycles=6_000, chiplets_note=" (fig11 seed)"
     )
     prof_p.add_argument(
         "--stride",

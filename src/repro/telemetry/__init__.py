@@ -38,10 +38,11 @@
   allocation sites folded to the same phase taxonomy, riding an untimed
   ``repro bench`` rep and ``repro profile --mem``
   (``repro.telemetry.memprof``);
-* :func:`load_history` / :func:`analyze_history` — per-metric time
-  series over the registry's bench records and the rank-based
-  changepoint sentinel behind ``repro regress``
-  (``repro.telemetry.history`` / ``repro.telemetry.sentinel``);
+* :func:`load_history` / :func:`analyze_history` — the bench
+  catalogue's metrics (``bench.case_metrics``, the ones ``repro compare``
+  judges) as time series over BENCH files and the registry's bench
+  records, and the rank-based changepoint sentinel behind ``repro
+  regress`` (``repro.telemetry.history`` / ``repro.telemetry.sentinel``);
 * :class:`RunStore` / :class:`RunRecord` — the append-only cross-run
   registry under ``runs/`` (``repro.telemetry.runstore``);
 * :mod:`repro.telemetry.bench` / :mod:`repro.telemetry.compare` /

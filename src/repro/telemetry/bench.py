@@ -22,11 +22,12 @@ not pull ``repro.noc`` in at module load.
 from __future__ import annotations
 
 import json
+import math
 import re
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from .bus import EVENT_NAMES
 from .runstore import git_revision
@@ -101,7 +102,8 @@ class EventCounters:
         return {name: count for name, count in self.counts.items() if count}
 
 
-def _median_iqr(samples: Sequence[float]) -> tuple[float, float]:
+def median_iqr(samples: Sequence[float]) -> tuple[float, float]:
+    """Median and interquartile range — the one IQR rule (inclusive quantiles)."""
     if not samples:
         return float("nan"), float("nan")
     if len(samples) == 1:
@@ -201,8 +203,8 @@ def _run_case(
         run_synthetic(spec, case.pattern, case.rate, seed=seed)
     mem = mem_ledger.record_summary()
 
-    wall_median, wall_iqr = _median_iqr(walls)
-    cps_median, cps_iqr = _median_iqr(cps)
+    wall_median, wall_iqr = median_iqr(walls)
+    cps_median, cps_iqr = median_iqr(cps)
     return {
         "family": case.family,
         "chiplets": list(case.chiplets),
@@ -271,6 +273,154 @@ def run_bench(
     }
 
 
+#: Relative floor for per-phase host-time metrics.  A single strided
+#: attribution repetition backs them (no IQR), and small phases jitter
+#: hard, so only large per-phase movements are signal.
+HOST_REL_FLOOR = 0.25
+#: Host phases below this fraction of the ledger total in every run being
+#: judged are skipped — a 0.5% phase tripling is noise in absolute terms
+#: but would read as a 200% regression.
+HOST_MIN_SHARE = 0.02
+#: Relative floor for peak-heap comparisons.  A single untimed tracing
+#: repetition backs the ``mem`` block (no IQR) and allocator behaviour
+#: shifts a few percent run to run, so only double-digit movements are
+#: signal.
+MEM_REL_FLOOR = 0.10
+
+
+class Metric(NamedTuple):
+    """One judged number of a case block."""
+
+    value: float  #: NaN when the block does not carry it
+    higher_is_better: bool
+    iqr: float  #: spread over the timed repetitions; 0.0 where there is one rep
+    rel_floor: Optional[float]  #: None: the caller's default relative floor
+
+
+def num(value: Any, default: float = math.nan) -> float:
+    """A finite float, or ``default`` for anything missing or malformed."""
+    if isinstance(value, (int, float)) and math.isfinite(value):
+        return float(value)
+    return default
+
+
+def block_of(case: dict[str, Any], key: str) -> dict[str, Any]:
+    """``case[key]`` when it is a dict, else ``{}`` (missing or malformed block)."""
+    block = case.get(key)
+    return block if isinstance(block, dict) else {}
+
+
+def case_metrics(case: dict[str, Any]) -> dict[str, Metric]:
+    """The metric catalogue: every number a BENCH case block is judged on.
+
+    ``repro compare`` pairs two of these and ``repro regress`` stacks N
+    (both through :func:`stack_metrics`), so the two commands cannot
+    disagree about what a bench case measures.  A block the case lacks
+    yields NaN, which every consumer renders ``n/a``.  Event counts are
+    deterministic for a fixed seed, so they carry no IQR (a drift beyond
+    the floor means the simulated work itself changed); ``host.*`` is
+    ns/cycle per ledger phase, ``mem.peak_bytes`` the traced peak heap.
+    """
+    metrics = {}
+    for name, key, higher in (
+        ("cycles_per_second", "cps", True),
+        ("wall_seconds", "wall_s", False),
+    ):
+        timed = block_of(case, key)
+        metrics[name] = Metric(
+            num(timed.get("median")), higher, num(timed.get("iqr"), 0.0), None
+        )
+    for event, count in sorted(block_of(case, "events").items()):
+        metrics[f"events.{event}"] = Metric(num(count), False, 0.0, None)
+    for phase, ns in sorted(block_of(block_of(case, "host"), "ns_per_cycle").items()):
+        metrics[f"host.{phase}"] = Metric(num(ns), False, 0.0, HOST_REL_FLOOR)
+    metrics["mem.peak_bytes"] = Metric(
+        num(block_of(case, "mem").get("peak_bytes")), False, 0.0, MEM_REL_FLOOR
+    )
+    return metrics
+
+
+def stack_metrics(cases: Sequence[dict[str, Any]]) -> dict[str, list[Metric]]:
+    """The catalogue of several runs of one case, aligned by metric name.
+
+    A metric one run lacks reads NaN there, except an event that did not
+    fire in a run that carries a census: that count is 0.  Host phases
+    under :data:`HOST_MIN_SHARE` in every stacked run are dropped.
+    """
+    per_case = [case_metrics(case) for case in cases]
+    judged: set[str] = set()
+    for metrics in per_case:
+        host_total = sum(
+            m.value
+            for name, m in metrics.items()
+            if name.startswith("host.") and m.value == m.value
+        )
+        judged.update(
+            name
+            for name, m in metrics.items()
+            if not name.startswith("host.")
+            or (host_total and m.value / host_total >= HOST_MIN_SHARE)
+        )
+    templates = {name: m for metrics in per_case for name, m in metrics.items()}
+    groups = ("cycles_per_second", "wall_seconds", "events", "host", "mem")
+    return {
+        name: [
+            metrics.get(name)
+            or templates[name]._replace(
+                value=0.0 if name.startswith("events.") and "events" in case else math.nan,
+                iqr=0.0,
+            )
+            for metrics, case in zip(per_case, cases)
+        ]
+        for name in sorted(
+            judged, key=lambda name: (groups.index(name.partition(".")[0]), name)
+        )
+    }
+
+
+def digest_match(a: Any, b: Any) -> float:
+    """Whether two case blocks simulated the same thing, event for event.
+
+    1.0 when both digest chains end on the same hash, 0.0 when they
+    differ, NaN when inequality would be expected rather than informative:
+    a missing block, a different configuration, algorithm or horizon.
+    """
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return math.nan
+    da, db = block_of(a, "digest"), block_of(b, "digest")
+    if not (da.get("final") and db.get("final")):
+        return math.nan
+    if a.get("config_hash") != b.get("config_hash"):
+        return math.nan
+    from .digest import digests_comparable
+
+    if digests_comparable(da, db) is not None:
+        return math.nan
+    return 1.0 if da["final"] == db["final"] else 0.0
+
+
+#: Per-repetition and per-site detail a registry record leaves to the file.
+_BULK_KEYS = frozenset({"samples", "top_sites", "checkpoints"})
+
+
+def registry_cases(doc: dict[str, Any]) -> dict[str, Any]:
+    """The registry form of a suite run (``RunRecord.bench``).
+
+    The same case blocks as the BENCH file, minus timing samples,
+    allocation sites and digest checkpoints — so :func:`case_metrics`
+    reads a record exactly as it reads the file.
+    """
+    return {
+        name: {
+            key: {k: v for k, v in block.items() if k not in _BULK_KEYS}
+            if isinstance(block, dict)
+            else block
+            for key, block in case.items()
+        }
+        for name, case in doc["cases"].items()
+    }
+
+
 def next_bench_path(directory: str | Path = ".") -> Path:
     """The first unused ``BENCH_<n>.json`` path under ``directory``."""
     directory = Path(directory)
@@ -329,19 +479,13 @@ def render_bench(doc: dict[str, Any]) -> str:
 
     for name, case in doc.get("cases", {}).items():
         cps = case["cps"]
-        top_phase = ""
-        shares = (case.get("host") or {}).get("shares") or {}
-        ranked = sorted(
-            (
-                (phase, share)
-                for phase, share in shares.items()
-                if isinstance(share, (int, float)) and share == share
-            ),
-            key=lambda item: -item[1],
-        )
-        if ranked:
-            top_phase = f"{ranked[0][0]} {ranked[0][1]:.0%}"
-        mem = case.get("mem") or {}
+        shares = {
+            phase: num(share, 0.0)
+            for phase, share in block_of(block_of(case, "host"), "shares").items()
+        }
+        top = max(shares, key=shares.__getitem__, default=None)
+        top_phase = f"{top} {shares[top]:.0%}" if top is not None else ""
+        mem = block_of(case, "mem")
         peak = fmt_bytes(mem["peak_bytes"]) if "peak_bytes" in mem else "n/a"
         lines.append(
             f"{name:>24s} {cps['median']:>12,.0f} {cps['iqr']:>12,.0f} "

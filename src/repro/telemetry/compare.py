@@ -28,26 +28,43 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from .bench import load_bench
+from .bench import digest_match, load_bench, stack_metrics
 from .runstore import RunRecord, RunStore, RunStoreError
 
 #: Default relative floor under which a delta is noise regardless of IQR.
 DEFAULT_REL_FLOOR = 0.05
 #: Default IQR multiplier of the noise threshold.
 DEFAULT_IQR_K = 1.5
-#: Relative floor for per-phase host-time metrics.  A single strided
-#: attribution repetition backs them (no IQR), and small phases jitter
-#: hard, so only large per-phase movements are signal.
-HOST_REL_FLOOR = 0.25
-#: Host phases whose ns/cycle is below this fraction of the total are
-#: skipped by :func:`compare_bench` — a 0.5% phase tripling is noise in
-#: absolute terms but would read as a 200% regression.
-HOST_MIN_SHARE = 0.02
-#: Relative floor for peak-heap comparisons.  A single untimed tracing
-#: repetition backs the ``mem`` block (no IQR) and allocator behaviour
-#: shifts a few percent run to run, so only double-digit movements are
-#: signal.
-MEM_REL_FLOOR = 0.10
+#: One mark per verdict word, shared by the compare and sentinel tables.
+VERDICT_MARKS = {
+    "improved": "+",
+    "regressed": "!",
+    "noise": "=",
+    "ok": "=",
+    "insufficient-history": "~",
+    "n/a": "?",
+}
+
+
+def noise_band(baseline: float, iqr: float, rel_floor: float, k: float) -> float:
+    """``max(rel_floor * |baseline|, k * IQR)`` — the one noise threshold."""
+    return max(rel_floor * abs(baseline), k * (iqr if math.isfinite(iqr) else 0.0))
+
+
+def json_num(value: float) -> Optional[float]:
+    """``value`` for a JSON report: NaN / inf have no JSON form, so null."""
+    return value if math.isfinite(value) else None
+
+
+def fmt_metric(value: float, metric: str = "") -> str:
+    """One metric value as the compare / regress / dashboard tables print it."""
+    if not math.isfinite(value):
+        return "n/a"
+    if metric == "digest.stable":
+        return "stable" if value == 1.0 else "DIVERGED"
+    if abs(value) >= 1000:
+        return f"{value:,.0f}"
+    return f"{value:.4g}"
 
 
 @dataclass
@@ -75,18 +92,14 @@ class MetricVerdict:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe form for ``repro compare --json`` (NaN → null)."""
-
-        def num(value: float) -> Optional[float]:
-            return None if math.isnan(value) else value
-
         return {
             "case": self.case,
             "metric": self.metric,
-            "a": num(self.a),
-            "b": num(self.b),
-            "threshold": num(self.threshold),
+            "a": json_num(self.a),
+            "b": json_num(self.b),
+            "threshold": json_num(self.threshold),
             "higher_is_better": self.higher_is_better,
-            "rel_delta": num(self.rel_delta),
+            "rel_delta": json_num(self.rel_delta),
             "verdict": self.verdict,
         }
 
@@ -107,7 +120,7 @@ def classify(
         verdict = "n/a"
         threshold = math.nan
     else:
-        threshold = max(rel_floor * abs(a), k * (iqr if not math.isnan(iqr) else 0.0))
+        threshold = noise_band(a, iqr, rel_floor, k)
         delta = b - a
         if abs(delta) <= threshold:
             verdict = "noise"
@@ -135,154 +148,43 @@ def compare_bench(
 ) -> list[MetricVerdict]:
     """Per-case, per-metric verdicts between two bench documents.
 
-    Cases present in only one document are skipped.  Event counts are
-    deterministic for a fixed seed, so they use the relative floor alone
-    (a count drift beyond it means the simulated work itself changed).
+    Cases present in only one document are skipped.  What is judged, and
+    against which floor, is the bench catalogue's decision
+    (:func:`~repro.telemetry.bench.stack_metrics`); ``rel_floor`` serves
+    the metrics that name none of their own.
     """
     verdicts: list[MetricVerdict] = []
-    cases_a = a.get("cases", {})
     cases_b = b.get("cases", {})
-    for name in cases_a:
+    for name, ca in a.get("cases", {}).items():
         if name not in cases_b:
             continue
-        ca, cb = cases_a[name], cases_b[name]
-        verdicts.append(
-            classify(
-                name,
-                "cycles_per_second",
-                ca["cps"]["median"],
-                cb["cps"]["median"],
-                higher_is_better=True,
-                iqr=max(ca["cps"]["iqr"], cb["cps"]["iqr"]),
-                rel_floor=rel_floor,
-                k=k,
-            )
-        )
-        verdicts.append(
-            classify(
-                name,
-                "wall_seconds",
-                ca["wall_s"]["median"],
-                cb["wall_s"]["median"],
-                higher_is_better=False,
-                iqr=max(ca["wall_s"]["iqr"], cb["wall_s"]["iqr"]),
-                rel_floor=rel_floor,
-                k=k,
-            )
-        )
-        events_a = ca.get("events", {})
-        events_b = cb.get("events", {})
-        for event in sorted(set(events_a) | set(events_b)):
+        cb = cases_b[name]
+        for metric, (ma, mb) in stack_metrics([ca, cb]).items():
+            floor = rel_floor if ma.rel_floor is None else ma.rel_floor
             verdicts.append(
                 classify(
                     name,
-                    f"events.{event}",
-                    float(events_a.get(event, 0)),
-                    float(events_b.get(event, 0)),
-                    higher_is_better=False,
-                    iqr=0.0,
-                    rel_floor=rel_floor,
+                    metric,
+                    ma.value,
+                    mb.value,
+                    higher_is_better=ma.higher_is_better,
+                    iqr=max(ma.iqr, mb.iqr),
+                    rel_floor=floor,
                     k=k,
                 )
             )
-        verdicts.extend(_compare_host(name, ca.get("host"), cb.get("host")))
-        verdicts.append(_compare_mem(name, ca.get("mem"), cb.get("mem")))
-        verdicts.append(_compare_digest(name, ca.get("digest"), cb.get("digest")))
-    return verdicts
-
-
-def _compare_mem(case: str, ma: Optional[dict], mb: Optional[dict]) -> MetricVerdict:
-    """One ``mem.peak_bytes`` verdict between two ``mem`` blocks.
-
-    Pre-mem bench files carry no ``mem`` block — the verdict then reads
-    ``n/a`` rather than failing the compare.  Lower peak heap is better;
-    the wide :data:`MEM_REL_FLOOR` keeps allocator jitter out.
-    """
-
-    def peak(block: Optional[dict]) -> float:
-        if isinstance(block, dict) and isinstance(block.get("peak_bytes"), (int, float)):
-            return float(block["peak_bytes"])
-        return math.nan
-
-    return classify(
-        case,
-        "mem.peak_bytes",
-        peak(ma),
-        peak(mb),
-        higher_is_better=False,
-        iqr=0.0,
-        rel_floor=MEM_REL_FLOOR,
-    )
-
-
-def _compare_digest(
-    case: str, da: Optional[dict], db: Optional[dict]
-) -> MetricVerdict:
-    """One ``digest.match`` verdict between two ``digest`` blocks.
-
-    Older bench files (pre run-digest) carry no ``digest`` block — the
-    verdict then reads ``n/a`` rather than failing the compare, as do
-    blocks an algorithm or horizon change made incomparable.  Matching
-    final chains score 1/1 (noise); a mismatch scores 1/0 and reads
-    ``regressed`` — the simulated behavior itself changed, which is what
-    ``repro diff`` then localizes.
-    """
-    comparable = (
-        isinstance(da, dict)
-        and isinstance(db, dict)
-        and da.get("final")
-        and db.get("final")
-    )
-    if comparable:
-        from .digest import digests_comparable
-
-        comparable = digests_comparable(da, db) is None  # type: ignore[arg-type]
-    if not comparable:
-        a = b = math.nan
-    else:
-        assert isinstance(da, dict) and isinstance(db, dict)
-        a = 1.0
-        b = 1.0 if da["final"] == db["final"] else 0.0
-    return classify(
-        case, "digest.match", a, b, higher_is_better=True, iqr=0.0, rel_floor=0.0
-    )
-
-
-def _compare_host(
-    case: str, ha: Optional[dict], hb: Optional[dict]
-) -> list[MetricVerdict]:
-    """Per-phase ns/cycle verdicts between two ``host`` blocks.
-
-    Older bench files (pre host-time ledger) carry no ``host`` block —
-    every phase then reads ``n/a`` rather than failing the compare.
-    Lower ns/cycle is better; the wide :data:`HOST_REL_FLOOR` and the
-    :data:`HOST_MIN_SHARE` cut keep single-repetition jitter out of the
-    verdict column so a named phase only flags on a real slowdown.
-    """
-    npc_a = (ha or {}).get("ns_per_cycle") or {}
-    npc_b = (hb or {}).get("ns_per_cycle") or {}
-
-    def total(npc: dict) -> float:
-        return sum(v for v in npc.values() if isinstance(v, (int, float)) and v == v)
-
-    total_a, total_b = total(npc_a), total(npc_b)
-    verdicts = []
-    for phase in sorted(set(npc_a) | set(npc_b)):
-        a = float(npc_a.get(phase, math.nan))
-        b = float(npc_b.get(phase, math.nan))
-        share_a = a / total_a if total_a and a == a else 0.0
-        share_b = b / total_b if total_b and b == b else 0.0
-        if max(share_a, share_b) < HOST_MIN_SHARE:
-            continue
+        # Matching chains score 1/1 (noise); a mismatch scores 1/0 and reads
+        # ``regressed`` — the simulated behavior itself changed, which is
+        # what ``repro diff`` then localizes.
+        match = digest_match(ca, cb)
         verdicts.append(
             classify(
-                case,
-                f"host.{phase}",
-                a,
-                b,
-                higher_is_better=False,
-                iqr=0.0,
-                rel_floor=HOST_REL_FLOOR,
+                name,
+                "digest.match",
+                match if math.isnan(match) else 1.0,
+                match,
+                higher_is_better=True,
+                rel_floor=0.0,
             )
         )
     return verdicts
@@ -450,21 +352,12 @@ def regressions(
     ]
 
 
-def _fmt(value: float) -> str:
-    if math.isnan(value):
-        return "n/a"
-    if abs(value) >= 1000:
-        return f"{value:,.0f}"
-    return f"{value:.4g}"
-
-
 def render_comparison(
     verdicts: list[MetricVerdict], *, label_a: str = "A", label_b: str = "B"
 ) -> str:
     """Aligned text report of the verdict list."""
     if not verdicts:
         return "no overlapping cases/metrics to compare"
-    marks = {"improved": "+", "regressed": "!", "noise": "=", "n/a": "?"}
     lines = [
         f"{'case':>24s} {'metric':>26s} {label_a:>12s} {label_b:>12s} "
         f"{'delta':>8s}  verdict"
@@ -473,8 +366,8 @@ def render_comparison(
         rel = v.rel_delta
         delta = "n/a" if math.isnan(rel) else f"{rel:+.1%}"
         lines.append(
-            f"{v.case:>24s} {v.metric:>26s} {_fmt(v.a):>12s} {_fmt(v.b):>12s} "
-            f"{delta:>8s}  {marks[v.verdict]} {v.verdict}"
+            f"{v.case:>24s} {v.metric:>26s} {fmt_metric(v.a):>12s} {fmt_metric(v.b):>12s} "
+            f"{delta:>8s}  {VERDICT_MARKS[v.verdict]} {v.verdict}"
         )
     worst = regressions(verdicts)
     summary = (

@@ -5,7 +5,10 @@ SVG via :func:`repro.viz.svg_line_chart` — with:
 
 * the Fig 11 latency-vs-load curves from ``benchmarks/results/*.csv``;
 * the paper-vs-measured agreement summary (``repro report``'s text);
-* the perf trajectory across every stored ``BENCH_<n>.json``;
+* the performance panel over the one bench history (stored
+  ``BENCH_<n>.json`` files + the registry's bench records): per-case
+  throughput trajectory with changepoint marks, latest host-phase
+  shares, and the verdict table ``repro regress`` prints;
 * the latency-attribution panel (stacked per-stage bars via
   :func:`repro.viz.svg_stacked_bars` + top-bottleneck-links table) for
   runs recorded with ``--latency-breakdown``;
@@ -18,14 +21,14 @@ The page carries its own light/dark palette as CSS custom properties
 (the chart SVGs reference ``var(--series-N)`` and ink/surface roles), so
 it respects ``prefers-color-scheme`` without any scripting.
 
-The registry-backed panel builders (:func:`bench_section`,
-:func:`hostperf_section`, :func:`breakdown_section`,
-:func:`health_section`, :func:`determinism_section`,
-:func:`runs_section`) and the page shell
-(:data:`PAGE_STYLE`, :func:`render_page`) are public: the live fleet
-service (:mod:`repro.telemetry.server`, ``repro watch``) renders the
-same panels instead of duplicating them, so the static and live views
-cannot drift apart.
+The registry-backed panel builders (:func:`perf_section`,
+:func:`breakdown_section`, :func:`health_section`,
+:func:`determinism_section`, :func:`runs_section`) and the page shell
+(:data:`PAGE_STYLE`, :func:`render_page`, :func:`html_table`) are
+public: the live fleet service (:mod:`repro.telemetry.server`, ``repro
+watch``) and the postmortem page (:mod:`repro.telemetry.forensics`)
+render through them instead of duplicating them, so the views cannot
+drift apart.
 
 Import note: simulator modules are imported inside functions only (see
 the package initializer's import note).
@@ -36,9 +39,9 @@ from __future__ import annotations
 import html
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
-from .bench import bench_files, load_bench
+from .compare import fmt_metric
 from .runstore import RunRecord, RunStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -107,13 +110,19 @@ pre { background: var(--surface-2); padding: 12px; overflow-x: auto;
 
 
 def fmt_value(value: Any) -> str:
+    """One table cell: a float as :func:`fmt_metric`, anything else escaped."""
     if isinstance(value, float):
-        if math.isnan(value):
-            return "n/a"
-        if abs(value) >= 1000:
-            return f"{value:,.0f}"
-        return f"{value:.4g}"
+        return fmt_metric(value)
     return html.escape(str(value))
+
+
+def html_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """``<table>`` markup from header and cell HTML (cells arrive rendered)."""
+    head = "".join(f"<th>{header}</th>" for header in headers)
+    body = "".join(
+        "<tr>" + "".join(f"<td>{cell}</td>" for cell in row) + "</tr>" for row in rows
+    )
+    return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
 
 
 def _find_results_csv(results_dir: Path, artifact: str, scale: str) -> Optional[Path]:
@@ -151,17 +160,11 @@ def _fig11_section(results_dir: Path, scale: str) -> str:
 
 
 def _result_table(result: "ExperimentResult", pattern: str) -> str:
-    rows = result.filtered(pattern=pattern)
-    head = "".join(f"<th>{html.escape(h)}</th>" for h in result.headers)
-    body = "".join(
-        "<tr>" + "".join(f"<td>{fmt_value(cell)}</td>" for cell in row) + "</tr>"
-        for row in rows
+    table = html_table(
+        [html.escape(h) for h in result.headers],
+        ([fmt_value(cell) for cell in row] for row in result.filtered(pattern=pattern)),
     )
-    return (
-        "<details><summary>data table</summary>"
-        f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
-        "</details>"
-    )
+    return f"<details><summary>data table</summary>{table}</details>"
 
 
 def _agreement_section(results_dir: Path, scale: str) -> str:
@@ -171,194 +174,34 @@ def _agreement_section(results_dir: Path, scale: str) -> str:
     return f"<pre>{html.escape(text)}</pre>"
 
 
-def bench_section(bench_dirs: list[Path]) -> str:
-    from repro.viz import svg_line_chart
+def perf_section(runs_dir: Path, bench_dirs: Sequence[Path] = ()) -> str:
+    """The performance panel over the one bench history.
 
-    docs: list[tuple[str, dict[str, Any]]] = []
-    for directory in bench_dirs:
-        for path in bench_files(directory):
-            try:
-                docs.append((path.name, load_bench(path)))
-            except (ValueError, OSError):
-                continue
-    if not docs:
-        return (
-            '<p class="empty">no BENCH_*.json files found — '
-            "run <code>repro bench</code> first.</p>"
-        )
-    case_names: list[str] = []
-    for _, doc in docs:
-        for name in doc.get("cases", {}):
-            if name not in case_names:
-                case_names.append(name)
-    series = []
-    for name in case_names:
-        xs, ys = [], []
-        for index, (_, doc) in enumerate(docs):
-            case = doc.get("cases", {}).get(name)
-            if case:
-                xs.append(float(index))
-                ys.append(case["cps"]["median"])
-        if xs:
-            series.append((name, xs, ys))
-    if not series:
-        # Bench files that parse but carry no cases would otherwise feed
-        # the chart an all-empty series list and render a blank axis box.
-        return (
-            '<p class="empty">no bench history yet — '
-            "run <code>repro bench</code> first.</p>"
-        )
-    chart = svg_line_chart(
-        series,
-        title="simulator throughput across stored bench files",
-        x_label="bench file (index order)",
-        y_label="cycles / second (median)",
-        y_zero=True,
-    )
-    latest_name, latest = docs[-1]
-    rows = []
-    for name, case in latest.get("cases", {}).items():
-        rows.append(
-            "<tr>"
-            f"<td>{html.escape(name)}</td>"
-            f"<td>{fmt_value(case['cps']['median'])}</td>"
-            f"<td>{fmt_value(case['cps']['iqr'])}</td>"
-            f"<td>{fmt_value(case['wall_s']['median'])}</td>"
-            f"<td>{fmt_value(case['stats']['avg_latency'])}</td>"
-            "</tr>"
-        )
-    table = (
-        f"<p class=\"meta\">latest: {html.escape(latest_name)} @ "
-        f"{html.escape(str(latest.get('git_rev', 'unknown')))} "
-        f"(scale={html.escape(str(latest.get('scale')))}, "
-        f"reps={latest.get('reps')})</p>"
-        "<table><thead><tr><th>case</th><th>cyc/s median</th><th>cyc/s IQR</th>"
-        "<th>wall median (s)</th><th>avg latency</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
-    )
-    return f"<figure>{chart}</figure>{table}"
-
-
-def hostperf_section(runs_dir: Path, max_records: int = 12) -> str:
-    """Host-performance panel from the registry's ``kind="bench"`` records.
-
-    Charts simulated cycles/second across bench history plus the latest
-    run's per-phase host-time shares (``HostTimeLedger`` attribution), so
-    a throughput drop and the pipeline phase that caused it sit side by
-    side.
+    Loads :func:`~repro.telemetry.history.load_history` (stored bench
+    files plus the registry's ``kind="bench"`` records, a file winning
+    over the record of the same suite run), runs the changepoint
+    sentinel over it, and renders one throughput trajectory per case
+    with detected changepoints as dashed marks, the latest run's
+    per-phase host-time shares, and the verdict table ``repro regress``
+    prints — so a throughput drop, the run it started at and the pipeline
+    phase behind it sit side by side.
     """
-    from repro.viz import svg_line_chart, svg_stacked_bars
-
-    from .hostprof import ALL_PHASES
-
-    store = RunStore(runs_dir)
-    records = [
-        record
-        for record in store.load(strict=False)
-        if record.kind == "bench" and record.bench
-    ][-max_records:]
-    if not records:
-        return (
-            '<p class="empty">no bench history yet — '
-            "<code>repro bench</code> appends a bench record (cycles/sec "
-            "and per-phase host-time shares) to the run registry.</p>"
-        )
-    case_names: list[str] = []
-    for record in records:
-        for name in record.bench:
-            if name not in case_names:
-                case_names.append(name)
-    series = []
-    for name in case_names:
-        xs, ys = [], []
-        for index, record in enumerate(records):
-            case = record.bench.get(name) or {}
-            cps = case.get("cps_median")
-            if isinstance(cps, (int, float)) and cps == cps:
-                xs.append(float(index))
-                ys.append(float(cps))
-        if xs:
-            series.append((name, xs, ys))
-    if not series:
-        return (
-            '<p class="empty">no bench history yet — the registry\'s bench '
-            "records carry no cycles/sec samples.</p>"
-        )
-    chart = svg_line_chart(
-        series,
-        title="simulator throughput across registered bench runs",
-        x_label="bench record (registry order)",
-        y_label="cycles / second (median)",
-        y_zero=True,
-    )
-    latest = records[-1]
-
-    def shares_of(case: Optional[dict]) -> dict[str, float]:
-        shares = ((case or {}).get("host") or {}).get("shares") or {}
-        return {
-            phase: float(value)
-            for phase, value in shares.items()
-            if isinstance(value, (int, float)) and value == value
-        }
-
-    segments = [
-        phase
-        for phase in ALL_PHASES
-        if any(shares_of(case).get(phase) for case in latest.bench.values())
-    ]
-    if segments:
-        bars = [
-            (name, [shares_of(case).get(phase, 0.0) * 100 for phase in segments])
-            for name, case in latest.bench.items()
-        ]
-        phase_chart = svg_stacked_bars(
-            bars,
-            segments,
-            title="host wall-time share by pipeline phase (latest bench)",
-            x_label="% of timed loop",
-        )
-        phase_figure = f"<figure>{phase_chart}</figure>"
-    else:
-        phase_figure = (
-            '<p class="empty">the latest bench record carries no host-time '
-            "attribution — re-run <code>repro bench</code> on this build.</p>"
-        )
-    meta = (
-        f'<p class="meta">latest: {html.escape(latest.created)} @ '
-        f"{html.escape(latest.git_rev)} ({html.escape(latest.label)}, "
-        f"seed={html.escape(str(latest.seed))})</p>"
-    )
-    return f"<figure>{chart}</figure>{phase_figure}{meta}"
-
-
-def sentinel_section(
-    runs_dir: Path, bench_dirs: Optional[list[Path]] = None
-) -> str:
-    """Regression-sentinel panel: verdicts + annotated trajectory charts.
-
-    Runs the changepoint detector (:mod:`repro.telemetry.sentinel`) over
-    the registry's bench history and renders one throughput chart per
-    case with detected changepoints as dashed marks
-    (:func:`repro.viz.svg_annotated_line`), above the verdict table
-    ``repro regress`` prints.  Shares the "no bench history" placeholder
-    discipline with :func:`hostperf_section`.
-    """
-    from repro.viz import svg_annotated_line
+    from repro.viz import svg_annotated_line, svg_stacked_bars
 
     from .history import load_history
-    from .memprof import fmt_bytes
+    from .hostprof import ALL_PHASES
     from .sentinel import analyze_history
 
-    history = load_history(runs_dir, bench_dirs=bench_dirs or [])
+    history = load_history(runs_dir, bench_dirs=bench_dirs)
     if not history.series:
         return (
-            '<p class="empty">no bench history yet — the regression '
-            "sentinel watches the registry's <code>repro bench</code> "
-            "records; run the suite a few times to grow a trajectory.</p>"
+            '<p class="empty">no bench history yet — no BENCH_*.json files '
+            "or registry bench records found; run <code>repro bench</code> "
+            "first.</p>"
         )
     report = analyze_history(history)
-    by_case_cp = {
-        r.case: r
+    marks = {
+        r.case: [(float(r.changepoint.index), f"changepoint @ {r.changepoint_key or '?'}")]
         for r in report.reports
         if r.metric == "cycles_per_second" and r.changepoint is not None
     }
@@ -367,39 +210,50 @@ def sentinel_section(
         series = history.get(case, "cycles_per_second")
         if series is None or series.finite_count() == 0:
             continue
-        xs = [float(i) for i in range(len(series.points))]
-        ys = series.values
-        annotations = []
-        cp_report = by_case_cp.get(case)
-        if cp_report is not None and cp_report.changepoint is not None:
-            annotations.append(
-                (
-                    float(cp_report.changepoint.index),
-                    f"changepoint @ {cp_report.changepoint_key or '?'}",
-                )
-            )
         figures.append(
             "<figure>"
             + svg_annotated_line(
-                [(case, xs, ys)],
-                annotations=annotations,
+                [(case, [float(i) for i in range(len(series.points))], series.values)],
+                annotations=marks.get(case, ()),
                 height=220,
                 title=f"{case}: throughput trajectory",
                 x_label="suite run (oldest first)",
-                y_label="cycles / second",
+                y_label="cycles / second (median)",
                 y_zero=True,
             )
             + "</figure>"
         )
 
-    def fmt_metric(metric: str, value: float) -> str:
-        if not (isinstance(value, float) and math.isfinite(value)):
-            return "n/a"
-        if metric == "mem.peak_bytes":
-            return fmt_bytes(value)
-        if metric == "digest.stable":
-            return "stable" if value == 1.0 else "DIVERGED"
-        return fmt_value(value)
+    def latest_share(case: str, phase: str) -> float:
+        series = history.get(case, f"host.{phase}.share")
+        value = series.values[-1] if series is not None else math.nan
+        return value if math.isfinite(value) else 0.0
+
+    segments = [
+        phase
+        for phase in ALL_PHASES
+        if any(latest_share(case, phase) for case in history.cases())
+    ]
+    if segments:
+        bars = [
+            (case, [latest_share(case, phase) * 100 for phase in segments])
+            for case in history.cases()
+        ]
+        figures.append(
+            "<figure>"
+            + svg_stacked_bars(
+                bars,
+                segments,
+                title="host wall-time share by pipeline phase (latest bench)",
+                x_label="% of timed loop",
+            )
+            + "</figure>"
+        )
+    else:
+        figures.append(
+            '<p class="empty">the latest bench run carries no host-time '
+            "attribution — re-run <code>repro bench</code> on this build.</p>"
+        )
 
     rows = []
     for r in report.reports:
@@ -408,30 +262,34 @@ def sentinel_section(
         verdict = html.escape(r.verdict)
         if r.verdict == "regressed":
             verdict = f'<span class="alarm">{verdict}</span>'
-        where = html.escape(r.changepoint_key) if r.changepoint_key else "&mdash;"
-        culprit = html.escape(r.culprit) if r.culprit else "&mdash;"
         rows.append(
-            "<tr>"
-            f"<td>{html.escape(r.case)}</td>"
-            f"<td>{html.escape(r.metric)}</td>"
-            f"<td>{r.finite_points}</td>"
-            f"<td>{fmt_metric(r.metric, r.baseline)}</td>"
-            f"<td>{fmt_metric(r.metric, r.latest)}</td>"
-            f"<td>{verdict}</td>"
-            f"<td>{where}</td>"
-            f"<td>{culprit}</td>"
-            "</tr>"
+            [
+                html.escape(r.case),
+                html.escape(r.metric),
+                str(r.finite_points),
+                fmt_metric(r.baseline, r.metric),
+                fmt_metric(r.latest, r.metric),
+                verdict,
+                html.escape(r.changepoint_key) if r.changepoint_key else "&mdash;",
+                html.escape(r.culprit) if r.culprit else "&mdash;",
+            ]
         )
     table = (
-        "<table><thead><tr><th>case</th><th>metric</th><th>runs</th>"
-        "<th>baseline</th><th>latest</th><th>verdict</th>"
-        "<th>changepoint</th><th>culprit</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
+        html_table(
+            ["case", "metric", "runs", "baseline", "latest", "verdict",
+             "changepoint", "culprit"],
+            rows,
+        )
         if rows
         else '<p class="empty">no analyzable metrics in the bench history yet.</p>'
     )
+    latest = max(
+        (series.points[-1] for series in history.ordered()),
+        key=lambda point: point.created,
+    )
     meta = (
-        f'<p class="meta">{history.runs} suite run(s) analyzed, '
+        f'<p class="meta">{history.runs} suite run(s) analyzed, latest '
+        f"{html.escape(latest.key)} @ {html.escape(latest.git_rev)}, "
         f"{len(report.regressions())} regression(s) — "
         f"<code>repro regress</code> prints this table.</p>"
     )
@@ -479,42 +337,38 @@ def breakdown_section(runs_dir: Path, max_bars: int = 4) -> str:
         x_label="cycles",
     )
     latest = records[-1]
-    stage_rows = "".join(
-        "<tr>"
-        f"<td>{html.escape(name)}</td>"
-        f"<td>{fmt_value(float(cell.get('mean', 0.0)))}</td>"
-        f"<td>{fmt_value(float(cell.get('p95', 0.0)))}</td>"
-        f"<td>{fmt_value(float(cell.get('p99', 0.0)))}</td>"
-        f"<td>{float(cell.get('share', 0.0)):.1%}</td>"
-        "</tr>"
-        for name, cell in latest.breakdown["stages"].items()
-        if cell.get("total")
-    )
-    stage_table = (
-        "<details><summary>stage table (latest run)</summary>"
-        "<table><thead><tr><th>stage</th><th>mean</th><th>p95</th>"
-        "<th>p99</th><th>share</th></tr></thead>"
-        f"<tbody>{stage_rows}</tbody></table></details>"
-    )
+    stage_table = "<details><summary>stage table (latest run)</summary>" + html_table(
+        ["stage", "mean", "p95", "p99", "share"],
+        (
+            [
+                html.escape(name),
+                fmt_value(float(cell.get("mean", 0.0))),
+                fmt_value(float(cell.get("p95", 0.0))),
+                fmt_value(float(cell.get("p99", 0.0))),
+                f"{float(cell.get('share', 0.0)):.1%}",
+            ]
+            for name, cell in latest.breakdown["stages"].items()
+            if cell.get("total")
+        ),
+    ) + "</details>"
     links = latest.breakdown.get("bottleneck_links") or []
     if links:
-        link_rows = "".join(
-            "<tr>"
-            f"<td>{entry.get('src')}&rarr;{entry.get('dst')}</td>"
-            f"<td>{html.escape(str(entry.get('kind', '')))}</td>"
-            f"<td>{fmt_value(float(entry.get('queue_cycles', 0)))}</td>"
-            f"<td>{fmt_value(float(entry.get('stall_cycles', 0)))}</td>"
-            f"<td>{fmt_value(float(entry.get('packets', 0)))}</td>"
-            "</tr>"
-            for entry in links[:5]
-        )
         bottlenecks = (
             f"<p class=\"meta\">top bottleneck links of "
             f"{html.escape(latest.label)} {html.escape(latest.workload)} "
             "(queueing cycles attributed to measured tails)</p>"
-            "<table><thead><tr><th>link</th><th>kind</th>"
-            "<th>queue cycles</th><th>stall cycles</th><th>packets</th>"
-            f"</tr></thead><tbody>{link_rows}</tbody></table>"
+        ) + html_table(
+            ["link", "kind", "queue cycles", "stall cycles", "packets"],
+            (
+                [
+                    f"{entry.get('src')}&rarr;{entry.get('dst')}",
+                    html.escape(str(entry.get("kind", ""))),
+                    fmt_value(float(entry.get("queue_cycles", 0))),
+                    fmt_value(float(entry.get("stall_cycles", 0))),
+                    fmt_value(float(entry.get("packets", 0))),
+                ]
+                for entry in links[:5]
+            ),
         )
     else:
         bottlenecks = (
@@ -570,22 +424,21 @@ def health_section(runs_dir: Path, max_runs: int = 8) -> str:
             f"<code>{html.escape(str(bundle))}</code>" if bundle else "—"
         )
         rows.append(
-            "<tr>"
-            f"<td>{html.escape(record.created)}</td>"
-            f"<td>{html.escape(record.label)}</td>"
-            f"<td>{html.escape(record.workload)}</td>"
-            f"<td>{flags_cell}</td>"
-            f"<td>{fmt_value(health.get('probes', 0))}</td>"
-            f"<td>{fmt_value(health.get('max_oldest_age', 0))}</td>"
-            f"<td>{spark}</td>"
-            f"<td>{bundle_cell}</td>"
-            "</tr>"
+            [
+                html.escape(record.created),
+                html.escape(record.label),
+                html.escape(record.workload),
+                flags_cell,
+                fmt_value(health.get("probes", 0)),
+                fmt_value(health.get("max_oldest_age", 0)),
+                spark,
+                bundle_cell,
+            ]
         )
-    return (
-        "<table><thead><tr><th>created</th><th>label</th><th>workload</th>"
-        "<th>anomalies</th><th>probes</th><th>max age</th>"
-        "<th>oldest-age trend</th><th>bundle</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
+    return html_table(
+        ["created", "label", "workload", "anomalies", "probes", "max age",
+         "oldest-age trend", "bundle"],
+        rows,
     )
 
 
@@ -610,27 +463,28 @@ def determinism_section(
             golden = load_golden(path)
         except (ValueError, OSError):
             golden_rows.append(
-                "<tr>"
-                f"<td>{html.escape(path.name)}</td>"
-                '<td colspan="4"><span class="alarm">unreadable golden '
-                "file</span></td></tr>"
+                [
+                    html.escape(path.name),
+                    '<span class="alarm">unreadable golden file</span>',
+                    "", "", "",
+                ]
             )
             continue
         digest = golden.get("digest") or {}
         golden_rows.append(
-            "<tr>"
-            f"<td>{html.escape(path.name)}</td>"
-            f"<td>{html.escape(str(golden.get('case')))}</td>"
-            f"<td>{html.escape(str(golden.get('scale')))}</td>"
-            f"<td>{fmt_value(digest.get('cycles', math.nan))}</td>"
-            f"<td><code>{html.escape(str(digest.get('final')))}</code></td>"
-            "</tr>"
+            [
+                html.escape(path.name),
+                html.escape(str(golden.get("case"))),
+                html.escape(str(golden.get("scale"))),
+                fmt_value(digest.get("cycles", math.nan)),
+                f"<code>{html.escape(str(digest.get('final')))}</code>",
+            ]
         )
     if golden_rows:
         parts.append(
-            "<table><thead><tr><th>golden</th><th>case</th><th>scale</th>"
-            "<th>cycles</th><th>digest chain</th></tr></thead>"
-            f"<tbody>{''.join(golden_rows)}</tbody></table>"
+            html_table(
+                ["golden", "case", "scale", "cycles", "digest chain"], golden_rows
+            )
         )
     else:
         parts.append(
@@ -642,23 +496,23 @@ def determinism_section(
         record for record in store.load(strict=False) if record.digest
     ][-max_runs:]
     if digested:
-        run_rows = "".join(
-            "<tr>"
-            f"<td>{html.escape(record.created)}</td>"
-            f"<td>{html.escape(record.kind)}</td>"
-            f"<td>{html.escape(record.label)}</td>"
-            f"<td>{html.escape(record.workload)}</td>"
-            f"<td>{fmt_value(record.digest.get('events_total', math.nan))}</td>"
-            f"<td><code>{html.escape(str(record.digest.get('final')))}</code></td>"
-            "</tr>"
-            for record in reversed(digested)
-        )
         parts.append(
             '<p class="meta">recent digested runs '
             "(compare any two with <code>repro diff</code>)</p>"
-            "<table><thead><tr><th>created</th><th>kind</th><th>label</th>"
-            "<th>workload</th><th>events</th><th>digest chain</th></tr>"
-            f"</thead><tbody>{run_rows}</tbody></table>"
+            + html_table(
+                ["created", "kind", "label", "workload", "events", "digest chain"],
+                (
+                    [
+                        html.escape(record.created),
+                        html.escape(record.kind),
+                        html.escape(record.label),
+                        html.escape(record.workload),
+                        fmt_value(record.digest.get("events_total", math.nan)),
+                        f"<code>{html.escape(str(record.digest.get('final')))}</code>",
+                    ]
+                    for record in reversed(digested)
+                ),
+            )
         )
     else:
         parts.append(
@@ -694,26 +548,23 @@ def runs_section(runs_dir: Path, top: int) -> str:
             "<code>repro run</code> / <code>repro simulate</code> appends "
             f"one to <code>{html.escape(str(store.path))}</code>.</p>"
         )
-    rows = []
-    for record in reversed(records):
-        rows.append(
-            "<tr>"
-            f"<td>{html.escape(record.created)}</td>"
-            f"<td>{html.escape(record.kind)}</td>"
-            f"<td>{html.escape(record.label)}</td>"
-            f"<td>{html.escape(record.workload)}</td>"
-            f"<td>{html.escape(str(record.seed))}</td>"
-            f"<td>{html.escape(record.git_rev)}</td>"
-            f"<td>{html.escape(record.config_hash)}</td>"
-            f"<td>{fmt_value(record.cycles_per_second)}</td>"
-            f"<td>{fmt_value(record.stats.get('avg_latency', math.nan))}</td>"
-            "</tr>"
-        )
-    return warning + (
-        "<table><thead><tr><th>created</th><th>kind</th><th>label</th>"
-        "<th>workload</th><th>seed</th><th>git</th><th>config</th>"
-        "<th>cyc/s</th><th>avg latency</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
+    return warning + html_table(
+        ["created", "kind", "label", "workload", "seed", "git", "config", "cyc/s",
+         "avg latency"],
+        (
+            [
+                html.escape(record.created),
+                html.escape(record.kind),
+                html.escape(record.label),
+                html.escape(record.workload),
+                html.escape(str(record.seed)),
+                html.escape(record.git_rev),
+                html.escape(record.config_hash),
+                fmt_value(record.cycles_per_second),
+                fmt_value(record.stats.get("avg_latency", math.nan)),
+            ]
+            for record in reversed(records)
+        ),
     )
 
 
@@ -765,12 +616,8 @@ def build_dashboard(
         _fig11_section(results_dir, scale),
         "<h2>Paper-vs-measured agreement</h2>",
         _agreement_section(results_dir, scale),
-        "<h2>Performance trajectory</h2>",
-        bench_section(dirs),
-        "<h2>Host performance</h2>",
-        hostperf_section(Path(runs_dir)),
-        "<h2>Regression sentinel</h2>",
-        sentinel_section(Path(runs_dir), bench_dirs=dirs),
+        "<h2>Performance</h2>",
+        perf_section(Path(runs_dir), dirs),
         "<h2>Latency attribution</h2>",
         breakdown_section(Path(runs_dir)),
         "<h2>Run health</h2>",

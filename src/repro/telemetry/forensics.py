@@ -1087,41 +1087,11 @@ def render_bundle_text(bundle: dict[str, Any], *, tail: int = 20) -> str:
     return "\n".join(lines)
 
 
-_BUNDLE_PAGE_STYLE = """
-:root { color-scheme: light dark; }
-body.viz-root {
-  --surface-1: #fcfcfb; --surface-2: #f4f3f1; --grid: #e6e4df;
-  --text-primary: #0b0b0b; --text-secondary: #52514e;
-  --series-1: #2a78d6; --series-2: #eb6834; --series-3: #1baf7a;
-  --series-4: #eda100; --series-8: #e34948;
-  margin: 0; padding: 24px 32px 48px; background: var(--surface-1);
-  color: var(--text-primary); font: 14px/1.5 system-ui, sans-serif;
-  max-width: 1080px;
-}
-@media (prefers-color-scheme: dark) {
-  body.viz-root {
-    --surface-1: #1a1a19; --surface-2: #242423; --grid: #383835;
-    --text-primary: #ffffff; --text-secondary: #c3c2b7;
-    --series-1: #3987e5; --series-2: #d95926; --series-3: #199e70;
-    --series-4: #c98500; --series-8: #e66767;
-  }
-}
-h1 { font-size: 20px; margin: 0 0 4px; }
-h2 { font-size: 16px; margin: 32px 0 8px; }
-p.meta { color: var(--text-secondary); margin: 0 0 16px; }
-table { border-collapse: collapse; font-size: 13px; }
-th, td { padding: 4px 10px; text-align: right; border-bottom: 1px solid var(--grid); }
-th { color: var(--text-secondary); font-weight: 600; }
-td:first-child, th:first-child { text-align: left; }
-pre { background: var(--surface-2); padding: 12px; overflow-x: auto;
-      font-size: 12px; border-radius: 6px; }
-.empty { color: var(--text-secondary); font-style: italic; }
-"""
-
-
 def render_bundle_html(bundle: dict[str, Any]) -> str:
     """A self-contained HTML postmortem page for one bundle."""
     from repro.viz import svg_node_heatmap, svg_waitfor_graph
+
+    from .dashboard import html_table, render_page
 
     channels = _channel_index(bundle)
     waitfor = bundle["waitfor"]
@@ -1161,38 +1131,34 @@ def render_bundle_html(bundle: dict[str, Any]) -> str:
         title="buffered flits per router",
     )
 
-    packet_rows = "".join(
-        "<tr>"
-        f"<td>{entry['pid']}</td>"
-        f"<td>{entry['src']}&rarr;{entry['dst']}</td>"
-        f"<td>{entry['age']}</td>"
-        f"<td>{entry['flits_in_network']}</td>"
-        f"<td>{esc(entry['stage'])}</td>"
-        "</tr>"
+    packet_rows = [
+        [
+            str(entry["pid"]),
+            f"{entry['src']}&rarr;{entry['dst']}",
+            str(entry["age"]),
+            str(entry["flits_in_network"]),
+            esc(entry["stage"]),
+        ]
         for entry in bundle["packets"]["table"][:40]
-    )
+    ]
     packet_table = (
-        "<table><thead><tr><th>pid</th><th>route</th><th>age</th>"
-        "<th>flits</th><th>stage</th></tr></thead>"
-        f"<tbody>{packet_rows}</tbody></table>"
+        html_table(["pid", "route", "age", "flits", "stage"], packet_rows)
         if packet_rows
         else '<p class="empty">no packets in flight.</p>'
     )
 
     health = bundle.get("health")
     if health:
-        anomaly_rows = "".join(
-            f"<tr><td>{a['cycle']}</td><td>{esc(a['kind'])}</td>"
-            f"<td>{esc(a['detail'])}</td></tr>"
+        anomaly_rows = [
+            [str(a["cycle"]), esc(a["kind"]), esc(a["detail"])]
             for a in health["anomalies"]
-        )
+        ]
         health_html = (
             f"<p class=\"meta\">{health['probes']} probes, "
             f"{health['anomaly_count']} anomalies, max in-flight age "
             f"{health['max_oldest_age']}</p>"
             + (
-                "<table><thead><tr><th>cycle</th><th>kind</th><th>detail</th>"
-                f"</tr></thead><tbody>{anomaly_rows}</tbody></table>"
+                html_table(["cycle", "kind", "detail"], anomaly_rows)
                 if anomaly_rows
                 else '<p class="empty">no anomalies flagged.</p>'
             )
@@ -1240,10 +1206,4 @@ def render_bundle_html(bundle: dict[str, Any]) -> str:
         "<h2>Flight recorder tail</h2>",
         recorder_html,
     ]
-    return (
-        "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
-        "<meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">"
-        "<title>repro postmortem</title>"
-        f"<style>{_BUNDLE_PAGE_STYLE}</style></head>"
-        f"<body class=\"viz-root\">{''.join(sections)}</body></html>\n"
-    )
+    return render_page("repro postmortem", "".join(sections))

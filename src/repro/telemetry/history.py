@@ -6,21 +6,21 @@ the whole trajectory.  This module turns the append-only registry
 appended since PR 7) plus any stored ``BENCH_<n>.json`` files into
 aligned per-case, per-metric series:
 
-* ``cycles_per_second`` — median suite throughput (higher is better);
-* ``host.<phase>`` — per-phase ns/cycle from the host-time ledger
-  (lower is better), plus auxiliary ``host.<phase>.share`` series the
-  sentinel uses only for culprit hints;
-* ``mem.peak_bytes`` — peak traced heap of the untimed memory rep
-  (lower is better); ``NaN`` for pre-mem artifacts;
-* ``digest.stable`` — 1.0 when a run's event-digest chain matches the
-  previous comparable run's, 0.0 when it differs under the same config,
-  ``NaN`` when incomparable (config changed, missing digests).
+* every metric of the bench catalogue
+  (:func:`~repro.telemetry.bench.case_metrics` — exactly what ``repro
+  compare`` judges pairwise), ``NaN`` where a run did not carry it;
+* auxiliary ``host.<phase>.share`` series the sentinel uses only for
+  culprit hints;
+* ``digest.stable`` — :func:`~repro.telemetry.bench.digest_match` of each
+  run against the previous digested one: 1.0 same chain, 0.0 diverged,
+  ``NaN`` incomparable (config changed, missing digests).
 
-Observations from bench files and registry records describing the same
-suite run (same ``created`` stamp) are deduplicated; loading is
-strict/lenient exactly like :class:`~repro.telemetry.runstore.RunStore`
-— lenient mode counts unreadable sources in :attr:`RunHistory.skipped`
-instead of raising.
+A registry record holds the same case blocks as the bench file
+(:func:`~repro.telemetry.bench.registry_cases`), so one reader serves
+both; a file and a record describing the same suite run (same
+``created`` stamp) are deduplicated; loading is strict/lenient exactly
+like :class:`~repro.telemetry.runstore.RunStore` — lenient mode counts
+unreadable sources in :attr:`RunHistory.skipped` instead of raising.
 
 Pure stdlib, no simulator imports at module load.
 """
@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
-NAN = float("nan")
+from .bench import bench_files, block_of, digest_match, load_bench, num, stack_metrics
+from .runstore import RunStore
 
 
 @dataclass(frozen=True)
@@ -90,188 +91,66 @@ class RunHistory:
 
 
 # ---------------------------------------------------------------------------
-# observation harvesting
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Observation:
-    """One suite run's raw per-case facts, before series alignment."""
-
-    key: str
-    created: str
-    git_rev: str
-    config_hash: str
-    cps: float = NAN
-    host_ns: dict[str, float] = field(default_factory=dict)
-    host_shares: dict[str, float] = field(default_factory=dict)
-    mem_peak: float = NAN
-    digest_final: Optional[str] = None
-    digest_cycles: Optional[int] = None
-
-
-def _num(value: Any) -> float:
-    """A finite float, or NaN for anything missing or malformed."""
-    if isinstance(value, (int, float)) and math.isfinite(value):
-        return float(value)
-    return NAN
-
-
-def _host_blocks(host: Any) -> tuple[dict[str, float], dict[str, float]]:
-    if not isinstance(host, dict):
-        return {}, {}
-    ns = {
-        str(k): _num(v)
-        for k, v in (host.get("ns_per_cycle") or {}).items()
-        if math.isfinite(_num(v))
-    }
-    shares = {
-        str(k): _num(v)
-        for k, v in (host.get("shares") or {}).items()
-        if math.isfinite(_num(v))
-    }
-    return ns, shares
-
-
-def _mem_peak(mem: Any) -> float:
-    if isinstance(mem, dict):
-        return _num(mem.get("peak_bytes"))
-    return NAN
-
-
-def _observations_from_bench_doc(doc: dict[str, Any], key: str) -> dict[str, _Observation]:
-    per_case: dict[str, _Observation] = {}
-    created = str(doc.get("created", ""))
-    git_rev = str(doc.get("git_rev", "unknown"))
-    for case_name, case in (doc.get("cases") or {}).items():
-        if not isinstance(case, dict):
-            continue
-        obs = _Observation(
-            key=key,
-            created=created,
-            git_rev=git_rev,
-            config_hash=str(case.get("config_hash", "")),
-        )
-        cps = case.get("cps")
-        obs.cps = _num(cps.get("median")) if isinstance(cps, dict) else NAN
-        obs.host_ns, obs.host_shares = _host_blocks(case.get("host"))
-        obs.mem_peak = _mem_peak(case.get("mem"))
-        digest = case.get("digest")
-        if isinstance(digest, dict) and digest.get("final"):
-            obs.digest_final = str(digest["final"])
-            cycles = digest.get("cycles")
-            obs.digest_cycles = int(cycles) if isinstance(cycles, int) else None
-        per_case[str(case_name)] = obs
-    return per_case
-
-
-def _observations_from_record(record: Any) -> dict[str, _Observation]:
-    """Per-case facts from one ``kind="bench"`` registry record.
-
-    Tolerates records written by older builds: missing ``mem`` /
-    ``digest_final`` keys simply yield NaN / None observations.
-    """
-    per_case: dict[str, _Observation] = {}
-    bench = getattr(record, "bench", None) or {}
-    for case_name, summary in bench.items():
-        if not isinstance(summary, dict):
-            continue
-        obs = _Observation(
-            key=str(getattr(record, "run_id", "")),
-            created=str(getattr(record, "created", "")),
-            git_rev=str(getattr(record, "git_rev", "unknown")),
-            config_hash=str(getattr(record, "config_hash", "")),
-            cps=_num(summary.get("cps_median")),
-        )
-        obs.host_ns, obs.host_shares = _host_blocks(summary.get("host"))
-        obs.mem_peak = _mem_peak(summary.get("mem"))
-        final = summary.get("digest_final")
-        if isinstance(final, str) and final:
-            obs.digest_final = final
-        per_case[str(case_name)] = obs
-    return per_case
-
-
-# ---------------------------------------------------------------------------
 # series alignment
 # ---------------------------------------------------------------------------
 
 
-def _digest_stability(observations: list[_Observation]) -> list[float]:
-    """1.0 match / 0.0 mismatch / NaN incomparable, per observation."""
-    flags: list[float] = []
-    previous: Optional[_Observation] = None
-    for obs in observations:
-        if obs.digest_final is None:
-            flags.append(NAN)
-            continue
-        comparable = (
-            previous is not None
-            and previous.digest_final is not None
-            and previous.config_hash == obs.config_hash
-            and previous.config_hash != ""
-            and previous.digest_cycles == obs.digest_cycles
-        )
-        if not comparable:
-            flags.append(NAN)
-        else:
-            assert previous is not None
-            flags.append(1.0 if obs.digest_final == previous.digest_final else 0.0)
-        previous = obs
-    return flags
+@dataclass(frozen=True)
+class _SuiteRun:
+    """One suite run as harvested: where it came from and its case blocks."""
+
+    key: str
+    created: str
+    git_rev: str
+    cases: dict[str, dict[str, Any]]
 
 
-def _series_for_case(case: str, observations: list[_Observation]) -> list[MetricSeries]:
-    def points(values: Iterable[float]) -> list[SeriesPoint]:
-        return [
-            SeriesPoint(o.key, o.created, o.git_rev, o.config_hash, v)
-            for o, v in zip(observations, values)
-        ]
+def _suite_run(cases: Any, key: str, created: Any, git_rev: Any) -> _SuiteRun:
+    blocks = cases.items() if isinstance(cases, dict) else ()
+    return _SuiteRun(
+        key=key,
+        created=str(created),
+        git_rev=str(git_rev),
+        cases={str(name): case for name, case in blocks if isinstance(case, dict)},
+    )
 
-    series = [
-        MetricSeries(
-            case,
-            "cycles_per_second",
-            higher_is_better=True,
-            points=points(o.cps for o in observations),
-        )
-    ]
-    phases = sorted({p for o in observations for p in o.host_ns})
-    for phase in phases:
-        series.append(
-            MetricSeries(
-                case,
-                f"host.{phase}",
-                higher_is_better=False,
-                points=points(o.host_ns.get(phase, NAN) for o in observations),
+
+def _series_for_case(case: str, runs: list[_SuiteRun]) -> list[MetricSeries]:
+    blocks = [run.cases[case] for run in runs]
+
+    def series(
+        metric: str, higher: bool, values: Iterable[float], auxiliary: bool = False
+    ) -> MetricSeries:
+        points = [
+            SeriesPoint(
+                run.key, run.created, run.git_rev, str(block.get("config_hash", "")), v
             )
-        )
-        series.append(
-            MetricSeries(
-                case,
+            for run, block, v in zip(runs, blocks, values)
+        ]
+        return MetricSeries(case, metric, higher, points, auxiliary)
+
+    out = [
+        series(metric, stack[0].higher_is_better, (m.value for m in stack))
+        for metric, stack in stack_metrics(blocks).items()
+    ]
+    shares = [block_of(block_of(block, "host"), "shares") for block in blocks]
+    for phase in sorted({phase for block in shares for phase in block}):
+        out.append(
+            series(
                 f"host.{phase}.share",
-                higher_is_better=False,
-                points=points(o.host_shares.get(phase, NAN) for o in observations),
+                False,
+                (num(block.get(phase)) for block in shares),
                 auxiliary=True,
             )
         )
-    series.append(
-        MetricSeries(
-            case,
-            "mem.peak_bytes",
-            higher_is_better=False,
-            points=points(o.mem_peak for o in observations),
-        )
-    )
-    series.append(
-        MetricSeries(
-            case,
-            "digest.stable",
-            higher_is_better=True,
-            points=points(_digest_stability(observations)),
-        )
-    )
-    return series
+    stable: list[float] = []
+    previous: Any = None
+    for block in blocks:
+        stable.append(digest_match(previous, block))
+        if block_of(block, "digest").get("final"):
+            previous = block
+    out.append(series("digest.stable", True, stable))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +171,10 @@ def load_history(
     counted in ``RunHistory.skipped`` rather than raised, mirroring
     ``RunStore.load(strict=False)``.
     """
-    from .bench import bench_files, load_bench
-
     skipped = 0
-    # (created, key) -> per-case observations; bench files win over the
-    # registry record describing the same suite run (they carry the
-    # per-case config hash and the full digest block).
-    harvested: dict[str, dict[str, _Observation]] = {}
+    # created stamp -> suite run; a bench file wins over the registry
+    # record describing the same suite run (it is the durable artifact).
+    harvested: dict[str, _SuiteRun] = {}
 
     for directory in bench_dirs:
         for path in bench_files(directory):
@@ -309,32 +185,32 @@ def load_history(
                     raise
                 skipped += 1
                 continue
-            created = str(doc.get("created", ""))
-            harvested[created] = _observations_from_bench_doc(doc, path.name)
+            run = _suite_run(
+                doc.get("cases"), path.name, doc.get("created", ""),
+                doc.get("git_rev", "unknown"),
+            )
+            harvested[run.created] = run
 
     if runs_dir is not None:
-        from .runstore import RunStore
-
         store = RunStore(runs_dir)
         records = store.load(strict=strict)
         skipped += store.skipped
         for record in records:
-            if getattr(record, "kind", "") != "bench" or not getattr(record, "bench", None):
+            if record.kind != "bench" or not record.bench:
                 continue
-            created = str(getattr(record, "created", ""))
-            if created in harvested:
-                continue  # the bench file already covers this suite run
-            harvested[created] = _observations_from_record(record)
+            if record.created not in harvested:
+                harvested[record.created] = _suite_run(
+                    record.bench, record.run_id, record.created, record.git_rev
+                )
 
     history = RunHistory(skipped=skipped, runs=len(harvested))
     if not harvested:
         return history
 
     ordered_runs = [harvested[created] for created in sorted(harvested)]
-    cases = sorted({case for run in ordered_runs for case in run})
-    for case in cases:
-        observations = [run[case] for run in ordered_runs if case in run]
-        for metric_series in _series_for_case(case, observations):
+    for case in sorted({case for run in ordered_runs for case in run.cases}):
+        runs = [run for run in ordered_runs if case in run.cases]
+        for metric_series in _series_for_case(case, runs):
             history.series[(case, metric_series.metric)] = metric_series
     return history
 

@@ -123,13 +123,12 @@ class RunRecord:
     #: health flags, recorder stats, bundle path; empty unless the run
     #: attached forensics).  Defaulted for the same schema-v1 reason.
     forensics: dict[str, Any] = field(default_factory=dict)
-    #: Per-case bench summary for ``kind="bench"`` records: case name →
-    #: ``{"cps_median": ..., "host": HostTimeLedger.record_summary(),
-    #: "mem": MemLedger.record_summary() minus top_sites, "digest_final":
-    #: hex chain}`` — records from pre-mem/pre-digest builds simply lack
-    #: the newer keys and load fine.  The dashboard's "Host performance"
-    #: panel and the regression sentinel (``repro regress``) read these
-    #: across registry history.  Defaulted for the same schema-v1 reason.
+    #: ``kind="bench"`` records: case name → the BENCH file's case block
+    #: minus timing samples, allocation sites and digest checkpoints
+    #: (``bench.registry_cases``), so ``bench.case_metrics`` reads a record
+    #: exactly as it reads the file.  The dashboard's performance panel and
+    #: the regression sentinel (``repro regress``) read these across
+    #: registry history.  Defaulted for the same schema-v1 reason.
     bench: dict[str, Any] = field(default_factory=dict)
     #: Deterministic event-digest block (``RunDigest.record_summary``:
     #: final chain, per-kind census, checkpoint chain, re-simulation

@@ -12,9 +12,9 @@ robust by construction:
   ``effect = |2u - 1|`` is 1.0 for a clean step and ~0 for noise, and
   never looks at magnitudes — a single wild outlier cannot fake it.
 * A candidate only stands when the median shift across the split also
-  clears a noise band, ``max(rel_floor * |median(pre)|, k * IQR(pre))``
-  — the same discipline as ``repro compare``, so jitter that compare
-  would call noise never becomes a changepoint.
+  clears :func:`~repro.telemetry.compare.noise_band` of the window
+  before — ``repro compare``'s threshold, so jitter that compare would
+  call noise never becomes a changepoint.
 * The verdict then compares the **trailing** window against the
   pre-changepoint level: a regression that was since fixed reads
   ``ok`` (with the changepoint still reported), not a stale alarm.
@@ -34,6 +34,15 @@ from dataclasses import dataclass, field
 from statistics import median
 from typing import Any, Iterable, Optional, Sequence
 
+from .bench import median_iqr
+from .compare import (
+    DEFAULT_IQR_K,
+    DEFAULT_REL_FLOOR,
+    VERDICT_MARKS,
+    fmt_metric,
+    json_num,
+    noise_band,
+)
 from .history import MetricSeries, RunHistory
 
 #: Version stamp of the ``repro regress --json`` report document.
@@ -51,8 +60,8 @@ class SentinelConfig:
     window: int = 8  #: sliding-window width on each side of a split
     min_history: int = 6  #: finite points below which no verdict is issued
     min_segment: int = 3  #: smallest usable window at the series edges
-    rel_floor: float = 0.05  #: relative noise floor on the median shift
-    iqr_k: float = 1.5  #: IQR multiplier of the noise band
+    rel_floor: float = DEFAULT_REL_FLOOR  #: relative noise floor on the median shift
+    iqr_k: float = DEFAULT_IQR_K  #: IQR multiplier of the noise band
     min_effect: float = 0.85  #: rank-effect threshold (1.0 = clean step)
 
     def __post_init__(self) -> None:
@@ -103,8 +112,8 @@ class MetricReport:
             "verdict": self.verdict,
             "higher_is_better": self.higher_is_better,
             "finite_points": self.finite_points,
-            "latest": _json_num(self.latest),
-            "baseline": _json_num(self.baseline),
+            "latest": json_num(self.latest),
+            "baseline": json_num(self.baseline),
             "culprit": self.culprit,
         }
         if self.changepoint is not None:
@@ -112,8 +121,8 @@ class MetricReport:
                 "index": self.changepoint.index,
                 "key": self.changepoint_key,
                 "effect": round(self.changepoint.effect, 4),
-                "shift": _json_num(self.changepoint.shift),
-                "rel_shift": _json_num(self.rel_shift),
+                "shift": json_num(self.changepoint.shift),
+                "rel_shift": json_num(self.rel_shift),
             }
         return doc
 
@@ -140,21 +149,9 @@ class SentinelReport:
         }
 
 
-def _json_num(value: float) -> Optional[float]:
-    return None if not math.isfinite(value) else value
-
-
 # ---------------------------------------------------------------------------
 # the detector
 # ---------------------------------------------------------------------------
-
-
-def _iqr(values: Sequence[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    ordered = sorted(values)
-    n = len(ordered)
-    return ordered[(3 * n) // 4 - (n % 4 == 0)] - ordered[n // 4]
 
 
 def _rank_effect(pre: Sequence[float], post: Sequence[float]) -> float:
@@ -171,7 +168,7 @@ def _rank_effect(pre: Sequence[float], post: Sequence[float]) -> float:
 
 
 def _noise_band(pre: Sequence[float], config: SentinelConfig) -> float:
-    return max(config.rel_floor * abs(median(pre)), config.iqr_k * _iqr(pre))
+    return noise_band(*median_iqr(pre), config.rel_floor, config.iqr_k)
 
 
 def detect_changepoint(
@@ -324,29 +321,6 @@ def analyze_history(
 # rendering
 # ---------------------------------------------------------------------------
 
-_MARKS = {
-    "ok": "=",
-    "regressed": "!",
-    "improved": "+",
-    "insufficient-history": "~",
-    "n/a": "?",
-}
-
-
-def _fmt_value(metric: str, value: float) -> str:
-    if not math.isfinite(value):
-        return "n/a"
-    if metric == "mem.peak_bytes":
-        from .memprof import fmt_bytes
-
-        return fmt_bytes(value)
-    if metric == "digest.stable":
-        return "stable" if value == 1.0 else "DIVERGED"
-    if abs(value) >= 1000:
-        return f"{value:,.0f}"
-    return f"{value:.3g}"
-
-
 def render_sentinel(report: SentinelReport) -> str:
     """The ``repro regress`` verdict table."""
     if not report.reports:
@@ -370,9 +344,9 @@ def render_sentinel(report: SentinelReport) -> str:
         )
         line = (
             f"{r.case:<22} {r.metric:<20} {r.finite_points:>3} "
-            f"{_fmt_value(r.metric, r.baseline):>12} "
-            f"{_fmt_value(r.metric, r.latest):>12} {shift:>8}  "
-            f"{_MARKS.get(r.verdict, '?')} {r.verdict}"
+            f"{fmt_metric(r.baseline, r.metric):>12} "
+            f"{fmt_metric(r.latest, r.metric):>12} {shift:>8}  "
+            f"{VERDICT_MARKS[r.verdict]} {r.verdict}"
         )
         if r.changepoint is not None and r.changepoint_key:
             line += f" @ {r.changepoint_key}"

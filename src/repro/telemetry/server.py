@@ -6,8 +6,9 @@ no third-party dependencies — that tails the run registry
 ``runs/live/`` (:mod:`repro.telemetry.live`), and serves:
 
 * ``/`` — the fleet page: runs in flight with progress bars and ETAs,
-  recent failures with their postmortem bundle paths, the bench
-  trajectory and host-phase shares, and the recent-runs registry table —
+  recent failures with their postmortem bundle paths, the performance
+  panel (bench trajectory, host-phase shares, sentinel verdicts) and the
+  recent-runs registry table —
   auto-updating via Server-Sent Events;
 * ``/run/<run_id>`` — one run's live page (heartbeat, epochs, health);
 * ``/api/runs`` — the fleet state as JSON;
@@ -41,10 +42,10 @@ from .dashboard import (
     determinism_section,
     fmt_value,
     health_section,
-    hostperf_section,
+    html_table,
+    perf_section,
     render_page,
     runs_section,
-    sentinel_section,
     skipped_warning,
 )
 from .live import LIVE_SCHEMA_VERSION, feed_status, read_feed
@@ -56,6 +57,24 @@ DEFAULT_PORT = 8631
 
 #: A feed without new events for this long is flagged stale in the view.
 STALE_AFTER_SECONDS = 30.0
+
+
+def _run_link(run_id: str) -> str:
+    return f'<a href="/run/{html.escape(run_id)}">{html.escape(run_id)}</a>'
+
+
+def _progress_cells(status: dict[str, Any]) -> list[str]:
+    """A live run's progress / cycle / cyc/s / eta table cells."""
+    from repro.viz import svg_progress_bar
+
+    cps = status["cps"]
+    return [
+        svg_progress_bar(status["fraction"], title="completion"),
+        f"{fmt_value(status['cycle'])} / "
+        f"{fmt_value(status['total_cycles'] or float('nan'))}",
+        fmt_value(float(cps)) if cps else "n/a",
+        format_eta(status["eta_seconds"]),
+    ]
 
 
 def _sse_script(endpoint: str) -> str:
@@ -171,7 +190,7 @@ class WatchService:
                     {
                         "created": record.created,
                         "git_rev": record.git_rev,
-                        "cps_median": (case or {}).get("cps_median"),
+                        "cps_median": ((case or {}).get("cps") or {}).get("median"),
                         "host_shares": ((case or {}).get("host") or {}).get("shares"),
                     }
                 )
@@ -210,8 +229,6 @@ class WatchService:
 
     # -- HTML rendering --------------------------------------------------------
     def _in_flight_section(self, statuses: list[dict[str, Any]]) -> str:
-        from repro.viz import svg_progress_bar
-
         live = [s for s in statuses if s["state"] == "running"]
         if not live:
             return (
@@ -223,28 +240,20 @@ class WatchService:
             meta = status["meta"]
             stale = (status["age_seconds"] or 0.0) > STALE_AFTER_SECONDS
             state = '<span class="alarm">stale</span>' if stale else "running"
-            bar = svg_progress_bar(status["fraction"], title="completion")
-            cps = status["cps"]
             rows.append(
-                "<tr>"
-                f'<td><a href="/run/{html.escape(status["run_id"])}">'
-                f'{html.escape(status["run_id"])}</a></td>'
-                f"<td>{html.escape(str(meta.get('system', '')))}</td>"
-                f"<td>{html.escape(str(meta.get('workload', '')))}</td>"
-                f"<td>{bar}</td>"
-                f"<td>{fmt_value(status['cycle'])} / "
-                f"{fmt_value(status['total_cycles'] or float('nan'))}</td>"
-                f"<td>{fmt_value(float(cps)) if cps else 'n/a'}</td>"
-                f"<td>{format_eta(status['eta_seconds'])}</td>"
-                f"<td>{len(status['anomalies'])}</td>"
-                f"<td>{state}</td>"
-                "</tr>"
+                [
+                    _run_link(status["run_id"]),
+                    html.escape(str(meta.get("system", ""))),
+                    html.escape(str(meta.get("workload", ""))),
+                    *_progress_cells(status),
+                    str(len(status["anomalies"])),
+                    state,
+                ]
             )
-        return (
-            "<table><thead><tr><th>run</th><th>system</th><th>workload</th>"
-            "<th>progress</th><th>cycle</th><th>cyc/s</th><th>eta</th>"
-            "<th>anomalies</th><th>state</th></tr></thead>"
-            f"<tbody>{''.join(rows)}</tbody></table>"
+        return html_table(
+            ["run", "system", "workload", "progress", "cycle", "cyc/s", "eta",
+             "anomalies", "state"],
+            rows,
         )
 
     def _failures_section(self, statuses: list[dict[str, Any]]) -> str:
@@ -259,22 +268,19 @@ class WatchService:
                 f"<code>{html.escape(str(bundle))}</code>" if bundle else "—"
             )
             rows.append(
-                "<tr>"
-                f'<td><a href="/run/{html.escape(status["run_id"])}">'
-                f'{html.escape(status["run_id"])}</a></td>'
-                f"<td>{html.escape(str(meta.get('system', '')))}</td>"
-                f"<td>{html.escape(str(meta.get('workload', '')))}</td>"
-                f"<td>{fmt_value(status['cycle'])}</td>"
-                f'<td><span class="alarm">{html.escape(str(status["reason"]))}'
-                "</span></td>"
-                f"<td>{bundle_cell}</td>"
-                "</tr>"
+                [
+                    _run_link(status["run_id"]),
+                    html.escape(str(meta.get("system", ""))),
+                    html.escape(str(meta.get("workload", ""))),
+                    fmt_value(status["cycle"]),
+                    f'<span class="alarm">{html.escape(str(status["reason"]))}</span>',
+                    bundle_cell,
+                ]
             )
-        return (
-            "<table><thead><tr><th>run</th><th>system</th><th>workload</th>"
-            "<th>died at cycle</th><th>reason</th>"
-            "<th>postmortem bundle (<code>repro postmortem</code>)</th>"
-            f"</tr></thead><tbody>{''.join(rows)}</tbody></table>"
+        return html_table(
+            ["run", "system", "workload", "died at cycle", "reason",
+             "postmortem bundle (<code>repro postmortem</code>)"],
+            rows,
         )
 
     def fleet_fragment(self) -> str:
@@ -288,10 +294,8 @@ class WatchService:
             self._in_flight_section(statuses),
             "<h2>Recent failures</h2>",
             self._failures_section(statuses),
-            "<h2>Bench trajectory &amp; host-phase shares</h2>",
-            hostperf_section(self.runs_dir),
-            "<h2>Regression sentinel</h2>",
-            sentinel_section(self.runs_dir),
+            "<h2>Performance</h2>",
+            perf_section(self.runs_dir),
             "<h2>Run health</h2>",
             health_section(self.runs_dir),
             "<h2>Determinism</h2>",
@@ -312,7 +316,7 @@ class WatchService:
         return render_page("repro watch — fleet", body)
 
     def _run_fragment(self, state: dict[str, Any]) -> str:
-        from repro.viz import svg_progress_bar, svg_sparkline
+        from repro.viz import svg_sparkline
 
         status = state["status"]
         meta = status["meta"]
@@ -335,35 +339,33 @@ class WatchService:
                 f"in {fmt_value(float(status['wall_seconds'] or 0.0))} s</p>"
             )
         parts.append(self._determinism_badge(status))
-        bar = svg_progress_bar(status["fraction"], title="completion")
-        cps = status["cps"]
         parts.append(
-            "<table><thead><tr><th>progress</th><th>cycle</th><th>cyc/s</th>"
-            "<th>eta</th><th>delivered</th><th>epochs</th></tr></thead><tbody>"
-            "<tr>"
-            f"<td>{bar}</td>"
-            f"<td>{fmt_value(status['cycle'])} / "
-            f"{fmt_value(status['total_cycles'] or float('nan'))}</td>"
-            f"<td>{fmt_value(float(cps)) if cps else 'n/a'}</td>"
-            f"<td>{format_eta(status['eta_seconds'])}</td>"
-            f"<td>{fmt_value(float(status['delivered_fraction'] or float('nan')))}</td>"
-            f"<td>{fmt_value(status['epochs'])}</td>"
-            "</tr></tbody></table>"
+            html_table(
+                ["progress", "cycle", "cyc/s", "eta", "delivered", "epochs"],
+                [
+                    [
+                        *_progress_cells(status),
+                        fmt_value(float(status["delivered_fraction"] or float("nan"))),
+                        fmt_value(status["epochs"]),
+                    ]
+                ],
+            )
         )
         if status["anomalies"]:
-            rows = "".join(
-                "<tr>"
-                f"<td>{fmt_value(anomaly.get('cycle'))}</td>"
-                f'<td><span class="alarm">{html.escape(str(anomaly.get("kind")))}'
-                "</span></td>"
-                f"<td>{html.escape(str(anomaly.get('detail')))}</td>"
-                "</tr>"
-                for anomaly in status["anomalies"]
-            )
             parts.append(
                 "<h2>Anomalies</h2>"
-                "<table><thead><tr><th>cycle</th><th>kind</th><th>detail</th>"
-                f"</tr></thead><tbody>{rows}</tbody></table>"
+                + html_table(
+                    ["cycle", "kind", "detail"],
+                    (
+                        [
+                            fmt_value(anomaly.get("cycle")),
+                            '<span class="alarm">'
+                            f"{html.escape(str(anomaly.get('kind')))}</span>",
+                            html.escape(str(anomaly.get("detail"))),
+                        ]
+                        for anomaly in status["anomalies"]
+                    ),
+                )
             )
         epochs = [e["epoch"] for e in state["events"] if e.get("kind") == "epoch"]
         if epochs:
@@ -372,23 +374,24 @@ class WatchService:
                 "<h2>Per-epoch delivery</h2>"
                 f"<figure>{svg_sparkline(delivered, width=360, height=48, title='packets delivered per epoch')}</figure>"
             )
-            rows = "".join(
-                "<tr>"
-                f"<td>{fmt_value(e.get('index'))}</td>"
-                f"<td>{fmt_value(e.get('start'))}–{fmt_value(e.get('end'))}</td>"
-                f"<td>{fmt_value(e.get('flits_injected'))}</td>"
-                f"<td>{fmt_value(e.get('packets_delivered'))}</td>"
-                f"<td>{fmt_value(e.get('buffered'))}</td>"
-                f"<td>{fmt_value(e.get('in_flight'))}</td>"
-                "</tr>"
-                for e in epochs[-12:]
-            )
             parts.append(
                 "<details><summary>latest epochs</summary>"
-                "<table><thead><tr><th>epoch</th><th>cycles</th>"
-                "<th>injected</th><th>delivered</th><th>buffered</th>"
-                f"<th>in flight</th></tr></thead><tbody>{rows}</tbody></table>"
-                "</details>"
+                + html_table(
+                    ["epoch", "cycles", "injected", "delivered", "buffered",
+                     "in flight"],
+                    (
+                        [
+                            fmt_value(e.get("index")),
+                            f"{fmt_value(e.get('start'))}–{fmt_value(e.get('end'))}",
+                            fmt_value(e.get("flits_injected")),
+                            fmt_value(e.get("packets_delivered")),
+                            fmt_value(e.get("buffered")),
+                            fmt_value(e.get("in_flight")),
+                        ]
+                        for e in epochs[-12:]
+                    ),
+                )
+                + "</details>"
             )
         probes = [e["probe"] for e in state["events"] if e.get("kind") == "health"]
         if probes:
@@ -399,13 +402,16 @@ class WatchService:
                 "</figure>"
             )
         if status["state"] == "finished" and status["stats"]:
-            rows = "".join(
-                f"<tr><td>{html.escape(str(key))}</td><td>{fmt_value(value)}</td></tr>"
-                for key, value in sorted(status["stats"].items())
-            )
             parts.append(
-                "<details><summary>final stats</summary><table>"
-                f"<tbody>{rows}</tbody></table></details>"
+                "<details><summary>final stats</summary>"
+                + html_table(
+                    ["stat", "value"],
+                    (
+                        [html.escape(str(key)), fmt_value(value)]
+                        for key, value in sorted(status["stats"].items())
+                    ),
+                )
+                + "</details>"
             )
         _ = meta  # rendered in the page header
         return "".join(parts)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.sim.build import build_network
@@ -27,6 +29,23 @@ def small_grid() -> ChipletGrid:
 def mesh_grid() -> ChipletGrid:
     """2x2 chiplets of 4x4 nodes (64 nodes)."""
     return ChipletGrid(2, 2, 4, 4)
+
+
+@pytest.fixture(scope="session")
+def _bench_doc_once() -> dict:
+    """One real ``repro bench`` suite run, shared by the whole session."""
+    from repro.telemetry.bench import CASES, run_bench
+
+    case = next(c for c in CASES if c.name == "fig14_hetero_channel")
+    return run_bench(
+        scale="tiny", reps=1, seed=1, cases=[case], git_rev="cafef00d", mem_top=5
+    )
+
+
+@pytest.fixture
+def bench_doc(_bench_doc_once) -> dict:
+    """A private copy of the session's bench document (tests mutate it)."""
+    return copy.deepcopy(_bench_doc_once)
 
 
 def make_network(family: str, grid: ChipletGrid, config: SimConfig, **kwargs):

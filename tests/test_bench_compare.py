@@ -146,6 +146,28 @@ def test_compare_bench_pre_mem_artifacts_read_na():
         assert math.isnan(verdict.threshold)
 
 
+def test_an_event_that_did_not_fire_counts_zero_not_na():
+    a = make_bench_doc(fig11=make_case(events={"flit_send": 1_000}))
+    b = make_bench_doc(fig11=make_case(events={"flit_send": 1_000, "rob_insert": 50}))
+    [new_event] = [v for v in compare_bench(a, b) if v.metric == "events.rob_insert"]
+    assert (new_event.a, new_event.b, new_event.verdict) == (0.0, 50.0, "regressed")
+    # A run that carries no census at all reads n/a, not zero.
+    bare = make_bench_doc(fig11={k: v for k, v in make_case().items() if k != "events"})
+    assert {
+        v.verdict for v in compare_bench(bare, b) if v.metric.startswith("events.")
+    } == {"n/a"}
+
+
+def test_a_small_host_phase_that_blows_up_is_judged_on_its_real_value():
+    def host(stats_ns):
+        return {"ns_per_cycle": {"sa_st": 10_000.0, "stats": stats_ns}}
+
+    a = make_bench_doc(fig11={**make_case(), "host": host(50.0)})  # 0.5% share
+    b = make_bench_doc(fig11={**make_case(), "host": host(2_000.0)})  # 16.7%
+    [stats] = [v for v in compare_bench(a, b) if v.metric == "host.stats"]
+    assert (stats.a, stats.b, stats.verdict) == (50.0, 2_000.0, "regressed")
+
+
 # -- N-way chains ------------------------------------------------------------
 def _write_chain(tmp_path, *cps_values):
     paths = []
@@ -277,9 +299,9 @@ def test_load_bench_rejects_foreign_schema(tmp_path):
 
 
 # -- the suite itself --------------------------------------------------------
-def test_run_bench_single_case_smoke():
+def test_run_bench_single_case_smoke(bench_doc):
     case = CASES[1]  # fig14_hetero_channel: the smallest system of the canon
-    doc = run_bench(scale="tiny", reps=1, seed=1, cases=[case], git_rev="cafef00d")
+    doc = bench_doc
     assert doc["schema_version"] == BENCH_SCHEMA_VERSION
     assert doc["git_rev"] == "cafef00d"
     assert list(doc["cases"]) == [case.name]

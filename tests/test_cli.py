@@ -408,24 +408,36 @@ def test_simulate_plain_run_prints_no_manifest(tmp_path, capsys):
     assert "artifacts :" not in out
 
 
-def test_bench_cli_writes_bench_file(tmp_path, capsys):
-    code = main(
-        [
-            "bench",
-            "--scale",
-            "tiny",
-            "--reps",
-            "1",
-            "--case",
-            "fig14_hetero_channel",
-            "--out-dir",
-            str(tmp_path),
-            "--runs-dir",
-            str(tmp_path / "runs"),
-        ]
-    )
+@pytest.fixture(scope="module")
+def bench_cli_run(tmp_path_factory):
+    """The one end-to-end ``repro bench``: (exit code, stdout, directory)."""
+    import contextlib
+    import io
+
+    tmp_path = tmp_path_factory.mktemp("bench-cli")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(
+            [
+                "bench",
+                "--scale",
+                "tiny",
+                "--reps",
+                "1",
+                "--case",
+                "fig14_hetero_channel",
+                "--out-dir",
+                str(tmp_path),
+                "--runs-dir",
+                str(tmp_path / "runs"),
+            ]
+        )
+    return code, stdout.getvalue(), tmp_path
+
+
+def test_bench_cli_writes_bench_file(bench_cli_run):
+    code, out, tmp_path = bench_cli_run
     assert code == 0
-    out = capsys.readouterr().out
     path = tmp_path / "BENCH_0.json"
     assert path.is_file()
     assert f"wrote {path}" in out
@@ -436,7 +448,7 @@ def test_bench_cli_writes_bench_file(tmp_path, capsys):
     host = doc["cases"]["fig14_hetero_channel"]["host"]
     assert 0.95 <= host["conservation"] <= 1.05
     # One kind="bench" registry record feeds the dashboard's
-    # "Host performance" panel.
+    # performance panel.
     from repro.telemetry.runstore import RunStore
 
     records = RunStore(tmp_path / "runs").load()
@@ -450,6 +462,36 @@ def test_bench_cli_writes_bench_file(tmp_path, capsys):
     validate_mem_block(doc["cases"]["fig14_hetero_channel"]["mem"])
     slim = records[0].bench["fig14_hetero_channel"]["mem"]
     assert slim["peak_bytes"] > 0 and "top_sites" not in slim
+
+
+def test_bench_record_and_bench_file_are_one_shape(bench_cli_run):
+    """The registry record is the file's case blocks minus the bulk, so
+    history reads the same series from either and compare sees no delta."""
+    from repro.telemetry.bench import load_bench
+    from repro.telemetry.compare import compare_bench
+    from repro.telemetry.history import load_history
+    from repro.telemetry.runstore import RunStore
+
+    _, _, tmp_path = bench_cli_run
+    doc = load_bench(tmp_path / "BENCH_0.json")
+    [record] = RunStore(tmp_path / "runs").load()
+    block = record.bench["fig14_hetero_channel"]
+    assert "samples" not in block["cps"] and "checkpoints" not in block["digest"]
+    assert block["events"] == doc["cases"]["fig14_hetero_channel"]["events"]
+
+    from_file = load_history(None, bench_dirs=[tmp_path])
+    from_record = load_history(tmp_path / "runs")
+    assert from_file.runs == from_record.runs == 1
+    assert set(from_file.series) == set(from_record.series)
+    for key, series in from_file.series.items():
+        assert series.values == pytest.approx(from_record.series[key].values, nan_ok=True)
+    assert from_file.get("fig14_hetero_channel", "cycles_per_second").values[0] > 0
+
+    verdicts = compare_bench(doc, {"cases": record.bench})
+    assert {v.verdict for v in verdicts} <= {"noise", "n/a"}
+    by_metric = {v.metric: v for v in verdicts}
+    assert by_metric["digest.match"].verdict == "noise"  # same chain, not n/a
+    assert by_metric["mem.peak_bytes"].a == by_metric["mem.peak_bytes"].b > 0
 
 
 def test_bench_cli_rejects_unknown_case(tmp_path):
@@ -526,7 +568,7 @@ def test_compare_cli_chains_three_files_and_writes_json(tmp_path, capsys):
 
 
 def test_regress_cli_flags_step_and_passes_noise(tmp_path, capsys):
-    from benchmarks.make_registry_seed import make_records, write_registry
+    from .helpers import make_records, write_registry
 
     stepped = tmp_path / "stepped"
     write_registry(stepped, make_records(step_at=20, culprit="rc_va"))
@@ -573,7 +615,7 @@ def test_regress_cli_empty_registry_is_clean(tmp_path, capsys):
 
 
 def test_regress_cli_metric_filter_and_bad_window(tmp_path, capsys):
-    from benchmarks.make_registry_seed import make_records, write_registry
+    from .helpers import make_records, write_registry
 
     runs = tmp_path / "runs"
     write_registry(runs, make_records(step_at=20))

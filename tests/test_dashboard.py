@@ -35,9 +35,13 @@ def test_dashboard_renders_all_sections(tmp_path):
         results, scale="tiny", bench_dirs=[bench_dir], runs_dir=runs
     )
     assert page.startswith("<!DOCTYPE html>")
-    # fig11 curves + bench trajectory + the sentinel's cps figure (the two
-    # bench docs share one `created` stamp, so history sees one suite run)
-    assert page.count("<svg") == 3
+    # fig11 curves + the one per-case trajectory; no share bars (the docs
+    # carry no host block).  The two bench docs share one `created` stamp,
+    # so history sees one suite run.
+    assert page.count("<svg") == 2
+    assert page.count("<h2>Performance</h2>") == 1
+    assert "fig11: throughput trajectory" in page
+    assert "1 suite run(s) analyzed, latest BENCH_1.json" in page
     assert "parallel-mesh" in page and "hetero-phy-full" in page
     assert "var(--series-1" in page  # palette via CSS custom properties
     assert "prefers-color-scheme: dark" in page
@@ -63,7 +67,8 @@ def test_dashboard_empty_bench_and_runs_degrade_gracefully(tmp_path):
         bench_dirs=[tmp_path / "no-bench"],
         runs_dir=tmp_path / "no-runs",
     )
-    assert "no BENCH_" in page
+    assert page.count("no bench history yet") == 1  # one panel, one sentence
+    assert "no BENCH_*.json files" in page and "repro bench" in page
     assert "no run records yet" in page
 
 
@@ -112,25 +117,45 @@ def test_dashboard_hostperf_section(tmp_path):
     runs = tmp_path / "runs"
     store = RunStore(runs)
     store.append(make_record(label="plain"))  # not a bench record: skipped
-    for cps in (4_000.0, 4_400.0):
+    for index, cps in enumerate((4_000.0, 4_400.0)):
         store.append(make_record(
             kind="bench",
             label="bench:tiny",
+            created=f"2026-01-01T00:0{index}:00+00:00",
             bench={"fig11_hetero_phy": {
-                "cps_median": cps, "host": make_host_summary(),
+                "cps": {"median": cps}, "host": make_host_summary(),
             }},
         ))
 
     page = build_dashboard(
         results, scale="tiny", runs_dir=runs, bench_dirs=[tmp_path / "no-bench"]
     )
-    assert "Host performance" in page
-    # fig11 curves + throughput trajectory + phase-share bars + the
-    # sentinel's cps figure over the two bench records
-    assert page.count("<svg") == 4
+    assert page.count("<h2>Performance</h2>") == 1
+    # fig11 curves + the per-case trajectory + phase-share bars
+    assert page.count("<svg") == 3
+    assert "fig11_hetero_phy: throughput trajectory" in page
     assert "host wall-time share by pipeline phase" in page
     assert "sa_st" in page and "rc_va" in page
+    assert "2 suite run(s) analyzed" in page
     assert "no bench history yet" not in page
+
+
+def test_dashboard_perf_panel_marks_a_changepoint(tmp_path):
+    from .helpers import make_records, write_registry
+
+    results = tmp_path / "results"
+    write_fig11_csv(results)
+    runs = tmp_path / "runs"
+    write_registry(runs, make_records(step_at=20, culprit="rc_va"))
+    page = build_dashboard(
+        results, scale="tiny", runs_dir=runs, bench_dirs=[tmp_path / "no-bench"]
+    )
+    # fig11 curves + three case trajectories + the share bars
+    assert page.count("<svg") == 5
+    # one dashed mark (tooltip + label) per case
+    assert page.count("<title>changepoint @ seed-0") == 3
+    assert '<span class="alarm">regressed</span>' in page
+    assert "rc_va (+" in page  # the culprit column
 
 
 def test_dashboard_hostperf_empty_state(tmp_path):

@@ -25,7 +25,7 @@ from repro.telemetry import (
     validate_digest_block,
     write_golden,
 )
-from repro.telemetry.bench import CASES, run_bench
+from repro.telemetry.bench import CASES
 from repro.telemetry.compare import compare_bench
 from repro.telemetry.digest import chain_hex
 from repro.telemetry.runstore import RunRecord, RunStore, record_from_result
@@ -285,9 +285,9 @@ def test_run_synthetic_digest_lands_on_result_and_record():
 
 
 # -- bench + compare ----------------------------------------------------------
-def test_bench_case_carries_digest_and_compare_matches():
-    case = next(c for c in CASES if c.name == "table3_parallel_mesh")
-    doc = run_bench(scale="tiny", reps=1, seed=1, cases=[case], git_rev="x")
+def test_bench_case_carries_digest_and_compare_matches(bench_doc):
+    case = next(c for c in CASES if c.name == "fig14_hetero_channel")
+    doc = bench_doc
     block = doc["cases"][case.name]["digest"]
     validate_digest_block(block)
     assert block["meta"]["family"] == case.family
@@ -300,9 +300,9 @@ def test_bench_case_carries_digest_and_compare_matches():
     assert match.a == match.b == 1.0
 
 
-def test_compare_renders_na_when_digest_block_is_missing():
-    case = next(c for c in CASES if c.name == "table3_parallel_mesh")
-    doc = run_bench(scale="tiny", reps=1, seed=1, cases=[case], git_rev="x")
+def test_compare_renders_na_when_digest_block_is_missing(bench_doc):
+    case = next(c for c in CASES if c.name == "fig14_hetero_channel")
+    doc = bench_doc
     old = json.loads(json.dumps(doc))
     del old["cases"][case.name]["digest"]  # a pre-digest bench file
     for a, b in ((old, doc), (doc, old), (old, old)):
@@ -310,9 +310,9 @@ def test_compare_renders_na_when_digest_block_is_missing():
         assert verdicts[(case.name, "digest.match")].verdict == "n/a"
 
 
-def test_compare_flags_digest_mismatch():
-    case = next(c for c in CASES if c.name == "table3_parallel_mesh")
-    doc = run_bench(scale="tiny", reps=1, seed=1, cases=[case], git_rev="x")
+def test_compare_flags_digest_mismatch(bench_doc):
+    case = next(c for c in CASES if c.name == "fig14_hetero_channel")
+    doc = bench_doc
     drifted = json.loads(json.dumps(doc))
     drifted["cases"][case.name]["digest"]["final"] = "f" * 16
     verdicts = {(v.case, v.metric): v for v in compare_bench(doc, drifted)}

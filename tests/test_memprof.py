@@ -112,12 +112,8 @@ def test_render_mem_table():
     assert "KiB" in text or "MiB" in text
 
 
-def test_bench_doc_carries_validated_mem_block():
-    from repro.telemetry.bench import CASES, run_bench
-
-    doc = run_bench(scale="tiny", reps=1, seed=1, cases=[CASES[1]],
-                    git_rev="cafef00d", mem_top=5)
-    mem = doc["cases"][CASES[1].name]["mem"]
+def test_bench_doc_carries_validated_mem_block(bench_doc):
+    mem = bench_doc["cases"]["fig14_hetero_channel"]["mem"]
     validate_mem_block(mem)
     assert mem["peak_bytes"] > 0
     assert mem["top_n"] == 5

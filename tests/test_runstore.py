@@ -242,7 +242,7 @@ def test_older_schema_records_feed_status_and_sentinel(tmp_path):
     store = RunStore(tmp_path / "runs")
     old = make_record(
         kind="bench", created="2026-01-01T00:00:00+00:00",
-        bench={"fig11": {"cps_median": 4_000.0}},  # pre-mem, pre-digest
+        bench={"fig11": {"cps": {"median": 4_000.0}}},  # pre-mem, pre-digest
     ).to_dict()
     for newer_field in ("breakdown", "forensics", "digest"):
         del old[newer_field]

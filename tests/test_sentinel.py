@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from benchmarks.make_registry_seed import make_records, write_registry
 from repro.telemetry.history import MetricSeries, SeriesPoint, load_history
 from repro.telemetry.runstore import RUN_SCHEMA_VERSION, RunStore
 from repro.telemetry.sentinel import (
@@ -17,6 +16,7 @@ from repro.telemetry.sentinel import (
     render_sentinel,
 )
 
+from .helpers import make_records, write_registry
 from .test_runstore import make_record
 
 
@@ -66,11 +66,33 @@ def test_detector_needs_min_segment_on_both_sides():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="min_segment"):
-        SentinelConfig(window=2, min_segment=2)
+    with pytest.raises(ValueError, match="window must be >= min_segment"):
+        SentinelConfig(window=2, min_segment=3)
+    with pytest.raises(ValueError, match="min_segment must be >= 2"):
         SentinelConfig(min_segment=1)
     with pytest.raises(ValueError, match="min_effect"):
         SentinelConfig(min_effect=0.0)
+
+
+def test_sentinel_band_is_compares_threshold():
+    """One band: the sentinel's window threshold is `noise_band` over the
+    files' own median/IQR rule, i.e. what `classify` would use."""
+    from repro.telemetry.bench import median_iqr
+    from repro.telemetry.compare import classify, noise_band
+    from repro.telemetry.sentinel import _noise_band
+
+    samples = [100.0, 104.0, 97.0, 131.0, 99.0, 102.0, 95.0]
+    config = SentinelConfig()
+    baseline, iqr = median_iqr(samples)
+    assert iqr == pytest.approx(5.0)  # inclusive quartiles: 98.0 .. 103.0
+    band = _noise_band(samples, config)
+    assert band == noise_band(baseline, iqr, config.rel_floor, config.iqr_k)
+    assert band == pytest.approx(1.5 * 5.0)
+    verdict = classify("c", "m", baseline, baseline + band, higher_is_better=True,
+                       iqr=iqr)
+    assert verdict.threshold == band and verdict.verdict == "noise"
+    # A tight window falls back to the relative floor, again like compare.
+    assert _noise_band([100.0, 100.0, 100.0], config) == pytest.approx(5.0)
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -208,7 +230,7 @@ def test_history_merges_bench_files_over_registry_records(tmp_path):
     # (same created stamp); the file must win, not double-count.
     store.append(make_record(
         kind="bench", created="2026-01-01T00:00:00+00:00",
-        bench={"fig11": {"cps_median": 1_000.0}},
+        bench={"fig11": {"cps": {"median": 1_000.0}}},
     ))
     bench_dir = tmp_path / "bench"
     write_bench(make_bench_doc(fig11=make_case(cps_median=5_000.0)), bench_dir)
@@ -220,12 +242,33 @@ def test_history_merges_bench_files_over_registry_records(tmp_path):
     assert series.points[0].key == "BENCH_0.json"
 
 
+def test_history_and_compare_share_one_metric_catalogue(bench_doc, tmp_path):
+    """`repro regress` watches exactly what `repro compare` judges."""
+    from repro.telemetry.bench import write_bench
+    from repro.telemetry.compare import compare_bench
+
+    [case] = bench_doc["cases"]
+    judged = {v.metric for v in compare_bench(bench_doc, bench_doc)}
+    assert {"cycles_per_second", "wall_seconds", "events.flit_send",
+            "host.sa_st", "mem.peak_bytes", "digest.match"} <= judged
+
+    write_bench(bench_doc, tmp_path)
+    history = load_history(None, bench_dirs=[tmp_path])
+    watched = {s.metric for s in history.ordered() if s.case == case}
+    assert watched - {"digest.stable"} == judged - {"digest.match"}
+    assert "digest.stable" in watched
+    # Phases the ledger saw nothing in are neither judged nor watched, but
+    # their share series still feed the culprit hint.
+    assert "host.dispatch" not in watched
+    assert history.get(case, "host.dispatch.share").auxiliary
+
+
 def test_history_tolerates_old_records_and_counts_skips(tmp_path):
     store = RunStore(tmp_path / "runs")
-    # A pre-mem/pre-digest bench record: only cps_median, no newer keys.
+    # A pre-mem/pre-digest bench record: only the cps block, no newer keys.
     store.append(make_record(
         kind="bench", created="2026-01-01T00:00:00+00:00",
-        bench={"fig11": {"cps_median": 4_000.0}},
+        bench={"fig11": {"cps": {"median": 4_000.0}}},
     ))
     foreign = make_record(kind="bench").to_dict()
     foreign["schema_version"] = RUN_SCHEMA_VERSION + 1

@@ -100,7 +100,7 @@ def test_bench_state_extracts_trajectory(tmp_path):
     store.append(make_record())  # a simulate record: ignored by bench view
     bench = {
         "uniform_torus": {
-            "cps_median": 41_000.0,
+            "cps": {"median": 41_000.0},
             "host": {"shares": {"router": 0.6, "link": 0.3}},
         }
     }
@@ -136,20 +136,21 @@ def test_fleet_page_renders_sections_and_sse_hook(tmp_path):
 def test_fleet_fragment_includes_sentinel_panel(tmp_path):
     runs_dir = seed_runs_dir(tmp_path)
     fragment = WatchService(runs_dir).fleet_fragment()
-    assert "Regression sentinel" in fragment
-    # Only a simulate record so far: the shared placeholder, no charts.
-    assert "no bench history yet" in fragment
+    assert fragment.count("<h2>Performance</h2>") == 1
+    # Only a simulate record so far: the one placeholder, no charts.
+    assert fragment.count("no bench history yet") == 1
 
     store = RunStore(runs_dir)
     for index, cps in enumerate((4_000.0, 4_400.0)):
         store.append(make_record(
             kind="bench",
             created=f"2026-01-01T00:0{index}:00+00:00",
-            bench={"fig11_hetero_phy": {"cps_median": cps}},
+            bench={"fig11_hetero_phy": {"cps": {"median": cps}}},
         ))
     fragment = WatchService(runs_dir).fleet_fragment()
-    assert "throughput trajectory" in fragment
-    assert "repro regress" in fragment
+    assert "fig11_hetero_phy: throughput trajectory" in fragment
+    assert "repro regress" in fragment  # the verdict table's caption
+    assert "no bench history yet" not in fragment
 
 
 def test_fleet_page_warns_about_skipped_registry_lines(tmp_path):
