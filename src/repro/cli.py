@@ -18,8 +18,9 @@ Run paper experiments and ad-hoc simulations from the shell::
     repro regress --strict             # changepoint sentinel over runs/ history
     repro profile --mem                # heap peaks + allocation sites per phase
     repro simulate --digest            # record the run's event-digest chain
-    repro golden record --scale tiny   # golden traces -> benchmarks/goldens/
-    repro golden check                 # re-simulate goldens, verify digests
+    repro golden check                 # re-simulate every self-describing pin
+    repro golden record                # re-pin (model changes only) -> PINS.json
+    repro diff pin:fig11_hetero_phy "sim:family=hetero_phy_torus,nodes=4x4,rate=0.15"
     repro diff "sim:family=hetero_phy_torus,chiplets=2x2,nodes=4x4,rate=0.15" \
                "sim:family=hetero_phy_torus,chiplets=2x2,nodes=4x4,rate=0.15,perturb=900"
     repro dashboard --out dashboard.html
@@ -190,6 +191,13 @@ def _spec_from_args(args):
     return build_system(args.family, grid, config)
 
 
+def _run_point(spec, args, telemetry=None):
+    """One run of the point those flags describe, under ``telemetry``."""
+    return run_synthetic(
+        spec, args.pattern, args.rate, policy=args.policy, seed=args.seed, telemetry=telemetry
+    )
+
+
 def _cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
     telemetry = None
@@ -237,14 +245,7 @@ def _cmd_simulate(args) -> int:
             digest=args.digest,
         )
     try:
-        result = run_synthetic(
-            spec,
-            args.pattern,
-            args.rate,
-            policy=args.policy,
-            seed=args.seed,
-            telemetry=telemetry,
-        )
+        result = _run_point(spec, args, telemetry)
     except (RuntimeError, AssertionError) as exc:
         return _report_failure(spec.name, exc)
     print(f"system   : {spec.name}")
@@ -316,18 +317,9 @@ def _cmd_profile(args) -> int:
     spec = _spec_from_args(args)
     # Pass 1 — host-time ledger, no cProfile: the profiler's tracing hooks
     # would inflate the wall times the phase table reports.
-    ledger_config = TelemetryConfig(
-        host_time=True, host_stride=args.stride, epoch_metrics=False
-    )
+    ledger_config = TelemetryConfig(host_time=True, host_stride=args.stride, epoch_metrics=False)
     try:
-        result = run_synthetic(
-            spec,
-            args.pattern,
-            args.rate,
-            policy=args.policy,
-            seed=args.seed,
-            telemetry=ledger_config,
-        )
+        result = _run_point(spec, args, ledger_config)
     except (RuntimeError, AssertionError) as exc:
         return _report_failure(spec.name, exc)
     ledger = result.telemetry.hostprof
@@ -349,18 +341,9 @@ def _cmd_profile(args) -> int:
     _write_json_doc(str(host_path), summary)
     # Pass 2 — cProfile (same seed, so the same run), folded into the
     # phase-rooted speedscope + collapsed-stack flamegraph artifacts.
-    profile_config = TelemetryConfig(
-        profile=True, profile_top=args.top, epoch_metrics=False
-    )
+    profile_config = TelemetryConfig(profile=True, profile_top=args.top, epoch_metrics=False)
     try:
-        profiled = run_synthetic(
-            spec,
-            args.pattern,
-            args.rate,
-            policy=args.policy,
-            seed=args.seed,
-            telemetry=profile_config,
-        )
+        profiled = _run_point(spec, args, profile_config)
     except (RuntimeError, AssertionError) as exc:
         return _report_failure(spec.name, exc)
     report = profiled.telemetry.profile_report
@@ -377,13 +360,7 @@ def _cmd_profile(args) -> int:
 
         with MemLedger(top_n=args.mem_top) as mem_ledger:
             try:
-                run_synthetic(
-                    spec,
-                    args.pattern,
-                    args.rate,
-                    policy=args.policy,
-                    seed=args.seed,
-                )
+                _run_point(spec, args)
             except (RuntimeError, AssertionError) as exc:
                 return _report_failure(spec.name, exc)
         mem_block = mem_ledger.record_summary()
@@ -558,58 +535,34 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_golden(args) -> int:
-    from repro.telemetry.bench import CASES
-    from repro.telemetry.diff import check_golden_file, record_golden_case
-    from repro.telemetry.digest import DigestError, golden_files
+    from repro.telemetry import pins
+    from repro.telemetry.diff import missing_resim_keys
 
-    by_name = {case.name: case for case in CASES}
-    if args.action == "record":
-        names = args.case or list(by_name)
-        unknown = [name for name in names if name not in by_name]
-        if unknown:
-            raise SystemExit(
-                f"unknown case(s): {', '.join(unknown)}; known: {', '.join(by_name)}"
-            )
-        from repro.telemetry.runstore import git_revision, utc_now_iso
-
-        git_rev = git_revision()
-        created = utc_now_iso()
-        for name in names:
-            path = record_golden_case(
-                by_name[name],
-                scale=args.scale,
-                seed=args.seed,
-                directory=args.dir,
-                git_rev=git_rev,
-                created=created,
-            )
-            print(f"wrote {path}")
-        return 0
-    paths = [Path(p) for p in args.golden] or golden_files(args.dir)
-    if not paths:
-        raise SystemExit(
-            f"no golden traces under {args.dir}/ — record them with "
-            "`repro golden record`"
-        )
     failed = 0
-    for path in paths:
-        try:
-            ok, message, report = check_golden_file(
-                path, localize=not args.no_localize
+    try:
+        store = pins.load(args.file)
+        names = args.case or [
+            case for case, pin in store.items()
+            if not missing_resim_keys(pin["digest"].get("meta"))
+        ]
+        unknown = [name for name in names if name not in store]
+        if unknown:
+            raise ValueError(
+                f"unknown case(s): {', '.join(unknown)}; known: {', '.join(store)}"
             )
-        except (DigestError, OSError, ValueError, RuntimeError) as exc:
-            print(f"{path}: ERROR: {exc}")
-            failed += 1
-            continue
-        print(message)
-        if not ok:
-            failed += 1
-            if report is not None:
-                print(report.render())
+        if args.action == "record":
+            path = pins.record(store, args.file, cases=names)
+            print(f"recorded {len(names)} pin(s) in {path}")
+            return 0
+        for name in names:
+            ok, message = pins.check(name, store[name], pins.reobserve(store[name]))
+            print(message)
+            failed += not ok
+    except (ValueError, OSError, RuntimeError) as exc:  # e.g. a test-built pin: no meta
+        raise SystemExit(str(exc)) from None
     if failed:
-        print(f"{failed}/{len(paths)} golden trace(s) FAILED")
-        return 1
-    return 0
+        print(f"{failed}/{len(names)} pin(s) FAILED")
+    return 1 if failed else 0
 
 
 def _cmd_dashboard(args) -> int:
@@ -896,7 +849,6 @@ def main(argv: list[str] | None = None) -> int:
                 "application_aware",
                 "passive_aware",
             ),
-            default=None,
         )
         p.add_argument(
             "--halved", action="store_true", help="pin-constrained halved interfaces"
@@ -924,13 +876,11 @@ def main(argv: list[str] | None = None) -> int:
     sim_p.add_argument(
         "--metrics",
         metavar="DIR",
-        default=None,
         help="write per-epoch metric CSVs + metrics.json into DIR",
     )
     sim_p.add_argument(
         "--trace",
         metavar="FILE",
-        default=None,
         help="write a Chrome trace-event JSON (load in Perfetto / about:tracing)",
     )
     sim_p.add_argument(
@@ -953,7 +903,6 @@ def main(argv: list[str] | None = None) -> int:
     sim_p.add_argument(
         "--breakdown-csv",
         metavar="PATH",
-        default=None,
         help="write the per-stage breakdown CSV here (implies "
         "--latency-breakdown)",
     )
@@ -1084,7 +1033,6 @@ def main(argv: list[str] | None = None) -> int:
     pm_p.add_argument(
         "--html",
         metavar="FILE",
-        default=None,
         help="also write a self-contained HTML report (wait-for graph, "
         "occupancy heatmap, recorder tail)",
     )
@@ -1111,7 +1059,6 @@ def main(argv: list[str] | None = None) -> int:
     bench_p.add_argument(
         "--case",
         action="append",
-        default=None,
         metavar="NAME",
         help="restrict the suite to one case (repeatable)",
     )
@@ -1157,7 +1104,6 @@ def main(argv: list[str] | None = None) -> int:
     cmp_p.add_argument(
         "--gate",
         action="append",
-        default=None,
         metavar="METRIC",
         help="with --strict, only exit non-zero when one of these metrics "
         "regressed (exact name or dotted prefix, repeatable; e.g. "
@@ -1178,7 +1124,6 @@ def main(argv: list[str] | None = None) -> int:
     cmp_p.add_argument(
         "--json",
         metavar="PATH",
-        default=None,
         help="also write the verdicts as one machine-readable JSON document",
     )
     cmp_p.set_defaults(func=_cmd_compare)
@@ -1196,7 +1141,6 @@ def main(argv: list[str] | None = None) -> int:
     regress_p.add_argument(
         "--bench-dir",
         action="append",
-        default=None,
         metavar="DIR",
         help="also harvest BENCH_<n>.json files from this directory "
         "(repeatable)",
@@ -1204,7 +1148,6 @@ def main(argv: list[str] | None = None) -> int:
     regress_p.add_argument(
         "--metric",
         action="append",
-        default=None,
         metavar="PREFIX",
         help="only analyze metrics with this prefix (repeatable; e.g. "
         "cycles_per_second, host, mem, digest)",
@@ -1232,7 +1175,6 @@ def main(argv: list[str] | None = None) -> int:
     regress_p.add_argument(
         "--json",
         metavar="PATH",
-        default=None,
         help="also write the sentinel report as JSON",
     )
     regress_p.set_defaults(func=_cmd_regress)
@@ -1244,7 +1186,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     diff_p.add_argument(
         "a",
-        help="baseline: GOLDEN_*.json, run-record JSON, runs.jsonl"
+        help="baseline: pin:<case>, run-record JSON, runs.jsonl"
         "[#run_id], or a 'sim:family=...,rate=...' re-simulation spec",
     )
     diff_p.add_argument("b", help="candidate (same accepted forms)")
@@ -1266,36 +1208,15 @@ def main(argv: list[str] | None = None) -> int:
 
     golden_p = sub.add_parser(
         "golden",
-        help="record/check golden digest traces for the canonical bench "
-        "cases (benchmarks/goldens/)",
+        help="check/record the pinned runs of benchmarks/goldens/PINS.json "
+        "that describe themselves (re-simulation meta)",
     )
     golden_p.add_argument("action", choices=("record", "check"))
     golden_p.add_argument(
-        "golden",
-        nargs="*",
-        help="golden files to check (default: every GOLDEN_*.json under "
-        "--dir)",
+        "case", nargs="*", help="pin names (default: every self-describing pin)"
     )
     golden_p.add_argument(
-        "--case",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="with record: restrict to one bench case (repeatable)",
-    )
-    golden_p.add_argument(
-        "--scale", choices=("tiny", "small", "paper"), default="tiny"
-    )
-    golden_p.add_argument("--seed", type=int, default=1)
-    golden_p.add_argument(
-        "--dir",
-        default="benchmarks/goldens",
-        help="golden-trace directory (default: benchmarks/goldens/)",
-    )
-    golden_p.add_argument(
-        "--no-localize",
-        action="store_true",
-        help="with check: report mismatch without localizing the cycle",
+        "--file", help="pin store (default: benchmarks/goldens/PINS.json)"
     )
     golden_p.set_defaults(func=_cmd_golden)
 
@@ -1311,7 +1232,6 @@ def main(argv: list[str] | None = None) -> int:
     dash_p.add_argument(
         "--bench-dir",
         action="append",
-        default=None,
         help="directories scanned for BENCH_<n>.json (repeatable; default: .)",
     )
     dash_p.add_argument("--runs-dir", default="runs")
@@ -1394,7 +1314,6 @@ def main(argv: list[str] | None = None) -> int:
     check_p.add_argument(
         "--json",
         metavar="PATH",
-        default=None,
         help="also write the reports (or, with --prove, the certificates) "
         "as one JSON document",
     )
@@ -1439,14 +1358,12 @@ def main(argv: list[str] | None = None) -> int:
     prove_p.add_argument(
         "--max-packets",
         type=int,
-        default=None,
         help="model-checker in-flight packet bound (default: sized from "
         "the adjudicated cycle's channel capacities)",
     )
     prove_p.add_argument(
         "--json",
         metavar="PATH",
-        default=None,
         help="also write every certificate into one JSON document",
     )
     prove_p.add_argument(

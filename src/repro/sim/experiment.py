@@ -97,8 +97,21 @@ class RunResult:
     @property
     def saturated(self) -> bool:
         """Heuristic: the network failed to deliver most measured packets."""
-        frac = self.stats.delivered_fraction
-        return not math.isnan(frac) and frac < 0.6
+        return is_saturated(self.stats.delivered_fraction)
+
+
+#: Delivered fraction of the measured packets below which a point counts
+#: as saturated.
+SATURATION_DELIVERED_FRACTION = 0.6
+
+
+def is_saturated(delivered_fraction: float) -> bool:
+    """The one saturation predicate (``RunResult`` and ``SweepPoint``).
+
+    A run that injected no measured packet has a NaN delivered fraction:
+    it is empty, not saturated.
+    """
+    return delivered_fraction < SATURATION_DELIVERED_FRACTION
 
 
 def _collect_phy_split(network: Network) -> tuple[int, int]:
@@ -110,7 +123,7 @@ def _collect_phy_split(network: Network) -> tuple[int, int]:
     return par, ser
 
 
-def _run(
+def run_workload(
     spec: SystemSpec,
     workload: Workload,
     workload_name: str,
@@ -126,6 +139,8 @@ def _run(
 ) -> RunResult:
     """One run, start to end: build, attach, run, finalize, collect, close.
 
+    The only such path outside ``repro.analysis``: ``run_synthetic``,
+    ``run_trace`` and ``repro diff``'s re-simulation are thin callers.
     ``descriptor`` is the workload part of the digest ``meta`` block;
     ``drain`` selects run-until-drained (``horizon`` is then the deadline).
     Whoever builds a network closes it (``Network.close``), so the run's
@@ -152,17 +167,19 @@ def _run(
             engine.hostprof = session.hostprof
             engine.livefeed = session.live
             if session.digest is not None:
+                from repro.telemetry.digest import run_meta
+
                 grid = spec.grid
-                session.digest.meta = {
-                    "system": spec.name,
-                    "family": spec.family,
-                    "chiplets": [grid.chiplets_x, grid.chiplets_y],
-                    "nodes": [grid.nodes_x, grid.nodes_y],
+                session.digest.meta = run_meta(
+                    spec.family,
+                    (grid.chiplets_x, grid.chiplets_y),
+                    (grid.nodes_x, grid.nodes_y),
+                    system=spec.name,
                     **descriptor,
-                    "warmup": warmup,
-                    "policy": resolved_policy,
-                    "config_hash": config_hash,
-                }
+                    warmup=warmup,
+                    policy=resolved_policy,
+                    config_hash=config_hash,
+                )
             if session.live is not None:
                 session.live.start(
                     {
@@ -239,7 +256,7 @@ def run_synthetic(
         until=cycles,
         seed=seed,
     )
-    return _run(
+    return run_workload(
         spec,
         workload,
         f"{pattern}@{rate:g}",
@@ -284,7 +301,7 @@ def run_trace(
     # Trace replays carry no synthetic-workload descriptor, so the digest
     # meta is not re-simulable; ``repro diff`` then localizes only to
     # checkpoint granularity.
-    return _run(
+    return run_workload(
         spec,
         TraceWorkload(trace),
         trace.name,
@@ -309,7 +326,7 @@ class SweepPoint:
 
     @property
     def saturated(self) -> bool:
-        return math.isnan(self.avg_latency) or self.delivered_fraction < 0.6
+        return is_saturated(self.delivered_fraction)
 
 
 def latency_rate_sweep(

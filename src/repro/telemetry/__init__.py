@@ -27,10 +27,10 @@
   attachment used by ``run_synthetic`` / ``run_trace`` and the
   ``repro simulate`` CLI (``repro.telemetry.session``);
 * :class:`RunDigest` — streaming platform-stable chained hash of every
-  bus event, with checkpoint chains, golden-trace files and the
-  three-granularity differential oracle behind ``repro diff`` /
-  ``repro golden`` (``repro.telemetry.digest`` /
-  ``repro.telemetry.diff``);
+  bus event, with checkpoint chains, the three-granularity differential
+  oracle behind ``repro diff`` and the one pin store behind ``repro
+  golden`` and the tier-1 pin tests (``repro.telemetry.digest`` /
+  ``repro.telemetry.diff`` / ``repro.telemetry.pins``);
 * :class:`HostTimeLedger` — host wall-time attribution across engine /
   router / link / PHY phases plus cProfile→speedscope folding, driven by
   ``repro profile`` (``repro.telemetry.hostprof``);
@@ -68,14 +68,12 @@ _SUBMODULE_EXPORTS = {
     "bus": ("EVENT_NAMES", "NULL_BUS", "TelemetryBus"),
     "compare": ("MetricVerdict", "compare_bench", "compare_records"),
     "diff": (
-        "DiffError", "DiffReport", "Diffable", "check_golden_file", "diff_runs",
-        "load_diffable", "parse_sim_spec", "record_golden_case", "resimulate",
+        "DiffError", "DiffReport", "Diffable", "diff_runs", "load_diffable",
+        "parse_sim_spec", "resimulate",
     ),
     "digest": (
-        "DIGEST_ALGO", "DIGEST_SCHEMA_VERSION", "GOLDEN_SCHEMA_VERSION",
-        "DigestError", "RunDigest", "digests_comparable", "golden_files",
-        "golden_path", "load_golden", "make_golden", "validate_digest_block",
-        "write_golden",
+        "DIGEST_ALGO", "DIGEST_SCHEMA_VERSION", "DigestError", "RunDigest",
+        "digests_comparable", "validate_digest_block",
     ),
     "forensics": (
         "FORENSICS_SCHEMA_VERSION", "FlightRecorder", "ForensicsConfig",

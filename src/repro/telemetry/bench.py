@@ -12,7 +12,7 @@ noise-aware threshold; CI runs the suite on every push (see
 
 Timing repetitions run with **zero** bus subscribers (the measured number
 is the uninstrumented simulator); event counts come from one extra,
-untimed, fully instrumented repetition.
+untimed, digested repetition.
 
 Import note: simulator modules are imported inside functions only — this
 module is imported by the ``repro.telemetry`` package machinery and must
@@ -68,38 +68,25 @@ CASES: tuple[BenchCase, ...] = (
     BenchCase("table3_parallel_mesh", "parallel_mesh", (4, 4), (2, 2), "uniform", 0.10),
 )
 
-CASE_NAMES: tuple[str, ...] = tuple(case.name for case in CASES)
-
 
 class EventCounters:
-    """Counts every telemetry-bus event by name (hot-path census)."""
+    """Counts every telemetry-bus event by name, live, for the life of the network.
+
+    ``benchmarks/perf/child.py`` reads ``counts`` while its census run
+    advances; ``repro bench`` itself takes its census from the digest.
+    """
 
     def __init__(self, network: "Network") -> None:
-        self.network = network
-        self.counts: dict[str, int] = dict.fromkeys(EVENT_NAMES, 0)
-        self._callbacks: dict[str, Callable[..., None]] = {}
-        bus = network.telemetry
+        self.counts = counts = dict.fromkeys(EVENT_NAMES, 0)
+
+        def counter(name: str) -> Callable[..., None]:
+            def on_event(*_args: Any) -> None:
+                counts[name] += 1
+
+            return on_event
+
         for name in EVENT_NAMES:
-            callback = self._make_counter(name)
-            self._callbacks[name] = callback
-            bus.subscribe(name, callback)
-
-    def _make_counter(self, name: str) -> Callable[..., None]:
-        counts = self.counts
-
-        def on_event(*_args: Any) -> None:
-            counts[name] += 1
-
-        return on_event
-
-    def detach(self) -> None:
-        bus = self.network.telemetry
-        for name, callback in self._callbacks.items():
-            bus.unsubscribe(name, callback)
-        self._callbacks.clear()
-
-    def nonzero(self) -> dict[str, int]:
-        return {name: count for name, count in self.counts.items() if count}
+            network.telemetry.subscribe(name, counter(name))
 
 
 def median_iqr(samples: Sequence[float]) -> tuple[float, float]:
@@ -115,15 +102,10 @@ def median_iqr(samples: Sequence[float]) -> tuple[float, float]:
 def _run_case(
     case: BenchCase, scale: str, reps: int, seed: int, host_stride: int, mem_top: int
 ) -> dict[str, Any]:
-    from repro.sim.build import build_network
     from repro.sim.config import SimConfig
-    from repro.sim.engine import Engine
     from repro.sim.experiment import run_synthetic
-    from repro.sim.stats import Stats
     from repro.topology.grid import ChipletGrid
     from repro.topology.system import build_system
-    from repro.traffic.injection import SyntheticWorkload
-    from repro.traffic.patterns import make_pattern
 
     from .session import TelemetryConfig
 
@@ -132,66 +114,31 @@ def _run_case(
     config = SimConfig().replace(sim_cycles=cycles, warmup_cycles=warmup)
     spec = build_system(case.family, grid, config)
 
+    def run(**observers: Any) -> Any:
+        """One repetition of the case; ``observers`` are ``TelemetryConfig`` fields."""
+        telemetry = TelemetryConfig(epoch_metrics=False, **observers) if observers else None
+        return run_synthetic(spec, case.pattern, case.rate, seed=seed, telemetry=telemetry)
+
     # Timing repetitions: zero subscribers; the first rep warms caches and
     # is discarded.
     walls: list[float] = []
     result = None
     for rep in range(reps + 1):
-        result = run_synthetic(spec, case.pattern, case.rate, seed=seed)
+        result = run()
         if rep > 0:
             walls.append(result.wall_seconds)
     assert result is not None
     cps = [cycles / wall for wall in walls if wall > 0]
 
-    # One extra instrumented repetition for the hot-path event census
-    # (untimed: the counters themselves cost per-event dispatches).  The
-    # run digest rides the same repetition, so BENCH documents carry a
-    # reproducibility fingerprint without adding a timed subscriber.
-    from .digest import RunDigest
-
-    stats = Stats(measure_from=warmup)
-    network = build_network(spec, stats)
-    counters = EventCounters(network)
-    digest = RunDigest(network)
-    digest.meta = {
-        "system": spec.name,
-        "family": case.family,
-        "chiplets": list(case.chiplets),
-        "nodes": list(case.nodes),
-        "pattern": case.pattern,
-        "rate": case.rate,
-        "seed": seed,
-        "cycles": cycles,
-        "warmup": warmup,
-    }
-    workload = SyntheticWorkload(
-        make_pattern(case.pattern, grid.n_nodes),
-        grid.n_nodes,
-        case.rate,
-        config.packet_length,
-        until=cycles,
-        seed=seed,
-    )
-    try:
-        Engine(network, workload, stats).run(cycles)
-    finally:
-        counters.detach()
-        digest.detach()
-        network.close()
+    # One extra digested repetition (untimed: the digest costs one dispatch
+    # per event).  Its block is the reproducibility fingerprint of the BENCH
+    # document, and its per-kind counts are the hot-path event census.
+    digest = run(digest=True).digest
 
     # One more untimed repetition with the host-time ledger attached: the
     # per-phase wall-time shares that tell `repro compare` *which* pipeline
     # stage a cycles/sec regression lives in (strided to keep it cheap).
-    host_result = run_synthetic(
-        spec,
-        case.pattern,
-        case.rate,
-        seed=seed,
-        telemetry=TelemetryConfig(
-            host_time=True, host_stride=host_stride, epoch_metrics=False
-        ),
-    )
-    host = host_result.telemetry.hostprof.record_summary()
+    host = run(host_time=True, host_stride=host_stride).telemetry.hostprof.record_summary()
 
     # And one final untimed repetition under the memory ledger (tracing
     # roughly doubles allocation cost, so it can never ride a timed rep):
@@ -200,7 +147,7 @@ def _run_case(
     from .memprof import MemLedger
 
     with MemLedger(top_n=mem_top) as mem_ledger:
-        run_synthetic(spec, case.pattern, case.rate, seed=seed)
+        run()
     mem = mem_ledger.record_summary()
 
     wall_median, wall_iqr = median_iqr(walls)
@@ -217,8 +164,8 @@ def _run_case(
         "config_hash": result.config_hash,
         "wall_s": {"median": wall_median, "iqr": wall_iqr, "samples": walls},
         "cps": {"median": cps_median, "iqr": cps_iqr, "samples": cps},
-        "events": counters.nonzero(),
-        "digest": digest.summary(),
+        "events": {**digest["events"], "cycle_end": digest["cycles"]},
+        "digest": digest,
         "host": host,
         "mem": mem,
         "stats": {

@@ -444,52 +444,47 @@ def health_section(runs_dir: Path, max_runs: int = 8) -> str:
 
 def determinism_section(
     runs_dir: Path,
-    goldens_dir: str | Path = "benchmarks/goldens",
+    pins_path: Optional[str | Path] = None,
     max_runs: int = 8,
 ) -> str:
-    """Determinism panel: committed golden traces + recent digested runs.
+    """Determinism panel: the committed pin store + recent digested runs.
 
-    One row per golden file (case, scale, final chain, horizon) and one
-    per recent registry record that carries a digest block — the same
-    fingerprints ``repro diff`` and ``repro golden check`` compare, so a
-    glance shows which runs are covered by the differential oracle.
+    One row per pin (case, horizon, final chain, whether ``repro golden
+    check`` can re-simulate it from its own meta) and one per recent
+    registry record that carries a digest block — the same fingerprints
+    ``repro diff`` and ``repro golden check`` compare, so a glance shows
+    which runs are covered by the differential oracle.
     """
-    from .digest import golden_files, load_golden
+    from .diff import missing_resim_keys
+    from .pins import load
 
     parts = []
-    golden_rows = []
-    for path in golden_files(goldens_dir):
-        try:
-            golden = load_golden(path)
-        except (ValueError, OSError):
-            golden_rows.append(
-                [
-                    html.escape(path.name),
-                    '<span class="alarm">unreadable golden file</span>',
-                    "", "", "",
-                ]
-            )
-            continue
-        digest = golden.get("digest") or {}
-        golden_rows.append(
-            [
-                html.escape(path.name),
-                html.escape(str(golden.get("case"))),
-                html.escape(str(golden.get("scale"))),
-                fmt_value(digest.get("cycles", math.nan)),
-                f"<code>{html.escape(str(digest.get('final')))}</code>",
-            ]
+    try:
+        pins = load(pins_path)
+    except (ValueError, OSError) as exc:
+        # No store yet is an empty state; an unreadable one an alarm row.
+        css, what = (
+            ("empty", "no pinned runs yet (<code>repro golden record</code> maintains them)")
+            if isinstance(exc, FileNotFoundError)
+            else ("alarm", "unreadable pin store")
         )
-    if golden_rows:
-        parts.append(
-            html_table(
-                ["golden", "case", "scale", "cycles", "digest chain"], golden_rows
-            )
-        )
+        parts.append(f'<p class="{css}">{what}: {html.escape(str(exc))}</p>')
     else:
         parts.append(
-            '<p class="empty">no golden traces yet — record them with '
-            "<code>repro golden record</code>.</p>"
+            html_table(
+                ["pin", "cycles", "digest chain", "re-simulable"],
+                (
+                    [
+                        html.escape(case),
+                        fmt_value(pin["digest"].get("cycles", math.nan)),
+                        f"<code>{html.escape(str(pin['digest'].get('final')))}</code>",
+                        "no (built by tests)"
+                        if missing_resim_keys(pin["digest"].get("meta"))
+                        else "yes",
+                    ]
+                    for case, pin in pins.items()
+                ),
+            )
         )
     store = RunStore(runs_dir)
     digested = [

@@ -19,10 +19,10 @@ escalating granularities:
    cycle**, and the losing side is re-run once more with the flight
    recorder windowed on that cycle to print the event-level context.
 
-Diffable sources (``load_diffable``): golden-trace files
-(``GOLDEN_*.json``), run-registry records (a record JSON or a
-``runs.jsonl`` store, optionally ``#run_id``-suffixed), and live
-re-simulations described by a ``sim:`` spec string such as::
+Diffable sources (``load_diffable``): a pin of the committed pin store
+(``pin:<case>``, see :mod:`repro.telemetry.pins`), run-registry records (a
+record JSON or a ``runs.jsonl`` store, optionally ``#run_id``-suffixed),
+and live re-simulations described by a ``sim:`` spec string such as::
 
     sim:family=hetero_phy_torus,chiplets=2x2,nodes=4x4,pattern=uniform,
         rate=0.15,seed=1,cycles=2000,warmup=400
@@ -44,21 +44,16 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from .digest import (
     DEFAULT_CHECKPOINT_EVERY,
-    DigestError,
-    RunDigest,
+    chain_hex,
     digests_comparable,
-    golden_path,
-    load_golden,
-    make_golden,
+    run_meta,
     validate_digest_block,
-    write_golden,
 )
 from .runstore import RunRecord, RunStore, RunStoreError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.flit import Packet
-
-    from .bench import BenchCase
+    from repro.sim.experiment import RunResult
 
 #: Meta keys a digest must carry to be re-simulated for localization.
 RESIM_KEYS = ("family", "chiplets", "nodes", "pattern", "rate", "seed", "cycles")
@@ -71,12 +66,17 @@ class DiffError(ValueError):
     """A diff input could not be loaded or re-simulated."""
 
 
+def missing_resim_keys(meta: Optional[dict[str, Any]]) -> list[str]:
+    """The :data:`RESIM_KEYS` a ``meta`` block lacks (empty: re-simulable)."""
+    return [key for key in RESIM_KEYS if (meta or {}).get(key) is None]
+
+
 @dataclass
 class Diffable:
     """One side of a diff: a digest block plus optional summary stats."""
 
     label: str
-    #: ``"golden"``, ``"record"`` or ``"sim"``.
+    #: ``"pin"``, ``"record"`` or ``"sim"``.
     source: str
     digest: dict[str, Any]
     stats: dict[str, Any] = field(default_factory=dict)
@@ -88,7 +88,7 @@ class Diffable:
     @property
     def resimulable(self) -> bool:
         """Whether the digest carries enough meta to re-run the simulation."""
-        return all(self.meta.get(key) is not None for key in RESIM_KEYS)
+        return not missing_resim_keys(self.meta)
 
 
 @dataclass
@@ -221,133 +221,112 @@ def resimulate(
     cycles: Optional[int] = None,
     capture: Optional[tuple[int, int]] = None,
     recorder: bool = False,
-) -> tuple[Any, RunDigest, Optional[Any]]:
-    """Re-run a simulation described by a digest's ``meta`` block.
+) -> "RunResult":
+    """Re-run a simulation described by a digest's ``meta`` block, digested.
 
-    Returns ``(stats, digest, flight_recorder)``; the recorder is only
-    attached when ``recorder=True`` (the event-context pass).  ``cycles``
+    The result carries the finalized session: ``result.digest`` is the
+    block, ``result.telemetry.digest.captured`` the per-cycle chains of the
+    ``capture`` window, ``result.telemetry.forensics.recorder`` the flight
+    recorder (``recorder=True``: the event-context pass).  ``cycles``
     truncates the horizon — determinism makes any prefix of the run
     identical to the same prefix of the full run, so localization passes
     never simulate past the cycle they care about.
     """
-    missing = [key for key in RESIM_KEYS if meta.get(key) is None]
+    missing = missing_resim_keys(meta)
     if missing:
         raise DiffError(
             f"digest meta cannot be re-simulated; missing: {', '.join(missing)}"
         )
-    from repro.sim.build import build_network
     from repro.sim.config import SimConfig
-    from repro.sim.engine import Engine
-    from repro.sim.stats import Stats
+    from repro.sim.experiment import run_workload
     from repro.topology.grid import ChipletGrid
     from repro.topology.system import build_system
     from repro.traffic.injection import SyntheticWorkload
     from repro.traffic.patterns import make_pattern
 
-    from .forensics import FlightRecorder
+    from .session import TelemetryConfig
 
-    total = int(meta["cycles"])
-    run_cycles = total if cycles is None else min(int(cycles), total)
-    warmup = int(meta.get("warmup") or 0)
-    cx, cy = meta["chiplets"]
-    nx, ny = meta["nodes"]
-    grid = ChipletGrid(int(cx), int(cy), int(nx), int(ny))
+    total, warmup = int(meta["cycles"]), int(meta.get("warmup") or 0)
+    grid = ChipletGrid(*meta["chiplets"], *meta["nodes"])
     config = SimConfig().replace(sim_cycles=total, warmup_cycles=warmup)
-    spec = build_system(str(meta["family"]), grid, config)
-    stats = Stats(measure_from=warmup)
-    policy = meta.get("policy") or None
-    network = build_network(spec, stats, policy=policy)
+    spec = build_system(meta["family"], grid, config)
     workload: Any = SyntheticWorkload(
-        make_pattern(str(meta["pattern"]), grid.n_nodes),
+        make_pattern(meta["pattern"], grid.n_nodes),
         grid.n_nodes,
-        float(meta["rate"]),
+        meta["rate"],
         config.packet_length,
         until=total,
-        seed=int(meta["seed"]),
+        seed=meta["seed"],
     )
     if meta.get("perturb") is not None:
         workload = PerturbedWorkload(
             workload, int(meta["perturb"]), dst=max(1, grid.n_nodes - 1)
         )
-    digest = RunDigest(
-        network,
-        checkpoint_every=int(meta.get("checkpoint_every") or DEFAULT_CHECKPOINT_EVERY),
-        capture=capture,
+    described = ("pattern", "rate", "seed", "cycles", "perturb", "checkpoint_every")
+    return run_workload(
+        spec,
+        workload,
+        f"{meta['pattern']}@{meta['rate']:g}",
+        {key: meta.get(key) for key in described},
+        total if cycles is None else min(int(cycles), total),
+        drain=False,
+        policy=meta.get("policy") or None,
+        warmup=warmup,
+        telemetry=TelemetryConfig(
+            epoch_metrics=False,
+            digest=True,
+            digest_checkpoint_every=meta.get("checkpoint_every") or DEFAULT_CHECKPOINT_EVERY,
+            digest_capture=capture,
+            flight_recorder=recorder,
+            recorder_window=_CONTEXT_WINDOW,
+            recorder_events="full",
+        ),
+        seed=meta["seed"],
     )
-    digest.meta = dict(meta)
-    flight = (
-        FlightRecorder(network, window=_CONTEXT_WINDOW, events="full")
-        if recorder
-        else None
-    )
-    try:
-        Engine(network, workload, stats).run(run_cycles)
-    finally:
-        digest.detach()
-        if flight is not None:
-            flight.detach()
-        network.close()
-    return stats, digest, flight
 
 
 # ---------------------------------------------------------------------------
 # diffable loading
 # ---------------------------------------------------------------------------
 
-#: ``sim:`` spec defaults (family is required).
-_SIM_DEFAULTS: dict[str, Any] = {
-    "chiplets": "2x2",
-    "nodes": "3x3",
-    "pattern": "uniform",
-    "rate": 0.1,
-    "seed": 1,
-    "cycles": 2_000,
-    "warmup": 400,
+def _pair(value: str) -> list[int]:
+    x, y = value.lower().split("x")
+    return [int(x), int(y)]
+
+
+#: ``sim:`` spec keys and the type each value parses to (family is required).
+_SIM_KEYS: dict[str, Any] = {
+    "family": str, "chiplets": _pair, "nodes": _pair, "pattern": str,
+    "rate": float, "seed": int, "cycles": int, "warmup": int,
+    "policy": str, "perturb": int, "checkpoint_every": int,
+}
+_SIM_DEFAULTS = {
+    "chiplets": "2x2", "nodes": "3x3", "pattern": "uniform", "rate": "0.1",
+    "seed": "1", "cycles": "2000", "warmup": "400",
 }
 
 
 def parse_sim_spec(text: str) -> dict[str, Any]:
     """Parse a ``sim:key=value,...`` spec into a re-simulation meta dict."""
-    body = text[len("sim:"):]
-    raw: dict[str, str] = {}
-    for item in filter(None, body.split(",")):
+    raw = dict(_SIM_DEFAULTS)
+    for item in filter(None, text[len("sim:"):].split(",")):
         if "=" not in item:
             raise DiffError(f"sim spec item {item!r} is not key=value")
         key, value = item.split("=", 1)
         raw[key.strip()] = value.strip()
-    unknown = set(raw) - {
-        "family", "chiplets", "nodes", "pattern", "rate", "seed",
-        "cycles", "warmup", "policy", "perturb", "checkpoint_every",
-    }
+    unknown = set(raw) - set(_SIM_KEYS)
     if unknown:
         raise DiffError(f"unknown sim spec key(s): {', '.join(sorted(unknown))}")
-    if "family" not in raw:
+    if not raw.get("family"):
         raise DiffError("sim spec requires family=<system family>")
-
-    def pair(value: str, what: str) -> list[int]:
+    parsed = {}
+    for key, value in raw.items():
         try:
-            x, y = value.lower().split("x")
-            return [int(x), int(y)]
+            parsed[key] = _SIM_KEYS[key](value)
         except ValueError:
-            raise DiffError(f"invalid {what} {value!r}; expected e.g. 2x2") from None
-
-    meta: dict[str, Any] = {
-        "family": raw["family"],
-        "chiplets": pair(raw.get("chiplets", _SIM_DEFAULTS["chiplets"]), "chiplets"),
-        "nodes": pair(raw.get("nodes", _SIM_DEFAULTS["nodes"]), "nodes"),
-        "pattern": raw.get("pattern", _SIM_DEFAULTS["pattern"]),
-        "rate": float(raw.get("rate", _SIM_DEFAULTS["rate"])),
-        "seed": int(raw.get("seed", _SIM_DEFAULTS["seed"])),
-        "cycles": int(raw.get("cycles", _SIM_DEFAULTS["cycles"])),
-        "warmup": int(raw.get("warmup", _SIM_DEFAULTS["warmup"])),
-    }
-    if raw.get("policy"):
-        meta["policy"] = raw["policy"]
-    if raw.get("perturb") is not None:
-        meta["perturb"] = int(raw["perturb"])
-    if raw.get("checkpoint_every") is not None:
-        meta["checkpoint_every"] = int(raw["checkpoint_every"])
-    return meta
+            example = _SIM_DEFAULTS.get(key, "1")
+            raise DiffError(f"invalid {key} {value!r}; expected e.g. {example}") from None
+    return run_meta(parsed.pop("family"), parsed.pop("chiplets"), parsed.pop("nodes"), **parsed)
 
 
 def _record_diffable(record: RunRecord, label: str) -> Diffable:
@@ -365,19 +344,22 @@ def _record_diffable(record: RunRecord, label: str) -> Diffable:
 def load_diffable(token: str, *, runs_dir: str | Path = "runs") -> Diffable:
     """Resolve one ``repro diff`` operand into a :class:`Diffable`.
 
-    Accepts a ``sim:`` spec (re-simulates now), a golden file, a run-record
-    JSON, or a ``runs.jsonl`` store (latest digest-bearing record;
-    ``store.jsonl#run_id`` selects one record).
+    Accepts a ``sim:`` spec (re-simulates now), ``pin:<case>`` (a pin of
+    the committed pin store), a run-record JSON, or a ``runs.jsonl`` store
+    (latest digest-bearing record; ``store.jsonl#run_id`` selects one
+    record).
     """
     if token.startswith("sim:"):
-        meta = parse_sim_spec(token)
-        stats, digest, _ = resimulate(meta)
-        return Diffable(
-            label=token,
-            source="sim",
-            digest=digest.summary(),
-            stats=dict(stats.summary()),
-        )
+        result = resimulate(parse_sim_spec(token))
+        return Diffable(token, "sim", result.digest, result.stats.summary())
+    if token.startswith("pin:"):
+        from .pins import load
+
+        pins = load()
+        pin = pins.get(token[len("pin:"):])
+        if pin is None:
+            raise DiffError(f"no such pin: {token}; known: {', '.join(sorted(pins))}")
+        return Diffable(token, "pin", pin["digest"], pin["stats"])
     path_text, _, selector = token.partition("#")
     path = Path(path_text)
     if not path.is_file():
@@ -398,18 +380,10 @@ def load_diffable(token: str, *, runs_dir: str | Path = "runs") -> Diffable:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DiffError(f"{path}: not valid JSON: {exc}") from None
-    if isinstance(doc, dict) and doc.get("kind") == "golden":
-        golden = load_golden(path)
-        return Diffable(
-            label=f"{path.name} ({golden['case']}@{golden['scale']})",
-            source="golden",
-            digest=golden["digest"],
-            stats=dict(golden.get("stats") or {}),
-        )
     if isinstance(doc, dict) and "cases" in doc:
         raise DiffError(
             f"{path}: bench documents are compared with `repro compare`; "
-            "diff golden files or run records instead"
+            "diff pins or run records instead"
         )
     if isinstance(doc, dict) and "run_id" in doc:
         try:
@@ -417,7 +391,7 @@ def load_diffable(token: str, *, runs_dir: str | Path = "runs") -> Diffable:
         except RunStoreError as exc:
             raise DiffError(f"{path}: {exc}") from None
         return _record_diffable(record, token)
-    raise DiffError(f"{path}: not a golden trace, run record or runs.jsonl store")
+    raise DiffError(f"{path}: not a run record or runs.jsonl store")
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +517,8 @@ def diff_runs(
         )
         return report
     window = (lo + 1, hi)
-    _, rerun_a, _ = resimulate(a.meta, cycles=hi, capture=window)
-    _, rerun_b, _ = resimulate(b.meta, cycles=hi, capture=window)
+    rerun_a = resimulate(a.meta, cycles=hi, capture=window).telemetry.digest
+    rerun_b = resimulate(b.meta, cycles=hi, capture=window).telemetry.digest
     for side, original, rerun in (("A", a, rerun_a), ("B", b, rerun_b)):
         recorded = dict(
             (int(cycle), chain) for cycle, chain in original.digest["checkpoints"]
@@ -552,8 +526,6 @@ def diff_runs(
         expected = recorded.get(hi) or (
             original.digest.get("final") if hi == original.digest.get("cycles") else None
         )
-        from .digest import chain_hex
-
         got = rerun.captured.get(hi)
         if expected is not None and got is not None and chain_hex(got) != expected:
             report.notes.append(
@@ -574,93 +546,10 @@ def diff_runs(
     report.divergent_cycle = divergent_now
 
     # Re-run the loser with the flight recorder windowed on that cycle.
-    _, _, flight = resimulate(b.meta, cycles=first, recorder=True)
-    assert flight is not None
+    flight = resimulate(b.meta, cycles=first, recorder=True).telemetry.forensics.recorder
     at_cycle = [
         event for event in flight.events() if event.get("cycle") == divergent_now
     ]
     report.context = at_cycle[:context]
     report.context_truncated = max(0, len(at_cycle) - context)
     return report
-
-
-# ---------------------------------------------------------------------------
-# golden record / check (the ``repro golden`` verbs)
-# ---------------------------------------------------------------------------
-
-
-def golden_meta_for_case(
-    case: "BenchCase", scale: str, seed: int
-) -> dict[str, Any]:
-    """Re-simulation meta for one bench-suite canonical case."""
-    from .bench import _HORIZONS
-
-    cycles, warmup = _HORIZONS[scale]
-    return {
-        "family": case.family,
-        "chiplets": list(case.chiplets),
-        "nodes": list(case.nodes),
-        "pattern": case.pattern,
-        "rate": case.rate,
-        "seed": seed,
-        "cycles": cycles,
-        "warmup": warmup,
-    }
-
-
-def record_golden_case(
-    case: "BenchCase",
-    *,
-    scale: str,
-    seed: int,
-    directory: str | Path,
-    git_rev: str = "unknown",
-    created: str = "",
-) -> Path:
-    """Simulate one canonical case and write its golden trace."""
-    meta = golden_meta_for_case(case, scale, seed)
-    stats, digest, _ = resimulate(meta)
-    doc = make_golden(
-        case.name,
-        scale,
-        digest.summary(),
-        stats=dict(stats.summary()),
-        git_rev=git_rev,
-        created=created,
-    )
-    return write_golden(doc, golden_path(case.name, scale, directory))
-
-
-def check_golden_file(
-    path: str | Path, *, localize: bool = True
-) -> tuple[bool, str, Optional[DiffReport]]:
-    """Re-simulate one golden's case and verify the digest chain matches.
-
-    Returns ``(ok, one-line message, report)``; the report carries the
-    localized divergence on mismatch.  Foreign or corrupt files raise
-    :class:`~repro.telemetry.digest.DigestError`.
-    """
-    golden_doc = load_golden(path)
-    golden = Diffable(
-        label=f"{Path(path).name} (recorded)",
-        source="golden",
-        digest=golden_doc["digest"],
-        stats=dict(golden_doc.get("stats") or {}),
-    )
-    stats, digest, _ = resimulate(golden.meta)
-    current = Diffable(
-        label="this build (re-simulated)",
-        source="sim",
-        digest=digest.summary(),
-        stats=dict(stats.summary()),
-    )
-    report = diff_runs(golden, current, localize=localize)
-    case = f"{golden_doc['case']}@{golden_doc['scale']}"
-    if report.identical:
-        return True, f"{case}: OK ({golden.digest.get('final')})", report
-    where = (
-        f" (first divergent cycle {report.divergent_cycle})"
-        if report.divergent_cycle is not None
-        else ""
-    )
-    return False, f"{case}: DIGEST MISMATCH{where}", report

@@ -1,4 +1,4 @@
-"""Deterministic run digests and golden traces (``repro diff`` / ``repro golden``).
+"""Deterministic run digests (``repro diff`` / ``repro golden``).
 
 :class:`RunDigest` folds every :class:`~repro.telemetry.bus.TelemetryBus`
 event into one platform-stable 64-bit **chained hash**: each event's
@@ -33,12 +33,11 @@ Artifacts:
 
 * ``RunDigest.summary()`` — the schema-versioned ``digest`` block stored
   on :class:`~repro.telemetry.runstore.RunRecord`, in ``BENCH_*.json``
-  cases and in golden files: final chain, per-event-kind counters,
+  cases and in the pin store: final chain, per-event-kind counters,
   periodic ``(cycle, chain)`` checkpoints and the run's re-simulation
   ``meta`` (family/geometry/pattern/rate/seed/horizon/policy).
-* Golden traces — ``GOLDEN_<case>_<scale>.json`` under
-  ``benchmarks/goldens/``, written by ``repro golden record`` and
-  re-verified by ``repro golden check`` and CI's determinism-smoke job.
+* The pin store — ``benchmarks/goldens/PINS.json``, every pinned run of
+  the repository in that block's shape (:mod:`repro.telemetry.pins`).
 
 Import note: like every collector in this package, this module must not
 import ``repro.noc`` / ``repro.sim`` at module load; simulator types
@@ -47,8 +46,6 @@ appear only under ``typing.TYPE_CHECKING``.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
 
 from .bus import EVENT_NAMES
@@ -58,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.network import Network
 
 #: Version of the ``digest`` block schema (run records, bench cases,
-#: golden files).  Bump on incompatible changes; loaders reject blocks
+#: pins).  Bump on incompatible changes; loaders reject blocks
 #: written by a different version.
 DIGEST_SCHEMA_VERSION = 1
 
@@ -66,12 +63,6 @@ DIGEST_SCHEMA_VERSION = 1
 #: comparable when their tags match; the tag changes whenever the mix or
 #: the per-event field encoding changes.
 DIGEST_ALGO = "fnv64-chain-v1"
-
-#: Version of the ``GOLDEN_*.json`` file schema.
-GOLDEN_SCHEMA_VERSION = 1
-
-#: Default directory for golden traces (``repro golden``).
-DEFAULT_GOLDENS_DIR = "benchmarks/goldens"
 
 #: Default cycles between checkpoint samples — matches the default epoch
 #: length so checkpoints line up with epoch boundaries in the live feed.
@@ -90,7 +81,7 @@ _EVENT_TAG = {name: index + 1 for index, name in enumerate(EVENT_NAMES)}
 
 
 class DigestError(ValueError):
-    """A digest block or golden file could not be validated."""
+    """A digest block or the pin store could not be validated."""
 
 
 def chain_hex(value: int) -> str:
@@ -408,78 +399,20 @@ def digests_comparable(a: dict[str, Any], b: dict[str, Any]) -> Optional[str]:
     return None
 
 
-# ---------------------------------------------------------------------------
-# golden traces
-# ---------------------------------------------------------------------------
-
-
-def golden_path(
-    case: str, scale: str, directory: str | Path = DEFAULT_GOLDENS_DIR
-) -> Path:
-    """The canonical golden-file path for one (case, scale) pair."""
-    return Path(directory) / f"GOLDEN_{case}_{scale}.json"
-
-
-def make_golden(
-    case: str,
-    scale: str,
-    digest_block: dict[str, Any],
-    *,
-    stats: Optional[dict[str, Any]] = None,
-    git_rev: str = "unknown",
-    created: str = "",
+def run_meta(
+    family: str, chiplets: Any, nodes: Any, **described: Any
 ) -> dict[str, Any]:
-    """Assemble one golden-trace document from a finished run's digest."""
-    validate_digest_block(digest_block, where=f"golden {case}")
-    return {
-        "schema_version": GOLDEN_SCHEMA_VERSION,
-        "kind": "golden",
-        "case": case,
-        "scale": scale,
-        "created": created,
-        "git_rev": git_rev,
-        "digest": digest_block,
-        "stats": dict(stats or {}),
-    }
+    """The ``meta`` block of a digest — the one place its keys are spelled.
 
-
-def write_golden(doc: dict[str, Any], path: str | Path) -> Path:
-    """Write one golden document (keys sorted: goldens are committed files)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
-
-def load_golden(path: str | Path) -> dict[str, Any]:
-    """Load and schema-check one golden file.
-
-    Rejects foreign documents — wrong ``kind``, wrong schema version, or a
-    digest block this build cannot read — with :class:`DigestError`.
+    ``described`` carries the workload (``pattern``/``rate``/``seed``/
+    ``cycles`` for a synthetic run, which make the block re-simulable;
+    ``workload`` for a trace) and whatever else names the run (``warmup``,
+    ``policy``, ``perturb``, ``checkpoint_every``, ``system``,
+    ``config_hash``).  Keys given as None are left out.
     """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DigestError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("kind") != "golden":
-        raise DigestError(f"{path}: not a golden-trace document")
-    version = doc.get("schema_version")
-    if version != GOLDEN_SCHEMA_VERSION:
-        raise DigestError(
-            f"{path}: golden schema v{version!r} is not supported "
-            f"(this build reads v{GOLDEN_SCHEMA_VERSION})"
-        )
-    for name in ("case", "scale", "digest"):
-        if name not in doc:
-            raise DigestError(f"{path}: missing field {name!r}")
-    validate_digest_block(doc["digest"], where=str(path))
-    return doc
-
-
-def golden_files(directory: str | Path = DEFAULT_GOLDENS_DIR) -> list[Path]:
-    """All ``GOLDEN_*.json`` files under ``directory``, sorted by name."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
-    return sorted(directory.glob("GOLDEN_*.json"))
+    return {
+        "family": family,
+        "chiplets": [int(c) for c in chiplets],
+        "nodes": [int(n) for n in nodes],
+        **{key: value for key, value in described.items() if value is not None},
+    }

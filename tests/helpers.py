@@ -17,6 +17,7 @@ always matches the live schema; same arguments, byte-identical registry.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -27,10 +28,16 @@ from repro.noc.channel import ChannelKind, ChannelSpec, PhyParams
 from repro.noc.flit import Packet
 from repro.noc.network import Network
 from repro.noc.router import Router
+from repro.sim.build import build_network
 from repro.sim.config import SimConfig
+from repro.sim.engine import Engine
 from repro.sim.stats import Stats
+from repro.telemetry.digest import RunDigest
 from repro.telemetry.hostprof import ALL_PHASES
 from repro.telemetry.runstore import RunRecord, RunStore
+from repro.topology.system import build_system
+from repro.traffic.injection import SyntheticWorkload
+from repro.traffic.patterns import make_pattern
 
 
 def forward_routing(router: Router, packet: Packet):
@@ -103,6 +110,53 @@ def run_cycles(network: Network, cycles: int, start: int = 0) -> int:
         network.stats.now = now
         network.step(now)
     return start + cycles
+
+
+def uniform_engine(
+    family, grid, *, cycles, rate, seed, warmup=0, vct=True, workload=SyntheticWorkload
+) -> tuple[Network, Engine]:
+    """A family's network under uniform traffic, built by hand, not yet run.
+
+    For what the one-call harness cannot express: ``vct=False`` flips every
+    router to wormhole allocation (``build_network`` leaves the VCT default),
+    ``workload`` swaps the source class, and the caller may subscribe to the
+    bus or stop half way before ``engine.run``.
+    """
+    config = SimConfig(sim_cycles=cycles, warmup_cycles=warmup)
+    stats = Stats(measure_from=warmup)
+    network = build_network(build_system(family, grid, config), stats)
+    for router in network.routers:
+        router.vct = vct
+    source = workload(
+        make_pattern("uniform", grid.n_nodes),
+        grid.n_nodes,
+        rate,
+        config.packet_length,
+        until=cycles,
+        seed=seed,
+    )
+    return network, Engine(network, source, stats)
+
+
+def digested_uniform_run(family, grid, *, cycles=600, warmup=100, **kwargs):
+    """:func:`uniform_engine` run to its horizon; ``(network, digest)``."""
+    network, engine = uniform_engine(
+        family, grid, cycles=cycles, warmup=warmup, **kwargs
+    )
+    digest = RunDigest(network, checkpoint_every=200)
+    engine.run(cycles)
+    digest.detach()
+    return network, digest
+
+
+def write_pins(path: Path, **store) -> Path:
+    """A pin store holding ``store`` (case -> pin), in the committed format."""
+    from repro.telemetry import pins
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    doc = {"kind": "pins", "schema_version": pins.PINS_SCHEMA_VERSION, "pins": store}
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return path
 
 
 def rows_sha256(trace) -> str:

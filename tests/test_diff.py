@@ -8,18 +8,18 @@ from repro.cli import main
 from repro.telemetry import (
     Diffable,
     DiffError,
-    check_golden_file,
     diff_runs,
     load_diffable,
-    make_golden,
     parse_sim_spec,
+    pins,
     resimulate,
-    write_golden,
 )
 from repro.telemetry.diff import PerturbedWorkload
-from repro.telemetry.digest import chain_hex, golden_path
+from repro.telemetry.digest import chain_hex
 from repro.telemetry.runstore import RunStore
 
+from .helpers import write_pins
+from .test_kernel_equivalence import PINS_PATH
 from .test_runstore import make_record
 
 #: A fast, fully specified re-simulation meta shared across tests.
@@ -41,13 +41,21 @@ BASE_SPEC = (
 )
 
 
+@pytest.fixture
+def committed(monkeypatch):
+    """The committed pin store, with the cwd where its default path resolves."""
+    monkeypatch.chdir(PINS_PATH.parents[2])
+    return pins.load()
+
+
 def sim_diffable(label="side", **meta_overrides):
-    meta = dict(BASE_META, **meta_overrides)
-    stats, digest, _ = resimulate(meta)
-    return Diffable(
-        label=label, source="sim", digest=digest.summary(),
-        stats=dict(stats.summary()),
-    )
+    result = resimulate(dict(BASE_META, **meta_overrides))
+    return Diffable(label, "sim", result.digest, result.stats.summary())
+
+
+def base_pin(**meta_overrides):
+    result = resimulate(dict(BASE_META, **meta_overrides))
+    return pins.observe(result.digest, result.stats)
 
 
 # -- sim spec parsing ---------------------------------------------------------
@@ -89,20 +97,25 @@ def test_resimulate_requires_complete_meta():
 
 
 def test_resimulate_is_deterministic_and_prefix_stable():
-    _, full, _ = resimulate(BASE_META, capture=(200, 200))
-    _, again, _ = resimulate(BASE_META)
+    full = resimulate(BASE_META, capture=(200, 200)).telemetry.digest
+    again = resimulate(BASE_META).telemetry.digest
     assert full.final == again.final
     assert full.events_total == again.events_total
     # Truncation yields exactly the full run's chain at that cycle, which
     # is what lets localization stop simulating at the divergent interval.
-    _, prefix, _ = resimulate(BASE_META, cycles=200)
+    prefix = resimulate(BASE_META, cycles=200).telemetry.digest
     assert prefix.final == chain_hex(full.captured[200])
     assert prefix.cycles == 200
 
 
 def test_resimulate_meta_lands_on_the_digest():
-    _, digest, _ = resimulate(BASE_META)
-    assert digest.summary()["meta"] == BASE_META
+    # ...as a fixed point: what the run harness adds (system, policy,
+    # config hash) re-simulates to the same block, so a pin re-records
+    # byte-identically from its own meta.
+    block = resimulate(BASE_META).digest
+    assert block["meta"].items() >= BASE_META.items()
+    assert set(block["meta"]) - set(BASE_META) == {"system", "policy", "config_hash"}
+    assert resimulate(block["meta"]).digest == block
 
 
 def test_perturbed_workload_injects_one_extra_packet():
@@ -136,16 +149,15 @@ def test_load_diffable_sim_spec():
     assert side.stats  # summary stats ride along for granularity 1
 
 
-def test_load_diffable_golden_and_record(tmp_path):
+def test_load_diffable_golden_and_record(tmp_path, committed):
+    pinned = load_diffable("pin:parallel_mesh-saturated")
+    assert pinned.source == "pin" and pinned.resimulable
+    assert pinned.digest == committed["parallel_mesh-saturated"]["digest"]
+    assert not load_diffable("pin:parallel_mesh-wormhole").resimulable
+    with pytest.raises(DiffError, match="no such pin: pin:fig99; known: .*fig11"):
+        load_diffable("pin:fig99")
+
     block = sim_diffable().digest
-    golden_file = write_golden(
-        make_golden("custom_case", "tiny", block),
-        golden_path("custom_case", "tiny", tmp_path),
-    )
-    golden = load_diffable(str(golden_file))
-    assert golden.source == "golden"
-    assert "custom_case@tiny" in golden.label
-    assert golden.digest == block
 
     record_file = tmp_path / "record.json"
     record_file.write_text(
@@ -181,7 +193,7 @@ def test_load_diffable_rejects_foreign_inputs(tmp_path):
         load_diffable(str(bench))
     mystery = tmp_path / "mystery.json"
     mystery.write_text(json.dumps({"hello": "world"}))
-    with pytest.raises(DiffError, match="not a golden trace"):
+    with pytest.raises(DiffError, match="not a run record"):
         load_diffable(str(mystery))
     record = tmp_path / "plain.json"
     record.write_text(json.dumps(make_record().to_dict()))
@@ -255,35 +267,35 @@ def test_diff_without_resim_meta_degrades_gracefully():
     assert any("cannot localize" in note for note in report.notes)
 
 
-# -- golden record / check ----------------------------------------------------
-def test_check_golden_file_roundtrip_and_tampered_mismatch(tmp_path):
-    stats, digest, _ = resimulate(BASE_META)
-    digest.meta = dict(BASE_META)
-    doc = make_golden(
-        "custom_case", "tiny", digest.summary(), stats=dict(stats.summary())
-    )
-    path = write_golden(doc, golden_path("custom_case", "tiny", tmp_path))
-    ok, message, report = check_golden_file(path)
-    assert ok and report.identical
-    assert message == f"custom_case@tiny: OK ({digest.final})"
-
-    # A golden whose recorded chain this build cannot reproduce (it was
-    # recorded from perturbed behavior): the check fails with the
-    # checkpoint interval, and — since re-simulating the golden's meta
-    # yields current behavior, not the recorded one — it flags the
-    # irreproducible side instead of inventing a divergent cycle.
-    _, bad_digest, _ = resimulate(dict(BASE_META, perturb=305))
-    bad_digest.meta = dict(BASE_META)  # claims to be the unperturbed run
-    bad_path = write_golden(
-        make_golden("custom_case", "small", bad_digest.summary()),
-        golden_path("custom_case", "small", tmp_path),
-    )
-    ok, message, report = check_golden_file(bad_path)
+# -- pin record / check -------------------------------------------------------
+def test_check_golden_file_roundtrip_and_tampered_mismatch(tmp_path, capsys, committed):
+    pin = base_pin()
+    observed = pins.reobserve(pin)
+    ok, message = pins.check("custom_case", pin, observed)
+    assert ok and message == f"custom_case: OK ({pin['digest']['final']})"
+    # A statistic that moved with the event stream intact is a mismatch too.
+    observed["stats"]["avg_latency"] += 1e-9
+    observed["fingerprint"] = "0" * 16
+    ok, message = pins.check("custom_case", pin, observed)
     assert not ok
-    assert message == "custom_case@small: DIGEST MISMATCH"
-    assert report.interval == (200, 400)
-    assert report.divergent_cycle is None
-    assert any("did not re-simulate reproducibly" in n for n in report.notes)
+    assert message == "custom_case: MISMATCH in fingerprint, stats.avg_latency"
+
+    # A copy of the committed store with one chain nibble flipped: the
+    # check fails, names the case and brackets the damage between two
+    # checkpoints (500 cycles, a checkpoint every 200).
+    case = "parallel_mesh-saturated"
+    final = committed[case]["digest"]["final"]
+    flipped = final[:-1] + ("0" if final[-1] != "0" else "1")
+    tampered = tmp_path / "PINS.json"
+    tampered.write_text(PINS_PATH.read_text().replace(final, flipped))
+    pin = pins.load(tampered)[case]
+    ok, message = pins.check(case, pin, pins.reobserve(pin))
+    assert not ok
+    assert message.startswith(f"{case}: MISMATCH in digest.final\n")
+    assert "chains agree through cycle 400, diverged by cycle 500" in message
+    assert "granularity 2 — event census agrees" in message
+    assert main(["golden", "check", case, "--file", str(tampered)]) == 1
+    assert capsys.readouterr().out == f"{message}\n1/1 pin(s) FAILED\n"
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -302,28 +314,76 @@ def test_cli_diff_bad_operand_is_a_clean_error(tmp_path):
         main(["diff", str(tmp_path / "nope.json"), BASE_SPEC])
 
 
-def test_cli_golden_record_then_check(tmp_path, capsys):
-    goldens = tmp_path / "goldens"
-    code = main(
-        ["golden", "record", "--case", "fig14_hetero_channel",
-         "--dir", str(goldens)]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "wrote" in out and "GOLDEN_fig14_hetero_channel_tiny.json" in out
+def test_only_a_wedged_event_context_pass_leaves_a_bundle(tmp_path, monkeypatch):
+    # The flight recorder of the context pass lives in a forensics session,
+    # so a re-simulation that raises there leaves the engine's postmortem
+    # bundle in ./forensics/ like any other run; the plain passes write nothing.
+    def wedge(self, now):
+        raise RuntimeError("wedged")
 
-    assert main(["golden", "check", "--dir", str(goldens)]) == 0
-    assert "fig14_hetero_channel@tiny: OK" in capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(PerturbedWorkload, "step", wedge)
+    with pytest.raises(RuntimeError, match="wedged"):
+        resimulate(dict(BASE_META, perturb=305), capture=(1, 200))
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(RuntimeError, match="wedged") as caught:
+        resimulate(dict(BASE_META, perturb=305), recorder=True)
+    [bundle] = tmp_path.glob("forensics/BUNDLE_runtime-error_*.json")
+    assert caught.value.bundle_path == str(bundle.relative_to(tmp_path))
+
+
+def test_cli_golden_record_then_check(tmp_path, capsys):
+    # Recording on an unchanged tree rewrites the store byte for byte (no
+    # timestamps or revisions in it), and carries test-built pins over.
+    copy = tmp_path / "PINS.json"
+    copy.write_bytes(PINS_PATH.read_bytes())
+    assert main(["golden", "record", "fig14_hetero_channel", "--file", str(copy)]) == 0
+    assert f"recorded 1 pin(s) in {copy}" in capsys.readouterr().out
+    assert copy.read_bytes() == PINS_PATH.read_bytes()
+
+    # A pin recorded from other behaviour is put right by `record`.
+    pin = base_pin(perturb=305)
+    del pin["digest"]["meta"]["perturb"]  # claims to be the unperturbed run
+    # `repro diff pin:...` on it brackets the damage and — since re-simulating
+    # the pin's meta yields current behaviour, not the recorded one — flags
+    # the irreproducible side instead of inventing a divergent cycle.
+    stale = Diffable("pin:custom_case", "pin", pin["digest"], pin["stats"])
+    report = diff_runs(stale, sim_diffable())
+    assert report.interval == (200, 400) and report.divergent_cycle is None
+    assert any("did not re-simulate reproducibly" in n for n in report.notes)
+    write_pins(copy, custom_case=pin)
+    assert main(["golden", "check", "--file", str(copy)]) == 1
+    assert "custom_case: MISMATCH in digest." in capsys.readouterr().out
+    assert main(["golden", "record", "--file", str(copy)]) == 0
+    assert main(["golden", "check", "--file", str(copy)]) == 0
+    assert "custom_case: OK" in capsys.readouterr().out
 
 
 def test_cli_golden_check_without_goldens_is_a_clean_error(tmp_path):
-    with pytest.raises(SystemExit, match="no golden traces"):
-        main(["golden", "check", "--dir", str(tmp_path / "empty")])
+    with pytest.raises(SystemExit, match="No such file"):
+        main(["golden", "check", "--file", str(tmp_path / "empty" / "PINS.json")])
+    garbled = tmp_path / "PINS.json"
+    garbled.write_text("{nope")
+    with pytest.raises(SystemExit, match="not valid JSON") as caught:
+        main(["golden", "check", "--file", str(garbled)])
+    assert isinstance(caught.value.code, str)  # a message: exit status 1
+    garbled.write_text(json.dumps({"kind": "golden", "schema_version": 1}))
+    with pytest.raises(SystemExit, match="not a pin store"):
+        main(["golden", "check", "--file", str(garbled)])
 
 
-def test_cli_golden_record_rejects_unknown_case(tmp_path):
-    with pytest.raises(SystemExit, match="unknown case"):
-        main(["golden", "record", "--case", "fig99", "--dir", str(tmp_path)])
+def test_cli_golden_record_rejects_unknown_case(tmp_path, committed):
+    with pytest.raises(SystemExit, match="unknown case.*fig99; known: .*fig11"):
+        main(["golden", "record", "fig99"])
+    # A test-built pin cannot be observed from the CLI: record refuses and
+    # leaves the file alone, check says what its meta lacks.
+    copy = tmp_path / "PINS.json"
+    copy.write_bytes(PINS_PATH.read_bytes())
+    with pytest.raises(SystemExit, match="cannot observe 'serial_torus-wormhole'"):
+        main(["golden", "record", "serial_torus-wormhole", "--file", str(copy)])
+    assert copy.read_bytes() == PINS_PATH.read_bytes()
+    with pytest.raises(SystemExit, match="cannot be re-simulated; missing: family"):
+        main(["golden", "check", "serial_torus-wormhole"])
 
 
 def test_cli_simulate_digest_prints_chain_and_records_block(tmp_path, capsys):
@@ -403,7 +463,7 @@ def test_watch_determinism_badge_states(tmp_path):
     assert "registry only" in registry_only
 
 
-def test_fleet_and_dashboard_render_determinism_sections(tmp_path):
+def test_fleet_and_dashboard_render_determinism_sections(tmp_path, committed):
     from repro.telemetry.dashboard import determinism_section
     from repro.telemetry.server import WatchService
 
@@ -411,21 +471,21 @@ def test_fleet_and_dashboard_render_determinism_sections(tmp_path):
     store = RunStore(runs_dir)
     block = sim_diffable().digest
     store.append(make_record(digest=block))
-    goldens = tmp_path / "goldens"
-    write_golden(
-        make_golden("custom_case", "tiny", block),
-        golden_path("custom_case", "tiny", goldens),
-    )
 
     fragment = WatchService(runs_dir).fleet_fragment()
     assert "<h2>Determinism</h2>" in fragment
 
-    section = determinism_section(runs_dir, goldens_dir=goldens)
-    assert "GOLDEN_custom_case_tiny.json" in section
-    assert block["final"] in section
+    # The committed store: every pin, and whether it describes itself.
+    section = determinism_section(runs_dir)
+    assert all(pin["digest"]["final"] in section for pin in committed.values())
+    assert section.count("<td>yes</td>") == 14
+    assert section.count("<td>no (built by tests)</td>") == 8
+    assert block["final"] in section  # the digested registry run
 
-    # Unreadable golden files degrade to an alarm row, not a crash.
-    (goldens / "GOLDEN_bad_tiny.json").write_text("{nope")
-    assert "unreadable golden file" in determinism_section(
-        runs_dir, goldens_dir=goldens
-    )
+    # No store yet is an empty state; an unreadable one degrades to an
+    # alarm row, not a crash.
+    missing = tmp_path / "goldens" / "PINS.json"
+    assert "no pinned runs yet" in determinism_section(runs_dir, pins_path=missing)
+    missing.parent.mkdir()
+    missing.write_text("{nope")
+    assert "unreadable pin store" in determinism_section(runs_dir, pins_path=missing)

@@ -5,36 +5,27 @@ import json
 import pytest
 
 from repro.noc.flit import Packet
-from repro.sim.build import build_network
 from repro.sim.config import SimConfig
-from repro.sim.engine import Engine
 from repro.sim.experiment import run_synthetic
-from repro.sim.stats import Stats
 from repro.telemetry import (
     DIGEST_ALGO,
     DIGEST_SCHEMA_VERSION,
-    GOLDEN_SCHEMA_VERSION,
     DigestError,
     RunDigest,
     TelemetryConfig,
     digests_comparable,
-    golden_files,
-    golden_path,
-    load_golden,
-    make_golden,
+    pins,
     validate_digest_block,
-    write_golden,
 )
 from repro.telemetry.bench import CASES
 from repro.telemetry.compare import compare_bench
+from repro.telemetry.diff import missing_resim_keys
 from repro.telemetry.digest import chain_hex
 from repro.telemetry.runstore import RunRecord, RunStore, record_from_result
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import build_system
-from repro.traffic.injection import SyntheticWorkload
-from repro.traffic.patterns import make_pattern
 
-from .helpers import build_chain, run_cycles
+from .helpers import build_chain, digested_uniform_run, run_cycles, write_pins
 from .test_runstore import make_record
 
 
@@ -50,32 +41,11 @@ def digest_chain_run(cycles=40, *, checkpoint_every=10, capture=None):
     return network, digest
 
 
-def digest_family_run(family, *, vct=True, cycles=600, warmup=100, seed=3):
-    """One seeded uniform-traffic run of a family, fully digested.
-
-    ``vct=False`` flips every router to wormhole allocation — the runtime
-    knob ``build_network`` leaves at its VCT default — so the stability
-    matrix covers both switching modes.
-    """
-    config = SimConfig(sim_cycles=cycles, warmup_cycles=warmup)
-    grid = ChipletGrid(2, 2, 3, 3)
-    spec = build_system(family, grid, config)
-    stats = Stats(measure_from=warmup)
-    network = build_network(spec, stats)
-    if not vct:
-        for router in network.routers:
-            router.vct = False
-    workload = SyntheticWorkload(
-        make_pattern("uniform", grid.n_nodes),
-        grid.n_nodes,
-        0.05,
-        config.packet_length,
-        until=cycles,
-        seed=seed,
+def digest_family_run(family, *, vct=True, seed=3):
+    """One seeded uniform-traffic run of a family (600 cycles), fully digested."""
+    _, digest = digested_uniform_run(
+        family, ChipletGrid(2, 2, 3, 3), rate=0.05, seed=seed, vct=vct
     )
-    digest = RunDigest(network, checkpoint_every=200)
-    Engine(network, workload, stats).run(cycles)
-    digest.detach()
     return digest
 
 
@@ -199,52 +169,55 @@ def test_digests_comparable_reasons():
     assert "algorithms differ" in digests_comparable(a, foreign)
 
 
-# -- golden traces ------------------------------------------------------------
+# -- the pin store -------------------------------------------------------------
 def test_golden_roundtrip(tmp_path):
-    block = digest_chain_run(40)[1].summary()
-    doc = make_golden(
-        "chain_case", "tiny", block,
-        stats={"avg_latency": 9.0}, git_rev="cafef00d", created="2026-08-07",
-    )
-    assert doc["schema_version"] == GOLDEN_SCHEMA_VERSION
-    path = write_golden(doc, golden_path("chain_case", "tiny", tmp_path))
-    assert path.name == "GOLDEN_chain_case_tiny.json"
-    loaded = load_golden(path)
-    assert loaded == doc
-    assert golden_files(tmp_path) == [path]
-    assert golden_files(tmp_path / "missing") == []
+    network, digest = digest_chain_run(40)
+    pin = pins.observe(digest.summary(), network.stats)
+    assert set(pin) == {"digest", "stats", "fingerprint"}
+    assert pin["fingerprint"] == pins.stats_fingerprint(network.stats)
+    path = write_pins(tmp_path / "PINS.json", chain=pin)
+    (loaded,) = pins.load(path).values()
+    assert loaded["digest"] == pin["digest"]
+    # Equal through the file, NaN statistics of this tiny run included.
+    assert any(value != value for value in pin["stats"].values())
+    assert pins.check("chain", loaded, pin) == (True, f"chain: OK ({digest.final})")
+    # A hand-built run has no re-simulation meta: `record` carries it over,
+    # and writes exactly the committed format.
+    assert missing_resim_keys(pin["digest"]["meta"])
+    before = path.read_bytes()
+    assert pins.record(pins.load(path), path) == path and path.read_bytes() == before
+    # ...unless its builder is handed in.
+    other = pins.observe(digest_chain_run(20)[1].summary(), network.stats)
+    pins.record(pins.load(path), path, {"chain": lambda: other})
+    assert pins.load(path)["chain"]["digest"]["cycles"] == 20
+    with pytest.raises(DigestError, match="cannot observe 'absent'"):
+        pins.record(pins.load(path), path, cases=["absent"])
 
 
-def test_make_golden_validates_its_digest_block():
-    with pytest.raises(DigestError, match="golden bad"):
-        make_golden("bad", "tiny", {"schema_version": 0})
+def test_make_golden_validates_its_digest_block(tmp_path):
+    bad = {"digest": {"schema_version": 0}, "stats": {}, "fingerprint": ""}
+    with pytest.raises(DigestError, match="pin 'bad': digest schema v0"):
+        pins.load(write_pins(tmp_path / "PINS.json", bad=bad))
+    bad = {"digest": digest_chain_run(10)[1].summary()}
+    with pytest.raises(DigestError, match="pin 'bad': missing 'stats' or 'fingerprint'"):
+        pins.load(write_pins(tmp_path / "PINS.json", bad=bad))
+    with pytest.raises(DigestError, match="pin 'bad': not a JSON object"):
+        pins.load(write_pins(tmp_path / "PINS.json", bad=[]))
 
 
 def test_load_golden_rejects_foreign_documents(tmp_path):
-    bad_json = tmp_path / "GOLDEN_x_tiny.json"
-    bad_json.write_text("{not json")
-    with pytest.raises(DigestError, match="not valid JSON"):
-        load_golden(bad_json)
-
-    not_golden = tmp_path / "GOLDEN_y_tiny.json"
-    not_golden.write_text(json.dumps({"kind": "bench"}))
-    with pytest.raises(DigestError, match="not a golden-trace document"):
-        load_golden(not_golden)
-
-    block = digest_chain_run(10)[1].summary()
-    doc = make_golden("z", "tiny", block)
-    doc["schema_version"] = GOLDEN_SCHEMA_VERSION + 1
-    foreign = tmp_path / "GOLDEN_z_tiny.json"
-    foreign.write_text(json.dumps(doc))
-    with pytest.raises(DigestError, match="golden schema"):
-        load_golden(foreign)
-
-    doc = make_golden("w", "tiny", block)
-    del doc["scale"]
-    incomplete = tmp_path / "GOLDEN_w_tiny.json"
-    incomplete.write_text(json.dumps(doc))
-    with pytest.raises(DigestError, match="missing field 'scale'"):
-        load_golden(incomplete)
+    path = tmp_path / "PINS.json"
+    for text, complaint in (
+        ("{not json", "not valid JSON"),
+        ('{"kind": "bench"}', "not a pin store"),
+        ('{"kind": "pins", "schema_version": 2, "pins": {}}', "pin schema v2 is not supported"),
+        ('{"kind": "pins", "schema_version": 1}', "missing field 'pins'"),
+    ):
+        path.write_text(text)
+        with pytest.raises(DigestError, match=complaint):
+            pins.load(path)
+    with pytest.raises(OSError):
+        pins.load(tmp_path / "absent.json")
 
 
 # -- run records --------------------------------------------------------------

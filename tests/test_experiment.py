@@ -98,10 +98,28 @@ def test_sweep_stops_after_saturation():
 def test_sweep_point_saturation_flags():
     ok = SweepPoint(0.1, 30.0, 0.99, 100.0)
     bad = SweepPoint(0.5, 300.0, 0.3, 100.0)
-    nan = SweepPoint(0.5, math.nan, math.nan, math.nan)
+    starved = SweepPoint(0.5, math.nan, 0.0, math.nan)  # injected, none delivered
+    empty = SweepPoint(0.0005, math.nan, math.nan, math.nan)  # nothing injected
     assert not ok.saturated
     assert bad.saturated
-    assert nan.saturated
+    assert starved.saturated
+    assert not empty.saturated
+
+
+def test_an_empty_point_is_not_a_saturated_point():
+    # 16 nodes x 200 measured cycles at 0.0005 injects no measured packet:
+    # the point has nothing to report, and the sweep must go on past it.
+    mesh = build_system("parallel_mesh", ChipletGrid(2, 2, 2, 2), CONFIG)
+    points = latency_rate_sweep(
+        mesh, "uniform", (0.0005, 0.05, 0.1), cycles=300, warmup=100
+    )
+    assert [point.rate for point in points] == [0.0005, 0.05, 0.1]
+    assert math.isnan(points[0].avg_latency) and not points[0].saturated
+    assert points[1].avg_latency > 0
+    assert saturation_rate(points) == 0.1
+    # RunResult answers with the same predicate.
+    result = run_synthetic(mesh, "uniform", 0.0005, cycles=300, warmup=100)
+    assert result.stats.measured_injected == 0 and not result.saturated
 
 
 def test_saturation_rate_picks_last_good():

@@ -1,10 +1,14 @@
 """Golden regression values.
 
-Simulations are deterministic given a seed, so these exact numbers lock
-in the current behaviour of the whole stack (routing, allocation,
-adapters, energy accounting) for one fixed configuration per family.  A
-change to any cycle-level mechanism will move them — which is the point:
-behavioural changes must be deliberate, reviewed, and re-golded.
+Simulations are deterministic given a seed, so the pinned numbers lock in
+the current behaviour of the whole stack (routing, allocation, adapters,
+energy accounting) for one fixed configuration per family: the
+``<family>-seed42`` pins of ``benchmarks/goldens/PINS.json`` (1,500 cycles
+of uniform 0.1 on 2x2 chiplets of 3x3 nodes) hold packets delivered,
+average latency and energy next to the run's digest chain.  A change to
+any cycle-level mechanism will move them — which is the point: behavioural
+changes must be deliberate, reviewed, and re-pinned (docs/architecture.md
+"Re-pinning").
 
 Note hetero_channel equals parallel_mesh here: at 2x2 chiplets Eq (5)
 never prefers the cube (H_P <= H_S for every pair), so the hetero-channel
@@ -13,40 +17,27 @@ system degenerates to its parallel mesh, byte for byte.
 
 import pytest
 
-from repro.sim.config import SimConfig
-from repro.sim.experiment import run_synthetic
 from repro.topology.grid import ChipletGrid
-from repro.topology.system import build_system
+from repro.topology.system import FAMILIES
 
-CONFIG = SimConfig(sim_cycles=1_500, warmup_cycles=200)
+from .test_kernel_equivalence import STORE, assert_reproduces_pin
+
 GRID = ChipletGrid(2, 2, 3, 3)
 
-#: family -> (packets delivered, avg latency, avg energy pJ) at seed 42.
-GOLDEN = {
-    "parallel_mesh": (312, 19.884615384615383, 1383.3846153846155),
-    "serial_torus": (309, 33.077669902912625, 2800.9216828478866),
-    "hetero_phy_torus": (312, 23.647435897435898, 1793.9692307692287),
-    "serial_hypercube": (308, 35.81818181818182, 2893.1324675324577),
-    "hetero_channel": (312, 19.884615384615383, 1383.3846153846155),
-}
 
-
-@pytest.mark.parametrize("family", sorted(GOLDEN))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_golden_uniform_run(family):
-    spec = build_system(family, GRID, CONFIG)
-    result = run_synthetic(spec, "uniform", 0.1, seed=42)
-    packets, latency, energy = GOLDEN[family]
-    stats = result.stats
-    assert stats.packets_delivered == packets
-    assert stats.avg_latency == pytest.approx(latency, rel=1e-12)
-    assert stats.avg_energy_pj == pytest.approx(energy, rel=1e-9)
+    assert_reproduces_pin(f"{family}-seed42")
 
 
 def test_hetero_channel_degenerates_at_tiny_scale():
-    """Document the Eq (5) degeneracy the golden table relies on."""
+    """Document the Eq (5) degeneracy the pinned numbers show."""
     from repro.routing.policies import HopCountSelector
 
     selector = HopCountSelector(GRID)
     for src in range(GRID.n_chiplets):
         for dst in range(GRID.n_chiplets):
             assert selector.select(src, dst) == "mesh"
+    mesh, channel = STORE["parallel_mesh-seed42"], STORE["hetero_channel-seed42"]
+    assert mesh["digest"]["final"] == channel["digest"]["final"]
+    assert mesh["stats"] == channel["stats"]

@@ -392,30 +392,27 @@ def test_ledger_is_a_passive_observer_on_the_bypass_mix():
     """Stride 1 laps every link-cycle; with bypass-eligible packets mixed in,
     the lapped run must reproduce the chain pinned for the unobserved one
     (stage gating, bypass queue, ROB parking)."""
-    from repro.sim.build import build_network
+    from repro.telemetry import pins
     from repro.telemetry.digest import RunDigest
-    from repro.traffic.patterns import make_pattern
 
     from . import test_kernel_equivalence as pinned
+    from .helpers import uniform_engine
 
-    cycles, warmup = 600, 100
-    config = SimConfig(sim_cycles=cycles, warmup_cycles=warmup)
-    stats = Stats(measure_from=warmup)
-    network = build_network(build_system("hetero_phy_torus", pinned.GRID, config), stats)
-    n_nodes = pinned.GRID.n_nodes
-    source = pinned._MixedClassWorkload(
-        make_pattern("uniform", n_nodes), n_nodes, 0.3, config.packet_length,
-        until=cycles, seed=11,
+    cycles = 600
+    network, engine = uniform_engine(
+        "hetero_phy_torus", pinned.GRID, cycles=cycles, warmup=100, rate=0.3,
+        seed=11, workload=pinned._MixedClassWorkload,
     )
-    digest = RunDigest(network, checkpoint_every=pinned.CHECKPOINT_EVERY)
-    engine = Engine(network, source, stats)
+    digest = RunDigest(network, checkpoint_every=200)
     engine.hostprof = ledger = HostTimeLedger(stride=1)
     engine.run(cycles)
     digest.detach()
-    expected = dict(pinned.PINS["hetero_phy_torus-bypass"])
-    bypassed = sum(getattr(link, "flits_bypassed", 0) for link in network.links)
-    assert bypassed == expected.pop("bypassed")
-    assert pinned._observation(digest, stats, cycles) == expected
+    ok, report = pins.check(
+        "hetero_phy_torus-bypass",
+        pinned.STORE["hetero_phy_torus-bypass"],
+        pinned.bypass_pin(network, digest),
+    )
+    assert ok, report
     assert ledger.timed_cycles == ledger.total_cycles >= cycles
     assert ledger.phases["phy_rx"] > 0 and ledger.phases["phy_tx"] > 0
     ledger.check_conservation()

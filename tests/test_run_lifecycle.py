@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 import repro.analysis.reachability as reachability
-import repro.sim.build as build_module
 import repro.sim.experiment as experiment
 from repro.analysis.verifier import verify_family
 from repro.noc.flit import Flit, Packet
@@ -159,7 +158,7 @@ def test_failing_routing_function_closes_the_network(monkeypatch):
 
 
 def test_resimulate_leaves_no_cyclic_garbage(monkeypatch, no_collector):
-    refs = _track(monkeypatch, build_module)
+    refs = _track(monkeypatch, experiment)
     meta = {
         "family": "hetero_channel",
         "chiplets": [2, 2],
@@ -169,12 +168,12 @@ def test_resimulate_leaves_no_cyclic_garbage(monkeypatch, no_collector):
         "seed": 5,
         "cycles": 400,
     }
-    stats, digest, flight = resimulate(meta, recorder=True)
-    assert stats.packets_delivered > 0 and digest.cycles == 400
-    assert flight.events()
+    result = resimulate(meta, recorder=True)
+    assert result.stats.packets_delivered > 0 and result.digest["cycles"] == 400
+    assert result.telemetry.forensics.recorder.events()
     (network,) = refs
     assert network().closed
-    del stats, digest, flight
+    del result
     assert network() is None
     assert gc.collect() == 0
 

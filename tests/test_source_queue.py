@@ -14,35 +14,11 @@ import pytest
 from repro.analysis import InvariantChecker
 from repro.core.phy import HeteroPhyLink
 from repro.noc.router import Router
-from repro.sim.build import build_network
-from repro.sim.config import SimConfig
-from repro.sim.engine import Engine
-from repro.sim.stats import Stats
 from repro.telemetry import EpochMetrics
 from repro.telemetry.forensics import inflight_packet_table
 from repro.topology.grid import ChipletGrid
-from repro.topology.system import build_system
-from repro.traffic.injection import SyntheticWorkload
-from repro.traffic.patterns import make_pattern
 
-
-def saturated_engine(family, grid, *, cycles, rate=0.8, vct=True, seed=2):
-    config = SimConfig(sim_cycles=cycles, warmup_cycles=0)
-    spec = build_system(family, grid, config)
-    stats = Stats()
-    network = build_network(spec, stats)
-    if not vct:
-        for router in network.routers:
-            router.vct = False
-    workload = SyntheticWorkload(
-        make_pattern("uniform", grid.n_nodes),
-        grid.n_nodes,
-        rate,
-        config.packet_length,
-        until=cycles,
-        seed=seed,
-    )
-    return network, Engine(network, workload, stats)
+from .helpers import uniform_engine
 
 
 def backlog_packets(network) -> list:
@@ -55,8 +31,8 @@ def backlog_packets(network) -> list:
 
 
 def test_observers_count_backlog_packets_as_queued_flits():
-    network, engine = saturated_engine(
-        "parallel_mesh", ChipletGrid(2, 2, 4, 4), cycles=400
+    network, engine = uniform_engine(
+        "parallel_mesh", ChipletGrid(2, 2, 4, 4), cycles=400, rate=0.8, seed=2
     )
     checker = InvariantChecker(network)  # flit conservation, every cycle
     metrics = EpochMetrics(network, epoch_length=50, sample_buffers=True)
@@ -104,8 +80,8 @@ def test_observers_count_backlog_packets_as_queued_flits():
 @pytest.mark.parametrize("vct", [True, False], ids=["vct", "wormhole"])
 def test_list_fifos_stay_bounded(family, vct):
     """No list that is popped at the front ever grows past a fixed bound."""
-    network, engine = saturated_engine(
-        family, ChipletGrid(2, 2, 3, 3), cycles=300, vct=vct
+    network, engine = uniform_engine(
+        family, ChipletGrid(2, 2, 3, 3), cycles=300, rate=0.8, seed=2, vct=vct
     )
     # Credits in flight towards a transmitter: what the receiving buffer can
     # hold, all freed and none delivered yet.
