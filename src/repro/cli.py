@@ -12,10 +12,10 @@ Run paper experiments and ad-hoc simulations from the shell::
     repro check --family serial_torus --mode wormhole
     repro prove --all --json prove.json   # full certification, both modes
     repro prove --family serial_torus --mode wormhole --max-states 8000
-    repro bench --scale tiny --reps 3  # standardized perf suite -> BENCH_<n>.json
+    repro bench                        # the repo benchmark, ~4 min -> BENCH_<n>.json
     repro compare BENCH_0.json BENCH_1.json --strict
     repro compare BENCH_0.json BENCH_1.json BENCH_2.json --json compare.json
-    repro regress --strict             # changepoint sentinel over runs/ history
+    repro regress --strict             # changepoint sentinel over ./BENCH_*.json
     repro profile --mem                # heap peaks + allocation sites per phase
     repro simulate --digest            # record the run's event-digest chain
     repro golden check                 # re-simulate every self-describing pin
@@ -54,16 +54,19 @@ the append-only run registry (``runs/runs.jsonl`` by default; ``--runs-dir``
 to relocate, ``--no-record`` to skip) so results stay attributable to a
 config hash, git revision and seed — see docs/perf.md.
 
-``repro compare`` and ``repro regress`` exit 0 unless ``--strict`` is
-given *and* at least one (gated) metric regressed; an empty or
-bench-free registry makes ``regress`` print a clean message and exit 0
-even under ``--strict``.
+``repro bench`` runs the one measuring harness (``benchmarks/perf/run.py
+--all --trace 1``) and stamps its document as the next ``BENCH_<n>.json``.
+``repro compare`` and ``repro regress`` exit 0 unless ``--strict`` is given
+*and* at least one (gated) metric regressed; without bench files
+``regress`` prints a clean message and exits 0 even under ``--strict``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -86,7 +89,7 @@ def _positive_int(text: str) -> int:
     """argparse type of a count, period or stride: an integer >= 1."""
     value = int(text)  # a ValueError becomes argparse's "invalid ... value"
     if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -180,22 +183,35 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _usage_errors(args):
+    """A point flag the simulator rejects (grid, family, pattern, rate) exits
+    2 with one line, like an argparse error, instead of a traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _spec_from_args(args):
     """The system an ``add_point_args`` parser's point flags describe."""
     chiplets = _parse_pair(args.chiplets, "--chiplets")
     nodes = _parse_pair(args.nodes, "--nodes")
-    grid = ChipletGrid(chiplets[0], chiplets[1], nodes[0], nodes[1])
-    config = SimConfig().scaled(args.cycles)
-    if args.halved:
-        config = config.halved()
-    return build_system(args.family, grid, config)
+    with _usage_errors(args):
+        grid = ChipletGrid(chiplets[0], chiplets[1], nodes[0], nodes[1])
+        config = SimConfig().scaled(args.cycles)
+        if args.halved:
+            config = config.halved()
+        return build_system(args.family, grid, config)
 
 
 def _run_point(spec, args, telemetry=None):
     """One run of the point those flags describe, under ``telemetry``."""
-    return run_synthetic(
-        spec, args.pattern, args.rate, policy=args.policy, seed=args.seed, telemetry=telemetry
-    )
+    with _usage_errors(args):
+        return run_synthetic(
+            spec, args.pattern, args.rate, policy=args.policy, seed=args.seed, telemetry=telemetry
+        )
 
 
 def _cmd_simulate(args) -> int:
@@ -393,65 +409,32 @@ def _cmd_postmortem(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.telemetry.bench import (
-        CASES,
-        registry_cases,
-        render_bench,
-        run_bench,
-        write_bench,
-    )
+    from repro.telemetry.bench import HARNESS, next_bench_path
+    from repro.telemetry.runstore import git_revision, utc_now_iso
 
-    cases = None
-    if args.case:
-        by_name = {case.name: case for case in CASES}
-        unknown = [name for name in args.case if name not in by_name]
-        if unknown:
-            raise SystemExit(
-                f"unknown bench case(s): {', '.join(unknown)}; "
-                f"known: {', '.join(by_name)}"
-            )
-        cases = [by_name[name] for name in args.case]
-    start = time.perf_counter()
-    doc = run_bench(
-        scale=args.scale,
-        reps=args.reps,
-        seed=args.seed,
-        cases=cases,
-        host_stride=args.host_stride,
-        mem_top=args.mem_top,
-    )
-    elapsed = time.perf_counter() - start
-    path = write_bench(doc, args.out_dir)
-    print(render_bench(doc))
-    print(f"wrote {path}")
-    if not args.no_record:
-        from repro.telemetry.runstore import (
-            RunRecord,
-            RunStore,
-            config_digest,
-            new_run_id,
+    if not HARNESS.is_file():
+        raise SystemExit(
+            f"repro bench runs the repo benchmark, and {HARNESS} is missing "
+            "(run from a checkout that has benchmarks/perf/)"
         )
-
-        # One registry record per suite run: the dashboard's performance
-        # panel and the regression sentinel both read these.
-        store = RunStore(args.runs_dir)
-        record = RunRecord(
-            run_id=new_run_id(),
-            created=doc["created"],
-            kind="bench",
-            label=f"bench:{args.scale}",
-            scale=args.scale,
-            seed=args.seed,
-            config_hash=config_digest(
-                {"bench": sorted(doc["cases"]), "scale": args.scale, "seed": args.seed}
-            ),
-            git_rev=doc["git_rev"],
-            wall_seconds=elapsed,
-            artifacts={"bench": str(path)},
-            bench=registry_cases(doc),
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = next_bench_path(out_dir)
+    command = [
+        sys.executable, str(HARNESS), "--all", "--trace", "1",
+        "--seed", str(args.seed), "--out", str(path),
+    ]
+    # The harness prints every metric as it goes; its output is this command's.
+    done = subprocess.run(command)
+    if path.is_file():
+        doc = {"git_rev": git_revision(), "created": utc_now_iso(), **json.loads(path.read_text())}
+        path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {path}")
+    if done.returncode:
+        raise SystemExit(
+            f"{' '.join(command)} exited {done.returncode}: a failed point or a "
+            "crashed pass, named in its output above"
         )
-        record_path = store.append(record)
-        print(f"recorded {record_path}#{record.run_id}")
     return 0
 
 
@@ -497,25 +480,22 @@ def _cmd_regress(args) -> int:
         config = SentinelConfig(window=args.window, min_history=args.min_history)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    history = load_history(args.runs_dir, bench_dirs=args.bench_dir or [])
+    bench_dirs = args.bench_dir or ["."]
+    history = load_history(bench_dirs)
     report = analyze_history(history, config, metric_prefixes=args.metric or [])
-    if not history.series:
-        # An empty or bench-free registry is a fresh checkout, not an
-        # error: degrade to a clean message and exit 0 (even --strict).
+    _warn_skipped(history.skipped, "bench file", f" under {', '.join(bench_dirs)}")
+    if history.series:
+        print(render_sentinel(report))
+    else:
+        # No bench files is a fresh checkout, not an error: a clean message
+        # and exit 0 (even --strict).
         print(
-            f"no bench history under {args.runs_dir} — `repro bench` "
-            "appends the records the sentinel watches."
+            f"no bench history under {', '.join(bench_dirs)} — `repro bench` "
+            "writes the BENCH_<n>.json files the sentinel watches."
         )
-        if args.json:
-            _write_json_doc(args.json, report.to_json())
-        return 0
-    print(render_sentinel(report))
-    _warn_skipped(history.skipped, "source", " (registry lines / bench files)")
     if args.json:
         _write_json_doc(args.json, report.to_json())
-    if args.strict and report.regressions():
-        return 1
-    return 0
+    return 1 if args.strict and report.regressions() else 0
 
 
 def _cmd_diff(args) -> int:
@@ -839,7 +819,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--nodes", default="4x4", help="per-chiplet mesh, e.g. 4x4")
         p.add_argument("--pattern", default="uniform")
         p.add_argument("--rate", type=float, default=rate, help="flits/cycle/node")
-        p.add_argument("--cycles", type=int, default=cycles)
+        p.add_argument("--cycles", type=_positive_int, default=cycles)
         p.add_argument(
             "--policy",
             choices=(
@@ -1047,40 +1027,13 @@ def main(argv: list[str] | None = None) -> int:
 
     bench_p = sub.add_parser(
         "bench",
-        help="run the standardized perf suite and write BENCH_<n>.json",
-    )
-    bench_p.add_argument(
-        "--scale", choices=("tiny", "small", "paper"), default="tiny"
-    )
-    bench_p.add_argument(
-        "--reps", type=_positive_int, default=5, help="timed repetitions per case (default: 5)"
+        help="run the repo benchmark (benchmarks/perf/run.py --all --trace 1, "
+        "~4 min) and stamp its document as the next BENCH_<n>.json",
     )
     bench_p.add_argument("--seed", type=int, default=1)
     bench_p.add_argument(
-        "--case",
-        action="append",
-        metavar="NAME",
-        help="restrict the suite to one case (repeatable)",
-    )
-    bench_p.add_argument(
         "--out-dir", default=".", help="where BENCH_<n>.json goes (default: .)"
     )
-    bench_p.add_argument(
-        "--host-stride",
-        type=_positive_int,
-        default=4,
-        metavar="N",
-        help="host-time ledger sampling stride on the attribution "
-        "repetition (default: 4)",
-    )
-    bench_p.add_argument(
-        "--mem-top",
-        type=_positive_int,
-        default=10,
-        metavar="N",
-        help="allocation sites kept in each case's mem block (default: 10)",
-    )
-    add_record_args(bench_p)
     bench_p.set_defaults(func=_cmd_bench)
 
     cmp_p = sub.add_parser(
@@ -1107,13 +1060,13 @@ def main(argv: list[str] | None = None) -> int:
         metavar="METRIC",
         help="with --strict, only exit non-zero when one of these metrics "
         "regressed (exact name or dotted prefix, repeatable; e.g. "
-        "cycles_per_second, events, host.sa_st, mem.peak_bytes)",
+        "flit_hops_per_s, peak_rss_mb, sim, noc.router.flit_hops)",
     )
     cmp_p.add_argument(
         "--rel-floor",
         type=float,
-        default=0.05,
-        help="relative floor below which a delta is noise (default: 0.05)",
+        help="relative floor below which a timed delta is noise (default: each "
+        "bench metric's bound in BENCHMARK.json; 0.05 for run records)",
     )
     cmp_p.add_argument(
         "--k",
@@ -1130,27 +1083,21 @@ def main(argv: list[str] | None = None) -> int:
 
     regress_p = sub.add_parser(
         "regress",
-        help="regression sentinel: changepoint detection over the run "
-        "registry's bench history",
-    )
-    regress_p.add_argument(
-        "--runs-dir",
-        default="runs",
-        help="registry directory to analyze (default: runs)",
+        help="regression sentinel: changepoint detection over the stored "
+        "BENCH_<n>.json trajectory",
     )
     regress_p.add_argument(
         "--bench-dir",
         action="append",
         metavar="DIR",
-        help="also harvest BENCH_<n>.json files from this directory "
-        "(repeatable)",
+        help="directories scanned for BENCH_<n>.json (repeatable; default: .)",
     )
     regress_p.add_argument(
         "--metric",
         action="append",
         metavar="PREFIX",
         help="only analyze metrics with this prefix (repeatable; e.g. "
-        "cycles_per_second, host, mem, digest)",
+        "flit_hops_per_s, peak_rss_mb, sim.stats, noc)",
     )
     regress_p.add_argument(
         "--window",

@@ -35,28 +35,28 @@
   router / link / PHY phases plus cProfile→speedscope folding, driven by
   ``repro profile`` (``repro.telemetry.hostprof``);
 * :class:`MemLedger` — tracemalloc/``ru_maxrss`` heap observability with
-  allocation sites folded to the same phase taxonomy, riding an untimed
-  ``repro bench`` rep and ``repro profile --mem``
-  (``repro.telemetry.memprof``);
+  allocation sites folded to the same phase taxonomy, behind ``repro
+  profile --mem`` (``repro.telemetry.memprof``);
 * :func:`load_history` / :func:`analyze_history` — the bench
   catalogue's metrics (``bench.case_metrics``, the ones ``repro compare``
-  judges) as time series over BENCH files and the registry's bench
-  records, and the rank-based changepoint sentinel behind ``repro
-  regress`` (``repro.telemetry.history`` / ``repro.telemetry.sentinel``);
+  judges) as time series over the ``BENCH_<n>.json`` files, and the
+  rank-based changepoint sentinel behind ``repro regress``
+  (``repro.telemetry.history`` / ``repro.telemetry.sentinel``);
 * :class:`RunStore` / :class:`RunRecord` — the append-only cross-run
   registry under ``runs/`` (``repro.telemetry.runstore``);
 * :mod:`repro.telemetry.bench` / :mod:`repro.telemetry.compare` /
-  :mod:`repro.telemetry.dashboard` — the ``repro bench`` perf suite,
-  the noise-aware regression diff, and the static HTML dashboard
-  (see ``docs/perf.md``).
+  :mod:`repro.telemetry.dashboard` — the reader of the BENCH document
+  (what ``benchmarks/perf/run.py --out`` writes and ``repro bench``
+  stamps; nothing here measures), the noise-aware regression diff, and
+  the static HTML dashboard (see ``docs/perf.md``).
 
 Import note: ``repro.noc`` imports :mod:`repro.telemetry.bus` at module
 load, so running a point pays for this initializer.  It therefore imports
 nothing itself: every re-export below resolves on first access (PEP 562),
 and a plain ``run_synthetic`` never loads the bench / compare / diff /
 forensics / sentinel / dashboard modules.  Collector submodules only
-reference simulator types under ``typing.TYPE_CHECKING``, and the
-bench/dashboard modules import the simulator inside functions only.
+reference simulator types under ``typing.TYPE_CHECKING``, the bench module
+never imports the simulator, and the dashboard does so inside functions only.
 """
 
 from importlib import import_module
@@ -64,7 +64,7 @@ from importlib import import_module
 #: Submodule -> the names it contributes to this namespace.
 _SUBMODULE_EXPORTS = {
     "attribution": ("STAGES", "AttributionError", "LatencyLedger", "render_breakdown"),
-    "bench": ("BENCH_SCHEMA_VERSION", "EventCounters", "run_bench", "write_bench"),
+    "bench": ("BENCH_SCHEMA_VERSION", "EventCounters", "case_metrics", "load_bench"),
     "bus": ("EVENT_NAMES", "NULL_BUS", "TelemetryBus"),
     "compare": ("MetricVerdict", "compare_bench", "compare_records"),
     "diff": (

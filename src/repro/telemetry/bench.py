@@ -1,82 +1,59 @@
-"""Standardized simulator performance suite (``repro bench``).
+"""The BENCH document, read: the one description of a measured tree.
 
-Runs a small canon of configurations drawn from the paper's evaluation —
-the Fig 11 hetero-PHY torus, the Fig 14 hetero-channel system and the
-Table 3 parallel-mesh baseline — ``reps`` times each (plus one discarded
-warm-up repetition), and writes a schema-versioned ``BENCH_<n>.json``
-with median/IQR wall time and simulated cycles per second, the run's
-headline statistics, and exact hot-path event counts collected through
-the telemetry bus.  ``repro compare`` diffs two such files with a
-noise-aware threshold; CI runs the suite on every push (see
-``docs/perf.md``).
+A ``BENCH_<n>.json`` is what ``python benchmarks/perf/run.py --all --trace 1
+--out FILE`` writes — four workloads, each with ``end_to_end`` medians and
+their samples, ``per_layer`` values and the ``fingerprint`` /
+``digest_chain`` / ``matches_pinned`` of what was simulated — stamped by
+``repro bench`` with ``git_rev`` and ``created``.  This module measures
+nothing and never loads the simulator: it holds the file helpers, the
+median/IQR rule, and :func:`case_metrics`, the one catalogue ``repro
+compare``, ``repro regress``, the dashboard's performance panel and ``repro
+watch``'s ``/api/bench`` read a workload block through.
 
-Timing repetitions run with **zero** bus subscribers (the measured number
-is the uninstrumented simulator); event counts come from one extra,
-untimed, digested repetition.
-
-Import note: simulator modules are imported inside functions only — this
-module is imported by the ``repro.telemetry`` package machinery and must
-not pull ``repro.noc`` in at module load.
+The catalogue's names, units, better-directions and end-to-end bounds are
+the root ``BENCHMARK.json``'s and the exact-count flags are
+``benchmarks/perf/spec.py::PER_LAYER``'s, both read on first use: there is
+no second metric list here (see ``docs/perf.md``).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import json
 import math
 import re
 import statistics
-from dataclasses import dataclass
+import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .bus import EVENT_NAMES
-from .runstore import git_revision
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.noc.network import Network
-
-#: Version of the ``BENCH_<n>.json`` schema.
+#: Version of the ``BENCH_<n>.json`` schema (``run.py``'s ``schema`` key).
 BENCH_SCHEMA_VERSION = 1
 
+#: The checkout this package runs from (``src/repro/telemetry`` -> root).
+ROOT = Path(__file__).resolve().parents[3]
+#: The repo benchmark: the only harness that measures (``repro bench`` runs it).
+HARNESS = ROOT / "benchmarks" / "perf" / "run.py"
+
+#: The end-to-end metric the trajectory charts draw and culprit hints explain.
+THROUGHPUT = "flit_hops_per_s"
+#: Per-layer rows with this suffix split the engine loop into its phases.
+PHASE_SUFFIX = "_ns_per_flit_hop"
+
 _BENCH_NAME = re.compile(r"^BENCH_(\d+)\.json$")
-
-#: Simulation horizons per scale: (cycles, warm-up) — mirrors
-#: ``repro.exps.common.HORIZONS`` without importing the simulator.
-_HORIZONS = {
-    "tiny": (2_000, 400),
-    "small": (6_000, 1_000),
-    "paper": (100_000, 10_000),
-}
-
-
-@dataclass(frozen=True)
-class BenchCase:
-    """One canonical configuration of the perf suite."""
-
-    name: str
-    family: str
-    chiplets: tuple[int, int]
-    nodes: tuple[int, int]
-    pattern: str
-    rate: float
-
-
-#: The canonical suite: one representative per headline artifact.
-CASES: tuple[BenchCase, ...] = (
-    BenchCase("fig11_hetero_phy", "hetero_phy_torus", (2, 2), (4, 4), "uniform", 0.15),
-    BenchCase("fig14_hetero_channel", "hetero_channel", (2, 2), (3, 3), "uniform", 0.15),
-    BenchCase("table3_parallel_mesh", "parallel_mesh", (4, 4), (2, 2), "uniform", 0.10),
-)
 
 
 class EventCounters:
     """Counts every telemetry-bus event by name, live, for the life of the network.
 
     ``benchmarks/perf/child.py`` reads ``counts`` while its census run
-    advances; ``repro bench`` itself takes its census from the digest.
+    advances.
     """
 
-    def __init__(self, network: "Network") -> None:
+    def __init__(self, network: Any) -> None:  # a repro.noc.network.Network
         self.counts = counts = dict.fromkeys(EVENT_NAMES, 0)
 
         def counter(name: str) -> Callable[..., None]:
@@ -99,149 +76,19 @@ def median_iqr(samples: Sequence[float]) -> tuple[float, float]:
     return float(statistics.median(samples)), float(quartiles[2] - quartiles[0])
 
 
-def _run_case(
-    case: BenchCase, scale: str, reps: int, seed: int, host_stride: int, mem_top: int
-) -> dict[str, Any]:
-    from repro.sim.config import SimConfig
-    from repro.sim.experiment import run_synthetic
-    from repro.topology.grid import ChipletGrid
-    from repro.topology.system import build_system
-
-    from .session import TelemetryConfig
-
-    cycles, warmup = _HORIZONS[scale]
-    grid = ChipletGrid(case.chiplets[0], case.chiplets[1], case.nodes[0], case.nodes[1])
-    config = SimConfig().replace(sim_cycles=cycles, warmup_cycles=warmup)
-    spec = build_system(case.family, grid, config)
-
-    def run(**observers: Any) -> Any:
-        """One repetition of the case; ``observers`` are ``TelemetryConfig`` fields."""
-        telemetry = TelemetryConfig(epoch_metrics=False, **observers) if observers else None
-        return run_synthetic(spec, case.pattern, case.rate, seed=seed, telemetry=telemetry)
-
-    # Timing repetitions: zero subscribers; the first rep warms caches and
-    # is discarded.
-    walls: list[float] = []
-    result = None
-    for rep in range(reps + 1):
-        result = run()
-        if rep > 0:
-            walls.append(result.wall_seconds)
-    assert result is not None
-    cps = [cycles / wall for wall in walls if wall > 0]
-
-    # One extra digested repetition (untimed: the digest costs one dispatch
-    # per event).  Its block is the reproducibility fingerprint of the BENCH
-    # document, and its per-kind counts are the hot-path event census.
-    digest = run(digest=True).digest
-
-    # One more untimed repetition with the host-time ledger attached: the
-    # per-phase wall-time shares that tell `repro compare` *which* pipeline
-    # stage a cycles/sec regression lives in (strided to keep it cheap).
-    host = run(host_time=True, host_stride=host_stride).telemetry.hostprof.record_summary()
-
-    # And one final untimed repetition under the memory ledger (tracing
-    # roughly doubles allocation cost, so it can never ride a timed rep):
-    # peak/current heap plus top allocation sites folded to the same
-    # phase taxonomy as the host block.
-    from .memprof import MemLedger
-
-    with MemLedger(top_n=mem_top) as mem_ledger:
-        run()
-    mem = mem_ledger.record_summary()
-
-    wall_median, wall_iqr = median_iqr(walls)
-    cps_median, cps_iqr = median_iqr(cps)
-    return {
-        "family": case.family,
-        "chiplets": list(case.chiplets),
-        "nodes": list(case.nodes),
-        "pattern": case.pattern,
-        "rate": case.rate,
-        "n_nodes": grid.n_nodes,
-        "cycles": cycles,
-        "warmup": warmup,
-        "config_hash": result.config_hash,
-        "wall_s": {"median": wall_median, "iqr": wall_iqr, "samples": walls},
-        "cps": {"median": cps_median, "iqr": cps_iqr, "samples": cps},
-        "events": {**digest["events"], "cycle_end": digest["cycles"]},
-        "digest": digest,
-        "host": host,
-        "mem": mem,
-        "stats": {
-            "avg_latency": result.avg_latency,
-            "packets_delivered": result.stats.packets_delivered,
-            "delivered_fraction": result.stats.delivered_fraction,
-        },
-    }
-
-
-def run_bench(
-    *,
-    scale: str = "tiny",
-    reps: int = 5,
-    seed: int = 1,
-    cases: Optional[Sequence[BenchCase]] = None,
-    git_rev: Optional[str] = None,
-    host_stride: int = 4,
-    mem_top: int = 10,
-) -> dict[str, Any]:
-    """Execute the suite and return the (not yet written) bench document.
-
-    ``host_stride`` controls the host-time ledger's sampling stride on
-    the extra attribution repetition (see
-    :class:`~repro.telemetry.hostprof.HostTimeLedger`); the timed
-    repetitions always run unledgered.  ``mem_top`` caps the allocation
-    sites kept in each case's ``mem`` block (its own untimed rep).
-    """
-    if scale not in _HORIZONS:
-        raise ValueError(f"scale must be one of {tuple(_HORIZONS)}, got {scale!r}")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if host_stride < 1:
-        raise ValueError("host_stride must be >= 1")
-    if mem_top < 1:
-        raise ValueError("mem_top must be >= 1")
-    from .runstore import utc_now_iso
-
-    suite = tuple(cases) if cases is not None else CASES
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "kind": "bench",
-        "created": utc_now_iso(),
-        "git_rev": git_rev if git_rev is not None else git_revision(),
-        "scale": scale,
-        "reps": reps,
-        "seed": seed,
-        "cases": {
-            case.name: _run_case(case, scale, reps, seed, host_stride, mem_top)
-            for case in suite
-        },
-    }
-
-
-#: Relative floor for per-phase host-time metrics.  A single strided
-#: attribution repetition backs them (no IQR), and small phases jitter
-#: hard, so only large per-phase movements are signal.
-HOST_REL_FLOOR = 0.25
-#: Host phases below this fraction of the ledger total in every run being
-#: judged are skipped — a 0.5% phase tripling is noise in absolute terms
-#: but would read as a 200% regression.
-HOST_MIN_SHARE = 0.02
-#: Relative floor for peak-heap comparisons.  A single untimed tracing
-#: repetition backs the ``mem`` block (no IQR) and allocator behaviour
-#: shifts a few percent run to run, so only double-digit movements are
-#: signal.
-MEM_REL_FLOOR = 0.10
-
-
 class Metric(NamedTuple):
-    """One judged number of a case block."""
+    """One number of a workload block, and how it is judged."""
 
     value: float  #: NaN when the block does not carry it
+    unit: str
     higher_is_better: bool
-    iqr: float  #: spread over the timed repetitions; 0.0 where there is one rep
-    rel_floor: Optional[float]  #: None: the caller's default relative floor
+    iqr: float  #: spread of the timed reps' samples; 0.0 for single values
+    #: Relative noise floor: the end-to-end bound of ``BENCHMARK.json``;
+    #: ``None`` for a host-time layer row, which is printed, never judged.
+    rel_floor: Optional[float]
+    #: A seed-determined count, hash or flag: two runs of the same seed and
+    #: ``smoke`` flag must agree bit for bit, any difference is a regression.
+    exact: bool
 
 
 def num(value: Any, default: float = math.nan) -> float:
@@ -251,133 +98,111 @@ def num(value: Any, default: float = math.nan) -> float:
     return default
 
 
-def block_of(case: dict[str, Any], key: str) -> dict[str, Any]:
-    """``case[key]`` when it is a dict, else ``{}`` (missing or malformed block)."""
-    block = case.get(key)
-    return block if isinstance(block, dict) else {}
+def block_of(block: dict[str, Any], key: str) -> dict[str, Any]:
+    """``block[key]`` when it is a dict, else ``{}`` (missing or malformed block)."""
+    inner = block.get(key)
+    return inner if isinstance(inner, dict) else {}
 
 
-def case_metrics(case: dict[str, Any]) -> dict[str, Metric]:
-    """The metric catalogue: every number a BENCH case block is judged on.
+#: The contract line's ``failed``: a count of ``points``, 0 on a healthy tree
+#: (``BENCHMARK.json`` cannot list it: a metric that is always 0 carries no
+#: relative bound).
+_FAILED_POINTS = Metric(math.nan, "count", False, 0.0, 0.0, True)
+
+
+@functools.lru_cache(maxsize=1)
+def catalogue() -> tuple[dict[str, Metric], dict[str, Metric]]:
+    """``(end_to_end, per_layer)``: every metric as a value-less template, in print order.
+
+    The end-to-end rows carry their ``BENCHMARK.json`` bounds; a per-layer row
+    is exact where ``spec.PER_LAYER`` says so, informational otherwise.
+    """
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    name = "repro_benchmark_spec"
+    loader = importlib.util.spec_from_file_location(name, HARNESS.with_name("spec.py"))
+    assert loader is not None and loader.loader is not None
+    spec = sys.modules[name] = importlib.util.module_from_spec(loader)  # dataclasses look it up
+    loader.loader.exec_module(spec)
+
+    def template(entry: dict[str, Any], rel_floor: Optional[float], exact: bool) -> Metric:
+        return Metric(math.nan, entry["unit"], entry["better"] == "higher", 0.0, rel_floor, exact)
+
+    end_to_end = {e["name"]: template(e, e["bound"], False) for e in contract["end_to_end"]}
+    per_layer = {}
+    for entry in contract["per_layer"]:
+        exact = spec.PER_LAYER[entry["name"]].exact
+        per_layer[entry["name"]] = template(entry, 0.0 if exact else None, exact)
+    return end_to_end, per_layer
+
+
+def case_metrics(workload: dict[str, Any]) -> dict[str, Metric]:
+    """The metric catalogue read off one workload block of a BENCH document.
 
     ``repro compare`` pairs two of these and ``repro regress`` stacks N
     (both through :func:`stack_metrics`), so the two commands cannot
-    disagree about what a bench case measures.  A block the case lacks
-    yields NaN, which every consumer renders ``n/a``.  Event counts are
-    deterministic for a fixed seed, so they carry no IQR (a drift beyond
-    the floor means the simulated work itself changed); ``host.*`` is
-    ns/cycle per ledger phase, ``mem.peak_bytes`` the traced peak heap.
+    disagree about what a bench run measures.  End-to-end rows carry the
+    IQR of their samples and read NaN where the block lacks them; a block
+    written with ``--trace 0`` has no ``per_layer`` and yields the
+    end-to-end rows only.
     """
+    end_to_end, per_layer = catalogue()
+    cells = block_of(workload, "end_to_end")
     metrics = {}
-    for name, key, higher in (
-        ("cycles_per_second", "cps", True),
-        ("wall_seconds", "wall_s", False),
-    ):
-        timed = block_of(case, key)
-        metrics[name] = Metric(
-            num(timed.get("median")), higher, num(timed.get("iqr"), 0.0), None
+    for name, template in end_to_end.items():
+        cell = block_of(cells, name)
+        samples = [v for v in map(num, cell.get("samples") or ()) if v == v]
+        metrics[name] = template._replace(
+            value=num(cell.get("median")), iqr=median_iqr(samples)[1] if samples else 0.0
         )
-    for event, count in sorted(block_of(case, "events").items()):
-        metrics[f"events.{event}"] = Metric(num(count), False, 0.0, None)
-    for phase, ns in sorted(block_of(block_of(case, "host"), "ns_per_cycle").items()):
-        metrics[f"host.{phase}"] = Metric(num(ns), False, 0.0, HOST_REL_FLOOR)
-    metrics["mem.peak_bytes"] = Metric(
-        num(block_of(case, "mem").get("peak_bytes")), False, 0.0, MEM_REL_FLOOR
-    )
+    metrics["failed_points"] = _FAILED_POINTS._replace(value=num(workload.get("failed_points")))
+    layers = block_of(workload, "per_layer")
+    if layers:
+        for name, template in per_layer.items():
+            metrics[name] = template._replace(value=num(block_of(layers, name).get("value")))
     return metrics
 
 
-def stack_metrics(cases: Sequence[dict[str, Any]]) -> dict[str, list[Metric]]:
-    """The catalogue of several runs of one case, aligned by metric name.
+def stack_metrics(workloads: Sequence[dict[str, Any]]) -> dict[str, list[Metric]]:
+    """The catalogue of several runs of one workload, aligned by metric name.
 
-    A metric one run lacks reads NaN there, except an event that did not
-    fire in a run that carries a census: that count is 0.  Host phases
-    under :data:`HOST_MIN_SHARE` in every stacked run are dropped.
+    A metric one run lacks reads NaN there, which every consumer renders
+    ``n/a``; catalogue order is kept.
     """
-    per_case = [case_metrics(case) for case in cases]
-    judged: set[str] = set()
-    for metrics in per_case:
-        host_total = sum(
-            m.value
-            for name, m in metrics.items()
-            if name.startswith("host.") and m.value == m.value
-        )
-        judged.update(
-            name
-            for name, m in metrics.items()
-            if not name.startswith("host.")
-            or (host_total and m.value / host_total >= HOST_MIN_SHARE)
-        )
-    templates = {name: m for metrics in per_case for name, m in metrics.items()}
-    groups = ("cycles_per_second", "wall_seconds", "events", "host", "mem")
+    per_run = [case_metrics(workload) for workload in workloads]
+    widest = max(per_run, key=len, default={})
     return {
-        name: [
-            metrics.get(name)
-            or templates[name]._replace(
-                value=0.0 if name.startswith("events.") and "events" in case else math.nan,
-                iqr=0.0,
-            )
-            for metrics, case in zip(per_case, cases)
-        ]
-        for name in sorted(
-            judged, key=lambda name: (groups.index(name.partition(".")[0]), name)
-        )
+        name: [metrics.get(name, template._replace(value=math.nan, iqr=0.0)) for metrics in per_run]
+        for name, template in widest.items()
     }
 
 
-def digest_match(a: Any, b: Any) -> float:
-    """Whether two case blocks simulated the same thing, event for event.
-
-    1.0 when both digest chains end on the same hash, 0.0 when they
-    differ, NaN when inequality would be expected rather than informative:
-    a missing block, a different configuration, algorithm or horizon.
-    """
-    if not (isinstance(a, dict) and isinstance(b, dict)):
-        return math.nan
-    da, db = block_of(a, "digest"), block_of(b, "digest")
-    if not (da.get("final") and db.get("final")):
-        return math.nan
-    if a.get("config_hash") != b.get("config_hash"):
-        return math.nan
-    from .digest import digests_comparable
-
-    if digests_comparable(da, db) is not None:
-        return math.nan
-    return 1.0 if da["final"] == db["final"] else 0.0
+def run_inputs(doc: dict[str, Any]) -> str:
+    """What a document's exact rows depend on: two runs agree on them only
+    when this reads the same (``seed=1``, ``seed=1 smoke``)."""
+    return f"seed={doc.get('seed')}" + (" smoke" if doc.get("smoke") else "")
 
 
-#: Per-repetition and per-site detail a registry record leaves to the file.
-_BULK_KEYS = frozenset({"samples", "top_sites", "checkpoints"})
+def workloads_of(doc: dict[str, Any]) -> dict[str, dict[str, Any]]:
+    """Workload name -> block, dropping anything that is not a block."""
+    blocks = block_of(doc, "workloads").items()
+    return {str(name): block for name, block in blocks if isinstance(block, dict)}
 
 
-def registry_cases(doc: dict[str, Any]) -> dict[str, Any]:
-    """The registry form of a suite run (``RunRecord.bench``).
-
-    The same case blocks as the BENCH file, minus timing samples,
-    allocation sites and digest checkpoints — so :func:`case_metrics`
-    reads a record exactly as it reads the file.
-    """
-    return {
-        name: {
-            key: {k: v for k, v in block.items() if k not in _BULK_KEYS}
-            if isinstance(block, dict)
-            else block
-            for key, block in case.items()
-        }
-        for name, case in doc["cases"].items()
-    }
+def bench_files(directory: str | Path = ".") -> list[Path]:
+    """All ``BENCH_<n>.json`` files under ``directory``, in index order."""
+    indexed = [
+        (int(match.group(1)), path)
+        for path in Path(directory).glob("BENCH_*.json")
+        if (match := _BENCH_NAME.match(path.name))
+    ]
+    return [path for _, path in sorted(indexed)]
 
 
 def next_bench_path(directory: str | Path = ".") -> Path:
     """The first unused ``BENCH_<n>.json`` path under ``directory``."""
-    directory = Path(directory)
-    taken = [
-        int(match.group(1))
-        for path in directory.glob("BENCH_*.json")
-        if (match := _BENCH_NAME.match(path.name))
-    ]
-    index = max(taken) + 1 if taken else 0
-    return directory / f"BENCH_{index}.json"
+    taken = bench_files(directory)
+    index = int(taken[-1].stem.partition("_")[2]) + 1 if taken else 0
+    return Path(directory) / f"BENCH_{index}.json"
 
 
 def write_bench(doc: dict[str, Any], directory: str | Path = ".") -> Path:
@@ -393,50 +218,10 @@ def load_bench(path: str | Path) -> dict[str, Any]:
     """Load and schema-check one bench file."""
     path = Path(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != BENCH_SCHEMA_VERSION:
+    version = doc.get("schema") if isinstance(doc, dict) else None
+    if version != BENCH_SCHEMA_VERSION or not isinstance(doc.get("workloads"), dict):
         raise ValueError(
-            f"{path}: bench schema v{version!r} is not supported "
-            f"(this build reads v{BENCH_SCHEMA_VERSION})"
+            f"{path}: bench schema v{version!r} is not supported (this build reads "
+            f"v{BENCH_SCHEMA_VERSION}, the `benchmarks/perf/run.py --out` document)"
         )
     return doc
-
-
-def bench_files(directory: str | Path = ".") -> list[Path]:
-    """All ``BENCH_<n>.json`` files under ``directory``, in index order."""
-    directory = Path(directory)
-    indexed = [
-        (int(match.group(1)), path)
-        for path in directory.glob("BENCH_*.json")
-        if (match := _BENCH_NAME.match(path.name))
-    ]
-    return [path for _, path in sorted(indexed)]
-
-
-def render_bench(doc: dict[str, Any]) -> str:
-    """A plain-text summary table of one bench document."""
-    lines = [
-        f"bench @ {doc.get('git_rev', 'unknown')} "
-        f"(scale={doc.get('scale')}, reps={doc.get('reps')}, "
-        f"created {doc.get('created', '?')})",
-        f"{'case':>24s} {'cyc/s med':>12s} {'cyc/s IQR':>12s} "
-        f"{'wall med':>10s} {'avg_lat':>8s} {'peak heap':>10s}  {'top host phase':<16s}",
-    ]
-    from .memprof import fmt_bytes
-
-    for name, case in doc.get("cases", {}).items():
-        cps = case["cps"]
-        shares = {
-            phase: num(share, 0.0)
-            for phase, share in block_of(block_of(case, "host"), "shares").items()
-        }
-        top = max(shares, key=shares.__getitem__, default=None)
-        top_phase = f"{top} {shares[top]:.0%}" if top is not None else ""
-        mem = block_of(case, "mem")
-        peak = fmt_bytes(mem["peak_bytes"]) if "peak_bytes" in mem else "n/a"
-        lines.append(
-            f"{name:>24s} {cps['median']:>12,.0f} {cps['iqr']:>12,.0f} "
-            f"{case['wall_s']['median']:>9.3f}s "
-            f"{case['stats']['avg_latency']:>8.1f} {peak:>10s}  {top_phase:<16s}"
-        )
-    return "\n".join(lines)

@@ -1,17 +1,20 @@
 """Noise-aware comparison of bench files and run records (``repro compare``).
 
 Simulator throughput jitters run to run, so a naive A/B diff flags noise
-as regressions.  Every metric is judged against a threshold of
+as regressions.  Every timed metric is judged against a threshold of
 
     ``max(rel_floor * |baseline|, k * IQR)``
 
-where the IQR comes from the bench repetitions (zero for single run
-records).  A metric moves past the threshold in the wrong direction →
-``regressed``; in the right direction → ``improved``; otherwise
-``noise``.  ``repro compare`` prints one verdict per metric and exits
-non-zero only when ``--strict`` is given *and* at least one (gated)
-metric regressed — without ``--strict`` it always exits 0, which is the
-warn-only CI mode of ``docs/perf.md``.
+where the floor is the metric's bound in ``BENCHMARK.json`` and the IQR
+comes from the timed repetitions' samples (zero for single run records):
+past it in the wrong direction → ``regressed``, in the right one →
+``improved``, otherwise ``noise``.  The exact rows of a bench file (counts,
+fingerprints, digest chains) have no threshold — any difference between
+two runs of the same seed and ``smoke`` flag reads ``regressed`` — and
+host-time layer rows are printed without a verdict (``info``): the rule of
+``benchmarks/perf/run.py --agree``.  ``repro compare`` exits non-zero only
+when ``--strict`` is given *and* at least one (gated) metric regressed —
+without it it always exits 0, the warn-only CI mode of ``docs/perf.md``.
 
 Given more than two operands, ``repro compare`` chains them in the
 given order (oldest first) and renders one table of adjacent-step
@@ -24,11 +27,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from .bench import digest_match, load_bench, stack_metrics
+from .bench import load_bench, run_inputs, stack_metrics, workloads_of
 from .runstore import RunRecord, RunStore, RunStoreError
 
 #: Default relative floor under which a delta is noise regardless of IQR.
@@ -43,6 +46,7 @@ VERDICT_MARKS = {
     "ok": "=",
     "insufficient-history": "~",
     "n/a": "?",
+    "info": " ",
 }
 
 
@@ -56,12 +60,12 @@ def json_num(value: float) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-def fmt_metric(value: float, metric: str = "") -> str:
+def fmt_metric(value: float, unit: str = "") -> str:
     """One metric value as the compare / regress / dashboard tables print it."""
     if not math.isfinite(value):
         return "n/a"
-    if metric == "digest.stable":
-        return "stable" if value == 1.0 else "DIVERGED"
+    if unit == "hash48":
+        return f"{int(value):012x}"
     if abs(value) >= 1000:
         return f"{value:,.0f}"
     return f"{value:.4g}"
@@ -77,12 +81,12 @@ class MetricVerdict:
     b: float
     threshold: float
     higher_is_better: bool
-    #: ``"improved"``, ``"regressed"``, ``"noise"`` or ``"n/a"``.
+    #: ``"improved"``, ``"regressed"``, ``"noise"``, ``"n/a"`` or ``"info"``.
     verdict: str
-
-    @property
-    def delta(self) -> float:
-        return self.b - self.a
+    unit: str = ""
+    #: A seed-determined row: ``n/a`` here with both values present means
+    #: the two runs' inputs differ (see :func:`render_comparison`).
+    exact: bool = False
 
     @property
     def rel_delta(self) -> float:
@@ -112,81 +116,67 @@ def classify(
     *,
     higher_is_better: bool,
     iqr: float = 0.0,
-    rel_floor: float = DEFAULT_REL_FLOOR,
+    rel_floor: Optional[float] = DEFAULT_REL_FLOOR,
     k: float = DEFAULT_IQR_K,
+    exact: bool = False,
+    unit: str = "",
 ) -> MetricVerdict:
-    """Judge one metric pair against the noise threshold."""
+    """Judge one metric pair against the noise threshold.
+
+    ``exact`` rows have none: a seed-determined count that moved either way
+    means the simulated behaviour changed, which no speed-up may do.
+    ``rel_floor=None`` marks a row that is printed but not judged.
+    """
+    threshold = math.nan
     if math.isnan(a) or math.isnan(b):
         verdict = "n/a"
-        threshold = math.nan
+    elif rel_floor is None:
+        verdict = "info"
     else:
-        threshold = noise_band(a, iqr, rel_floor, k)
+        threshold = 0.0 if exact else noise_band(a, iqr, rel_floor, k)
         delta = b - a
         if abs(delta) <= threshold:
             verdict = "noise"
-        elif (delta > 0) == higher_is_better:
-            verdict = "improved"
-        else:
+        elif exact or (delta > 0) != higher_is_better:
             verdict = "regressed"
-    return MetricVerdict(
-        case=case,
-        metric=metric,
-        a=a,
-        b=b,
-        threshold=threshold,
-        higher_is_better=higher_is_better,
-        verdict=verdict,
-    )
+        else:
+            verdict = "improved"
+    return MetricVerdict(case, metric, a, b, threshold, higher_is_better, verdict, unit, exact)
 
 
 def compare_bench(
     a: dict[str, Any],
     b: dict[str, Any],
     *,
-    rel_floor: float = DEFAULT_REL_FLOOR,
+    rel_floor: Optional[float] = None,
     k: float = DEFAULT_IQR_K,
 ) -> list[MetricVerdict]:
-    """Per-case, per-metric verdicts between two bench documents.
+    """Per-workload, per-metric verdicts between two bench documents.
 
-    Cases present in only one document are skipped.  What is judged, and
-    against which floor, is the bench catalogue's decision
-    (:func:`~repro.telemetry.bench.stack_metrics`); ``rel_floor`` serves
-    the metrics that name none of their own.
+    Workloads present in only one document are skipped.  What is judged,
+    and against which bound, is the bench catalogue's decision
+    (:func:`~repro.telemetry.bench.stack_metrics`); ``rel_floor`` overrides
+    the bounds of the timed end-to-end rows (a CI gate that only wants
+    halvings).  Exact rows compare only between runs of the same seed and
+    ``smoke`` flag and read ``n/a`` otherwise.
     """
+    same_inputs = run_inputs(a) == run_inputs(b)
     verdicts: list[MetricVerdict] = []
-    cases_b = b.get("cases", {})
-    for name, ca in a.get("cases", {}).items():
-        if name not in cases_b:
+    workloads_b = workloads_of(b)
+    for name, wa in workloads_of(a).items():
+        if name not in workloads_b:
             continue
-        cb = cases_b[name]
-        for metric, (ma, mb) in stack_metrics([ca, cb]).items():
-            floor = rel_floor if ma.rel_floor is None else ma.rel_floor
-            verdicts.append(
-                classify(
-                    name,
-                    metric,
-                    ma.value,
-                    mb.value,
-                    higher_is_better=ma.higher_is_better,
-                    iqr=max(ma.iqr, mb.iqr),
-                    rel_floor=floor,
-                    k=k,
-                )
+        for metric, (ma, mb) in stack_metrics([wa, workloads_b[name]]).items():
+            floor = ma.rel_floor
+            if rel_floor is not None and floor:  # a timed end-to-end row
+                floor = rel_floor
+            verdict = classify(
+                name, metric, ma.value, mb.value, higher_is_better=ma.higher_is_better,
+                iqr=max(ma.iqr, mb.iqr), rel_floor=floor, k=k, exact=ma.exact, unit=ma.unit,
             )
-        # Matching chains score 1/1 (noise); a mismatch scores 1/0 and reads
-        # ``regressed`` — the simulated behavior itself changed, which is
-        # what ``repro diff`` then localizes.
-        match = digest_match(ca, cb)
-        verdicts.append(
-            classify(
-                name,
-                "digest.match",
-                match if math.isnan(match) else 1.0,
-                match,
-                higher_is_better=True,
-                rel_floor=0.0,
-            )
-        )
+            if ma.exact and not same_inputs:
+                verdict = replace(verdict, verdict="n/a", threshold=math.nan)
+            verdicts.append(verdict)
     return verdicts
 
 
@@ -250,7 +240,7 @@ def load_comparable(path: str | Path) -> tuple[str, Any]:
             raise RunStoreError(f"{path}: run store holds no readable records")
         return "record", latest[0]
     doc = json.loads(path.read_text(encoding="utf-8"))
-    if isinstance(doc, dict) and "cases" in doc:
+    if isinstance(doc, dict) and "workloads" in doc:
         return "bench", load_bench(path)
     if isinstance(doc, dict) and "stats" in doc:
         return "record", RunRecord.from_dict(doc)
@@ -260,7 +250,7 @@ def load_comparable(path: str | Path) -> tuple[str, Any]:
 def compare_chain(
     paths: Sequence[str | Path],
     *,
-    rel_floor: float = DEFAULT_REL_FLOOR,
+    rel_floor: Optional[float] = None,
     k: float = DEFAULT_IQR_K,
 ) -> list[tuple[str, str, list[MetricVerdict]]]:
     """Adjacent-pair verdicts across N files given oldest → newest.
@@ -268,7 +258,8 @@ def compare_chain(
     Every operand must load as the same kind (all bench or all record);
     each returned step is ``(label_a, label_b, verdicts)`` with labels
     taken from the file names.  Two paths degenerate to one step — the
-    classic A/B compare.
+    classic A/B compare.  ``rel_floor=None`` is each bench metric's own
+    bound and :data:`DEFAULT_REL_FLOOR` for run records.
     """
     if len(paths) < 2:
         raise ValueError("compare_chain needs at least two paths")
@@ -287,7 +278,8 @@ def compare_chain(
         if kind == "bench":
             verdicts = compare_bench(before, after, rel_floor=rel_floor, k=k)
         else:
-            verdicts = compare_records(before, after, rel_floor=rel_floor, k=k)
+            record_floor = DEFAULT_REL_FLOOR if rel_floor is None else rel_floor
+            verdicts = compare_records(before, after, rel_floor=record_floor, k=k)
         steps.append((Path(before_path).name, Path(after_path).name, verdicts))
     return steps
 
@@ -339,7 +331,7 @@ def regressions(
     """Regressed verdicts, optionally filtered to gated metric names.
 
     ``gate`` entries match a metric exactly or as a dotted prefix
-    (``"events"`` gates every ``events.*`` metric).  ``None`` / empty
+    (``"sim"`` gates every ``sim.*`` metric).  ``None`` / empty
     gates everything — the pre-``--gate`` behaviour.
     """
     flagged = [v for v in verdicts if v.verdict == "regressed"]
@@ -359,15 +351,20 @@ def render_comparison(
     if not verdicts:
         return "no overlapping cases/metrics to compare"
     lines = [
-        f"{'case':>24s} {'metric':>26s} {label_a:>12s} {label_b:>12s} "
+        f"{'case':>24s} {'metric':>38s} {label_a:>14s} {label_b:>14s} "
         f"{'delta':>8s}  verdict"
     ]
     for v in verdicts:
         rel = v.rel_delta
-        delta = "n/a" if math.isnan(rel) else f"{rel:+.1%}"
+        delta = "n/a" if math.isnan(rel) or v.unit == "hash48" else f"{rel:+.1%}"
         lines.append(
-            f"{v.case:>24s} {v.metric:>26s} {fmt_metric(v.a):>12s} {fmt_metric(v.b):>12s} "
-            f"{delta:>8s}  {VERDICT_MARKS[v.verdict]} {v.verdict}"
+            f"{v.case:>24s} {v.metric:>38s} {fmt_metric(v.a, v.unit):>14s} "
+            f"{fmt_metric(v.b, v.unit):>14s} {delta:>8s}  {VERDICT_MARKS[v.verdict]} {v.verdict}"
+        )
+    if any(v.exact and v.verdict == "n/a" and v.a == v.a and v.b == v.b for v in verdicts):
+        lines.append(
+            "exact rows read n/a: the two runs differ in seed or --smoke, so their "
+            "seed-determined counts, fingerprints and digest chains are not comparable"
         )
     worst = regressions(verdicts)
     summary = (

@@ -5,10 +5,11 @@ SVG via :func:`repro.viz.svg_line_chart` — with:
 
 * the Fig 11 latency-vs-load curves from ``benchmarks/results/*.csv``;
 * the paper-vs-measured agreement summary (``repro report``'s text);
-* the performance panel over the one bench history (stored
-  ``BENCH_<n>.json`` files + the registry's bench records): per-case
-  throughput trajectory with changepoint marks, latest host-phase
-  shares, and the verdict table ``repro regress`` prints;
+* the performance panel over the one bench history (the stored
+  ``BENCH_<n>.json`` files): per-workload flit-hops/s trajectory with
+  changepoint marks, the latest ns-per-flit-hop phase split, the observer
+  overhead and Table 3 fidelity trajectories, and the verdict table
+  ``repro regress`` prints;
 * the latency-attribution panel (stacked per-stage bars via
   :func:`repro.viz.svg_stacked_bars` + top-bottleneck-links table) for
   runs recorded with ``--latency-breakdown``;
@@ -174,91 +175,96 @@ def _agreement_section(results_dir: Path, scale: str) -> str:
     return f"<pre>{html.escape(text)}</pre>"
 
 
-def perf_section(runs_dir: Path, bench_dirs: Sequence[Path] = ()) -> str:
+def perf_section(bench_dirs: Sequence[str | Path] = (".",)) -> str:
     """The performance panel over the one bench history.
 
-    Loads :func:`~repro.telemetry.history.load_history` (stored bench
-    files plus the registry's ``kind="bench"`` records, a file winning
-    over the record of the same suite run), runs the changepoint
-    sentinel over it, and renders one throughput trajectory per case
-    with detected changepoints as dashed marks, the latest run's
-    per-phase host-time shares, and the verdict table ``repro regress``
-    prints — so a throughput drop, the run it started at and the pipeline
-    phase behind it sit side by side.
+    Runs the changepoint sentinel over the stored ``BENCH_<n>.json`` files
+    and renders one flit-hops/s trajectory per workload with detected
+    changepoints as dashed marks, the latest engine loop split into ns per
+    flit-hop by phase, the trajectories of what the harness measures once
+    per run (observer overheads, Table 3 error), and the verdict table
+    ``repro regress`` prints — so a throughput drop, the run it started at
+    and the pipeline phase behind it sit side by side.
     """
     from repro.viz import svg_annotated_line, svg_stacked_bars
 
+    from .bench import PHASE_SUFFIX, THROUGHPUT
     from .history import load_history
-    from .hostprof import ALL_PHASES
     from .sentinel import analyze_history
 
-    history = load_history(runs_dir, bench_dirs=bench_dirs)
+    history = load_history(bench_dirs)
     if not history.series:
         return (
             '<p class="empty">no bench history yet — no BENCH_*.json files '
-            "or registry bench records found; run <code>repro bench</code> "
-            "first.</p>"
+            "found; run <code>repro bench</code> first.</p>"
         )
     report = analyze_history(history)
     marks = {
         r.case: [(float(r.changepoint.index), f"changepoint @ {r.changepoint_key or '?'}")]
         for r in report.reports
-        if r.metric == "cycles_per_second" and r.changepoint is not None
+        if r.metric == THROUGHPUT and r.changepoint is not None
     }
+
+    def trajectory(series_list, *, title, y_label, annotations=()):
+        runs = [float(i) for i in range(max(len(s.points) for s in series_list))]
+        lines = [(s.metric, runs[: len(s.points)], s.values) for s in series_list]
+        return "<figure>" + svg_annotated_line(
+            lines, annotations=annotations, height=220, title=title,
+            x_label="bench run (oldest first)", y_label=y_label, y_zero=True,
+        ) + "</figure>"
+
     figures = []
     for case in history.cases():
-        series = history.get(case, "cycles_per_second")
-        if series is None or series.finite_count() == 0:
-            continue
-        figures.append(
-            "<figure>"
-            + svg_annotated_line(
-                [(case, [float(i) for i in range(len(series.points))], series.values)],
-                annotations=marks.get(case, ()),
-                height=220,
-                title=f"{case}: throughput trajectory",
-                x_label="suite run (oldest first)",
-                y_label="cycles / second (median)",
-                y_zero=True,
+        series = history.get(case, THROUGHPUT)
+        if series is not None and series.finite_count():
+            figures.append(
+                trajectory(
+                    [series], title=f"{case}: throughput trajectory",
+                    y_label="flit-hops / reference-host second (median)",
+                    annotations=marks.get(case, ()),
+                )
             )
-            + "</figure>"
-        )
 
-    def latest_share(case: str, phase: str) -> float:
-        series = history.get(case, f"host.{phase}.share")
-        value = series.values[-1] if series is not None else math.nan
-        return value if math.isfinite(value) else 0.0
-
-    segments = [
-        phase
-        for phase in ALL_PHASES
-        if any(latest_share(case, phase) for case in history.cases())
-    ]
+    phases = {
+        key: series.values[-1]
+        for key, series in history.series.items()
+        if key[1].endswith(PHASE_SUFFIX) and math.isfinite(series.values[-1])
+    }
+    segments = list(dict.fromkeys(metric for (_, metric), ns in phases.items() if ns))
     if segments:
         bars = [
-            (case, [latest_share(case, phase) * 100 for phase in segments])
+            (case, [phases.get((case, metric), 0.0) for metric in segments])
             for case in history.cases()
         ]
         figures.append(
             "<figure>"
             + svg_stacked_bars(
                 bars,
-                segments,
-                title="host wall-time share by pipeline phase (latest bench)",
-                x_label="% of timed loop",
+                [metric[: -len(PHASE_SUFFIX)] for metric in segments],
+                title="engine loop by pipeline phase (latest bench)",
+                x_label="ns per flit-hop",
             )
             + "</figure>"
         )
-    else:
-        figures.append(
-            '<p class="empty">the latest bench run carries no host-time '
-            "attribution — re-run <code>repro bench</code> on this build.</p>"
-        )
+    # Measured once per harness run and copied into every workload block:
+    # one workload's series is the whole trajectory.
+    once = [s for (case, _), s in history.series.items() if case == history.cases()[0]]
+    for prefix, title, y_label in (
+        ("telemetry.overhead.", "observer overhead (run with / without, minus 1)", "ratio"),
+        ("exps.table3_abs_err_pp", "Table 3 mean |error| vs the paper (tiny scale)", "pp"),
+    ):
+        drawn = [s for s in once if s.metric.startswith(prefix) and s.finite_count()]
+        if drawn:
+            figures.append(trajectory(drawn, title=title, y_label=y_label))
 
     rows = []
+    steady = 0
     for r in report.reports:
         if r.verdict == "n/a":
             continue  # metrics this history never carried: pure noise rows
+        if r.verdict == "ok" and history.series[r.case, r.metric].exact:
+            steady += 1  # a count that never moved: one sentence, not a row each
+            continue
         verdict = html.escape(r.verdict)
         if r.verdict == "regressed":
             verdict = f'<span class="alarm">{verdict}</span>'
@@ -267,8 +273,8 @@ def perf_section(runs_dir: Path, bench_dirs: Sequence[Path] = ()) -> str:
                 html.escape(r.case),
                 html.escape(r.metric),
                 str(r.finite_points),
-                fmt_metric(r.baseline, r.metric),
-                fmt_metric(r.latest, r.metric),
+                fmt_metric(r.baseline, r.unit),
+                fmt_metric(r.latest, r.unit),
                 verdict,
                 html.escape(r.changepoint_key) if r.changepoint_key else "&mdash;",
                 html.escape(r.culprit) if r.culprit else "&mdash;",
@@ -283,15 +289,15 @@ def perf_section(runs_dir: Path, bench_dirs: Sequence[Path] = ()) -> str:
         if rows
         else '<p class="empty">no analyzable metrics in the bench history yet.</p>'
     )
-    latest = max(
+    newest = max(
         (series.points[-1] for series in history.ordered()),
         key=lambda point: point.created,
     )
     meta = (
-        f'<p class="meta">{history.runs} suite run(s) analyzed, latest '
-        f"{html.escape(latest.key)} @ {html.escape(latest.git_rev)}, "
-        f"{len(report.regressions())} regression(s) — "
-        f"<code>repro regress</code> prints this table.</p>"
+        f'<p class="meta">{history.runs} bench run(s) analyzed, latest '
+        f"{html.escape(newest.key)} @ {html.escape(newest.git_rev)}, "
+        f"{len(report.regressions())} regression(s), {steady} exact row(s) "
+        f"unchanged — <code>repro regress</code> prints this table.</p>"
     )
     return "".join(figures) + table + meta
 
@@ -612,7 +618,7 @@ def build_dashboard(
         "<h2>Paper-vs-measured agreement</h2>",
         _agreement_section(results_dir, scale),
         "<h2>Performance</h2>",
-        perf_section(Path(runs_dir), dirs),
+        perf_section(dirs),
         "<h2>Latency attribution</h2>",
         breakdown_section(Path(runs_dir)),
         "<h2>Run health</h2>",

@@ -380,7 +380,7 @@ def load_diffable(token: str, *, runs_dir: str | Path = "runs") -> Diffable:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DiffError(f"{path}: not valid JSON: {exc}") from None
-    if isinstance(doc, dict) and "cases" in doc:
+    if isinstance(doc, dict) and "workloads" in doc:
         raise DiffError(
             f"{path}: bench documents are compared with `repro compare`; "
             "diff pins or run records instead"

@@ -54,8 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.flit import Flit, Packet
     from repro.noc.network import Network
 
-#: Version of the ``digest`` block schema (run records, bench cases,
-#: pins).  Bump on incompatible changes; loaders reject blocks
+#: Version of the ``digest`` block schema (run records, pins).  Bump on incompatible changes; loaders reject blocks
 #: written by a different version.
 DIGEST_SCHEMA_VERSION = 1
 

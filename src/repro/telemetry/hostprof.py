@@ -77,7 +77,7 @@ class HostTimeLedger:
     and read :meth:`summary` afterwards.  ``stride=N`` times every Nth
     cycle and extrapolates (the estimator assumes sampled cycles are
     representative, which holds for the stationary workloads of the
-    bench suite); ``stride=1`` times every cycle.
+    repo benchmark); ``stride=1`` times every cycle.
 
     The ledger is a passive observer: it never touches simulator state,
     so a run with the ledger attached produces byte-identical statistics

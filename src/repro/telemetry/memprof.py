@@ -1,5 +1,4 @@
-"""Heap observability for the simulator (``repro bench --mem-top`` /
-``repro profile --mem``).
+"""Heap observability for the simulator (``repro profile --mem``).
 
 The host-time ledger answers "where does wall time go?"; this module
 answers the twin question **"where does memory go?"** — the batched
@@ -14,8 +13,8 @@ hostprof phase taxonomy via :func:`~repro.telemetry.hostprof.phase_of`,
 so the memory table's rows line up with the wall-time table's.
 
 Tracing roughly doubles allocation cost, so the ledger never rides a
-timed bench rep — ``repro bench`` gives it its own untimed rep, exactly
-like the event census and the host ledger.
+timed run: ``repro profile --mem`` gives it its own pass, and the
+deterministic peak-heap budgets live in ``tests/test_run_lifecycle.py``.
 
 Pure stdlib; no simulator imports (the package initializer's rule).
 """
@@ -33,8 +32,7 @@ try:  # pragma: no cover - absent on Windows
 except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
 
-#: Version stamp of the ``mem`` block written into ``BENCH_<n>.json``
-#: cases, bench registry records and ``profile.mem.json``.
+#: Version stamp of the ``mem`` block written as ``profile.mem.json``.
 MEM_SCHEMA_VERSION = 1
 
 #: Default number of top allocation sites kept in a summary.
@@ -143,7 +141,7 @@ class MemLedger:
 
     # -- output -------------------------------------------------------------
     def record_summary(self) -> dict[str, Any]:
-        """The compact ``mem`` block stored on bench cases and records."""
+        """The compact ``mem`` block (``profile.mem.json``)."""
         return {
             "schema_version": MEM_SCHEMA_VERSION,
             "top_n": self.top_n,

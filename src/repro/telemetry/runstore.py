@@ -93,9 +93,8 @@ class RunRecord:
     schema_version: int = RUN_SCHEMA_VERSION
     run_id: str = ""
     created: str = ""
-    #: ``"experiment"`` (repro run), ``"simulate"``, ``"bench"`` or
-    #: ``"prove"`` (certification runs; their certificate path rides in
-    #: ``artifacts``).
+    #: ``"experiment"`` (repro run), ``"simulate"`` or ``"prove"``
+    #: (certification runs; their certificate path rides in ``artifacts``).
     kind: str = "simulate"
     #: Experiment name or system-family label.
     label: str = ""
@@ -123,13 +122,6 @@ class RunRecord:
     #: health flags, recorder stats, bundle path; empty unless the run
     #: attached forensics).  Defaulted for the same schema-v1 reason.
     forensics: dict[str, Any] = field(default_factory=dict)
-    #: ``kind="bench"`` records: case name → the BENCH file's case block
-    #: minus timing samples, allocation sites and digest checkpoints
-    #: (``bench.registry_cases``), so ``bench.case_metrics`` reads a record
-    #: exactly as it reads the file.  The dashboard's performance panel and
-    #: the regression sentinel (``repro regress``) read these across
-    #: registry history.  Defaulted for the same schema-v1 reason.
-    bench: dict[str, Any] = field(default_factory=dict)
     #: Deterministic event-digest block (``RunDigest.record_summary``:
     #: final chain, per-kind census, checkpoint chain, re-simulation
     #: meta; empty unless the run attached a digest).  ``repro diff``

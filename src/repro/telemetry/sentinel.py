@@ -1,8 +1,8 @@
-"""History-aware regression detection over the run registry
+"""History-aware regression detection over the stored BENCH files
 (``repro regress``).
 
-:mod:`~repro.telemetry.history` turns the registry into per-metric time
-series; this module watches them.  For every primary series it runs a
+:mod:`~repro.telemetry.history` turns the files into per-metric time
+series; this module watches them.  For every timed primary series it runs a
 **rank-based sliding-window changepoint test** — dependency-free and
 robust by construction:
 
@@ -13,28 +13,32 @@ robust by construction:
   never looks at magnitudes — a single wild outlier cannot fake it.
 * A candidate only stands when the median shift across the split also
   clears :func:`~repro.telemetry.compare.noise_band` of the window
-  before — ``repro compare``'s threshold, so jitter that compare would
-  call noise never becomes a changepoint.
+  before — ``repro compare``'s threshold with the metric's own bound, so
+  jitter that compare would call noise never becomes a changepoint.
 * The verdict then compares the **trailing** window against the
   pre-changepoint level: a regression that was since fixed reads
   ``ok`` (with the changepoint still reported), not a stale alarm.
 
-Verdicts are ``ok`` / ``regressed`` / ``improved`` /
-``insufficient-history`` / ``n/a``.  For ``cycles_per_second``
-regressions the report adds a culprit hint: the host phase whose
-wall-time share moved most across the changepoint.
+An *exact* series (seed-determined counts, fingerprints, digest chains)
+needs no statistics: the first run that differs from the previous run of
+the same seed and ``smoke`` flag is the regression.
 
-Pure stdlib, no simulator imports at module load.
+Verdicts are ``ok`` / ``regressed`` / ``improved`` /
+``insufficient-history`` / ``n/a``.  For ``flit_hops_per_s`` regressions
+the report adds a culprit hint: the engine phase whose ns per flit-hop
+grew most across the changepoint.
+
+Pure stdlib, no simulator imports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import median
 from typing import Any, Iterable, Optional, Sequence
 
-from .bench import median_iqr
+from .bench import PHASE_SUFFIX, THROUGHPUT, median_iqr
 from .compare import (
     DEFAULT_IQR_K,
     DEFAULT_REL_FLOOR,
@@ -48,8 +52,8 @@ from .history import MetricSeries, RunHistory
 #: Version stamp of the ``repro regress --json`` report document.
 SENTINEL_SCHEMA_VERSION = 1
 
-#: Share shift (absolute, in share units) below which a host phase is
-#: not worth naming as a culprit: 0.005 = half a percentage point.
+#: Growth below this fraction of the engine loop's ns per flit-hop before
+#: the split is not worth naming as a culprit: 0.005 = half a percent.
 MIN_CULPRIT_SHARE_SHIFT = 0.005
 
 
@@ -96,8 +100,9 @@ class MetricReport:
     latest: float = float("nan")
     baseline: float = float("nan")  #: pre-changepoint level (or overall median)
     changepoint: Optional[Changepoint] = None
-    changepoint_key: str = ""  #: run_id / bench file of the first shifted run
-    culprit: str = ""  #: host-phase hint for throughput regressions
+    changepoint_key: str = ""  #: bench file of the first shifted run
+    culprit: str = ""  #: engine-phase hint for throughput regressions
+    unit: str = ""
 
     @property
     def rel_shift(self) -> float:
@@ -215,6 +220,7 @@ def _analyze_series(series: MetricSeries, config: SentinelConfig) -> MetricRepor
         metric=series.metric,
         verdict="n/a",
         higher_is_better=series.higher_is_better,
+        unit=series.unit,
     )
     values = series.values
     finite = [v for v in values if math.isfinite(v)]
@@ -223,12 +229,14 @@ def _analyze_series(series: MetricSeries, config: SentinelConfig) -> MetricRepor
         return report
     report.latest = finite[-1]
     report.baseline = median(finite)
-    if series.metric == "digest.stable":
-        return _analyze_stability(series, report)
+    if series.exact:
+        return _analyze_exact(series, report)
     if len(finite) < config.min_history:
         report.verdict = "insufficient-history"
         return report
 
+    if series.rel_floor is not None:
+        config = replace(config, rel_floor=series.rel_floor)
     changepoint = detect_changepoint(values, config)
     if changepoint is None:
         report.verdict = "ok"
@@ -251,13 +259,19 @@ def _analyze_series(series: MetricSeries, config: SentinelConfig) -> MetricRepor
     return report
 
 
-def _analyze_stability(series: MetricSeries, report: MetricReport) -> MetricReport:
-    """``digest.stable`` is binary: any observed mismatch is a regression."""
+def _analyze_exact(series: MetricSeries, report: MetricReport) -> MetricReport:
+    """A seed-determined row: any run that differs from the previous run of
+    the same inputs is a regression, however long ago."""
+    last: dict[str, float] = {}
     for index, point in enumerate(series.points):
-        if point.value == 0.0:
+        if not math.isfinite(point.value):
+            continue
+        previous = last.setdefault(point.inputs, point.value)
+        if point.value != previous:
             report.verdict = "regressed"
+            report.baseline = previous
             report.changepoint = Changepoint(
-                index=index, effect=1.0, shift=-1.0, pre_median=1.0, post_median=0.0
+                index, 1.0, point.value - previous, pre_median=previous, post_median=point.value
             )
             report.changepoint_key = point.key
             return report
@@ -265,31 +279,23 @@ def _analyze_stability(series: MetricSeries, report: MetricReport) -> MetricRepo
     return report
 
 
-def _culprit_hint(
-    history: RunHistory, case: str, changepoint: Changepoint
-) -> str:
-    """The host phase whose wall-time share grew most across the split."""
-    best_phase, best_delta = "", 0.0
+def _culprit_hint(history: RunHistory, case: str, changepoint: Changepoint) -> str:
+    """The engine phase whose ns per flit-hop grew most across the split."""
+    growth: dict[str, float] = {}
+    loop_before = 0.0
     for (series_case, metric), series in history.series.items():
-        if series_case != case or not series.auxiliary:
+        if series_case != case or not metric.endswith(PHASE_SUFFIX):
             continue
-        if not metric.startswith("host.") or not metric.endswith(".share"):
-            continue
-        pre = [
-            p.value for p in series.points[: changepoint.index] if math.isfinite(p.value)
-        ]
-        post = [
-            p.value for p in series.points[changepoint.index:] if math.isfinite(p.value)
-        ]
+        pre = [v for v in series.values[: changepoint.index] if math.isfinite(v)]
+        post = [v for v in series.values[changepoint.index:] if math.isfinite(v)]
         if not pre or not post:
             continue
-        delta = median(post) - median(pre)
-        if delta > best_delta:
-            best_phase = metric[len("host."): -len(".share")]
-            best_delta = delta
-    if not best_phase or best_delta < MIN_CULPRIT_SHARE_SHIFT:
+        loop_before += median(pre)
+        growth[metric[: -len(PHASE_SUFFIX)]] = median(post) - median(pre)
+    phase = max(growth, key=growth.__getitem__, default="")
+    if not phase or growth[phase] < MIN_CULPRIT_SHARE_SHIFT * loop_before:
         return ""
-    return f"{best_phase} (+{100.0 * best_delta:.1f}pp share)"
+    return f"{phase} (+{growth[phase]:.1f} ns/hop)"
 
 
 def analyze_history(
@@ -307,12 +313,10 @@ def analyze_history(
         metric_report = _analyze_series(series, config)
         if (
             metric_report.verdict == "regressed"
-            and series.metric == "cycles_per_second"
+            and series.metric == THROUGHPUT
             and metric_report.changepoint is not None
         ):
-            metric_report.culprit = _culprit_hint(
-                history, series.case, metric_report.changepoint
-            )
+            metric_report.culprit = _culprit_hint(history, series.case, metric_report.changepoint)
         report.reports.append(metric_report)
     return report
 
@@ -325,27 +329,29 @@ def render_sentinel(report: SentinelReport) -> str:
     """The ``repro regress`` verdict table."""
     if not report.reports:
         return (
-            "no bench history to analyze — `repro bench` appends the "
-            "records the sentinel watches."
+            "no bench history to analyze — `repro bench` writes the "
+            "BENCH_<n>.json files the sentinel watches."
         )
     header = (
-        f"{'case':<22} {'metric':<20} {'n':>3} {'baseline':>12} "
-        f"{'latest':>12} {'shift':>8}  verdict"
+        f"{'case':<22} {'metric':<38} {'n':>3} {'baseline':>14} "
+        f"{'latest':>14} {'shift':>8}  verdict"
     )
     lines = [
-        f"regression sentinel over {report.runs} suite run(s)",
+        f"regression sentinel over {report.runs} bench run(s)",
         "",
         header,
         "-" * len(header),
     ]
     for r in report.reports:
         shift = (
-            f"{100.0 * r.rel_shift:+.1f}%" if math.isfinite(r.rel_shift) else "-"
+            f"{100.0 * r.rel_shift:+.1f}%"
+            if math.isfinite(r.rel_shift) and r.unit != "hash48"
+            else "-"
         )
         line = (
-            f"{r.case:<22} {r.metric:<20} {r.finite_points:>3} "
-            f"{fmt_metric(r.baseline, r.metric):>12} "
-            f"{fmt_metric(r.latest, r.metric):>12} {shift:>8}  "
+            f"{r.case:<22} {r.metric:<38} {r.finite_points:>3} "
+            f"{fmt_metric(r.baseline, r.unit):>14} "
+            f"{fmt_metric(r.latest, r.unit):>14} {shift:>8}  "
             f"{VERDICT_MARKS[r.verdict]} {r.verdict}"
         )
         if r.changepoint is not None and r.changepoint_key:

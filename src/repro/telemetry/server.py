@@ -7,13 +7,13 @@ no third-party dependencies — that tails the run registry
 
 * ``/`` — the fleet page: runs in flight with progress bars and ETAs,
   recent failures with their postmortem bundle paths, the performance
-  panel (bench trajectory, host-phase shares, sentinel verdicts) and the
+  panel (bench trajectory, ns-per-flit-hop phases, sentinel verdicts) and the
   recent-runs registry table —
   auto-updating via Server-Sent Events;
 * ``/run/<run_id>`` — one run's live page (heartbeat, epochs, health);
 * ``/api/runs`` — the fleet state as JSON;
 * ``/api/live/<run_id>`` — one feed's folded status plus its raw events;
-* ``/api/bench`` — the bench trajectory extracted from the registry;
+* ``/api/bench`` — the bench trajectory read off the ``BENCH_<n>.json`` files;
 * ``/events`` and ``/events/<run_id>`` — the SSE streams behind the
   pages (``data:`` lines carrying re-rendered HTML fragments).
 
@@ -35,8 +35,11 @@ import json
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 from urllib.parse import urlparse
+
+from .bench import THROUGHPUT, bench_files
+from .compare import json_num
 
 from .dashboard import (
     determinism_section,
@@ -102,6 +105,9 @@ class WatchService:
         SSE change-detection interval.
     top_runs:
         Rows in the recent-runs table.
+    bench_dirs:
+        Where the ``BENCH_<n>.json`` trajectory lives (the directory
+        ``repro watch`` is started in, like ``repro dashboard``).
     """
 
     def __init__(
@@ -110,8 +116,10 @@ class WatchService:
         *,
         poll_seconds: float = 1.0,
         top_runs: int = 20,
+        bench_dirs: Sequence[str | Path] = (".",),
     ) -> None:
         self.runs_dir = Path(runs_dir)
+        self.bench_dirs = [Path(d) for d in bench_dirs]
         self.live_dir = self.runs_dir / "live"
         self.poll_seconds = poll_seconds
         self.top_runs = top_runs
@@ -177,29 +185,32 @@ class WatchService:
         return {"status": status, "events": events}
 
     def bench_state(self) -> dict[str, Any]:
-        """The ``/api/bench`` document: per-case trajectory from the registry."""
-        store = RunStore(self.runs_dir)
-        cases: dict[str, list[dict[str, Any]]] = {}
-        count = 0
-        for record in store.iter_records(strict=False):
-            if record.kind != "bench" or not record.bench:
-                continue
-            count += 1
-            for name, case in record.bench.items():
-                cases.setdefault(name, []).append(
-                    {
-                        "created": record.created,
-                        "git_rev": record.git_rev,
-                        "cps_median": ((case or {}).get("cps") or {}).get("median"),
-                        "host_shares": ((case or {}).get("host") or {}).get("shares"),
-                    }
-                )
+        """The ``/api/bench`` document: per-workload trajectory from the bench files.
+
+        Each point carries the throughput median and, under ``per_layer``,
+        the host-time rows a chart wants beside it (the ns-per-flit-hop
+        phases, the observer overheads, the Table 3 error).
+        """
+        from .history import load_history
+
+        history = load_history(self.bench_dirs)
+        workloads: dict[str, list[dict[str, Any]]] = {}
+        for (case, metric), series in history.series.items():
+            if case not in workloads:  # every series of a workload has the same points
+                workloads[case] = [
+                    {"file": p.key, "created": p.created, "git_rev": p.git_rev, "per_layer": {}}
+                    for p in series.points
+                ]
+            if metric == THROUGHPUT or series.auxiliary:
+                for point, value in zip(workloads[case], series.values):
+                    row = point if metric == THROUGHPUT else point["per_layer"]
+                    row[metric] = json_num(value)
         return {
             "generated": utc_now_iso(),
-            "runs_dir": str(self.runs_dir),
-            "bench_records": count,
-            "skipped": store.skipped,
-            "cases": cases,
+            "bench_dirs": [str(d) for d in self.bench_dirs],
+            "bench_files": history.runs,
+            "skipped": history.skipped,
+            "workloads": workloads,
         }
 
     def registry_digest(self, run_id: str) -> Optional[dict[str, Any]]:
@@ -214,12 +225,13 @@ class WatchService:
     def change_stamp(self) -> tuple:
         """Cheap fingerprint of everything the pages render.
 
-        The SSE loops re-render only when this changes: registry file
-        size/mtime plus every feed's size/mtime.
+        The SSE loops re-render only when this changes: size/mtime of the
+        registry file, every feed and every bench file.
         """
         entries = []
         registry = self.runs_dir / "runs.jsonl"
-        for path in [registry, *self._feed_paths()]:
+        benches = [path for d in self.bench_dirs for path in bench_files(d)]
+        for path in [registry, *self._feed_paths(), *benches]:
             try:
                 stat = path.stat()
                 entries.append((str(path), stat.st_mtime_ns, stat.st_size))
@@ -295,7 +307,7 @@ class WatchService:
             "<h2>Recent failures</h2>",
             self._failures_section(statuses),
             "<h2>Performance</h2>",
-            perf_section(self.runs_dir),
+            perf_section(self.bench_dirs),
             "<h2>Run health</h2>",
             health_section(self.runs_dir),
             "<h2>Determinism</h2>",

@@ -43,7 +43,7 @@ class ChipletGrid:
     def __post_init__(self) -> None:
         for name in ("chiplets_x", "chiplets_y", "nodes_x", "nodes_y"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     # -- sizes ---------------------------------------------------------------
     @property

@@ -9,6 +9,7 @@ simulators, but vectorized so large systems stay fast.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -48,8 +49,8 @@ class SyntheticWorkload:
         seed: int = 1,
         ordered: bool = True,
     ) -> None:
-        if rate < 0:
-            raise ValueError("rate must be >= 0")
+        if not 0 <= rate < math.inf:  # also False for NaN, which would inject at p = 1
+            raise ValueError(f"rate must be a finite number >= 0, got {rate!r}")
         if packet_length < 1:
             raise ValueError("packet_length must be >= 1")
         self.pattern = pattern

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import copy
+import json
+from pathlib import Path
 
 import pytest
 
@@ -31,21 +32,12 @@ def mesh_grid() -> ChipletGrid:
     return ChipletGrid(2, 2, 4, 4)
 
 
-@pytest.fixture(scope="session")
-def _bench_doc_once() -> dict:
-    """One real ``repro bench`` suite run, shared by the whole session."""
-    from repro.telemetry.bench import CASES, run_bench
-
-    case = next(c for c in CASES if c.name == "fig14_hetero_channel")
-    return run_bench(
-        scale="tiny", reps=1, seed=1, cases=[case], git_rev="cafef00d", mem_top=5
-    )
-
-
 @pytest.fixture
-def bench_doc(_bench_doc_once) -> dict:
-    """A private copy of the session's bench document (tests mutate it)."""
-    return copy.deepcopy(_bench_doc_once)
+def bench_doc() -> dict:
+    """A real bench document (tests mutate their copy): the recorded output of
+    ``python benchmarks/perf/run.py --all --smoke --trace 1 --out
+    tests/data/BENCH_smoke.json`` (19 s to regenerate; data, not code)."""
+    return json.loads((Path(__file__).parent / "data" / "BENCH_smoke.json").read_text())
 
 
 def make_network(family: str, grid: ChipletGrid, config: SimConfig, **kwargs):

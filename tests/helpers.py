@@ -4,14 +4,13 @@ These bypass the topology builders so link/router behaviour can be
 observed in isolation: a unidirectional chain of routers with one channel
 between neighbours and a trivial "always forward" routing function.
 
-Also the synthetic bench-record registry the regression-sentinel tests
-chew on (:func:`make_records` / :func:`write_registry`): real history
-takes dozens of ``repro bench`` runs to accumulate, so these fabricate a
-deterministic one — suite throughput, host-phase ledgers, memory peaks
-and digest chains with ±1.5% noise, optionally with a step regression
-injected at a chosen run.  Records go through ``RunStore`` /
-``RunRecord`` in the ``bench.registry_cases`` shape, so the fixture
-always matches the live schema; same arguments, byte-identical registry.
+Also the synthetic bench history the regression-sentinel tests chew on
+(:func:`make_history` / :func:`write_history`): a real one takes dozens of
+``repro bench`` runs to accumulate, so these fabricate a deterministic
+one — ``BENCH_<n>.json`` documents in the harness's shape with
+throughput, the ns-per-flit-hop phase split, resident memory and digest
+chains at ±1.5% noise, optionally with a step regression injected at a
+chosen run; same arguments, byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.stats import Stats
 from repro.telemetry.digest import RunDigest
-from repro.telemetry.hostprof import ALL_PHASES
-from repro.telemetry.runstore import RunRecord, RunStore
 from repro.topology.system import build_system
 from repro.traffic.injection import SyntheticWorkload
 from repro.traffic.patterns import make_pattern
@@ -170,125 +167,90 @@ def rows_sha256(trace) -> str:
     return digest.hexdigest()
 
 
-#: Per-case baseline throughput (cycles/sec) and peak heap (bytes) for the
-#: three `repro bench` cases; loosely shaped like tiny-scale numbers.
+#: Per-workload baseline throughput (flit-hops per reference-host second)
+#: and resident memory (MB); loosely shaped like the 256-node numbers.
 CASE_BASELINES: dict[str, tuple[float, float]] = {
-    "fig11_hetero_phy": (52_000.0, 230_000.0),
-    "fig14_hetero_channel": (61_000.0, 210_000.0),
-    "table3_parallel_mesh": (48_000.0, 260_000.0),
+    "phy_steady_256": (420_000.0, 41.0),
+    "mesh_saturated_256": (300_000.0, 46.0),
+    "channel_moc_trace_256": (380_000.0, 45.0),
 }
 
-#: Baseline host-phase time split (fractions of total ns/cycle); sa_st
+#: Baseline engine-loop split (fractions of the ns per flit-hop); sa_st
 #: dominates like the real allocator does.
 PHASE_SPLIT: dict[str, float] = {
-    "inject": 0.08,
-    "rc_va": 0.14,
-    "sa_st": 0.30,
-    "link": 0.10,
-    "phy_rx": 0.07,
-    "phy_tx": 0.07,
-    "telemetry": 0.05,
-    "stats": 0.04,
-    "dispatch": 0.15,
+    "traffic.inject": 0.12,
+    "noc.router.rc_va": 0.11,
+    "noc.router.sa_st": 0.50,
+    "noc.link.step": 0.16,
+    "core.phy.rx": 0.05,
+    "core.phy.tx": 0.05,
+    "sim.engine.stats": 0.01,
 }
 
 BASE_STAMP = datetime(2026, 1, 1, 0, 0, 0, tzinfo=timezone.utc)
 NOISE_FRAC = 0.015
-CONFIG_HASH = "seedcfg000001"
 
 
-def _host_block(total_ns_per_cycle: float, extra_ns: float, culprit: str,
-                rng: random.Random) -> dict[str, object]:
-    """A ``HostTimeLedger.record_summary``-shaped block for one case."""
-    ns = {
-        phase: total_ns_per_cycle * frac * rng.uniform(1 - NOISE_FRAC, 1 + NOISE_FRAC)
-        for phase, frac in PHASE_SPLIT.items()
-    }
-    if extra_ns > 0.0:
-        ns[culprit] = ns.get(culprit, 0.0) + extra_ns
-    total = sum(ns.values())
-    return {
-        "stride": 64,
-        "timed_cycles": 2000,
-        "total_cycles": 2000,
-        "conservation": 1.0,
-        "ns_per_cycle": {phase: round(value, 1) for phase, value in ns.items()},
-        "shares": {phase: round(value / total, 6) for phase, value in ns.items()},
-    }
-
-
-def _mem_block(peak_base: float, rng: random.Random) -> dict[str, object]:
-    peak = int(peak_base * rng.uniform(1 - NOISE_FRAC, 1 + NOISE_FRAC))
-    return {
-        "schema_version": 1,
-        "top_n": 10,
-        "peak_bytes": peak,
-        "current_bytes": int(peak * 0.4),
-        "ru_maxrss_bytes": 48 * 1024 * 1024,
-        "phases": {"rc_va": int(peak * 0.3), "sa_st": int(peak * 0.5),
-                   "other": int(peak * 0.2)},
-    }
-
-
-def make_records(
+def make_history(
     *,
     runs: int = 30,
     seed: int = 1,
     step_at: int | None = None,
-    step_frac: float = 0.2,
-    culprit: str = "rc_va",
-) -> list[RunRecord]:
-    """Build the synthetic bench records (oldest first), without writing."""
-    if culprit not in ALL_PHASES:
-        raise ValueError(f"culprit {culprit!r} is not a host phase {ALL_PHASES}")
+    step_frac: float = 0.4,
+    culprit: str = "noc.router.rc_va",
+) -> list[dict]:
+    """Build the synthetic bench documents (oldest first), without writing.
+
+    From ``step_at`` on every workload loses ``step_frac`` of its
+    throughput (past ``BENCHMARK.json``'s 25% bound), and the surplus ns
+    per flit-hop lands on the ``culprit`` phase.
+    """
+    from .test_bench_compare import make_bench_doc, make_case
+
+    if culprit not in PHASE_SPLIT:
+        raise ValueError(f"culprit {culprit!r} is not a phase of {tuple(PHASE_SPLIT)}")
     if step_at is not None and not 0 <= step_at < runs:
         raise ValueError(f"step_at {step_at} outside [0, {runs})")
     rng = random.Random(seed)
-    records: list[RunRecord] = []
+
+    def jitter(value: float) -> float:
+        return value * rng.uniform(1 - NOISE_FRAC, 1 + NOISE_FRAC)
+
+    docs = []
     for i in range(runs):
-        stepped = step_at is not None and i >= step_at
-        bench: dict[str, object] = {}
-        for case, (cps_base, mem_base) in CASE_BASELINES.items():
-            cps = cps_base * rng.uniform(1 - NOISE_FRAC, 1 + NOISE_FRAC)
-            total_ns = 1e9 / cps
-            extra_ns = 0.0
-            if stepped:
-                # A step-frac throughput drop is the same run taking
-                # 1/(1-frac) the host time; pin the surplus on the culprit
-                # phase so its share visibly grows.
-                slowed_ns = total_ns / (1.0 - step_frac)
-                extra_ns = slowed_ns - total_ns
-                cps *= 1.0 - step_frac
-                total_ns = slowed_ns
-            bench[case] = {
-                "cps": {"median": round(cps, 1), "iqr": 0.0},
-                "wall_s": {"median": round(2000 / cps, 5), "iqr": 0.0},
-                "host": _host_block(total_ns - extra_ns, extra_ns, culprit, rng),
-                "mem": _mem_block(mem_base, rng),
-                "digest": {"final": f"{case}-chain-0001"},
+        workloads = {}
+        for case, (hops_base, rss_base) in CASE_BASELINES.items():
+            hops = jitter(hops_base)
+            phases = {
+                f"{phase}_ns_per_flit_hop": round(jitter(1e9 / hops * frac), 1)
+                for phase, frac in PHASE_SPLIT.items()
             }
-        records.append(
-            RunRecord(
-                run_id=f"seed-{i:03d}",
-                created=(BASE_STAMP + timedelta(minutes=i)).isoformat(
-                    timespec="seconds"
-                ),
-                kind="bench",
-                label="bench",
-                scale="tiny",
-                seed=seed,
-                config_hash=CONFIG_HASH,
-                git_rev=f"seed{i:04x}",
-                bench=bench,
+            if step_at is not None and i >= step_at:
+                # The same hops taking 1/(1-frac) the host time: pin the
+                # surplus on the culprit phase so its ns/hop visibly grows.
+                phases[f"{culprit}_ns_per_flit_hop"] += round(
+                    1e9 / hops * step_frac / (1.0 - step_frac), 1
+                )
+                hops *= 1.0 - step_frac
+            workloads[case] = make_case(
+                hops=round(hops, 1),
+                iqr=0.0,
+                wall=round(1_000_000 / hops, 5),
+                rss=round(jitter(rss_base), 2),
+                counts={"noc.router.flit_hops": 1_000_000, "sim.stats.digest_chain": 0xC4A1_0001},
+                layers=phases,
             )
-        )
-    return records
+        doc = make_bench_doc(**workloads)
+        doc["created"] = (BASE_STAMP + timedelta(minutes=i)).isoformat(timespec="seconds")
+        doc["git_rev"] = f"seed{i:04x}"
+        docs.append(doc)
+    return docs
 
 
-def write_registry(out_dir: str | Path, records: list[RunRecord]) -> Path:
-    store = RunStore(out_dir)
-    if store.path.exists():
-        store.path.unlink()
-    for record in records:
-        store.append(record)
-    return store.path
+def write_history(out_dir: str | Path, docs: list[dict]) -> Path:
+    """The documents as ``BENCH_0.json`` … in a fresh ``--bench-dir``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for index, doc in enumerate(docs):
+        (out_dir / f"BENCH_{index}.json").write_text(json.dumps(doc, indent=1) + "\n")
+    return out_dir

@@ -2,6 +2,9 @@
 
 import json
 import re
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -408,109 +411,87 @@ def test_simulate_plain_run_prints_no_manifest(tmp_path, capsys):
     assert "artifacts :" not in out
 
 
-@pytest.fixture(scope="module")
-def bench_cli_run(tmp_path_factory):
-    """The one end-to-end ``repro bench``: (exit code, stdout, directory)."""
-    import contextlib
-    import io
+@pytest.fixture
+def stub_harness(monkeypatch, bench_doc):
+    """``repro bench`` with the harness subprocess stubbed: the stub records
+    each command and, unless told otherwise, writes the recorded smoke
+    document to the command's ``--out`` path and exits 0."""
+    import repro.cli
 
-    tmp_path = tmp_path_factory.mktemp("bench-cli")
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = main(
-            [
-                "bench",
-                "--scale",
-                "tiny",
-                "--reps",
-                "1",
-                "--case",
-                "fig14_hetero_channel",
-                "--out-dir",
-                str(tmp_path),
-                "--runs-dir",
-                str(tmp_path / "runs"),
-            ]
-        )
-    return code, stdout.getvalue(), tmp_path
+    stub = SimpleNamespace(commands=[], returncode=0, writes=True)
+    real_run = repro.cli.subprocess.run
+
+    def run(command, **kwargs):
+        if "--out" not in command:  # `git rev-parse` for the stamp
+            return real_run(command, **kwargs)
+        stub.commands.append(command)
+        if stub.writes:
+            Path(command[command.index("--out") + 1]).write_text(json.dumps(bench_doc))
+        return SimpleNamespace(returncode=stub.returncode)
+
+    monkeypatch.setattr(repro.cli.subprocess, "run", run)
+    return stub
 
 
-def test_bench_cli_writes_bench_file(bench_cli_run):
-    code, out, tmp_path = bench_cli_run
-    assert code == 0
-    path = tmp_path / "BENCH_0.json"
-    assert path.is_file()
-    assert f"wrote {path}" in out
-    doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 1
-    assert list(doc["cases"]) == ["fig14_hetero_channel"]
-    # The per-phase host-time block rides along for `repro compare`.
-    host = doc["cases"]["fig14_hetero_channel"]["host"]
-    assert 0.95 <= host["conservation"] <= 1.05
-    # One kind="bench" registry record feeds the dashboard's
-    # performance panel.
-    from repro.telemetry.runstore import RunStore
+def test_bench_cli_writes_bench_file(stub_harness, tmp_path, capsys):
+    from repro.telemetry.bench import HARNESS, load_bench
 
-    records = RunStore(tmp_path / "runs").load()
-    assert len(records) == 1 and records[0].kind == "bench"
-    assert "fig14_hetero_channel" in records[0].bench
-    assert f"recorded {tmp_path / 'runs' / 'runs.jsonl'}" in out
-    # The mem block rides along for the regression sentinel: full block
-    # (with sites) in the file, slim block (no sites) in the registry.
-    from repro.telemetry.memprof import validate_mem_block
-
-    validate_mem_block(doc["cases"]["fig14_hetero_channel"]["mem"])
-    slim = records[0].bench["fig14_hetero_channel"]["mem"]
-    assert slim["peak_bytes"] > 0 and "top_sites" not in slim
+    (tmp_path / "BENCH_3.json").write_text("{}")  # numbering continues past what is there
+    assert main(["bench", "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / "BENCH_4.json"
+    # It runs exactly the contract's full traced run, and nothing else.
+    assert stub_harness.commands == [[
+        sys.executable, str(HARNESS), "--all", "--trace", "1",
+        "--seed", "7", "--out", str(path),
+    ]]
+    assert f"wrote {path}" in capsys.readouterr().out
+    doc = load_bench(path)
+    # The harness's document, stamped: nothing else is added or dropped.
+    assert list(doc)[:2] == ["git_rev", "created"]
+    assert doc["git_rev"] and doc["created"].startswith("20")
+    del doc["git_rev"], doc["created"]
+    assert doc == json.loads((Path(__file__).parent / "data" / "BENCH_smoke.json").read_text())
+    assert not (tmp_path / "runs").exists()  # no registry record any more
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--seed", "--out-dir"}
 
 
-def test_bench_record_and_bench_file_are_one_shape(bench_cli_run):
-    """The registry record is the file's case blocks minus the bulk, so
-    history reads the same series from either and compare sees no delta."""
-    from repro.telemetry.bench import load_bench
-    from repro.telemetry.compare import compare_bench
-    from repro.telemetry.history import load_history
-    from repro.telemetry.runstore import RunStore
+def test_bench_cli_reports_a_missing_or_failing_harness(stub_harness, tmp_path, monkeypatch, capsys):
+    from repro.telemetry import bench
 
-    _, _, tmp_path = bench_cli_run
-    doc = load_bench(tmp_path / "BENCH_0.json")
-    [record] = RunStore(tmp_path / "runs").load()
-    block = record.bench["fig14_hetero_channel"]
-    assert "samples" not in block["cps"] and "checkpoints" not in block["digest"]
-    assert block["events"] == doc["cases"]["fig14_hetero_channel"]["events"]
-
-    from_file = load_history(None, bench_dirs=[tmp_path])
-    from_record = load_history(tmp_path / "runs")
-    assert from_file.runs == from_record.runs == 1
-    assert set(from_file.series) == set(from_record.series)
-    for key, series in from_file.series.items():
-        assert series.values == pytest.approx(from_record.series[key].values, nan_ok=True)
-    assert from_file.get("fig14_hetero_channel", "cycles_per_second").values[0] > 0
-
-    verdicts = compare_bench(doc, {"cases": record.bench})
-    assert {v.verdict for v in verdicts} <= {"noise", "n/a"}
-    by_metric = {v.metric: v for v in verdicts}
-    assert by_metric["digest.match"].verdict == "noise"  # same chain, not n/a
-    assert by_metric["mem.peak_bytes"].a == by_metric["mem.peak_bytes"].b > 0
+    # The harness found a failed point: its document is kept (stamped, so
+    # `repro compare` shows the failed_points row) and the exit is a clean 1.
+    stub_harness.returncode = 1
+    with pytest.raises(SystemExit, match=r"run\.py --all --trace 1 .* exited 1") as excinfo:
+        main(["bench", "--out-dir", str(tmp_path)])
+    assert isinstance(excinfo.value.code, str)  # a message: exit status 1, no traceback
+    assert "git_rev" in json.loads((tmp_path / "BENCH_0.json").read_text())
+    # It crashed before writing anything.
+    stub_harness.returncode, stub_harness.writes = 2, False
+    with pytest.raises(SystemExit, match="exited 2"):
+        main(["bench", "--out-dir", str(tmp_path)])
+    assert not (tmp_path / "BENCH_1.json").exists()
+    # No benchmarks/perf/ beside src/ (an installed package): nothing is started.
+    del stub_harness.commands[:]
+    monkeypatch.setattr(bench, "HARNESS", tmp_path / "benchmarks" / "perf" / "run.py")
+    with pytest.raises(SystemExit, match="run.py is missing"):
+        main(["bench", "--out-dir", str(tmp_path)])
+    assert stub_harness.commands == []
 
 
-def test_bench_cli_rejects_unknown_case(tmp_path):
-    with pytest.raises(SystemExit, match="unknown bench case"):
-        main(["bench", "--case", "fig99", "--out-dir", str(tmp_path)])
-
-
-def _write_bench_pair(tmp_path, cps_a, cps_b):
+def _write_bench_pair(tmp_path, hops_a, hops_b):
     from .test_bench_compare import make_bench_doc, make_case
 
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    a.write_text(json.dumps(make_bench_doc(fig11=make_case(cps_median=cps_a, cps_iqr=0.0))))
-    b.write_text(json.dumps(make_bench_doc(fig11=make_case(cps_median=cps_b, cps_iqr=0.0))))
+    a.write_text(json.dumps(make_bench_doc(fig11=make_case(hops=hops_a, iqr=0.0))))
+    b.write_text(json.dumps(make_bench_doc(fig11=make_case(hops=hops_b, iqr=0.0))))
     return a, b
 
 
 def test_compare_cli_is_warn_only_by_default(tmp_path, capsys):
-    a, b = _write_bench_pair(tmp_path, 5_000.0, 3_000.0)  # a clear regression
+    a, b = _write_bench_pair(tmp_path, 500_000.0, 300_000.0)  # a clear regression
     assert main(["compare", str(a), str(b)]) == 0
     out = capsys.readouterr().out
     assert "! regressed" in out
@@ -518,11 +499,13 @@ def test_compare_cli_is_warn_only_by_default(tmp_path, capsys):
 
 
 def test_compare_cli_strict_exits_nonzero_on_regression(tmp_path, capsys):
-    a, b = _write_bench_pair(tmp_path, 5_000.0, 3_000.0)
+    a, b = _write_bench_pair(tmp_path, 500_000.0, 300_000.0)
     assert main(["compare", str(a), str(b), "--strict"]) == 1
     capsys.readouterr()
     # Improvements never fail, even under --strict.
     assert main(["compare", str(b), str(a), "--strict"]) == 0
+    # --rel-floor widens the timed rows' bound: -40% is inside a 50% floor.
+    assert main(["compare", str(a), str(b), "--strict", "--rel-floor", "0.5"]) == 0
 
 
 def test_compare_cli_missing_file_is_a_clean_error(tmp_path):
@@ -531,29 +514,27 @@ def test_compare_cli_missing_file_is_a_clean_error(tmp_path):
 
 
 def test_compare_cli_gate_filters_strict_exit(tmp_path, capsys):
-    # Regression is in wall_seconds/cycles_per_second; a gate on an
-    # unrelated metric keeps --strict green, a matching gate trips it.
-    a, b = _write_bench_pair(tmp_path, 5_000.0, 3_000.0)
-    assert main(["compare", str(a), str(b), "--strict", "--gate", "events"]) == 0
+    # The regression is in flit_hops_per_s; a gate on an unrelated metric
+    # keeps --strict green, a matching gate trips it.
+    a, b = _write_bench_pair(tmp_path, 500_000.0, 300_000.0)
+    assert main(["compare", str(a), str(b), "--strict", "--gate", "noc"]) == 0
     capsys.readouterr()
     code = main(
-        ["compare", str(a), str(b), "--strict", "--gate", "cycles_per_second"]
+        ["compare", str(a), str(b), "--strict", "--gate", "flit_hops_per_s"]
     )
     assert code == 1
     err = capsys.readouterr().err
     assert "gated regression(s)" in err
-    assert "cycles_per_second" in err
+    assert "flit_hops_per_s" in err
 
 
 def test_compare_cli_chains_three_files_and_writes_json(tmp_path, capsys):
     from .test_bench_compare import make_bench_doc, make_case
 
     paths = []
-    for index, cps in enumerate((5_000.0, 5_050.0, 3_000.0)):
+    for index, hops in enumerate((500_000.0, 505_000.0, 300_000.0)):
         path = tmp_path / f"BENCH_{index}.json"
-        path.write_text(
-            json.dumps(make_bench_doc(fig11=make_case(cps_median=cps, cps_iqr=0.0)))
-        )
+        path.write_text(json.dumps(make_bench_doc(fig11=make_case(hops=hops, iqr=0.0))))
         paths.append(str(path))
     report_path = tmp_path / "compare.json"
     assert main(["compare", *paths, "--json", str(report_path)]) == 0
@@ -568,64 +549,88 @@ def test_compare_cli_chains_three_files_and_writes_json(tmp_path, capsys):
 
 
 def test_regress_cli_flags_step_and_passes_noise(tmp_path, capsys):
-    from .helpers import make_records, write_registry
+    from .helpers import make_history, write_history
 
-    stepped = tmp_path / "stepped"
-    write_registry(stepped, make_records(step_at=20, culprit="rc_va"))
+    stepped = write_history(
+        tmp_path / "stepped", make_history(step_at=20, culprit="noc.router.rc_va")
+    )
     report_path = tmp_path / "sentinel.json"
     code = main([
-        "regress", "--runs-dir", str(stepped), "--strict",
+        "regress", "--bench-dir", str(stepped), "--strict",
         "--json", str(report_path),
     ])
     assert code == 1
     out = capsys.readouterr().out
     assert "! regressed" in out
-    assert "culprit: rc_va" in out
+    assert "culprit: noc.router.rc_va" in out
     doc = json.loads(report_path.read_text())
     assert doc["kind"] == "sentinel" and doc["regressions"] >= 3
     named = [
         r["changepoint"]["key"]
         for r in doc["reports"]
-        if r["verdict"] == "regressed" and r["metric"] == "cycles_per_second"
+        if r["verdict"] == "regressed" and r["metric"] == "flit_hops_per_s"
     ]
     assert named and all(
-        abs(int(key.split("-")[1]) - 20) <= 2 for key in named
+        abs(int(key[len("BENCH_"):-len(".json")]) - 20) <= 2 for key in named
     )
 
-    flat = tmp_path / "flat"
-    write_registry(flat, make_records())
-    assert main(["regress", "--runs-dir", str(flat), "--strict"]) == 0
-    # Without --strict even a stepped registry exits 0 (warn-only mode).
+    flat = write_history(tmp_path / "flat", make_history())
+    assert main(["regress", "--bench-dir", str(flat), "--strict"]) == 0
+    # Without --strict even a stepped history exits 0 (warn-only mode).
     capsys.readouterr()
-    assert main(["regress", "--runs-dir", str(stepped)]) == 0
+    assert main(["regress", "--bench-dir", str(stepped)]) == 0
 
 
 def test_regress_cli_empty_registry_is_clean(tmp_path, capsys):
-    assert main(["regress", "--runs-dir", str(tmp_path / "nothing"), "--strict"]) == 0
+    assert main(["regress", "--bench-dir", str(tmp_path / "nothing"), "--strict"]) == 0
     out = capsys.readouterr().out
     assert "no bench history" in out
-    # A registry with only simulate records is just as empty to the sentinel.
-    from repro.telemetry.runstore import RunStore
-
-    from .test_runstore import make_record
-
-    runs = tmp_path / "runs"
-    RunStore(runs).append(make_record())
-    assert main(["regress", "--runs-dir", str(runs), "--strict"]) == 0
+    # A directory whose only bench file is unreadable is just as empty, with a warning.
+    (tmp_path / "BENCH_0.json").write_text("{corrupt")
+    assert main(["regress", "--bench-dir", str(tmp_path), "--strict"]) == 0
+    captured = capsys.readouterr()
+    assert "no bench history" in captured.out
+    assert "skipped 1 unreadable bench file" in captured.err
 
 
 def test_regress_cli_metric_filter_and_bad_window(tmp_path, capsys):
-    from .helpers import make_records, write_registry
+    from .helpers import make_history, write_history
 
-    runs = tmp_path / "runs"
-    write_registry(runs, make_records(step_at=20))
+    bench_dir = write_history(tmp_path, make_history(step_at=20))
     assert main([
-        "regress", "--runs-dir", str(runs), "--metric", "mem.", "--strict",
+        "regress", "--bench-dir", str(bench_dir), "--metric", "peak_rss", "--strict",
     ]) == 0  # the step hits throughput, not memory
     out = capsys.readouterr().out
-    assert "cycles_per_second" not in out
+    assert "flit_hops_per_s" not in out
     with pytest.raises(SystemExit, match="min_segment"):
-        main(["regress", "--runs-dir", str(runs), "--window", "1"])
+        main(["regress", "--bench-dir", str(bench_dir), "--window", "1"])
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["simulate", "--rate", "nan"], "nan"),
+        (["simulate", "--rate", "-1"], "-1"),
+        (["simulate", "--pattern", "bogus"], "'bogus'"),
+        (["simulate", "--chiplets", "0x2"], "got 0"),
+        (["simulate", "--family", "hetero_channel", "--chiplets", "3x2"], "got 6"),
+        (["simulate", "--cycles", "0"], "--cycles: must be >= 1, got 0"),
+        (["profile", "--rate", "-0.5"], "-0.5"),
+    ],
+    ids=lambda arg: " ".join(arg[1:]) if isinstance(arg, list) else None,
+)
+def test_a_point_the_simulator_rejects_is_a_usage_error(argv, value, tmp_path, capsys):
+    """No traceback, nothing simulated (a NaN rate used to inject at
+    probability 1 and exit 0): one line naming the value, exit status 2."""
+    tail = ["--no-record"] if argv[0] == "simulate" else ["--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as excinfo:
+        main([argv[0], "--cycles", "300", "--nodes", "2x2", *argv[1:], *tail])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    last_line = captured.err.splitlines()[-1]
+    assert last_line.startswith(f"repro {argv[0]}: error: ") and value in last_line
+    assert "Traceback" not in captured.err and "delivered_fraction" not in captured.out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_profile_cli_writes_artifacts(tmp_path, capsys):
@@ -792,9 +797,8 @@ def test_simulate_live_validates_interval(tmp_path):
     "argv",
     [
         ["profile", "--stride", "0"],
-        ["bench", "--host-stride", "0"],
-        ["bench", "--reps", "0"],
-        ["bench", "--mem-top", "0"],
+        ["profile", "--mem", "--mem-top", "0"],
+        ["simulate", "--cycles", "0"],
         ["simulate", "--epoch", "0"],
         ["simulate", "--health", "--health-every", "0"],
         ["simulate", "--live", "--live-every", "-5"],
@@ -808,7 +812,7 @@ def test_a_count_below_one_is_a_usage_error(argv, capsys):
     assert excinfo.value.code == 2
     last_line = capsys.readouterr().err.splitlines()[-1]
     assert re.fullmatch(
-        rf"repro {argv[0]}: error: argument {argv[-2]}: must be >= 1", last_line
+        rf"repro {argv[0]}: error: argument {argv[-2]}: must be >= 1, got -?\d+", last_line
     )
 
 

@@ -26,8 +26,8 @@ def test_dashboard_renders_all_sections(tmp_path):
     results = tmp_path / "results"
     write_fig11_csv(results)
     bench_dir = tmp_path / "bench"
-    write_bench(make_bench_doc(fig11=make_case(cps_median=5_000.0)), bench_dir)
-    write_bench(make_bench_doc(fig11=make_case(cps_median=5_500.0)), bench_dir)
+    write_bench(make_bench_doc(fig11=make_case(hops=500_000.0)), bench_dir)
+    write_bench(make_bench_doc(fig11=make_case(hops=550_000.0)), bench_dir)
     runs = tmp_path / "runs"
     RunStore(runs).append(make_record(label="smoke"))
 
@@ -35,13 +35,12 @@ def test_dashboard_renders_all_sections(tmp_path):
         results, scale="tiny", bench_dirs=[bench_dir], runs_dir=runs
     )
     assert page.startswith("<!DOCTYPE html>")
-    # fig11 curves + the one per-case trajectory; no share bars (the docs
-    # carry no host block).  The two bench docs share one `created` stamp,
-    # so history sees one suite run.
+    # fig11 curves + the one per-workload trajectory; no phase bars (the
+    # docs carry no ns-per-flit-hop rows).
     assert page.count("<svg") == 2
     assert page.count("<h2>Performance</h2>") == 1
     assert "fig11: throughput trajectory" in page
-    assert "1 suite run(s) analyzed, latest BENCH_1.json" in page
+    assert "2 bench run(s) analyzed, latest BENCH_1.json" in page
     assert "parallel-mesh" in page and "hetero-phy-full" in page
     assert "var(--series-1" in page  # palette via CSS custom properties
     assert "prefers-color-scheme: dark" in page
@@ -98,64 +97,53 @@ def make_breakdown(**stage_means) -> dict:
     }
 
 
-def make_host_summary(sa_st=0.6, link=0.3, rc_va=0.1):
-    """A minimal ``HostTimeLedger.record_summary``-shaped payload."""
-    shares = {"sa_st": sa_st, "link": link, "rc_va": rc_va}
-    return {
-        "stride": 4,
-        "timed_cycles": 500,
-        "total_cycles": 2_000,
-        "conservation": 1.0,
-        "ns_per_cycle": {name: share * 10_000 for name, share in shares.items()},
-        "shares": shares,
-    }
-
-
 def test_dashboard_hostperf_section(tmp_path):
     results = tmp_path / "results"
     write_fig11_csv(results)
     runs = tmp_path / "runs"
-    store = RunStore(runs)
-    store.append(make_record(label="plain"))  # not a bench record: skipped
-    for index, cps in enumerate((4_000.0, 4_400.0)):
-        store.append(make_record(
-            kind="bench",
-            label="bench:tiny",
-            created=f"2026-01-01T00:0{index}:00+00:00",
-            bench={"fig11_hetero_phy": {
-                "cps": {"median": cps}, "host": make_host_summary(),
-            }},
-        ))
+    RunStore(runs).append(make_record(label="plain"))  # the registry feeds other panels
+    phases = {"noc.router.sa_st": 600.0, "noc.link.step": 300.0, "noc.router.rc_va": 100.0}
+    layers = {f"{phase}_ns_per_flit_hop": ns for phase, ns in phases.items()}
+    layers["sim.engine.ns_per_flit_hop"] = 1_000.0  # the loop's total is not a phase
+    layers.update({"telemetry.overhead.digest": 0.31, "exps.table3_abs_err_pp": 21.7})
+    bench_dir = tmp_path / "bench"
+    for index, hops in enumerate((400_000.0, 440_000.0)):
+        doc = make_bench_doc(phy_steady_256=make_case(hops=hops, layers=layers))
+        write_bench(dict(doc, created=f"2026-01-01T00:0{index}:00+00:00"), bench_dir)
 
-    page = build_dashboard(
-        results, scale="tiny", runs_dir=runs, bench_dirs=[tmp_path / "no-bench"]
-    )
+    page = build_dashboard(results, scale="tiny", runs_dir=runs, bench_dirs=[bench_dir])
     assert page.count("<h2>Performance</h2>") == 1
-    # fig11 curves + the per-case trajectory + phase-share bars
-    assert page.count("<svg") == 3
-    assert "fig11_hetero_phy: throughput trajectory" in page
-    assert "host wall-time share by pipeline phase" in page
-    assert "sa_st" in page and "rc_va" in page
-    assert "2 suite run(s) analyzed" in page
+    # fig11 curves + the workload's trajectory + the phase bars + the observer
+    # overhead and Table 3 error trajectories the catalogue now carries
+    assert page.count("<svg") == 5
+    assert "phy_steady_256: throughput trajectory" in page
+    assert "engine loop by pipeline phase" in page
+    assert all(phase in page for phase in phases) and "sim.engine" not in page
+    assert "observer overhead" in page and "telemetry.overhead.digest" in page
+    assert "Table 3 mean |error|" in page
+    assert "2 bench run(s) analyzed" in page
     assert "no bench history yet" not in page
 
 
 def test_dashboard_perf_panel_marks_a_changepoint(tmp_path):
-    from .helpers import make_records, write_registry
+    from .helpers import make_history, write_history
 
     results = tmp_path / "results"
     write_fig11_csv(results)
-    runs = tmp_path / "runs"
-    write_registry(runs, make_records(step_at=20, culprit="rc_va"))
-    page = build_dashboard(
-        results, scale="tiny", runs_dir=runs, bench_dirs=[tmp_path / "no-bench"]
+    bench_dir = write_history(
+        tmp_path / "bench", make_history(step_at=20, culprit="noc.router.rc_va")
     )
-    # fig11 curves + three case trajectories + the share bars
+    page = build_dashboard(
+        results, scale="tiny", runs_dir=tmp_path / "no-runs", bench_dirs=[bench_dir]
+    )
+    # fig11 curves + three workload trajectories + the phase bars
     assert page.count("<svg") == 5
-    # one dashed mark (tooltip + label) per case
-    assert page.count("<title>changepoint @ seed-0") == 3
+    # one dashed mark (tooltip + label) per workload
+    assert page.count("<title>changepoint @ BENCH_") == 3
     assert '<span class="alarm">regressed</span>' in page
-    assert "rc_va (+" in page  # the culprit column
+    assert "noc.router.rc_va (+" in page  # the culprit column
+    # The counts never moved: one sentence, not a table row each.
+    assert "9 exact row(s) unchanged" in page
 
 
 def test_dashboard_hostperf_empty_state(tmp_path):

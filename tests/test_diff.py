@@ -188,7 +188,7 @@ def test_load_diffable_rejects_foreign_inputs(tmp_path):
     with pytest.raises(DiffError, match="no such file"):
         load_diffable(str(tmp_path / "absent.json"))
     bench = tmp_path / "BENCH_1.json"
-    bench.write_text(json.dumps({"kind": "bench", "cases": {}}))
+    bench.write_text(json.dumps({"schema": 1, "workloads": {}}))
     with pytest.raises(DiffError, match="repro compare"):
         load_diffable(str(bench))
     mystery = tmp_path / "mystery.json"
@@ -438,7 +438,7 @@ def test_watch_determinism_badge_states(tmp_path):
     runs_dir = tmp_path / "runs"
     store = RunStore(runs_dir)
     store.append(make_record(run_id="match00000001", digest=block))
-    service = WatchService(runs_dir)
+    service = WatchService(runs_dir, bench_dirs=[tmp_path])
 
     none = service._determinism_badge({"run_id": "other", "digest": None})
     assert "no digest" in none and "repro simulate --digest" in none
@@ -472,7 +472,7 @@ def test_fleet_and_dashboard_render_determinism_sections(tmp_path, committed):
     block = sim_diffable().digest
     store.append(make_record(digest=block))
 
-    fragment = WatchService(runs_dir).fleet_fragment()
+    fragment = WatchService(runs_dir, bench_dirs=[tmp_path]).fleet_fragment()
     assert "<h2>Determinism</h2>" in fragment
 
     # The committed store: every pin, and whether it describes itself.

@@ -17,8 +17,7 @@ from repro.telemetry import (
     pins,
     validate_digest_block,
 )
-from repro.telemetry.bench import CASES
-from repro.telemetry.compare import compare_bench
+from repro.telemetry.compare import compare_bench, render_comparison
 from repro.telemetry.diff import missing_resim_keys
 from repro.telemetry.digest import chain_hex
 from repro.telemetry.runstore import RunRecord, RunStore, record_from_result
@@ -258,35 +257,36 @@ def test_run_synthetic_digest_lands_on_result_and_record():
 
 
 # -- bench + compare ----------------------------------------------------------
-def test_bench_case_carries_digest_and_compare_matches(bench_doc):
-    case = next(c for c in CASES if c.name == "fig14_hetero_channel")
-    doc = bench_doc
-    block = doc["cases"][case.name]["digest"]
-    validate_digest_block(block)
-    assert block["meta"]["family"] == case.family
+TRACE_WORKLOAD = "channel_moc_trace_256"
 
-    verdicts = {
-        (v.case, v.metric): v for v in compare_bench(doc, doc)
-    }
-    match = verdicts[(case.name, "digest.match")]
-    assert match.verdict == "noise"  # identical digests
-    assert match.a == match.b == 1.0
+
+def test_bench_case_carries_digest_and_compare_matches(bench_doc):
+    block = bench_doc["workloads"][TRACE_WORKLOAD]
+    # The traced pass's full chain rides at workload level; its low 48 bits
+    # are the exact per-layer row a JSON number carries without loss.
+    chain = block["per_layer"]["sim.stats.digest_chain"]["value"]
+    assert chain == int(block["digest_chain"], 16) & ((1 << 48) - 1) != 0
+
+    verdicts = {(v.case, v.metric): v for v in compare_bench(bench_doc, bench_doc)}
+    match = verdicts[(TRACE_WORKLOAD, "sim.stats.digest_chain")]
+    assert match.verdict == "noise"  # identical chains
+    assert match.a == match.b == chain
+    assert f"{int(chain):012x}" in render_comparison([match])  # printed in hex
 
 
 def test_compare_renders_na_when_digest_block_is_missing(bench_doc):
-    case = next(c for c in CASES if c.name == "fig14_hetero_channel")
-    doc = bench_doc
-    old = json.loads(json.dumps(doc))
-    del old["cases"][case.name]["digest"]  # a pre-digest bench file
-    for a, b in ((old, doc), (doc, old), (old, old)):
+    old = json.loads(json.dumps(bench_doc))
+    old["workloads"][TRACE_WORKLOAD]["per_layer"] = {}  # a --trace 0 run: no chain
+    for a, b in ((old, bench_doc), (bench_doc, old)):
         verdicts = {(v.case, v.metric): v for v in compare_bench(a, b)}
-        assert verdicts[(case.name, "digest.match")].verdict == "n/a"
+        assert verdicts[(TRACE_WORKLOAD, "sim.stats.digest_chain")].verdict == "n/a"
+    assert "sim.stats.digest_chain" not in {
+        v.metric for v in compare_bench(old, old) if v.case == TRACE_WORKLOAD
+    }
 
 
 def test_compare_flags_digest_mismatch(bench_doc):
-    case = next(c for c in CASES if c.name == "fig14_hetero_channel")
-    doc = bench_doc
-    drifted = json.loads(json.dumps(doc))
-    drifted["cases"][case.name]["digest"]["final"] = "f" * 16
-    verdicts = {(v.case, v.metric): v for v in compare_bench(doc, drifted)}
-    assert verdicts[(case.name, "digest.match")].verdict == "regressed"
+    drifted = json.loads(json.dumps(bench_doc))
+    drifted["workloads"][TRACE_WORKLOAD]["per_layer"]["sim.stats.digest_chain"]["value"] ^= 1
+    verdicts = {(v.case, v.metric): v for v in compare_bench(bench_doc, drifted)}
+    assert verdicts[(TRACE_WORKLOAD, "sim.stats.digest_chain")].verdict == "regressed"

@@ -110,14 +110,3 @@ def test_render_mem_table():
     assert "peak heap" in text
     assert "allocation sites" in text
     assert "KiB" in text or "MiB" in text
-
-
-def test_bench_doc_carries_validated_mem_block(bench_doc):
-    mem = bench_doc["cases"]["fig14_hetero_channel"]["mem"]
-    validate_mem_block(mem)
-    assert mem["peak_bytes"] > 0
-    assert mem["top_n"] == 5
-    assert len(mem["top_sites"]) <= 5
-    # The simulator's own allocations dominate: at least one site folds
-    # onto a known pipeline phase rather than "other".
-    assert any(site["phase"] != "other" for site in mem["top_sites"])

@@ -246,6 +246,34 @@ def test_built_network_heap_budget(family, chiplets, nodes, budget_bytes):
     assert built <= budget_bytes, f"{built / network.n_nodes:.0f} B/node"
 
 
+def test_tiny_run_peak_heap_budget():
+    """What a whole run allocates, traced: build + 2,000 cycles of the three
+    tiny configurations `repro bench` carried until PR 24.  Allocation is
+    deterministic (it repeated to a few dozen bytes between commits), so the
+    budget is the last recorded peak (BENCH_20.json at PR 20) + 10% — the
+    hard gate CI ran as `repro compare --gate mem.peak_bytes`.  Resident
+    memory of the benchmark's workloads (`peak_rss_mb`) is judged against
+    its 5% bound, but never hard-gated across machines."""
+    from repro.telemetry.memprof import MemLedger, validate_mem_block
+
+    for family, chiplets, nodes, rate, recorded_peak in (
+        ("hetero_phy_torus", (2, 2), (4, 4), 0.15, 607_790),
+        ("hetero_channel", (2, 2), (3, 3), 0.15, 305_150),
+        ("parallel_mesh", (4, 4), (2, 2), 0.10, 457_729),
+    ):
+        config = SimConfig().replace(sim_cycles=2_000, warmup_cycles=400)
+        spec = build_system(family, ChipletGrid(*chiplets, *nodes), config)
+        run_synthetic(spec, "uniform", rate, seed=1)  # what a process's first run imports is not heap
+        with MemLedger(top_n=5) as ledger:
+            run_synthetic(spec, "uniform", rate, seed=1)
+        block = validate_mem_block(ledger.record_summary())
+        assert 0 < block["peak_bytes"] <= recorded_peak * 1.10, (family, block["peak_bytes"])
+        # The simulator's own allocations dominate: at least one of the top
+        # sites folds onto a pipeline phase rather than "other".
+        assert len(block["top_sites"]) <= 5
+        assert any(site["phase"] != "other" for site in block["top_sites"])
+
+
 def test_backed_up_source_carves_flits_only_for_packets_that_are_leaving():
     network, _ = build_chain(2, bandwidth=1)
     packets = {packet.pid: packet for packet in (Packet(0, 1, 16, 0) for _ in range(100))}

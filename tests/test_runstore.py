@@ -236,30 +236,30 @@ def test_runstore_loads_5k_records_within_budget(tmp_path):
 
 
 def test_older_schema_records_feed_status_and_sentinel(tmp_path):
-    """Records written before bench/mem/digest fields existed still flow
-    through every consumer: the store, the sentinel history and the
-    fleet view's ``feed_status``."""
+    """Records written before the breakdown/forensics/digest fields existed
+    still flow through the store and the fleet view's ``feed_status``; a
+    ``kind="bench"`` line from before PR 24 (it carried the suite's case
+    blocks in a ``bench`` field) is an unreadable line to lenient readers,
+    and the sentinel reads bench *files*, never the registry."""
     store = RunStore(tmp_path / "runs")
-    old = make_record(
-        kind="bench", created="2026-01-01T00:00:00+00:00",
-        bench={"fig11": {"cps": {"median": 4_000.0}}},  # pre-mem, pre-digest
-    ).to_dict()
+    old = make_record(created="2026-01-01T00:00:00+00:00").to_dict()
     for newer_field in ("breakdown", "forensics", "digest"):
         del old[newer_field]
+    retired = dict(old, kind="bench", bench={"fig11": {"cps": {"median": 4_000.0}}})
     store.directory.mkdir(parents=True, exist_ok=True)
-    store.path.write_text(json.dumps(old) + "\n")
+    store.path.write_text(json.dumps(old) + "\n" + json.dumps(retired) + "\n")
 
-    [record] = store.load()
+    [record] = store.load(strict=False)
     assert record.breakdown == {} and record.digest == {}
+    assert store.skipped == 1
+    with pytest.raises(RunStoreError, match="unknown fields: bench"):
+        store.load()
 
     from repro.telemetry.history import load_history
     from repro.telemetry.sentinel import analyze_history
 
-    report = analyze_history(load_history(tmp_path / "runs"))
-    verdicts = {r.metric: r.verdict for r in report.reports}
-    assert verdicts["mem.peak_bytes"] == "n/a"
-    assert verdicts["digest.stable"] == "n/a"
-    assert report.regressions() == []
+    report = analyze_history(load_history([tmp_path / "runs"]))
+    assert report.reports == [] and report.regressions() == []
 
     from repro.telemetry.live import feed_status
 

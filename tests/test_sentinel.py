@@ -2,12 +2,10 @@
 ``repro.telemetry.history``)."""
 
 import json
-import math
 
 import pytest
 
 from repro.telemetry.history import MetricSeries, SeriesPoint, load_history
-from repro.telemetry.runstore import RUN_SCHEMA_VERSION, RunStore
 from repro.telemetry.sentinel import (
     SENTINEL_SCHEMA_VERSION,
     SentinelConfig,
@@ -16,17 +14,17 @@ from repro.telemetry.sentinel import (
     render_sentinel,
 )
 
-from .helpers import make_records, write_registry
-from .test_runstore import make_record
+from .helpers import make_history, write_history
+from .test_bench_compare import make_bench_doc, make_case
 
 
-def series_of(values, metric="cycles_per_second", higher=True, aux=False):
+def series_of(values, metric="flit_hops_per_s", higher=True, aux=False, exact=False):
     points = [
-        SeriesPoint(f"run-{i:03d}", f"2026-01-01T00:{i:02d}:00+00:00", "rev", "cfg", v)
+        SeriesPoint(f"run-{i:03d}", f"2026-01-01T00:{i:02d}:00+00:00", "rev", "seed=1", v)
         for i, v in enumerate(values)
     ]
     return MetricSeries("case", metric, higher_is_better=higher, points=points,
-                        auxiliary=aux)
+                        auxiliary=aux, exact=exact)
 
 
 # -- the detector ------------------------------------------------------------
@@ -121,14 +119,19 @@ def test_verdicts_for_step_and_recovery():
 
 
 def test_verdict_direction_respects_higher_is_better():
-    # Same upward step: an improvement for cps, a regression for ns/cycle.
+    # Same upward step: an improvement for hops/s, a regression for seconds.
     up = [100.0] * 10 + [130.0] * 10
-    [cps] = analyze_history(history_with(series_of(up))).reports
-    [host] = analyze_history(
-        history_with(series_of(up, metric="host.rc_va", higher=False))
+    [hops] = analyze_history(history_with(series_of(up))).reports
+    [wall] = analyze_history(
+        history_with(series_of(up, metric="wall_s", higher=False))
     ).reports
-    assert cps.verdict == "improved"
-    assert host.verdict == "regressed"
+    assert hops.verdict == "improved"
+    assert wall.verdict == "regressed"
+    # A series carries its metric's own bound: +30% sits inside a 50% floor.
+    wide = series_of(up)
+    wide.rel_floor = 0.5
+    [report] = analyze_history(history_with(wide)).reports
+    assert report.verdict == "ok" and report.changepoint is None
 
 
 def test_insufficient_history_and_na_verdicts():
@@ -136,7 +139,7 @@ def test_insufficient_history_and_na_verdicts():
     [report] = analyze_history(short).reports
     assert report.verdict == "insufficient-history"
 
-    empty = history_with(series_of([float("nan")] * 10, metric="mem.peak_bytes",
+    empty = history_with(series_of([float("nan")] * 10, metric="peak_rss_mb",
                                    higher=False))
     [report] = analyze_history(empty).reports
     assert report.verdict == "n/a"
@@ -144,72 +147,85 @@ def test_insufficient_history_and_na_verdicts():
 
 
 def test_digest_stability_any_zero_regresses():
-    flags = [float("nan"), 1.0, 1.0, 0.0, 1.0]
-    bad = history_with(series_of(flags, metric="digest.stable"))
+    # An exact series needs no history and no band: the first run whose chain
+    # differs from the previous one regresses, even if a later run is back.
+    chains = [float("nan"), 7.0, 7.0, 9.0, 7.0]
+    bad = history_with(series_of(chains, metric="sim.stats.digest_chain", exact=True))
     [report] = analyze_history(bad).reports
     assert report.verdict == "regressed"
     assert report.changepoint_key == "run-003"
 
-    good = history_with(series_of([float("nan")] + [1.0] * 4, metric="digest.stable"))
+    good = history_with(
+        series_of([float("nan")] + [7.0] * 4, metric="sim.stats.digest_chain", exact=True)
+    )
     [report] = analyze_history(good).reports
     assert report.verdict == "ok"
+
+    # Runs of another seed (or --smoke runs) are compared among themselves.
+    mixed = series_of([7.0, 9.0, 7.0, 9.0], metric="sim.stats.digest_chain", exact=True)
+    for index in (1, 3):
+        mixed.points[index] = SeriesPoint(f"run-00{index}", "t", "rev", "seed=2", 9.0)
+    assert [r.verdict for r in analyze_history(history_with(mixed)).reports] == ["ok"]
 
 
 def test_metric_prefix_filter():
     history = history_with(
         series_of([100.0] * 12),
-        series_of([5.0] * 12, metric="host.rc_va", higher=False),
-        series_of([5.0] * 12, metric="host.sa_st", higher=False),
+        series_of([5.0] * 12, metric="noc.link.accepts", higher=False),
+        series_of([5.0] * 12, metric="noc.router.flit_hops", higher=False),
     )
-    report = analyze_history(history, metric_prefixes=["host."])
-    assert sorted(r.metric for r in report.reports) == ["host.rc_va", "host.sa_st"]
-    assert analyze_history(history, metric_prefixes=["mem."]).reports == []
+    report = analyze_history(history, metric_prefixes=["noc."])
+    assert sorted(r.metric for r in report.reports) == [
+        "noc.link.accepts", "noc.router.flit_hops"
+    ]
+    assert analyze_history(history, metric_prefixes=["peak_rss"]).reports == []
 
 
 def test_auxiliary_series_get_no_verdict():
     history = history_with(
-        series_of([0.1] * 10 + [0.4] * 10, metric="host.rc_va.share",
+        series_of([0.1] * 10 + [0.4] * 10, metric="noc.router.rc_va_ns_per_flit_hop",
                   higher=False, aux=True)
     )
     assert analyze_history(history).reports == []
 
 
-# -- the synthetic registry end-to-end ---------------------------------------
+# -- the synthetic history end-to-end -----------------------------------------
 def test_sentinel_flags_seeded_step_and_names_culprit(tmp_path):
-    write_registry(tmp_path / "runs", make_records(step_at=20, culprit="rc_va"))
-    history = load_history(tmp_path / "runs")
+    write_history(tmp_path, make_history(step_at=20, culprit="noc.router.rc_va"))
+    history = load_history([tmp_path])
     assert history.runs == 30
     report = analyze_history(history)
-    cps = [r for r in report.reports if r.metric == "cycles_per_second"]
-    assert len(cps) == 3  # one per bench case
-    for r in cps:
+    hops = [r for r in report.reports if r.metric == "flit_hops_per_s"]
+    assert len(hops) == 3  # one per workload
+    for r in hops:
         assert r.verdict == "regressed"
-        # The named changepoint run sits within ±2 of the injected step.
-        assert abs(int(r.changepoint_key.split("-")[1]) - 20) <= 2
-        assert r.culprit.startswith("rc_va")
+        # The named changepoint file sits within ±2 of the injected step.
+        assert abs(int(r.changepoint_key[len("BENCH_"):-len(".json")]) - 20) <= 2
+        assert r.culprit.startswith("noc.router.rc_va (+")
     text = render_sentinel(report)
-    assert "culprit: rc_va" in text
+    assert "culprit: noc.router.rc_va" in text
     assert "! regressed" in text
+    # The phase rows themselves are hints, not verdicts.
+    assert "rc_va_ns_per_flit_hop" not in {r.metric for r in report.reports}
 
 
 def test_sentinel_passes_noise_only_registry(tmp_path):
-    write_registry(tmp_path / "runs", make_records())
-    report = analyze_history(load_history(tmp_path / "runs"))
+    write_history(tmp_path, make_history())
+    report = analyze_history(load_history([tmp_path]))
     assert report.regressions() == []
     assert all(r.verdict in ("ok", "n/a") for r in report.reports)
 
 
 def test_registry_seed_is_deterministic(tmp_path):
-    write_registry(tmp_path / "a", make_records(step_at=7, runs=12))
-    write_registry(tmp_path / "b", make_records(step_at=7, runs=12))
-    assert (tmp_path / "a" / "runs.jsonl").read_bytes() == (
-        tmp_path / "b" / "runs.jsonl"
-    ).read_bytes()
+    a = write_history(tmp_path / "a", make_history(step_at=7, runs=12))
+    b = write_history(tmp_path / "b", make_history(step_at=7, runs=12))
+    for index in range(12):
+        assert (a / f"BENCH_{index}.json").read_bytes() == (b / f"BENCH_{index}.json").read_bytes()
 
 
 def test_sentinel_json_report_shape(tmp_path):
-    write_registry(tmp_path / "runs", make_records(step_at=20))
-    report = analyze_history(load_history(tmp_path / "runs"))
+    write_history(tmp_path, make_history(step_at=20))
+    report = analyze_history(load_history([tmp_path]))
     doc = report.to_json()
     assert doc["schema_version"] == SENTINEL_SCHEMA_VERSION
     assert doc["kind"] == "sentinel"
@@ -220,26 +236,20 @@ def test_sentinel_json_report_shape(tmp_path):
 
 
 # -- history loading ---------------------------------------------------------
-def test_history_merges_bench_files_over_registry_records(tmp_path):
+def test_history_merges_bench_dirs_in_created_order(tmp_path):
+    """Several --bench-dir arguments are one trajectory, ordered by the
+    documents' `created` stamps (ties keep file order), keyed by file name."""
     from repro.telemetry.bench import write_bench
 
-    from .test_bench_compare import make_bench_doc, make_case
-
-    store = RunStore(tmp_path / "runs")
-    # The registry record and the bench file describe the same suite run
-    # (same created stamp); the file must win, not double-count.
-    store.append(make_record(
-        kind="bench", created="2026-01-01T00:00:00+00:00",
-        bench={"fig11": {"cps": {"median": 1_000.0}}},
-    ))
-    bench_dir = tmp_path / "bench"
-    write_bench(make_bench_doc(fig11=make_case(cps_median=5_000.0)), bench_dir)
-
-    history = load_history(tmp_path / "runs", bench_dirs=[bench_dir])
-    assert history.runs == 1
-    series = history.get("fig11", "cycles_per_second")
-    assert series.values == [5_000.0]
-    assert series.points[0].key == "BENCH_0.json"
+    for directory, day, hops in (("new", 2, 500_000.0), ("old", 1, 400_000.0)):
+        doc = make_bench_doc(fig11=make_case(hops=hops))
+        write_bench(dict(doc, created=f"2026-01-0{day}T00:00:00+00:00"), tmp_path / directory)
+    history = load_history([tmp_path / "new", tmp_path / "old"])
+    assert history.runs == 2
+    series = history.get("fig11", "flit_hops_per_s")
+    assert series.values == [400_000.0, 500_000.0]
+    assert [p.key for p in series.points] == ["BENCH_0.json", "BENCH_0.json"]
+    assert series.rel_floor == 0.25 and series.unit == "hops/s"  # BENCHMARK.json's
 
 
 def test_history_and_compare_share_one_metric_catalogue(bench_doc, tmp_path):
@@ -247,51 +257,48 @@ def test_history_and_compare_share_one_metric_catalogue(bench_doc, tmp_path):
     from repro.telemetry.bench import write_bench
     from repro.telemetry.compare import compare_bench
 
-    [case] = bench_doc["cases"]
-    judged = {v.metric for v in compare_bench(bench_doc, bench_doc)}
-    assert {"cycles_per_second", "wall_seconds", "events.flit_send",
-            "host.sa_st", "mem.peak_bytes", "digest.match"} <= judged
+    verdicts = compare_bench(bench_doc, bench_doc)
+    judged = {v.metric for v in verdicts if v.verdict != "info"}
+    assert {"flit_hops_per_s", "wall_s", "peak_rss_mb", "failed_points",
+            "noc.router.flit_hops", "sim.stats.digest_chain"} <= judged
 
     write_bench(bench_doc, tmp_path)
-    history = load_history(None, bench_dirs=[tmp_path])
-    watched = {s.metric for s in history.ordered() if s.case == case}
-    assert watched - {"digest.stable"} == judged - {"digest.match"}
-    assert "digest.stable" in watched
-    # Phases the ledger saw nothing in are neither judged nor watched, but
-    # their share series still feed the culprit hint.
-    assert "host.dispatch" not in watched
-    assert history.get(case, "host.dispatch.share").auxiliary
+    history = load_history([tmp_path])
+    for case in bench_doc["workloads"]:
+        watched = {s.metric for s in history.ordered() if s.case == case}
+        assert watched == judged
+    # What compare prints without a verdict is neither judged nor watched,
+    # but the series still feed the culprit hint.
+    unjudged = {v.metric for v in verdicts if v.verdict == "info"}
+    assert "noc.router.sa_st_ns_per_flit_hop" in unjudged
+    assert all(history.get(case, metric).auxiliary for metric in unjudged)
 
 
 def test_history_tolerates_old_records_and_counts_skips(tmp_path):
-    store = RunStore(tmp_path / "runs")
-    # A pre-mem/pre-digest bench record: only the cps block, no newer keys.
-    store.append(make_record(
-        kind="bench", created="2026-01-01T00:00:00+00:00",
-        bench={"fig11": {"cps": {"median": 4_000.0}}},
-    ))
-    foreign = make_record(kind="bench").to_dict()
-    foreign["schema_version"] = RUN_SCHEMA_VERSION + 1
-    with store.path.open("a", encoding="utf-8") as handle:
-        handle.write("{corrupt\n")
-        handle.write(json.dumps(foreign) + "\n")
+    from repro.telemetry.bench import write_bench
 
-    history = load_history(tmp_path / "runs")
+    # A --trace 0 document: end-to-end rows only, no per_layer block.
+    write_bench(make_bench_doc(fig11=make_case(counts={})), tmp_path)
+    (tmp_path / "BENCH_1.json").write_text("{corrupt\n")
+    # The pre-PR-24 three-case format has no reader: it is skipped, not guessed at.
+    (tmp_path / "BENCH_2.json").write_text('{"schema_version": 1, "cases": {"fig11": {}}}')
+    history = load_history([tmp_path])
     assert history.skipped == 2
     assert history.runs == 1
-    assert math.isnan(history.get("fig11", "mem.peak_bytes").values[0])
-    assert math.isnan(history.get("fig11", "digest.stable").values[0])
-    # The same history analyzes without error: missing metrics read n/a.
+    assert history.get("fig11", "flit_hops_per_s").values == [400_000.0]
+    assert history.get("fig11", "sim.stats.digest_chain") is None
+    # The same history analyzes without error.
     report = analyze_history(history)
     by_metric = {r.metric: r.verdict for r in report.reports}
-    assert by_metric["mem.peak_bytes"] == "n/a"
+    assert by_metric["peak_rss_mb"] == "insufficient-history"
+    assert by_metric["failed_points"] == "ok"
 
-    with pytest.raises(Exception):
-        load_history(tmp_path / "runs", strict=True)
+    with pytest.raises(ValueError):
+        load_history([tmp_path], strict=True)
 
 
 def test_history_empty_registry(tmp_path):
-    history = load_history(tmp_path / "nowhere")
+    history = load_history([tmp_path / "nowhere"])
     assert history.runs == 0 and history.series == {}
     assert analyze_history(history).reports == []
     assert "no bench history" in render_sentinel(analyze_history(history))

@@ -9,11 +9,19 @@ import urllib.request
 import pytest
 
 from repro.telemetry import LIVE_SCHEMA_VERSION
+from repro.telemetry.bench import write_bench
 from repro.telemetry.runstore import RunStore
 from repro.telemetry.server import STALE_AFTER_SECONDS, WatchService, make_server
 
 from .helpers import build_chain, run_cycles
+from .test_bench_compare import make_bench_doc, make_case
 from .test_runstore import make_record
+
+
+def watch(runs_dir, **kwargs):
+    """The service over ``runs_dir``, its bench trajectory in ``runs_dir/../bench``
+    (the default, the working directory, holds the repo's own files)."""
+    return WatchService(runs_dir, bench_dirs=[runs_dir.parent / "bench"], **kwargs)
 
 
 def seed_runs_dir(tmp_path, *, finish=True, fail=False):
@@ -47,7 +55,7 @@ def seed_runs_dir(tmp_path, *, finish=True, fail=False):
 # -- state assembly -----------------------------------------------------------
 def test_fleet_state_joins_registry_and_feeds(tmp_path):
     runs_dir = seed_runs_dir(tmp_path)
-    state = WatchService(runs_dir).fleet_state()
+    state = watch(runs_dir).fleet_state()
     assert state["schema_version"] == LIVE_SCHEMA_VERSION
     assert state["records"] == 1
     assert state["skipped"] == 0
@@ -64,21 +72,21 @@ def test_fleet_state_counts_skipped_registry_lines(tmp_path):
     runs_dir = seed_runs_dir(tmp_path)
     with (runs_dir / "runs.jsonl").open("a", encoding="utf-8") as handle:
         handle.write("{corrupt\n")
-    state = WatchService(runs_dir).fleet_state()
+    state = watch(runs_dir).fleet_state()
     assert state["records"] == 1
     assert state["skipped"] == 1
 
 
 def test_fleet_state_tracks_in_flight_and_failures(tmp_path):
     running_dir = seed_runs_dir(tmp_path / "a", finish=False)
-    state = WatchService(running_dir).fleet_state()
+    state = watch(running_dir).fleet_state()
     assert state["in_flight"] == ["watchrun00001"]
     [status] = state["live"]
     assert status["state"] == "running"
     assert status["age_seconds"] < STALE_AFTER_SECONDS
 
     failed_dir = seed_runs_dir(tmp_path / "b", fail=True)
-    state = WatchService(failed_dir).fleet_state()
+    state = watch(failed_dir).fleet_state()
     assert state["in_flight"] == []
     [failure] = state["failures"]
     assert failure["reason"] == "deadlock"
@@ -87,7 +95,7 @@ def test_fleet_state_tracks_in_flight_and_failures(tmp_path):
 
 def test_live_state_returns_events_or_none(tmp_path):
     runs_dir = seed_runs_dir(tmp_path)
-    service = WatchService(runs_dir)
+    service = watch(runs_dir)
     state = service.live_state("watchrun00001")
     assert state["status"]["state"] == "finished"
     assert state["events"][0]["kind"] == "start"
@@ -96,25 +104,26 @@ def test_live_state_returns_events_or_none(tmp_path):
 
 def test_bench_state_extracts_trajectory(tmp_path):
     runs_dir = tmp_path / "runs"
-    store = RunStore(runs_dir)
-    store.append(make_record())  # a simulate record: ignored by bench view
-    bench = {
-        "uniform_torus": {
-            "cps": {"median": 41_000.0},
-            "host": {"shares": {"router": 0.6, "link": 0.3}},
-        }
-    }
-    store.append(make_record(kind="bench", bench=bench))
-    state = WatchService(runs_dir).bench_state()
-    assert state["bench_records"] == 1
-    [point] = state["cases"]["uniform_torus"]
-    assert point["cps_median"] == 41_000.0
-    assert point["host_shares"]["router"] == 0.6
+    RunStore(runs_dir).append(make_record())  # the registry is not the bench view's source
+    layers = {"noc.router.sa_st_ns_per_flit_hop": 600.0, "telemetry.overhead.digest": 0.3,
+              "exps.table3_abs_err_pp": 21.7, "cli.import_s": 0.2}
+    doc = make_bench_doc(uniform_torus=make_case(hops=410_000.0, layers=layers))
+    write_bench(doc, tmp_path / "bench")
+    (tmp_path / "bench" / "BENCH_1.json").write_text("{corrupt")
+    state = watch(runs_dir).bench_state()
+    assert state["bench_files"] == 1 and state["skipped"] == 1
+    [point] = state["workloads"]["uniform_torus"]
+    assert (point["file"], point["git_rev"]) == ("BENCH_0.json", "cafef00d")
+    assert point["flit_hops_per_s"] == 410_000.0
+    # Beside it, the host-time rows (never the counts); those the block lacks are null.
+    assert layers.items() <= point["per_layer"].items()
+    assert "noc.router.flit_hops" not in point["per_layer"]
+    json.dumps(state)
 
 
 def test_change_stamp_moves_with_the_files(tmp_path):
     runs_dir = seed_runs_dir(tmp_path)
-    service = WatchService(runs_dir)
+    service = watch(runs_dir)
     first = service.change_stamp()
     assert first == service.change_stamp()  # stable when nothing changed
     store = RunStore(runs_dir)
@@ -125,7 +134,7 @@ def test_change_stamp_moves_with_the_files(tmp_path):
 # -- page rendering -----------------------------------------------------------
 def test_fleet_page_renders_sections_and_sse_hook(tmp_path):
     runs_dir = seed_runs_dir(tmp_path, finish=False)
-    page = WatchService(runs_dir).fleet_page()
+    page = watch(runs_dir).fleet_page()
     assert page.startswith("<!DOCTYPE html>")
     assert "Runs in flight" in page
     assert "watchrun00001" in page
@@ -135,20 +144,18 @@ def test_fleet_page_renders_sections_and_sse_hook(tmp_path):
 
 def test_fleet_fragment_includes_sentinel_panel(tmp_path):
     runs_dir = seed_runs_dir(tmp_path)
-    fragment = WatchService(runs_dir).fleet_fragment()
+    service = watch(runs_dir)
+    fragment = service.fleet_fragment()
     assert fragment.count("<h2>Performance</h2>") == 1
-    # Only a simulate record so far: the one placeholder, no charts.
+    # No bench file so far: the one placeholder, no charts.
     assert fragment.count("no bench history yet") == 1
 
-    store = RunStore(runs_dir)
-    for index, cps in enumerate((4_000.0, 4_400.0)):
-        store.append(make_record(
-            kind="bench",
-            created=f"2026-01-01T00:0{index}:00+00:00",
-            bench={"fig11_hetero_phy": {"cps": {"median": cps}}},
-        ))
-    fragment = WatchService(runs_dir).fleet_fragment()
-    assert "fig11_hetero_phy: throughput trajectory" in fragment
+    stamp = service.change_stamp()
+    for hops in (400_000.0, 440_000.0):
+        write_bench(make_bench_doc(fig11_cli_tiny=make_case(hops=hops)), tmp_path / "bench")
+    assert service.change_stamp() != stamp  # a new bench file re-renders the page
+    fragment = service.fleet_fragment()
+    assert "fig11_cli_tiny: throughput trajectory" in fragment
     assert "repro regress" in fragment  # the verdict table's caption
     assert "no bench history yet" not in fragment
 
@@ -156,13 +163,13 @@ def test_fleet_fragment_includes_sentinel_panel(tmp_path):
 def test_fleet_page_warns_about_skipped_registry_lines(tmp_path):
     runs_dir = seed_runs_dir(tmp_path)
     (runs_dir / "runs.jsonl").open("a").write("{corrupt\n")
-    fragment = WatchService(runs_dir).fleet_fragment()
+    fragment = watch(runs_dir).fleet_fragment()
     assert "unreadable registry line" in fragment
 
 
 def test_run_page_renders_epochs_and_failure_banner(tmp_path):
     runs_dir = seed_runs_dir(tmp_path, fail=True)
-    service = WatchService(runs_dir)
+    service = watch(runs_dir)
     page = service.run_page("watchrun00001")
     assert "failed at cycle" in page
     assert "deadlock" in page
@@ -175,7 +182,7 @@ def test_run_page_renders_epochs_and_failure_banner(tmp_path):
 @pytest.fixture
 def watch_server(tmp_path):
     runs_dir = seed_runs_dir(tmp_path)
-    service = WatchService(runs_dir, poll_seconds=0.05)
+    service = watch(runs_dir, poll_seconds=0.05)
     server = make_server(service, port=0)  # free port
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -206,7 +213,7 @@ def test_http_json_endpoints(watch_server):
 
     status, _, body = fetch(watch_server, "/api/bench")
     assert status == 200
-    assert json.loads(body)["bench_records"] == 0
+    assert json.loads(body)["bench_files"] == 0
 
 
 def test_http_pages(watch_server):
