@@ -6,7 +6,8 @@ exists to break).  Under saturating load the ring wedges within a few
 hundred cycles; the engine's deadlock detector fires, the attached
 :class:`~repro.telemetry.forensics.ForensicsSession` captures a bundle
 (network snapshot, in-flight packet table, wait-for graph with the
-blocking cycle, flight-recorder tail), and this script prints its path.
+blocking cycle, flight-recorder tail, the health checks of every closed
+250-cycle epoch), and this script prints its path.
 
 Render the bundle afterwards with::
 
@@ -25,7 +26,7 @@ from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.stats import DeadlockError, Stats
-from repro.telemetry.forensics import ForensicsConfig, ForensicsSession
+from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import build_system
 from repro.traffic import SyntheticWorkload
@@ -60,20 +61,21 @@ def main(argv=None) -> int:
     stats = Stats()
     network = build_network(spec, stats, routing=ring_routing)
 
-    session = ForensicsSession(
+    # Health checks read the epoch sampler: one check per closed epoch.
+    session = TelemetrySession.attach(
         network,
-        ForensicsConfig(
+        TelemetryConfig(
+            epoch_length=250,
             bundle_dir=args.bundle_dir,
             flight_recorder=True,
             recorder_window=2_048,
             health=True,
-            health_every=250,
             health_stream=sys.stderr,
         ),
     )
     engine = Engine(network, _workload(grid, config, args.seed), stats,
                     deadlock_threshold=300)
-    engine.forensics = session
+    engine.forensics = session.forensics
 
     print(f"running eastward ring routing on {spec.name} at rate 1.0 ...")
     try:

@@ -8,6 +8,7 @@ Run paper experiments and ad-hoc simulations from the shell::
     repro simulate --family hetero_phy_torus --chiplets 4x4 --nodes 4x4 \
                    --pattern uniform --rate 0.1 --seed 7
     repro simulate --metrics out/ --trace run.json --epoch 500
+    repro simulate --health --live --progress --epoch 500   # one sampling period
     repro check --all                  # statically verify every family
     repro check --family serial_torus --mode wormhole
     repro prove --all --json prove.json   # full certification, both modes
@@ -252,11 +253,9 @@ def _cmd_simulate(args) -> int:
             recorder_window=args.recorder_window,
             recorder_events=args.recorder_events,
             health=args.health,
-            health_every=args.health_every,
             health_stream=sys.stderr if args.health else None,
             live=args.live,
             live_dir=Path(args.runs_dir) / "live",
-            live_every=args.live_every,
             run_id=run_id,
             digest=args.digest,
         )
@@ -613,21 +612,6 @@ def _cmd_check(args) -> int:
     chiplets = _parse_pair(args.chiplets, "--chiplets")
     nodes = _parse_pair(args.nodes, "--nodes")
     families = list(FAMILIES) if args.all else [args.family]
-    if args.prove:
-        # One-shot certification with check's single-mode semantics; use
-        # `repro prove` for the durable certificate + run-registry flow.
-        return _run_prove(
-            families,
-            (args.mode,),
-            chiplets=chiplets,
-            nodes=nodes,
-            fault_masks=True,
-            max_states=4_000,
-            max_packets=None,
-            verbose=args.verbose,
-            json_path=args.json,
-            runs_dir=None,
-        )
     failed = 0
     payload: list[dict] = []
     for family in families:
@@ -656,24 +640,11 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _run_prove(
-    families: list[str],
-    modes: tuple[str, ...],
-    *,
-    chiplets: tuple[int, int],
-    nodes: tuple[int, int],
-    fault_masks: bool,
-    max_states: int,
-    max_packets: int | None,
-    verbose: bool,
-    json_path: str | None,
-    runs_dir: str | None,
-) -> int:
-    """Certify ``families`` x ``modes``; returns the process exit status.
+def _cmd_prove(args) -> int:
+    """Certify the chosen families x modes; returns the process exit status.
 
-    ``runs_dir=None`` skips both the certificate files and the
-    run-registry append (the ``check --prove`` and ``--no-record`` paths);
-    ``--json`` still captures every certificate either way.
+    ``--no-record`` skips both the certificate files and the run-registry
+    append; ``--json`` still captures every certificate either way.
     """
     from repro.analysis import prove_family, write_certificate
     from repro.telemetry.runstore import (
@@ -684,14 +655,16 @@ def _run_prove(
         utc_now_iso,
     )
 
-    store = RunStore(runs_dir) if runs_dir is not None else None
+    families = list(FAMILIES) if args.all else [args.family]
+    modes = ("vct", "wormhole") if args.mode == "both" else (args.mode,)
+    chiplets = _parse_pair(args.chiplets, "--chiplets")
+    nodes = _parse_pair(args.nodes, "--nodes")
+    store = None if args.no_record else RunStore(args.runs_dir)
     git_rev = git_revision() if store else "unknown"
     payload: list[dict] = []
     failed = 0
-    total = 0
     for family in families:
         for mode in modes:
-            total += 1
             start = time.perf_counter()
             try:
                 result = prove_family(
@@ -699,9 +672,9 @@ def _run_prove(
                     chiplets=chiplets,
                     nodes=nodes,
                     mode=mode,
-                    fault_masks=fault_masks,
-                    max_states=max_states,
-                    max_packets=max_packets,
+                    fault_masks=not args.no_fault_masks,
+                    max_states=args.max_states,
+                    max_packets=args.max_packets,
                 )
             except ValueError as exc:
                 print(
@@ -720,11 +693,9 @@ def _run_prove(
                 continue
             elapsed = time.perf_counter() - start
             cert = result.certificate
-            print(result.report.render(verbose=verbose))
-            artifacts: dict[str, str] = {}
-            if store is not None and runs_dir is not None:
-                cert_path = write_certificate(cert, runs_dir)
-                artifacts["certificate"] = str(cert_path)
+            print(result.report.render(verbose=args.verbose))
+            if store is not None:
+                cert_path = write_certificate(cert, args.runs_dir)
                 print(f"  certificate: {cert_path}")
                 store.append(
                     RunRecord(
@@ -736,7 +707,7 @@ def _run_prove(
                         git_rev=git_rev,
                         n_nodes=chiplets[0] * chiplets[1] * nodes[0] * nodes[1],
                         wall_seconds=elapsed,
-                        artifacts=artifacts,
+                        artifacts={"certificate": str(cert_path)},
                         extras={
                             "certified": float(cert.certified),
                             "fault_masks": float(cert.fault_masks.get("swept", 0)),
@@ -751,31 +722,14 @@ def _run_prove(
             payload.append(cert.to_dict())
             if not cert.certified:
                 failed += 1
-    if json_path:
+    if args.json:
         _write_json_doc(
-            json_path, {"certified": failed == 0, "certificates": payload}
+            args.json, {"certified": failed == 0, "certificates": payload}
         )
     if failed:
-        print(f"{failed}/{total} certification(s) FAILED")
+        print(f"{failed}/{len(families) * len(modes)} certification(s) FAILED")
         return 1
     return 0
-
-
-def _cmd_prove(args) -> int:
-    families = list(FAMILIES) if args.all else [args.family]
-    modes = ("vct", "wormhole") if args.mode == "both" else (args.mode,)
-    return _run_prove(
-        families,
-        modes,
-        chiplets=_parse_pair(args.chiplets, "--chiplets"),
-        nodes=_parse_pair(args.nodes, "--nodes"),
-        fault_masks=not args.no_fault_masks,
-        max_states=args.max_states,
-        max_packets=args.max_packets,
-        verbose=args.verbose,
-        json_path=args.json,
-        runs_dir=None if args.no_record else args.runs_dir,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -867,12 +821,14 @@ def main(argv: list[str] | None = None) -> int:
         "--epoch",
         type=_positive_int,
         default=1_000,
-        help="epoch length in cycles for --metrics time series (default: 1000)",
+        help="the one sampling period in cycles: --metrics time series, "
+        "--health checks, --live epoch events and the --progress line "
+        "(default: 1000)",
     )
     sim_p.add_argument(
         "--progress",
         action="store_true",
-        help="show a live progress line on stderr while simulating",
+        help="show a progress line on stderr at each --epoch boundary",
     )
     sim_p.add_argument(
         "--latency-breakdown",
@@ -923,29 +879,15 @@ def main(argv: list[str] | None = None) -> int:
     sim_p.add_argument(
         "--health",
         action="store_true",
-        help="probe throughput / stall rate / occupancy / oldest-packet "
-        "age periodically and flag anomalies live on stderr",
-    )
-    sim_p.add_argument(
-        "--health-every",
-        type=_positive_int,
-        default=2_000,
-        metavar="CYCLES",
-        help="health-probe period in cycles (default: 2000)",
+        help="check throughput / stall rate / occupancy / oldest-packet "
+        "age at each --epoch boundary and flag anomalies live on stderr",
     )
     sim_p.add_argument(
         "--live",
         action="store_true",
-        help="stream run lifecycle / progress / epoch / health events to "
+        help="stream run lifecycle / epoch / anomaly events to "
         "<runs-dir>/live/<run_id>.jsonl while the run is in flight — "
         "watch it with `repro watch`",
-    )
-    sim_p.add_argument(
-        "--live-every",
-        type=_positive_int,
-        default=1_000,
-        metavar="CYCLES",
-        help="live-feed heartbeat period in cycles (default: 1000)",
     )
     sim_p.add_argument(
         "--digest",
@@ -1253,16 +1195,9 @@ def main(argv: list[str] | None = None) -> int:
         "--verbose", action="store_true", help="include INFO findings in reports"
     )
     check_p.add_argument(
-        "--prove",
-        action="store_true",
-        help="run the full certification passes (contracts, reachability, "
-        "fault sweep, model checking) instead of the check passes alone",
-    )
-    check_p.add_argument(
         "--json",
         metavar="PATH",
-        help="also write the reports (or, with --prove, the certificates) "
-        "as one JSON document",
+        help="also write the reports as one JSON document",
     )
     check_p.set_defaults(func=_cmd_check)
 

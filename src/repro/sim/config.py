@@ -80,6 +80,11 @@ class SimConfig:
             "n_vcs",
             "onchip_buffer",
             "interface_buffer",
+            "injection_vcs",
+            "ejection_bandwidth",
+            "onchip_delay",
+            "parallel_delay",
+            "serial_delay",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

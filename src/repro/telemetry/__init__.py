@@ -6,22 +6,23 @@
   conservation invariant, aggregate breakdowns and topology bottleneck
   tables (``repro.telemetry.attribution``);
 * :class:`EpochMetrics` — per-epoch time-series collectors with CSV/JSON
-  export (``repro.telemetry.metrics``);
+  export, and the one periodic sampler the health monitor, live feed and
+  progress line read (``repro.telemetry.metrics``);
 * :class:`ChromeTraceBuilder` — Perfetto-loadable Chrome trace-event
   export of sampled packets and component lanes
   (``repro.telemetry.trace``);
-* :class:`ProgressReporter` / :class:`EtaEstimator` — live cycles/sec +
-  in-flight + delivered + ETA status line for long runs
+* :class:`ProgressReporter` / :class:`EtaEstimator` — per-epoch
+  cycles/sec + in-flight + delivered + ETA status line for long runs
   (``repro.telemetry.progress``);
 * :class:`LiveFeed` — schema-versioned JSONL streaming of run lifecycle,
-  progress/ETA, epoch samples and health events to
+  epoch samples with speed/ETA, and health anomalies to
   ``runs/live/<run_id>.jsonl`` for ``repro watch``
   (``repro.telemetry.live``);
 * :mod:`repro.telemetry.server` — the stdlib SSE fleet-observability
   service behind ``repro watch`` (imported lazily by the CLI);
 * :class:`FlightRecorder` / :class:`HealthMonitor` /
-  :class:`ForensicsSession` — bounded event ring buffer, live health
-  probes and automatic postmortem bundles for wedged runs, rendered by
+  :class:`ForensicsSession` — bounded event ring buffer, per-epoch health
+  checks and automatic postmortem bundles for wedged runs, rendered by
   ``repro postmortem`` (``repro.telemetry.forensics``);
 * :class:`TelemetryConfig` / :class:`TelemetrySession` — one-call
   attachment used by ``run_synthetic`` / ``run_trace`` and the

@@ -2,8 +2,8 @@
 
 One :class:`TelemetryBus` per :class:`~repro.noc.network.Network` is the
 single instrumentation seam of the simulator.  Every probe — the route
-tracer, the invariant sanitizer, the epoch metric collectors, the trace
-exporter, the progress reporter — subscribes to named events instead of
+tracer, the invariant sanitizer, the epoch sampler, the trace exporter,
+the latency ledger — subscribes to named events instead of
 monkey-patching simulator methods, so probes compose and the hot path
 stays intact.
 
@@ -55,7 +55,7 @@ Two properties every collector may rely on (the latency ledger does):
 * **Subscriber order is subscription order.**  With several callbacks on
   one event, emission fans out over a tuple snapshot in the order the
   callbacks subscribed; attaching or detaching *other* subscribers (a
-  progress reporter, a tracer) never reorders events relative to each
+  recorder, a tracer) never reorders events relative to each
   other or changes what an existing subscriber observes.  Callbacks run
   synchronously and must not mutate simulator state.
 """

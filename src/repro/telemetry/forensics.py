@@ -11,10 +11,11 @@ Three cooperating pieces, all riding the
   credit stalls), which keeps the measured overhead on the fig11 bench
   case within the 2% budget; ``"route"`` adds the per-hop routing and VC
   allocation events, and ``"full"`` records the flit-granular firehose.
-* :class:`HealthMonitor` — periodic live probes (throughput slope,
-  credit-stall rate, buffer/ROB occupancy, oldest in-flight packet age)
-  with configurable :class:`HealthThresholds`; threshold crossings are
-  flagged on a stream as they happen and summarized for the run registry.
+* :class:`HealthMonitor` — health checks on each closed epoch of the
+  :class:`~repro.telemetry.metrics.EpochMetrics` sampler (throughput,
+  credit-stall rate, buffer occupancy, oldest in-flight packet age) with
+  configurable :class:`HealthThresholds`; threshold crossings are flagged
+  on a stream as they happen and summarized for the run registry.
 * :func:`capture_bundle` — the black-box dump taken when a run wedges:
   full network snapshot (router/link/ROB/PHY ``snapshot_state`` hooks),
   an in-flight packet table with per-packet age and attribution-taxonomy
@@ -46,7 +47,7 @@ import html as _html
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
@@ -55,6 +56,8 @@ from .bus import EVENT_NAMES
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.flit import Flit, Packet
     from repro.noc.network import Network
+
+    from .metrics import EpochSample
 
 #: Version of the postmortem-bundle schema.  Bump on incompatible changes;
 #: :func:`validate_bundle` rejects bundles written by a different version.
@@ -322,24 +325,6 @@ class HealthThresholds:
 
 
 @dataclass
-class HealthProbe:
-    """One periodic reading of the run's vital signs."""
-
-    cycle: int
-    delivered_delta: int
-    stall_rate: float
-    buffered: int
-    in_flight: int
-    rob_occupancy: int
-    oldest_age: int
-    oldest_pid: Optional[int]
-
-    def to_json(self) -> dict[str, Any]:
-        """JSON payload shared with live-feed ``health`` events."""
-        return dataclasses.asdict(self)
-
-
-@dataclass
 class HealthAnomaly:
     """A threshold crossing (recorded on the rising edge only)."""
 
@@ -353,158 +338,96 @@ class HealthAnomaly:
 
 
 class HealthMonitor:
-    """Periodic live health probes with anomaly flagging.
+    """Health checks over the sampler's closed epochs.
 
-    Subscribes to ``packet_inject`` / ``packet_eject`` (in-flight packet
-    ages), ``credit_stall`` (stall rate) and ``cycle_end`` (the probe
-    clock).  Every ``every`` cycles it takes one :class:`HealthProbe`;
-    readings beyond the :class:`HealthThresholds` raise a
-    :class:`HealthAnomaly` flag, written to ``stream`` (when given) at
-    the moment the condition first appears — the live early warning the
-    postmortem bundle later confirms.
+    A reader of :class:`~repro.telemetry.metrics.EpochMetrics` with no
+    bus subscription of its own: :meth:`on_epoch` checks each closed
+    sample (delivered packets, buffered / in-flight flits, credit-stall
+    rate) plus the oldest in-flight packet, read once at the boundary,
+    against the :class:`HealthThresholds`.  A reading beyond a threshold
+    raises a :class:`HealthAnomaly` flag, written to ``stream`` (when
+    given) at the moment the condition first appears — the live early
+    warning the postmortem bundle later confirms.  Warm-up epochs skip
+    the no-throughput test: ``Stats.packets_delivered`` counts no
+    warm-up packet by design.
     """
 
     def __init__(
         self,
         network: "Network",
         *,
-        every: int = 2_000,
         thresholds: Optional[HealthThresholds] = None,
         stream: Optional[IO[str]] = None,
     ) -> None:
-        if every < 1:
-            raise ValueError("every must be >= 1")
         self.network = network
-        self.every = every
         self.thresholds = thresholds or HealthThresholds()
         self.stream = stream
-        self.probes: list[HealthProbe] = []
+        #: ``(cycle, oldest in-flight age)`` per sampled epoch.
+        self.ages: list[tuple[int, int]] = []
         self.anomalies: list[HealthAnomaly] = []
-        self._live: dict[int, "Packet"] = {}
-        self._stalls = 0
-        self._last_delivered = 0
+        #: The anomalies the latest epoch raised (what the live feed streams).
+        self.raised: list[HealthAnomaly] = []
         self._active_flags: set[str] = set()
-        self._attached = False
-        bus = network.telemetry
-        bus.subscribe("packet_inject", self._on_inject)
-        bus.subscribe("packet_eject", self._on_eject)
-        bus.subscribe("credit_stall", self._on_stall)
-        bus.subscribe("cycle_end", self._on_cycle_end)
-        self._attached = True
 
-    # -- bus callbacks -----------------------------------------------------
-    def _on_inject(self, network: "Network", packet: "Packet") -> None:
-        self._live[packet.pid] = packet
-
-    def _on_eject(self, router: Any, packet: "Packet", now: int) -> None:
-        self._live.pop(packet.pid, None)
-
-    def _on_stall(self, router: Any, out_port: int, vc: int, now: int) -> None:
-        self._stalls += 1
-
-    def _on_cycle_end(self, network: "Network", now: int) -> None:
-        if (now + 1) % self.every:
-            return
-        self.probe(now)
-
-    # -- probing -----------------------------------------------------------
-    def oldest_in_flight(self, now: int) -> tuple[Optional["Packet"], int]:
-        """(oldest live packet, its age in cycles); ``(None, 0)`` if idle."""
-        live = self._live
-        if not live:
-            return None, 0
-        packet = next(iter(live.values()))
-        return packet, now - packet.create_cycle
-
-    def probe(self, now: int) -> HealthProbe:
-        """Take one reading now (also called from the probe clock)."""
-        network = self.network
-        delivered = network.stats.packets_delivered
-        stall_rate = self._stalls / self.every
-        self._stalls = 0
-        rob = 0
-        for link in network.links:
-            buffer = getattr(link, "rob", None)
-            if buffer is not None:
-                rob += buffer.occupancy
-        oldest, age = self.oldest_in_flight(now)
-        probe = HealthProbe(
-            cycle=now,
-            delivered_delta=delivered - self._last_delivered,
-            stall_rate=stall_rate,
-            buffered=network.buffered_flits(),
-            in_flight=network.in_flight_flits(),
-            rob_occupancy=rob,
-            oldest_age=age,
-            oldest_pid=oldest.pid if oldest is not None else None,
-        )
-        self._last_delivered = delivered
-        self.probes.append(probe)
-        self._flag(probe, oldest)
-        return probe
-
-    def _flag(self, probe: HealthProbe, oldest: Optional["Packet"]) -> None:
+    def on_epoch(self, sample: "EpochSample") -> None:
+        """Check one closed epoch; flag the conditions that just appeared."""
+        cycle = sample.end - 1  # the last cycle the epoch simulated
         limits = self.thresholds
+        in_network = sample.buffered + sample.in_flight
+        stall_rate = sum(sample.credit_stalls.values()) / sample.cycles
+        oldest = inflight_packet_table(self.network, cycle, max_packets=1)["table"]
+        age = oldest[0]["age"] if oldest else 0
+        self.ages.append((cycle, age))
         findings: list[tuple[str, str]] = []
-        if oldest is not None and probe.oldest_age > limits.max_packet_age:
+        if age > limits.max_packet_age:
             findings.append((
                 "packet-age",
-                f"oldest in-flight packet {oldest.pid} "
-                f"({oldest.src}->{oldest.dst}) is {probe.oldest_age} cycles "
+                f"oldest in-flight packet {oldest[0]['pid']} "
+                f"({oldest[0]['src']}->{oldest[0]['dst']}) is {age} cycles "
                 f"old (limit {limits.max_packet_age})",
             ))
-        if probe.delivered_delta == 0 and probe.buffered + probe.in_flight > 0:
+        if not sample.warmup and sample.packets_delivered == 0 and in_network > 0:
             findings.append((
                 "no-throughput",
-                f"{probe.buffered + probe.in_flight} flits in the network "
-                f"but zero packets delivered in the last {self.every} cycles",
+                f"{in_network} flits in the network but zero packets "
+                f"delivered in the last {sample.cycles} cycles",
             ))
-        if probe.stall_rate > limits.max_stall_rate:
+        if stall_rate > limits.max_stall_rate:
             findings.append((
                 "credit-stall",
-                f"credit-stall rate {probe.stall_rate:.2f}/cycle "
+                f"credit-stall rate {stall_rate:.2f}/cycle "
                 f"(limit {limits.max_stall_rate:g})",
             ))
-        if probe.buffered > limits.max_buffered_flits:
+        if sample.buffered > limits.max_buffered_flits:
             findings.append((
                 "occupancy",
-                f"{probe.buffered} flits buffered "
+                f"{sample.buffered} flits buffered "
                 f"(limit {limits.max_buffered_flits})",
             ))
-        current = {kind for kind, _ in findings}
-        for kind, detail in findings:
-            if kind in self._active_flags:
-                continue  # already flagged; report rising edges only
-            anomaly = HealthAnomaly(cycle=probe.cycle, kind=kind, detail=detail)
-            self.anomalies.append(anomaly)
-            if self.stream is not None:
-                self.stream.write(
-                    f"[health] cycle {probe.cycle}: {kind}: {detail}\n"
-                )
-                self.stream.flush()
-        self._active_flags = current
-
-    def detach(self) -> None:
-        if not self._attached:
-            return
-        bus = self.network.telemetry
-        bus.unsubscribe("packet_inject", self._on_inject)
-        bus.unsubscribe("packet_eject", self._on_eject)
-        bus.unsubscribe("credit_stall", self._on_stall)
-        bus.unsubscribe("cycle_end", self._on_cycle_end)
-        self._attached = False
+        self.raised = [
+            HealthAnomaly(cycle=cycle, kind=kind, detail=detail)
+            for kind, detail in findings
+            if kind not in self._active_flags  # report rising edges only
+        ]
+        self._active_flags = {kind for kind, _ in findings}
+        self.anomalies.extend(self.raised)
+        if self.stream is not None and self.raised:
+            self.stream.writelines(
+                f"[health] cycle {cycle}: {a.kind}: {a.detail}\n" for a in self.raised
+            )
+            self.stream.flush()
 
     def summary(self, *, max_anomalies: int = 20, max_series: int = 120) -> dict[str, Any]:
         """Compact JSON-ready digest for bundles and the run registry."""
-        series = [[p.cycle, p.oldest_age] for p in self.probes]
+        series = [list(entry) for entry in self.ages]
         if len(series) > max_series:
             stride = math.ceil(len(series) / max_series)
             series = series[::stride]
         return {
-            "probes": len(self.probes),
+            "probes": len(self.ages),
             "anomaly_count": len(self.anomalies),
             "flags": sorted({a.kind for a in self.anomalies}),
-            "max_oldest_age": max((p.oldest_age for p in self.probes), default=0),
+            "max_oldest_age": max((age for _, age in self.ages), default=0),
             "anomalies": [a.to_json() for a in self.anomalies[:max_anomalies]],
             "oldest_age_series": series,
         }
@@ -905,30 +828,30 @@ class ForensicsConfig:
     recorder_events: str | tuple[str, ...] = "packet"
     #: Recorder events embedded in a captured bundle.
     recorder_tail: int = 200
-    #: Attach a :class:`HealthMonitor`.
-    health: bool = False
-    #: Cycles between health probes.
-    health_every: int = 2_000
-    thresholds: HealthThresholds = field(default_factory=HealthThresholds)
-    #: Stream for live anomaly flags (None: keep them silent, in memory).
-    health_stream: Optional[IO[str]] = None
 
 
 class ForensicsSession:
-    """Recorder + monitor + bundle sink for one network and one run.
+    """Recorder + bundle sink for one network and one run.
 
     A session with everything off costs nothing at runtime — no bus
     subscriptions — and only acts when the engine's failure path calls
-    :meth:`capture_to_file`.
+    :meth:`capture_to_file`.  ``monitor`` is the run's
+    :class:`HealthMonitor` (fed by the epoch sampler, see
+    :class:`~repro.telemetry.session.TelemetrySession`); its summary
+    rides every captured bundle and the registry record.
     """
 
     def __init__(
-        self, network: "Network", config: Optional[ForensicsConfig] = None
+        self,
+        network: "Network",
+        config: Optional[ForensicsConfig] = None,
+        *,
+        monitor: Optional[HealthMonitor] = None,
     ) -> None:
         self.network = network
         self.config = config or ForensicsConfig()
         self.recorder: Optional[FlightRecorder] = None
-        self.monitor: Optional[HealthMonitor] = None
+        self.monitor = monitor
         #: Path of the last bundle written by :meth:`capture_to_file`.
         self.bundle_path: Optional[Path] = None
         if self.config.flight_recorder:
@@ -937,19 +860,6 @@ class ForensicsSession:
                 window=self.config.recorder_window,
                 events=self.config.recorder_events,
             )
-        if self.config.health:
-            self.monitor = HealthMonitor(
-                network,
-                every=self.config.health_every,
-                thresholds=self.config.thresholds,
-                stream=self.config.health_stream,
-            )
-
-    @classmethod
-    def attach(
-        cls, network: "Network", config: Optional[ForensicsConfig] = None
-    ) -> "ForensicsSession":
-        return cls(network, config)
 
     def capture(
         self, reason: str, now: int, *, error: Optional[BaseException] = None
@@ -974,8 +884,6 @@ class ForensicsSession:
     def detach(self) -> None:
         if self.recorder is not None:
             self.recorder.detach()
-        if self.monitor is not None:
-            self.monitor.detach()
 
     def record_summary(self) -> dict[str, Any]:
         """Digest stored on the run registry's ``forensics`` field."""
@@ -1061,7 +969,7 @@ def render_bundle_text(bundle: dict[str, Any], *, tail: int = 20) -> str:
     if health:
         lines.append("")
         lines.append(
-            f"health: {health['probes']} probes, "
+            f"health: {health['probes']} epochs checked, "
             f"{health['anomaly_count']} anomalies "
             f"(flags: {', '.join(health['flags']) or 'none'}), "
             f"max in-flight age {health['max_oldest_age']}"
@@ -1154,7 +1062,7 @@ def render_bundle_html(bundle: dict[str, Any]) -> str:
             for a in health["anomalies"]
         ]
         health_html = (
-            f"<p class=\"meta\">{health['probes']} probes, "
+            f"<p class=\"meta\">{health['probes']} epochs checked, "
             f"{health['anomaly_count']} anomalies, max in-flight age "
             f"{health['max_oldest_age']}</p>"
             + (

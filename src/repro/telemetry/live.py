@@ -1,23 +1,19 @@
 """Live run telemetry: schema-versioned JSONL feeds for ``repro watch``.
 
-:class:`LiveFeed` subscribes to the ``cycle_end`` event and appends
-line-delimited JSON events to ``runs/live/<run_id>.jsonl`` while a run is
-in flight: one ``start`` event with the run's identity, a ``heartbeat``
-every ``every`` cycles carrying progress, smoothed simulation speed and
-an ETA, every closed :class:`~repro.telemetry.metrics.EpochSample`, every
-:class:`~repro.telemetry.forensics.HealthMonitor` probe and anomaly flag,
-and a terminal ``finish`` or ``failure`` event (the latter pointing at
-the postmortem bundle when forensics captured one).  The feed is the
-write side of the fleet view served by :mod:`repro.telemetry.server`.
+:class:`LiveFeed` appends line-delimited JSON events to
+``runs/live/<run_id>.jsonl`` while a run is in flight: one ``start`` event
+with the run's identity, one ``epoch`` event per closed
+:class:`~repro.telemetry.metrics.EpochSample` (the sample plus smoothed
+simulation speed, ETA and delivered fraction), every
+:class:`~repro.telemetry.forensics.HealthMonitor` anomaly flag, and a
+terminal ``finish`` or ``failure`` event (the latter pointing at the
+postmortem bundle when forensics captured one).  The feed is the write
+side of the fleet view served by :mod:`repro.telemetry.server`.
 
 The feed is opt-in (``TelemetryConfig.live`` / ``repro simulate --live``)
-and piggybacks on collectors the session already attached: at each
-heartbeat it drains *new* entries from ``EpochMetrics.samples`` and the
-health monitor's ``probes`` / ``anomalies`` lists by position, so the hot
-path stays one modulo test per cycle and the zero-subscriber bus contract
-is untouched when the feed is off.  :class:`TelemetrySession` attaches the
-feed *last*, so the documented subscription-order guarantee means epoch
-and health state is already up to date when a heartbeat samples it.
+and has no clock of its own: it is a reader of the epoch sampler, called
+after the health monitor at each epoch close, so each sample and each
+anomaly is written exactly once and the bus carries nothing extra.
 
 Like the registry and forensics bundles, the event stream is
 schema-versioned: :func:`validate_live_event` checks one event,
@@ -43,11 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
     from .digest import RunDigest
     from .forensics import HealthMonitor
-    from .metrics import EpochMetrics
+    from .metrics import EpochSample
 
 #: Version of the live-feed event schema.  Bump on incompatible changes;
 #: :func:`validate_live_event` rejects events written by other versions.
-LIVE_SCHEMA_VERSION = 1
+LIVE_SCHEMA_VERSION = 2
 
 #: Default feed directory, relative to the run registry directory.
 DEFAULT_LIVE_SUBDIR = "live"
@@ -55,9 +51,7 @@ DEFAULT_LIVE_SUBDIR = "live"
 #: Payload fields every event kind must carry (beyond the envelope).
 EVENT_KINDS: dict[str, tuple[str, ...]] = {
     "start": ("meta",),
-    "heartbeat": ("cycle", "cps", "eta_seconds", "in_network", "delivered_fraction"),
-    "epoch": ("epoch",),
-    "health": ("probe",),
+    "epoch": ("cycle", "cps", "eta_seconds", "delivered_fraction", "epoch"),
     "anomaly": ("cycle", "anomaly_kind", "detail"),
     "finish": ("cycle", "wall_seconds", "stats"),
     "failure": ("cycle", "reason", "error", "bundle"),
@@ -174,12 +168,11 @@ def feed_status(
             status["state"] = "running"
             status["meta"] = event.get("meta") or {}
             status["total_cycles"] = status["meta"].get("total_cycles")
-        elif kind == "heartbeat":
+        elif kind == "epoch":
+            status["epochs"] += 1
             status["cps"] = event.get("cps")
             status["eta_seconds"] = event.get("eta_seconds")
             status["delivered_fraction"] = event.get("delivered_fraction")
-        elif kind == "epoch":
-            status["epochs"] += 1
         elif kind == "anomaly":
             status["anomalies"].append(
                 {
@@ -209,7 +202,7 @@ def feed_status(
 
 
 class LiveFeed:
-    """Streams one run's lifecycle, progress, epochs and health to a feed.
+    """Streams one run's lifecycle, epochs and health flags to a feed.
 
     Parameters
     ----------
@@ -220,16 +213,15 @@ class LiveFeed:
         :class:`~repro.telemetry.runstore.RunRecord` in the fleet view).
     directory:
         Directory the ``<run_id>.jsonl`` feed is appended under.
-    every:
-        Cycles between heartbeat events (>= 1).
-    total_cycles:
-        When known, heartbeats include completion fraction and ETA.
-    metrics / monitor:
-        Session collectors to drain at heartbeats (optional).
+    monitor:
+        The session's health monitor (optional): the anomalies it raised
+        on an epoch follow that epoch's event.
     digest:
         Session run digest (optional); its final chain rides the terminal
-        ``finish`` event as an **optional** payload key, so feeds written
-        before the digest existed still validate.
+        ``finish`` event as an **optional** payload key.
+    eta:
+        The speed / ETA estimator to share (default: a private one without
+        a horizon); when it knows the horizon, epoch events carry an ETA.
     """
 
     def __init__(
@@ -238,33 +230,21 @@ class LiveFeed:
         *,
         run_id: str,
         directory: str | Path = f"runs/{DEFAULT_LIVE_SUBDIR}",
-        every: int = 1_000,
-        total_cycles: Optional[int] = None,
-        metrics: Optional["EpochMetrics"] = None,
         monitor: Optional["HealthMonitor"] = None,
         digest: Optional["RunDigest"] = None,
+        eta: Optional[EtaEstimator] = None,
     ) -> None:
-        if every < 1:
-            raise ValueError("every must be >= 1")
         self.network = network
         self.run_id = run_id
-        self.directory = Path(directory)
-        self.every = every
-        self.total_cycles = total_cycles
-        self.metrics = metrics
         self.monitor = monitor
         self.digest = digest
-        self.eta = EtaEstimator(total_cycles)
+        self.eta = eta or EtaEstimator()
         self.events_written = 0
-        self._seq = 0
-        self._epochs_sent = 0
-        self._probes_sent = 0
-        self._anomalies_sent = 0
         self._closed = False
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.path = live_feed_path(self.directory, run_id)
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        self.path = live_feed_path(directory, run_id)
         self._handle = self.path.open("w", encoding="utf-8")
-        network.telemetry.subscribe("cycle_end", self._on_cycle_end)
 
     # -- event emission ------------------------------------------------------
     def _emit(self, kind: str, payload: dict[str, Any]) -> None:
@@ -273,78 +253,44 @@ class LiveFeed:
         event = {
             "schema_version": LIVE_SCHEMA_VERSION,
             "run_id": self.run_id,
-            "seq": self._seq,
+            "seq": self.events_written,
             "wall": time.time(),
             "kind": kind,
         }
         event.update(_json_safe(payload))
         self._handle.write(json.dumps(event, sort_keys=True) + "\n")
         self._handle.flush()
-        self._seq += 1
         self.events_written += 1
 
     def start(self, meta: dict[str, Any]) -> None:
         """Announce the run: identity, geometry, workload, horizon."""
         meta = dict(meta)
-        meta.setdefault("total_cycles", self.total_cycles)
+        meta.setdefault("total_cycles", self.eta.total_cycles)
         self._emit("start", {"meta": meta})
 
-    def _on_cycle_end(self, network: "Network", now: int) -> None:
-        cycle = now + 1
-        if cycle % self.every:
-            return
-        self._heartbeat(cycle)
-
-    def _heartbeat(self, cycle: int) -> None:
-        cps = self.eta.update(cycle)
-        stats = self.network.stats
-        in_network = self.network.buffered_flits() + self.network.in_flight_flits()
+    def on_epoch(self, sample: "EpochSample") -> None:
+        """Write one closed epoch, then the anomalies it raised."""
+        cycle = sample.end
         self._emit(
-            "heartbeat",
+            "epoch",
             {
                 "cycle": cycle,
-                "fraction": (
-                    min(1.0, cycle / self.total_cycles) if self.total_cycles else None
-                ),
-                "cps": cps,
+                "cps": self.eta.update(cycle),
                 "eta_seconds": self.eta.eta_seconds(cycle),
-                "in_network": in_network,
-                "delivered": stats.packets_delivered,
-                "delivered_fraction": stats.delivered_fraction,
+                "delivered_fraction": self.network.stats.delivered_fraction,
+                "epoch": sample.to_json(),
             },
         )
-        self._drain(cycle)
-
-    def _drain(self, cycle: int) -> None:
-        """Forward epoch samples and health events collected since last time."""
-        if self.metrics is not None:
-            samples = self.metrics.samples
-            for sample in samples[self._epochs_sent :]:
-                self._emit("epoch", {"cycle": sample.end, "epoch": sample.to_json()})
-            self._epochs_sent = len(samples)
-        if self.monitor is not None:
-            probes = self.monitor.probes
-            for probe in probes[self._probes_sent :]:
-                self._emit("health", {"cycle": probe.cycle, "probe": probe.to_json()})
-            self._probes_sent = len(probes)
-            anomalies = self.monitor.anomalies
-            for anomaly in anomalies[self._anomalies_sent :]:
-                self._emit(
-                    "anomaly",
-                    {
-                        "cycle": anomaly.cycle,
-                        "anomaly_kind": anomaly.kind,
-                        "detail": anomaly.detail,
-                    },
-                )
-            self._anomalies_sent = len(anomalies)
+        for anomaly in self.monitor.raised if self.monitor is not None else ():
+            self._emit(
+                "anomaly",
+                {"cycle": anomaly.cycle, "anomaly_kind": anomaly.kind, "detail": anomaly.detail},
+            )
 
     # -- lifecycle -----------------------------------------------------------
     def finish(self, end_cycle: int) -> Path:
         """Emit the terminal ``finish`` event and close the feed."""
         if not self._closed:
-            self.eta.update(end_cycle)
-            self._drain(end_cycle)
             payload: dict[str, Any] = {
                 "cycle": end_cycle,
                 "wall_seconds": self.eta.wall_seconds,
@@ -375,19 +321,15 @@ class LiveFeed:
         ``bundle`` points at the postmortem bundle when forensics captured
         one, so the fleet view can link straight to ``repro postmortem``.
         """
-        if not self._closed:
-            self._drain(cycle)
-            self._emit(
-                "failure",
-                {"cycle": cycle, "reason": reason, "error": error, "bundle": bundle},
-            )
-            self.close()
+        self._emit(
+            "failure",
+            {"cycle": cycle, "reason": reason, "error": error, "bundle": bundle},
+        )
+        self.close()
         return self.path
 
     def close(self) -> None:
-        """Detach from the bus and close the file (idempotent)."""
-        if self._closed:
-            return
-        self.network.telemetry.unsubscribe("cycle_end", self._on_cycle_end)
-        self._closed = True
-        self._handle.close()
+        """Close the file; later events are dropped (idempotent)."""
+        if not self._closed:
+            self._closed = True
+            self._handle.close()

@@ -1,4 +1,4 @@
-"""Per-epoch time-series metric collectors.
+"""Per-epoch time-series metric collectors: the one periodic sampler.
 
 :class:`EpochMetrics` subscribes to the network's telemetry bus and closes
 one :class:`EpochSample` every ``epoch_length`` cycles.  Everything that
@@ -8,6 +8,11 @@ hetero-PHY dispatch split, injected/delivered totals), so steady-state
 collection costs one sweep per epoch, not per cycle.  Only credit-stall
 accounting listens to a per-event hook, and that event fires only under
 congestion.
+
+It is the only observer with a clock: health checks, the live feed and
+the progress line are *readers* of its closed samples (``readers``,
+called in order at each epoch close), so one occupancy scan per epoch
+serves them all.
 
 Collected per epoch:
 
@@ -31,7 +36,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.network import Network
@@ -119,6 +124,8 @@ class EpochMetrics:
     sample_buffers:
         Sweep per-VC buffer occupancy at epoch boundaries (disable for
         very large systems where only link series are wanted).
+    readers:
+        Callables handed each :class:`EpochSample` as it closes, in order.
     """
 
     def __init__(
@@ -128,6 +135,7 @@ class EpochMetrics:
         epoch_length: int = 1_000,
         warmup: int = 0,
         sample_buffers: bool = True,
+        readers: Iterable[Callable[[EpochSample], None]] = (),
     ) -> None:
         if epoch_length < 1:
             raise ValueError("epoch_length must be >= 1")
@@ -135,6 +143,7 @@ class EpochMetrics:
         self.epoch_length = epoch_length
         self.warmup = warmup
         self.sample_buffers = sample_buffers
+        self.readers = list(readers)
         self.samples: list[EpochSample] = []
         self._stall_counts: dict[tuple[int, int, int], int] = {}
         self._epoch_start = 0
@@ -245,6 +254,8 @@ class EpochMetrics:
         self._base_delivered = stats.packets_delivered
         self._base_router_flits = stats.router_flits
         self._epoch_start = end
+        for reader in self.readers:
+            reader(sample)
 
     # -- accessors ---------------------------------------------------------
     def epochs(self, *, include_warmup: bool = False) -> list[EpochSample]:

@@ -1,11 +1,12 @@
 """Live progress reporting for long simulation runs.
 
-:class:`ProgressReporter` subscribes to the ``cycle_end`` event and
-periodically rewrites one status line on a stream (stderr by default):
+:class:`ProgressReporter` is a reader of the
+:class:`~repro.telemetry.metrics.EpochMetrics` sampler: at each closed
+epoch it rewrites one status line on a stream (stderr by default) —
 simulated cycle, simulation speed in cycles/second of wall-clock time,
 flits currently in the network, the delivered fraction of the measured
-packet population and — when the horizon is known — an ETA.  Overhead is
-one modulo test per cycle plus one line of I/O per reporting interval.
+packet population and, when the horizon is known, an ETA.  It has no bus
+subscription of its own; its cost is one line of I/O per epoch.
 
 On an interactive terminal the line is rewritten in place with ``"\r"``;
 when the stream is not a TTY (CI logs, files, pipes) every update is
@@ -13,9 +14,9 @@ written as its own newline-terminated line so logs stay readable.
 
 :class:`EtaEstimator` is the shared remaining-time model: an
 exponentially smoothed cycles-per-second estimate divided into the
-remaining horizon.  The reporter's TTY line and the live feed's heartbeat
-events (:class:`~repro.telemetry.live.LiveFeed`) both use it, so the ETA
-a terminal shows and the ETA ``repro watch`` shows agree.
+remaining horizon.  A session hands one estimator to the reporter and to
+the live feed (:class:`~repro.telemetry.live.LiveFeed`), so the ETA a
+terminal shows and the ETA ``repro watch`` shows agree.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import time
 from typing import IO, TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.noc.network import Network
+    from repro.sim.stats import Stats
+
+    from .metrics import EpochSample
 
 
 class EtaEstimator:
@@ -36,7 +39,9 @@ class EtaEstimator:
     exponential moving average (``alpha`` weights the newest interval),
     which damps the burstiness of per-interval wall clocks; the ETA is
     the remaining cycles divided by that smoothed speed, or ``None``
-    while no horizon or no speed estimate is available.
+    while no horizon or no speed estimate is available.  An update that
+    does not advance the cycle leaves the estimate alone, so several
+    readers of one epoch may share one estimator.
     """
 
     def __init__(self, total_cycles: Optional[int] = None, *, alpha: float = 0.3) -> None:
@@ -54,7 +59,9 @@ class EtaEstimator:
         wall = time.perf_counter()
         elapsed = wall - self._last_wall
         advanced = cycle - self._last_cycle
-        if elapsed > 0 and advanced > 0:
+        if advanced <= 0:
+            return self.cps
+        if elapsed > 0:
             instantaneous = advanced / elapsed
             if math.isnan(self.cps):
                 self.cps = instantaneous
@@ -91,92 +98,66 @@ def format_eta(seconds: Optional[float]) -> str:
 
 
 class ProgressReporter:
-    """Writes an updating one-line run status to a stream.
+    """Writes an updating one-line run status to a stream, once per epoch.
 
     Parameters
     ----------
-    network:
-        The built network to observe (its ``stats`` provides delivery
-        figures).
-    every_cycles:
-        Cycles between status updates (>= 1).
+    stats:
+        The run's statistics (delivery figures).
     stream:
         Destination text stream; defaults to ``sys.stderr``.
-    total_cycles:
-        When known, the status line includes percentage completion.
+    eta:
+        The speed / ETA estimator to share (default: a private one without
+        a horizon); when it knows the horizon, the status line includes
+        percentage completion and ETA.
     """
 
     def __init__(
         self,
-        network: "Network",
+        stats: "Stats",
         *,
-        every_cycles: int = 5_000,
         stream: Optional[IO[str]] = None,
-        total_cycles: Optional[int] = None,
+        eta: Optional[EtaEstimator] = None,
     ) -> None:
-        if every_cycles < 1:
-            raise ValueError("every_cycles must be >= 1")
-        self.network = network
-        self.every_cycles = every_cycles
+        self.stats = stats
         self.stream = stream if stream is not None else sys.stderr
-        self.total_cycles = total_cycles
+        self.eta = eta or EtaEstimator()
         self.updates = 0
         try:
             self._tty = bool(self.stream.isatty())
         except (AttributeError, ValueError, OSError):
             self._tty = False
-        self._started = time.perf_counter()
-        self._last_wall = self._started
-        self._last_cycle = 0
         self._closed = False
-        self.eta = EtaEstimator(total_cycles)
-        network.telemetry.subscribe("cycle_end", self._on_cycle_end)
 
-    def _on_cycle_end(self, network: "Network", now: int) -> None:
-        cycle = now + 1
-        if cycle % self.every_cycles:
-            return
-        wall = time.perf_counter()
-        elapsed = wall - self._last_wall
-        cps = (cycle - self._last_cycle) / elapsed if elapsed > 0 else float("inf")
-        self._last_wall = wall
-        self._last_cycle = cycle
-        self.eta.update(cycle)
+    def on_epoch(self, sample: "EpochSample") -> None:
+        """Write the status line for one closed epoch."""
+        cycle = sample.end
+        cps = self.eta.update(cycle)
         self.updates += 1
-        line = self._format_line(cycle, cps)
-        if self._tty:
-            self.stream.write("\r" + line)
-        else:
-            self.stream.write(line + "\n")
+        line = self._format_line(cycle, cps, sample.buffered + sample.in_flight)
+        self.stream.write("\r" + line if self._tty else line + "\n")
         self.stream.flush()
 
-    def _format_line(self, cycle: int, cps: float) -> str:
-        stats = self.network.stats
-        in_network = self.network.buffered_flits() + self.network.in_flight_flits()
-        fraction = stats.delivered_fraction
+    def _format_line(self, cycle: int, cps: float, in_network: int) -> str:
+        fraction = self.stats.delivered_fraction
         delivered = "n/a" if math.isnan(fraction) else f"{fraction:6.1%}"
+        total = self.eta.total_cycles
         parts = [f"cycle {cycle:>9d}"]
-        if self.total_cycles:
-            parts.append(f"({cycle / self.total_cycles:4.0%})")
+        if total:
+            parts.append(f"({cycle / total:4.0%})")
         parts.append(f"| {cps:>10,.0f} cyc/s")
         parts.append(f"| in-flight {in_network:>6d} flits")
         parts.append(f"| delivered {delivered}")
-        if self.total_cycles:
+        if total:
             parts.append(f"| eta {format_eta(self.eta.eta_seconds(cycle)):>8s}")
         return " ".join(parts)
 
     def close(self) -> None:
-        """Stop reporting: detach from the bus and finish the status line."""
+        """Stop reporting and finish the status line."""
         if self._closed:
             return
-        self.network.telemetry.unsubscribe("cycle_end", self._on_cycle_end)
         self._closed = True
         if self.updates and self._tty:
             # Non-TTY updates are already newline-terminated.
             self.stream.write("\n")
             self.stream.flush()
-
-    @property
-    def wall_seconds(self) -> float:
-        """Wall-clock seconds since the reporter was attached."""
-        return time.perf_counter() - self._started

@@ -10,7 +10,7 @@ no third-party dependencies — that tails the run registry
   panel (bench trajectory, ns-per-flit-hop phases, sentinel verdicts) and the
   recent-runs registry table —
   auto-updating via Server-Sent Events;
-* ``/run/<run_id>`` — one run's live page (heartbeat, epochs, health);
+* ``/run/<run_id>`` — one run's live page (progress, epochs, anomalies);
 * ``/api/runs`` — the fleet state as JSON;
 * ``/api/live/<run_id>`` — one feed's folded status plus its raw events;
 * ``/api/bench`` — the bench trajectory read off the ``BENCH_<n>.json`` files;
@@ -382,10 +382,14 @@ class WatchService:
         epochs = [e["epoch"] for e in state["events"] if e.get("kind") == "epoch"]
         if epochs:
             delivered = [float(e.get("packets_delivered", 0)) for e in epochs]
-            parts.append(
-                "<h2>Per-epoch delivery</h2>"
-                f"<figure>{svg_sparkline(delivered, width=360, height=48, title='packets delivered per epoch')}</figure>"
-            )
+            in_network = [float(e.get("buffered", 0) + e.get("in_flight", 0)) for e in epochs]
+            parts.append("<h2>Per-epoch delivery</h2>")
+            for title, values in (
+                ("packets delivered per epoch", delivered),
+                ("flits in the network at each epoch close", in_network),
+            ):
+                svg = svg_sparkline(values, width=360, height=48, title=title)
+                parts.append(f"<figure>{svg}</figure>")
             parts.append(
                 "<details><summary>latest epochs</summary>"
                 + html_table(
@@ -404,14 +408,6 @@ class WatchService:
                     ),
                 )
                 + "</details>"
-            )
-        probes = [e["probe"] for e in state["events"] if e.get("kind") == "health"]
-        if probes:
-            ages = [float(p.get("oldest_age", 0)) for p in probes]
-            parts.append(
-                "<h2>Health</h2><figure>"
-                f"{svg_sparkline(ages, width=360, height=48, title='oldest in-flight packet age')}"
-                "</figure>"
             )
         if status["state"] == "finished" and status["stats"]:
             parts.append(

@@ -17,11 +17,11 @@ from typing import IO, TYPE_CHECKING, Callable, Optional
 
 from .attribution import LatencyLedger
 from .digest import RunDigest
-from .forensics import ForensicsConfig, ForensicsSession, HealthThresholds
+from .forensics import ForensicsConfig, ForensicsSession, HealthMonitor, HealthThresholds
 from .hostprof import HostTimeLedger
 from .live import LiveFeed
 from .metrics import EpochMetrics
-from .progress import ProgressReporter
+from .progress import EtaEstimator, ProgressReporter
 from .trace import ChromeTraceBuilder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -42,16 +42,15 @@ class TelemetryConfig:
     metrics_dir: Optional[str | Path] = None
     #: Output path for the Chrome trace-event JSON (None: no trace).
     trace_path: Optional[str | Path] = None
-    #: Epoch length in cycles for the time-series collectors.
+    #: The one sampling period in cycles: epoch metrics, health checks,
+    #: live-feed epochs and the progress line all run on it.
     epoch_length: int = 1_000
     #: Predicate selecting packets for the trace (default: all, capped).
     trace_sample: Optional[Callable[["Packet"], bool]] = None
     #: Cap on traced packets.
     trace_max_packets: int = 512
-    #: Emit a live progress line while the run advances.
+    #: Emit a live progress line at each epoch close.
     progress: bool = False
-    #: Cycles between progress updates.
-    progress_every: int = 5_000
     #: Progress destination (default: stderr).
     progress_stream: Optional[IO[str]] = None
     #: Profile the run with cProfile and keep the report
@@ -73,7 +72,8 @@ class TelemetryConfig:
     breakdown_csv: Optional[str | Path] = None
     #: Collect per-epoch metrics.  On by default; the CLI turns it off for
     #: configs that exist only to carry forensics capture, so plain runs
-    #: keep the zero-subscriber fast path.
+    #: keep the zero-subscriber fast path.  ``health``, ``live`` and
+    #: ``progress`` read the sampler's epochs and switch it on themselves.
     epoch_metrics: bool = True
     #: Capture a postmortem bundle when the run fails (deadlock, drain
     #: timeout, invariant violation) — see
@@ -88,23 +88,20 @@ class TelemetryConfig:
     recorder_window: int = 4_096
     #: Recorder detail preset (``"packet"``, ``"route"`` or ``"full"``).
     recorder_events: str = "packet"
-    #: Attach the :class:`~repro.telemetry.forensics.HealthMonitor` live
-    #: probes (implies ``forensics``).
+    #: Check each closed epoch with a
+    #: :class:`~repro.telemetry.forensics.HealthMonitor` (implies
+    #: ``forensics``).
     health: bool = False
-    #: Cycles between health probes.
-    health_every: int = 2_000
     #: Health anomaly thresholds (None: defaults).
     health_thresholds: Optional[HealthThresholds] = None
     #: Stream for live health-anomaly flags (None: keep them in memory).
     health_stream: Optional[IO[str]] = None
-    #: Stream run lifecycle / progress / epoch / health events to a
-    #: schema-versioned JSONL live feed under ``live_dir`` for
-    #: ``repro watch`` (see :class:`~repro.telemetry.live.LiveFeed`).
+    #: Stream run lifecycle / epoch / anomaly events to a schema-versioned
+    #: JSONL live feed under ``live_dir`` for ``repro watch`` (see
+    #: :class:`~repro.telemetry.live.LiveFeed`).
     live: bool = False
     #: Directory live feeds are appended under.
     live_dir: str | Path = "runs/live"
-    #: Cycles between live heartbeat events.
-    live_every: int = 1_000
     #: Run id keying the feed file and joining it to the run registry
     #: record (None: a fresh id is generated at attach time).
     run_id: Optional[str] = None
@@ -157,7 +154,7 @@ class TelemetrySession:
         """Instantiate the collectors a config asks for and subscribe them."""
         config = config or TelemetryConfig()
         session = cls(network=network, config=config)
-        if config.epoch_metrics:
+        if config.epoch_metrics or config.health or config.live or config.progress:
             session.metrics = EpochMetrics(
                 network, epoch_length=config.epoch_length, warmup=warmup
             )
@@ -167,65 +164,62 @@ class TelemetrySession:
                 sample=config.trace_sample,
                 max_packets=config.trace_max_packets,
             )
-        if config.progress:
-            session.progress = ProgressReporter(
-                network,
-                every_cycles=config.progress_every,
-                stream=config.progress_stream,
-                total_cycles=total_cycles,
-            )
         if config.latency_breakdown or config.breakdown_csv is not None:
             session.ledger = LatencyLedger(network, measure_from=warmup)
         if config.host_time:
             session.hostprof = HostTimeLedger(stride=config.host_stride)
+        monitor = (
+            HealthMonitor(network, thresholds=config.health_thresholds, stream=config.health_stream)
+            if config.health else None
+        )
         if config.forensics or config.flight_recorder or config.health:
             forensics_config = ForensicsConfig(
                 bundle_dir=config.bundle_dir,
                 flight_recorder=config.flight_recorder,
                 recorder_window=config.recorder_window,
                 recorder_events=config.recorder_events,
-                health=config.health,
-                health_every=config.health_every,
-                health_stream=config.health_stream,
             )
-            if config.health_thresholds is not None:
-                forensics_config.thresholds = config.health_thresholds
-            session.forensics = ForensicsSession(network, forensics_config)
+            session.forensics = ForensicsSession(network, forensics_config, monitor=monitor)
         if config.digest or config.digest_capture is not None:
             session.digest = RunDigest(
                 network,
                 checkpoint_every=config.digest_checkpoint_every,
                 capture=config.digest_capture,
             )
+        eta = EtaEstimator(total_cycles)
         if config.live:
-            # Attached last on purpose: the bus dispatches in subscription
-            # order, so epoch metrics and health probes for a boundary
-            # cycle are already recorded when the feed's heartbeat drains
-            # them.
             from .runstore import new_run_id
 
             session.live = LiveFeed(
                 network,
                 run_id=config.run_id or new_run_id(),
                 directory=config.live_dir,
-                every=config.live_every,
-                total_cycles=total_cycles,
-                metrics=session.metrics,
-                monitor=(
-                    session.forensics.monitor if session.forensics is not None else None
-                ),
+                monitor=monitor,
                 digest=session.digest,
+                eta=eta,
             )
+        if config.progress:
+            session.progress = ProgressReporter(
+                network.stats, stream=config.progress_stream, eta=eta
+            )
+        if session.metrics is not None:
+            # Health first: the feed streams the anomalies it just raised.
+            session.metrics.readers = [
+                reader.on_epoch
+                for reader in (monitor, session.live, session.progress)
+                if reader is not None
+            ]
         return session
 
     def finalize(self, end_cycle: int) -> list[Path]:
         """Close collectors, write outputs, detach from the bus."""
-        if self.progress is not None:
-            self.progress.close()
         if self.metrics is not None:
+            # Closes the trailing partial epoch: its readers see it too.
             self.metrics.finish(end_cycle)
             if self.config.metrics_dir is not None:
                 self.written.extend(self.metrics.write(self.config.metrics_dir))
+        if self.progress is not None:
+            self.progress.close()
         if self.trace is not None:
             self.trace.detach()
             if self.config.trace_path is not None:

@@ -2,7 +2,8 @@
 
 These bypass the topology builders so link/router behaviour can be
 observed in isolation: a unidirectional chain of routers with one channel
-between neighbours and a trivial "always forward" routing function.
+between neighbours and a trivial "always forward" routing function; and
+the deadlocking eastward ring routing the deadlock tests share.
 
 Also the synthetic bench history the regression-sentinel tests chew on
 (:func:`make_history` / :func:`write_history`): a real one takes dozens of
@@ -42,6 +43,18 @@ def forward_routing(router: Router, packet: Packet):
     if packet.dst == router.node:
         return [(Router.EJECT_PORT, 0, True)]
     return [(1, 0, True)]
+
+
+def ring_routing(router: Router, packet: Packet):
+    """Eastward-only ring routing on a torus row, all on VC 0: the textbook
+    deadlocking routing function (a cyclic escape CDG by construction)."""
+    if packet.dst == router.node:
+        return [(0, 0, True)]
+    by_tag = router.out_port_by_tag
+    port = by_tag.get(("mesh", "E"), by_tag.get(("wrap", "E")))
+    if port is None:
+        port = by_tag.get(("mesh", "N"), by_tag.get(("mesh", "S")))
+    return [(port, 0, True)]
 
 
 def chain_spec(

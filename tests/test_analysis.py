@@ -27,6 +27,7 @@ from repro.topology.grid import ChipletGrid
 from repro.topology.system import FAMILIES
 
 from .conftest import make_network
+from .helpers import ring_routing
 
 
 # -- positive: every family is clean under the VCT discipline ----------------
@@ -124,21 +125,10 @@ def test_build_cdg_rejects_unknown_mode():
 # -- negative: deliberately broken routing must be flagged --------------------
 
 
-def _ring_routing(router, packet):
-    """Textbook-deadlocking eastward ring routing on a torus row."""
-    if packet.dst == router.node:
-        return [(0, 0, True)]
-    by_tag = router.out_port_by_tag
-    port = by_tag.get(("mesh", "E"), by_tag.get(("wrap", "E")))
-    if port is None:
-        port = by_tag.get(("mesh", "N"), by_tag.get(("mesh", "S")))
-    return [(port, 0, True)]
-
-
 def test_cyclic_escape_routing_is_flagged():
     config = SimConfig()
     spec, network, _ = make_network("serial_torus", ChipletGrid(2, 1, 2, 2), config)
-    network.set_routing(_ring_routing)
+    network.set_routing(ring_routing)
     report = verify_network(spec, network)
     assert not report.ok
     assert "CDG-CYCLE" in report.codes()

@@ -10,6 +10,8 @@ import pytest
 
 from repro.cli import main
 
+from .helpers import ring_routing
+
 
 def test_list_prints_experiments(capsys):
     assert main(["list"]) == 0
@@ -154,19 +156,7 @@ def test_check_exits_nonzero_on_injected_cycle(capsys, monkeypatch):
     """Replace the routing factory with a deadlocking ring: the genuine
     `repro check` path must report the cycle and exit 1."""
 
-    def ring_factory(spec, **_kwargs):
-        def ring_routing(router, packet):
-            if packet.dst == router.node:
-                return [(0, 0, True)]
-            by_tag = router.out_port_by_tag
-            port = by_tag.get(("mesh", "E"), by_tag.get(("wrap", "E")))
-            if port is None:
-                port = by_tag.get(("mesh", "N"), by_tag.get(("mesh", "S")))
-            return [(port, 0, True)]
-
-        return ring_routing
-
-    monkeypatch.setattr("repro.sim.build.make_routing", ring_factory)
+    monkeypatch.setattr("repro.sim.build.make_routing", lambda spec, **_: ring_routing)
     assert main(["check", "--family", "serial_torus"]) == 1
     out = capsys.readouterr().out
     assert "CDG-CYCLE" in out
@@ -198,14 +188,17 @@ def test_check_json_document(tmp_path, capsys):
     assert {r["mode"] for r in doc["reports"]} == {"vct"}
 
 
-def test_check_prove_flag_certifies(tmp_path, capsys):
+def test_prove_without_record_writes_json_only(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     json_path = tmp_path / "prove.json"
     code = main(
-        ["check", "--family", "parallel_mesh", "--prove", "--json", str(json_path)]
+        ["prove", "--family", "parallel_mesh", "--mode", "vct", "--no-record",
+         "--json", str(json_path)]
     )
     assert code == 0
     out = capsys.readouterr().out
     assert "CERTIFIED" in out
+    assert not (tmp_path / "runs").exists()  # no certificate file, no record
     doc = json.loads(json_path.read_text())
     assert doc["certified"] is True
     [cert] = doc["certificates"]
@@ -271,19 +264,7 @@ def test_prove_exits_nonzero_on_injected_cycle(capsys, monkeypatch):
     """A genuinely deadlocking escape must be refused certification with
     a realized counterexample, not downgraded."""
 
-    def ring_factory(spec, **_kwargs):
-        def ring_routing(router, packet):
-            if packet.dst == router.node:
-                return [(0, 0, True)]
-            by_tag = router.out_port_by_tag
-            port = by_tag.get(("mesh", "E"), by_tag.get(("wrap", "E")))
-            if port is None:
-                port = by_tag.get(("mesh", "N"), by_tag.get(("mesh", "S")))
-            return [(port, 0, True)]
-
-        return ring_routing
-
-    monkeypatch.setattr("repro.sim.build.make_routing", ring_factory)
+    monkeypatch.setattr("repro.sim.build.make_routing", lambda spec, **_: ring_routing)
     code = main(
         [
             "prove",
@@ -746,7 +727,7 @@ def test_simulate_live_writes_feed_and_joins_registry(tmp_path, capsys):
             "--seed",
             "7",
             "--live",
-            "--live-every",
+            "--epoch",
             "500",
             "--runs-dir",
             str(runs_dir),
@@ -761,7 +742,7 @@ def test_simulate_live_writes_feed_and_joins_registry(tmp_path, capsys):
     events = read_feed(feed_path)  # strict read: every event passes the schema
     kinds = [e["kind"] for e in events]
     assert kinds[0] == "start" and kinds[-1] == "finish"
-    assert kinds.count("heartbeat") == 3  # 1500 cycles at --live-every 500
+    assert kinds.count("epoch") == 3  # 1500 cycles at --epoch 500
     # The feed and the registry record share one run id: the fleet view join.
     assert all(e["run_id"] == record.run_id for e in events)
     assert events[0]["meta"]["seed"] == 7
@@ -788,9 +769,19 @@ def test_simulate_live_does_not_perturb_results(tmp_path, capsys):
 
 
 def test_simulate_live_validates_interval(tmp_path):
+    """The feed's interval is the one sampling period, --epoch."""
     with pytest.raises(SystemExit):
-        main([*SIM_ARGS, "--live", "--live-every", "0",
+        main([*SIM_ARGS, "--live", "--epoch", "0",
               "--runs-dir", str(tmp_path)])
+
+
+def test_health_raises_nothing_on_a_healthy_run_through_warmup(capsys):
+    """Warm-up epochs deliver no measured packet by design: not a stall."""
+    assert main(
+        ["simulate", "--chiplets", "2x2", "--cycles", "20000", "--rate", "0.1",
+         "--health", "--epoch", "200", "--no-record"]
+    ) == 0
+    assert "[health]" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -800,8 +791,6 @@ def test_simulate_live_validates_interval(tmp_path):
         ["profile", "--mem", "--mem-top", "0"],
         ["simulate", "--cycles", "0"],
         ["simulate", "--epoch", "0"],
-        ["simulate", "--health", "--health-every", "0"],
-        ["simulate", "--live", "--live-every", "-5"],
     ],
     ids=lambda argv: argv[-2],
 )

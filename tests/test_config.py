@@ -61,6 +61,15 @@ def test_validation():
         SimConfig(n_vcs=0)
 
 
+@pytest.mark.parametrize("name", [
+    "injection_vcs", "ejection_bandwidth", "onchip_delay", "parallel_delay", "serial_delay",
+])
+def test_a_value_that_would_fail_late_is_rejected_up_front(name):
+    """Each simulated wrongly or crashed with a misleading error mid-run."""
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        SimConfig(**{name: 0})
+
+
 def test_phy_bundles():
     config = DEFAULT_CONFIG
     assert config.parallel_phy.bandwidth == 2

@@ -13,6 +13,7 @@ from repro.sim.config import SimConfig
 from repro.topology.grid import ChipletGrid
 
 from .conftest import make_network
+from .helpers import ring_routing
 
 
 @pytest.mark.parametrize(
@@ -75,18 +76,7 @@ def test_broken_routing_detected_as_cyclic():
     config = SimConfig()
     spec, network, _ = make_network("serial_torus", ChipletGrid(2, 1, 2, 2), config)
     grid = spec.grid
-
-    def ring_routing(router, packet):
-        # Route everything eastwards around the row ring on VC0 - a
-        # textbook deadlocking routing function.
-        if packet.dst == router.node:
-            return [(0, 0, True)]
-        by_tag = router.out_port_by_tag
-        port = by_tag.get(("mesh", "E"), by_tag.get(("wrap", "E")))
-        assert port is not None
-        return [(port, 0, True)]
-
-    network.set_routing(ring_routing)
+    network.set_routing(ring_routing)  # everything eastwards around the row ring
     from repro.routing.deadlock import escape_dependency_graph
 
     graph = escape_dependency_graph(network)

@@ -404,7 +404,7 @@ def test_cli_simulate_digest_prints_chain_and_records_block(tmp_path, capsys):
 # -- watch / live integration -------------------------------------------------
 def test_live_feed_carries_digest_and_empty_feeds_fold(tmp_path):
     from repro.noc.flit import Packet
-    from repro.telemetry import RunDigest, feed_status, read_feed
+    from repro.telemetry import EtaEstimator, RunDigest, feed_status, read_feed
     from repro.telemetry.live import LiveFeed
 
     from .helpers import build_chain, run_cycles
@@ -413,7 +413,7 @@ def test_live_feed_carries_digest_and_empty_feeds_fold(tmp_path):
     digest = RunDigest(network)
     feed = LiveFeed(
         network, run_id="digestfeed001", directory=tmp_path / "live",
-        every=10, total_cycles=40, digest=digest,
+        eta=EtaEstimator(40), digest=digest,
     )
     feed.start({"system": "chain", "workload": "unit"})
     network.inject(Packet(0, 2, 4, 0))

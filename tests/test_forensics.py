@@ -19,6 +19,7 @@ from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.stats import DeadlockError, DrainTimeoutError, Stats
+from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.telemetry.forensics import (
     FORENSICS_SCHEMA_VERSION,
     FlightRecorder,
@@ -39,6 +40,7 @@ from repro.telemetry.forensics import (
     waitfor_cycle_channels,
     write_bundle,
 )
+from repro.telemetry.metrics import EpochMetrics, EpochSample
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import build_system
 from repro.traffic import SyntheticWorkload
@@ -46,7 +48,7 @@ from repro.traffic.patterns import make_pattern
 
 from .conftest import make_network
 from .test_engine import ListWorkload
-from .helpers import build_chain
+from .helpers import build_chain, ring_routing
 
 
 def test_vc_state_constants_mirror_router():
@@ -60,43 +62,40 @@ def test_vc_state_constants_mirror_router():
 # -- the forced deadlock ------------------------------------------------------
 
 
-def ring_routing(router, packet):
-    """Eastward-only ring routing on a torus row: deadlock-prone."""
-    if packet.dst == router.node:
-        return [(0, 0, True)]
-    by_tag = router.out_port_by_tag
-    port = by_tag.get(("mesh", "E"), by_tag.get(("wrap", "E")))
-    if port is None:
-        port = by_tag.get(("mesh", "N"), by_tag.get(("mesh", "S")))
-    return [(port, 0, True)]
+def ring_engine(telemetry=None):
+    """The eastward ring at rate 1.0 (warm-up 0), wedged within ~600 cycles.
+
+    Returns (network, engine); ``telemetry`` is attached through the session
+    and wired into the engine's failure path.
+    """
+    grid = ChipletGrid(2, 1, 2, 2)
+    config = SimConfig(sim_cycles=4_000, warmup_cycles=0)
+    stats = Stats()
+    network = build_network(build_system("serial_torus", grid, config), stats, routing=ring_routing)
+    pattern = make_pattern("uniform", grid.n_nodes)
+    workload = SyntheticWorkload(pattern, grid.n_nodes, 1.0, config.packet_length, seed=3)
+    engine = Engine(network, workload, stats, deadlock_threshold=300)
+    if telemetry is not None:
+        session = TelemetrySession.attach(network, telemetry)
+        engine.forensics, engine.livefeed = session.forensics, session.live
+    return network, engine
 
 
 def run_ring_deadlock(tmp_path, *, recorder=False, health=False):
     """Drive the ring to deadlock with forensics attached; return
-    (network, DeadlockError, session)."""
-    grid = ChipletGrid(2, 1, 2, 2)
-    config = SimConfig(sim_cycles=4_000, warmup_cycles=0)
-    spec = build_system("serial_torus", grid, config)
-    stats = Stats()
-    network = build_network(spec, stats, routing=ring_routing)
-    session = ForensicsSession(
-        network,
-        ForensicsConfig(
-            bundle_dir=tmp_path / "forensics",
-            flight_recorder=recorder,
-            health=health,
-            health_every=250,
-        ),
-    )
-    pattern = make_pattern("uniform", grid.n_nodes)
-    workload = SyntheticWorkload(
-        pattern, grid.n_nodes, 1.0, config.packet_length, seed=3
-    )
-    engine = Engine(network, workload, stats, deadlock_threshold=300)
-    engine.forensics = session
+    (network, DeadlockError, forensics session)."""
+    network, engine = ring_engine(TelemetryConfig(
+        epoch_metrics=False,
+        bundle_dir=tmp_path / "forensics",
+        flight_recorder=recorder,
+        health=health,
+        health_thresholds=HealthThresholds(max_packet_age=250),
+        epoch_length=250,
+        forensics=True,
+    ))
     with pytest.raises(DeadlockError) as excinfo:
         engine.run(4_000)
-    return network, excinfo.value, session
+    return network, excinfo.value, engine.forensics
 
 
 def test_deadlock_bundle_cycle_matches_static_cdg(tmp_path):
@@ -124,8 +123,10 @@ def test_deadlock_bundle_cycle_matches_static_cdg(tmp_path):
 
     # Forensics extras made it into the bundle.
     assert bundle["recorder"]["events_recorded"] > 0
+    # Warm-up 0: every epoch is measured, so the wedge reads as both a
+    # stalled network and an aging packet before the engine gives up.
     assert bundle["health"]["probes"] > 0
-    assert "no-throughput" in bundle["health"]["flags"]
+    assert {"no-throughput", "packet-age"} <= set(bundle["health"]["flags"])
     assert bundle["packets"]["total"] > 0
     stages = {entry["stage"] for entry in bundle["packets"]["table"]}
     assert stages <= {
@@ -150,16 +151,7 @@ def test_deadlock_bundle_renders_text_and_html(tmp_path):
 
 
 def test_engine_without_forensics_still_raises(tmp_path):
-    grid = ChipletGrid(2, 1, 2, 2)
-    config = SimConfig(sim_cycles=4_000, warmup_cycles=0)
-    spec = build_system("serial_torus", grid, config)
-    stats = Stats()
-    network = build_network(spec, stats, routing=ring_routing)
-    pattern = make_pattern("uniform", grid.n_nodes)
-    workload = SyntheticWorkload(
-        pattern, grid.n_nodes, 1.0, config.packet_length, seed=3
-    )
-    engine = Engine(network, workload, stats, deadlock_threshold=300)
+    _network, engine = ring_engine()
     with pytest.raises(DeadlockError) as excinfo:
         engine.run(4_000)
     assert excinfo.value.bundle_path is None
@@ -178,8 +170,6 @@ def _run_reference(telemetry=None):
 
 
 def test_recorder_and_monitor_are_passive(tmp_path):
-    from repro.telemetry import TelemetryConfig
-
     plain = _run_reference()
     observed = _run_reference(
         TelemetryConfig(
@@ -189,14 +179,14 @@ def test_recorder_and_monitor_are_passive(tmp_path):
             flight_recorder=True,
             recorder_events="full",
             health=True,
-            health_every=200,
+            epoch_length=200,
         )
     )
     assert observed.stats.summary() == plain.stats.summary()
     assert observed.stats.latencies == plain.stats.latencies
     session = observed.telemetry.forensics
     assert len(session.recorder) > 0
-    assert session.monitor.probes
+    assert session.monitor.ages
     assert session.bundle_path is None  # clean run: nothing captured
 
 
@@ -294,22 +284,27 @@ def test_recorder_rejects_bad_configuration():
 # -- health monitor units -----------------------------------------------------
 
 
+def _epoch(start, end, *, warmup=False, delivered=0):
+    """A closed epoch that ends with four flits buffered."""
+    return EpochSample(
+        index=0, start=start, end=end, warmup=warmup, flits_injected=4,
+        packets_delivered=delivered, router_flits=0, buffered=4, in_flight=0,
+    )
+
+
 def test_health_monitor_probes_and_flags_rising_edges():
     import io
 
     grid, config, network, stats = _tiny_network()
     stream = io.StringIO()
-    monitor = HealthMonitor(
-        network,
-        every=100,
-        thresholds=HealthThresholds(max_packet_age=1, max_stall_rate=0.0),
-        stream=stream,
-    )
+    thresholds = HealthThresholds(max_packet_age=1, max_stall_rate=0.0)
+    monitor = HealthMonitor(network, thresholds=thresholds, stream=stream)
+    EpochMetrics(network, epoch_length=100, readers=[monitor.on_epoch])
     _drive(network, stats, grid, config, cycles=400, rate=0.3)
-    assert len(monitor.probes) == 4
+    assert len(monitor.ages) == 4  # one check per closed epoch
     kinds = {a.kind for a in monitor.anomalies}
     assert "packet-age" in kinds
-    assert "[health]" in stream.getvalue()
+    assert "[health] cycle 99: " in stream.getvalue()
     summary = monitor.summary()
     assert summary["probes"] == 4
     assert summary["anomaly_count"] == len(monitor.anomalies)
@@ -321,23 +316,32 @@ def test_health_monitor_flags_rising_edges_only():
     from repro.noc.flit import Packet
 
     _grid, _config, network, _stats = _tiny_network()
-    monitor = HealthMonitor(
-        network, every=100, thresholds=HealthThresholds(max_packet_age=1)
-    )
-    # inject() fires packet_inject on the bus, so the monitor sees it.
+    monitor = HealthMonitor(network, thresholds=HealthThresholds(max_packet_age=1))
     network.inject(Packet(0, 3, length=4, create_cycle=0))
-    monitor.probe(1_000)
-    monitor.probe(1_100)  # still over threshold: no second flag
+    for end in (1_001, 1_101):  # still over threshold: no second flag
+        monitor.on_epoch(_epoch(end - 100, end, delivered=1))
     assert sum(a.kind == "packet-age" for a in monitor.anomalies) == 1
+    assert monitor.raised == []
+
+
+def test_health_monitor_skips_no_throughput_during_warmup():
+    _grid, _config, network, _stats = _tiny_network()
+    monitor = HealthMonitor(network)
+    # Flits in the network, nothing delivered: only a measured epoch flags it.
+    monitor.on_epoch(_epoch(0, 200, warmup=True))
+    assert monitor.anomalies == []
+    monitor.on_epoch(_epoch(200, 400))
+    assert [a.kind for a in monitor.anomalies] == ["no-throughput"]
 
 
 def test_health_monitor_quiet_on_healthy_run():
     grid, config, network, stats = _tiny_network()
-    monitor = HealthMonitor(network, every=100)
+    monitor = HealthMonitor(network)
+    metrics = EpochMetrics(network, epoch_length=100, readers=[monitor.on_epoch])
     _drive(network, stats, grid, config, cycles=400, rate=0.05)
-    assert monitor.probes
+    assert monitor.ages
     assert monitor.anomalies == []
-    monitor.detach()
+    metrics.detach()
     assert network.telemetry.cycle_end is None
 
 

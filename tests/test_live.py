@@ -9,7 +9,9 @@ from repro.telemetry import (
     LIVE_SCHEMA_VERSION,
     LiveFeed,
     LiveFeedError,
+    EtaEstimator,
     TelemetryConfig,
+    TelemetrySession,
     feed_status,
     live_feed_path,
     read_feed,
@@ -22,10 +24,14 @@ from repro.telemetry.metrics import EpochMetrics
 from .helpers import build_chain, run_cycles
 
 
-def make_feed(tmp_path, network, **kwargs):
+def make_feed(tmp_path, network, *, every=None, total_cycles=None, **kwargs):
+    """A feed on ``network``, reading an ``every``-cycle sampler when given."""
     kwargs.setdefault("run_id", "feedtest00001")
     kwargs.setdefault("directory", tmp_path / "live")
-    return LiveFeed(network, **kwargs)
+    feed = LiveFeed(network, eta=EtaEstimator(total_cycles), **kwargs)
+    if every is not None:
+        EpochMetrics(network, epoch_length=every, readers=[feed.on_epoch])
+    return feed
 
 
 # -- schema validation --------------------------------------------------------
@@ -87,7 +93,7 @@ def test_feed_roundtrip_write_validate_load(tmp_path):
     kinds = [e["kind"] for e in events]
     assert kinds[0] == "start"
     assert kinds[-1] == "finish"
-    assert kinds.count("heartbeat") == 4  # cycles 10, 20, 30, 40
+    assert kinds.count("epoch") == 4  # cycles 10, 20, 30, 40
     assert events[0]["meta"]["total_cycles"] == 40  # injected by start()
     assert events[-1]["stats"]["packets_delivered"] == stats.packets_delivered
     assert feed.events_written == len(events)
@@ -109,94 +115,96 @@ def test_read_feed_missing_file_is_empty(tmp_path):
     assert read_feed(tmp_path / "never-written.jsonl") == []
 
 
-def test_heartbeats_carry_progress_and_non_finite_floats_become_null(tmp_path):
+def test_epoch_events_carry_progress_and_non_finite_floats_become_null(tmp_path):
     network, _stats = build_chain(2)
     feed = make_feed(tmp_path, network, every=10, total_cycles=20)
     feed.start({"system": "chain"})
     run_cycles(network, 20)  # idle: delivered_fraction is 0/0 -> nan
     path = feed.finish(20)
-    beats = [e for e in read_feed(path) if e["kind"] == "heartbeat"]
-    assert [b["cycle"] for b in beats] == [10, 20]
-    assert beats[-1]["fraction"] == 1.0
-    assert beats[-1]["delivered_fraction"] is None  # nan sanitised to null
-    assert all(b["cps"] is None or b["cps"] > 0 for b in beats)
+    epochs = [e for e in read_feed(path) if e["kind"] == "epoch"]
+    assert [e["cycle"] for e in epochs] == [10, 20]
+    assert epochs[-1]["eta_seconds"] in (0.0, None)  # at the horizon
+    assert epochs[-1]["delivered_fraction"] is None  # nan sanitised to null
+    assert all(e["cps"] is None or e["cps"] > 0 for e in epochs)
 
 
-# -- epoch / health draining ---------------------------------------------------
-def test_heartbeat_drains_epochs_and_health_without_duplicates(tmp_path):
+# -- one sampler: each epoch and anomaly written once --------------------------
+def stream_aged_packet(tmp_path):
     network, _stats = build_chain(3)
-    metrics = EpochMetrics(network, epoch_length=10)
-    monitor = HealthMonitor(network, every=10)
-    feed = make_feed(
-        tmp_path, network, every=20, total_cycles=60,
-        metrics=metrics, monitor=monitor,
-    )
+    monitor = HealthMonitor(network, thresholds=HealthThresholds(max_packet_age=5))
+    feed = make_feed(tmp_path, network, total_cycles=60, monitor=monitor)
+    metrics = EpochMetrics(network, epoch_length=10, readers=[monitor.on_epoch, feed.on_epoch])
     feed.start({"system": "chain"})
-    network.inject(Packet(0, 2, 4, 0))
-    run_cycles(network, 60)
-    metrics.finish(60)
-    path = feed.finish(60)
-    events = read_feed(path)
+    network.inject(Packet(0, 2, 64, 0))  # long packet: ages past 5 cycles
+    run_cycles(network, 55)
+    metrics.finish(55)  # the trailing partial epoch is written too
+    return read_feed(feed.finish(55)), metrics, monitor
+
+
+def test_heartbeat_drains_epochs_and_health_without_duplicates(tmp_path):
+    """Each closed epoch, and each health anomaly, reaches the feed once."""
+    events, metrics, monitor = stream_aged_packet(tmp_path)
     epochs = [e["epoch"] for e in events if e["kind"] == "epoch"]
-    probes = [e["probe"] for e in events if e["kind"] == "health"]
-    # Every closed epoch and probe forwarded exactly once, in order.
+    assert [e["end"] for e in epochs] == [10, 20, 30, 40, 50, 55]
     assert [e["index"] for e in epochs] == [s.index for s in metrics.samples]
-    assert [p["cycle"] for p in probes] == [p.cycle for p in monitor.probes]
-    # Draining happens at heartbeats: epochs interleave with the beats.
-    kinds = [e["kind"] for e in events]
-    assert kinds.index("epoch") > kinds.index("heartbeat")
+    anomalies = [e for e in events if e["kind"] == "anomaly"]
+    assert [(a["cycle"], a["anomaly_kind"]) for a in anomalies] == [
+        (a.cycle, a.kind) for a in monitor.anomalies
+    ]
 
 
 def test_anomalies_are_streamed(tmp_path):
-    network, _stats = build_chain(2)
-    monitor = HealthMonitor(
-        network, every=10,
-        thresholds=HealthThresholds(max_packet_age=5),
-    )
-    feed = make_feed(tmp_path, network, every=10, monitor=monitor)
-    feed.start({"system": "chain"})
-    network.inject(Packet(0, 1, 64, 0))  # long packet: ages past 5 cycles
-    run_cycles(network, 30)
-    path = feed.finish(30)
-    events = read_feed(path)
+    events, _metrics, _monitor = stream_aged_packet(tmp_path)
     anomalies = [e for e in events if e["kind"] == "anomaly"]
     assert anomalies, "expected the aged packet to raise an anomaly"
     assert anomalies[0]["anomaly_kind"] == "packet-age"
     assert "cycles old" in anomalies[0]["detail"]
-    status = feed_status(events)
-    assert "packet-age" in [a["kind"] for a in status["anomalies"]]
+    # An anomaly follows the event of the epoch that raised it.
+    first = events.index(anomalies[0])
+    assert events[first - 1]["kind"] == "epoch"
+    assert events[first - 1]["cycle"] == anomalies[0]["cycle"] + 1
+    assert "packet-age" in [a["kind"] for a in feed_status(events)["anomalies"]]
 
 
 # -- lifecycle ----------------------------------------------------------------
 def test_feed_validates_interval(tmp_path):
+    """The feed's interval is the sampler's epoch, checked at attach."""
     network, _stats = build_chain(2)
-    with pytest.raises(ValueError, match="every"):
-        make_feed(tmp_path, network, every=0)
+    config = TelemetryConfig(live=True, live_dir=tmp_path, epoch_length=0)
+    with pytest.raises(ValueError, match="epoch_length"):
+        TelemetrySession.attach(network, config)
 
 
 def test_finish_is_idempotent_and_detaches(tmp_path):
     network, _stats = build_chain(2)
-    feed = make_feed(tmp_path, network, every=10)
+    feed = make_feed(tmp_path, network)
     feed.start({"system": "chain"})
     path = feed.finish(10)
     count = len(read_feed(path))
     assert feed.finish(10) == path  # second call: no-op
     assert len(read_feed(path)) == count
-    assert network.telemetry.cycle_end is None  # bus back to the fast path
+    assert network.telemetry.cycle_end is None  # the feed has no clock of its own
     feed.close()  # close after finish: also a no-op
 
 
 def test_failure_event_closes_feed_and_blocks_finish(tmp_path):
     network, _stats = build_chain(2)
-    feed = make_feed(tmp_path, network, every=10, total_cycles=100)
+    config = TelemetryConfig(
+        live=True, live_dir=tmp_path, run_id="feedtest00001", epoch_length=10,
+        epoch_metrics=False,
+    )
+    session = TelemetrySession.attach(network, config, total_cycles=100)
+    feed = session.live
     feed.start({"system": "chain"})
-    run_cycles(network, 10)
+    run_cycles(network, 17)
     path = feed.fail("deadlock", 17, error="Boom: wedged", bundle="B.json")
     events = read_feed(path)
-    assert events[-1]["kind"] == "failure"
+    assert [e["kind"] for e in events] == ["start", "epoch", "failure"]
     assert events[-1]["reason"] == "deadlock"
     assert events[-1]["bundle"] == "B.json"
-    feed.finish(17)  # run already failed: must not append a finish
+    # Finalize closes the partial epoch and calls finish: the failed feed
+    # takes neither.
+    session.finalize(17)
     assert [e["kind"] for e in read_feed(path)] == [e["kind"] for e in events]
     assert network.telemetry.cycle_end is None
 
@@ -245,11 +253,9 @@ def test_run_synthetic_live_session(tmp_path, small_grid):
     config = TelemetryConfig(
         live=True,
         live_dir=tmp_path / "live",
-        live_every=500,
         run_id="sessiontest01",
         epoch_length=500,
         health=True,
-        health_every=500,
     )
     result = run_synthetic(spec, "uniform", 0.05, seed=7, telemetry=config)
     session = result.telemetry
@@ -260,7 +266,7 @@ def test_run_synthetic_live_session(tmp_path, small_grid):
     events = read_feed(path)
     kinds = [e["kind"] for e in events]
     assert kinds[0] == "start" and kinds[-1] == "finish"
-    assert "heartbeat" in kinds and "epoch" in kinds and "health" in kinds
+    assert kinds.count("epoch") == 4 and "heartbeat" not in kinds
     meta = events[0]["meta"]
     assert meta["system"] == spec.name
     assert meta["workload"] == "uniform@0.05"
@@ -276,38 +282,18 @@ def test_run_synthetic_live_session(tmp_path, small_grid):
 
 def test_engine_failure_streams_failure_event(tmp_path):
     """A wedged engine run ends the feed with a bundle-pointing failure."""
-    from repro.sim.build import build_network
-    from repro.sim.config import SimConfig
-    from repro.sim.engine import Engine
-    from repro.sim.stats import DeadlockError, Stats
-    from repro.telemetry.forensics import ForensicsConfig, ForensicsSession
-    from repro.topology.grid import ChipletGrid
-    from repro.topology.system import build_system
-    from repro.traffic import SyntheticWorkload
-    from repro.traffic.patterns import make_pattern
+    from repro.sim.stats import DeadlockError
 
-    from .test_forensics import ring_routing
+    from .test_forensics import ring_engine
 
-    grid = ChipletGrid(2, 1, 2, 2)
-    config = SimConfig(sim_cycles=4_000, warmup_cycles=0)
-    spec = build_system("serial_torus", grid, config)
-    stats = Stats()
-    network = build_network(spec, stats, routing=ring_routing)
-    feed = make_feed(tmp_path, network, every=100, total_cycles=4_000)
-    feed.start({"system": spec.name, "workload": "wedge"})
-    forensics = ForensicsSession(
-        network, ForensicsConfig(bundle_dir=tmp_path / "bundles")
-    )
-    pattern = make_pattern("uniform", grid.n_nodes)
-    workload = SyntheticWorkload(
-        pattern, grid.n_nodes, 1.0, config.packet_length, seed=3
-    )
-    engine = Engine(network, workload, stats, deadlock_threshold=300)
-    engine.forensics = forensics
-    engine.livefeed = feed
+    _network, engine = ring_engine(TelemetryConfig(
+        forensics=True, bundle_dir=tmp_path / "bundles", live=True,
+        live_dir=tmp_path / "live", epoch_length=100,
+    ))
+    engine.livefeed.start({"system": "ring", "workload": "wedge"})
     with pytest.raises(DeadlockError):
         engine.run(4_000)
-    events = read_feed(feed.path)
+    events = read_feed(engine.livefeed.path)
     failure = events[-1]
     assert failure["kind"] == "failure"
     assert failure["reason"] == "deadlock"
@@ -320,6 +306,4 @@ def test_engine_failure_streams_failure_event(tmp_path):
 
 def test_event_kinds_registry_matches_writer():
     """The schema table names exactly the kinds the writer emits."""
-    assert set(EVENT_KINDS) == {
-        "start", "heartbeat", "epoch", "health", "anomaly", "finish", "failure",
-    }
+    assert set(EVENT_KINDS) == {"start", "epoch", "anomaly", "finish", "failure"}

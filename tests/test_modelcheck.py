@@ -24,26 +24,16 @@ from repro.sim.stats import DeadlockError, Stats
 from repro.topology.grid import ChipletGrid
 
 from .conftest import make_network
+from .helpers import ring_routing
 
 #: One 4-node torus row — the smallest grid with a wraparound ring.
 RING_GRID = ChipletGrid(2, 1, 2, 1)
 
 
-def _ring_routing(router, packet):
-    """Eastward-only escape ring: a cyclic escape CDG by construction."""
-    if packet.dst == router.node:
-        return [(0, 0, True)]
-    by_tag = router.out_port_by_tag
-    port = by_tag.get(("mesh", "E"), by_tag.get(("wrap", "E")))
-    if port is None:
-        port = by_tag.get(("mesh", "N"), by_tag.get(("mesh", "S")))
-    return [(port, 0, True)]
-
-
 def _ring_network(stats=None):
     config = SimConfig()
     spec, network, built_stats = make_network(
-        "serial_torus", RING_GRID, config, routing=_ring_routing
+        "serial_torus", RING_GRID, config, routing=ring_routing
     )
     return spec, network, stats or built_stats
 

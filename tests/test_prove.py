@@ -23,7 +23,8 @@ from repro.analysis import (
 )
 from repro.analysis.prove import _CYCLE_CODES
 
-from .test_modelcheck import RING_GRID, _ring_routing
+from .helpers import ring_routing
+from .test_modelcheck import RING_GRID
 
 MODES = ("vct", "wormhole")
 
@@ -81,7 +82,7 @@ def test_broken_escape_is_refused_certification():
         nodes=(RING_GRID.nodes_x, RING_GRID.nodes_y),
         mode="vct",
         fault_masks=False,
-        routing=_ring_routing,
+        routing=ring_routing,
     )
     assert not result.certified
     report = result.report

@@ -12,9 +12,11 @@ from repro.telemetry import (
     NULL_BUS,
     ChromeTraceBuilder,
     EpochMetrics,
+    EtaEstimator,
     ProgressReporter,
     TelemetryBus,
     TelemetryConfig,
+    TelemetrySession,
 )
 from repro.viz import timeseries_heatmap
 
@@ -132,8 +134,7 @@ def test_subscribers_dispatch_in_subscription_order():
     from repro.telemetry import LatencyLedger
 
     network, stats = build_chain(3)
-    stream = io.StringIO()
-    reporter = ProgressReporter(network, every_cycles=10, stream=stream)
+    reporter, metrics = reporting(network, io.StringIO())
     ledger = LatencyLedger(network)
     observed = []
     network.telemetry.subscribe(
@@ -143,7 +144,7 @@ def test_subscribers_dispatch_in_subscription_order():
     network.inject(Packet(0, 2, 4, 0))
     network.inject(Packet(0, 2, 4, 0))
     run_cycles(network, 50)
-    reporter.close()
+    metrics.finish(50)
     # Subscription order == dispatch order: the ledger had already
     # attributed packet N when the probe observed ejection N.
     assert observed == [1, 2]
@@ -291,15 +292,26 @@ def test_trace_sample_predicate():
 
 
 # -- progress reporter -------------------------------------------------------
+def reporting(network, stream, total_cycles=None):
+    """A progress reporter reading a 10-cycle epoch sampler on ``network``."""
+    reporter = ProgressReporter(network.stats, stream=stream, eta=EtaEstimator(total_cycles))
+    return reporter, EpochMetrics(network, epoch_length=10, readers=[reporter.on_epoch])
+
+
+def report(network, stream, cycles, total_cycles=None):
+    """Run ``cycles`` cycles under a reporter; finish the sampler, close it."""
+    reporter, metrics = reporting(network, stream, total_cycles)
+    run_cycles(network, cycles)
+    metrics.finish(cycles)
+    reporter.close()
+    return reporter
+
+
 def test_progress_reporter_writes_status_line():
     network, _stats = build_chain(2)
     stream = io.StringIO()
-    reporter = ProgressReporter(
-        network, every_cycles=10, stream=stream, total_cycles=30
-    )
     network.inject(Packet(0, 1, 2, 0))
-    run_cycles(network, 30)
-    reporter.close()
+    reporter = report(network, stream, 30, total_cycles=30)
     text = stream.getvalue()
     assert reporter.updates == 3
     assert "cycle" in text and "cyc/s" in text and "in-flight" in text
@@ -309,9 +321,10 @@ def test_progress_reporter_writes_status_line():
 
 
 def test_progress_reporter_validates_interval():
+    """The reporter's interval is the sampler's epoch, checked at attach."""
     network, _stats = build_chain(2)
-    with pytest.raises(ValueError, match="every_cycles"):
-        ProgressReporter(network, every_cycles=0)
+    with pytest.raises(ValueError, match="epoch_length"):
+        TelemetrySession.attach(network, TelemetryConfig(progress=True, epoch_length=0))
 
 
 def test_progress_reporter_tty_rewrites_one_line():
@@ -321,11 +334,9 @@ def test_progress_reporter_tty_rewrites_one_line():
 
     network, _stats = build_chain(2)
     stream = TtyStream()
-    reporter = ProgressReporter(network, every_cycles=10, stream=stream)
-    run_cycles(network, 30)
-    reporter.close()
+    reporter = report(network, stream, 30)
     text = stream.getvalue()
-    assert reporter.updates == 3
+    assert reporter.updates == 3  # one per epoch
     assert text.count("\r") == 3  # in-place rewrites
     assert text.endswith("\n") and text.count("\n") == 1  # one final newline
 
@@ -333,11 +344,9 @@ def test_progress_reporter_tty_rewrites_one_line():
 def test_progress_reporter_non_tty_emits_newline_per_update():
     network, _stats = build_chain(2)
     stream = io.StringIO()  # StringIO.isatty() is False: the pipe/CI case
-    reporter = ProgressReporter(network, every_cycles=10, stream=stream)
-    run_cycles(network, 30)
-    reporter.close()
+    reporter = report(network, stream, 30)
     text = stream.getvalue()
-    assert reporter.updates == 3
+    assert reporter.updates == 3  # one per epoch
     assert "\r" not in text
     assert text.count("\n") == 3  # one terminated line per update, no extra
 
@@ -355,9 +364,7 @@ def test_progress_reporter_survives_streams_without_isatty():
 
     network, _stats = build_chain(2)
     stream = BareStream()
-    reporter = ProgressReporter(network, every_cycles=10, stream=stream)
-    run_cycles(network, 10)
-    reporter.close()
+    reporter = report(network, stream, 10)
     assert reporter.updates == 1
     assert "".join(stream.chunks).endswith("\n")  # fell back to non-TTY mode
 
@@ -424,6 +431,42 @@ def test_run_trace_telemetry_session(tmp_path, small_grid):
     assert (tmp_path / "epochs.csv").is_file()
     # The trace drained early; the final partial epoch ends at the stop cycle.
     assert session.metrics.epochs(include_warmup=True)[-1].end == result.cycles
+
+
+def test_one_sampler_serves_health_live_and_progress(tmp_path, small_grid):
+    """Every sampler consumer on: one clock, no per-packet taps, no perturbation."""
+    from repro.sim.build import build_network
+    from repro.sim.config import SimConfig
+    from repro.sim.experiment import run_synthetic
+    from repro.sim.stats import Stats
+    from repro.telemetry.pins import stats_fingerprint
+    from repro.topology.system import build_system
+
+    spec = build_system("hetero_phy_torus", small_grid, SimConfig(
+        sim_cycles=1_500, warmup_cycles=150
+    ))
+    consumers = dict(
+        metrics_dir=tmp_path / "metrics", progress=True, progress_stream=io.StringIO(),
+        live=True, live_dir=tmp_path / "live", health=True, epoch_length=300,
+    )
+    network = build_network(spec, Stats())
+    session = TelemetrySession.attach(network, TelemetryConfig(**consumers))
+    bus = network.telemetry
+    assert [bus.subscriber_count(name) for name in (
+        "cycle_end", "credit_stall", "packet_inject", "packet_eject"
+    )] == [1, 1, 0, 0]
+    session.finalize(0)
+    network.close()
+
+    observed = run_synthetic(
+        spec, "uniform", 0.1, seed=5, telemetry=TelemetryConfig(digest=True, **consumers)
+    )
+    plain = run_synthetic(
+        spec, "uniform", 0.1, seed=5, telemetry=TelemetryConfig(digest=True, epoch_metrics=False)
+    )
+    assert stats_fingerprint(observed.stats) == stats_fingerprint(plain.stats)
+    assert observed.digest == plain.digest  # final chain and every checkpoint
+    assert len(observed.telemetry.metrics.samples) == 5
 
 
 def test_run_synthetic_without_telemetry_has_none():
@@ -504,8 +547,6 @@ def test_epoch_metrics_detach_is_idempotent():
 
 # -- ETA estimation -----------------------------------------------------------
 def test_eta_estimator_smooths_and_converges():
-    from repro.telemetry import EtaEstimator
-
     eta = EtaEstimator(1_000, alpha=0.5)
     assert eta.eta_seconds() is None  # no speed estimate yet
     eta._last_wall -= 1.0  # pretend 1 s elapsed: 100 cyc/s
@@ -518,8 +559,6 @@ def test_eta_estimator_smooths_and_converges():
 
 
 def test_eta_estimator_without_horizon_has_no_eta():
-    from repro.telemetry import EtaEstimator
-
     eta = EtaEstimator(None)
     eta._last_wall -= 1.0
     eta.update(500)
@@ -527,8 +566,6 @@ def test_eta_estimator_without_horizon_has_no_eta():
 
 
 def test_eta_estimator_ignores_non_advancing_updates():
-    from repro.telemetry import EtaEstimator
-
     eta = EtaEstimator(100)
     eta._last_wall -= 1.0
     first = eta.update(50)
@@ -537,8 +574,6 @@ def test_eta_estimator_ignores_non_advancing_updates():
 
 
 def test_eta_estimator_validates_alpha():
-    from repro.telemetry import EtaEstimator
-
     with pytest.raises(ValueError, match="alpha"):
         EtaEstimator(100, alpha=0.0)
 
@@ -557,15 +592,9 @@ def test_format_eta_renderings():
 def test_progress_line_shows_eta_only_with_horizon():
     network, _stats = build_chain(2)
     with_horizon = io.StringIO()
-    reporter = ProgressReporter(
-        network, every_cycles=10, stream=with_horizon, total_cycles=20
-    )
-    run_cycles(network, 20)
-    reporter.close()
+    report(network, with_horizon, 20, total_cycles=20)
     assert "eta" in with_horizon.getvalue()
 
     without = io.StringIO()
-    reporter = ProgressReporter(network, every_cycles=10, stream=without)
-    run_cycles(network, 20, start=20)
-    reporter.close()
+    report(build_chain(2)[0], without, 20)
     assert "eta" not in without.getvalue()

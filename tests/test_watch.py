@@ -26,7 +26,7 @@ def watch(runs_dir, **kwargs):
 
 def seed_runs_dir(tmp_path, *, finish=True, fail=False):
     """A runs directory with one registry record and one live feed."""
-    from repro.telemetry.live import LiveFeed
+    from repro.telemetry import EpochMetrics, EtaEstimator, LiveFeed
 
     runs_dir = tmp_path / "runs"
     store = RunStore(runs_dir)
@@ -37,9 +37,9 @@ def seed_runs_dir(tmp_path, *, finish=True, fail=False):
         network,
         run_id="watchrun00001",
         directory=runs_dir / "live",
-        every=10,
-        total_cycles=40,
+        eta=EtaEstimator(40),
     )
+    EpochMetrics(network, epoch_length=10, readers=[feed.on_epoch])
     feed.start({"system": "chain", "workload": "unit", "policy": "balanced"})
     run_cycles(network, 20)
     if fail:
@@ -171,6 +171,7 @@ def test_run_page_renders_epochs_and_failure_banner(tmp_path):
     runs_dir = seed_runs_dir(tmp_path, fail=True)
     service = watch(runs_dir)
     page = service.run_page("watchrun00001")
+    assert page.count("<polyline") == 2  # both sparklines, from the epoch events
     assert "failed at cycle" in page
     assert "deadlock" in page
     assert "B.json" in page
