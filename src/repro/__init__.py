@@ -18,6 +18,8 @@ Quickstart::
     print(result.avg_latency, result.avg_energy_pj)
 """
 
+from importlib import import_module
+
 from .core.interfaces import AIB, BOW, SERDES, TABLE1, UCIE_ADVANCED, UCIE_STANDARD, InterfaceSpec
 from .core.phy import HeteroPhyLink, hetero_phy_link_factory
 from .core.rob import ReorderBuffer, rob_capacity
@@ -52,34 +54,48 @@ from .telemetry.bus import TelemetryBus
 from .topology.grid import ChipletGrid
 from .topology.multipackage import build_hetero_channel_packages
 from .topology.system import FAMILIES, SystemSpec, build_system
-from .traffic.hpc import embed_ranks, generate_cns_trace, generate_moc_trace
 from .traffic.injection import SyntheticWorkload
 from .traffic.reqreply import RequestReplyWorkload
-from .traffic.parsec import PARSEC_PROFILES, generate_parsec_trace
 from .traffic.patterns import PATTERNS, make_pattern
-from .traffic.trace import Trace, TraceRecord, TraceWorkload
 
 __version__ = "1.0.0"
 
-#: Observatory names resolved on first access (PEP 562), so ``import repro``
-#: and a plain run do not load the collectors behind them.
-_LAZY_TELEMETRY = frozenset(
-    {
-        "ChromeTraceBuilder",
-        "EpochMetrics",
-        "ProgressReporter",
-        "TelemetryConfig",
-        "TelemetrySession",
-    }
-)
+#: Names resolved on first access (PEP 562), by the subpackage that holds
+#: them: ``import repro`` and a synthetic run load neither the observatory's
+#: collectors nor numpy, which only the trace tables need.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "ChromeTraceBuilder",
+            "EpochMetrics",
+            "ProgressReporter",
+            "TelemetryConfig",
+            "TelemetrySession",
+        ),
+        "telemetry",
+    ),
+    **dict.fromkeys(
+        (
+            "PARSEC_PROFILES",
+            "Trace",
+            "TraceRecord",
+            "TraceWorkload",
+            "embed_ranks",
+            "generate_cns_trace",
+            "generate_moc_trace",
+            "generate_parsec_trace",
+        ),
+        "traffic",
+    ),
+}
 
 
 def __getattr__(name: str):
-    if name not in _LAZY_TELEMETRY:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    from . import telemetry
-
-    value = globals()[name] = getattr(telemetry, name)
+    try:
+        package = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f"{__name__}.{package}"), name)
     return value
 
 

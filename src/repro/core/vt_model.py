@@ -14,14 +14,18 @@ fold that transmits more data with lower latency than either component.
 Pin-constrained comparison (Fig 8b): since I/O pin count determines
 silicon area and cost, curves can be compared at a fixed total pin budget
 by scaling each interface's bandwidth with the share of pins it gets.
+
+numpy is imported where a curve is evaluated, not with the module:
+``import repro`` stays free of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,8 @@ class VTCurve:
 
     def volume(self, t: float | np.ndarray) -> float | np.ndarray:
         """V(t): data volume delivered by time t."""
+        import numpy as np
+
         return np.maximum(self.bandwidth * (np.asarray(t, dtype=float) - self.delay), 0.0)
 
     def time_to_deliver(self, volume: float) -> float:
@@ -127,5 +133,7 @@ def sample_curves(
     """Evaluate curves on a common time grid (the Fig 8 plot data)."""
     if t_max <= 0 or points < 2:
         raise ValueError("t_max must be > 0 and points >= 2")
+    import numpy as np
+
     t = np.linspace(0.0, t_max, points)
     return {curve.name: (t, np.asarray(curve.volume(t))) for curve in curves}

@@ -3,38 +3,40 @@
 Each module exposes ``run(scale) -> ExperimentResult`` regenerating the
 numeric series behind one table or figure of the paper's evaluation.
 ``EXPERIMENTS`` maps experiment ids to their runners (used by the CLI and
-the benchmark harness).
+the benchmark harness).  A runner imports its module on first call, so
+``repro run fig11`` never loads the trace figures (or numpy, which their
+trace tables and Fig 8's V-t curves need).
 """
 
-from . import (
-    fig8,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    fig16,
-    fig17,
-    fig18,
-    table1,
-    table3,
-    table4,
-)
+from importlib import import_module
+from typing import Callable
+
 from .common import ExperimentResult, current_scale
 
+
+def _runner(module: str) -> Callable[[str], ExperimentResult]:
+    def run(scale: str) -> ExperimentResult:
+        return import_module(f"{__name__}.{module}").run(scale)
+
+    return run
+
+
 EXPERIMENTS = {
-    "table1": table1.run,
-    "fig8": fig8.run,
-    "fig11": fig11.run,
-    "fig12": fig12.run,
-    "fig13": fig13.run,
-    "fig14": fig14.run,
-    "fig15": fig15.run,
-    "table3": table3.run,
-    "table4": table4.run,
-    "fig16": fig16.run,
-    "fig17": fig17.run,
-    "fig18": fig18.run,
+    module: _runner(module)
+    for module in (
+        "table1",
+        "fig8",
+        "fig11",
+        "fig12",
+        "fig13",
+        "fig14",
+        "fig15",
+        "table3",
+        "table4",
+        "fig16",
+        "fig17",
+        "fig18",
+    )
 }
 
 __all__ = ["EXPERIMENTS", "ExperimentResult", "current_scale"]

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.noc.network import Network
 from repro.noc.router import Router
 from repro.topology.system import SystemSpec
+from repro.traffic.rng import Stream
 
 
 class UnroutableError(RuntimeError):
@@ -111,7 +110,7 @@ def fail_random_links(
         raise ValueError(
             f"cannot fail {count} links; only {len(candidates)} candidates"
         )
-    rng = np.random.default_rng(seed)
-    chosen = sorted(int(i) for i in rng.choice(candidates, size=count, replace=False))
+    picks = Stream(seed).choice(len(candidates), count)
+    chosen = sorted(candidates[i] for i in picks)
     apply_faults(network, chosen)
     return chosen

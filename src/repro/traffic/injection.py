@@ -4,7 +4,8 @@
 injection rate in flits/cycle/node (the paper's x-axis unit).  Packet
 creation per cycle is sampled as a binomial over the injecting nodes —
 statistically the same Bernoulli process per node as in conventional NoC
-simulators, but vectorized so large systems stay fast.
+simulators, but one draw per cycle instead of one per node, so large
+systems stay fast.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from repro.noc.flit import Packet
 from .patterns import TrafficPattern
+from .rng import Stream
 
 
 class SyntheticWorkload:
@@ -59,7 +59,7 @@ class SyntheticWorkload:
         self.packet_length = packet_length
         self.until = until
         self.ordered = ordered
-        self.rng = np.random.default_rng(seed)
+        self.rng = Stream(seed)
         sources = pattern.sources()
         self._sources: Optional[Sequence[int]] = (
             list(sources) if sources is not None else None
@@ -73,13 +73,15 @@ class SyntheticWorkload:
         if self._p == 0 or (self.until is not None and now >= self.until):
             return []
         rng = self.rng
-        count = int(rng.binomial(self._n_injectors, self._p))
+        count = rng.binomial(self._n_injectors, self._p)
         if count == 0:
             return []
         packets: list[Packet] = []
-        picks = rng.integers(0, self._n_injectors, size=count)
+        # Every pick is drawn before the first destination: the stream order
+        # the pinned runs were recorded with.
+        picks = [rng.integers(self._n_injectors) for _ in range(count)]
         for pick in picks:
-            src = self._sources[pick] if self._sources is not None else int(pick)
+            src = self._sources[pick] if self._sources is not None else pick
             dst = self.pattern.dest(src, rng)
             packets.append(
                 Packet(

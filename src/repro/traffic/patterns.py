@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from typing import Optional, Protocol, Sequence
 
-import numpy as np
+from .rng import Stream
 
 
 class TrafficPattern(Protocol):
     """Maps sources to destinations; may restrict which nodes inject."""
 
-    def dest(self, src: int, rng: np.random.Generator) -> int:
+    def dest(self, src: int, rng: Stream) -> int:
         """Destination node for a packet injected at ``src``."""
         ...
 
@@ -47,8 +47,8 @@ class _PatternBase:
 class UniformRandom(_PatternBase):
     """Independent uniformly random destination per packet."""
 
-    def dest(self, src: int, rng: np.random.Generator) -> int:
-        dst = int(rng.integers(self.n_nodes - 1))
+    def dest(self, src: int, rng: Stream) -> int:
+        dst = rng.integers(self.n_nodes - 1)
         return dst if dst < src else dst + 1  # uniform over nodes != src
 
 
@@ -66,10 +66,9 @@ class UniformHotspot(_PatternBase):
         super().__init__(n_nodes)
         if not 0 < fraction <= 1:
             raise ValueError("fraction must be in (0, 1]")
-        rng = np.random.default_rng(seed)
+        rng = Stream(seed)
         count = max(2, int(round(n_nodes * fraction)))
-        chosen = rng.choice(n_nodes, size=count, replace=False)
-        self._sources = [int(x) for x in chosen]
+        self._sources = rng.choice(n_nodes, count)
         partners = list(self._sources)
         # Derange the chosen set so nobody talks to itself.
         rng.shuffle(partners)
@@ -82,7 +81,7 @@ class UniformHotspot(_PatternBase):
     def sources(self) -> Sequence[int]:
         return self._sources
 
-    def dest(self, src: int, rng: np.random.Generator) -> int:
+    def dest(self, src: int, rng: Stream) -> int:
         try:
             return self._partner[src]
         except KeyError:
@@ -99,7 +98,7 @@ class _BitPermutation(_PatternBase):
     def _permute(self, src: int) -> int:
         raise NotImplementedError
 
-    def dest(self, src: int, rng: np.random.Generator) -> int:
+    def dest(self, src: int, rng: Stream) -> int:
         dst = self._permute(src) % self.n_nodes
         if dst == src:
             dst = (dst + 1) % self.n_nodes
@@ -188,15 +187,15 @@ class LocalUniform(_PatternBase):
     def sources(self) -> Sequence[int]:
         return self._sources
 
-    def dest(self, src: int, rng: np.random.Generator) -> int:
+    def dest(self, src: int, rng: Stream) -> int:
         gx, gy = self.grid.coords(src)
         key = ((gx + self._offset) // self.span, (gy + self._offset) // self.span)
         tile = self._tiles[key]
         if len(tile) < 2:
             raise ValueError(f"node {src} has no local communication partner")
-        dst = tile[int(rng.integers(len(tile)))]
+        dst = tile[rng.integers(len(tile))]
         while dst == src:
-            dst = tile[int(rng.integers(len(tile)))]
+            dst = tile[rng.integers(len(tile))]
         return dst
 
 

@@ -21,12 +21,13 @@ delivered fraction — is the fidelity metric.
 from __future__ import annotations
 
 import heapq
+import weakref
+from functools import partial
 from typing import Iterable, Optional
-
-import numpy as np
 
 from repro.noc.flit import Packet
 from repro.sim.stats import Stats
+from .rng import Stream
 
 #: Netrace packet sizes (Sec 7.2).
 REQUEST_FLITS = 1
@@ -73,7 +74,7 @@ class RequestReplyWorkload:
         self.mshrs = mshrs
         self.service_delay = service_delay
         self.until = until
-        self.rng = np.random.default_rng(seed)
+        self.rng = Stream(seed)
         self._outstanding = [0] * n_nodes
         # replies scheduled for future injection:
         # (inject_cycle, home, requester, issue_cycle)
@@ -88,11 +89,20 @@ class RequestReplyWorkload:
         self._install_tap(stats)
 
     def _install_tap(self, stats: Stats) -> None:
-        original = stats.note_packet_delivered
+        """Chain :meth:`on_delivery` in front of ``stats.note_packet_delivered``.
+
+        The tap is stored on ``stats``, so it reaches ``Stats``' own method
+        through a weak proxy: the bound method would point back at ``stats``
+        and leave the pair as cyclic garbage.  An earlier tap is chained as is.
+        """
+        earlier = vars(stats).get("note_packet_delivered") or partial(
+            type(stats).note_packet_delivered, weakref.proxy(stats)
+        )
+        on_delivery = self.on_delivery
 
         def tap(packet: Packet, now: int) -> None:
-            self.on_delivery(packet, now)
-            original(packet, now)
+            on_delivery(packet, now)
+            earlier(packet, now)
 
         stats.note_packet_delivered = tap
 
@@ -107,13 +117,14 @@ class RequestReplyWorkload:
             self._reply_owner[reply.pid] = (requester, issue_cycle)
             packets.append(reply)
         if self.until is None or now < self.until:
-            draws = self.rng.random(self.n_nodes)
+            rng = self.rng
+            draws = [rng.random() for _ in range(self.n_nodes)]
             for node in range(self.n_nodes):
                 if self._outstanding[node] >= self.mshrs:
                     continue
                 if draws[node] >= self.issue_rate:
                     continue
-                home = int(self.rng.integers(self.n_nodes - 1))
+                home = rng.integers(self.n_nodes - 1)
                 if home >= node:
                     home += 1
                 request = Packet(

@@ -1,6 +1,5 @@
 """Tests for the synthetic injection process."""
 
-import numpy as np
 import pytest
 
 from repro.traffic.injection import SyntheticWorkload

@@ -1,6 +1,5 @@
 """Tests for synthetic traffic patterns."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,8 +17,9 @@ from repro.traffic.patterns import (
     UniformRandom,
     make_pattern,
 )
+from repro.traffic.rng import Stream
 
-RNG = np.random.default_rng(0)
+RNG = Stream(0)
 
 
 def test_registry_covers_figure_patterns():
@@ -41,14 +41,14 @@ def test_patterns_need_two_nodes():
 def test_uniform_never_self(n, data):
     pattern = UniformRandom(n)
     src = data.draw(st.integers(0, n - 1))
-    rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
+    rng = Stream(data.draw(st.integers(0, 1000)))
     for _ in range(5):
         assert pattern.dest(src, rng) != src
 
 
 def test_uniform_covers_all_destinations():
     pattern = UniformRandom(8)
-    rng = np.random.default_rng(1)
+    rng = Stream(1)
     seen = {pattern.dest(3, rng) for _ in range(500)}
     assert seen == set(range(8)) - {3}
 
@@ -129,7 +129,7 @@ def test_bit_patterns_handle_non_power_of_two(cls):
 def test_local_pattern_stays_in_tile():
     grid = ChipletGrid(2, 2, 4, 4)
     pattern = LocalUniform(grid.n_nodes, grid=grid, span=4)
-    rng = np.random.default_rng(2)
+    rng = Stream(2)
     for src in range(grid.n_nodes):
         gx, gy = grid.coords(src)
         for _ in range(5):
@@ -169,6 +169,6 @@ def test_local_pattern_excludes_partnerless_border_nodes():
     pattern = LocalUniform(grid.n_nodes, grid=grid, span=2)
     sources = set(pattern.sources())
     assert sources  # most nodes still communicate
-    rng = np.random.default_rng(0)
+    rng = Stream(0)
     for src in sources:
         assert pattern.dest(src, rng) != src

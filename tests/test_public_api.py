@@ -80,3 +80,37 @@ import repro.telemetry
 assert set(repro.telemetry.__all__) <= set(dir(repro.telemetry))
 """
     subprocess.run([sys.executable, "-c", script], check=True)
+
+
+def test_synthetic_runs_do_not_load_numpy():
+    """numpy is for trace tables and Fig 8 only: every synthetic draw comes
+    from ``repro.traffic.rng``, and the trace side is imported on demand."""
+    import subprocess
+    import sys
+
+    script = """
+import sys
+import repro, repro.cli
+from repro import ChipletGrid, SimConfig, Stats, build_network, build_system, run_synthetic
+from repro.routing.fault import adaptive_link_indices, fail_random_links
+from repro.sim.engine import Engine
+from repro.traffic import FIGURE_PATTERNS, RequestReplyWorkload
+
+grid = ChipletGrid(2, 2, 2, 2)
+spec = build_system("hetero_channel", grid, SimConfig().scaled(cycles=300))
+for pattern in FIGURE_PATTERNS:
+    assert run_synthetic(spec, pattern, 0.1).stats.packets_delivered > 0, pattern
+network = build_network(spec, Stats())
+assert fail_random_links(network, adaptive_link_indices(network, spec), 2, seed=1)
+stats = Stats()
+network = build_network(spec, stats)
+workload = RequestReplyWorkload(stats, grid.n_nodes, issue_rate=0.2)
+Engine(network, workload, stats).run(50)
+assert workload.requests_issued > 0
+assert "numpy" not in sys.modules
+
+trace = repro.generate_parsec_trace("canneal", grid, 100, seed=3)
+assert repro.run_trace(spec, trace).stats.delivered_fraction == 1.0
+assert "numpy" in sys.modules
+"""
+    subprocess.run([sys.executable, "-c", script], check=True)

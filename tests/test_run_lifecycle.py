@@ -33,6 +33,7 @@ from repro.topology.system import build_system
 from repro.traffic.injection import SyntheticWorkload
 from repro.traffic.parsec import generate_parsec_trace
 from repro.traffic.patterns import make_pattern
+from repro.traffic.reqreply import RequestReplyWorkload
 
 from .helpers import build_chain, run_cycles
 
@@ -104,6 +105,22 @@ def test_sweep_leaves_no_cyclic_garbage(built, no_collector):
     points = latency_rate_sweep(spec, "uniform", rates, stop_after_saturation=False)
     assert len(points) == len(built) == 6
     assert all(network() is None for network in built)
+    assert gc.collect() == 0
+
+
+def test_closed_loop_run_leaves_no_cyclic_garbage(no_collector):
+    """The request/reply workload taps its ``Stats`` without a reference back."""
+    spec = build_system("hetero_phy_torus", GRID, CONFIG)
+    stats = Stats(measure_from=100)
+    network = build_network(spec, stats)
+    workload = RequestReplyWorkload(stats, GRID.n_nodes, issue_rate=0.05, until=300)
+    Engine(network, workload, stats).run_until_drained(20_000)
+    network.close()
+    assert workload.replies_delivered == workload.requests_issued > 0
+    assert stats.packets_delivered > 0
+    freed = weakref.ref(stats)
+    del network, workload, stats
+    assert freed() is None
     assert gc.collect() == 0
 
 
