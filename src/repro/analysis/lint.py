@@ -6,7 +6,7 @@ them.  Two layers:
 * :func:`lint_spec` works on the pure :class:`SystemSpec` description —
   channel endpoint ranges, duplicate directed channels, missing routing
   tags, virtual cut-through buffer sizing, hetero-PHY reorder-buffer
-  sizing against Eq (1), and family-specific VC requirements.
+  sizing against Eq (1), and the VC count minus-first routing needs.
 * :func:`lint_network` works on the built network — every routing
   candidate must name a real output port and a virtual channel that
   exists on it, ejection must only be offered at the destination, every
@@ -69,7 +69,7 @@ def lint_spec(spec: SystemSpec, report: Report) -> None:
             "config.interface_buffer",
             f"{config.interface_buffer} flits < packet length {config.packet_length}",
         )
-    if spec.family == "serial_hypercube" and config.n_vcs < 2:
+    if spec.has_cube and not spec.has_global_mesh and config.n_vcs < 2:
         report.error(
             "VC-COUNT",
             "config.n_vcs",

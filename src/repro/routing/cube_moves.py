@@ -1,12 +1,13 @@
 """Hypercube move math and interface-host lookup.
 
 Chiplet-level hypercube links are hosted by specific interface nodes of
-each chiplet (see ``topology.system.add_hypercube``).  A packet that needs
-to correct dimension *d* must first travel on-chip to a node hosting a
-dimension-*d* link.  This module provides the needed-dimension split
-(minus/plus, for the minus-first escape of [30]) and a deterministic
-nearest-host chooser whose target is stable along the path — the property
-that makes on-chip detours livelock-free.
+each chiplet (``SystemSpec.cube_hosts``, read off the ``("cube", dim)``
+channels).  A packet that needs to correct dimension *d* must first
+travel on-chip to a node hosting a dimension-*d* link.  This module
+provides the needed-dimension split (minus/plus, for the minus-first
+escape of [30]) and a deterministic nearest-host chooser whose target is
+stable along the path — the property that makes on-chip detours
+livelock-free.
 """
 
 from __future__ import annotations
@@ -54,13 +55,12 @@ class CubeHostIndex:
     """
 
     def __init__(self, spec: "SystemSpec") -> None:
-        if not spec.has_cube:
-            raise ValueError(f"system family {spec.family!r} has no hypercube")
-        self.grid = spec.grid
-        self.n_dims = spec.n_cube_dims
         self._hosts = spec.cube_hosts
+        if not self._hosts:
+            raise ValueError(f"{spec.name} has no cube channels")
+        self.grid = spec.grid
         self._hosted: dict[int, tuple[int, ...]] = {}
-        for by_dim in spec.cube_hosts.values():
+        for by_dim in self._hosts.values():
             for dim, nodes in by_dim.items():
                 for node in nodes:
                     dims = self._hosted.get(node, ())

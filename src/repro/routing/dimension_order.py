@@ -25,10 +25,9 @@ class DimensionOrderRouting:
     """XY routing on the global mesh channels (VC0 only)."""
 
     def __init__(self, spec: SystemSpec) -> None:
-        if spec.family in ("serial_hypercube",):
+        if not spec.has_global_mesh:
             raise ValueError(
-                "dimension-order routing needs a global mesh; "
-                f"{spec.family!r} has none"
+                f"dimension-order routing needs a global mesh; {spec.name} has none"
             )
         self.grid = spec.grid
 

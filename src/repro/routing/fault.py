@@ -7,9 +7,9 @@ module makes that claim testable:
 * :func:`apply_faults` removes failed links from every router's candidate
   sets by wrapping the installed routing function;
 * :func:`adaptive_link_indices` lists the links that are *safe* to fail in
-  a system — those carrying no escape channel (torus wraparounds, the
-  hetero-channel system's hypercube links, the serial halves of hetero-PHY
-  channels are handled by the adapter itself);
+  a system — those carrying no escape channel, read off its links (torus
+  wraparounds, hypercube links beside a global mesh; the serial halves of
+  hetero-PHY channels are handled by the adapter itself);
 * the Lemma 1 analyser (:func:`repro.routing.deadlock.analyse_escape`)
   still applies after fault injection, so a fault pattern that severs the
   escape subnetwork is detected rather than silently deadlocking.
@@ -76,21 +76,15 @@ def apply_faults(network: Network, failed: Sequence[int]) -> None:
 
 
 def adaptive_link_indices(network: Network, spec: SystemSpec) -> list[int]:
-    """Links that carry no escape channel in this system family.
+    """Links that carry no escape channel in this system.
 
-    For torus families these are the wraparound links; for the
-    hetero-channel system the serial hypercube links (Algorithm 1's escape
-    is the parallel mesh).  The uniform serial hypercube has *no* such
-    links: every cube link carries minus-first escape traffic, which is
-    exactly why it degrades badly under faults.
+    Wraparound links never do (torus escape stays on the mesh).  Cube
+    links do not when a global mesh carries the escape (Algorithm 1, the
+    hetero-channel system); without one (the uniform serial hypercube)
+    every cube link carries minus-first escape traffic, which is exactly
+    why that system degrades badly under faults.
     """
-    safe_tags = {
-        "parallel_mesh": (),
-        "serial_torus": ("wrap",),
-        "hetero_phy_torus": ("wrap",),
-        "serial_hypercube": (),
-        "hetero_channel": ("cube",),
-    }[spec.family]
+    safe_tags = ("wrap", "cube") if spec.has_global_mesh else ("wrap",)
     return [
         i
         for i, channel in enumerate(network.specs)

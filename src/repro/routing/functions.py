@@ -1,4 +1,4 @@
-"""Routing functions for every system family.
+"""Routing functions, one per escape structure a system's links allow.
 
 All functions share the structure of Algorithm 1: a connected,
 deadlock-free *escape* routing subfunction R0 on a channel subset C0
@@ -9,16 +9,17 @@ back due to congestion sets ``packet.adaptive_banned``, after which
 adaptive channels are offered only along baseline (escape) paths — the
 livelock rule of Sec 6.2.
 
-Escape structures per family:
+Escape structures, picked by :func:`make_routing` from the links of the
+system (never from its family label):
 
-* mesh / torus / hetero-PHY torus / hetero-channel — minimal negative-first
-  routing on VC0 of the global-mesh channels (on-chip + mesh-direction
-  interface channels); torus wraparound and hypercube channels are purely
-  adaptive (Algorithm 1's C0 = C_N,0 + C_P,0).
-* serial hypercube — *minus-first* routing (reproduced from [30]): all
-  1->0 chiplet-dimension corrections before any 0->1 correction, with
-  phase-split escape VCs (VC0 while minus corrections remain, VC1 after),
-  which orders the channel dependency graph.
+* a global mesh (mesh / torus / hetero-PHY torus / hetero-channel) —
+  minimal negative-first routing on VC0 of the global-mesh channels
+  (on-chip + mesh-direction interface channels); torus wraparound and
+  hypercube channels are purely adaptive (Algorithm 1's C0 = C_N,0 + C_P,0).
+* a hypercube without a global mesh (serial hypercube) — *minus-first*
+  routing (reproduced from [30]): all 1->0 chiplet-dimension corrections
+  before any 0->1 correction, with phase-split escape VCs (VC0 while minus
+  corrections remain, VC1 after), which orders the channel dependency graph.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.weighted_path import HopCostModel
-from repro.noc.channel import ChannelKind
 from repro.noc.flit import Packet
 from repro.noc.router import Candidate, Router
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import SystemSpec
 from .cube_moves import CubeHostIndex, split_dims
 from .mesh_moves import minimal_moves, negative_first_moves
-from .policies import CUBE, MESH, SubnetSelector
+from .policies import CUBE, MESH, HopCountSelector, SubnetSelector
 from .torus_moves import TorusAxisPlanner
 
 _EJECT: list[Candidate] = [(Router.EJECT_PORT, 0, True)]
@@ -110,19 +110,15 @@ class TorusRouting(MeshRouting):
     def __init__(self, spec: SystemSpec, cost_model: Optional[HopCostModel] = None) -> None:
         super().__init__(spec)
         if not spec.has_wraparound:
-            raise ValueError(f"{spec.family!r} is not a torus family")
+            raise ValueError(f"{spec.name} has no wraparound channels")
         cost_model = cost_model or HopCostModel.performance_first(spec.config)
-        neighbor = (
-            ChannelKind.HETERO_PHY
-            if spec.family == "hetero_phy_torus"
-            else ChannelKind.SERIAL
-        )
+        costs = (spec.neighbor_kind, spec.wrap_kind, cost_model)
         grid = spec.grid
         self.planner_x = TorusAxisPlanner(
-            grid.width, grid.nodes_x, neighbor, cost_model, wrapped=grid.chiplets_x > 1
+            grid.width, grid.nodes_x, *costs, wrapped=grid.chiplets_x > 1
         )
         self.planner_y = TorusAxisPlanner(
-            grid.height, grid.nodes_y, neighbor, cost_model, wrapped=grid.chiplets_y > 1
+            grid.height, grid.nodes_y, *costs, wrapped=grid.chiplets_y > 1
         )
 
     def __call__(self, router: Router, packet: Packet) -> list[Candidate]:
@@ -172,8 +168,6 @@ class HypercubeRouting:
     PLUS_VC = 1
 
     def __init__(self, spec: SystemSpec) -> None:
-        if spec.family != "serial_hypercube":
-            raise ValueError("HypercubeRouting requires a serial_hypercube system")
         if spec.config.n_vcs < 2:
             raise ValueError("minus-first routing needs >= 2 virtual channels")
         self.grid = spec.grid
@@ -251,8 +245,8 @@ class HeteroChannelRouting(MeshRouting):
 
     def __init__(self, spec: SystemSpec, selector: SubnetSelector) -> None:
         super().__init__(spec)
-        if spec.family != "hetero_channel":
-            raise ValueError("HeteroChannelRouting requires a hetero_channel system")
+        if not spec.has_global_mesh:
+            raise ValueError(f"{spec.name} has no global mesh to carry Algorithm 1's escape")
         self.hosts = CubeHostIndex(spec)
         self.selector = selector
         self._chiplets = node_chiplets(spec.grid)
@@ -318,18 +312,16 @@ def make_routing(
     cost_model: Optional[HopCostModel] = None,
     selector: Optional[SubnetSelector] = None,
 ):
-    """Build the routing function appropriate for a system family."""
-    family = spec.family
-    if family == "parallel_mesh":
-        return MeshRouting(spec)
-    if family in ("serial_torus", "hetero_phy_torus"):
-        return TorusRouting(spec, cost_model)
-    if family == "serial_hypercube":
-        return HypercubeRouting(spec)
-    if family == "hetero_channel":
-        if selector is None:
-            from .policies import HopCountSelector
+    """Build the routing function the system's links call for.
 
-            selector = HopCountSelector(spec.grid)
-        return HeteroChannelRouting(spec, selector)
-    raise ValueError(f"no routing for family {family!r}")
+    A cube beside a global mesh gets Algorithm 1 (``selector`` defaults to
+    Eq 5), a cube alone minus-first, wraparounds the weighted torus
+    routing, and anything else negative-first on the mesh.
+    """
+    if spec.has_subnet_choice:
+        return HeteroChannelRouting(spec, selector or HopCountSelector(spec.grid))
+    if spec.has_cube:
+        return HypercubeRouting(spec)
+    if spec.has_wraparound:
+        return TorusRouting(spec, cost_model)
+    return MeshRouting(spec)

@@ -1,15 +1,15 @@
 """Weighted direction planning for torus systems.
 
 The torus systems (uniform-serial torus, hetero-PHY torus) are node-level
-2D tori: each row/column has a serial wraparound link between the global
-mesh edges.  For every axis a packet can travel in the increasing or the
+2D tori: each row/column has a wraparound link between the global mesh
+edges.  For every axis a packet can travel in the increasing or the
 decreasing direction; the cheaper one under the weighted path length of
 Sec 5.2 is chosen (ties allow both, i.e. full adaptivity).
 
 A direction's cost sums Eq (3) hop costs along the axis: on-chip hops,
-inter-chiplet boundary hops (serial or hetero-PHY) and the wraparound hop
-(serial).  Decisions depend only on the two coordinates, so they are
-memoized.
+inter-chiplet boundary hops and the wraparound hop, each at the cost of
+the channel kind read off the system's links.  Decisions depend only on
+the two coordinates, so they are memoized.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ class TorusAxisPlanner:
         are inter-chiplet interface hops.
     neighbor_kind:
         Channel kind of inter-chiplet neighbour hops (SERIAL or HETERO_PHY).
+    wrap_kind:
+        Channel kind of the wraparound hop (serial in every built torus).
     cost_model:
         Eq (3) hop cost model supplying per-kind costs.
     wrapped:
@@ -42,6 +44,7 @@ class TorusAxisPlanner:
         width: int,
         chiplet_span: int,
         neighbor_kind: ChannelKind,
+        wrap_kind: ChannelKind,
         cost_model: HopCostModel,
         *,
         wrapped: bool = True,
@@ -53,7 +56,7 @@ class TorusAxisPlanner:
         self.wrapped = wrapped and width > chiplet_span
         self._onchip = cost_model.hop_cost(ChannelKind.ONCHIP)
         self._neighbor = cost_model.hop_cost(neighbor_kind)
-        self._wrap = cost_model.hop_cost(ChannelKind.SERIAL)
+        self._wrap = cost_model.hop_cost(wrap_kind)
         self._dir_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def axis_cost(self, cur: int, dst: int, sign: int) -> float:

@@ -4,8 +4,8 @@ This is the glue between the pure topology description
 (:class:`~repro.topology.system.SystemSpec`), the hetero-IF machinery
 (:mod:`repro.core`) and the NoC substrate (:mod:`repro.noc`): it
 instantiates links (hetero-PHY channels get adapters with the configured
-dispatch policy), installs the family's routing function, and validates
-the virtual cut-through buffer requirement.
+dispatch policy), installs the routing function its links call for, and
+validates the virtual cut-through buffer requirement.
 """
 
 from __future__ import annotations
@@ -55,22 +55,31 @@ def build_network(
 
     ``policy`` overrides ``spec.config.scheduling_policy`` and controls
     the hetero-PHY dispatch policy, the routing cost model and (for
-    hetero-channel systems) the Eq (5) subnetwork selector.  ``routing``
-    overrides the routing function entirely, and
-    ``dispatch_policy_factory`` (a zero-argument callable returning a
-    :class:`~repro.core.scheduling.DispatchPolicy`) overrides the
-    name-based hetero-PHY dispatch policy — both used by ablation studies.
+    systems with a cube beside a global mesh) the Eq (5) subnetwork
+    selector; the exclusive policies ``"mesh"`` / ``"cube"`` are rejected
+    on any other system.  ``routing`` overrides the routing function
+    entirely, and ``dispatch_policy_factory`` (a zero-argument callable
+    returning a :class:`~repro.core.scheduling.DispatchPolicy`) overrides
+    the name-based hetero-PHY dispatch policy — both used by ablation
+    studies.
     """
     config = spec.config
     policy_name = policy or config.scheduling_policy
     _validate_vct(spec)
+    subnet_choice = spec.has_subnet_choice
+    exclusive = policy_name in ("mesh", "cube")
+    if exclusive and not subnet_choice:
+        raise ValueError(
+            f"policy {policy_name!r} picks one subnetwork of a cube beside a "
+            f"global mesh; {spec.name} has no such choice"
+        )
     network = Network(
         spec.grid.n_nodes,
         stats,
         injection_vcs=config.injection_vcs,
         ejection_bandwidth=config.ejection_bandwidth,
     )
-    dispatch_name = policy_name if policy_name != "mesh" and policy_name != "cube" else "balanced"
+    dispatch_name = "balanced" if exclusive else policy_name
     if dispatch_policy_factory is None:
         dispatch_policy_factory = lambda: make_dispatch_policy(dispatch_name, config)  # noqa: E731
     factory = hetero_phy_link_factory(
@@ -82,10 +91,7 @@ def build_network(
         network.add_channel(channel, factory)
     if routing is None:
         cost_model = routing_cost_model(spec, dispatch_name)
-        selector = None
-        if spec.family == "hetero_channel":
-            selector_policy = policy_name
-            selector = make_selector(selector_policy, spec.grid, cost_model)
+        selector = make_selector(policy_name, spec.grid, cost_model) if subnet_choice else None
         routing = make_routing(spec, cost_model=cost_model, selector=selector)
     network.set_routing(routing)
     network.finalize()

@@ -10,8 +10,11 @@ split aligns with the chiplet grid), and hypercube serial links whose
 endpoints sit in different packages become *off-package* links with
 higher delay and energy (cable/substrate SerDes vs on-package reach).
 
-Routing is untouched: Algorithm 1's escape remains the parallel mesh and
-the cube links stay fully adaptive, so Theorem 1 carries over verbatim.
+Routing is untouched: it is read off the links, which still form a global
+mesh plus a hypercube, so Algorithm 1's escape remains the (partly serial)
+mesh and the cube links stay fully adaptive — Theorem 1 carries over
+verbatim, though the ``hetero_channel`` label no longer names the link
+kinds.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import replace
 from repro.noc.channel import ChannelKind, PhyParams
 from repro.sim.config import SimConfig
 from .grid import ChipletGrid
-from .system import SystemSpec, build_hetero_channel
+from .system import SystemSpec, build_system
 
 
 def package_of(grid: ChipletGrid, chiplet: int, packages: tuple[int, int]) -> int:
@@ -61,7 +64,7 @@ def build_hetero_channel_packages(
     px, py = packages
     if px < 1 or py < 1:
         raise ValueError("need at least one package per axis")
-    spec = build_hetero_channel(grid, config)
+    spec = build_system("hetero_channel", grid, config)
     serial = config.serial_phy
     off_package_phy = PhyParams(
         serial.bandwidth,
@@ -82,6 +85,4 @@ def build_hetero_channel_packages(
         n_off_package += 1
     if n_off_package == 0 and (px > 1 or py > 1):
         raise ValueError("package split produced no off-package serial links")
-    spec.channels = channels
-    spec.name = f"{spec.name}-pkg{px}x{py}"
-    return spec
+    return replace(spec, name=f"{spec.name}-pkg{px}x{py}", channels=channels)

@@ -1,7 +1,15 @@
-"""Multi-chiplet system builders.
+"""Multi-chiplet system descriptions.
 
 A :class:`SystemSpec` is a pure description — grid geometry plus channel
-specs — of one of the five system families evaluated in the paper:
+specs — of one multi-chiplet system.  The grid is the router list (node ->
+coordinates -> chiplet); the channels are the link list, each with its
+endpoints, physical kind, PHY (latency, width) and a routing tag
+(``("mesh", dir)``, ``("wrap", dir)`` or ``("cube", dim)``).  Everything
+routing, linting and fault injection need to know about a system —
+wraparounds, a hypercube, a global mesh, the kinds of torus links — is
+derived from those two objects; ``family`` is only a label.
+
+:func:`build_system` emits the five families evaluated in the paper:
 
 ``parallel_mesh``
     Uniform parallel-IF 2D-mesh: chiplets tile into one global mesh
@@ -27,19 +35,24 @@ Builders only create channel descriptions; network instantiation lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.noc.channel import ChannelKind, ChannelSpec
 from repro.sim.config import SimConfig
 from .grid import OPPOSITE, ChipletGrid
 
+#: Family -> (kind of the global mesh's interface links, or None for
+#: on-chip meshes only; serial wraparound links?; serial hypercube links?).
+_FAMILY_LINKS: dict[str, tuple[Optional[ChannelKind], bool, bool]] = {
+    "parallel_mesh": (ChannelKind.PARALLEL, False, False),
+    "serial_torus": (ChannelKind.SERIAL, True, False),
+    "hetero_phy_torus": (ChannelKind.HETERO_PHY, True, False),
+    "serial_hypercube": (None, False, True),
+    "hetero_channel": (ChannelKind.PARALLEL, False, True),
+}
+
 #: System family labels.
-FAMILIES = (
-    "parallel_mesh",
-    "serial_torus",
-    "hetero_phy_torus",
-    "serial_hypercube",
-    "hetero_channel",
-)
+FAMILIES = tuple(_FAMILY_LINKS)
 
 
 @dataclass
@@ -51,21 +64,63 @@ class SystemSpec:
     grid: ChipletGrid
     config: SimConfig
     channels: list[ChannelSpec] = field(default_factory=list)
-    #: chiplet id -> cube dimension -> hosting node ids (one link each).
-    cube_hosts: dict[int, dict[int, list[int]]] = field(default_factory=dict)
-    n_cube_dims: int = 0
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown system family {self.family!r}")
+    def _tagged(self, label: str) -> list[ChannelSpec]:
+        return [c for c in self.channels if c.tag is not None and c.tag[0] == label]
+
+    def _single_kind(self, what: str, channels: list[ChannelSpec]) -> ChannelKind:
+        kinds = {c.kind for c in channels}
+        if len(kinds) != 1:
+            names = sorted(k.value for k in kinds) or "none"
+            raise ValueError(f"{self.name}: {what} channels must share one kind, got {names}")
+        return kinds.pop()
 
     @property
     def has_wraparound(self) -> bool:
-        return self.family in ("serial_torus", "hetero_phy_torus")
+        return bool(self._tagged("wrap"))
 
     @property
     def has_cube(self) -> bool:
-        return self.family in ("serial_hypercube", "hetero_channel")
+        return bool(self._tagged("cube"))
+
+    @property
+    def has_global_mesh(self) -> bool:
+        """``("mesh", _)`` channels join every adjacent node pair of the grid."""
+        mesh = {(c.src, c.dst) for c in self._tagged("mesh")}
+        width, n_nodes = self.grid.width, self.grid.n_nodes  # node ids are row-major
+        east = [(node, node + 1) for node in range(n_nodes) if node % width != width - 1]
+        north = [(node, node + width) for node in range(n_nodes - width)]
+        return all((a, b) in mesh and (b, a) in mesh for a, b in east + north)
+
+    @property
+    def has_subnet_choice(self) -> bool:
+        """A cube beside a global mesh: Eq (5) picks one per packet (Fig 10)."""
+        return self.has_cube and self.has_global_mesh
+
+    @property
+    def cube_hosts(self) -> dict[int, dict[int, list[int]]]:
+        """chiplet id -> cube dimension (ascending) -> hosting node ids (one link each)."""
+        hosts: dict[int, dict[int, list[int]]] = {}
+        chiplet_of = self.grid.chiplet_of
+        for c in self._tagged("cube"):
+            hosts.setdefault(chiplet_of(c.src), {}).setdefault(c.tag[1], []).append(c.src)
+        return {chiplet: dict(sorted(by_dim.items())) for chiplet, by_dim in sorted(hosts.items())}
+
+    @property
+    def n_cube_dims(self) -> int:
+        return len({c.tag[1] for c in self._tagged("cube")})
+
+    @property
+    def neighbor_kind(self) -> ChannelKind:
+        """The one kind of the mesh channels that cross a chiplet boundary."""
+        chiplet_of = self.grid.chiplet_of
+        crossing = [c for c in self._tagged("mesh") if chiplet_of(c.src) != chiplet_of(c.dst)]
+        return self._single_kind("boundary-crossing mesh", crossing)
+
+    @property
+    def wrap_kind(self) -> ChannelKind:
+        """The one kind of the wraparound channels."""
+        return self._single_kind("wraparound", self._tagged("wrap"))
 
     def channels_by_kind(self) -> dict[ChannelKind, int]:
         """Count of directed channels per physical kind."""
@@ -112,12 +167,12 @@ class _Builder:
             )
         )
 
-    def add_global_mesh(self, interface_kind: ChannelKind) -> None:
-        """Emit all mesh-direction channels of the global mesh.
+    def add_mesh(self, interface_kind: Optional[ChannelKind]) -> None:
+        """Emit the mesh-direction channels, tagged ``("mesh", direction)``.
 
         On-chip hops get ``ONCHIP`` channels; hops crossing a chiplet
-        boundary get ``interface_kind`` channels.  Every channel is tagged
-        ``("mesh", direction)``.
+        boundary get ``interface_kind`` channels, or none at all when it is
+        None (separate on-chip meshes, no global mesh).
         """
         grid = self.grid
         for node in range(grid.n_nodes):
@@ -125,23 +180,13 @@ class _Builder:
                 other = grid.neighbor(node, direction)
                 if other is None:
                     continue
+                kind = ChannelKind.ONCHIP
                 if grid.crosses_chiplet_boundary(node, direction):
+                    if interface_kind is None:
+                        continue
                     kind = interface_kind
-                else:
-                    kind = ChannelKind.ONCHIP
                 self._emit(node, other, kind, ("mesh", direction))
                 self._emit(other, node, kind, ("mesh", OPPOSITE[direction]))
-
-    def add_onchip_meshes(self) -> None:
-        """Emit only the intra-chiplet mesh channels (no mesh interfaces)."""
-        grid = self.grid
-        for node in range(grid.n_nodes):
-            for direction in ("E", "N"):
-                other = grid.neighbor(node, direction)
-                if other is None or grid.crosses_chiplet_boundary(node, direction):
-                    continue
-                self._emit(node, other, ChannelKind.ONCHIP, ("mesh", direction))
-                self._emit(other, node, ChannelKind.ONCHIP, ("mesh", OPPOSITE[direction]))
 
     def add_wraparound(self) -> None:
         """Emit node-level torus wraparound channels (serial, Sec 8.1.1).
@@ -164,7 +209,7 @@ class _Builder:
                 self._emit(south, north, ChannelKind.SERIAL, ("wrap", "S"))
                 self._emit(north, south, ChannelKind.SERIAL, ("wrap", "N"))
 
-    def add_hypercube(self) -> tuple[dict[int, dict[int, list[int]]], int]:
+    def add_hypercube(self) -> None:
         """Emit serial hypercube channels between chiplets.
 
         The chiplet count must be a power of two.  Each cube dimension is
@@ -177,117 +222,38 @@ class _Builder:
         if n < 2 or n & (n - 1):
             raise ValueError(f"hypercube needs a power-of-two chiplet count, got {n}")
         dims = n.bit_length() - 1
-        perimeter = grid.perimeter_nodes(0)
-        links_per_dim = max(1, len(perimeter) // dims)
-        hosts: dict[int, dict[int, list[int]]] = {}
-        for chiplet in range(n):
-            ring = grid.perimeter_nodes(chiplet)
-            hosts[chiplet] = {
-                dim: [
-                    ring[(dim * links_per_dim + i) % len(ring)]
-                    for i in range(links_per_dim)
-                ]
-                for dim in range(dims)
-            }
+        links_per_dim = max(1, len(grid.perimeter_nodes(0)) // dims)
+        rings = [grid.perimeter_nodes(chiplet) for chiplet in range(n)]
         for chiplet in range(n):
             for dim in range(dims):
                 other = chiplet ^ (1 << dim)
                 if other < chiplet:
                     continue  # emit each undirected edge once
                 for i in range(links_per_dim):
-                    a = hosts[chiplet][dim][i]
-                    b = hosts[other][dim][i]
+                    slot = dim * links_per_dim + i
+                    a = rings[chiplet][slot % len(rings[chiplet])]
+                    b = rings[other][slot % len(rings[other])]
                     self._emit(a, b, ChannelKind.SERIAL, ("cube", dim))
                     self._emit(b, a, ChannelKind.SERIAL, ("cube", dim))
-        return hosts, dims
-
-
-def build_parallel_mesh(grid: ChipletGrid, config: SimConfig) -> SystemSpec:
-    """Uniform parallel-IF 2D-mesh system."""
-    builder = _Builder(grid, config)
-    builder.add_global_mesh(ChannelKind.PARALLEL)
-    return SystemSpec(
-        name=f"parallel-mesh-{grid.chiplets_x}x{grid.chiplets_y}({grid.nodes_x}x{grid.nodes_y})",
-        family="parallel_mesh",
-        grid=grid,
-        config=config,
-        channels=builder.channels,
-    )
-
-
-def build_serial_torus(grid: ChipletGrid, config: SimConfig) -> SystemSpec:
-    """Uniform serial-IF 2D-torus system."""
-    builder = _Builder(grid, config)
-    builder.add_global_mesh(ChannelKind.SERIAL)
-    builder.add_wraparound()
-    return SystemSpec(
-        name=f"serial-torus-{grid.chiplets_x}x{grid.chiplets_y}({grid.nodes_x}x{grid.nodes_y})",
-        family="serial_torus",
-        grid=grid,
-        config=config,
-        channels=builder.channels,
-    )
-
-
-def build_hetero_phy_torus(grid: ChipletGrid, config: SimConfig) -> SystemSpec:
-    """Hetero-PHY 2D-torus (Fig 6a): bonded neighbour links, serial wraps."""
-    builder = _Builder(grid, config)
-    builder.add_global_mesh(ChannelKind.HETERO_PHY)
-    builder.add_wraparound()
-    return SystemSpec(
-        name=f"hetero-phy-torus-{grid.chiplets_x}x{grid.chiplets_y}({grid.nodes_x}x{grid.nodes_y})",
-        family="hetero_phy_torus",
-        grid=grid,
-        config=config,
-        channels=builder.channels,
-    )
-
-
-def build_serial_hypercube(grid: ChipletGrid, config: SimConfig) -> SystemSpec:
-    """Uniform serial-IF chiplet hypercube (Fig 10a)."""
-    builder = _Builder(grid, config)
-    builder.add_onchip_meshes()
-    hosts, dims = builder.add_hypercube()
-    return SystemSpec(
-        name=f"serial-hypercube-{grid.n_chiplets}({grid.nodes_x}x{grid.nodes_y})",
-        family="serial_hypercube",
-        grid=grid,
-        config=config,
-        channels=builder.channels,
-        cube_hosts=hosts,
-        n_cube_dims=dims,
-    )
-
-
-def build_hetero_channel(grid: ChipletGrid, config: SimConfig) -> SystemSpec:
-    """Hetero-channel system: parallel mesh + serial hypercube (Fig 10)."""
-    builder = _Builder(grid, config)
-    builder.add_global_mesh(ChannelKind.PARALLEL)
-    hosts, dims = builder.add_hypercube()
-    return SystemSpec(
-        name=f"hetero-channel-{grid.n_chiplets}({grid.nodes_x}x{grid.nodes_y})",
-        family="hetero_channel",
-        grid=grid,
-        config=config,
-        channels=builder.channels,
-        cube_hosts=hosts,
-        n_cube_dims=dims,
-    )
-
-
-BUILDERS = {
-    "parallel_mesh": build_parallel_mesh,
-    "serial_torus": build_serial_torus,
-    "hetero_phy_torus": build_hetero_phy_torus,
-    "serial_hypercube": build_serial_hypercube,
-    "hetero_channel": build_hetero_channel,
-}
 
 
 def build_system(family: str, grid: ChipletGrid, config: SimConfig) -> SystemSpec:
     """Build a system of the given family (see :data:`FAMILIES`)."""
     try:
-        builder = BUILDERS[family]
+        interface_kind, wraps, cube = _FAMILY_LINKS[family]
     except KeyError:
         raise ValueError(f"unknown system family {family!r}") from None
-    return builder(grid, config)
+    builder = _Builder(grid, config)
+    builder.add_mesh(interface_kind)
+    if wraps:
+        builder.add_wraparound()
+    if cube:
+        builder.add_hypercube()
+    chiplets = grid.n_chiplets if cube else f"{grid.chiplets_x}x{grid.chiplets_y}"
+    return SystemSpec(
+        name=f"{family.replace('_', '-')}-{chiplets}({grid.nodes_x}x{grid.nodes_y})",
+        family=family,
+        grid=grid,
+        config=config,
+        channels=builder.channels,
+    )

@@ -1,5 +1,7 @@
 """Tests for network assembly (sim.build)."""
 
+import re
+
 import pytest
 
 from repro.core.phy import HeteroPhyLink
@@ -89,6 +91,16 @@ def test_exclusive_mode_policies_accepted():
     for policy in ("mesh", "cube"):
         network = build_network(spec, Stats(), policy=policy)
         assert network is not None
+
+
+@pytest.mark.parametrize("family", ["parallel_mesh", "hetero_phy_torus", "serial_hypercube"])
+@pytest.mark.parametrize("policy", ["mesh", "cube"])
+def test_exclusive_mode_policies_need_a_subnet_choice(family, policy):
+    """Without a cube beside a global mesh there is nothing to pick; the run
+    would use the default routing and be recorded under the wrong policy."""
+    spec = build_system(family, GRID, SimConfig())
+    with pytest.raises(ValueError, match=rf"{policy!r}.*{re.escape(spec.name)}"):
+        build_network(spec, Stats(), policy=policy)
 
 
 def test_unknown_policy_rejected():

@@ -8,7 +8,7 @@ from repro.routing.cube_moves import CubeHostIndex, split_dims
 from repro.routing.mesh_moves import manhattan
 from repro.sim.config import SimConfig
 from repro.topology.grid import ChipletGrid
-from repro.topology.system import build_serial_hypercube
+from repro.topology.system import build_system
 
 
 @given(st.integers(0, 63), st.integers(0, 63))
@@ -40,7 +40,7 @@ def test_split_dims_moves_converge(cur, dst):
 @pytest.fixture(scope="module")
 def host_index():
     grid = ChipletGrid(4, 4, 4, 4)  # 16 chiplets -> 4 cube dims
-    spec = build_serial_hypercube(grid, SimConfig())
+    spec = build_system("serial_hypercube", grid, SimConfig())
     return spec, CubeHostIndex(spec)
 
 
@@ -108,8 +108,6 @@ def test_nearest_host_requires_dims(host_index):
 
 
 def test_requires_cube_system():
-    from repro.topology.system import build_parallel_mesh
-
-    spec = build_parallel_mesh(ChipletGrid(2, 2, 2, 2), SimConfig())
+    spec = build_system("parallel_mesh", ChipletGrid(2, 2, 2, 2), SimConfig())
     with pytest.raises(ValueError):
         CubeHostIndex(spec)

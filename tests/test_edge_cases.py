@@ -52,7 +52,7 @@ def test_negative_first_degenerate_axes():
 
 def test_torus_planner_two_node_axis():
     model = HopCostModel.performance_first(SimConfig())
-    planner = TorusAxisPlanner(2, 1, ChannelKind.SERIAL, model)
+    planner = TorusAxisPlanner(2, 1, ChannelKind.SERIAL, ChannelKind.SERIAL, model)
     dirs = planner.directions(0, 1)
     assert set(dirs) <= {1, -1} and dirs
 

@@ -10,7 +10,7 @@ from repro.sim.experiment import run_synthetic
 from repro.sim.stats import Stats
 from repro.topology.grid import ChipletGrid
 from repro.topology.multipackage import build_hetero_channel_packages, package_of
-from repro.topology.system import build_hetero_channel
+from repro.topology.system import build_system
 
 GRID = ChipletGrid(4, 2, 3, 3)  # 8 chiplets -> 3 cube dims
 CONFIG = SimConfig(sim_cycles=1_500, warmup_cycles=200)
@@ -44,7 +44,7 @@ def test_off_package_links_become_slow_serial():
     spec = build_hetero_channel_packages(
         GRID, CONFIG, packages=(2, 1), off_package_delay_factor=2.0
     )
-    base = build_hetero_channel(GRID, CONFIG)
+    base = build_system("hetero_channel", GRID, CONFIG)
     assert len(spec.channels) == len(base.channels)  # topology preserved
     slow = [
         c for c in spec.channels if c.phy.delay == CONFIG.serial_delay * 2
@@ -77,7 +77,7 @@ def test_traffic_flows_across_packages():
 
 
 def test_package_boundary_costs_latency():
-    single = build_hetero_channel(GRID, CONFIG)
+    single = build_system("hetero_channel", GRID, CONFIG)
     multi = build_hetero_channel_packages(
         GRID, CONFIG, packages=(2, 1), off_package_delay_factor=3.0
     )

@@ -206,6 +206,8 @@ def test_hop_count_selector_eq5():
 
 
 def test_make_routing_dispatch(config, small_grid):
+    """The routing class follows the links, never the family label."""
+    from repro.topology.multipackage import build_hetero_channel_packages
     from repro.topology.system import build_system
 
     for family, cls in [
@@ -217,3 +219,20 @@ def test_make_routing_dispatch(config, small_grid):
     ]:
         spec = build_system(family, small_grid, config)
         assert isinstance(make_routing(spec), cls)
+    # Serial links in the mesh positions: still a cube beside a global mesh.
+    packages = build_hetero_channel_packages(ChipletGrid(4, 2, 2, 3), config, packages=(2, 1))
+    assert isinstance(make_routing(packages), HeteroChannelRouting)
+    # One chiplet: no wrap and no interface link, so nothing but a mesh.
+    single = ChipletGrid(1, 1, 4, 3)
+    _, mesh, _ = make_network("parallel_mesh", single, config)
+    for family in ("serial_torus", "hetero_phy_torus"):
+        _, torus, _ = make_network(family, single, config)
+        assert type(torus.routers[0].routing_fn) is MeshRouting
+        for node in range(single.n_nodes):
+            for dst in range(single.n_nodes):
+                for banned in (False, True):
+                    if node != dst:
+                        packet = probe(node, dst)
+                        packet.adaptive_banned = banned
+                        routes = [n.routers[node].routing_fn(n.routers[node], packet) for n in (torus, mesh)]
+                        assert routes[0] == routes[1]

@@ -1,10 +1,15 @@
-"""Tests for multi-chiplet system builders."""
+"""Tests for multi-chiplet system builders and the facts read off their links."""
+
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.noc.channel import ChannelKind
 from repro.sim.config import SimConfig
+from repro.topology import system
 from repro.topology.grid import ChipletGrid
+from repro.topology.multipackage import build_hetero_channel_packages
 from repro.topology.system import FAMILIES, build_system
 
 
@@ -146,3 +151,68 @@ def test_mesh_tags_unique_per_node(config, family):
         key = (channel.src, channel.tag)
         assert key not in seen, f"duplicate tag {channel.tag} at node {channel.src}"
         seen[key] = 1
+
+
+def test_capabilities_are_read_off_the_links(config):
+    grid = ChipletGrid(2, 2, 3, 3)
+    expected = {  # family -> (wraparound, cube, global mesh)
+        "parallel_mesh": (False, False, True),
+        "serial_torus": (True, False, True),
+        "hetero_phy_torus": (True, False, True),
+        "serial_hypercube": (False, True, False),
+        "hetero_channel": (False, True, True),
+    }
+    for family, flags in expected.items():
+        spec = build_system(family, grid, config)
+        assert (spec.has_wraparound, spec.has_cube, spec.has_global_mesh) == flags, family
+        assert spec.has_subnet_choice == (flags[1] and flags[2])
+    torus = build_system("hetero_phy_torus", grid, config)
+    assert (torus.neighbor_kind, torus.wrap_kind) == (ChannelKind.HETERO_PHY, ChannelKind.SERIAL)
+
+
+def test_multipackage_label_and_links_disagree(config):
+    """Serial links in mesh positions still make a global mesh."""
+    spec = build_hetero_channel_packages(ChipletGrid(4, 2, 2, 3), config, packages=(2, 1))
+    serial_mesh = [c for c in spec.channels if c.tag[0] == "mesh" and c.kind is ChannelKind.SERIAL]
+    assert serial_mesh and spec.has_global_mesh and spec.has_subnet_choice
+    assert spec.cube_hosts == build_system("hetero_channel", spec.grid, config).cube_hosts
+
+
+def test_mixed_torus_link_kinds_are_named(config):
+    spec = build_system("serial_torus", ChipletGrid(2, 2, 3, 3), config)
+    crossing = next(c for c in spec.channels if c.tag[0] == "mesh" and c.kind is ChannelKind.SERIAL)
+    crossing.kind = ChannelKind.PARALLEL
+    with pytest.raises(ValueError, match=r"\['parallel', 'serial'\]"):
+        spec.neighbor_kind
+
+
+#: A family compared to a literal, or a table indexed by one.
+NAME_KEYED = re.compile(
+    r"""\bfamily\b\s*(?:==|!=|\bnot\s+in\b|\bin\b)\s*["'(\[{]"""
+    r"""|["')\]}]\s*(?:==|!=|\bin\b)\s*[\w.]*\bfamily\b"""
+    r"""|(?<=[\w)\]}])\[\s*[\w.]*\bfamily\s*\]"""
+    r"""|\.get\(\s*[\w.]*\bfamily\b"""
+)
+
+
+def test_only_the_builder_reads_family_names():
+    """Routing, selector, lint and fault sets decide from the links."""
+    for keyed in (
+        'if spec.family == "hetero_channel":',
+        'if family in ("serial_torus", "hetero_phy_torus"):',
+        '    }[spec.family]',
+        '"serial_hypercube" != spec.family',
+    ):
+        assert NAME_KEYED.search(keyed), keyed
+    assert not NAME_KEYED.search("families = list(FAMILIES) if args.all else [args.family]")
+    assert not NAME_KEYED.search('spec = build_system(meta["family"], grid, config)')
+    builder = Path(system.__file__).resolve()
+    src = builder.parents[1]
+    offenders = [
+        f"{path.relative_to(src)}:{number}: {line.strip()}"
+        for path in sorted(src.rglob("*.py"))
+        if path != builder
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if NAME_KEYED.search(line)
+    ]
+    assert offenders == []

@@ -12,13 +12,13 @@ from repro.sim.config import SimConfig
 
 def make_planner(width=16, span=4, wrapped=True, kind=ChannelKind.HETERO_PHY):
     model = HopCostModel.performance_first(SimConfig())
-    return TorusAxisPlanner(width, span, kind, model, wrapped=wrapped)
+    return TorusAxisPlanner(width, span, kind, ChannelKind.SERIAL, model, wrapped=wrapped)
 
 
 def test_validation():
     model = HopCostModel.performance_first(SimConfig())
     with pytest.raises(ValueError):
-        TorusAxisPlanner(10, 4, ChannelKind.SERIAL, model)  # not a multiple
+        TorusAxisPlanner(10, 4, ChannelKind.SERIAL, ChannelKind.SERIAL, model)  # not a multiple
 
 
 def test_no_move_when_aligned():
@@ -99,7 +99,7 @@ def test_cost_decomposition_matches_hop_classes():
     """A direct path's cost equals the sum of its per-class hop costs."""
     config = SimConfig()
     model = HopCostModel.performance_first(config)
-    planner = TorusAxisPlanner(8, 4, ChannelKind.SERIAL, model)
+    planner = TorusAxisPlanner(8, 4, ChannelKind.SERIAL, ChannelKind.SERIAL, model)
     onchip = model.hop_cost(ChannelKind.ONCHIP)
     boundary = model.hop_cost(ChannelKind.SERIAL)
     # 1 -> 5 crosses one chiplet boundary (between 3 and 4), 3 on-chip hops.
