@@ -5,7 +5,8 @@ Four layers (see ``docs/analysis.md``):
 * **static verification** — :func:`verify_network` / :func:`verify_family`
   run the topology/config linter, the (extended) channel-dependency-graph
   deadlock check and the routing-state livelock check over a built system
-  and return a :class:`Report`;
+  and return a :class:`Report`; every pass reads one
+  :class:`~repro.routing.deadlock.RouteTable`;
 * **certification** — :func:`prove_family` / :func:`prove_all` stack the
   interface-contract checker, exhaustive reachability proofs (including
   the single-link fault-mask sweep) and a bounded explicit-state model
@@ -18,7 +19,8 @@ Four layers (see ``docs/analysis.md``):
   the certification engine, both with non-zero exit codes for CI gating.
 """
 
-from .cdg import MODES, ChannelDependencyGraph, build_cdg, split_candidates
+from repro.routing.deadlock import MODES, ChannelDependencyGraph, RouteTable, build_cdg
+
 from .certificate import (
     CERT_SCHEMA_VERSION,
     Certificate,
@@ -30,7 +32,6 @@ from .certificate import (
 )
 from .contracts import check_contracts
 from .lint import lint_network, lint_spec
-from .livelock import LivelockAnalysis, analyse_livelock
 from .modelcheck import (
     CounterexampleTrace,
     ModelCheckResult,
@@ -61,7 +62,7 @@ __all__ = [
     "MODES",
     "ChannelDependencyGraph",
     "build_cdg",
-    "split_candidates",
+    "RouteTable",
     "CERT_SCHEMA_VERSION",
     "Certificate",
     "CertificateError",
@@ -72,8 +73,6 @@ __all__ = [
     "check_contracts",
     "lint_network",
     "lint_spec",
-    "LivelockAnalysis",
-    "analyse_livelock",
     "CounterexampleTrace",
     "ModelCheckResult",
     "ReplayResult",

@@ -19,11 +19,13 @@ pure checks: nothing is mutated.
 
 from __future__ import annotations
 
+from typing import Union
+
 from repro.core.phy import HeteroPhyLink
 from repro.core.rob import rob_capacity
 from repro.noc.channel import ChannelKind
-from repro.noc.flit import Packet
 from repro.noc.network import Network
+from repro.routing.deadlock import RouteTable, route_table
 from repro.topology.system import SystemSpec
 from .report import Report
 
@@ -102,11 +104,14 @@ def _lint_rob_sizing(spec: SystemSpec, idx: int, report: Report) -> None:
         )
 
 
-def lint_network(spec: SystemSpec, network: Network, report: Report) -> None:
+def lint_network(
+    spec: SystemSpec, network: Union[Network, RouteTable], report: Report
+) -> None:
     """Checks that need the built network and its installed routing."""
-    _lint_credits(network, report)
-    _lint_built_robs(spec, network, report)
-    _lint_candidates(network, report)
+    table = route_table(network)
+    _lint_credits(table.network, report)
+    _lint_built_robs(spec, table.network, report)
+    _lint_candidates(table, report)
 
 
 def _lint_credits(network: Network, report: Report) -> None:
@@ -136,36 +141,33 @@ def _lint_built_robs(spec: SystemSpec, network: Network, report: Report) -> None
             )
 
 
-def _lint_candidates(network: Network, report: Report) -> None:
+def _lint_candidates(table: RouteTable, report: Report) -> None:
     """Every candidate of every (node, dst, ban-state) must be well-formed."""
-    n = network.n_nodes
+    n = table.network.n_nodes
     bad = 0
     for node in range(n):
-        router = network.routers[node]
-        n_ports = len(router.outputs)
+        outputs = table.network.routers[node].outputs
+        n_ports = len(outputs)
         for dst in range(n):
             if node == dst:
                 continue
             for banned in (False, True):
-                probe = Packet(node, dst, length=1, create_cycle=0)
-                probe.adaptive_banned = banned
-                try:
-                    candidates = router.routing_fn(router, probe)
-                except Exception as exc:  # noqa: BLE001 - surfaced as a finding
+                route = table.query(node, dst, banned)
+                if route.error is not None:
                     report.error(
                         "ROUTE-RAISES",
                         f"node {node} -> dst {dst} (banned={banned})",
-                        f"routing function raised {exc!r}",
+                        f"routing function raised {route.error!r}",
                     )
                     continue
-                if not candidates:
+                if not route.candidates:
                     report.error(
                         "ROUTE-EMPTY",
                         f"node {node} -> dst {dst} (banned={banned})",
                         "routing returned no candidates; the packet would strand",
                     )
                     continue
-                for port, vc, _is_escape in candidates:
+                for port, vc, _is_escape in route.candidates:
                     if not 0 <= port < n_ports:
                         report.error(
                             "CAND-PORT",
@@ -175,8 +177,8 @@ def _lint_candidates(network: Network, report: Report) -> None:
                         )
                         bad += 1
                         continue
-                    out = router.outputs[port]
-                    if out.link is None and node != dst:
+                    out = outputs[port]
+                    if out.link is None:
                         report.error(
                             "CAND-EJECT",
                             f"node {node} -> dst {dst}",

@@ -1,10 +1,11 @@
 """Bounded explicit-state model checking of the credit/VC state space.
 
-The CDG passes (:mod:`repro.analysis.cdg`) are *conservative*: a cycle in
-the (extended) dependency graph means deadlock **cannot be ruled out** by
-Duato's condition, not that one is reachable.  Under plain-wormhole
-assumptions most adaptive families report extended cycles even though the
-routers' virtual cut-through allocation makes those cycles unrealizable.
+The CDG passes (:func:`repro.routing.deadlock.build_cdg`) are
+*conservative*: a cycle in the (extended) dependency graph means deadlock
+**cannot be ruled out** by Duato's condition, not that one is reachable.
+Under plain-wormhole assumptions most adaptive families report extended
+cycles even though the routers' virtual cut-through allocation makes those
+cycles unrealizable.
 This module adjudicates: it exhaustively explores (up to explicit bounds)
 an abstract credit/VC-occupancy state space of the built network and
 either
@@ -32,11 +33,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.noc.flit import Packet
 from repro.noc.network import Network
-from repro.routing.deadlock import EscapeChannel
+from repro.routing.deadlock import EscapeChannel, RouteTable, route_table
 from repro.sim.stats import DeadlockError, Stats
 
 #: Abstract packet: (destination node, adaptive_banned, subnet_choice).
@@ -121,10 +122,11 @@ class ModelCheckResult:
 
 
 class _Model:
-    """Cached view of the network used by the explorer."""
+    """Channel view of the network used by the explorer."""
 
-    def __init__(self, network: Network, packet_length: int) -> None:
-        self.network = network
+    def __init__(self, network: Union[Network, RouteTable], packet_length: int) -> None:
+        self.table = route_table(network)
+        network = self.table.network
         self.packet_length = packet_length
         self.n_channels = 0
         #: (link, vc) -> channel id, and the inverses.
@@ -155,21 +157,11 @@ class _Model:
     ) -> tuple[list[tuple[int, bool]], Optional[str], bool]:
         key = (node, dst, banned, choice)
         cached = self._routes.get(key)
-        if cached is not None:
-            return cached
-        router = self.network.routers[node]
-        probe = Packet(node, dst, length=1, create_cycle=0)
-        probe.adaptive_banned = banned
-        probe.subnet_choice = choice
-        targets: list[tuple[int, bool]] = []
-        for port, vc, is_escape in router.routing_fn(router, probe):
-            link = router.outputs[port].link
-            if link is None:
-                continue
-            targets.append((self.channel_id[(link.index, vc)], is_escape))
-        result = (targets, probe.subnet_choice, probe.adaptive_banned)
-        self._routes[key] = result
-        return result
+        if cached is None:
+            route = self.table.query(*key)
+            targets = [(self.channel_id[link, vc], esc) for link, vc, esc, _n in route.hops]
+            cached = self._routes[key] = (targets, route.choice, route.banned)
+        return cached
 
 
 def _allocable(
@@ -244,7 +236,10 @@ def _apply(model: _Model, state: State, move: Move) -> State:
 
 
 def cycle_feed_pool(
-    network: Network, cycle: Sequence[EscapeChannel], *, packet_length: int
+    network: Union[Network, RouteTable],
+    cycle: Sequence[EscapeChannel],
+    *,
+    packet_length: int,
 ) -> list[tuple[int, int]]:
     """(src, dst) pairs whose very first hop can land on a cycle channel.
 
@@ -253,10 +248,11 @@ def cycle_feed_pool(
     minimal deadlock over them.
     """
     model = _Model(network, packet_length)
+    n = model.table.network.n_nodes
     focus = {model.channel_id[c] for c in cycle if c in model.channel_id}
     pool: list[tuple[int, int]] = []
-    for src in range(network.n_nodes):
-        for dst in range(network.n_nodes):
+    for src in range(n):
+        for dst in range(n):
             if src == dst:
                 continue
             targets, _choice, _banned = model.routes(src, dst, False, None)
@@ -266,7 +262,7 @@ def cycle_feed_pool(
 
 
 def check_network(
-    network: Network,
+    network: Union[Network, RouteTable],
     *,
     packet_length: int,
     pool: Optional[Sequence[tuple[int, int]]] = None,
@@ -296,12 +292,8 @@ def check_network(
         ]
         max_packets = sum(in_focus) + 2 if in_focus else 64
     if pool is None:
-        pool = [
-            (s, d)
-            for s in range(network.n_nodes)
-            for d in range(network.n_nodes)
-            if s != d
-        ]
+        n = model.table.network.n_nodes
+        pool = [(s, d) for s in range(n) for d in range(n) if s != d]
     focus = [model.channel_id[c] for c in focus_cycle if c in model.channel_id]
     initial: State = tuple(() for _ in range(model.n_channels))
 

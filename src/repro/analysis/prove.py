@@ -5,10 +5,11 @@ over one built system and adjudicates the result into a
 :class:`~repro.analysis.certificate.Certificate`:
 
 1. the ``repro check`` passes (lint, deadlock/CDG, livelock) via
-   :func:`~repro.analysis.verifier.verify_network`;
+   :func:`~repro.analysis.verifier.check_passes`;
 2. interface contracts (:mod:`repro.analysis.contracts`);
-3. exhaustive reachability (:mod:`repro.analysis.reachability`), repeated
-   under every single-link fault mask of the family's safe-to-fail links;
+3. exhaustive reachability (:mod:`repro.analysis.reachability`) — the
+   livelock pass's analysis, folded again — repeated under every
+   single-link fault mask of the family's safe-to-fail links;
 4. bounded model checking (:mod:`repro.analysis.modelcheck`) whenever the
    CDG pass reported a cycle: the cycle is either **realized** — a
    concrete counterexample trace, validated by replaying it in the
@@ -30,13 +31,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.noc.network import Network
+from repro.routing.deadlock import MODES, RouteTable, build_cdg
 from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.stats import Stats
 from repro.telemetry.runstore import git_revision, system_digest, utc_now_iso
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import FAMILIES, SystemSpec, build_system
-from .cdg import MODES, build_cdg
 from .certificate import Certificate
 from .contracts import check_contracts
 from .modelcheck import (
@@ -45,9 +46,9 @@ from .modelcheck import (
     cycle_feed_pool,
     replay_counterexample,
 )
-from .reachability import fold_reachability, reachability_pass, sweep_fault_masks
+from .reachability import fold_reachability, sweep_fault_masks
 from .report import Finding, Report, Severity
-from .verifier import DEFAULT_CHIPLETS, DEFAULT_NODES, verify_network
+from .verifier import DEFAULT_CHIPLETS, DEFAULT_NODES, check_passes
 
 #: CDG findings the model checker may adjudicate.
 _CYCLE_CODES = ("CDG-CYCLE", "CDG-CYCLE-EXTENDED")
@@ -88,16 +89,15 @@ def prove_network(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     network = factory()
     try:
-        report = verify_network(spec, network, mode=mode)
+        table = RouteTable(network)
+        report = Report(system=spec.name, mode=mode)
+        analysis = check_passes(spec, table, mode, report)
 
         report.passes.append("contracts")
         check_contracts(spec, network, report)
 
         report.passes.append("reachability")
-        analysis = reachability_pass(network, report)
-        report.metrics["reach_states"] = analysis.n_states
-        if analysis.max_hops >= 0:
-            report.metrics["reach_max_hops"] = analysis.max_hops
+        fold_reachability(analysis, report)
 
         sweep_info: dict = {"swept": 0, "links": [], "broken": []}
         if fault_masks:
@@ -121,7 +121,7 @@ def prove_network(
             report.passes.append("modelcheck")
             mc_result, mc_info = _adjudicate(
                 spec,
-                network,
+                table,
                 factory,
                 report,
                 mode=mode,
@@ -155,7 +155,7 @@ def prove_network(
 
 def _adjudicate(
     spec: SystemSpec,
-    network: Network,
+    table: RouteTable,
     factory: Callable[[], Network],
     report: Report,
     *,
@@ -165,12 +165,11 @@ def _adjudicate(
     replay: bool,
 ) -> tuple[ModelCheckResult, dict]:
     """Model-check the reported CDG cycle; downgrade it if refuted."""
-    graph = build_cdg(network, mode)
-    cycle = graph.cycle()
+    cycle = build_cdg(table, mode).cycle()
     packet_length = spec.config.packet_length
-    pool = cycle_feed_pool(network, cycle, packet_length=packet_length)
+    pool = cycle_feed_pool(table, cycle, packet_length=packet_length)
     result = check_network(
-        network,
+        table,
         packet_length=packet_length,
         pool=pool,
         focus_cycle=cycle,

@@ -1,29 +1,36 @@
-"""Exhaustive reachability proofs over the routing function.
+"""Delivery and livelock proofs over the routing-state graph.
 
-The livelock pass (:mod:`repro.analysis.livelock`) proves that no packet
-can revisit a routing state.  That alone does not prove *delivery*: a
-routing function could still strand a packet in a state with no usable
-candidate (a dead-end), or leave a blocking state without an escape
-candidate — in which case the Lemma 1 deadlock argument, which assumes
-every blocked packet can always fall back to the escape subnetwork, does
-not apply.  This pass closes both gaps by exhaustive exploration of every
-reachable routing state
+The routing functions guarantee livelock freedom through two mechanisms
+(Sec 6.2 / 8.1.2 of the paper): adaptive candidates are *profitable* (they
+strictly decrease a per-family progress measure), and a packet that falls
+back to escape under congestion is *banned* from further free adaptive
+use.  Delivery needs more: a routing function could still strand a packet
+in a state with no usable candidate, or leave a blocking state without an
+escape candidate — and then the Lemma 1 deadlock argument, which assumes
+every blocked packet can fall back to the escape subnetwork, does not
+apply.  :func:`analyse_reachability` checks all of it on the reachable
+routing-state graph of every destination
+(:meth:`~repro.routing.deadlock.RouteTable.states`),
 
     state = (node, adaptive_banned, subnet_choice)
+    edge  = one forwarding candidate, carrying the packet state forward
 
-for every destination, proving three properties:
+and proves:
 
 1. **no dead-ends** — every reachable non-terminal state offers at least
-   one non-ejection candidate (and the routing function never raises);
+   one forwarding candidate (and the routing function never raises);
 2. **escape coverage** — every reachable non-terminal state offers at
    least one escape candidate, so a packet whose adaptive candidates are
    all blocked can always fall back to C0 (the premise of Theorem 1);
-3. **delivery** — the reachable state graph is acyclic, which together
-   with (1) bounds every packet's hop count by the longest path through
-   the graph: every packet is delivered within ``max_hops`` hops.
+3. **bounded delivery** — the graph is acyclic, so no packet revisits a
+   routing state and its hops are bounded by the longest path
+   (``max_hops``); ``max_misroute`` is the worst bound minus the shortest
+   achievable distance.  A cycle is reported with its witness states.
 
-:func:`sweep_fault_masks` repeats the proof under every single-link fault
-mask (each safe-to-fail link from
+``repro check``'s livelock pass folds the bound and the cycle; ``repro
+prove``'s reachability pass folds the same object with
+:func:`fold_reachability`.  :func:`sweep_fault_masks` repeats the proof
+under every single-link fault mask (each safe-to-fail link from
 :func:`repro.routing.fault.adaptive_link_indices` failed on its own),
 which turns the paper's Sec 9 fault-tolerance claim — hetero interfaces
 keep an intact escape under adaptive-link failures — into a certificate.
@@ -32,17 +39,19 @@ keep an intact escape under adaptive-link failures — into a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
-from repro.noc.flit import Packet
 from repro.noc.network import Network
-from repro.routing.deadlock import find_cycle
-from repro.routing.fault import UnroutableError, adaptive_link_indices, apply_faults
+from repro.routing.deadlock import (
+    RouteTable,
+    RoutingState,
+    distances_to,
+    find_cycle,
+    route_table,
+)
+from repro.routing.fault import adaptive_link_indices, apply_faults
 from repro.topology.system import SystemSpec
 from .report import Report
-
-#: A routing state, as in :mod:`repro.analysis.livelock`.
-RoutingState = tuple[int, bool, Optional[str]]
 
 #: Builds a fresh network (routing functions are mutated by fault masks).
 NetworkFactory = Callable[[], Network]
@@ -53,8 +62,10 @@ class ReachabilityAnalysis:
     """Result of the per-destination routing-state exploration."""
 
     n_states: int = 0
-    #: Longest delivery path over all reachable states; -1 while unbounded.
+    #: Worst-case hops of any packet over all (src, dst) pairs; -1 while unbounded.
     max_hops: int = -1
+    #: Worst-case (hop bound - shortest path) over all pairs; -1 while unbounded.
+    max_misroute: int = -1
     #: (dst, state) pairs whose candidate set is empty or ejection-only.
     dead_ends: list[tuple[int, RoutingState]] = field(default_factory=list)
     #: (dst, state) pairs offering no escape candidate.
@@ -70,87 +81,44 @@ class ReachabilityAnalysis:
         return not (self.dead_ends or self.uncovered or self.failures or self.cycle)
 
 
-def _probe(node: int, dst: int, state: RoutingState) -> Packet:
-    packet = Packet(node, dst, length=1, create_cycle=0)
-    packet.adaptive_banned = state[1]
-    packet.subnet_choice = state[2]
-    return packet
-
-
-def analyse_reachability(network: Network) -> ReachabilityAnalysis:
-    """Explore every reachable routing state of every destination."""
+def analyse_reachability(network: Union[Network, RouteTable]) -> ReachabilityAnalysis:
+    """Fold every destination's routing-state graph into one analysis."""
+    table = route_table(network)
     analysis = ReachabilityAnalysis()
-    max_hops = 0
-    bounded = True
-    for dst in range(network.n_nodes):
-        graph = _explore(network, dst, analysis)
-        analysis.n_states += len(graph)
-        if not analysis.cycle:
-            cycle = find_cycle(graph)
-            if cycle:
-                analysis.cycle = cycle
-                analysis.cycle_dst = dst
+    max_hops = max_misroute = 0
+    for dst in range(table.network.n_nodes):
+        graph = table.states(dst)
+        analysis.n_states += len(graph.edges)
+        analysis.dead_ends += [(dst, state) for state in graph.dead_ends]
+        analysis.uncovered += [(dst, state) for state in graph.uncovered]
+        analysis.failures += [(dst, state, error) for state, error in graph.failures]
         if analysis.cycle:
-            bounded = False
             continue
-        max_hops = max(max_hops, _longest_path(graph, dst))
-    if bounded:
-        analysis.max_hops = max_hops
+        analysis.cycle = find_cycle(graph.edges)
+        if analysis.cycle:
+            analysis.cycle_dst = dst
+            continue
+        depth = _longest_paths(graph.edges, dst)
+        shortest = distances_to(table, dst)
+        for src in range(table.network.n_nodes):
+            if src == dst:
+                continue
+            bound = depth[src, False, None]
+            max_hops = max(max_hops, bound)
+            if src in shortest:
+                max_misroute = max(max_misroute, bound - shortest[src])
+    if not analysis.cycle:
+        analysis.max_hops, analysis.max_misroute = max_hops, max_misroute
     return analysis
 
 
-def _explore(
-    network: Network, dst: int, analysis: ReachabilityAnalysis
-) -> dict[RoutingState, set[RoutingState]]:
-    """One destination's reachable state graph, recording violations."""
-    graph: dict[RoutingState, set[RoutingState]] = {}
-    frontier: list[RoutingState] = [
-        (src, False, None) for src in range(network.n_nodes) if src != dst
-    ]
-    while frontier:
-        state = frontier.pop()
-        if state in graph:
-            continue
-        successors: set[RoutingState] = set()
-        graph[state] = successors
-        node, banned, _choice = state
-        router = network.routers[node]
-        probe = _probe(node, dst, state)
-        try:
-            candidates = router.routing_fn(router, probe)
-        except UnroutableError as exc:
-            analysis.dead_ends.append((dst, state))
-            del exc
-            continue
-        except Exception as exc:  # noqa: BLE001 - surfaced as a finding
-            analysis.failures.append((dst, state, repr(exc)))
-            continue
-        choice_after = probe.subnet_choice
-        # Routing may itself ban the packet (fault detours, Sec 6.2).
-        route_banned = banned or probe.adaptive_banned
-        forwarding = [c for c in candidates if router.outputs[c[0]].link is not None]
-        if not forwarding:
-            analysis.dead_ends.append((dst, state))
-            continue
-        if not any(is_escape for _p, _v, is_escape in forwarding):
-            analysis.uncovered.append((dst, state))
-        saw_adaptive = any(not is_escape for _p, _v, is_escape in forwarding)
-        for port, _vc, is_escape in forwarding:
-            link = router.outputs[port].link
-            assert link is not None
-            next_node = link.dst_router.node
-            next_banned = route_banned or (is_escape and saw_adaptive)
-            succ = (next_node, next_banned, choice_after)
-            successors.add(succ)
-            if next_node != dst and succ not in graph:
-                frontier.append(succ)
-    return graph
-
-
-def _longest_path(graph: dict[RoutingState, set[RoutingState]], dst: int) -> int:
-    """Longest hop count from any state to ejection (graph must be a DAG)."""
+def _longest_paths(
+    graph: dict[RoutingState, tuple[RoutingState, ...]], dst: int
+) -> dict[RoutingState, int]:
+    """Longest hop count from each state to ejection (graph must be a DAG)."""
     depth: dict[RoutingState, int] = {}
     for start in graph:
+        # Iterative post-order to survive deep graphs without recursion.
         stack = [start]
         while stack:
             current = stack[-1]
@@ -168,7 +136,7 @@ def _longest_path(graph: dict[RoutingState, set[RoutingState]], dst: int) -> int
                 best = max(best, (0 if succ[0] == dst else depth[succ]) + 1)
             depth[current] = best
             stack.pop()
-    return max(depth.values(), default=0)
+    return depth
 
 
 @dataclass
@@ -228,11 +196,7 @@ def reachability_pass(
     *,
     fault_target: str = "",
 ) -> ReachabilityAnalysis:
-    """Run :func:`analyse_reachability` and fold findings into ``report``.
-
-    ``fault_target`` prefixes finding targets (e.g. ``"fault link 12: "``)
-    so one report can hold the fault-free pass plus the whole mask sweep.
-    """
+    """Run :func:`analyse_reachability` and fold findings into ``report``."""
     analysis = analyse_reachability(network)
     fold_reachability(analysis, report, fault_target=fault_target)
     return analysis
@@ -244,7 +208,11 @@ def fold_reachability(
     *,
     fault_target: str = "",
 ) -> None:
-    """Translate a :class:`ReachabilityAnalysis` into report findings."""
+    """Translate a :class:`ReachabilityAnalysis` into report findings.
+
+    ``fault_target`` prefixes finding targets (e.g. ``"fault link 12: "``)
+    so one report can hold the fault-free pass plus the whole mask sweep.
+    """
     for dst, state in analysis.dead_ends[:8]:
         report.error(
             "REACH-DEADEND",
@@ -272,13 +240,14 @@ def fold_reachability(
             f"routing function raised {error}",
         )
     if analysis.cycle:
-        shown = " -> ".join(
-            f"(node {node}, banned={banned})"
-            for node, banned, _c in analysis.cycle[:8]
-        )
         report.error(
             "REACH-CYCLE",
             f"{fault_target}dst {analysis.cycle_dst}",
-            f"routing state cycle {shown}; delivery within a hop bound "
-            "cannot be proven",
+            f"routing state cycle {render_states(analysis.cycle)}; delivery "
+            "within a hop bound cannot be proven",
         )
+
+
+def render_states(cycle: list[RoutingState]) -> str:
+    """The first eight states of a witness cycle, for a finding message."""
+    return " -> ".join(f"(node {node}, banned={banned})" for node, banned, _c in cycle[:8])

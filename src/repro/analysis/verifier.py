@@ -6,9 +6,13 @@ into one :class:`~repro.analysis.report.Report`:
 1. **lint** — topology/config well-formedness (:mod:`repro.analysis.lint`);
 2. **deadlock** — escape-subnetwork connectivity plus acyclicity of the
    channel dependency graph, direct-only under ``vct`` or Duato's
-   extended graph under ``wormhole`` (:mod:`repro.analysis.cdg`);
+   extended graph under ``wormhole`` (:mod:`repro.routing.deadlock`);
 3. **livelock** — acyclicity of the routing state graph and the implied
-   worst-case hop / misroute bounds (:mod:`repro.analysis.livelock`).
+   worst-case hop / misroute bounds (:mod:`repro.analysis.reachability`).
+
+All three read one :class:`~repro.routing.deadlock.RouteTable`, so each
+routing question is asked once; :func:`check_passes` hands the table's
+routing-state analysis on to ``repro prove``.
 
 :func:`verify_family` is the convenience entry point used by the CLI and
 CI: it builds a representative small instance of a registered system
@@ -24,15 +28,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.noc.network import Network
-from repro.routing.deadlock import escape_connectivity
+from repro.routing.deadlock import MODES, RouteTable, build_cdg, escape_connectivity
 from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.stats import Stats
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import FAMILIES, SystemSpec, build_system
-from .cdg import MODES, build_cdg
 from .lint import lint_network, lint_spec
-from .livelock import analyse_livelock
+from .reachability import ReachabilityAnalysis, analyse_reachability, render_states
 from .report import Report
 
 #: Default verification geometry: smallest grid valid for every family
@@ -41,28 +44,35 @@ DEFAULT_CHIPLETS = (2, 2)
 DEFAULT_NODES = (3, 3)
 
 
-def verify_network(
-    spec: SystemSpec, network: Network, *, mode: str = "vct"
-) -> Report:
+def verify_network(spec: SystemSpec, network: Network, *, mode: str = "vct") -> Report:
     """Run all static passes on a built network."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     report = Report(system=spec.name, mode=mode)
-
-    report.passes.append("lint")
-    lint_spec(spec, report)
-    lint_network(spec, network, report)
-
-    report.passes.append("deadlock")
-    _deadlock_pass(network, mode, report)
-
-    report.passes.append("livelock")
-    _livelock_pass(network, report)
+    check_passes(spec, RouteTable(network), mode, report)
     return report
 
 
-def _deadlock_pass(network: Network, mode: str, report: Report) -> None:
-    unreachable = escape_connectivity(network)
+def check_passes(
+    spec: SystemSpec, table: RouteTable, mode: str, report: Report
+) -> ReachabilityAnalysis:
+    """Fold lint, deadlock and livelock into ``report``; return the
+    routing-state analysis the livelock pass read."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    report.passes.append("lint")
+    lint_spec(spec, report)
+    lint_network(spec, table, report)
+
+    report.passes.append("deadlock")
+    _deadlock_pass(table, mode, report)
+
+    report.passes.append("livelock")
+    analysis = analyse_reachability(table)
+    _livelock_pass(analysis, report)
+    return analysis
+
+
+def _deadlock_pass(table: RouteTable, mode: str, report: Report) -> None:
+    unreachable = escape_connectivity(table)
     if unreachable:
         sample = ", ".join(f"{s}->{d}" for s, d in unreachable[:5])
         report.error(
@@ -71,7 +81,7 @@ def _deadlock_pass(network: Network, mode: str, report: Report) -> None:
             f"escape subnetwork is not connected (e.g. {sample}); "
             "Lemma 1's connectivity condition fails",
         )
-    graph = build_cdg(network, mode)
+    graph = build_cdg(table, mode)
     report.metrics["escape_channels"] = graph.n_channels
     report.metrics["direct_deps"] = graph.n_direct
     if mode == "wormhole":
@@ -97,23 +107,18 @@ def _deadlock_pass(network: Network, mode: str, report: Report) -> None:
             )
 
 
-def _livelock_pass(network: Network, report: Report) -> None:
-    analysis = analyse_livelock(network)
+def _livelock_pass(analysis: ReachabilityAnalysis, report: Report) -> None:
     report.metrics["routing_states"] = analysis.n_states
-    if analysis.bounded:
-        report.metrics["max_hops_bound"] = analysis.max_hops
-        report.metrics["max_misroute"] = analysis.max_misroute
-    else:
-        shown = " -> ".join(
-            f"(node {node}, banned={banned})"
-            for node, banned, _choice in analysis.cycle[:8]
-        )
+    if analysis.cycle:
         report.error(
             "LIVELOCK-CYCLE",
             f"dst {analysis.cycle_dst}",
-            f"routing state cycle {shown}; a packet can revisit a routing "
-            "state, so its hop count is unbounded",
+            f"routing state cycle {render_states(analysis.cycle)}; a packet can "
+            "revisit a routing state, so its hop count is unbounded",
         )
+    else:
+        report.metrics["max_hops_bound"] = analysis.max_hops
+        report.metrics["max_misroute"] = analysis.max_misroute
 
 
 def verify_family(

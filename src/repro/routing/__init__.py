@@ -2,11 +2,11 @@
 
 Negative-first mesh routing, weighted torus direction planning,
 minus-first hypercube routing [30], the paper's Algorithm 1 for
-hetero-channel systems, Eq (5) subnetwork selection, and the Lemma-1
-escape-channel analyser.
+hetero-channel systems, Eq (5) subnetwork selection, the route table
+every static pass reads, and the Lemma-1 escape-channel analyser.
 """
 
-from .deadlock import EscapeAnalysis, analyse_escape
+from .deadlock import EscapeAnalysis, RouteTable, analyse_escape
 from .fault import (
     FaultTolerantRouting,
     UnroutableError,
@@ -37,6 +37,7 @@ __all__ = [
     "HypercubeRouting",
     "MESH",
     "MeshRouting",
+    "RouteTable",
     "TorusRouting",
     "WeightedSelector",
     "analyse_escape",

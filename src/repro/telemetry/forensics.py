@@ -21,7 +21,7 @@ Three cooperating pieces, all riding the
   an in-flight packet table with per-packet age and attribution-taxonomy
   stage, and a **wait-for graph** extracted from blocked input VCs whose
   cycle (if any) names the deadlocked channel loop in the same
-  ``(link index, vc)`` vocabulary as :func:`repro.analysis.cdg.build_cdg`
+  ``(link index, vc)`` vocabulary as :func:`repro.routing.deadlock.build_cdg`
   — so a runtime deadlock is mechanically cross-checkable against the
   static analysis.
 
@@ -455,7 +455,7 @@ def extract_wait_graph(network: "Network", now: int) -> dict[str, Any]:
     for an active VC stalled on zero downstream credits.
 
     The cycle is reported in the ``(link index, vc)`` vocabulary of
-    :mod:`repro.analysis.cdg`, so it can be checked edge by edge against
+    :func:`repro.routing.deadlock.build_cdg`, so it can be checked edge by edge against
     the static channel dependency graph (see ``cycle_in_graph``).
     """
     edges: dict[WaitVertex, set[WaitVertex]] = {}

@@ -7,20 +7,23 @@ escape routing, ping-pong adaptive routing, undersized reorder buffers,
 malformed candidates) and requires the analyses to flag each one.
 """
 
+from collections import defaultdict
+
 import pytest
 
 from repro.analysis import (
     MODES,
     Report,
+    RouteTable,
     Severity,
-    analyse_livelock,
+    analyse_reachability,
     build_cdg,
     lint_spec,
-    split_candidates,
     verify_all,
     verify_family,
     verify_network,
 )
+from repro.noc.flit import Packet
 from repro.routing.dimension_order import DimensionOrderRouting
 from repro.sim.config import SimConfig
 from repro.topology.grid import ChipletGrid
@@ -65,13 +68,18 @@ def test_cdg_modes_constant():
     assert MODES == ("vct", "wormhole")
 
 
-def test_split_candidates_returns_both_classes():
+def test_route_table_offers_both_classes():
     config = SimConfig()
     _, network, _ = make_network("serial_torus", ChipletGrid(2, 2, 3, 3), config)
-    escape, adaptive = split_candidates(network, 0, network.n_nodes - 1)
+    table = RouteTable(network)
+    route = table.query(0, network.n_nodes - 1)
+    assert table.query(0, network.n_nodes - 1) is route, "each question is asked once"
+    escape = [(link, vc) for link, vc, is_escape, _next in route.hops if is_escape]
+    adaptive = [(link, vc) for link, vc, is_escape, _next in route.hops if not is_escape]
     assert escape, "adaptive families always offer an escape candidate"
     assert adaptive, "corner-to-corner traffic should see adaptive choices"
     assert all(isinstance(link, int) and isinstance(vc, int) for link, vc in escape)
+    assert all(network.links[link].spec.dst == nxt for link, _vc, _e, nxt in route.hops)
 
 
 def test_wormhole_mode_adds_indirect_dependencies():
@@ -115,6 +123,67 @@ def test_deterministic_xy_is_wormhole_clean():
     assert report.metrics["indirect_deps"] == 0
 
 
+def _reachable_hops(network, dst):
+    """Oracle: each reachable routing state for ``dst`` -> its forwarding hops
+    ``(channel, is_escape, next state)``, asked of the routing functions
+    directly (ban rule as in the VC allocator, subnet choice carried)."""
+    hops = {}
+    frontier = [(src, False, None) for src in range(network.n_nodes) if src != dst]
+    while frontier:
+        state = frontier.pop()
+        if state in hops or state[0] == dst:
+            continue
+        node, banned, choice = state
+        router = network.routers[node]
+        packet = Packet(node, dst, 1, 0)
+        packet.adaptive_banned, packet.subnet_choice = banned, choice
+        offered = [
+            ((link.index, vc), is_escape, link.spec.dst)
+            for port, vc, is_escape in router.routing_fn(router, packet)
+            if (link := router.outputs[port].link) is not None
+        ]
+        saw_adaptive = not all(is_escape for _c, is_escape, _n in offered)
+        banned = banned or packet.adaptive_banned
+        hops[state] = [
+            (channel, esc, (nxt, banned or (esc and saw_adaptive), packet.subnet_choice))
+            for channel, esc, nxt in offered
+        ]
+        frontier.extend(nxt for _c, _e, nxt in hops[state])
+    return hops
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cdg_covers_every_reachable_state(family):
+    """The graph must over-approximate every reachable routing state: per
+    destination, an escape channel into node ``w`` depends on every escape
+    channel any reachable state offers at ``w`` (direct), and under wormhole
+    also at every node reached from ``w`` by adaptive hops any reachable
+    state offers (indirect)."""
+    _, network, _ = make_network(family, ChipletGrid(4, 4, 2, 2), SimConfig())
+    direct = build_cdg(network, "vct").edges
+    extended = build_cdg(network, "wormhole").edges
+    for dst in range(network.n_nodes):
+        escape, adaptive_next = defaultdict(set), defaultdict(set)
+        for (node, _banned, _choice), out in _reachable_hops(network, dst).items():
+            for channel, is_escape, (nxt, _b, _c) in out:
+                if is_escape:
+                    escape[node].add(channel)
+                elif nxt != dst:
+                    adaptive_next[node].add(nxt)
+        for channels in list(escape.values()):
+            for channel in channels:
+                downstream = network.links[channel[0]].spec.dst
+                assert escape[downstream] <= direct.get(channel, set()), (dst, channel)
+                seen, frontier = set(), list(adaptive_next[downstream])
+                while frontier:
+                    node = frontier.pop()
+                    if node not in seen:
+                        seen.add(node)
+                        frontier.extend(adaptive_next[node])
+                indirect = escape[downstream].union(*(escape[node] for node in seen))
+                assert indirect <= extended.get(channel, set()), (dst, channel)
+
+
 def test_build_cdg_rejects_unknown_mode():
     config = SimConfig()
     _, network, _ = make_network("parallel_mesh", ChipletGrid(2, 1, 2, 2), config)
@@ -155,8 +224,8 @@ def test_pingpong_adaptive_routing_is_flagged_as_livelock():
         return [(port, 0, False)]
 
     network.set_routing(pingpong)
-    analysis = analyse_livelock(network)
-    assert not analysis.bounded
+    analysis = analyse_reachability(network)
+    assert analysis.max_hops == -1 and analysis.max_misroute == -1
     assert analysis.cycle
     report = verify_network(spec, network)
     assert "LIVELOCK-CYCLE" in report.codes()

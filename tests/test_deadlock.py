@@ -8,7 +8,7 @@ verified mechanically here for concrete instances of each family.
 
 import pytest
 
-from repro.routing.deadlock import analyse_escape, find_cycle
+from repro.routing.deadlock import analyse_escape, build_cdg, find_cycle
 from repro.sim.config import SimConfig
 from repro.topology.grid import ChipletGrid
 
@@ -77,7 +77,6 @@ def test_broken_routing_detected_as_cyclic():
     spec, network, _ = make_network("serial_torus", ChipletGrid(2, 1, 2, 2), config)
     grid = spec.grid
     network.set_routing(ring_routing)  # everything eastwards around the row ring
-    from repro.routing.deadlock import escape_dependency_graph
-
-    graph = escape_dependency_graph(network)
-    assert find_cycle(graph), "ring routing should produce a cyclic CDG"
+    analysis = analyse_escape(network)
+    assert not analysis.acyclic and analysis.cycle, "ring routing should produce a cyclic CDG"
+    assert find_cycle(build_cdg(network, "vct").edges)

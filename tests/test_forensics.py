@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.analysis.cdg import build_cdg
+from repro.analysis import build_cdg
 from repro.noc import router as router_mod
 from repro.sim.build import build_network
 from repro.sim.config import SimConfig

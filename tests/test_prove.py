@@ -18,10 +18,18 @@ from repro.analysis import (
     load_certificate,
     load_certificates,
     prove_family,
+    prove_network,
     verify_family,
+    verify_network,
     write_certificate,
 )
 from repro.analysis.prove import _CYCLE_CODES
+from repro.routing.functions import make_routing
+from repro.sim.build import build_network
+from repro.sim.config import SimConfig
+from repro.sim.stats import Stats
+from repro.topology.grid import ChipletGrid
+from repro.topology.system import build_system
 
 from .helpers import ring_routing
 from .test_modelcheck import RING_GRID
@@ -68,7 +76,7 @@ def test_prove_runs_all_passes_in_order(family):
     expected = ["lint", "deadlock", "livelock", "contracts", "reachability",
                 "fault-sweep"]
     assert result.report.passes[: len(expected)] == expected
-    assert result.report.metrics["reach_states"] > 0
+    assert result.report.metrics["routing_states"] > 0
     assert result.certificate.fault_masks["swept"] == (
         result.report.metrics["fault_masks"]
     )
@@ -92,6 +100,55 @@ def test_broken_escape_is_refused_certification():
     assert cert.modelcheck["verdict"] == "deadlock"
     assert cert.modelcheck["counterexample"]["injections"]
     assert cert.modelcheck["replay"]["deadlocked"] is True
+
+
+def test_raising_routing_is_a_finding_not_a_crash():
+    """One (node, dst) question that raises is reported by both tools."""
+    spec = build_system("parallel_mesh", ChipletGrid(2, 2, 3, 3), SimConfig())
+    base = make_routing(spec)
+
+    def raising(router, packet):
+        if router.node == 4 and packet.dst == 0:
+            raise RuntimeError("no route from 4 to 0")
+        return base(router, packet)
+
+    check = verify_family("parallel_mesh", routing=raising)
+    assert {"ROUTE-RAISES", "ESC-UNREACHABLE"} <= check.codes()
+    proof = prove_family("parallel_mesh", routing=raising)
+    assert not proof.certified
+    assert "REACH-RAISES" in {f.code for f in proof.report.errors}
+
+
+def _counted_network(spec):
+    """A fresh network whose routers log every routing question they get."""
+    network = build_network(spec, Stats())
+    questions: list = []
+    for router in network.routers:
+
+        def counting(router, packet, base=router.routing_fn):
+            questions.append(
+                (router.node, packet.dst, packet.adaptive_banned, packet.subnet_choice)
+            )
+            return base(router, packet)
+
+        router.routing_fn = counting
+    return network, questions
+
+
+def test_each_routing_question_is_asked_once():
+    """`check`, and `prove` (check followed by the prove passes on one
+    network), ask the routing function each (node, dst, ban, subnet)
+    question exactly once."""
+    spec = build_system("hetero_channel", ChipletGrid(2, 2, 3, 3), SimConfig())
+    network, questions = _counted_network(spec)
+    assert verify_network(spec, network).ok
+    network.close()
+    assert questions and len(questions) == len(set(questions))
+
+    network, questions = _counted_network(spec)
+    result = prove_network(spec, lambda: network, fault_masks=False)
+    assert result.certified
+    assert questions and len(questions) == len(set(questions))
 
 
 def test_certificate_round_trips_through_json(tmp_path):

@@ -61,7 +61,9 @@ def test_quickstart_docstring_example_runs():
 
 
 def test_running_a_point_does_not_import_the_observatory():
-    """``repro.telemetry`` resolves its re-exports lazily (PEP 562)."""
+    """``repro.telemetry`` resolves its re-exports lazily (PEP 562), and the
+    static passes of ``repro.analysis`` stay off the import path even though
+    ``repro.analyse_escape`` is a top-level name."""
     import subprocess
     import sys
 
@@ -73,6 +75,8 @@ import repro
 import repro.sim.experiment
 loaded = [m for m in {heavy!r} if "repro.telemetry." + m in sys.modules]
 assert loaded == [], loaded
+assert "repro.routing.deadlock" in sys.modules
+assert "repro.analysis" not in sys.modules
 from repro.telemetry import RunDigest, TelemetryConfig, compare_bench
 from repro import TelemetrySession, EpochMetrics
 assert "repro.telemetry.compare" in sys.modules
