@@ -362,3 +362,48 @@ def test_recorded_smoke_document_has_the_harness_shape(bench_doc, tmp_path):
     verdicts = compare_bench(bench_doc, bench_doc)
     assert {v.verdict for v in verdicts} == {"noise", "info"}
     assert {v.verdict for v in verdicts if v.exact} == {"noise"}
+
+
+# -- the committed trajectory: recorded pairwise verdicts ----------------------
+def _verdict_pairs(tmp_path):
+    """The pairs of ``tests/data/compare_verdicts.json``, as file paths.
+
+    The third pair's newer file is ``BENCH_26.json`` doctored: one more
+    ``noc.router.flit_hops`` on ``phy_steady_256`` (an exact row) and its
+    ``flit_hops_per_s`` median and samples halved (a timed one).
+    """
+    recorded = json.loads((ROOT / "tests" / "data" / "compare_verdicts.json").read_text())
+    spec = recorded["doctored"]
+    doc = json.loads((ROOT / spec["base"]).read_text())
+    block = doc["workloads"][spec["workload"]]
+    block["per_layer"][spec["plus_one"]]["value"] += 1
+    cell = block["end_to_end"][spec["halved"]]
+    cell["median"] /= 2
+    cell["samples"] = [sample / 2 for sample in cell["samples"]]
+    (tmp_path / "BENCH_26_doctored.json").write_text(json.dumps(doc))
+    for pair in recorded["pairs"]:
+        paths = [ROOT / name if (ROOT / name).is_file() else tmp_path / name
+                 for name in (pair["a"], pair["b"])]
+        yield paths, pair
+
+
+def test_regress_pair_gives_compare_verdicts(tmp_path, capsys):
+    """Every judged (workload, metric) row of the recorded pairs, and the exit
+    status of the two CI gate invocations, as `repro compare` gave them."""
+    from repro.cli import main
+
+    for (a, b), pair in _verdict_pairs(tmp_path):
+        report = tmp_path / "verdicts.json"
+        assert main(["compare", str(a), str(b), "--json", str(report)]) == 0
+        [step] = json.loads(report.read_text())["steps"]
+        got = {f"{v['case']} {v['metric']}": v["verdict"]
+               for v in step["verdicts"] if v["verdict"] != "info"}
+        assert got == pair["verdicts"], (pair["a"], pair["b"])
+        gates = (
+            ["--gate", "sim", "--gate", "noc", "--gate", "core", "--gate", "traffic",
+             "--gate", "exps", "--gate", "failed_points"],
+            ["--gate", "flit_hops_per_s", "--rel-floor", "0.5"],
+        )
+        codes = [main(["compare", str(a), str(b), "--strict", *gate]) for gate in gates]
+        assert codes == pair["ci_exit"], (pair["a"], pair["b"])
+    capsys.readouterr()
