@@ -14,10 +14,8 @@ Run paper experiments and ad-hoc simulations from the shell::
     repro prove --all --json prove.json   # full certification, both modes
     repro prove --family serial_torus --mode wormhole --max-states 8000
     repro bench                        # the repo benchmark, ~4 min -> BENCH_<n>.json
-    repro compare BENCH_0.json BENCH_1.json --strict
-    repro compare BENCH_0.json BENCH_1.json BENCH_2.json --json compare.json
+    repro regress BENCH_0.json BENCH_1.json --strict   # is it slower: A/B verdicts
     repro regress --strict             # changepoint sentinel over ./BENCH_*.json
-    repro profile --mem                # heap peaks + allocation sites per phase
     repro simulate --digest            # record the run's event-digest chain
     repro golden check                 # re-simulate every self-describing pin
     repro golden record                # re-pin (model changes only) -> PINS.json
@@ -57,9 +55,9 @@ config hash, git revision and seed — see docs/perf.md.
 
 ``repro bench`` runs the one measuring harness (``benchmarks/perf/run.py
 --all --trace 1``) and stamps its document as the next ``BENCH_<n>.json``.
-``repro compare`` and ``repro regress`` exit 0 unless ``--strict`` is given
-*and* at least one (gated) metric regressed; without bench files
-``regress`` prints a clean message and exits 0 even under ``--strict``.
+``repro regress`` exits 0 unless ``--strict`` is given *and* at least one
+selected metric regressed; without bench files it prints a clean message
+and exits 0 even under ``--strict``.
 """
 
 from __future__ import annotations
@@ -91,6 +89,14 @@ def _positive_int(text: str) -> int:
     value = int(text)  # a ValueError becomes argparse's "invalid ... value"
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of an interval in seconds: a finite number > 0."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
 
 
@@ -368,20 +374,6 @@ def _cmd_profile(args) -> int:
     folded_path = out_dir / "profile.folded.txt"
     folded_path.write_text(report.collapsed(), encoding="utf-8")
     print(f"wrote {folded_path}  (flamegraph.pl / inferno collapsed stacks)")
-    if args.mem:
-        # Pass 3 — memory ledger (tracemalloc roughly doubles allocation
-        # cost, so it gets its own untimed pass; same seed, same run).
-        from repro.telemetry.memprof import MemLedger, render_mem_table
-
-        with MemLedger(top_n=args.mem_top) as mem_ledger:
-            try:
-                _run_point(spec, args)
-            except (RuntimeError, AssertionError) as exc:
-                return _report_failure(spec.name, exc)
-        mem_block = mem_ledger.record_summary()
-        print()
-        print(render_mem_table(mem_block))
-        _write_json_doc(str(out_dir / "profile.mem.json"), mem_block)
     if args.pstats:
         print()
         print(report.text().rstrip())
@@ -437,61 +429,23 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    from repro.telemetry.compare import (
-        chain_report,
-        compare_chain,
-        regressions,
-        render_chain,
-    )
-    from repro.telemetry.runstore import RunStoreError
-
-    try:
-        steps = compare_chain(args.paths, rel_floor=args.rel_floor, k=args.k)
-    except (FileNotFoundError, ValueError, RunStoreError) as exc:
-        raise SystemExit(str(exc)) from None
-    print(render_chain(steps))
-    if args.json:
-        _write_json_doc(args.json, chain_report(steps, gate=args.gate))
-    if args.strict:
-        gated = [
-            v
-            for _, _, verdicts in steps
-            for v in regressions(verdicts, gate=args.gate)
-        ]
-        if gated:
-            if args.gate:
-                names = ", ".join(sorted({f"{v.case}:{v.metric}" for v in gated}))
-                print(f"gated regression(s): {names}", file=sys.stderr)
-            return 1
-    return 0
-
-
 def _cmd_regress(args) -> int:
     from repro.telemetry.history import load_history
-    from repro.telemetry.sentinel import (
-        SentinelConfig,
-        analyze_history,
-        render_sentinel,
-    )
+    from repro.telemetry.sentinel import analyze_history, render_sentinel
 
-    try:
-        config = SentinelConfig(window=args.window, min_history=args.min_history)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
     bench_dirs = args.bench_dir or ["."]
-    history = load_history(bench_dirs)
-    report = analyze_history(history, config, metric_prefixes=args.metric or [])
+    try:  # a file named on the command line must be a readable bench document
+        history = load_history(bench_dirs, paths=args.paths, strict=bool(args.paths))
+    except (OSError, ValueError) as exc:
+        raise SystemExit(str(exc)) from None
+    if args.rel_floor is not None:
+        for series in history.series.values():
+            if series.rel_floor:  # a timed end-to-end row; exact rows carry 0.0
+                series.rel_floor = args.rel_floor
+    report = analyze_history(history, metric_prefixes=args.metric or [])
     _warn_skipped(history.skipped, "bench file", f" under {', '.join(bench_dirs)}")
-    if history.series:
-        print(render_sentinel(report))
-    else:
-        # No bench files is a fresh checkout, not an error: a clean message
-        # and exit 0 (even --strict).
-        print(
-            f"no bench history under {', '.join(bench_dirs)} — `repro bench` "
-            "writes the BENCH_<n>.json files the sentinel watches."
-        )
+    # No bench files is a fresh checkout, not an error: exit 0 even --strict.
+    print(render_sentinel(report))
     if args.json:
         _write_json_doc(args.json, report.to_json())
     return 1 if args.strict and report.regressions() else 0
@@ -862,7 +816,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sim_p.add_argument(
         "--recorder-window",
-        type=int,
+        type=_positive_int,
         default=4096,
         metavar="CYCLES",
         help="flight-recorder retention window in cycles (default: 4096)",
@@ -922,7 +876,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     prof_p.add_argument(
         "--top",
-        type=int,
+        type=_positive_int,
         default=25,
         help="hottest-function count for --pstats (default: 25)",
     )
@@ -930,20 +884,6 @@ def main(argv: list[str] | None = None) -> int:
         "--pstats",
         action="store_true",
         help="also print the classic pstats table (cumulative-time sorted)",
-    )
-    prof_p.add_argument(
-        "--mem",
-        action="store_true",
-        help="also run a tracemalloc pass: peak/current heap and top "
-        "allocation sites folded to the phase taxonomy "
-        "(profile.mem.json)",
-    )
-    prof_p.add_argument(
-        "--mem-top",
-        type=_positive_int,
-        default=10,
-        metavar="N",
-        help="allocation sites kept by --mem (default: 10)",
     )
     prof_p.set_defaults(func=_cmd_profile)
 
@@ -960,7 +900,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     pm_p.add_argument(
         "--tail",
-        type=int,
+        type=_positive_int,
         default=20,
         metavar="N",
         help="flight-recorder events to show in the text report (default: 20)",
@@ -978,83 +918,37 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench_p.set_defaults(func=_cmd_bench)
 
-    cmp_p = sub.add_parser(
-        "compare",
-        help="noise-aware diff of bench files or run records "
-        "(two or more, oldest first)",
-    )
-    cmp_p.add_argument(
-        "paths",
-        nargs="+",
-        metavar="PATH",
-        help="two or more files of one kind, oldest first: BENCH_<n>.json, "
-        "record JSON or runs.jsonl; N>2 chains adjacent pairs",
-    )
-    cmp_p.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit non-zero when any metric regressed in any step "
-        "(default: warn only)",
-    )
-    cmp_p.add_argument(
-        "--gate",
-        action="append",
-        metavar="METRIC",
-        help="with --strict, only exit non-zero when one of these metrics "
-        "regressed (exact name or dotted prefix, repeatable; e.g. "
-        "flit_hops_per_s, peak_rss_mb, sim, noc.router.flit_hops)",
-    )
-    cmp_p.add_argument(
-        "--rel-floor",
-        type=float,
-        help="relative floor below which a timed delta is noise (default: each "
-        "bench metric's bound in BENCHMARK.json; 0.05 for run records)",
-    )
-    cmp_p.add_argument(
-        "--k",
-        type=float,
-        default=1.5,
-        help="IQR multiplier of the noise threshold (default: 1.5)",
-    )
-    cmp_p.add_argument(
-        "--json",
-        metavar="PATH",
-        help="also write the verdicts as one machine-readable JSON document",
-    )
-    cmp_p.set_defaults(func=_cmd_compare)
-
     regress_p = sub.add_parser(
         "regress",
-        help="regression sentinel: changepoint detection over the stored "
-        "BENCH_<n>.json trajectory",
+        help="is it slower: judge BENCH_<n>.json runs — the last two of a short "
+        "series pairwise, a long trajectory by changepoint detection",
+    )
+    regress_p.add_argument(
+        "paths",
+        nargs="*",
+        metavar="PATH",
+        help="bench files, oldest first (default: every BENCH_<n>.json of "
+        "--bench-dir, in the order they were created)",
     )
     regress_p.add_argument(
         "--bench-dir",
         action="append",
         metavar="DIR",
-        help="directories scanned for BENCH_<n>.json (repeatable; default: .)",
+        help="directories scanned for BENCH_<n>.json when no PATH is given "
+        "(repeatable; default: .)",
     )
     regress_p.add_argument(
         "--metric",
         action="append",
         metavar="PREFIX",
-        help="only analyze metrics with this prefix (repeatable; e.g. "
-        "flit_hops_per_s, peak_rss_mb, sim.stats, noc)",
+        help="only judge, print and count metrics with this prefix (repeatable; "
+        "e.g. flit_hops_per_s, peak_rss_mb, sim.stats, noc)",
     )
     regress_p.add_argument(
-        "--window",
-        type=int,
-        default=8,
-        metavar="N",
-        help="sliding-window width of the changepoint test (default: 8)",
-    )
-    regress_p.add_argument(
-        "--min-history",
-        type=int,
-        default=6,
-        metavar="N",
-        help="finite observations below which a metric reads "
-        "insufficient-history (default: 6)",
+        "--rel-floor",
+        type=float,
+        help="relative floor below which a timed delta is noise (default: each "
+        "metric's bound in BENCHMARK.json)",
     )
     regress_p.add_argument(
         "--strict",
@@ -1064,7 +958,7 @@ def main(argv: list[str] | None = None) -> int:
     regress_p.add_argument(
         "--json",
         metavar="PATH",
-        help="also write the sentinel report as JSON",
+        help="also write the verdicts as one machine-readable JSON document",
     )
     regress_p.set_defaults(func=_cmd_regress)
 
@@ -1147,7 +1041,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     watch_p.add_argument(
         "--poll",
-        type=float,
+        type=_positive_float,
         default=1.0,
         metavar="SECONDS",
         help="change-detection interval for the auto-updating pages "
@@ -1155,7 +1049,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     watch_p.add_argument(
         "--top",
-        type=int,
+        type=_positive_int,
         default=20,
         help="rows in the recent-runs table (default: 20)",
     )

@@ -35,21 +35,19 @@
 * :class:`HostTimeLedger` — host wall-time attribution across engine /
   router / link / PHY phases plus cProfile→speedscope folding, driven by
   ``repro profile`` (``repro.telemetry.hostprof``);
-* :class:`MemLedger` — tracemalloc/``ru_maxrss`` heap observability with
-  allocation sites folded to the same phase taxonomy, behind ``repro
-  profile --mem`` (``repro.telemetry.memprof``);
 * :func:`load_history` / :func:`analyze_history` — the bench
-  catalogue's metrics (``bench.case_metrics``, the ones ``repro compare``
-  judges) as time series over the ``BENCH_<n>.json`` files, and the
-  rank-based changepoint sentinel behind ``repro regress``
-  (``repro.telemetry.history`` / ``repro.telemetry.sentinel``);
+  catalogue's metrics (``bench.case_metrics``) as time series over the
+  ``BENCH_<n>.json`` files, and ``repro regress``, the one "is it slower"
+  command: a rank-based changepoint sentinel over a long trajectory and
+  :func:`classify`'s pairwise noise rule over two runs
+  (``repro.telemetry.history`` / ``repro.telemetry.sentinel`` /
+  ``repro.telemetry.compare``);
 * :class:`RunStore` / :class:`RunRecord` — the append-only cross-run
   registry under ``runs/`` (``repro.telemetry.runstore``);
-* :mod:`repro.telemetry.bench` / :mod:`repro.telemetry.compare` /
-  :mod:`repro.telemetry.dashboard` — the reader of the BENCH document
-  (what ``benchmarks/perf/run.py --out`` writes and ``repro bench``
-  stamps; nothing here measures), the noise-aware regression diff, and
-  the static HTML dashboard (see ``docs/perf.md``).
+* :mod:`repro.telemetry.bench` / :mod:`repro.telemetry.dashboard` — the
+  reader of the BENCH document (what ``benchmarks/perf/run.py --out``
+  writes and ``repro bench`` stamps; nothing here measures) and the
+  static HTML dashboard (see ``docs/perf.md``).
 
 Import note: ``repro.noc`` imports :mod:`repro.telemetry.bus` at module
 load, so running a point pays for this initializer.  It therefore imports
@@ -67,7 +65,7 @@ _SUBMODULE_EXPORTS = {
     "attribution": ("STAGES", "AttributionError", "LatencyLedger", "render_breakdown"),
     "bench": ("BENCH_SCHEMA_VERSION", "EventCounters", "case_metrics", "load_bench"),
     "bus": ("EVENT_NAMES", "NULL_BUS", "TelemetryBus"),
-    "compare": ("MetricVerdict", "compare_bench", "compare_records"),
+    "compare": ("MetricVerdict", "classify"),
     "diff": (
         "DiffError", "DiffReport", "Diffable", "diff_runs", "load_diffable",
         "parse_sim_spec", "resimulate",
@@ -90,10 +88,6 @@ _SUBMODULE_EXPORTS = {
     "live": (
         "LIVE_SCHEMA_VERSION", "LiveFeed", "LiveFeedError", "feed_status",
         "live_feed_path", "read_feed", "validate_live_event",
-    ),
-    "memprof": (
-        "MEM_SCHEMA_VERSION", "MemLedger", "MemProfError", "render_mem_table",
-        "validate_mem_block",
     ),
     "metrics": ("EpochMetrics", "EpochSample"),
     "progress": ("EtaEstimator", "ProgressReporter", "format_eta"),

@@ -7,8 +7,8 @@ their samples, ``per_layer`` values and the ``fingerprint`` /
 ``repro bench`` with ``git_rev`` and ``created``.  This module measures
 nothing and never loads the simulator: it holds the file helpers, the
 median/IQR rule, and :func:`case_metrics`, the one catalogue ``repro
-compare``, ``repro regress``, the dashboard's performance panel and ``repro
-watch``'s ``/api/bench`` read a workload block through.
+regress``, the dashboard's performance panel and ``repro watch``'s
+``/api/bench`` read a workload block through.
 
 The catalogue's names, units, better-directions and end-to-end bounds are
 the root ``BENCHMARK.json``'s and the exact-count flags are
@@ -138,9 +138,9 @@ def catalogue() -> tuple[dict[str, Metric], dict[str, Metric]]:
 def case_metrics(workload: dict[str, Any]) -> dict[str, Metric]:
     """The metric catalogue read off one workload block of a BENCH document.
 
-    ``repro compare`` pairs two of these and ``repro regress`` stacks N
-    (both through :func:`stack_metrics`), so the two commands cannot
-    disagree about what a bench run measures.  End-to-end rows carry the
+    ``repro regress`` stacks N of these (:func:`stack_metrics`), so a pair
+    and a trajectory cannot disagree about what a bench run measures.
+    End-to-end rows carry the
     IQR of their samples and read NaN where the block lacks them; a block
     written with ``--trace 0`` has no ``per_layer`` and yields the
     end-to-end rows only.

@@ -382,7 +382,7 @@ def load_diffable(token: str, *, runs_dir: str | Path = "runs") -> Diffable:
         raise DiffError(f"{path}: not valid JSON: {exc}") from None
     if isinstance(doc, dict) and "workloads" in doc:
         raise DiffError(
-            f"{path}: bench documents are compared with `repro compare`; "
+            f"{path}: bench documents are judged with `repro regress A B`; "
             "diff pins or run records instead"
         )
     if isinstance(doc, dict) and "run_id" in doc:

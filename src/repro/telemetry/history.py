@@ -1,13 +1,12 @@
 """Per-metric time series over the stored BENCH files (`repro regress` input).
 
-``repro compare`` diffs two hand-picked artifacts; the sentinel needs the
-whole trajectory.  The ``BENCH_<n>.json`` files of the given directories
-are that trajectory — one document per ``repro bench`` run — and this
-module aligns them into per-workload, per-metric series: every row of the
-bench catalogue (:func:`~repro.telemetry.bench.case_metrics` — exactly
-what ``repro compare`` judges pairwise), ``NaN`` where a run did not carry
-it.  The host-time layer rows ``compare`` prints without a verdict come
-out *auxiliary*: the sentinel reads them only for culprit hints.
+The ``BENCH_<n>.json`` files of the given directories — or the files named
+on the command line, in the given order — are the trajectory, one document
+per ``repro bench`` run, and this module aligns them into per-workload,
+per-metric series: every row of the bench catalogue
+(:func:`~repro.telemetry.bench.case_metrics`), ``NaN`` where a run did not
+carry it.  The host-time layer rows, which carry no verdict, come out
+*auxiliary*: the sentinel reads them only for culprit hints.
 
 Loading is strict/lenient like :class:`~repro.telemetry.runstore.RunStore`:
 lenient mode counts unreadable files in :attr:`RunHistory.skipped` instead
@@ -20,8 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .bench import bench_files, load_bench, run_inputs, stack_metrics, workloads_of
 
@@ -35,6 +35,7 @@ class SeriesPoint:
     git_rev: str
     inputs: str  #: ``bench.run_inputs``: exact rows compare within equal inputs
     value: float  #: NaN when this run did not carry the metric
+    iqr: float = 0.0  #: spread of the timed reps' samples (the pair rule's band)
 
 
 @dataclass
@@ -82,28 +83,36 @@ class RunHistory:
 
 
 def load_history(
-    bench_dirs: Iterable[str | Path] = (".",), *, strict: bool = False
+    bench_dirs: Iterable[str | Path] = (".",),
+    *,
+    paths: Sequence[str | Path] = (),
+    strict: bool = False,
 ) -> RunHistory:
-    """Harvest the directories' bench files into an aligned :class:`RunHistory`.
+    """Harvest bench files into an aligned :class:`RunHistory`.
 
-    In lenient mode (default) malformed bench files are counted in
+    ``paths`` are read in the given order (oldest first); without them the
+    directories' ``BENCH_<n>.json`` files are, ordered by their ``created``
+    stamps.  In lenient mode (default) malformed bench files are counted in
     ``RunHistory.skipped`` rather than raised, mirroring
     ``RunStore.load(strict=False)``.
     """
     history = RunHistory()
     docs = []  # ((file name, created, git_rev, inputs), workloads) per readable file
-    for directory in bench_dirs:
-        for path in bench_files(directory):
-            try:
-                doc = load_bench(path)
-            except (ValueError, OSError):
-                if strict:
-                    raise
-                history.skipped += 1
-                continue
-            stamp = (str(doc.get("created", "")), str(doc.get("git_rev", "unknown")))
-            docs.append(((path.name, *stamp, run_inputs(doc)), workloads_of(doc)))
-    docs.sort(key=lambda item: item[0][1])  # by `created`; stable, so ties keep file order
+    for path in map(Path, paths or [p for d in bench_dirs for p in bench_files(d)]):
+        try:
+            doc = load_bench(path)
+            created = doc.get("created") or datetime.fromtimestamp(
+                path.stat().st_mtime, timezone.utc
+            ).isoformat(timespec="seconds")  # an unstamped `run.py --out` document
+        except (ValueError, OSError):
+            if strict:
+                raise
+            history.skipped += 1
+            continue
+        stamp = (str(created), str(doc.get("git_rev", "unknown")))
+        docs.append(((path.name, *stamp, run_inputs(doc)), workloads_of(doc)))
+    if not paths:
+        docs.sort(key=lambda item: item[0][1])  # by `created`; stable, so ties keep file order
     history.runs = len(docs)
 
     for case in sorted({case for _, workloads in docs for case in workloads}):
@@ -112,7 +121,7 @@ def load_history(
             template = stack[0]
             history.series[case, metric] = MetricSeries(
                 case, metric, template.higher_is_better,
-                [SeriesPoint(*head, m.value) for (head, _), m in zip(runs, stack)],
+                [SeriesPoint(*head, m.value, m.iqr) for (head, _), m in zip(runs, stack)],
                 auxiliary=template.rel_floor is None, exact=template.exact,
                 rel_floor=template.rel_floor, unit=template.unit,
             )

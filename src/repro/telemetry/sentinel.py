@@ -13,8 +13,9 @@ robust by construction:
   never looks at magnitudes — a single wild outlier cannot fake it.
 * A candidate only stands when the median shift across the split also
   clears :func:`~repro.telemetry.compare.noise_band` of the window
-  before — ``repro compare``'s threshold with the metric's own bound, so
-  jitter that compare would call noise never becomes a changepoint.
+  before — the pair rule's threshold with the metric's own bound, so
+  jitter that a pairwise reading would call noise never becomes a
+  changepoint.
 * The verdict then compares the **trailing** window against the
   pre-changepoint level: a regression that was since fixed reads
   ``ok`` (with the changepoint still reported), not a stale alarm.
@@ -23,7 +24,13 @@ An *exact* series (seed-determined counts, fingerprints, digest chains)
 needs no statistics: the first run that differs from the previous run of
 the same seed and ``smoke`` flag is the regression.
 
-Verdicts are ``ok`` / ``regressed`` / ``improved`` /
+A series with fewer than ``min_history`` finite points has no window to
+test: its latest run is judged against the one before it by
+:func:`~repro.telemetry.compare.classify` (``noise`` / ``regressed`` /
+``improved``; ``n/a`` on an exact row when seed or ``smoke`` differ), so
+``repro regress A B`` is the classic A/B comparison.
+
+Verdicts are ``ok`` / ``regressed`` / ``improved`` / ``noise`` /
 ``insufficient-history`` / ``n/a``.  For ``flit_hops_per_s`` regressions
 the report adds a culprit hint: the engine phase whose ns per flit-hop
 grew most across the changepoint.
@@ -43,6 +50,7 @@ from .compare import (
     DEFAULT_IQR_K,
     DEFAULT_REL_FLOOR,
     VERDICT_MARKS,
+    classify,
     fmt_metric,
     json_num,
     noise_band,
@@ -59,10 +67,10 @@ MIN_CULPRIT_SHARE_SHIFT = 0.005
 
 @dataclass(frozen=True)
 class SentinelConfig:
-    """Detector knobs, mirroring ``repro regress`` flags."""
+    """Detector knobs (``repro regress`` runs the defaults)."""
 
     window: int = 8  #: sliding-window width on each side of a split
-    min_history: int = 6  #: finite points below which no verdict is issued
+    min_history: int = 6  #: finite points below which only the newest pair is judged
     min_segment: int = 3  #: smallest usable window at the series edges
     rel_floor: float = DEFAULT_REL_FLOOR  #: relative noise floor on the median shift
     iqr_k: float = DEFAULT_IQR_K  #: IQR multiplier of the noise band
@@ -94,7 +102,7 @@ class MetricReport:
 
     case: str
     metric: str
-    verdict: str  #: ok / regressed / improved / insufficient-history / n/a
+    verdict: str  #: ok / regressed / improved / noise / insufficient-history / n/a
     higher_is_better: bool
     finite_points: int = 0
     latest: float = float("nan")
@@ -229,14 +237,18 @@ def _analyze_series(series: MetricSeries, config: SentinelConfig) -> MetricRepor
         return report
     report.latest = finite[-1]
     report.baseline = median(finite)
+    if series.rel_floor is not None:
+        config = replace(config, rel_floor=series.rel_floor)
+    if series.exact and _analyze_exact(series, report).verdict == "regressed":
+        return report
+    if len(finite) < config.min_history and len(values) > 1:
+        return _judge_last_pair(series, report, config)
     if series.exact:
-        return _analyze_exact(series, report)
+        return report
     if len(finite) < config.min_history:
         report.verdict = "insufficient-history"
         return report
 
-    if series.rel_floor is not None:
-        config = replace(config, rel_floor=series.rel_floor)
     changepoint = detect_changepoint(values, config)
     if changepoint is None:
         report.verdict = "ok"
@@ -261,7 +273,7 @@ def _analyze_series(series: MetricSeries, config: SentinelConfig) -> MetricRepor
 
 def _analyze_exact(series: MetricSeries, report: MetricReport) -> MetricReport:
     """A seed-determined row: any run that differs from the previous run of
-    the same inputs is a regression, however long ago."""
+    the same inputs is a regression, however long ago; otherwise ``ok``."""
     last: dict[str, float] = {}
     for index, point in enumerate(series.points):
         if not math.isfinite(point.value):
@@ -276,6 +288,27 @@ def _analyze_exact(series: MetricSeries, report: MetricReport) -> MetricReport:
             report.changepoint_key = point.key
             return report
     report.verdict = "ok"
+    return report
+
+
+def _judge_last_pair(
+    series: MetricSeries, report: MetricReport, config: SentinelConfig
+) -> MetricReport:
+    """The latest run against the one before it: the rule for two runs."""
+    before, after = series.points[-2:]
+    verdict = classify(
+        series.case, series.metric, before.value, after.value,
+        higher_is_better=series.higher_is_better, iqr=max(before.iqr, after.iqr),
+        rel_floor=config.rel_floor, k=config.iqr_k, exact=series.exact,
+    ).verdict
+    report.verdict = "n/a" if series.exact and before.inputs != after.inputs else verdict
+    report.baseline, report.latest = before.value, after.value
+    if report.verdict in ("regressed", "improved"):
+        report.changepoint = Changepoint(
+            len(series.points) - 1, 1.0, after.value - before.value,
+            pre_median=before.value, post_median=after.value,
+        )
+        report.changepoint_key = after.key
     return report
 
 
@@ -359,6 +392,14 @@ def render_sentinel(report: SentinelReport) -> str:
         if r.culprit:
             line += f" [culprit: {r.culprit}]"
         lines.append(line)
+    if any(
+        r.verdict == "n/a" and math.isfinite(r.baseline) and math.isfinite(r.latest)
+        for r in report.reports
+    ):  # only an exact row of two runs with different inputs reads so
+        lines.append(
+            "exact rows read n/a: the two runs differ in seed or --smoke, so their "
+            "seed-determined counts, fingerprints and digest chains are not comparable"
+        )
     regressed = report.regressions()
     lines.append("")
     lines.append(

@@ -1,7 +1,10 @@
-"""Tests for the BENCH document reader and the noise-aware comparison."""
+"""Tests for the BENCH document reader and the noise-aware pairwise rule
+(`repro regress A B`)."""
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -15,17 +18,10 @@ from repro.telemetry.bench import (
     next_bench_path,
     write_bench,
 )
-from repro.telemetry.compare import (
-    chain_report,
-    classify,
-    compare_bench,
-    compare_chain,
-    compare_records,
-    load_comparable,
-    regressions,
-    render_chain,
-    render_comparison,
-)
+from repro.telemetry.compare import classify
+from repro.telemetry.history import load_history
+from repro.telemetry.sentinel import analyze_history, render_sentinel
+
 from .test_runstore import make_record
 
 
@@ -52,6 +48,25 @@ def make_case(hops=400_000.0, iqr=8_000.0, wall=4.0, rss=41.0, counts=None, laye
 def make_bench_doc(seed=1, smoke=False, **workloads):
     return {"git_rev": "cafef00d", "created": "2026-01-01T00:00:00+00:00",
             "schema": BENCH_SCHEMA_VERSION, "seed": seed, "smoke": smoke, "workloads": workloads}
+
+
+def write_docs(tmp_path, *docs):
+    """``docs`` as ``BENCH_<i>.json`` files of a fresh directory, in order."""
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    paths = [directory / f"BENCH_{index}.json" for index in range(len(docs))]
+    for path, doc in zip(paths, docs):
+        path.write_text(json.dumps(doc))
+    return paths
+
+
+def judge(tmp_path, *docs, metric_prefixes=()):
+    """What `repro regress` reports over ``docs`` given oldest first."""
+    history = load_history(paths=write_docs(tmp_path, *docs), strict=True)
+    return analyze_history(history, metric_prefixes=metric_prefixes)
+
+
+def by_metric(report, case="fig11"):
+    return {r.metric: r for r in report.reports if r.case == case}
 
 
 # -- verdict logic -----------------------------------------------------------
@@ -83,8 +98,8 @@ def test_classify_nan_is_not_applicable():
     assert math.isnan(v.threshold)
 
 
-# -- bench-vs-bench ----------------------------------------------------------
-def test_compare_bench_flags_event_drift_not_timing_noise():
+# -- bench-vs-bench: two runs are judged pairwise ------------------------------
+def test_compare_bench_flags_event_drift_not_timing_noise(tmp_path):
     a = make_bench_doc(fig11=make_case(hops=400_000.0, iqr=80_000.0))
     b = make_bench_doc(
         fig11=make_case(
@@ -93,100 +108,104 @@ def test_compare_bench_flags_event_drift_not_timing_noise():
             counts={"noc.router.flit_hops": 1_001, "core.rob.inserts": 50},  # +0.1%: real
         )
     )
-    verdicts = compare_bench(a, b)
-    by_metric = {v.metric: v.verdict for v in verdicts}
-    assert by_metric["flit_hops_per_s"] == "noise"
-    assert by_metric["noc.router.flit_hops"] == "regressed"  # zero tolerance
-    assert by_metric["core.rob.inserts"] == "noise"
-    assert [v.metric for v in regressions(verdicts)] == ["noc.router.flit_hops"]
+    report = judge(tmp_path, a, b)
+    verdicts = {metric: r.verdict for metric, r in by_metric(report).items()}
+    assert verdicts["flit_hops_per_s"] == "noise"
+    assert verdicts["noc.router.flit_hops"] == "regressed"  # zero tolerance
+    assert verdicts["core.rob.inserts"] == "noise"
+    assert [r.metric for r in report.regressions()] == ["noc.router.flit_hops"]
     # An exact row has no good direction: fewer hops is as much a behaviour change.
-    by_metric = {v.metric: v.verdict for v in compare_bench(b, a)}
-    assert by_metric["noc.router.flit_hops"] == "regressed"
+    assert by_metric(judge(tmp_path, b, a))["noc.router.flit_hops"].verdict == "regressed"
 
 
-def test_compare_bench_skips_non_overlapping_cases():
-    a = make_bench_doc(only_in_a=make_case())
-    b = make_bench_doc(only_in_b=make_case())
-    assert compare_bench(a, b) == []
-    assert "no overlapping" in render_comparison([])
+def test_compare_bench_skips_non_overlapping_cases(tmp_path):
+    # A workload only one run carries has nothing to be judged against.
+    report = judge(tmp_path, make_bench_doc(only_in_a=make_case()),
+                   make_bench_doc(only_in_b=make_case()))
+    assert {r.case for r in report.reports} == {"only_in_a", "only_in_b"}
+    assert {r.verdict for r in report.reports} == {"insufficient-history", "ok", "n/a"}
+    assert all(r.finite_points <= 1 for r in report.reports)
 
 
-def test_render_comparison_table():
+def test_render_comparison_table(tmp_path):
     a = make_bench_doc(fig11=make_case(hops=400_000.0, iqr=0.0))
     b = make_bench_doc(fig11=make_case(hops=600_000.0, iqr=0.0))
-    text = render_comparison(compare_bench(a, b), label_a="old", label_b="new")
-    assert "flit_hops_per_s" in text
-    assert "+ improved" in text
-    assert "regression(s)" in text
+    text = render_sentinel(judge(tmp_path, a, b))
+    assert "over 2 bench run(s)" in text
+    assert "+ improved @ BENCH_1.json" in text and "+50.0%" in text
+    assert "= noise" in text
+    assert "0 regression(s)" in text
 
 
-def test_compare_bench_covers_mem_peak():
+def test_compare_bench_covers_mem_peak(tmp_path):
     a = make_bench_doc(fig11=make_case(rss=40.0))
     worse = make_bench_doc(fig11=make_case(rss=44.0))
     close = make_bench_doc(fig11=make_case(rss=41.0))
-    by = {v.metric: v.verdict for v in compare_bench(a, worse)}
-    assert by["peak_rss_mb"] == "regressed"  # +10% past BENCHMARK.json's 5% bound
-    by = {v.metric: v.verdict for v in compare_bench(a, close)}
-    assert by["peak_rss_mb"] == "noise"  # +2.5% inside it
+    # +10% past BENCHMARK.json's 5% bound; +2.5% inside it.
+    assert by_metric(judge(tmp_path, a, worse))["peak_rss_mb"].verdict == "regressed"
+    assert by_metric(judge(tmp_path, a, close))["peak_rss_mb"].verdict == "noise"
 
 
-def test_compare_bench_pre_mem_artifacts_read_na():
+def test_compare_bench_pre_mem_artifacts_read_na(tmp_path):
     old = make_bench_doc(fig11=make_case())
     del old["workloads"]["fig11"]["end_to_end"]["peak_rss_mb"]  # a block without the cell
     new = make_bench_doc(fig11=make_case())
     for pair in ((old, new), (new, old), (old, old)):
-        [verdict] = [v for v in compare_bench(*pair) if v.metric == "peak_rss_mb"]
-        assert verdict.verdict == "n/a"
-        assert math.isnan(verdict.threshold)
+        report = by_metric(judge(tmp_path, *pair))["peak_rss_mb"]
+        assert report.verdict == "n/a"
+        assert report.changepoint is None
 
 
-def test_an_event_that_did_not_fire_counts_zero_not_na():
+def test_an_event_that_did_not_fire_counts_zero_not_na(tmp_path):
     # The harness writes every per-layer name on every workload, 0 = did not
     # happen: 0 -> 50 is drift on an exact row, not a missing value.
     a = make_bench_doc(fig11=make_case(counts={"noc.router.flit_hops": 1_000, "core.rob.inserts": 0}))
     b = make_bench_doc(fig11=make_case())
-    [new_event] = [v for v in compare_bench(a, b) if v.metric == "core.rob.inserts"]
-    assert (new_event.a, new_event.b, new_event.verdict) == (0.0, 50.0, "regressed")
+    new_event = by_metric(judge(tmp_path, a, b))["core.rob.inserts"]
+    assert (new_event.baseline, new_event.latest, new_event.verdict) == (0.0, 50.0, "regressed")
     # (b) A --trace 0 document carries no per_layer at all: it loads and is
     # judged on the end-to-end rows only; against a traced one the rest is n/a.
     bare = make_bench_doc(fig11=make_case(counts={}))
-    assert {v.metric for v in compare_bench(bare, bare)} == {
+    assert set(by_metric(judge(tmp_path, bare, bare))) == {
         "wall_s", "setup_s", "flit_hops_per_s", "peak_rss_mb", "failed_points"
     }
     assert {
-        v.verdict for v in compare_bench(bare, b) if v.metric.startswith(("noc.", "core."))
+        r.verdict for metric, r in by_metric(judge(tmp_path, bare, b)).items()
+        if metric.startswith(("noc.", "core."))
     } == {"n/a"}
 
 
-def test_a_small_host_phase_that_blows_up_is_judged_on_its_real_value():
+def test_a_small_host_phase_that_blows_up_is_judged_on_its_real_value(tmp_path):
     def phases(stats_ns):
         return {"noc.router.sa_st_ns_per_flit_hop": 1_000.0,
                 "sim.engine.stats_ns_per_flit_hop": stats_ns}
 
     a = make_bench_doc(fig11=make_case(layers=phases(5.0)))  # 0.5% of the loop
     b = make_bench_doc(fig11=make_case(layers=phases(200.0)))  # 16.7%
-    [stats] = [v for v in compare_bench(a, b) if v.metric == "sim.engine.stats_ns_per_flit_hop"]
-    # Host time of one layer is printed as it is, delta included, without a
+    history = load_history(paths=write_docs(tmp_path, a, b))
+    # Host time of one layer is kept as it is, for culprit hints, without a
     # verdict (`run.py --agree`'s rule): it can never trip a gate.
-    assert (stats.a, stats.b, stats.verdict, stats.rel_delta) == (5.0, 200.0, "info", 39.0)
-    assert regressions(compare_bench(a, b)) == []
+    stats = history.get("fig11", "sim.engine.stats_ns_per_flit_hop")
+    assert stats.values == [5.0, 200.0] and stats.auxiliary
+    report = analyze_history(history)
+    assert "sim.engine.stats_ns_per_flit_hop" not in by_metric(report)
+    assert report.regressions() == []
 
 
-def test_documents_of_different_inputs_compare_host_metrics_only():
+def test_documents_of_different_inputs_compare_host_metrics_only(tmp_path):
     """(a) Another seed or a --smoke run simulates something else: the timed
     rows are still judged, every exact row reads n/a, one line says why."""
     base = make_bench_doc(fig11=make_case(hops=400_000.0, iqr=0.0))
     slow = make_case(hops=200_000.0, iqr=0.0, counts={"noc.router.flit_hops": 7})
     for other in (make_bench_doc(seed=2, fig11=slow), make_bench_doc(smoke=True, fig11=slow)):
-        verdicts = compare_bench(base, other)
-        by_metric = {v.metric: v.verdict for v in verdicts}
-        assert by_metric["flit_hops_per_s"] == "regressed"
-        exact = [v for v in verdicts if v.exact]
-        assert {v.metric for v in exact} >= {"failed_points", "noc.router.flit_hops"}
-        assert {v.verdict for v in exact} == {"n/a"}
-        text = render_comparison(verdicts)
+        report = judge(tmp_path, base, other)
+        reports = by_metric(report)
+        assert reports["flit_hops_per_s"].verdict == "regressed"
+        exact = {"failed_points", "noc.router.flit_hops", "core.rob.inserts"}
+        assert {reports[metric].verdict for metric in exact} == {"n/a"}
+        text = render_sentinel(report)
         assert text.count("exact rows read n/a: the two runs differ in seed or --smoke") == 1
-    assert "exact rows read n/a" not in render_comparison(compare_bench(base, base))
+    assert "exact rows read n/a" not in render_sentinel(judge(tmp_path, base, base))
 
 
 def test_the_catalogue_is_benchmark_json(bench_doc):
@@ -208,110 +227,74 @@ def test_the_catalogue_is_benchmark_json(bench_doc):
     assert all((m.rel_floor is None) != m.exact for m in per_layer.values())
 
 
-# -- N-way chains ------------------------------------------------------------
+# -- N files, oldest first -----------------------------------------------------
 def _write_chain(tmp_path, *hops_values):
-    paths = []
-    for index, hops in enumerate(hops_values):
-        path = tmp_path / f"BENCH_{index}.json"
-        path.write_text(json.dumps(make_bench_doc(fig11=make_case(hops=hops, iqr=0.0))))
-        paths.append(path)
-    return paths
+    return write_docs(tmp_path, *(make_bench_doc(fig11=make_case(hops=hops, iqr=0.0))
+                                  for hops in hops_values))
 
 
 def test_compare_chain_adjacent_pairs(tmp_path):
-    paths = _write_chain(tmp_path, 500_000.0, 505_000.0, 300_000.0)
-    steps = compare_chain(paths)
-    assert [(a, b) for a, b, _ in steps] == [
-        ("BENCH_0.json", "BENCH_1.json"),
-        ("BENCH_1.json", "BENCH_2.json"),
-    ]
-    first = {v.metric: v.verdict for v in steps[0][2]}
-    second = {v.metric: v.verdict for v in steps[1][2]}
-    assert first["flit_hops_per_s"] == "noise"
-    assert second["flit_hops_per_s"] == "regressed"
+    """A history too short for the changepoint test judges its newest step."""
+    def throughput(*hops):
+        history = load_history(paths=_write_chain(tmp_path, *hops))
+        return by_metric(analyze_history(history))["flit_hops_per_s"]
 
-    text = render_chain(steps)
-    assert "step 1/2: BENCH_0.json -> BENCH_1.json" in text
-    assert "chain total: 1 regression(s) across 2 step(s)" in text
+    dropped = throughput(500_000.0, 505_000.0, 300_000.0)
+    assert (dropped.verdict, dropped.changepoint_key) == ("regressed", "BENCH_2.json")
+    assert dropped.baseline == 505_000.0 and dropped.rel_shift == pytest.approx(-0.406, abs=1e-3)
+    assert throughput(500_000.0, 300_000.0, 302_000.0).verdict == "noise"
 
 
-def test_render_chain_single_step_keeps_two_operand_output(tmp_path):
+def test_render_chain_single_step_keeps_two_operand_output(tmp_path, capsys):
+    """Two files named on the command line read exactly like a directory
+    holding just those two runs."""
+    from repro.cli import main
+
     paths = _write_chain(tmp_path, 500_000.0, 300_000.0)
-    steps = compare_chain(paths)
-    [(label_a, label_b, verdicts)] = steps
-    assert render_chain(steps) == render_comparison(
-        verdicts, label_a=label_a, label_b=label_b
-    )
-    assert "step 1/1" not in render_chain(steps)
+    assert main(["regress", *map(str, paths)]) == 0
+    named = capsys.readouterr().out
+    assert main(["regress", "--bench-dir", str(paths[0].parent)]) == 0
+    assert capsys.readouterr().out == named
+    assert "! regressed @ BENCH_1.json" in named
 
 
-def test_compare_chain_validates_operands(tmp_path):
-    with pytest.raises(ValueError, match="at least two"):
-        compare_chain([tmp_path / "only.json"])
+def test_compare_chain_validates_operands(tmp_path, capsys):
+    from repro.cli import main
+
     [bench] = _write_chain(tmp_path, 500_000.0)
+    assert main(["regress", str(bench)]) == 0  # one run: nothing to judge yet
+    assert "insufficient-history" in capsys.readouterr().out
     record_path = tmp_path / "record.json"
     record_path.write_text(json.dumps(make_record().to_dict()))
-    with pytest.raises(ValueError, match="mixed kinds"):
-        compare_chain([bench, record_path])
+    with pytest.raises(SystemExit, match="not supported"):
+        main(["regress", str(bench), str(record_path)])
 
 
-def test_chain_report_is_json_safe(tmp_path):
-    paths = _write_chain(tmp_path, 500_000.0, 300_000.0, 300_000.0)
-    doc = chain_report(compare_chain(paths), gate=["flit_hops_per_s"])
-    assert doc["kind"] == "compare"
+def test_chain_report_is_json_safe(tmp_path, capsys):
+    from repro.cli import main
+
+    paths = _write_chain(tmp_path, 500_000.0, 500_000.0, 300_000.0)
+    out = tmp_path / "report.json"
+    assert main(["regress", *map(str, paths), "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())  # NaN-free (n/a values serialize as null)
+    assert doc["kind"] == "sentinel" and doc["runs"] == 3
     assert doc["regressions"] == 1
-    assert [s["regressions"] for s in doc["steps"]] == [1, 0]
-    json.dumps(doc)  # NaN-free (n/a verdicts serialize as null)
-    by_metric = {v["metric"]: v for v in doc["steps"][0]["verdicts"]}
+    reports = {r["metric"]: r for r in doc["reports"]}
+    assert reports["flit_hops_per_s"]["changepoint"]["key"] == "BENCH_2.json"
     # A per-layer row the blocks do not carry still reports, as null / n/a.
-    assert by_metric["sim.stats.digest_chain"]["a"] is None
-    assert by_metric["sim.stats.digest_chain"]["verdict"] == "n/a"
-
-
-# -- record-vs-record --------------------------------------------------------
-def test_compare_records_metrics():
-    a = make_record(cycles_per_second=4_000.0, stats={"avg_latency": 20.0})
-    b = make_record(cycles_per_second=3_000.0, stats={"avg_latency": 20.2})
-    by_metric = {v.metric: v.verdict for v in compare_records(a, b)}
-    assert by_metric["cycles_per_second"] == "regressed"
-    assert by_metric["stats.avg_latency"] == "noise"
-    assert by_metric["stats.avg_energy_pj"] == "n/a"  # absent on both sides
-
-
-# -- file-level dispatch -----------------------------------------------------
-def test_load_comparable_dispatches_on_content(tmp_path):
-    bench_path = write_bench(make_bench_doc(fig11=make_case()), tmp_path)
-    kind, doc = load_comparable(bench_path)
-    assert kind == "bench" and "fig11" in doc["workloads"]
-
-    record = make_record()
-    record_path = tmp_path / "one.json"
-    record_path.write_text(json.dumps(record.to_dict()))
-    kind, loaded = load_comparable(record_path)
-    assert kind == "record" and loaded == record
-
-    from repro.telemetry.runstore import RunStore
-
-    store = RunStore(tmp_path / "runs")
-    store.append(make_record(label="older"))
-    store.append(record)
-    kind, latest = load_comparable(store.path)
-    assert kind == "record" and latest.run_id == record.run_id
-
-    with pytest.raises(FileNotFoundError):
-        load_comparable(tmp_path / "nope.json")
-    junk = tmp_path / "junk.json"
-    junk.write_text('{"neither": true}')
-    with pytest.raises(ValueError, match="neither"):
-        load_comparable(junk)
+    assert reports["sim.stats.digest_chain"]["latest"] is None
+    assert reports["sim.stats.digest_chain"]["verdict"] == "n/a"
+    capsys.readouterr()
 
 
 def test_compare_paths_rejects_mixed_kinds(tmp_path):
     bench_path = write_bench(make_bench_doc(fig11=make_case()), tmp_path)
     record_path = tmp_path / "one.json"
     record_path.write_text(json.dumps(make_record().to_dict()))
-    with pytest.raises(ValueError, match="cannot compare"):
-        compare_chain([bench_path, record_path])
+    with pytest.raises(ValueError, match="not supported"):
+        load_history(paths=[bench_path, record_path], strict=True)
+    with pytest.raises(OSError):
+        load_history(paths=[bench_path, tmp_path / "nope.json"], strict=True)
 
 
 # -- BENCH_<n>.json plumbing -------------------------------------------------
@@ -358,10 +341,10 @@ def test_recorded_smoke_document_has_the_harness_shape(bench_doc, tmp_path):
         assert int(block["fingerprint"], 16) == block["per_layer"]["sim.stats.fingerprint"]["value"]
     path = write_bench(bench_doc, tmp_path)
     assert load_bench(path) == bench_doc
-    # Against itself: every exact row `=`, nothing regressed, host rows unjudged.
-    verdicts = compare_bench(bench_doc, bench_doc)
-    assert {v.verdict for v in verdicts} == {"noise", "info"}
-    assert {v.verdict for v in verdicts if v.exact} == {"noise"}
+    # Against itself: every row `=`, nothing regressed, host rows unjudged.
+    report = judge(tmp_path, bench_doc, bench_doc)
+    assert {r.verdict for r in report.reports} == {"noise"}
+    assert not any(r.metric.endswith("_ns_per_flit_hop") for r in report.reports)
 
 
 # -- the committed trajectory: recorded pairwise verdicts ----------------------
@@ -388,22 +371,22 @@ def _verdict_pairs(tmp_path):
 
 
 def test_regress_pair_gives_compare_verdicts(tmp_path, capsys):
-    """Every judged (workload, metric) row of the recorded pairs, and the exit
-    status of the two CI gate invocations, as `repro compare` gave them."""
+    """`repro regress A B` gives every judged (workload, metric) row, and the
+    two CI gate invocations their exit status, as `repro compare A B` did
+    (recorded in the data file before the two commands became one)."""
     from repro.cli import main
 
     for (a, b), pair in _verdict_pairs(tmp_path):
         report = tmp_path / "verdicts.json"
-        assert main(["compare", str(a), str(b), "--json", str(report)]) == 0
-        [step] = json.loads(report.read_text())["steps"]
-        got = {f"{v['case']} {v['metric']}": v["verdict"]
-               for v in step["verdicts"] if v["verdict"] != "info"}
+        assert main(["regress", str(a), str(b), "--json", str(report)]) == 0
+        got = {f"{r['case']} {r['metric']}": r["verdict"]
+               for r in json.loads(report.read_text())["reports"]}
         assert got == pair["verdicts"], (pair["a"], pair["b"])
         gates = (
-            ["--gate", "sim", "--gate", "noc", "--gate", "core", "--gate", "traffic",
-             "--gate", "exps", "--gate", "failed_points"],
-            ["--gate", "flit_hops_per_s", "--rel-floor", "0.5"],
+            ["--metric", "sim", "--metric", "noc", "--metric", "core", "--metric", "traffic",
+             "--metric", "exps", "--metric", "failed_points"],
+            ["--metric", "flit_hops_per_s", "--rel-floor", "0.5"],
         )
-        codes = [main(["compare", str(a), str(b), "--strict", *gate]) for gate in gates]
+        codes = [main(["regress", str(a), str(b), "--strict", *gate]) for gate in gates]
         assert codes == pair["ci_exit"], (pair["a"], pair["b"])
     capsys.readouterr()

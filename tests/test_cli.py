@@ -442,7 +442,7 @@ def test_bench_cli_reports_a_missing_or_failing_harness(stub_harness, tmp_path, 
     from repro.telemetry import bench
 
     # The harness found a failed point: its document is kept (stamped, so
-    # `repro compare` shows the failed_points row) and the exit is a clean 1.
+    # `repro regress` shows the failed_points row) and the exit is a clean 1.
     stub_harness.returncode = 1
     with pytest.raises(SystemExit, match=r"run\.py --all --trace 1 .* exited 1") as excinfo:
         main(["bench", "--out-dir", str(tmp_path)])
@@ -473,7 +473,7 @@ def _write_bench_pair(tmp_path, hops_a, hops_b):
 
 def test_compare_cli_is_warn_only_by_default(tmp_path, capsys):
     a, b = _write_bench_pair(tmp_path, 500_000.0, 300_000.0)  # a clear regression
-    assert main(["compare", str(a), str(b)]) == 0
+    assert main(["regress", str(a), str(b)]) == 0
     out = capsys.readouterr().out
     assert "! regressed" in out
     assert "1 regression(s)" in out
@@ -481,32 +481,29 @@ def test_compare_cli_is_warn_only_by_default(tmp_path, capsys):
 
 def test_compare_cli_strict_exits_nonzero_on_regression(tmp_path, capsys):
     a, b = _write_bench_pair(tmp_path, 500_000.0, 300_000.0)
-    assert main(["compare", str(a), str(b), "--strict"]) == 1
+    assert main(["regress", str(a), str(b), "--strict"]) == 1
     capsys.readouterr()
     # Improvements never fail, even under --strict.
-    assert main(["compare", str(b), str(a), "--strict"]) == 0
+    assert main(["regress", str(b), str(a), "--strict"]) == 0
     # --rel-floor widens the timed rows' bound: -40% is inside a 50% floor.
-    assert main(["compare", str(a), str(b), "--strict", "--rel-floor", "0.5"]) == 0
+    assert main(["regress", str(a), str(b), "--strict", "--rel-floor", "0.5"]) == 0
 
 
 def test_compare_cli_missing_file_is_a_clean_error(tmp_path):
-    with pytest.raises(SystemExit, match="no such file"):
-        main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+    with pytest.raises(SystemExit, match="No such file"):
+        main(["regress", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
 
 
 def test_compare_cli_gate_filters_strict_exit(tmp_path, capsys):
-    # The regression is in flit_hops_per_s; a gate on an unrelated metric
-    # keeps --strict green, a matching gate trips it.
+    # The regression is in flit_hops_per_s; selecting an unrelated metric
+    # keeps --strict green (and prints only it), a matching one trips it.
     a, b = _write_bench_pair(tmp_path, 500_000.0, 300_000.0)
-    assert main(["compare", str(a), str(b), "--strict", "--gate", "noc"]) == 0
-    capsys.readouterr()
-    code = main(
-        ["compare", str(a), str(b), "--strict", "--gate", "flit_hops_per_s"]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "gated regression(s)" in err
-    assert "flit_hops_per_s" in err
+    assert main(["regress", str(a), str(b), "--strict", "--metric", "noc"]) == 0
+    out = capsys.readouterr().out
+    assert "noc.router.flit_hops" in out and "flit_hops_per_s" not in out
+    assert main(["regress", str(a), str(b), "--strict", "--metric", "flit_hops_per_s"]) == 1
+    out = capsys.readouterr().out
+    assert "flit_hops_per_s" in out and "! regressed" in out and "noc." not in out
 
 
 def test_compare_cli_chains_three_files_and_writes_json(tmp_path, capsys):
@@ -517,16 +514,16 @@ def test_compare_cli_chains_three_files_and_writes_json(tmp_path, capsys):
         path = tmp_path / f"BENCH_{index}.json"
         path.write_text(json.dumps(make_bench_doc(fig11=make_case(hops=hops, iqr=0.0))))
         paths.append(str(path))
-    report_path = tmp_path / "compare.json"
-    assert main(["compare", *paths, "--json", str(report_path)]) == 0
+    report_path = tmp_path / "regress.json"
+    assert main(["regress", *paths, "--json", str(report_path)]) == 0
     out = capsys.readouterr().out
-    assert "step 1/2" in out and "step 2/2" in out
-    assert "chain total: 1 regression(s)" in out
+    assert "over 3 bench run(s)" in out
+    assert "! regressed @ BENCH_2.json" in out and "1 regression(s)" in out
     doc = json.loads(report_path.read_text())
-    assert doc["kind"] == "compare"
-    assert len(doc["steps"]) == 2 and doc["regressions"] == 1
-    # The chain gates strict mode exactly like the two-operand form.
-    assert main(["compare", *paths, "--strict"]) == 1
+    assert doc["kind"] == "sentinel"
+    assert doc["runs"] == 3 and doc["regressions"] == 1
+    # Three files gate strict mode exactly like two.
+    assert main(["regress", *paths, "--strict"]) == 1
 
 
 def test_regress_cli_flags_step_and_passes_noise(tmp_path, capsys):
@@ -583,8 +580,31 @@ def test_regress_cli_metric_filter_and_bad_window(tmp_path, capsys):
     ]) == 0  # the step hits throughput, not memory
     out = capsys.readouterr().out
     assert "flit_hops_per_s" not in out
-    with pytest.raises(SystemExit, match="min_segment"):
+    # The detector's knobs are SentinelConfig's defaults, not flags.
+    with pytest.raises(SystemExit) as excinfo:
         main(["regress", "--bench-dir", str(bench_dir), "--window", "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --window" in capsys.readouterr().err
+
+
+def test_regress_reads_an_unstamped_document_by_its_file_time(tmp_path, capsys):
+    """A raw `benchmarks/perf/run.py --out` document carries no `created`: it is
+    as new as its file, not older than every stamped run."""
+    from .test_bench_compare import make_bench_doc, make_case
+
+    for index, hops in enumerate((500_000.0, 500_000.0)):
+        doc = make_bench_doc(fig11=make_case(hops=hops, iqr=0.0))
+        (tmp_path / f"BENCH_{index}.json").write_text(json.dumps(doc))
+    raw = make_bench_doc(fig11=make_case(hops=300_000.0, iqr=0.0))
+    del raw["created"], raw["git_rev"]
+    (tmp_path / "BENCH_2.json").write_text(json.dumps(raw))
+    from repro.telemetry.history import load_history
+
+    series = load_history([tmp_path]).get("fig11", "flit_hops_per_s")
+    assert [p.key for p in series.points] == ["BENCH_0.json", "BENCH_1.json", "BENCH_2.json"]
+    assert series.points[-1].created >= "2026-01-01T00:00:00+00:00"
+    assert main(["regress", "--bench-dir", str(tmp_path), "--strict"]) == 1
+    assert "! regressed @ BENCH_2.json" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -649,32 +669,6 @@ def test_profile_cli_writes_artifacts(tmp_path, capsys):
     validate_speedscope(doc)
     folded = (out_dir / "profile.folded.txt").read_text()
     assert folded.splitlines() and folded.startswith("engine;")
-
-
-def test_profile_cli_mem_mode(tmp_path, capsys):
-    from repro.telemetry.memprof import validate_mem_block
-
-    out_dir = tmp_path / "prof"
-    code = main(
-        [
-            "profile",
-            "--family", "hetero_phy_torus",
-            "--chiplets", "2x2",
-            "--nodes", "3x3",
-            "--cycles", "1200",
-            "--rate", "0.1",
-            "--seed", "3",
-            "--out-dir", str(out_dir),
-            "--mem",
-            "--mem-top", "5",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "memory attribution" in out and "peak heap" in out
-    block = validate_mem_block(json.loads((out_dir / "profile.mem.json").read_text()))
-    assert block["peak_bytes"] > 0
-    assert len(block["top_sites"]) <= 5
 
 
 def test_dashboard_cli(tmp_path, capsys):
@@ -788,7 +782,6 @@ def test_health_raises_nothing_on_a_healthy_run_through_warmup(capsys):
     "argv",
     [
         ["profile", "--stride", "0"],
-        ["profile", "--mem", "--mem-top", "0"],
         ["simulate", "--cycles", "0"],
         ["simulate", "--epoch", "0"],
     ],
@@ -803,6 +796,30 @@ def test_a_count_below_one_is_a_usage_error(argv, capsys):
     assert re.fullmatch(
         rf"repro {argv[0]}: error: argument {argv[-2]}: must be >= 1, got -?\d+", last_line
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["postmortem", "bundle.json", "--tail", "0"], "must be >= 1, got 0"),
+        (["postmortem", "bundle.json", "--tail", "-3"], "must be >= 1, got -3"),
+        (["watch", "--top", "0"], "must be >= 1, got 0"),
+        (["watch", "--poll", "-1"], "must be > 0, got -1"),
+        (["watch", "--poll", "nan"], "must be > 0, got nan"),
+        (["profile", "--top", "0"], "must be >= 1, got 0"),
+        (["simulate", "--recorder-window", "0"], "must be >= 1, got 0"),
+    ],
+    ids=lambda arg: " ".join(arg) if isinstance(arg, list) else None,
+)
+def test_a_count_or_interval_out_of_range_is_a_usage_error(argv, message, capsys):
+    """`--tail 0` used to print the whole recorder tail (``[-0:]``), `--tail -3`
+    dropped its head, `watch --top 0` listed every record and `--poll -1`
+    made every SSE handler's `time.sleep` raise: each is now an argparse error."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    last_line = capsys.readouterr().err.splitlines()[-1]
+    assert last_line == f"repro {argv[0]}: error: argument {argv[-2]}: {message}"
 
 
 def test_watch_once_prints_fleet_state(tmp_path, capsys):

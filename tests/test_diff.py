@@ -189,7 +189,7 @@ def test_load_diffable_rejects_foreign_inputs(tmp_path):
         load_diffable(str(tmp_path / "absent.json"))
     bench = tmp_path / "BENCH_1.json"
     bench.write_text(json.dumps({"schema": 1, "workloads": {}}))
-    with pytest.raises(DiffError, match="repro compare"):
+    with pytest.raises(DiffError, match="repro regress"):
         load_diffable(str(bench))
     mystery = tmp_path / "mystery.json"
     mystery.write_text(json.dumps({"hello": "world"}))

@@ -17,7 +17,7 @@ from repro.telemetry import (
     pins,
     validate_digest_block,
 )
-from repro.telemetry.compare import compare_bench, render_comparison
+from repro.telemetry.sentinel import render_sentinel
 from repro.telemetry.diff import missing_resim_keys
 from repro.telemetry.digest import chain_hex
 from repro.telemetry.runstore import RunRecord, RunStore, record_from_result
@@ -25,6 +25,7 @@ from repro.topology.grid import ChipletGrid
 from repro.topology.system import build_system
 
 from .helpers import build_chain, digested_uniform_run, run_cycles, write_pins
+from .test_bench_compare import judge
 from .test_runstore import make_record
 
 
@@ -256,37 +257,42 @@ def test_run_synthetic_digest_lands_on_result_and_record():
     assert record.digest == block
 
 
-# -- bench + compare ----------------------------------------------------------
+# -- bench + regress ----------------------------------------------------------
 TRACE_WORKLOAD = "channel_moc_trace_256"
 
 
-def test_bench_case_carries_digest_and_compare_matches(bench_doc):
+def test_bench_case_carries_digest_and_compare_matches(bench_doc, tmp_path):
     block = bench_doc["workloads"][TRACE_WORKLOAD]
     # The traced pass's full chain rides at workload level; its low 48 bits
     # are the exact per-layer row a JSON number carries without loss.
     chain = block["per_layer"]["sim.stats.digest_chain"]["value"]
     assert chain == int(block["digest_chain"], 16) & ((1 << 48) - 1) != 0
 
-    verdicts = {(v.case, v.metric): v for v in compare_bench(bench_doc, bench_doc)}
-    match = verdicts[(TRACE_WORKLOAD, "sim.stats.digest_chain")]
+    report = judge(tmp_path, bench_doc, bench_doc)
+    [match] = [r for r in report.reports
+               if (r.case, r.metric) == (TRACE_WORKLOAD, "sim.stats.digest_chain")]
     assert match.verdict == "noise"  # identical chains
-    assert match.a == match.b == chain
-    assert f"{int(chain):012x}" in render_comparison([match])  # printed in hex
+    assert match.baseline == match.latest == chain
+    assert f"{int(chain):012x}" in render_sentinel(report)  # printed in hex
 
 
-def test_compare_renders_na_when_digest_block_is_missing(bench_doc):
+def verdicts_of(report):
+    return {(r.case, r.metric): r.verdict for r in report.reports}
+
+
+def test_compare_renders_na_when_digest_block_is_missing(bench_doc, tmp_path):
     old = json.loads(json.dumps(bench_doc))
     old["workloads"][TRACE_WORKLOAD]["per_layer"] = {}  # a --trace 0 run: no chain
     for a, b in ((old, bench_doc), (bench_doc, old)):
-        verdicts = {(v.case, v.metric): v for v in compare_bench(a, b)}
-        assert verdicts[(TRACE_WORKLOAD, "sim.stats.digest_chain")].verdict == "n/a"
-    assert "sim.stats.digest_chain" not in {
-        v.metric for v in compare_bench(old, old) if v.case == TRACE_WORKLOAD
-    }
+        verdicts = verdicts_of(judge(tmp_path, a, b))
+        assert verdicts[(TRACE_WORKLOAD, "sim.stats.digest_chain")] == "n/a"
+    assert (TRACE_WORKLOAD, "sim.stats.digest_chain") not in verdicts_of(
+        judge(tmp_path, old, old)
+    )
 
 
-def test_compare_flags_digest_mismatch(bench_doc):
+def test_compare_flags_digest_mismatch(bench_doc, tmp_path):
     drifted = json.loads(json.dumps(bench_doc))
     drifted["workloads"][TRACE_WORKLOAD]["per_layer"]["sim.stats.digest_chain"]["value"] ^= 1
-    verdicts = {(v.case, v.metric): v for v in compare_bench(bench_doc, drifted)}
-    assert verdicts[(TRACE_WORKLOAD, "sim.stats.digest_chain")].verdict == "regressed"
+    verdicts = verdicts_of(judge(tmp_path, bench_doc, drifted))
+    assert verdicts[(TRACE_WORKLOAD, "sim.stats.digest_chain")] == "regressed"

@@ -6,11 +6,12 @@ engine-side conservation invariant across every system family, the
 passive-observer guarantee (attaching the ledger never changes simulated
 results), the strided extrapolation, the cProfile→speedscope folding, and
 the end-to-end acceptance story: an injected per-phase slowdown must show
-up in ``repro compare`` under the guilty phase's name.
+up in the bench history under the guilty phase's name, and never gate.
 """
 
 import itertools
 import json
+import math
 import time
 from collections import Counter
 
@@ -28,7 +29,8 @@ from repro.sim.engine import Engine
 from repro.sim.experiment import run_synthetic
 from repro.sim.stats import DeadlockError, Stats
 from repro.telemetry import TelemetryConfig
-from repro.telemetry.compare import compare_bench, regressions
+from repro.telemetry.history import load_history
+from repro.telemetry.sentinel import analyze_history
 from repro.telemetry.hostprof import (
     CONSERVATION_TOLERANCE,
     PHASES,
@@ -48,7 +50,7 @@ from repro.topology.grid import ChipletGrid
 from repro.topology.system import build_system
 
 from .helpers import build_chain, chain_spec, forward_routing
-from .test_bench_compare import make_bench_doc, make_case
+from .test_bench_compare import make_bench_doc, make_case, write_docs
 from .test_engine import ListWorkload
 
 
@@ -544,7 +546,7 @@ def test_speedscope_roundtrip_and_validation(tmp_path):
         validate_speedscope(short_end)
 
 
-# -- acceptance: the ledger names the guilty phase; compare prints, never gates ---
+# -- acceptance: the ledger names the guilty phase; regress never gates on it -----
 def host_case(ns_per_cycle):
     """A workload block carrying a ledger's split as per-layer host rows, the
     way ``benchmarks/perf/child.py`` names them."""
@@ -554,7 +556,7 @@ def host_case(ns_per_cycle):
     )
 
 
-def test_injected_slowdown_is_attributed_to_the_guilty_phase(monkeypatch):
+def test_injected_slowdown_is_attributed_to_the_guilty_phase(monkeypatch, tmp_path):
     from repro.noc.router import Router
 
     _, clean = run_with_ledger(small_spec(cycles=400), seed=5)
@@ -576,29 +578,30 @@ def test_injected_slowdown_is_attributed_to_the_guilty_phase(monkeypatch):
 
     before = make_bench_doc(fig11=host_case(npc_clean))
     after = make_bench_doc(fig11=host_case(npc_slow))
-    verdicts = {v.metric: v for v in compare_bench(before, after)}
-    # The phase's row shows the slowdown; host time of one layer carries no
+    history = load_history(paths=write_docs(tmp_path, before, after))
+    # The phase's series shows the slowdown; host time of one layer carries no
     # verdict (`run.py --agree`'s rule), so no gate can trip on it.
-    guilty = verdicts["noc.router.rc_va_ns_per_flit_hop"]
-    assert guilty.verdict == "info" and guilty.rel_delta > 2.0
-    assert regressions(list(verdicts.values()), gate=["noc.router"]) == []
+    guilty = history.get("fig11", "noc.router.rc_va_ns_per_flit_hop")
+    assert guilty.auxiliary and guilty.values[1] > 3 * guilty.values[0]
+    assert analyze_history(history, metric_prefixes=["noc.router"]).regressions() == []
 
 
-def test_compare_tolerates_missing_host_blocks():
+def test_compare_tolerates_missing_host_blocks(tmp_path):
     old = make_bench_doc(fig11=make_case(counts={}))  # a --trace 0 run: no per-layer rows
     new = make_bench_doc(fig11=host_case({"sa_st": 5000.0, "rc_va": 1000.0}))
-    verdicts = compare_bench(old, new)
-    host_verdicts = [v for v in verdicts if v.metric.endswith("_ns_per_flit_hop")]
-    assert host_verdicts and all(v.verdict == "n/a" for v in host_verdicts)
-    assert regressions(verdicts, gate=["noc"]) == []
+    history = load_history(paths=write_docs(tmp_path, old, new))
+    host = [s for s in history.series.values() if s.metric.endswith("_ns_per_flit_hop")]
+    assert host and all(s.auxiliary and math.isnan(s.values[0]) for s in host)
+    assert analyze_history(history, metric_prefixes=["noc"]).regressions() == []
 
 
-def test_compare_skips_sub_noise_phases():
-    verdicts = compare_bench(
+def test_compare_skips_sub_noise_phases(tmp_path):
+    report = analyze_history(load_history(paths=write_docs(
+        tmp_path,
         make_bench_doc(fig11=host_case({"sa_st": 10_000.0, "stats": 50.0})),
         make_bench_doc(fig11=host_case({"sa_st": 10_000.0, "stats": 150.0})),
-    )
+    )), metric_prefixes=["sim.engine", "noc"])
     # A 3x jump in a 0.5%-share phase is absolute noise, not a regression:
     # no layer's host time is ever judged, only the end-to-end rows it moves.
-    assert not regressions(verdicts, gate=["sim.engine", "noc"])
-    assert {v.verdict for v in verdicts if v.metric.endswith("_ns_per_flit_hop")} <= {"info", "n/a"}
+    assert not report.regressions()
+    assert not [r for r in report.reports if r.metric.endswith("_ns_per_flit_hop")]

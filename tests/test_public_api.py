@@ -77,7 +77,7 @@ loaded = [m for m in {heavy!r} if "repro.telemetry." + m in sys.modules]
 assert loaded == [], loaded
 assert "repro.routing.deadlock" in sys.modules
 assert "repro.analysis" not in sys.modules
-from repro.telemetry import RunDigest, TelemetryConfig, compare_bench
+from repro.telemetry import RunDigest, TelemetryConfig, classify
 from repro import TelemetrySession, EpochMetrics
 assert "repro.telemetry.compare" in sys.modules
 import repro.telemetry

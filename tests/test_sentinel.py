@@ -135,9 +135,13 @@ def test_verdict_direction_respects_higher_is_better():
 
 
 def test_insufficient_history_and_na_verdicts():
-    short = history_with(series_of([100.0] * 3))
-    [report] = analyze_history(short).reports
+    single = history_with(series_of([100.0]))
+    [report] = analyze_history(single).reports
     assert report.verdict == "insufficient-history"
+    # Too short for the changepoint test: the newest run is judged against the
+    # one before it by compare's pair rule, which names the within-band case.
+    [report] = analyze_history(history_with(series_of([100.0, 60.0, 62.0]))).reports
+    assert (report.verdict, report.baseline, report.latest) == ("noise", 60.0, 62.0)
 
     empty = history_with(series_of([float("nan")] * 10, metric="peak_rss_mb",
                                    higher=False))
@@ -156,16 +160,24 @@ def test_digest_stability_any_zero_regresses():
     assert report.changepoint_key == "run-003"
 
     good = history_with(
-        series_of([float("nan")] + [7.0] * 4, metric="sim.stats.digest_chain", exact=True)
+        series_of([float("nan")] + [7.0] * 6, metric="sim.stats.digest_chain", exact=True)
     )
     [report] = analyze_history(good).reports
     assert report.verdict == "ok"
 
     # Runs of another seed (or --smoke runs) are compared among themselves.
-    mixed = series_of([7.0, 9.0, 7.0, 9.0], metric="sim.stats.digest_chain", exact=True)
-    for index in (1, 3):
+    mixed = series_of([7.0, 9.0] * 3, metric="sim.stats.digest_chain", exact=True)
+    for index in (1, 3, 5):
         mixed.points[index] = SeriesPoint(f"run-00{index}", "t", "rev", "seed=2", 9.0)
     assert [r.verdict for r in analyze_history(history_with(mixed)).reports] == ["ok"]
+    # Shorter than a window, the newest two runs are read as a pair: equal
+    # chains are noise, and chains of different inputs cannot be compared.
+    pair = series_of([7.0, 7.0], metric="sim.stats.digest_chain", exact=True)
+    [report] = analyze_history(history_with(pair)).reports
+    assert report.verdict == "noise"
+    mixed.points[4:] = []
+    [report] = analyze_history(history_with(mixed)).reports
+    assert report.verdict == "n/a"
 
 
 def test_metric_prefix_filter():
@@ -253,23 +265,25 @@ def test_history_merges_bench_dirs_in_created_order(tmp_path):
 
 
 def test_history_and_compare_share_one_metric_catalogue(bench_doc, tmp_path):
-    """`repro regress` watches exactly what `repro compare` judges."""
-    from repro.telemetry.bench import write_bench
-    from repro.telemetry.compare import compare_bench
+    """A pair and a trajectory are judged on one catalogue: every row that
+    carries a bound, and never a host-time layer row."""
+    from repro.telemetry.bench import case_metrics, write_bench
 
-    verdicts = compare_bench(bench_doc, bench_doc)
-    judged = {v.metric for v in verdicts if v.verdict != "info"}
+    metrics = case_metrics(bench_doc["workloads"]["phy_steady_256"])
+    judged = {name for name, m in metrics.items() if m.rel_floor is not None}
     assert {"flit_hops_per_s", "wall_s", "peak_rss_mb", "failed_points",
             "noc.router.flit_hops", "sim.stats.digest_chain"} <= judged
 
     write_bench(bench_doc, tmp_path)
+    write_bench(bench_doc, tmp_path)
     history = load_history([tmp_path])
+    report = analyze_history(history)
     for case in bench_doc["workloads"]:
-        watched = {s.metric for s in history.ordered() if s.case == case}
-        assert watched == judged
-    # What compare prints without a verdict is neither judged nor watched,
-    # but the series still feed the culprit hint.
-    unjudged = {v.metric for v in verdicts if v.verdict == "info"}
+        assert {s.metric for s in history.ordered() if s.case == case} == judged
+        assert {r.metric for r in report.reports if r.case == case} == judged
+    # The host-time rows are neither judged nor watched, but the series
+    # still feed the culprit hint.
+    unjudged = set(metrics) - judged
     assert "noc.router.sa_st_ns_per_flit_hop" in unjudged
     assert all(history.get(case, metric).auxiliary for metric in unjudged)
 
