@@ -23,32 +23,32 @@ Run with::
 
 from repro import ChipletGrid, Engine, SimConfig, Stats, build_network, build_system
 from repro.noc.flit import Packet
-
-import numpy as np
+from repro.traffic import Stream
 
 
 class MixedWorkload:
-    """Random mix of high-priority sync packets and bulk transfers."""
+    """Random mix of high-priority sync packets and bulk transfers: per
+    cycle, ``n_nodes`` Bernoulli(``*_rate``) trials give the count of each."""
 
     def __init__(self, n_nodes: int, sync_rate: float, bulk_rate: float, seed: int = 3):
         self.n_nodes = n_nodes
         self.sync_rate = sync_rate
         self.bulk_rate = bulk_rate
-        self.rng = np.random.default_rng(seed)
+        self.rng = Stream(seed)
 
     def _pair(self):
-        src = int(self.rng.integers(self.n_nodes))
-        dst = int(self.rng.integers(self.n_nodes - 1))
+        src = self.rng.integers(self.n_nodes)
+        dst = self.rng.integers(self.n_nodes - 1)
         return src, dst if dst < src else dst + 1
 
     def step(self, now):
         packets = []
-        for _ in range(self.rng.poisson(self.sync_rate * self.n_nodes)):
+        for _ in range(self.rng.binomial(self.n_nodes, self.sync_rate)):
             src, dst = self._pair()
             packets.append(
                 Packet(src, dst, 1, now, priority=5, msg_class="sync", ordered=False)
             )
-        for _ in range(self.rng.poisson(self.bulk_rate * self.n_nodes)):
+        for _ in range(self.rng.binomial(self.n_nodes, self.bulk_rate)):
             src, dst = self._pair()
             packets.append(Packet(src, dst, 16, now, msg_class="bulk"))
         return packets

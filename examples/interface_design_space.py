@@ -17,8 +17,6 @@ Run with::
     python examples/interface_design_space.py
 """
 
-import numpy as np
-
 from repro import (
     ChipletGrid,
     SimConfig,
@@ -38,11 +36,10 @@ def ascii_curves() -> None:
     """A small text rendering of Fig 8(a)."""
     hetero = hetero_curve(PARALLEL, SERIAL)
     curves = [PARALLEL, SERIAL, COMPROMISED, hetero]
-    t_grid = np.arange(0, 41, 4)
     print("V(t): volume delivered by time t (flits)")
     print(f"{'t':>4s}", *(f"{c.name.split()[0]:>12s}" for c in curves))
-    for t in t_grid:
-        print(f"{t:4d}", *(f"{float(c.volume(float(t))):12.0f}" for c in curves))
+    for t in range(0, 41, 4):
+        print(f"{t:4d}", *(f"{c.volume(t):12.0f}" for c in curves))
     print()
 
 

@@ -54,40 +54,27 @@ from .telemetry.bus import TelemetryBus
 from .topology.grid import ChipletGrid
 from .topology.multipackage import build_hetero_channel_packages
 from .topology.system import FAMILIES, SystemSpec, build_system
+from .traffic.hpc import embed_ranks, generate_cns_trace, generate_moc_trace
 from .traffic.injection import SyntheticWorkload
+from .traffic.parsec import PARSEC_PROFILES, generate_parsec_trace
 from .traffic.reqreply import RequestReplyWorkload
 from .traffic.patterns import PATTERNS, make_pattern
+from .traffic.trace import Trace, TraceRecord, TraceWorkload
 
 __version__ = "1.0.0"
 
-#: Names resolved on first access (PEP 562), by the subpackage that holds
-#: them: ``import repro`` and a synthetic run load neither the observatory's
-#: collectors nor numpy, which only the trace tables need.
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "ChromeTraceBuilder",
-            "EpochMetrics",
-            "ProgressReporter",
-            "TelemetryConfig",
-            "TelemetrySession",
-        ),
-        "telemetry",
+#: Names resolved on first access (PEP 562): ``import repro`` and a run
+#: load none of the observatory's collectors.
+_LAZY = dict.fromkeys(
+    (
+        "ChromeTraceBuilder",
+        "EpochMetrics",
+        "ProgressReporter",
+        "TelemetryConfig",
+        "TelemetrySession",
     ),
-    **dict.fromkeys(
-        (
-            "PARSEC_PROFILES",
-            "Trace",
-            "TraceRecord",
-            "TraceWorkload",
-            "embed_ranks",
-            "generate_cns_trace",
-            "generate_moc_trace",
-            "generate_parsec_trace",
-        ),
-        "traffic",
-    ),
-}
+    "telemetry",
+)
 
 
 def __getattr__(name: str):

@@ -14,18 +14,12 @@ fold that transmits more data with lower latency than either component.
 Pin-constrained comparison (Fig 8b): since I/O pin count determines
 silicon area and cost, curves can be compared at a fixed total pin budget
 by scaling each interface's bandwidth with the share of pins it gets.
-
-numpy is imported where a curve is evaluated, not with the module:
-``import repro`` stays free of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -42,11 +36,9 @@ class VTCurve:
         if self.delay < 0:
             raise ValueError("delay must be >= 0")
 
-    def volume(self, t: float | np.ndarray) -> float | np.ndarray:
+    def volume(self, t: float) -> float:
         """V(t): data volume delivered by time t."""
-        import numpy as np
-
-        return np.maximum(self.bandwidth * (np.asarray(t, dtype=float) - self.delay), 0.0)
+        return max(self.bandwidth * (t - self.delay), 0.0)
 
     def time_to_deliver(self, volume: float) -> float:
         """Inverse of V(t): the time to deliver a given volume."""
@@ -74,12 +66,8 @@ class HeteroVTCurve:
         if not self.components:
             raise ValueError("need at least one component")
 
-    def volume(self, t: float | np.ndarray) -> float | np.ndarray:
-        total = None
-        for curve in self.components:
-            v = curve.volume(t)
-            total = v if total is None else total + v
-        return total
+    def volume(self, t: float) -> float:
+        return sum(curve.volume(t) for curve in self.components)
 
     def time_to_deliver(self, volume: float) -> float:
         """Inverse of the summed piecewise-linear V(t) (binary search)."""
@@ -129,11 +117,10 @@ def pin_constrained_hetero(
 
 def sample_curves(
     curves: Sequence[VTCurve | HeteroVTCurve], t_max: float, points: int = 50
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+) -> dict[str, tuple[tuple[float, ...], tuple[float, ...]]]:
     """Evaluate curves on a common time grid (the Fig 8 plot data)."""
     if t_max <= 0 or points < 2:
         raise ValueError("t_max must be > 0 and points >= 2")
-    import numpy as np
-
-    t = np.linspace(0.0, t_max, points)
-    return {curve.name: (t, np.asarray(curve.volume(t))) for curve in curves}
+    step = t_max / (points - 1)
+    t = tuple(i * step for i in range(points - 1)) + (float(t_max),)
+    return {curve.name: (t, tuple(map(curve.volume, t))) for curve in curves}

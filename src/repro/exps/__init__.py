@@ -4,8 +4,7 @@ Each module exposes ``run(scale) -> ExperimentResult`` regenerating the
 numeric series behind one table or figure of the paper's evaluation.
 ``EXPERIMENTS`` maps experiment ids to their runners (used by the CLI and
 the benchmark harness).  A runner imports its module on first call, so
-``repro run fig11`` never loads the trace figures (or numpy, which their
-trace tables and Fig 8's V-t curves need).
+``repro run fig11`` loads no other figure's module.
 """
 
 from importlib import import_module

@@ -16,8 +16,6 @@ between the two (3 flits/cy @ 10 cy).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.vt_model import VTCurve, hetero_curve, pin_constrained_hetero
 from .common import ExperimentResult
 
@@ -37,14 +35,14 @@ def run(scale: str = "small") -> ExperimentResult:
         title="V-t curves: data volume delivered vs time (Eq 2)",
         headers=("t_cycles", "parallel", "serial", "compromised", "hetero", "hetero_half_pins"),
     )
-    for t in np.linspace(0, 60, 25):
+    for t in (step * 2.5 for step in range(25)):  # 0 to 60 cycles
         result.add(
-            float(t),
-            float(PARALLEL.volume(t)),
-            float(SERIAL.volume(t)),
-            float(COMPROMISED.volume(t)),
-            float(hetero.volume(t)),
-            float(half.volume(t)),
+            t,
+            PARALLEL.volume(t),
+            SERIAL.volume(t),
+            COMPROMISED.volume(t),
+            hetero.volume(t),
+            half.volume(t),
         )
     v = 64.0  # one 16-flit packet at 4 bytes... illustrative volume
     result.notes.append(

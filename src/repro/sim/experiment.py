@@ -19,13 +19,13 @@ from repro.telemetry.runstore import system_digest
 from repro.topology.system import SystemSpec
 from repro.traffic.injection import SyntheticWorkload
 from repro.traffic.patterns import make_pattern
+from repro.traffic.trace import Trace, TraceWorkload
 from .build import build_network
 from .engine import Engine, Workload
 from .stats import Stats
 
-if TYPE_CHECKING:  # pragma: no cover - the observatory and numpy load on demand
+if TYPE_CHECKING:  # pragma: no cover - the observatory loads on demand
     from repro.telemetry.session import TelemetryConfig, TelemetrySession
-    from repro.traffic.trace import Trace
 
 
 @dataclass
@@ -288,16 +288,13 @@ def run_trace(
     Pass ``telemetry=`` exactly as in :func:`run_synthetic`.  A trace with
     an endpoint outside the system is rejected here, before the first cycle.
     """
-    from repro.traffic.trace import TraceWorkload
-
     n_nodes = spec.grid.n_nodes
     for column in (trace.src, trace.dst):
-        outside = (column < 0) | (column >= n_nodes)
-        if outside.any():
-            row = int(outside.argmax())
+        if len(column) and not (min(column) >= 0 and max(column) < n_nodes):
+            row = next(row for row, node in enumerate(column) if not 0 <= node < n_nodes)
             raise ValueError(
-                f"trace {trace.name!r} row {row} ({int(trace.src[row])} -> "
-                f"{int(trace.dst[row])}): node {int(column[row])} is outside "
+                f"trace {trace.name!r} row {row} ({trace.src[row]} -> "
+                f"{trace.dst[row]}): node {column[row]} is outside "
                 f"{spec.name}, n_nodes={n_nodes}"
             )
     # Trace replays carry no synthetic-workload descriptor, so the digest

@@ -1,29 +1,16 @@
 """Workloads: synthetic patterns, trace replay, PARSEC and HPC generators.
 
-The synthetic side draws from :class:`~repro.traffic.rng.Stream` and never
-loads numpy.  The trace side (``trace``, ``hpc``, ``parsec``) keeps its
-tables in numpy columns, so its names resolve on first access (PEP 562).
+Every random draw comes from :class:`~repro.traffic.rng.Stream`; traces
+keep their tables in standard-library ``array`` columns.
 """
 
-from importlib import import_module
-
+from .hpc import embed_ranks, generate_cns_trace, generate_moc_trace, packetize
 from .injection import SyntheticWorkload
+from .parsec import PARSEC_PROFILES, generate_parsec_trace
 from .patterns import FIGURE_PATTERNS, PATTERNS, TrafficPattern, make_pattern
 from .reqreply import RequestReplyWorkload
 from .rng import Stream
-
-#: Trace-side name -> the submodule that defines it, imported on first access.
-_LAZY = {
-    "embed_ranks": "hpc",
-    "generate_cns_trace": "hpc",
-    "generate_moc_trace": "hpc",
-    "packetize": "hpc",
-    "PARSEC_PROFILES": "parsec",
-    "generate_parsec_trace": "parsec",
-    "Trace": "trace",
-    "TraceRecord": "trace",
-    "TraceWorkload": "trace",
-}
+from .trace import Trace, TraceRecord, TraceWorkload
 
 __all__ = [
     "FIGURE_PATTERNS",
@@ -44,11 +31,3 @@ __all__ = [
     "packetize",
 ]
 
-
-def __getattr__(name: str):
-    try:
-        module = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro.traffic' has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
-    return value

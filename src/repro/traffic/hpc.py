@@ -19,9 +19,13 @@ seed.  Ranks are embedded onto system nodes with
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
+from itertools import compress, repeat
+from operator import add, ne
+from typing import Sequence
 
 from repro.topology.grid import ChipletGrid
+from .rng import Stream
 from .trace import Trace, TraceRecord
 
 #: Bytes per flit (64-bit flits).
@@ -59,23 +63,22 @@ def packetize(
     ]
 
 
-#: A batch of equal-size messages: (cycle, src, dst) arrays and the byte count.
-_Batch = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+#: A batch of equal-size messages: (cycle, src, dst) per message and the byte count.
+_Batch = tuple[Sequence[int], Sequence[int], Sequence[int], int]
 
 
 def _to_trace(batches: list[_Batch], name: str) -> Trace:
     """Packetize message batches (as :func:`packetize` does one message)."""
-    if not batches:
-        return Trace(name=name)
-    columns: tuple[list, ...] = ([], [], [], [])
-    for cycle, src, dst, n_bytes in batches:
-        remote = src != dst  # a message to oneself never enters the network
-        lengths = np.array(_train_lengths(n_bytes), np.int32)
-        columns[0].append((cycle[remote, None] + np.arange(len(lengths))).ravel())
-        columns[1].append(np.repeat(src[remote], len(lengths)))
-        columns[2].append(np.repeat(dst[remote], len(lengths)))
-        columns[3].append(np.tile(lengths, int(remote.sum())))
-    return Trace.from_columns(*map(np.concatenate, columns), msg_class="bulk", name=name)
+    cycle, src, dst, length = array("q"), array("i"), array("i"), array("i")
+    for starts, srcs, dsts, n_bytes in batches:
+        remote = list(map(ne, srcs, dsts))  # a message to oneself never enters the network
+        starts, srcs, dsts = (list(compress(c, remote)) for c in (starts, srcs, dsts))
+        for offset, flits in enumerate(_train_lengths(n_bytes)):
+            cycle.extend(map(add, starts, repeat(offset)))
+            src.extend(srcs)
+            dst.extend(dsts)
+            length.extend(repeat(flits, len(srcs)))
+    return Trace.from_columns(cycle, src, dst, length, msg_class="bulk", name=name)
 
 
 def _rank_grid_shape(n_ranks: int) -> tuple[int, int, int]:
@@ -111,28 +114,31 @@ def generate_cns_trace(
     if n_ranks < 2:
         raise ValueError("need at least two ranks")
     rx, ry, rz = _rank_grid_shape(n_ranks)
-    rng = np.random.default_rng(seed)
-    ranks = np.arange(n_ranks, dtype=np.int32)
-    x, y, z = ranks % rx, (ranks // rx) % ry, ranks // (rx * ry)
+    rng = Stream(seed)
+    ranks = range(n_ranks)
     # Halo partners: the six face neighbours that exist, the same every iteration.
-    halo_src, halo_dst = [], []
-    for coord, size, stride in ((x, rx, 1), (y, ry, rx), (z, rz, rx * ry)):
+    halo_src: list[int] = []
+    halo_dst: list[int] = []
+    for coord, size, stride in (
+        ([r % rx for r in ranks], rx, 1),
+        ([r // rx % ry for r in ranks], ry, rx),
+        ([r // (rx * ry) for r in ranks], rz, rx * ry),
+    ):
         for step in (1, -1):
-            inside = (coord + step >= 0) & (coord + step < size)
-            halo_src.append(ranks[inside])
-            halo_dst.append(ranks[inside] + step * stride)
-    halo_src, halo_dst = np.concatenate(halo_src), np.concatenate(halo_dst)
+            inside = [r for r in ranks if 0 <= coord[r] + step < size]
+            halo_src += inside
+            halo_dst += (r + step * stride for r in inside)
     batches: list[_Batch] = []
     for it in range(iterations):
         base = it * iteration_gap
-        jitter = rng.integers(0, 8, size=n_ranks)  # one draw per rank, in rank order
-        batches.append((base + jitter[halo_src], halo_src, halo_dst, halo_bytes))
+        jitter = [base + rng.integers(8) for _ in ranks]  # one draw per rank, in rank order
+        batches.append((list(map(jitter.__getitem__, halo_src)), halo_src, halo_dst, halo_bytes))
         if it % allreduce_every == allreduce_every - 1:
             # Recursive-doubling allreduce, 4 cycles of pipelining per stage.
             t, stage = base + iteration_gap // 2, 1
             while stage < n_ranks:
-                src = ranks[ranks ^ stage < n_ranks]
-                batches.append((np.full(len(src), t), src, src ^ stage, allreduce_bytes))
+                src = [r for r in ranks if r ^ stage < n_ranks]
+                batches.append(([t] * len(src), src, [r ^ stage for r in src], allreduce_bytes))
                 stage <<= 1
                 t += 4
     return _to_trace(batches, name="hpc-cns")
@@ -155,21 +161,18 @@ def generate_moc_trace(
     """
     if n_ranks < 2:
         raise ValueError("need at least two ranks")
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     bits = max(1, (n_ranks - 1).bit_length())
-    ranks = np.arange(n_ranks, dtype=np.int32)
+    ranks = range(n_ranks)
     # transpose-like partner: bit-reversed rank
-    reversed_rank = np.zeros_like(ranks)
-    for bit in range(bits):
-        reversed_rank |= ((ranks >> bit) & 1) << (bits - 1 - bit)
-    reversed_rank %= n_ranks
+    reversed_rank = [int(f"{r:0{bits}b}"[::-1], 2) % n_ranks for r in ranks]
     batches: list[_Batch] = []
     for it in range(iterations):
-        strides = rng.choice(bits, size=min(partners_per_sweep, bits), replace=False)
-        start = it * iteration_gap + rng.integers(0, 16, size=n_ranks)  # per-rank jitter
+        strides = rng.choice(bits, min(partners_per_sweep, bits))
+        start = [it * iteration_gap + rng.integers(16) for _ in ranks]  # per-rank jitter
         for k in strides:
-            batches.append((start, ranks, (ranks ^ (1 << int(k))) % n_ranks, sweep_bytes))
-        batches.append((start + 8, ranks, reversed_rank, sweep_bytes))
+            batches.append((start, ranks, [(r ^ (1 << k)) % n_ranks for r in ranks], sweep_bytes))
+        batches.append(([t + 8 for t in start], ranks, reversed_rank, sweep_bytes))
     return _to_trace(batches, name="hpc-moc")
 
 
@@ -180,12 +183,27 @@ def embed_ranks(
 
     Ranks are spread evenly over the chosen node population (all nodes, or
     core nodes only for Fig 15).  Messages whose endpoints land on the
-    same node become local and are dropped.
+    same node become local and are dropped.  A negative rank is an error.
     """
-    nodes = np.array(grid.core_nodes() if core_only else range(grid.n_nodes), np.int32)
+    nodes = grid.core_nodes() if core_only else range(grid.n_nodes)
     if not len(nodes):
         raise ValueError("grid has no eligible nodes for embedding")
-    n_ranks = int(max(trace.src.max(), trace.dst.max())) + 1 if len(trace) else 0
-    node_of_rank = nodes[np.arange(n_ranks) * len(nodes) // max(n_ranks, 1) % len(nodes)]
-    src, dst = node_of_rank[trace.src], node_of_rank[trace.dst]
-    return trace.with_columns(f"{trace.name}-embedded", src=src, dst=dst, keep=src != dst)
+    if len(trace) and min(min(trace.src), min(trace.dst)) < 0:
+        row, rank = next(
+            (row, min(src, dst))
+            for row, (src, dst) in enumerate(zip(trace.src, trace.dst))
+            if src < 0 or dst < 0
+        )
+        raise ValueError(f"trace {trace.name!r} row {row}: rank {rank} is negative")
+    n_ranks = max(max(trace.src), max(trace.dst)) + 1 if len(trace) else 0
+    node_of_rank = [nodes[rank * len(nodes) // n_ranks] for rank in range(n_ranks)]
+    src = array("i", map(node_of_rank.__getitem__, trace.src))
+    dst = array("i", map(node_of_rank.__getitem__, trace.dst))
+    # Ranks on distinct, ascending nodes keep the rows in record order.
+    return trace._derived(
+        f"{trace.name}-embedded",
+        keep=list(map(ne, src, dst)),
+        in_order=all(map(int.__lt__, node_of_rank, node_of_rank[1:])),
+        src=src,
+        dst=dst,
+    )

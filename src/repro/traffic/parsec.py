@@ -21,10 +21,10 @@ will differ from Netrace but network *rankings* (Fig 12) are preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import compress
 
 from repro.topology.grid import ChipletGrid
+from .rng import Stream
 from .trace import Trace
 
 #: Flit counts of the two Netrace packet sizes (8 B and 72 B at 8 B/flit).
@@ -92,38 +92,36 @@ def generate_parsec_trace(
         ) from None
     if duration < 1:
         raise ValueError("duration must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
+    random = rng.random
     n = grid.n_nodes
     transactions: list[tuple[int, int, int, bool]] = []  # (cycle, core, home, is_read)
     # Two-state Markov burst process per core.
-    on = rng.random(n) < profile.duty
+    on = [random() < profile.duty for _ in range(n)]
     p_exit_on = 1.0 / profile.burst_length
     off_length = profile.burst_length * (1.0 - profile.duty) / max(profile.duty, 1e-9)
     p_exit_off = 1.0 / max(off_length, 1.0)
     coords = [grid.coords(node) for node in range(n)]
     for cycle in range(duration):
-        flips = rng.random(n)
-        on = np.where(on, flips >= p_exit_on, flips < p_exit_off)
-        active = np.flatnonzero(on)
-        if active.size == 0:
-            continue
-        fire = active[rng.random(active.size) < profile.request_rate]
+        flips = [random() for _ in range(n)]
+        on = [flip >= p_exit_on if was_on else flip < p_exit_off for was_on, flip in zip(on, flips)]
+        # One draw per active core, in core order, before any home is picked.
+        fire = [core for core in compress(range(n), on) if random() < profile.request_rate]
         for src in fire:
-            src = int(src)
             home = _pick_home(src, coords, grid, profile, rng)
             if home == src:
                 continue  # local access, no network traffic
-            transactions.append((cycle, src, home, rng.random() < profile.read_fraction))
-    cycle, core, home, is_read = np.array(transactions, np.int64).reshape(-1, 4).T
+            transactions.append((cycle, src, home, random() < profile.read_fraction))
+    cycle, core, home, is_read = zip(*transactions) if transactions else ((),) * 4
     # A read is a control request answered by a cache line; a write-back is
     # a cache line answered by a control ack.
-    control = np.concatenate((is_read, 1 - is_read)).astype(bool)
+    control = is_read + tuple(not read for read in is_read)
     return Trace.from_columns(
-        np.concatenate((cycle, cycle + profile.service_delay)),
-        np.concatenate((core, home)),
-        np.concatenate((home, core)),
-        np.where(control, CONTROL_FLITS, DATA_FLITS),
-        np.where(control, "coherence", "data"),
+        cycle + tuple(c + profile.service_delay for c in cycle),
+        core + home,
+        home + core,
+        [CONTROL_FLITS if c else DATA_FLITS for c in control],
+        ["coherence" if c else "data" for c in control],
         name=f"parsec-{app}",
     )
 
@@ -133,13 +131,14 @@ def _pick_home(
     coords: list[tuple[int, int]],
     grid: ChipletGrid,
     profile: AppProfile,
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> int:
     if rng.random() < profile.locality:
         sx, sy = coords[src]
-        dx = int(rng.integers(-profile.radius, profile.radius + 1))
-        dy = int(rng.integers(-profile.radius, profile.radius + 1))
+        span = 2 * profile.radius + 1
+        dx = rng.integers(span) - profile.radius
+        dy = rng.integers(span) - profile.radius
         gx = min(max(sx + dx, 0), grid.width - 1)
         gy = min(max(sy + dy, 0), grid.height - 1)
         return grid.node_at(gx, gy)
-    return int(rng.integers(grid.n_nodes))
+    return rng.integers(grid.n_nodes)

@@ -7,21 +7,24 @@ support time scaling, which is how the latency-vs-injection-scale sweeps
 of Fig 13/15 are produced: compressing the timeline raises the offered
 load without changing the communication structure.
 
-The table is stored by column (one numpy array per field), so generating,
-embedding, scaling and replaying a paper-scale trace are array operations;
-:class:`TraceRecord` is the row view and the input for hand-written traces.
+The table is stored by column (one :class:`array.array` per field), so a
+paper-scale trace costs 26 bytes a row and generating, embedding, scaling
+and replaying it are column passes in C; :class:`TraceRecord` is the row
+view and the input for hand-written traces.
 """
 
 from __future__ import annotations
 
+import math
 import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, fields
-from itertools import starmap
-from operator import attrgetter
+from functools import reduce
+from itertools import compress, repeat, starmap
+from operator import and_, attrgetter, eq, lshift, or_, rshift
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from repro.noc.flit import Packet
 
@@ -47,23 +50,25 @@ class TraceRecord:
             raise ValueError(f"src and dst must differ, both are {self.src}")
 
 
-#: Column names in record (and sort-key) order, and their storage types;
-#: ``msg_class`` holds codes into ``Trace.classes``.
+#: Column names in record (and sort-key) order, and their ``array``
+#: typecodes: int64 cycles, one byte for a ``msg_class`` code (into
+#: ``Trace.classes``) or an ``ordered`` flag, C int (32 bits) for the rest.
 _FIELDS = tuple(f.name for f in fields(TraceRecord))
-_DTYPES = (np.int64, np.int32, np.int32, np.int32, np.uint8, np.int32, np.bool_)
+_TYPECODES = ("q", "i", "i", "i", "B", "i", "B")
 _AS_ROW = attrgetter(*_FIELDS)
 
 
 class Trace:
     """A packet trace stored by column, rows in ``sorted(TraceRecord)`` order.
 
-    ``cycle`` (int64), ``src``, ``dst``, ``length``, ``priority`` (int32),
-    ``ordered`` (bool) and ``msg_class`` (uint8 codes into ``classes``, the
-    alphabetically sorted names in use, so code order is name order) are
-    numpy arrays of equal length.  Treat them as read-only.
+    ``cycle`` (typecode ``q``), ``src``, ``dst``, ``length``, ``priority``
+    (``i``), ``ordered`` (``B``, 0 or 1) and ``msg_class`` (``B`` codes into
+    ``classes``, the alphabetically sorted names in use, so code order is
+    name order) are :class:`array.array` columns of equal length.  Treat
+    them as read-only: derived traces share the columns they do not change.
     """
 
-    __hash__ = None  # mutable name, array-valued equality
+    __hash__ = None  # mutable name, column-valued equality
 
     def __init__(self, records: Iterable[TraceRecord] = (), name: str = "trace") -> None:
         columns = list(zip(*map(_AS_ROW, records))) or [()] * len(_FIELDS)
@@ -100,7 +105,7 @@ class Trace:
         classes: tuple[str, ...] | None = None,
         where: Callable[[int], str] | None = None,
     ) -> None:
-        """Check the record rules, sort the rows into record order, keep them.
+        """Check the record rules, then keep the rows in record order.
 
         ``msg_class`` is one name, a name per row, or (with ``classes``, a
         sorted name table) a code per row.
@@ -111,60 +116,95 @@ class Trace:
             if isinstance(msg_class, str):
                 classes, columns[4] = (msg_class,), 0
             else:
-                names, columns[4] = np.unique(np.asarray(msg_class, str), return_inverse=True)
-                classes = tuple(names.tolist())
+                classes = tuple(sorted(set(msg_class)))
+                code = {c: i for i, c in enumerate(classes)}
+                columns[4] = list(map(code.__getitem__, msg_class))
         if len(classes) > 256:
             raise ValueError(f"trace {name!r} has {len(classes)} message classes (max 256)")
+        if not isinstance(columns[6], (int, array)):
+            columns[6] = list(map(bool, columns[6]))  # any true value is stored as 1
         n = len(columns[0])
-        cycle, src, dst, length, codes, priority, ordered = (
-            np.broadcast_to(np.asarray(column, dtype), (n,))
-            for column, dtype in zip(columns, _DTYPES)
-        )
-        bad = (cycle < 0) | (length < 1) | (src == dst)
-        if bad.any():
-            row = int(bad.argmax())
-            try:
-                TraceRecord(int(cycle[row]), int(src[row]), int(dst[row]), int(length[row]))
-            except ValueError as exc:
-                at = where(row) if where else f"trace {name!r} row {row}"
-                raise ValueError(f"{at}: {exc}") from None
-        # Names no row uses are dropped, so equal rows mean equal columns.
-        used = np.bincount(codes, minlength=len(classes)) > 0
-        if not used.all():
-            codes = (np.cumsum(used) - 1).astype(np.uint8)[codes]
-            classes = tuple(c for c, keep in zip(classes, used) if keep)
-        # lexsort's last key is the primary one: all fields, declaration order.
-        order = np.lexsort((ordered, priority, codes, length, dst, src, cycle))
+        columns = [
+            _column(values, typecode, n, f"trace {name!r} column {field}")
+            for values, typecode, field in zip(columns, _TYPECODES, _FIELDS)
+        ]
+        cycle, src, dst, length = columns[:4]
+        if n and (min(cycle) < 0 or min(length) < 1 or any(map(eq, src, dst))):
+            for row, values in enumerate(zip(cycle, src, dst, length)):
+                try:
+                    TraceRecord(*values)
+                except ValueError as exc:
+                    at = where(row) if where else f"trace {name!r} row {row}"
+                    raise ValueError(f"{at}: {exc}") from None
+        self._keep(name, classes, columns)
+
+    def _keep(
+        self, name: str, classes: tuple[str, ...], columns: list[array], in_order: bool = False
+    ) -> None:
+        """Keep columns whose rows obey the record rules, sorting them unless
+        they are ``in_order`` already.  Names no row uses are dropped, so
+        equal rows mean equal columns."""
+        codes = columns[4]
+        present = codes.tobytes()
+        used = [code for code in range(len(classes)) if code in present]
+        if len(used) < len(classes):
+            renumber = dict(zip(used, range(len(used))))
+            columns[4] = array("B", map(renumber.__getitem__, codes))
+            classes = tuple(classes[code] for code in used)
+        if not in_order:
+            columns = _sort_rows(columns)
         self.name = name
         self.classes = classes
-        self.cycle, self.src, self.dst = cycle[order], src[order], dst[order]
-        self.length, self.msg_class = length[order], codes[order]
-        self.priority, self.ordered = priority[order], ordered[order]
+        (self.cycle, self.src, self.dst, self.length,
+         self.msg_class, self.priority, self.ordered) = columns
 
-    def with_columns(self, name: str, *, keep: np.ndarray | None = None, **changed) -> "Trace":
+    def with_columns(
+        self, name: str, *, keep: Sequence[bool] | None = None, **changed
+    ) -> "Trace":
         """A new trace with some columns replaced, keeping only rows where
-        ``keep`` (a bool mask, applied after the replacement) is true."""
-        if unknown := changed.keys() - set(_FIELDS):
-            raise TypeError(f"unknown trace columns: {sorted(unknown)}")
-        columns = [changed.get(f, getattr(self, f)) for f in _FIELDS]
-        if keep is not None:
-            columns = [np.asarray(c)[keep] for c in columns]
+        ``keep`` (a flag per row, applied after the replacement) is true.
+
+        The result is checked against the record rules and re-sorted.
+        """
+        columns = self._columns(changed, keep)
         trace = Trace.__new__(Trace)
         trace._set(name, *columns, classes=self.classes)
         return trace
 
+    def _derived(
+        self,
+        name: str,
+        *,
+        keep: Sequence[bool] | None = None,
+        in_order: bool = False,
+        **changed: array,
+    ) -> "Trace":
+        """:meth:`with_columns` for replacement columns (of the storage
+        typecodes) that keep the record rules: nothing is checked, and the
+        rows are sorted only if their order can have changed."""
+        trace = Trace.__new__(Trace)
+        trace._keep(name, self.classes, self._columns(changed, keep), in_order)
+        return trace
+
+    def _columns(self, changed: dict, keep: Sequence[bool] | None) -> list:
+        if unknown := changed.keys() - set(_FIELDS):
+            raise TypeError(f"unknown trace columns: {sorted(unknown)}")
+        columns = [changed.get(f, getattr(self, f)) for f in _FIELDS]
+        if keep is not None and not all(keep):
+            columns = [array(t, compress(c, keep)) for c, t in zip(columns, _TYPECODES)]
+        return columns
+
     def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
         """Rows ``start:stop`` as tuples of Python values in field order."""
         part = slice(start, stop)
-        names = self.classes
         return zip(
-            self.cycle[part].tolist(),
-            self.src[part].tolist(),
-            self.dst[part].tolist(),
-            self.length[part].tolist(),
-            [names[code] for code in self.msg_class[part].tolist()],
-            self.priority[part].tolist(),
-            self.ordered[part].tolist(),
+            self.cycle[part],
+            self.src[part],
+            self.dst[part],
+            self.length[part],
+            map(self.classes.__getitem__, self.msg_class[part]),
+            self.priority[part],
+            map(bool, self.ordered[part]),
         )
 
     def __iter__(self) -> Iterator[TraceRecord]:
@@ -184,7 +224,7 @@ class Trace:
         return (
             self.name == other.name
             and self.classes == other.classes
-            and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _FIELDS)
+            and all(getattr(self, f) == getattr(other, f) for f in _FIELDS)
         )
 
     def __repr__(self) -> str:
@@ -193,11 +233,11 @@ class Trace:
     @property
     def duration(self) -> int:
         """Last injection cycle + 1 (0 for an empty trace)."""
-        return int(self.cycle[-1]) + 1 if len(self) else 0
+        return self.cycle[-1] + 1 if len(self) else 0
 
     @property
     def total_flits(self) -> int:
-        return int(self.length.sum(dtype=np.int64))
+        return sum(self.length)
 
     def offered_load(self, n_nodes: int) -> float:
         """Average offered load in flits/cycle/node over the trace span."""
@@ -209,13 +249,25 @@ class Trace:
         """Compress (>1) or dilate (<1) the timeline by ``time_scale``.
 
         Scaling time by ``s`` multiplies the offered injection rate by
-        ``s`` while preserving communication structure and ordering.
+        ``s`` while preserving communication structure and ordering.  A
+        cycle ``c`` becomes ``int(c / s)``, truncated.
         """
-        if time_scale <= 0:
-            raise ValueError("time_scale must be > 0")
-        return self.with_columns(
-            f"{self.name}@x{time_scale:g}",
-            cycle=(self.cycle / time_scale).astype(np.int64),  # truncates like int()
+        if not (math.isfinite(time_scale) and time_scale > 0):
+            raise ValueError(f"time_scale must be finite and > 0, got {time_scale!r}")
+        last = self.cycle[-1] / time_scale if len(self) else 0.0
+        if last >= 2**63:
+            raise ValueError(
+                f"time_scale {time_scale!r} moves cycle {self.cycle[-1]} of trace "
+                f"{self.name!r} to {last:.3g}, past the int64 cycle column"
+            )
+        cycle = array("q")
+        for value, count in _runs(self.cycle):  # one division per distinct cycle
+            cycle += array("q", [int(value / time_scale)]) * count
+        # s <= 1 puts distinct cycles at least 1 apart, so truncation keeps
+        # them distinct and the rows keep their order (exactly while the
+        # quotients stay below 2**52, where doubles still resolve halves).
+        return self._derived(
+            f"{self.name}@x{time_scale:g}", in_order=time_scale <= 1 and last < 2**52, cycle=cycle
         )
 
     # -- persistence (simple CSV; keeps examples self-contained) -----------
@@ -263,6 +315,122 @@ class Trace:
         )
 
 
+def _column(values, typecode: str, n: int, what: str) -> array:
+    """``values`` (a sequence, or one int for every row) as an ``n``-row
+    column; an array of the right typecode is kept, not copied."""
+    if isinstance(values, int):
+        return array(typecode, [values]) * n
+    if not (isinstance(values, array) and values.typecode == typecode):
+        try:
+            values = array(typecode, values)
+        except OverflowError as exc:
+            raise ValueError(f"{what}: {exc}") from None
+    if len(values) != n:
+        raise ValueError(f"{what} has {len(values)} rows, the cycle column {n}")
+    return values
+
+
+def _runs(column: array) -> Iterator[tuple[int, int]]:
+    """``(value, count)`` of each run of equal values in a sorted column."""
+    start, n = 0, len(column)
+    while start < n:
+        value = column[start]
+        end = bisect_right(column, value, start)
+        yield value, end - start
+        start = end
+
+
+# -- sorting rows -----------------------------------------------------------
+_LITTLE_ENDIAN = sys.byteorder == "little"
+#: ``bytes.translate`` tables: flip a byte's top bit; delete bytes below 0x80.
+_FLIP_TOP_BIT = bytes(range(128, 256)) + bytes(range(128))
+_BELOW_128 = bytes(range(128))
+_MASK64 = (1 << 64) - 1
+
+
+def _sort_rows(columns: list[array]) -> list[array]:
+    """New columns holding the rows in ascending order, every field in
+    declaration order part of the key.
+
+    A row's key is its fields written one after another as a big-endian
+    byte string: a constant field adds nothing, a field that holds a
+    negative value all its bytes with the sign bit flipped, any other field
+    only its significant bytes.  Cut into 64-bit words (one, for every
+    trace this repository generates), the keys sort as integers, so the
+    only per-row Python work is ``sorted``; building the keys and taking
+    them apart again is byte slicing.
+    """
+    n = len(columns[0])
+    layout = [_key_planes(column) for column in columns]
+    planes = [plane for kept in layout for plane, _, _ in kept]
+    if n < 2 or not planes:
+        return columns
+    places = [[(offset, flipped) for _, offset, flipped in kept] for kept in layout]
+    del layout
+    pad = -len(planes) % 8
+    planes[:0] = [bytes(n)] * pad
+    words = [_pack_words(planes[i:i + 8]) for i in range(0, len(planes), 8)]
+    del planes
+    keys = sorted(reduce(lambda high, low: map(or_, map(lshift, high, repeat(64)), low), words))
+    shifts = range(64 * (len(words) - 1), -1, -64)
+    words = [  # the sorted keys' words, most significant first
+        array("Q", map(and_, map(rshift, keys, repeat(shift)), repeat(_MASK64)))
+        if len(shifts) > 1 else array("Q", keys)
+        for shift in shifts
+    ]
+    del keys
+    planes = iter([plane for word in words for plane in _word_planes(word)][pad:])
+    del words
+    result = []
+    for column, kept in zip(columns, places):
+        if not kept:
+            result.append(column[:1] * n)
+            continue
+        raw = bytearray(n * column.itemsize)
+        for (offset, flipped), plane in zip(kept, planes):
+            raw[offset::column.itemsize] = plane.translate(_FLIP_TOP_BIT) if flipped else plane
+        result.append(array(column.typecode, raw))
+    return result
+
+
+def _key_planes(column: array) -> list[tuple[bytes, int, bool]]:
+    """A column's share of the row key as byte planes (byte ``k`` of every
+    item), most significant first: ``(plane, k, top bit flipped)``."""
+    raw, size = column.tobytes(), column.itemsize
+    if raw == raw[:size] * len(column):
+        return []  # a constant column orders nothing
+    offsets = range(size - 1, -1, -1) if _LITTLE_ENDIAN else range(size)
+    kept = [(raw[offset::size], offset, False) for offset in offsets]
+    top, offset, _ = kept[0]
+    if column.typecode.islower() and top.translate(None, _BELOW_128):
+        # Holds a negative value: offset binary keeps two's complement in order.
+        kept[0] = (top.translate(_FLIP_TOP_BIT), offset, True)
+        return kept
+    while kept[0][0].count(0) == len(column):
+        del kept[0]
+    return kept
+
+
+def _pack_words(planes: list[bytes]) -> array:
+    """Eight byte planes, most significant first, as 64-bit integers."""
+    buffer = bytearray(8 * len(planes[0]))
+    for byte, plane in enumerate(planes):
+        buffer[byte::8] = plane
+    words = array("Q", buffer)
+    if _LITTLE_ENDIAN:
+        words.byteswap()
+    return words
+
+
+def _word_planes(words: array) -> list[bytes]:
+    """The eight byte planes of 64-bit integers (byte-swapped in place),
+    most significant first."""
+    if _LITTLE_ENDIAN:
+        words.byteswap()
+    buffer = words.tobytes()
+    return [buffer[byte::8] for byte in range(8)]
+
+
 class TraceWorkload:
     """Replays a trace: packets appear exactly at their trace timestamps.
 
@@ -279,13 +447,13 @@ class TraceWorkload:
         if now < self._due:
             return ()
         trace = self.trace
-        end = int(trace.cycle.searchsorted(now, side="right"))
+        end = bisect_right(trace.cycle, now, self._pos)
         packets = [
             Packet(src, dst, length, cycle, ordered=ordered, priority=priority, msg_class=msg_class)
             for cycle, src, dst, length, msg_class, priority, ordered in trace.rows(self._pos, end)
         ]
         self._pos = end
-        self._due = int(trace.cycle[end]) if end < len(trace) else sys.maxsize
+        self._due = trace.cycle[end] if end < len(trace) else sys.maxsize
         return packets
 
     def done(self, now: int) -> bool:

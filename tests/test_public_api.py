@@ -87,8 +87,8 @@ assert set(repro.telemetry.__all__) <= set(dir(repro.telemetry))
 
 
 def test_synthetic_runs_do_not_load_numpy():
-    """numpy is for trace tables and Fig 8 only: every synthetic draw comes
-    from ``repro.traffic.rng``, and the trace side is imported on demand."""
+    """No run needs numpy: every random draw comes from
+    ``repro.traffic.rng`` and trace tables are ``array`` columns."""
     import subprocess
     import sys
 
@@ -112,9 +112,49 @@ workload = RequestReplyWorkload(stats, grid.n_nodes, issue_rate=0.2)
 Engine(network, workload, stats).run(50)
 assert workload.requests_issued > 0
 assert "numpy" not in sys.modules
-
-trace = repro.generate_parsec_trace("canneal", grid, 100, seed=3)
-assert repro.run_trace(spec, trace).stats.delivered_fraction == 1.0
-assert "numpy" in sys.modules
 """
     subprocess.run([sys.executable, "-c", script], check=True)
+
+
+def test_trace_runs_and_fig8_work_with_numpy_blocked():
+    """With numpy unimportable, the repo benchmark's MOC pipeline (on a
+    small grid), a PARSEC replay and ``repro run fig8`` all run."""
+    import subprocess
+    import sys
+
+    script = """
+import sys
+sys.modules["numpy"] = None  # "import numpy" now raises ImportError
+import contextlib, io
+import repro.cli
+from repro import ChipletGrid, SimConfig, build_system, run_trace
+from repro.traffic.hpc import embed_ranks, generate_moc_trace
+from repro.traffic.parsec import generate_parsec_trace
+
+grid = ChipletGrid(2, 2, 4, 4)
+spec = build_system("hetero_channel", grid, SimConfig())
+base = generate_moc_trace(64, 3, sweep_bytes=64, partners_per_sweep=10, seed=1)
+moc = embed_ranks(base, grid, core_only=True).scaled(0.5)
+assert run_trace(spec, moc).stats.delivered_fraction == 1.0
+parsec = generate_parsec_trace("canneal", grid, 100, seed=3)
+assert run_trace(spec, parsec).stats.delivered_fraction == 1.0
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert repro.cli.main(["run", "fig8", "--scale", "tiny", "--csv", "--no-record"]) == 0
+assert out.getvalue().startswith("t_cycles,parallel,serial"), out.getvalue()[:200]
+"""
+    subprocess.run([sys.executable, "-c", script], check=True)
+
+
+def test_no_source_file_imports_numpy():
+    import re
+    from pathlib import Path
+
+    src = Path(repro.__file__).parent
+    importing = [
+        f"{path.relative_to(src)}:{no}"
+        for path in sorted(src.rglob("*.py"))
+        for no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.match(r"\s*(import numpy|from numpy[ .])", line)
+    ]
+    assert importing == []

@@ -1,6 +1,8 @@
 """Tests for the trace format, persistence, scaling and replay."""
 
-import numpy as np
+import math
+from array import array
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -95,8 +97,29 @@ def test_time_scaling_dilates():
 
 
 def test_time_scale_validation():
-    with pytest.raises(ValueError):
-        sample_trace().scaled(0)
+    """A scale must be finite and positive (``inf`` used to put every row
+    at cycle 0; ``nan`` failed on a wrapped negative cycle)."""
+    for time_scale in (0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=rf"time_scale must be finite and > 0, got {time_scale!r}"):
+            sample_trace().scaled(time_scale)
+
+
+def test_a_scale_whose_cycles_overflow_the_column_is_rejected_by_name():
+    for time_scale in (1e-300, 1e-18):
+        with pytest.raises(ValueError, match=rf"time_scale {time_scale!r} moves cycle 10 .* int64"):
+            sample_trace().scaled(time_scale)
+    # The column holds cycles below 2**63, exactly.
+    assert Trace([TraceRecord(2**61, 0, 1)]).scaled(0.5).duration == 2**62 + 1
+    with pytest.raises(ValueError, match=r"time_scale 0\.5 moves cycle 4611686018427387904"):
+        Trace([TraceRecord(2**62, 0, 1)]).scaled(0.5)
+
+
+def test_dilation_shares_the_unchanged_columns():
+    """A scale <= 1 keeps the row order, so only the cycle column is new."""
+    trace = sample_trace()
+    slow = trace.scaled(0.5)
+    assert slow.src is trace.src and slow.msg_class is trace.msg_class
+    assert trace.scaled(2.0).src is not trace.src  # compression re-sorts
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -233,12 +256,18 @@ def test_csv_roundtrip_property(tmp_path_factory, records):
 def test_from_columns_equals_the_record_constructor():
     records = [TraceRecord(7, 0, 1, 3, "data"), TraceRecord(2, 4, 0, 3, "ack")]
     columns = Trace.from_columns(
-        [7, 2], np.array([0, 4]), (1, 0), 3, ["data", "ack"], name="t"
+        [7, 2], array("i", [0, 4]), (1, 0), 3, ["data", "ack"], name="t"
     )
     assert columns == Trace(records, name="t")
-    assert columns.cycle.dtype == np.int64 and columns.msg_class.dtype == np.uint8
-    assert columns.src.dtype == columns.length.dtype == np.int32
+    assert columns.cycle.typecode == "q"
+    assert columns.src.typecode == columns.dst.typecode == "i"
+    assert columns.length.typecode == columns.priority.typecode == "i"
+    assert columns.msg_class.typecode == columns.ordered.typecode == "B"
     assert Trace.from_columns([], [], []) == Trace([])
+    with pytest.raises(ValueError, match="column dst has 1 rows, the cycle column 2"):
+        Trace.from_columns([7, 2], [0, 4], [1])
+    with pytest.raises(ValueError, match="column src: .*"):
+        Trace.from_columns([7], [2**40], [1])
 
 
 def test_saved_file_bytes_are_pinned(tmp_path):
@@ -287,6 +316,14 @@ def test_from_columns_names_the_first_offending_row():
         Trace.from_columns([0, 1, 2], [0, 1, 2], [1, 2, 2])
     with pytest.raises(TypeError, match="unknown trace columns"):
         sample_trace().with_columns("x", cycles=[1, 2, 3])
+
+
+def test_embed_ranks_rejects_a_negative_rank():
+    """A negative rank used to index the node table from the end: rank -1
+    of a 4-rank trace landed on rank 3's node."""
+    trace = Trace.from_columns([0, 1, 2], [0, 2, 3], [1, -1, 1], name="neg")
+    with pytest.raises(ValueError, match=r"trace 'neg' row 1: rank -1 is negative"):
+        embed_ranks(trace, ChipletGrid(2, 2, 2, 2))
 
 
 def test_workload_converts_only_the_rows_it_injects():
