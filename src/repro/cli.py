@@ -22,9 +22,9 @@ Run paper experiments and ad-hoc simulations from the shell::
     repro diff pin:fig11_hetero_phy "sim:family=hetero_phy_torus,nodes=4x4,rate=0.15"
     repro diff "sim:family=hetero_phy_torus,chiplets=2x2,nodes=4x4,rate=0.15" \
                "sim:family=hetero_phy_torus,chiplets=2x2,nodes=4x4,rate=0.15,perturb=900"
-    repro dashboard --out dashboard.html
     repro simulate --live              # stream a live feed while running
     repro watch --port 8631            # live fleet dashboard over runs/
+    repro watch --once --out page.html # the same page, static
     repro postmortem forensics/BUNDLE_deadlock_557.json --html report.html
 
 Output is the plain-text table of the experiment (add ``--csv`` for CSV).
@@ -498,48 +498,29 @@ def _cmd_golden(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_dashboard(args) -> int:
-    from repro.telemetry.dashboard import DashboardError, write_dashboard
-
-    try:
-        path = write_dashboard(
-            args.out,
-            args.results_dir,
-            scale=args.scale,
-            bench_dirs=args.bench_dir,
-            runs_dir=args.runs_dir,
-        )
-    except DashboardError as exc:
-        raise SystemExit(str(exc)) from None
-    print(f"wrote {path}")
-    from repro.telemetry.runstore import RunStore
-
-    store = RunStore(args.runs_dir)
-    store.load(strict=False)
-    _warn_skipped(store.skipped, "registry line", f" in {store.path}")
-    return 0
-
-
 def _cmd_watch(args) -> int:
     from repro.telemetry.server import WatchService, serve
 
-    if args.once:
-        service = WatchService(args.runs_dir, top_runs=args.top)
-        state = service.fleet_state()
-        print(json.dumps(state, indent=1, sort_keys=True))
-        _warn_skipped(
-            state["skipped"],
-            "registry line",
-            f" in {Path(args.runs_dir) / 'runs.jsonl'}",
-        )
-        return 0
-    serve(
-        args.runs_dir,
-        host=args.host,
-        port=args.port,
-        poll_seconds=args.poll,
-        top_runs=args.top,
+    if args.out and not args.once:
+        print("repro watch: error: --out requires --once", file=sys.stderr)
+        raise SystemExit(2)
+    service = WatchService(
+        args.runs_dir, poll_seconds=args.poll, top_runs=args.top, results_dir=args.results_dir
     )
+    if not args.once:
+        serve(service, host=args.host, port=args.port)
+        return 0
+    snap = service.snapshot()
+    if args.out:
+        from repro.telemetry.dashboard import render_fleet
+
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(render_fleet(snap), encoding="utf-8")
+        print(f"wrote {out}")
+    else:
+        print(json.dumps(snap.to_dict(), indent=1, sort_keys=True))
+    _warn_skipped(snap.skipped, "registry line", f" in {snap.registry}")
     return 0
 
 
@@ -1003,27 +984,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     golden_p.set_defaults(func=_cmd_golden)
 
-    dash_p = sub.add_parser(
-        "dashboard",
-        help="render the static paper-figure + perf HTML dashboard",
-    )
-    dash_p.add_argument("--out", default="dashboard.html")
-    dash_p.add_argument("--results-dir", default="benchmarks/results")
-    dash_p.add_argument(
-        "--scale", choices=("tiny", "small", "paper"), default="tiny"
-    )
-    dash_p.add_argument(
-        "--bench-dir",
-        action="append",
-        help="directories scanned for BENCH_<n>.json (repeatable; default: .)",
-    )
-    dash_p.add_argument("--runs-dir", default="runs")
-    dash_p.set_defaults(func=_cmd_dashboard)
-
     watch_p = sub.add_parser(
         "watch",
-        help="serve the live fleet dashboard (in-flight --live runs, "
-        "failures with postmortems, bench trajectory, run registry)",
+        help="serve the fleet dashboard (in-flight --live runs, failures, "
+        "paper figures, bench trajectory, run registry); --once --out "
+        "writes it as a static page",
     )
     watch_p.add_argument(
         "--port",
@@ -1054,10 +1019,22 @@ def main(argv: list[str] | None = None) -> int:
         help="rows in the recent-runs table (default: 20)",
     )
     watch_p.add_argument(
+        "--results-dir",
+        default="benchmarks/results",
+        help="paper-figure CSVs; the page draws the largest scale with a "
+        "fig11_<scale>.csv (default: benchmarks/results)",
+    )
+    watch_p.add_argument(
         "--once",
         action="store_true",
         help="print the fleet state as JSON and exit instead of serving "
         "(scriptable snapshot; also the CI smoke hook)",
+    )
+    watch_p.add_argument(
+        "--out",
+        metavar="FILE",
+        help="with --once: write the fleet page as one static, script-free "
+        "HTML file instead of printing JSON",
     )
     watch_p.set_defaults(func=_cmd_watch)
 

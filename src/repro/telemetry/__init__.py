@@ -18,8 +18,10 @@
   epoch samples with speed/ETA, and health anomalies to
   ``runs/live/<run_id>.jsonl`` for ``repro watch``
   (``repro.telemetry.live``);
-* :mod:`repro.telemetry.server` — the stdlib SSE fleet-observability
-  service behind ``repro watch`` (imported lazily by the CLI);
+* :mod:`repro.telemetry.dashboard` / :mod:`repro.telemetry.server` — the
+  fleet page (one ``Snapshot``, every panel a function of it) and the
+  stdlib SSE service behind ``repro watch`` that serves it or, with
+  ``--once --out FILE``, writes it static (imported lazily by the CLI);
 * :class:`FlightRecorder` / :class:`HealthMonitor` /
   :class:`ForensicsSession` — bounded event ring buffer, per-epoch health
   checks and automatic postmortem bundles for wedged runs, rendered by
@@ -44,10 +46,9 @@
   ``repro.telemetry.compare``);
 * :class:`RunStore` / :class:`RunRecord` — the append-only cross-run
   registry under ``runs/`` (``repro.telemetry.runstore``);
-* :mod:`repro.telemetry.bench` / :mod:`repro.telemetry.dashboard` — the
-  reader of the BENCH document (what ``benchmarks/perf/run.py --out``
-  writes and ``repro bench`` stamps; nothing here measures) and the
-  static HTML dashboard (see ``docs/perf.md``).
+* :mod:`repro.telemetry.bench` — the reader of the BENCH document (what
+  ``benchmarks/perf/run.py --out`` writes and ``repro bench`` stamps;
+  nothing here measures; see ``docs/perf.md``).
 
 Import note: ``repro.noc`` imports :mod:`repro.telemetry.bus` at module
 load, so running a point pays for this initializer.  It therefore imports

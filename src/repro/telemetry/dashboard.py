@@ -1,35 +1,21 @@
-"""Static paper-figure + perf dashboard (``repro dashboard``).
+"""The fleet page: one snapshot of the sources, one set of panels.
 
-Renders one self-contained HTML page — zero third-party imports, inline
-SVG via :func:`repro.viz.svg_line_chart` — with:
+:class:`Snapshot` reads each source the page shows once — the run
+registry (``runs/runs.jsonl``, leniently, counting skipped lines), the
+live feeds under ``runs/live/`` (folded, the in-flight/stale split decided
+once), the bench history (the stored ``BENCH_<n>.json`` files) and the
+paper-figure CSVs.  Every panel is a function of it, and :data:`SECTIONS`
+lists them in page order: runs in flight and failures, the Fig 11 curves
+and the paper-vs-measured agreement (one scale for both), performance,
+latency attribution, health, determinism and the recent runs.
 
-* the Fig 11 latency-vs-load curves from ``benchmarks/results/*.csv``;
-* the paper-vs-measured agreement summary (``repro report``'s text);
-* the performance panel over the one bench history (the stored
-  ``BENCH_<n>.json`` files): per-workload flit-hops/s trajectory with
-  changepoint marks, the latest ns-per-flit-hop phase split, the observer
-  overhead and Table 3 fidelity trajectories, and the verdict table
-  ``repro regress`` prints;
-* the latency-attribution panel (stacked per-stage bars via
-  :func:`repro.viz.svg_stacked_bars` + top-bottleneck-links table) for
-  runs recorded with ``--latency-breakdown``;
-* the per-run health panel (anomaly flags + oldest-packet-age
-  sparklines via :func:`repro.viz.svg_sparkline`) for runs recorded
-  with ``--health`` or ones that captured a postmortem bundle;
-* the most recent entries of the ``runs/`` registry.
-
-The page carries its own light/dark palette as CSS custom properties
-(the chart SVGs reference ``var(--series-N)`` and ink/surface roles), so
-it respects ``prefers-color-scheme`` without any scripting.
-
-The registry-backed panel builders (:func:`perf_section`,
-:func:`breakdown_section`, :func:`health_section`,
-:func:`determinism_section`, :func:`runs_section`) and the page shell
-(:data:`PAGE_STYLE`, :func:`render_page`, :func:`html_table`) are
-public: the live fleet service (:mod:`repro.telemetry.server`, ``repro
-watch``) and the postmortem page (:mod:`repro.telemetry.forensics`)
-render through them instead of duplicating them, so the views cannot
-drift apart.
+:func:`render_fleet` renders that one list: ``repro watch`` serves it with
+its SSE hook (:mod:`repro.telemetry.server`) and ``repro watch --once
+--out FILE`` writes it script-free.  The page carries its own light/dark
+palette as CSS custom properties (the chart SVGs reference
+``var(--series-N)``), so it respects ``prefers-color-scheme`` without any
+scripting.  The page shell (:data:`PAGE_STYLE`, :func:`render_page`,
+:func:`html_table`) is shared with the postmortem page.
 
 Import note: simulator modules are imported inside functions only (see
 the package initializer's import note).
@@ -39,18 +25,133 @@ from __future__ import annotations
 
 import html
 import math
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .compare import fmt_metric
-from .runstore import RunRecord, RunStore
+from .live import LIVE_SCHEMA_VERSION, feed_status, read_feed
+from .progress import format_eta
+from .runstore import RunRecord, RunStore, git_revision, utc_now_iso
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.exps.common import ExperimentResult
 
+    from .history import RunHistory
 
-class DashboardError(ValueError):
-    """The dashboard cannot be built (e.g. no benchmark results exist)."""
+
+#: A running feed without new events for this long is stale, not in flight.
+STALE_AFTER_SECONDS = 30.0
+
+#: Figure scales, largest first: the page draws the first with a fig11 CSV.
+SCALES = ("paper", "small", "tiny")
+
+
+def feed_paths(runs_dir: Path) -> list[Path]:
+    """The live feeds under ``runs_dir/live/``, most recently touched first."""
+    live_dir = runs_dir / "live"
+    if not live_dir.is_dir():
+        return []
+    return sorted(
+        live_dir.glob("*.jsonl"), key=lambda path: path.stat().st_mtime, reverse=True
+    )
+
+
+class Snapshot:
+    """One read of everything the fleet page shows.
+
+    The registry is read on construction; the feeds, the bench history and
+    the results CSVs on first use — each at most once — so the panels, the
+    ``/api/runs`` document and the run page's badge answer from the same
+    reads.  All reads are lenient: a line being appended to must not break
+    the view.
+    """
+
+    def __init__(
+        self,
+        runs_dir: str | Path = "runs",
+        *,
+        bench_dirs: Sequence[str | Path] = (".",),
+        results_dir: str | Path = "benchmarks/results",
+        top_runs: int = 20,
+    ) -> None:
+        self.runs_dir = Path(runs_dir)
+        self.bench_dirs = [Path(d) for d in bench_dirs]
+        self.results_dir = Path(results_dir)
+        self.top_runs = top_runs
+        self.generated = utc_now_iso()
+        store = RunStore(self.runs_dir)
+        self.registry = store.path
+        self.records = store.load(strict=False)
+        self.skipped = store.skipped
+
+    @cached_property
+    def live(self) -> list[dict[str, Any]]:
+        """Folded status of every live feed, most recently touched first."""
+        feeds = [(path, read_feed(path, strict=False)) for path in feed_paths(self.runs_dir)]
+        return [dict(feed_status(events), feed=str(path)) for path, events in feeds if events]
+
+    @cached_property
+    def in_flight(self) -> list[str]:
+        """Run ids of running feeds that wrote recently; other running feeds are stale."""
+        return [
+            status["run_id"]
+            for status in self.live
+            if status["state"] == "running"
+            and (status["age_seconds"] or 0.0) <= STALE_AFTER_SECONDS
+        ]
+
+    @property
+    def failures(self) -> list[dict[str, Any]]:
+        return [status for status in self.live if status["state"] == "failed"]
+
+    @cached_property
+    def history(self) -> "RunHistory":
+        from .history import load_history
+
+        return load_history(self.bench_dirs)
+
+    @cached_property
+    def scale(self) -> Optional[str]:
+        """The largest scale with a ``fig11_<scale>.csv`` (None: no figures)."""
+        return next(
+            (s for s in SCALES if (self.results_dir / f"fig11_{s}.csv").is_file()), None
+        )
+
+    @cached_property
+    def fig11(self) -> Optional["ExperimentResult"]:
+        from repro.exps.report import load_result
+
+        return None if self.scale is None else load_result(
+            self.results_dir / f"fig11_{self.scale}.csv"
+        )
+
+    @cached_property
+    def agreement(self) -> Optional[str]:
+        """``repro report``'s paper-vs-measured text at :attr:`scale`."""
+        from repro.exps.report import summarize
+
+        return None if self.scale is None else summarize(self.results_dir, self.scale)
+
+    def digest_of(self, run_id: str) -> Optional[dict[str, Any]]:
+        """The newest digest block the registry holds for ``run_id``."""
+        return next(
+            (r.digest for r in reversed(self.records) if r.run_id == run_id and r.digest), None
+        )
+
+    def to_dict(self) -> dict[str, Any]:
+        """The ``/api/runs`` document (``repro watch --once`` prints it)."""
+        return {
+            "generated": self.generated,
+            "schema_version": LIVE_SCHEMA_VERSION,
+            "runs_dir": str(self.runs_dir),
+            "records": len(self.records),
+            "skipped": self.skipped,
+            "in_flight": self.in_flight,
+            "live": self.live,
+            "failures": self.failures,
+            "recent": [record.to_dict() for record in self.records[-self.top_runs :]],
+        }
 
 
 PAGE_STYLE = """
@@ -126,22 +227,97 @@ def html_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
 
 
-def _find_results_csv(results_dir: Path, artifact: str, scale: str) -> Optional[Path]:
-    preferred = results_dir / f"{artifact}_{scale}.csv"
-    if preferred.is_file():
-        return preferred
-    fallbacks = sorted(results_dir.glob(f"{artifact}_*.csv"))
-    return fallbacks[0] if fallbacks else None
+def _empty(text: str) -> str:
+    return f'<p class="empty">{text}</p>'
 
 
-def _fig11_section(results_dir: Path, scale: str) -> str:
-    from repro.exps.report import load_result
+def _code(value: Any) -> str:
+    """A path or digest cell ('—' when absent)."""
+    return f"<code>{html.escape(str(value))}</code>" if value else "—"
+
+
+def _run_cells(status: dict[str, Any]) -> list[str]:
+    """A live run's link / system / workload cells."""
+    run_id = html.escape(status["run_id"])
+    meta = status["meta"]
+    return [
+        f'<a href="/run/{run_id}">{run_id}</a>',
+        html.escape(str(meta.get("system", ""))),
+        html.escape(str(meta.get("workload", ""))),
+    ]
+
+
+def _record_cells(record: RunRecord, *fields: str) -> list[str]:
+    """A registry record's leading cells: ``created`` then ``fields``."""
+    return [html.escape(str(getattr(record, name))) for name in ("created", *fields)]
+
+
+def progress_cells(status: dict[str, Any]) -> list[str]:
+    """A live run's progress / cycle / cyc/s / eta table cells."""
+    from repro.viz import svg_progress_bar
+
+    cps = status["cps"]
+    return [
+        svg_progress_bar(status["fraction"], title="completion"),
+        f"{fmt_value(status['cycle'])} / "
+        f"{fmt_value(status['total_cycles'] or float('nan'))}",
+        fmt_value(float(cps)) if cps else "n/a",
+        format_eta(status["eta_seconds"]),
+    ]
+
+
+def in_flight_section(snap: Snapshot) -> str:
+    running = [s for s in snap.live if s["state"] == "running"]
+    if not running:
+        return _empty("no runs in flight — start one with <code>repro simulate --live</code>.")
+    return html_table(
+        ["run", "system", "workload", "progress", "cycle", "cyc/s", "eta",
+         "anomalies", "state"],
+        (
+            [
+                *_run_cells(status),
+                *progress_cells(status),
+                str(len(status["anomalies"])),
+                "running" if status["run_id"] in snap.in_flight
+                else '<span class="alarm">stale</span>',
+            ]
+            for status in running
+        ),
+    )
+
+
+def failures_section(snap: Snapshot) -> str:
+    if not snap.failures:
+        return _empty("no failed live runs.")
+    return html_table(
+        ["run", "system", "workload", "died at cycle", "reason",
+         "postmortem bundle (<code>repro postmortem</code>)"],
+        (
+            [
+                *_run_cells(status),
+                fmt_value(status["cycle"]),
+                f'<span class="alarm">{html.escape(str(status["reason"]))}</span>',
+                _code(status["bundle"]),
+            ]
+            for status in snap.failures
+        ),
+    )
+
+
+def _no_figures(snap: Snapshot) -> str:
+    return _empty(
+        f"no fig11 CSV in {_code(snap.results_dir)} — run the benchmark suite "
+        "first (<code>pytest benchmarks/ --benchmark-only</code>) or point "
+        "<code>--results-dir</code> at one."
+    )
+
+
+def fig11_section(snap: Snapshot) -> str:
     from repro.viz import svg_line_chart
 
-    path = _find_results_csv(results_dir, "fig11", scale)
-    if path is None:
-        return '<p class="empty">no fig11 CSV found — run the benchmark suite first.</p>'
-    result = load_result(path)
+    result = snap.fig11
+    if result is None:
+        return _no_figures(snap)
     patterns = sorted(set(result.column("pattern")))
     pattern = "uniform" if "uniform" in patterns else patterns[0]
     series = []
@@ -153,29 +329,24 @@ def _fig11_section(results_dir: Path, scale: str) -> str:
         series.append((network, xs, ys))
     chart = svg_line_chart(
         series,
-        title=f"Fig 11 — avg latency vs injection rate ({pattern}, {path.name})",
+        title=f"Fig 11 — avg latency vs injection rate ({pattern}, fig11_{snap.scale}.csv)",
         x_label="injection rate (flits/cycle/node)",
         y_label="avg latency (cycles)",
     )
-    return f"<figure>{chart}</figure>" + _result_table(result, pattern)
-
-
-def _result_table(result: "ExperimentResult", pattern: str) -> str:
     table = html_table(
         [html.escape(h) for h in result.headers],
         ([fmt_value(cell) for cell in row] for row in result.filtered(pattern=pattern)),
     )
-    return f"<details><summary>data table</summary>{table}</details>"
+    return f"<figure>{chart}</figure><details><summary>data table</summary>{table}</details>"
 
 
-def _agreement_section(results_dir: Path, scale: str) -> str:
-    from repro.exps.report import summarize
+def agreement_section(snap: Snapshot) -> str:
+    if snap.agreement is None:
+        return _no_figures(snap)
+    return f"<pre>{html.escape(snap.agreement)}</pre>"
 
-    text = summarize(results_dir, scale)
-    return f"<pre>{html.escape(text)}</pre>"
 
-
-def perf_section(bench_dirs: Sequence[str | Path] = (".",)) -> str:
+def perf_section(snap: Snapshot) -> str:
     """The performance panel over the one bench history.
 
     Runs the changepoint sentinel over the stored ``BENCH_<n>.json`` files
@@ -189,14 +360,13 @@ def perf_section(bench_dirs: Sequence[str | Path] = (".",)) -> str:
     from repro.viz import svg_annotated_line, svg_stacked_bars
 
     from .bench import PHASE_SUFFIX, THROUGHPUT
-    from .history import load_history
     from .sentinel import analyze_history
 
-    history = load_history(bench_dirs)
+    history = snap.history
     if not history.series:
-        return (
-            '<p class="empty">no bench history yet — no BENCH_*.json files '
-            "found; run <code>repro bench</code> first.</p>"
+        return _empty(
+            "no bench history yet — no BENCH_*.json files found; run "
+            "<code>repro bench</code> first."
         )
     report = analyze_history(history)
     marks = {
@@ -232,20 +402,12 @@ def perf_section(bench_dirs: Sequence[str | Path] = (".",)) -> str:
     }
     segments = list(dict.fromkeys(metric for (_, metric), ns in phases.items() if ns))
     if segments:
-        bars = [
-            (case, [phases.get((case, metric), 0.0) for metric in segments])
-            for case in history.cases()
-        ]
-        figures.append(
-            "<figure>"
-            + svg_stacked_bars(
-                bars,
-                [metric[: -len(PHASE_SUFFIX)] for metric in segments],
-                title="engine loop by pipeline phase (latest bench)",
-                x_label="ns per flit-hop",
-            )
-            + "</figure>"
+        bars = [(case, [phases.get((case, m), 0.0) for m in segments]) for case in history.cases()]
+        chart = svg_stacked_bars(
+            bars, [m[: -len(PHASE_SUFFIX)] for m in segments], x_label="ns per flit-hop",
+            title="engine loop by pipeline phase (latest bench)",
         )
+        figures.append(f"<figure>{chart}</figure>")
     # Measured once per harness run and copied into every workload block:
     # one workload's series is the whole trajectory.
     once = [s for (case, _), s in history.series.items() if case == history.cases()[0]]
@@ -287,7 +449,7 @@ def perf_section(bench_dirs: Sequence[str | Path] = (".",)) -> str:
             rows,
         )
         if rows
-        else '<p class="empty">no analyzable metrics in the bench history yet.</p>'
+        else _empty("no analyzable metrics in the bench history yet.")
     )
     newest = max(
         (series.points[-1] for series in history.ordered()),
@@ -302,45 +464,35 @@ def perf_section(bench_dirs: Sequence[str | Path] = (".",)) -> str:
     return "".join(figures) + table + meta
 
 
-def breakdown_section(runs_dir: Path, max_bars: int = 4) -> str:
+def breakdown_section(snap: Snapshot, max_bars: int = 4) -> str:
     """Stacked per-stage latency bars + bottleneck table from the registry."""
     from repro.viz import svg_stacked_bars
 
     from .attribution import STAGES
 
-    store = RunStore(runs_dir)
-    records = [
-        record
-        for record in store.load(strict=False)
-        if record.breakdown.get("stages")
-    ][-max_bars:]
+    records = [record for record in snap.records if record.breakdown.get("stages")]
+    records = records[-max_bars:]
     if not records:
-        return (
-            '<p class="empty">no runs with a latency breakdown yet — '
-            "record one with <code>repro simulate --latency-breakdown"
-            "</code>.</p>"
+        return _empty(
+            "no runs with a latency breakdown yet — record one with "
+            "<code>repro simulate --latency-breakdown</code>."
         )
     # Keep only stages that contribute somewhere, in canonical order.
     segments = [
         name
         for name in STAGES
-        if any(
-            record.breakdown["stages"].get(name, {}).get("total")
-            for record in records
-        )
+        if any(r.breakdown["stages"].get(name, {}).get("total") for r in records)
     ] or list(STAGES)
-    bars = []
-    for record in records:
-        label = f"{record.label} {record.workload} · {record.created[:10]}"
-        stages = record.breakdown["stages"]
-        bars.append(
-            (label, [stages.get(name, {}).get("mean", 0.0) for name in segments])
+    bars = [
+        (
+            f"{r.label} {r.workload} · {r.created[:10]}",
+            [r.breakdown["stages"].get(name, {}).get("mean", 0.0) for name in segments],
         )
+        for r in records
+    ]
     chart = svg_stacked_bars(
-        bars,
-        segments,
+        bars, segments, x_label="cycles",
         title="mean cycles per packet, attributed to pipeline stages",
-        x_label="cycles",
     )
     latest = records[-1]
     stage_table = "<details><summary>stage table (latest run)</summary>" + html_table(
@@ -377,14 +529,11 @@ def breakdown_section(runs_dir: Path, max_bars: int = 4) -> str:
             ),
         )
     else:
-        bottlenecks = (
-            '<p class="empty">no congested links recorded for the latest '
-            "breakdown run.</p>"
-        )
+        bottlenecks = _empty("no congested links recorded for the latest breakdown run.")
     return f"<figure>{chart}</figure>{stage_table}{bottlenecks}"
 
 
-def health_section(runs_dir: Path, max_runs: int = 8) -> str:
+def health_section(snap: Snapshot, max_runs: int = 8) -> str:
     """Per-run health panel for records carrying forensics summaries.
 
     One row per run recorded with ``--health``: anomaly flags, probe
@@ -393,26 +542,22 @@ def health_section(runs_dir: Path, max_runs: int = 8) -> str:
     """
     from repro.viz import svg_sparkline
 
-    store = RunStore(runs_dir)
     records = [
         record
-        for record in store.load(strict=False)
+        for record in snap.records
         if record.forensics.get("health") or record.forensics.get("bundle")
     ][-max_runs:]
     if not records:
-        return (
-            '<p class="empty">no runs with health probes yet — record one '
-            "with <code>repro simulate --health</code> (a captured "
-            "postmortem bundle also lands here).</p>"
+        return _empty(
+            "no runs with health probes yet — record one with <code>repro "
+            "simulate --health</code> (a captured postmortem bundle also lands here)."
         )
     rows = []
     for record in reversed(records):
         health = record.forensics.get("health") or {}
         flags = health.get("flags") or []
         flags_cell = (
-            '<span class="alarm">' + html.escape(", ".join(flags)) + "</span>"
-            if flags
-            else "ok"
+            f'<span class="alarm">{html.escape(", ".join(flags))}</span>' if flags else "ok"
         )
         # The series is stored as (cycle, age) pairs; the sparkline only
         # plots the ages (probe spacing is uniform anyway).
@@ -425,20 +570,14 @@ def health_section(runs_dir: Path, max_runs: int = 8) -> str:
             if ages
             else '<span class="empty">n/a</span>'
         )
-        bundle = record.forensics.get("bundle")
-        bundle_cell = (
-            f"<code>{html.escape(str(bundle))}</code>" if bundle else "—"
-        )
         rows.append(
             [
-                html.escape(record.created),
-                html.escape(record.label),
-                html.escape(record.workload),
+                *_record_cells(record, "label", "workload"),
                 flags_cell,
                 fmt_value(health.get("probes", 0)),
                 fmt_value(health.get("max_oldest_age", 0)),
                 spark,
-                bundle_cell,
+                _code(record.forensics.get("bundle")),
             ]
         )
     return html_table(
@@ -449,7 +588,7 @@ def health_section(runs_dir: Path, max_runs: int = 8) -> str:
 
 
 def determinism_section(
-    runs_dir: Path,
+    snap: Snapshot,
     pins_path: Optional[str | Path] = None,
     max_runs: int = 8,
 ) -> str:
@@ -483,7 +622,7 @@ def determinism_section(
                     [
                         html.escape(case),
                         fmt_value(pin["digest"].get("cycles", math.nan)),
-                        f"<code>{html.escape(str(pin['digest'].get('final')))}</code>",
+                        _code(pin["digest"].get("final")),
                         "no (built by tests)"
                         if missing_resim_keys(pin["digest"].get("meta"))
                         else "yes",
@@ -492,10 +631,7 @@ def determinism_section(
                 ),
             )
         )
-    store = RunStore(runs_dir)
-    digested = [
-        record for record in store.load(strict=False) if record.digest
-    ][-max_runs:]
+    digested = [record for record in snap.records if record.digest][-max_runs:]
     if digested:
         parts.append(
             '<p class="meta">recent digested runs '
@@ -504,12 +640,9 @@ def determinism_section(
                 ["created", "kind", "label", "workload", "events", "digest chain"],
                 (
                     [
-                        html.escape(record.created),
-                        html.escape(record.kind),
-                        html.escape(record.label),
-                        html.escape(record.workload),
+                        *_record_cells(record, "kind", "label", "workload"),
                         fmt_value(record.digest.get("events_total", math.nan)),
-                        f"<code>{html.escape(str(record.digest.get('final')))}</code>",
+                        _code(record.digest.get("final")),
                     ]
                     for record in reversed(digested)
                 ),
@@ -517,50 +650,40 @@ def determinism_section(
         )
     else:
         parts.append(
-            '<p class="empty">no digested runs in the registry yet — record '
-            "one with <code>repro simulate --digest</code>.</p>"
+            _empty(
+                "no digested runs in the registry yet — record one with "
+                "<code>repro simulate --digest</code>."
+            )
         )
     return "".join(parts)
 
 
-def skipped_warning(store: RunStore) -> str:
-    """Warning fragment for malformed registry lines ('' when clean).
-
-    Meaningful after a lenient read populated :attr:`RunStore.skipped`;
-    both the static dashboard and the ``repro watch`` fleet view show it.
-    """
-    if not store.skipped:
+def skipped_warning(snap: Snapshot) -> str:
+    """Warning fragment for malformed registry lines ('' when clean)."""
+    if not snap.skipped:
         return ""
-    noun = "line" if store.skipped == 1 else "lines"
+    noun = "line" if snap.skipped == 1 else "lines"
     return (
-        f'<p class="alarm">{store.skipped} unreadable registry {noun} '
-        f"skipped in <code>{html.escape(str(store.path))}</code> — "
+        f'<p class="alarm">{snap.skipped} unreadable registry {noun} '
+        f"skipped in {_code(snap.registry)} — "
         "inspect the file for corruption or foreign schema versions.</p>"
     )
 
 
-def runs_section(runs_dir: Path, top: int) -> str:
-    store = RunStore(runs_dir)
-    records: list[RunRecord] = store.latest(top, strict=False)
-    warning = skipped_warning(store)
+def runs_section(snap: Snapshot) -> str:
+    records = snap.records[-snap.top_runs :]
     if not records:
-        return warning + (
-            '<p class="empty">no run records yet — every '
-            "<code>repro run</code> / <code>repro simulate</code> appends "
-            f"one to <code>{html.escape(str(store.path))}</code>.</p>"
+        return _empty(
+            "no run records yet — every <code>repro run</code> / <code>repro "
+            f"simulate</code> appends one to {_code(snap.registry)}."
         )
-    return warning + html_table(
+    return html_table(
         ["created", "kind", "label", "workload", "seed", "git", "config", "cyc/s",
          "avg latency"],
         (
             [
-                html.escape(record.created),
-                html.escape(record.kind),
-                html.escape(record.label),
-                html.escape(record.workload),
-                html.escape(str(record.seed)),
-                html.escape(record.git_rev),
-                html.escape(record.config_hash),
+                *_record_cells(record, "kind", "label", "workload", "seed", "git_rev",
+                               "config_hash"),
                 fmt_value(record.cycles_per_second),
                 fmt_value(record.stats.get("avg_latency", math.nan)),
             ]
@@ -569,77 +692,46 @@ def runs_section(runs_dir: Path, top: int) -> str:
     )
 
 
-def render_page(title: str, body: str, *, head_extra: str = "") -> str:
-    """Wrap rendered sections in the shared HTML page shell.
+#: The fleet page, top to bottom: (heading, panel).
+SECTIONS: tuple[tuple[str, Callable[[Snapshot], str]], ...] = (
+    ("Runs in flight", in_flight_section),
+    ("Recent failures", failures_section),
+    ("Paper figure: Fig 11 latency-load curves", fig11_section),
+    ("Paper-vs-measured agreement", agreement_section),
+    ("Performance", perf_section),
+    ("Latency attribution", breakdown_section),
+    ("Run health", health_section),
+    ("Determinism", determinism_section),
+    ("Recent runs", runs_section),
+)
 
-    ``head_extra`` lets the live server add its ``<meta>`` hints; the
-    static dashboard passes nothing and stays script-free.
-    """
+
+def fleet_fragment(snap: Snapshot) -> str:
+    """Every panel of the fleet page (what ``repro watch`` re-pushes)."""
+    return skipped_warning(snap) + "".join(
+        f"<h2>{title}</h2>{panel(snap)}" for title, panel in SECTIONS
+    )
+
+
+def render_page(title: str, body: str) -> str:
+    """Wrap rendered sections in the shared HTML page shell."""
     return (
         "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
         "<meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">"
         f"<title>{html.escape(title)}</title>"
-        f"<style>{PAGE_STYLE}</style>{head_extra}</head>"
+        f"<style>{PAGE_STYLE}</style></head>"
         f"<body class=\"viz-root\">{body}</body></html>\n"
     )
 
 
-def build_dashboard(
-    results_dir: str | Path = "benchmarks/results",
-    *,
-    scale: str = "tiny",
-    bench_dirs: Optional[list[str | Path]] = None,
-    runs_dir: str | Path = "runs",
-    top_runs: int = 20,
-) -> str:
-    """Build the dashboard HTML.
-
-    Raises :class:`DashboardError` (not a traceback) when
-    ``results_dir`` is missing or holds no CSVs — the paper-figure
-    section is the page's reason to exist.
-    """
-    results_dir = Path(results_dir)
-    if not results_dir.is_dir() or not any(results_dir.glob("*.csv")):
-        raise DashboardError(
-            f"no benchmark CSVs in {results_dir}/ — regenerate them with "
-            "`pytest benchmarks/ --benchmark-only` (or point --results-dir "
-            "at a directory that has them)"
-        )
-    from .runstore import git_revision, utc_now_iso
-
-    dirs = [Path(d) for d in (bench_dirs if bench_dirs is not None else ["."])]
-    sections = [
-        f"<h1>repro — paper figures &amp; performance</h1>"
-        f'<p class="meta">generated {html.escape(utc_now_iso())} @ '
-        f"{html.escape(git_revision())} · scale {html.escape(scale)} · "
-        f"results {html.escape(str(results_dir))}</p>",
-        "<h2>Paper figure: Fig 11 latency-load curves</h2>",
-        _fig11_section(results_dir, scale),
-        "<h2>Paper-vs-measured agreement</h2>",
-        _agreement_section(results_dir, scale),
-        "<h2>Performance</h2>",
-        perf_section(dirs),
-        "<h2>Latency attribution</h2>",
-        breakdown_section(Path(runs_dir)),
-        "<h2>Run health</h2>",
-        health_section(Path(runs_dir)),
-        "<h2>Determinism</h2>",
-        determinism_section(Path(runs_dir)),
-        "<h2>Recent runs</h2>",
-        runs_section(Path(runs_dir), top_runs),
-    ]
-    return render_page("repro dashboard", "".join(sections))
-
-
-def write_dashboard(
-    out_path: str | Path,
-    results_dir: str | Path = "benchmarks/results",
-    **kwargs: Any,
-) -> Path:
-    """Build and write the dashboard; returns the written path."""
-    out_path = Path(out_path)
-    html_text = build_dashboard(results_dir, **kwargs)
-    if out_path.parent != Path():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(html_text, encoding="utf-8")
-    return out_path
+def render_fleet(snap: Snapshot, *, hook: str = "") -> str:
+    """The fleet page; ``hook`` is the served page's SSE script (static: none)."""
+    scale = f"scale {snap.scale}" if snap.scale else "no figures"
+    body = (
+        "<h1>repro watch — fleet</h1>"
+        f'<p class="meta">registry {html.escape(str(snap.runs_dir))} · '
+        f"results {html.escape(str(snap.results_dir))} ({scale}) · generated "
+        f"{html.escape(snap.generated)} @ {html.escape(git_revision())}</p>"
+        f'<main id="live">{fleet_fragment(snap)}</main>{hook}'
+    )
+    return render_page("repro watch — fleet", body)

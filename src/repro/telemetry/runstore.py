@@ -218,8 +218,8 @@ class RunStore:
         self.path = self.directory / "runs.jsonl"
         #: Malformed lines skipped by the most recent lenient iteration
         #: (``iter_records(strict=False)``); surfaced as a warning by the
-        #: dashboard and the ``repro watch`` fleet view so silent registry
-        #: corruption cannot hide.
+        #: ``repro watch`` fleet page so silent registry corruption cannot
+        #: hide.
         self.skipped = 0
 
     def append(self, record: RunRecord) -> Path:
@@ -260,11 +260,6 @@ class RunStore:
 
     def load(self, *, strict: bool = True) -> list[RunRecord]:
         return list(self.iter_records(strict=strict))
-
-    def latest(self, n: int = 1, *, strict: bool = False) -> list[RunRecord]:
-        """The most recent ``n`` readable records, oldest first."""
-        records = self.load(strict=strict)
-        return records[-n:] if n else []
 
     def __len__(self) -> int:
         return len(self.load(strict=False))

@@ -2,14 +2,14 @@
 
 A stdlib-only HTTP service — :class:`http.server.ThreadingHTTPServer`,
 no third-party dependencies — that tails the run registry
-(``runs/runs.jsonl``) and the live feeds ``--live`` runs append under
-``runs/live/`` (:mod:`repro.telemetry.live`), and serves:
+(``runs/runs.jsonl``), the live feeds ``--live`` runs append under
+``runs/live/`` (:mod:`repro.telemetry.live`), the bench history and the
+paper-figure CSVs, and serves:
 
-* ``/`` — the fleet page: runs in flight with progress bars and ETAs,
-  recent failures with their postmortem bundle paths, the performance
-  panel (bench trajectory, ns-per-flit-hop phases, sentinel verdicts) and the
-  recent-runs registry table —
-  auto-updating via Server-Sent Events;
+* ``/`` — the fleet page (:func:`repro.telemetry.dashboard.render_fleet`:
+  runs in flight, recent failures, the paper figures and agreement, the
+  performance, latency-attribution, health and determinism panels and the
+  recent-runs table), auto-updating via Server-Sent Events;
 * ``/run/<run_id>`` — one run's live page (progress, epochs, anomalies);
 * ``/api/runs`` — the fleet state as JSON;
 * ``/api/live/<run_id>`` — one feed's folded status plus its raw events;
@@ -17,11 +17,10 @@ no third-party dependencies — that tails the run registry
 * ``/events`` and ``/events/<run_id>`` — the SSE streams behind the
   pages (``data:`` lines carrying re-rendered HTML fragments).
 
-The HTML panels come from :mod:`repro.telemetry.dashboard`'s public
-builders, so the live view and the static ``repro dashboard`` render the
-registry identically.  Reads are stateless — every request re-reads the
-registry and feeds — which keeps the service correct under concurrent
-writers at fleet sizes where a JSONL scan per poll is cheap.
+Every render starts from one :class:`~repro.telemetry.dashboard.Snapshot`,
+which reads each source once.  Reads are stateless — every request takes a
+new snapshot — which keeps the service correct under concurrent writers at
+fleet sizes where a JSONL scan per poll is cheap.
 
 Import note: this module must stay free of ``repro.noc`` / ``repro.sim``
 imports at module load (see the package initializer's import note); it
@@ -40,44 +39,21 @@ from urllib.parse import urlparse
 
 from .bench import THROUGHPUT, bench_files
 from .compare import json_num
-
 from .dashboard import (
-    determinism_section,
+    Snapshot,
+    feed_paths,
+    fleet_fragment,
     fmt_value,
-    health_section,
     html_table,
-    perf_section,
+    progress_cells,
+    render_fleet,
     render_page,
-    runs_section,
-    skipped_warning,
 )
-from .live import LIVE_SCHEMA_VERSION, feed_status, read_feed
-from .progress import format_eta
-from .runstore import RunStore, utc_now_iso
+from .live import feed_status, read_feed
+from .runstore import utc_now_iso
 
 #: Default port of ``repro watch``.
 DEFAULT_PORT = 8631
-
-#: A feed without new events for this long is flagged stale in the view.
-STALE_AFTER_SECONDS = 30.0
-
-
-def _run_link(run_id: str) -> str:
-    return f'<a href="/run/{html.escape(run_id)}">{html.escape(run_id)}</a>'
-
-
-def _progress_cells(status: dict[str, Any]) -> list[str]:
-    """A live run's progress / cycle / cyc/s / eta table cells."""
-    from repro.viz import svg_progress_bar
-
-    cps = status["cps"]
-    return [
-        svg_progress_bar(status["fraction"], title="completion"),
-        f"{fmt_value(status['cycle'])} / "
-        f"{fmt_value(status['total_cycles'] or float('nan'))}",
-        fmt_value(float(cps)) if cps else "n/a",
-        format_eta(status["eta_seconds"]),
-    ]
 
 
 def _sse_script(endpoint: str) -> str:
@@ -93,22 +69,39 @@ def _sse_script(endpoint: str) -> str:
     )
 
 
-class WatchService:
-    """Fleet state assembly + page rendering over one runs directory.
+def determinism_badge(status: dict[str, Any], snap: Snapshot) -> str:
+    """The run page's determinism badge.
 
-    Parameters
-    ----------
-    runs_dir:
-        The run-registry directory (``runs.jsonl`` plus the ``live/``
-        feed subdirectory live there).
-    poll_seconds:
-        SSE change-detection interval.
-    top_runs:
-        Rows in the recent-runs table.
-    bench_dirs:
-        Where the ``BENCH_<n>.json`` trajectory lives (the directory
-        ``repro watch`` is started in, like ``repro dashboard``).
+    Cross-checks the live feed's final digest chain against the run's
+    registry record; feeds without a digest (plain runs, old feeds) get a
+    muted "no digest" badge rather than nothing, so the reproducibility
+    affordance is always visible.
     """
+    final = (status.get("digest") or {}).get("final")
+    registry = (snap.digest_of(str(status.get("run_id", ""))) or {}).get("final")
+    if not final and not registry:
+        return (
+            '<p class="meta">determinism: no digest — re-run with '
+            "<code>repro simulate --digest --live</code>.</p>"
+        )
+    css = "meta"
+    if final and registry and final != registry:
+        css, verdict = "alarm", f"DIGEST MISMATCH — registry says {html.escape(str(registry))}"
+    elif final and registry:
+        verdict = "digest match (feed = registry)"
+    else:
+        verdict = f"digest present ({'live feed' if final else 'registry'} only)"
+    return (
+        f'<p class="{css}">determinism: {verdict} · '
+        f"<code>{html.escape(str(final or registry))}</code></p>"
+    )
+
+
+class WatchService:
+    """Snapshots and pages over one runs directory (``runs.jsonl`` plus the
+    ``live/`` feeds), the ``BENCH_<n>.json`` files of ``bench_dirs`` and the
+    figure CSVs of ``results_dir``; ``poll_seconds`` is the SSE
+    change-detection interval."""
 
     def __init__(
         self,
@@ -117,72 +110,43 @@ class WatchService:
         poll_seconds: float = 1.0,
         top_runs: int = 20,
         bench_dirs: Sequence[str | Path] = (".",),
+        results_dir: str | Path = "benchmarks/results",
     ) -> None:
         self.runs_dir = Path(runs_dir)
         self.bench_dirs = [Path(d) for d in bench_dirs]
-        self.live_dir = self.runs_dir / "live"
+        self.results_dir = Path(results_dir)
         self.poll_seconds = poll_seconds
         self.top_runs = top_runs
 
     # -- state assembly ------------------------------------------------------
-    def _feed_paths(self) -> list[Path]:
-        if not self.live_dir.is_dir():
-            return []
-        return sorted(
-            self.live_dir.glob("*.jsonl"),
-            key=lambda path: path.stat().st_mtime,
-            reverse=True,
+    def snapshot(self) -> Snapshot:
+        """One read of every source the pages render."""
+        return Snapshot(
+            self.runs_dir,
+            bench_dirs=self.bench_dirs,
+            results_dir=self.results_dir,
+            top_runs=self.top_runs,
         )
-
-    def feed_statuses(self) -> list[dict[str, Any]]:
-        """Folded status of every live feed, most recently touched first.
-
-        Lenient reads: a feed being appended to mid-line must not break
-        the fleet view.
-        """
-        statuses = []
-        for path in self._feed_paths():
-            events = read_feed(path, strict=False)
-            if not events:
-                continue
-            status = feed_status(events)
-            status["feed"] = str(path)
-            statuses.append(status)
-        return statuses
 
     def fleet_state(self) -> dict[str, Any]:
         """The ``/api/runs`` document: registry + live feeds, one view."""
-        store = RunStore(self.runs_dir)
-        records = store.load(strict=False)
-        statuses = self.feed_statuses()
-        failures = [status for status in statuses if status["state"] == "failed"]
-        in_flight = [
-            status
-            for status in statuses
-            if status["state"] == "running"
-            and (status["age_seconds"] or 0.0) <= STALE_AFTER_SECONDS
-        ]
-        return {
-            "generated": utc_now_iso(),
-            "schema_version": LIVE_SCHEMA_VERSION,
-            "runs_dir": str(self.runs_dir),
-            "records": len(records),
-            "skipped": store.skipped,
-            "in_flight": [status["run_id"] for status in in_flight],
-            "live": statuses,
-            "failures": failures,
-            "recent": [record.to_dict() for record in records[-self.top_runs :]],
-        }
+        return self.snapshot().to_dict()
+
+    def feed_path(self, run_id: str) -> Optional[Path]:
+        """The live feed ``run_id`` names; None unless the id is a plain name
+        (no path separator, no leading dot) of an existing feed."""
+        if not run_id or run_id.startswith(".") or "/" in run_id or "\\" in run_id:
+            return None
+        path = self.runs_dir / "live" / f"{run_id}.jsonl"
+        return path if path.is_file() else None
 
     def live_state(self, run_id: str) -> Optional[dict[str, Any]]:
         """The ``/api/live/<run_id>`` document (None: no such feed)."""
-        path = self.live_dir / f"{run_id}.jsonl"
-        if not path.is_file():
+        path = self.feed_path(run_id)
+        if path is None:
             return None
         events = read_feed(path, strict=False)
-        status = feed_status(events)
-        status["feed"] = str(path)
-        return {"status": status, "events": events}
+        return {"status": dict(feed_status(events), feed=str(path)), "events": events}
 
     def bench_state(self) -> dict[str, Any]:
         """The ``/api/bench`` document: per-workload trajectory from the bench files.
@@ -213,25 +177,17 @@ class WatchService:
             "workloads": workloads,
         }
 
-    def registry_digest(self, run_id: str) -> Optional[dict[str, Any]]:
-        """The registry record's digest block for a run id (None: none)."""
-        store = RunStore(self.runs_dir)
-        found: Optional[dict[str, Any]] = None
-        for record in store.iter_records(strict=False):
-            if record.run_id == run_id and record.digest:
-                found = record.digest
-        return found
-
     def change_stamp(self) -> tuple:
         """Cheap fingerprint of everything the pages render.
 
         The SSE loops re-render only when this changes: size/mtime of the
-        registry file, every feed and every bench file.
+        registry file, every feed, every bench file and every results CSV.
         """
         entries = []
         registry = self.runs_dir / "runs.jsonl"
         benches = [path for d in self.bench_dirs for path in bench_files(d)]
-        for path in [registry, *self._feed_paths(), *benches]:
+        csvs = sorted(self.results_dir.glob("*.csv"))
+        for path in [registry, *feed_paths(self.runs_dir), *benches, *csvs]:
             try:
                 stat = path.stat()
                 entries.append((str(path), stat.st_mtime_ns, stat.st_size))
@@ -240,106 +196,28 @@ class WatchService:
         return tuple(entries)
 
     # -- HTML rendering --------------------------------------------------------
-    def _in_flight_section(self, statuses: list[dict[str, Any]]) -> str:
-        live = [s for s in statuses if s["state"] == "running"]
-        if not live:
-            return (
-                '<p class="empty">no runs in flight — start one with '
-                "<code>repro simulate --live</code>.</p>"
-            )
-        rows = []
-        for status in live:
-            meta = status["meta"]
-            stale = (status["age_seconds"] or 0.0) > STALE_AFTER_SECONDS
-            state = '<span class="alarm">stale</span>' if stale else "running"
-            rows.append(
-                [
-                    _run_link(status["run_id"]),
-                    html.escape(str(meta.get("system", ""))),
-                    html.escape(str(meta.get("workload", ""))),
-                    *_progress_cells(status),
-                    str(len(status["anomalies"])),
-                    state,
-                ]
-            )
-        return html_table(
-            ["run", "system", "workload", "progress", "cycle", "cyc/s", "eta",
-             "anomalies", "state"],
-            rows,
-        )
-
-    def _failures_section(self, statuses: list[dict[str, Any]]) -> str:
-        failed = [s for s in statuses if s["state"] == "failed"]
-        if not failed:
-            return '<p class="empty">no failed live runs.</p>'
-        rows = []
-        for status in failed:
-            meta = status["meta"]
-            bundle = status["bundle"]
-            bundle_cell = (
-                f"<code>{html.escape(str(bundle))}</code>" if bundle else "—"
-            )
-            rows.append(
-                [
-                    _run_link(status["run_id"]),
-                    html.escape(str(meta.get("system", ""))),
-                    html.escape(str(meta.get("workload", ""))),
-                    fmt_value(status["cycle"]),
-                    f'<span class="alarm">{html.escape(str(status["reason"]))}</span>',
-                    bundle_cell,
-                ]
-            )
-        return html_table(
-            ["run", "system", "workload", "died at cycle", "reason",
-             "postmortem bundle (<code>repro postmortem</code>)"],
-            rows,
-        )
-
-    def fleet_fragment(self) -> str:
-        """The fleet page's auto-updating inner HTML."""
-        statuses = self.feed_statuses()
-        store = RunStore(self.runs_dir)
-        store.load(strict=False)  # populate .skipped for the warning
-        sections = [
-            skipped_warning(store),
-            "<h2>Runs in flight</h2>",
-            self._in_flight_section(statuses),
-            "<h2>Recent failures</h2>",
-            self._failures_section(statuses),
-            "<h2>Performance</h2>",
-            perf_section(self.bench_dirs),
-            "<h2>Run health</h2>",
-            health_section(self.runs_dir),
-            "<h2>Determinism</h2>",
-            determinism_section(self.runs_dir),
-            "<h2>Recent runs</h2>",
-            runs_section(self.runs_dir, self.top_runs),
-        ]
-        return "".join(sections)
-
     def fleet_page(self) -> str:
-        body = (
-            "<h1>repro watch — fleet</h1>"
-            f'<p class="meta">registry {html.escape(str(self.runs_dir))} · '
-            f"generated {html.escape(utc_now_iso())} · auto-updating</p>"
-            f'<main id="live">{self.fleet_fragment()}</main>'
-            f"{_sse_script('/events')}"
-        )
-        return render_page("repro watch — fleet", body)
+        """The served fleet page: the one page plus its SSE hook."""
+        return render_fleet(self.snapshot(), hook=_sse_script("/events"))
 
-    def _run_fragment(self, state: dict[str, Any]) -> str:
+    def run_fragment(self, run_id: str) -> Optional[str]:
+        """One run's live view (None: no such feed)."""
         from repro.viz import svg_sparkline
 
+        state = self.live_state(run_id)
+        if state is None:
+            return None
         status = state["status"]
         meta = status["meta"]
-        parts = []
+        facts = [meta.get("system", "?"), meta.get("workload", "?"),
+                 f"policy {meta.get('policy', '?')}", f"seed {meta.get('seed', '—')}"]
+        parts = [
+            '<p class="meta">' + " · ".join(html.escape(str(fact)) for fact in facts)
+            + ' · <a href="/">back to fleet</a></p>'
+        ]
         if status["state"] == "failed":
-            bundle = status["bundle"]
-            hint = (
-                f" — postmortem bundle <code>{html.escape(str(bundle))}</code>"
-                if bundle
-                else ""
-            )
+            bundle = html.escape(str(status["bundle"]))
+            hint = f" — postmortem bundle <code>{bundle}</code>" if status["bundle"] else ""
             parts.append(
                 f'<p class="alarm">failed at cycle {fmt_value(status["cycle"])}: '
                 f"{html.escape(str(status['reason']))}"
@@ -350,13 +228,13 @@ class WatchService:
                 f'<p class="meta">finished at cycle {fmt_value(status["cycle"])} '
                 f"in {fmt_value(float(status['wall_seconds'] or 0.0))} s</p>"
             )
-        parts.append(self._determinism_badge(status))
+        parts.append(determinism_badge(status, self.snapshot()))
         parts.append(
             html_table(
                 ["progress", "cycle", "cyc/s", "eta", "delivered", "epochs"],
                 [
                     [
-                        *_progress_cells(status),
+                        *progress_cells(status),
                         fmt_value(float(status["delivered_fraction"] or float("nan"))),
                         fmt_value(status["epochs"]),
                     ]
@@ -364,21 +242,15 @@ class WatchService:
             )
         )
         if status["anomalies"]:
-            parts.append(
-                "<h2>Anomalies</h2>"
-                + html_table(
-                    ["cycle", "kind", "detail"],
-                    (
-                        [
-                            fmt_value(anomaly.get("cycle")),
-                            '<span class="alarm">'
-                            f"{html.escape(str(anomaly.get('kind')))}</span>",
-                            html.escape(str(anomaly.get("detail"))),
-                        ]
-                        for anomaly in status["anomalies"]
-                    ),
-                )
+            rows = (
+                [
+                    fmt_value(anomaly.get("cycle")),
+                    f'<span class="alarm">{html.escape(str(anomaly.get("kind")))}</span>',
+                    html.escape(str(anomaly.get("detail"))),
+                ]
+                for anomaly in status["anomalies"]
             )
+            parts.append("<h2>Anomalies</h2>" + html_table(["cycle", "kind", "detail"], rows))
         epochs = [e["epoch"] for e in state["events"] if e.get("kind") == "epoch"]
         if epochs:
             delivered = [float(e.get("packets_delivered", 0)) for e in epochs]
@@ -399,10 +271,8 @@ class WatchService:
                         [
                             fmt_value(e.get("index")),
                             f"{fmt_value(e.get('start'))}–{fmt_value(e.get('end'))}",
-                            fmt_value(e.get("flits_injected")),
-                            fmt_value(e.get("packets_delivered")),
-                            fmt_value(e.get("buffered")),
-                            fmt_value(e.get("in_flight")),
+                            *(fmt_value(e.get(key)) for key in (
+                                "flits_injected", "packets_delivered", "buffered", "in_flight")),
                         ]
                         for e in epochs[-12:]
                     ),
@@ -421,68 +291,17 @@ class WatchService:
                 )
                 + "</details>"
             )
-        _ = meta  # rendered in the page header
         return "".join(parts)
 
-    def _determinism_badge(self, status: dict[str, Any]) -> str:
-        """The run page's determinism badge.
-
-        Cross-checks the live feed's final digest chain against the run's
-        registry record; feeds without a digest (plain runs, old feeds)
-        get a muted "no digest" badge rather than nothing, so the
-        reproducibility affordance is always visible.
-        """
-        live_digest = status.get("digest") or {}
-        final = live_digest.get("final")
-        registry = self.registry_digest(str(status.get("run_id", "")))
-        registry_final = (registry or {}).get("final")
-        if not final and not registry_final:
-            return (
-                '<p class="meta">determinism: no digest — re-run with '
-                "<code>repro simulate --digest --live</code>.</p>"
-            )
-        shown = final or registry_final
-        if final and registry_final:
-            if final == registry_final:
-                verdict = "digest match (feed = registry)"
-                css = "meta"
-            else:
-                verdict = (
-                    f"DIGEST MISMATCH — registry says "
-                    f"{html.escape(str(registry_final))}"
-                )
-                css = "alarm"
-        else:
-            where = "live feed" if final else "registry"
-            verdict = f"digest present ({where} only)"
-            css = "meta"
-        return (
-            f'<p class="{css}">determinism: {verdict} · '
-            f"<code>{html.escape(str(shown))}</code></p>"
-        )
-
     def run_page(self, run_id: str) -> Optional[str]:
-        state = self.live_state(run_id)
-        if state is None:
+        fragment = self.run_fragment(run_id)
+        if fragment is None:
             return None
-        meta = state["status"]["meta"]
         body = (
             f"<h1>repro watch — run {html.escape(run_id)}</h1>"
-            f'<p class="meta">{html.escape(str(meta.get("system", "?")))} · '
-            f"{html.escape(str(meta.get('workload', '?')))} · "
-            f"policy {html.escape(str(meta.get('policy', '?')))} · "
-            f"seed {html.escape(str(meta.get('seed', '—')))} · "
-            f'<a href="/">back to fleet</a></p>'
-            f'<main id="live">{self._run_fragment(state)}</main>'
-            f"{_sse_script(f'/events/{run_id}')}"
+            f'<main id="live">{fragment}</main>{_sse_script(f"/events/{run_id}")}'
         )
         return render_page(f"repro watch — {run_id}", body)
-
-    def run_fragment(self, run_id: str) -> Optional[str]:
-        state = self.live_state(run_id)
-        if state is None:
-            return None
-        return self._run_fragment(state)
 
 
 class WatchHandler(BaseHTTPRequestHandler):
@@ -559,10 +378,13 @@ class WatchHandler(BaseHTTPRequestHandler):
             elif path.startswith("/run/"):
                 self._page(service.run_page(path.removeprefix("/run/")))
             elif path == "/events":
-                self._sse(service.fleet_fragment)
+                self._sse(lambda: fleet_fragment(service.snapshot()))
             elif path.startswith("/events/"):
                 run_id = path.removeprefix("/events/")
-                self._sse(lambda: service.run_fragment(run_id))
+                if service.feed_path(run_id) is None:
+                    self._not_found()
+                else:
+                    self._sse(lambda: service.run_fragment(run_id))
             else:
                 self._not_found()
         except (BrokenPipeError, ConnectionResetError):
@@ -579,18 +401,8 @@ def make_server(
     return server
 
 
-def serve(
-    runs_dir: str | Path = "runs",
-    *,
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_PORT,
-    poll_seconds: float = 1.0,
-    top_runs: int = 20,
-) -> None:
+def serve(service: WatchService, *, host: str = "127.0.0.1", port: int = DEFAULT_PORT) -> None:
     """Run ``repro watch`` until interrupted."""
-    service = WatchService(
-        runs_dir, poll_seconds=poll_seconds, top_runs=top_runs
-    )
     server = make_server(service, host=host, port=port)
     bound_host, bound_port = server.server_address[:2]
     print(f"repro watch: serving http://{bound_host}:{bound_port}/ "

@@ -13,7 +13,7 @@ analysis.
   row per link/counter) as a text heatmap;
 * :func:`ascii_curve` — a quick y-vs-x line chart for latency curves;
 * :func:`svg_line_chart` — a dependency-free inline-SVG line chart used
-  by ``repro dashboard``;
+  by the ``repro watch`` fleet page;
 * :func:`svg_stacked_bars` — inline-SVG horizontal stacked bars (the
   dashboard's latency-attribution panel);
 * :func:`svg_waitfor_graph` — inline-SVG directed graph on a circular

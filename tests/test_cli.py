@@ -671,43 +671,35 @@ def test_profile_cli_writes_artifacts(tmp_path, capsys):
     assert folded.splitlines() and folded.startswith("engine;")
 
 
-def test_dashboard_cli(tmp_path, capsys):
+def test_dashboard_cli(tmp_path, capsys, monkeypatch):
     from .test_dashboard import write_fig11_csv
 
+    monkeypatch.chdir(tmp_path)  # the bench history is read from the working directory
     results = tmp_path / "results"
     write_fig11_csv(results)
     out_path = tmp_path / "dash.html"
-    code = main(
-        [
-            "dashboard",
-            "--out",
-            str(out_path),
-            "--results-dir",
-            str(results),
-            "--scale",
-            "tiny",
-            "--bench-dir",
-            str(tmp_path),
-            "--runs-dir",
-            str(tmp_path / "runs"),
-        ]
-    )
-    assert code == 0
+    argv = ["watch", "--once", "--out", str(out_path), "--results-dir", str(results),
+            "--runs-dir", str(tmp_path / "runs")]
+    assert main(argv) == 0
     assert f"wrote {out_path}" in capsys.readouterr().out
-    assert "<svg" in out_path.read_text()
+    page = out_path.read_text()
+    assert "<svg" in page and "Runs in flight" in page
+    assert "<script" not in page  # the static page has no SSE hook
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["watch", *argv[2:]])  # --out without --once: serving writes no file
+    assert excinfo.value.code == 2
+    assert "--out requires --once" in capsys.readouterr().err
 
 
-def test_dashboard_cli_without_results_is_a_clean_error(tmp_path):
-    with pytest.raises(SystemExit, match="no benchmark CSVs"):
-        main(
-            [
-                "dashboard",
-                "--out",
-                str(tmp_path / "dash.html"),
-                "--results-dir",
-                str(tmp_path / "missing"),
-            ]
-        )
+def test_watch_once_out_without_results_is_an_empty_state(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no benchmarks/results, no BENCH files, no runs/
+    assert main(["watch", "--once", "--out", "page.html"]) == 0
+    page = (tmp_path / "page.html").read_text()
+    # The figures and the agreement panel say so, like every other panel.
+    assert page.count("no fig11 CSV in <code>benchmarks/results</code>") == 2
+    assert "no bench history yet" in page and "no run records yet" in page
+    assert "<svg" not in page
 
 
 def test_simulate_live_writes_feed_and_joins_registry(tmp_path, capsys):
@@ -846,9 +838,10 @@ def test_watch_once_warns_about_skipped_lines(tmp_path, capsys):
     assert "skipped 1 unreadable registry line" in captured.err
 
 
-def test_dashboard_cli_warns_about_skipped_lines(tmp_path, capsys):
+def test_dashboard_cli_warns_about_skipped_lines(tmp_path, capsys, monkeypatch):
     from .test_dashboard import write_fig11_csv
 
+    monkeypatch.chdir(tmp_path)
     results = tmp_path / "results"
     write_fig11_csv(results)
     runs_dir = tmp_path / "runs"
@@ -856,16 +849,16 @@ def test_dashboard_cli_warns_about_skipped_lines(tmp_path, capsys):
     (runs_dir / "runs.jsonl").write_text("{corrupt\n")
     code = main(
         [
-            "dashboard",
+            "watch",
+            "--once",
             "--out",
             str(tmp_path / "dash.html"),
             "--results-dir",
             str(results),
-            "--scale",
-            "tiny",
             "--runs-dir",
             str(runs_dir),
         ]
     )
     assert code == 0
     assert "skipped 1 unreadable registry line" in capsys.readouterr().err
+    assert "1 unreadable registry line skipped" in (tmp_path / "dash.html").read_text()

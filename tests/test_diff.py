@@ -432,39 +432,39 @@ def test_live_feed_carries_digest_and_empty_feeds_fold(tmp_path):
 
 
 def test_watch_determinism_badge_states(tmp_path):
-    from repro.telemetry.server import WatchService
+    from repro.telemetry.server import WatchService, determinism_badge
 
     block = sim_diffable().digest
     runs_dir = tmp_path / "runs"
     store = RunStore(runs_dir)
     store.append(make_record(run_id="match00000001", digest=block))
-    service = WatchService(runs_dir, bench_dirs=[tmp_path])
+    snap = WatchService(runs_dir, bench_dirs=[tmp_path]).snapshot()
 
-    none = service._determinism_badge({"run_id": "other", "digest": None})
+    none = determinism_badge({"run_id": "other", "digest": None}, snap)
     assert "no digest" in none and "repro simulate --digest" in none
 
-    match = service._determinism_badge(
-        {"run_id": "match00000001", "digest": {"final": block["final"]}}
+    match = determinism_badge(
+        {"run_id": "match00000001", "digest": {"final": block["final"]}}, snap
     )
     assert "digest match" in match and block["final"] in match
 
-    mismatch = service._determinism_badge(
-        {"run_id": "match00000001", "digest": {"final": "f" * 16}}
+    mismatch = determinism_badge(
+        {"run_id": "match00000001", "digest": {"final": "f" * 16}}, snap
     )
     assert "DIGEST MISMATCH" in mismatch and 'class="alarm"' in mismatch
 
-    feed_only = service._determinism_badge(
-        {"run_id": "other", "digest": {"final": "a" * 16}}
+    feed_only = determinism_badge(
+        {"run_id": "other", "digest": {"final": "a" * 16}}, snap
     )
     assert "live feed only" in feed_only
-    registry_only = service._determinism_badge(
-        {"run_id": "match00000001", "digest": None}
+    registry_only = determinism_badge(
+        {"run_id": "match00000001", "digest": None}, snap
     )
     assert "registry only" in registry_only
 
 
 def test_fleet_and_dashboard_render_determinism_sections(tmp_path, committed):
-    from repro.telemetry.dashboard import determinism_section
+    from repro.telemetry.dashboard import determinism_section, fleet_fragment
     from repro.telemetry.server import WatchService
 
     runs_dir = tmp_path / "runs"
@@ -472,11 +472,11 @@ def test_fleet_and_dashboard_render_determinism_sections(tmp_path, committed):
     block = sim_diffable().digest
     store.append(make_record(digest=block))
 
-    fragment = WatchService(runs_dir, bench_dirs=[tmp_path]).fleet_fragment()
-    assert "<h2>Determinism</h2>" in fragment
+    snap = WatchService(runs_dir, bench_dirs=[tmp_path], results_dir=tmp_path).snapshot()
+    assert "<h2>Determinism</h2>" in fleet_fragment(snap)
 
     # The committed store: every pin, and whether it describes itself.
-    section = determinism_section(runs_dir)
+    section = determinism_section(snap)
     assert all(pin["digest"]["final"] in section for pin in committed.values())
     assert section.count("<td>yes</td>") == 14
     assert section.count("<td>no (built by tests)</td>") == 8
@@ -485,7 +485,7 @@ def test_fleet_and_dashboard_render_determinism_sections(tmp_path, committed):
     # No store yet is an empty state; an unreadable one degrades to an
     # alarm row, not a crash.
     missing = tmp_path / "goldens" / "PINS.json"
-    assert "no pinned runs yet" in determinism_section(runs_dir, pins_path=missing)
+    assert "no pinned runs yet" in determinism_section(snap, pins_path=missing)
     missing.parent.mkdir()
     missing.write_text("{nope")
-    assert "unreadable pin store" in determinism_section(runs_dir, pins_path=missing)
+    assert "unreadable pin store" in determinism_section(snap, pins_path=missing)

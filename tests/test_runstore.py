@@ -66,16 +66,7 @@ def test_append_load_roundtrip(tmp_path):
 def test_empty_or_missing_store(tmp_path):
     store = RunStore(tmp_path / "never-written")
     assert store.load() == []
-    assert store.latest(5) == []
     assert len(store) == 0
-
-
-def test_latest_returns_newest_oldest_first(tmp_path):
-    store = RunStore(tmp_path)
-    for index in range(5):
-        store.append(make_record(label=f"run{index}"))
-    assert [r.label for r in store.latest(2)] == ["run3", "run4"]
-    assert store.latest(0) == []
 
 
 # -- schema enforcement ------------------------------------------------------

@@ -3,7 +3,6 @@
 import http.client
 import json
 import threading
-import urllib.error
 import urllib.request
 
 import pytest
@@ -11,7 +10,8 @@ import pytest
 from repro.telemetry import LIVE_SCHEMA_VERSION
 from repro.telemetry.bench import write_bench
 from repro.telemetry.runstore import RunStore
-from repro.telemetry.server import STALE_AFTER_SECONDS, WatchService, make_server
+from repro.telemetry.dashboard import STALE_AFTER_SECONDS, fleet_fragment, render_fleet
+from repro.telemetry.server import WatchService, make_server
 
 from .helpers import build_chain, run_cycles
 from .test_bench_compare import make_bench_doc, make_case
@@ -20,8 +20,14 @@ from .test_runstore import make_record
 
 def watch(runs_dir, **kwargs):
     """The service over ``runs_dir``, its bench trajectory in ``runs_dir/../bench``
-    (the default, the working directory, holds the repo's own files)."""
-    return WatchService(runs_dir, bench_dirs=[runs_dir.parent / "bench"], **kwargs)
+    and its figure CSVs in ``runs_dir/../results`` (the defaults, under the
+    working directory, hold the repo's own files)."""
+    return WatchService(
+        runs_dir,
+        bench_dirs=[runs_dir.parent / "bench"],
+        results_dir=runs_dir.parent / "results",
+        **kwargs,
+    )
 
 
 def seed_runs_dir(tmp_path, *, finish=True, fail=False):
@@ -122,13 +128,44 @@ def test_bench_state_extracts_trajectory(tmp_path):
 
 
 def test_change_stamp_moves_with_the_files(tmp_path):
+    from .test_dashboard import write_fig11_csv
+
     runs_dir = seed_runs_dir(tmp_path)
+    write_fig11_csv(tmp_path / "results")
     service = watch(runs_dir)
     first = service.change_stamp()
     assert first == service.change_stamp()  # stable when nothing changed
     store = RunStore(runs_dir)
     store.append(make_record(label="another"))
-    assert service.change_stamp() != first
+    second = service.change_stamp()
+    assert second != first
+    # The figure panels are live too: a rewritten results CSV re-renders.
+    csv = tmp_path / "results" / "fig11_tiny.csv"
+    csv.write_text(csv.read_text() + "uniform,serial-torus,0.05,31.0,0.98\n")
+    assert service.change_stamp() != second
+
+
+def test_one_registry_read_per_render(tmp_path, monkeypatch):
+    from .test_dashboard import write_fig11_csv
+
+    runs_dir = seed_runs_dir(tmp_path)
+    write_fig11_csv(tmp_path / "results")
+    reads = []
+    iter_records = RunStore.iter_records
+
+    def counting(self, **kwargs):
+        reads.append(self.path)
+        return iter_records(self, **kwargs)
+
+    monkeypatch.setattr(RunStore, "iter_records", counting)
+    service = watch(runs_dir)
+    page = render_fleet(service.snapshot())
+    assert "Fig 11" in page and "Recent runs" in page  # every panel rendered
+    assert len(reads) == 1
+    service.fleet_state()
+    assert len(reads) == 2
+    service.run_page("watchrun00001")  # the badge answers from the snapshot too
+    assert len(reads) == 3
 
 
 # -- page rendering -----------------------------------------------------------
@@ -145,7 +182,7 @@ def test_fleet_page_renders_sections_and_sse_hook(tmp_path):
 def test_fleet_fragment_includes_sentinel_panel(tmp_path):
     runs_dir = seed_runs_dir(tmp_path)
     service = watch(runs_dir)
-    fragment = service.fleet_fragment()
+    fragment = fleet_fragment(service.snapshot())
     assert fragment.count("<h2>Performance</h2>") == 1
     # No bench file so far: the one placeholder, no charts.
     assert fragment.count("no bench history yet") == 1
@@ -154,7 +191,7 @@ def test_fleet_fragment_includes_sentinel_panel(tmp_path):
     for hops in (400_000.0, 440_000.0):
         write_bench(make_bench_doc(fig11_cli_tiny=make_case(hops=hops)), tmp_path / "bench")
     assert service.change_stamp() != stamp  # a new bench file re-renders the page
-    fragment = service.fleet_fragment()
+    fragment = fleet_fragment(service.snapshot())
     assert "fig11_cli_tiny: throughput trajectory" in fragment
     assert "repro regress" in fragment  # the verdict table's caption
     assert "no bench history yet" not in fragment
@@ -163,8 +200,8 @@ def test_fleet_fragment_includes_sentinel_panel(tmp_path):
 def test_fleet_page_warns_about_skipped_registry_lines(tmp_path):
     runs_dir = seed_runs_dir(tmp_path)
     (runs_dir / "runs.jsonl").open("a").write("{corrupt\n")
-    fragment = watch(runs_dir).fleet_fragment()
-    assert "unreadable registry line" in fragment
+    fragment = fleet_fragment(watch(runs_dir).snapshot())
+    assert fragment.count("unreadable registry line") == 1
 
 
 def test_run_page_renders_epochs_and_failure_banner(tmp_path):
@@ -229,11 +266,20 @@ def test_http_pages(watch_server):
 
 
 def test_http_unknown_paths_return_404(watch_server):
-    for path in ("/api/live/nope", "/run/nope", "/nope"):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            fetch(watch_server, path)
-        assert excinfo.value.code == 404
-        assert json.loads(excinfo.value.read())["error"] == "not found"
+    host, port = watch_server.removeprefix("http://").split(":")
+    # Sent raw: a run id that walks out of runs/live/ (onto the registry
+    # itself) or hides behind a leading dot names no feed.
+    for path in ("/api/live/nope", "/run/nope", "/events/nope", "/nope",
+                 "/api/live/../runs", "/run/../runs", "/events/../runs",
+                 "/api/live/..%2Fruns", "/run/.hidden"):
+        connection = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            connection.request("GET", path)
+            response = connection.getresponse()
+            assert response.status == 404, path
+            assert json.loads(response.read())["error"] == "not found"
+        finally:
+            connection.close()
 
 
 def test_sse_stream_pushes_rendered_fragment(watch_server):
