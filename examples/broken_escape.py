@@ -101,13 +101,16 @@ def main(argv=None) -> int:
     stats = Stats()
     _spec, replay_network = build_broken_network(stats)
     if args.forensics_dir:
-        from repro.telemetry.forensics import ForensicsConfig, ForensicsSession
+        from repro.telemetry import TelemetryConfig, TelemetrySession
 
-        session = ForensicsSession(
-            replay_network, ForensicsConfig(bundle_dir=args.forensics_dir)
+        session = TelemetrySession.attach(
+            replay_network,
+            TelemetryConfig(
+                epoch_metrics=False, forensics=True, bundle_dir=args.forensics_dir
+            ),
         )
     outcome = replay_counterexample(
-        replay_network, stats, trace, forensics=session
+        replay_network, stats, trace, telemetry=session
     )
     if not outcome.deadlocked:
         print("replay did not wedge the simulator (unexpected)", file=sys.stderr)

@@ -4,7 +4,7 @@ Eastward-only ring routing on a torus row builds a cyclic channel
 dependency (the textbook deadlock the paper's escape-VC discipline
 exists to break).  Under saturating load the ring wedges within a few
 hundred cycles; the engine's deadlock detector fires, the attached
-:class:`~repro.telemetry.forensics.ForensicsSession` captures a bundle
+:class:`~repro.telemetry.session.TelemetrySession` captures a bundle
 (network snapshot, in-flight packet table, wait-for graph with the
 blocking cycle, flight-recorder tail, the health checks of every closed
 250-cycle epoch), and this script prints its path.
@@ -66,6 +66,7 @@ def main(argv=None) -> int:
         network,
         TelemetryConfig(
             epoch_length=250,
+            forensics=True,
             bundle_dir=args.bundle_dir,
             flight_recorder=True,
             recorder_window=2_048,
@@ -75,7 +76,7 @@ def main(argv=None) -> int:
     )
     engine = Engine(network, _workload(grid, config, args.seed), stats,
                     deadlock_threshold=300)
-    engine.forensics = session.forensics
+    engine.telemetry = session
 
     print(f"running eastward ring routing on {spec.name} at rate 1.0 ...")
     try:

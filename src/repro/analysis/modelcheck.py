@@ -428,14 +428,15 @@ def replay_counterexample(
     rounds: int = 50,
     deadlock_threshold: int = 500,
     max_cycles: int = 50_000,
-    forensics=None,
+    telemetry=None,
 ) -> ReplayResult:
     """Replay a counterexample trace in the cycle-accurate simulator.
 
     Returns whether the network actually wedged (``DeadlockError``) — the
     ground truth the model checker's verdict is validated against.  Pass a
-    ``ForensicsSession`` as ``forensics`` to capture a postmortem bundle
-    of the wedged state, exactly like a production deadlock would.
+    ``TelemetrySession`` with ``forensics`` on as ``telemetry`` to capture
+    a postmortem bundle of the wedged state, exactly like a production
+    deadlock would.
     """
     from repro.sim.engine import Engine
 
@@ -445,8 +446,7 @@ def replay_counterexample(
         stats,
         deadlock_threshold=deadlock_threshold,
     )
-    if forensics is not None:
-        engine.forensics = forensics
+    engine.telemetry = telemetry
     from repro.sim.stats import DrainTimeoutError
 
     try:

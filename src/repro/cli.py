@@ -222,49 +222,44 @@ def _run_point(spec, args, telemetry=None):
 
 
 def _cmd_simulate(args) -> int:
+    from repro.telemetry import TelemetryConfig
+
     spec = _spec_from_args(args)
-    telemetry = None
     breakdown_wanted = args.latency_breakdown or args.breakdown_csv
     epoch_wanted = bool(
         args.metrics or args.trace or args.progress
         or breakdown_wanted or args.live
     )
-    forensics_wanted = (
-        not args.no_forensics or args.flight_recorder or args.health
-    )
     run_id = None
-    if epoch_wanted or forensics_wanted or args.digest:
-        from repro.telemetry import TelemetryConfig
+    if args.live:
+        # Allocate the registry run id up front so the live feed and
+        # the run record join on one id in the fleet view.
+        from repro.telemetry.runstore import new_run_id
 
-        if args.live:
-            # Allocate the registry run id up front so the live feed and
-            # the run record join on one id in the fleet view.
-            from repro.telemetry.runstore import new_run_id
-
-            run_id = new_run_id()
-        telemetry = TelemetryConfig(
-            metrics_dir=args.metrics,
-            trace_path=args.trace,
-            epoch_length=args.epoch,
-            progress=args.progress,
-            latency_breakdown=bool(breakdown_wanted),
-            breakdown_csv=args.breakdown_csv,
-            # A forensics-only config must not attach the epoch collector:
-            # plain runs stay zero-subscriber so same-seed invocations
-            # keep printing byte-identical output.
-            epoch_metrics=epoch_wanted,
-            forensics=forensics_wanted,
-            bundle_dir=args.forensics_dir,
-            flight_recorder=args.flight_recorder,
-            recorder_window=args.recorder_window,
-            recorder_events=args.recorder_events,
-            health=args.health,
-            health_stream=sys.stderr if args.health else None,
-            live=args.live,
-            live_dir=Path(args.runs_dir) / "live",
-            run_id=run_id,
-            digest=args.digest,
-        )
+        run_id = new_run_id()
+    telemetry = TelemetryConfig(
+        metrics_dir=args.metrics,
+        trace_path=args.trace,
+        epoch_length=args.epoch,
+        progress=args.progress,
+        latency_breakdown=bool(breakdown_wanted),
+        breakdown_csv=args.breakdown_csv,
+        # A forensics-only config must not attach the epoch collector:
+        # plain runs stay zero-subscriber so same-seed invocations
+        # keep printing byte-identical output.
+        epoch_metrics=epoch_wanted,
+        forensics=not args.no_forensics,
+        bundle_dir=args.forensics_dir,
+        flight_recorder=args.flight_recorder,
+        recorder_window=args.recorder_window,
+        recorder_events=args.recorder_events,
+        health=args.health,
+        health_stream=sys.stderr if args.health else None,
+        live=args.live,
+        live_dir=Path(args.runs_dir) / "live",
+        run_id=run_id,
+        digest=args.digest,
+    )
     try:
         result = _run_point(spec, args, telemetry)
     except (RuntimeError, AssertionError) as exc:
@@ -331,7 +326,10 @@ def _cmd_profile(args) -> int:
     from repro.telemetry import TelemetryConfig
     from repro.telemetry.hostprof import (
         HostprofError,
+        collapsed_stacks,
+        fold_profile,
         render_host_table,
+        speedscope_document,
         write_speedscope,
     )
 
@@ -362,21 +360,22 @@ def _cmd_profile(args) -> int:
     _write_json_doc(str(host_path), summary)
     # Pass 2 — cProfile (same seed, so the same run), folded into the
     # phase-rooted speedscope + collapsed-stack flamegraph artifacts.
-    profile_config = TelemetryConfig(profile=True, profile_top=args.top, epoch_metrics=False)
     try:
-        profiled = _run_point(spec, args, profile_config)
+        profiled = _run_point(spec, args, TelemetryConfig(profile=True, epoch_metrics=False))
     except (RuntimeError, AssertionError) as exc:
         return _report_failure(spec.name, exc)
-    report = profiled.telemetry.profile_report
-    doc = report.speedscope(name=f"{spec.name} {result.workload}")
+    folded = fold_profile(profiled.telemetry.profile)
+    doc = speedscope_document(folded, name=f"{spec.name} {result.workload}")
     ss_path = write_speedscope(doc, out_dir / "profile.speedscope.json")
     print(f"wrote {ss_path}  (load at https://www.speedscope.app)")
     folded_path = out_dir / "profile.folded.txt"
-    folded_path.write_text(report.collapsed(), encoding="utf-8")
+    folded_path.write_text(collapsed_stacks(folded), encoding="utf-8")
     print(f"wrote {folded_path}  (flamegraph.pl / inferno collapsed stacks)")
     if args.pstats:
+        import pstats
+
         print()
-        print(report.text().rstrip())
+        pstats.Stats(profiled.telemetry.profile).sort_stats("cumulative").print_stats(args.top)
     return 0
 
 
@@ -394,6 +393,7 @@ def _cmd_postmortem(args) -> int:
     print(render_bundle_text(bundle, tail=args.tail))
     if args.html:
         out = Path(args.html)
+        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(render_bundle_html(bundle), encoding="utf-8")
         print(f"wrote {out}")
     return 0

@@ -10,56 +10,14 @@ this is how the deadlock-freedom tests exercise Theorem 1.
 
 from __future__ import annotations
 
-import cProfile
-import io
-import pstats
-from typing import Any, Iterable, Optional, Protocol
+from typing import TYPE_CHECKING, Iterable, Optional, Protocol
 
 from repro.noc.flit import Packet
 from repro.noc.network import Network
 from .stats import DeadlockError, DrainTimeoutError, Stats
 
-
-class ProfileReport:
-    """A cProfile capture of one engine run, plus folding helpers.
-
-    Returned by :meth:`Engine.run_profiled`.  The raw profiler stays
-    accessible as ``.profile`` so callers can fold it into flamegraph /
-    speedscope artifacts (see :mod:`repro.telemetry.hostprof`); ``text()``
-    renders the classic :mod:`pstats` table.
-    """
-
-    def __init__(
-        self, profile: cProfile.Profile, *, sort: str = "cumulative", top: int = 25
-    ) -> None:
-        self.profile = profile
-        self.sort = sort
-        self.top = top
-
-    def text(self, *, sort: Optional[str] = None, top: Optional[int] = None) -> str:
-        """The ``top`` hottest functions sorted by ``sort`` (pstats keys)."""
-        buffer = io.StringIO()
-        stats = pstats.Stats(self.profile, stream=buffer)
-        stats.sort_stats(sort or self.sort).print_stats(top or self.top)
-        return buffer.getvalue()
-
-    def folded(self) -> list[tuple[tuple[str, ...], int]]:
-        """Phase-rooted folded stacks (``hostprof.fold_profile``)."""
-        from repro.telemetry.hostprof import fold_profile
-
-        return fold_profile(self.profile)
-
-    def collapsed(self) -> str:
-        """Collapsed-stack flamegraph text (``flamegraph.pl`` input)."""
-        from repro.telemetry.hostprof import collapsed_stacks
-
-        return collapsed_stacks(self.folded())
-
-    def speedscope(self, *, name: str = "repro profile") -> dict[str, Any]:
-        """Speedscope-compatible JSON document of the folded stacks."""
-        from repro.telemetry.hostprof import speedscope_document
-
-        return speedscope_document(self.folded(), name=name)
+if TYPE_CHECKING:  # pragma: no cover - the observatory loads on demand
+    from repro.telemetry.session import TelemetrySession
 
 
 class Workload(Protocol):
@@ -90,24 +48,17 @@ class Engine:
         self.stats = stats
         self.deadlock_threshold = deadlock_threshold
         self.cycle = 0
-        #: Optional postmortem sink (duck-typed
-        #: :class:`repro.telemetry.forensics.ForensicsSession`).  When set,
-        #: any failure escaping :meth:`run` / :meth:`run_until_drained`
-        #: writes a bundle first and gains a ``bundle_path`` attribute.
-        self.forensics = None
         #: Optional host-time ledger (duck-typed
         #: :class:`repro.telemetry.hostprof.HostTimeLedger`).  When set,
         #: each tick it samples calls ``lap(phase)`` at the phase
         #: boundaries of the one cycle loop; simulated behaviour is the
         #: same either way (passive observer).
         self.hostprof = None
-        #: Optional live feed (duck-typed
-        #: :class:`repro.telemetry.live.LiveFeed`).  When set, a failure
-        #: escaping :meth:`run` / :meth:`run_until_drained` lands in the
-        #: feed as a terminal ``failure`` event — with the postmortem
-        #: bundle path when forensics captured one — so ``repro watch``
-        #: surfaces the death without waiting for the registry.
-        self.livefeed = None
+        #: Optional telemetry session.  When set, a failure escaping
+        #: :meth:`run` / :meth:`run_until_drained` goes through its
+        #: ``fail`` hook — postmortem bundle and live-feed ``failure``
+        #: event — and gains a ``bundle_path`` attribute.
+        self.telemetry: Optional[TelemetrySession] = None
 
     def run(self, cycles: int) -> Stats:
         """Advance the simulation by ``cycles`` cycles."""
@@ -159,12 +110,16 @@ class Engine:
             del error
 
     def _capture_failure(self, exc: BaseException) -> None:
-        """Write a postmortem bundle for ``exc`` (best effort, never masks it).
+        """Hand ``exc`` to the telemetry session's failure hook.
 
+        The hook is best effort and never masks the failure.
         ``AssertionError`` covers the sanitizer's ``InvariantViolation``
         without importing :mod:`repro.analysis` (which would create an
         import cycle through the topology builders).
         """
+        session = self.telemetry
+        if session is None:
+            return
         if isinstance(exc, DrainTimeoutError):
             reason = "drain-timeout"
         elif isinstance(exc, DeadlockError):
@@ -173,56 +128,12 @@ class Engine:
             reason = "invariant-violation"
         else:
             reason = "runtime-error"
-        path = None
-        session = self.forensics
-        if session is not None:
+        path = session.fail(reason, self.cycle, exc)
+        if path is not None and getattr(exc, "bundle_path", None) is None:
             try:
-                path = session.capture_to_file(reason, self.cycle, error=exc)
-            except Exception:  # noqa: BLE001 - forensics must not mask the failure
-                path = None
-            if path is not None and getattr(exc, "bundle_path", None) is None:
-                try:
-                    exc.bundle_path = str(path)
-                except AttributeError:
-                    pass  # exception type refuses new attributes
-        feed = self.livefeed
-        if feed is not None:
-            try:
-                feed.fail(
-                    reason,
-                    self.cycle,
-                    error=f"{type(exc).__name__}: {exc}",
-                    bundle=str(path) if path is not None else None,
-                )
-            except Exception:  # noqa: BLE001 - telemetry must not mask the failure
-                pass
-
-    def run_profiled(
-        self,
-        cycles: int,
-        *,
-        drain: bool = False,
-        sort: str = "cumulative",
-        top: int = 25,
-    ) -> tuple[Stats, ProfileReport]:
-        """Run under :mod:`cProfile`; return ``(stats, ProfileReport)``.
-
-        With ``drain=True`` this wraps :meth:`run_until_drained` (``cycles``
-        becomes the drain deadline); otherwise :meth:`run`.  The report
-        defaults to the ``top`` hottest functions sorted by ``sort`` (any
-        :mod:`pstats` sort key) and can be folded into flamegraph /
-        speedscope artifacts — ``repro profile`` is the CLI front end.
-        """
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            if drain:
-                self.run_until_drained(cycles)
-            else:
-                self.run(cycles)
-        finally:
-            profiler.disable()
-        return self.stats, ProfileReport(profiler, sort=sort, top=top)
+                exc.bundle_path = str(path)
+            except AttributeError:
+                pass  # exception type refuses new attributes
 
     def _tick(self) -> None:
         now = self.cycle

@@ -163,9 +163,8 @@ def run_workload(
                 warmup=warmup,
                 total_cycles=None if drain else horizon,
             )
-            engine.forensics = session.forensics
+            engine.telemetry = session
             engine.hostprof = session.hostprof
-            engine.livefeed = session.live
             if session.digest is not None:
                 from repro.telemetry.digest import run_meta
 
@@ -192,17 +191,16 @@ def run_workload(
                         "config_hash": config_hash,
                     }
                 )
+        run = engine.run_until_drained if drain else engine.run
         start = time.perf_counter()
         try:
             if session is not None and telemetry.profile:
-                _, report = engine.run_profiled(
-                    horizon, drain=drain, top=telemetry.profile_top
-                )
-                session.profile_report = report
-            elif drain:
-                engine.run_until_drained(horizon)
+                import cProfile
+
+                profiler = session.profile = cProfile.Profile()
+                profiler.runcall(run, horizon)
             else:
-                engine.run(horizon)
+                run(horizon)
         except RuntimeError:
             if strict:
                 raise
@@ -243,7 +241,7 @@ def run_synthetic(
 
     Pass a :class:`~repro.telemetry.TelemetryConfig` as ``telemetry`` to
     collect per-epoch metrics, a Chrome trace, live progress and/or a
-    cProfile report; the finalized session lands on ``RunResult.telemetry``.
+    cProfile capture; the finalized session lands on ``RunResult.telemetry``.
     """
     config = spec.config
     cycles = cycles if cycles is not None else config.sim_cycles

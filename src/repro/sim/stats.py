@@ -191,9 +191,9 @@ class Stats:
 class DeadlockError(RuntimeError):
     """Raised when buffered flits stop moving for too long.
 
-    When a :class:`~repro.telemetry.forensics.ForensicsSession` is attached
-    to the engine, ``bundle_path`` names the postmortem bundle written for
-    this failure (``None`` otherwise).
+    When the engine's :class:`~repro.telemetry.session.TelemetrySession`
+    captures bundles (``TelemetryConfig.forensics``), ``bundle_path`` names
+    the postmortem bundle written for this failure (``None`` otherwise).
     """
 
     def __init__(self, cycle: int, buffered: int, stalled_for: int) -> None:

@@ -5,9 +5,10 @@
 * :class:`LatencyLedger` — per-packet latency attribution with an exact
   conservation invariant, aggregate breakdowns and topology bottleneck
   tables (``repro.telemetry.attribution``);
-* :class:`EpochMetrics` — per-epoch time-series collectors with CSV/JSON
-  export, and the one periodic sampler the health monitor, live feed and
-  progress line read (``repro.telemetry.metrics``);
+* :class:`EpochMetrics` / :class:`HealthMonitor` — per-epoch time-series
+  collectors with CSV/JSON export, the one periodic sampler the health
+  monitor, live feed and progress line read, and the per-epoch health
+  checks against :class:`HealthThresholds` (``repro.telemetry.metrics``);
 * :class:`ChromeTraceBuilder` — Perfetto-loadable Chrome trace-event
   export of sampled packets and component lanes
   (``repro.telemetry.trace``);
@@ -22,21 +23,23 @@
   fleet page (one ``Snapshot``, every panel a function of it) and the
   stdlib SSE service behind ``repro watch`` that serves it or, with
   ``--once --out FILE``, writes it static (imported lazily by the CLI);
-* :class:`FlightRecorder` / :class:`HealthMonitor` /
-  :class:`ForensicsSession` — bounded event ring buffer, per-epoch health
-  checks and automatic postmortem bundles for wedged runs, rendered by
-  ``repro postmortem`` (``repro.telemetry.forensics``);
+* :class:`FlightRecorder` / :func:`capture_bundle` — bounded event ring
+  buffer and the postmortem bundle of a wedged run, rendered by ``repro
+  postmortem`` (``repro.telemetry.forensics``);
 * :class:`TelemetryConfig` / :class:`TelemetrySession` — one-call
   attachment used by ``run_synthetic`` / ``run_trace`` and the
-  ``repro simulate`` CLI (``repro.telemetry.session``);
+  ``repro simulate`` CLI, and the engine's failure hook
+  (``Engine.telemetry``: bundle + live ``failure`` event) and cProfile
+  capture (``repro.telemetry.session``);
 * :class:`RunDigest` — streaming platform-stable chained hash of every
   bus event, with checkpoint chains, the three-granularity differential
   oracle behind ``repro diff`` and the one pin store behind ``repro
   golden`` and the tier-1 pin tests (``repro.telemetry.digest`` /
   ``repro.telemetry.diff`` / ``repro.telemetry.pins``);
 * :class:`HostTimeLedger` — host wall-time attribution across engine /
-  router / link / PHY phases plus cProfile→speedscope folding, driven by
-  ``repro profile`` (``repro.telemetry.hostprof``);
+  router / link / PHY phases plus folding of the session's cProfile
+  capture into speedscope / collapsed stacks, driven by ``repro profile``
+  (``repro.telemetry.hostprof``);
 * :func:`load_history` / :func:`analyze_history` — the bench
   catalogue's metrics (``bench.case_metrics``) as time series over the
   ``BENCH_<n>.json`` files, and ``repro regress``, the one "is it slower"
@@ -76,10 +79,9 @@ _SUBMODULE_EXPORTS = {
         "digests_comparable", "validate_digest_block",
     ),
     "forensics": (
-        "FORENSICS_SCHEMA_VERSION", "FlightRecorder", "ForensicsConfig",
-        "ForensicsSession", "HealthMonitor", "HealthThresholds",
-        "capture_bundle", "load_bundle", "render_bundle_html",
-        "render_bundle_text", "validate_bundle", "write_bundle",
+        "FORENSICS_SCHEMA_VERSION", "FlightRecorder", "capture_bundle",
+        "load_bundle", "render_bundle_html", "render_bundle_text",
+        "validate_bundle", "write_bundle",
     ),
     "history": ("MetricSeries", "RunHistory", "SeriesPoint", "load_history"),
     "hostprof": (
@@ -90,7 +92,7 @@ _SUBMODULE_EXPORTS = {
         "LIVE_SCHEMA_VERSION", "LiveFeed", "LiveFeedError", "feed_status",
         "live_feed_path", "read_feed", "validate_live_event",
     ),
-    "metrics": ("EpochMetrics", "EpochSample"),
+    "metrics": ("EpochMetrics", "EpochSample", "HealthMonitor", "HealthThresholds"),
     "progress": ("EtaEstimator", "ProgressReporter", "format_eta"),
     "runstore": (
         "RUN_SCHEMA_VERSION", "RunRecord", "RunStore", "RunStoreError",

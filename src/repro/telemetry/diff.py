@@ -226,7 +226,7 @@ def resimulate(
 
     The result carries the finalized session: ``result.digest`` is the
     block, ``result.telemetry.digest.captured`` the per-cycle chains of the
-    ``capture`` window, ``result.telemetry.forensics.recorder`` the flight
+    ``capture`` window, ``result.telemetry.recorder`` the flight
     recorder (``recorder=True``: the event-context pass).  ``cycles``
     truncates the horizon — determinism makes any prefix of the run
     identical to the same prefix of the full run, so localization passes
@@ -277,6 +277,8 @@ def resimulate(
             digest=True,
             digest_checkpoint_every=meta.get("checkpoint_every") or DEFAULT_CHECKPOINT_EVERY,
             digest_capture=capture,
+            # The event-context pass leaves a bundle if it wedges.
+            forensics=recorder,
             flight_recorder=recorder,
             recorder_window=_CONTEXT_WINDOW,
             recorder_events="full",
@@ -546,7 +548,7 @@ def diff_runs(
     report.divergent_cycle = divergent_now
 
     # Re-run the loser with the flight recorder windowed on that cycle.
-    flight = resimulate(b.meta, cycles=first, recorder=True).telemetry.forensics.recorder
+    flight = resimulate(b.meta, cycles=first, recorder=True).telemetry.recorder
     at_cycle = [
         event for event in flight.events() if event.get("cycle") == divergent_now
     ]

@@ -1,9 +1,7 @@
 """Flight recorder and postmortem forensics (see ``docs/observability.md``).
 
 The static passes of :mod:`repro.analysis` *predict* deadlock and livelock;
-this module is the runtime counterpart that *explains* one when it happens.
-Three cooperating pieces, all riding the
-:class:`~repro.telemetry.bus.TelemetryBus`:
+this module is the runtime counterpart that *explains* one when it happens:
 
 * :class:`FlightRecorder` — a bounded ring buffer of recent bus events
   (O(1) append, last ``window`` cycles retained).  The default ``"packet"``
@@ -11,26 +9,22 @@ Three cooperating pieces, all riding the
   credit stalls), which keeps the measured overhead on the fig11 bench
   case within the 2% budget; ``"route"`` adds the per-hop routing and VC
   allocation events, and ``"full"`` records the flit-granular firehose.
-* :class:`HealthMonitor` — health checks on each closed epoch of the
-  :class:`~repro.telemetry.metrics.EpochMetrics` sampler (throughput,
-  credit-stall rate, buffer occupancy, oldest in-flight packet age) with
-  configurable :class:`HealthThresholds`; threshold crossings are flagged
-  on a stream as they happen and summarized for the run registry.
 * :func:`capture_bundle` — the black-box dump taken when a run wedges:
   full network snapshot (router/link/ROB/PHY ``snapshot_state`` hooks),
   an in-flight packet table with per-packet age and attribution-taxonomy
-  stage, and a **wait-for graph** extracted from blocked input VCs whose
-  cycle (if any) names the deadlocked channel loop in the same
-  ``(link index, vc)`` vocabulary as :func:`repro.routing.deadlock.build_cdg`
-  — so a runtime deadlock is mechanically cross-checkable against the
-  static analysis.
+  stage, the run's health summary
+  (:class:`~repro.telemetry.metrics.HealthMonitor`) and a **wait-for
+  graph** extracted from blocked input VCs whose cycle (if any) names the
+  deadlocked channel loop in the same ``(link index, vc)`` vocabulary as
+  :func:`repro.routing.deadlock.build_cdg` — so a runtime deadlock is
+  mechanically cross-checkable against the static analysis.
 
-:class:`ForensicsSession` bundles the three behind one attach/detach
-surface; the :class:`~repro.sim.engine.Engine` calls
-:meth:`ForensicsSession.capture_to_file` from its failure path so every
+:class:`~repro.telemetry.session.TelemetrySession` owns the recorder and
+is the :class:`~repro.sim.engine.Engine`'s failure hook: its ``fail``
+captures and writes a bundle, so every
 :class:`~repro.sim.stats.DeadlockError`, drain timeout or
-:class:`~repro.analysis.sanitizer.InvariantViolation` leaves a bundle on
-disk.  ``repro postmortem BUNDLE`` renders a bundle as a text report or a
+:class:`~repro.analysis.sanitizer.InvariantViolation` leaves one on disk.
+``repro postmortem BUNDLE`` renders a bundle as a text report or a
 self-contained HTML page.
 
 Import note: like every collector in this package, this module must not
@@ -42,14 +36,11 @@ typing and the ``snapshot_state`` hooks.
 
 from __future__ import annotations
 
-import dataclasses
 import html as _html
 import json
-import math
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .bus import EVENT_NAMES
 
@@ -57,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.flit import Flit, Packet
     from repro.noc.network import Network
 
-    from .metrics import EpochSample
+    from .metrics import HealthMonitor
 
 #: Version of the postmortem-bundle schema.  Bump on incompatible changes;
 #: :func:`validate_bundle` rejects bundles written by a different version.
@@ -295,6 +286,10 @@ class FlightRecorder:
         rows.sort(key=lambda row: row[0])
         return rows
 
+    def summary(self) -> dict[str, int]:
+        """Window and retained / dropped event counts (bundle, registry)."""
+        return {"window": self.window, "events_recorded": len(self), "dropped": self.dropped}
+
     def events(self) -> list[dict[str, Any]]:
         """Every retained event, decoded, oldest first."""
         return [_decode_event(name, args) for _cycle, name, args in self._merged()]
@@ -305,132 +300,6 @@ class FlightRecorder:
             return []
         rows = self._merged()
         return [_decode_event(name, args) for _cycle, name, args in rows[-n:]]
-
-
-# ---------------------------------------------------------------------------
-# health monitor
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HealthThresholds:
-    """When a probe reading becomes an anomaly."""
-
-    #: Oldest in-flight packet age (cycles) before it is flagged.
-    max_packet_age: int = 5_000
-    #: Credit-stall events per cycle over a probe window before flagging.
-    max_stall_rate: float = 2.0
-    #: Flits buffered in the network before occupancy is flagged.
-    max_buffered_flits: int = 50_000
-
-
-@dataclass
-class HealthAnomaly:
-    """A threshold crossing (recorded on the rising edge only)."""
-
-    cycle: int
-    kind: str
-    detail: str
-
-    def to_json(self) -> dict[str, Any]:
-        """JSON payload shared with bundles and live-feed events."""
-        return dataclasses.asdict(self)
-
-
-class HealthMonitor:
-    """Health checks over the sampler's closed epochs.
-
-    A reader of :class:`~repro.telemetry.metrics.EpochMetrics` with no
-    bus subscription of its own: :meth:`on_epoch` checks each closed
-    sample (delivered packets, buffered / in-flight flits, credit-stall
-    rate) plus the oldest in-flight packet, read once at the boundary,
-    against the :class:`HealthThresholds`.  A reading beyond a threshold
-    raises a :class:`HealthAnomaly` flag, written to ``stream`` (when
-    given) at the moment the condition first appears — the live early
-    warning the postmortem bundle later confirms.  Warm-up epochs skip
-    the no-throughput test: ``Stats.packets_delivered`` counts no
-    warm-up packet by design.
-    """
-
-    def __init__(
-        self,
-        network: "Network",
-        *,
-        thresholds: Optional[HealthThresholds] = None,
-        stream: Optional[IO[str]] = None,
-    ) -> None:
-        self.network = network
-        self.thresholds = thresholds or HealthThresholds()
-        self.stream = stream
-        #: ``(cycle, oldest in-flight age)`` per sampled epoch.
-        self.ages: list[tuple[int, int]] = []
-        self.anomalies: list[HealthAnomaly] = []
-        #: The anomalies the latest epoch raised (what the live feed streams).
-        self.raised: list[HealthAnomaly] = []
-        self._active_flags: set[str] = set()
-
-    def on_epoch(self, sample: "EpochSample") -> None:
-        """Check one closed epoch; flag the conditions that just appeared."""
-        cycle = sample.end - 1  # the last cycle the epoch simulated
-        limits = self.thresholds
-        in_network = sample.buffered + sample.in_flight
-        stall_rate = sum(sample.credit_stalls.values()) / sample.cycles
-        oldest = inflight_packet_table(self.network, cycle, max_packets=1)["table"]
-        age = oldest[0]["age"] if oldest else 0
-        self.ages.append((cycle, age))
-        findings: list[tuple[str, str]] = []
-        if age > limits.max_packet_age:
-            findings.append((
-                "packet-age",
-                f"oldest in-flight packet {oldest[0]['pid']} "
-                f"({oldest[0]['src']}->{oldest[0]['dst']}) is {age} cycles "
-                f"old (limit {limits.max_packet_age})",
-            ))
-        if not sample.warmup and sample.packets_delivered == 0 and in_network > 0:
-            findings.append((
-                "no-throughput",
-                f"{in_network} flits in the network but zero packets "
-                f"delivered in the last {sample.cycles} cycles",
-            ))
-        if stall_rate > limits.max_stall_rate:
-            findings.append((
-                "credit-stall",
-                f"credit-stall rate {stall_rate:.2f}/cycle "
-                f"(limit {limits.max_stall_rate:g})",
-            ))
-        if sample.buffered > limits.max_buffered_flits:
-            findings.append((
-                "occupancy",
-                f"{sample.buffered} flits buffered "
-                f"(limit {limits.max_buffered_flits})",
-            ))
-        self.raised = [
-            HealthAnomaly(cycle=cycle, kind=kind, detail=detail)
-            for kind, detail in findings
-            if kind not in self._active_flags  # report rising edges only
-        ]
-        self._active_flags = {kind for kind, _ in findings}
-        self.anomalies.extend(self.raised)
-        if self.stream is not None and self.raised:
-            self.stream.writelines(
-                f"[health] cycle {cycle}: {a.kind}: {a.detail}\n" for a in self.raised
-            )
-            self.stream.flush()
-
-    def summary(self, *, max_anomalies: int = 20, max_series: int = 120) -> dict[str, Any]:
-        """Compact JSON-ready digest for bundles and the run registry."""
-        series = [list(entry) for entry in self.ages]
-        if len(series) > max_series:
-            stride = math.ceil(len(series) / max_series)
-            series = series[::stride]
-        return {
-            "probes": len(self.ages),
-            "anomaly_count": len(self.anomalies),
-            "flags": sorted({a.kind for a in self.anomalies}),
-            "max_oldest_age": max((age for _, age in self.ages), default=0),
-            "anomalies": [a.to_json() for a in self.anomalies[:max_anomalies]],
-            "oldest_age_series": series,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -741,12 +610,7 @@ def capture_bundle(
         "recorder": None,
     }
     if recorder is not None:
-        bundle["recorder"] = {
-            "window": recorder.window,
-            "events_recorded": len(recorder),
-            "dropped": recorder.dropped,
-            "tail": recorder.tail(recorder_tail),
-        }
+        bundle["recorder"] = {**recorder.summary(), "tail": recorder.tail(recorder_tail)}
     return bundle
 
 
@@ -787,9 +651,53 @@ _REQUIRED_KEYS = (
     "waitfor",
 )
 
+#: What the renderers read below the top level: key -> (name in errors,
+#: field types).  ``channels`` and ``routers`` hold lists of such records;
+#: ``health`` and ``recorder`` may be null.
+_SECTIONS: dict[str, tuple[str, dict[str, type]]] = {
+    "network": ("network summary", {
+        "n_nodes": int, "n_links": int, "buffered_flits": int, "in_flight_flits": int}),
+    "channels": ("channel table", {"index": int, "src": int, "dst": int, "kind": str}),
+    "routers": ("router table", {"node": int, "buffered": int}),
+    "packets": ("packet table", {"total": int, "table": list}),
+    "waitfor": ("wait-for graph", {"blocked": list, "edges": list, "cycle": list}),
+    "health": ("health summary", {
+        "probes": int, "anomaly_count": int, "flags": list, "max_oldest_age": int,
+        "anomalies": list}),
+    "recorder": ("recorder summary", {
+        "window": int, "events_recorded": int, "dropped": int, "tail": list}),
+}
+#: The list of rows some sections carry: key -> (field, row field types).
+_ROWS: dict[str, tuple[str, dict[str, type]]] = {
+    "packets": ("table", {
+        "pid": int, "src": int, "dst": int, "age": int, "flits_in_network": int, "stage": str}),
+    "waitfor": ("blocked", {
+        "node": int, "port": int, "vc": int, "state": str, "pid": int, "age": int, "wants": list}),
+    "health": ("anomalies", {"cycle": int, "kind": str, "detail": str}),
+    "recorder": ("tail", {"event": str, "cycle": int}),
+}
+
+
+def _fits(record: Any, fields: dict[str, type]) -> bool:
+    """True when ``record`` is an object carrying every field, typed."""
+    return isinstance(record, dict) and all(
+        isinstance(record.get(key), kind) for key, kind in fields.items()
+    )
+
+
+def _typed(items: Any, *kinds: type) -> bool:
+    """True when ``items`` is a list typed item by item like ``kinds``."""
+    return isinstance(items, list) and len(items) == len(kinds) and all(
+        isinstance(item, kind) for item, kind in zip(items, kinds)
+    )
+
 
 def validate_bundle(bundle: Any) -> None:
-    """Raise :class:`ValueError` unless ``bundle`` is a readable v1 bundle."""
+    """Raise :class:`ValueError` unless ``bundle`` is a readable v1 bundle.
+
+    Checks every nested field :func:`render_bundle_text` and
+    :func:`render_bundle_html` read, so a bundle that validates renders.
+    """
     if not isinstance(bundle, dict):
         raise ValueError("bundle is not a JSON object")
     missing = [key for key in _REQUIRED_KEYS if key not in bundle]
@@ -801,104 +709,29 @@ def validate_bundle(bundle: Any) -> None:
             f"bundle schema v{version!r} is not supported "
             f"(this build reads v{FORENSICS_SCHEMA_VERSION})"
         )
-    waitfor = bundle["waitfor"]
-    if not isinstance(waitfor, dict) or not {"blocked", "edges", "cycle"} <= set(waitfor):
+    for key, (name, fields) in _SECTIONS.items():
+        section = bundle.get(key)
+        if section is None and key in ("health", "recorder"):
+            continue
+        records = section if key in ("channels", "routers") else [section]
+        ok = isinstance(records, list) and all(_fits(record, fields) for record in records)
+        if ok and key in _ROWS:
+            column, row = _ROWS[key]
+            ok = all(_fits(entry, row) for entry in section[column])
+        if not ok:
+            raise ValueError(f"bundle {name} is malformed")
+    waitfor, vertex = bundle["waitfor"], (str, int, int)
+    if not (
+        all(_typed(channel, int, int) for channel in waitfor["cycle"])
+        and all(_typed(edge, list, list) and all(_typed(end, *vertex) for end in edge)
+                for edge in waitfor["edges"])
+        and all(_typed(want, *vertex) for entry in waitfor["blocked"] for want in entry["wants"])
+    ):
         raise ValueError("bundle wait-for graph is malformed")
-    packets = bundle["packets"]
-    if not isinstance(packets, dict) or "table" not in packets:
-        raise ValueError("bundle packet table is malformed")
-
-
-# ---------------------------------------------------------------------------
-# session
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ForensicsConfig:
-    """What the forensics layer should do for one run."""
-
-    #: Directory postmortem bundles are written into.
-    bundle_dir: str | Path = "forensics"
-    #: Attach a :class:`FlightRecorder`.
-    flight_recorder: bool = False
-    #: Recorder history window in cycles.
-    recorder_window: int = 4_096
-    #: Recorder detail: a :data:`RECORDER_PRESETS` name or event names.
-    recorder_events: str | tuple[str, ...] = "packet"
-    #: Recorder events embedded in a captured bundle.
-    recorder_tail: int = 200
-
-
-class ForensicsSession:
-    """Recorder + bundle sink for one network and one run.
-
-    A session with everything off costs nothing at runtime — no bus
-    subscriptions — and only acts when the engine's failure path calls
-    :meth:`capture_to_file`.  ``monitor`` is the run's
-    :class:`HealthMonitor` (fed by the epoch sampler, see
-    :class:`~repro.telemetry.session.TelemetrySession`); its summary
-    rides every captured bundle and the registry record.
-    """
-
-    def __init__(
-        self,
-        network: "Network",
-        config: Optional[ForensicsConfig] = None,
-        *,
-        monitor: Optional[HealthMonitor] = None,
-    ) -> None:
-        self.network = network
-        self.config = config or ForensicsConfig()
-        self.recorder: Optional[FlightRecorder] = None
-        self.monitor = monitor
-        #: Path of the last bundle written by :meth:`capture_to_file`.
-        self.bundle_path: Optional[Path] = None
-        if self.config.flight_recorder:
-            self.recorder = FlightRecorder(
-                network,
-                window=self.config.recorder_window,
-                events=self.config.recorder_events,
-            )
-
-    def capture(
-        self, reason: str, now: int, *, error: Optional[BaseException] = None
-    ) -> dict[str, Any]:
-        return capture_bundle(
-            self.network,
-            now=now,
-            reason=reason,
-            error=error,
-            recorder=self.recorder,
-            monitor=self.monitor,
-            recorder_tail=self.config.recorder_tail,
-        )
-
-    def capture_to_file(
-        self, reason: str, now: int, *, error: Optional[BaseException] = None
-    ) -> Path:
-        bundle = self.capture(reason, now, error=error)
-        self.bundle_path = write_bundle(bundle, self.config.bundle_dir)
-        return self.bundle_path
-
-    def detach(self) -> None:
-        if self.recorder is not None:
-            self.recorder.detach()
-
-    def record_summary(self) -> dict[str, Any]:
-        """Digest stored on the run registry's ``forensics`` field."""
-        summary: dict[str, Any] = {}
-        if self.monitor is not None:
-            summary["health"] = self.monitor.summary()
-        if self.recorder is not None:
-            summary["recorder"] = {
-                "window": self.recorder.window,
-                "events_recorded": len(self.recorder),
-                "dropped": self.recorder.dropped,
-            }
-        if self.bundle_path is not None:
-            summary["bundle"] = str(self.bundle_path)
-        return summary
+    if not all(isinstance(flag, str) for flag in (bundle.get("health") or {}).get("flags", ())):
+        raise ValueError("bundle health summary is malformed")
+    if not isinstance(bundle["reason"], str) or bundle["network"]["n_nodes"] < 1:
+        raise ValueError("bundle reason or node count is malformed")
 
 
 # ---------------------------------------------------------------------------

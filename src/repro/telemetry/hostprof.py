@@ -15,10 +15,11 @@ Two instruments live here:
   called.  Attributed time is checked against the timed-loop total.  A
   *strided* mode times every Nth cycle and extrapolates, dropping
   overhead below the 5% budget.
-* cProfile **folding** — :func:`fold_profile` maps every profiled
-  function to a phase-rooted synthetic stack, emitted as a
-  speedscope-compatible JSON document (:func:`speedscope_document`) and
-  as collapsed-stack flamegraph text (:func:`collapsed_stacks`).
+* cProfile **folding** — :func:`fold_profile` maps every function of a
+  run's capture (``TelemetrySession.profile``) to a phase-rooted
+  synthetic stack, emitted as a speedscope-compatible JSON document
+  (:func:`speedscope_document`) and as collapsed-stack flamegraph text
+  (:func:`collapsed_stacks`).
 
 Pure stdlib; simulator types appear only under ``TYPE_CHECKING`` (see
 the package initializer's import note).
@@ -73,8 +74,8 @@ class HostTimeLedger:
     """Attributes engine wall time to named phases.
 
     One ledger observes one engine run.  Attach it before the run
-    (``engine.hostprof = ledger`` or ``TelemetryConfig(host_time=True)``)
-    and read :meth:`summary` afterwards.  ``stride=N`` times every Nth
+    (``engine.hostprof = ledger``, the engine's per-tick seam, or
+    ``TelemetryConfig(host_time=True)``) and read :meth:`summary` after.  ``stride=N`` times every Nth
     cycle and extrapolates (the estimator assumes sampled cycles are
     representative, which holds for the stationary workloads of the
     repo benchmark); ``stride=1`` times every cycle.

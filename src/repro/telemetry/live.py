@@ -5,9 +5,10 @@
 with the run's identity, one ``epoch`` event per closed
 :class:`~repro.telemetry.metrics.EpochSample` (the sample plus smoothed
 simulation speed, ETA and delivered fraction), every
-:class:`~repro.telemetry.forensics.HealthMonitor` anomaly flag, and a
-terminal ``finish`` or ``failure`` event (the latter pointing at the
-postmortem bundle when forensics captured one).  The feed is the write
+:class:`~repro.telemetry.metrics.HealthMonitor` anomaly flag, and a
+terminal ``finish`` or ``failure`` event (the latter written by
+:meth:`~repro.telemetry.session.TelemetrySession.fail`, pointing at the
+postmortem bundle when one was captured).  The feed is the write
 side of the fleet view served by :mod:`repro.telemetry.server`.
 
 The feed is opt-in (``TelemetryConfig.live`` / ``repro simulate --live``)
@@ -38,8 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.network import Network
 
     from .digest import RunDigest
-    from .forensics import HealthMonitor
-    from .metrics import EpochSample
+    from .metrics import EpochSample, HealthMonitor
 
 #: Version of the live-feed event schema.  Bump on incompatible changes;
 #: :func:`validate_live_event` rejects events written by other versions.

@@ -12,7 +12,8 @@ congestion.
 It is the only observer with a clock: health checks, the live feed and
 the progress line are *readers* of its closed samples (``readers``,
 called in order at each epoch close), so one occupancy scan per epoch
-serves them all.
+serves them all.  :class:`HealthMonitor` is the first such reader: it
+checks each closed sample against :class:`HealthThresholds`.
 
 Collected per epoch:
 
@@ -34,9 +35,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.network import Network
@@ -439,3 +441,127 @@ class EpochMetrics:
                     parallel, serial, bypassed = sample.phy_split[index]
                     writer.writerow([sample.index, index, parallel, serial, bypassed])
         return path
+
+
+@dataclass(frozen=True)
+class HealthThresholds:
+    """When a probe reading becomes an anomaly."""
+
+    #: Oldest in-flight packet age (cycles) before it is flagged.
+    max_packet_age: int = 5_000
+    #: Credit-stall events per cycle over a probe window before flagging.
+    max_stall_rate: float = 2.0
+    #: Flits buffered in the network before occupancy is flagged.
+    max_buffered_flits: int = 50_000
+
+
+@dataclass
+class HealthAnomaly:
+    """A threshold crossing (recorded on the rising edge only)."""
+
+    cycle: int
+    kind: str
+    detail: str
+
+    def to_json(self) -> dict[str, Any]:
+        """JSON payload shared with bundles and live-feed events."""
+        return asdict(self)
+
+
+class HealthMonitor:
+    """Health checks over the sampler's closed epochs.
+
+    A reader of :class:`EpochMetrics` with no bus subscription of its
+    own: :meth:`on_epoch` checks each closed sample (delivered packets,
+    buffered / in-flight flits, credit-stall rate) plus the oldest in-flight packet, read once at the boundary,
+    against the :class:`HealthThresholds`.  A reading beyond a threshold
+    raises a :class:`HealthAnomaly` flag, written to ``stream`` (when
+    given) at the moment the condition first appears — the live early
+    warning the postmortem bundle later confirms.  Warm-up epochs skip
+    the no-throughput test: ``Stats.packets_delivered`` counts no
+    warm-up packet by design.
+    """
+
+    def __init__(
+        self,
+        network: "Network",
+        *,
+        thresholds: Optional[HealthThresholds] = None,
+        stream: Optional[IO[str]] = None,
+    ) -> None:
+        self.network = network
+        self.thresholds = thresholds or HealthThresholds()
+        self.stream = stream
+        #: ``(cycle, oldest in-flight age)`` per sampled epoch.
+        self.ages: list[tuple[int, int]] = []
+        self.anomalies: list[HealthAnomaly] = []
+        #: The anomalies the latest epoch raised (what the live feed streams).
+        self.raised: list[HealthAnomaly] = []
+        self._active_flags: set[str] = set()
+
+    def on_epoch(self, sample: "EpochSample") -> None:
+        """Check one closed epoch; flag the conditions that just appeared."""
+        # The bundle's packet table names the oldest packet; the postmortem
+        # module loads on the first health check, not with the sampler.
+        from .forensics import inflight_packet_table
+
+        cycle = sample.end - 1  # the last cycle the epoch simulated
+        limits = self.thresholds
+        in_network = sample.buffered + sample.in_flight
+        stall_rate = sum(sample.credit_stalls.values()) / sample.cycles
+        oldest = inflight_packet_table(self.network, cycle, max_packets=1)["table"]
+        age = oldest[0]["age"] if oldest else 0
+        self.ages.append((cycle, age))
+        findings: list[tuple[str, str]] = []
+        if age > limits.max_packet_age:
+            findings.append((
+                "packet-age",
+                f"oldest in-flight packet {oldest[0]['pid']} "
+                f"({oldest[0]['src']}->{oldest[0]['dst']}) is {age} cycles "
+                f"old (limit {limits.max_packet_age})",
+            ))
+        if not sample.warmup and sample.packets_delivered == 0 and in_network > 0:
+            findings.append((
+                "no-throughput",
+                f"{in_network} flits in the network but zero packets "
+                f"delivered in the last {sample.cycles} cycles",
+            ))
+        if stall_rate > limits.max_stall_rate:
+            findings.append((
+                "credit-stall",
+                f"credit-stall rate {stall_rate:.2f}/cycle "
+                f"(limit {limits.max_stall_rate:g})",
+            ))
+        if sample.buffered > limits.max_buffered_flits:
+            findings.append((
+                "occupancy",
+                f"{sample.buffered} flits buffered "
+                f"(limit {limits.max_buffered_flits})",
+            ))
+        self.raised = [
+            HealthAnomaly(cycle=cycle, kind=kind, detail=detail)
+            for kind, detail in findings
+            if kind not in self._active_flags  # report rising edges only
+        ]
+        self._active_flags = {kind for kind, _ in findings}
+        self.anomalies.extend(self.raised)
+        if self.stream is not None and self.raised:
+            self.stream.writelines(
+                f"[health] cycle {cycle}: {a.kind}: {a.detail}\n" for a in self.raised
+            )
+            self.stream.flush()
+
+    def summary(self, *, max_anomalies: int = 20, max_series: int = 120) -> dict[str, Any]:
+        """Compact JSON-ready digest for bundles and the run registry."""
+        series = [list(entry) for entry in self.ages]
+        if len(series) > max_series:
+            stride = math.ceil(len(series) / max_series)
+            series = series[::stride]
+        return {
+            "probes": len(self.ages),
+            "anomaly_count": len(self.anomalies),
+            "flags": sorted({a.kind for a in self.anomalies}),
+            "max_oldest_age": max((age for _, age in self.ages), default=0),
+            "anomalies": [a.to_json() for a in self.anomalies[:max_anomalies]],
+            "oldest_age_series": series,
+        }

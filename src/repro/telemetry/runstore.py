@@ -118,7 +118,7 @@ class RunRecord:
     #: so records written before this field existed keep loading under
     #: schema v1.
     breakdown: dict[str, Any] = field(default_factory=dict)
-    #: Compact forensics summary (``ForensicsSession.record_summary``:
+    #: Compact forensics summary (``TelemetrySession.forensics_summary``:
     #: health flags, recorder stats, bundle path; empty unless the run
     #: attached forensics).  Defaulted for the same schema-v1 reason.
     forensics: dict[str, Any] = field(default_factory=dict)
@@ -173,19 +173,8 @@ def record_from_result(
     runs do this so the registry record and the live feed
     (``runs/live/<run_id>.jsonl``) join on one id in the fleet view.
     """
-    breakdown: dict[str, Any] = {}
-    session = getattr(result, "telemetry", None)
-    ledger = getattr(session, "ledger", None)
-    if ledger is not None:
-        breakdown = ledger.record_summary()
-    forensics: dict[str, Any] = {}
-    forensics_session = getattr(session, "forensics", None)
-    if forensics_session is not None:
-        forensics = forensics_session.record_summary()
-    digest: dict[str, Any] = {}
-    digest_collector = getattr(session, "digest", None)
-    if digest_collector is not None:
-        digest = digest_collector.record_summary()
+    session = result.telemetry
+    ledger = session.ledger if session is not None else None
     return RunRecord(
         run_id=run_id or new_run_id(),
         created=utc_now_iso(),
@@ -204,9 +193,9 @@ def record_from_result(
         stats=dict(result.stats.summary()),
         artifacts=dict(artifacts or {}),
         extras=dict(extras or {}),
-        breakdown=breakdown,
-        forensics=forensics,
-        digest=digest,
+        breakdown=ledger.record_summary() if ledger is not None else {},
+        forensics=session.forensics_summary() if session is not None else {},
+        digest=result.digest or {},
     )
 
 

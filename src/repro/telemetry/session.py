@@ -1,33 +1,37 @@
 """One-call attachment of the full telemetry stack to a network.
 
 :class:`TelemetryConfig` is the declarative surface exposed by the CLI
-(``repro simulate --metrics DIR --trace FILE --epoch N --profile``) and by
-the experiment harness (``run_synthetic(..., telemetry=...)``); a
+(``repro simulate --metrics DIR --trace FILE --epoch N``) and by the
+experiment harness (``run_synthetic(..., telemetry=...)``); a
 :class:`TelemetrySession` instantiates the requested collectors against a
 built network's bus and, at :meth:`~TelemetrySession.finalize`, flushes
 their outputs to disk and detaches everything so the network returns to
 the zero-subscriber fast path.
+
+The session is the engine's failure hook too (``Engine.telemetry``, see
+:meth:`~TelemetrySession.fail`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Optional
+from typing import IO, TYPE_CHECKING, Any, Optional
 
 from .attribution import LatencyLedger
 from .digest import RunDigest
-from .forensics import ForensicsConfig, ForensicsSession, HealthMonitor, HealthThresholds
 from .hostprof import HostTimeLedger
 from .live import LiveFeed
-from .metrics import EpochMetrics
+from .metrics import EpochMetrics, HealthMonitor, HealthThresholds
 from .progress import EtaEstimator, ProgressReporter
 from .trace import ChromeTraceBuilder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.noc.flit import Packet
+    import cProfile
+
     from repro.noc.network import Network
-    from repro.sim.engine import ProfileReport
+
+    from .forensics import FlightRecorder
 
 
 @dataclass
@@ -45,20 +49,14 @@ class TelemetryConfig:
     #: The one sampling period in cycles: epoch metrics, health checks,
     #: live-feed epochs and the progress line all run on it.
     epoch_length: int = 1_000
-    #: Predicate selecting packets for the trace (default: all, capped).
-    trace_sample: Optional[Callable[["Packet"], bool]] = None
-    #: Cap on traced packets.
-    trace_max_packets: int = 512
     #: Emit a live progress line at each epoch close.
     progress: bool = False
     #: Progress destination (default: stderr).
     progress_stream: Optional[IO[str]] = None
-    #: Profile the run with cProfile and keep the report
-    #: (``RunResult.telemetry.profile_report``; ``repro profile`` is the
-    #: CLI front end that folds it into speedscope / flamegraph output).
+    #: Run the engine under cProfile and keep the raw profile
+    #: (``RunResult.telemetry.profile``; ``repro profile`` is the CLI
+    #: front end that folds it into speedscope / flamegraph output).
     profile: bool = False
-    #: Number of hottest functions in the profile report.
-    profile_top: int = 25
     #: Attach the host wall-time ledger
     #: (:class:`~repro.telemetry.hostprof.HostTimeLedger`): attribute
     #: engine wall time to named phases at <5% overhead when strided.
@@ -76,21 +74,20 @@ class TelemetryConfig:
     #: ``progress`` read the sampler's epochs and switch it on themselves.
     epoch_metrics: bool = True
     #: Capture a postmortem bundle when the run fails (deadlock, drain
-    #: timeout, invariant violation) — see
-    #: :class:`~repro.telemetry.forensics.ForensicsSession`.
+    #: timeout, invariant violation; :meth:`TelemetrySession.fail`).  The
+    #: one switch: ``health`` / ``flight_recorder`` only feed the bundle.
     forensics: bool = False
     #: Directory postmortem bundles are written into.
     bundle_dir: str | Path = "forensics"
     #: Attach the :class:`~repro.telemetry.forensics.FlightRecorder` ring
-    #: buffer (implies ``forensics``; its tail lands in captured bundles).
+    #: buffer (its tail lands in captured bundles).
     flight_recorder: bool = False
     #: Recorder history window in cycles.
     recorder_window: int = 4_096
     #: Recorder detail preset (``"packet"``, ``"route"`` or ``"full"``).
     recorder_events: str = "packet"
     #: Check each closed epoch with a
-    #: :class:`~repro.telemetry.forensics.HealthMonitor` (implies
-    #: ``forensics``).
+    #: :class:`~repro.telemetry.metrics.HealthMonitor`.
     health: bool = False
     #: Health anomaly thresholds (None: defaults).
     health_thresholds: Optional[HealthThresholds] = None
@@ -127,18 +124,23 @@ class TelemetrySession:
     trace: Optional[ChromeTraceBuilder] = None
     progress: Optional[ProgressReporter] = None
     ledger: Optional[LatencyLedger] = None
-    forensics: Optional[ForensicsSession] = None
+    #: Flight recorder (set when ``flight_recorder`` was requested).
+    recorder: Optional["FlightRecorder"] = None
+    #: Health monitor (set when ``health`` was requested).
+    monitor: Optional[HealthMonitor] = None
+    #: Path of the postmortem bundle :meth:`fail` wrote, if any.
+    bundle_path: Optional[Path] = None
     #: Host wall-time ledger (set when ``host_time`` was requested; the
     #: harness installs it as ``engine.hostprof``).
     hostprof: Optional[HostTimeLedger] = None
     #: Live JSONL feed for ``repro watch`` (set when ``live`` was
-    #: requested; the harness installs it as ``engine.livefeed`` so the
-    #: failure path can emit a terminal ``failure`` event).
+    #: requested; :meth:`fail` ends it with a terminal ``failure`` event).
     live: Optional[LiveFeed] = None
     #: Streaming run digest (set when ``digest`` was requested).
     digest: Optional[RunDigest] = None
-    #: cProfile capture (set by the harness when profiling was requested).
-    profile_report: Optional["ProfileReport"] = None
+    #: Raw cProfile capture (set by the harness when ``profile`` was
+    #: requested; fold it with :func:`repro.telemetry.hostprof.fold_profile`).
+    profile: Optional["cProfile.Profile"] = None
     #: Files written by :meth:`finalize`.
     written: list[Path] = field(default_factory=list)
 
@@ -159,27 +161,21 @@ class TelemetrySession:
                 network, epoch_length=config.epoch_length, warmup=warmup
             )
         if config.trace_path is not None:
-            session.trace = ChromeTraceBuilder(
-                network,
-                sample=config.trace_sample,
-                max_packets=config.trace_max_packets,
-            )
+            session.trace = ChromeTraceBuilder(network)
         if config.latency_breakdown or config.breakdown_csv is not None:
             session.ledger = LatencyLedger(network, measure_from=warmup)
         if config.host_time:
             session.hostprof = HostTimeLedger(stride=config.host_stride)
-        monitor = (
-            HealthMonitor(network, thresholds=config.health_thresholds, stream=config.health_stream)
-            if config.health else None
-        )
-        if config.forensics or config.flight_recorder or config.health:
-            forensics_config = ForensicsConfig(
-                bundle_dir=config.bundle_dir,
-                flight_recorder=config.flight_recorder,
-                recorder_window=config.recorder_window,
-                recorder_events=config.recorder_events,
+        if config.health:
+            session.monitor = HealthMonitor(
+                network, thresholds=config.health_thresholds, stream=config.health_stream
             )
-            session.forensics = ForensicsSession(network, forensics_config, monitor=monitor)
+        if config.flight_recorder:
+            from .forensics import FlightRecorder
+
+            session.recorder = FlightRecorder(
+                network, window=config.recorder_window, events=config.recorder_events
+            )
         if config.digest or config.digest_capture is not None:
             session.digest = RunDigest(
                 network,
@@ -194,7 +190,7 @@ class TelemetrySession:
                 network,
                 run_id=config.run_id or new_run_id(),
                 directory=config.live_dir,
-                monitor=monitor,
+                monitor=session.monitor,
                 digest=session.digest,
                 eta=eta,
             )
@@ -206,10 +202,50 @@ class TelemetrySession:
             # Health first: the feed streams the anomalies it just raised.
             session.metrics.readers = [
                 reader.on_epoch
-                for reader in (monitor, session.live, session.progress)
+                for reader in (session.monitor, session.live, session.progress)
                 if reader is not None
             ]
         return session
+
+    def fail(self, reason: str, cycle: int, exc: BaseException) -> Optional[Path]:
+        """The engine's failure hook: write a bundle when ``forensics`` is
+        on, end the live feed with a ``failure`` event pointing at it, and
+        return the bundle path.  Best effort: neither step masks ``exc``.
+        """
+        path = None
+        if self.config.forensics:
+            try:
+                from .forensics import capture_bundle, write_bundle
+
+                bundle = capture_bundle(
+                    self.network, now=cycle, reason=reason, error=exc,
+                    recorder=self.recorder, monitor=self.monitor,
+                )
+                path = self.bundle_path = write_bundle(bundle, self.config.bundle_dir)
+            except Exception:  # noqa: BLE001 - forensics must not mask the failure
+                pass
+        if self.live is not None:
+            try:
+                self.live.fail(
+                    reason,
+                    cycle,
+                    error=f"{type(exc).__name__}: {exc}",
+                    bundle=None if path is None else str(path),
+                )
+            except Exception:  # noqa: BLE001 - telemetry must not mask the failure
+                pass
+        return path
+
+    def forensics_summary(self) -> dict[str, Any]:
+        """The run registry's ``forensics`` block (empty when nothing ran)."""
+        summary: dict[str, Any] = {}
+        if self.monitor is not None:
+            summary["health"] = self.monitor.summary()
+        if self.recorder is not None:
+            summary["recorder"] = self.recorder.summary()
+        if self.bundle_path is not None:
+            summary["bundle"] = str(self.bundle_path)
+        return summary
 
     def finalize(self, end_cycle: int) -> list[Path]:
         """Close collectors, write outputs, detach from the bus."""
@@ -228,8 +264,8 @@ class TelemetrySession:
             self.ledger.detach()
             if self.config.breakdown_csv is not None:
                 self.written.append(self.ledger.write_csv(self.config.breakdown_csv))
-        if self.forensics is not None:
-            self.forensics.detach()
+        if self.recorder is not None:
+            self.recorder.detach()
         if self.digest is not None:
             self.digest.detach()
         if self.live is not None:

@@ -315,9 +315,9 @@ def test_cli_diff_bad_operand_is_a_clean_error(tmp_path):
 
 
 def test_only_a_wedged_event_context_pass_leaves_a_bundle(tmp_path, monkeypatch):
-    # The flight recorder of the context pass lives in a forensics session,
-    # so a re-simulation that raises there leaves the engine's postmortem
-    # bundle in ./forensics/ like any other run; the plain passes write nothing.
+    # The context pass attaches its flight recorder with forensics on, so a
+    # re-simulation that raises there leaves the engine's postmortem bundle
+    # in ./forensics/ like any other run; the plain passes write nothing.
     def wedge(self, now):
         raise RuntimeError("wedged")
 

@@ -23,10 +23,6 @@ from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.telemetry.forensics import (
     FORENSICS_SCHEMA_VERSION,
     FlightRecorder,
-    ForensicsConfig,
-    ForensicsSession,
-    HealthMonitor,
-    HealthThresholds,
     _VC_ACTIVE,
     _VC_IDLE,
     _VC_VA,
@@ -40,7 +36,7 @@ from repro.telemetry.forensics import (
     waitfor_cycle_channels,
     write_bundle,
 )
-from repro.telemetry.metrics import EpochMetrics, EpochSample
+from repro.telemetry.metrics import EpochMetrics, EpochSample, HealthMonitor, HealthThresholds
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import build_system
 from repro.traffic import SyntheticWorkload
@@ -65,8 +61,8 @@ def test_vc_state_constants_mirror_router():
 def ring_engine(telemetry=None):
     """The eastward ring at rate 1.0 (warm-up 0), wedged within ~600 cycles.
 
-    Returns (network, engine); ``telemetry`` is attached through the session
-    and wired into the engine's failure path.
+    Returns (network, engine); ``telemetry`` is attached as a session, the
+    engine's failure hook.
     """
     grid = ChipletGrid(2, 1, 2, 2)
     config = SimConfig(sim_cycles=4_000, warmup_cycles=0)
@@ -76,14 +72,13 @@ def ring_engine(telemetry=None):
     workload = SyntheticWorkload(pattern, grid.n_nodes, 1.0, config.packet_length, seed=3)
     engine = Engine(network, workload, stats, deadlock_threshold=300)
     if telemetry is not None:
-        session = TelemetrySession.attach(network, telemetry)
-        engine.forensics, engine.livefeed = session.forensics, session.live
+        engine.telemetry = TelemetrySession.attach(network, telemetry)
     return network, engine
 
 
 def run_ring_deadlock(tmp_path, *, recorder=False, health=False):
     """Drive the ring to deadlock with forensics attached; return
-    (network, DeadlockError, forensics session)."""
+    (network, DeadlockError, telemetry session)."""
     network, engine = ring_engine(TelemetryConfig(
         epoch_metrics=False,
         bundle_dir=tmp_path / "forensics",
@@ -95,7 +90,7 @@ def run_ring_deadlock(tmp_path, *, recorder=False, health=False):
     ))
     with pytest.raises(DeadlockError) as excinfo:
         engine.run(4_000)
-    return network, excinfo.value, engine.forensics
+    return network, excinfo.value, engine.telemetry
 
 
 def test_deadlock_bundle_cycle_matches_static_cdg(tmp_path):
@@ -157,6 +152,28 @@ def test_engine_without_forensics_still_raises(tmp_path):
     assert excinfo.value.bundle_path is None
 
 
+def test_failed_capture_still_raises_and_ends_the_feed(tmp_path):
+    """A bundle write that fails masks nothing: the DeadlockError escapes
+    without a bundle path and the feed still ends in a ``failure``."""
+    from repro.telemetry.live import read_feed
+
+    not_a_dir = tmp_path / "forensics"
+    not_a_dir.write_text("a regular file", encoding="utf-8")
+    _network, engine = ring_engine(TelemetryConfig(
+        epoch_metrics=False, forensics=True, bundle_dir=not_a_dir,
+        live=True, live_dir=tmp_path / "live", epoch_length=100,
+    ))
+    engine.telemetry.live.start({"system": "ring", "workload": "wedge"})
+    with pytest.raises(DeadlockError) as excinfo:
+        engine.run(4_000)
+    assert excinfo.value.bundle_path is None
+    assert engine.telemetry.bundle_path is None
+    failure = read_feed(engine.telemetry.live.path)[-1]
+    assert failure["kind"] == "failure"
+    assert failure["reason"] == "deadlock"
+    assert failure["bundle"] is None
+
+
 # -- passivity: attaching forensics must not change results -------------------
 
 
@@ -184,7 +201,7 @@ def test_recorder_and_monitor_are_passive(tmp_path):
     )
     assert observed.stats.summary() == plain.stats.summary()
     assert observed.stats.latencies == plain.stats.latencies
-    session = observed.telemetry.forensics
+    session = observed.telemetry
     assert len(session.recorder) > 0
     assert session.monitor.ages
     assert session.bundle_path is None  # clean run: nothing captured
@@ -197,14 +214,13 @@ def test_drain_timeout_carries_census_and_bundle(tmp_path):
     from repro.noc.flit import Packet
 
     network, stats = build_chain(2, buffer_depth=8)
-    session = ForensicsSession(
-        network, ForensicsConfig(bundle_dir=tmp_path / "forensics")
-    )
     packet = Packet(0, 1, 16, 0)
     engine = Engine(
         network, ListWorkload([(0, packet)]), stats, deadlock_threshold=None
     )
-    engine.forensics = session
+    engine.telemetry = TelemetrySession.attach(network, TelemetryConfig(
+        epoch_metrics=False, forensics=True, bundle_dir=tmp_path / "forensics"
+    ))
     with pytest.raises(RuntimeError, match="failed to drain") as excinfo:
         engine.run_until_drained(200)
     error = excinfo.value
@@ -390,20 +406,37 @@ def test_validate_bundle_rejects_malformed_input(tmp_path):
     broken = dict(bundle, waitfor={"blocked": []})
     with pytest.raises(ValueError, match="wait-for graph is malformed"):
         validate_bundle(broken)
+    for broken in _corrupted(bundle):
+        with pytest.raises(ValueError, match="is malformed"):
+            validate_bundle(broken)
     path = tmp_path / "junk.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ValueError, match="cannot read bundle"):
         load_bundle(path)
 
 
+def _corrupted(bundle):
+    """Copies of ``bundle`` with one nested field broken in each: every
+    one of them once crashed ``repro postmortem`` with a traceback."""
+    return [
+        dict(bundle, network={}),
+        dict(bundle, packets={"table": bundle["packets"]["table"]}),
+        dict(bundle, waitfor=dict(bundle["waitfor"], cycle="x")),
+        dict(bundle, health={"probes": 3}),
+        dict(bundle, recorder={"window": 4_096}),
+        dict(bundle, routers=[{}]),
+    ]
+
+
 def test_record_summary_shapes(tmp_path):
     _grid, _config, network, _stats = _tiny_network()
-    session = ForensicsSession(
-        network, ForensicsConfig(bundle_dir=tmp_path / "forensics")
-    )
-    assert session.record_summary() == {}
-    session.capture_to_file("manual", 0)
-    summary = session.record_summary()
+    session = TelemetrySession.attach(network, TelemetryConfig(
+        epoch_metrics=False, forensics=True, bundle_dir=tmp_path / "forensics"
+    ))
+    assert session.forensics_summary() == {}
+    path = session.fail("manual", 0, RuntimeError("manual capture"))
+    summary = session.forensics_summary()
+    assert summary["bundle"] == str(path)
     assert summary["bundle"].endswith("BUNDLE_manual_0.json")
 
 
@@ -419,7 +452,7 @@ def test_cli_postmortem_renders_bundle(tmp_path, capsys):
     from repro.cli import main
 
     path = _write_deadlock_bundle(tmp_path)
-    html_out = tmp_path / "report.html"
+    html_out = tmp_path / "not" / "yet" / "report.html"  # parents are created
     assert main(["postmortem", str(path), "--html", str(html_out)]) == 0
     out = capsys.readouterr().out
     assert "wait-for cycle" in out
@@ -434,6 +467,46 @@ def test_cli_postmortem_rejects_junk(tmp_path):
     path.write_text(json.dumps({"schema_version": 99}), encoding="utf-8")
     with pytest.raises(SystemExit, match="cannot load bundle"):
         main(["postmortem", str(path)])
+    bundle = load_bundle(_write_deadlock_bundle(tmp_path))
+    for broken in _corrupted(bundle):
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        with pytest.raises(SystemExit, match="cannot load bundle"):
+            main(["postmortem", str(path), "--html", str(tmp_path / "report.html")])
+
+
+@pytest.mark.parametrize(
+    "flags, captured",
+    [
+        ([], True),
+        (["--no-forensics"], False),
+        (["--no-forensics", "--health"], False),
+        (["--no-forensics", "--flight-recorder"], False),
+        (["--health", "--flight-recorder"], True),
+    ],
+    ids=["default", "no-forensics", "no-forensics-health", "no-forensics-recorder",
+         "health-recorder"],
+)
+def test_cli_simulate_captures_a_bundle_iff_forensics(
+    flags, captured, tmp_path, monkeypatch, capsys
+):
+    """``--no-forensics`` is the one switch: ``--health`` and
+    ``--flight-recorder`` feed a bundle but never turn capture back on."""
+    import repro.cli as cli
+
+    def wedge(*_args, telemetry=None, **_kwargs):
+        _network, engine = ring_engine(telemetry)
+        engine.run(4_000)
+
+    monkeypatch.setattr(cli, "run_synthetic", wedge)
+    bundle_dir = tmp_path / "forensics"
+    code = cli.main(
+        ["simulate", "--family", "serial_torus", "--chiplets", "2x1",
+         "--nodes", "2x2", "--cycles", "500", "--no-record",
+         "--forensics-dir", str(bundle_dir), *flags]
+    )
+    assert code == 3
+    assert ("postmortem bundle:" in capsys.readouterr().err) == captured
+    assert bool(list(bundle_dir.glob("BUNDLE_deadlock_*.json"))) == captured
 
 
 def test_cli_simulate_reports_wedge_and_exits_nonzero(

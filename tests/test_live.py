@@ -17,9 +17,8 @@ from repro.telemetry import (
     read_feed,
     validate_live_event,
 )
-from repro.telemetry.forensics import HealthMonitor, HealthThresholds
 from repro.telemetry.live import ENVELOPE_FIELDS, EVENT_KINDS
-from repro.telemetry.metrics import EpochMetrics
+from repro.telemetry.metrics import EpochMetrics, HealthMonitor, HealthThresholds
 
 from .helpers import build_chain, run_cycles
 
@@ -290,10 +289,10 @@ def test_engine_failure_streams_failure_event(tmp_path):
         forensics=True, bundle_dir=tmp_path / "bundles", live=True,
         live_dir=tmp_path / "live", epoch_length=100,
     ))
-    engine.livefeed.start({"system": "ring", "workload": "wedge"})
+    engine.telemetry.live.start({"system": "ring", "workload": "wedge"})
     with pytest.raises(DeadlockError):
         engine.run(4_000)
-    events = read_feed(engine.livefeed.path)
+    events = read_feed(engine.telemetry.live.path)
     failure = events[-1]
     assert failure["kind"] == "failure"
     assert failure["reason"] == "deadlock"

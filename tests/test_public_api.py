@@ -79,6 +79,7 @@ assert "repro.routing.deadlock" in sys.modules
 assert "repro.analysis" not in sys.modules
 from repro.telemetry import RunDigest, TelemetryConfig, classify
 from repro import TelemetrySession, EpochMetrics
+assert "repro.telemetry.forensics" not in sys.modules
 assert "repro.telemetry.compare" in sys.modules
 import repro.telemetry
 assert set(repro.telemetry.__all__) <= set(dir(repro.telemetry))

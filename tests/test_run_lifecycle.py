@@ -187,7 +187,7 @@ def test_resimulate_leaves_no_cyclic_garbage(monkeypatch, no_collector):
     }
     result = resimulate(meta, recorder=True)
     assert result.stats.packets_delivered > 0 and result.digest["cycles"] == 400
-    assert result.telemetry.forensics.recorder.events()
+    assert result.telemetry.recorder.events()
     (network,) = refs
     assert network().closed
     del result

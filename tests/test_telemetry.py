@@ -2,6 +2,7 @@
 
 import io
 import json
+import pstats
 
 import pytest
 
@@ -393,7 +394,7 @@ def test_run_synthetic_telemetry_session(tmp_path, small_grid):
     assert (tmp_path / "breakdown.csv") in session.written
     assert session.ledger.packets == result.stats.packets_delivered
     assert json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
-    assert "function calls" in session.profile_report.text()
+    assert pstats.Stats(session.profile).total_calls > 0
     # Warm-up exclusion: the first epoch (start 0 < 200) is flagged.
     flagged = session.metrics.epochs(include_warmup=True)
     assert flagged[0].warmup and not flagged[-1].warmup
@@ -483,35 +484,29 @@ def test_run_synthetic_without_telemetry_has_none():
     assert result.telemetry is None
 
 
-def test_engine_run_profiled_reports():
-    from repro.sim.engine import Engine
+def test_profiled_run_is_passive_and_folds_into_speedscope(small_grid):
+    """``profile=True`` wraps the harness's one run call in cProfile; the
+    raw capture folds into phase-rooted stacks and a speedscope document."""
+    from repro.sim.config import SimConfig
+    from repro.sim.experiment import run_synthetic
+    from repro.telemetry.hostprof import (
+        fold_profile,
+        speedscope_document,
+        validate_speedscope,
+    )
+    from repro.topology.system import build_system
 
-    network, stats = build_chain(3)
-
-    class Once:
-        def __init__(self):
-            self.sent = False
-
-        def step(self, now):
-            if not self.sent:
-                self.sent = True
-                return [Packet(0, 2, 4, now)]
-            return []
-
-        def done(self, now):
-            return self.sent
-
-    engine = Engine(network, Once(), stats)
-    result, report = engine.run_profiled(50)
-    assert result is stats
-    assert stats.packets_delivered == 1
-    assert "function calls" in report.text()
-    # The capture folds into phase-rooted stacks and a valid speedscope doc.
-    folded = report.folded()
+    spec = build_system("parallel_mesh", small_grid, SimConfig(
+        sim_cycles=300, warmup_cycles=0
+    ))
+    plain = run_synthetic(spec, "uniform", 0.05)
+    result = run_synthetic(
+        spec, "uniform", 0.05, telemetry=TelemetryConfig(profile=True, epoch_metrics=False)
+    )
+    assert result.stats.summary() == plain.stats.summary()
+    folded = fold_profile(result.telemetry.profile)
     assert folded and all(stack[0] == "engine" for stack, _ in folded)
-    from repro.telemetry.hostprof import validate_speedscope
-
-    validate_speedscope(report.speedscope(name="unit"))
+    validate_speedscope(speedscope_document(folded, name="unit"))
 
 
 # -- epoch metrics edge cases -------------------------------------------------
