@@ -20,70 +20,84 @@ Quickstart::
 
 from importlib import import_module
 
-from .core.interfaces import AIB, BOW, SERDES, TABLE1, UCIE_ADVANCED, UCIE_STANDARD, InterfaceSpec
-from .core.phy import HeteroPhyLink, hetero_phy_link_factory
-from .core.rob import ReorderBuffer, rob_capacity
-from .core.scheduling import (
-    ApplicationAwarePolicy,
-    BalancedPolicy,
-    EnergyEfficientPolicy,
-    PerformanceFirstPolicy,
-    make_dispatch_policy,
-)
-from .core.vt_model import HeteroVTCurve, VTCurve, hetero_curve, pin_constrained_hetero
-from .core.weighted_path import HopCostModel, make_cost_model
-from .noc.channel import ChannelKind, ChannelSpec, PhyParams
-from .noc.flit import FLIT_BITS, Flit, Packet
-from .noc.network import Network
-from .noc.router import Router
-from .routing.deadlock import analyse_escape
-from .routing.functions import make_routing
-from .sim.build import build_network
-from .sim.config import DEFAULT_CONFIG, SimConfig
-from .sim.engine import Engine
-from .sim.experiment import (
-    RunResult,
-    SweepPoint,
-    latency_rate_sweep,
-    run_synthetic,
-    run_trace,
-    saturation_rate,
-)
-from .sim.stats import DeadlockError, Stats
-from .telemetry.bus import TelemetryBus
-from .topology.grid import ChipletGrid
-from .topology.multipackage import build_hetero_channel_packages
-from .topology.system import FAMILIES, SystemSpec, build_system
-from .traffic.hpc import embed_ranks, generate_cns_trace, generate_moc_trace
-from .traffic.injection import SyntheticWorkload
-from .traffic.parsec import PARSEC_PROFILES, generate_parsec_trace
-from .traffic.reqreply import RequestReplyWorkload
-from .traffic.patterns import PATTERNS, make_pattern
-from .traffic.trace import Trace, TraceRecord, TraceWorkload
-
 __version__ = "1.0.0"
 
-#: Names resolved on first access (PEP 562): ``import repro`` and a run
-#: load none of the observatory's collectors.
-_LAZY = dict.fromkeys(
-    (
-        "ChromeTraceBuilder",
-        "EpochMetrics",
-        "ProgressReporter",
-        "TelemetryConfig",
-        "TelemetrySession",
+#: Public name -> the submodule that defines it.  Every name resolves on
+#: first access (PEP 562): ``import repro`` loads no submodule, and a run
+#: loads only what it executes (no static passes, trace generators, V-t
+#: model or observatory collectors for a synthetic point).
+_LAZY = {
+    **dict.fromkeys(
+        ("AIB", "BOW", "SERDES", "TABLE1", "UCIE_ADVANCED", "UCIE_STANDARD", "InterfaceSpec"),
+        "core.interfaces",
     ),
-    "telemetry",
-)
+    **dict.fromkeys(("HeteroPhyLink", "hetero_phy_link_factory"), "core.phy"),
+    **dict.fromkeys(("ReorderBuffer", "rob_capacity"), "core.rob"),
+    **dict.fromkeys(
+        (
+            "ApplicationAwarePolicy",
+            "BalancedPolicy",
+            "EnergyEfficientPolicy",
+            "PerformanceFirstPolicy",
+            "make_dispatch_policy",
+        ),
+        "core.scheduling",
+    ),
+    **dict.fromkeys(
+        ("HeteroVTCurve", "VTCurve", "hetero_curve", "pin_constrained_hetero"), "core.vt_model"
+    ),
+    **dict.fromkeys(("HopCostModel", "make_cost_model"), "core.weighted_path"),
+    **dict.fromkeys(("ChannelKind", "ChannelSpec", "PhyParams"), "noc.channel"),
+    **dict.fromkeys(("FLIT_BITS", "Flit", "Packet"), "noc.flit"),
+    "Network": "noc.network",
+    "Router": "noc.router",
+    "analyse_escape": "routing.deadlock",
+    "make_routing": "routing.functions",
+    "build_network": "sim.build",
+    **dict.fromkeys(("DEFAULT_CONFIG", "SimConfig"), "sim.config"),
+    "Engine": "sim.engine",
+    **dict.fromkeys(
+        (
+            "RunResult",
+            "SweepPoint",
+            "latency_rate_sweep",
+            "run_synthetic",
+            "run_trace",
+            "saturation_rate",
+        ),
+        "sim.experiment",
+    ),
+    **dict.fromkeys(("DeadlockError", "Stats"), "sim.stats"),
+    "TelemetryBus": "telemetry.bus",
+    "ChromeTraceBuilder": "telemetry.trace",
+    "EpochMetrics": "telemetry.metrics",
+    "ProgressReporter": "telemetry.progress",
+    **dict.fromkeys(("TelemetryConfig", "TelemetrySession"), "telemetry.session"),
+    "ChipletGrid": "topology.grid",
+    "build_hetero_channel_packages": "topology.multipackage",
+    **dict.fromkeys(("FAMILIES", "SystemSpec", "build_system"), "topology.system"),
+    **dict.fromkeys(
+        ("embed_ranks", "generate_cns_trace", "generate_moc_trace"), "traffic.hpc"
+    ),
+    "SyntheticWorkload": "traffic.injection",
+    **dict.fromkeys(("PARSEC_PROFILES", "generate_parsec_trace"), "traffic.parsec"),
+    "RequestReplyWorkload": "traffic.reqreply",
+    **dict.fromkeys(("PATTERNS", "make_pattern"), "traffic.patterns"),
+    **dict.fromkeys(("Trace", "TraceRecord", "TraceWorkload"), "traffic.trace"),
+}
 
 
 def __getattr__(name: str):
     try:
-        package = _LAZY[name]
+        module = _LAZY[name]
     except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(f"{__name__}.{package}"), name)
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
     return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
 
 
 __all__ = [

@@ -6,20 +6,7 @@ scheduling policies (Sec 5.3), the bandwidth-latency V-t model (Sec 5.1,
 Eq 2) and the weighted path-length model (Sec 5.2, Eq 3/4).
 """
 
-from .interfaces import AIB, BOW, SERDES, TABLE1, InterfaceSpec, lookup
-from .phy import HeteroPhyLink, hetero_phy_link_factory
-from .rob import ReorderBuffer, RobOverflowError, rob_capacity
-from .scheduling import (
-    ApplicationAwarePolicy,
-    BalancedPolicy,
-    DispatchPolicy,
-    EnergyEfficientPolicy,
-    PassiveApplicationAwarePolicy,
-    PerformanceFirstPolicy,
-    make_dispatch_policy,
-)
-from .vt_model import HeteroVTCurve, VTCurve, hetero_curve, pin_constrained_hetero
-from .weighted_path import HopCostModel, make_cost_model
+from importlib import import_module
 
 __all__ = [
     "AIB",
@@ -47,3 +34,40 @@ __all__ = [
     "pin_constrained_hetero",
     "rob_capacity",
 ]
+
+#: Public name -> the submodule that defines it, imported on first access
+#: (PEP 562; see ``repro/__init__.py``).
+_LAZY = {
+    **dict.fromkeys(("AIB", "BOW", "SERDES", "TABLE1", "InterfaceSpec", "lookup"), "interfaces"),
+    **dict.fromkeys(("HeteroPhyLink", "hetero_phy_link_factory"), "phy"),
+    **dict.fromkeys(("ReorderBuffer", "RobOverflowError", "rob_capacity"), "rob"),
+    **dict.fromkeys(
+        (
+            "ApplicationAwarePolicy",
+            "BalancedPolicy",
+            "DispatchPolicy",
+            "EnergyEfficientPolicy",
+            "PassiveApplicationAwarePolicy",
+            "PerformanceFirstPolicy",
+            "make_dispatch_policy",
+        ),
+        "scheduling",
+    ),
+    **dict.fromkeys(
+        ("HeteroVTCurve", "VTCurve", "hetero_curve", "pin_constrained_hetero"), "vt_model"
+    ),
+    **dict.fromkeys(("HopCostModel", "make_cost_model"), "weighted_path"),
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -3,7 +3,8 @@
 The transmitter side models the adapter front-end (Fetch / Decode /
 Dispatch / Issue): flits granted by the router's switch enter a TX FIFO;
 each cycle the dispatch policy moves flits from the FIFO into the parallel
-and/or serial PHY pipelines, assigning per-VC sequence numbers.  The
+and/or serial PHY pipelines, assigning per-VC sequence numbers that travel
+beside the flit as ``(due, flit, vc, sn)`` pipe entries.  The
 receiver side models the back-end: arriving flits pass through the
 sequence-number reorder buffer, which releases them to the downstream
 router strictly in per-VC transmit order (preserving wormhole semantics
@@ -75,8 +76,9 @@ class HeteroPhyLink(Link):
         self._bypassq: list[tuple[Flit, int]] = []
         self._bypass_vcs: set[int] = set()
         self._next_sn = [0] * spec.n_vcs
-        self._par_pipe: list[tuple[int, Flit, int]] = []
-        self._ser_pipe: list[tuple[int, Flit, int]] = []
+        # (due cycle, flit, vc, per-VC sequence number) in dispatch order.
+        self._par_pipe: list[tuple[int, Flit, int, int]] = []
+        self._ser_pipe: list[tuple[int, Flit, int, int]] = []
         # Per-PHY flit counters (for utilization / ablation studies).
         self.flits_parallel = 0
         self.flits_serial = 0
@@ -100,7 +102,6 @@ class HeteroPhyLink(Link):
         if flit.is_head:
             self._decide_bypass(flit, vc)
         if vc in self._bypass_vcs:
-            flit.bypassed = True
             self._bypassq.append((flit, vc))
             if flit.is_tail:
                 self._bypass_vcs.discard(vc)
@@ -190,16 +191,15 @@ class HeteroPhyLink(Link):
                 break
             sn = next_sn[vc]
             next_sn[vc] = sn + 1
-            flit.sn = sn
             if phy_dispatch is not None:
                 phy_dispatch(self, flit, vc, phy, now)
             if phy == PARALLEL:
                 energy_pj = self._par_energy_per_flit
-                self._par_pipe.append((now + self._par_delay, flit, vc))
+                self._par_pipe.append((now + self._par_delay, flit, vc, sn))
                 self.flits_parallel += 1
             else:
                 energy_pj = self._ser_energy_per_flit
-                self._ser_pipe.append((now + self._ser_delay, flit, vc))
+                self._ser_pipe.append((now + self._ser_delay, flit, vc, sn))
                 self.flits_serial += 1
             self.flits_carried += 1
             packet = flit.packet
@@ -221,11 +221,11 @@ class HeteroPhyLink(Link):
         arrivals = []
         for pipe in (self._par_pipe, self._ser_pipe):
             while pipe and pipe[0][0] <= now:
-                _, flit, vc = pipe.pop(0)
-                arrivals.append((flit, vc))
+                _, flit, vc, sn = pipe.pop(0)
+                arrivals.append((flit, vc, sn))
         rob_insert = self._telemetry.rob_insert
         if rob_insert is not None:
-            for flit, vc in arrivals:
+            for flit, vc, _sn in arrivals:
                 rob_insert(self, flit, vc, now)
         # The RX forwards every releasable flit in the cycle it becomes
         # in-order: the heterogeneous router's multi-port input buffer can
@@ -243,7 +243,6 @@ class HeteroPhyLink(Link):
         port = self.dst_port
         vcs = self._dst_vcs
         for flit, vc in released:
-            flit.sn = None
             if rob_release is not None:
                 rob_release(self, flit, vc, now)
             # Arrival bookkeeping of ``Router.receive_flit``, inline.
@@ -279,8 +278,8 @@ class HeteroPhyLink(Link):
         return (
             sum(1 for _f, q_vc in self._txq if q_vc == vc)
             + sum(1 for _f, q_vc in self._bypassq if q_vc == vc)
-            + sum(1 for _d, _f, p_vc in self._par_pipe if p_vc == vc)
-            + sum(1 for _d, _f, p_vc in self._ser_pipe if p_vc == vc)
+            + sum(1 for _d, _f, p_vc, _sn in self._par_pipe if p_vc == vc)
+            + sum(1 for _d, _f, p_vc, _sn in self._ser_pipe if p_vc == vc)
             + self.rob.occupancy_of(vc)
         )
 
@@ -291,10 +290,10 @@ class HeteroPhyLink(Link):
                 for flit, vc in pairs
             ]
 
-        def pipe(entries: list[tuple[int, Flit, int]]) -> list[dict]:
+        def pipe(entries: list[tuple[int, Flit, int, int]]) -> list[dict]:
             return [
                 {"due": due, "pid": flit.packet.pid, "flit": flit.index, "vc": vc}
-                for due, flit, vc in entries
+                for due, flit, vc, _sn in entries
             ]
 
         state = super().snapshot_state()

@@ -33,7 +33,8 @@ class ReorderBuffer:
     """Sequence-number reorder buffer shared by all VCs of one link.
 
     :meth:`reorder` is the per-cycle entry point: it takes the flits that
-    arrived this cycle and returns the ones now in order.  :meth:`insert`
+    arrived this cycle, each with its VC and the sequence number the
+    transmitter gave it, and returns the ones now in order.  :meth:`insert`
     (file one arrived flit under its ``(vc, sn)``) and :meth:`release`
     (pop every flit whose sequence number is the next expected one for its
     VC) are its single-item forms.  ``max_occupancy`` records the peak
@@ -85,8 +86,9 @@ class ReorderBuffer:
             ],
         }
 
-    def reorder(self, arrivals: list[tuple[Flit, int]]) -> list[tuple[Flit, int]]:
-        """File one cycle's arrived ``(flit, vc)`` pairs; return those now in order.
+    def reorder(self, arrivals: list[tuple[Flit, int, int]]) -> list[tuple[Flit, int]]:
+        """File one cycle's arrived ``(flit, vc, sn)`` triples; return the
+        ``(flit, vc)`` pairs now in order.
 
         Same result as :meth:`insert` per arrival followed by
         :meth:`release`.  When nothing is parked and the arrivals are the
@@ -97,27 +99,26 @@ class ReorderBuffer:
             expected = self._expected
             vc = arrivals[0][1]
             sn = expected[vc] if vc in expected else 0
-            for flit, flit_vc in arrivals:
-                if flit_vc != vc or flit.sn != sn:
+            for _flit, flit_vc, flit_sn in arrivals:
+                if flit_vc != vc or flit_sn != sn:
                     break
                 sn += 1
             else:
                 # Nothing waits after this pass, so neither occupancy peak
                 # nor the Eq (1) check can move.
                 expected[vc] = sn
-                return arrivals
-        for flit, vc in arrivals:
-            self.insert(flit, vc)
+                return [(flit, vc) for flit, vc, _sn in arrivals]
+        for flit, vc, sn in arrivals:
+            self.insert(flit, vc, sn)
         return self.release()
 
-    def insert(self, flit: Flit, vc: int) -> None:
-        if flit.sn is None:
-            raise ValueError("flit has no sequence number")
-        key = (vc, flit.sn)
+    def insert(self, flit: Flit, vc: int, sn: int) -> None:
+        """Park ``flit`` under its ``(vc, sn)`` until :meth:`release`."""
+        key = (vc, sn)
         waiting = self._waiting
         if key in waiting:
             raise ValueError(
-                f"duplicate sequence number {flit.sn} on VC {vc}: "
+                f"duplicate sequence number {sn} on VC {vc}: "
                 f"{flit!r} arrived while {waiting[key]!r} is still parked"
             )
         waiting[key] = flit

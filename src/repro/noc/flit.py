@@ -139,21 +139,19 @@ class Packet:
 class Flit:
     """One flit of a packet.
 
-    ``sn`` is the link-level sequence number assigned by a hetero-PHY
-    transmitter at dispatch time; the receiver's reorder buffer releases
-    flits in ``sn`` order (Sec 4.2).  It is meaningful only while the flit is
-    crossing one hetero-PHY link and is reassigned on each such link.
+    Four slots, because a back-pressured network holds tens of thousands
+    of flits.  The hetero-PHY link-level sequence number (Sec 4.2) is not
+    one of them: it travels beside the flit in the adapter's PHY pipes and
+    keys the reorder buffer (``repro.core.phy`` / ``repro.core.rob``).
     """
 
-    __slots__ = ("packet", "index", "is_head", "is_tail", "sn", "bypassed")
+    __slots__ = ("packet", "index", "is_head", "is_tail")
 
     def __init__(self, packet: Packet, index: int, *, is_head: bool, is_tail: bool) -> None:
         self.packet = packet
         self.index = index
         self.is_head = is_head
         self.is_tail = is_tail
-        self.sn: Optional[int] = None
-        self.bypassed = False
 
     @property
     def dst(self) -> int:

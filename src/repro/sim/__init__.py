@@ -1,13 +1,11 @@
 """Simulation layer: configuration (Table 2), engine, statistics, harness.
 
-Submodules importing only ``config``/``stats`` stay import-light; the
-engine, network builder and experiment harness are loaded lazily so that
-``repro.core`` modules can depend on :mod:`repro.sim.config` without an
-import cycle.
+Every name resolves on first access (PEP 562), so ``repro.core`` modules
+can depend on :mod:`repro.sim.config` without loading the engine, the
+network builder or the experiment harness, and without an import cycle.
 """
 
-from .config import DEFAULT_CONFIG, SimConfig
-from .stats import DeadlockError, Stats
+from importlib import import_module
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -26,25 +24,35 @@ __all__ = [
     "saturation_rate",
 ]
 
+#: Public name -> the submodule that defines it, imported on first access
+#: (PEP 562; see ``repro/__init__.py``).
 _LAZY = {
-    "Engine": ("repro.sim.engine", "Engine"),
-    "Workload": ("repro.sim.engine", "Workload"),
-    "build_network": ("repro.sim.build", "build_network"),
-    "routing_cost_model": ("repro.sim.build", "routing_cost_model"),
-    "RunResult": ("repro.sim.experiment", "RunResult"),
-    "SweepPoint": ("repro.sim.experiment", "SweepPoint"),
-    "latency_rate_sweep": ("repro.sim.experiment", "latency_rate_sweep"),
-    "run_synthetic": ("repro.sim.experiment", "run_synthetic"),
-    "run_trace": ("repro.sim.experiment", "run_trace"),
-    "saturation_rate": ("repro.sim.experiment", "saturation_rate"),
+    **dict.fromkeys(("DEFAULT_CONFIG", "SimConfig"), "config"),
+    **dict.fromkeys(("DeadlockError", "Stats"), "stats"),
+    **dict.fromkeys(("Engine", "Workload"), "engine"),
+    **dict.fromkeys(("build_network", "routing_cost_model"), "build"),
+    **dict.fromkeys(
+        (
+            "RunResult",
+            "SweepPoint",
+            "latency_rate_sweep",
+            "run_synthetic",
+            "run_trace",
+            "saturation_rate",
+        ),
+        "experiment",
+    ),
 }
 
 
 def __getattr__(name: str):
     try:
-        module_name, attr = _LAZY[name]
+        module = _LAZY[name]
     except KeyError:
-        raise AttributeError(f"module 'repro.sim' has no attribute {name!r}") from None
-    import importlib
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
 
-    return getattr(importlib.import_module(module_name), attr)
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

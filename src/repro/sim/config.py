@@ -71,8 +71,6 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.packet_length < 1:
             raise ValueError("packet_length must be >= 1")
-        if self.warmup_cycles >= self.sim_cycles:
-            raise ValueError("warmup_cycles must be smaller than sim_cycles")
         for name in (
             "onchip_bandwidth",
             "parallel_bandwidth",
@@ -85,9 +83,24 @@ class SimConfig:
             "onchip_delay",
             "parallel_delay",
             "serial_delay",
+            "sim_cycles",
+            "tx_fifo_depth",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.warmup_cycles < 0:
+            raise ValueError("warmup_cycles must be >= 0")
+        if self.warmup_cycles >= self.sim_cycles:
+            raise ValueError("warmup_cycles must be smaller than sim_cycles")
+        for name in (
+            "onchip_energy_pj_per_bit",
+            "parallel_energy_pj_per_bit",
+            "serial_energy_pj_per_bit",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.rob_capacity is not None and self.rob_capacity < 1:
+            raise ValueError("rob_capacity must be >= 1 (or None for Eq (1) sizing)")
 
     # -- derived PHY parameter bundles ------------------------------------
     @property

@@ -19,13 +19,13 @@ from repro.telemetry.runstore import system_digest
 from repro.topology.system import SystemSpec
 from repro.traffic.injection import SyntheticWorkload
 from repro.traffic.patterns import make_pattern
-from repro.traffic.trace import Trace, TraceWorkload
 from .build import build_network
 from .engine import Engine, Workload
 from .stats import Stats
 
-if TYPE_CHECKING:  # pragma: no cover - the observatory loads on demand
+if TYPE_CHECKING:  # pragma: no cover - the observatory and traces load on demand
     from repro.telemetry.session import TelemetryConfig, TelemetrySession
+    from repro.traffic.trace import Trace
 
 
 @dataclass
@@ -286,6 +286,8 @@ def run_trace(
     Pass ``telemetry=`` exactly as in :func:`run_synthetic`.  A trace with
     an endpoint outside the system is rejected here, before the first cycle.
     """
+    from repro.traffic.trace import TraceWorkload
+
     n_nodes = spec.grid.n_nodes
     for column in (trace.src, trace.dst):
         if len(column) and not (min(column) >= 0 and max(column) < n_nodes):

@@ -536,9 +536,9 @@ def _link_flit_stages(link: Any) -> Iterable[tuple["Flit", str]]:
         yield flit, "phy_tx_queue"
     for flit, _vc in link._bypassq:
         yield flit, "phy_tx_queue"
-    for _due, flit, _vc in link._par_pipe:
+    for _due, flit, _vc, _sn in link._par_pipe:
         yield flit, "phy_parallel"
-    for _due, flit, _vc in link._ser_pipe:
+    for _due, flit, _vc, _sn in link._ser_pipe:
         yield flit, "phy_serial"
     for flit in link.rob.waiting_flits():
         yield flit, "rob_wait"

@@ -19,10 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import subprocess
-import uuid
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
@@ -44,6 +41,8 @@ class RunStoreError(RuntimeError):
 
 def git_revision(cwd: Optional[str | Path] = None) -> str:
     """The short git revision of ``cwd`` (``"unknown"`` outside a repo)."""
+    import subprocess  # registry writes only: a run never loads it
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -149,10 +148,14 @@ class RunRecord:
 
 
 def new_run_id() -> str:
+    import uuid
+
     return uuid.uuid4().hex[:12]
 
 
 def utc_now_iso() -> str:
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 

@@ -1,8 +1,6 @@
 """Chiplet grids and multi-chiplet system builders."""
 
-from .grid import DIRECTIONS, OPPOSITE, ChipletGrid
-from .multipackage import build_hetero_channel_packages, package_of
-from .system import FAMILIES, SystemSpec, build_system
+from importlib import import_module
 
 __all__ = [
     "ChipletGrid",
@@ -14,3 +12,24 @@ __all__ = [
     "build_system",
     "package_of",
 ]
+
+#: Public name -> the submodule that defines it, imported on first access
+#: (PEP 562; see ``repro/__init__.py``).
+_LAZY = {
+    **dict.fromkeys(("DIRECTIONS", "OPPOSITE", "ChipletGrid"), "grid"),
+    **dict.fromkeys(("build_hetero_channel_packages", "package_of"), "multipackage"),
+    **dict.fromkeys(("FAMILIES", "SystemSpec", "build_system"), "system"),
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -1,5 +1,7 @@
 """Tests for the simulation configuration."""
 
+import re
+
 import pytest
 
 from repro.sim.config import DEFAULT_CONFIG, SimConfig
@@ -61,13 +63,39 @@ def test_validation():
         SimConfig(n_vcs=0)
 
 
-@pytest.mark.parametrize("name", [
-    "injection_vcs", "ejection_bandwidth", "onchip_delay", "parallel_delay", "serial_delay",
+@pytest.mark.parametrize("changes, message", [
+    *(
+        pytest.param({name: 0}, f"{name} must be >= 1", id=name)
+        for name in (
+            "injection_vcs", "ejection_bandwidth", "onchip_delay", "parallel_delay",
+            "serial_delay",
+        )
+    ),
+    pytest.param({"warmup_cycles": -5}, "warmup_cycles must be >= 0", id="warmup_cycles=-5"),
+    pytest.param(
+        {"sim_cycles": 0, "warmup_cycles": -1}, "sim_cycles must be >= 1", id="sim_cycles=0"
+    ),
+    # Failed only inside HeteroPhyLink, and only on hetero-PHY systems.
+    pytest.param({"tx_fifo_depth": 0}, "tx_fifo_depth must be >= 1", id="tx_fifo_depth=0"),
+    *(
+        pytest.param(
+            {"rob_capacity": capacity},
+            "rob_capacity must be >= 1 (or None for Eq (1) sizing)",
+            id=f"rob_capacity={capacity}",
+        )
+        for capacity in (0, -3)
+    ),
+    *(
+        pytest.param({name: -0.5}, f"{name} must be >= 0", id=f"{name}<0")
+        for name in (
+            "onchip_energy_pj_per_bit", "parallel_energy_pj_per_bit", "serial_energy_pj_per_bit",
+        )
+    ),
 ])
-def test_a_value_that_would_fail_late_is_rejected_up_front(name):
+def test_a_value_that_would_fail_late_is_rejected_up_front(changes, message):
     """Each simulated wrongly or crashed with a misleading error mid-run."""
-    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
-        SimConfig(**{name: 0})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SimConfig(**changes)
 
 
 def test_phy_bundles():

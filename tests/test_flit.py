@@ -1,5 +1,7 @@
 """Unit tests for the flit/packet data model."""
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -79,9 +81,12 @@ def test_flit_destination_delegates_to_packet():
 
 
 def test_flit_sequence_number_defaults_none():
+    """A flit carries no link-level sequence number: the hetero-PHY pipes and
+    the reorder buffer's keys hold it, so a flit is four slots (64 B)."""
     flit = Packet(0, 1, 1, 0).make_flits()[0]
-    assert flit.sn is None
-    assert not flit.bypassed
+    assert getattr(flit, "sn", None) is None
+    assert Flit.__slots__ == ("packet", "index", "is_head", "is_tail")
+    assert sys.getsizeof(flit) == 64
 
 
 def test_packet_defaults():

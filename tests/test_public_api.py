@@ -61,21 +61,38 @@ def test_quickstart_docstring_example_runs():
 
 
 def test_running_a_point_does_not_import_the_observatory():
-    """``repro.telemetry`` resolves its re-exports lazily (PEP 562), and the
-    static passes of ``repro.analysis`` stay off the import path even though
-    ``repro.analyse_escape`` is a top-level name."""
+    """Every package initialiser resolves its public names lazily (PEP 562),
+    so a synthetic point loads only what it executes: no observatory
+    collector, no static pass, no trace generator, V-t model or route
+    tracer, and none of the standard-library modules only registry writes
+    need."""
     import subprocess
     import sys
 
     heavy = ("forensics", "bench", "compare", "diff", "sentinel", "history",
              "dashboard", "server")
+    unused = (
+        "repro.routing.deadlock", "repro.routing.fault", "repro.traffic.trace",
+        "repro.traffic.hpc", "repro.traffic.parsec", "repro.traffic.reqreply",
+        "repro.core.vt_model", "repro.core.interfaces", "repro.noc.tracing",
+        "repro.topology.multipackage",
+    )
     script = f"""
 import sys
+registry_only = ("subprocess", "uuid", "datetime")
+preloaded = [m for m in registry_only if m in sys.modules]
 import repro
-import repro.sim.experiment
+from repro import ChipletGrid, SimConfig, build_system, run_synthetic
+spec = build_system("hetero_channel", ChipletGrid(2, 2, 2, 2), SimConfig().scaled(cycles=300))
+assert run_synthetic(spec, "uniform", 0.1).stats.packets_delivered > 0
 loaded = [m for m in {heavy!r} if "repro.telemetry." + m in sys.modules]
 assert loaded == [], loaded
-assert "repro.routing.deadlock" in sys.modules
+loaded = [m for m in {unused!r} if m in sys.modules]
+assert loaded == [], loaded
+loaded = [m for m in registry_only if m in sys.modules and m not in preloaded]
+assert loaded == [], loaded
+assert len([m for m in sys.modules if m.split(".")[0] == "repro"]) <= 35
+assert "repro.routing.deadlock" not in sys.modules
 assert "repro.analysis" not in sys.modules
 from repro.telemetry import RunDigest, TelemetryConfig, classify
 from repro import TelemetrySession, EpochMetrics
@@ -85,6 +102,21 @@ import repro.telemetry
 assert set(repro.telemetry.__all__) <= set(dir(repro.telemetry))
 """
     subprocess.run([sys.executable, "-c", script], check=True)
+
+
+@pytest.mark.parametrize(
+    "package",
+    ["repro", "repro.core", "repro.noc", "repro.routing", "repro.sim", "repro.telemetry",
+     "repro.topology", "repro.traffic"],
+)
+def test_lazy_map_is_the_public_surface(package):
+    """A lazy package maps exactly its ``__all__`` (``test_all_names_resolve``
+    and ``test_subpackages_import_and_export`` resolve every entry) and
+    lists it in ``dir()``, resolved or not."""
+    mod = importlib.import_module(package)
+    lazy = mod._EXPORTS if package == "repro.telemetry" else mod._LAZY
+    assert set(lazy) == set(mod.__all__)
+    assert set(mod.__all__) <= set(dir(mod))
 
 
 def test_synthetic_runs_do_not_load_numpy():

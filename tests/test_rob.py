@@ -9,8 +9,18 @@ from repro.noc.flit import Packet
 
 
 def make_flit(sn: int):
-    flit = Packet(0, 1, 1, 0).make_flits()[0]
-    flit.sn = sn
+    """A flit whose index is ``sn``, so released flits show their sequence number."""
+    return Packet(0, 1, sn + 1, 0).make_flits()[sn]
+
+
+def arrival(sn: int, vc: int):
+    """One ``(flit, vc, sn)`` arrival as the hetero-PHY receiver hands it over."""
+    return make_flit(sn), vc, sn
+
+
+def insert(rob: ReorderBuffer, sn: int, vc: int = 0):
+    flit = make_flit(sn)
+    rob.insert(flit, vc, sn)
     return flit
 
 
@@ -33,77 +43,79 @@ def test_eq1_validation():
 
 def test_in_order_passthrough():
     rob = ReorderBuffer(4)
-    rob.insert(make_flit(0), vc=0)
-    rob.insert(make_flit(1), vc=0)
+    insert(rob, 0)
+    insert(rob, 1)
     released = list(rob.release())
-    assert [f.sn for f, _ in released] == [0, 1]
+    assert [f.index for f, _ in released] == [0, 1]
     assert rob.occupancy == 0
 
 
 def test_out_of_order_held_until_gap_fills():
     rob = ReorderBuffer(4)
-    rob.insert(make_flit(1), vc=0)
+    insert(rob, 1)
     assert list(rob.release()) == []
     assert rob.occupancy == 1
-    rob.insert(make_flit(0), vc=0)
-    released = [f.sn for f, _ in rob.release()]
+    insert(rob, 0)
+    released = [f.index for f, _ in rob.release()]
     assert released == [0, 1]
 
 
 def test_per_vc_independence():
     """A stalled VC does not block other VCs (no head-of-line blocking)."""
     rob = ReorderBuffer(8)
-    rob.insert(make_flit(1), vc=0)  # gap on VC 0
-    rob.insert(make_flit(0), vc=1)
+    insert(rob, 1, vc=0)  # gap on VC 0
+    insert(rob, 0, vc=1)
     released = list(rob.release())
-    assert [(f.sn, vc) for f, vc in released] == [(0, 1)]
+    assert [(f.index, vc) for f, vc in released] == [(0, 1)]
     assert rob.occupancy == 1
 
 
 def test_release_round_robins_over_vcs_in_ascending_order():
     """One flit per VC per round, lowest VC first, whatever the arrival order."""
     rob = ReorderBuffer(8)
-    arrivals = [(make_flit(0), 1), (make_flit(0), 0), (make_flit(1), 0), (make_flit(1), 1)]
+    arrivals = [arrival(0, 1), arrival(0, 0), arrival(1, 0), arrival(1, 1)]
     released = rob.reorder(arrivals)
-    assert [(vc, f.sn) for f, vc in released] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert [(vc, f.index) for f, vc in released] == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
 def test_in_order_single_vc_arrivals_pass_straight_through():
     rob = ReorderBuffer(4)
-    arrivals = [(make_flit(0), 2), (make_flit(1), 2)]
-    assert rob.reorder(arrivals) == arrivals
+    arrivals = [arrival(0, 2), arrival(1, 2)]
+    assert rob.reorder(arrivals) == [(flit, vc) for flit, vc, _sn in arrivals]
     assert rob.occupancy == 0 and rob.max_occupancy == 0
     # The expected sequence number advanced: the next flit is in order too.
-    nxt = [(make_flit(2), 2)]
-    assert rob.reorder(nxt) == nxt
+    nxt = arrival(2, 2)
+    assert rob.reorder([nxt]) == [nxt[:2]]
     assert rob.reorder([]) == []
 
 
 def test_duplicate_sequence_number_names_both_flits():
     """A second flit under a parked (vc, sn) is a lost flit, not an overwrite."""
     rob = ReorderBuffer(4)
-    parked, intruder = make_flit(1), make_flit(1)
-    rob.insert(parked, vc=0)
+    parked = insert(rob, 1)
+    intruder = Packet(0, 1, 1, 0).make_flits()[0]
     with pytest.raises(ValueError) as raised:
-        rob.insert(intruder, vc=0)
+        rob.insert(intruder, 0, 1)
     assert repr(parked) in str(raised.value) and repr(intruder) in str(raised.value)
     assert rob.waiting_flits() == [parked]
     with pytest.raises(ValueError, match="duplicate sequence number 1 on VC 0"):
-        rob.reorder([(make_flit(1), 0)])
-    rob.insert(make_flit(1), vc=1)  # same SN on another VC is a different slot
+        rob.reorder([arrival(1, 0)])
+    insert(rob, 1, vc=1)  # same SN on another VC is a different slot
 
 
 def test_insert_requires_sequence_number():
+    """The sequence number is an argument: the flit itself carries none."""
     rob = ReorderBuffer(4)
     flit = Packet(0, 1, 1, 0).make_flits()[0]
-    with pytest.raises(ValueError):
-        rob.insert(flit, vc=0)
+    with pytest.raises(TypeError):
+        rob.insert(flit, 0)
+    assert rob.occupancy == 0
 
 
 def test_overflow_detected():
     rob = ReorderBuffer(2)
     for sn in (1, 2, 3):  # sn 0 missing: nothing can release
-        rob.insert(make_flit(sn), vc=0)
+        insert(rob, sn)
     with pytest.raises(RobOverflowError):
         rob.release()
 
@@ -116,11 +128,11 @@ def test_capacity_validation():
 def test_max_occupancy_tracks_waiting_flits():
     """max_occupancy samples flits still waiting after a release pass."""
     rob = ReorderBuffer(8)
-    rob.insert(make_flit(2), vc=0)
-    rob.insert(make_flit(1), vc=0)
+    insert(rob, 2)
+    insert(rob, 1)
     assert list(rob.release()) == []  # SN 0 missing: both wait
     assert rob.max_occupancy == 2
-    rob.insert(make_flit(0), vc=0)
+    insert(rob, 0)
     assert len(list(rob.release())) == 3
     assert rob.max_occupancy == 2  # nothing waited after the drain
     assert rob.occupancy == 0
@@ -132,8 +144,8 @@ def test_release_always_in_order(order):
     rob = ReorderBuffer(8)
     released: list[int] = []
     for sn in order:
-        rob.insert(make_flit(sn), vc=0)
-        released.extend(f.sn for f, _ in rob.release())
+        insert(rob, sn)
+        released.extend(f.index for f, _ in rob.release())
     assert released == sorted(released)
     assert released == list(range(8))
 
@@ -157,9 +169,9 @@ def test_release_in_order_per_vc(pairs):
     rob = ReorderBuffer(max(1, len(arrivals)))
     seen: dict[int, list[int]] = {}
     for vc, sn in arrivals:
-        rob.insert(make_flit(sn), vc)
+        insert(rob, sn, vc)
         for flit, flit_vc in rob.release():
-            seen.setdefault(flit_vc, []).append(flit.sn)
+            seen.setdefault(flit_vc, []).append(flit.index)
     for vc, sns in seen.items():
         assert sns == list(range(len(sns)))
 
@@ -187,13 +199,13 @@ def test_reorder_matches_insert_then_release(streams, jitter, noise, cycles, cap
 
     def outcome(step, batch):
         try:
-            return [(vc, flit.sn) for flit, vc in step([(make_flit(sn), vc) for vc, sn in batch])]
+            return [(vc, flit.index) for flit, vc in step([arrival(sn, vc) for vc, sn in batch])]
         except RobOverflowError:
             return "overflow"
 
     def single_step(batch):
-        for flit, vc in batch:
-            single.insert(flit, vc)
+        for flit, vc, sn in batch:
+            single.insert(flit, vc, sn)
         return single.release()
 
     def state(rob):

@@ -9,6 +9,10 @@ refactor of the analysis code must reproduce every entry exactly.
 
 Re-record (``PYTHONPATH=src python -m tests.test_static_passes_pinned``)
 only for a deliberate change to what a pass reports.
+
+The 4x2(2x3) rows are marked ``slow``: tier-1 deselects them and CI runs
+them in its ``python -m pytest -m slow`` step, so every pin still runs on
+every push.
 """
 
 from __future__ import annotations
@@ -44,7 +48,10 @@ def observe(family: str, geometry: str) -> dict:
     return record
 
 
-@pytest.mark.parametrize("geometry", list(GEOMETRIES))
+@pytest.mark.parametrize(
+    "geometry",
+    ["2x2(3x3)", pytest.param("4x2(2x3)", marks=pytest.mark.slow)],
+)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_static_passes_match_pins(family, geometry):
     pinned = json.loads(PINS.read_text(encoding="utf-8"))[f"{family} {geometry}"]
