@@ -11,8 +11,10 @@ turning silent state corruption into an immediate
 * **buffer occupancy** — no input VC ever holds more flits than its
   provisioned depth;
 * **per-VC flit ordering** — each input VC receives a head flit, then
-  body flits, then the tail of the *same* packet (wormhole discipline
-  survives links, adapters and reorder buffers);
+  body flits, then the tail of the *same* packet, in index order
+  (wormhole discipline survives links, adapters and reorder buffers), and
+  sends its flits on in that same order (the buffer names a flit by its
+  position, so this checks the index the router derives);
 * **packet conservation** — injected flits are always accounted for:
   delivered + buffered + in flight, no loss, no duplication;
 * **no-progress watchdog** — flits buffered with no movement for longer
@@ -85,7 +87,10 @@ class InvariantChecker:
         self.flits_injected = 0
         self._completed_flits = 0
         self._live_packets: dict[int, Packet] = {}
+        # Per (node, input port, VC): the order flits arrive in, and the
+        # order they leave in.
         self._order: dict[tuple[int, int, int], _VcOrderState] = {}
+        self._send_order: dict[tuple[int, int, int], _VcOrderState] = {}
         self._last_movement = 0
         self._steps = 0
         self._attached = False
@@ -127,11 +132,22 @@ class InvariantChecker:
         self, router: "Router", flit: Flit, out_port: int, out_vc: int, now: int
     ) -> None:
         self._last_movement = now
+        # The output VC belongs to the sending input VC until its tail.
+        ivc = router.outputs[out_port].vc_owner[out_vc]
+        if ivc is None:
+            raise InvariantViolation(
+                "VC-ORDER",
+                f"node {router.node}: {flit!r} sent on output port {out_port} "
+                f"vc {out_vc}, which no input VC holds",
+            )
+        self._check_order(
+            self._send_order, "sent", router.node, ivc.port, ivc.index, flit
+        )
 
     def _on_flit_recv(
         self, router: "Router", port: int, vc_idx: int, flit: Flit, now: int
     ) -> None:
-        self._check_order(router.node, port, vc_idx, flit)
+        self._check_order(self._order, "received", router.node, port, vc_idx, flit)
         self._check_occupancy(router.node, port, vc_idx)
 
     def _on_cycle_end(self, network: Network, now: int) -> None:
@@ -140,30 +156,50 @@ class InvariantChecker:
             self.check(now)
 
     # -- event-driven checks -------------------------------------------------
-    def _check_order(self, node: int, port: int, vc_idx: int, flit: Flit) -> None:
-        state = self._order.setdefault((node, port, vc_idx), _VcOrderState())
+    @staticmethod
+    def _check_order(
+        order: dict[tuple[int, int, int], _VcOrderState],
+        verb: str,
+        node: int,
+        port: int,
+        vc_idx: int,
+        flit: Flit,
+    ) -> None:
+        """Head, bodies, tail of one packet, in index order, per input VC."""
+        state = order.get((node, port, vc_idx))
+        if state is None:
+            state = order[node, port, vc_idx] = _VcOrderState()
+        packet = flit.packet
         if state.remaining == 0:
             if not flit.is_head:
                 raise InvariantViolation(
                     "VC-ORDER",
                     f"node {node} port {port} vc {vc_idx}: expected a head "
-                    f"flit, received {flit!r}",
+                    f"flit, {verb} {flit!r}",
                 )
-            state.pid = flit.packet.pid
-            state.remaining = flit.packet.length
+            state.pid = packet.pid
+            state.remaining = packet.length
         else:
             if flit.is_head:
                 raise InvariantViolation(
                     "VC-ORDER",
                     f"node {node} port {port} vc {vc_idx}: head flit of packet "
-                    f"{flit.packet.pid} interleaved into packet {state.pid} "
+                    f"{packet.pid} interleaved into packet {state.pid} "
                     f"({state.remaining} flits outstanding)",
                 )
-            if flit.packet.pid != state.pid:
+            if packet.pid != state.pid:
                 raise InvariantViolation(
                     "VC-ORDER",
                     f"node {node} port {port} vc {vc_idx}: flit of packet "
-                    f"{flit.packet.pid} interleaved into packet {state.pid}",
+                    f"{packet.pid} interleaved into packet {state.pid}",
+                )
+            expected = packet.length - state.remaining
+            if flit.index != expected:
+                raise InvariantViolation(
+                    "VC-ORDER",
+                    f"node {node} port {port} vc {vc_idx}: {verb} flit "
+                    f"{flit.index} of packet {packet.pid}, expected flit "
+                    f"{expected}",
                 )
         state.remaining -= 1
         if flit.is_tail and state.remaining != 0:

@@ -160,7 +160,7 @@ class TxAdapterPipeline:
         issued: list[IssueRecord] = []
         while queue and (par_free > 0 or ser_free > 0):
             entry = queue[0]
-            phy = self.policy.choose_phy(entry.flit, queue_len, par_free, ser_free)
+            phy = self.policy.choose_phy(entry.flit.packet, queue_len, par_free, ser_free)
             if phy is None:
                 self.stats.stalled_cycles += 1
                 break

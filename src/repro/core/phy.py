@@ -4,7 +4,7 @@ The transmitter side models the adapter front-end (Fetch / Decode /
 Dispatch / Issue): flits granted by the router's switch enter a TX FIFO;
 each cycle the dispatch policy moves flits from the FIFO into the parallel
 and/or serial PHY pipelines, assigning per-VC sequence numbers that travel
-beside the flit as ``(due, flit, vc, sn)`` pipe entries.  The
+beside the flit as ``(due, packet, index, vc, sn)`` pipe entries.  The
 receiver side models the back-end: arriving flits pass through the
 sequence-number reorder buffer, which releases them to the downstream
 router strictly in per-VC transmit order (preserving wormhole semantics
@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.noc.channel import ChannelKind, ChannelSpec
-from repro.noc.flit import FLIT_BITS, Flit
+from repro.noc.flit import FLIT_BITS, Flit, Packet
 from repro.noc.link import Link
 from repro.noc.vc import VC_IDLE
 from .rob import ReorderBuffer, rob_capacity
@@ -72,13 +72,15 @@ class HeteroPhyLink(Link):
         self._ser_delay = self.serial.delay
         self._par_energy_per_flit = FLIT_BITS * self.parallel.energy_pj_per_bit
         self._ser_energy_per_flit = FLIT_BITS * self.serial.energy_pj_per_bit
-        self._txq: list[tuple[Flit, int]] = []
-        self._bypassq: list[tuple[Flit, int]] = []
+        # (packet, flit index, vc) in accept order.
+        self._txq: list[tuple[Packet, int, int]] = []
+        self._bypassq: list[tuple[Packet, int, int]] = []
         self._bypass_vcs: set[int] = set()
         self._next_sn = [0] * spec.n_vcs
-        # (due cycle, flit, vc, per-VC sequence number) in dispatch order.
-        self._par_pipe: list[tuple[int, Flit, int, int]] = []
-        self._ser_pipe: list[tuple[int, Flit, int, int]] = []
+        # (due cycle, packet, flit index, vc, per-VC sequence number) in
+        # dispatch order.
+        self._par_pipe: list[tuple[int, Packet, int, int, int]] = []
+        self._ser_pipe: list[tuple[int, Packet, int, int, int]] = []
         # Per-PHY flit counters (for utilization / ablation studies).
         self.flits_parallel = 0
         self.flits_serial = 0
@@ -91,35 +93,34 @@ class HeteroPhyLink(Link):
             budget = self._total_bw
         return budget - (self._accepted if now == self._accept_cycle else 0)
 
-    def accept(self, flit: Flit, vc: int, now: int) -> None:
+    def accept(self, packet: Packet, index: int, vc: int, now: int) -> None:
         if now != self._accept_cycle:
             self._accept_cycle = now
             self._accepted = 1
         else:
             self._accepted += 1
         if self._telemetry.link_accept is not None:
-            self._telemetry.link_accept(self, flit, vc, now)
-        if flit.is_head:
-            self._decide_bypass(flit, vc)
+            self._telemetry.link_accept(self, Flit(packet, index), vc, now)
+        if index == 0:
+            self._decide_bypass(packet, vc)
         if vc in self._bypass_vcs:
-            self._bypassq.append((flit, vc))
-            if flit.is_tail:
+            self._bypassq.append((packet, index, vc))
+            if index == packet.length - 1:
                 self._bypass_vcs.discard(vc)
         else:
-            self._txq.append((flit, vc))
+            self._txq.append((packet, index, vc))
         if not self.active:
             self.active = True
             self.network._link_work.append(self)
 
-    def _decide_bypass(self, flit: Flit, vc: int) -> None:
+    def _decide_bypass(self, packet: Packet, vc: int) -> None:
         """Admit a whole packet to the bypass queue if eligible and safe."""
-        packet = flit.packet
         if (
             (packet.priority > 0 or not packet.ordered)
             and self.policy.bypass_enabled
             # Safe only while no flit of this VC waits in the TX FIFO,
             # which the packet would otherwise overtake.
-            and not any(queued_vc == vc for _flit, queued_vc in self._txq)
+            and not any(queued_vc == vc for _packet, _index, queued_vc in self._txq)
         ):
             self._bypass_vcs.add(vc)
 
@@ -173,13 +174,13 @@ class HeteroPhyLink(Link):
         kind_id = self._kind_id
         while True:
             if bypassq and par_free > 0:
-                flit, vc = bypassq.pop(0)
+                packet, index, vc = bypassq.pop(0)
                 phy = PARALLEL
                 par_free -= 1
                 self.flits_bypassed += 1
             elif txq and (par_free > 0 or ser_free > 0):
-                flit, vc = txq[0]
-                phy = choose_phy(flit, queue_len, par_free, ser_free)
+                packet, index, vc = txq[0]
+                phy = choose_phy(packet, queue_len, par_free, ser_free)
                 if phy == PARALLEL and par_free > 0:
                     par_free -= 1
                 elif phy == SERIAL and ser_free > 0:
@@ -192,19 +193,18 @@ class HeteroPhyLink(Link):
             sn = next_sn[vc]
             next_sn[vc] = sn + 1
             if phy_dispatch is not None:
-                phy_dispatch(self, flit, vc, phy, now)
+                phy_dispatch(self, Flit(packet, index), vc, phy, now)
             if phy == PARALLEL:
                 energy_pj = self._par_energy_per_flit
-                self._par_pipe.append((now + self._par_delay, flit, vc, sn))
+                self._par_pipe.append((now + self._par_delay, packet, index, vc, sn))
                 self.flits_parallel += 1
             else:
                 energy_pj = self._ser_energy_per_flit
-                self._ser_pipe.append((now + self._ser_delay, flit, vc, sn))
+                self._ser_pipe.append((now + self._ser_delay, packet, index, vc, sn))
                 self.flits_serial += 1
             self.flits_carried += 1
-            packet = flit.packet
             packet.energy_interface_pj += energy_pj
-            if flit.is_head:
+            if index == 0:
                 packet.hops_interface += 1
             note_link_flit(kind_id, energy_pj)
 
@@ -218,15 +218,14 @@ class HeteroPhyLink(Link):
         # gap between ROB release and input-buffer arrival; ROB reorder
         # wait is exactly the insert-to-release distance, which is zero
         # unless the flit had to wait for a predecessor on the slower PHY.
-        arrivals = []
+        arrivals = []  # (packet, index, vc, sn)
         for pipe in (self._par_pipe, self._ser_pipe):
             while pipe and pipe[0][0] <= now:
-                _, flit, vc, sn = pipe.pop(0)
-                arrivals.append((flit, vc, sn))
+                arrivals.append(pipe.pop(0)[1:])
         rob_insert = self._telemetry.rob_insert
         if rob_insert is not None:
-            for flit, vc, _sn in arrivals:
-                rob_insert(self, flit, vc, now)
+            for packet, index, vc, _sn in arrivals:
+                rob_insert(self, Flit(packet, index), vc, now)
         # The RX forwards every releasable flit in the cycle it becomes
         # in-order: the heterogeneous router's multi-port input buffer can
         # sink the full interface width (Sec 4.1), and credits guarantee
@@ -242,17 +241,17 @@ class HeteroPhyLink(Link):
         router = self.dst_router
         port = self.dst_port
         vcs = self._dst_vcs
-        for flit, vc in released:
+        for packet, index, vc in released:
             if rob_release is not None:
-                rob_release(self, flit, vc, now)
+                rob_release(self, Flit(packet, index), vc, now)
             # Arrival bookkeeping of ``Router.receive_flit``, inline.
             ivc = vcs[vc]
-            ivc.queue.append(flit)
-            if flit.is_head and ivc.state == VC_IDLE and not ivc.queued:
+            ivc.queue.append(packet)
+            if index == 0 and ivc.state == VC_IDLE and not ivc.queued:
                 ivc.queued = True
                 router._pending.append(ivc)
             if flit_recv is not None:
-                flit_recv(router, port, vc, flit, now)
+                flit_recv(router, port, vc, Flit(packet, index), now)
         if not router.active:
             router.active = True
             self.network._router_work.append(router)
@@ -276,24 +275,24 @@ class HeteroPhyLink(Link):
 
     def vc_flits(self, vc: int) -> int:
         return (
-            sum(1 for _f, q_vc in self._txq if q_vc == vc)
-            + sum(1 for _f, q_vc in self._bypassq if q_vc == vc)
-            + sum(1 for _d, _f, p_vc, _sn in self._par_pipe if p_vc == vc)
-            + sum(1 for _d, _f, p_vc, _sn in self._ser_pipe if p_vc == vc)
+            sum(1 for _p, _i, q_vc in self._txq if q_vc == vc)
+            + sum(1 for _p, _i, q_vc in self._bypassq if q_vc == vc)
+            + sum(1 for _d, _p, _i, p_vc, _sn in self._par_pipe if p_vc == vc)
+            + sum(1 for _d, _p, _i, p_vc, _sn in self._ser_pipe if p_vc == vc)
             + self.rob.occupancy_of(vc)
         )
 
     def snapshot_state(self) -> dict:
-        def queue(pairs: list[tuple[Flit, int]]) -> list[dict]:
+        def queue(entries: list[tuple[Packet, int, int]]) -> list[dict]:
             return [
-                {"pid": flit.packet.pid, "flit": flit.index, "vc": vc}
-                for flit, vc in pairs
+                {"pid": packet.pid, "flit": index, "vc": vc}
+                for packet, index, vc in entries
             ]
 
-        def pipe(entries: list[tuple[int, Flit, int, int]]) -> list[dict]:
+        def pipe(entries: list[tuple[int, Packet, int, int, int]]) -> list[dict]:
             return [
-                {"due": due, "pid": flit.packet.pid, "flit": flit.index, "vc": vc}
-                for due, flit, vc, _sn in entries
+                {"due": due, "pid": packet.pid, "flit": index, "vc": vc}
+                for due, packet, index, vc, _sn in entries
             ]
 
         state = super().snapshot_state()

@@ -15,7 +15,7 @@ exceeding it raises, which the property tests use to validate Eq (1).
 
 from __future__ import annotations
 
-from repro.noc.flit import Flit
+from repro.noc.flit import Packet
 
 
 def rob_capacity(parallel_bandwidth: int, serial_delay: int, parallel_delay: int) -> int:
@@ -33,9 +33,10 @@ class ReorderBuffer:
     """Sequence-number reorder buffer shared by all VCs of one link.
 
     :meth:`reorder` is the per-cycle entry point: it takes the flits that
-    arrived this cycle, each with its VC and the sequence number the
-    transmitter gave it, and returns the ones now in order.  :meth:`insert`
-    (file one arrived flit under its ``(vc, sn)``) and :meth:`release`
+    arrived this cycle, each a ``(packet, index)`` with its VC and the
+    sequence number the transmitter gave it, and returns the ones now in
+    order.  :meth:`insert` (file one arrived flit under its ``(vc, sn)``)
+    and :meth:`release`
     (pop every flit whose sequence number is the next expected one for its
     VC) are its single-item forms.  ``max_occupancy`` records the peak
     number of flits left waiting *after* a release pass — the quantity
@@ -46,7 +47,7 @@ class ReorderBuffer:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._waiting: dict[tuple[int, int], Flit] = {}
+        self._waiting: dict[tuple[int, int], tuple[Packet, int]] = {}
         self._expected: dict[int, int] = {}
         self.max_occupancy = 0
         self._window_peak = 0
@@ -69,8 +70,9 @@ class ReorderBuffer:
         """Waiting flits belonging to one virtual channel."""
         return sum(1 for waiting_vc, _sn in self._waiting if waiting_vc == vc)
 
-    def waiting_flits(self) -> list[Flit]:
-        """Flits currently parked out of order (insertion order)."""
+    def waiting_flits(self) -> list[tuple[Packet, int]]:
+        """``(packet, index)`` of the flits parked out of order (insertion
+        order)."""
         return list(self._waiting.values())
 
     def snapshot_state(self) -> dict:
@@ -81,14 +83,16 @@ class ReorderBuffer:
             "max_occupancy": self.max_occupancy,
             "expected": {str(vc): sn for vc, sn in sorted(self._expected.items())},
             "waiting": [
-                {"vc": vc, "sn": sn, "pid": flit.packet.pid, "flit": flit.index}
-                for (vc, sn), flit in sorted(self._waiting.items())
+                {"vc": vc, "sn": sn, "pid": packet.pid, "flit": index}
+                for (vc, sn), (packet, index) in sorted(self._waiting.items())
             ],
         }
 
-    def reorder(self, arrivals: list[tuple[Flit, int, int]]) -> list[tuple[Flit, int]]:
-        """File one cycle's arrived ``(flit, vc, sn)`` triples; return the
-        ``(flit, vc)`` pairs now in order.
+    def reorder(
+        self, arrivals: list[tuple[Packet, int, int, int]]
+    ) -> list[tuple[Packet, int, int]]:
+        """File one cycle's arrived ``(packet, index, vc, sn)`` entries;
+        return the ``(packet, index, vc)`` of the flits now in order.
 
         Same result as :meth:`insert` per arrival followed by
         :meth:`release`.  When nothing is parked and the arrivals are the
@@ -97,9 +101,9 @@ class ReorderBuffer:
         """
         if arrivals and not self._waiting:
             expected = self._expected
-            vc = arrivals[0][1]
+            vc = arrivals[0][2]
             sn = expected[vc] if vc in expected else 0
-            for _flit, flit_vc, flit_sn in arrivals:
+            for _packet, _index, flit_vc, flit_sn in arrivals:
                 if flit_vc != vc or flit_sn != sn:
                     break
                 sn += 1
@@ -107,29 +111,32 @@ class ReorderBuffer:
                 # Nothing waits after this pass, so neither occupancy peak
                 # nor the Eq (1) check can move.
                 expected[vc] = sn
-                return [(flit, vc) for flit, vc, _sn in arrivals]
-        for flit, vc, sn in arrivals:
-            self.insert(flit, vc, sn)
+                return [(packet, index, vc) for packet, index, vc, _sn in arrivals]
+        for packet, index, vc, sn in arrivals:
+            self.insert(packet, index, vc, sn)
         return self.release()
 
-    def insert(self, flit: Flit, vc: int, sn: int) -> None:
-        """Park ``flit`` under its ``(vc, sn)`` until :meth:`release`."""
+    def insert(self, packet: Packet, index: int, vc: int, sn: int) -> None:
+        """Park flit ``index`` of ``packet`` under its ``(vc, sn)`` until
+        :meth:`release`."""
         key = (vc, sn)
         waiting = self._waiting
         if key in waiting:
+            parked, parked_index = waiting[key]
             raise ValueError(
-                f"duplicate sequence number {sn} on VC {vc}: "
-                f"{flit!r} arrived while {waiting[key]!r} is still parked"
+                f"duplicate sequence number {sn} on VC {vc}: flit {index} of "
+                f"packet {packet.pid} arrived while flit {parked_index} of "
+                f"packet {parked.pid} is still parked"
             )
-        waiting[key] = flit
+        waiting[key] = (packet, index)
 
-    def release(self) -> list[tuple[Flit, int]]:
-        """Pop every in-order flit; return them as (flit, vc) pairs.
+    def release(self) -> list[tuple[Packet, int, int]]:
+        """Pop every in-order flit; return them as ``(packet, index, vc)``.
 
         Raises :class:`RobOverflowError` if, after releasing, occupancy
         still exceeds the provisioned capacity — the invariant of Eq (1).
         """
-        released: list[tuple[Flit, int]] = []
+        released: list[tuple[Packet, int, int]] = []
         waiting = self._waiting
         expected = self._expected
         # One flit per VC per round, VCs in ascending order: the
@@ -142,10 +149,10 @@ class ReorderBuffer:
             ready = []
             for vc in vcs:
                 sn = expected[vc] if vc in expected else 0
-                flit = waiting.pop((vc, sn), None)
-                if flit is not None:
+                parked = waiting.pop((vc, sn), None)
+                if parked is not None:
                     expected[vc] = sn + 1
-                    released.append((flit, vc))
+                    released.append((*parked, vc))
                     ready.append(vc)
             vcs = ready
         if len(waiting) > self.max_occupancy:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional, Protocol
 
-from repro.noc.flit import Flit
+from repro.noc.flit import Packet
 from repro.sim.config import SimConfig
 
 #: PHY identifiers returned by ``choose_phy``.
@@ -34,14 +34,18 @@ SERIAL = "S"
 
 
 class DispatchPolicy(Protocol):
-    """Decides, flit by flit, which PHY transmits next."""
+    """Decides, flit by flit, which PHY transmits next.
+
+    A policy sees the packet of the flit at the head of the TX FIFO: no
+    rule depends on the flit's position within it.
+    """
 
     #: Whether high-priority / unordered packets may jump the dispatch
     #: queue through the parallel-PHY bypass (Sec 4.2).
     bypass_enabled: bool
 
     def choose_phy(
-        self, flit: Flit, queue_len: int, par_free: int, ser_free: int
+        self, packet: Packet, queue_len: int, par_free: int, ser_free: int
     ) -> Optional[str]:
         """``"P"``, ``"S"``, or None to stall this cycle."""
         ...
@@ -53,7 +57,7 @@ class PerformanceFirstPolicy:
     bypass_enabled = True
 
     def choose_phy(
-        self, flit: Flit, queue_len: int, par_free: int, ser_free: int
+        self, packet: Packet, queue_len: int, par_free: int, ser_free: int
     ) -> Optional[str]:
         if par_free > 0:
             return PARALLEL
@@ -68,7 +72,7 @@ class EnergyEfficientPolicy:
     bypass_enabled = False
 
     def choose_phy(
-        self, flit: Flit, queue_len: int, par_free: int, ser_free: int
+        self, packet: Packet, queue_len: int, par_free: int, ser_free: int
     ) -> Optional[str]:
         return PARALLEL if par_free > 0 else None
 
@@ -88,7 +92,7 @@ class BalancedPolicy:
         self.threshold = threshold
 
     def choose_phy(
-        self, flit: Flit, queue_len: int, par_free: int, ser_free: int
+        self, packet: Packet, queue_len: int, par_free: int, ser_free: int
     ) -> Optional[str]:
         if par_free > 0:
             return PARALLEL
@@ -109,9 +113,8 @@ class ApplicationAwarePolicy:
         self.bypass_enabled = self.base.bypass_enabled
 
     def choose_phy(
-        self, flit: Flit, queue_len: int, par_free: int, ser_free: int
+        self, packet: Packet, queue_len: int, par_free: int, ser_free: int
     ) -> Optional[str]:
-        packet = flit.packet
         if packet.priority > 0:
             # Minimal latency: wait for the parallel PHY if necessary.
             return PARALLEL if par_free > 0 else None
@@ -122,7 +125,7 @@ class ApplicationAwarePolicy:
             if par_free > 0:
                 return PARALLEL
             return None
-        return self.base.choose_phy(flit, queue_len, par_free, ser_free)
+        return self.base.choose_phy(packet, queue_len, par_free, ser_free)
 
 
 class PassiveApplicationAwarePolicy:
@@ -142,9 +145,9 @@ class PassiveApplicationAwarePolicy:
         self.short_threshold = short_threshold
 
     def choose_phy(
-        self, flit: Flit, queue_len: int, par_free: int, ser_free: int
+        self, packet: Packet, queue_len: int, par_free: int, ser_free: int
     ) -> Optional[str]:
-        short = flit.packet.length <= self.short_threshold
+        short = packet.length <= self.short_threshold
         first, second = (PARALLEL, SERIAL) if short else (SERIAL, PARALLEL)
         free = {PARALLEL: par_free, SERIAL: ser_free}
         if free[first] > 0:

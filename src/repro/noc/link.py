@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.telemetry.bus import NULL_BUS, TelemetryBus
 
 from .channel import KIND_IDS, ChannelKind, ChannelSpec
-from .flit import FLIT_BITS, Flit
+from .flit import FLIT_BITS, Flit, Packet
 from .vc import VC_IDLE, InputVC
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -123,8 +123,9 @@ class Link:
         """Flits the link can still accept in cycle ``now``."""
         raise NotImplementedError
 
-    def accept(self, flit: Flit, vc: int, now: int) -> None:
-        """Take one flit from the transmitting router's switch."""
+    def accept(self, packet: Packet, index: int, vc: int, now: int) -> None:
+        """Take flit ``index`` of ``packet`` from the transmitting router's
+        switch."""
         raise NotImplementedError
 
     # -- receive side -----------------------------------------------------
@@ -207,7 +208,8 @@ class PipelinedLink(Link):
         super().__init__(spec)
         if spec.kind is ChannelKind.HETERO_PHY:
             raise ValueError("use HeteroPhyLink for HETERO_PHY channels")
-        self._pipe: list[tuple[int, Flit, int]] = []
+        # (due cycle, packet, flit index, vc) in accept order.
+        self._pipe: list[tuple[int, Packet, int, int]] = []
         self._bandwidth = spec.phy.bandwidth
         self._delay = spec.phy.delay
         self._energy_per_flit = FLIT_BITS * spec.phy.energy_pj_per_bit
@@ -215,7 +217,7 @@ class PipelinedLink(Link):
     def accept_budget(self, now: int) -> int:
         return self._bandwidth - (self._accepted if now == self._accept_cycle else 0)
 
-    def accept(self, flit: Flit, vc: int, now: int) -> None:
+    def accept(self, packet: Packet, index: int, vc: int, now: int) -> None:
         if now != self._accept_cycle:
             self._accept_cycle = now
             self._accepted = 1
@@ -224,19 +226,18 @@ class PipelinedLink(Link):
         # Charge traversal energy and the hop to the packet.
         self.flits_carried += 1
         energy_pj = self._energy_per_flit
-        packet = flit.packet
         if self._is_interface:
             packet.energy_interface_pj += energy_pj
-            if flit.is_head:
+            if index == 0:
                 packet.hops_interface += 1
         else:
             packet.energy_onchip_pj += energy_pj
-            if flit.is_head:
+            if index == 0:
                 packet.hops_onchip += 1
         self._stats.note_link_flit(self._kind_id, energy_pj)
-        self._pipe.append((now + self._delay, flit, vc))
+        self._pipe.append((now + self._delay, packet, index, vc))
         if self._telemetry.link_accept is not None:
-            self._telemetry.link_accept(self, flit, vc, now)
+            self._telemetry.link_accept(self, Flit(packet, index), vc, now)
         if not self.active:
             self.active = True
             self.network._link_work.append(self)
@@ -250,14 +251,14 @@ class PipelinedLink(Link):
             vcs = self._dst_vcs
             flit_recv = self._telemetry.flit_recv
             while pipe and pipe[0][0] <= now:
-                _, flit, vc = pipe.pop(0)
+                _, packet, index, vc = pipe.pop(0)
                 ivc = vcs[vc]
-                ivc.queue.append(flit)
-                if flit.is_head and ivc.state == VC_IDLE and not ivc.queued:
+                ivc.queue.append(packet)
+                if index == 0 and ivc.state == VC_IDLE and not ivc.queued:
                     ivc.queued = True
                     router._pending.append(ivc)
                 if flit_recv is not None:
-                    flit_recv(router, port, vc, flit, now)
+                    flit_recv(router, port, vc, Flit(packet, index), now)
             if not router.active:
                 router.active = True
                 self.network._router_work.append(router)
@@ -270,12 +271,12 @@ class PipelinedLink(Link):
         return len(self._pipe)
 
     def vc_flits(self, vc: int) -> int:
-        return sum(1 for _, _, pipe_vc in self._pipe if pipe_vc == vc)
+        return sum(1 for _due, _packet, _index, pipe_vc in self._pipe if pipe_vc == vc)
 
     def snapshot_state(self) -> dict:
         state = super().snapshot_state()
         state["pipe"] = [
-            {"due": due, "pid": flit.packet.pid, "flit": flit.index, "vc": vc}
-            for due, flit, vc in self._pipe
+            {"due": due, "pid": packet.pid, "flit": index, "vc": vc}
+            for due, packet, index, vc in self._pipe
         ]
         return state

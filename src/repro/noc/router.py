@@ -159,9 +159,10 @@ class Router:
 
         Injection VCs are chosen round-robin.  The source queue is the one
         unbounded FIFO of the network, so it holds packets, not flits: the
-        packet is carved into flits only if its VC is empty; otherwise it
-        joins that VC's ``backlog`` and is carved by :meth:`_stage_sa` when
-        the tail of the packet ahead of it leaves.  A VC never looks past
+        packet is carved into flits (one buffer entry each, see
+        :class:`~repro.noc.vc.InputVC`) only if its VC is empty; otherwise
+        it joins that VC's ``backlog`` and is carved by :meth:`_stage_sa`
+        when the tail of the packet ahead of it leaves.  A VC never looks past
         its head packet, so the router behaves as if every flit were queued
         here.
         """
@@ -175,7 +176,7 @@ class Router:
                 vc.backlog = deque()
             vc.backlog.append(packet)
         else:
-            vc.queue.extend(packet.make_flits())
+            vc.queue.extend([packet] * packet.length)
             if vc.state == VC_IDLE and not vc.queued:
                 vc.queued = True
                 self._pending.append(vc)
@@ -188,15 +189,18 @@ class Router:
     # ``HeteroPhyLink._receive`` / ``_deliver_credits``); the loops own the
     # bookkeeping for speed, and ``tests/test_link.py`` pins both forms
     # equivalent.
-    def receive_flit(self, port: int, vc_idx: int, flit: Flit, now: int) -> None:
-        """A flit arrives from an upstream link into an input VC buffer."""
+    def receive_flit(
+        self, port: int, vc_idx: int, packet: Packet, index: int, now: int
+    ) -> None:
+        """Flit ``index`` of ``packet`` arrives from an upstream link into an
+        input VC buffer."""
         vc = self.inputs[port].vcs[vc_idx]
-        vc.queue.append(flit)
-        if vc.state == VC_IDLE and not vc.queued and flit.is_head:
+        vc.queue.append(packet)
+        if vc.state == VC_IDLE and not vc.queued and index == 0:
             vc.queued = True
             self._pending.append(vc)
         if self._telemetry.flit_recv is not None:
-            self._telemetry.flit_recv(self, port, vc_idx, flit, now)
+            self._telemetry.flit_recv(self, port, vc_idx, Flit(packet, index), now)
         if not self.active:
             self.active = True
             self.network._router_work.append(self)
@@ -223,8 +227,10 @@ class Router:
             state = ivc.state
             if state == VC_IDLE:
                 queue = ivc.queue
-                if queue and queue[0].is_head:
-                    packet = queue[0].packet
+                if queue:
+                    # An idle VC's first flit is a head (contiguous,
+                    # head-first delivery per VC).
+                    packet = queue[0]
                     if packet.inject_cycle is None and ivc.port == self.INJECT_PORT:
                         packet.inject_cycle = now
                     ivc.candidates = route(self, packet)
@@ -264,7 +270,7 @@ class Router:
         the packet is marked ``adaptive_banned`` (livelock rule, Sec 6.2).
         """
         outputs = self.outputs
-        packet = ivc.queue[0].packet
+        packet = ivc.queue[0]
         needed = packet.length if self.vct else 1
         best: Optional[Candidate] = None
         best_credits = -1
@@ -379,34 +385,37 @@ class Router:
                     out_vc = ivc.out_vc
                     if link is not None and credits[out_vc] <= 0:
                         continue
-                    flit = queue.pop(0)
+                    packet = queue.pop(0)
+                    index = ivc.front
+                    is_tail = index == packet.length - 1
+                    ivc.front = 0 if is_tail else index + 1
                     in_link = ivc.in_link
                     if in_link is not None:
                         in_link.return_credit(ivc.index, now)
                     if flit_send is not None:
-                        flit_send(self, flit, out_idx, out_vc, now)
+                        flit_send(self, Flit(packet, index), out_idx, out_vc, now)
                     if link is None:
-                        packet = flit.packet
                         if packet.dst != self.node:
                             raise RuntimeError(
                                 f"flit for node {packet.dst} ejected at node {self.node}"
                             )
                         packet.flits_delivered += 1
-                        if flit.is_tail:
+                        if is_tail:
                             self._eject_packet(packet, now)
                     else:
                         credits[out_vc] -= 1
-                        link.accept(flit, out_vc, now)
-                    if flit.is_tail:
+                        link.accept(packet, index, out_vc, now)
+                    if is_tail:
                         out.vc_owner[out_vc] = None
                         ivc.reset_route()
                         if ivc.backlog:
                             # Injection VC: its packet has left, carve the
                             # next one of the source queue.
-                            queue.extend(ivc.backlog.popleft().make_flits())
-                        # The next packet in this buffer (if any) needs a
-                        # fresh route.
-                        if queue and queue[0].is_head:
+                            waiting = ivc.backlog.popleft()
+                            queue.extend([waiting] * waiting.length)
+                        # The next packet in this buffer (if any) starts
+                        # with its head and needs a fresh route.
+                        if queue:
                             ivc.queued = True
                             self._pending.append(ivc)
                         else:
@@ -448,18 +457,18 @@ class Router:
             for ivc in port.vcs:
                 if not ivc.queue and ivc.state == VC_IDLE:
                     continue
-                head = ivc.queue[0] if ivc.queue else None
                 entry: dict = {
                     "vc": ivc.index,
                     "occupancy": ivc.held,
                     "state": state_names[ivc.state],
                 }
-                if head is not None:
+                if ivc.queue:
+                    packet = ivc.queue[0]
                     entry["head"] = {
-                        "pid": head.packet.pid,
-                        "flit": head.index,
-                        "is_head": head.is_head,
-                        "dst": head.packet.dst,
+                        "pid": packet.pid,
+                        "flit": ivc.front,
+                        "is_head": ivc.front == 0,
+                        "dst": packet.dst,
                     }
                 if ivc.state == VC_ACTIVE:
                     entry["out_port"] = ivc.out_port

@@ -505,43 +505,43 @@ def inflight_packet_table(
                     "port": port.index,
                     "vc": ivc.index,
                 }
-                for flit in ivc.queue:
-                    note(flit.packet, flit.index, stage, position)
+                for packet, index in ivc.flits():
+                    note(packet, index, stage, position)
                 # Source queue behind the head packet: whole packets, not
                 # yet carved into flits.
                 for packet in ivc.backlog or ():
                     note(packet, 0, "source_queue", position, packet.length)
     for link in network.links:
         position = {"loc": "link", "link": link.index}
-        for flit, stage in _link_flit_stages(link):
-            note(flit.packet, flit.index, stage, position)
+        for packet, index, stage in _link_flit_stages(link):
+            note(packet, index, stage, position)
     table = sorted(entries.values(), key=lambda e: (-e["age"], e["pid"]))
     for entry in table:
         del entry["_head_index"]
     return {"total": len(table), "table": table[:max_packets]}
 
 
-def _link_flit_stages(link: Any) -> Iterable[tuple["Flit", str]]:
-    """(flit, attribution stage) pairs for every flit inside one link."""
+def _link_flit_stages(link: Any) -> Iterable[tuple["Packet", int, str]]:
+    """(packet, flit index, attribution stage) for every flit inside one link."""
     pipe = getattr(link, "_pipe", None)
     if pipe is not None:  # PipelinedLink
         stage = link.traversal_stage or "link_onchip"
-        for _due, flit, _vc in pipe:
-            yield flit, stage
+        for _due, packet, index, _vc in pipe:
+            yield packet, index, stage
         return
     if getattr(link, "rob", None) is None:
         return
     # HeteroPhyLink: TX FIFO, bypass queue, both PHY pipelines, ROB.
-    for flit, _vc in link._txq:
-        yield flit, "phy_tx_queue"
-    for flit, _vc in link._bypassq:
-        yield flit, "phy_tx_queue"
-    for _due, flit, _vc, _sn in link._par_pipe:
-        yield flit, "phy_parallel"
-    for _due, flit, _vc, _sn in link._ser_pipe:
-        yield flit, "phy_serial"
-    for flit in link.rob.waiting_flits():
-        yield flit, "rob_wait"
+    for packet, index, _vc in link._txq:
+        yield packet, index, "phy_tx_queue"
+    for packet, index, _vc in link._bypassq:
+        yield packet, index, "phy_tx_queue"
+    for _due, packet, index, _vc, _sn in link._par_pipe:
+        yield packet, index, "phy_parallel"
+    for _due, packet, index, _vc, _sn in link._ser_pipe:
+        yield packet, index, "phy_serial"
+    for packet, index in link.rob.waiting_flits():
+        yield packet, index, "rob_wait"
 
 
 # ---------------------------------------------------------------------------

@@ -212,15 +212,14 @@ class _Builder:
     def add_hypercube(self) -> None:
         """Emit serial hypercube channels between chiplets.
 
-        The chiplet count must be a power of two.  Each cube dimension is
-        hosted by ``perimeter // dims`` interface nodes per chiplet (at
-        least one); hosts occupy the same perimeter slots on every chiplet,
-        so both endpoints of an edge use the same pad position.
+        The chiplet count must be a power of two and at least 2
+        (:func:`build_system` checks).  Each cube dimension is hosted by
+        ``perimeter // dims`` interface nodes per chiplet (at least one);
+        hosts occupy the same perimeter slots on every chiplet, so both
+        endpoints of an edge use the same pad position.
         """
         grid = self.grid
         n = grid.n_chiplets
-        if n < 2 or n & (n - 1):
-            raise ValueError(f"hypercube needs a power-of-two chiplet count, got {n}")
         dims = n.bit_length() - 1
         links_per_dim = max(1, len(grid.perimeter_nodes(0)) // dims)
         rings = [grid.perimeter_nodes(chiplet) for chiplet in range(n)]
@@ -243,13 +242,21 @@ def build_system(family: str, grid: ChipletGrid, config: SimConfig) -> SystemSpe
         interface_kind, wraps, cube = _FAMILY_LINKS[family]
     except KeyError:
         raise ValueError(f"unknown system family {family!r}") from None
+    n = grid.n_chiplets
+    if cube and (n < 2 or n & (n - 1)):
+        # One chiplet is a power of two (2**0) but spans no cube dimension.
+        raise ValueError(
+            f"{family} needs at least 2 chiplets and a power-of-two chiplet "
+            f"count for its hypercube, got {n} (grid: {grid.chiplets_x}x"
+            f"{grid.chiplets_y} chiplets of {grid.nodes_x}x{grid.nodes_y} nodes)"
+        )
     builder = _Builder(grid, config)
     builder.add_mesh(interface_kind)
     if wraps:
         builder.add_wraparound()
     if cube:
         builder.add_hypercube()
-    chiplets = grid.n_chiplets if cube else f"{grid.chiplets_x}x{grid.chiplets_y}"
+    chiplets = n if cube else f"{grid.chiplets_x}x{grid.chiplets_y}"
     return SystemSpec(
         name=f"{family.replace('_', '-')}-{chiplets}({grid.nodes_x}x{grid.nodes_y})",
         family=family,

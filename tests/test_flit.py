@@ -81,12 +81,28 @@ def test_flit_destination_delegates_to_packet():
 
 
 def test_flit_sequence_number_defaults_none():
-    """A flit carries no link-level sequence number: the hetero-PHY pipes and
-    the reorder buffer's keys hold it, so a flit is four slots (64 B)."""
+    """A flit view carries no link-level sequence number: the hetero-PHY pipes
+    and the reorder buffer's keys hold it.  The view is two slots (48 B);
+    head and tail follow from the index."""
     flit = Packet(0, 1, 1, 0).make_flits()[0]
     assert getattr(flit, "sn", None) is None
-    assert Flit.__slots__ == ("packet", "index", "is_head", "is_tail")
-    assert sys.getsizeof(flit) == 64
+    assert Flit.__slots__ == ("packet", "index")
+    assert sys.getsizeof(flit) <= 48
+
+
+@pytest.mark.parametrize("length", [1, 2, 5])
+def test_flit_view_derives_head_and_tail_from_its_index(length):
+    packet = Packet(0, 1, length, 0)
+    views = [Flit(packet, i) for i in range(length)]
+    assert [f.is_head for f in views] == [i == 0 for i in range(length)]
+    assert [f.is_tail for f in views] == [i == length - 1 for i in range(length)]
+
+
+def test_a_packet_reads_as_its_own_packet():
+    """Input-VC buffers hold the packet once per flit; ``.packet`` on an
+    entry names it, as on a flit view."""
+    packet = Packet(0, 1, 3, 0)
+    assert packet.packet is packet
 
 
 def test_packet_defaults():

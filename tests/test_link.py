@@ -139,7 +139,7 @@ def _downstream_state(network):
             (
                 ivc.port,
                 ivc.index,
-                [(flit.packet.length, flit.index) for flit in ivc.queue],
+                [(packet.length, index) for packet, index in ivc.flits()],
                 ivc.state,
                 ivc.queued,
             )
@@ -183,20 +183,20 @@ def test_delivery_loops_match_single_item_entry_points(kind):
     # Two packets of distinct lengths (length doubles as the packet's name)
     # interleaved on two VCs, fed at the link's width; credits on both VCs.
     def make_feed():
-        a, b = Packet(0, 1, 3, 0).make_flits(), Packet(0, 1, 4, 0).make_flits()
+        a, b = Packet(0, 1, 3, 0), Packet(0, 1, 4, 0)
         return {
-            0: [(a[0], 0), (b[0], 1)],
-            1: [(a[1], 0), (b[1], 1)],
-            2: [(a[2], 0), (b[2], 1)],
-            4: [(b[3], 1)],
+            0: [(a, 0, 0), (b, 0, 1)],
+            1: [(a, 1, 0), (b, 1, 1)],
+            2: [(a, 2, 0), (b, 2, 1)],
+            4: [(b, 3, 1)],
         }
 
     credit_returns = {0: [1], 1: [0, 1], 5: [0]}
     credit_arrivals: dict[int, list[int]] = {}
     feed = make_feed()
     for now in range(40):
-        for flit, vc in feed.get(now, []):
-            link.accept(flit, vc, now)
+        for packet, index, vc in feed.get(now, []):
+            link.accept(packet, index, vc, now)
         for vc in credit_returns.get(now, []):
             link.return_credit(vc, now)
             credit_arrivals.setdefault(now + link.credit_delay, []).append(vc)
@@ -204,15 +204,15 @@ def test_delivery_loops_match_single_item_entry_points(kind):
     assert len(driven_events) == 7 and link.occupancy == 0
 
     replay = {
-        (flit.packet.length, flit.index): flit
+        packet.length: packet
         for flits in make_feed().values()
-        for flit, _vc in flits
+        for packet, _index, _vc in flits
     }
     src, dst = by_hand.routers
     for now in range(40):
         for _node, port, vc, length, index, when in driven_events:
             if when == now:
-                dst.receive_flit(port, vc, replay[(length, index)], now)
+                dst.receive_flit(port, vc, replay[length], index, now)
         for vc in credit_arrivals.get(now, []):
             src.credit_arrive(by_hand.links[0].src_port, vc)
 

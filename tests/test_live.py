@@ -1,6 +1,12 @@
 """Tests for the live telemetry feed (``repro.telemetry.live``)."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +25,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.live import ENVELOPE_FIELDS, EVENT_KINDS
 from repro.telemetry.metrics import EpochMetrics, HealthMonitor, HealthThresholds
+from repro.telemetry.runstore import RunStore
 
 from .helpers import build_chain, run_cycles
 
@@ -306,3 +313,45 @@ def test_engine_failure_streams_failure_event(tmp_path):
 def test_event_kinds_registry_matches_writer():
     """The schema table names exactly the kinds the writer emits."""
     assert set(EVENT_KINDS) == {"start", "epoch", "anomaly", "finish", "failure"}
+
+
+def test_a_killed_live_run_leaves_a_readable_registry_and_feed(tmp_path):
+    """SIGKILL mid-run (no ``finally`` runs): the registry and the feed
+    still load, and the feed does not claim the run finished."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    runs = tmp_path / "runs"
+    command = [
+        sys.executable, "-m", "repro.cli", "simulate",
+        "--family", "parallel_mesh", "--chiplets", "2x2", "--nodes", "3x3",
+        "--cycles", "10000000", "--rate", "0.1", "--epoch", "50",
+        "--live", "--runs-dir", str(runs),
+    ]
+    child = subprocess.Popen(
+        command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    )
+    try:
+        deadline = time.monotonic() + 60
+        feeds: list[Path] = []
+        while time.monotonic() < deadline and child.poll() is None:
+            feeds = sorted((runs / "live").glob("*.jsonl"))
+            if feeds and any(
+                event["kind"] == "epoch" for event in read_feed(feeds[0], strict=False)
+            ):
+                break
+            time.sleep(0.05)
+        assert child.poll() is None, "the run ended before it could be killed"
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+    assert child.returncode == -signal.SIGKILL
+    assert RunStore(runs).load(strict=False) == []
+    [feed] = feeds
+    events = read_feed(feed, strict=False)
+    assert events[0]["kind"] == "start"
+    status = feed_status(events)
+    assert status["state"] != "finished"
+    assert status["epochs"] >= 1

@@ -180,19 +180,23 @@ def test_accept_budget_respects_tx_fifo():
 
 # -- adapter datapath contracts: event order, activation, liveness ----------------
 class ScriptedPolicy:
-    """Dispatch by a per-flit-index script; anything unlisted rides the parallel PHY."""
+    """Dispatch by a script, one PHY per dispatched flit in FIFO order; past
+    its end every flit rides the parallel PHY."""
 
     bypass_enabled = False
 
-    def __init__(self, by_index=None, hold=False):
-        self.by_index = by_index or {}
+    def __init__(self, script=(), hold=False):
+        self.script = list(script)
         self.hold = hold
 
-    def choose_phy(self, flit, queue_len, par_free, ser_free):
+    def choose_phy(self, packet, queue_len, par_free, ser_free):
         if self.hold:
             return None
-        phy = self.by_index.get(flit.index, PARALLEL)
-        return phy if (par_free if phy == PARALLEL else ser_free) > 0 else None
+        phy = self.script[0] if self.script else PARALLEL
+        if (par_free if phy == PARALLEL else ser_free) <= 0:
+            return None  # the same flit asks again next cycle
+        del self.script[:1]
+        return phy
 
 
 def adapter_event_log(network):
@@ -220,21 +224,21 @@ def test_same_cycle_arrivals_insert_first_then_release_and_deliver(second_vc):
     link = network.links[0]
     log = adapter_event_log(network)
     if second_vc == 0:
-        a = Packet(0, 1, 2, 0).make_flits()
-        feed = [(a[0], 0), (a[1], 0)]
+        a = Packet(0, 1, 2, 0)
+        feed = [(a, 0, 0), (a, 1, 0)]
         released = [(0, 2, 0), (0, 2, 1)]
     else:
         # Accepted (and so inserted) VC 1 first; released lowest VC first.
-        a, b = Packet(0, 1, 2, 0).make_flits(), Packet(0, 1, 3, 0).make_flits()
-        feed = [(b[0], 1), (a[0], 0)]
+        a, b = Packet(0, 1, 2, 0), Packet(0, 1, 3, 0)
+        feed = [(b, 0, 1), (a, 0, 0)]
         released = [(0, 2, 0), (1, 3, 0)]
-    for flit, vc in feed:
-        link.accept(flit, vc, 0)
+    for packet, index, vc in feed:
+        link.accept(packet, index, vc, 0)
     for now in range(3):
         link.step(now)
     assert log == [] and link.flits_parallel == 2
     link.step(3)
-    inserted = [(vc, flit.packet.length, flit.index) for flit, vc in feed]
+    inserted = [(vc, packet.length, index) for packet, index, vc in feed]
     expected = [("rob_insert", *entry, 3) for entry in inserted]
     for entry in released:
         expected += [("rob_release", *entry, 3), ("flit_recv", *entry, 3)]
@@ -245,11 +249,11 @@ def test_same_cycle_arrivals_insert_first_then_release_and_deliver(second_vc):
 def test_parallel_flit_ahead_of_serial_predecessor_parks_without_waking_router():
     network, _ = hetero_chain(bandwidth=2, delay=3)
     link = network.links[0]
-    link.policy = ScriptedPolicy({0: SERIAL})
+    link.policy = ScriptedPolicy([SERIAL])  # the head; the tail rides parallel
     log = adapter_event_log(network)
-    head, tail = Packet(0, 1, 2, 0).make_flits()
-    link.accept(head, 0, 0)
-    link.accept(tail, 0, 0)
+    packet = Packet(0, 1, 2, 0)
+    link.accept(packet, 0, 0, 0)
+    link.accept(packet, 1, 0, 0)
     for now in range(20):
         assert link.step(now)
     assert (link.flits_serial, link.flits_parallel) == (1, 1)
@@ -276,17 +280,17 @@ def test_link_with_a_single_live_item_stays_on_the_work_list(holding):
     """Each term of the liveness test alone keeps the link stepped."""
     network, _ = hetero_chain(bandwidth=2, delay=3)
     link = network.links[0]
-    flit = Packet(0, 1, 1, 0).make_flits()[0]
+    packet = Packet(0, 1, 1, 0)
     if holding == "credit":
         link.return_credit(0, 0)
         wait = link.credit_delay  # delivered in that cycle's step
     elif holding == "rob":
         link._next_sn[0] = 1  # the flit's predecessor never shows up
-        link.accept(flit, 0, 0)
+        link.accept(packet, 0, 0, 0)
         wait = 12
     else:
         link.policy = ScriptedPolicy(hold=True)
-        link.accept(flit, 0, 0)
+        link.accept(packet, 0, 0, 0)
         wait = 12
     assert link.active and network._link_work == [link]
     for now in range(wait):

@@ -9,19 +9,21 @@ from repro.noc.flit import Packet
 
 
 def make_flit(sn: int):
-    """A flit whose index is ``sn``, so released flits show their sequence number."""
-    return Packet(0, 1, sn + 1, 0).make_flits()[sn]
+    """``(packet, index)`` of a flit whose index is ``sn``, so released flits
+    show their sequence number."""
+    return Packet(0, 1, sn + 1, 0), sn
 
 
 def arrival(sn: int, vc: int):
-    """One ``(flit, vc, sn)`` arrival as the hetero-PHY receiver hands it over."""
-    return make_flit(sn), vc, sn
+    """One ``(packet, index, vc, sn)`` arrival as the hetero-PHY receiver
+    hands it over."""
+    return (*make_flit(sn), vc, sn)
 
 
 def insert(rob: ReorderBuffer, sn: int, vc: int = 0):
-    flit = make_flit(sn)
-    rob.insert(flit, vc, sn)
-    return flit
+    packet, index = make_flit(sn)
+    rob.insert(packet, index, vc, sn)
+    return packet, index
 
 
 def test_eq1_sizing():
@@ -46,7 +48,7 @@ def test_in_order_passthrough():
     insert(rob, 0)
     insert(rob, 1)
     released = list(rob.release())
-    assert [f.index for f, _ in released] == [0, 1]
+    assert [index for _p, index, _vc in released] == [0, 1]
     assert rob.occupancy == 0
 
 
@@ -56,7 +58,7 @@ def test_out_of_order_held_until_gap_fills():
     assert list(rob.release()) == []
     assert rob.occupancy == 1
     insert(rob, 0)
-    released = [f.index for f, _ in rob.release()]
+    released = [index for _p, index, _vc in rob.release()]
     assert released == [0, 1]
 
 
@@ -66,7 +68,7 @@ def test_per_vc_independence():
     insert(rob, 1, vc=0)  # gap on VC 0
     insert(rob, 0, vc=1)
     released = list(rob.release())
-    assert [(f.index, vc) for f, vc in released] == [(0, 1)]
+    assert [(index, vc) for _p, index, vc in released] == [(0, 1)]
     assert rob.occupancy == 1
 
 
@@ -75,17 +77,17 @@ def test_release_round_robins_over_vcs_in_ascending_order():
     rob = ReorderBuffer(8)
     arrivals = [arrival(0, 1), arrival(0, 0), arrival(1, 0), arrival(1, 1)]
     released = rob.reorder(arrivals)
-    assert [(vc, f.index) for f, vc in released] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert [(vc, index) for _p, index, vc in released] == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
 def test_in_order_single_vc_arrivals_pass_straight_through():
     rob = ReorderBuffer(4)
     arrivals = [arrival(0, 2), arrival(1, 2)]
-    assert rob.reorder(arrivals) == [(flit, vc) for flit, vc, _sn in arrivals]
+    assert rob.reorder(arrivals) == [entry[:3] for entry in arrivals]
     assert rob.occupancy == 0 and rob.max_occupancy == 0
     # The expected sequence number advanced: the next flit is in order too.
     nxt = arrival(2, 2)
-    assert rob.reorder([nxt]) == [nxt[:2]]
+    assert rob.reorder([nxt]) == [nxt[:3]]
     assert rob.reorder([]) == []
 
 
@@ -93,10 +95,11 @@ def test_duplicate_sequence_number_names_both_flits():
     """A second flit under a parked (vc, sn) is a lost flit, not an overwrite."""
     rob = ReorderBuffer(4)
     parked = insert(rob, 1)
-    intruder = Packet(0, 1, 1, 0).make_flits()[0]
+    intruder = Packet(0, 1, 1, 0)
     with pytest.raises(ValueError) as raised:
-        rob.insert(intruder, 0, 1)
-    assert repr(parked) in str(raised.value) and repr(intruder) in str(raised.value)
+        rob.insert(intruder, 0, 0, 1)
+    assert f"flit 1 of packet {parked[0].pid}" in str(raised.value)
+    assert f"flit 0 of packet {intruder.pid}" in str(raised.value)
     assert rob.waiting_flits() == [parked]
     with pytest.raises(ValueError, match="duplicate sequence number 1 on VC 0"):
         rob.reorder([arrival(1, 0)])
@@ -106,9 +109,8 @@ def test_duplicate_sequence_number_names_both_flits():
 def test_insert_requires_sequence_number():
     """The sequence number is an argument: the flit itself carries none."""
     rob = ReorderBuffer(4)
-    flit = Packet(0, 1, 1, 0).make_flits()[0]
     with pytest.raises(TypeError):
-        rob.insert(flit, 0)
+        rob.insert(Packet(0, 1, 1, 0), 0, 0)
     assert rob.occupancy == 0
 
 
@@ -145,7 +147,7 @@ def test_release_always_in_order(order):
     released: list[int] = []
     for sn in order:
         insert(rob, sn)
-        released.extend(f.index for f, _ in rob.release())
+        released.extend(index for _p, index, _vc in rob.release())
     assert released == sorted(released)
     assert released == list(range(8))
 
@@ -170,8 +172,8 @@ def test_release_in_order_per_vc(pairs):
     seen: dict[int, list[int]] = {}
     for vc, sn in arrivals:
         insert(rob, sn, vc)
-        for flit, flit_vc in rob.release():
-            seen.setdefault(flit_vc, []).append(flit.index)
+        for _packet, index, flit_vc in rob.release():
+            seen.setdefault(flit_vc, []).append(index)
     for vc, sns in seen.items():
         assert sns == list(range(len(sns)))
 
@@ -199,13 +201,16 @@ def test_reorder_matches_insert_then_release(streams, jitter, noise, cycles, cap
 
     def outcome(step, batch):
         try:
-            return [(vc, flit.index) for flit, vc in step([arrival(sn, vc) for vc, sn in batch])]
+            return [
+                (vc, index)
+                for _p, index, vc in step([arrival(sn, vc) for vc, sn in batch])
+            ]
         except RobOverflowError:
             return "overflow"
 
     def single_step(batch):
-        for flit, vc, sn in batch:
-            single.insert(flit, vc, sn)
+        for packet, index, vc, sn in batch:
+            single.insert(packet, index, vc, sn)
         return single.release()
 
     def state(rob):

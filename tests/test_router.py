@@ -178,9 +178,7 @@ def test_backlog_packet_is_carved_when_the_tail_ahead_leaves():
             break
     assert tail_left == [now]
     # Same pass: the next packet is carved and waits for its route.
-    assert [(flit.packet, flit.index) for flit in vc.queue] == [
-        (second, i) for i in range(4)
-    ]
+    assert list(vc.flits()) == [(second, i) for i in range(4)]
     assert not vc.backlog and vc.held == 4
     assert vc.queued and vc in router._pending
     run_cycles(network, 40, start=now + 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import re
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -28,6 +29,7 @@ from repro.sim.engine import Engine
 from repro.sim.experiment import latency_rate_sweep, run_synthetic, run_trace
 from repro.sim.stats import DrainTimeoutError, Stats
 from repro.telemetry import EpochMetrics, LatencyLedger, TelemetryConfig, resimulate
+from repro.telemetry.bus import EVENT_NAMES
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import build_system
 from repro.traffic.injection import SyntheticWorkload
@@ -35,7 +37,7 @@ from repro.traffic.parsec import generate_parsec_trace
 from repro.traffic.patterns import make_pattern
 from repro.traffic.reqreply import RequestReplyWorkload
 
-from .helpers import build_chain, run_cycles
+from .helpers import build_chain, run_cycles, uniform_engine
 
 GRID = ChipletGrid(2, 2, 3, 3)
 CONFIG = SimConfig(sim_cycles=500, warmup_cycles=100)
@@ -297,27 +299,67 @@ def test_backed_up_source_carves_flits_only_for_packets_that_are_leaving():
         network.inject(packet)
     vcs = network.routers[0].inputs[Router.INJECT_PORT].vcs
 
-    def live_flit_pids():
-        """One pid per live flit of this test's packets (holds no flit alive)."""
+    def carved_pids():
+        """One pid per carved flit: a buffer entry or a link pipe entry."""
         return [
-            obj.packet.pid
-            for obj in gc.get_objects()
-            if type(obj) is Flit and packets.get(obj.packet.pid) is obj.packet
-        ]
+            packet.pid
+            for router in network.routers
+            for port in router.inputs
+            for vc in port.vcs
+            for packet in vc.queue
+        ] + [packet.pid for link in network.links for _due, packet, _i, _vc in link._pipe]
 
-    assert len(live_flit_pids()) == len(vcs) * 16
+    assert len(carved_pids()) == len(vcs) * 16
     now = 0
     while network.holds_flits():
-        now = run_cycles(network, 20, start=now)  # gc.get_objects() is slow
-        live = live_flit_pids()
+        now = run_cycles(network, 20, start=now)
+        carved = carved_pids()
         parked = {packet.pid for vc in vcs for packet in vc.backlog}
-        assert not parked & set(live)
-        # Every live flit is in a buffer or on the link: at most the two
+        assert not parked & set(carved)
+        # Every carved flit is in a buffer or on the link: at most the two
         # packets being sent, whatever the backlog.
-        assert len(live) == (
+        assert len(carved) == (
             network.buffered_flits() + network.in_flight_flits() - 16 * len(parked)
         ) <= 2 * 16 + 2
     assert now > 1_600 and all(p.arrive_cycle is not None for p in packets.values())
+    # Carving allocates no flit object: the entries are packet references.
+    assert not [obj for obj in gc.get_objects() if type(obj) is Flit]
+
+
+def test_an_unobserved_run_builds_no_flit(family, monkeypatch):
+    """Without a bus subscriber the kernel never builds a :class:`Flit` view;
+    with one, it builds one per event."""
+    built: list[int] = []
+    init = Flit.__init__
+
+    def counting_init(self, packet, index):
+        built.append(index)
+        init(self, packet, index)
+
+    monkeypatch.setattr(Flit, "__init__", counting_init)
+    network, engine = uniform_engine(
+        family, ChipletGrid(2, 2, 4, 4), cycles=300, rate=1.0, seed=1
+    )
+    assert not any(network.telemetry.subscriber_count(e) for e in EVENT_NAMES)
+    engine.run(300)
+    # Saturated: source queues backed up behind full buffers.
+    assert any(
+        vc.backlog for router in network.routers for vc in router.inputs[0].vcs
+    )
+    assert engine.stats.packets_delivered > 0
+    assert built == []
+    sends: list = []
+    network.telemetry.subscribe("flit_send", lambda *args: sends.append(args[1]))
+    engine.run(5)
+    assert len(built) == len(sends) > 0
+    network.close()
+
+
+def test_a_flit_view_is_two_slots():
+    flit = Flit(Packet(0, 1, 4, 0), 3)
+    assert Flit.__slots__ == ("packet", "index")
+    assert sys.getsizeof(flit) <= 48
+    assert flit.is_tail and not flit.is_head
 
 
 def test_simulator_core_never_reaches_for_the_collector():

@@ -126,19 +126,56 @@ def test_out_of_order_delivery_is_flagged():
     spec, network, stats = make_network("parallel_mesh", grid, config)
     InvariantChecker(network)
     packet = Packet(0, 1, length=2, create_cycle=0)
-    head, tail = packet.make_flits()
     router = network.routers[1]
     with pytest.raises(InvariantViolation) as excinfo:
-        router.receive_flit(1, 0, tail, 0)  # body/tail before any head
+        router.receive_flit(1, 0, packet, 1, 0)  # body/tail before any head
     assert excinfo.value.code == "VC-ORDER"
 
     # Interleaving a foreign head mid-packet is equally illegal.
-    router.receive_flit(1, 0, head, 0)
+    router.receive_flit(1, 0, packet, 0, 0)
     other = Packet(0, 1, length=2, create_cycle=0)
-    other_head, _ = other.make_flits()
     with pytest.raises(InvariantViolation) as excinfo:
-        router.receive_flit(1, 0, other_head, 0)
+        router.receive_flit(1, 0, other, 0, 0)
     assert excinfo.value.code == "VC-ORDER"
+
+
+def test_skipped_flit_index_is_flagged():
+    config = SimConfig()
+    _, network, _ = make_network("parallel_mesh", ChipletGrid(2, 1, 2, 2), config)
+    InvariantChecker(network)
+    packet = Packet(0, 1, length=4, create_cycle=0)
+    router = network.routers[1]
+    router.receive_flit(1, 0, packet, 0, 0)
+    with pytest.raises(InvariantViolation) as excinfo:
+        router.receive_flit(1, 0, packet, 2, 0)
+    assert excinfo.value.code == "VC-ORDER"
+    assert "received flit 2 of packet" in str(excinfo.value)
+    assert "expected flit 1" in str(excinfo.value)
+
+
+def test_corrupted_buffer_front_is_flagged_on_send():
+    """A VC's buffer names its flits by position from ``InputVC.front``;
+    a wrong ``front`` sends flits under the wrong index, and the send-side
+    order check names the input VC it happened at."""
+    config = SimConfig(sim_cycles=1_000, warmup_cycles=0)
+    grid = ChipletGrid(2, 2, 3, 3)
+    _, network, stats = make_network("parallel_mesh", grid, config)
+    InvariantChecker(network)
+    engine = _run(network, stats, grid, config, cycles=200, rate=0.3)
+    victim = next(
+        (router.node, port.index, ivc)
+        for router in network.routers
+        for port in router.inputs[1:]
+        for ivc in port.vcs
+        if len(ivc.queue) >= 2
+    )
+    node, port_idx, ivc = victim
+    ivc.front = (ivc.front + 1) % ivc.queue[0].length
+    with pytest.raises(InvariantViolation) as excinfo:
+        engine.run(200)
+    assert excinfo.value.code == "VC-ORDER"
+    assert " sent " in str(excinfo.value)
+    assert f"node {node} port {port_idx} vc {ivc.index}:" in str(excinfo.value)
 
 
 def test_buffer_overflow_is_flagged():
@@ -150,8 +187,7 @@ def test_buffer_overflow_is_flagged():
     depth = router.inputs[1].buffer_depth
     with pytest.raises(InvariantViolation) as excinfo:
         for i in range(depth + 1):
-            flit = Packet(0, 1, length=1, create_cycle=0).make_flits()[0]
-            router.receive_flit(1, 0, flit, 0)
+            router.receive_flit(1, 0, Packet(0, 1, length=1, create_cycle=0), 0, 0)
     assert excinfo.value.code == "BUF-OVERFLOW"
 
 

@@ -82,6 +82,25 @@ def test_hypercube_requires_power_of_two_chiplets(config):
         build_system("serial_hypercube", grid, config)
 
 
+@pytest.mark.parametrize("family", ["serial_hypercube", "hetero_channel"])
+@pytest.mark.parametrize("chiplets", [(1, 1), (3, 2)], ids=["1-chiplet", "6-chiplets"])
+def test_hypercube_error_names_the_requirement_family_and_grid(config, family, chiplets):
+    grid = ChipletGrid(*chiplets, 4, 4)
+    n = chiplets[0] * chiplets[1]
+    with pytest.raises(ValueError) as caught:
+        build_system(family, grid, config)
+    message = str(caught.value)
+    assert family in message
+    assert "at least 2 chiplets" in message and "power-of-two" in message
+    assert f"got {n} (grid: {chiplets[0]}x{chiplets[1]} chiplets of 4x4 nodes)" in message
+
+
+@pytest.mark.parametrize("family", ["parallel_mesh", "serial_torus", "hetero_phy_torus"])
+def test_single_chiplet_mesh_families_stay_legal(config, family):
+    spec = build_system(family, ChipletGrid(1, 1, 3, 3), config)
+    assert spec.grid.n_chiplets == 1
+
+
 def test_hypercube_edges_match_hamming(config):
     grid = ChipletGrid(2, 2, 3, 3)
     spec = build_system("serial_hypercube", grid, config)
