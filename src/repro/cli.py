@@ -380,11 +380,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_postmortem(args) -> int:
-    from repro.telemetry.forensics import (
-        load_bundle,
-        render_bundle_html,
-        render_bundle_text,
-    )
+    from repro.telemetry.dashboard import render_bundle_html, render_bundle_text
+    from repro.telemetry.forensics import load_bundle
 
     try:
         bundle = load_bundle(args.bundle)
@@ -392,10 +389,7 @@ def _cmd_postmortem(args) -> int:
         raise SystemExit(f"cannot load bundle {args.bundle}: {exc}") from None
     print(render_bundle_text(bundle, tail=args.tail))
     if args.html:
-        out = Path(args.html)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(render_bundle_html(bundle), encoding="utf-8")
-        print(f"wrote {out}")
+        _write_page(args.html, render_bundle_html(bundle))
     return 0
 
 
@@ -514,10 +508,7 @@ def _cmd_watch(args) -> int:
     if args.out:
         from repro.telemetry.dashboard import render_fleet
 
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(render_fleet(snap), encoding="utf-8")
-        print(f"wrote {out}")
+        _write_page(args.out, render_fleet(snap))
     else:
         print(json.dumps(snap.to_dict(), indent=1, sort_keys=True))
     _warn_skipped(snap.skipped, "registry line", f" in {snap.registry}")
@@ -532,6 +523,14 @@ def _warn_skipped(count: int, noun: str, where: str) -> None:
             f"warning: skipped {count} unreadable {noun}{plural}{where}",
             file=sys.stderr,
         )
+
+
+def _write_page(path: str, page: str) -> None:
+    """Write one HTML page, creating its directory."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(page, encoding="utf-8")
+    print(f"wrote {out}")
 
 
 def _write_json_doc(path: str, doc: dict) -> None:

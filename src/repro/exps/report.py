@@ -57,11 +57,14 @@ def load_result(path: Path) -> ExperimentResult:
     return result
 
 
-def _find(results_dir: Path, artifact: str, scale: str) -> Optional[ExperimentResult]:
-    path = results_dir / f"{artifact}_{scale}.csv"
-    if not path.exists():
-        return None
-    return load_result(path)
+#: The artifacts :func:`summarize` reads, in report order.
+ARTIFACTS = ("fig11", "fig12", "table3", "fig16", "fig17")
+
+
+def load_results(results_dir: Path, scale: str) -> dict[str, ExperimentResult]:
+    """Each of :data:`ARTIFACTS` with a CSV at ``scale``, read once."""
+    paths = {artifact: Path(results_dir) / f"{artifact}_{scale}.csv" for artifact in ARTIFACTS}
+    return {artifact: load_result(path) for artifact, path in paths.items() if path.exists()}
 
 
 def _fmt_pct(value: Optional[float]) -> str:
@@ -107,11 +110,19 @@ def summarize_reductions(
     return reduction(mean(parallel), h), reduction(mean(serial), h)
 
 
-def summarize(results_dir: Path, scale: str) -> str:
-    """Render the paper-vs-measured markdown summary for one scale."""
+def summarize(
+    results_dir: Path, scale: str, results: Optional[dict[str, ExperimentResult]] = None
+) -> str:
+    """Render the paper-vs-measured markdown summary for one scale.
+
+    ``results`` is :func:`load_results`'s answer when the caller already
+    holds it (the fleet page's snapshot); otherwise it is read here.
+    """
+    if results is None:
+        results = load_results(results_dir, scale)
     out: list[str] = [f"## Measured at scale `{scale}`", ""]
 
-    fig11 = _find(results_dir, "fig11", scale)
+    fig11 = results.get("fig11")
     if fig11:
         out.append("### Fig 11 (hetero-PHY, synthetic patterns)")
         out.extend(summarize_fig11(fig11))
@@ -124,7 +135,7 @@ def summarize(results_dir: Path, scale: str) -> str:
         )
         out.append("")
 
-    fig12 = _find(results_dir, "fig12", scale)
+    fig12 = results.get("fig12")
     if fig12:
         vs_p, vs_s = summarize_reductions(
             fig12, "avg_latency", "network", "hetero-phy-full", "parallel-mesh", "serial-torus"
@@ -137,7 +148,7 @@ def summarize(results_dir: Path, scale: str) -> str:
         )
         out.append("")
 
-    table3 = _find(results_dir, "table3", scale)
+    table3 = results.get("table3")
     if table3:
         out.append("### Table 3 (scalability: latency reduction of hetero-IF)")
         out.append("| scale | hPHY vs par (paper) | hPHY vs ser (paper) | hCh vs par (paper) | hCh vs ser (paper) |")
@@ -157,7 +168,7 @@ def summarize(results_dir: Path, scale: str) -> str:
         ("fig17", "hetero-phy", "hetero-phy", "parallel-mesh", "serial-torus"),
         ("fig17", "hetero-channel", "hetero-channel", "parallel-mesh", "serial-hypercube"),
     ):
-        result = _find(results_dir, artifact, scale)
+        result = results.get(artifact)
         if not result:
             continue
         vs_p, vs_s = summarize_reductions(

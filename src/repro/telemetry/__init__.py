@@ -20,9 +20,8 @@
   ``runs/live/<run_id>.jsonl`` for ``repro watch``
   (``repro.telemetry.live``);
 * :mod:`repro.telemetry.dashboard` / :mod:`repro.telemetry.server` — the
-  fleet page (one ``Snapshot``, every panel a function of it) and the
-  stdlib SSE service behind ``repro watch`` that serves it or, with
-  ``--once --out FILE``, writes it static (imported lazily by the CLI);
+  fleet, run and postmortem pages (section lists over one source each)
+  and the stdlib SSE service behind ``repro watch`` (imported lazily);
 * :class:`FlightRecorder` / :func:`capture_bundle` — bounded event ring
   buffer and the postmortem bundle of a wedged run, rendered by ``repro
   postmortem`` (``repro.telemetry.forensics``);
@@ -70,6 +69,7 @@ _SUBMODULE_EXPORTS = {
     "bench": ("BENCH_SCHEMA_VERSION", "EventCounters", "case_metrics", "load_bench"),
     "bus": ("EVENT_NAMES", "NULL_BUS", "TelemetryBus"),
     "compare": ("MetricVerdict", "classify"),
+    "dashboard": ("render_bundle_html", "render_bundle_text"),
     "diff": (
         "DiffError", "DiffReport", "Diffable", "diff_runs", "load_diffable",
         "parse_sim_spec", "resimulate",
@@ -80,8 +80,7 @@ _SUBMODULE_EXPORTS = {
     ),
     "forensics": (
         "FORENSICS_SCHEMA_VERSION", "FlightRecorder", "capture_bundle",
-        "load_bundle", "render_bundle_html", "render_bundle_text",
-        "validate_bundle", "write_bundle",
+        "load_bundle", "validate_bundle", "write_bundle",
     ),
     "history": ("MetricSeries", "RunHistory", "SeriesPoint", "load_history"),
     "hostprof": (

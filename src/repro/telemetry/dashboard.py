@@ -1,21 +1,25 @@
-"""The fleet page: one snapshot of the sources, one set of panels.
+"""The three HTML pages: one page model, three sources.
 
-:class:`Snapshot` reads each source the page shows once — the run
-registry (``runs/runs.jsonl``, leniently, counting skipped lines), the
-live feeds under ``runs/live/`` (folded, the in-flight/stale split decided
-once), the bench history (the stored ``BENCH_<n>.json`` files) and the
-paper-figure CSVs.  Every panel is a function of it, and :data:`SECTIONS`
-lists them in page order: runs in flight and failures, the Fig 11 curves
-and the paper-vs-measured agreement (one scale for both), performance,
-latency attribution, health, determinism and the recent runs.
+Every page is a tuple of ``(heading, panel)`` sections over one source,
+joined by :func:`render_sections` and wrapped by :func:`render_page`:
 
-:func:`render_fleet` renders that one list: ``repro watch`` serves it with
-its SSE hook (:mod:`repro.telemetry.server`) and ``repro watch --once
---out FILE`` writes it script-free.  The page carries its own light/dark
-palette as CSS custom properties (the chart SVGs reference
-``var(--series-N)``), so it respects ``prefers-color-scheme`` without any
-scripting.  The page shell (:data:`PAGE_STYLE`, :func:`render_page`,
-:func:`html_table`) is shared with the postmortem page.
+* the fleet page (:data:`SECTIONS`) reads a :class:`Snapshot`, which reads
+  each source once — the run registry (``runs/runs.jsonl``, leniently,
+  counting skipped lines), the live feeds under ``runs/live/`` (folded,
+  the in-flight/stale split decided once), the bench history (the stored
+  ``BENCH_<n>.json`` files) and the paper-figure CSVs;
+* the run page (:data:`RUN_SECTIONS`) reads a :class:`RunView`: one live
+  feed plus the snapshot its determinism badge checks against;
+* the postmortem page (:data:`POSTMORTEM_SECTIONS`) reads one validated
+  forensics bundle.  Its text form, :func:`render_bundle_text`, prints the
+  same ``(headers, rows)`` tables with :func:`text_table`.
+
+``repro watch`` serves the fleet and run pages with an SSE hook
+(:mod:`repro.telemetry.server`), ``repro watch --once --out FILE`` writes
+the fleet page script-free and ``repro postmortem --html`` writes the
+postmortem page.  The page carries its own light/dark palette as CSS
+custom properties (the chart SVGs reference ``var(--series-N)``), so it
+respects ``prefers-color-scheme`` without any scripting.
 
 Import note: simulator modules are imported inside functions only (see
 the package initializer's import note).
@@ -27,9 +31,10 @@ import html
 import math
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .compare import fmt_metric
+from .forensics import event_line
 from .live import LIVE_SCHEMA_VERSION, feed_status, read_feed
 from .progress import format_eta
 from .runstore import RunRecord, RunStore, git_revision, utc_now_iso
@@ -119,19 +124,20 @@ class Snapshot:
         )
 
     @cached_property
-    def fig11(self) -> Optional["ExperimentResult"]:
-        from repro.exps.report import load_result
+    def results(self) -> dict[str, "ExperimentResult"]:
+        """The results CSVs ``repro report`` reads at :attr:`scale`, each read once."""
+        from repro.exps.report import load_results
 
-        return None if self.scale is None else load_result(
-            self.results_dir / f"fig11_{self.scale}.csv"
-        )
+        return {} if self.scale is None else load_results(self.results_dir, self.scale)
 
     @cached_property
     def agreement(self) -> Optional[str]:
         """``repro report``'s paper-vs-measured text at :attr:`scale`."""
         from repro.exps.report import summarize
 
-        return None if self.scale is None else summarize(self.results_dir, self.scale)
+        if self.scale is None:
+            return None
+        return summarize(self.results_dir, self.scale, self.results)
 
     def digest_of(self, run_id: str) -> Optional[dict[str, Any]]:
         """The newest digest block the registry holds for ``run_id``."""
@@ -211,18 +217,25 @@ pre { background: var(--surface-2); padding: 12px; overflow-x: auto;
 """
 
 
+class Html(str):
+    """Markup: :func:`fmt_value` passes it through unescaped."""
+
+
 def fmt_value(value: Any) -> str:
-    """One table cell: a float as :func:`fmt_metric`, anything else escaped."""
+    """One table cell: markup as is, a float as :func:`fmt_metric`,
+    anything else escaped."""
+    if isinstance(value, Html):
+        return value
     if isinstance(value, float):
         return fmt_metric(value)
     return html.escape(str(value))
 
 
-def html_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    """``<table>`` markup from header and cell HTML (cells arrive rendered)."""
-    head = "".join(f"<th>{header}</th>" for header in headers)
+def html_table(headers: Sequence[Any], rows: Iterable[Sequence[Any]]) -> str:
+    """``<table>`` markup; every header and cell goes through :func:`fmt_value`."""
+    head = "".join(f"<th>{fmt_value(header)}</th>" for header in headers)
     body = "".join(
-        "<tr>" + "".join(f"<td>{cell}</td>" for cell in row) + "</tr>" for row in rows
+        "<tr>" + "".join(f"<td>{fmt_value(cell)}</td>" for cell in row) + "</tr>" for row in rows
     )
     return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
 
@@ -233,35 +246,36 @@ def _empty(text: str) -> str:
 
 def _code(value: Any) -> str:
     """A path or digest cell ('—' when absent)."""
-    return f"<code>{html.escape(str(value))}</code>" if value else "—"
+    return Html(f"<code>{html.escape(str(value))}</code>") if value else "—"
 
 
-def _run_cells(status: dict[str, Any]) -> list[str]:
+def _alarm(value: Any) -> Html:
+    return Html(f'<span class="alarm">{fmt_value(value)}</span>')
+
+
+def _run_cells(status: dict[str, Any]) -> list[Any]:
     """A live run's link / system / workload cells."""
     run_id = html.escape(status["run_id"])
     meta = status["meta"]
-    return [
-        f'<a href="/run/{run_id}">{run_id}</a>',
-        html.escape(str(meta.get("system", ""))),
-        html.escape(str(meta.get("workload", ""))),
-    ]
+    return [Html(f'<a href="/run/{run_id}">{run_id}</a>'), meta.get("system", ""),
+            meta.get("workload", "")]
 
 
-def _record_cells(record: RunRecord, *fields: str) -> list[str]:
+def _record_cells(record: RunRecord, *fields: str) -> list[Any]:
     """A registry record's leading cells: ``created`` then ``fields``."""
-    return [html.escape(str(getattr(record, name))) for name in ("created", *fields)]
+    return [getattr(record, name) for name in ("created", *fields)]
 
 
-def progress_cells(status: dict[str, Any]) -> list[str]:
+def progress_cells(status: dict[str, Any]) -> list[Any]:
     """A live run's progress / cycle / cyc/s / eta table cells."""
     from repro.viz import svg_progress_bar
 
     cps = status["cps"]
     return [
-        svg_progress_bar(status["fraction"], title="completion"),
-        f"{fmt_value(status['cycle'])} / "
-        f"{fmt_value(status['total_cycles'] or float('nan'))}",
-        fmt_value(float(cps)) if cps else "n/a",
+        Html(svg_progress_bar(status["fraction"], title="completion")),
+        Html(f"{fmt_value(status['cycle'])} / "
+             f"{fmt_value(status['total_cycles'] or float('nan'))}"),
+        float(cps) if cps else "n/a",
         format_eta(status["eta_seconds"]),
     ]
 
@@ -277,9 +291,8 @@ def in_flight_section(snap: Snapshot) -> str:
             [
                 *_run_cells(status),
                 *progress_cells(status),
-                str(len(status["anomalies"])),
-                "running" if status["run_id"] in snap.in_flight
-                else '<span class="alarm">stale</span>',
+                len(status["anomalies"]),
+                "running" if status["run_id"] in snap.in_flight else _alarm("stale"),
             ]
             for status in running
         ),
@@ -291,14 +304,10 @@ def failures_section(snap: Snapshot) -> str:
         return _empty("no failed live runs.")
     return html_table(
         ["run", "system", "workload", "died at cycle", "reason",
-         "postmortem bundle (<code>repro postmortem</code>)"],
+         Html("postmortem bundle (<code>repro postmortem</code>)")],
         (
-            [
-                *_run_cells(status),
-                fmt_value(status["cycle"]),
-                f'<span class="alarm">{html.escape(str(status["reason"]))}</span>',
-                _code(status["bundle"]),
-            ]
+            [*_run_cells(status), status["cycle"], _alarm(status["reason"]),
+             _code(status["bundle"])]
             for status in snap.failures
         ),
     )
@@ -315,7 +324,7 @@ def _no_figures(snap: Snapshot) -> str:
 def fig11_section(snap: Snapshot) -> str:
     from repro.viz import svg_line_chart
 
-    result = snap.fig11
+    result = snap.results.get("fig11")
     if result is None:
         return _no_figures(snap)
     patterns = sorted(set(result.column("pattern")))
@@ -333,10 +342,7 @@ def fig11_section(snap: Snapshot) -> str:
         x_label="injection rate (flits/cycle/node)",
         y_label="avg latency (cycles)",
     )
-    table = html_table(
-        [html.escape(h) for h in result.headers],
-        ([fmt_value(cell) for cell in row] for row in result.filtered(pattern=pattern)),
-    )
+    table = html_table(result.headers, result.filtered(pattern=pattern))
     return f"<figure>{chart}</figure><details><summary>data table</summary>{table}</details>"
 
 
@@ -357,7 +363,7 @@ def perf_section(snap: Snapshot) -> str:
     ``repro regress`` prints — so a throughput drop, the run it started at
     and the pipeline phase behind it sit side by side.
     """
-    from repro.viz import svg_annotated_line, svg_stacked_bars
+    from repro.viz import svg_line_chart, svg_stacked_bars
 
     from .bench import PHASE_SUFFIX, THROUGHPUT
     from .sentinel import analyze_history
@@ -378,7 +384,7 @@ def perf_section(snap: Snapshot) -> str:
     def trajectory(series_list, *, title, y_label, annotations=()):
         runs = [float(i) for i in range(max(len(s.points) for s in series_list))]
         lines = [(s.metric, runs[: len(s.points)], s.values) for s in series_list]
-        return "<figure>" + svg_annotated_line(
+        return "<figure>" + svg_line_chart(
             lines, annotations=annotations, height=220, title=title,
             x_label="bench run (oldest first)", y_label=y_label, y_zero=True,
         ) + "</figure>"
@@ -427,19 +433,16 @@ def perf_section(snap: Snapshot) -> str:
         if r.verdict == "ok" and history.series[r.case, r.metric].exact:
             steady += 1  # a count that never moved: one sentence, not a row each
             continue
-        verdict = html.escape(r.verdict)
-        if r.verdict == "regressed":
-            verdict = f'<span class="alarm">{verdict}</span>'
         rows.append(
             [
-                html.escape(r.case),
-                html.escape(r.metric),
-                str(r.finite_points),
+                r.case,
+                r.metric,
+                r.finite_points,
                 fmt_metric(r.baseline, r.unit),
                 fmt_metric(r.latest, r.unit),
-                verdict,
-                html.escape(r.changepoint_key) if r.changepoint_key else "&mdash;",
-                html.escape(r.culprit) if r.culprit else "&mdash;",
+                _alarm(r.verdict) if r.verdict == "regressed" else r.verdict,
+                r.changepoint_key or Html("&mdash;"),
+                r.culprit or Html("&mdash;"),
             ]
         )
     table = (
@@ -499,10 +502,8 @@ def breakdown_section(snap: Snapshot, max_bars: int = 4) -> str:
         ["stage", "mean", "p95", "p99", "share"],
         (
             [
-                html.escape(name),
-                fmt_value(float(cell.get("mean", 0.0))),
-                fmt_value(float(cell.get("p95", 0.0))),
-                fmt_value(float(cell.get("p99", 0.0))),
+                name,
+                *(float(cell.get(key, 0.0)) for key in ("mean", "p95", "p99")),
                 f"{float(cell.get('share', 0.0)):.1%}",
             ]
             for name, cell in latest.breakdown["stages"].items()
@@ -519,11 +520,10 @@ def breakdown_section(snap: Snapshot, max_bars: int = 4) -> str:
             ["link", "kind", "queue cycles", "stall cycles", "packets"],
             (
                 [
-                    f"{entry.get('src')}&rarr;{entry.get('dst')}",
-                    html.escape(str(entry.get("kind", ""))),
-                    fmt_value(float(entry.get("queue_cycles", 0))),
-                    fmt_value(float(entry.get("stall_cycles", 0))),
-                    fmt_value(float(entry.get("packets", 0))),
+                    Html(f"{entry.get('src')}&rarr;{entry.get('dst')}"),
+                    str(entry.get("kind", "")),
+                    *(float(entry.get(key, 0))
+                      for key in ("queue_cycles", "stall_cycles", "packets")),
                 ]
                 for entry in links[:5]
             ),
@@ -556,16 +556,13 @@ def health_section(snap: Snapshot, max_runs: int = 8) -> str:
     for record in reversed(records):
         health = record.forensics.get("health") or {}
         flags = health.get("flags") or []
-        flags_cell = (
-            f'<span class="alarm">{html.escape(", ".join(flags))}</span>' if flags else "ok"
-        )
         # The series is stored as (cycle, age) pairs; the sparkline only
         # plots the ages (probe spacing is uniform anyway).
         ages = [
             float(point[1]) if isinstance(point, (list, tuple)) else float(point)
             for point in health.get("oldest_age_series") or []
         ]
-        spark = (
+        spark = Html(
             svg_sparkline(ages, title="oldest in-flight packet age")
             if ages
             else '<span class="empty">n/a</span>'
@@ -573,9 +570,9 @@ def health_section(snap: Snapshot, max_runs: int = 8) -> str:
         rows.append(
             [
                 *_record_cells(record, "label", "workload"),
-                flags_cell,
-                fmt_value(health.get("probes", 0)),
-                fmt_value(health.get("max_oldest_age", 0)),
+                _alarm(", ".join(flags)) if flags else "ok",
+                health.get("probes", 0),
+                health.get("max_oldest_age", 0),
                 spark,
                 _code(record.forensics.get("bundle")),
             ]
@@ -620,8 +617,8 @@ def determinism_section(
                 ["pin", "cycles", "digest chain", "re-simulable"],
                 (
                     [
-                        html.escape(case),
-                        fmt_value(pin["digest"].get("cycles", math.nan)),
+                        case,
+                        pin["digest"].get("cycles", math.nan),
                         _code(pin["digest"].get("final")),
                         "no (built by tests)"
                         if missing_resim_keys(pin["digest"].get("meta"))
@@ -641,7 +638,7 @@ def determinism_section(
                 (
                     [
                         *_record_cells(record, "kind", "label", "workload"),
-                        fmt_value(record.digest.get("events_total", math.nan)),
+                        record.digest.get("events_total", math.nan),
                         _code(record.digest.get("final")),
                     ]
                     for record in reversed(digested)
@@ -684,16 +681,20 @@ def runs_section(snap: Snapshot) -> str:
             [
                 *_record_cells(record, "kind", "label", "workload", "seed", "git_rev",
                                "config_hash"),
-                fmt_value(record.cycles_per_second),
-                fmt_value(record.stats.get("avg_latency", math.nan)),
+                record.cycles_per_second,
+                record.stats.get("avg_latency", math.nan),
             ]
             for record in reversed(records)
         ),
     )
 
 
-#: The fleet page, top to bottom: (heading, panel).
-SECTIONS: tuple[tuple[str, Callable[[Snapshot], str]], ...] = (
+#: One page's sections, top to bottom: (heading, panel of the page's source).
+Sections = Sequence[tuple[str, Callable[[Any], str]]]
+
+#: The fleet page: the registry warning (no heading), then one panel each.
+SECTIONS: Sections = (
+    ("", skipped_warning),
     ("Runs in flight", in_flight_section),
     ("Recent failures", failures_section),
     ("Paper figure: Fig 11 latency-load curves", fig11_section),
@@ -706,32 +707,356 @@ SECTIONS: tuple[tuple[str, Callable[[Snapshot], str]], ...] = (
 )
 
 
-def fleet_fragment(snap: Snapshot) -> str:
-    """Every panel of the fleet page (what ``repro watch`` re-pushes)."""
-    return skipped_warning(snap) + "".join(
-        f"<h2>{title}</h2>{panel(snap)}" for title, panel in SECTIONS
-    )
+def render_sections(sections: Sections, source: Any) -> str:
+    """A page's panels over its one source: each under its ``<h2>`` (none
+    for an empty heading); a panel that renders '' drops out, heading too.
+    This is what the served pages re-push over SSE."""
+    parts = ((title, panel(source)) for title, panel in sections)
+    return "".join(f"<h2>{title}</h2>{body}" if title else body for title, body in parts if body)
 
 
-def render_page(title: str, body: str) -> str:
-    """Wrap rendered sections in the shared HTML page shell."""
+def render_page(
+    title: str, sections: Sections, source: Any, *, meta: str = "", hook: str = ""
+) -> str:
+    """One page: ``title`` as heading, the ``meta`` line (HTML), the
+    sections over ``source`` and ``hook``, a served page's SSE script."""
+    meta_line = f'<p class="meta">{meta}</p>' if meta else ""
+    body = render_sections(sections, source)
     return (
         "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
         "<meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">"
         f"<title>{html.escape(title)}</title>"
         f"<style>{PAGE_STYLE}</style></head>"
-        f"<body class=\"viz-root\">{body}</body></html>\n"
+        f"<body class=\"viz-root\"><h1>{html.escape(title)}</h1>{meta_line}"
+        f'<main id="live">{body}</main>{hook}</body></html>\n'
     )
 
 
 def render_fleet(snap: Snapshot, *, hook: str = "") -> str:
     """The fleet page; ``hook`` is the served page's SSE script (static: none)."""
     scale = f"scale {snap.scale}" if snap.scale else "no figures"
-    body = (
-        "<h1>repro watch — fleet</h1>"
-        f'<p class="meta">registry {html.escape(str(snap.runs_dir))} · '
+    meta = (
+        f"registry {html.escape(str(snap.runs_dir))} · "
         f"results {html.escape(str(snap.results_dir))} ({scale}) · generated "
-        f"{html.escape(snap.generated)} @ {html.escape(git_revision())}</p>"
-        f'<main id="live">{fleet_fragment(snap)}</main>{hook}'
+        f"{html.escape(snap.generated)} @ {html.escape(git_revision())}"
     )
-    return render_page("repro watch — fleet", body)
+    return render_page("repro watch — fleet", SECTIONS, snap, meta=meta, hook=hook)
+
+
+class RunView(NamedTuple):
+    """The run page's source: one feed's folded status and its events, plus
+    the fleet snapshot the determinism badge checks against."""
+
+    status: dict[str, Any]
+    events: list[dict[str, Any]]
+    snap: Snapshot
+
+
+def status_banner(run: RunView) -> str:
+    """The run's identity line and, once it ended, how it ended."""
+    status, meta = run.status, run.status["meta"]
+    facts = [meta.get("system", "?"), meta.get("workload", "?"),
+             f"policy {meta.get('policy', '?')}", f"seed {meta.get('seed', '—')}"]
+    banner = (
+        '<p class="meta">' + " · ".join(html.escape(str(fact)) for fact in facts)
+        + ' · <a href="/">back to fleet</a></p>'
+    )
+    if status["state"] == "failed":
+        hint = f" — postmortem bundle {_code(status['bundle'])}" if status["bundle"] else ""
+        banner += (
+            f'<p class="alarm">failed at cycle {fmt_value(status["cycle"])}: '
+            f"{html.escape(str(status['reason']))} ({html.escape(str(status['error']))}){hint}</p>"
+        )
+    elif status["state"] == "finished":
+        banner += (
+            f'<p class="meta">finished at cycle {fmt_value(status["cycle"])} '
+            f"in {fmt_value(float(status['wall_seconds'] or 0.0))} s</p>"
+        )
+    return banner
+
+
+def determinism_badge(status: dict[str, Any], snap: Snapshot) -> str:
+    """The run page's determinism badge.
+
+    Cross-checks the live feed's final digest chain against the run's
+    registry record; feeds without a digest (plain runs, old feeds) get a
+    muted "no digest" badge rather than nothing, so the reproducibility
+    affordance is always visible.
+    """
+    final = (status.get("digest") or {}).get("final")
+    registry = (snap.digest_of(str(status.get("run_id", ""))) or {}).get("final")
+    if not final and not registry:
+        return (
+            '<p class="meta">determinism: no digest — re-run with '
+            "<code>repro simulate --digest --live</code>.</p>"
+        )
+    css = "meta"
+    if final and registry and final != registry:
+        css, verdict = "alarm", f"DIGEST MISMATCH — registry says {html.escape(str(registry))}"
+    elif final and registry:
+        verdict = "digest match (feed = registry)"
+    else:
+        verdict = f"digest present ({'live feed' if final else 'registry'} only)"
+    return (
+        f'<p class="{css}">determinism: {verdict} · '
+        f"<code>{html.escape(str(final or registry))}</code></p>"
+    )
+
+
+def run_progress(run: RunView) -> str:
+    status = run.status
+    return html_table(
+        ["progress", "cycle", "cyc/s", "eta", "delivered", "epochs"],
+        [[*progress_cells(status), float(status["delivered_fraction"] or float("nan")),
+          status["epochs"]]],
+    )
+
+
+def epochs_panel(run: RunView) -> str:
+    """Per-epoch delivery sparklines and the latest epochs ('' before the first)."""
+    from repro.viz import svg_sparkline
+
+    epochs = [event["epoch"] for event in run.events if event["kind"] == "epoch"]
+    if not epochs:
+        return ""
+    charts = "".join(
+        f"<figure>{svg_sparkline(values, width=360, height=48, title=title)}</figure>"
+        for title, values in (
+            ("packets delivered per epoch", [float(e["packets_delivered"]) for e in epochs]),
+            ("flits in the network at each epoch close",
+             [float(e["buffered"] + e["in_flight"]) for e in epochs]),
+        )
+    )
+    table = html_table(
+        ["epoch", "cycles", "injected", "delivered", "buffered", "in flight"],
+        (
+            [
+                e["index"],
+                Html(f"{fmt_value(e['start'])}–{fmt_value(e['end'])}"),
+                *(e[key] for key in
+                  ("flits_injected", "packets_delivered", "buffered", "in_flight")),
+            ]
+            for e in epochs[-12:]
+        ),
+    )
+    return f"{charts}<details><summary>latest epochs</summary>{table}</details>"
+
+
+def final_stats(run: RunView) -> str:
+    status = run.status
+    if status["state"] != "finished" or not status["stats"]:
+        return ""
+    table = html_table(["stat", "value"], sorted(status["stats"].items()))
+    return f"<details><summary>final stats</summary>{table}</details>"
+
+
+#: The run page: what happened, the badge, progress, then the detail panels.
+RUN_SECTIONS: Sections = (
+    ("", status_banner),
+    ("", lambda run: determinism_badge(run.status, run.snap)),
+    ("", run_progress),
+    ("Anomalies", lambda run: anomaly_panel(run.status["anomalies"])),
+    ("Per-epoch delivery", epochs_panel),
+    ("", final_stats),
+)
+
+
+#: A table both forms print: column headers and rows of plain cell values.
+Table = tuple[list[str], list[list[Any]]]
+
+
+def text_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> list[str]:
+    """Aligned, indented text lines of a table (none without rows): numeric
+    columns right-aligned, the rest left-aligned."""
+    if not rows:
+        return []
+    cells = [list(headers), *([str(cell) for cell in row] for row in rows)]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+    numeric = [all(isinstance(row[i], (int, float)) for row in rows) for i in range(len(headers))]
+    return [
+        "  " + "  ".join(
+            cell.rjust(width) if right else cell.ljust(width)
+            for cell, width, right in zip(row, widths, numeric)
+        ).rstrip()
+        for row in cells
+    ]
+
+
+def anomaly_table(anomalies: Sequence[dict[str, Any]]) -> Table:
+    return ["cycle", "kind", "detail"], [[a["cycle"], a["kind"], a["detail"]] for a in anomalies]
+
+
+def anomaly_panel(anomalies: Sequence[dict[str, Any]]) -> str:
+    """Health anomalies as the run and postmortem pages show them ('' when none)."""
+    headers, rows = anomaly_table(anomalies)
+    return html_table(headers, ([c, _alarm(k), d] for c, k, d in rows)) if rows else ""
+
+
+def _channel_index(bundle: dict[str, Any]) -> dict[int, dict[str, Any]]:
+    return {entry["index"]: entry for entry in bundle["channels"]}
+
+
+def _format_channel(channels: dict[int, dict[str, Any]], link: int, vc: int) -> str:
+    info = channels.get(link)
+    if info is None:
+        return f"link {link} vc {vc}"
+    return f"link {link} vc {vc} ({info['src']}->{info['dst']} {info['kind']})"
+
+
+def blocked_table(bundle: dict[str, Any], limit: int = 20) -> Table:
+    """The first ``limit`` blocked input VCs and the channels they wait on."""
+    channels = _channel_index(bundle)
+    return ["node", "port", "vc", "state", "pid", "age", "waiting on"], [
+        [entry["node"], entry["port"], entry["vc"], entry["state"], entry["pid"], entry["age"],
+         ", ".join(_format_channel(channels, want[1], want[2]) for want in entry["wants"][:3])]
+        for entry in bundle["waitfor"]["blocked"][:limit]
+    ]
+
+
+def packet_table(bundle: dict[str, Any], limit: int) -> Table:
+    """The ``limit`` oldest in-flight packets."""
+    return ["pid", "route", "age", "flits", "stage"], [
+        [entry["pid"], f"{entry['src']}->{entry['dst']}", entry["age"],
+         entry["flits_in_network"], entry["stage"]]
+        for entry in bundle["packets"]["table"][:limit]
+    ]
+
+
+def bundle_title(bundle: dict[str, Any]) -> str:
+    return f"postmortem — {bundle['reason']} at cycle {bundle['cycle']}"
+
+
+def bundle_summary(bundle: dict[str, Any]) -> str:
+    """The exception and the network's size and load, one line."""
+    net = bundle["network"]
+    error = (
+        f"{bundle.get('error_type')}: {bundle['error']}"
+        if bundle.get("error") else "no exception recorded"
+    )
+    return (
+        f"{error} · {net['n_nodes']} nodes, {net['n_links']} links · "
+        f"{net['buffered_flits']} flits buffered, {net['in_flight_flits']} in flight"
+    )
+
+
+def health_line(health: dict[str, Any]) -> str:
+    return (
+        f"{health['probes']} epochs checked, {health['anomaly_count']} anomalies "
+        f"(flags: {', '.join(health['flags']) or 'none'}), "
+        f"max in-flight age {health['max_oldest_age']}"
+    )
+
+
+def recorder_line(recorder: dict[str, Any]) -> str:
+    return (
+        f"{recorder['events_recorded']} events retained "
+        f"(window {recorder['window']} cycles, {recorder['dropped']} dropped)"
+    )
+
+
+def _more(total: int, shown: int) -> list[str]:
+    return [f"  ... and {total - shown} more"] if total > shown else []
+
+
+def render_bundle_text(bundle: dict[str, Any], *, tail: int = 20) -> str:
+    """The human-readable postmortem report of one validated bundle."""
+    channels = _channel_index(bundle)
+    lines = [bundle_title(bundle), bundle_summary(bundle), ""]
+    cycle = bundle["waitfor"]["cycle"]
+    if cycle:
+        lines.append(f"wait-for cycle ({len(cycle)} channels — deadlocked loop):")
+        lines += [f"  {_format_channel(channels, link, vc)}" for link, vc in cycle]
+    else:
+        lines.append("wait-for cycle: none found (stall, not a resource deadlock)")
+    blocked = bundle["waitfor"]["blocked"]
+    if blocked:
+        lines += ["", f"blocked input VCs ({len(blocked)}):",
+                  *text_table(*blocked_table(bundle)), *_more(len(blocked), 20)]
+    total = bundle["packets"]["total"]
+    lines += ["", f"in-flight packets ({total}):",
+              *text_table(*packet_table(bundle, 15)), *_more(total, 15)]
+    health = bundle.get("health")
+    if health:
+        lines += ["", f"health: {health_line(health)}",
+                  *text_table(*anomaly_table(health["anomalies"][:8]))]
+    recorder = bundle.get("recorder")
+    if recorder:
+        lines += ["", f"flight recorder: {recorder_line(recorder)}",
+                  *(f"  {event_line(event)}" for event in recorder["tail"][-tail:])]
+    return "\n".join(lines)
+
+
+def waitfor_panel(bundle: dict[str, Any]) -> str:
+    """The wait-for graph, its deadlock loop in the alarm colour."""
+    from repro.viz import svg_waitfor_graph
+
+    channels = _channel_index(bundle)
+    waitfor = bundle["waitfor"]
+    edges = [(tuple(a), tuple(b)) for a, b in waitfor["edges"]]
+    nodes = sorted({vertex for edge in edges for vertex in edge})
+    if not nodes:
+        return _empty("no blocked flits — nothing waits on anything.")
+    labels = {}
+    for vertex in nodes:
+        tag, first, second = vertex
+        if tag == "chan":
+            info = channels.get(first)
+            arrow = f"{info['src']}→{info['dst']}" if info else "?"
+            labels[vertex] = f"L{first}v{second} {arrow}"
+        else:
+            labels[vertex] = f"inject n{first}v{second}"
+    graph = svg_waitfor_graph(
+        nodes, edges, cycle=[("chan", link, vc) for link, vc in waitfor["cycle"]],
+        labels=labels, title="wait-for graph (blocked flits; red loop = deadlock cycle)",
+    )
+    return f"<figure>{graph}</figure>"
+
+
+def occupancy_panel(bundle: dict[str, Any]) -> str:
+    from repro.viz import svg_node_heatmap
+
+    occupancy = {entry["node"]: entry["buffered"] for entry in bundle["routers"]}
+    heatmap = svg_node_heatmap(
+        occupancy, bundle["network"]["n_nodes"], title="buffered flits per router"
+    )
+    return f"<figure>{heatmap}</figure>"
+
+
+def packets_panel(bundle: dict[str, Any]) -> str:
+    table = packet_table(bundle, 40)
+    return html_table(*table) if table[1] else _empty("no packets in flight.")
+
+
+def health_panel(bundle: dict[str, Any]) -> str:
+    health = bundle.get("health")
+    if not health:
+        return _empty("no health monitor was attached.")
+    anomalies = anomaly_panel(health["anomalies"]) or _empty("no anomalies flagged.")
+    return f'<p class="meta">{html.escape(health_line(health))}</p>{anomalies}'
+
+
+def recorder_panel(bundle: dict[str, Any]) -> str:
+    recorder = bundle.get("recorder")
+    if not recorder or not recorder["tail"]:
+        return _empty("no flight recorder was attached.")
+    tail = "\n".join(event_line(event) for event in recorder["tail"])
+    return (
+        f'<p class="meta">{html.escape(recorder_line(recorder))}</p>'
+        f"<pre>{html.escape(tail)}</pre>"
+    )
+
+
+#: The postmortem page: the five panels of one bundle.
+POSTMORTEM_SECTIONS: Sections = (
+    ("Wait-for graph", waitfor_panel),
+    ("Router occupancy", occupancy_panel),
+    ("In-flight packets", packets_panel),
+    ("Health", health_panel),
+    ("Flight recorder tail", recorder_panel),
+)
+
+
+def render_bundle_html(bundle: dict[str, Any]) -> str:
+    """A self-contained HTML postmortem page for one validated bundle."""
+    return render_page(bundle_title(bundle), POSTMORTEM_SECTIONS, bundle,
+                       meta=html.escape(bundle_summary(bundle)))

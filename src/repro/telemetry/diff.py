@@ -125,6 +125,8 @@ class DiffReport:
 
     def render(self) -> str:
         """Plain-text report, one granularity per section."""
+        from .forensics import event_line
+
         a, b = self.digest_a, self.digest_b
         lines = [
             f"repro diff: {self.label_a}  vs  {self.label_b}",
@@ -169,13 +171,7 @@ class DiffReport:
                     f"  event context at cycle {self.divergent_cycle} "
                     f"({self.label_b}):"
                 )
-                for event in self.context:
-                    fields = " ".join(
-                        f"{key}={value}"
-                        for key, value in event.items()
-                        if key not in ("event", "cycle")
-                    )
-                    lines.append(f"    {event.get('event', '?'):<14s} {fields}")
+                lines.extend(f"    {event_line(event)}" for event in self.context)
                 if self.context_truncated:
                     lines.append(
                         f"    … {self.context_truncated} more event(s) at this cycle"

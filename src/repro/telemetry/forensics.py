@@ -24,8 +24,9 @@ is the :class:`~repro.sim.engine.Engine`'s failure hook: its ``fail``
 captures and writes a bundle, so every
 :class:`~repro.sim.stats.DeadlockError`, drain timeout or
 :class:`~repro.analysis.sanitizer.InvariantViolation` leaves one on disk.
-``repro postmortem BUNDLE`` renders a bundle as a text report or a
-self-contained HTML page.
+``repro postmortem BUNDLE`` renders a validated bundle as a text report or
+a self-contained HTML page (:mod:`repro.telemetry.dashboard`, which prints
+recorded events with :func:`event_line`).
 
 Import note: like every collector in this package, this module must not
 import ``repro.noc`` / ``repro.core`` at module load (``repro.noc``
@@ -36,16 +37,16 @@ typing and the ``snapshot_state`` hooks.
 
 from __future__ import annotations
 
-import html as _html
 import json
 from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .bus import EVENT_NAMES
+from .live import Row, fits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.noc.flit import Flit, Packet
+    from repro.noc.flit import Packet
     from repro.noc.network import Network
 
     from .metrics import HealthMonitor
@@ -86,54 +87,50 @@ WaitVertex = tuple[str, int, int]
 # ---------------------------------------------------------------------------
 
 
-def _packet_ref(packet: "Packet") -> dict[str, int]:
-    return {
-        "pid": packet.pid,
-        "src": packet.src,
-        "dst": packet.dst,
-        "len": packet.length,
-    }
+#: Each recordable event's argument names, in bus order (``now`` last, not
+#: named); ``_`` marks an argument the record leaves out.
+_EVENT_ARGS: dict[str, tuple[str, ...]] = {
+    "packet_inject": ("_", "packet"),
+    "packet_eject": ("node", "packet"),
+    "route_compute": ("node", "packet", "in_port", "in_vc"),
+    "vc_alloc": ("node", "packet", "in_port", "in_vc", "out_port", "out_vc"),
+    "flit_send": ("node", "flit", "out_port", "out_vc"),
+    "flit_recv": ("node", "port", "vc", "flit"),
+    "link_accept": ("link", "flit", "vc"),
+    "credit_return": ("link", "vc"),
+    "credit_stall": ("node", "out_port", "vc"),
+    "phy_dispatch": ("link", "flit", "vc", "phy"),
+    "rob_insert": ("link", "flit", "vc"),
+    "rob_release": ("link", "flit", "vc"),
+}
 
-
-def _flit_ref(flit: "Flit") -> dict[str, int]:
-    return {"pid": flit.packet.pid, "flit": flit.index}
+#: How a named argument is recorded: routers by node, links by index,
+#: packets and flits by reference; anything else as is.
+_ARG_REFS: dict[str, Callable[[Any], Any]] = {
+    "node": lambda router: router.node,
+    "link": lambda link: link.index,
+    "packet": lambda packet: {
+        "pid": packet.pid, "src": packet.src, "dst": packet.dst, "len": packet.length},
+    "flit": lambda flit: {"pid": flit.packet.pid, "flit": flit.index},
+}
 
 
 def _decode_event(name: str, args: tuple) -> dict[str, Any]:
     """One recorded ``(name, args)`` pair -> a JSON-serializable record."""
     out: dict[str, Any] = {"event": name, "cycle": _event_cycle(name, args)}
-    if name == "packet_inject":
-        out["packet"] = _packet_ref(args[1])
-    elif name == "packet_eject":
-        out["node"] = args[0].node
-        out["packet"] = _packet_ref(args[1])
-    elif name == "route_compute":
-        out.update(node=args[0].node, packet=_packet_ref(args[1]),
-                   in_port=args[2], in_vc=args[3])
-    elif name == "vc_alloc":
-        out.update(node=args[0].node, packet=_packet_ref(args[1]),
-                   in_port=args[2], in_vc=args[3],
-                   out_port=args[4], out_vc=args[5])
-    elif name == "flit_send":
-        out.update(node=args[0].node, flit=_flit_ref(args[1]),
-                   out_port=args[2], out_vc=args[3])
-    elif name == "flit_recv":
-        out.update(node=args[0].node, port=args[1], vc=args[2],
-                   flit=_flit_ref(args[3]))
-    elif name == "link_accept":
-        out.update(link=args[0].index, flit=_flit_ref(args[1]), vc=args[2])
-    elif name == "credit_return":
-        out.update(link=args[0].index, vc=args[1])
-    elif name == "credit_stall":
-        out.update(node=args[0].node, out_port=args[1], vc=args[2])
-    elif name == "phy_dispatch":
-        out.update(link=args[0].index, flit=_flit_ref(args[1]),
-                   vc=args[2], phy=args[3])
-    elif name in ("rob_insert", "rob_release"):
-        out.update(link=args[0].index, flit=_flit_ref(args[1]), vc=args[2])
-    else:  # pragma: no cover - defensive
-        out["args"] = repr(args)
+    for key, arg in zip(_EVENT_ARGS[name], args):
+        if key != "_":
+            ref = _ARG_REFS.get(key)
+            out[key] = arg if ref is None else ref(arg)
     return out
+
+
+def event_line(event: dict[str, Any]) -> str:
+    """One decoded event as the postmortem report and ``repro diff`` print it."""
+    fields = ", ".join(
+        f"{key}={value}" for key, value in event.items() if key not in ("event", "cycle")
+    )
+    return f"cycle {event['cycle']:>8} {event['event']:<14} {fields}"
 
 
 def _event_cycle(name: str, args: tuple) -> int:
@@ -638,65 +635,41 @@ def load_bundle(path: str | Path) -> dict[str, Any]:
     return bundle
 
 
-#: Top-level keys every v1 bundle must carry.
-_REQUIRED_KEYS = (
-    "schema_version",
-    "reason",
-    "cycle",
-    "network",
-    "channels",
-    "routers",
-    "links",
-    "packets",
-    "waitfor",
-)
+_VERTEX = Row((str, int, int))  # a wait-for vertex: ("chan", link, vc) / ("inject", node, vc)
 
-#: What the renderers read below the top level: key -> (name in errors,
-#: field types).  ``channels`` and ``routers`` hold lists of such records;
-#: ``health`` and ``recorder`` may be null.
-_SECTIONS: dict[str, tuple[str, dict[str, type]]] = {
+#: What the postmortem renderers read, section by section: key -> (name in
+#: errors, :func:`~repro.telemetry.live.fits` spec).
+_SECTIONS: dict[str, tuple[str, Any]] = {
     "network": ("network summary", {
         "n_nodes": int, "n_links": int, "buffered_flits": int, "in_flight_flits": int}),
-    "channels": ("channel table", {"index": int, "src": int, "dst": int, "kind": str}),
-    "routers": ("router table", {"node": int, "buffered": int}),
-    "packets": ("packet table", {"total": int, "table": list}),
-    "waitfor": ("wait-for graph", {"blocked": list, "edges": list, "cycle": list}),
+    "channels": ("channel table", [{"index": int, "src": int, "dst": int, "kind": str}]),
+    "routers": ("router table", [{"node": int, "buffered": int}]),
+    "packets": ("packet table", {"total": int, "table": [{
+        "pid": int, "src": int, "dst": int, "age": int, "flits_in_network": int, "stage": str}]}),
+    "waitfor": ("wait-for graph", {
+        "blocked": [{"node": int, "port": int, "vc": int, "state": str, "pid": int, "age": int,
+                     "wants": [_VERTEX]}],
+        "edges": [Row((_VERTEX, _VERTEX))], "cycle": [Row((int, int))]}),
     "health": ("health summary", {
-        "probes": int, "anomaly_count": int, "flags": list, "max_oldest_age": int,
-        "anomalies": list}),
+        "probes": int, "anomaly_count": int, "flags": [str], "max_oldest_age": int,
+        "anomalies": [{"cycle": int, "kind": str, "detail": str}]}),
     "recorder": ("recorder summary", {
-        "window": int, "events_recorded": int, "dropped": int, "tail": list}),
+        "window": int, "events_recorded": int, "dropped": int,
+        "tail": [{"event": str, "cycle": int}]}),
 }
-#: The list of rows some sections carry: key -> (field, row field types).
-_ROWS: dict[str, tuple[str, dict[str, type]]] = {
-    "packets": ("table", {
-        "pid": int, "src": int, "dst": int, "age": int, "flits_in_network": int, "stage": str}),
-    "waitfor": ("blocked", {
-        "node": int, "port": int, "vc": int, "state": str, "pid": int, "age": int, "wants": list}),
-    "health": ("anomalies", {"cycle": int, "kind": str, "detail": str}),
-    "recorder": ("tail", {"event": str, "cycle": int}),
-}
-
-
-def _fits(record: Any, fields: dict[str, type]) -> bool:
-    """True when ``record`` is an object carrying every field, typed."""
-    return isinstance(record, dict) and all(
-        isinstance(record.get(key), kind) for key, kind in fields.items()
-    )
-
-
-def _typed(items: Any, *kinds: type) -> bool:
-    """True when ``items`` is a list typed item by item like ``kinds``."""
-    return isinstance(items, list) and len(items) == len(kinds) and all(
-        isinstance(item, kind) for item, kind in zip(items, kinds)
-    )
+#: Sections that are null when no monitor / recorder was attached.
+_NULLABLE = ("health", "recorder")
+#: Top-level keys every v1 bundle must carry.
+_REQUIRED_KEYS = ("schema_version", "reason", "cycle", "links",
+                  *(key for key in _SECTIONS if key not in _NULLABLE))
 
 
 def validate_bundle(bundle: Any) -> None:
     """Raise :class:`ValueError` unless ``bundle`` is a readable v1 bundle.
 
-    Checks every nested field :func:`render_bundle_text` and
-    :func:`render_bundle_html` read, so a bundle that validates renders.
+    Checks every nested field the postmortem renderers
+    (:mod:`repro.telemetry.dashboard`) read, so a bundle that validates
+    renders.
     """
     if not isinstance(bundle, dict):
         raise ValueError("bundle is not a JSON object")
@@ -709,242 +682,8 @@ def validate_bundle(bundle: Any) -> None:
             f"bundle schema v{version!r} is not supported "
             f"(this build reads v{FORENSICS_SCHEMA_VERSION})"
         )
-    for key, (name, fields) in _SECTIONS.items():
-        section = bundle.get(key)
-        if section is None and key in ("health", "recorder"):
-            continue
-        records = section if key in ("channels", "routers") else [section]
-        ok = isinstance(records, list) and all(_fits(record, fields) for record in records)
-        if ok and key in _ROWS:
-            column, row = _ROWS[key]
-            ok = all(_fits(entry, row) for entry in section[column])
-        if not ok:
+    for key, (name, spec) in _SECTIONS.items():
+        if not (key in _NULLABLE and bundle.get(key) is None or fits(bundle[key], spec)):
             raise ValueError(f"bundle {name} is malformed")
-    waitfor, vertex = bundle["waitfor"], (str, int, int)
-    if not (
-        all(_typed(channel, int, int) for channel in waitfor["cycle"])
-        and all(_typed(edge, list, list) and all(_typed(end, *vertex) for end in edge)
-                for edge in waitfor["edges"])
-        and all(_typed(want, *vertex) for entry in waitfor["blocked"] for want in entry["wants"])
-    ):
-        raise ValueError("bundle wait-for graph is malformed")
-    if not all(isinstance(flag, str) for flag in (bundle.get("health") or {}).get("flags", ())):
-        raise ValueError("bundle health summary is malformed")
     if not isinstance(bundle["reason"], str) or bundle["network"]["n_nodes"] < 1:
         raise ValueError("bundle reason or node count is malformed")
-
-
-# ---------------------------------------------------------------------------
-# rendering (repro postmortem)
-# ---------------------------------------------------------------------------
-
-
-def _channel_index(bundle: dict[str, Any]) -> dict[int, dict[str, Any]]:
-    return {entry["index"]: entry for entry in bundle.get("channels", [])}
-
-
-def _format_channel(channels: dict[int, dict[str, Any]], link: int, vc: int) -> str:
-    info = channels.get(link)
-    if info is None:
-        return f"link {link} vc {vc}"
-    return f"link {link} vc {vc} ({info['src']}->{info['dst']} {info['kind']})"
-
-
-def render_bundle_text(bundle: dict[str, Any], *, tail: int = 20) -> str:
-    """The human-readable postmortem report of one bundle."""
-    channels = _channel_index(bundle)
-    net = bundle["network"]
-    lines = [
-        f"postmortem: {bundle['reason']} at cycle {bundle['cycle']}",
-        f"error     : {bundle.get('error_type') or '-'}"
-        + (f": {bundle['error']}" if bundle.get("error") else ""),
-        f"network   : {net['n_nodes']} nodes, {net['n_links']} links, "
-        f"{net['buffered_flits']} flits buffered, "
-        f"{net['in_flight_flits']} in flight",
-        "",
-    ]
-    cycle = bundle["waitfor"]["cycle"]
-    if cycle:
-        lines.append(f"wait-for cycle ({len(cycle)} channels — deadlocked loop):")
-        for link, vc in cycle:
-            lines.append(f"  {_format_channel(channels, link, vc)}")
-    else:
-        lines.append("wait-for cycle: none found (stall, not a resource deadlock)")
-    blocked = bundle["waitfor"]["blocked"]
-    if blocked:
-        lines.append("")
-        lines.append(f"blocked input VCs ({len(blocked)}):")
-        lines.append("  node port vc state         pid      age  waiting on")
-        for entry in blocked[:20]:
-            wants = ", ".join(
-                _format_channel(channels, want[1], want[2])
-                for want in entry["wants"][:3]
-            )
-            lines.append(
-                f"  {entry['node']:>4d} {entry['port']:>4d} {entry['vc']:>2d} "
-                f"{entry['state']:<13s} {entry['pid']:>6d} {entry['age']:>7d}  "
-                f"{wants}"
-            )
-        if len(blocked) > 20:
-            lines.append(f"  ... and {len(blocked) - 20} more")
-    packets = bundle["packets"]
-    lines.append("")
-    lines.append(f"in-flight packets ({packets['total']}):")
-    lines.append("    pid  src->dst      age  flits  stage")
-    for entry in packets["table"][:15]:
-        lines.append(
-            f"  {entry['pid']:>5d}  {entry['src']:>3d}->{entry['dst']:<3d}  "
-            f"{entry['age']:>7d}  {entry['flits_in_network']:>5d}  {entry['stage']}"
-        )
-    if packets["total"] > 15:
-        lines.append(f"  ... and {packets['total'] - 15} more")
-    health = bundle.get("health")
-    if health:
-        lines.append("")
-        lines.append(
-            f"health: {health['probes']} epochs checked, "
-            f"{health['anomaly_count']} anomalies "
-            f"(flags: {', '.join(health['flags']) or 'none'}), "
-            f"max in-flight age {health['max_oldest_age']}"
-        )
-        for anomaly in health["anomalies"][:8]:
-            lines.append(
-                f"  cycle {anomaly['cycle']}: {anomaly['kind']}: {anomaly['detail']}"
-            )
-    recorder = bundle.get("recorder")
-    if recorder:
-        lines.append("")
-        lines.append(
-            f"flight recorder: {recorder['events_recorded']} events retained "
-            f"(window {recorder['window']} cycles, {recorder['dropped']} dropped)"
-        )
-        for event in recorder["tail"][-tail:]:
-            fields = ", ".join(
-                f"{key}={value}"
-                for key, value in event.items()
-                if key not in ("event", "cycle")
-            )
-            lines.append(f"  cycle {event['cycle']:>8d} {event['event']:<14s} {fields}")
-    return "\n".join(lines)
-
-
-def render_bundle_html(bundle: dict[str, Any]) -> str:
-    """A self-contained HTML postmortem page for one bundle."""
-    from repro.viz import svg_node_heatmap, svg_waitfor_graph
-
-    from .dashboard import html_table, render_page
-
-    channels = _channel_index(bundle)
-    waitfor = bundle["waitfor"]
-    net = bundle["network"]
-    esc = _html.escape
-
-    nodes = sorted(
-        {tuple(a) for a, _b in waitfor["edges"]}
-        | {tuple(b) for _a, b in waitfor["edges"]}
-    )
-    labels = {}
-    for vertex in nodes:
-        tag, first, second = vertex
-        if tag == "chan":
-            info = channels.get(first)
-            arrow = f"{info['src']}→{info['dst']}" if info else "?"
-            labels[vertex] = f"L{first}v{second} {arrow}"
-        else:
-            labels[vertex] = f"inject n{first}v{second}"
-    cycle_vertices = [("chan", link, vc) for link, vc in waitfor["cycle"]]
-    graph_svg = (
-        svg_waitfor_graph(
-            nodes,
-            [(tuple(a), tuple(b)) for a, b in waitfor["edges"]],
-            cycle=cycle_vertices,
-            labels=labels,
-            title="wait-for graph (blocked flits; red loop = deadlock cycle)",
-        )
-        if nodes
-        else '<p class="empty">no blocked flits — nothing waits on anything.</p>'
-    )
-
-    occupancy = {entry["node"]: entry["buffered"] for entry in bundle["routers"]}
-    heatmap_svg = svg_node_heatmap(
-        occupancy,
-        net["n_nodes"],
-        title="buffered flits per router",
-    )
-
-    packet_rows = [
-        [
-            str(entry["pid"]),
-            f"{entry['src']}&rarr;{entry['dst']}",
-            str(entry["age"]),
-            str(entry["flits_in_network"]),
-            esc(entry["stage"]),
-        ]
-        for entry in bundle["packets"]["table"][:40]
-    ]
-    packet_table = (
-        html_table(["pid", "route", "age", "flits", "stage"], packet_rows)
-        if packet_rows
-        else '<p class="empty">no packets in flight.</p>'
-    )
-
-    health = bundle.get("health")
-    if health:
-        anomaly_rows = [
-            [str(a["cycle"]), esc(a["kind"]), esc(a["detail"])]
-            for a in health["anomalies"]
-        ]
-        health_html = (
-            f"<p class=\"meta\">{health['probes']} epochs checked, "
-            f"{health['anomaly_count']} anomalies, max in-flight age "
-            f"{health['max_oldest_age']}</p>"
-            + (
-                html_table(["cycle", "kind", "detail"], anomaly_rows)
-                if anomaly_rows
-                else '<p class="empty">no anomalies flagged.</p>'
-            )
-        )
-    else:
-        health_html = '<p class="empty">no health monitor was attached.</p>'
-
-    recorder = bundle.get("recorder")
-    if recorder and recorder["tail"]:
-        tail_text = "\n".join(
-            f"cycle {event['cycle']:>8d} {event['event']:<14s} "
-            + ", ".join(
-                f"{key}={value}"
-                for key, value in event.items()
-                if key not in ("event", "cycle")
-            )
-            for event in recorder["tail"]
-        )
-        recorder_html = (
-            f"<p class=\"meta\">{recorder['events_recorded']} events retained, "
-            f"window {recorder['window']} cycles, {recorder['dropped']} "
-            f"dropped</p><pre>{esc(tail_text)}</pre>"
-        )
-    else:
-        recorder_html = '<p class="empty">no flight recorder was attached.</p>'
-
-    error_line = (
-        f"{esc(str(bundle.get('error_type')))}: {esc(str(bundle.get('error')))}"
-        if bundle.get("error")
-        else "no exception recorded"
-    )
-    sections = [
-        f"<h1>postmortem — {esc(bundle['reason'])} at cycle {bundle['cycle']}</h1>",
-        f'<p class="meta">{error_line} &middot; {net["n_nodes"]} nodes, '
-        f"{net['n_links']} links &middot; {net['buffered_flits']} flits "
-        f"buffered, {net['in_flight_flits']} in flight</p>",
-        "<h2>Wait-for graph</h2>",
-        f"<figure>{graph_svg}</figure>",
-        "<h2>Router occupancy</h2>",
-        f"<figure>{heatmap_svg}</figure>",
-        "<h2>In-flight packets</h2>",
-        packet_table,
-        "<h2>Health</h2>",
-        health_html,
-        "<h2>Flight recorder tail</h2>",
-        recorder_html,
-    ]
-    return render_page("repro postmortem", "".join(sections))

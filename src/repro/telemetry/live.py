@@ -48,17 +48,45 @@ LIVE_SCHEMA_VERSION = 2
 #: Default feed directory, relative to the run registry directory.
 DEFAULT_LIVE_SUBDIR = "live"
 
-#: Payload fields every event kind must carry (beyond the envelope).
-EVENT_KINDS: dict[str, tuple[str, ...]] = {
-    "start": ("meta",),
-    "epoch": ("cycle", "cps", "eta_seconds", "delivered_fraction", "epoch"),
-    "anomaly": ("cycle", "anomaly_kind", "detail"),
-    "finish": ("cycle", "wall_seconds", "stats"),
-    "failure": ("cycle", "reason", "error", "bundle"),
+_NUMBER, _NULL = (int, float), type(None)
+
+#: Payload fields every event kind must carry (beyond the envelope), typed
+#: as :func:`feed_status` and the pages read them (a dict types the keys
+#: read below a field); a non-finite float is written as null.
+EVENT_KINDS: dict[str, dict[str, Any]] = {
+    "start": {"meta": dict},
+    "epoch": {
+        "cycle": int, "cps": (*_NUMBER, _NULL), "eta_seconds": (*_NUMBER, _NULL),
+        "delivered_fraction": (*_NUMBER, _NULL),
+        "epoch": dict.fromkeys(("index", "start", "end", "flits_injected", "packets_delivered",
+                                "buffered", "in_flight"), _NUMBER),
+    },
+    "anomaly": {"cycle": int, "anomaly_kind": str, "detail": str},
+    "finish": {"cycle": int, "wall_seconds": (*_NUMBER, _NULL), "stats": dict},
+    "failure": {"cycle": int, "reason": str, "error": (str, _NULL), "bundle": (str, _NULL)},
 }
 
-#: Envelope fields every event carries.
-ENVELOPE_FIELDS = ("schema_version", "run_id", "seq", "wall", "kind")
+#: Envelope fields every event carries, typed.
+ENVELOPE_FIELDS: dict[str, Any] = {
+    "schema_version": int, "run_id": str, "seq": int, "wall": _NUMBER, "kind": str}
+
+
+class Row(tuple):
+    """A :func:`fits` spec for a fixed-length list, typed item by item."""
+
+
+def fits(value: Any, spec: Any) -> bool:
+    """True when the JSON ``value`` has the shape ``spec`` gives: a type or
+    tuple of types, a dict (an object whose keys fit theirs), ``[item]`` (a
+    list of fitting items) or a :class:`Row`.  Live feeds and postmortem
+    bundles are checked with it against what the pages read."""
+    if isinstance(spec, dict):
+        return isinstance(value, dict) and all(fits(value.get(k), s) for k, s in spec.items())
+    if isinstance(spec, Row):
+        return isinstance(value, list) and len(value) == len(spec) and all(map(fits, value, spec))
+    if isinstance(spec, list):
+        return isinstance(value, list) and all(fits(item, spec[0]) for item in value)
+    return isinstance(value, spec)
 
 
 class LiveFeedError(ValueError):
@@ -95,7 +123,7 @@ def validate_live_event(event: Any) -> dict[str, Any]:
         if name not in event:
             raise LiveFeedError(f"live event is missing envelope field {name!r}")
     kind = event["kind"]
-    required = EVENT_KINDS.get(kind)
+    required = EVENT_KINDS.get(kind) if isinstance(kind, str) else None
     if required is None:
         raise LiveFeedError(f"unknown live event kind {kind!r}")
     missing = [name for name in required if name not in event]
@@ -103,6 +131,12 @@ def validate_live_event(event: Any) -> dict[str, Any]:
         raise LiveFeedError(
             f"live {kind!r} event is missing fields: {', '.join(missing)}"
         )
+    wrong = [name for name, spec in {**ENVELOPE_FIELDS, **required}.items()
+             if not fits(event[name], spec)]
+    if not fits(event.get("digest") or {}, {"final": (str, _NULL)}):  # finish's chain
+        wrong.append("digest")
+    if wrong:
+        raise LiveFeedError(f"live {kind!r} event has mistyped fields: {', '.join(wrong)}")
     return event
 
 

@@ -10,14 +10,18 @@ paper-figure CSVs, and serves:
   runs in flight, recent failures, the paper figures and agreement, the
   performance, latency-attribution, health and determinism panels and the
   recent-runs table), auto-updating via Server-Sent Events;
-* ``/run/<run_id>`` — one run's live page (progress, epochs, anomalies);
+* ``/run/<run_id>`` — one run's live page (status, determinism badge,
+  progress, anomalies, epochs, final stats);
 * ``/api/runs`` — the fleet state as JSON;
 * ``/api/live/<run_id>`` — one feed's folded status plus its raw events;
 * ``/api/bench`` — the bench trajectory read off the ``BENCH_<n>.json`` files;
 * ``/events`` and ``/events/<run_id>`` — the SSE streams behind the
   pages (``data:`` lines carrying re-rendered HTML fragments).
 
-Every render starts from one :class:`~repro.telemetry.dashboard.Snapshot`,
+Both pages are section lists of :mod:`repro.telemetry.dashboard` rendered
+by its one :func:`~repro.telemetry.dashboard.render_sections` function; this
+module holds only HTTP, SSE, feed lookup and the JSON documents.  Every
+render starts from one :class:`~repro.telemetry.dashboard.Snapshot`,
 which reads each source once.  Reads are stateless — every request takes a
 new snapshot — which keeps the service correct under concurrent writers at
 fleet sizes where a JSONL scan per poll is cheap.
@@ -29,7 +33,6 @@ only reads files other processes write.
 
 from __future__ import annotations
 
-import html
 import json
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -40,14 +43,14 @@ from urllib.parse import urlparse
 from .bench import THROUGHPUT, bench_files
 from .compare import json_num
 from .dashboard import (
+    RUN_SECTIONS,
+    SECTIONS,
+    RunView,
     Snapshot,
     feed_paths,
-    fleet_fragment,
-    fmt_value,
-    html_table,
-    progress_cells,
     render_fleet,
     render_page,
+    render_sections,
 )
 from .live import feed_status, read_feed
 from .runstore import utc_now_iso
@@ -66,34 +69,6 @@ def _sse_script(endpoint: str) -> str:
         "  document.getElementById('live').innerHTML = payload.html;"
         "};"
         "</script>"
-    )
-
-
-def determinism_badge(status: dict[str, Any], snap: Snapshot) -> str:
-    """The run page's determinism badge.
-
-    Cross-checks the live feed's final digest chain against the run's
-    registry record; feeds without a digest (plain runs, old feeds) get a
-    muted "no digest" badge rather than nothing, so the reproducibility
-    affordance is always visible.
-    """
-    final = (status.get("digest") or {}).get("final")
-    registry = (snap.digest_of(str(status.get("run_id", ""))) or {}).get("final")
-    if not final and not registry:
-        return (
-            '<p class="meta">determinism: no digest — re-run with '
-            "<code>repro simulate --digest --live</code>.</p>"
-        )
-    css = "meta"
-    if final and registry and final != registry:
-        css, verdict = "alarm", f"DIGEST MISMATCH — registry says {html.escape(str(registry))}"
-    elif final and registry:
-        verdict = "digest match (feed = registry)"
-    else:
-        verdict = f"digest present ({'live feed' if final else 'registry'} only)"
-    return (
-        f'<p class="{css}">determinism: {verdict} · '
-        f"<code>{html.escape(str(final or registry))}</code></p>"
     )
 
 
@@ -200,108 +175,24 @@ class WatchService:
         """The served fleet page: the one page plus its SSE hook."""
         return render_fleet(self.snapshot(), hook=_sse_script("/events"))
 
-    def run_fragment(self, run_id: str) -> Optional[str]:
-        """One run's live view (None: no such feed)."""
-        from repro.viz import svg_sparkline
-
+    def run_view(self, run_id: str) -> Optional[RunView]:
+        """The run page's source (None: no such feed)."""
         state = self.live_state(run_id)
         if state is None:
             return None
-        status = state["status"]
-        meta = status["meta"]
-        facts = [meta.get("system", "?"), meta.get("workload", "?"),
-                 f"policy {meta.get('policy', '?')}", f"seed {meta.get('seed', '—')}"]
-        parts = [
-            '<p class="meta">' + " · ".join(html.escape(str(fact)) for fact in facts)
-            + ' · <a href="/">back to fleet</a></p>'
-        ]
-        if status["state"] == "failed":
-            bundle = html.escape(str(status["bundle"]))
-            hint = f" — postmortem bundle <code>{bundle}</code>" if status["bundle"] else ""
-            parts.append(
-                f'<p class="alarm">failed at cycle {fmt_value(status["cycle"])}: '
-                f"{html.escape(str(status['reason']))}"
-                f" ({html.escape(str(status['error']))}){hint}</p>"
-            )
-        elif status["state"] == "finished":
-            parts.append(
-                f'<p class="meta">finished at cycle {fmt_value(status["cycle"])} '
-                f"in {fmt_value(float(status['wall_seconds'] or 0.0))} s</p>"
-            )
-        parts.append(determinism_badge(status, self.snapshot()))
-        parts.append(
-            html_table(
-                ["progress", "cycle", "cyc/s", "eta", "delivered", "epochs"],
-                [
-                    [
-                        *progress_cells(status),
-                        fmt_value(float(status["delivered_fraction"] or float("nan"))),
-                        fmt_value(status["epochs"]),
-                    ]
-                ],
-            )
-        )
-        if status["anomalies"]:
-            rows = (
-                [
-                    fmt_value(anomaly.get("cycle")),
-                    f'<span class="alarm">{html.escape(str(anomaly.get("kind")))}</span>',
-                    html.escape(str(anomaly.get("detail"))),
-                ]
-                for anomaly in status["anomalies"]
-            )
-            parts.append("<h2>Anomalies</h2>" + html_table(["cycle", "kind", "detail"], rows))
-        epochs = [e["epoch"] for e in state["events"] if e.get("kind") == "epoch"]
-        if epochs:
-            delivered = [float(e.get("packets_delivered", 0)) for e in epochs]
-            in_network = [float(e.get("buffered", 0) + e.get("in_flight", 0)) for e in epochs]
-            parts.append("<h2>Per-epoch delivery</h2>")
-            for title, values in (
-                ("packets delivered per epoch", delivered),
-                ("flits in the network at each epoch close", in_network),
-            ):
-                svg = svg_sparkline(values, width=360, height=48, title=title)
-                parts.append(f"<figure>{svg}</figure>")
-            parts.append(
-                "<details><summary>latest epochs</summary>"
-                + html_table(
-                    ["epoch", "cycles", "injected", "delivered", "buffered",
-                     "in flight"],
-                    (
-                        [
-                            fmt_value(e.get("index")),
-                            f"{fmt_value(e.get('start'))}–{fmt_value(e.get('end'))}",
-                            *(fmt_value(e.get(key)) for key in (
-                                "flits_injected", "packets_delivered", "buffered", "in_flight")),
-                        ]
-                        for e in epochs[-12:]
-                    ),
-                )
-                + "</details>"
-            )
-        if status["state"] == "finished" and status["stats"]:
-            parts.append(
-                "<details><summary>final stats</summary>"
-                + html_table(
-                    ["stat", "value"],
-                    (
-                        [html.escape(str(key)), fmt_value(value)]
-                        for key, value in sorted(status["stats"].items())
-                    ),
-                )
-                + "</details>"
-            )
-        return "".join(parts)
+        return RunView(state["status"], state["events"], self.snapshot())
+
+    def run_fragment(self, run_id: str) -> Optional[str]:
+        """One run's live view (None: no such feed)."""
+        view = self.run_view(run_id)
+        return None if view is None else render_sections(RUN_SECTIONS, view)
 
     def run_page(self, run_id: str) -> Optional[str]:
-        fragment = self.run_fragment(run_id)
-        if fragment is None:
+        view = self.run_view(run_id)
+        if view is None:
             return None
-        body = (
-            f"<h1>repro watch — run {html.escape(run_id)}</h1>"
-            f'<main id="live">{fragment}</main>{_sse_script(f"/events/{run_id}")}'
-        )
-        return render_page(f"repro watch — {run_id}", body)
+        title, hook = f"repro watch — run {run_id}", _sse_script(f"/events/{run_id}")
+        return render_page(title, RUN_SECTIONS, view, hook=hook)
 
 
 class WatchHandler(BaseHTTPRequestHandler):
@@ -378,7 +269,7 @@ class WatchHandler(BaseHTTPRequestHandler):
             elif path.startswith("/run/"):
                 self._page(service.run_page(path.removeprefix("/run/")))
             elif path == "/events":
-                self._sse(lambda: fleet_fragment(service.snapshot()))
+                self._sse(lambda: render_sections(SECTIONS, service.snapshot()))
             elif path.startswith("/events/"):
                 run_id = path.removeprefix("/events/")
                 if service.feed_path(run_id) is None:

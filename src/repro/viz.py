@@ -1,8 +1,11 @@
-"""Plain-text visualization helpers.
+"""Visualization helpers: text for terminals, inline SVG for the pages.
 
-No plotting stack is assumed: these render topologies, link utilization
-and latency curves as text, for examples, debugging and notebook-free
-analysis.
+No plotting stack is assumed.  The text half renders topologies, link
+utilization and latency curves for examples, debugging and notebook-free
+analysis; the SVG half draws the charts of the three HTML pages (fleet,
+run and postmortem, :mod:`repro.telemetry.dashboard`), each a
+self-contained ``<svg>`` string coloured through the page palette's CSS
+custom properties.
 
 * :func:`render_topology` — chiplet floorplan with per-family channel
   legend;
@@ -12,8 +15,9 @@ analysis.
 * :func:`timeseries_heatmap` — per-epoch telemetry series (one labelled
   row per link/counter) as a text heatmap;
 * :func:`ascii_curve` — a quick y-vs-x line chart for latency curves;
-* :func:`svg_line_chart` — a dependency-free inline-SVG line chart used
-  by the ``repro watch`` fleet page;
+* :func:`svg_line_chart` — a dependency-free inline-SVG line chart, with
+  optional dashed event markers (the fleet page's figure and trajectory
+  charts);
 * :func:`svg_stacked_bars` — inline-SVG horizontal stacked bars (the
   dashboard's latency-attribution panel);
 * :func:`svg_waitfor_graph` — inline-SVG directed graph on a circular
@@ -21,7 +25,8 @@ analysis.
 * :func:`svg_node_heatmap` — inline-SVG per-node occupancy grid
   (``repro postmortem``'s router-occupancy panel);
 * :func:`svg_sparkline` — a compact inline trend line (the dashboard's
-  health panel).
+  health panel, the run page's per-epoch delivery);
+* :func:`svg_progress_bar` — a determinate completion bar (runs in flight).
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ from repro.topology.system import SystemSpec
 
 #: Intensity ramp for heatmaps (low -> high).
 RAMP = " .:-=+*#%@"
+
+
+def _ramp(fraction: float) -> str:
+    """The :data:`RAMP` character of an intensity in [0, 1]."""
+    return RAMP[min(len(RAMP) - 1, int(fraction * (len(RAMP) - 1) + 0.5))]
 
 
 def render_topology(spec: SystemSpec) -> str:
@@ -79,8 +89,7 @@ def utilization_heatmap(network: Network, spec: SystemSpec, cycles: int) -> str:
     for gy in range(grid.height - 1, -1, -1):
         row = []
         for gx in range(grid.width):
-            value = load[grid.node_at(gx, gy)] / peak
-            row.append(RAMP[min(len(RAMP) - 1, int(value * (len(RAMP) - 1) + 0.5))])
+            row.append(_ramp(load[grid.node_at(gx, gy)] / peak))
         lines.append("".join(row))
     return "\n".join(lines)
 
@@ -137,10 +146,7 @@ def timeseries_heatmap(
         f"({n_epochs} epochs{unit}, peak {peak:.3g})"
     ]
     for label, row in zip(labels, rows):
-        cells = "".join(
-            RAMP[min(len(RAMP) - 1, int(value / peak * (len(RAMP) - 1) + 0.5))]
-            for value in row
-        )
+        cells = "".join(_ramp(value / peak) for value in row)
         lines.append(f"{label:>{width}s} |{cells}|")
     lines.append(f"{'':{width}s}  epochs 0..{n_epochs - 1}")
     return "\n".join(lines)
@@ -197,9 +203,52 @@ def _fmt_tick(value: float) -> str:
     return f"{value:,.6g}" if abs(value) < 1e6 else f"{value:,.0f}"
 
 
+def _svg_open(width: float, height: float, font_size: int = 0) -> str:
+    """The ``<svg>`` opening tag every chart starts with."""
+    font = f' font-family="system-ui, sans-serif" font-size="{font_size}"' if font_size else ""
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}" role="img"{font}>'
+    )
+
+
+def _series_color(index: int) -> str:
+    """Series ``index``'s palette colour, with its hex fallback."""
+    return f"var(--series-{index + 1}, {SVG_SERIES_COLORS[index % len(SVG_SERIES_COLORS)]})"
+
+
+def _svg_axis_text(x: float, y: int, text: str) -> str:
+    """An x-axis tick label or caption, centred at ``x``."""
+    return (
+        f'<text x="{x:.1f}" y="{y}" text-anchor="middle" '
+        f'fill="var(--text-secondary, #52514e)">{html.escape(text)}</text>'
+    )
+
+
+def _svg_swatch(x: int, y: int, index: int, label: str) -> str:
+    """One legend entry: series ``index``'s swatch, then its label in ink
+    (never in the series colour)."""
+    return (
+        f'<rect x="{x}" y="{y}" width="10" height="10" rx="2" fill="{_series_color(index)}"/>'
+        f'<text x="{x + 16}" y="{y + 9}" '
+        f'fill="var(--text-primary, #0b0b0b)">{html.escape(label)}</text>'
+    )
+
+
+def _svg_title(x: str | int, title: str, anchor: str = "") -> str:
+    """A chart's bold title line ('' without a title)."""
+    if not title:
+        return ""
+    return (
+        f'<text x="{x}" y="16"{anchor} font-size="13" font-weight="600" '
+        f'fill="var(--text-primary, #0b0b0b)">{html.escape(title)}</text>'
+    )
+
+
 def svg_line_chart(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     *,
+    annotations: Sequence[tuple[float, str]] = (),
     width: int = 640,
     height: int = 300,
     title: str = "",
@@ -214,37 +263,10 @@ def svg_line_chart(
     colors come from :data:`SVG_SERIES_COLORS` in fixed assignment
     order, referenced as CSS custom properties with hex fallbacks so
     embedding pages can restyle them.  ``y_zero`` pins the y-axis to 0
-    (for magnitude series like cycles/second).
-    """
-    return svg_annotated_line(
-        series,
-        width=width,
-        height=height,
-        title=title,
-        x_label=x_label,
-        y_label=y_label,
-        y_zero=y_zero,
-    )
-
-
-def svg_annotated_line(
-    series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-    *,
-    annotations: Sequence[tuple[float, str]] = (),
-    width: int = 640,
-    height: int = 300,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    y_zero: bool = False,
-) -> str:
-    """:func:`svg_line_chart` plus vertical event markers.
-
-    ``annotations`` is ``[(x, label), ...]`` — each renders as a dashed
-    vertical line in the alarm color with a hoverable tooltip, the
-    regression sentinel's changepoint marks on trajectory charts.
-    Markers outside the data's x-range are dropped.  With no
-    annotations the output is exactly :func:`svg_line_chart`'s.
+    (for magnitude series like cycles/second).  ``annotations`` is
+    ``[(x, label), ...]`` — each renders as a dashed vertical line in the
+    alarm color with a hoverable tooltip (the regression sentinel's
+    changepoint marks); markers outside the data's x-range are dropped.
     """
     if not series:
         raise ValueError("series must be non-empty")
@@ -261,8 +283,7 @@ def svg_annotated_line(
     every = [pt for _, pts in points_by_series for pt in pts]
     if not every:
         return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="60" role="img"><text x="8" y="32" '
+            f'{_svg_open(width, 60)}<text x="8" y="32" '
             f'fill="var(--text-secondary, #52514e)" font-size="13">'
             f"{html.escape(title or 'chart')}: no finite points</text></svg>"
         )
@@ -284,16 +305,7 @@ def svg_annotated_line(
     def sy(y: float) -> float:
         return margin_t + plot_h - (y - y_min) / (y_max - y_min) * plot_h
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" role="img" '
-        f'font-family="system-ui, sans-serif" font-size="11">'
-    ]
-    if title:
-        parts.append(
-            f'<text x="{margin_l}" y="16" font-size="13" font-weight="600" '
-            f'fill="var(--text-primary, #0b0b0b)">{html.escape(title)}</text>'
-        )
+    parts = [_svg_open(width, height, 11), _svg_title(margin_l, title)]
     # Recessive grid + y tick labels.
     for tick in _svg_ticks(y_min, y_max):
         y = sy(tick)
@@ -307,16 +319,9 @@ def svg_annotated_line(
         )
     for tick in _svg_ticks(x_min, x_max):
         x = sx(tick)
-        parts.append(
-            f'<text x="{x:.1f}" y="{height - margin_b + 16}" text-anchor="middle" '
-            f'fill="var(--text-secondary, #52514e)">{_fmt_tick(tick)}</text>'
-        )
+        parts.append(_svg_axis_text(x, height - margin_b + 16, _fmt_tick(tick)))
     if x_label:
-        parts.append(
-            f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 8}" '
-            f'text-anchor="middle" fill="var(--text-secondary, #52514e)">'
-            f"{html.escape(x_label)}</text>"
-        )
+        parts.append(_svg_axis_text(margin_l + plot_w / 2, height - 8, x_label))
     if y_label:
         parts.append(
             f'<text x="14" y="{margin_t + plot_h / 2:.1f}" text-anchor="middle" '
@@ -325,7 +330,7 @@ def svg_annotated_line(
         )
     # Changepoint / event markers: dashed verticals in the alarm color,
     # under the data so the series markers stay hoverable.
-    alarm = f"var(--series-8, {SVG_SERIES_COLORS[7]})"
+    alarm = _series_color(7)
     for ax, alabel in annotations:
         ax = float(ax)
         if math.isnan(ax) or not (x_min <= ax <= x_max):
@@ -342,10 +347,7 @@ def svg_annotated_line(
         )
     # Series: 2px polylines + hoverable markers with native tooltips.
     for index, (label, pts) in enumerate(points_by_series):
-        color = (
-            f"var(--series-{index + 1}, "
-            f"{SVG_SERIES_COLORS[index % len(SVG_SERIES_COLORS)]})"
-        )
+        color = _series_color(index)
         if len(pts) > 1:
             path = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in pts)
             parts.append(
@@ -360,23 +362,10 @@ def svg_annotated_line(
                 f"{html.escape(label)}: ({_fmt_tick(x)}, {_fmt_tick(y)})"
                 f"</title></circle>"
             )
-    # Legend (color swatch + text in ink, never in series color).
-    legend_y = margin_t + 4
-    legend_x = margin_l + 8
-    for index, (label, _pts) in enumerate(points_by_series):
-        color = (
-            f"var(--series-{index + 1}, "
-            f"{SVG_SERIES_COLORS[index % len(SVG_SERIES_COLORS)]})"
-        )
-        y = legend_y + index * 16
-        parts.append(
-            f'<rect x="{legend_x}" y="{y - 8}" width="10" height="10" rx="2" '
-            f'fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 16}" y="{y + 1}" '
-            f'fill="var(--text-primary, #0b0b0b)">{html.escape(label)}</text>'
-        )
+    parts.extend(
+        _svg_swatch(margin_l + 8, margin_t - 4 + index * 16, index, label)
+        for index, (label, _pts) in enumerate(points_by_series)
+    )
     parts.append("</svg>")
     return "".join(parts)
 
@@ -418,23 +407,7 @@ def svg_stacked_bars(
     legend_top = margin_t + len(bars) * (bar_h + bar_gap) + axis_h
     height = legend_top + legend_rows * 18 + 6
     plot_w = width - margin_l - margin_r
-
-    def color(index: int) -> str:
-        return (
-            f"var(--series-{index + 1}, "
-            f"{SVG_SERIES_COLORS[index % len(SVG_SERIES_COLORS)]})"
-        )
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" role="img" '
-        f'font-family="system-ui, sans-serif" font-size="11">'
-    ]
-    if title:
-        parts.append(
-            f'<text x="{margin_l}" y="16" font-size="13" font-weight="600" '
-            f'fill="var(--text-primary, #0b0b0b)">{html.escape(title)}</text>'
-        )
+    parts = [_svg_open(width, height, 11), _svg_title(margin_l, title)]
     # Recessive vertical grid + x tick labels.
     axis_y = margin_t + len(bars) * (bar_h + bar_gap)
     for tick in _svg_ticks(0.0, x_max):
@@ -444,16 +417,9 @@ def svg_stacked_bars(
             f'y2="{axis_y - bar_gap + 4}" stroke="var(--grid, #e6e4df)" '
             f'stroke-width="1"/>'
         )
-        parts.append(
-            f'<text x="{x:.1f}" y="{axis_y + 8}" text-anchor="middle" '
-            f'fill="var(--text-secondary, #52514e)">{_fmt_tick(tick)}</text>'
-        )
+        parts.append(_svg_axis_text(x, axis_y + 8, _fmt_tick(tick)))
     if x_label:
-        parts.append(
-            f'<text x="{margin_l + plot_w / 2:.1f}" y="{axis_y + 24}" '
-            f'text-anchor="middle" fill="var(--text-secondary, #52514e)">'
-            f"{html.escape(x_label)}</text>"
-        )
+        parts.append(_svg_axis_text(margin_l + plot_w / 2, axis_y + 24, x_label))
     for row, (label, values) in enumerate(bars):
         y = margin_t + row * (bar_h + bar_gap)
         parts.append(
@@ -473,7 +439,7 @@ def svg_stacked_bars(
             pct = value / total if total else 0.0
             parts.append(
                 f'<rect x="{cursor:.1f}" y="{y}" width="{draw_w:.1f}" '
-                f'height="{bar_h}" fill="{color(index)}"><title>'
+                f'height="{bar_h}" fill="{_series_color(index)}"><title>'
                 f"{html.escape(label)} · {html.escape(str(segments[index]))}: "
                 f"{_fmt_tick(value)} ({pct:.1%})</title></rect>"
             )
@@ -482,20 +448,13 @@ def svg_stacked_bars(
             f'<text x="{cursor + 6:.1f}" y="{y + bar_h / 2 + 4:.1f}" '
             f'fill="var(--text-secondary, #52514e)">{_fmt_tick(total)}</text>'
         )
-    # Legend grid: swatch + ink text, fixed segment order.
+    # Legend grid, fixed segment order.
     col_w = (width - margin_l // 2) // legend_cols
-    for index, segment in enumerate(segments):
-        x = 16 + (index % legend_cols) * col_w
-        y = legend_top + (index // legend_cols) * 18
-        parts.append(
-            f'<rect x="{x}" y="{y}" width="10" height="10" rx="2" '
-            f'fill="{color(index)}"/>'
-        )
-        parts.append(
-            f'<text x="{x + 16}" y="{y + 9}" '
-            f'fill="var(--text-primary, #0b0b0b)">'
-            f"{html.escape(str(segment))}</text>"
-        )
+    parts.extend(
+        _svg_swatch(16 + (index % legend_cols) * col_w,
+                    legend_top + (index // legend_cols) * 18, index, str(segment))
+        for index, segment in enumerate(segments)
+    )
     parts.append("</svg>")
     return "".join(parts)
 
@@ -534,28 +493,19 @@ def svg_waitfor_graph(
         angle = 2 * math.pi * index / len(nodes) - math.pi / 2
         pos[node] = (cx + radius * math.cos(angle), cy + radius * math.sin(angle))
     edge_color = "var(--text-secondary, #52514e)"
-    alarm = f"var(--series-8, {SVG_SERIES_COLORS[7]})"
+    alarm = _series_color(7)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" role="img" '
-        f'font-family="system-ui, sans-serif" font-size="11">',
+        _svg_open(width, height, 11),
         # Arrowheads: context-stroke is not universally supported, so one
         # marker per color.
-        '<defs>'
-        '<marker id="wf-arrow" viewBox="0 0 10 10" refX="9" refY="5" '
-        'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
-        f'<path d="M 0 0 L 10 5 L 0 10 z" fill="{edge_color}"/></marker>'
-        '<marker id="wf-arrow-cycle" viewBox="0 0 10 10" refX="9" refY="5" '
-        'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
-        f'<path d="M 0 0 L 10 5 L 0 10 z" fill="{alarm}"/></marker>'
-        "</defs>",
+        "<defs>" + "".join(
+            f'<marker id="{marker}" viewBox="0 0 10 10" refX="9" refY="5" '
+            'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
+            f'<path d="M 0 0 L 10 5 L 0 10 z" fill="{fill}"/></marker>'
+            for marker, fill in (("wf-arrow", edge_color), ("wf-arrow-cycle", alarm))
+        ) + "</defs>",
+        _svg_title(f"{width / 2:.1f}", title, ' text-anchor="middle"'),
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="16" text-anchor="middle" '
-            f'font-size="13" font-weight="600" '
-            f'fill="var(--text-primary, #0b0b0b)">{html.escape(title)}</text>'
-        )
     node_r = 7.0
     for a, b in edges:
         if a not in pos or b not in pos or a == b:
@@ -581,7 +531,7 @@ def svg_waitfor_graph(
         label = str(labels.get(node, node))
         parts.append(
             f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{node_r}" '
-            f'fill="{alarm if hot else f"var(--series-1, {SVG_SERIES_COLORS[0]})"}" '
+            f'fill="{alarm if hot else _series_color(0)}" '
             f'stroke="var(--surface-1, #fcfcfb)" stroke-width="2">'
             f"<title>{html.escape(label)}</title></circle>"
         )
@@ -622,17 +572,8 @@ def svg_node_heatmap(
     width = columns * (cell + gap) + 12
     height = margin_t + rows * (cell + gap) + 6
     peak = max((float(v) for v in occupancy.values()), default=0.0) or 1.0
-    fill = f"var(--series-2, {SVG_SERIES_COLORS[1]})"
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" role="img" '
-        f'font-family="system-ui, sans-serif" font-size="10">'
-    ]
-    if title:
-        parts.append(
-            f'<text x="6" y="16" font-size="13" font-weight="600" '
-            f'fill="var(--text-primary, #0b0b0b)">{html.escape(title)}</text>'
-        )
+    fill = _series_color(1)
+    parts = [_svg_open(width, height, 10), _svg_title(6, title)]
     for node in range(n_nodes):
         value = float(occupancy.get(node, 0.0))
         x = 6 + (node % columns) * (cell + gap)
@@ -670,11 +611,8 @@ def svg_sparkline(
     ``title`` plus the min/max range.
     """
     finite = [float(v) for v in values if not math.isnan(float(v))]
-    stroke = f"var(--series-1, {SVG_SERIES_COLORS[0]})"
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" role="img">'
-    )
+    stroke = _series_color(0)
+    head = _svg_open(width, height)
     if len(finite) < 2:
         label = f"{finite[0]:g}" if finite else "no data"
         return (
@@ -722,10 +660,7 @@ def svg_progress_bar(
     [0, 1] is clamped; ``None``/NaN renders the empty track with an
     "n/a" tooltip (horizon unknown — e.g. trace replays).
     """
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" role="img">'
-    )
+    head = _svg_open(width, height)
     track = (
         f'<rect x="0" y="0" width="{width}" height="{height}" rx="4" '
         f'fill="var(--surface-2, #f4f3f1)"/>'
@@ -740,8 +675,7 @@ def svg_progress_bar(
     if clamped > 0:
         fill = (
             f'<rect x="0" y="0" width="{clamped * width:.1f}" '
-            f'height="{height}" rx="4" '
-            f'fill="var(--series-1, {SVG_SERIES_COLORS[0]})"/>'
+            f'height="{height}" rx="4" fill="{_series_color(0)}"/>'
         )
     return f"{head}<title>{tooltip}</title>{track}{fill}</svg>"
 

@@ -432,7 +432,8 @@ def test_live_feed_carries_digest_and_empty_feeds_fold(tmp_path):
 
 
 def test_watch_determinism_badge_states(tmp_path):
-    from repro.telemetry.server import WatchService, determinism_badge
+    from repro.telemetry.dashboard import determinism_badge
+    from repro.telemetry.server import WatchService
 
     block = sim_diffable().digest
     runs_dir = tmp_path / "runs"
@@ -464,7 +465,7 @@ def test_watch_determinism_badge_states(tmp_path):
 
 
 def test_fleet_and_dashboard_render_determinism_sections(tmp_path, committed):
-    from repro.telemetry.dashboard import determinism_section, fleet_fragment
+    from repro.telemetry.dashboard import SECTIONS, determinism_section, render_sections
     from repro.telemetry.server import WatchService
 
     runs_dir = tmp_path / "runs"
@@ -473,7 +474,7 @@ def test_fleet_and_dashboard_render_determinism_sections(tmp_path, committed):
     store.append(make_record(digest=block))
 
     snap = WatchService(runs_dir, bench_dirs=[tmp_path], results_dir=tmp_path).snapshot()
-    assert "<h2>Determinism</h2>" in fleet_fragment(snap)
+    assert "<h2>Determinism</h2>" in render_sections(SECTIONS, snap)
 
     # The committed store: every pin, and whether it describes itself.
     section = determinism_section(snap)

@@ -19,10 +19,17 @@ from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.stats import DeadlockError, DrainTimeoutError, Stats
-from repro.telemetry import TelemetryConfig, TelemetrySession
+from repro.telemetry import (
+    TelemetryConfig,
+    TelemetrySession,
+    render_bundle_html,
+    render_bundle_text,
+)
 from repro.telemetry.forensics import (
     FORENSICS_SCHEMA_VERSION,
+    RECORDER_PRESETS,
     FlightRecorder,
+    _EVENT_ARGS,
     _VC_ACTIVE,
     _VC_IDLE,
     _VC_VA,
@@ -30,8 +37,6 @@ from repro.telemetry.forensics import (
     cycle_in_graph,
     extract_wait_graph,
     load_bundle,
-    render_bundle_html,
-    render_bundle_text,
     validate_bundle,
     waitfor_cycle_channels,
     write_bundle,
@@ -45,6 +50,10 @@ from repro.traffic.patterns import make_pattern
 from .conftest import make_network
 from .test_engine import ListWorkload
 from .helpers import build_chain, ring_routing
+
+
+def test_every_recordable_event_has_a_decoding():
+    assert set(_EVENT_ARGS) == set(RECORDER_PRESETS["full"])
 
 
 def test_vc_state_constants_mirror_router():

@@ -110,8 +110,19 @@ def test_read_feed_strict_raises_lenient_skips(tmp_path):
     feed = make_feed(tmp_path, network, every=10)
     feed.start({"system": "chain"})
     path = feed.finish(0)
+    start = read_feed(path)[0]
+    epoch = dict(start, kind="epoch", cycle=10, cps=1.0, eta_seconds=None,
+                 delivered_fraction=0.5, epoch=dict.fromkeys(EVENT_KINDS["epoch"]["epoch"], 0))
+    validate_live_event(epoch)  # the well-typed twin of two lines below
+    # A valid envelope with a mistyped field the pages read is as unreadable
+    # as a truncated line: each of these once took the fleet page down.
+    mistyped = [dict(epoch, cps="fast"), dict(start, meta=[1, 2]), dict(epoch, epoch=None)]
+    for event in mistyped:
+        with pytest.raises(LiveFeedError, match="mistyped fields"):
+            validate_live_event(event)
     with path.open("a", encoding="utf-8") as handle:
         handle.write('{"truncated mid-line\n')
+        handle.writelines(json.dumps(event) + "\n" for event in mistyped)
     with pytest.raises(LiveFeedError, match="unreadable live event"):
         read_feed(path)
     assert len(read_feed(path, strict=False)) == 2  # start + finish survive

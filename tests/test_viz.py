@@ -140,11 +140,11 @@ def test_svg_line_chart_skips_nan_and_validates():
 
 
 def test_svg_annotated_line_marks_changepoints():
-    from repro.viz import svg_annotated_line, svg_line_chart
+    from repro.viz import svg_line_chart
 
     series = [("cps", [float(i) for i in range(6)],
                [100.0, 101.0, 99.0, 80.0, 81.0, 79.0])]
-    svg = svg_annotated_line(
+    svg = svg_line_chart(
         series,
         annotations=[(3.0, "changepoint @ seed-003")],
         title="t", x_label="run", y_label="cps",
@@ -154,13 +154,13 @@ def test_svg_annotated_line_marks_changepoints():
     assert "var(--series-8" in svg  # alarm color, matching the dashboard
 
     # Out-of-range and NaN annotations are dropped, not drawn off-plot.
-    clean = svg_annotated_line(
+    clean = svg_line_chart(
         series,
         annotations=[(99.0, "beyond"), (math.nan, "nowhere")],
         title="t", x_label="run", y_label="cps",
     )
     assert "beyond" not in clean and "nowhere" not in clean
-    # With no annotations the output is exactly the plain line chart.
+    # Dropped markers leave exactly the chart drawn without annotations.
     assert clean == svg_line_chart(series, title="t", x_label="run", y_label="cps")
 
 

@@ -4,18 +4,22 @@ import http.client
 import json
 import threading
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.telemetry import LIVE_SCHEMA_VERSION
 from repro.telemetry.bench import write_bench
 from repro.telemetry.runstore import RunStore
-from repro.telemetry.dashboard import STALE_AFTER_SECONDS, fleet_fragment, render_fleet
+from repro.telemetry.dashboard import SECTIONS, STALE_AFTER_SECONDS, render_fleet, render_sections
 from repro.telemetry.server import WatchService, make_server
 
 from .helpers import build_chain, run_cycles
 from .test_bench_compare import make_bench_doc, make_case
 from .test_runstore import make_record
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def watch(runs_dir, **kwargs):
@@ -168,6 +172,24 @@ def test_one_registry_read_per_render(tmp_path, monkeypatch):
     assert len(reads) == 3
 
 
+def test_each_results_csv_is_read_once_per_render(tmp_path, monkeypatch):
+    import shutil
+
+    from repro.exps import report
+
+    runs_dir = seed_runs_dir(tmp_path)
+    results = tmp_path / "results"
+    results.mkdir()
+    for artifact in report.ARTIFACTS:  # the repo's own tiny-scale CSVs
+        shutil.copy(REPO / "benchmarks" / "results" / f"{artifact}_tiny.csv", results)
+    loads = []
+    load_result = report.load_result
+    monkeypatch.setattr(report, "load_result", lambda path: loads.append(path) or load_result(path))
+    page = render_fleet(watch(runs_dir).snapshot())
+    assert "Fig 11" in page and "fig17 / hetero-channel" in page  # both figure panels
+    assert sorted(path.stem for path in loads) == sorted(f"{a}_tiny" for a in report.ARTIFACTS)
+
+
 # -- page rendering -----------------------------------------------------------
 def test_fleet_page_renders_sections_and_sse_hook(tmp_path):
     runs_dir = seed_runs_dir(tmp_path, finish=False)
@@ -182,7 +204,7 @@ def test_fleet_page_renders_sections_and_sse_hook(tmp_path):
 def test_fleet_fragment_includes_sentinel_panel(tmp_path):
     runs_dir = seed_runs_dir(tmp_path)
     service = watch(runs_dir)
-    fragment = fleet_fragment(service.snapshot())
+    fragment = render_sections(SECTIONS, service.snapshot())
     assert fragment.count("<h2>Performance</h2>") == 1
     # No bench file so far: the one placeholder, no charts.
     assert fragment.count("no bench history yet") == 1
@@ -191,7 +213,7 @@ def test_fleet_fragment_includes_sentinel_panel(tmp_path):
     for hops in (400_000.0, 440_000.0):
         write_bench(make_bench_doc(fig11_cli_tiny=make_case(hops=hops)), tmp_path / "bench")
     assert service.change_stamp() != stamp  # a new bench file re-renders the page
-    fragment = fleet_fragment(service.snapshot())
+    fragment = render_sections(SECTIONS, service.snapshot())
     assert "fig11_cli_tiny: throughput trajectory" in fragment
     assert "repro regress" in fragment  # the verdict table's caption
     assert "no bench history yet" not in fragment
@@ -200,7 +222,7 @@ def test_fleet_fragment_includes_sentinel_panel(tmp_path):
 def test_fleet_page_warns_about_skipped_registry_lines(tmp_path):
     runs_dir = seed_runs_dir(tmp_path)
     (runs_dir / "runs.jsonl").open("a").write("{corrupt\n")
-    fragment = fleet_fragment(watch(runs_dir).snapshot())
+    fragment = render_sections(SECTIONS, watch(runs_dir).snapshot())
     assert fragment.count("unreadable registry line") == 1
 
 
@@ -214,6 +236,23 @@ def test_run_page_renders_epochs_and_failure_banner(tmp_path):
     assert "B.json" in page
     assert service.run_page("no-such-run") is None
     assert service.run_fragment("no-such-run") is None
+
+
+def test_pages_skip_mistyped_feed_lines(tmp_path):
+    """A feed line whose envelope is valid but whose payload is mistyped is
+    skipped like a truncated one: the fleet page and the run page render."""
+    runs_dir = seed_runs_dir(tmp_path, finish=False)
+    path = runs_dir / "live" / "watchrun00001.jsonl"
+    start, epoch = (json.loads(line) for line in path.read_text().splitlines()[:2])
+    with path.open("a", encoding="utf-8") as handle:
+        for event in (dict(epoch, cps="fast"), dict(start, meta=[1, 2]), dict(epoch, epoch=None)):
+            handle.write(json.dumps(event) + "\n")
+    service = watch(runs_dir)
+    page = render_fleet(service.snapshot())
+    assert "Runs in flight" in page and "watchrun00001" in page
+    run_page = service.run_page("watchrun00001")
+    assert run_page.count("<polyline") == 2  # the two well-typed epochs still chart
+    assert "watchrun00001" in render_sections(SECTIONS, service.snapshot())
 
 
 # -- the HTTP service ---------------------------------------------------------
