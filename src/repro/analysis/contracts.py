@@ -72,7 +72,7 @@ def _check_endpoint_agreement(network: Network, report: Report) -> None:
         for vc in range(out.n_vcs):
             if out.vc_owner[vc] is not None:
                 continue  # in use; rest-state equality does not apply
-            in_flight = len(in_port.vcs[vc].queue)
+            in_flight = in_port.vcs[vc].n
             if out.credits[vc] + in_flight > in_port.buffer_depth:
                 report.error(
                     "CONTRACT-CREDIT",

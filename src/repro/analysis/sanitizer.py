@@ -211,7 +211,7 @@ class InvariantChecker:
 
     def _check_occupancy(self, node: int, port: int, vc_idx: int) -> None:
         in_port = self.network.routers[node].inputs[port]
-        held = len(in_port.vcs[vc_idx].queue)
+        held = in_port.vcs[vc_idx].n
         if held > in_port.buffer_depth:
             raise InvariantViolation(
                 "BUF-OVERFLOW",
@@ -239,7 +239,7 @@ class InvariantChecker:
             depth = in_port.buffer_depth
             for vc in range(out.n_vcs):
                 credits = out.credits[vc]
-                buffered = len(in_port.vcs[vc].queue)
+                buffered = in_port.vcs[vc].n
                 in_link = link.vc_flits(vc)
                 returning = link.pending_credits(vc)
                 total = credits + buffered + in_link + returning
@@ -303,9 +303,9 @@ class InvariantChecker:
         for router in self.network.routers:
             for port in router.inputs:
                 for ivc in port.vcs:
-                    if not ivc.queue:
+                    if not ivc.n:
                         continue
-                    packet = ivc.queue[0].packet
+                    packet = ivc.queue[0]
                     age = now - packet.create_cycle
                     if oldest is None or age > oldest[0]:
                         oldest = (age, router.node, port.index, ivc.index, packet.pid)

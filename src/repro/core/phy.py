@@ -246,10 +246,12 @@ class HeteroPhyLink(Link):
                 rob_release(self, Flit(packet, index), vc, now)
             # Arrival bookkeeping of ``Router.receive_flit``, inline.
             ivc = vcs[vc]
-            ivc.queue.append(packet)
-            if index == 0 and ivc.state == VC_IDLE and not ivc.queued:
-                ivc.queued = True
-                router._pending.append(ivc)
+            ivc.n += 1
+            if index == 0:
+                ivc.queue.append(packet)
+                if ivc.state == VC_IDLE and not ivc.queued:
+                    ivc.queued = True
+                    router._pending.append(ivc)
             if flit_recv is not None:
                 flit_recv(router, port, vc, Flit(packet, index), now)
         if not router.active:

@@ -253,10 +253,12 @@ class PipelinedLink(Link):
             while pipe and pipe[0][0] <= now:
                 _, packet, index, vc = pipe.pop(0)
                 ivc = vcs[vc]
-                ivc.queue.append(packet)
-                if index == 0 and ivc.state == VC_IDLE and not ivc.queued:
-                    ivc.queued = True
-                    router._pending.append(ivc)
+                ivc.n += 1
+                if index == 0:
+                    ivc.queue.append(packet)
+                    if ivc.state == VC_IDLE and not ivc.queued:
+                        ivc.queued = True
+                        router._pending.append(ivc)
                 if flit_recv is not None:
                     flit_recv(router, port, vc, Flit(packet, index), now)
             if not router.active:

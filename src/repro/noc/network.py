@@ -245,10 +245,10 @@ class Network:
         """
         for router in self._router_work:
             for ivc in router._pending:
-                if ivc.queue:
+                if ivc.n:
                     return True
             for ivc in router._active:
-                if ivc.queue:
+                if ivc.n:
                     return True
         for link in self._link_work:
             if link.occupancy:

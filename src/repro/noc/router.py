@@ -30,7 +30,6 @@ ordering invariants it must keep are in ``docs/architecture.md``
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .flit import Flit, Packet
@@ -157,29 +156,20 @@ class Router:
     def inject(self, packet: Packet) -> None:
         """Queue a packet at the injection port (source queue).
 
-        Injection VCs are chosen round-robin.  The source queue is the one
-        unbounded FIFO of the network, so it holds packets, not flits: the
-        packet is carved into flits (one buffer entry each, see
-        :class:`~repro.noc.vc.InputVC`) only if its VC is empty; otherwise
-        it joins that VC's ``backlog`` and is carved by :meth:`_stage_sa`
-        when the tail of the packet ahead of it leaves.  A VC never looks past
-        its head packet, so the router behaves as if every flit were queued
-        here.
+        Injection VCs are chosen round-robin.  The VC's ``queue`` is the
+        source queue: the packet joins it whole, listed once with its
+        ``length`` flits added to the VC's count (see
+        :class:`~repro.noc.vc.InputVC`), and is popped when its tail leaves.
         """
         vcs = self.inputs[self.INJECT_PORT].vcs
         vc = vcs[self._inj_rr % len(vcs)]
         self._inj_rr += 1
-        if vc.queue:
-            if vc.backlog is None:
-                # The one deque of the cycle kernel: unbounded, so a list's
-                # pop(0) would not do.
-                vc.backlog = deque()
-            vc.backlog.append(packet)
-        else:
-            vc.queue.extend([packet] * packet.length)
-            if vc.state == VC_IDLE and not vc.queued:
-                vc.queued = True
-                self._pending.append(vc)
+        queue = vc.queue
+        if not queue and vc.state == VC_IDLE and not vc.queued:
+            vc.queued = True
+            self._pending.append(vc)
+        queue.append(packet)
+        vc.n += packet.length
         if not self.active:
             self.active = True
             self.network._router_work.append(self)
@@ -195,10 +185,12 @@ class Router:
         """Flit ``index`` of ``packet`` arrives from an upstream link into an
         input VC buffer."""
         vc = self.inputs[port].vcs[vc_idx]
-        vc.queue.append(packet)
-        if vc.state == VC_IDLE and not vc.queued and index == 0:
-            vc.queued = True
-            self._pending.append(vc)
+        vc.n += 1
+        if index == 0:
+            vc.queue.append(packet)
+            if vc.state == VC_IDLE and not vc.queued:
+                vc.queued = True
+                self._pending.append(vc)
         if self._telemetry.flit_recv is not None:
             self._telemetry.flit_recv(self, port, vc_idx, Flit(packet, index), now)
         if not self.active:
@@ -228,8 +220,9 @@ class Router:
             if state == VC_IDLE:
                 queue = ivc.queue
                 if queue:
-                    # An idle VC's first flit is a head (contiguous,
-                    # head-first delivery per VC).
+                    # An idle VC's first packet has its head buffered: it
+                    # was listed when the head arrived, and the packet
+                    # before it left whole.
                     packet = queue[0]
                     if packet.inject_cycle is None and ivc.port == self.INJECT_PORT:
                         packet.inject_cycle = now
@@ -326,7 +319,7 @@ class Router:
             if ivc.state != VC_ACTIVE:
                 ivc.queued = False  # stale (tail already sent)
                 stale = True
-            elif ivc.queue and now >= ivc.ready_cycle:
+            elif ivc.n and now >= ivc.ready_cycle:
                 if sole is None:
                     sole = ivc
                     continue
@@ -359,7 +352,7 @@ class Router:
                     # no downstream credit — the epoch collector's
                     # credit-stall metric.
                     for ivc in vcs:
-                        if ivc.queue and credits[ivc.out_vc] <= 0:
+                        if ivc.n and credits[ivc.out_vc] <= 0:
                             credit_stall(self, out_idx, ivc.out_vc, now)
                 link_budget = link.accept_budget(now)
                 if link_budget < budget:
@@ -379,16 +372,21 @@ class Router:
                 for ivc in vcs:
                     if budget <= 0:
                         break
-                    queue = ivc.queue
-                    if not queue or ivc.state != VC_ACTIVE:
+                    if not ivc.n or ivc.state != VC_ACTIVE:
                         continue
                     out_vc = ivc.out_vc
                     if link is not None and credits[out_vc] <= 0:
                         continue
-                    packet = queue.pop(0)
+                    queue = ivc.queue
+                    packet = queue[0]
                     index = ivc.front
+                    ivc.n -= 1
                     is_tail = index == packet.length - 1
-                    ivc.front = 0 if is_tail else index + 1
+                    if is_tail:
+                        queue.pop(0)
+                        ivc.front = 0
+                    else:
+                        ivc.front = index + 1
                     in_link = ivc.in_link
                     if in_link is not None:
                         in_link.return_credit(ivc.index, now)
@@ -408,11 +406,6 @@ class Router:
                     if is_tail:
                         out.vc_owner[out_vc] = None
                         ivc.reset_route()
-                        if ivc.backlog:
-                            # Injection VC: its packet has left, carve the
-                            # next one of the source queue.
-                            waiting = ivc.backlog.popleft()
-                            queue.extend([waiting] * waiting.length)
                         # The next packet in this buffer (if any) starts
                         # with its head and needs a fresh route.
                         if queue:
@@ -437,11 +430,9 @@ class Router:
 
     # -- introspection ------------------------------------------------------
     def buffered_flits(self) -> int:
-        """Total flits currently buffered at this router's input ports.
-
-        Counts the source queue in full: flits of backlog packets included.
-        """
-        return sum(vc.held for port in self.inputs for vc in port.vcs)
+        """Total flits currently buffered at this router's input ports,
+        the source queue's included."""
+        return sum(vc.n for port in self.inputs for vc in port.vcs)
 
     def snapshot_state(self) -> dict:
         """Forensic snapshot: occupied input VCs plus the credit ledger.
@@ -455,14 +446,14 @@ class Router:
         for port in self.inputs:
             vcs = []
             for ivc in port.vcs:
-                if not ivc.queue and ivc.state == VC_IDLE:
+                if not ivc.n and ivc.state == VC_IDLE:
                     continue
                 entry: dict = {
                     "vc": ivc.index,
-                    "occupancy": ivc.held,
+                    "occupancy": ivc.n,
                     "state": state_names[ivc.state],
                 }
-                if ivc.queue:
+                if ivc.n:
                     packet = ivc.queue[0]
                     entry["head"] = {
                         "pid": packet.pid,

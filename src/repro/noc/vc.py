@@ -1,16 +1,15 @@
 """Input virtual-channel buffer.
 
-The buffer sits between a link and a router: links append arriving flits
-to it (and put it on the router's pending list when a head flit finds it
-idle), the router's pipeline drains it.  A buffered flit is stored as a
-reference to its packet; its index within the packet is implied by the
-buffer's order (see :class:`InputVC`).  It lives in its own module so
-both sides can import it without a cycle.
+The buffer sits between a link and a router: links count arriving flits
+into it (and put it on the router's pending list when a head flit finds it
+idle), the router's pipeline drains it.  It lists each buffered packet
+once and counts its flits (see :class:`InputVC`).  It lives in its own
+module so both sides can import it without a cycle.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Deque, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .flit import Packet
 
@@ -27,23 +26,24 @@ VC_ACTIVE = 2  # output VC held, flits flow through switch allocation
 
 
 class InputVC:
-    """One virtual-channel buffer of an input port.
+    """One virtual-channel buffer of an input port, run-length encoded.
 
     ``queue`` is a plain list used first-in first-out (``append`` /
-    ``pop(0)``), holding the packet once per buffered flit.  A VC receives
-    each packet's flits contiguously and head first (an output VC belongs
-    to one packet until its tail, and the hetero-PHY reorder buffer
-    releases in per-VC order), so the entries name their flits without
-    storing an index: ``queue[0]`` is flit ``front`` of its packet, the
-    entries after it count up from there, and a packet's last flit is
-    followed by the next packet's head.  A link-fed buffer never holds
-    more than its port's ``buffer_depth`` flits (credit flow control), so
-    the pop moves a bounded handful of pointers.  The injection port has
-    no credits to bound it; there ``queue`` holds the flits of one packet
-    only — the one the VC is routing or sending — and the packets behind
-    it wait un-carved in ``backlog`` (see
-    :meth:`repro.noc.router.Router.inject`).  Observers read :attr:`held`,
-    which counts both.
+    ``pop(0)``) that lists each packet once, and ``n`` counts the buffered
+    flits.  A VC receives each packet's flits contiguously and head first
+    (an output VC belongs to one packet until its tail, and the
+    hetero-PHY reorder buffer releases in per-VC order), so the count
+    names the flits: ``front`` is the index of the next flit of
+    ``queue[0]``, the packets after it follow whole, and only the last one
+    listed may still be arriving.  A packet is appended when its head
+    arrives and popped when its tail leaves.  A link-fed buffer holds at
+    most its port's ``buffer_depth`` flits (credit flow control), so it
+    lists at most ``max(n, 1)`` packets: every listed packet but a
+    wormhole head whose next flit is still upstream has a flit buffered.
+    The injection port has no credits to bound it; its ``queue`` is the
+    source queue, whole packets appended by
+    :meth:`repro.noc.router.Router.inject`, and ``n`` is their summed
+    length minus ``front``.
     """
 
     __slots__ = (
@@ -51,6 +51,7 @@ class InputVC:
         "index",
         "in_link",
         "queue",
+        "n",
         "front",
         "state",
         "candidates",
@@ -58,7 +59,6 @@ class InputVC:
         "out_vc",
         "ready_cycle",
         "queued",
-        "backlog",
     )
 
     def __init__(self, port: int, index: int, in_link: Optional["Link"] = None) -> None:
@@ -68,7 +68,10 @@ class InputVC:
         #: flit leaving the buffer returns one credit over it.
         self.in_link = in_link
         self.queue: list[Packet] = []
-        #: Index, within its packet, of the flit ``queue[0]`` stands for.
+        #: Flits buffered: those of ``queue[0]`` from ``front`` on, plus the
+        #: arrived ones of the packets behind it.
+        self.n = 0
+        #: Index, within ``queue[0]``, of the next flit to leave.
         self.front = 0
         self.state = VC_IDLE
         self.candidates: Optional[list[Candidate]] = None
@@ -77,25 +80,17 @@ class InputVC:
         self.ready_cycle = 0
         # True while the VC sits on one of the router's work lists.
         self.queued = False
-        #: Source queue behind ``queue``: whole packets, oldest first.  None
-        #: until this (injection) VC first backs up.
-        self.backlog: Optional[Deque[Packet]] = None
-
-    @property
-    def held(self) -> int:
-        """Flits this buffer holds: carved ones plus those of backlog packets."""
-        if not self.backlog:
-            return len(self.queue)
-        return len(self.queue) + sum(packet.length for packet in self.backlog)
 
     def flits(self) -> Iterator[tuple[Packet, int]]:
-        """``(packet, index)`` of every carved flit, front first."""
+        """``(packet, index)`` of every buffered flit, front first."""
+        left = self.n
         index = self.front
         for packet in self.queue:
-            yield packet, index
-            index += 1
-            if index == packet.length:
-                index = 0
+            stop = min(packet.length, index + left)
+            for i in range(index, stop):
+                yield packet, i
+            left -= stop - index
+            index = 0
 
     def reset_route(self) -> None:
         self.state = VC_IDLE

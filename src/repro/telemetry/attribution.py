@@ -222,9 +222,9 @@ class LatencyLedger:
                 acc = self._link_acc[link.index] = [0, 0, 0]
             acc[1] += 1
         ivc = out.vc_owner[vc]
-        if ivc is None or not ivc.queue:
+        if ivc is None or not ivc.n:
             return
-        st = self._live.get(ivc.queue[0].packet.pid)
+        st = self._live.get(ivc.queue[0].pid)
         if st is None or st.tail_node != router.node:
             # Only tail-resident stalls are charged to the packet; earlier
             # ones overlap time attributed at the tail's upstream location.

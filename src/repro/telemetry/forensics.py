@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
@@ -331,9 +332,9 @@ def extract_wait_graph(network: "Network", now: int) -> dict[str, Any]:
         for port in router.inputs:
             link = port.link
             for ivc in port.vcs:
-                if not ivc.queue or ivc.state == _VC_IDLE:
+                if not ivc.n or ivc.state == _VC_IDLE:
                     continue
-                packet = ivc.queue[0].packet
+                packet = ivc.queue[0]
                 wants: list[WaitVertex] = []
                 why = _STATE_NAMES[ivc.state]
                 if ivc.state == _VC_VA:
@@ -482,7 +483,7 @@ def inflight_packet_table(
         for port in router.inputs:
             injection = port.link is None
             for ivc in port.vcs:
-                if not ivc.queue:
+                if not ivc.n:
                     continue
                 if injection:
                     stage = "source_queue" if ivc.state == _VC_IDLE else "va_wait"
@@ -502,12 +503,17 @@ def inflight_packet_table(
                     "port": port.index,
                     "vc": ivc.index,
                 }
-                for packet, index in ivc.flits():
-                    note(packet, index, stage, position)
-                # Source queue behind the head packet: whole packets, not
-                # yet carved into flits.
-                for packet in ivc.backlog or ():
-                    note(packet, 0, "source_queue", position, packet.length)
+                if injection:
+                    # The source queue: the head packet at the VC's stage,
+                    # the whole packets behind it waiting.
+                    queue = ivc.queue
+                    head = queue[0]
+                    note(head, ivc.front, stage, position, head.length - ivc.front)
+                    for packet in islice(queue, 1, None):
+                        note(packet, 0, "source_queue", position, packet.length)
+                else:
+                    for packet, index in ivc.flits():
+                        note(packet, index, stage, position)
     for link in network.links:
         position = {"loc": "link", "link": link.index}
         for packet, index, stage in _link_flit_stages(link):

@@ -231,9 +231,8 @@ class EpochMetrics:
             for router in network.routers:
                 for port in router.inputs:
                     for vc in port.vcs:
-                        held = vc.held
-                        if held:
-                            buffer_occupancy[(router.node, port.index, vc.index)] = held
+                        if vc.n:
+                            buffer_occupancy[(router.node, port.index, vc.index)] = vc.n
         sample = EpochSample(
             index=len(self.samples),
             start=self._epoch_start,

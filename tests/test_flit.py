@@ -98,13 +98,6 @@ def test_flit_view_derives_head_and_tail_from_its_index(length):
     assert [f.is_tail for f in views] == [i == length - 1 for i in range(length)]
 
 
-def test_a_packet_reads_as_its_own_packet():
-    """Input-VC buffers hold the packet once per flit; ``.packet`` on an
-    entry names it, as on a flit view."""
-    packet = Packet(0, 1, 3, 0)
-    assert packet.packet is packet
-
-
 def test_packet_defaults():
     packet = Packet(0, 1, 1, 0)
     assert packet.ordered

@@ -136,12 +136,6 @@ def test_two_packets_different_vcs_share_link_bandwidth():
     assert max(a.arrive_cycle, b.arrive_cycle) <= 25
 
 
-def source_queue(vc) -> list[Packet]:
-    """Packets waiting at one injection VC, oldest first: head, then backlog."""
-    head = [vc.queue[0].packet] if vc.queue else []
-    return head + list(vc.backlog or ())
-
-
 def test_injection_round_robins_over_vcs():
     network, _ = build_chain(2)
     router = network.routers[0]
@@ -149,14 +143,13 @@ def test_injection_round_robins_over_vcs():
     for packet in packets:
         network.inject(packet)
     vcs = router.inputs[Router.INJECT_PORT].vcs
-    assert source_queue(vcs[0]) == [packets[0], packets[2]]
-    assert source_queue(vcs[1]) == [packets[1], packets[3]]
-    # Only the head packet of each VC is carved; the count covers both.
-    assert [len(vc.queue) for vc in vcs] == [1, 1]
-    assert [vc.held for vc in vcs] == [2, 2]
+    assert vcs[0].queue == [packets[0], packets[2]]
+    assert vcs[1].queue == [packets[1], packets[3]]
+    # Each packet is listed once; the flit count covers all of them.
+    assert [vc.n for vc in vcs] == [2, 2]
 
 
-def test_backlog_packet_is_carved_when_the_tail_ahead_leaves():
+def test_next_source_packet_is_routed_when_the_tail_ahead_leaves():
     network, _ = build_chain(2, bandwidth=2, delay=1)
     router = network.routers[0]
     first, other, second = Packet(0, 1, 6, 0), Packet(0, 1, 6, 0), Packet(0, 1, 4, 0)
@@ -171,15 +164,15 @@ def test_backlog_packet_is_carved_when_the_tail_ahead_leaves():
         network.inject(packet)
     vc = router.inputs[Router.INJECT_PORT].vcs[0]
     for now in range(40):
-        assert list(vc.backlog) == [second]
-        assert {flit.packet for flit in vc.queue} == {first}
+        assert vc.queue == [first, second]
+        assert vc.n == 6 - vc.front + 4
         run_cycles(network, 1, start=now)
         if tail_left:
             break
     assert tail_left == [now]
-    # Same pass: the next packet is carved and waits for its route.
+    # Same pass: the first packet is popped and the next waits for its route.
+    assert vc.queue == [second] and vc.front == 0 and vc.n == 4
     assert list(vc.flits()) == [(second, i) for i in range(4)]
-    assert not vc.backlog and vc.held == 4
     assert vc.queued and vc in router._pending
     run_cycles(network, 40, start=now + 1)
     assert second.arrive_cycle is not None

@@ -292,37 +292,30 @@ def test_tiny_run_peak_heap_budget():
         assert 0 < peak <= recorded_peak * 1.10, (family, peak)
 
 
-def test_backed_up_source_carves_flits_only_for_packets_that_are_leaving():
+def test_backed_up_source_queue_lists_each_waiting_packet_once():
     network, _ = build_chain(2, bandwidth=1)
     packets = {packet.pid: packet for packet in (Packet(0, 1, 16, 0) for _ in range(100))}
     for packet in packets.values():
         network.inject(packet)
     vcs = network.routers[0].inputs[Router.INJECT_PORT].vcs
 
-    def carved_pids():
-        """One pid per carved flit: a buffer entry or a link pipe entry."""
-        return [
-            packet.pid
-            for router in network.routers
-            for port in router.inputs
-            for vc in port.vcs
-            for packet in vc.queue
-        ] + [packet.pid for link in network.links for _due, packet, _i, _vc in link._pipe]
+    def source_pids():
+        return [packet.pid for vc in vcs for packet in vc.queue]
 
-    assert len(carved_pids()) == len(vcs) * 16
+    assert sorted(source_pids()) == sorted(packets)
     now = 0
     while network.holds_flits():
         now = run_cycles(network, 20, start=now)
-        carved = carved_pids()
-        parked = {packet.pid for vc in vcs for packet in vc.backlog}
-        assert not parked & set(carved)
-        # Every carved flit is in a buffer or on the link: at most the two
-        # packets being sent, whatever the backlog.
-        assert len(carved) == (
-            network.buffered_flits() + network.in_flight_flits() - 16 * len(parked)
-        ) <= 2 * 16 + 2
+        waiting = source_pids()
+        assert len(waiting) == len(set(waiting))
+        assert set(waiting) <= {pid for pid, p in packets.items() if p.arrive_cycle is None}
+        for vc in vcs:
+            assert vc.n == sum(packet.length for packet in vc.queue) - vc.front
+        # Downstream, a buffer lists the packets whose flits it holds.
+        for vc in network.routers[1].inputs[1].vcs:
+            assert len(vc.queue) <= max(vc.n, 1)
     assert now > 1_600 and all(p.arrive_cycle is not None for p in packets.values())
-    # Carving allocates no flit object: the entries are packet references.
+    # Queueing allocates no flit object: the entries are packet references.
     assert not [obj for obj in gc.get_objects() if type(obj) is Flit]
 
 
@@ -344,7 +337,7 @@ def test_an_unobserved_run_builds_no_flit(family, monkeypatch):
     engine.run(300)
     # Saturated: source queues backed up behind full buffers.
     assert any(
-        vc.backlog for router in network.routers for vc in router.inputs[0].vcs
+        len(vc.queue) > 1 for router in network.routers for vc in router.inputs[0].vcs
     )
     assert engine.stats.packets_delivered > 0
     assert built == []

@@ -112,9 +112,9 @@ def test_dropped_flit_breaks_conservation():
     checker = InvariantChecker(network)
     packet = Packet(0, grid.n_nodes - 1, length=4, create_cycle=0)
     network.inject(packet)
-    # Lose one flit straight out of the source queue (the injection port
-    # has no credit loop, so only conservation can notice).
-    network.routers[0].inputs[0].vcs[0].queue.pop()
+    # Lose one flit from the source queue's count (the injection port has
+    # no credit loop, so only conservation can notice).
+    network.routers[0].inputs[0].vcs[0].n -= 1
     with pytest.raises(InvariantViolation) as excinfo:
         network.step(0)
     assert excinfo.value.code == "FLIT-CONSERVATION"
@@ -154,8 +154,8 @@ def test_skipped_flit_index_is_flagged():
 
 
 def test_corrupted_buffer_front_is_flagged_on_send():
-    """A VC's buffer names its flits by position from ``InputVC.front``;
-    a wrong ``front`` sends flits under the wrong index, and the send-side
+    """A VC's buffer names its flits by count from ``InputVC.front``; a
+    wrong ``front`` sends flits under the wrong index, and the send-side
     order check names the input VC it happened at."""
     config = SimConfig(sim_cycles=1_000, warmup_cycles=0)
     grid = ChipletGrid(2, 2, 3, 3)
@@ -167,7 +167,7 @@ def test_corrupted_buffer_front_is_flagged_on_send():
         for router in network.routers
         for port in router.inputs[1:]
         for ivc in port.vcs
-        if len(ivc.queue) >= 2
+        if ivc.n >= 2
     )
     node, port_idx, ivc = victim
     ivc.front = (ivc.front + 1) % ivc.queue[0].length

@@ -1,10 +1,11 @@
-"""The source queue holds packets, every other FIFO is a bounded list.
+"""Input buffers list packets and count flits; every other FIFO is bounded.
 
 Two guarantees the cycle kernel's containers rest on: observers count a
-packet parked un-carved in an injection VC's ``backlog`` exactly as if its
-flits were queued (nothing else pins that — the digests never see a
-backlog), and every list used first-in first-out stays short, so no
-``pop(0)`` is ever long.
+packet waiting whole in an injection VC's source queue exactly as if its
+flits were queued one by one (nothing else pins that — the digests never
+see the source queue), and every list used first-in first-out stays
+short, so no ``pop(0)`` is ever long: a link-fed input VC lists at most
+``max(n, 1)`` packets for its ``n <= buffer_depth`` buffered flits.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from .helpers import uniform_engine
 
 
 def backlog_packets(network) -> list:
+    """Packets waiting in a source queue behind the one their VC routes."""
     return [
         packet
         for router in network.routers
         for vc in router.inputs[Router.INJECT_PORT].vcs
-        for packet in vc.backlog or ()
+        for packet in vc.queue[1:]
     ]
 
 
@@ -96,12 +98,12 @@ def test_list_fifos_stay_bounded(family, vct):
             for port in router.inputs:
                 for vc in port.vcs:
                     if port.is_injection:
-                        assert len({flit.packet for flit in vc.queue}) <= 1
-                        longest["backlog"] = max(longest["backlog"], len(vc.backlog or ()))
+                        assert vc.n == sum(p.length for p in vc.queue) - vc.front
+                        longest["backlog"] = max(longest["backlog"], len(vc.queue) - 1)
                     else:
-                        assert len(vc.queue) <= port.buffer_depth
-                        assert vc.backlog is None
-                    longest["vc"] = max(longest["vc"], len(vc.queue))
+                        assert vc.n <= port.buffer_depth
+                        assert len(vc.queue) <= max(vc.n, 1)
+                        longest["vc"] = max(longest["vc"], vc.n)
         for link in net.links:
             assert len(link._credit_queue) <= credit_bound[link.index]
             if isinstance(link, HeteroPhyLink):
@@ -119,4 +121,22 @@ def test_list_fifos_stay_bounded(family, vct):
     assert longest["vc"] >= 16 and longest["backlog"] > 0
     assert longest["pipe"] > 0
     assert (longest["tx"] > 0) == (family == "hetero_phy_torus")
+    network.close()
+
+
+def test_a_saturated_mesh_lists_each_buffered_packet_once():
+    """Buffers are run-length: after a saturated 256-node mesh point no input
+    VC lists a packet twice, so the lists hold fewer entries than flits."""
+    network, engine = uniform_engine(
+        "parallel_mesh", ChipletGrid(4, 4, 4, 4), cycles=300, rate=0.6, seed=1, warmup=60
+    )
+    engine.run(300)
+    entries = flits = 0
+    for router in network.routers:
+        for port in router.inputs:
+            for vc in port.vcs:
+                assert len({id(packet) for packet in vc.queue}) == len(vc.queue)
+                entries += len(vc.queue)
+                flits += vc.n
+    assert flits > entries > 0
     network.close()
