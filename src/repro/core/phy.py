@@ -93,22 +93,30 @@ class HeteroPhyLink(Link):
             budget = self._total_bw
         return budget - (self._accepted if now == self._accept_cycle else 0)
 
-    def accept(self, packet: Packet, index: int, vc: int, now: int) -> None:
+    def accept(self, packet: Packet, index: int, count: int, vc: int, now: int) -> None:
+        # A run enters the TX FIFO one entry per flit: dispatch, sequence
+        # numbers and the ROB stay per flit (Sec 4.2).
         if now != self._accept_cycle:
             self._accept_cycle = now
-            self._accepted = 1
+            self._accepted = count
         else:
-            self._accepted += 1
-        if self._telemetry.link_accept is not None:
-            self._telemetry.link_accept(self, Flit(packet, index), vc, now)
+            self._accepted += count
+        link_accept = self._telemetry.link_accept
+        if link_accept is not None:
+            for i in range(index, index + count):
+                link_accept(self, Flit(packet, i), vc, now)
         if index == 0:
             self._decide_bypass(packet, vc)
         if vc in self._bypass_vcs:
-            self._bypassq.append((packet, index, vc))
-            if index == packet.length - 1:
+            queue = self._bypassq
+            if index + count == packet.length:
                 self._bypass_vcs.discard(vc)
         else:
-            self._txq.append((packet, index, vc))
+            queue = self._txq
+        queue.append((packet, index, vc))
+        if count > 1:
+            for i in range(index + 1, index + count):
+                queue.append((packet, i, vc))
         if not self.active:
             self.active = True
             self.network._link_work.append(self)
@@ -206,7 +214,7 @@ class HeteroPhyLink(Link):
             packet.energy_interface_pj += energy_pj
             if index == 0:
                 packet.hops_interface += 1
-            note_link_flit(kind_id, energy_pj)
+            note_link_flit(kind_id, energy_pj, 1)
 
     # -- receive side --------------------------------------------------------------
     def _receive(self, now: int) -> None:

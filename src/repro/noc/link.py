@@ -43,22 +43,26 @@ TRAVERSAL_STAGES: dict[ChannelKind, Optional[str]] = {
 class Link:
     """Base class of all directed links.
 
-    Subclasses implement :meth:`accept` (flit enters the link at the
-    transmitter) and :meth:`step` (advance internal pipelines, deliver flits
-    and credits).  The switch allocator consults :meth:`accept_budget`
+    Subclasses implement :meth:`accept` (a run of flits enters the link at
+    the transmitter) and :meth:`step` (advance internal pipelines, deliver
+    flits and credits).  The switch allocator consults :meth:`accept_budget`
     before granting flits to the link in the current cycle and never
     exceeds it.
 
     :meth:`accept_budget`, :meth:`accept`, :meth:`return_credit` and
-    :meth:`step` are the per-item seams of the cycle kernel: the router
-    and the network call each exactly once per budget query, flit, credit
-    and link-cycle, so a subclass overriding one sees every item (the
-    fault-injecting links of ``tests/test_sanitizer.py`` do) — with or
-    without a host-time ledger attached, which times the same ``step``
-    from outside and charges it to :attr:`host_phase`.  Inside
-    them the work is flat — a delivery loop writes arriving flits straight
-    into the downstream :class:`~repro.noc.vc.InputVC` and arriving credits
-    straight into the upstream credit counters.
+    :meth:`step` are the seams of the cycle kernel: the router and the
+    network call each exactly once per budget query, *run* and link-cycle.
+    A run is ``count`` consecutive flits of one packet, on one VC, granted
+    in one cycle; it is one flit whenever the output had two contenders or
+    a ``flit_send`` / ``credit_return`` / ``link_accept`` subscriber is
+    attached (``docs/architecture.md``, "Hot path").  So a subclass
+    overriding a seam sees every run (the fault-injecting links of
+    ``tests/test_sanitizer.py`` do) — with or without a host-time ledger
+    attached, which times the same ``step`` from outside and charges it to
+    :attr:`host_phase`.  Inside them the work is flat — a delivery loop
+    writes arriving flits straight into the downstream
+    :class:`~repro.noc.vc.InputVC` and arriving credits straight into the
+    upstream credit counters.
     """
 
     #: Host-time phase one ``step`` of this link is charged to
@@ -73,7 +77,8 @@ class Link:
         self.dst_router: Optional["Router"] = None
         self.dst_port: int = -1
         self._index = -1
-        self._credit_queue: list[tuple[int, int]] = []
+        # (due cycle, vc, credits) in return order.
+        self._credit_queue: list[tuple[int, int, int]] = []
         self._accept_cycle = -1
         self._accepted = 0
         #: Total flits this link has carried (utilization analysis).
@@ -123,9 +128,9 @@ class Link:
         """Flits the link can still accept in cycle ``now``."""
         raise NotImplementedError
 
-    def accept(self, packet: Packet, index: int, vc: int, now: int) -> None:
-        """Take flit ``index`` of ``packet`` from the transmitting router's
-        switch."""
+    def accept(self, packet: Packet, index: int, count: int, vc: int, now: int) -> None:
+        """Take flits ``index`` to ``index + count - 1`` of ``packet`` from
+        the transmitting router's switch."""
         raise NotImplementedError
 
     # -- receive side -----------------------------------------------------
@@ -133,11 +138,13 @@ class Link:
         """Advance one cycle; return True while the link still holds state."""
         raise NotImplementedError
 
-    def return_credit(self, vc: int, now: int) -> None:
-        """Schedule a credit back to the transmitter for buffer slot ``vc``."""
-        self._credit_queue.append((now + self._credit_delay, vc))
-        if self._telemetry.credit_return is not None:
-            self._telemetry.credit_return(self, vc, now)
+    def return_credit(self, vc: int, now: int, count: int) -> None:
+        """Schedule ``count`` credits back to the transmitter for VC ``vc``."""
+        self._credit_queue.append((now + self._credit_delay, vc, count))
+        credit_return = self._telemetry.credit_return
+        if credit_return is not None:
+            for _ in range(count):
+                credit_return(self, vc, now)
         if not self.active:
             self.active = True
             self.network._link_work.append(self)
@@ -156,7 +163,8 @@ class Link:
         if queue and queue[0][0] <= now:
             credits = self._src_credits
             while queue and queue[0][0] <= now:
-                credits[queue.pop(0)[1]] += 1
+                _, vc, count = queue.pop(0)
+                credits[vc] += count
             router = self.src_router
             if not router.active:
                 router.active = True
@@ -165,7 +173,9 @@ class Link:
     # -- introspection (used by the invariant sanitizer) -------------------
     def pending_credits(self, vc: int) -> int:
         """Credits for ``vc`` scheduled but not yet delivered upstream."""
-        return sum(1 for _, credit_vc in self._credit_queue if credit_vc == vc)
+        return sum(
+            count for _, credit_vc, count in self._credit_queue if credit_vc == vc
+        )
 
     @property
     def occupancy(self) -> int:
@@ -208,8 +218,9 @@ class PipelinedLink(Link):
         super().__init__(spec)
         if spec.kind is ChannelKind.HETERO_PHY:
             raise ValueError("use HeteroPhyLink for HETERO_PHY channels")
-        # (due cycle, packet, flit index, vc) in accept order.
-        self._pipe: list[tuple[int, Packet, int, int]] = []
+        # (due cycle, packet, first flit index, flits, vc) in accept order:
+        # one entry per accepted run.
+        self._pipe: list[tuple[int, Packet, int, int, int]] = []
         self._bandwidth = spec.phy.bandwidth
         self._delay = spec.phy.delay
         self._energy_per_flit = FLIT_BITS * spec.phy.energy_pj_per_bit
@@ -217,27 +228,42 @@ class PipelinedLink(Link):
     def accept_budget(self, now: int) -> int:
         return self._bandwidth - (self._accepted if now == self._accept_cycle else 0)
 
-    def accept(self, packet: Packet, index: int, vc: int, now: int) -> None:
+    def accept(self, packet: Packet, index: int, count: int, vc: int, now: int) -> None:
         if now != self._accept_cycle:
             self._accept_cycle = now
-            self._accepted = 1
+            self._accepted = count
         else:
-            self._accepted += 1
-        # Charge traversal energy and the hop to the packet.
-        self.flits_carried += 1
+            self._accepted += count
+        # Charge traversal energy and the hop to the packet.  Energy is added
+        # once per flit: a float sum depends on how it is grouped.
+        self.flits_carried += count
         energy_pj = self._energy_per_flit
         if self._is_interface:
-            packet.energy_interface_pj += energy_pj
+            energy = packet.energy_interface_pj + energy_pj
+            if count > 1:
+                energy += energy_pj
+                if count > 2:
+                    for _ in range(count - 2):
+                        energy += energy_pj
+            packet.energy_interface_pj = energy
             if index == 0:
                 packet.hops_interface += 1
         else:
-            packet.energy_onchip_pj += energy_pj
+            energy = packet.energy_onchip_pj + energy_pj
+            if count > 1:
+                energy += energy_pj
+                if count > 2:
+                    for _ in range(count - 2):
+                        energy += energy_pj
+            packet.energy_onchip_pj = energy
             if index == 0:
                 packet.hops_onchip += 1
-        self._stats.note_link_flit(self._kind_id, energy_pj)
-        self._pipe.append((now + self._delay, packet, index, vc))
-        if self._telemetry.link_accept is not None:
-            self._telemetry.link_accept(self, Flit(packet, index), vc, now)
+        self._stats.note_link_flit(self._kind_id, energy_pj, count)
+        self._pipe.append((now + self._delay, packet, index, count, vc))
+        link_accept = self._telemetry.link_accept
+        if link_accept is not None:
+            for i in range(index, index + count):
+                link_accept(self, Flit(packet, i), vc, now)
         if not self.active:
             self.active = True
             self.network._link_work.append(self)
@@ -251,16 +277,17 @@ class PipelinedLink(Link):
             vcs = self._dst_vcs
             flit_recv = self._telemetry.flit_recv
             while pipe and pipe[0][0] <= now:
-                _, packet, index, vc = pipe.pop(0)
+                _, packet, index, count, vc = pipe.pop(0)
                 ivc = vcs[vc]
-                ivc.n += 1
+                ivc.n += count
                 if index == 0:
                     ivc.queue.append(packet)
                     if ivc.state == VC_IDLE and not ivc.queued:
                         ivc.queued = True
                         router._pending.append(ivc)
                 if flit_recv is not None:
-                    flit_recv(router, port, vc, Flit(packet, index), now)
+                    for i in range(index, index + count):
+                        flit_recv(router, port, vc, Flit(packet, i), now)
             if not router.active:
                 router.active = True
                 self.network._router_work.append(router)
@@ -270,15 +297,19 @@ class PipelinedLink(Link):
     @property
     def occupancy(self) -> int:
         """Flits currently in flight on the link."""
-        return len(self._pipe)
+        return sum(entry[3] for entry in self._pipe)
 
     def vc_flits(self, vc: int) -> int:
-        return sum(1 for _due, _packet, _index, pipe_vc in self._pipe if pipe_vc == vc)
+        return sum(
+            count for _due, _packet, _index, count, pipe_vc in self._pipe
+            if pipe_vc == vc
+        )
 
     def snapshot_state(self) -> dict:
         state = super().snapshot_state()
         state["pipe"] = [
-            {"due": due, "pid": packet.pid, "flit": index, "vc": vc}
-            for due, packet, index, vc in self._pipe
+            {"due": due, "pid": packet.pid, "flit": i, "vc": vc}
+            for due, packet, index, count, vc in self._pipe
+            for i in range(index, index + count)
         ]
         return state

@@ -25,7 +25,7 @@ from .router import Router
 class StatsSink(Protocol):
     """What the network needs from a statistics collector."""
 
-    def note_link_flit(self, kind_id: int, energy_pj: float) -> None: ...
+    def note_link_flit(self, kind_id: int, energy_pj: float, count: int) -> None: ...
 
     def note_router_flit(self, count: int = 1) -> None: ...
 

@@ -23,9 +23,9 @@ needing routing computation or VC allocation sit on a pending list, and
 VCs holding an output sit on an active list — so per-cycle cost scales
 with traffic, not with port count.  Allocation semantics are unchanged
 from the textbook router.  Switch allocation and traversal run as one
-flat pass (:meth:`Router._stage_sa`); the per-flit call chain and the
-ordering invariants it must keep are in ``docs/architecture.md``
-("Hot path").
+flat pass (:meth:`Router._stage_sa`) whose grants move runs of flits; the
+per-run call chain, the grant rule and the ordering invariants it must
+keep are in ``docs/architecture.md`` ("Hot path").
 """
 
 from __future__ import annotations
@@ -174,25 +174,27 @@ class Router:
             self.active = True
             self.network._router_work.append(self)
 
-    # The two methods below are the single-item forms of what the links'
+    # The two methods below are the one-call forms of what the links'
     # delivery loops do inline (``PipelinedLink.step``,
     # ``HeteroPhyLink._receive`` / ``_deliver_credits``); the loops own the
     # bookkeeping for speed, and ``tests/test_link.py`` pins both forms
     # equivalent.
     def receive_flit(
-        self, port: int, vc_idx: int, packet: Packet, index: int, now: int
+        self, port: int, vc_idx: int, packet: Packet, index: int, count: int, now: int
     ) -> None:
-        """Flit ``index`` of ``packet`` arrives from an upstream link into an
-        input VC buffer."""
+        """Flits ``index`` to ``index + count - 1`` of ``packet`` arrive from
+        an upstream link into an input VC buffer."""
         vc = self.inputs[port].vcs[vc_idx]
-        vc.n += 1
+        vc.n += count
         if index == 0:
             vc.queue.append(packet)
             if vc.state == VC_IDLE and not vc.queued:
                 vc.queued = True
                 self._pending.append(vc)
-        if self._telemetry.flit_recv is not None:
-            self._telemetry.flit_recv(self, port, vc_idx, Flit(packet, index), now)
+        flit_recv = self._telemetry.flit_recv
+        if flit_recv is not None:
+            for i in range(index, index + count):
+                flit_recv(self, port, vc_idx, Flit(packet, i), now)
         if not self.active:
             self.active = True
             self.network._router_work.append(self)
@@ -224,8 +226,6 @@ class Router:
                     # was listed when the head arrived, and the packet
                     # before it left whole.
                     packet = queue[0]
-                    if packet.inject_cycle is None and ivc.port == self.INJECT_PORT:
-                        packet.inject_cycle = now
                     ivc.candidates = route(self, packet)
                     if not ivc.candidates:
                         raise RuntimeError(
@@ -302,9 +302,11 @@ class Router:
             )
         return True
 
-    # Switch allocation + transmission, as one flat pass: per flit the only
-    # calls left are the link seams (``return_credit`` upstream, ``accept``
-    # downstream), the bus events and the buffer pop.
+    # Switch allocation + transmission, as one flat pass.  A grant moves a
+    # *run*: ``count`` consecutive flits of one packet, from one input VC,
+    # in this cycle.  Per run the only calls left are the link seams
+    # (``return_credit`` upstream, ``accept`` downstream), the bus events
+    # and the buffer pop.
     def _stage_sa(self, now: int) -> None:
         active = self._active
         # Requests per output port, in work-list order.  Most cycles see a
@@ -338,8 +340,17 @@ class Router:
             ((sole.out_port, [sole]),) if requesters is None else requesters.items()
         )
         outputs = self.outputs
-        flit_send = self._telemetry.flit_send
-        credit_stall = self._telemetry.credit_stall
+        telemetry = self._telemetry
+        flit_send = telemetry.flit_send
+        credit_stall = telemetry.credit_stall
+        # A sole contender's grant may take every flit it can send this
+        # cycle at once, unless a subscriber must see the per-flit
+        # interleaving of credit, send and accept events.
+        runs = (
+            flit_send is None
+            and telemetry.credit_return is None
+            and telemetry.link_accept is None
+        )
         sent = 0
         for out_idx, vcs in groups:
             out = outputs[out_idx]
@@ -361,8 +372,12 @@ class Router:
                 continue
             # Rotate contenders for fairness, then grant greedily; one
             # contender may win several slots per cycle (multi-width FIFO
-            # read, Sec 7.3).
+            # read, Sec 7.3).  With two or more, each grant is one flit, so
+            # their flits interleave (the order the hetero-PHY TX FIFO and
+            # same-cycle ejections keep).
+            single = runs
             if len(vcs) > 1:
+                single = False
                 start = out.rr_next % len(vcs)
                 vcs = vcs[start:] + vcs[:start]
                 out.rr_next += 1
@@ -372,24 +387,38 @@ class Router:
                 for ivc in vcs:
                     if budget <= 0:
                         break
-                    if not ivc.n or ivc.state != VC_ACTIVE:
+                    n = ivc.n
+                    if not n or ivc.state != VC_ACTIVE:
                         continue
                     out_vc = ivc.out_vc
-                    if link is not None and credits[out_vc] <= 0:
+                    # The ejection port's credits are never spent.
+                    room = credits[out_vc]
+                    if room <= 0:
                         continue
                     queue = ivc.queue
                     packet = queue[0]
                     index = ivc.front
-                    ivc.n -= 1
-                    is_tail = index == packet.length - 1
+                    if single:
+                        count = packet.length - index
+                        if n < count:
+                            count = n
+                        if budget < count:
+                            count = budget
+                        if room < count:
+                            count = room
+                    else:
+                        count = 1
+                    ivc.n = n - count
+                    end = index + count
+                    is_tail = end == packet.length
                     if is_tail:
                         queue.pop(0)
                         ivc.front = 0
                     else:
-                        ivc.front = index + 1
+                        ivc.front = end
                     in_link = ivc.in_link
                     if in_link is not None:
-                        in_link.return_credit(ivc.index, now)
+                        in_link.return_credit(ivc.index, now, count)
                     if flit_send is not None:
                         flit_send(self, Flit(packet, index), out_idx, out_vc, now)
                     if link is None:
@@ -397,12 +426,12 @@ class Router:
                             raise RuntimeError(
                                 f"flit for node {packet.dst} ejected at node {self.node}"
                             )
-                        packet.flits_delivered += 1
+                        packet.flits_delivered += count
                         if is_tail:
                             self._eject_packet(packet, now)
                     else:
-                        credits[out_vc] -= 1
-                        link.accept(packet, index, out_vc, now)
+                        credits[out_vc] -= count
+                        link.accept(packet, index, count, out_vc, now)
                     if is_tail:
                         out.vc_owner[out_vc] = None
                         ivc.reset_route()
@@ -413,9 +442,10 @@ class Router:
                             self._pending.append(ivc)
                         else:
                             ivc.queued = False
-                    sent += 1
-                    budget -= 1
-                    progressed = True
+                    sent += count
+                    budget -= count
+                    # A run ends only where the contender can send no more.
+                    progressed = not single
         if sent:
             self._stats.note_router_flit(sent)
 

@@ -67,9 +67,21 @@ class Stats:
         self.energy_interface_pj = 0.0
 
     # -- sink protocol ------------------------------------------------------
-    def note_link_flit(self, kind_id: int, energy_pj: float) -> None:
-        self._link_flits[kind_id] += 1
-        self._link_energy_pj[kind_id] += energy_pj
+    def note_link_flit(self, kind_id: int, energy_pj: float, count: int) -> None:
+        """``count`` flits, ``energy_pj`` each, crossed a link of one kind.
+
+        The energy is added once per flit, so the float sum does not depend
+        on how the flits were grouped into runs.
+        """
+        self._link_flits[kind_id] += count
+        energies = self._link_energy_pj
+        energy = energies[kind_id] + energy_pj
+        if count > 1:
+            energy += energy_pj
+            if count > 2:
+                for _ in range(count - 2):
+                    energy += energy_pj
+        energies[kind_id] = energy
 
     def note_router_flit(self, count: int = 1) -> None:
         """``count`` flits crossed a router's switch this cycle."""

@@ -529,8 +529,9 @@ def _link_flit_stages(link: Any) -> Iterable[tuple["Packet", int, str]]:
     pipe = getattr(link, "_pipe", None)
     if pipe is not None:  # PipelinedLink
         stage = link.traversal_stage or "link_onchip"
-        for _due, packet, index, _vc in pipe:
-            yield packet, index, stage
+        for _due, packet, index, count, _vc in pipe:
+            for i in range(index, index + count):
+                yield packet, i, stage
         return
     if getattr(link, "rob", None) is None:
         return

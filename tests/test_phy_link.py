@@ -233,7 +233,7 @@ def test_same_cycle_arrivals_insert_first_then_release_and_deliver(second_vc):
         feed = [(b, 0, 1), (a, 0, 0)]
         released = [(0, 2, 0), (1, 3, 0)]
     for packet, index, vc in feed:
-        link.accept(packet, index, vc, 0)
+        link.accept(packet, index, 1, vc, 0)
     for now in range(3):
         link.step(now)
     assert log == [] and link.flits_parallel == 2
@@ -252,8 +252,7 @@ def test_parallel_flit_ahead_of_serial_predecessor_parks_without_waking_router()
     link.policy = ScriptedPolicy([SERIAL])  # the head; the tail rides parallel
     log = adapter_event_log(network)
     packet = Packet(0, 1, 2, 0)
-    link.accept(packet, 0, 0, 0)
-    link.accept(packet, 1, 0, 0)
+    link.accept(packet, 0, 2, 0, 0)  # one run: the TX FIFO holds both
     for now in range(20):
         assert link.step(now)
     assert (link.flits_serial, link.flits_parallel) == (1, 1)
@@ -282,15 +281,15 @@ def test_link_with_a_single_live_item_stays_on_the_work_list(holding):
     link = network.links[0]
     packet = Packet(0, 1, 1, 0)
     if holding == "credit":
-        link.return_credit(0, 0)
+        link.return_credit(0, 0, 1)
         wait = link.credit_delay  # delivered in that cycle's step
     elif holding == "rob":
         link._next_sn[0] = 1  # the flit's predecessor never shows up
-        link.accept(packet, 0, 0, 0)
+        link.accept(packet, 0, 1, 0, 0)
         wait = 12
     else:
         link.policy = ScriptedPolicy(hold=True)
-        link.accept(packet, 0, 0, 0)
+        link.accept(packet, 0, 1, 0, 0)
         wait = 12
     assert link.active and network._link_work == [link]
     for now in range(wait):

@@ -109,14 +109,26 @@ def test_credit_return_frees_upstream():
 
 
 def test_injection_cycle_recorded():
+    """Two packets injected together sit on separate injection VCs, so the
+    ``route_compute`` events record both leaving the source at cycle 0."""
     network, _ = build_chain(2)
+    routed: list[tuple[int, int, int, int, int]] = []
+    network.telemetry.subscribe(
+        "route_compute",
+        lambda router, packet, port, vc, now: routed.append(
+            (packet.pid, router.node, port, vc, now)
+        ),
+    )
     a = Packet(0, 1, 4, 0)
     b = Packet(0, 1, 4, 0)
     network.inject(a)
     network.inject(b)
     run_cycles(network, 30)
-    assert a.inject_cycle == 0
-    assert b.inject_cycle == 0  # separate injection VCs: both start at once
+    at_source = [entry for entry in routed if entry[1] == 0]
+    assert at_source == [
+        (a.pid, 0, Router.INJECT_PORT, 0, 0),
+        (b.pid, 0, Router.INJECT_PORT, 1, 0),
+    ]
 
 
 def test_hetero_budget_respected_by_sa():

@@ -76,11 +76,11 @@ class _CreditLeakLink(PipelinedLink):
         super().__init__(spec)
         self._leaked = False
 
-    def return_credit(self, vc, now):
+    def return_credit(self, vc, now, count):
         if not self._leaked:
             self._leaked = True
             return
-        super().return_credit(vc, now)
+        super().return_credit(vc, now, count)
 
 
 def test_credit_leaking_link_is_flagged():
@@ -128,14 +128,14 @@ def test_out_of_order_delivery_is_flagged():
     packet = Packet(0, 1, length=2, create_cycle=0)
     router = network.routers[1]
     with pytest.raises(InvariantViolation) as excinfo:
-        router.receive_flit(1, 0, packet, 1, 0)  # body/tail before any head
+        router.receive_flit(1, 0, packet, 1, 1, 0)  # body/tail before any head
     assert excinfo.value.code == "VC-ORDER"
 
     # Interleaving a foreign head mid-packet is equally illegal.
-    router.receive_flit(1, 0, packet, 0, 0)
+    router.receive_flit(1, 0, packet, 0, 1, 0)
     other = Packet(0, 1, length=2, create_cycle=0)
     with pytest.raises(InvariantViolation) as excinfo:
-        router.receive_flit(1, 0, other, 0, 0)
+        router.receive_flit(1, 0, other, 0, 1, 0)
     assert excinfo.value.code == "VC-ORDER"
 
 
@@ -145,9 +145,9 @@ def test_skipped_flit_index_is_flagged():
     InvariantChecker(network)
     packet = Packet(0, 1, length=4, create_cycle=0)
     router = network.routers[1]
-    router.receive_flit(1, 0, packet, 0, 0)
+    router.receive_flit(1, 0, packet, 0, 1, 0)
     with pytest.raises(InvariantViolation) as excinfo:
-        router.receive_flit(1, 0, packet, 2, 0)
+        router.receive_flit(1, 0, packet, 2, 1, 0)
     assert excinfo.value.code == "VC-ORDER"
     assert "received flit 2 of packet" in str(excinfo.value)
     assert "expected flit 1" in str(excinfo.value)
@@ -187,7 +187,7 @@ def test_buffer_overflow_is_flagged():
     depth = router.inputs[1].buffer_depth
     with pytest.raises(InvariantViolation) as excinfo:
         for i in range(depth + 1):
-            router.receive_flit(1, 0, Packet(0, 1, length=1, create_cycle=0), 0, 0)
+            router.receive_flit(1, 0, Packet(0, 1, length=1, create_cycle=0), 0, 1, 0)
     assert excinfo.value.code == "BUF-OVERFLOW"
 
 

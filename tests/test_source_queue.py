@@ -105,15 +105,17 @@ def test_list_fifos_stay_bounded(family, vct):
                         assert len(vc.queue) <= max(vc.n, 1)
                         longest["vc"] = max(longest["vc"], vc.n)
         for link in net.links:
-            assert len(link._credit_queue) <= credit_bound[link.index]
+            # Queue and pipe entries are runs: bound the credits and flits.
+            credits = sum(count for _due, _vc, count in link._credit_queue)
+            assert credits <= credit_bound[link.index]
             if isinstance(link, HeteroPhyLink):
                 assert len(link._txq) + len(link._bypassq) <= link.tx_fifo_depth
                 assert len(link._par_pipe) <= link._par_bw * link._par_delay
                 assert len(link._ser_pipe) <= link._ser_bw * link._ser_delay
                 longest["tx"] = max(longest["tx"], len(link._txq) + len(link._bypassq))
             else:
-                assert len(link._pipe) <= link._bandwidth * link._delay
-                longest["pipe"] = max(longest["pipe"], len(link._pipe))
+                assert link.occupancy <= link._bandwidth * link._delay
+                longest["pipe"] = max(longest["pipe"], link.occupancy)
 
     network.telemetry.subscribe("cycle_end", check)
     engine.run(300)

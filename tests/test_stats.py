@@ -66,12 +66,29 @@ def test_energy_split():
 
 def test_link_counters_by_kind():
     stats = Stats()
-    stats.note_link_flit(KIND_IDS[ChannelKind.SERIAL], 153.6)
-    stats.note_link_flit(KIND_IDS[ChannelKind.SERIAL], 153.6)
-    stats.note_link_flit(KIND_IDS[ChannelKind.ONCHIP], 6.4)
+    stats.note_link_flit(KIND_IDS[ChannelKind.SERIAL], 153.6, 1)
+    stats.note_link_flit(KIND_IDS[ChannelKind.SERIAL], 153.6, 1)
+    stats.note_link_flit(KIND_IDS[ChannelKind.ONCHIP], 6.4, 1)
     assert stats.link_flits[ChannelKind.SERIAL] == 2
     assert stats.link_flits[ChannelKind.ONCHIP] == 1
     assert stats.link_energy_pj[ChannelKind.SERIAL] == pytest.approx(307.2)
+
+
+@pytest.mark.parametrize("count", [2, 3, 5])
+def test_a_run_of_flits_adds_energy_as_single_flits_do(count):
+    """A run's energy is added once per flit: ``x + e + e`` is not always
+    ``x + 2e`` in floats, and the fingerprint pins every bit."""
+    kind = KIND_IDS[ChannelKind.PARALLEL]
+    singles, run = Stats(), Stats()
+    for stats in (singles, run):
+        stats.note_link_flit(kind, 0.1, 1)
+    for _ in range(count):
+        singles.note_link_flit(kind, 0.7, 1)
+    run.note_link_flit(kind, 0.7, count)
+    assert run.link_flits == singles.link_flits
+    assert repr(run.link_energy_pj[ChannelKind.PARALLEL]) == repr(
+        singles.link_energy_pj[ChannelKind.PARALLEL]
+    )
 
 
 def test_percentiles():

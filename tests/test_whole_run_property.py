@@ -11,9 +11,17 @@ and ``RunDigest``, and must:
 * raise no invariant violation and no ``AttributionError``;
 * deliver every injected packet, each one attributed, and leave the
   network empty;
-* reproduce its digest chain on a second same-seed run;
+* reproduce its statistics exactly, energy floats included, on a second
+  same-seed run with no observer attached;
 * leave no cyclic garbage once observers are detached and the network is
   closed (collector off).
+
+The second run matters because the observers subscribe to the per-flit
+events, which hold every switch grant to one flit; with no subscriber a
+sole contender moves its whole run of ready flits per grant
+(docs/architecture.md, "Hot path").  The fixed cases below the property
+hold the plain runs of the bypass mix, a MOC trace replay and wormhole
+allocation to their digested pins.
 
 ``derandomize=True`` keeps the examples fixed, so the tier-1 cost is
 known (a few seconds); a counter-example found with more examples becomes
@@ -23,8 +31,10 @@ a pinned regression test below the property.
 from __future__ import annotations
 
 import gc
+import json
 from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,13 +42,18 @@ from repro.analysis import InvariantChecker
 from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
+from repro.sim.experiment import run_trace
 from repro.sim.stats import Stats
-from repro.telemetry import LatencyLedger, RunDigest
+from repro.telemetry import LatencyLedger, RunDigest, pins
 from repro.topology.grid import ChipletGrid
 from repro.topology.multipackage import build_hetero_channel_packages
-from repro.topology.system import build_system
+from repro.topology.system import FAMILIES, build_system
+from repro.traffic.hpc import embed_ranks, generate_moc_trace
 from repro.traffic.injection import SyntheticWorkload
 from repro.traffic.patterns import make_pattern
+
+from .helpers import uniform_engine
+from .test_kernel_equivalence import GRID, STORE, _MixedClassWorkload
 
 #: Cycles with injection; the run then drains.
 HORIZON = 150
@@ -83,14 +98,18 @@ def cases(draw):
     )
 
 
-def run_once(spec, policy, vct, rate, seed) -> str:
-    """Build, observe, run to drain, detach and close; the digest chain."""
+def run_once(spec, policy, vct, rate, seed, *, observed=True) -> tuple[str, dict]:
+    """Build, observe (or not), run to drain, detach and close; the stats
+    fingerprint and summary."""
     stats = Stats()
     network = build_network(spec, stats, policy=policy)
     for router in network.routers:
         router.vct = vct
-    observers = (InvariantChecker(network), LatencyLedger(network), RunDigest(network))
-    checker, ledger, digest = observers
+    observers = (
+        (InvariantChecker(network), LatencyLedger(network), RunDigest(network))
+        if observed
+        else ()
+    )
     n = spec.grid.n_nodes
     workload = SyntheticWorkload(
         make_pattern("uniform", n), n, rate, spec.config.packet_length,
@@ -99,12 +118,14 @@ def run_once(spec, policy, vct, rate, seed) -> str:
     Engine(network, workload, stats).run_until_drained(DRAIN_LIMIT)
     assert not network.holds_flits()
     assert stats.packets_delivered == stats.packets_injected > 0
-    assert ledger.summary()["packets"] == stats.packets_delivered
-    assert checker.checks_run > 0
+    if observed:
+        checker, ledger, _digest = observers
+        assert ledger.summary()["packets"] == stats.packets_delivered
+        assert checker.checks_run > 0
     for observer in observers:
         observer.detach()
     network.close()
-    return digest.final
+    return pins.stats_fingerprint(stats), stats.summary()
 
 
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
@@ -113,8 +134,80 @@ def test_every_described_system_runs_clean(case):
     gc.collect()
     gc.disable()
     try:
-        first = run_once(*case)
-        assert run_once(*case) == first
+        observed = run_once(*case)
+        assert run_once(*case, observed=False) == observed
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- plain runs against their digested pins --------------------------------------
+def assert_matches_pin(case: str, stats) -> None:
+    """A run made with no subscriber has the statistics of its digested pin."""
+    pinned = STORE[case]
+    assert pins.stats_fingerprint(stats) == pinned["fingerprint"]
+    assert json.loads(json.dumps(stats.summary())) == pinned["stats"]
+
+
+def test_plain_bypass_mix_matches_its_pin():
+    network, engine = uniform_engine(
+        "hetero_phy_torus", GRID, cycles=600, warmup=100, rate=0.3, seed=11,
+        workload=_MixedClassWorkload,
+    )
+    engine.run(600)
+    assert sum(getattr(link, "flits_bypassed", 0) for link in network.links) > 0
+    assert_matches_pin("hetero_phy_torus-bypass", network.stats)
+
+
+def test_plain_moc_trace_replay_matches_its_pin():
+    grid = ChipletGrid(4, 2, 3, 3)
+    trace = embed_ranks(
+        generate_moc_trace(128, 2, sweep_bytes=64, partners_per_sweep=7, seed=2),
+        grid,
+        core_only=True,
+    ).scaled(0.5)
+    result = run_trace(build_system("hetero_channel", grid, SimConfig()), trace)
+    assert_matches_pin("hetero_channel-moc-trace", result.stats)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_plain_wormhole_run_matches_its_pin(family):
+    network, engine = uniform_engine(
+        family, GRID, cycles=600, warmup=100, rate=0.5, seed=3, vct=False
+    )
+    engine.run(600)
+    assert_matches_pin(f"{family}-wormhole", network.stats)
+
+
+def count_accepts(network) -> dict[str, int]:
+    """Count ``Link.accept`` calls and the flits they carry, per network."""
+    tally = {"calls": 0, "flits": 0}
+    for link in network.links:
+        def counted(packet, index, count, vc, now, _accept=link.accept):
+            tally["calls"] += 1
+            tally["flits"] += count
+            _accept(packet, index, count, vc, now)
+
+        link.accept = counted
+    return tally
+
+
+def test_a_sole_contender_hands_a_link_its_flits_in_runs():
+    """Plain, a 2x2(4x4) hetero-PHY torus point calls ``accept`` fewer
+    times than it carries flits; with a ``flit_send`` subscriber, once per
+    flit — and both runs carry the same flits."""
+    tallies = []
+    for subscribed in (False, True):
+        network, engine = uniform_engine(
+            "hetero_phy_torus", ChipletGrid(2, 2, 4, 4), cycles=400, rate=0.15, seed=7
+        )
+        tally = count_accepts(network)
+        if subscribed:
+            network.telemetry.subscribe("flit_send", lambda *args: None)
+        engine.run(400)
+        network.close()
+        tallies.append(tally)
+    plain, per_flit = tallies
+    assert plain["flits"] == per_flit["flits"] > 0
+    assert plain["calls"] < plain["flits"]
+    assert per_flit["calls"] == per_flit["flits"]
