@@ -281,8 +281,13 @@ def check_network(
     the bound must at least cover their summed capacity (falling back to
     64 without a focus).  ``max_states`` bounds explored states.
     Injections are replenishable, so a state is fully described by its
-    channel occupancies.
+    channel occupancies.  Both budgets must be at least 1: an empty search
+    proves nothing.
     """
+    if max_states < 1:
+        raise ValueError(f"max_states must be >= 1, got {max_states}")
+    if max_packets is not None and max_packets < 1:
+        raise ValueError(f"max_packets must be >= 1, got {max_packets}")
     model = _Model(network, packet_length)
     if max_packets is None:
         in_focus = [

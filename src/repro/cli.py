@@ -92,6 +92,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type of a relative floor: a finite number >= 0."""
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     """argparse type of an interval in seconds: a finite number > 0."""
     value = float(text)
@@ -926,7 +934,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     regress_p.add_argument(
         "--rel-floor",
-        type=float,
+        type=_nonnegative_float,
         help="relative floor below which a timed delta is noise (default: each "
         "metric's bound in BENCHMARK.json)",
     )
@@ -1103,13 +1111,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     prove_p.add_argument(
         "--max-states",
-        type=int,
+        type=_positive_int,
         default=4_000,
         help="model-checker state budget per adjudicated cycle (default: 4000)",
     )
     prove_p.add_argument(
         "--max-packets",
-        type=int,
+        type=_positive_int,
         help="model-checker in-flight packet bound (default: sized from "
         "the adjudicated cycle's channel capacities)",
     )

@@ -101,10 +101,6 @@ class HeteroPhyLink(Link):
             self._accepted = count
         else:
             self._accepted += count
-        link_accept = self._telemetry.link_accept
-        if link_accept is not None:
-            for i in range(index, index + count):
-                link_accept(self, Flit(packet, i), vc, now)
         if index == 0:
             self._decide_bypass(packet, vc)
         if vc in self._bypass_vcs:

@@ -53,9 +53,10 @@ class Link:
     :meth:`step` are the seams of the cycle kernel: the router and the
     network call each exactly once per budget query, *run* and link-cycle.
     A run is ``count`` consecutive flits of one packet, on one VC, granted
-    in one cycle; it is one flit whenever the output had two contenders or
-    a ``flit_send`` / ``credit_return`` / ``link_accept`` subscriber is
-    attached (``docs/architecture.md``, "Hot path").  So a subclass
+    in one cycle; it is one flit whenever the output had two contenders
+    (``docs/architecture.md``, "Hot path").  :meth:`accept` and
+    :meth:`return_credit` only keep the books: the granting router emits
+    their ``link_accept`` and ``credit_return`` events.  A subclass
     overriding a seam sees every run (the fault-injecting links of
     ``tests/test_sanitizer.py`` do) — with or without a host-time ledger
     attached, which times the same ``step`` from outside and charges it to
@@ -141,10 +142,6 @@ class Link:
     def return_credit(self, vc: int, now: int, count: int) -> None:
         """Schedule ``count`` credits back to the transmitter for VC ``vc``."""
         self._credit_queue.append((now + self._credit_delay, vc, count))
-        credit_return = self._telemetry.credit_return
-        if credit_return is not None:
-            for _ in range(count):
-                credit_return(self, vc, now)
         if not self.active:
             self.active = True
             self.network._link_work.append(self)
@@ -260,10 +257,6 @@ class PipelinedLink(Link):
                 packet.hops_onchip += 1
         self._stats.note_link_flit(self._kind_id, energy_pj, count)
         self._pipe.append((now + self._delay, packet, index, count, vc))
-        link_accept = self._telemetry.link_accept
-        if link_accept is not None:
-            for i in range(index, index + count):
-                link_accept(self, Flit(packet, i), vc, now)
         if not self.active:
             self.active = True
             self.network._link_work.append(self)

@@ -305,8 +305,9 @@ class Router:
     # Switch allocation + transmission, as one flat pass.  A grant moves a
     # *run*: ``count`` consecutive flits of one packet, from one input VC,
     # in this cycle.  Per run the only calls left are the link seams
-    # (``return_credit`` upstream, ``accept`` downstream), the bus events
-    # and the buffer pop.
+    # (``return_credit`` upstream, ``accept`` downstream) and the buffer
+    # pop.  The run's per-flit bus events are emitted here too, and no
+    # subscriber changes what a grant moves.
     def _stage_sa(self, now: int) -> None:
         active = self._active
         # Requests per output port, in work-list order.  Most cycles see a
@@ -341,15 +342,14 @@ class Router:
         )
         outputs = self.outputs
         telemetry = self._telemetry
+        credit_return = telemetry.credit_return
         flit_send = telemetry.flit_send
+        link_accept = telemetry.link_accept
         credit_stall = telemetry.credit_stall
-        # A sole contender's grant may take every flit it can send this
-        # cycle at once, unless a subscriber must see the per-flit
-        # interleaving of credit, send and accept events.
-        runs = (
-            flit_send is None
-            and telemetry.credit_return is None
-            and telemetry.link_accept is None
+        watched = (
+            credit_return is not None
+            or flit_send is not None
+            or link_accept is not None
         )
         sent = 0
         for out_idx, vcs in groups:
@@ -375,9 +375,8 @@ class Router:
             # read, Sec 7.3).  With two or more, each grant is one flit, so
             # their flits interleave (the order the hetero-PHY TX FIFO and
             # same-cycle ejections keep).
-            single = runs
-            if len(vcs) > 1:
-                single = False
+            single = len(vcs) == 1
+            if not single:
                 start = out.rr_next % len(vcs)
                 vcs = vcs[start:] + vcs[:start]
                 out.rr_next += 1
@@ -419,8 +418,16 @@ class Router:
                     in_link = ivc.in_link
                     if in_link is not None:
                         in_link.return_credit(ivc.index, now, count)
-                    if flit_send is not None:
-                        flit_send(self, Flit(packet, index), out_idx, out_vc, now)
+                    if watched:
+                        # Invariant 3, per flit of the run.
+                        for i in range(index, end):
+                            if credit_return is not None and in_link is not None:
+                                credit_return(in_link, ivc.index, now)
+                            flit = Flit(packet, i)
+                            if flit_send is not None:
+                                flit_send(self, flit, out_idx, out_vc, now)
+                            if link_accept is not None and link is not None:
+                                link_accept(link, flit, out_vc, now)
                     if link is None:
                         if packet.dst != self.node:
                             raise RuntimeError(

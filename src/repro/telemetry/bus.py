@@ -13,8 +13,8 @@ Each event is an attribute on the bus that is ``None`` while nobody
 listens.  Emission sites are written as::
 
     bus = self._telemetry
-    if bus.link_accept is not None:
-        bus.link_accept(self, flit, vc, now)
+    if bus.packet_eject is not None:
+        bus.packet_eject(self, packet, now)
 
 so an uninstrumented run pays one attribute load and one ``is not None``
 test per event site — measured at well under the 5% wall-clock budget
@@ -34,7 +34,9 @@ Event catalogue (arguments each callback receives):
 ``flit_send``      ``(router, flit, out_port, out_vc, now)`` — switch traversal
 ``flit_recv``      ``(router, port, vc, flit, now)`` — flit entered an input VC
 ``link_accept``    ``(link, flit, vc, now)`` — flit entered a link at the TX
+                   (emitted by the granting router on the link's behalf)
 ``credit_return``  ``(link, vc, now)`` — a buffer slot credit left downstream
+                   (emitted by the granting router on the link's behalf)
 ``credit_stall``   ``(router, out_port, vc, now)`` — an active VC had a flit
                    ready but zero downstream credits this cycle
 ``phy_dispatch``   ``(link, flit, vc, phy, now)`` — hetero-PHY TX dispatched a
@@ -47,11 +49,15 @@ Event catalogue (arguments each callback receives):
 
 Ordering guarantees
 -------------------
-Two properties every collector may rely on (the latency ledger does):
+Three properties every collector may rely on (the latency ledger does):
 
 * **Event order is emission order** and emission cycles never decrease:
   within one cycle, links step before routers and ``cycle_end`` fires
   last (see :meth:`repro.noc.network.Network.step`).
+* **A switch grant emits per flit, in index order**: ``credit_return``
+  (when the input VC has an upstream link), ``flit_send``, then
+  ``link_accept`` (unless the flit ejects), all before the link's
+  ``accept`` books the run.
 * **Subscriber order is subscription order.**  With several callbacks on
   one event, emission fans out over a tuple snapshot in the order the
   callbacks subscribed; attaching or detaching *other* subscribers (a

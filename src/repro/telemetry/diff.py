@@ -243,17 +243,25 @@ def resimulate(
     from .session import TelemetryConfig
 
     total, warmup = int(meta["cycles"]), int(meta.get("warmup") or 0)
-    grid = ChipletGrid(*meta["chiplets"], *meta["nodes"])
-    config = SimConfig().replace(sim_cycles=total, warmup_cycles=warmup)
-    spec = build_system(meta["family"], grid, config)
-    workload: Any = SyntheticWorkload(
-        make_pattern(meta["pattern"], grid.n_nodes),
-        grid.n_nodes,
-        meta["rate"],
-        config.packet_length,
-        until=total,
-        seed=meta["seed"],
-    )
+    every = meta.get("checkpoint_every")
+    if every is None:
+        every = DEFAULT_CHECKPOINT_EVERY
+    elif every < 1:
+        raise DiffError(f"checkpoint_every must be >= 1, got {every}")
+    try:  # a description the builders reject is a bad operand, not a crash
+        grid = ChipletGrid(*meta["chiplets"], *meta["nodes"])
+        config = SimConfig().replace(sim_cycles=total, warmup_cycles=warmup)
+        spec = build_system(meta["family"], grid, config)
+        workload: Any = SyntheticWorkload(
+            make_pattern(meta["pattern"], grid.n_nodes),
+            grid.n_nodes,
+            meta["rate"],
+            config.packet_length,
+            until=total,
+            seed=meta["seed"],
+        )
+    except ValueError as exc:
+        raise DiffError(f"digest meta cannot be simulated: {exc}") from None
     if meta.get("perturb") is not None:
         workload = PerturbedWorkload(
             workload, int(meta["perturb"]), dst=max(1, grid.n_nodes - 1)
@@ -271,7 +279,7 @@ def resimulate(
         telemetry=TelemetryConfig(
             epoch_metrics=False,
             digest=True,
-            digest_checkpoint_every=meta.get("checkpoint_every") or DEFAULT_CHECKPOINT_EVERY,
+            digest_checkpoint_every=every,
             digest_capture=capture,
             # The event-context pass leaves a bundle if it wedges.
             forensics=recorder,
@@ -348,7 +356,10 @@ def load_diffable(token: str, *, runs_dir: str | Path = "runs") -> Diffable:
     record).
     """
     if token.startswith("sim:"):
-        result = resimulate(parse_sim_spec(token))
+        try:
+            result = resimulate(parse_sim_spec(token))
+        except DiffError as exc:
+            raise DiffError(f"{token}: {exc}") from None
         return Diffable(token, "sim", result.digest, result.stats.summary())
     if token.startswith("pin:"):
         from .pins import load

@@ -292,6 +292,17 @@ def test_prove_requires_family_or_all():
         main(["prove"])
 
 
+@pytest.mark.parametrize(
+    "budget", [["--max-states", "0"], ["--max-states", "-5"], ["--max-packets", "0"]]
+)
+def test_prove_rejects_an_empty_model_checker_budget(budget, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["prove", "--family", "serial_torus", "--mode", "wormhole", "--no-record",
+              *budget])
+    assert caught.value.code == 2
+    assert "CERTIFIED" not in capsys.readouterr().out
+
+
 def test_report_without_results_is_a_clean_error(tmp_path):
     with pytest.raises(SystemExit, match="no benchmark CSVs"):
         main(["report", "--results-dir", str(tmp_path / "missing")])
@@ -487,6 +498,14 @@ def test_compare_cli_strict_exits_nonzero_on_regression(tmp_path, capsys):
     assert main(["regress", str(b), str(a), "--strict"]) == 0
     # --rel-floor widens the timed rows' bound: -40% is inside a 50% floor.
     assert main(["regress", str(a), str(b), "--strict", "--rel-floor", "0.5"]) == 0
+
+
+@pytest.mark.parametrize("floor", ["nan", "inf", "-0.1"])
+def test_regress_rejects_a_floor_that_is_not_finite_and_nonnegative(tmp_path, floor):
+    a, b = _write_bench_pair(tmp_path, 500_000.0, 500_000.0)
+    with pytest.raises(SystemExit) as caught:
+        main(["regress", str(a), str(b), "--strict", "--rel-floor", floor])
+    assert caught.value.code == 2
 
 
 def test_compare_cli_missing_file_is_a_clean_error(tmp_path):

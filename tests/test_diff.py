@@ -314,6 +314,19 @@ def test_cli_diff_bad_operand_is_a_clean_error(tmp_path):
         main(["diff", str(tmp_path / "nope.json"), BASE_SPEC])
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["rate=-1", "cycles=0", "family=bogus", "warmup=5000,cycles=100", "checkpoint_every=0"],
+)
+def test_cli_diff_rejects_a_spec_the_simulator_cannot_build(bad, capsys):
+    spec = f"{BASE_SPEC},{bad}"
+    with pytest.raises(SystemExit) as caught:
+        main(["diff", spec, BASE_SPEC])
+    message = str(caught.value.code)
+    assert message.startswith(f"{spec}: ") and "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
 def test_only_a_wedged_event_context_pass_leaves_a_bundle(tmp_path, monkeypatch):
     # The context pass attaches its flight recorder with forensics on, so a
     # re-simulation that raises there leaves the engine's postmortem bundle

@@ -194,6 +194,15 @@ def test_prove_rejects_unknown_family_and_mode():
         prove_family("parallel_mesh", mode="store_and_forward")
 
 
+@pytest.mark.parametrize(
+    "budget", [{"max_states": 0}, {"max_states": -1}, {"max_packets": 0}]
+)
+def test_prove_rejects_an_empty_model_checker_budget(budget):
+    # serial_torus wormhole has a CDG cycle, so the model checker runs.
+    with pytest.raises(ValueError, match="must be >= 1"):
+        prove_family("serial_torus", mode="wormhole", fault_masks=False, **budget)
+
+
 def test_report_round_trips_through_dict():
     report = Report(system="unit", mode="wormhole", passes=["lint"])
     report.metrics["x"] = 3

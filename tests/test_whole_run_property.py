@@ -16,12 +16,11 @@ and ``RunDigest``, and must:
 * leave no cyclic garbage once observers are detached and the network is
   closed (collector off).
 
-The second run matters because the observers subscribe to the per-flit
-events, which hold every switch grant to one flit; with no subscriber a
-sole contender moves its whole run of ready flits per grant
-(docs/architecture.md, "Hot path").  The fixed cases below the property
-hold the plain runs of the bypass mix, a MOC trace replay and wormhole
-allocation to their digested pins.
+The second run holds the observers passive: a switch grant moves the same
+run of flits whoever subscribes, and the router emits the per-flit events
+of that run (docs/architecture.md, "Hot path").  The fixed cases below the
+property hold the plain runs of the bypass mix, a MOC trace replay and
+wormhole allocation to their digested pins, and the event order of a run.
 
 ``derandomize=True`` keeps the examples fixed, so the tier-1 cost is
 known (a few seconds); a counter-example found with more examples becomes
@@ -193,9 +192,9 @@ def count_accepts(network) -> dict[str, int]:
 
 
 def test_a_sole_contender_hands_a_link_its_flits_in_runs():
-    """Plain, a 2x2(4x4) hetero-PHY torus point calls ``accept`` fewer
-    times than it carries flits; with a ``flit_send`` subscriber, once per
-    flit — and both runs carry the same flits."""
+    """A 2x2(4x4) hetero-PHY torus point calls ``accept`` fewer times than
+    it carries flits, and exactly as often with the three per-flit events
+    subscribed as with none."""
     tallies = []
     for subscribed in (False, True):
         network, engine = uniform_engine(
@@ -203,11 +202,88 @@ def test_a_sole_contender_hands_a_link_its_flits_in_runs():
         )
         tally = count_accepts(network)
         if subscribed:
-            network.telemetry.subscribe("flit_send", lambda *args: None)
+            for name in ("credit_return", "flit_send", "link_accept"):
+                network.telemetry.subscribe(name, lambda *args: None)
         engine.run(400)
         network.close()
         tallies.append(tally)
-    plain, per_flit = tallies
-    assert plain["flits"] == per_flit["flits"] > 0
-    assert plain["calls"] < plain["flits"]
-    assert per_flit["calls"] == per_flit["flits"]
+    plain, observed = tallies
+    assert plain == observed
+    assert 0 < plain["calls"] < plain["flits"]
+
+
+def record_run_events(network) -> list[tuple]:
+    """Log ``credit_return``, ``flit_send`` and ``link_accept`` in emission
+    order, plus a ``grant`` entry for each ``Link.accept`` call (one per run,
+    made after the run's events)."""
+    log: list[tuple] = []
+    bus = network.telemetry
+    bus.subscribe(
+        "credit_return", lambda link, vc, now: log.append(("credit", link.index, vc, now))
+    )
+
+    def on_send(router, flit, out_port, out_vc, now):
+        ivc = router.outputs[out_port].vc_owner[out_vc]
+        link = router.outputs[out_port].link
+        log.append((
+            "send", flit.packet.pid, flit.index,
+            None if ivc.in_link is None else (ivc.in_link.index, ivc.index),
+            None if link is None else (link.index, out_vc),
+            now,
+        ))
+
+    bus.subscribe("flit_send", on_send)
+    bus.subscribe(
+        "link_accept",
+        lambda link, flit, vc, now: log.append(
+            ("accept", link.index, vc, flit.packet.pid, flit.index, now)
+        ),
+    )
+    for link in network.links:
+        def granted(packet, index, count, vc, now, _accept=link.accept, _link=link):
+            log.append(("grant", _link.index, vc, packet.pid, index, count, now))
+            _accept(packet, index, count, vc, now)
+
+        link.accept = granted
+    return log
+
+
+@pytest.mark.parametrize("family", ["parallel_mesh", "hetero_phy_torus"])
+def test_a_run_emits_credit_send_accept_per_flit_in_index_order(family):
+    """Invariant 3 on runs: per flit, ``credit_return`` when the input VC
+    has an upstream link, then ``flit_send``, then ``link_accept`` unless
+    the flit ejects; a run's flits in index order."""
+    network, engine = uniform_engine(family, GRID, cycles=300, rate=0.2, seed=5)
+    log = record_run_events(network)
+    engine.run(300)
+    network.close()
+    sends = credits = accepts = 0
+    for k, entry in enumerate(log):
+        if entry[0] != "send":
+            continue
+        sends += 1
+        _, pid, index, upstream, downstream, now = entry
+        if upstream is not None:
+            credits += 1
+            assert log[k - 1] == ("credit", *upstream, now)
+        if downstream is not None:
+            accepts += 1
+            assert log[k + 1] == ("accept", *downstream, pid, index, now)
+    # Every event belongs to one send.
+    assert (credits, accepts) == (
+        sum(entry[0] == "credit" for entry in log),
+        sum(entry[0] == "accept" for entry in log),
+    )
+    runs = 0
+    for k, entry in enumerate(log):
+        if entry[0] != "grant":
+            continue
+        _, link_index, vc, pid, index, count, now = entry
+        runs += count > 1
+        # A flit's events are at most three entries; the run's sends are the
+        # last ``count`` before its grant.
+        block = [e for e in log[max(0, k - 3 * count):k] if e[0] == "send"][-count:]
+        assert [(e[1], e[2], e[4], e[5]) for e in block] == [
+            (pid, i, (link_index, vc), now) for i in range(index, index + count)
+        ]
+    assert sends > 0 and runs > 0
