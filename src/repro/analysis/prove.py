@@ -19,10 +19,11 @@ over one built system and adjudicates the result into a
 The refutation step is what lets ``repro prove --all`` certify the
 adaptive families under the ``wormhole`` assumption: their extended CDGs
 are cyclic (``repro check --mode wormhole`` reports that faithfully), but
-the cycles are unrealizable under the routers' virtual cut-through
-allocation, and the model checker proves exactly that on the instance at
-hand.  ``repro check`` semantics are unchanged — only ``prove``
-adjudicates.
+the model checker finds no deadlock on the instance at hand.  It models
+virtual cut-through allocation whatever the mode, and a search cut short by
+``max_states`` is a bounded refutation: the downgraded warning says which
+one it was, and only an exhaustive search calls the cycle unrealizable.
+``repro check`` semantics are unchanged — only ``prove`` adjudicates.
 """
 
 from __future__ import annotations
@@ -233,10 +234,13 @@ def _adjudicate(
 
 def _downgrade_cycle_findings(report: Report, result: ModelCheckResult) -> None:
     """Replace CDG cycle errors with ``CDG-CYCLE-REFUTED`` warnings."""
-    scope = (
-        "the bounded state space was explored exhaustively"
+    model = "its virtual cut-through allocation model"
+    verdict = (
+        f"refuted by the model checker: {model} was explored exhaustively, so the "
+        "cycle is unrealizable under that allocation"
         if result.exhaustive
-        else f"no deadlock within {result.explored} explored states"
+        else f"refuted within a bound only: the model checker explored {result.explored} "
+        f"states of {model} without a deadlock; the search was not exhaustive"
     )
     kept: list[Finding] = []
     for finding in report.findings:
@@ -246,9 +250,7 @@ def _downgrade_cycle_findings(report: Report, result: ModelCheckResult) -> None:
                     Severity.WARNING,
                     "CDG-CYCLE-REFUTED",
                     finding.target,
-                    f"{finding.message} — refuted by the model checker: "
-                    f"{scope}, so the cycle is unrealizable under the "
-                    "routers' virtual cut-through allocation",
+                    f"{finding.message} — {verdict}",
                 )
             )
         else:

@@ -17,7 +17,7 @@ Run paper experiments and ad-hoc simulations from the shell::
     repro regress BENCH_0.json BENCH_1.json --strict   # is it slower: A/B verdicts
     repro regress --strict             # changepoint sentinel over ./BENCH_*.json
     repro simulate --digest            # record the run's event-digest chain
-    repro golden check                 # re-simulate every self-describing pin
+    repro golden check                 # re-simulate every pin from its own meta
     repro golden record                # re-pin (model changes only) -> PINS.json
     repro diff pin:fig11_hetero_phy "sim:family=hetero_phy_torus,nodes=4x4,rate=0.15"
     repro diff "sim:family=hetero_phy_torus,chiplets=2x2,nodes=4x4,rate=0.15" \
@@ -471,15 +471,11 @@ def _cmd_diff(args) -> int:
 
 def _cmd_golden(args) -> int:
     from repro.telemetry import pins
-    from repro.telemetry.diff import missing_resim_keys
 
     failed = 0
     try:
         store = pins.load(args.file)
-        names = args.case or [
-            case for case, pin in store.items()
-            if not missing_resim_keys(pin["digest"].get("meta"))
-        ]
+        names = args.case or list(store)
         unknown = [name for name in names if name not in store]
         if unknown:
             raise ValueError(
@@ -493,7 +489,7 @@ def _cmd_golden(args) -> int:
             ok, message = pins.check(name, store[name], pins.reobserve(store[name]))
             print(message)
             failed += not ok
-    except (ValueError, OSError, RuntimeError) as exc:  # e.g. a test-built pin: no meta
+    except (ValueError, OSError, RuntimeError) as exc:  # e.g. a pin with no re-simulation meta
         raise SystemExit(str(exc)) from None
     if failed:
         print(f"{failed}/{len(names)} pin(s) FAILED")
@@ -979,13 +975,11 @@ def main(argv: list[str] | None = None) -> int:
 
     golden_p = sub.add_parser(
         "golden",
-        help="check/record the pinned runs of benchmarks/goldens/PINS.json "
-        "that describe themselves (re-simulation meta)",
+        help="check/record the pinned runs of benchmarks/goldens/PINS.json, "
+        "each re-simulated from its own meta",
     )
     golden_p.add_argument("action", choices=("record", "check"))
-    golden_p.add_argument(
-        "case", nargs="*", help="pin names (default: every self-describing pin)"
-    )
+    golden_p.add_argument("case", nargs="*", help="pin names (default: every pin)")
     golden_p.add_argument(
         "--file", help="pin store (default: benchmarks/goldens/PINS.json)"
     )

@@ -5,7 +5,7 @@ This is the glue between the pure topology description
 (:mod:`repro.core`) and the NoC substrate (:mod:`repro.noc`): it
 instantiates links (hetero-PHY channels get adapters with the configured
 dispatch policy), installs the routing function its links call for, and
-validates the virtual cut-through buffer requirement.
+validates the virtual cut-through buffer requirement of a VCT build.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ def build_network(
     policy: Optional[str] = None,
     routing=None,
     dispatch_policy_factory=None,
+    vct: bool = True,
 ) -> Network:
     """Instantiate the network of a system, ready to simulate.
 
@@ -61,11 +62,12 @@ def build_network(
     entirely, and ``dispatch_policy_factory`` (a zero-argument callable
     returning a :class:`~repro.core.scheduling.DispatchPolicy`) overrides
     the name-based hetero-PHY dispatch policy — both used by ablation
-    studies.
+    studies.  ``vct=False`` builds wormhole routers, which take any buffer depth.
     """
     config = spec.config
     policy_name = policy or config.scheduling_policy
-    _validate_vct(spec)
+    if vct:
+        _validate_vct(spec)
     subnet_choice = spec.has_subnet_choice
     exclusive = policy_name in ("mesh", "cube")
     if exclusive and not subnet_choice:
@@ -78,6 +80,7 @@ def build_network(
         stats,
         injection_vcs=config.injection_vcs,
         ejection_bandwidth=config.ejection_bandwidth,
+        vct=vct,
     )
     dispatch_name = "balanced" if exclusive else policy_name
     if dispatch_policy_factory is None:
@@ -103,13 +106,13 @@ def _validate_vct(spec: SystemSpec) -> None:
     config = spec.config
     if config.onchip_buffer < config.packet_length:
         raise ValueError(
-            f"on-chip buffers ({config.onchip_buffer} flits) are smaller than "
-            f"the packet length ({config.packet_length}); virtual cut-through "
-            "allocation (and Lemma 1's deadlock argument) requires "
-            "whole-packet buffering"
+            f"on-chip buffers (onchip_buffer={config.onchip_buffer} flits) are "
+            f"smaller than the packet length (packet_length={config.packet_length}); "
+            "virtual cut-through allocation (and Lemma 1's deadlock argument) "
+            "requires whole-packet buffering"
         )
     if config.interface_buffer < config.packet_length:
         raise ValueError(
-            f"interface buffers ({config.interface_buffer} flits) are smaller "
-            f"than the packet length ({config.packet_length})"
+            f"interface buffers (interface_buffer={config.interface_buffer} flits) "
+            f"are smaller than the packet length (packet_length={config.packet_length})"
         )

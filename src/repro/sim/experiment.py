@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.phy import HeteroPhyLink
@@ -40,7 +40,6 @@ class RunResult:
     stats: Stats
     #: (parallel, serial) flit counts over all hetero-PHY links.
     phy_split: tuple[int, int] = (0, 0)
-    extras: dict[str, float] = field(default_factory=dict)
     #: Finalized telemetry session (set when ``telemetry=`` was requested).
     telemetry: Optional[TelemetrySession] = None
     #: Workload RNG seed (None for trace replays).
@@ -136,22 +135,24 @@ def run_workload(
     telemetry: Optional[TelemetryConfig],
     seed: Optional[int] = None,
     strict: bool = True,
+    vct: bool = True,
 ) -> RunResult:
     """One run, start to end: build, attach, run, finalize, collect, close.
 
     The only such path outside ``repro.analysis``: ``run_synthetic``,
     ``run_trace`` and ``repro diff``'s re-simulation are thin callers.
     ``descriptor`` is the workload part of the digest ``meta`` block;
-    ``drain`` selects run-until-drained (``horizon`` is then the deadline).
+    ``drain`` selects run-until-drained (``horizon`` is then the deadline);
+    ``vct=False`` builds wormhole routers and says so in the meta block.
     Whoever builds a network closes it (``Network.close``), so the run's
     routers, links and flits are freed by reference counting as soon as the
     caller drops the result — on the failure path too.
     """
     stats = Stats(measure_from=warmup)
-    network = build_network(spec, stats, policy=policy)
+    network = build_network(spec, stats, policy=policy, vct=vct)
     engine = Engine(network, workload, stats)
     resolved_policy = policy or spec.config.scheduling_policy
-    config_hash = system_digest(spec, workload=workload_name, policy=resolved_policy)
+    config_hash = system_digest(spec, workload=workload_name, policy=resolved_policy, vct=vct)
     session: Optional[TelemetrySession] = None
     try:
         if telemetry is not None:
@@ -178,6 +179,7 @@ def run_workload(
                     warmup=warmup,
                     policy=resolved_policy,
                     config_hash=config_hash,
+                    vct=None if vct else False,
                 )
             if session.live is not None:
                 session.live.start(
@@ -268,13 +270,17 @@ def run_synthetic(
     )
 
 
+#: Cycles a trace replay may run past the trace's last injection to drain.
+TRACE_DRAIN_MARGIN = 200_000
+
+
 def run_trace(
     spec: SystemSpec,
     trace: Trace,
     *,
     policy: Optional[str] = None,
     warmup: int = 0,
-    drain_margin: int = 200_000,
+    drain_margin: int = TRACE_DRAIN_MARGIN,
     strict: bool = True,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> RunResult:
@@ -297,9 +303,8 @@ def run_trace(
                 f"{trace.dst[row]}): node {column[row]} is outside "
                 f"{spec.name}, n_nodes={n_nodes}"
             )
-    # Trace replays carry no synthetic-workload descriptor, so the digest
-    # meta is not re-simulable; ``repro diff`` then localizes only to
-    # checkpoint granularity.
+    # The meta names the trace, not how it was made; a replay that re-runs from
+    # its meta carries a ``trace`` block (``repro.telemetry.diff.run_described``).
     return run_workload(
         spec,
         TraceWorkload(trace),

@@ -620,9 +620,7 @@ def determinism_section(
                         case,
                         pin["digest"].get("cycles", math.nan),
                         _code(pin["digest"].get("final")),
-                        "no (built by tests)"
-                        if missing_resim_keys(pin["digest"].get("meta"))
-                        else "yes",
+                        "no" if missing_resim_keys(pin["digest"].get("meta")) else "yes",
                     ]
                     for case, pin in pins.items()
                 ),

@@ -13,7 +13,7 @@ escalating granularities:
    monotone predicate and bisection pins the divergence to one
    checkpoint interval without any re-simulation.
 3. **Cycle** — both sides are re-simulated from the digest's ``meta``
-   (family, geometry, pattern, rate, seed, horizon, policy) with
+   (family, geometry, workload, horizon, policy, allocation) with
    per-cycle chain capture over the divergent interval; a second
    bisection over the captured chains names the **first divergent
    cycle**, and the losing side is re-run once more with the flight
@@ -30,6 +30,10 @@ and live re-simulations described by a ``sim:`` spec string such as::
 A ``perturb=CYCLE`` key injects one extra single-flit packet at that
 cycle — a real behavioral perturbation the localization tests and CI's
 determinism-smoke job use to prove the diff names the exact cycle.
+``vct=0`` runs wormhole routers; ``mix=N/M`` makes every N-th packet
+unordered and every M-th a priority one.  A trace replay's meta carries a
+``trace`` block instead (no ``sim:`` syntax: reach it as ``pin:<case>``);
+:func:`run_described` turns either kind of meta back into a run.
 
 Import note: simulator modules are imported inside functions only (see
 the package initializer's import note).
@@ -54,9 +58,14 @@ from .runstore import RunRecord, RunStore, RunStoreError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.flit import Packet
     from repro.sim.experiment import RunResult
+    from repro.traffic.trace import Trace
 
-#: Meta keys a digest must carry to be re-simulated for localization.
+    from .session import TelemetryConfig
+
+#: Meta keys a digest must carry to be re-simulated: a synthetic run's, or
+#: (when the meta has a ``trace`` block) a trace replay's.
 RESIM_KEYS = ("family", "chiplets", "nodes", "pattern", "rate", "seed", "cycles")
+TRACE_RESIM_KEYS = ("family", "chiplets", "nodes", "trace")
 
 #: Flight-recorder retention (cycles) on the event-context re-run.
 _CONTEXT_WINDOW = 64
@@ -67,8 +76,10 @@ class DiffError(ValueError):
 
 
 def missing_resim_keys(meta: Optional[dict[str, Any]]) -> list[str]:
-    """The :data:`RESIM_KEYS` a ``meta`` block lacks (empty: re-simulable)."""
-    return [key for key in RESIM_KEYS if (meta or {}).get(key) is None]
+    """The re-simulation keys a ``meta`` block lacks (empty: re-simulable)."""
+    meta = meta or {}
+    keys = TRACE_RESIM_KEYS if "trace" in meta else RESIM_KEYS
+    return [key for key in keys if meta.get(key) is None]
 
 
 @dataclass
@@ -211,6 +222,122 @@ class PerturbedWorkload:
         return self.inner.done(now)
 
 
+class MixedClassWorkload:
+    """Wraps a workload, marking a share of its packets bypass-eligible.
+
+    Every ``unordered_every``-th packet is unordered and every
+    ``priority_every``-th carries priority 1 (meta ``mix``), so hetero-PHY
+    links run the bypass queue, its VC bookkeeping and the ordered FIFO
+    side by side.
+    """
+
+    def __init__(self, inner: Any, unordered_every: int, priority_every: int) -> None:
+        if min(unordered_every, priority_every) < 1:
+            raise ValueError(f"mix periods must be >= 1: {unordered_every}/{priority_every}")
+        self.inner = inner
+        self.unordered_every = unordered_every
+        self.priority_every = priority_every
+        self.made = 0
+
+    def step(self, now: int) -> Iterable["Packet"]:
+        packets = list(self.inner.step(now))
+        for packet in packets:
+            self.made += 1
+            if self.made % self.unordered_every == 0:
+                packet.ordered = False
+            if self.made % self.priority_every == 0:
+                packet.priority = 1
+        return packets
+
+    def done(self, now: int) -> bool:
+        return self.inner.done(now)
+
+
+def _generate_trace(block: dict[str, Any], grid: Any) -> "Trace":
+    """The trace a meta ``trace`` block describes, on ``grid``."""
+    from repro.traffic.hpc import embed_ranks, generate_moc_trace
+    from repro.traffic.parsec import generate_parsec_trace
+
+    args, generator = block.get("args") or {}, block.get("generator")
+    if generator == "moc":
+        core_only = bool(block.get("core_only"))
+        trace = embed_ranks(generate_moc_trace(**args), grid, core_only=core_only)
+    elif generator == "parsec":
+        trace = generate_parsec_trace(grid=grid, **args)
+    else:
+        raise ValueError(f"unknown trace generator {generator!r} (known: moc, parsec)")
+    scale = block.get("scaled")
+    return trace if scale is None else trace.scaled(scale)
+
+
+def run_described(
+    meta: dict[str, Any],
+    *,
+    telemetry: Optional["TelemetryConfig"],
+    cycles: Optional[int] = None,
+) -> "RunResult":
+    """Run what a digest's ``meta`` block describes, ``telemetry`` attached.
+
+    The one path from a meta block to a run: :func:`resimulate` calls it
+    digested, and a test holding a plain run to its pin calls it with
+    ``telemetry=None``.  A synthetic run is built from its pattern, rate,
+    seed and horizon; a ``trace`` block is generated and replayed until
+    drained (like :func:`~repro.sim.experiment.run_trace`).  ``cycles``
+    truncates the run there, a replay included.  A description the
+    simulator rejects raises :class:`DiffError`.
+    """
+    missing = missing_resim_keys(meta)
+    if missing:
+        raise DiffError(
+            f"digest meta cannot be re-simulated; missing: {', '.join(missing)}"
+        )
+    from repro.sim.config import SimConfig
+    from repro.sim.experiment import TRACE_DRAIN_MARGIN, run_workload
+    from repro.topology.grid import ChipletGrid
+    from repro.topology.system import build_system
+    from repro.traffic.injection import SyntheticWorkload
+    from repro.traffic.patterns import make_pattern
+    from repro.traffic.trace import TraceWorkload
+
+    warmup, block, mix = int(meta.get("warmup") or 0), meta.get("trace"), meta.get("mix")
+    vct = meta.get("vct", True)
+    if not isinstance(vct, bool):
+        raise DiffError(f"digest meta vct must be true or false, got {vct!r}")
+    workload: Any
+    try:  # a description the builders reject is a bad operand, not a crash
+        grid = ChipletGrid(*meta["chiplets"], *meta["nodes"])
+        n = grid.n_nodes
+        if block is None:
+            horizon, drain = int(meta["cycles"]), False
+            config = SimConfig().replace(sim_cycles=horizon, warmup_cycles=warmup)
+            workload = SyntheticWorkload(
+                make_pattern(meta["pattern"], n), n, meta["rate"], config.packet_length,
+                until=horizon, seed=meta["seed"],
+            )
+            name = f"{meta['pattern']}@{meta['rate']:g}"
+            described = {key: meta[key] for key in ("pattern", "rate", "seed", "cycles")}
+        else:
+            config, trace = SimConfig(), _generate_trace(block, grid)
+            horizon, drain = trace.duration + TRACE_DRAIN_MARGIN, True
+            workload, name = TraceWorkload(trace), trace.name
+            described = {"workload": name, "trace": block}
+        spec = build_system(meta["family"], grid, config)
+        if mix is not None:
+            workload, name = MixedClassWorkload(workload, *mix), f"{name} mix {mix[0]}/{mix[1]}"
+        if meta.get("perturb") is not None:
+            workload = PerturbedWorkload(workload, int(meta["perturb"]), dst=max(1, n - 1))
+    except (TypeError, ValueError) as exc:
+        raise DiffError(f"digest meta cannot be simulated: {exc}") from None
+    if cycles is not None:
+        horizon, drain = min(int(cycles), horizon), False
+    described.update((key, meta.get(key)) for key in ("mix", "perturb", "checkpoint_every"))
+    return run_workload(
+        spec, workload, name, described, horizon, drain=drain,
+        policy=meta.get("policy") or None, warmup=warmup, telemetry=telemetry,
+        seed=meta.get("seed"), vct=vct,
+    )
+
+
 def resimulate(
     meta: dict[str, Any],
     *,
@@ -228,54 +355,16 @@ def resimulate(
     identical to the same prefix of the full run, so localization passes
     never simulate past the cycle they care about.
     """
-    missing = missing_resim_keys(meta)
-    if missing:
-        raise DiffError(
-            f"digest meta cannot be re-simulated; missing: {', '.join(missing)}"
-        )
-    from repro.sim.config import SimConfig
-    from repro.sim.experiment import run_workload
-    from repro.topology.grid import ChipletGrid
-    from repro.topology.system import build_system
-    from repro.traffic.injection import SyntheticWorkload
-    from repro.traffic.patterns import make_pattern
-
     from .session import TelemetryConfig
 
-    total, warmup = int(meta["cycles"]), int(meta.get("warmup") or 0)
     every = meta.get("checkpoint_every")
     if every is None:
         every = DEFAULT_CHECKPOINT_EVERY
     elif every < 1:
         raise DiffError(f"checkpoint_every must be >= 1, got {every}")
-    try:  # a description the builders reject is a bad operand, not a crash
-        grid = ChipletGrid(*meta["chiplets"], *meta["nodes"])
-        config = SimConfig().replace(sim_cycles=total, warmup_cycles=warmup)
-        spec = build_system(meta["family"], grid, config)
-        workload: Any = SyntheticWorkload(
-            make_pattern(meta["pattern"], grid.n_nodes),
-            grid.n_nodes,
-            meta["rate"],
-            config.packet_length,
-            until=total,
-            seed=meta["seed"],
-        )
-    except ValueError as exc:
-        raise DiffError(f"digest meta cannot be simulated: {exc}") from None
-    if meta.get("perturb") is not None:
-        workload = PerturbedWorkload(
-            workload, int(meta["perturb"]), dst=max(1, grid.n_nodes - 1)
-        )
-    described = ("pattern", "rate", "seed", "cycles", "perturb", "checkpoint_every")
-    return run_workload(
-        spec,
-        workload,
-        f"{meta['pattern']}@{meta['rate']:g}",
-        {key: meta.get(key) for key in described},
-        total if cycles is None else min(int(cycles), total),
-        drain=False,
-        policy=meta.get("policy") or None,
-        warmup=warmup,
+    return run_described(
+        meta,
+        cycles=cycles,
         telemetry=TelemetryConfig(
             epoch_metrics=False,
             digest=True,
@@ -287,7 +376,6 @@ def resimulate(
             recorder_window=_CONTEXT_WINDOW,
             recorder_events="full",
         ),
-        seed=meta["seed"],
     )
 
 
@@ -300,16 +388,33 @@ def _pair(value: str) -> list[int]:
     return [int(x), int(y)]
 
 
+def _vct(value: str) -> Optional[bool]:
+    """``0``/``false``, or ``1``/``true``: the default, left out of the meta."""
+    if value.lower() not in ("0", "1", "false", "true"):
+        raise ValueError(value)
+    return False if value.lower() in ("0", "false") else None
+
+
+def _mix(value: str) -> list[int]:
+    unordered, priority = value.split("/")
+    periods = [int(unordered), int(priority)]
+    if min(periods) < 1:
+        raise ValueError(value)
+    return periods
+
+
 #: ``sim:`` spec keys and the type each value parses to (family is required).
 _SIM_KEYS: dict[str, Any] = {
     "family": str, "chiplets": _pair, "nodes": _pair, "pattern": str,
     "rate": float, "seed": int, "cycles": int, "warmup": int,
     "policy": str, "perturb": int, "checkpoint_every": int,
+    "vct": _vct, "mix": _mix,
 }
 _SIM_DEFAULTS = {
     "chiplets": "2x2", "nodes": "3x3", "pattern": "uniform", "rate": "0.1",
     "seed": "1", "cycles": "2000", "warmup": "400",
 }
+_SIM_EXAMPLES = {**_SIM_DEFAULTS, "vct": "0", "mix": "3/5"}
 
 
 def parse_sim_spec(text: str) -> dict[str, Any]:
@@ -330,7 +435,7 @@ def parse_sim_spec(text: str) -> dict[str, Any]:
         try:
             parsed[key] = _SIM_KEYS[key](value)
         except ValueError:
-            example = _SIM_DEFAULTS.get(key, "1")
+            example = _SIM_EXAMPLES.get(key, "1")
             raise DiffError(f"invalid {key} {value!r}; expected e.g. {example}") from None
     return run_meta(parsed.pop("family"), parsed.pop("chiplets"), parsed.pop("nodes"), **parsed)
 

@@ -4,15 +4,14 @@
 :func:`observe` reads off a finished, digested run: its ``digest`` block
 (final chain, every checkpoint, per-kind event counts, cycles, ``meta``),
 its ``stats`` (:meth:`Stats.summary`) and a ``fingerprint`` of every
-seed-determined counter.  A pin whose ``meta`` is re-simulable describes
-itself: ``repro golden`` and the tier-1 test run it again from the file
-alone (:func:`reobserve`).  The others need machinery only tests have and
-hand their builders to :func:`record`
-(``tests/test_kernel_equivalence.py``); either way a pin is observed,
-compared and written by the functions here.  The file carries no dates or
-revisions — git has them — so recording on an unchanged tree rewrites it
-byte for byte.  When a change may re-record: docs/architecture.md,
-"Re-pinning".
+seed-determined counter.  Every pin describes itself: its ``meta`` says
+how the run was made, wormhole allocation, class mix and trace generator
+included, and :func:`reobserve` runs it again from the file alone through
+:func:`~repro.telemetry.diff.resimulate` — the one way ``repro golden``,
+``repro diff`` and the tier-1 tests observe a pin.  The file carries no
+dates or revisions — git has them — so recording on an unchanged tree
+rewrites it byte for byte.  When a change may re-record:
+docs/architecture.md, "Re-pinning".
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Iterable, Optional
 
-from .diff import Diffable, diff_runs, missing_resim_keys, resimulate
+from .diff import Diffable, diff_runs, resimulate
 from .digest import DigestError, validate_digest_block
 
 #: Version of the ``PINS.json`` schema.
@@ -149,27 +148,17 @@ def load(path: Optional[str | Path] = None) -> dict[str, Pin]:
 def record(
     pins: dict[str, Pin],
     path: Optional[str | Path] = None,
-    builders: Mapping[str, Callable[[], Pin]] = {},
     cases: Optional[Iterable[str]] = None,
 ) -> Path:
     """Observe the pins of a loaded store again on this build and write it.
 
-    A case is observed by its builder when one is given, else from its own
-    ``meta``.  By default every case of the store and of ``builders`` is
-    visited and a pin that has neither is carried over as it stands; a case
-    named in ``cases`` must be observable.
+    Every case (or each one named in ``cases``) is observed from its own
+    ``meta``; one that cannot be re-simulated raises
+    :class:`~repro.telemetry.diff.DiffError`.
     """
     path = Path(path or DEFAULT_PINS_PATH)
-    for case in sorted(set(pins) | set(builders)) if cases is None else cases:
-        if case in builders:
-            pins[case] = builders[case]()
-        elif case in pins and not missing_resim_keys(pins[case]["digest"].get("meta")):
-            pins[case] = reobserve(pins[case])
-        elif cases is not None:
-            raise DigestError(
-                f"{path}: cannot observe {case!r}: no re-simulation meta and no "
-                "builder (tests/test_kernel_equivalence.py records the test-built pins)"
-            )
+    for case in sorted(pins) if cases is None else cases:
+        pins[case] = reobserve(pins[case])
     doc = {"kind": "pins", "schema_version": PINS_SCHEMA_VERSION, "pins": pins}
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return path

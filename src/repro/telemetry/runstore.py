@@ -65,13 +65,14 @@ def config_digest(payload: Any) -> str:
 
 
 def system_digest(
-    spec: "SystemSpec", *, workload: str = "", policy: str = ""
+    spec: "SystemSpec", *, workload: str = "", policy: str = "", vct: bool = True
 ) -> str:
     """Hash of everything that determines a run's numbers except the seed.
 
     Covers the system family, the chiplet geometry, every
-    :class:`~repro.sim.config.SimConfig` field, the workload descriptor
-    and the scheduling policy — two runs with equal digests and equal
+    :class:`~repro.sim.config.SimConfig` field, the workload descriptor,
+    the scheduling policy and wormhole allocation (``vct=False``; a VCT
+    run hashes as it always has) — two runs with equal digests and equal
     seeds must produce identical statistics.
     """
     grid = spec.grid
@@ -82,6 +83,8 @@ def system_digest(
         "workload": workload,
         "policy": policy,
     }
+    if not vct:
+        payload["vct"] = False
     return config_digest(payload)
 
 

@@ -32,7 +32,6 @@ from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.stats import Stats
-from repro.telemetry.digest import RunDigest
 from repro.topology.system import build_system
 from repro.traffic.injection import SyntheticWorkload
 from repro.traffic.patterns import make_pattern
@@ -123,21 +122,18 @@ def run_cycles(network: Network, cycles: int, start: int = 0) -> int:
 
 
 def uniform_engine(
-    family, grid, *, cycles, rate, seed, warmup=0, vct=True, workload=SyntheticWorkload
+    family, grid, *, cycles, rate, seed, warmup=0, vct=True
 ) -> tuple[Network, Engine]:
     """A family's network under uniform traffic, built by hand, not yet run.
 
-    For what the one-call harness cannot express: ``vct=False`` flips every
-    router to wormhole allocation (``build_network`` leaves the VCT default),
-    ``workload`` swaps the source class, and the caller may subscribe to the
-    bus or stop half way before ``engine.run``.
+    For what the one-call harness cannot express: the caller may subscribe
+    to the bus, wrap a link's seam or stop half way before ``engine.run``.
+    ``vct=False`` builds wormhole routers.
     """
     config = SimConfig(sim_cycles=cycles, warmup_cycles=warmup)
     stats = Stats(measure_from=warmup)
-    network = build_network(build_system(family, grid, config), stats)
-    for router in network.routers:
-        router.vct = vct
-    source = workload(
+    network = build_network(build_system(family, grid, config), stats, vct=vct)
+    source = SyntheticWorkload(
         make_pattern("uniform", grid.n_nodes),
         grid.n_nodes,
         rate,
@@ -146,17 +142,6 @@ def uniform_engine(
         seed=seed,
     )
     return network, Engine(network, source, stats)
-
-
-def digested_uniform_run(family, grid, *, cycles=600, warmup=100, **kwargs):
-    """:func:`uniform_engine` run to its horizon; ``(network, digest)``."""
-    network, engine = uniform_engine(
-        family, grid, cycles=cycles, warmup=warmup, **kwargs
-    )
-    digest = RunDigest(network, checkpoint_every=200)
-    engine.run(cycles)
-    digest.detach()
-    return network, digest
 
 
 def write_pins(path: Path, **store) -> Path:

@@ -22,23 +22,12 @@ from .helpers import write_pins
 from .test_kernel_equivalence import PINS_PATH
 from .test_runstore import make_record
 
-#: A fast, fully specified re-simulation meta shared across tests.
-BASE_META = {
-    "family": "parallel_mesh",
-    "chiplets": [2, 2],
-    "nodes": [2, 2],
-    "pattern": "uniform",
-    "rate": 0.1,
-    "seed": 5,
-    "cycles": 600,
-    "warmup": 100,
-    "checkpoint_every": 200,
-}
-
+#: A fast, fully specified re-simulation spec and its meta, shared across tests.
 BASE_SPEC = (
     "sim:family=parallel_mesh,chiplets=2x2,nodes=2x2,pattern=uniform,"
     "rate=0.1,seed=5,cycles=600,warmup=100,checkpoint_every=200"
 )
+BASE_META = parse_sim_spec(BASE_SPEC)
 
 
 @pytest.fixture
@@ -75,6 +64,11 @@ def test_parse_sim_spec_defaults_and_overrides():
     assert meta["perturb"] == 305
     assert meta["checkpoint_every"] == 200
 
+    meta = parse_sim_spec(BASE_SPEC + ",vct=0,mix=3/5")
+    assert meta["vct"] is False and meta["mix"] == [3, 5]
+    # VCT is the default, so a meta block only ever says vct: false.
+    assert "vct" not in parse_sim_spec(BASE_SPEC + ",vct=true")
+
 
 def test_parse_sim_spec_rejects_malformed_specs():
     with pytest.raises(DiffError, match="requires family"):
@@ -85,6 +79,13 @@ def test_parse_sim_spec_rejects_malformed_specs():
         parse_sim_spec("sim:family=parallel_mesh,wombat=1")
     with pytest.raises(DiffError, match="expected e.g. 2x2"):
         parse_sim_spec("sim:family=parallel_mesh,chiplets=four")
+    # vct and mix parse strictly: no bool("0"), no zero period.
+    for key, value, example in (
+        ("vct", "maybe", "0"), ("vct", "", "0"), ("mix", "3", "3/5"),
+        ("mix", "0/5", "3/5"), ("mix", "3/5/7", "3/5"), ("mix", "a/b", "3/5"),
+    ):
+        with pytest.raises(DiffError, match=f"^invalid {key} '{value}'; expected e.g. {example}$"):
+            parse_sim_spec(f"sim:family=parallel_mesh,{key}={value}")
 
 
 # -- re-simulation harness ----------------------------------------------------
@@ -153,7 +154,8 @@ def test_load_diffable_golden_and_record(tmp_path, committed):
     pinned = load_diffable("pin:parallel_mesh-saturated")
     assert pinned.source == "pin" and pinned.resimulable
     assert pinned.digest == committed["parallel_mesh-saturated"]["digest"]
-    assert not load_diffable("pin:parallel_mesh-wormhole").resimulable
+    assert load_diffable("pin:parallel_mesh-wormhole").resimulable
+    assert load_diffable("pin:hetero_channel-moc-trace").resimulable
     with pytest.raises(DiffError, match="no such pin: pin:fig99; known: .*fig11"):
         load_diffable("pin:fig99")
 
@@ -218,7 +220,7 @@ def test_diff_mismatched_horizons_is_not_comparable():
     assert any("horizons differ" in note for note in report.notes)
 
 
-def test_diff_localizes_single_perturbation_to_its_exact_cycle():
+def test_diff_localizes_single_perturbation_to_its_exact_cycle(committed):
     report = diff_runs(sim_diffable("base"), sim_diffable("bad", perturb=305))
     assert not report.identical
     assert report.exit_code == 1
@@ -235,6 +237,17 @@ def test_diff_localizes_single_perturbation_to_its_exact_cycle():
     text = report.render()
     assert "first divergent cycle: 305" in text
     assert "packet_inject" in text
+
+    # Wormhole allocation and a trace replay are described by their meta
+    # alone, so a perturbed copy localizes against them just the same (both
+    # sides cut short: a replay truncates like a synthetic run).
+    moc = committed["hetero_channel-moc-trace"]["digest"]["meta"]
+    for meta, cycle, cut in ((parse_sim_spec(BASE_SPEC + ",vct=0"), 305, 320), (moc, 20, 30)):
+        base, bad = (
+            resimulate(dict(meta, **extra), cycles=cut).digest for extra in ({}, {"perturb": cycle})
+        )
+        report = diff_runs(Diffable("base", "sim", base), Diffable("bad", "sim", bad))
+        assert report.divergent_cycle == cycle, report.render()
 
 
 def test_diff_context_cap_reports_truncation():
@@ -347,7 +360,7 @@ def test_only_a_wedged_event_context_pass_leaves_a_bundle(tmp_path, monkeypatch)
 
 def test_cli_golden_record_then_check(tmp_path, capsys):
     # Recording on an unchanged tree rewrites the store byte for byte (no
-    # timestamps or revisions in it), and carries test-built pins over.
+    # timestamps or revisions in it).
     copy = tmp_path / "PINS.json"
     copy.write_bytes(PINS_PATH.read_bytes())
     assert main(["golden", "record", "fig14_hetero_channel", "--file", str(copy)]) == 0
@@ -388,15 +401,16 @@ def test_cli_golden_check_without_goldens_is_a_clean_error(tmp_path):
 def test_cli_golden_record_rejects_unknown_case(tmp_path, committed):
     with pytest.raises(SystemExit, match="unknown case.*fig99; known: .*fig11"):
         main(["golden", "record", "fig99"])
-    # A test-built pin cannot be observed from the CLI: record refuses and
-    # leaves the file alone, check says what its meta lacks.
-    copy = tmp_path / "PINS.json"
-    copy.write_bytes(PINS_PATH.read_bytes())
-    with pytest.raises(SystemExit, match="cannot observe 'serial_torus-wormhole'"):
-        main(["golden", "record", "serial_torus-wormhole", "--file", str(copy)])
-    assert copy.read_bytes() == PINS_PATH.read_bytes()
-    with pytest.raises(SystemExit, match="cannot be re-simulated; missing: family"):
-        main(["golden", "check", "serial_torus-wormhole"])
+    # A pin without re-simulation meta cannot be observed: record refuses
+    # and leaves the file alone, check says what its meta lacks.
+    pin = base_pin()
+    pin["digest"]["meta"] = {}
+    copy = write_pins(tmp_path / "PINS.json", bare=pin)
+    before = copy.read_bytes()
+    for action in ("record", "check"):
+        with pytest.raises(SystemExit, match="cannot be re-simulated; missing: family"):
+            main(["golden", action, "--file", str(copy)])
+    assert copy.read_bytes() == before
 
 
 def test_cli_simulate_digest_prints_chain_and_records_block(tmp_path, capsys):
@@ -492,8 +506,7 @@ def test_fleet_and_dashboard_render_determinism_sections(tmp_path, committed):
     # The committed store: every pin, and whether it describes itself.
     section = determinism_section(snap)
     assert all(pin["digest"]["final"] in section for pin in committed.values())
-    assert section.count("<td>yes</td>") == 14
-    assert section.count("<td>no (built by tests)</td>") == 8
+    assert section.count("<td>yes</td>") == 22
     assert block["final"] in section  # the digested registry run
 
     # No store yet is an empty state; an unreadable one degrades to an

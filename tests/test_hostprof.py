@@ -395,27 +395,22 @@ def test_ledger_is_a_passive_observer_on_the_bypass_mix():
     the lapped run must reproduce the chain pinned for the unobserved one
     (stage gating, bypass queue, ROB parking)."""
     from repro.telemetry import pins
-    from repro.telemetry.digest import RunDigest
+    from repro.telemetry.diff import run_described
 
-    from . import test_kernel_equivalence as pinned
-    from .helpers import uniform_engine
+    from .test_kernel_equivalence import STORE
 
-    cycles = 600
-    network, engine = uniform_engine(
-        "hetero_phy_torus", pinned.GRID, cycles=cycles, warmup=100, rate=0.3,
-        seed=11, workload=pinned._MixedClassWorkload,
-    )
-    digest = RunDigest(network, checkpoint_every=200)
-    engine.hostprof = ledger = HostTimeLedger(stride=1)
-    engine.run(cycles)
-    digest.detach()
+    pinned = STORE["hetero_phy_torus-bypass"]
+    lapped = TelemetryConfig(epoch_metrics=False, digest=True, digest_checkpoint_every=200,
+                             host_time=True, host_stride=1)
+    result = run_described(pinned["digest"]["meta"], telemetry=lapped)
+    links = result.telemetry.network.links
+    assert sum(getattr(link, "flits_bypassed", 0) for link in links) > 0
     ok, report = pins.check(
-        "hetero_phy_torus-bypass",
-        pinned.STORE["hetero_phy_torus-bypass"],
-        pinned.bypass_pin(network, digest),
+        "hetero_phy_torus-bypass", pinned, pins.observe(result.digest, result.stats)
     )
     assert ok, report
-    assert ledger.timed_cycles == ledger.total_cycles >= cycles
+    ledger = result.telemetry.hostprof
+    assert ledger.timed_cycles == ledger.total_cycles >= result.cycles == 600
     assert ledger.phases["phy_rx"] > 0 and ledger.phases["phy_tx"] > 0
     ledger.check_conservation()
     assert ledger.conservation == pytest.approx(1.0, abs=1e-9)

@@ -65,9 +65,13 @@ def test_prove_agrees_with_check_and_certifies(family, mode):
         assert result.modelcheck is not None
         assert not result.modelcheck.deadlock
         assert cert.modelcheck["verdict"].startswith("refuted")
-        assert "CDG-CYCLE-REFUTED" in {
-            f.code for f in result.report.warnings
-        }
+        refuted = [f.message for f in result.report.warnings if f.code == "CDG-CYCLE-REFUTED"]
+        # A refutation says what was searched: the VCT allocation model and,
+        # when the search was cut short, how far and that it was bounded.
+        assert refuted and all("virtual cut-through allocation model" in m for m in refuted)
+        bounded = f"within a bound only: the model checker explored {result.modelcheck.explored} "
+        if not result.modelcheck.exhaustive:
+            assert all(bounded in m and "unrealizable" not in m for m in refuted)
         assert not any(f.code in _CYCLE_CODES for f in result.report.errors)
 
 

@@ -20,7 +20,8 @@ The second run holds the observers passive: a switch grant moves the same
 run of flits whoever subscribes, and the router emits the per-flit events
 of that run (docs/architecture.md, "Hot path").  The fixed cases below the
 property hold the plain runs of the bypass mix, a MOC trace replay and
-wormhole allocation to their digested pins, and the event order of a run.
+wormhole allocation to their digested pins — each run from its pin's own
+meta with no telemetry attached — and the event order of a run.
 
 ``derandomize=True`` keeps the examples fixed, so the tier-1 cost is
 known (a few seconds); a counter-example found with more examples becomes
@@ -41,18 +42,17 @@ from repro.analysis import InvariantChecker
 from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
-from repro.sim.experiment import run_trace
 from repro.sim.stats import Stats
 from repro.telemetry import LatencyLedger, RunDigest, pins
+from repro.telemetry.diff import run_described
 from repro.topology.grid import ChipletGrid
 from repro.topology.multipackage import build_hetero_channel_packages
 from repro.topology.system import FAMILIES, build_system
-from repro.traffic.hpc import embed_ranks, generate_moc_trace
 from repro.traffic.injection import SyntheticWorkload
 from repro.traffic.patterns import make_pattern
 
 from .helpers import uniform_engine
-from .test_kernel_equivalence import GRID, STORE, _MixedClassWorkload
+from .test_golden import GRID, STORE
 
 #: Cycles with injection; the run then drains.
 HORIZON = 150
@@ -101,9 +101,7 @@ def run_once(spec, policy, vct, rate, seed, *, observed=True) -> tuple[str, dict
     """Build, observe (or not), run to drain, detach and close; the stats
     fingerprint and summary."""
     stats = Stats()
-    network = build_network(spec, stats, policy=policy)
-    for router in network.routers:
-        router.vct = vct
+    network = build_network(spec, stats, policy=policy, vct=vct)
     observers = (
         (InvariantChecker(network), LatencyLedger(network), RunDigest(network))
         if observed
@@ -141,41 +139,26 @@ def test_every_described_system_runs_clean(case):
 
 
 # -- plain runs against their digested pins --------------------------------------
-def assert_matches_pin(case: str, stats) -> None:
-    """A run made with no subscriber has the statistics of its digested pin."""
+def assert_matches_pin(case: str) -> None:
+    """The run a pin describes, made with no subscriber, has the statistics
+    of its digested pin."""
     pinned = STORE[case]
+    stats = run_described(pinned["digest"]["meta"], telemetry=None).stats
     assert pins.stats_fingerprint(stats) == pinned["fingerprint"]
     assert json.loads(json.dumps(stats.summary())) == pinned["stats"]
 
 
 def test_plain_bypass_mix_matches_its_pin():
-    network, engine = uniform_engine(
-        "hetero_phy_torus", GRID, cycles=600, warmup=100, rate=0.3, seed=11,
-        workload=_MixedClassWorkload,
-    )
-    engine.run(600)
-    assert sum(getattr(link, "flits_bypassed", 0) for link in network.links) > 0
-    assert_matches_pin("hetero_phy_torus-bypass", network.stats)
+    assert_matches_pin("hetero_phy_torus-bypass")
 
 
 def test_plain_moc_trace_replay_matches_its_pin():
-    grid = ChipletGrid(4, 2, 3, 3)
-    trace = embed_ranks(
-        generate_moc_trace(128, 2, sweep_bytes=64, partners_per_sweep=7, seed=2),
-        grid,
-        core_only=True,
-    ).scaled(0.5)
-    result = run_trace(build_system("hetero_channel", grid, SimConfig()), trace)
-    assert_matches_pin("hetero_channel-moc-trace", result.stats)
+    assert_matches_pin("hetero_channel-moc-trace")
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_plain_wormhole_run_matches_its_pin(family):
-    network, engine = uniform_engine(
-        family, GRID, cycles=600, warmup=100, rate=0.5, seed=3, vct=False
-    )
-    engine.run(600)
-    assert_matches_pin(f"{family}-wormhole", network.stats)
+    assert_matches_pin(f"{family}-wormhole")
 
 
 def count_accepts(network) -> dict[str, int]:
