@@ -11,12 +11,13 @@ Four layers (see ``docs/analysis.md``):
   interface-contract checker, exhaustive reachability proofs (including
   the single-link fault-mask sweep) and a bounded explicit-state model
   checker on top, adjudicate CDG cycles (realize with a replayable
-  counterexample, or refute) and emit schema-versioned
+  counterexample, or refute exhaustively) and emit schema-versioned
   :class:`Certificate` artifacts;
 * **runtime sanitizer** — :class:`InvariantChecker` instruments a network
   and asserts flow-control invariants while a simulation runs;
-* **CLI** — ``repro check`` exposes the static passes and ``repro prove``
-  the certification engine, both with non-zero exit codes for CI gating.
+* **CLI** — ``repro prove`` runs static verification and certification
+  with one verdict per system (a CDG cycle certifies only when the model
+  checker refutes it exhaustively) and a non-zero exit for CI gating.
 """
 
 from repro.routing.deadlock import MODES, ChannelDependencyGraph, RouteTable, build_cdg
@@ -53,7 +54,6 @@ from .sanitizer import InvariantChecker, InvariantViolation
 from .verifier import (
     DEFAULT_CHIPLETS,
     DEFAULT_NODES,
-    verify_all,
     verify_family,
     verify_network,
 )
@@ -95,7 +95,6 @@ __all__ = [
     "InvariantViolation",
     "DEFAULT_CHIPLETS",
     "DEFAULT_NODES",
-    "verify_all",
     "verify_family",
     "verify_network",
 ]

@@ -1,34 +1,38 @@
 """Certification orchestration: the ``repro prove`` backend.
 
-One :func:`prove_network` run stacks every static pass the repository has
+``repro prove`` is the one static-verification command.  One
+:func:`prove_network` run stacks every static pass the repository has
 over one built system and adjudicates the result into a
 :class:`~repro.analysis.certificate.Certificate`:
 
-1. the ``repro check`` passes (lint, deadlock/CDG, livelock) via
+1. lint, deadlock/CDG and livelock via
    :func:`~repro.analysis.verifier.check_passes`;
 2. interface contracts (:mod:`repro.analysis.contracts`);
 3. exhaustive reachability (:mod:`repro.analysis.reachability`) — the
    livelock pass's analysis, folded again — repeated under every
    single-link fault mask of the family's safe-to-fail links;
 4. bounded model checking (:mod:`repro.analysis.modelcheck`) whenever the
-   CDG pass reported a cycle: the cycle is either **realized** — a
-   concrete counterexample trace, validated by replaying it in the
-   cycle-accurate simulator, keeps the report failing — or **refuted**,
-   which downgrades the CDG error to a ``CDG-CYCLE-REFUTED`` warning.
+   CDG pass reported a cycle.  The certificate's ``modelcheck.verdict``
+   names the outcome:
 
-The refutation step is what lets ``repro prove --all`` certify the
-adaptive families under the ``wormhole`` assumption: their extended CDGs
-are cyclic (``repro check --mode wormhole`` reports that faithfully), but
-the model checker finds no deadlock on the instance at hand.  It models
-virtual cut-through allocation whatever the mode, and a search cut short by
-``max_states`` is a bounded refutation: the downgraded warning says which
-one it was, and only an exhaustive search calls the cycle unrealizable.
-``repro check`` semantics are unchanged — only ``prove`` adjudicates.
+   * ``deadlock`` — a concrete counterexample trace, validated by
+     replaying it in the cycle-accurate simulator, adds ``MC-DEADLOCK``;
+   * ``refuted-exhaustive`` — the model was explored completely, up to its
+     in-flight packet bound, without a deadlock, and the CDG error becomes
+     a ``CDG-CYCLE-REFUTED`` warning;
+   * ``refuted-bounded`` — the search hit its budget first.  That proves
+     nothing, so the CDG error stands (its message gives the states
+     explored and the budget) and the system is not certified.
+
+The model checker models virtual cut-through allocation whatever the mode.
+At the default budget and geometry every adaptive family's wormhole-mode
+cycle ends ``refuted-bounded``, so ``repro prove --mode wormhole`` refuses
+them, with the same finding codes the deadlock pass reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from repro.noc.network import Network
@@ -165,7 +169,7 @@ def _adjudicate(
     max_packets: Optional[int],
     replay: bool,
 ) -> tuple[ModelCheckResult, dict]:
-    """Model-check the reported CDG cycle; downgrade it if refuted."""
+    """Model-check the reported CDG cycle and settle its findings."""
     cycle = build_cdg(table, mode).cycle()
     packet_length = spec.config.packet_length
     pool = cycle_feed_pool(table, cycle, packet_length=packet_length)
@@ -228,34 +232,35 @@ def _adjudicate(
             f"({replay_note})",
         )
     else:
-        _downgrade_cycle_findings(report, result)
+        _settle_cycle_findings(report, result)
     return result, info
 
 
-def _downgrade_cycle_findings(report: Report, result: ModelCheckResult) -> None:
-    """Replace CDG cycle errors with ``CDG-CYCLE-REFUTED`` warnings."""
-    model = "its virtual cut-through allocation model"
-    verdict = (
-        f"refuted by the model checker: {model} was explored exhaustively, so the "
-        "cycle is unrealizable under that allocation"
-        if result.exhaustive
-        else f"refuted within a bound only: the model checker explored {result.explored} "
-        f"states of {model} without a deadlock; the search was not exhaustive"
-    )
-    kept: list[Finding] = []
-    for finding in report.findings:
+def _settle_cycle_findings(report: Report, result: ModelCheckResult) -> None:
+    """Only an exhaustive refutation downgrades a CDG cycle error, to a
+    ``CDG-CYCLE-REFUTED`` warning; a bounded one keeps the error and says
+    how far the search got."""
+    model = "the model checker's virtual cut-through allocation model"
+    if result.exhaustive:
+        searched = (
+            f"{model} was explored exhaustively ({result.explored} states, at "
+            f"most {result.max_packets} packets in flight) without a deadlock"
+        )
+    else:
+        searched = (
+            f"{result.explored} states of {model} explored (budget "
+            f"{result.max_states}) without a deadlock; the search was bounded, "
+            "not exhaustive, so the cycle stands"
+        )
+    verdict = f"model checker verdict {result.verdict}: {searched}"
+    for i, finding in enumerate(report.findings):
         if finding.severity is Severity.ERROR and finding.code in _CYCLE_CODES:
-            kept.append(
-                Finding(
-                    Severity.WARNING,
-                    "CDG-CYCLE-REFUTED",
-                    finding.target,
-                    f"{finding.message} — {verdict}",
-                )
+            message = f"{finding.message} — {verdict}"
+            report.findings[i] = (
+                Finding(Severity.WARNING, "CDG-CYCLE-REFUTED", finding.target, message)
+                if result.exhaustive
+                else replace(finding, message=message)
             )
-        else:
-            kept.append(finding)
-    report.findings[:] = kept
 
 
 def prove_family(

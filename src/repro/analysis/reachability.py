@@ -27,8 +27,8 @@ and proves:
    (``max_hops``); ``max_misroute`` is the worst bound minus the shortest
    achievable distance.  A cycle is reported with its witness states.
 
-``repro check``'s livelock pass folds the bound and the cycle; ``repro
-prove``'s reachability pass folds the same object with
+The livelock pass folds the bound and the cycle; ``repro prove``'s
+reachability pass folds the same object with
 :func:`fold_reachability`.  :func:`sweep_fault_masks` repeats the proof
 under every single-link fault mask (each safe-to-fail link from
 :func:`repro.routing.fault.adaptive_link_indices` failed on its own),

@@ -1,4 +1,4 @@
-"""Verification pass orchestration and the `repro check` backend.
+"""The static verification passes: lint, deadlock and livelock.
 
 Runs the three static passes over a built network and folds their output
 into one :class:`~repro.analysis.report.Report`:
@@ -12,15 +12,15 @@ into one :class:`~repro.analysis.report.Report`:
 
 All three read one :class:`~repro.routing.deadlock.RouteTable`, so each
 routing question is asked once; :func:`check_passes` hands the table's
-routing-state analysis on to ``repro prove``.
+routing-state analysis on to :func:`~repro.analysis.prove.prove_network`,
+which runs these passes first (``repro prove`` is their command).
 
-:func:`verify_family` is the convenience entry point used by the CLI and
-CI: it builds a representative small instance of a registered system
-family and verifies it.  Passing a different grid verifies any other
-instance.  Nothing here, in routing or in the linter reads the family
-label — routing, escape structure and lint rules are derived from the
-``SystemSpec``'s channel list — so any topology that can be written as a
-``SystemSpec`` is checkable with :func:`verify_network`.
+:func:`verify_family` builds a representative small instance of a
+registered system family and verifies it; passing a different grid
+verifies any other instance.  Nothing here, in routing or in the linter
+reads the family label — routing, escape structure and lint rules are
+derived from the ``SystemSpec``'s channel list — so any topology that can
+be written as a ``SystemSpec`` is checkable with :func:`verify_network`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.stats import Stats
 from repro.topology.grid import ChipletGrid
-from repro.topology.system import FAMILIES, SystemSpec, build_system
+from repro.topology.system import SystemSpec, build_system
 from .lint import lint_network, lint_spec
 from .reachability import ReachabilityAnalysis, analyse_reachability, render_states
 from .report import Report
@@ -145,16 +145,3 @@ def verify_family(
     finally:
         network.close()
 
-
-def verify_all(
-    *,
-    chiplets: tuple[int, int] = DEFAULT_CHIPLETS,
-    nodes: tuple[int, int] = DEFAULT_NODES,
-    config: Optional[SimConfig] = None,
-    mode: str = "vct",
-) -> list[Report]:
-    """Verify every registered system family (the `repro check --all` path)."""
-    return [
-        verify_family(family, chiplets=chiplets, nodes=nodes, config=config, mode=mode)
-        for family in FAMILIES
-    ]

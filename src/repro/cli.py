@@ -9,9 +9,8 @@ Run paper experiments and ad-hoc simulations from the shell::
                    --pattern uniform --rate 0.1 --seed 7
     repro simulate --metrics out/ --trace run.json --epoch 500
     repro simulate --health --live --progress --epoch 500   # one sampling period
-    repro check --all                  # statically verify every family
-    repro check --family serial_torus --mode wormhole
-    repro prove --all --json prove.json   # full certification, both modes
+    repro prove --all --json prove.json   # static verification + certification, both modes
+    repro prove --all --mode vct --no-fault-masks --no-record   # the quick path
     repro prove --family serial_torus --mode wormhole --max-states 8000
     repro bench                        # the repo benchmark, ~4 min -> BENCH_<n>.json
     repro regress BENCH_0.json BENCH_1.json --strict   # is it slower: A/B verdicts
@@ -28,19 +27,20 @@ Run paper experiments and ad-hoc simulations from the shell::
     repro postmortem forensics/BUNDLE_deadlock_557.json --html report.html
 
 Output is the plain-text table of the experiment (add ``--csv`` for CSV).
-``repro check`` prints one findings report per verified system and exits
-non-zero if any report contains an error — the CI deadlock/livelock/lint
-gate (see docs/analysis.md).
 
-``repro prove`` stacks the certification passes (interface contracts,
-exhaustive reachability with the single-link fault-mask sweep, bounded
-model checking of reported CDG cycles) on top of ``check`` and writes one
-schema-versioned ``CERT_<system>_<mode>.json`` per (system, mode) pair
-into the run registry's ``certificates/`` subdirectory.  ``--json PATH``
-additionally writes every certificate into one machine-readable document.
-Exit codes for both ``check`` and ``prove``: 0 — every system passed /
-was certified; 1 — at least one system failed, was refused certification
-or could not be built; 2 — usage error.
+``repro prove`` is the one static-verification command (see
+docs/analysis.md).  It runs lint, the deadlock (CDG) and livelock passes,
+interface contracts, exhaustive reachability with the single-link
+fault-mask sweep (``--no-fault-masks`` skips it), and bounded model
+checking of a reported CDG cycle.  It prints one findings report per
+(system, mode) pair and writes one schema-versioned
+``CERT_<system>_<mode>.json`` into the run registry's ``certificates/``
+subdirectory; ``--json PATH`` additionally writes every certificate into
+one machine-readable document.  A CDG cycle certifies only when the model
+checker refutes it exhaustively; a search that hits ``--max-states`` first
+leaves the cycle's error standing.  Exit codes: 0 — every system was
+certified; 1 — at least one system was refused certification or could not
+be built; 2 — usage error.
 
 When a simulation wedges (deadlock, drain timeout, invariant violation),
 ``repro simulate`` writes a postmortem bundle into ``forensics/`` and
@@ -472,7 +472,6 @@ def _cmd_diff(args) -> int:
 def _cmd_golden(args) -> int:
     from repro.telemetry import pins
 
-    failed = 0
     try:
         store = pins.load(args.file)
         names = args.case or list(store)
@@ -485,12 +484,18 @@ def _cmd_golden(args) -> int:
             path = pins.record(store, args.file, cases=names)
             print(f"recorded {len(names)} pin(s) in {path}")
             return 0
-        for name in names:
-            ok, message = pins.check(name, store[name], pins.reobserve(store[name]))
-            print(message)
-            failed += not ok
     except (ValueError, OSError, RuntimeError) as exc:  # e.g. a pin with no re-simulation meta
         raise SystemExit(str(exc)) from None
+    failed = 0
+    for name in names:
+        try:
+            observed = pins.reobserve(store[name])
+        except (ValueError, OSError, RuntimeError) as exc:  # one bad pin fails alone
+            ok, message = False, f"{name}: FAIL {exc}"
+        else:
+            ok, message = pins.check(name, store[name], observed)
+        print(message)
+        failed += not ok
     if failed:
         print(f"{failed}/{len(names)} pin(s) FAILED")
     return 1 if failed else 0
@@ -542,40 +547,6 @@ def _write_json_doc(path: str, doc: dict) -> None:
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(f"wrote {path}")
-
-
-def _cmd_check(args) -> int:
-    from repro.analysis import verify_family
-
-    chiplets = _parse_pair(args.chiplets, "--chiplets")
-    nodes = _parse_pair(args.nodes, "--nodes")
-    families = list(FAMILIES) if args.all else [args.family]
-    failed = 0
-    payload: list[dict] = []
-    for family in families:
-        try:
-            report = verify_family(
-                family, chiplets=chiplets, nodes=nodes, mode=args.mode
-            )
-        except ValueError as exc:
-            # e.g. a geometry the family cannot be built on; report and
-            # keep sweeping the remaining families.
-            print(f"== {family} ==\n  ERROR   BUILD-FAILED {exc}\n  FAIL: could not build")
-            payload.append(
-                {"system": family, "mode": args.mode, "ok": False, "error": str(exc)}
-            )
-            failed += 1
-            continue
-        print(report.render(verbose=args.verbose))
-        payload.append(report.to_dict())
-        if not report.ok:
-            failed += 1
-    if args.json:
-        _write_json_doc(args.json, {"ok": failed == 0, "reports": payload})
-    if failed:
-        print(f"\n{failed}/{len(families)} system(s) FAILED verification")
-        return 1
-    return 0
 
 
 def _cmd_prove(args) -> int:
@@ -1039,45 +1010,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     watch_p.set_defaults(func=_cmd_watch)
 
-    check_p = sub.add_parser(
-        "check",
-        help="statically verify system families (deadlock / livelock / lint)",
-    )
-    check_group = check_p.add_mutually_exclusive_group(required=True)
-    check_group.add_argument("--family", choices=FAMILIES)
-    check_group.add_argument(
-        "--all", action="store_true", help="verify every registered family"
-    )
-    check_p.add_argument(
-        "--mode",
-        choices=("vct", "wormhole"),
-        default="vct",
-        help="flow-control assumption for the CDG analysis (default: vct, "
-        "the discipline the routers actually enforce)",
-    )
-    check_p.add_argument(
-        "--chiplets",
-        "--grid",
-        dest="chiplets",
-        default="2x2",
-        help="chiplet grid, e.g. 2x2 (--grid is an alias)",
-    )
-    check_p.add_argument("--nodes", default="3x3", help="per-chiplet mesh, e.g. 3x3")
-    check_p.add_argument(
-        "--verbose", action="store_true", help="include INFO findings in reports"
-    )
-    check_p.add_argument(
-        "--json",
-        metavar="PATH",
-        help="also write the reports as one JSON document",
-    )
-    check_p.set_defaults(func=_cmd_check)
-
     prove_p = sub.add_parser(
         "prove",
-        help="certify families: interface contracts, exhaustive "
-        "reachability, single-link fault sweep and bounded model checking "
-        "on top of `check`",
+        help="statically verify and certify families: lint, deadlock, "
+        "livelock, interface contracts, exhaustive reachability, single-link "
+        "fault sweep and bounded model checking",
     )
     prove_group = prove_p.add_mutually_exclusive_group(required=True)
     prove_group.add_argument("--family", choices=FAMILIES)

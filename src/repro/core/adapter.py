@@ -12,8 +12,12 @@ The paper describes the adapter front-end like a superscalar pipeline:
 the network simulator (collapsed to one adapter cycle, matching the RTL's
 measured overhead).  This module models the pipeline *stage by stage* for
 microarchitectural study: latches between stages, per-stage width limits,
-and cycle-by-cycle observability.  The circuit tests use it to check stage
-occupancy and to cross-validate the collapsed model's timing.
+and cycle-by-cycle observability.  ``tests/test_adapter.py`` uses it to
+check stage occupancy and to cross-validate the collapsed model: fed the
+flits a ``HeteroPhyLink`` accepted, in the same cycles, the pipeline issues
+them in the link's dispatch order, on the same PHYs, with the same per-VC
+sequence numbers, under every shipped policy (one cycle later than the
+link, for its extra latch).
 """
 
 from __future__ import annotations

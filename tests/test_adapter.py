@@ -4,12 +4,18 @@ import pytest
 
 from repro.core.adapter import TxAdapterPipeline
 from repro.core.scheduling import (
+    SERIAL,
     ApplicationAwarePolicy,
     BalancedPolicy,
     EnergyEfficientPolicy,
     PerformanceFirstPolicy,
+    make_dispatch_policy,
 )
-from repro.noc.flit import Packet
+from repro.noc.channel import ChannelKind
+from repro.noc.flit import Flit, Packet
+from repro.sim.config import SimConfig
+
+from .helpers import build_chain, run_cycles
 
 
 def flits(n, **kwargs):
@@ -143,3 +149,83 @@ def test_stats_and_peak_tracking():
 def test_validation():
     with pytest.raises(ValueError):
         TxAdapterPipeline(PerformanceFirstPolicy(), fetch_width=0)
+
+
+#: The names ``make_dispatch_policy`` builds.
+SHIPPED_POLICIES = (
+    "performance", "energy_efficient", "balanced", "application_aware", "passive_aware"
+)
+#: Non-bypass packets (priority 0, ordered) of mixed lengths and classes, so
+#: the threshold, length and message-class rules all get a say.
+CROSS_CHECK_PACKETS = [(16, "data"), (2, "data"), (16, "bulk"), (1, "data"),
+                       (8, "data"), (16, "data"), (2, "bulk"), (16, "data")]
+
+
+@pytest.mark.parametrize("policy", SHIPPED_POLICIES)
+def test_pipeline_issues_what_the_collapsed_link_dispatches(policy):
+    """Fed the flits a ``HeteroPhyLink`` accepted, in the cycles it accepted
+    them, the stage-explicit pipeline issues the same flits in the same
+    order on the same PHYs with the same per-VC sequence numbers: the
+    collapsed model is the pipeline minus one latch."""
+    network, _stats = build_chain(2, ChannelKind.HETERO_PHY, policy=policy)
+    link = network.links[0]
+    accepted: list[tuple[int, Flit, int]] = []
+    link_accept, link_reorder = link.accept, link.rob.reorder
+
+    def accept(packet, index, count, vc, now):
+        accepted.extend((now, Flit(packet, i), vc) for i in range(index, index + count))
+        link_accept(packet, index, count, vc, now)
+
+    sequence_numbers: dict[tuple[int, int], int] = {}
+
+    def reorder(arrivals):
+        for packet, index, _vc, sn in arrivals:
+            sequence_numbers[packet.pid, index] = sn
+        return link_reorder(arrivals)
+
+    link.accept, link.rob.reorder = accept, reorder
+    dispatched: list[tuple[int, str, int, int, int]] = []
+    network.telemetry.subscribe(
+        "phy_dispatch",
+        lambda _link, flit, vc, phy, now: dispatched.append(
+            (now + 1, phy, vc, flit.packet.pid, flit.index)
+        ),
+    )
+    for length, msg_class in CROSS_CHECK_PACKETS:
+        network.inject(Packet(0, 1, length, 0, msg_class=msg_class))
+    cycles = run_cycles(network, 400)
+    n_flits = sum(length for length, _ in CROSS_CHECK_PACKETS)
+    assert len(dispatched) == len(accepted) == n_flits
+
+    config = SimConfig()
+    pipe = TxAdapterPipeline(
+        make_dispatch_policy(policy, config),
+        fetch_width=link.parallel.bandwidth + link.serial.bandwidth,
+        parallel_width=link.parallel.bandwidth,
+        serial_width=link.serial.bandwidth,
+        queue_depth=n_flits,
+    )
+    issued = []
+    pending = iter(accepted)
+    following = next(pending, None)
+    for now in range(cycles):
+        while following is not None and following[0] == now:
+            _cycle, flit, vc = following
+            pipe.fetch(flit, vc)
+            following = next(pending, None)
+        issued.extend(pipe.tick(now))
+    assert pipe.drained()
+
+    # The pipeline issues each flit one cycle after the link dispatches it:
+    # its decode latch is the extra stage.
+    link_order = [
+        (cycle, phy, vc, sequence_numbers[pid, index], pid, index)
+        for cycle, phy, vc, pid, index in dispatched
+    ]
+    pipe_order = [
+        (r.cycle, r.phy, r.vc, r.sequence_number, r.flit.packet.pid, r.flit.index)
+        for r in issued
+    ]
+    assert pipe_order == link_order
+    serial = sum(phy == SERIAL for _cycle, phy, *_ in link_order)
+    assert (serial == 0) == (policy == "energy_efficient")

@@ -1,8 +1,8 @@
 """Static verification: CDG modes, livelock bounds, linter, reports.
 
 The positive direction — every registered family verifies cleanly under
-virtual cut-through — is the same property ``repro check --all`` gates in
-CI.  The negative direction injects known-bad configurations (cyclic
+virtual cut-through — is what ``repro prove --all --mode vct`` certifies
+in CI.  The negative direction injects known-bad configurations (cyclic
 escape routing, ping-pong adaptive routing, undersized reorder buffers,
 malformed candidates) and requires the analyses to flag each one.
 """
@@ -19,7 +19,7 @@ from repro.analysis import (
     analyse_reachability,
     build_cdg,
     lint_spec,
-    verify_all,
+    prove_all,
     verify_family,
     verify_network,
 )
@@ -47,11 +47,11 @@ def test_family_verifies_clean_vct(family):
 
 
 def test_verify_all_covers_every_family():
-    reports = verify_all()
-    assert [r.system for r in reports] == [
+    results = prove_all(modes=("vct",), fault_masks=False)
+    assert [r.report.system for r in results] == [
         verify_family(f).system for f in FAMILIES
     ]
-    assert all(r.ok for r in reports)
+    assert all(r.certified for r in results)
 
 
 def test_verify_family_rejects_unknown_family_and_mode():

@@ -126,51 +126,70 @@ def test_simulate_telemetry_flags(tmp_path, capsys):
     assert out.count("wrote ") >= 8  # 7 metric files + the trace
 
 
+#: `repro prove`'s quick path: the static passes, contracts and
+#: reachability, without the per-link fault sweep or a registry record.
+QUICK = ["--no-fault-masks", "--no-record"]
+
+
 def test_check_single_family_passes(capsys):
-    assert main(["check", "--family", "parallel_mesh"]) == 0
+    assert main(["prove", "--family", "parallel_mesh", "--mode", "vct", *QUICK]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "parallel-mesh-2x2(3x3)" in out
 
 
 def test_check_all_families_pass(capsys):
-    assert main(["check", "--all"]) == 0
+    assert main(["prove", "--all", "--mode", "vct", *QUICK]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
     assert "FAIL" not in out
 
 
 def test_check_wormhole_mode_flags_adaptive_family(capsys):
-    assert main(["check", "--family", "serial_torus", "--mode", "wormhole"]) == 1
+    assert main(["prove", "--family", "serial_torus", "--mode", "wormhole", *QUICK]) == 1
     out = capsys.readouterr().out
     assert "CDG-CYCLE-EXTENDED" in out
-    assert "FAILED verification" in out
+    assert "NOT CERTIFIED" in out
+    assert "1/1 certification(s) FAILED" in out
 
 
 def test_check_wormhole_mode_passes_hypercube(capsys):
-    assert main(["check", "--family", "serial_hypercube", "--mode", "wormhole"]) == 0
+    assert main(["prove", "--family", "serial_hypercube", "--mode", "wormhole", *QUICK]) == 0
     assert "PASS" in capsys.readouterr().out
 
 
 def test_check_exits_nonzero_on_injected_cycle(capsys, monkeypatch):
-    """Replace the routing factory with a deadlocking ring: the genuine
-    `repro check` path must report the cycle and exit 1."""
+    """Replace the routing factory with a deadlocking ring: `repro prove`
+    at the default geometry must report the cycle and exit 1."""
 
     monkeypatch.setattr("repro.sim.build.make_routing", lambda spec, **_: ring_routing)
-    assert main(["check", "--family", "serial_torus"]) == 1
+    assert main(["prove", "--family", "serial_torus", "--mode", "vct", *QUICK]) == 1
     out = capsys.readouterr().out
     assert "CDG-CYCLE" in out
     assert "FAIL" in out
 
 
 def test_check_requires_family_or_all():
-    with pytest.raises(SystemExit):
-        main(["check"])
+    with pytest.raises(SystemExit) as caught:
+        main(["prove", "--mode", "wormhole"])
+    assert caught.value.code == 2
+
+
+def test_prove_is_the_one_static_verification_command(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["--help"])
+    assert caught.value.code == 0
+    listed = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert len(listed) == 12 and "prove" in listed and "check" not in listed
+    with pytest.raises(SystemExit) as caught:
+        main(["check", "--all"])
+    assert caught.value.code == 2
 
 
 def test_check_grid_alias_accepts_nondefault_geometry(capsys):
     assert main(
-        ["check", "--family", "parallel_mesh", "--grid", "3x2", "--nodes", "2x2"]
+        ["prove", "--family", "parallel_mesh", "--grid", "3x2", "--nodes", "2x2",
+         "--mode", "vct", *QUICK]
     ) == 0
     out = capsys.readouterr().out
     assert "parallel-mesh-3x2(2x2)" in out
@@ -178,14 +197,14 @@ def test_check_grid_alias_accepts_nondefault_geometry(capsys):
 
 
 def test_check_json_document(tmp_path, capsys):
-    json_path = tmp_path / "check.json"
-    assert main(["check", "--all", "--json", str(json_path)]) == 0
+    json_path = tmp_path / "prove.json"
+    assert main(["prove", "--all", "--mode", "vct", *QUICK, "--json", str(json_path)]) == 0
     assert f"wrote {json_path}" in capsys.readouterr().out
     doc = json.loads(json_path.read_text())
-    assert doc["ok"] is True
-    assert len(doc["reports"]) == 5
-    assert all(r["ok"] for r in doc["reports"])
-    assert {r["mode"] for r in doc["reports"]} == {"vct"}
+    assert doc["certified"] is True
+    assert len(doc["certificates"]) == 5
+    assert all(c["certified"] for c in doc["certificates"])
+    assert {c["mode"] for c in doc["certificates"]} == {"vct"}
 
 
 def test_prove_without_record_writes_json_only(tmp_path, capsys, monkeypatch):
@@ -236,6 +255,8 @@ def test_prove_writes_certificate_and_registry_record(tmp_path, capsys):
 
 
 def test_prove_both_modes_refutes_wormhole_cycles(tmp_path, capsys):
+    """The wormhole cycle is refuted only within the default 4,000-state
+    budget, so it keeps its error and the pair is not certified."""
     json_path = tmp_path / "prove.json"
     code = main(
         [
@@ -248,17 +269,20 @@ def test_prove_both_modes_refutes_wormhole_cycles(tmp_path, capsys):
             str(json_path),
         ]
     )
-    assert code == 0
+    assert code == 1
     out = capsys.readouterr().out
     assert "[mode=vct]" in out
     assert "[mode=wormhole]" in out
-    assert "CDG-CYCLE-REFUTED" in out
+    assert "CDG-CYCLE-EXTENDED" in out
+    assert "CDG-CYCLE-REFUTED" not in out
     doc = json.loads(json_path.read_text())
-    assert doc["certified"] is True
+    assert doc["certified"] is False
     assert [c["mode"] for c in doc["certificates"]] == ["vct", "wormhole"]
-    wormhole = doc["certificates"][1]
-    assert wormhole["modelcheck"]["verdict"].startswith("refuted")
-
+    vct, wormhole = doc["certificates"]
+    assert vct["certified"] is True
+    assert wormhole["certified"] is False
+    assert wormhole["modelcheck"]["verdict"] == "refuted-bounded"
+    assert wormhole["modelcheck"]["explored"] == wormhole["modelcheck"]["max_states"] == 4_000
 
 def test_prove_exits_nonzero_on_injected_cycle(capsys, monkeypatch):
     """A genuinely deadlocking escape must be refused certification with

@@ -402,15 +402,28 @@ def test_cli_golden_record_rejects_unknown_case(tmp_path, committed):
     with pytest.raises(SystemExit, match="unknown case.*fig99; known: .*fig11"):
         main(["golden", "record", "fig99"])
     # A pin without re-simulation meta cannot be observed: record refuses
-    # and leaves the file alone, check says what its meta lacks.
+    # and leaves the file alone, check fails it and says what its meta lacks.
     pin = base_pin()
     pin["digest"]["meta"] = {}
     copy = write_pins(tmp_path / "PINS.json", bare=pin)
     before = copy.read_bytes()
-    for action in ("record", "check"):
-        with pytest.raises(SystemExit, match="cannot be re-simulated; missing: family"):
-            main(["golden", action, "--file", str(copy)])
+    with pytest.raises(SystemExit, match="cannot be re-simulated; missing: family"):
+        main(["golden", "record", "--file", str(copy)])
+    assert main(["golden", "check", "--file", str(copy)]) == 1
     assert copy.read_bytes() == before
+
+
+def test_cli_golden_check_reports_a_bad_pin_and_checks_the_rest(tmp_path, capsys):
+    good = base_pin()
+    bare = json.loads(json.dumps(good))
+    bare["digest"]["meta"] = {}
+    store = write_pins(tmp_path / "PINS.json", a_bare=bare, b_good=good)
+    assert main(["golden", "check", "--file", str(store)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("a_bare: FAIL ")
+    assert "cannot be re-simulated; missing: family" in out[0]
+    assert out[1] == f"b_good: OK ({good['digest']['final']})"
+    assert out[2] == "1/2 pin(s) FAILED"
 
 
 def test_cli_simulate_digest_prints_chain_and_records_block(tmp_path, capsys):

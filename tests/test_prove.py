@@ -1,10 +1,11 @@
 """Certification engine: `repro prove` semantics and certificates.
 
-The core agreement property: `prove` must certify exactly what `check`
-passes *plus* the CDG cycles the model checker refutes — and must keep
-failing (with a replayable counterexample) when a cycle is real.  The
-certificate artifact must round-trip through JSON and reject foreign
-schemas.
+The core agreement property: `prove` reports the finding codes of its own
+first three passes (`verify_family`), certifies exactly what they pass
+plus the CDG cycles the model checker refutes *exhaustively*, keeps a
+cycle's error when the refutation was only bounded, and keeps failing
+(with a replayable counterexample) when a cycle is real.  The certificate
+artifact must round-trip through JSON and reject foreign schemas.
 """
 
 import json
@@ -43,36 +44,82 @@ def mode(request) -> str:
 
 
 def test_prove_agrees_with_check_and_certifies(family, mode):
-    """CDG-vs-modelcheck agreement across every family and mode."""
+    """One verdict: prove's findings are the static passes' findings, and a
+    CDG cycle refuted only within the budget keeps its error."""
     check_report = verify_family(family, mode=mode)
     result = prove_family(family, mode=mode, fault_masks=False, max_states=1_500)
-    assert result.certified, result.report.render(verbose=True)
-    assert result.report.ok
+    assert [f.code for f in result.report.findings] == [
+        f.code for f in check_report.findings
+    ]
+    assert result.certified == check_report.ok, result.report.render(verbose=True)
     cert = result.certificate
     assert cert.family == family
     assert cert.mode == mode
+    assert "CDG-CYCLE-REFUTED" not in result.report.codes()
     if check_report.ok:
         # Nothing to adjudicate: the checker never ran.
         assert "modelcheck" not in result.report.passes
         assert result.modelcheck is None
         assert cert.modelcheck == {}
-        assert "CDG-CYCLE-REFUTED" not in result.report.codes()
     else:
-        # `check` failed only through CDG cycles, and every one of them
-        # was refuted and downgraded to a warning.
+        # The static passes failed only through CDG cycles; the model
+        # checker found no deadlock but ran out of budget first, so each
+        # cycle stays an error that says how far the search got.
         assert {f.code for f in check_report.errors} <= set(_CYCLE_CODES)
         assert "modelcheck" in result.report.passes
-        assert result.modelcheck is not None
         assert not result.modelcheck.deadlock
-        assert cert.modelcheck["verdict"].startswith("refuted")
-        refuted = [f.message for f in result.report.warnings if f.code == "CDG-CYCLE-REFUTED"]
-        # A refutation says what was searched: the VCT allocation model and,
-        # when the search was cut short, how far and that it was bounded.
-        assert refuted and all("virtual cut-through allocation model" in m for m in refuted)
-        bounded = f"within a bound only: the model checker explored {result.modelcheck.explored} "
-        if not result.modelcheck.exhaustive:
-            assert all(bounded in m and "unrealizable" not in m for m in refuted)
-        assert not any(f.code in _CYCLE_CODES for f in result.report.errors)
+        assert cert.modelcheck["verdict"] == "refuted-bounded"
+        assert cert.modelcheck["explored"] == cert.modelcheck["max_states"] == 1_500
+        cycles = [f.message for f in result.report.errors if f.code in _CYCLE_CODES]
+        searched = (
+            "model checker verdict refuted-bounded: 1500 states of the model "
+            "checker's virtual cut-through allocation model explored (budget 1500)"
+        )
+        assert cycles and all(searched in m and "not exhaustive" in m for m in cycles)
+
+
+def _ring_row_wormhole(**budget):
+    """serial_torus on one 4-node torus row: its wormhole-mode CDG cycle is
+    small enough for the model checker to search exhaustively (10,650
+    states)."""
+    return prove_family(
+        "serial_torus",
+        chiplets=(RING_GRID.chiplets_x, RING_GRID.chiplets_y),
+        nodes=(RING_GRID.nodes_x, RING_GRID.nodes_y),
+        mode="wormhole",
+        fault_masks=False,
+        **budget,
+    )
+
+
+def test_an_exhaustive_refutation_certifies():
+    result = _ring_row_wormhole(max_states=20_000)
+    assert result.certified
+    assert result.certificate.modelcheck["verdict"] == "refuted-exhaustive"
+    [refuted] = result.report.warnings
+    assert refuted.code == "CDG-CYCLE-REFUTED"
+    assert "verdict refuted-exhaustive" in refuted.message
+    assert "explored exhaustively (10650 states" in refuted.message
+    assert not any(f.code in _CYCLE_CODES for f in result.report.findings)
+
+
+def test_a_bounded_refutation_refuses_certification():
+    result = _ring_row_wormhole(max_states=10_000)
+    assert not result.certified
+    assert result.certificate.modelcheck["verdict"] == "refuted-bounded"
+    [cycle] = result.report.errors
+    assert cycle.code == "CDG-CYCLE-EXTENDED"
+    assert "verdict refuted-bounded: 10000 states" in cycle.message
+    assert "(budget 10000)" in cycle.message
+    assert "CDG-CYCLE-REFUTED" not in result.report.codes()
+
+
+def test_a_one_state_budget_refuses_certification():
+    result = prove_family("serial_torus", mode="wormhole", fault_masks=False, max_states=1)
+    assert not result.certified
+    assert result.certificate.modelcheck["verdict"] == "refuted-bounded"
+    assert result.certificate.modelcheck["explored"] == 1
+    assert result.report.codes() == {"CDG-CYCLE-EXTENDED"}
 
 
 def test_prove_runs_all_passes_in_order(family):
@@ -140,8 +187,8 @@ def _counted_network(spec):
 
 
 def test_each_routing_question_is_asked_once():
-    """`check`, and `prove` (check followed by the prove passes on one
-    network), ask the routing function each (node, dst, ban, subnet)
+    """The static passes, and `prove` (those passes followed by its own on
+    one network), ask the routing function each (node, dst, ban, subnet)
     question exactly once."""
     spec = build_system("hetero_channel", ChipletGrid(2, 2, 3, 3), SimConfig())
     network, questions = _counted_network(spec)

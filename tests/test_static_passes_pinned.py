@@ -1,11 +1,12 @@
-"""Static-pass safety net: `repro check` and `repro prove` verdicts, pinned.
+"""Static-pass safety net: every pass's findings and prove's verdict, pinned.
 
 ``tests/data/static_passes.json`` records, for every family at 2x2(3x3)
 and 4x2(2x3) (the geometry where Eq 5 puts the hypercube in front of the
 passes), the finding codes (in report order) and metrics of
-``verify_network`` in both switching modes, and of ``prove_network`` with
-the single-link fault-mask sweep on, plus its certificate verdict.  A
-refactor of the analysis code must reproduce every entry exactly.
+``verify_family`` (the ``check/<mode>`` entries) in both switching modes,
+and of ``prove_family`` with the single-link fault-mask sweep on, plus its
+certificate verdict.  A refactor of the analysis code must reproduce
+every entry exactly.
 
 Re-record (``PYTHONPATH=src python -m tests.test_static_passes_pinned``)
 only for a deliberate change to what a pass reports.
