@@ -86,13 +86,13 @@ def _deadlock_pass(table: RouteTable, mode: str, report: Report) -> None:
     report.metrics["direct_deps"] = graph.n_direct
     if mode == "wormhole":
         report.metrics["indirect_deps"] = graph.n_indirect
-    cycle = graph.cycle()
+    cycle = graph.cycle()  # a closed walk: the first channel repeats at the end
     if cycle:
         shown = " -> ".join(f"(link {link}, vc {vc})" for link, vc in cycle[:8])
         if mode == "wormhole" and graph.cycle_uses_indirect(cycle):
             report.error(
                 "CDG-CYCLE-EXTENDED",
-                f"{len(cycle)}-channel cycle",
+                f"{len(cycle) - 1}-channel cycle",
                 f"extended dependency cycle {shown}; the escape discipline is "
                 "deadlock-free only under virtual cut-through, not plain "
                 "wormhole (an indirect dependency through adaptive channels "
@@ -101,7 +101,7 @@ def _deadlock_pass(table: RouteTable, mode: str, report: Report) -> None:
         else:
             report.error(
                 "CDG-CYCLE",
-                f"{len(cycle)}-channel cycle",
+                f"{len(cycle) - 1}-channel cycle",
                 f"direct dependency cycle {shown}; Lemma 1's acyclicity "
                 "condition fails",
             )

@@ -673,6 +673,10 @@ def main(argv: list[str] | None = None) -> int:
         chiplets_note: str = "",
     ) -> None:
         """The flags that name one simulation point (see ``_spec_from_args``)."""
+        # Loaded with repro.sim.experiment already; a module-level import
+        # ahead of it reorders the imports and raises their peak memory.
+        from repro.sim.build import POLICIES
+
         p.add_argument("--family", choices=FAMILIES, default="hetero_phy_torus")
         p.add_argument(
             "--chiplets",
@@ -685,13 +689,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--cycles", type=_positive_int, default=cycles)
         p.add_argument(
             "--policy",
-            choices=(
-                "performance",
-                "balanced",
-                "energy_efficient",
-                "application_aware",
-                "passive_aware",
-            ),
+            choices=[name for name, row in POLICIES.items() if not row.exclusive],
         )
         p.add_argument(
             "--halved", action="store_true", help="pin-constrained halved interfaces"

@@ -18,15 +18,19 @@ when no same-VC flits are queued behind it.
 
 The adapter adds one pipeline cycle (FIFO traversal), matching the RTL
 prototype's "reordering logic adds one extra cycle" (Sec 8.2).
+
+:meth:`HeteroPhyLink.contents` lists every flit inside the adapter, queue
+by queue (TX FIFO and bypass, both PHY pipes, then the ROB), for readers
+outside the link.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.noc.channel import ChannelKind, ChannelSpec
 from repro.noc.flit import FLIT_BITS, Flit, Packet
-from repro.noc.link import Link
+from repro.noc.link import Link, Run
 from repro.noc.vc import VC_IDLE
 from .rob import ReorderBuffer, rob_capacity
 from .scheduling import PARALLEL, SERIAL, DispatchPolicy
@@ -279,14 +283,18 @@ class HeteroPhyLink(Link):
         """(parallel, serial) flit counts transmitted so far."""
         return self.flits_parallel, self.flits_serial
 
-    def vc_flits(self, vc: int) -> int:
-        return (
-            sum(1 for _p, _i, q_vc in self._txq if q_vc == vc)
-            + sum(1 for _p, _i, q_vc in self._bypassq if q_vc == vc)
-            + sum(1 for _d, _p, _i, p_vc, _sn in self._par_pipe if p_vc == vc)
-            + sum(1 for _d, _p, _i, p_vc, _sn in self._ser_pipe if p_vc == vc)
-            + self.rob.occupancy_of(vc)
-        )
+    def contents(self) -> Iterator[Run]:
+        """One-flit runs: TX FIFO and bypass queue (``phy_tx_queue``), the
+        parallel and the serial PHY pipe, then the ROB (``rob_wait``)."""
+        for queue in (self._txq, self._bypassq):
+            for packet, index, vc in queue:
+                yield packet, index, 1, vc, "phy_tx_queue"
+        for _due, packet, index, vc, _sn in self._par_pipe:
+            yield packet, index, 1, vc, "phy_parallel"
+        for _due, packet, index, vc, _sn in self._ser_pipe:
+            yield packet, index, 1, vc, "phy_serial"
+        for packet, index, vc in self.rob.waiting():
+            yield packet, index, 1, vc, "rob_wait"
 
     def snapshot_state(self) -> dict:
         def queue(entries: list[tuple[Packet, int, int]]) -> list[dict]:

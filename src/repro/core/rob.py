@@ -11,9 +11,13 @@ only parallel-PHY flits ever wait (a serial flit's predecessors always
 arrive no later than it does), and at most ``B_p`` of them accumulate per
 cycle for at most ``D_s - D_p`` cycles.  The buffer enforces this bound:
 exceeding it raises, which the property tests use to validate Eq (1).
+:meth:`ReorderBuffer.waiting` is the one listing of the parked flits (the
+link's :meth:`~repro.core.phy.HeteroPhyLink.contents` reads it).
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from repro.noc.flit import Packet
 
@@ -66,14 +70,11 @@ class ReorderBuffer:
         self._window_peak = 0
         return peak
 
-    def occupancy_of(self, vc: int) -> int:
-        """Waiting flits belonging to one virtual channel."""
-        return sum(1 for waiting_vc, _sn in self._waiting if waiting_vc == vc)
-
-    def waiting_flits(self) -> list[tuple[Packet, int]]:
-        """``(packet, index)`` of the flits parked out of order (insertion
-        order)."""
-        return list(self._waiting.values())
+    def waiting(self) -> Iterator[tuple[Packet, int, int]]:
+        """``(packet, index, vc)`` of each flit parked out of order, in
+        insertion order."""
+        for (vc, _sn), (packet, index) in self._waiting.items():
+            yield packet, index, vc
 
     def snapshot_state(self) -> dict:
         """Forensic snapshot: expected sequence numbers and parked flits."""

@@ -12,6 +12,12 @@ sum of its hop costs.  Routing and subnetwork-selection policies instantiate
 different coefficient settings: the performance-first policy sets
 ``gamma = 0``; the energy-efficient policy weights energy heavily
 (Sec 5.3.1).
+
+:meth:`HopCostModel.path_length` is Eq (4)'s one reader: the torus
+direction planner (:mod:`repro.routing.torus_moves`) prices every path
+through it, so a change to how a path is priced is an edit of that method.
+The weighted subnetwork selector (:mod:`repro.routing.policies`) keeps its
+own chiplet-hop approximation built from :meth:`HopCostModel.hop_cost`.
 """
 
 from __future__ import annotations
@@ -87,8 +93,16 @@ class HopCostModel:
         )
 
     def path_length(self, kinds: Iterable[ChannelKind]) -> float:
-        """Eq (4): weighted length of a path given its hop kinds."""
-        return sum(self.hop_cost(kind) for kind in kinds)
+        """Eq (4): weighted length of a path given its hop kinds.
+
+        Adds hop costs left to right in a plain loop: ``sum()`` of floats
+        is compensated from Python 3.12 on, and routing decisions compare
+        these lengths exactly.
+        """
+        length = 0.0
+        for kind in kinds:
+            length += self.hop_cost(kind)
+        return length
 
     # -- named policy instantiations -------------------------------------------
     @classmethod

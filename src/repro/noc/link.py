@@ -10,11 +10,16 @@ model and also serves for on-chip wires (width = link bandwidth, depth = 1).
 A link is *directed*.  Credit return travels the opposite way with the same
 propagation delay; interface credits are sized so that the round-trip lag
 does not throttle the link (the paper's "additional buffer", Sec 7.1).
+
+Each link lists its own flits: :meth:`Link.contents` yields the runs
+inside it with their attribution stage, and is the only way code outside
+a link (the sanitizer's credit sum, the postmortem in-flight table) reads
+what is inside it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.telemetry.bus import NULL_BUS, TelemetryBus
 
@@ -38,6 +43,10 @@ TRAVERSAL_STAGES: dict[ChannelKind, Optional[str]] = {
     ChannelKind.SERIAL: "link_serial",
     ChannelKind.HETERO_PHY: None,
 }
+
+#: A run of flits inside a link (:meth:`Link.contents`): packet, first flit
+#: index, flit count, VC and attribution stage.
+Run = tuple[Packet, int, int, int, str]
 
 
 class Link:
@@ -179,9 +188,23 @@ class Link:
         """Flits currently inside the link (pipelines, adapters)."""
         raise NotImplementedError
 
+    def contents(self) -> Iterator[Run]:
+        """Every run of flits inside the link, in the link's own order.
+
+        A run is ``(packet, first flit index, count, vc, stage)``: ``count``
+        consecutive flits of ``packet`` on ``vc``, which sit in the
+        attribution stage ``stage``
+        (:data:`repro.telemetry.attribution.STAGES`).  This is the only way
+        code outside a link reads what is inside it.
+        """
+        raise NotImplementedError
+
     def vc_flits(self, vc: int) -> int:
         """Flits of ``vc`` currently inside the link (pipelines, adapters)."""
-        raise NotImplementedError
+        return sum(
+            count for _packet, _index, count, run_vc, _stage in self.contents()
+            if run_vc == vc
+        )
 
     def snapshot_state(self) -> dict:
         """Forensic snapshot: endpoints, occupancy and the credit ledger.
@@ -292,11 +315,12 @@ class PipelinedLink(Link):
         """Flits currently in flight on the link."""
         return sum(entry[3] for entry in self._pipe)
 
-    def vc_flits(self, vc: int) -> int:
-        return sum(
-            count for _due, _packet, _index, count, pipe_vc in self._pipe
-            if pipe_vc == vc
-        )
+    def contents(self) -> Iterator[Run]:
+        """The pipe's runs in accept order, at the link's traversal stage."""
+        stage = self.traversal_stage
+        assert stage is not None  # only a hetero-PHY link has none
+        for _due, packet, index, count, vc in self._pipe:
+            yield packet, index, count, vc, stage
 
     def snapshot_state(self) -> dict:
         state = super().snapshot_state()

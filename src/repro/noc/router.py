@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .flit import Flit, Packet
 from .link import Link
-from .vc import VC_ACTIVE, VC_IDLE, VC_VA, Candidate, InputVC
+from .vc import VC_ACTIVE, VC_IDLE, VC_STATE_NAMES, VC_VA, Candidate, InputVC
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .network import Network
@@ -478,7 +478,6 @@ class Router:
         JSON-serializable, and side-effect free so it can be taken from an
         exception handler without perturbing the simulation.
         """
-        state_names = ("idle", "va_wait", "active")
         inputs = []
         for port in self.inputs:
             vcs = []
@@ -488,7 +487,7 @@ class Router:
                 entry: dict = {
                     "vc": ivc.index,
                     "occupancy": ivc.n,
-                    "state": state_names[ivc.state],
+                    "state": VC_STATE_NAMES[ivc.state],
                 }
                 if ivc.n:
                     packet = ivc.queue[0]

@@ -23,6 +23,8 @@ Candidate = tuple[int, int, bool]
 VC_IDLE = 0  # waiting for a head flit / routing computation
 VC_VA = 1  # route computed, waiting to win an output VC
 VC_ACTIVE = 2  # output VC held, flits flow through switch allocation
+#: Each state's name in snapshots and postmortem bundles, by state value.
+VC_STATE_NAMES = ("idle", "va_wait", "active")
 
 
 class InputVC:

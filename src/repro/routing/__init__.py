@@ -27,7 +27,6 @@ __all__ = [
     "WeightedSelector",
     "analyse_escape",
     "make_routing",
-    "make_selector",
 ]
 
 #: Public name -> the submodule that defines it, imported on first access
@@ -49,7 +48,7 @@ _LAZY = {
         "functions",
     ),
     **dict.fromkeys(
-        ("CUBE", "MESH", "FixedSelector", "HopCountSelector", "WeightedSelector", "make_selector"),
+        ("CUBE", "MESH", "FixedSelector", "HopCountSelector", "WeightedSelector"),
         "policies",
     ),
 }

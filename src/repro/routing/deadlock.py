@@ -31,7 +31,7 @@ freedom even without the VCT discipline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, TypeVar, Union
 
 from repro.noc.flit import Packet
 from repro.noc.network import Network
@@ -39,6 +39,8 @@ from .fault import UnroutableError
 
 #: A dependency-graph vertex: (link index, virtual channel index).
 EscapeChannel = tuple[int, int]
+#: A vertex of any graph :func:`find_cycle` searches.
+V = TypeVar("V")
 #: A routing state: (node, adaptive_banned, subnet_choice).
 RoutingState = tuple[int, bool, Optional[str]]
 #: A forwarding candidate: (link index, vc, is_escape, next node).
@@ -212,17 +214,22 @@ def distances_to(
     return dist
 
 
-def find_cycle(
-    graph: dict[EscapeChannel, set[EscapeChannel]]
-) -> list[EscapeChannel]:
-    """A cycle in the dependency graph, or [] if acyclic (iterative DFS)."""
+def find_cycle(graph: Mapping[V, Iterable[V]]) -> list[V]:
+    """A cycle in a directed graph, or [] if acyclic (iterative DFS).
+
+    The cycle is a closed walk: its first vertex is repeated at the end, so
+    an n-vertex cycle is n + 1 long.  Vertices are visited in the graph's
+    key order and successors in their iteration order.  The one cycle
+    finder of the static CDG passes and of the runtime wait-for graph
+    (:func:`repro.telemetry.forensics.extract_wait_graph`).
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[EscapeChannel, int] = {}
-    parent: dict[EscapeChannel, EscapeChannel] = {}
+    color: dict[V, int] = {}
+    parent: dict[V, V] = {}
     for start in graph:
         if color.get(start, WHITE) != WHITE:
             continue
-        stack: list[tuple[EscapeChannel, object]] = [(start, iter(graph.get(start, ())))]
+        stack: list[tuple[V, object]] = [(start, iter(graph.get(start, ())))]
         color[start] = GRAY
         while stack:
             vertex, it = stack[-1]

@@ -17,6 +17,9 @@ destination turns to the low-latency parallel interface"; the absorbing
 switch also guarantees livelock freedom (hamming distance strictly
 decreases while in cube mode, Manhattan distance strictly decreases after
 the switch).
+
+Which selector a scheduling policy uses is a cell of
+:data:`repro.sim.build.POLICIES`.
 """
 
 from __future__ import annotations
@@ -85,18 +88,3 @@ class FixedSelector:
 
     def select(self, cur_chiplet: int, dst_chiplet: int) -> str:
         return self.subnet
-
-
-def make_selector(
-    policy: str, grid: ChipletGrid, cost_model: HopCostModel
-) -> SubnetSelector:
-    """Build a subnetwork selector for a named scheduling policy."""
-    if policy in ("balanced", "performance", "application_aware", "passive_aware"):
-        # Eq (5): minimize total cross-chiplet hops.  Application-aware
-        # scheduling differs in PHY dispatch, not subnetwork selection.
-        return HopCountSelector(grid)
-    if policy == "energy_efficient":
-        return WeightedSelector(grid, cost_model)
-    if policy in (MESH, CUBE):
-        return FixedSelector(policy)
-    raise ValueError(f"unknown subnetwork policy {policy!r}")

@@ -6,10 +6,11 @@ edges.  For every axis a packet can travel in the increasing or the
 decreasing direction; the cheaper one under the weighted path length of
 Sec 5.2 is chosen (ties allow both, i.e. full adaptivity).
 
-A direction's cost sums Eq (3) hop costs along the axis: on-chip hops,
-inter-chiplet boundary hops and the wraparound hop, each at the cost of
-the channel kind read off the system's links.  Decisions depend only on
-the two coordinates, so they are memoized.
+A direction's cost is the Eq (4) path length
+(:meth:`~repro.core.weighted_path.HopCostModel.path_length`) of the hop
+kinds along the axis: on-chip hops, inter-chiplet boundary hops and the
+wraparound hop, each of the channel kind read off the system's links.
+Decisions depend only on the two coordinates, so they are memoized.
 """
 
 from __future__ import annotations
@@ -54,16 +55,17 @@ class TorusAxisPlanner:
         self.width = width
         self.chiplet_span = chiplet_span
         self.wrapped = wrapped and width > chiplet_span
-        self._onchip = cost_model.hop_cost(ChannelKind.ONCHIP)
-        self._neighbor = cost_model.hop_cost(neighbor_kind)
-        self._wrap = cost_model.hop_cost(wrap_kind)
+        self.neighbor_kind = neighbor_kind
+        self.wrap_kind = wrap_kind
+        self.cost_model = cost_model
         self._dir_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def axis_cost(self, cur: int, dst: int, sign: int) -> float:
         """Weighted cost of travelling from ``cur`` to ``dst`` going ``sign``.
 
-        ``sign`` is +1 or -1.  Returns ``inf`` for a direction that would
-        need a wraparound on an unwrapped axis.
+        ``sign`` is +1 or -1.  Returns ``0.0`` when aligned and ``inf`` for
+        a direction that would need a wraparound on an unwrapped axis;
+        otherwise the Eq (4) length of the direction's hop kinds.
         """
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
@@ -72,7 +74,7 @@ class TorusAxisPlanner:
         if steps == 0:
             return 0.0
         span = self.chiplet_span
-        cost = 0.0
+        kinds: list[ChannelKind] = []
         pos = cur
         for _ in range(steps):
             if sign > 0:
@@ -84,13 +86,13 @@ class TorusAxisPlanner:
             if is_wrap:
                 if not self.wrapped:
                     return float("inf")
-                cost += self._wrap
+                kinds.append(self.wrap_kind)
             elif is_boundary:
-                cost += self._neighbor
+                kinds.append(self.neighbor_kind)
             else:
-                cost += self._onchip
+                kinds.append(ChannelKind.ONCHIP)
             pos = (pos + sign) % width
-        return cost
+        return self.cost_model.path_length(kinds)
 
     def directions(self, cur: int, dst: int) -> tuple[int, ...]:
         """Minimal-cost travel signs from ``cur`` to ``dst`` on this axis.

@@ -16,8 +16,9 @@ this module is the runtime counterpart that *explains* one when it happens:
   (:class:`~repro.telemetry.metrics.HealthMonitor`) and a **wait-for
   graph** extracted from blocked input VCs whose cycle (if any) names the
   deadlocked channel loop in the same ``(link index, vc)`` vocabulary as
-  :func:`repro.routing.deadlock.build_cdg` — so a runtime deadlock is
-  mechanically cross-checkable against the static analysis.
+  :func:`repro.routing.deadlock.build_cdg`, found by the static passes'
+  own :func:`~repro.routing.deadlock.find_cycle` — so a runtime deadlock
+  is mechanically cross-checkable against the static analysis.
 
 :class:`~repro.telemetry.session.TelemetrySession` owns the recorder and
 is the :class:`~repro.sim.engine.Engine`'s failure hook: its ``fail``
@@ -32,7 +33,10 @@ Import note: like every collector in this package, this module must not
 import ``repro.noc`` / ``repro.core`` at module load (``repro.noc``
 imports :mod:`repro.telemetry.bus`); simulator types appear only under
 ``typing.TYPE_CHECKING`` and simulator state is reached through duck
-typing and the ``snapshot_state`` hooks.
+typing, :meth:`~repro.noc.link.Link.contents` and the ``snapshot_state``
+hooks.  The VC states and their names (:mod:`repro.noc.vc`) and the cycle
+finder are imported inside the functions that read them, so a run that
+does not fail never loads :mod:`repro.routing.deadlock`.
 """
 
 from __future__ import annotations
@@ -304,12 +308,6 @@ class FlightRecorder:
 # wait-for graph extraction
 # ---------------------------------------------------------------------------
 
-# Input-VC pipeline states; values mirror repro.noc.router (asserted by
-# tests so the two cannot drift apart without failing).
-_VC_IDLE, _VC_VA, _VC_ACTIVE = 0, 1, 2
-_STATE_NAMES = {_VC_IDLE: "idle", _VC_VA: "va_wait", _VC_ACTIVE: "active"}
-
-
 def extract_wait_graph(network: "Network", now: int) -> dict[str, Any]:
     """The wait-for graph of blocked flits, with its cycle if one exists.
 
@@ -325,6 +323,9 @@ def extract_wait_graph(network: "Network", now: int) -> dict[str, Any]:
     :func:`repro.routing.deadlock.build_cdg`, so it can be checked edge by edge against
     the static channel dependency graph (see ``cycle_in_graph``).
     """
+    from repro.noc.vc import VC_IDLE, VC_STATE_NAMES, VC_VA
+    from repro.routing.deadlock import find_cycle
+
     edges: dict[WaitVertex, set[WaitVertex]] = {}
     blocked: list[dict[str, Any]] = []
     for router in network.routers:
@@ -332,18 +333,18 @@ def extract_wait_graph(network: "Network", now: int) -> dict[str, Any]:
         for port in router.inputs:
             link = port.link
             for ivc in port.vcs:
-                if not ivc.n or ivc.state == _VC_IDLE:
+                if not ivc.n or ivc.state == VC_IDLE:
                     continue
                 packet = ivc.queue[0]
                 wants: list[WaitVertex] = []
-                why = _STATE_NAMES[ivc.state]
-                if ivc.state == _VC_VA:
+                why = VC_STATE_NAMES[ivc.state]
+                if ivc.state == VC_VA:
                     for out_port, out_vc, _escape in ivc.candidates or ():
                         out_link = outputs[out_port].link
                         if out_link is None:
                             continue  # ejection never blocks VC allocation
                         wants.append(("chan", out_link.index, out_vc))
-                else:  # _VC_ACTIVE
+                else:  # VC_ACTIVE
                     out = outputs[ivc.out_port]
                     out_link = out.link
                     if out_link is None or out.credits[ivc.out_vc] > 0:
@@ -370,51 +371,14 @@ def extract_wait_graph(network: "Network", now: int) -> dict[str, Any]:
                     "holds": list(holder),
                     "wants": [list(want) for want in wants],
                 })
-    cycle = _find_cycle(edges)
+    # The static passes' finder, over sorted adjacency; its closed walk
+    # repeats the first vertex at the end.
+    cycle = find_cycle({vertex: sorted(succ) for vertex, succ in edges.items()})[:-1]
     return {
         "blocked": blocked,
         "edges": [[list(a), list(b)] for a, bs in sorted(edges.items()) for b in sorted(bs)],
         "cycle": [[link, vc] for _tag, link, vc in cycle],
     }
-
-
-def _find_cycle(graph: dict[WaitVertex, set[WaitVertex]]) -> list[WaitVertex]:
-    """A cycle in the wait-for graph, or ``[]`` (iterative 3-color DFS).
-
-    Returned open: consecutive elements are edges, and so is last -> first
-    (the wrap-around is implied, not repeated).
-    """
-    white, gray, black = 0, 1, 2
-    color: dict[WaitVertex, int] = {}
-    parent: dict[WaitVertex, WaitVertex] = {}
-    for start in graph:
-        if color.get(start, white) != white:
-            continue
-        stack: list[tuple[WaitVertex, Any]] = [(start, iter(sorted(graph.get(start, ()))))]
-        color[start] = gray
-        while stack:
-            vertex, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                state = color.get(nxt, white)
-                if state == gray:
-                    cycle = [vertex]
-                    walk = vertex
-                    while walk != nxt:
-                        walk = parent[walk]
-                        cycle.append(walk)
-                    cycle.reverse()
-                    return cycle
-                if state == white:
-                    color[nxt] = gray
-                    parent[nxt] = vertex
-                    stack.append((nxt, iter(sorted(graph.get(nxt, ())))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[vertex] = black
-                stack.pop()
-    return []
 
 
 def waitfor_cycle_channels(bundle: dict[str, Any]) -> list[tuple[int, int]]:
@@ -453,6 +417,8 @@ def inflight_packet_table(
     :data:`repro.telemetry.attribution.STAGES`, derived from where the
     packet's head-most in-network flit currently sits.
     """
+    from repro.noc.vc import VC_ACTIVE, VC_IDLE, VC_VA
+
     entries: dict[int, dict[str, Any]] = {}
 
     def note(
@@ -486,10 +452,10 @@ def inflight_packet_table(
                 if not ivc.n:
                     continue
                 if injection:
-                    stage = "source_queue" if ivc.state == _VC_IDLE else "va_wait"
-                elif ivc.state == _VC_VA:
+                    stage = "source_queue" if ivc.state == VC_IDLE else "va_wait"
+                elif ivc.state == VC_VA:
                     stage = "va_wait"
-                elif ivc.state == _VC_ACTIVE:
+                elif ivc.state == VC_ACTIVE:
                     out = router.outputs[ivc.out_port]
                     stalled = (
                         out.link is not None and out.credits[ivc.out_vc] <= 0
@@ -516,36 +482,12 @@ def inflight_packet_table(
                         note(packet, index, stage, position)
     for link in network.links:
         position = {"loc": "link", "link": link.index}
-        for packet, index, stage in _link_flit_stages(link):
-            note(packet, index, stage, position)
+        for packet, index, count, _vc, stage in link.contents():
+            note(packet, index, stage, position, count)
     table = sorted(entries.values(), key=lambda e: (-e["age"], e["pid"]))
     for entry in table:
         del entry["_head_index"]
     return {"total": len(table), "table": table[:max_packets]}
-
-
-def _link_flit_stages(link: Any) -> Iterable[tuple["Packet", int, str]]:
-    """(packet, flit index, attribution stage) for every flit inside one link."""
-    pipe = getattr(link, "_pipe", None)
-    if pipe is not None:  # PipelinedLink
-        stage = link.traversal_stage or "link_onchip"
-        for _due, packet, index, count, _vc in pipe:
-            for i in range(index, index + count):
-                yield packet, i, stage
-        return
-    if getattr(link, "rob", None) is None:
-        return
-    # HeteroPhyLink: TX FIFO, bypass queue, both PHY pipelines, ROB.
-    for packet, index, _vc in link._txq:
-        yield packet, index, "phy_tx_queue"
-    for packet, index, _vc in link._bypassq:
-        yield packet, index, "phy_tx_queue"
-    for _due, packet, index, _vc, _sn in link._par_pipe:
-        yield packet, index, "phy_parallel"
-    for _due, packet, index, _vc, _sn in link._ser_pipe:
-        yield packet, index, "phy_serial"
-    for packet, index in link.rob.waiting_flits():
-        yield packet, index, "rob_wait"
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,19 @@ def test_adaptive_family_has_extended_cycle_under_wormhole():
     assert report.metrics["indirect_deps"] > 0
 
 
+@pytest.mark.parametrize(
+    ("family", "target"),
+    [("parallel_mesh", "4-channel cycle"), ("serial_torus", "1-channel cycle")],
+)
+def test_cycle_target_counts_channels_not_walk_length(family, target):
+    """The cycle is a closed walk (first channel repeated at the end), so
+    the channel count is its length minus one: four channels round a mesh
+    loop, one for a self-dependency."""
+    report = verify_family(family, mode="wormhole")
+    [finding] = [f for f in report.findings if f.code.startswith("CDG-CYCLE")]
+    assert finding.target == target
+
+
 def test_hypercube_family_is_wormhole_clean():
     """Minus-first hypercube routing restricts adaptivity enough that even
     the extended dependency graph stays acyclic."""

@@ -8,12 +8,12 @@ from repro.analysis import InvariantChecker
 from repro.core.phy import HeteroPhyLink
 from repro.core.scheduling import BalancedPolicy, EnergyEfficientPolicy
 from repro.noc.channel import ChannelKind
-from repro.sim.build import build_network, routing_cost_model
+from repro.sim.build import POLICIES, build_network, routing_cost_model
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.stats import Stats
 from repro.topology.grid import ChipletGrid
-from repro.topology.system import build_system
+from repro.topology.system import FAMILIES, build_system
 from repro.traffic.injection import SyntheticWorkload
 from repro.traffic.patterns import make_pattern
 
@@ -124,3 +124,25 @@ def test_unknown_policy_rejected():
     spec = build_system("hetero_phy_torus", GRID, SimConfig())
     with pytest.raises(ValueError):
         build_network(spec, Stats(), policy="teleport")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_unknown_scheduling_policy_is_one_message(family):
+    """The name is looked up before anything is built, on every family."""
+    spec = build_system(family, GRID, SimConfig(scheduling_policy="bogus"))
+    known = re.escape(", ".join(POLICIES))
+    with pytest.raises(ValueError, match=rf"^unknown scheduling_policy 'bogus'; expected one of {known}$"):
+        build_network(spec, Stats())
+    with pytest.raises(ValueError, match=r"^unknown policy 'teleport'; expected one of "):
+        build_network(spec, Stats(), policy="teleport")
+
+
+def test_policy_table_covers_dispatch_and_cost_names():
+    """Every row names a dispatch policy and a cost model that exist."""
+    from repro.core.scheduling import make_dispatch_policy
+    from repro.core.weighted_path import make_cost_model
+
+    for row in POLICIES.values():
+        make_dispatch_policy(row.dispatch, SimConfig())
+        make_cost_model(SimConfig(), row.cost)
+    assert [name for name, row in POLICIES.items() if row.exclusive] == ["mesh", "cube"]

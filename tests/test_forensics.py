@@ -14,7 +14,6 @@ import json
 import pytest
 
 from repro.analysis import build_cdg
-from repro.noc import router as router_mod
 from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
@@ -30,9 +29,6 @@ from repro.telemetry.forensics import (
     RECORDER_PRESETS,
     FlightRecorder,
     _EVENT_ARGS,
-    _VC_ACTIVE,
-    _VC_IDLE,
-    _VC_VA,
     capture_bundle,
     cycle_in_graph,
     extract_wait_graph,
@@ -54,14 +50,6 @@ from .helpers import build_chain, ring_routing
 
 def test_every_recordable_event_has_a_decoding():
     assert set(_EVENT_ARGS) == set(RECORDER_PRESETS["full"])
-
-
-def test_vc_state_constants_mirror_router():
-    # extract_wait_graph reads router VC state without importing repro.noc
-    # at module load; this pin keeps the duplicated constants honest.
-    assert _VC_IDLE == router_mod.VC_IDLE
-    assert _VC_VA == router_mod.VC_VA
-    assert _VC_ACTIVE == router_mod.VC_ACTIVE
 
 
 # -- the forced deadlock ------------------------------------------------------

@@ -100,7 +100,7 @@ def test_duplicate_sequence_number_names_both_flits():
         rob.insert(intruder, 0, 0, 1)
     assert f"flit 1 of packet {parked[0].pid}" in str(raised.value)
     assert f"flit 0 of packet {intruder.pid}" in str(raised.value)
-    assert rob.waiting_flits() == [parked]
+    assert list(rob.waiting()) == [(*parked, 0)]
     with pytest.raises(ValueError, match="duplicate sequence number 1 on VC 0"):
         rob.reorder([arrival(1, 0)])
     insert(rob, 1, vc=1)  # same SN on another VC is a different slot
