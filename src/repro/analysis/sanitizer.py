@@ -16,9 +16,12 @@ turning silent state corruption into an immediate
   sends its flits on in that same order (the buffer names a flit by its
   position, so this checks the index the router derives);
 * **packet conservation** — injected flits are always accounted for:
-  delivered + buffered + in flight, no loss, no duplication;
-* **no-progress watchdog** — flits buffered with no movement for longer
-  than a threshold is reported as a runtime deadlock.
+  delivered + buffered + in flight, no loss, no duplication.
+
+A run that stops moving is not a broken invariant: the engine's
+no-progress watchdog (:class:`~repro.sim.engine.Engine`) is the one stall
+detector, sanitized or not, and its
+:class:`~repro.sim.stats.DeadlockError` names where the run is stuck.
 
 The checker subscribes to the network's telemetry bus (``packet_inject``,
 ``flit_recv``, ``flit_send``, ``packet_eject``, ``cycle_end``) — the same
@@ -29,7 +32,7 @@ through the ``sanitize`` fixture in ``tests/conftest.py``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.noc.flit import Flit, Packet
 from repro.noc.network import Network
@@ -63,9 +66,6 @@ class InvariantChecker:
     ----------
     network:
         The built (finalized or about-to-be-finalized) network to guard.
-    deadlock_threshold:
-        Cycles without any flit movement (while flits are buffered) before
-        the watchdog fires.  ``None`` disables the watchdog.
     check_every:
         Run the full state sweep every N network steps (event-driven
         checks — ordering, occupancy — always run).  1 checks every cycle.
@@ -75,13 +75,11 @@ class InvariantChecker:
         self,
         network: Network,
         *,
-        deadlock_threshold: Optional[int] = 5_000,
         check_every: int = 1,
     ) -> None:
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
         self.network = network
-        self.deadlock_threshold = deadlock_threshold
         self.check_every = check_every
         self.checks_run = 0
         self.flits_injected = 0
@@ -91,7 +89,6 @@ class InvariantChecker:
         # order they leave in.
         self._order: dict[tuple[int, int, int], _VcOrderState] = {}
         self._send_order: dict[tuple[int, int, int], _VcOrderState] = {}
-        self._last_movement = 0
         self._steps = 0
         self._attached = False
         self._install()
@@ -131,7 +128,6 @@ class InvariantChecker:
     def _on_flit_send(
         self, router: "Router", flit: Flit, out_port: int, out_vc: int, now: int
     ) -> None:
-        self._last_movement = now
         # The output VC belongs to the sending input VC until its tail.
         ivc = router.outputs[out_port].vc_owner[out_vc]
         if ivc is None:
@@ -153,7 +149,7 @@ class InvariantChecker:
     def _on_cycle_end(self, network: Network, now: int) -> None:
         self._steps += 1
         if self._steps % self.check_every == 0:
-            self.check(now)
+            self.check()
 
     # -- event-driven checks -------------------------------------------------
     @staticmethod
@@ -220,12 +216,11 @@ class InvariantChecker:
             )
 
     # -- state-sweep checks ----------------------------------------------------
-    def check(self, now: int) -> None:
+    def check(self) -> None:
         """Run the full invariant sweep (called from the step hook)."""
         self.checks_run += 1
         self._check_credits()
         self._check_conservation()
-        self._check_progress(now)
 
     def _check_credits(self) -> None:
         network = self.network
@@ -267,53 +262,3 @@ class InvariantChecker:
                 f"({self.flits_injected - delivered - in_network:+d} flit(s) "
                 "unaccounted for)",
             )
-
-    def _check_progress(self, now: int) -> None:
-        threshold = self.deadlock_threshold
-        if threshold is None:
-            return
-        if now - self._last_movement <= threshold:
-            return
-        buffered = self.network.buffered_flits()
-        if buffered > 0:
-            raise InvariantViolation(
-                "NO-PROGRESS",
-                f"{buffered} flits buffered with no movement for "
-                f"{now - self._last_movement} cycles (runtime deadlock): "
-                + self._describe_stall(now),
-            )
-        self._last_movement = now
-
-    def _describe_stall(self, now: int) -> str:
-        """Name the stalled routers and the oldest blocked flit.
-
-        Gives the watchdog's one-line report enough detail to start
-        debugging without a postmortem bundle: the routers holding the
-        most flits, and where the longest-suffering packet is stuck.
-        """
-        stalled = sorted(
-            (
-                (router.buffered_flits(), router.node)
-                for router in self.network.routers
-            ),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
-        tops = [f"node {node}: {flits}" for flits, node in stalled[:4] if flits > 0]
-        oldest: Optional[tuple[int, int, int, int, int]] = None
-        for router in self.network.routers:
-            for port in router.inputs:
-                for ivc in port.vcs:
-                    if not ivc.n:
-                        continue
-                    packet = ivc.queue[0]
-                    age = now - packet.create_cycle
-                    if oldest is None or age > oldest[0]:
-                        oldest = (age, router.node, port.index, ivc.index, packet.pid)
-        detail = f"stalled routers [{', '.join(tops)}]"
-        if oldest is not None:
-            age, node, port_idx, vc_idx, pid = oldest
-            detail += (
-                f"; oldest blocked flit: packet {pid} at node {node} "
-                f"port {port_idx} vc {vc_idx}, {age} cycles old"
-            )
-        return detail

@@ -729,8 +729,8 @@ def main(argv: list[str] | None = None) -> int:
         type=_positive_int,
         default=1_000,
         help="the one sampling period in cycles: --metrics time series, "
-        "--health checks, --live epoch events and the --progress line "
-        "(default: 1000)",
+        "--trace counter tracks, --health checks, --live epoch events and "
+        "the --progress line (default: 1000)",
     )
     sim_p.add_argument(
         "--progress",

@@ -95,16 +95,11 @@ class HeteroPhyLink(Link):
         budget = self.tx_fifo_depth - len(self._txq) - len(self._bypassq)
         if budget > self._total_bw:
             budget = self._total_bw
-        return budget - (self._accepted if now == self._accept_cycle else 0)
+        return budget
 
     def accept(self, packet: Packet, index: int, count: int, vc: int, now: int) -> None:
         # A run enters the TX FIFO one entry per flit: dispatch, sequence
         # numbers and the ROB stay per flit (Sec 4.2).
-        if now != self._accept_cycle:
-            self._accept_cycle = now
-            self._accepted = count
-        else:
-            self._accepted += count
         if index == 0:
             self._decide_bypass(packet, vc)
         if vc in self._bypass_vcs:

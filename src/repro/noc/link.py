@@ -89,8 +89,6 @@ class Link:
         self._index = -1
         # (due cycle, vc, credits) in return order.
         self._credit_queue: list[tuple[int, int, int]] = []
-        self._accept_cycle = -1
-        self._accepted = 0
         #: Total flits this link has carried (utilization analysis).
         self.flits_carried = 0
         # Hot-path constants (bound at construction).
@@ -135,7 +133,11 @@ class Link:
 
     # -- transmit side ----------------------------------------------------
     def accept_budget(self, now: int) -> int:
-        """Flits the link can still accept in cycle ``now``."""
+        """Flits the link can accept in cycle ``now``.
+
+        The router asks once per output per cycle, before any grant, so
+        no accept of the same cycle has to be subtracted.
+        """
         raise NotImplementedError
 
     def accept(self, packet: Packet, index: int, count: int, vc: int, now: int) -> None:
@@ -246,14 +248,9 @@ class PipelinedLink(Link):
         self._energy_per_flit = FLIT_BITS * spec.phy.energy_pj_per_bit
 
     def accept_budget(self, now: int) -> int:
-        return self._bandwidth - (self._accepted if now == self._accept_cycle else 0)
+        return self._bandwidth
 
     def accept(self, packet: Packet, index: int, count: int, vc: int, now: int) -> None:
-        if now != self._accept_cycle:
-            self._accept_cycle = now
-            self._accepted = count
-        else:
-            self._accepted += count
         # Charge traversal energy and the hop to the packet.  Energy is added
         # once per flit: a float sum depends on how it is grouped.
         self.flits_carried += count

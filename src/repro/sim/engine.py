@@ -5,7 +5,10 @@ The engine ties together a :class:`~repro.noc.network.Network`, a workload
 :class:`~repro.sim.stats.Stats` collector, and advances them cycle by cycle.
 It also watches for lack of forward progress, turning routing deadlocks
 into a :class:`~repro.sim.stats.DeadlockError` instead of a silent hang —
-this is how the deadlock-freedom tests exercise Theorem 1.
+this is how the deadlock-freedom tests exercise Theorem 1.  The watchdog
+in :meth:`Engine._tick` is the one stall detector, with or without the
+runtime sanitizer attached: its error names the fullest routers and the
+oldest in-flight packet, and its postmortem bundle is filed ``deadlock``.
 """
 
 from __future__ import annotations
@@ -159,7 +162,9 @@ class Engine:
             ):
                 buffered = self.network.buffered_flits()
                 if buffered > 0:
-                    raise DeadlockError(now, buffered, now - stats.last_movement_cycle)
+                    raise DeadlockError.in_network(
+                        self.network, now, buffered, now - stats.last_movement_cycle
+                    )
                 stats.last_movement_cycle = now
         finally:
             if lap is not None:

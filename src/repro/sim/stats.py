@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import math
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.noc.channel import KINDS_BY_ID, ChannelKind
 from repro.noc.flit import Packet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.noc.network import Network
 
 
 def percentile(values: Sequence[float], pct: float, *, presorted: bool = False) -> float:
@@ -203,20 +206,45 @@ class Stats:
 class DeadlockError(RuntimeError):
     """Raised when buffered flits stop moving for too long.
 
-    When the engine's :class:`~repro.telemetry.session.TelemetrySession`
-    captures bundles (``TelemetryConfig.forensics``), ``bundle_path`` names
-    the postmortem bundle written for this failure (``None`` otherwise).
+    ``where`` (appended to the message) says where the run is stuck; see
+    :meth:`in_network`.  When the engine's
+    :class:`~repro.telemetry.session.TelemetrySession` captures bundles
+    (``TelemetryConfig.forensics``), ``bundle_path`` names the postmortem
+    bundle written for this failure (``None`` otherwise).
     """
 
-    def __init__(self, cycle: int, buffered: int, stalled_for: int) -> None:
+    def __init__(self, cycle: int, buffered: int, stalled_for: int, where: str = "") -> None:
         super().__init__(
             f"no flit movement for {stalled_for} cycles at cycle {cycle} "
             f"with {buffered} flits buffered - likely routing deadlock"
+            + (f": {where}" if where else "")
         )
         self.cycle = cycle
         self.buffered = buffered
         self.stalled_for = stalled_for
         self.bundle_path: str | None = None
+
+    @classmethod
+    def in_network(
+        cls, network: "Network", cycle: int, buffered: int, stalled_for: int
+    ) -> "DeadlockError":
+        """The error for ``network`` wedged at ``cycle``, naming the four
+        routers holding the most flits and the oldest in-flight packet
+        (from the postmortem packet table, loaded only when a run wedges).
+        """
+        from repro.telemetry.forensics import inflight_packet_table
+
+        fullest = sorted((-router.buffered_flits(), router.node) for router in network.routers)
+        tops = ", ".join(f"node {node}: {-flits}" for flits, node in fullest[:4] if flits)
+        where = f"fullest routers [{tops}]"
+        for packet in inflight_packet_table(network, cycle, max_packets=1)["table"]:
+            at = packet["positions"][0]  # {"loc": ..., "node"/"port"/"vc" or "link": ...}
+            place = " ".join(f"{key} {value}" for key, value in at.items() if key != "loc")
+            where += (
+                f"; oldest in-flight packet {packet['pid']} ({packet['src']}->{packet['dst']}) "
+                f"at {place}, {packet['age']} cycles old ({packet['stage']})"
+            )
+        return cls(cycle, buffered, stalled_for, where)
 
 
 class DrainTimeoutError(DeadlockError):

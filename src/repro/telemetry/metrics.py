@@ -9,11 +9,14 @@ collection costs one sweep per epoch, not per cycle.  Only credit-stall
 accounting listens to a per-event hook, and that event fires only under
 congestion.
 
-It is the only observer with a clock: health checks, the live feed and
-the progress line are *readers* of its closed samples (``readers``,
-called in order at each epoch close), so one occupancy scan per epoch
-serves them all.  :class:`HealthMonitor` is the first such reader: it
-checks each closed sample against :class:`HealthThresholds`.
+It is the only observer that samples network state on a clock: health
+checks, the live feed, the progress line and the Chrome trace's counter
+tracks are *readers* of its closed samples (``readers``, called in order
+at each epoch close), so one occupancy scan per epoch serves them all.
+(The other ``cycle_end`` subscribers sample nothing: the flight recorder
+trims its window, the run digest chains the cycle, the sanitizer checks
+invariants.)  :class:`HealthMonitor` is the first such reader: it checks
+each closed sample against :class:`HealthThresholds`.
 
 Collected per epoch:
 

@@ -47,7 +47,8 @@ class TelemetryConfig:
     #: Output path for the Chrome trace-event JSON (None: no trace).
     trace_path: Optional[str | Path] = None
     #: The one sampling period in cycles: epoch metrics, health checks,
-    #: live-feed epochs and the progress line all run on it.
+    #: live-feed epochs, the progress line and the trace's counter tracks
+    #: all run on it.
     epoch_length: int = 1_000
     #: Emit a live progress line at each epoch close.
     progress: bool = False
@@ -70,8 +71,9 @@ class TelemetryConfig:
     breakdown_csv: Optional[str | Path] = None
     #: Collect per-epoch metrics.  On by default; the CLI turns it off for
     #: configs that exist only to carry forensics capture, so plain runs
-    #: keep the zero-subscriber fast path.  ``health``, ``live`` and
-    #: ``progress`` read the sampler's epochs and switch it on themselves.
+    #: keep the zero-subscriber fast path.  ``health``, ``live``,
+    #: ``progress`` and ``trace_path`` read the sampler's epochs and switch
+    #: it on themselves.
     epoch_metrics: bool = True
     #: Capture a postmortem bundle when the run fails (deadlock, drain
     #: timeout, invariant violation; :meth:`TelemetrySession.fail`).  The
@@ -156,12 +158,12 @@ class TelemetrySession:
         """Instantiate the collectors a config asks for and subscribe them."""
         config = config or TelemetryConfig()
         session = cls(network=network, config=config)
-        if config.epoch_metrics or config.health or config.live or config.progress:
+        if config.trace_path is not None:
+            session.trace = ChromeTraceBuilder(network)
+        if config.epoch_metrics or config.health or config.live or config.progress or session.trace:
             session.metrics = EpochMetrics(
                 network, epoch_length=config.epoch_length, warmup=warmup
             )
-        if config.trace_path is not None:
-            session.trace = ChromeTraceBuilder(network)
         if config.latency_breakdown or config.breakdown_csv is not None:
             session.ledger = LatencyLedger(network, measure_from=warmup)
         if config.host_time:
@@ -202,7 +204,7 @@ class TelemetrySession:
             # Health first: the feed streams the anomalies it just raised.
             session.metrics.readers = [
                 reader.on_epoch
-                for reader in (session.monitor, session.live, session.progress)
+                for reader in (session.monitor, session.live, session.progress, session.trace)
                 if reader is not None
             ]
         return session

@@ -10,8 +10,12 @@ JSON trace loadable by Perfetto (https://ui.perfetto.dev) and
   instant markers for injection, hetero-PHY dispatch decisions and
   reorder-buffer holds/releases;
 * **component lanes** — counter tracks under the "network" process:
-  buffered and in-flight flits sampled every ``counter_interval`` cycles,
-  plus per-hetero-link reorder-buffer occupancy.
+  buffered and in-flight flits plus per-hetero-link reorder-buffer
+  occupancy, one point per epoch boundary.  The builder keeps no clock of
+  its own: it is a reader of the epoch sampler
+  (:class:`~repro.telemetry.metrics.EpochMetrics`), so ``--trace``
+  counters follow ``--epoch``.  Wire it by hand as
+  ``EpochMetrics(network, readers=[builder.on_epoch])``.
 
 One simulated cycle maps to one microsecond of trace time, so trace
 timestamps read directly as cycles.  Keep the sample predicate selective
@@ -31,6 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.network import Network
     from repro.noc.router import Router
 
+    from .metrics import EpochSample
+
 #: Trace process ids (named via metadata events).
 PID_NETWORK = 1
 PID_PACKETS = 2
@@ -48,8 +54,6 @@ class ChromeTraceBuilder:
         ``max_packets``).
     max_packets:
         Hard cap on sampled packets; later packets are ignored.
-    counter_interval:
-        Cycles between counter samples (0 disables counter tracks).
     """
 
     def __init__(
@@ -58,16 +62,12 @@ class ChromeTraceBuilder:
         *,
         sample: Optional[Callable[["Packet"], bool]] = None,
         max_packets: int = 512,
-        counter_interval: int = 100,
     ) -> None:
         if max_packets < 1:
             raise ValueError("max_packets must be >= 1")
-        if counter_interval < 0:
-            raise ValueError("counter_interval must be >= 0")
         self.network = network
         self.sample = sample or (lambda packet: True)
         self.max_packets = max_packets
-        self.counter_interval = counter_interval
         self.events: list[dict] = [
             _meta(PID_NETWORK, "process_name", name="network"),
             _meta(PID_PACKETS, "process_name", name="packets"),
@@ -76,6 +76,12 @@ class ChromeTraceBuilder:
         self._saturated = False
         #: pid -> (link, accept cycle) for a head flit in flight on a link.
         self._pending_hop: dict[int, tuple["Link", int]] = {}
+        #: (link index, counter name) of every link with a reorder buffer.
+        self._rob_tracks = [
+            (index, f"rob {link.spec.src}->{link.spec.dst}")
+            for index, link in enumerate(network.links)
+            if getattr(link, "rob", None) is not None
+        ]
         self._closed = False
         bus = network.telemetry
         bus.subscribe("packet_inject", self._on_inject)
@@ -85,8 +91,6 @@ class ChromeTraceBuilder:
         bus.subscribe("phy_dispatch", self._on_phy_dispatch)
         bus.subscribe("rob_insert", self._on_rob_insert)
         bus.subscribe("rob_release", self._on_rob_release)
-        if counter_interval:
-            bus.subscribe("cycle_end", self._on_cycle_end)
 
     # -- sampling ----------------------------------------------------------
     def _admit(self, packet: "Packet") -> bool:
@@ -185,26 +189,21 @@ class ChromeTraceBuilder:
                 _instant(PID_PACKETS, flit.packet.pid, now, "rob release")
             )
 
-    def _on_cycle_end(self, network: "Network", now: int) -> None:
-        if now % self.counter_interval:
+    # -- epoch reader ------------------------------------------------------
+    def on_epoch(self, sample: "EpochSample") -> None:
+        """Write the counter tracks from one closed epoch, at its end."""
+        if self._closed:
             return
+        end = sample.end
         self.events.append(
-            _counter(PID_NETWORK, 0, now, "flits", buffered=network.buffered_flits(),
-                     in_flight=network.in_flight_flits())
+            _counter(PID_NETWORK, 0, end, "flits", buffered=sample.buffered,
+                     in_flight=sample.in_flight)
         )
-        for index, link in enumerate(network.links):
-            rob = getattr(link, "rob", None)
-            if rob is not None:
-                spec = link.spec
-                self.events.append(
-                    _counter(
-                        PID_NETWORK,
-                        index + 1,
-                        now,
-                        f"rob {spec.src}->{spec.dst}",
-                        occupancy=rob.occupancy,
-                    )
-                )
+        for index, name in self._rob_tracks:
+            occupancy, _peak = sample.rob.get(index, (0, 0))
+            self.events.append(
+                _counter(PID_NETWORK, index + 1, end, name, occupancy=occupancy)
+            )
 
     # -- output ------------------------------------------------------------
     def detach(self) -> None:
@@ -219,8 +218,6 @@ class ChromeTraceBuilder:
         bus.unsubscribe("phy_dispatch", self._on_phy_dispatch)
         bus.unsubscribe("rob_insert", self._on_rob_insert)
         bus.unsubscribe("rob_release", self._on_rob_release)
-        if self.counter_interval:
-            bus.unsubscribe("cycle_end", self._on_cycle_end)
         self._closed = True
 
     def to_dict(self) -> dict:

@@ -126,6 +126,37 @@ def test_simulate_telemetry_flags(tmp_path, capsys):
     assert out.count("wrote ") >= 8  # 7 metric files + the trace
 
 
+def test_trace_counters_follow_epoch(tmp_path, capsys):
+    """`--trace` counter tracks are the epoch sampler's: one point per
+    track at each epoch boundary, equal to that epoch's buffered,
+    in-flight and reorder-buffer occupancy samples."""
+    metrics_dir = tmp_path / "metrics"
+    trace_path = tmp_path / "trace.json"
+    args = ["--rate", "0.2", "--policy", "performance", "--epoch", "400",
+            "--metrics", str(metrics_dir)]
+    assert main([*SIM_ARGS, *args, "--trace", str(trace_path)]) == 0
+    capsys.readouterr()
+    epochs = json.loads((metrics_dir / "metrics.json").read_text())["epochs"]
+    events = json.loads(trace_path.read_text())["traceEvents"]
+    counters = [event for event in events if event["ph"] == "C"]
+    by_end = {epoch["end"]: epoch for epoch in epochs}
+    assert list(by_end) == [400, 800, 1200, 1500]
+    assert sorted({event["ts"] for event in counters}) == list(by_end)
+    rob_tracks = {event["name"] for event in counters if event["name"] != "flits"}
+    assert rob_tracks and all(name.startswith("rob ") for name in rob_tracks)
+    assert len(counters) == len(epochs) * (1 + len(rob_tracks))
+    for event in counters:
+        epoch = by_end[event["ts"]]
+        if event["name"] == "flits":
+            expected = {"buffered": epoch["buffered"], "in_flight": epoch["in_flight"]}
+        else:
+            rob = epoch["rob"].get(str(event["tid"] - 1), {"occupancy": 0})
+            expected = {"occupancy": rob["occupancy"]}
+        assert event["args"] == expected, (event, epoch)
+    assert any(event["args"].get("buffered") for event in counters)
+    assert any(event["args"].get("occupancy") for event in counters)
+
+
 #: `repro prove`'s quick path: the static passes, contracts and
 #: reachability, without the per-link fault sweep or a registry record.
 QUICK = ["--no-fault-masks", "--no-record"]

@@ -3,10 +3,12 @@
 Positive direction: every system family simulates under the checker with
 zero findings (credit conservation, buffer bounds, wormhole ordering,
 flit conservation all hold cycle by cycle).  Negative direction: a stub
-link that leaks one credit, a dropped flit, an out-of-order delivery and
-a genuine routing deadlock must each raise the matching
-:class:`InvariantViolation`.
+link that leaks one credit, a dropped flit and an out-of-order delivery
+must each raise the matching :class:`InvariantViolation`, while a genuine
+routing deadlock raises the engine's one :class:`DeadlockError`, sanitized
+or not.
 """
+import json
 
 import pytest
 
@@ -18,21 +20,27 @@ from repro.routing.functions import make_routing
 from repro.sim.build import build_network, routing_cost_model
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
-from repro.sim.stats import Stats
+from repro.sim.stats import DeadlockError, Stats
+from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import build_system
 from repro.traffic import SyntheticWorkload
 from repro.traffic.patterns import make_pattern
 
 from .conftest import make_network
+from .helpers import ring_routing
 
 
-def _run(network, stats, grid, config, *, cycles=800, rate=0.1, seed=7):
+def _engine(network, stats, grid, config, *, rate=0.1, seed=7, **options):
     pattern = make_pattern("uniform", grid.n_nodes)
     workload = SyntheticWorkload(
         pattern, grid.n_nodes, rate, config.packet_length, seed=seed
     )
-    engine = Engine(network, workload, stats, deadlock_threshold=None)
+    return Engine(network, workload, stats, **options)
+
+
+def _run(network, stats, grid, config, *, cycles=800, **options):
+    engine = _engine(network, stats, grid, config, **options)
     engine.run(cycles)
     return engine
 
@@ -191,34 +199,46 @@ def test_buffer_overflow_is_flagged():
     assert excinfo.value.code == "BUF-OVERFLOW"
 
 
-def test_watchdog_catches_runtime_deadlock():
-    """Eastward ring routing on a torus row deadlocks under load; the
-    no-progress watchdog must catch it (instead of a silent hang)."""
+def _sanitized_ring(telemetry=None, *, check_every=1, **options):
+    """Eastward ring routing on a torus row at rate 1.0, under the
+    sanitizer: it wedges by cycle 255."""
     config = SimConfig(sim_cycles=4_000, warmup_cycles=0)
     grid = ChipletGrid(2, 1, 2, 2)
-    spec = build_system("serial_torus", grid, config)
-
-    def ring_routing(router, packet):
-        if packet.dst == router.node:
-            return [(0, 0, True)]
-        by_tag = router.out_port_by_tag
-        port = by_tag.get(("mesh", "E"), by_tag.get(("wrap", "E")))
-        if port is None:
-            port = by_tag.get(("mesh", "N"), by_tag.get(("mesh", "S")))
-        return [(port, 0, True)]
-
     stats = Stats()
-    network = build_network(spec, stats, routing=ring_routing)
-    InvariantChecker(network, deadlock_threshold=300)
-    with pytest.raises(InvariantViolation) as excinfo:
-        _run(network, stats, grid, config, cycles=4_000, rate=1.0, seed=3)
-    assert excinfo.value.code == "NO-PROGRESS"
+    network = build_network(
+        build_system("serial_torus", grid, config), stats, routing=ring_routing
+    )
+    InvariantChecker(network, check_every=check_every)
+    engine = _engine(network, stats, grid, config, rate=1.0, seed=3, **options)
+    if telemetry is not None:
+        engine.telemetry = TelemetrySession.attach(network, telemetry)
+    return engine
 
 
-def test_watchdog_disabled_with_none_threshold():
-    config = SimConfig(sim_cycles=1_000, warmup_cycles=0)
-    grid = ChipletGrid(2, 1, 2, 2)
-    spec, network, stats = make_network("parallel_mesh", grid, config)
-    checker = InvariantChecker(network, deadlock_threshold=None)
-    _run(network, stats, grid, config, cycles=300, rate=0.0)  # idle network
-    assert checker.checks_run == 300
+def test_watchdog_catches_runtime_deadlock():
+    """A wedge under the sanitizer is caught by the engine's watchdog, at
+    the engine's threshold, and its error says where the run is stuck."""
+    engine = _sanitized_ring(deadlock_threshold=300)
+    with pytest.raises(DeadlockError) as excinfo:
+        engine.run(4_000)
+    error = excinfo.value
+    assert error.stalled_for == 301
+    assert "fullest routers [node " in str(error)
+    assert "; oldest in-flight packet " in str(error)
+    assert " cycles old (" in str(error)
+
+
+def test_sanitized_wedge_files_a_deadlock_bundle(tmp_path):
+    """At the engine's default threshold: no second watchdog fires first.
+    (Sweeps are sparse: the wedged source queues grow all run long.)"""
+    engine = _sanitized_ring(
+        TelemetryConfig(epoch_metrics=False, forensics=True, bundle_dir=tmp_path),
+        check_every=1_000,
+    )
+    with pytest.raises(DeadlockError) as excinfo:
+        engine.run(25_000)
+    [path] = tmp_path.glob("BUNDLE_*.json")
+    assert str(path) == excinfo.value.bundle_path
+    bundle = json.loads(path.read_text())
+    assert bundle["reason"] == "deadlock"
+    assert bundle["error_type"] == "DeadlockError"

@@ -253,10 +253,12 @@ def test_epoch_metrics_write_and_link_series(tmp_path):
 # -- chrome trace export -----------------------------------------------------
 def test_trace_records_packet_lane(tmp_path):
     network, _stats = build_chain(3)
-    trace = ChromeTraceBuilder(network, counter_interval=10)
+    trace = ChromeTraceBuilder(network)
+    sampler = EpochMetrics(network, epoch_length=10, readers=[trace.on_epoch])
     packet = Packet(0, 2, 4, 0)
     network.inject(packet)
     run_cycles(network, 40)
+    sampler.finish(40)
     trace.detach()
     document = trace.to_dict()
     events = document["traceEvents"]
@@ -273,7 +275,7 @@ def test_trace_records_packet_lane(tmp_path):
 
 def test_trace_caps_sampled_packets():
     network, _stats = build_chain(2)
-    trace = ChromeTraceBuilder(network, max_packets=1, counter_interval=0)
+    trace = ChromeTraceBuilder(network, max_packets=1)
     network.inject(Packet(0, 1, 2, 0))
     network.inject(Packet(0, 1, 2, 0))
     run_cycles(network, 30)
@@ -283,13 +285,22 @@ def test_trace_caps_sampled_packets():
 
 def test_trace_sample_predicate():
     network, _stats = build_chain(2)
-    trace = ChromeTraceBuilder(
-        network, sample=lambda packet: packet.dst == 99, counter_interval=0
-    )
+    trace = ChromeTraceBuilder(network, sample=lambda packet: packet.dst == 99)
     network.inject(Packet(0, 1, 2, 0))
     run_cycles(network, 30)
     trace.detach()
     assert trace.to_dict()["otherData"]["sampled_packets"] == 0
+
+
+def test_trace_reads_the_epoch_sampler(tmp_path):
+    """A trace keeps no clock: the session switches the sampler on for it
+    and nothing else listens to ``cycle_end``."""
+    network, _stats = build_chain(2)
+    session = TelemetrySession.attach(
+        network, TelemetryConfig(epoch_metrics=False, trace_path=tmp_path / "t.json")
+    )
+    assert session.trace.on_epoch in session.metrics.readers
+    assert network.telemetry.subscriber_count("cycle_end") == 1
 
 
 # -- progress reporter -------------------------------------------------------
