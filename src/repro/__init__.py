@@ -39,14 +39,13 @@ _LAZY = {
             "BalancedPolicy",
             "EnergyEfficientPolicy",
             "PerformanceFirstPolicy",
-            "make_dispatch_policy",
         ),
         "core.scheduling",
     ),
     **dict.fromkeys(
         ("HeteroVTCurve", "VTCurve", "hetero_curve", "pin_constrained_hetero"), "core.vt_model"
     ),
-    **dict.fromkeys(("HopCostModel", "make_cost_model"), "core.weighted_path"),
+    "HopCostModel": "core.weighted_path",
     **dict.fromkeys(("ChannelKind", "ChannelSpec", "PhyParams"), "noc.channel"),
     **dict.fromkeys(("FLIT_BITS", "Flit", "Packet"), "noc.flit"),
     "Network": "noc.network",
@@ -159,8 +158,6 @@ __all__ = [
     "hetero_curve",
     "hetero_phy_link_factory",
     "latency_rate_sweep",
-    "make_cost_model",
-    "make_dispatch_policy",
     "make_pattern",
     "make_routing",
     "pin_constrained_hetero",

@@ -16,7 +16,9 @@ turning silent state corruption into an immediate
   sends its flits on in that same order (the buffer names a flit by its
   position, so this checks the index the router derives);
 * **packet conservation** — injected flits are always accounted for:
-  delivered + buffered + in flight, no loss, no duplication.
+  ejected + buffered + in flight, no loss, no duplication.  Ejected flits
+  are counted as they are sent on a router's ejection port, so a sweep
+  costs the same however many packets are live.
 
 A run that stops moving is not a broken invariant: the engine's
 no-progress watchdog (:class:`~repro.sim.engine.Engine`) is the one stall
@@ -24,7 +26,7 @@ detector, sanitized or not, and its
 :class:`~repro.sim.stats.DeadlockError` names where the run is stuck.
 
 The checker subscribes to the network's telemetry bus (``packet_inject``,
-``flit_recv``, ``flit_send``, ``packet_eject``, ``cycle_end``) — the same
+``flit_recv``, ``flit_send``, ``cycle_end``) — the same
 seam the tracing and metric collectors use — so probes compose and the
 hot path is untouched when no checker is attached.  Tests enable it
 through the ``sanitize`` fixture in ``tests/conftest.py``.
@@ -83,8 +85,7 @@ class InvariantChecker:
         self.check_every = check_every
         self.checks_run = 0
         self.flits_injected = 0
-        self._completed_flits = 0
-        self._live_packets: dict[int, Packet] = {}
+        self.flits_ejected = 0
         # Per (node, input port, VC): the order flits arrive in, and the
         # order they leave in.
         self._order: dict[tuple[int, int, int], _VcOrderState] = {}
@@ -97,7 +98,6 @@ class InvariantChecker:
     def _install(self) -> None:
         bus = self.network.telemetry
         bus.subscribe("packet_inject", self._on_inject)
-        bus.subscribe("packet_eject", self._on_eject)
         bus.subscribe("flit_send", self._on_flit_send)
         bus.subscribe("flit_recv", self._on_flit_recv)
         bus.subscribe("cycle_end", self._on_cycle_end)
@@ -109,7 +109,6 @@ class InvariantChecker:
             return
         bus = self.network.telemetry
         bus.unsubscribe("packet_inject", self._on_inject)
-        bus.unsubscribe("packet_eject", self._on_eject)
         bus.unsubscribe("flit_send", self._on_flit_send)
         bus.unsubscribe("flit_recv", self._on_flit_recv)
         bus.unsubscribe("cycle_end", self._on_cycle_end)
@@ -118,16 +117,12 @@ class InvariantChecker:
     # -- bus callbacks -------------------------------------------------------
     def _on_inject(self, network: Network, packet: Packet) -> None:
         self.flits_injected += packet.length
-        self._live_packets[packet.pid] = packet
-
-    def _on_eject(self, router: "Router", packet: Packet, now: int) -> None:
-        live = self._live_packets.pop(packet.pid, None)
-        if live is not None:
-            self._completed_flits += packet.length
 
     def _on_flit_send(
         self, router: "Router", flit: Flit, out_port: int, out_vc: int, now: int
     ) -> None:
+        if out_port == router.EJECT_PORT:
+            self.flits_ejected += 1
         # The output VC belongs to the sending input VC until its tail.
         ivc = router.outputs[out_port].vc_owner[out_vc]
         if ivc is None:
@@ -249,16 +244,14 @@ class InvariantChecker:
 
     def _check_conservation(self) -> None:
         network = self.network
-        delivered = self._completed_flits + sum(
-            packet.flits_delivered for packet in self._live_packets.values()
-        )
+        ejected = self.flits_ejected
         in_network = network.buffered_flits() + network.in_flight_flits()
-        if delivered + in_network != self.flits_injected:
+        if ejected + in_network != self.flits_injected:
             raise InvariantViolation(
                 "FLIT-CONSERVATION",
-                f"injected {self.flits_injected} flits but delivered "
-                f"{delivered} + in-network {in_network} = "
-                f"{delivered + in_network} "
-                f"({self.flits_injected - delivered - in_network:+d} flit(s) "
+                f"injected {self.flits_injected} flits but ejected "
+                f"{ejected} + in-network {in_network} = "
+                f"{ejected + in_network} "
+                f"({self.flits_injected - ejected - in_network:+d} flit(s) "
                 "unaccounted for)",
             )

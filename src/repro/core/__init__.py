@@ -29,8 +29,6 @@ __all__ = [
     "hetero_curve",
     "hetero_phy_link_factory",
     "lookup",
-    "make_cost_model",
-    "make_dispatch_policy",
     "pin_constrained_hetero",
     "rob_capacity",
 ]
@@ -49,14 +47,13 @@ _LAZY = {
             "EnergyEfficientPolicy",
             "PassiveApplicationAwarePolicy",
             "PerformanceFirstPolicy",
-            "make_dispatch_policy",
         ),
         "scheduling",
     ),
     **dict.fromkeys(
         ("HeteroVTCurve", "VTCurve", "hetero_curve", "pin_constrained_hetero"), "vt_model"
     ),
-    **dict.fromkeys(("HopCostModel", "make_cost_model"), "weighted_path"),
+    "HopCostModel": "weighted_path",
 }
 
 

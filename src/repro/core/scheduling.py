@@ -19,6 +19,8 @@ one of the two PHYs.  Three rule-based policies come from the paper:
 high-priority packets prefer the low-latency parallel PHY, packets of the
 ``"bulk"`` message class prefer the high-throughput serial PHY; everything
 else falls back to a base rule policy.
+
+The rows of :data:`repro.sim.build.POLICIES` construct these per link.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 from typing import Optional, Protocol
 
 from repro.noc.flit import Packet
-from repro.sim.config import SimConfig
 
 #: PHY identifiers returned by ``choose_phy``.
 PARALLEL = "P"
@@ -156,23 +157,3 @@ class PassiveApplicationAwarePolicy:
             return second
         return None
 
-
-def make_dispatch_policy(name: str, config: SimConfig) -> DispatchPolicy:
-    """Build a dispatch policy by name.
-
-    Names: ``"performance"``, ``"energy_efficient"``, ``"balanced"``,
-    ``"application_aware"``, ``"passive_aware"``.
-    """
-    if name == "performance":
-        return PerformanceFirstPolicy()
-    if name == "energy_efficient":
-        return EnergyEfficientPolicy()
-    if name == "balanced":
-        return BalancedPolicy(threshold=max(1, config.tx_fifo_depth // 2))
-    if name == "application_aware":
-        return ApplicationAwarePolicy(
-            BalancedPolicy(threshold=max(1, config.tx_fifo_depth // 2))
-        )
-    if name == "passive_aware":
-        return PassiveApplicationAwarePolicy()
-    raise ValueError(f"unknown dispatch policy {name!r}")

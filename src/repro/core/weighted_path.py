@@ -22,7 +22,7 @@ own chiplet-hop approximation built from :meth:`HopCostModel.hop_cost`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.noc.channel import ChannelKind
@@ -39,58 +39,49 @@ ROUTER_PIPELINE_CYCLES = 1
 class HopCostModel:
     """Eq (3) hop costs for every channel kind of a configuration.
 
-    A hetero-PHY hop is costed by its parallel component (delay and energy)
-    at the aggregate bandwidth, reflecting the balanced dispatch policy that
-    prefers the parallel PHY (Sec 5.3.1).
+    A hop's figures are those of the PHYs its kind is carried on
+    (:meth:`~repro.sim.config.SimConfig.phys`).  A hetero-PHY hop is costed
+    by its parallel component (delay and energy) at the aggregate
+    bandwidth, reflecting the balanced dispatch policy that prefers the
+    parallel PHY (Sec 5.3.1).  The four per-kind costs are computed once,
+    at construction.
     """
 
     config: SimConfig
     alpha: float = 1.0
     beta: float = 0.0
     gamma: float = 0.0
+    _costs: dict[ChannelKind, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        costs = {
+            kind: self.alpha * self.delay(kind)
+            + self.beta / self.bandwidth(kind)
+            + self.gamma * self.energy_pj(kind)
+            for kind in ChannelKind
+        }
+        object.__setattr__(self, "_costs", costs)
 
     # -- per-kind physical figures ----------------------------------------
     def delay(self, kind: ChannelKind) -> int:
         """Per-hop latency D_i in cycles, including the router pipeline."""
-        config = self.config
-        link = {
-            ChannelKind.ONCHIP: config.onchip_delay,
-            ChannelKind.PARALLEL: config.parallel_delay,
-            ChannelKind.SERIAL: config.serial_delay,
-            ChannelKind.HETERO_PHY: config.parallel_delay,
-        }[kind]
-        return ROUTER_PIPELINE_CYCLES + link
+        phy, _serial = self.config.phys(kind)
+        return ROUTER_PIPELINE_CYCLES + phy.delay
 
     def bandwidth(self, kind: ChannelKind) -> int:
-        """Per-hop bandwidth B_i in flits/cycle."""
-        config = self.config
-        return {
-            ChannelKind.ONCHIP: config.onchip_bandwidth,
-            ChannelKind.PARALLEL: config.parallel_bandwidth,
-            ChannelKind.SERIAL: config.serial_bandwidth,
-            ChannelKind.HETERO_PHY: config.parallel_bandwidth
-            + config.serial_bandwidth,
-        }[kind]
+        """Per-hop bandwidth B_i in flits/cycle (both PHYs of a hetero-PHY hop)."""
+        phy, serial = self.config.phys(kind)
+        return phy.bandwidth + (serial.bandwidth if serial is not None else 0)
 
     def energy_pj(self, kind: ChannelKind) -> float:
         """Per-hop energy E_i in pJ per flit."""
-        config = self.config
-        per_bit = {
-            ChannelKind.ONCHIP: config.onchip_energy_pj_per_bit,
-            ChannelKind.PARALLEL: config.parallel_energy_pj_per_bit,
-            ChannelKind.SERIAL: config.serial_energy_pj_per_bit,
-            ChannelKind.HETERO_PHY: config.parallel_energy_pj_per_bit,
-        }[kind]
-        return FLIT_BITS * per_bit
+        phy, _serial = self.config.phys(kind)
+        return FLIT_BITS * phy.energy_pj_per_bit
 
     # -- Eq (3) / Eq (4) -----------------------------------------------------
     def hop_cost(self, kind: ChannelKind) -> float:
         """Eq (3): C_i = alpha*D_i + beta/B_i + gamma*E_i."""
-        return (
-            self.alpha * self.delay(kind)
-            + self.beta / self.bandwidth(kind)
-            + self.gamma * self.energy_pj(kind)
-        )
+        return self._costs[kind]
 
     def path_length(self, kinds: Iterable[ChannelKind]) -> float:
         """Eq (4): weighted length of a path given its hop kinds.
@@ -99,9 +90,10 @@ class HopCostModel:
         is compensated from Python 3.12 on, and routing decisions compare
         these lengths exactly.
         """
+        costs = self._costs
         length = 0.0
         for kind in kinds:
-            length += self.hop_cost(kind)
+            length += costs[kind]
         return length
 
     # -- named policy instantiations -------------------------------------------
@@ -114,28 +106,3 @@ class HopCostModel:
     def energy_efficient(cls, config: SimConfig) -> "HopCostModel":
         """Energy-dominated costs: serial hops become very expensive."""
         return cls(config, alpha=1.0, beta=float(config.packet_length), gamma=1.0)
-
-    @classmethod
-    def balanced(cls, config: SimConfig) -> "HopCostModel":
-        """A mild energy weight on top of performance-first costs."""
-        return cls(config, alpha=1.0, beta=float(config.packet_length), gamma=0.05)
-
-
-def make_cost_model(config: SimConfig, policy: str) -> HopCostModel:
-    """Cost model for a named scheduling policy.
-
-    ``policy`` is one of ``"performance"``, ``"balanced"``,
-    ``"energy_efficient"``.
-    """
-    factories = {
-        "performance": HopCostModel.performance_first,
-        "balanced": HopCostModel.balanced,
-        "energy_efficient": HopCostModel.energy_efficient,
-    }
-    try:
-        factory = factories[policy]
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {policy!r}; expected one of {sorted(factories)}"
-        ) from None
-    return factory(config)

@@ -18,7 +18,6 @@ __all__ = [
     "Workload",
     "build_network",
     "latency_rate_sweep",
-    "routing_cost_model",
     "run_synthetic",
     "run_trace",
     "saturation_rate",
@@ -30,7 +29,7 @@ _LAZY = {
     **dict.fromkeys(("DEFAULT_CONFIG", "SimConfig"), "config"),
     **dict.fromkeys(("DeadlockError", "Stats"), "stats"),
     **dict.fromkeys(("Engine", "Workload"), "engine"),
-    **dict.fromkeys(("build_network", "routing_cost_model"), "build"),
+    "build_network": "build",
     **dict.fromkeys(
         (
             "RunResult",

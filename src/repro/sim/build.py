@@ -14,8 +14,15 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from repro.core.phy import hetero_phy_link_factory
-from repro.core.scheduling import make_dispatch_policy
-from repro.core.weighted_path import HopCostModel, make_cost_model
+from repro.core.scheduling import (
+    ApplicationAwarePolicy,
+    BalancedPolicy,
+    DispatchPolicy,
+    EnergyEfficientPolicy,
+    PassiveApplicationAwarePolicy,
+    PerformanceFirstPolicy,
+)
+from repro.core.weighted_path import HopCostModel
 from repro.noc.network import Network
 from repro.routing.functions import make_routing
 from repro.routing.policies import (
@@ -28,16 +35,17 @@ from repro.routing.policies import (
 )
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import SystemSpec
+from .config import SimConfig
 from .stats import Stats
 
 
 class Policy(NamedTuple):
-    """What one scheduling policy decides about a network."""
+    """What one scheduling policy decides about a network, as constructors."""
 
-    #: Hetero-PHY dispatch policy (:func:`~repro.core.scheduling.make_dispatch_policy`).
-    dispatch: str
-    #: Eq (3) cost model routing reads (:func:`~repro.core.weighted_path.make_cost_model`).
-    cost: str
+    #: Builds a hetero-PHY link's dispatch policy (Sec 5.3); called once per link.
+    dispatch: Callable[[SimConfig], DispatchPolicy]
+    #: Builds the Eq (3) cost model routing reads (Sec 5.2).
+    cost: Callable[[SimConfig], HopCostModel]
     #: Eq (5) subnetwork selector of a system with a cube beside a global
     #: mesh, built from the grid and the routing cost model.
     selector: Callable[[ChipletGrid, HopCostModel], SubnetSelector]
@@ -46,24 +54,37 @@ class Policy(NamedTuple):
     exclusive: bool = False
 
 
+def _rtl_balanced(config: SimConfig) -> BalancedPolicy:
+    """Sec 7.3's RTL rule: the serial PHY joins in at a half-full TX FIFO."""
+    return BalancedPolicy(threshold=max(1, config.tx_fifo_depth // 2))
+
+
 def _hop_count(grid: ChipletGrid, _cost: HopCostModel) -> SubnetSelector:
     return HopCountSelector(grid)
 
 
-#: Scheduling policy -> its dispatch policy, routing cost model and subnet
-#: selector; the one table a policy name is read from.  Only the
-#: energy-efficient policy biases *routing*: the others differ in PHY
-#: dispatch (Sec 5.3.1) but route for performance and select subnetworks
-#: by Eq (5)'s hop count.  The non-exclusive names are ``repro simulate
-#: --policy``'s choices, in this order.
+_PERFORMANCE = HopCostModel.performance_first
+
+#: Scheduling policy -> the constructors of its dispatch policy, routing
+#: cost model and subnet selector; the one table a policy name is read
+#: from.  Only the energy-efficient policy biases *routing*: the others
+#: differ in PHY dispatch (Sec 5.3.1) but route for performance and select
+#: subnetworks by Eq (5)'s hop count.  The non-exclusive names are ``repro
+#: simulate --policy``'s choices, in this order.
 POLICIES: dict[str, Policy] = {
-    "performance": Policy("performance", "performance", _hop_count),
-    "balanced": Policy("balanced", "performance", _hop_count),
-    "energy_efficient": Policy("energy_efficient", "energy_efficient", WeightedSelector),
-    "application_aware": Policy("application_aware", "performance", _hop_count),
-    "passive_aware": Policy("passive_aware", "performance", _hop_count),
-    MESH: Policy("balanced", "performance", lambda _g, _c: FixedSelector(MESH), True),
-    CUBE: Policy("balanced", "performance", lambda _g, _c: FixedSelector(CUBE), True),
+    "performance": Policy(lambda _config: PerformanceFirstPolicy(), _PERFORMANCE, _hop_count),
+    "balanced": Policy(_rtl_balanced, _PERFORMANCE, _hop_count),
+    "energy_efficient": Policy(
+        lambda _config: EnergyEfficientPolicy(), HopCostModel.energy_efficient, WeightedSelector
+    ),
+    "application_aware": Policy(
+        lambda config: ApplicationAwarePolicy(_rtl_balanced(config)), _PERFORMANCE, _hop_count
+    ),
+    "passive_aware": Policy(
+        lambda _config: PassiveApplicationAwarePolicy(), _PERFORMANCE, _hop_count
+    ),
+    MESH: Policy(_rtl_balanced, _PERFORMANCE, lambda _g, _c: FixedSelector(MESH), True),
+    CUBE: Policy(_rtl_balanced, _PERFORMANCE, lambda _g, _c: FixedSelector(CUBE), True),
 }
 
 
@@ -77,11 +98,6 @@ def lookup_policy(spec: SystemSpec, policy: Optional[str] = None) -> Policy:
         raise ValueError(
             f"unknown {field} {name!r}; expected one of {', '.join(POLICIES)}"
         ) from None
-
-
-def routing_cost_model(spec: SystemSpec, policy: Optional[str] = None) -> HopCostModel:
-    """The Eq (3) cost model driving routing under a scheduling policy."""
-    return make_cost_model(spec.config, lookup_policy(spec, policy).cost)
 
 
 def build_network(
@@ -102,7 +118,7 @@ def build_network(
     on any other system.  ``routing`` overrides the routing function
     entirely, and ``dispatch_policy_factory`` (a zero-argument callable
     returning a :class:`~repro.core.scheduling.DispatchPolicy`) overrides
-    the name-based hetero-PHY dispatch policy — both used by ablation
+    the row's hetero-PHY dispatch policy — both used by ablation
     studies.  ``vct=False`` builds wormhole routers, which take any buffer depth.
     """
     config = spec.config
@@ -124,7 +140,7 @@ def build_network(
         vct=vct,
     )
     if dispatch_policy_factory is None:
-        dispatch_policy_factory = lambda: make_dispatch_policy(row.dispatch, config)  # noqa: E731
+        dispatch_policy_factory = lambda: row.dispatch(config)  # noqa: E731
     factory = hetero_phy_link_factory(
         dispatch_policy_factory,
         tx_fifo_depth=config.tx_fifo_depth,
@@ -133,7 +149,7 @@ def build_network(
     for channel in spec.channels:
         network.add_channel(channel, factory)
     if routing is None:
-        cost_model = make_cost_model(config, row.cost)
+        cost_model = row.cost(config)
         selector = row.selector(spec.grid, cost_model) if subnet_choice else None
         routing = make_routing(spec, cost_model=cost_model, selector=selector)
     network.set_routing(routing)

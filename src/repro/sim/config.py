@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.noc.channel import PhyParams
+from repro.noc.channel import ChannelKind, PhyParams
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,19 @@ class SimConfig:
         return PhyParams(
             self.serial_bandwidth, self.serial_delay, self.serial_energy_pj_per_bit
         )
+
+    def phys(self, kind: ChannelKind) -> tuple[PhyParams, PhyParams | None]:
+        """The PHY a channel of ``kind`` carries its flits on, and the serial
+        PHY bonded beside it (a hetero-PHY channel only; else None)."""
+        if kind is ChannelKind.ONCHIP:
+            return self.onchip_phy, None
+        if kind is ChannelKind.PARALLEL:
+            return self.parallel_phy, None
+        if kind is ChannelKind.SERIAL:
+            return self.serial_phy, None
+        if kind is ChannelKind.HETERO_PHY:
+            return self.parallel_phy, self.serial_phy
+        raise ValueError(f"unknown channel kind {kind!r}")
 
     # -- variants -----------------------------------------------------------
     def halved(self) -> "SimConfig":

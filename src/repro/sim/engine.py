@@ -131,7 +131,10 @@ class Engine:
             reason = "invariant-violation"
         else:
             reason = "runtime-error"
-        path = session.fail(reason, self.cycle, exc)
+        # A deadlock is detected after the tick has advanced ``self.cycle``;
+        # file it at the cycle its error reports, so packet ages agree.
+        cycle = exc.cycle if isinstance(exc, DeadlockError) else self.cycle
+        path = session.fail(reason, cycle, exc)
         if path is not None and getattr(exc, "bundle_path", None) is None:
             try:
                 exc.bundle_path = str(path)

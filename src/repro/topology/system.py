@@ -140,20 +140,8 @@ class _Builder:
 
     def _emit(self, src: int, dst: int, kind: ChannelKind, tag) -> None:
         config = self.config
-        if kind is ChannelKind.ONCHIP:
-            phy, serial, depth = config.onchip_phy, None, config.onchip_buffer
-        elif kind is ChannelKind.PARALLEL:
-            phy, serial, depth = config.parallel_phy, None, config.interface_buffer
-        elif kind is ChannelKind.SERIAL:
-            phy, serial, depth = config.serial_phy, None, config.interface_buffer
-        elif kind is ChannelKind.HETERO_PHY:
-            phy, serial, depth = (
-                config.parallel_phy,
-                config.serial_phy,
-                config.interface_buffer,
-            )
-        else:  # pragma: no cover - exhaustive
-            raise ValueError(kind)
+        phy, serial = config.phys(kind)
+        onchip = kind is ChannelKind.ONCHIP
         self.channels.append(
             ChannelSpec(
                 src=src,
@@ -162,7 +150,7 @@ class _Builder:
                 phy=phy,
                 serial_phy=serial,
                 n_vcs=config.n_vcs,
-                buffer_depth=depth,
+                buffer_depth=config.onchip_buffer if onchip else config.interface_buffer,
                 tag=tag,
             )
         )

@@ -22,13 +22,12 @@ import random
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from repro.core.phy import HeteroPhyLink
-from repro.core.scheduling import make_dispatch_policy
+from repro.core.phy import hetero_phy_link_factory
 from repro.noc.channel import ChannelKind, ChannelSpec, PhyParams
 from repro.noc.flit import Packet
 from repro.noc.network import Network
 from repro.noc.router import Router
-from repro.sim.build import build_network
+from repro.sim.build import POLICIES, build_network
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.stats import Stats
@@ -90,22 +89,21 @@ def build_chain(
     config: SimConfig | None = None,
     **spec_kwargs,
 ) -> tuple[Network, Stats]:
-    """A unidirectional chain 0 -> 1 -> ... with identical channels."""
+    """A unidirectional chain 0 -> 1 -> ... with identical channels.
+
+    Links are built the way :func:`~repro.sim.build.build_network` builds
+    them: a hetero-PHY link gets the dispatch policy of ``policy``'s
+    :data:`~repro.sim.build.POLICIES` row.
+    """
     config = config or SimConfig()
     stats = Stats()
     network = Network(n_nodes, stats)
-
-    def factory(spec: ChannelSpec):
-        if spec.kind is ChannelKind.HETERO_PHY:
-            return HeteroPhyLink(
-                spec,
-                make_dispatch_policy(policy, config),
-                tx_fifo_depth=config.tx_fifo_depth,
-            )
-        from repro.noc.link import PipelinedLink
-
-        return PipelinedLink(spec)
-
+    dispatch = POLICIES[policy].dispatch
+    factory = hetero_phy_link_factory(
+        lambda: dispatch(config),
+        tx_fifo_depth=config.tx_fifo_depth,
+        rob_capacity_override=config.rob_capacity,
+    )
     for node in range(n_nodes - 1):
         network.add_channel(chain_spec(node, node + 1, kind, **spec_kwargs), factory)
     network.set_routing(forward_routing)

@@ -9,10 +9,10 @@ from repro.core.scheduling import (
     BalancedPolicy,
     EnergyEfficientPolicy,
     PerformanceFirstPolicy,
-    make_dispatch_policy,
 )
 from repro.noc.channel import ChannelKind
 from repro.noc.flit import Flit, Packet
+from repro.sim.build import POLICIES
 from repro.sim.config import SimConfig
 
 from .helpers import build_chain, run_cycles
@@ -151,10 +151,9 @@ def test_validation():
         TxAdapterPipeline(PerformanceFirstPolicy(), fetch_width=0)
 
 
-#: The names ``make_dispatch_policy`` builds.
-SHIPPED_POLICIES = (
-    "performance", "energy_efficient", "balanced", "application_aware", "passive_aware"
-)
+#: The policies ``repro simulate --policy`` offers (the exclusive rows
+#: dispatch like ``balanced``).
+SHIPPED_POLICIES = tuple(name for name, row in POLICIES.items() if not row.exclusive)
 #: Non-bypass packets (priority 0, ordered) of mixed lengths and classes, so
 #: the threshold, length and message-class rules all get a say.
 CROSS_CHECK_PACKETS = [(16, "data"), (2, "data"), (16, "bulk"), (1, "data"),
@@ -199,7 +198,7 @@ def test_pipeline_issues_what_the_collapsed_link_dispatches(policy):
 
     config = SimConfig()
     pipe = TxAdapterPipeline(
-        make_dispatch_policy(policy, config),
+        POLICIES[policy].dispatch(config),
         fetch_width=link.parallel.bandwidth + link.serial.bandwidth,
         parallel_width=link.parallel.bandwidth,
         serial_width=link.serial.bandwidth,

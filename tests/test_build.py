@@ -1,5 +1,6 @@
 """Tests for network assembly (sim.build)."""
 
+import dataclasses
 import re
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from repro.analysis import InvariantChecker
 from repro.core.phy import HeteroPhyLink
 from repro.core.scheduling import BalancedPolicy, EnergyEfficientPolicy
+from repro.core.weighted_path import HopCostModel
 from repro.noc.channel import ChannelKind
-from repro.sim.build import POLICIES, build_network, routing_cost_model
+from repro.sim.build import POLICIES, build_network
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.stats import Stats
@@ -16,6 +18,8 @@ from repro.topology.grid import ChipletGrid
 from repro.topology.system import FAMILIES, build_system
 from repro.traffic.injection import SyntheticWorkload
 from repro.traffic.patterns import make_pattern
+
+from .helpers import build_chain
 
 GRID = ChipletGrid(2, 2, 3, 3)
 
@@ -94,13 +98,9 @@ def test_rob_capacity_override_plumbs_through():
 
 
 def test_routing_cost_model_mapping():
-    spec = build_system("hetero_phy_torus", GRID, SimConfig())
-    perf = routing_cost_model(spec, "balanced")
-    assert perf.gamma == 0.0  # balanced dispatch still routes for latency
-    energy = routing_cost_model(spec, "energy_efficient")
-    assert energy.gamma > 0
-    with pytest.raises(ValueError):
-        routing_cost_model(spec, "quantum")
+    config = SimConfig()
+    assert POLICIES["balanced"].cost(config).gamma == 0.0  # still routes for latency
+    assert POLICIES["energy_efficient"].cost(config).gamma > 0
 
 
 def test_exclusive_mode_policies_accepted():
@@ -137,12 +137,34 @@ def test_unknown_scheduling_policy_is_one_message(family):
         build_network(spec, Stats(), policy="teleport")
 
 
-def test_policy_table_covers_dispatch_and_cost_names():
-    """Every row names a dispatch policy and a cost model that exist."""
-    from repro.core.scheduling import make_dispatch_policy
-    from repro.core.weighted_path import make_cost_model
+def _hetero_phy_system(exclusive: bool):
+    """A system with hetero-PHY links that takes a row's policy: for an
+    exclusive row, the hetero-channel system with its parallel interface
+    links bonded into hetero-PHY ones (it still has a subnetwork choice)."""
+    config = SimConfig()
+    if not exclusive:
+        return build_system("hetero_phy_torus", GRID, config)
+    spec = build_system("hetero_channel", GRID, config)
+    phy, serial = config.phys(ChannelKind.HETERO_PHY)
+    bonded = dict(kind=ChannelKind.HETERO_PHY, phy=phy, serial_phy=serial)
+    channels = [
+        dataclasses.replace(c, **bonded) if c.kind is ChannelKind.PARALLEL else c
+        for c in spec.channels
+    ]
+    return dataclasses.replace(spec, channels=channels)
 
-    for row in POLICIES.values():
-        make_dispatch_policy(row.dispatch, SimConfig())
-        make_cost_model(SimConfig(), row.cost)
+
+def test_policy_rows_build_what_the_simulator_runs():
+    """Every row's constructors build from a default config, and the chain
+    harness gives its hetero-PHY link the dispatch policy class that
+    ``build_network`` gives every hetero-PHY link under the same row."""
+    config = SimConfig()
+    for name, row in POLICIES.items():
+        dispatch = row.dispatch(config)
+        assert isinstance(row.cost(config), HopCostModel), name
+        chain, _ = build_chain(2, ChannelKind.HETERO_PHY, policy=name)
+        network = build_network(_hetero_phy_system(row.exclusive), Stats(), policy=name)
+        classes = {type(l.policy) for l in network.links if isinstance(l, HeteroPhyLink)}
+        assert classes == {type(chain.links[0].policy)} == {type(dispatch)}, name
+    assert POLICIES["balanced"].dispatch(config).threshold == config.tx_fifo_depth // 2
     assert [name for name, row in POLICIES.items() if row.exclusive] == ["mesh", "cube"]

@@ -10,6 +10,7 @@ attaching them changes no simulation result.
 """
 
 import json
+import os
 
 import pytest
 
@@ -140,6 +141,15 @@ def test_deadlock_bundle_renders_text_and_html(tmp_path):
     assert "<svg" in page
     assert "wf-arrow-cycle" in page  # the highlighted deadlock loop
     assert "<script" not in page  # self-contained, no scripting
+
+
+def test_deadlock_bundle_is_filed_at_the_errors_cycle(tmp_path):
+    """The bundle, its file name and the error name one cycle, so the
+    bundle's packet ages are those the error's message reports."""
+    _network, error, _session = run_ring_deadlock(tmp_path)
+    bundle = load_bundle(error.bundle_path)
+    assert bundle["cycle"] == error.cycle
+    assert os.path.basename(error.bundle_path) == f"BUNDLE_deadlock_{error.cycle}.json"
 
 
 def test_engine_without_forensics_still_raises(tmp_path):

@@ -18,12 +18,12 @@ from collections import Counter
 import pytest
 
 from repro.core.phy import HeteroPhyLink
-from repro.core.scheduling import make_dispatch_policy
 from repro.noc.channel import ChannelKind
 from repro.noc.flit import Packet
 from repro.noc.link import Link, PipelinedLink
 from repro.noc.network import Network
 from repro.noc.router import Router
+from repro.sim.build import POLICIES
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.experiment import run_synthetic
@@ -200,7 +200,7 @@ def mixed_chain(pipelined=PipelinedLink, hetero=HeteroPhyLink):
 
     def factory(spec):
         if spec.kind is ChannelKind.HETERO_PHY:
-            return hetero(spec, make_dispatch_policy("performance", SimConfig()))
+            return hetero(spec, POLICIES["performance"].dispatch(SimConfig()))
         return pipelined(spec)
 
     network.add_channel(chain_spec(0, 1), factory)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.phy import HeteroPhyLink
-from repro.core.scheduling import PARALLEL, SERIAL, make_dispatch_policy
+from repro.core.scheduling import PARALLEL, SERIAL, PerformanceFirstPolicy
 from repro.noc.channel import ChannelKind
 from repro.noc.flit import Packet
 from repro.noc.router import Router
@@ -18,7 +18,7 @@ def hetero_chain(policy="performance", **kwargs):
 
 def test_requires_hetero_spec():
     with pytest.raises(ValueError):
-        HeteroPhyLink(chain_spec(0, 1), make_dispatch_policy("balanced", SimConfig()))
+        HeteroPhyLink(chain_spec(0, 1), PerformanceFirstPolicy())
 
 
 def test_single_flit_uses_parallel_phy():

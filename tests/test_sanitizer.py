@@ -17,7 +17,7 @@ from repro.noc.flit import Packet
 from repro.noc.link import PipelinedLink
 from repro.noc.network import Network
 from repro.routing.functions import make_routing
-from repro.sim.build import build_network, routing_cost_model
+from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.stats import DeadlockError, Stats
@@ -104,7 +104,7 @@ def test_credit_leaking_link_is_flagged():
     )
     for channel in spec.channels:
         network.add_channel(channel, _CreditLeakLink)
-    network.set_routing(make_routing(spec, cost_model=routing_cost_model(spec)))
+    network.set_routing(make_routing(spec))
     network.finalize()
     checker = InvariantChecker(network)
     with pytest.raises(InvariantViolation) as excinfo:

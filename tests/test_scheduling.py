@@ -9,9 +9,9 @@ from repro.core.scheduling import (
     BalancedPolicy,
     EnergyEfficientPolicy,
     PerformanceFirstPolicy,
-    make_dispatch_policy,
 )
 from repro.noc.flit import Packet
+from repro.sim.build import POLICIES
 from repro.sim.config import SimConfig
 
 
@@ -79,21 +79,6 @@ def test_application_aware_delegates_default_traffic():
     assert not policy.bypass_enabled
 
 
-def test_make_dispatch_policy_names():
-    config = SimConfig()
-    assert isinstance(make_dispatch_policy("performance", config), PerformanceFirstPolicy)
-    assert isinstance(make_dispatch_policy("energy_efficient", config), EnergyEfficientPolicy)
-    balanced = make_dispatch_policy("balanced", config)
-    assert isinstance(balanced, BalancedPolicy)
-    assert balanced.threshold == config.tx_fifo_depth // 2
-    assert isinstance(make_dispatch_policy("application_aware", config), ApplicationAwarePolicy)
-
-
-def test_make_dispatch_policy_unknown():
-    with pytest.raises(ValueError):
-        make_dispatch_policy("bogus", SimConfig())
-
-
 def test_passive_aware_short_packets_parallel():
     from repro.core.scheduling import PassiveApplicationAwarePolicy
 
@@ -119,5 +104,5 @@ def test_passive_aware_validation_and_factory():
 
     with pytest.raises(ValueError):
         PassiveApplicationAwarePolicy(short_threshold=0)
-    policy = make_dispatch_policy("passive_aware", SimConfig())
+    policy = POLICIES["passive_aware"].dispatch(SimConfig())
     assert isinstance(policy, PassiveApplicationAwarePolicy)

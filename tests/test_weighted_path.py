@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.weighted_path import (
-    ROUTER_PIPELINE_CYCLES,
-    HopCostModel,
-    make_cost_model,
-)
+from repro.core.weighted_path import ROUTER_PIPELINE_CYCLES, HopCostModel
 from repro.noc.channel import ChannelKind
 from repro.noc.flit import FLIT_BITS
 from repro.sim.config import SimConfig
@@ -70,10 +66,3 @@ def test_energy_efficient_penalizes_serial_heavily():
     )
     assert ratio_energy > ratio_perf
 
-
-def test_make_cost_model_names():
-    for name in ("performance", "balanced", "energy_efficient"):
-        model = make_cost_model(CONFIG, name)
-        assert isinstance(model, HopCostModel)
-    with pytest.raises(ValueError):
-        make_cost_model(CONFIG, "warp")
