@@ -1,19 +1,24 @@
-"""Certification orchestration: the ``repro prove`` backend.
+"""Certification: the one static-verification path (``repro prove``).
 
-``repro prove`` is the one static-verification command.  One
-:func:`prove_network` run stacks every static pass the repository has
-over one built system and adjudicates the result into a
-:class:`~repro.analysis.certificate.Certificate`:
+One :func:`prove_network` run puts every static pass the repository has
+over one built system, each property owned by one pass, and adjudicates
+the result into a :class:`~repro.analysis.certificate.Certificate`.  The
+passes, in run order (``Report.passes`` lists those that ran):
 
-1. lint, deadlock/CDG and livelock via
-   :func:`~repro.analysis.verifier.check_passes`;
-2. interface contracts (:mod:`repro.analysis.contracts`);
-3. exhaustive reachability (:mod:`repro.analysis.reachability`) — the
-   livelock pass's analysis, folded again — repeated under every
-   single-link fault mask of the family's safe-to-fail links;
-4. bounded model checking (:mod:`repro.analysis.modelcheck`) whenever the
-   CDG pass reported a cycle.  The certificate's ``modelcheck.verdict``
-   names the outcome:
+1. **lint** — the system description and, in one walk over the built
+   network, each link's endpoint contract and reorder buffer, then the
+   well-formedness of every routing candidate (:mod:`repro.analysis.lint`);
+2. **deadlock** — escape-subnetwork connectivity plus acyclicity of the
+   channel dependency graph, direct-only under ``vct`` or Duato's
+   extended graph under ``wormhole`` (:mod:`repro.routing.deadlock`);
+3. **reachability** — dead-end freedom, escape coverage and bounded
+   delivery (the livelock bound) on every destination's routing-state
+   graph (:mod:`repro.analysis.reachability`);
+4. **fault-sweep** — the reachability proof again under every single-link
+   fault mask of the family's safe-to-fail links;
+5. **modelcheck** — bounded model checking (:mod:`repro.analysis.modelcheck`)
+   whenever the deadlock pass reported a cycle.  The certificate's
+   ``modelcheck.verdict`` names the outcome:
 
    * ``deadlock`` — a concrete counterexample trace, validated by
      replaying it in the cycle-accurate simulator, adds ``MC-DEADLOCK``;
@@ -24,10 +29,14 @@ over one built system and adjudicates the result into a
      nothing, so the CDG error stands (its message gives the states
      explored and the budget) and the system is not certified.
 
-The model checker models virtual cut-through allocation whatever the mode.
-At the default budget and geometry every adaptive family's wormhole-mode
-cycle ends ``refuted-bounded``, so ``repro prove --mode wormhole`` refuses
-them, with the same finding codes the deadlock pass reports.
+All passes read one :class:`~repro.routing.deadlock.RouteTable`, so each
+routing question is asked once.  The network is built with the mode's
+allocation (``vct=False`` for wormhole, which takes any buffer depth).
+The model checker models virtual cut-through allocation whatever the
+mode, so a cycle through a channel that holds less than one packet is
+not put to it: the CDG error stands and says why.  At the default budget
+and geometry every adaptive family's wormhole-mode cycle ends
+``refuted-bounded``, so ``repro prove --mode wormhole`` refuses them.
 """
 
 from __future__ import annotations
@@ -36,7 +45,13 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from repro.noc.network import Network
-from repro.routing.deadlock import MODES, RouteTable, build_cdg
+from repro.routing.deadlock import (
+    MODES,
+    EscapeChannel,
+    RouteTable,
+    build_cdg,
+    escape_connectivity,
+)
 from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.stats import Stats
@@ -44,16 +59,20 @@ from repro.telemetry.runstore import git_revision, system_digest, utc_now_iso
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import FAMILIES, SystemSpec, build_system
 from .certificate import Certificate
-from .contracts import check_contracts
+from .lint import lint_network, lint_spec
 from .modelcheck import (
     ModelCheckResult,
     check_network,
     cycle_feed_pool,
     replay_counterexample,
 )
-from .reachability import fold_reachability, sweep_fault_masks
+from .reachability import analyse_reachability, fold_reachability, sweep_fault_masks
 from .report import Finding, Report, Severity
-from .verifier import DEFAULT_CHIPLETS, DEFAULT_NODES, check_passes
+
+#: Default verification geometry: smallest grid valid for every family
+#: (hypercube families need a power-of-two chiplet count).
+DEFAULT_CHIPLETS = (2, 2)
+DEFAULT_NODES = (3, 3)
 
 #: CDG findings the model checker may adjudicate.
 _CYCLE_CODES = ("CDG-CYCLE", "CDG-CYCLE-EXTENDED")
@@ -96,13 +115,15 @@ def prove_network(
     try:
         table = RouteTable(network)
         report = Report(system=spec.name, mode=mode)
-        analysis = check_passes(spec, table, mode, report)
+        report.passes.append("lint")
+        lint_spec(spec, report)
+        lint_network(spec, table, report)
 
-        report.passes.append("contracts")
-        check_contracts(spec, network, report)
+        report.passes.append("deadlock")
+        cycle = _deadlock_pass(table, mode, report)
 
         report.passes.append("reachability")
-        fold_reachability(analysis, report)
+        fold_reachability(analyse_reachability(table), report)
 
         sweep_info: dict = {"swept": 0, "links": [], "broken": []}
         if fault_masks:
@@ -122,14 +143,17 @@ def prove_network(
 
         mc_result: Optional[ModelCheckResult] = None
         mc_info: dict = {}
-        if any(f.code in _CYCLE_CODES for f in report.errors):
+        note = _sub_packet_note(table, cycle, spec.config.packet_length)
+        if note:
+            _settle_cycle_findings(report, note, refuted=False)
+        elif cycle:
             report.passes.append("modelcheck")
             mc_result, mc_info = _adjudicate(
                 spec,
                 table,
+                cycle,
                 factory,
                 report,
-                mode=mode,
                 max_states=max_states,
                 max_packets=max_packets,
                 replay=replay,
@@ -158,19 +182,77 @@ def prove_network(
     return ProveResult(report=report, certificate=certificate, modelcheck=mc_result)
 
 
+def _deadlock_pass(table: RouteTable, mode: str, report: Report) -> list[EscapeChannel]:
+    """Lemma 1's two conditions; returns the CDG cycle found, if any."""
+    unreachable = escape_connectivity(table)
+    if unreachable:
+        sample = ", ".join(f"{s}->{d}" for s, d in unreachable[:5])
+        report.error(
+            "ESC-UNREACHABLE",
+            f"{len(unreachable)} node pair(s)",
+            f"escape subnetwork is not connected (e.g. {sample}); "
+            "Lemma 1's connectivity condition fails",
+        )
+    graph = build_cdg(table, mode)
+    report.metrics["escape_channels"] = graph.n_channels
+    report.metrics["direct_deps"] = graph.n_direct
+    if mode == "wormhole":
+        report.metrics["indirect_deps"] = graph.n_indirect
+    cycle = graph.cycle()  # a closed walk: the first channel repeats at the end
+    if cycle:
+        shown = " -> ".join(f"(link {link}, vc {vc})" for link, vc in cycle[:8])
+        if mode == "wormhole" and graph.cycle_uses_indirect(cycle):
+            report.error(
+                "CDG-CYCLE-EXTENDED",
+                f"{len(cycle) - 1}-channel cycle",
+                f"extended dependency cycle {shown}; the escape discipline is "
+                "deadlock-free only under virtual cut-through, not plain "
+                "wormhole (an indirect dependency through adaptive channels "
+                "closes the cycle)",
+            )
+        else:
+            report.error(
+                "CDG-CYCLE",
+                f"{len(cycle) - 1}-channel cycle",
+                f"direct dependency cycle {shown}; Lemma 1's acyclicity "
+                "condition fails",
+            )
+    return cycle
+
+
+def _sub_packet_note(
+    table: RouteTable, cycle: list[EscapeChannel], packet_length: int
+) -> str:
+    """Why the model checker cannot judge ``cycle``: a channel on it whose
+    credits hold less than one packet (its model has no room for one);
+    empty when every channel holds a packet."""
+    for link_index, vc in cycle:
+        link = table.network.links[link_index]
+        assert link.src_router is not None
+        credits = link.src_router.outputs[link.src_port].credits[vc]
+        if credits < packet_length:
+            return (
+                f"the model checker's virtual cut-through model was not "
+                f"consulted: channel (link {link_index}, vc {vc}) on the cycle "
+                f"holds {credits} flits, less than one {packet_length}-flit "
+                "packet, so the model cannot place a packet there; the cycle "
+                "stands"
+            )
+    return ""
+
+
 def _adjudicate(
     spec: SystemSpec,
     table: RouteTable,
+    cycle: list[EscapeChannel],
     factory: Callable[[], Network],
     report: Report,
     *,
-    mode: str,
     max_states: int,
     max_packets: Optional[int],
     replay: bool,
 ) -> tuple[ModelCheckResult, dict]:
     """Model-check the reported CDG cycle and settle its findings."""
-    cycle = build_cdg(table, mode).cycle()
     packet_length = spec.config.packet_length
     pool = cycle_feed_pool(table, cycle, packet_length=packet_length)
     result = check_network(
@@ -232,14 +314,12 @@ def _adjudicate(
             f"({replay_note})",
         )
     else:
-        _settle_cycle_findings(report, result)
+        _settle_cycle_findings(report, _search_note(result), refuted=result.exhaustive)
     return result, info
 
 
-def _settle_cycle_findings(report: Report, result: ModelCheckResult) -> None:
-    """Only an exhaustive refutation downgrades a CDG cycle error, to a
-    ``CDG-CYCLE-REFUTED`` warning; a bounded one keeps the error and says
-    how far the search got."""
+def _search_note(result: ModelCheckResult) -> str:
+    """How far a refuting search got, for the CDG finding's message."""
     model = "the model checker's virtual cut-through allocation model"
     if result.exhaustive:
         searched = (
@@ -252,13 +332,19 @@ def _settle_cycle_findings(report: Report, result: ModelCheckResult) -> None:
             f"{result.max_states}) without a deadlock; the search was bounded, "
             "not exhaustive, so the cycle stands"
         )
-    verdict = f"model checker verdict {result.verdict}: {searched}"
+    return f"model checker verdict {result.verdict}: {searched}"
+
+
+def _settle_cycle_findings(report: Report, note: str, *, refuted: bool) -> None:
+    """Append ``note`` to the CDG cycle error.  Only an exhaustive
+    refutation (``refuted``) downgrades it, to a ``CDG-CYCLE-REFUTED``
+    warning; otherwise the error stands."""
     for i, finding in enumerate(report.findings):
         if finding.severity is Severity.ERROR and finding.code in _CYCLE_CODES:
-            message = f"{finding.message} — {verdict}"
+            message = f"{finding.message} — {note}"
             report.findings[i] = (
                 Finding(Severity.WARNING, "CDG-CYCLE-REFUTED", finding.target, message)
-                if result.exhaustive
+                if refuted
                 else replace(finding, message=message)
             )
 
@@ -281,7 +367,7 @@ def prove_family(
     spec = build_system(family, grid, config)
 
     def factory() -> Network:
-        return build_network(spec, Stats(), routing=routing)
+        return build_network(spec, Stats(), routing=routing, vct=mode == "vct")
 
     return prove_network(
         spec,

@@ -27,13 +27,15 @@ and proves:
    (``max_hops``); ``max_misroute`` is the worst bound minus the shortest
    achievable distance.  A cycle is reported with its witness states.
 
-The livelock pass folds the bound and the cycle; ``repro prove``'s
-reachability pass folds the same object with
-:func:`fold_reachability`.  :func:`sweep_fault_masks` repeats the proof
-under every single-link fault mask (each safe-to-fail link from
-:func:`repro.routing.fault.adaptive_link_indices` failed on its own),
-which turns the paper's Sec 9 fault-tolerance claim — hetero interfaces
-keep an intact escape under adaptive-link failures — into a certificate.
+``repro prove``'s reachability pass, the one owner of delivery and
+livelock findings, folds the analysis into the report with
+:func:`fold_reachability`: the bound metrics, and one finding per
+defective routing state or witness cycle.  :func:`sweep_fault_masks`
+repeats the proof under every single-link fault mask (each safe-to-fail
+link from :func:`repro.routing.fault.adaptive_link_indices` failed on its
+own), which turns the paper's Sec 9 fault-tolerance claim — hetero
+interfaces keep an intact escape under adaptive-link failures — into a
+certificate.
 """
 
 from __future__ import annotations
@@ -190,16 +192,16 @@ def sweep_fault_masks(
     return sweep
 
 
-def reachability_pass(
-    network: Network,
-    report: Report,
-    *,
-    fault_target: str = "",
-) -> ReachabilityAnalysis:
-    """Run :func:`analyse_reachability` and fold findings into ``report``."""
-    analysis = analyse_reachability(network)
-    fold_reachability(analysis, report, fault_target=fault_target)
-    return analysis
+#: Defective states listed per finding code before the rest are summarized.
+_REACH_CAP = 8
+_DEADEND = (
+    "reachable routing state has no usable forwarding candidate; "
+    "a packet in this state strands"
+)
+_UNCOVERED = (
+    "reachable routing state offers no escape candidate; the "
+    "Lemma 1 fallback argument does not cover this blocking state"
+)
 
 
 def fold_reachability(
@@ -210,41 +212,38 @@ def fold_reachability(
 ) -> None:
     """Translate a :class:`ReachabilityAnalysis` into report findings.
 
-    ``fault_target`` prefixes finding targets (e.g. ``"fault link 12: "``)
-    so one report can hold the fault-free pass plus the whole mask sweep.
+    The fault-free fold (no ``fault_target``) also records the analysis's
+    metrics: ``routing_states``, and the delivery bounds ``max_hops_bound``
+    / ``max_misroute`` when the state graph is acyclic.  ``fault_target``
+    prefixes finding targets (e.g. ``"fault link 12: "``) so one report can
+    hold the fault-free pass plus the whole mask sweep.  Each kind of
+    defective state is listed up to eight times, then summarized.
     """
-    for dst, state in analysis.dead_ends[:8]:
-        report.error(
-            "REACH-DEADEND",
-            f"{fault_target}dst {dst} state {state}",
-            "reachable routing state has no usable forwarding candidate; "
-            "a packet in this state strands",
-        )
-    if len(analysis.dead_ends) > 8:
-        report.warning(
-            "REACH-TRUNCATED",
-            f"{fault_target}reachability",
-            f"{len(analysis.dead_ends) - 8} further dead-end states suppressed",
-        )
-    for dst, state in analysis.uncovered[:8]:
-        report.error(
-            "REACH-UNCOVERED",
-            f"{fault_target}dst {dst} state {state}",
-            "reachable routing state offers no escape candidate; the "
-            "Lemma 1 fallback argument does not cover this blocking state",
-        )
-    for dst, state, error in analysis.failures[:8]:
-        report.error(
-            "REACH-RAISES",
-            f"{fault_target}dst {dst} state {state}",
-            f"routing function raised {error}",
-        )
+    if not fault_target:
+        report.metrics["routing_states"] = analysis.n_states
+        if not analysis.cycle:
+            report.metrics["max_hops_bound"] = analysis.max_hops
+            report.metrics["max_misroute"] = analysis.max_misroute
+    for code, found in (
+        ("REACH-DEADEND", [(d, s, _DEADEND) for d, s in analysis.dead_ends]),
+        ("REACH-UNCOVERED", [(d, s, _UNCOVERED) for d, s in analysis.uncovered]),
+        ("REACH-RAISES", [(d, s, f"routing function raised {e}") for d, s, e in analysis.failures]),
+    ):
+        for dst, state, message in found[:_REACH_CAP]:
+            report.error(code, f"{fault_target}dst {dst} state {state}", message)
+        if len(found) > _REACH_CAP:
+            report.warning(
+                "REACH-TRUNCATED",
+                f"{fault_target}{code}",
+                f"{len(found) - _REACH_CAP} further {code} states suppressed",
+            )
     if analysis.cycle:
         report.error(
             "REACH-CYCLE",
             f"{fault_target}dst {analysis.cycle_dst}",
-            f"routing state cycle {render_states(analysis.cycle)}; delivery "
-            "within a hop bound cannot be proven",
+            f"routing state cycle {render_states(analysis.cycle)}; a packet can "
+            "revisit a routing state, so neither delivery nor its hop count "
+            "is bounded",
         )
 
 

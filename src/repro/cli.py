@@ -29,10 +29,11 @@ Run paper experiments and ad-hoc simulations from the shell::
 Output is the plain-text table of the experiment (add ``--csv`` for CSV).
 
 ``repro prove`` is the one static-verification command (see
-docs/analysis.md).  It runs lint, the deadlock (CDG) and livelock passes,
-interface contracts, exhaustive reachability with the single-link
-fault-mask sweep (``--no-fault-masks`` skips it), and bounded model
-checking of a reported CDG cycle.  It prints one findings report per
+docs/analysis.md).  It runs five passes, each defect reported once: lint
+(the description, link contracts, routing candidates), deadlock (CDG),
+exhaustive reachability and livelock, the same under every single-link
+fault mask (``--no-fault-masks`` skips it), and bounded model checking of
+a reported CDG cycle.  It prints one findings report per
 (system, mode) pair and writes one schema-versioned
 ``CERT_<system>_<mode>.json`` into the run registry's ``certificates/``
 subdirectory; ``--json PATH`` additionally writes every certificate into
@@ -1010,9 +1011,9 @@ def main(argv: list[str] | None = None) -> int:
 
     prove_p = sub.add_parser(
         "prove",
-        help="statically verify and certify families: lint, deadlock, "
-        "livelock, interface contracts, exhaustive reachability, single-link "
-        "fault sweep and bounded model checking",
+        help="statically verify and certify families: lint (with link "
+        "contracts), deadlock, exhaustive reachability and livelock, "
+        "single-link fault sweep and bounded model checking",
     )
     prove_group = prove_p.add_mutually_exclusive_group(required=True)
     prove_group.add_argument("--family", choices=FAMILIES)

@@ -12,9 +12,11 @@ across the two physical paths).
 
 High-priority or unordered packets may use the *bypass* (Sec 4.2): their
 flits jump the TX FIFO and dispatch on the parallel PHY ahead of queued
-traffic.  Bypass is only allowed at the parallel interface; per-VC order
-is still preserved because a packet is only admitted to the bypass queue
-when no same-VC flits are queued behind it.
+traffic.  Bypass is only allowed at the parallel interface.  Per-VC order
+takes two rules: a packet is only admitted to the bypass queue when no
+flit of its VC waits in the TX FIFO, and a TX FIFO flit whose VC still has
+bypass flits queued waits for them (it would otherwise take a sequence
+number ahead of theirs on the serial PHY while the parallel PHY is spent).
 
 The adapter adds one pipeline cycle (FIFO traversal), matching the RTL
 prototype's "reordering logic adds one extra cycle" (Sec 8.2).
@@ -176,7 +178,16 @@ class HeteroPhyLink(Link):
         note_link_flit = self._stats.note_link_flit
         kind_id = self._kind_id
         while True:
-            if bypassq and par_free > 0:
+            # With bypass flits queued the parallel PHY goes to them; once
+            # it is spent, a TX FIFO head of their VC waits for them too
+            # (a serial sequence number would put it ahead of them).  An
+            # empty bypass queue costs this one test.
+            if bypassq and (
+                par_free > 0
+                or (txq and any(queued[2] == txq[0][2] for queued in bypassq))
+            ):
+                if par_free == 0:
+                    break
                 packet, index, vc = bypassq.pop(0)
                 phy = PARALLEL
                 par_free -= 1

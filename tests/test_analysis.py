@@ -4,7 +4,8 @@ The positive direction — every registered family verifies cleanly under
 virtual cut-through — is what ``repro prove --all --mode vct`` certifies
 in CI.  The negative direction injects known-bad configurations (cyclic
 escape routing, ping-pong adaptive routing, undersized reorder buffers,
-malformed candidates) and requires the analyses to flag each one.
+malformed candidates) and requires the one pass that owns each property
+to flag it, once.
 """
 
 from collections import defaultdict
@@ -18,16 +19,16 @@ from repro.analysis import (
     Severity,
     analyse_reachability,
     build_cdg,
-    lint_spec,
+    lint_network,
     prove_all,
-    verify_family,
-    verify_network,
+    prove_family,
+    prove_network,
 )
 from repro.noc.flit import Packet
 from repro.routing.dimension_order import DimensionOrderRouting
 from repro.sim.config import SimConfig
 from repro.topology.grid import ChipletGrid
-from repro.topology.system import FAMILIES
+from repro.topology.system import FAMILIES, build_system
 
 from .conftest import make_network
 from .helpers import ring_routing
@@ -36,10 +37,16 @@ from .helpers import ring_routing
 # -- positive: every family is clean under the VCT discipline ----------------
 
 
+def static(family, **kwargs):
+    """The report of ``prove``'s static passes: no fault sweep, and a
+    one-state model checker budget, so a CDG cycle keeps its error."""
+    return prove_family(family, fault_masks=False, max_states=1, **kwargs).report
+
+
 def test_family_verifies_clean_vct(family):
-    report = verify_family(family)
+    report = static(family)
     assert report.ok, report.render(verbose=True)
-    assert report.passes == ["lint", "deadlock", "livelock"]
+    assert report.passes == ["lint", "deadlock", "reachability"]
     assert report.metrics["escape_channels"] > 0
     assert report.metrics["direct_deps"] > 0
     assert report.metrics["max_hops_bound"] > 0
@@ -49,16 +56,19 @@ def test_family_verifies_clean_vct(family):
 def test_verify_all_covers_every_family():
     results = prove_all(modes=("vct",), fault_masks=False)
     assert [r.report.system for r in results] == [
-        verify_family(f).system for f in FAMILIES
+        build_system(f, ChipletGrid(2, 2, 3, 3), SimConfig()).name for f in FAMILIES
     ]
     assert all(r.certified for r in results)
 
 
 def test_verify_family_rejects_unknown_family_and_mode():
     with pytest.raises(ValueError):
-        verify_family("ring_of_rings")
+        prove_family("ring_of_rings")
+    spec = build_system("parallel_mesh", ChipletGrid(2, 1, 2, 2), SimConfig())
+    built = []
     with pytest.raises(ValueError):
-        verify_family("parallel_mesh", mode="store_and_forward")
+        prove_network(spec, lambda: built.append(1), mode="store_and_forward")
+    assert not built, "an unknown mode is refused before anything is built"
 
 
 # -- CDG: direct vs. extended dependencies ------------------------------------
@@ -97,7 +107,7 @@ def test_adaptive_family_has_extended_cycle_under_wormhole():
     """The paper's escape argument needs VCT: under plain wormhole the
     negative-first escape + minimal adaptive routing acquires an indirect
     dependency cycle (docs/routing.md), which the extended CDG exposes."""
-    report = verify_family("serial_torus", mode="wormhole")
+    report = static("serial_torus", mode="wormhole")
     assert not report.ok
     assert "CDG-CYCLE-EXTENDED" in report.codes()
     assert report.metrics["indirect_deps"] > 0
@@ -111,7 +121,7 @@ def test_cycle_target_counts_channels_not_walk_length(family, target):
     """The cycle is a closed walk (first channel repeated at the end), so
     the channel count is its length minus one: four channels round a mesh
     loop, one for a self-dependency."""
-    report = verify_family(family, mode="wormhole")
+    report = static(family, mode="wormhole")
     [finding] = [f for f in report.findings if f.code.startswith("CDG-CYCLE")]
     assert finding.target == target
 
@@ -119,7 +129,7 @@ def test_cycle_target_counts_channels_not_walk_length(family, target):
 def test_hypercube_family_is_wormhole_clean():
     """Minus-first hypercube routing restricts adaptivity enough that even
     the extended dependency graph stays acyclic."""
-    report = verify_family("serial_hypercube", mode="wormhole")
+    report = static("serial_hypercube", mode="wormhole")
     assert report.ok, report.render(verbose=True)
 
 
@@ -131,7 +141,7 @@ def test_deterministic_xy_is_wormhole_clean():
         "parallel_mesh", ChipletGrid(2, 2, 3, 3), config
     )
     network.set_routing(DimensionOrderRouting(spec))
-    report = verify_network(spec, network, mode="wormhole")
+    report = prove_network(spec, lambda: network, mode="wormhole", fault_masks=False).report
     assert report.ok, report.render(verbose=True)
     assert report.metrics["indirect_deps"] == 0
 
@@ -211,7 +221,7 @@ def test_cyclic_escape_routing_is_flagged():
     config = SimConfig()
     spec, network, _ = make_network("serial_torus", ChipletGrid(2, 1, 2, 2), config)
     network.set_routing(ring_routing)
-    report = verify_network(spec, network)
+    report = prove_network(spec, lambda: network, fault_masks=False, replay=False).report
     assert not report.ok
     assert "CDG-CYCLE" in report.codes()
 
@@ -240,20 +250,22 @@ def test_pingpong_adaptive_routing_is_flagged_as_livelock():
     analysis = analyse_reachability(network)
     assert analysis.max_hops == -1 and analysis.max_misroute == -1
     assert analysis.cycle
-    report = verify_network(spec, network)
-    assert "LIVELOCK-CYCLE" in report.codes()
+    report = prove_network(spec, lambda: network, fault_masks=False).report
+    # One cycle, one finding: the reachability pass owns livelock.
+    assert [f.code for f in report.errors if f.code.endswith("CYCLE")] == ["REACH-CYCLE"]
+    assert "max_hops_bound" not in report.metrics
     assert not report.ok
 
 
 def test_livelock_bound_matches_minimal_routing():
     """Fully minimal families (mesh) never misroute: bound == shortest."""
-    report = verify_family("parallel_mesh")
+    report = static("parallel_mesh")
     assert report.metrics["max_misroute"] == 0
 
 
 def test_misrouting_family_reports_positive_slack():
     """Torus chiplet-first routing detours around wraps: slack > 0."""
-    report = verify_family("serial_torus")
+    report = static("serial_torus")
     assert report.metrics["max_misroute"] > 0
 
 
@@ -261,21 +273,24 @@ def test_misrouting_family_reports_positive_slack():
 
 
 def test_lint_flags_undersized_rob():
-    report = verify_family("hetero_phy_torus", config=SimConfig(rob_capacity=1))
+    report = static("hetero_phy_torus", config=SimConfig(rob_capacity=1))
     assert not report.ok
     assert "ROB-UNDERSIZED" in report.codes()
 
 
 def test_lint_flags_sub_packet_buffers():
-    from repro.topology.system import build_system
-
-    config = SimConfig()
-    bad = config.replace(onchip_buffer=8)  # < 16-flit packets
-    spec = build_system("parallel_mesh", ChipletGrid(2, 1, 2, 2), bad)
+    """The whole-packet premise is checked where it holds: a virtual
+    cut-through build refuses sub-packet buffers, and wormhole routers,
+    which allocate a VC on one credit, lint clean with them."""
+    bad = SimConfig().replace(onchip_buffer=8)  # < 16-flit packets
+    with pytest.raises(ValueError, match="whole-packet"):
+        static("parallel_mesh", config=bad)
+    spec, network, _ = make_network(
+        "parallel_mesh", ChipletGrid(2, 1, 2, 2), bad, vct=False
+    )
     report = Report(system=spec.name)
-    lint_spec(spec, report)
-    assert "VCT-BUFFER" in report.codes()
-    assert not report.ok
+    lint_network(spec, network, report)
+    assert report.ok and not report.findings, report.render(verbose=True)
 
 
 def test_lint_flags_malformed_candidates():
@@ -292,31 +307,12 @@ def test_lint_flags_malformed_candidates():
 
     network.set_routing(bad_vc_routing)
     report = Report(system=spec.name)
-    from repro.analysis import lint_network
-
     lint_network(spec, network, report)
     assert "CAND-VC" in report.codes()
-
-
-def test_lint_flags_empty_and_raising_routing():
-    config = SimConfig()
-    spec, network, _ = make_network(
-        "parallel_mesh", ChipletGrid(2, 1, 2, 2), config
-    )
-    network.set_routing(lambda router, packet: [])
-    report = Report(system=spec.name)
-    from repro.analysis import lint_network
-
-    lint_network(spec, network, report)
-    assert "ROUTE-EMPTY" in report.codes()
-
-    def raising(router, packet):
-        raise KeyError("no route")
-
-    network.set_routing(raising)
-    report = Report(system=spec.name)
-    lint_network(spec, network, report)
-    assert "ROUTE-RAISES" in report.codes()
+    # One finding per routing question, until the evidence is truncated.
+    questions = [f.target for f in report.findings if f.code == "CAND-VC"]
+    assert len(questions) == len(set(questions)) == 33
+    assert report.findings[-1].code == "CAND-TRUNCATED"
 
 
 # -- report plumbing ----------------------------------------------------------

@@ -157,8 +157,8 @@ def test_trace_counters_follow_epoch(tmp_path, capsys):
     assert any(event["args"].get("occupancy") for event in counters)
 
 
-#: `repro prove`'s quick path: the static passes, contracts and
-#: reachability, without the per-link fault sweep or a registry record.
+#: `repro prove`'s quick path: lint, deadlock and reachability,
+#: without the per-link fault sweep or a registry record.
 QUICK = ["--no-fault-masks", "--no-record"]
 
 

@@ -1,15 +1,17 @@
-"""Interface-contract checker: clean families plus injected violations.
+"""Interface contracts, checked by the lint pass: clean families plus
+injected violations.
 
-The positive direction mirrors the `repro prove` contracts pass: every
-built family satisfies every endpoint contract with *exact* credit
-provisioning (no stranded capacity either).  The negative direction
-mutates one endpoint at a time — credits, VC counts, channel symmetry,
-reorder-buffer sizing — and requires the matching CONTRACT-* finding.
+The positive direction: every built family satisfies every endpoint
+contract with *exact* credit provisioning (no stranded capacity either).
+The negative direction mutates one endpoint at a time — credits, VC
+counts, channel symmetry, reorder-buffer sizing — and requires the
+matching finding, once for the defective link VC, link or channel.
 """
 
 import dataclasses
 
-from repro.analysis import Report, check_contracts
+from repro.analysis import Report, lint_network, lint_spec
+from repro.core.phy import HeteroPhyLink
 from repro.sim.config import SimConfig
 from repro.topology.grid import ChipletGrid
 
@@ -18,7 +20,8 @@ from .conftest import make_network
 
 def _checked(spec, network) -> Report:
     report = Report(system=spec.name)
-    check_contracts(spec, network, report)
+    lint_spec(spec, report)
+    lint_network(spec, network, report)
     return report
 
 
@@ -75,7 +78,10 @@ def test_sub_packet_vc_is_an_error():
     out.credits[0] = config.packet_length - 1
     report = _checked(spec, network)
     assert not report.ok
-    assert "CONTRACT-CAPACITY" in report.codes()
+    # The stranded slot is the same link VC: one finding.
+    [finding] = report.findings
+    assert finding.code == "CONTRACT-CAPACITY"
+    assert finding.target == f"link 0 ({link.spec.src}->{link.spec.dst}) vc 0"
 
 
 def _first_interface_index(spec) -> int:
@@ -125,4 +131,5 @@ def test_undersized_built_rob_is_an_error():
     )
     report = _checked(spec, network)
     assert not report.ok
-    assert "CONTRACT-ROB" in report.codes()
+    hetero = [link for link in network.links if isinstance(link, HeteroPhyLink)]
+    assert [f.code for f in report.findings] == ["ROB-UNDERSIZED"] * len(hetero)

@@ -138,6 +138,27 @@ def test_bypass_jumps_queue_for_priority_packet():
     assert urgent.arrive_cycle < plain.arrive_cycle
 
 
+def test_a_tx_fifo_flit_waits_for_bypass_flits_of_its_vc():
+    """Per-VC order across the bypass: once the parallel PHY is spent, a
+    later packet of the same VC must not take a serial sequence number
+    ahead of the bypass packet's flits still queued."""
+    network, _ = hetero_chain(policy="performance", bandwidth=1, serial_bandwidth=2)
+    link = network.links[0]
+    urgent = Packet(0, 1, 4, 0, priority=1)
+    plain = Packet(0, 1, 4, 0)
+    link.accept(urgent, 0, 4, 0, 0)
+    link.accept(plain, 0, 4, 0, 0)
+    assert len(link._bypassq) == len(link._txq) == 4
+    numbered = {}
+    for now in range(40):
+        link.step(now)
+        for _due, packet, index, vc, sn in link._par_pipe + link._ser_pipe:
+            numbered[vc, sn] = (packet.pid, index)
+    order = [numbered[key] for key in sorted(numbered)]
+    assert order == [(urgent.pid, i) for i in range(4)] + [(plain.pid, i) for i in range(4)]
+    assert link.flits_bypassed == 4
+
+
 def test_bypass_disabled_under_energy_efficient_policy():
     network, _ = hetero_chain(policy="energy_efficient")
     for _ in range(2):

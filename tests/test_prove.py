@@ -1,14 +1,16 @@
 """Certification engine: `repro prove` semantics and certificates.
 
-The core agreement property: `prove` reports the finding codes of its own
-first three passes (`verify_family`), certifies exactly what they pass
-plus the CDG cycles the model checker refutes *exhaustively*, keeps a
-cycle's error when the refutation was only bounded, and keeps failing
-(with a replayable counterexample) when a cycle is real.  The certificate
-artifact must round-trip through JSON and reject foreign schemas.
+The core agreement property: `prove` certifies exactly what its static
+passes pass plus the CDG cycles the model checker refutes *exhaustively*,
+keeps a cycle's error when the refutation was only bounded, and keeps
+failing (with a replayable counterexample) when a cycle is real.  Each
+seeded defect is reported once per defective object, by the one pass that
+owns the property.  The certificate artifact must round-trip through JSON
+and reject foreign schemas.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -20,8 +22,6 @@ from repro.analysis import (
     load_certificates,
     prove_family,
     prove_network,
-    verify_family,
-    verify_network,
     write_certificate,
 )
 from repro.analysis.prove import _CYCLE_CODES
@@ -44,19 +44,17 @@ def mode(request) -> str:
 
 
 def test_prove_agrees_with_check_and_certifies(family, mode):
-    """One verdict: prove's findings are the static passes' findings, and a
-    CDG cycle refuted only within the budget keeps its error."""
-    check_report = verify_family(family, mode=mode)
+    """One verdict: prove certifies exactly when its static passes find
+    nothing, and a CDG cycle refuted only within the budget keeps its
+    error."""
     result = prove_family(family, mode=mode, fault_masks=False, max_states=1_500)
-    assert [f.code for f in result.report.findings] == [
-        f.code for f in check_report.findings
-    ]
-    assert result.certified == check_report.ok, result.report.render(verbose=True)
+    errors = result.report.errors
+    assert result.certified == (not errors), result.report.render(verbose=True)
     cert = result.certificate
     assert cert.family == family
     assert cert.mode == mode
     assert "CDG-CYCLE-REFUTED" not in result.report.codes()
-    if check_report.ok:
+    if result.certified:
         # Nothing to adjudicate: the checker never ran.
         assert "modelcheck" not in result.report.passes
         assert result.modelcheck is None
@@ -65,7 +63,7 @@ def test_prove_agrees_with_check_and_certifies(family, mode):
         # The static passes failed only through CDG cycles; the model
         # checker found no deadlock but ran out of budget first, so each
         # cycle stays an error that says how far the search got.
-        assert {f.code for f in check_report.errors} <= set(_CYCLE_CODES)
+        assert {f.code for f in errors} <= set(_CYCLE_CODES)
         assert "modelcheck" in result.report.passes
         assert not result.modelcheck.deadlock
         assert cert.modelcheck["verdict"] == "refuted-bounded"
@@ -124,9 +122,7 @@ def test_a_one_state_budget_refuses_certification():
 
 def test_prove_runs_all_passes_in_order(family):
     result = prove_family(family, mode="vct", max_states=1_500)
-    expected = ["lint", "deadlock", "livelock", "contracts", "reachability",
-                "fault-sweep"]
-    assert result.report.passes[: len(expected)] == expected
+    assert result.report.passes == ["lint", "deadlock", "reachability", "fault-sweep"]
     assert result.report.metrics["routing_states"] > 0
     assert result.certificate.fault_masks["swept"] == (
         result.report.metrics["fault_masks"]
@@ -153,21 +149,79 @@ def test_broken_escape_is_refused_certification():
     assert cert.modelcheck["replay"]["deadlocked"] is True
 
 
-def test_raising_routing_is_a_finding_not_a_crash():
-    """One (node, dst) question that raises is reported by both tools."""
+def _fails_at_4_to_0(answer):
+    """parallel_mesh routing, except that the question 4 -> 0 gets
+    ``answer()`` (which may raise) instead."""
     spec = build_system("parallel_mesh", ChipletGrid(2, 2, 3, 3), SimConfig())
     base = make_routing(spec)
 
-    def raising(router, packet):
+    def routing(router, packet):
         if router.node == 4 and packet.dst == 0:
-            raise RuntimeError("no route from 4 to 0")
+            return answer()
         return base(router, packet)
 
-    check = verify_family("parallel_mesh", routing=raising)
-    assert {"ROUTE-RAISES", "ESC-UNREACHABLE"} <= check.codes()
-    proof = prove_family("parallel_mesh", routing=raising)
+    return routing
+
+
+def _raise():
+    raise RuntimeError("no route from 4 to 0")
+
+
+def test_raising_routing_is_a_finding_not_a_crash():
+    """The two (4 -> 0) questions that raise, unbanned and banned, are one
+    finding each, and refuse certification."""
+    proof = prove_family("parallel_mesh", routing=_fails_at_4_to_0(_raise))
     assert not proof.certified
-    assert "REACH-RAISES" in {f.code for f in proof.report.errors}
+    raises = [f.target for f in proof.report.errors if f.code == "REACH-RAISES"]
+    assert raises[:2] == ["dst 0 state (4, False, None)", "dst 0 state (4, True, None)"]
+    assert len(raises) == len(set(raises))
+
+
+#: Seeded defect -> the findings it must yield at 2x2(3x3): one per
+#: defective object, a built link or a routing question.
+SEEDED = {
+    "undersized_rob": {"ROB-UNDERSIZED": 24},
+    "raising_routing": {"REACH-RAISES": 2, "ESC-UNREACHABLE": 1},
+    "empty_routing": {"REACH-DEADEND": 2, "ESC-UNREACHABLE": 1},
+}
+
+
+@pytest.mark.parametrize("defect", SEEDED)
+def test_each_seeded_defect_is_reported_once(defect):
+    """A 24-link hetero-PHY torus with one-flit reorder buffers, and mesh
+    routing that raises or offers nothing for 4 -> 0.  (Ping-pong routing's
+    one cycle: tests/test_analysis.py.)"""
+    if defect == "undersized_rob":
+        result = prove_family(
+            "hetero_phy_torus", config=SimConfig(rob_capacity=1), fault_masks=False
+        )
+    else:
+        answer = _raise if defect == "raising_routing" else lambda: []
+        result = prove_family(
+            "parallel_mesh", routing=_fails_at_4_to_0(answer), fault_masks=False
+        )
+    findings = result.report.findings
+    expected = SEEDED[defect]
+    assert Counter(f.code for f in findings) == expected
+    assert len({(f.code, f.target) for f in findings}) == len(findings)
+
+
+def test_wormhole_mode_builds_wormhole_routers():
+    """Wormhole allocation takes any buffer depth: with 8-flit buffers
+    (half a packet) serial_hypercube certifies; parallel_mesh keeps its
+    extended CDG cycle, which the virtual cut-through model checker is
+    not asked about, and no whole-packet finding appears."""
+    config = SimConfig(onchip_buffer=8, interface_buffer=8)
+    cube = prove_family("serial_hypercube", mode="wormhole", config=config)
+    assert cube.certified, cube.report.render(verbose=True)
+    mesh = prove_family("parallel_mesh", mode="wormhole", config=config, fault_masks=False)
+    assert not mesh.certified
+    [cycle] = mesh.report.findings
+    assert cycle.code == "CDG-CYCLE-EXTENDED"
+    assert "model was not consulted" in cycle.message
+    assert "modelcheck" not in mesh.report.passes and mesh.modelcheck is None
+    with pytest.raises(ValueError, match="whole-packet"):
+        prove_family("parallel_mesh", mode="vct", config=config)
 
 
 def _counted_network(spec):
@@ -187,15 +241,9 @@ def _counted_network(spec):
 
 
 def test_each_routing_question_is_asked_once():
-    """The static passes, and `prove` (those passes followed by its own on
-    one network), ask the routing function each (node, dst, ban, subnet)
-    question exactly once."""
+    """`prove`'s passes, run on one network, ask the routing function each
+    (node, dst, ban, subnet) question exactly once."""
     spec = build_system("hetero_channel", ChipletGrid(2, 2, 3, 3), SimConfig())
-    network, questions = _counted_network(spec)
-    assert verify_network(spec, network).ok
-    network.close()
-    assert questions and len(questions) == len(set(questions))
-
     network, questions = _counted_network(spec)
     result = prove_network(spec, lambda: network, fault_masks=False)
     assert result.certified

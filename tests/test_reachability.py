@@ -7,13 +7,8 @@ Negative direction: stranding, escape-free and cyclic routing functions
 must each produce their REACH-* finding.
 """
 
-from repro.analysis import (
-    Report,
-    analyse_reachability,
-    reachability_pass,
-    sweep_fault_masks,
-    verify_network,
-)
+from repro.analysis import Report, analyse_reachability, prove_network, sweep_fault_masks
+from repro.analysis.reachability import fold_reachability
 from repro.routing.fault import adaptive_link_indices
 from repro.sim.config import SimConfig
 from repro.topology.grid import ChipletGrid
@@ -30,12 +25,14 @@ def test_family_reachability_is_clean(family, small_grid):
 
 
 def test_hop_bound_matches_livelock_pass(family, small_grid):
-    """Reachability and livelock explore the same state graph: the
-    delivery hop bound must agree with the livelock pass's bound."""
+    """The livelock bound ``prove`` reports is the delivery hop bound of
+    the reachability analysis: one state graph, one owner."""
     spec, network, _ = make_network(family, small_grid, SimConfig())
-    report = verify_network(spec, network)
     analysis = analyse_reachability(network)
+    report = prove_network(spec, lambda: network, fault_masks=False).report
     assert analysis.max_hops == report.metrics["max_hops_bound"]
+    assert analysis.max_misroute == report.metrics["max_misroute"]
+    assert analysis.n_states == report.metrics["routing_states"]
 
 
 def test_fault_sweep_keeps_every_family_deliverable(family, small_grid):
@@ -76,7 +73,7 @@ def test_stranding_routing_is_a_dead_end():
     analysis = analyse_reachability(network)
     assert analysis.dead_ends
     report = Report(system=spec.name)
-    reachability_pass(network, report)
+    fold_reachability(analyse_reachability(network), report)
     assert "REACH-DEADEND" in report.codes()
     assert not report.ok
 
@@ -97,7 +94,7 @@ def test_escape_free_routing_is_uncovered():
     analysis = analyse_reachability(network)
     assert analysis.uncovered
     report = Report(system=spec.name)
-    reachability_pass(network, report)
+    fold_reachability(analyse_reachability(network), report)
     assert "REACH-UNCOVERED" in report.codes()
 
 
@@ -123,7 +120,7 @@ def test_cyclic_routing_states_are_flagged():
     assert analysis.cycle
     assert analysis.max_hops == -1  # unbounded: no delivery proof
     report = Report(system=spec.name)
-    reachability_pass(network, report)
+    fold_reachability(analyse_reachability(network), report)
     assert "REACH-CYCLE" in report.codes()
 
 
@@ -141,7 +138,7 @@ def test_raising_routing_is_flagged():
     analysis = analyse_reachability(network)
     assert analysis.failures
     report = Report(system=spec.name)
-    reachability_pass(network, report)
+    fold_reachability(analyse_reachability(network), report)
     assert "REACH-RAISES" in report.codes()
     assert not report.ok
 
@@ -154,5 +151,5 @@ def test_fault_target_prefixes_findings():
         lambda router, packet: [(0, 0, True)] if packet.dst == router.node else []
     )
     report = Report(system=spec.name)
-    reachability_pass(network, report, fault_target="fault link 9: ")
+    fold_reachability(analyse_reachability(network), report, fault_target="fault link 9: ")
     assert any(f.target.startswith("fault link 9: ") for f in report.errors)

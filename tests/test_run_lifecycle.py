@@ -20,7 +20,7 @@ import pytest
 
 import repro.analysis.reachability as reachability
 import repro.sim.experiment as experiment
-from repro.analysis.verifier import verify_family
+from repro.analysis import prove_family
 from repro.noc.flit import Flit, Packet
 from repro.noc.router import Router
 from repro.sim.build import build_network
@@ -210,8 +210,8 @@ def test_fault_mask_replay_leaves_no_cyclic_garbage(no_collector):
     assert sweep.swept > 0 and len(refs) == sweep.swept + 1
     assert all(network() is None for network in refs)
     assert gc.collect() == 0
-    # The whole-family verifier owns the network it builds as well.
-    assert verify_family("hetero_channel", chiplets=(2, 2), nodes=(3, 3)).ok
+    # The whole-family prover owns the network it builds as well.
+    assert prove_family("hetero_channel", fault_masks=False).certified
     assert gc.collect() == 0
 
 

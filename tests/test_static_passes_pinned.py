@@ -2,11 +2,10 @@
 
 ``tests/data/static_passes.json`` records, for every family at 2x2(3x3)
 and 4x2(2x3) (the geometry where Eq 5 puts the hypercube in front of the
-passes), the finding codes (in report order) and metrics of
-``verify_family`` (the ``check/<mode>`` entries) in both switching modes,
-and of ``prove_family`` with the single-link fault-mask sweep on, plus its
-certificate verdict.  A refactor of the analysis code must reproduce
-every entry exactly.
+passes), the finding codes (in report order), the metrics and the
+certificate verdict of ``prove_family`` with the single-link fault-mask
+sweep on, in both switching modes (the ``prove/<mode>`` entries).  A
+refactor of the analysis code must reproduce every entry exactly.
 
 Re-record (``PYTHONPATH=src python -m tests.test_static_passes_pinned``)
 only for a deliberate change to what a pass reports.
@@ -23,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import prove_family, verify_family
+from repro.analysis import prove_family
 from repro.topology.system import FAMILIES
 
 PINS = Path(__file__).parent / "data" / "static_passes.json"
@@ -35,12 +34,7 @@ def observe(family: str, geometry: str) -> dict:
     chiplets, nodes = GEOMETRIES[geometry]
     record: dict = {}
     for mode in MODES:
-        check = verify_family(family, chiplets=chiplets, nodes=nodes, mode=mode)
         proof = prove_family(family, chiplets=chiplets, nodes=nodes, mode=mode)
-        record[f"check/{mode}"] = {
-            "codes": [f.code for f in check.findings],
-            "metrics": check.metrics,
-        }
         record[f"prove/{mode}"] = {
             "codes": [f.code for f in proof.report.findings],
             "metrics": proof.report.metrics,

@@ -3,7 +3,9 @@
 Hypothesis draws a system (the five families, plus the multi-package
 hetero-channel system whose ``hetero_channel`` label and link kinds
 disagree), a grid, an offered load, a seed, a packet length, a dispatch
-policy and VCT or wormhole allocation.  Each example is built through the
+policy, VCT or wormhole allocation and a packet class mix (none, or
+unordered / priority periods, which put hetero-PHY links' bypass queue
+to work).  Each example is built through the
 topology seam — routing, selector and escape structure read off the
 channel list — run to drain under ``InvariantChecker``, ``LatencyLedger``
 and ``RunDigest``, and must:
@@ -44,7 +46,7 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.stats import Stats
 from repro.telemetry import LatencyLedger, RunDigest, pins
-from repro.telemetry.diff import run_described
+from repro.telemetry.diff import MixedClassWorkload, run_described
 from repro.topology.grid import ChipletGrid
 from repro.topology.multipackage import build_hetero_channel_packages
 from repro.topology.system import FAMILIES, build_system
@@ -94,10 +96,11 @@ def cases(draw):
         draw(st.sampled_from([True, False])),  # VCT, else wormhole
         draw(st.floats(0.02, 0.3)),
         draw(st.integers(0, 2**16)),
+        draw(st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(1, 4)))),
     )
 
 
-def run_once(spec, policy, vct, rate, seed, *, observed=True) -> tuple[str, dict]:
+def run_once(spec, policy, vct, rate, seed, mix, *, observed=True) -> tuple[str, dict]:
     """Build, observe (or not), run to drain, detach and close; the stats
     fingerprint and summary."""
     stats = Stats()
@@ -112,6 +115,8 @@ def run_once(spec, policy, vct, rate, seed, *, observed=True) -> tuple[str, dict
         make_pattern("uniform", n), n, rate, spec.config.packet_length,
         until=HORIZON, seed=seed,
     )
+    if mix is not None:
+        workload = MixedClassWorkload(workload, *mix)
     Engine(network, workload, stats).run_until_drained(DRAIN_LIMIT)
     assert not network.holds_flits()
     assert stats.packets_delivered == stats.packets_injected > 0
@@ -136,6 +141,28 @@ def test_every_described_system_runs_clean(case):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_bypass_flits_keep_their_vc_order_on_a_hetero_phy_torus():
+    """Counter-example: with every 2nd packet priority 1, a TX FIFO flit
+    once took a serial sequence number ahead of a same-VC bypass packet's
+    queued flits (VC-ORDER at node 16 near cycle 690)."""
+    spec = build_system(
+        "hetero_phy_torus", GRID, SimConfig(scheduling_policy="performance")
+    )
+    stats = Stats()
+    network = build_network(spec, stats)
+    checker = InvariantChecker(network, check_every=50)
+    n = spec.grid.n_nodes
+    workload = MixedClassWorkload(
+        SyntheticWorkload(make_pattern("uniform", n), n, 0.2, 16, seed=1), 10**9, 2
+    )
+    Engine(network, workload, stats).run(1_000)
+    assert network.links and sum(
+        getattr(link, "flits_bypassed", 0) for link in network.links
+    ) > 0
+    checker.detach()
+    network.close()
 
 
 # -- plain runs against their digested pins --------------------------------------
