@@ -20,6 +20,18 @@ turning silent state corruption into an immediate
   are counted as they are sent on a router's ejection port, so a sweep
   costs the same however many packets are live.
 
+A sweep checks credits only on the links whose books could have moved
+since the last one.  A link's books move in cycle *t* only if it sat on
+the network's link work list at the end of *t − 1* (it was stepped in
+*t*) or at the end of *t* (it took a run or a returned credit in *t*), so
+the checker keeps each cycle's work list — the list object itself, which
+the network replaces rather than edits — and sweeps their union.  A leak
+stays a leak, so a link that leaked while it was idle is caught the next
+time it moves.  Conservation counts the flits of the routers and links on
+the work lists alone: one that holds a flit is listed by construction
+(``Network.holds_flits`` relies on the same rule), so a flit stranded off
+them is reported as unaccounted for.
+
 A run that stops moving is not a broken invariant: the engine's
 no-progress watchdog (:class:`~repro.sim.engine.Engine`) is the one stall
 detector, sanitized or not, and its
@@ -34,13 +46,20 @@ through the ``sanitize`` fixture in ``tests/conftest.py``.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.noc.flit import Flit, Packet
+from repro.noc.link import Link
 from repro.noc.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.noc.router import Router
+
+
+#: Flits buffered in one input VC.
+_flits = attrgetter("n")
 
 
 class InvariantViolation(AssertionError):
@@ -91,6 +110,13 @@ class InvariantChecker:
         self._order: dict[tuple[int, int, int], _VcOrderState] = {}
         self._send_order: dict[tuple[int, int, int], _VcOrderState] = {}
         self._steps = 0
+        # Every input VC of each router, the source queue's included.
+        self._vcs = [
+            [vc for port in router.inputs for vc in port.vcs] for router in network.routers
+        ]
+        # The network's link work list at the end of each cycle since the
+        # last sweep, that sweep's own included (first sweep: every link).
+        self._work_lists: list[list[Link]] = [network.links]
         self._attached = False
         self._install()
 
@@ -143,8 +169,11 @@ class InvariantChecker:
 
     def _on_cycle_end(self, network: Network, now: int) -> None:
         self._steps += 1
+        lists = self._work_lists
+        lists.append(network._link_work)
         if self._steps % self.check_every == 0:
-            self.check()
+            self._work_lists = [lists[-1]]
+            self._sweep(self._moved_links(lists), network._router_work, network._link_work)
 
     # -- event-driven checks -------------------------------------------------
     @staticmethod
@@ -212,14 +241,35 @@ class InvariantChecker:
 
     # -- state-sweep checks ----------------------------------------------------
     def check(self) -> None:
-        """Run the full invariant sweep (called from the step hook)."""
-        self.checks_run += 1
-        self._check_credits()
-        self._check_conservation()
-
-    def _check_credits(self) -> None:
+        """Run the invariant sweep over every router and link now."""
         network = self.network
-        for link in network.links:
+        self._sweep(network.links, network.routers, network.links)
+
+    def _sweep(
+        self, moved: list[Link], routers: list["Router"], holding: list[Link]
+    ) -> None:
+        """Check the credit books of ``moved`` and flit conservation over the
+        flits buffered in ``routers`` and in flight on ``holding``."""
+        self.checks_run += 1
+        self._check_credits(moved)
+        self._check_conservation(routers, holding)
+
+    def _moved_links(self, lists: list[list[Link]]) -> list[Link]:
+        """The links on any of ``lists``, each once.
+
+        A link still active is on the last list; any other is found by its
+        flag.  When the earlier lists are together as long as the network's
+        link list, the sweep takes every link instead, so the union never
+        costs more than the full sweep it replaces.
+        """
+        current, earlier = lists[-1], lists[:-1]
+        if sum(map(len, earlier)) >= len(self.network.links):
+            return self.network.links
+        idle = {link: None for work in earlier for link in work if not link.active}
+        return [*current, *idle]
+
+    def _check_credits(self, links: list[Link]) -> None:
+        for link in links:
             src_router = link.src_router
             dst_router = link.dst_router
             if src_router is None or dst_router is None:
@@ -242,10 +292,12 @@ class InvariantChecker:
                         f"({depth - total:+d} credit(s) lost)",
                     )
 
-    def _check_conservation(self) -> None:
-        network = self.network
+    def _check_conservation(self, routers: list["Router"], holding: list[Link]) -> None:
         ejected = self.flits_ejected
-        in_network = network.buffered_flits() + network.in_flight_flits()
+        vcs = self._vcs
+        in_network = sum(
+            map(_flits, chain.from_iterable([vcs[router.node] for router in routers]))
+        ) + sum(link.occupancy for link in holding)
         if ejected + in_network != self.flits_injected:
             raise InvariantViolation(
                 "FLIT-CONSERVATION",

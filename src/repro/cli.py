@@ -16,6 +16,7 @@ Run paper experiments and ad-hoc simulations from the shell::
     repro regress BENCH_0.json BENCH_1.json --strict   # is it slower: A/B verdicts
     repro regress --strict             # changepoint sentinel over ./BENCH_*.json
     repro simulate --digest            # record the run's event-digest chain
+    repro simulate --chiplets 2x2 --rate 0.15 --profile profile-out   # phase table + flame graph
     repro golden check                 # re-simulate every pin from its own meta
     repro golden record                # re-pin (model changes only) -> PINS.json
     repro diff pin:fig11_hetero_phy "sim:family=hetero_phy_torus,nodes=4x4,rate=0.15"
@@ -27,6 +28,10 @@ Run paper experiments and ad-hoc simulations from the shell::
     repro postmortem forensics/BUNDLE_deadlock_557.json --html report.html
 
 Output is the plain-text table of the experiment (add ``--csv`` for CSV).
+
+``repro simulate`` names its point as one run description, the ``meta`` of
+its ``--digest`` record, and runs it the way ``repro diff`` and ``repro
+golden`` re-run one (``repro.telemetry.diff.run_described``).
 
 ``repro prove`` is the one static-verification command (see
 docs/analysis.md).  It runs five passes, each defect reported once: lint
@@ -64,17 +69,13 @@ and exits 0 even under ``--strict``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-from repro.sim.config import SimConfig
-from repro.sim.experiment import run_synthetic
-from repro.topology.grid import ChipletGrid
-from repro.topology.system import FAMILIES, build_system
+from repro.topology.system import FAMILIES
 
 
 def _parse_pair(text: str, what: str) -> tuple[int, int]:
@@ -199,45 +200,45 @@ def _cmd_report(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _usage_errors(args):
-    """A point flag the simulator rejects (grid, family, pattern, rate) exits
-    2 with one line, like an argparse error, instead of a traceback."""
+def _usage_error(command: str, message: str):
+    """Exit 2 with one line, like an argparse error, instead of a traceback."""
+    print(f"repro {command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _meta_from_args(args) -> dict:
+    """The run description (a digest ``meta``) that ``simulate``'s point flags name."""
+    from repro.sim.config import SimConfig
+    from repro.telemetry.digest import config_block, run_meta
+
+    chiplets, nodes = _parse_pair(args.chiplets, "--chiplets"), _parse_pair(args.nodes, "--nodes")
+    return run_meta(
+        args.family, chiplets, nodes, pattern=args.pattern, rate=args.rate, seed=args.seed,
+        cycles=args.cycles, warmup=args.cycles // 10, policy=args.policy,
+        config=config_block(SimConfig().halved()) if args.halved else None,
+    )
+
+
+def _run_described(args, meta: dict, telemetry):
+    """Run ``meta``; a point the simulator rejects (grid, family, pattern,
+    rate) is a usage error."""
+    from repro.telemetry.diff import run_described
+
     try:
-        yield
+        return run_described(meta, telemetry=telemetry)
     except ValueError as exc:
-        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
-def _spec_from_args(args):
-    """The system an ``add_point_args`` parser's point flags describe."""
-    chiplets = _parse_pair(args.chiplets, "--chiplets")
-    nodes = _parse_pair(args.nodes, "--nodes")
-    with _usage_errors(args):
-        grid = ChipletGrid(chiplets[0], chiplets[1], nodes[0], nodes[1])
-        config = SimConfig().scaled(args.cycles)
-        if args.halved:
-            config = config.halved()
-        return build_system(args.family, grid, config)
-
-
-def _run_point(spec, args, telemetry=None):
-    """One run of the point those flags describe, under ``telemetry``."""
-    with _usage_errors(args):
-        return run_synthetic(
-            spec, args.pattern, args.rate, policy=args.policy, seed=args.seed, telemetry=telemetry
-        )
+        _usage_error(args.command, str(exc))
 
 
 def _cmd_simulate(args) -> int:
     from repro.telemetry import TelemetryConfig
 
-    spec = _spec_from_args(args)
+    if (args.stride or args.pstats) and not args.profile:
+        _usage_error(args.command, "--stride and --pstats require --profile")
+    meta = _meta_from_args(args)
     breakdown_wanted = args.latency_breakdown or args.breakdown_csv
     epoch_wanted = bool(
-        args.metrics or args.trace or args.progress
-        or breakdown_wanted or args.live
+        args.metrics or args.trace or args.progress or breakdown_wanted or args.live
     )
     run_id = None
     if args.live:
@@ -251,6 +252,9 @@ def _cmd_simulate(args) -> int:
         trace_path=args.trace,
         epoch_length=args.epoch,
         progress=args.progress,
+        # A passive observer: the run's numbers are the same without it.
+        host_time=bool(args.profile),
+        host_stride=args.stride or 1,
         latency_breakdown=bool(breakdown_wanted),
         breakdown_csv=args.breakdown_csv,
         # A forensics-only config must not attach the epoch collector:
@@ -270,11 +274,11 @@ def _cmd_simulate(args) -> int:
         digest=args.digest,
     )
     try:
-        result = _run_point(spec, args, telemetry)
+        result = _run_described(args, meta, telemetry)
     except (RuntimeError, AssertionError) as exc:
-        return _report_failure(spec.name, exc)
-    print(f"system   : {spec.name}")
-    print(f"workload : {result.workload} ({spec.grid.n_nodes} nodes, {args.cycles} cycles)")
+        return _report_failure(args.family, exc)
+    print(f"system   : {result.system}")
+    print(f"workload : {result.workload} ({result.n_nodes} nodes, {args.cycles} cycles)")
     print(f"policy   : {result.policy}")
     print(f"seed     : {args.seed}")
     for key, value in result.stats.summary().items():
@@ -305,6 +309,12 @@ def _cmd_simulate(args) -> int:
         artifacts["breakdown_csv"] = str(args.breakdown_csv)
     if result.telemetry is not None and result.telemetry.live is not None:
         artifacts["live"] = str(result.telemetry.live.path)
+    if args.profile:
+        try:
+            _profile(args, meta, result)
+        except (RuntimeError, AssertionError) as exc:
+            return _report_failure(args.family, exc)
+        artifacts["profile"] = str(args.profile)
     if result.telemetry is not None:
         for path in result.telemetry.written:
             print(f"wrote {path}")
@@ -312,15 +322,10 @@ def _cmd_simulate(args) -> int:
     if not args.no_record:
         from repro.telemetry.runstore import RunStore, record_from_result
 
-        store = RunStore(args.runs_dir)
         record = record_from_result(
-            result,
-            kind="simulate",
-            label=args.family,
-            artifacts=artifacts,
-            run_id=run_id,
+            result, kind="simulate", label=args.family, artifacts=artifacts, run_id=run_id
         )
-        record_path = store.append(record)
+        record_path = RunStore(args.runs_dir).append(record)
         artifacts["record"] = f"{record_path}#{record.run_id}"
     if telemetry_enabled:
         # One-line manifest so nobody has to re-read the flags to find
@@ -331,61 +336,40 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
+def _profile(args, meta: dict, result) -> None:
+    """``simulate --profile``: the run's host-time table, then the same run
+    again under cProfile (whose tracing would inflate the table's wall
+    times), folded into collapsed stacks."""
+    import pstats
+
     from repro.telemetry import TelemetryConfig
     from repro.telemetry.hostprof import (
         HostprofError,
         collapsed_stacks,
         fold_profile,
         render_host_table,
-        speedscope_document,
-        write_speedscope,
     )
 
-    spec = _spec_from_args(args)
-    # Pass 1 — host-time ledger, no cProfile: the profiler's tracing hooks
-    # would inflate the wall times the phase table reports.
-    ledger_config = TelemetryConfig(host_time=True, host_stride=args.stride, epoch_metrics=False)
-    try:
-        result = _run_point(spec, args, ledger_config)
-    except (RuntimeError, AssertionError) as exc:
-        return _report_failure(spec.name, exc)
     ledger = result.telemetry.hostprof
     try:
         ledger.check_conservation()
     except HostprofError as exc:
         print(f"warning: {exc}", file=sys.stderr)
-    print(f"system   : {spec.name}")
-    print(f"workload : {result.workload} ({spec.grid.n_nodes} nodes, {args.cycles} cycles)")
-    print(f"policy   : {result.policy}")
-    print(f"seed     : {args.seed}")
-    print(f"cycles/s : {result.cycles_per_second:,.0f}")
-    print()
     summary = ledger.summary()
+    print()
     print(render_host_table(summary))
-    out_dir = Path(args.out_dir)
+    out_dir = Path(args.profile)
     out_dir.mkdir(parents=True, exist_ok=True)
-    host_path = out_dir / "profile.host.json"
-    _write_json_doc(str(host_path), summary)
-    # Pass 2 — cProfile (same seed, so the same run), folded into the
-    # phase-rooted speedscope + collapsed-stack flamegraph artifacts.
-    try:
-        profiled = _run_point(spec, args, TelemetryConfig(profile=True, epoch_metrics=False))
-    except (RuntimeError, AssertionError) as exc:
-        return _report_failure(spec.name, exc)
-    folded = fold_profile(profiled.telemetry.profile)
-    doc = speedscope_document(folded, name=f"{spec.name} {result.workload}")
-    ss_path = write_speedscope(doc, out_dir / "profile.speedscope.json")
-    print(f"wrote {ss_path}  (load at https://www.speedscope.app)")
-    folded_path = out_dir / "profile.folded.txt"
-    folded_path.write_text(collapsed_stacks(folded), encoding="utf-8")
-    print(f"wrote {folded_path}  (flamegraph.pl / inferno collapsed stacks)")
+    _write_json_doc(str(out_dir / "profile.host.json"), summary)
+    profile = _run_described(
+        args, meta, TelemetryConfig(profile=True, epoch_metrics=False)
+    ).telemetry.profile
+    folded = out_dir / "profile.folded.txt"
+    folded.write_text(collapsed_stacks(fold_profile(profile)), encoding="utf-8")
+    print(f"wrote {folded}  (collapsed stacks: flamegraph.pl, inferno, speedscope)")
     if args.pstats:
-        import pstats
-
         print()
-        pstats.Stats(profiled.telemetry.profile).sort_stats("cumulative").print_stats(args.top)
-    return 0
+        pstats.Stats(profile).sort_stats("cumulative").print_stats(25)
 
 
 def _cmd_postmortem(args) -> int:
@@ -506,8 +490,7 @@ def _cmd_watch(args) -> int:
     from repro.telemetry.server import WatchService, serve
 
     if args.out and not args.once:
-        print("repro watch: error: --out requires --once", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(args.command, "--out requires --once")
     service = WatchService(
         args.runs_dir, poll_seconds=args.poll, top_runs=args.top, results_dir=args.results_dir
     )
@@ -665,40 +648,6 @@ def main(argv: list[str] | None = None) -> int:
             help="do not append a record to the run registry",
         )
 
-    def add_point_args(
-        p: argparse.ArgumentParser,
-        *,
-        chiplets: str,
-        rate: float,
-        cycles: int,
-        chiplets_note: str = "",
-    ) -> None:
-        """The flags that name one simulation point (see ``_spec_from_args``)."""
-        # Loaded with repro.sim.experiment already; a module-level import
-        # ahead of it reorders the imports and raises their peak memory.
-        from repro.sim.build import POLICIES
-
-        p.add_argument("--family", choices=FAMILIES, default="hetero_phy_torus")
-        p.add_argument(
-            "--chiplets",
-            default=chiplets,
-            help=f"chiplet grid, e.g. {chiplets}{chiplets_note}",
-        )
-        p.add_argument("--nodes", default="4x4", help="per-chiplet mesh, e.g. 4x4")
-        p.add_argument("--pattern", default="uniform")
-        p.add_argument("--rate", type=float, default=rate, help="flits/cycle/node")
-        p.add_argument("--cycles", type=_positive_int, default=cycles)
-        p.add_argument(
-            "--policy",
-            choices=[name for name, row in POLICIES.items() if not row.exclusive],
-        )
-        p.add_argument(
-            "--halved", action="store_true", help="pin-constrained halved interfaces"
-        )
-        p.add_argument(
-            "--seed", type=int, default=1, help="workload RNG seed (default: 1)"
-        )
-
     run_p = sub.add_parser("run", help="run a paper experiment (or 'all')")
     run_p.add_argument("experiment")
     run_p.add_argument("--scale", choices=("tiny", "small", "paper"), default="small")
@@ -713,8 +662,28 @@ def main(argv: list[str] | None = None) -> int:
     report_p.add_argument("--scale", choices=("tiny", "small", "paper"), default="small")
     report_p.set_defaults(func=_cmd_report)
 
+    # Loaded with the simulator's modules; a module-level import ahead of
+    # them reorders the imports and raises their peak memory.
+    from repro.sim.build import POLICIES
+
     sim_p = sub.add_parser("simulate", help="run one ad-hoc simulation")
-    add_point_args(sim_p, chiplets="4x4", rate=0.1, cycles=10_000)
+    # The point flags: _meta_from_args turns them into one run description.
+    sim_p.add_argument("--family", choices=FAMILIES, default="hetero_phy_torus")
+    sim_p.add_argument("--chiplets", default="4x4", help="chiplet grid, e.g. 4x4")
+    sim_p.add_argument("--nodes", default="4x4", help="per-chiplet mesh, e.g. 4x4")
+    sim_p.add_argument("--pattern", default="uniform")
+    sim_p.add_argument("--rate", type=float, default=0.1, help="flits/cycle/node")
+    sim_p.add_argument("--cycles", type=_positive_int, default=10_000)
+    sim_p.add_argument(
+        "--policy",
+        choices=[name for name, row in POLICIES.items() if not row.exclusive],
+    )
+    sim_p.add_argument(
+        "--halved", action="store_true", help="pin-constrained halved interfaces"
+    )
+    sim_p.add_argument(
+        "--seed", type=int, default=1, help="workload RNG seed (default: 1)"
+    )
     sim_p.add_argument(
         "--metrics",
         metavar="DIR",
@@ -804,42 +773,22 @@ def main(argv: list[str] | None = None) -> int:
         "hash; the digest block lands on the run record and two runs "
         "can be compared with `repro diff`",
     )
+    sim_p.add_argument(
+        "--profile",
+        metavar="DIR",
+        help="print the run's host time per engine phase (DIR/profile.host.json) "
+        "and profile it again into DIR/profile.folded.txt (collapsed stacks)",
+    )
+    sim_p.add_argument(
+        "--stride", type=_positive_int, metavar="N",
+        help="with --profile: time every Nth cycle and extrapolate (default: 1)",
+    )
+    sim_p.add_argument(
+        "--pstats", action="store_true",
+        help="with --profile: also print the 25 hottest functions (cumulative time)",
+    )
     add_record_args(sim_p)
     sim_p.set_defaults(func=_cmd_simulate)
-
-    prof_p = sub.add_parser(
-        "profile",
-        help="attribute host wall time to engine phases and emit "
-        "speedscope + flamegraph artifacts",
-    )
-    add_point_args(
-        prof_p, chiplets="2x2", rate=0.15, cycles=6_000, chiplets_note=" (fig11 seed)"
-    )
-    prof_p.add_argument(
-        "--stride",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="time every Nth cycle and extrapolate (default: 1 — every cycle)",
-    )
-    prof_p.add_argument(
-        "--out-dir",
-        default="profile-out",
-        help="where profile.host.json / profile.speedscope.json / "
-        "profile.folded.txt go (default: profile-out/)",
-    )
-    prof_p.add_argument(
-        "--top",
-        type=_positive_int,
-        default=25,
-        help="hottest-function count for --pstats (default: 25)",
-    )
-    prof_p.add_argument(
-        "--pstats",
-        action="store_true",
-        help="also print the classic pstats table (cumulative-time sorted)",
-    )
-    prof_p.set_defaults(func=_cmd_profile)
 
     pm_p = sub.add_parser(
         "postmortem",

@@ -167,7 +167,7 @@ def run_workload(
             engine.telemetry = session
             engine.hostprof = session.hostprof
             if session.digest is not None:
-                from repro.telemetry.digest import run_meta
+                from repro.telemetry.digest import config_block, run_meta
 
                 grid = spec.grid
                 session.digest.meta = run_meta(
@@ -180,6 +180,7 @@ def run_workload(
                     policy=resolved_policy,
                     config_hash=config_hash,
                     vct=None if vct else False,
+                    config=config_block(spec.config),
                 )
             if session.live is not None:
                 session.live.start(

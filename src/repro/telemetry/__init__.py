@@ -37,7 +37,7 @@
   ``repro.telemetry.diff`` / ``repro.telemetry.pins``);
 * :class:`HostTimeLedger` — host wall-time attribution across engine /
   router / link / PHY phases plus folding of the session's cProfile
-  capture into speedscope / collapsed stacks, driven by ``repro profile``
+  capture into collapsed stacks, driven by ``repro simulate --profile``
   (``repro.telemetry.hostprof``);
 * :func:`load_history` / :func:`analyze_history` — the bench
   catalogue's metrics (``bench.case_metrics``) as time series over the
@@ -83,10 +83,7 @@ _SUBMODULE_EXPORTS = {
         "load_bundle", "validate_bundle", "write_bundle",
     ),
     "history": ("MetricSeries", "RunHistory", "SeriesPoint", "load_history"),
-    "hostprof": (
-        "HostprofError", "HostTimeLedger", "render_host_table",
-        "validate_speedscope",
-    ),
+    "hostprof": ("HostprofError", "HostTimeLedger", "render_host_table"),
     "live": (
         "LIVE_SCHEMA_VERSION", "LiveFeed", "LiveFeedError", "feed_status",
         "live_feed_path", "read_feed", "validate_live_event",

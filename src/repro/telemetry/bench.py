@@ -205,15 +205,6 @@ def next_bench_path(directory: str | Path = ".") -> Path:
     return Path(directory) / f"BENCH_{index}.json"
 
 
-def write_bench(doc: dict[str, Any], directory: str | Path = ".") -> Path:
-    """Write a bench document to the next free ``BENCH_<n>.json``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = next_bench_path(directory)
-    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    return path
-
-
 def load_bench(path: str | Path) -> dict[str, Any]:
     """Load and schema-check one bench file."""
     path = Path(path)

@@ -73,12 +73,6 @@ class MetricVerdict:
     #: ``"improved"``, ``"regressed"``, ``"noise"`` or ``"n/a"``.
     verdict: str
 
-    @property
-    def rel_delta(self) -> float:
-        if self.a == 0 or math.isnan(self.a) or math.isnan(self.b):
-            return math.nan
-        return (self.b - self.a) / abs(self.a)
-
 
 def classify(
     case: str,

@@ -31,7 +31,9 @@ A ``perturb=CYCLE`` key injects one extra single-flit packet at that
 cycle — a real behavioral perturbation the localization tests and CI's
 determinism-smoke job use to prove the diff names the exact cycle.
 ``vct=0`` runs wormhole routers; ``mix=N/M`` makes every N-th packet
-unordered and every M-th a priority one.  A trace replay's meta carries a
+unordered and every M-th a priority one.  Any ``SimConfig`` field but the
+horizon is a key too (``onchip_buffer=8``, ``parallel_bandwidth=1``) and
+lands in the meta's ``config`` block.  A trace replay's meta carries a
 ``trace`` block instead (no ``sim:`` syntax: reach it as ``pin:<case>``);
 :func:`run_described` turns either kind of meta back into a run.
 
@@ -49,6 +51,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional
 from .digest import (
     DEFAULT_CHECKPOINT_EVERY,
     chain_hex,
+    config_fields,
     digests_comparable,
     run_meta,
     validate_digest_block,
@@ -278,13 +281,15 @@ def run_described(
 ) -> "RunResult":
     """Run what a digest's ``meta`` block describes, ``telemetry`` attached.
 
-    The one path from a meta block to a run: :func:`resimulate` calls it
-    digested, and a test holding a plain run to its pin calls it with
-    ``telemetry=None``.  A synthetic run is built from its pattern, rate,
-    seed and horizon; a ``trace`` block is generated and replayed until
-    drained (like :func:`~repro.sim.experiment.run_trace`).  ``cycles``
-    truncates the run there, a replay included.  A description the
-    simulator rejects raises :class:`DiffError`.
+    The one path from a description to a run: ``repro simulate`` names its
+    point as a meta, :func:`resimulate` runs one digested, and a test
+    holding a plain run to its pin calls it with ``telemetry=None``.  A
+    synthetic run is built from its pattern, rate, seed and horizon; a
+    ``trace`` block is generated and replayed until drained (like
+    :func:`~repro.sim.experiment.run_trace`).  The ``config`` block sets
+    ``SimConfig`` fields.  ``cycles`` truncates the run there, a replay
+    included.  A description the simulator rejects raises
+    :class:`DiffError` with the simulator's message.
     """
     missing = missing_resim_keys(meta)
     if missing:
@@ -300,7 +305,7 @@ def run_described(
     from repro.traffic.trace import TraceWorkload
 
     warmup, block, mix = int(meta.get("warmup") or 0), meta.get("trace"), meta.get("mix")
-    vct = meta.get("vct", True)
+    overrides, vct = meta.get("config") or {}, meta.get("vct", True)
     if not isinstance(vct, bool):
         raise DiffError(f"digest meta vct must be true or false, got {vct!r}")
     workload: Any
@@ -309,7 +314,7 @@ def run_described(
         n = grid.n_nodes
         if block is None:
             horizon, drain = int(meta["cycles"]), False
-            config = SimConfig().replace(sim_cycles=horizon, warmup_cycles=warmup)
+            config = SimConfig(sim_cycles=horizon, warmup_cycles=warmup, **overrides)
             workload = SyntheticWorkload(
                 make_pattern(meta["pattern"], n), n, meta["rate"], config.packet_length,
                 until=horizon, seed=meta["seed"],
@@ -317,7 +322,7 @@ def run_described(
             name = f"{meta['pattern']}@{meta['rate']:g}"
             described = {key: meta[key] for key in ("pattern", "rate", "seed", "cycles")}
         else:
-            config, trace = SimConfig(), _generate_trace(block, grid)
+            config, trace = SimConfig(**overrides), _generate_trace(block, grid)
             horizon, drain = trace.duration + TRACE_DRAIN_MARGIN, True
             workload, name = TraceWorkload(trace), trace.name
             described = {"workload": name, "trace": block}
@@ -327,7 +332,7 @@ def run_described(
         if meta.get("perturb") is not None:
             workload = PerturbedWorkload(workload, int(meta["perturb"]), dst=max(1, n - 1))
     except (TypeError, ValueError) as exc:
-        raise DiffError(f"digest meta cannot be simulated: {exc}") from None
+        raise DiffError(str(exc)) from None
     if cycles is not None:
         horizon, drain = min(int(cycles), horizon), False
     described.update((key, meta.get(key)) for key in ("mix", "perturb", "checkpoint_every"))
@@ -353,7 +358,9 @@ def resimulate(
     recorder (``recorder=True``: the event-context pass).  ``cycles``
     truncates the horizon — determinism makes any prefix of the run
     identical to the same prefix of the full run, so localization passes
-    never simulate past the cycle they care about.
+    never simulate past the cycle they care about.  A rebuilt system whose
+    ``config_hash`` is not the meta's raises :class:`DiffError`: the meta
+    does not describe the run it came from.
     """
     from .session import TelemetryConfig
 
@@ -362,7 +369,7 @@ def resimulate(
         every = DEFAULT_CHECKPOINT_EVERY
     elif every < 1:
         raise DiffError(f"checkpoint_every must be >= 1, got {every}")
-    return run_described(
+    result = run_described(
         meta,
         cycles=cycles,
         telemetry=TelemetryConfig(
@@ -377,6 +384,13 @@ def resimulate(
             recorder_events="full",
         ),
     )
+    recorded = meta.get("config_hash")
+    if recorded is not None and result.config_hash != recorded:
+        raise DiffError(
+            f"the meta describes config_hash {recorded}, but re-simulating it "
+            f"built {result.config_hash}: a field of the run is missing from its meta"
+        )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +417,8 @@ def _mix(value: str) -> list[int]:
     return periods
 
 
-#: ``sim:`` spec keys and the type each value parses to (family is required).
+#: ``sim:`` spec keys and the type each value parses to (family is required);
+#: ``SimConfig`` field names are keys too (:func:`parse_sim_spec`).
 _SIM_KEYS: dict[str, Any] = {
     "family": str, "chiplets": _pair, "nodes": _pair, "pattern": str,
     "rate": float, "seed": int, "cycles": int, "warmup": int,
@@ -418,26 +433,37 @@ _SIM_EXAMPLES = {**_SIM_DEFAULTS, "vct": "0", "mix": "3/5"}
 
 
 def parse_sim_spec(text: str) -> dict[str, Any]:
-    """Parse a ``sim:key=value,...`` spec into a re-simulation meta dict."""
+    """Parse a ``sim:key=value,...`` spec into a re-simulation meta dict.
+
+    A ``SimConfig`` field name parses to its default's type (an ``int``
+    where the default is None) and goes into the meta's ``config`` block.
+    """
     raw = dict(_SIM_DEFAULTS)
     for item in filter(None, text[len("sim:"):].split(",")):
         if "=" not in item:
             raise DiffError(f"sim spec item {item!r} is not key=value")
         key, value = item.split("=", 1)
         raw[key.strip()] = value.strip()
-    unknown = set(raw) - set(_SIM_KEYS)
+    defaults = config_fields()
+    unknown = set(raw) - set(_SIM_KEYS) - set(defaults)
     if unknown:
         raise DiffError(f"unknown sim spec key(s): {', '.join(sorted(unknown))}")
     if not raw.get("family"):
         raise DiffError("sim spec requires family=<system family>")
-    parsed = {}
+    parsed: dict[str, Any] = {}
+    config: dict[str, Any] = {}
     for key, value in raw.items():
+        default = defaults.get(key)
+        kind = _SIM_KEYS.get(key) or (int if default is None else type(default))
         try:
-            parsed[key] = _SIM_KEYS[key](value)
+            (parsed if key in _SIM_KEYS else config)[key] = kind(value)
         except ValueError:
-            example = _SIM_EXAMPLES.get(key, "1")
+            example = _SIM_EXAMPLES.get(key, default if default is not None else "1")
             raise DiffError(f"invalid {key} {value!r}; expected e.g. {example}") from None
-    return run_meta(parsed.pop("family"), parsed.pop("chiplets"), parsed.pop("nodes"), **parsed)
+    return run_meta(
+        parsed.pop("family"), parsed.pop("chiplets"), parsed.pop("nodes"),
+        **parsed, config=config or None,
+    )
 
 
 def _record_diffable(record: RunRecord, label: str) -> Diffable:

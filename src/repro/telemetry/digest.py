@@ -398,6 +398,30 @@ def digests_comparable(a: dict[str, Any], b: dict[str, Any]) -> Optional[str]:
     return None
 
 
+#: ``SimConfig`` fields a meta names as ``cycles`` and ``warmup`` instead.
+_HORIZON_FIELDS = ("sim_cycles", "warmup_cycles")
+
+
+def config_fields() -> dict[str, Any]:
+    """The ``SimConfig`` fields a meta ``config`` block may set, with defaults."""
+    from dataclasses import fields
+
+    from repro.sim.config import SimConfig
+
+    return {f.name: f.default for f in fields(SimConfig) if f.name not in _HORIZON_FIELDS}
+
+
+def config_block(config: Any) -> Optional[dict[str, Any]]:
+    """A meta's ``config`` block: the fields of ``config`` that differ from
+    ``SimConfig()``, horizon aside (None when none does)."""
+    block = {
+        name: getattr(config, name)
+        for name, default in config_fields().items()
+        if getattr(config, name) != default
+    }
+    return block or None
+
+
 def run_meta(
     family: str, chiplets: Any, nodes: Any, **described: Any
 ) -> dict[str, Any]:
@@ -407,7 +431,8 @@ def run_meta(
     ``cycles`` for a synthetic run, which make the block re-simulable;
     ``workload`` for a trace) and whatever else names the run (``warmup``,
     ``policy``, ``perturb``, ``checkpoint_every``, ``system``,
-    ``config_hash``).  Keys given as None are left out.
+    ``config_hash``, and ``config``, see :func:`config_block`).  Keys given
+    as None are left out, so a run at ``SimConfig()`` has no ``config``.
     """
     return {
         "family": family,

@@ -381,11 +381,6 @@ def extract_wait_graph(network: "Network", now: int) -> dict[str, Any]:
     }
 
 
-def waitfor_cycle_channels(bundle: dict[str, Any]) -> list[tuple[int, int]]:
-    """The bundle's wait-for cycle as ``(link index, vc)`` tuples."""
-    return [tuple(entry) for entry in bundle.get("waitfor", {}).get("cycle", [])]
-
-
 def cycle_in_graph(
     cycle: Sequence[tuple[int, int]],
     edges: dict[tuple[int, int], set[tuple[int, int]]],

@@ -1,4 +1,4 @@
-"""Host wall-time attribution and profiler folding (``repro profile``).
+"""Host wall-time attribution and profiler folding (``repro simulate --profile``).
 
 The latency ledger answers "where do a packet's *simulated* cycles go?";
 this module answers the twin question for the machine running the
@@ -17,9 +17,9 @@ Two instruments live here:
   overhead below the 5% budget.
 * cProfile **folding** — :func:`fold_profile` maps every function of a
   run's capture (``TelemetrySession.profile``) to a phase-rooted
-  synthetic stack, emitted as a speedscope-compatible JSON document
-  (:func:`speedscope_document`) and as collapsed-stack flamegraph text
-  (:func:`collapsed_stacks`).
+  synthetic stack, emitted as collapsed-stack text
+  (:func:`collapsed_stacks`): the input of ``flamegraph.pl`` and inferno,
+  and a format speedscope imports as is.
 
 Pure stdlib; simulator types appear only under ``TYPE_CHECKING`` (see
 the package initializer's import note).
@@ -27,11 +27,9 @@ the package initializer's import note).
 
 from __future__ import annotations
 
-import json
 import math
 import pstats
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -332,122 +330,13 @@ def fold_profile(profile: "cProfile.Profile") -> list[tuple[tuple[str, ...], int
 
 
 def collapsed_stacks(rows: list[tuple[tuple[str, ...], int]]) -> str:
-    """Collapsed-stack flamegraph text (``flamegraph.pl`` input format).
+    """Collapsed-stack flamegraph text (Brendan Gregg's format).
 
-    One ``frame;frame;frame weight`` line per stack; weights are integer
-    microseconds (zero-weight rows are dropped).
+    One ``frame;frame;frame weight`` line per folded row; weights are
+    integer nanoseconds of self time, so no sub-microsecond row is lost.
     """
-    lines = []
-    for stack, ns in rows:
-        weight = ns // 1000
-        if weight <= 0:
-            continue
-        lines.append(";".join(stack) + f" {weight}")
+    lines = [";".join(stack) + f" {ns}" for stack, ns in rows]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def speedscope_document(
-    rows: list[tuple[tuple[str, ...], int]], *, name: str = "repro profile"
-) -> dict[str, Any]:
-    """Build a speedscope-compatible ``sampled`` profile document.
-
-    Loads directly in https://www.speedscope.app — every folded stack
-    becomes one sample whose weight is the function's self time in
-    nanoseconds.
-    """
-    frames: list[dict[str, str]] = []
-    index: dict[str, int] = {}
-    samples: list[list[int]] = []
-    weights: list[int] = []
-    for stack, ns in rows:
-        sample = []
-        for label in stack:
-            frame_idx = index.get(label)
-            if frame_idx is None:
-                frame_idx = index[label] = len(frames)
-                frames.append({"name": label})
-            sample.append(frame_idx)
-        samples.append(sample)
-        weights.append(ns)
-    total = sum(weights)
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "name": name,
-        "exporter": "repro profile",
-        "activeProfileIndex": 0,
-        "shared": {"frames": frames},
-        "profiles": [
-            {
-                "type": "sampled",
-                "name": name,
-                "unit": "nanoseconds",
-                "startValue": 0,
-                "endValue": total,
-                "samples": samples,
-                "weights": weights,
-            }
-        ],
-    }
-
-
-def validate_speedscope(doc: Any) -> None:
-    """Schema-check a speedscope document; raises ``ValueError`` on defects.
-
-    Covers the invariants speedscope's importer actually relies on:
-    frames table present, one ``sampled`` profile, equal-length
-    samples/weights, and every sample index resolving to a frame.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError("speedscope document must be a JSON object")
-    frames = doc.get("shared", {}).get("frames")
-    if not isinstance(frames, list) or not all(
-        isinstance(f, dict) and isinstance(f.get("name"), str) for f in frames
-    ):
-        raise ValueError("shared.frames must be a list of {name: str} objects")
-    profiles = doc.get("profiles")
-    if not isinstance(profiles, list) or not profiles:
-        raise ValueError("profiles must be a non-empty list")
-    for profile in profiles:
-        if profile.get("type") != "sampled":
-            raise ValueError(f"unsupported profile type {profile.get('type')!r}")
-        samples = profile.get("samples")
-        weights = profile.get("weights")
-        if not isinstance(samples, list) or not isinstance(weights, list):
-            raise ValueError("sampled profile needs samples and weights lists")
-        if len(samples) != len(weights):
-            raise ValueError(
-                f"samples/weights length mismatch: {len(samples)} != {len(weights)}"
-            )
-        for sample in samples:
-            if not sample:
-                raise ValueError("empty sample stack")
-            for idx in sample:
-                if not isinstance(idx, int) or not 0 <= idx < len(frames):
-                    raise ValueError(f"sample frame index {idx!r} out of range")
-        if any(not isinstance(w, (int, float)) or w < 0 for w in weights):
-            raise ValueError("weights must be non-negative numbers")
-        end = profile.get("endValue", 0)
-        if abs(sum(weights) - end) > max(1, 0.01 * end):
-            raise ValueError("endValue does not match the weight sum")
-
-
-def write_speedscope(
-    doc: dict[str, Any], path: str | Path
-) -> Path:
-    """Validate and write one speedscope document; returns the path."""
-    validate_speedscope(doc)
-    path = Path(path)
-    if path.parent != Path():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    return path
-
-
-def load_speedscope(path: str | Path) -> dict[str, Any]:
-    """Load and schema-check a speedscope JSON file."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    validate_speedscope(doc)
-    return doc
 
 
 __all__ = [
@@ -459,10 +348,6 @@ __all__ = [
     "RESIDUAL_PHASE",
     "collapsed_stacks",
     "fold_profile",
-    "load_speedscope",
     "phase_of",
     "render_host_table",
-    "speedscope_document",
-    "validate_speedscope",
-    "write_speedscope",
 ]

@@ -55,8 +55,8 @@ class TelemetryConfig:
     #: Progress destination (default: stderr).
     progress_stream: Optional[IO[str]] = None
     #: Run the engine under cProfile and keep the raw profile
-    #: (``RunResult.telemetry.profile``; ``repro profile`` is the CLI
-    #: front end that folds it into speedscope / flamegraph output).
+    #: (``RunResult.telemetry.profile``; ``repro simulate --profile`` is
+    #: the CLI front end that folds it into collapsed stacks).
     profile: bool = False
     #: Attach the host wall-time ledger
     #: (:class:`~repro.telemetry.hostprof.HostTimeLedger`): attribute

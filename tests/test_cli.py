@@ -211,7 +211,8 @@ def test_prove_is_the_one_static_verification_command(capsys):
         main(["--help"])
     assert caught.value.code == 0
     listed = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
-    assert len(listed) == 12 and "prove" in listed and "check" not in listed
+    assert len(listed) == 11 and "prove" in listed and "check" not in listed
+    assert "profile" not in listed  # folded into `simulate --profile`
     with pytest.raises(SystemExit) as caught:
         main(["check", "--all"])
     assert caught.value.code == 2
@@ -690,16 +691,20 @@ def test_regress_reads_an_unstamped_document_by_its_file_time(tmp_path, capsys):
         (["simulate", "--chiplets", "0x2"], "got 0"),
         (["simulate", "--family", "hetero_channel", "--chiplets", "3x2"], "got 6"),
         (["simulate", "--cycles", "0"], "--cycles: must be >= 1, got 0"),
-        (["profile", "--rate", "-0.5"], "-0.5"),
+        (["simulate", "--rate", "-0.5"], "-0.5"),
     ],
     ids=lambda arg: " ".join(arg[1:]) if isinstance(arg, list) else None,
 )
-def test_a_point_the_simulator_rejects_is_a_usage_error(argv, value, tmp_path, capsys):
+def test_a_point_the_simulator_rejects_is_a_usage_error(
+    argv, value, tmp_path, capsys, monkeypatch
+):
     """No traceback, nothing simulated (a NaN rate used to inject at
-    probability 1 and exit 0): one line naming the value, exit status 2."""
-    tail = ["--no-record"] if argv[0] == "simulate" else ["--out-dir", str(tmp_path)]
+    probability 1 and exit 0): one line naming the value, exit status 2,
+    and no profile directory."""
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
-        main([argv[0], "--cycles", "300", "--nodes", "2x2", *argv[1:], *tail])
+        main([argv[0], "--cycles", "300", "--nodes", "2x2", *argv[1:],
+              "--no-record", "--profile", "prof"])
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     last_line = captured.err.splitlines()[-1]
@@ -709,40 +714,36 @@ def test_a_point_the_simulator_rejects_is_a_usage_error(argv, value, tmp_path, c
 
 
 def test_profile_cli_writes_artifacts(tmp_path, capsys):
-    from repro.telemetry.hostprof import load_speedscope, validate_speedscope
-
+    """`simulate --profile` prints the run's usual lines, then the host-time
+    table, and writes the ledger summary and the folded stacks."""
     out_dir = tmp_path / "prof"
-    code = main(
-        [
-            "profile",
-            "--family",
-            "hetero_phy_torus",
-            "--chiplets",
-            "2x2",
-            "--nodes",
-            "3x3",
-            "--cycles",
-            "1200",
-            "--rate",
-            "0.1",
-            "--seed",
-            "3",
-            "--stride",
-            "2",
-            "--out-dir",
-            str(out_dir),
-        ]
-    )
-    assert code == 0
+    argv = ["simulate", "--family", "hetero_phy_torus", "--chiplets", "2x2",
+            "--nodes", "3x3", "--cycles", "1200", "--rate", "0.1", "--seed", "3",
+            "--no-record"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "--profile", str(out_dir), "--stride", "2"]) == 0
     out = capsys.readouterr().out
+    # The ledger is a passive observer: the run's lines are the plain run's.
+    assert out.startswith(plain)
     assert "phase" in out and "conservation" in out
+    assert f"artifacts : profile={out_dir}" in out
     host = json.loads((out_dir / "profile.host.json").read_text())
     assert host["stride"] == 2
     assert 0.95 <= host["conservation"] <= 1.05
-    doc = load_speedscope(out_dir / "profile.speedscope.json")
-    validate_speedscope(doc)
-    folded = (out_dir / "profile.folded.txt").read_text()
-    assert folded.splitlines() and folded.startswith("engine;")
+    rows = (out_dir / "profile.folded.txt").read_text().splitlines()
+    assert rows and all(row.startswith("engine;") for row in rows)
+    # Weights are integer nanoseconds of self time, hottest first.
+    weights = [int(row.rsplit(" ", 1)[1]) for row in rows]
+    assert all(weight > 0 for weight in weights) and weights == sorted(weights, reverse=True)
+
+
+def test_profile_flags_need_profile(capsys):
+    for flags in (["--stride", "2"], ["--pstats"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", *flags, "--no-record"])
+        assert excinfo.value.code == 2
+        assert "--stride and --pstats require --profile" in capsys.readouterr().err
 
 
 def test_dashboard_cli(tmp_path, capsys, monkeypatch):
@@ -847,7 +848,7 @@ def test_health_raises_nothing_on_a_healthy_run_through_warmup(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["profile", "--stride", "0"],
+        ["simulate", "--stride", "0"],
         ["simulate", "--cycles", "0"],
         ["simulate", "--epoch", "0"],
     ],
@@ -872,7 +873,6 @@ def test_a_count_below_one_is_a_usage_error(argv, capsys):
         (["watch", "--top", "0"], "must be >= 1, got 0"),
         (["watch", "--poll", "-1"], "must be > 0, got -1"),
         (["watch", "--poll", "nan"], "must be > 0, got nan"),
-        (["profile", "--top", "0"], "must be >= 1, got 0"),
         (["simulate", "--recorder-window", "0"], "must be >= 1, got 0"),
     ],
     ids=lambda arg: " ".join(arg) if isinstance(arg, list) else None,

@@ -2,11 +2,10 @@
 static page ``repro watch --once --out`` writes."""
 
 from repro.exps.common import ExperimentResult
-from repro.telemetry.bench import write_bench
 from repro.telemetry.dashboard import Snapshot, render_fleet
 from repro.telemetry.runstore import RunStore
 
-from .test_bench_compare import make_bench_doc, make_case
+from .test_bench_compare import make_bench_doc, make_case, write_bench
 from .test_runstore import make_record
 
 

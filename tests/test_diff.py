@@ -441,6 +441,67 @@ def test_cli_simulate_digest_prints_chain_and_records_block(tmp_path, capsys):
     assert record.digest["meta"]["family"] == "parallel_mesh"
 
 
+#: A small hetero-PHY point, where halving the interfaces changes the run.
+HALVED_ARGS = ["simulate", "--family", "hetero_phy_torus", "--chiplets", "2x2",
+               "--nodes", "2x2", "--cycles", "600", "--rate", "0.2", "--seed", "3"]
+
+
+def test_a_halved_digest_run_resimulates_to_its_own_chain(tmp_path, capsys):
+    """``--halved`` is part of the run's description (a meta ``config``
+    block), so its record re-simulates to its own chain and config hash."""
+    runs_dir = tmp_path / "runs"
+    assert main([*HALVED_ARGS, "--halved", "--digest", "--runs-dir", str(runs_dir)]) == 0
+    [record] = RunStore(runs_dir).load()
+    meta = record.digest["meta"]
+    assert meta["config"] == {"parallel_bandwidth": 1, "serial_bandwidth": 2}
+    again = resimulate(meta)
+    assert again.digest["final"] == record.digest["final"]
+    assert again.config_hash == record.config_hash == meta["config_hash"]
+
+    # The same point as a sim: spec, the SimConfig fields named as keys.
+    spec = ("sim:family=hetero_phy_torus,chiplets=2x2,nodes=2x2,cycles=600,"
+            "warmup=60,rate=0.2,seed=3,parallel_bandwidth=1,serial_bandwidth=2")
+    capsys.readouterr()
+    assert main(["diff", str(runs_dir / "runs.jsonl"), spec]) == 0
+    assert "verdict: IDENTICAL" in capsys.readouterr().out
+
+    # A meta that leaves a field out describes another system, and the
+    # re-simulation says so instead of running it.
+    del meta["config"]
+    with pytest.raises(DiffError, match=f"config_hash {record.config_hash}.* built "):
+        resimulate(meta)
+
+
+def test_sim_spec_config_keys():
+    meta = parse_sim_spec(
+        "sim:family=serial_torus,vct=0,onchip_buffer=8,interface_buffer=8,"
+        "rob_capacity=4,serial_energy_pj_per_bit=1.5,scheduling_policy=performance"
+    )
+    assert meta["config"] == {
+        "onchip_buffer": 8, "interface_buffer": 8, "rob_capacity": 4,
+        "serial_energy_pj_per_bit": 1.5, "scheduling_policy": "performance",
+    }
+    assert "config" not in parse_sim_spec("sim:family=serial_torus")
+    with pytest.raises(DiffError, match="invalid onchip_buffer 'deep'; expected e.g. 32"):
+        parse_sim_spec("sim:family=serial_torus,onchip_buffer=deep")
+    # The horizon is cycles= / warmup=, not a config key.
+    with pytest.raises(DiffError, match="unknown sim spec key.*sim_cycles"):
+        parse_sim_spec("sim:family=serial_torus,sim_cycles=500")
+
+
+def test_a_bad_config_value_is_a_clean_diff_error(capsys):
+    meta = parse_sim_spec("sim:family=serial_torus,onchip_buffer=0")
+    assert meta["config"] == {"onchip_buffer": 0}
+    with pytest.raises(DiffError, match="onchip_buffer must be >= 1"):
+        resimulate(meta)
+    with pytest.raises(SystemExit) as caught:
+        main(["diff", "sim:family=serial_torus,onchip_buffer=0", "sim:family=serial_torus"])
+    # A message (exit status 1), not a traceback.
+    assert caught.value.code == (
+        "sim:family=serial_torus,onchip_buffer=0: onchip_buffer must be >= 1"
+    )
+
+
 # -- watch / live integration -------------------------------------------------
 def test_live_feed_carries_digest_and_empty_feeds_fold(tmp_path):
     from repro.noc.flit import Packet

@@ -35,7 +35,6 @@ from repro.telemetry.forensics import (
     extract_wait_graph,
     load_bundle,
     validate_bundle,
-    waitfor_cycle_channels,
     write_bundle,
 )
 from repro.telemetry.metrics import EpochMetrics, EpochSample, HealthMonitor, HealthThresholds
@@ -104,7 +103,7 @@ def test_deadlock_bundle_cycle_matches_static_cdg(tmp_path):
     # The dynamic wait-for cycle must be a closed walk of the static CDG
     # under both flow-control assumptions (wormhole edges are a superset
     # of VCT edges, so the stricter vct check implies the wormhole one).
-    cycle = waitfor_cycle_channels(bundle)
+    cycle = [tuple(entry) for entry in bundle["waitfor"]["cycle"]]
     assert len(cycle) >= 2
     for mode in ("vct", "wormhole"):
         cdg = build_cdg(network, mode=mode)
@@ -504,7 +503,7 @@ def test_cli_simulate_captures_a_bundle_iff_forensics(
         _network, engine = ring_engine(telemetry)
         engine.run(4_000)
 
-    monkeypatch.setattr(cli, "run_synthetic", wedge)
+    monkeypatch.setattr("repro.telemetry.diff.run_described", wedge)
     bundle_dir = tmp_path / "forensics"
     code = cli.main(
         ["simulate", "--family", "serial_torus", "--chiplets", "2x1",
@@ -526,7 +525,7 @@ def test_cli_simulate_reports_wedge_and_exits_nonzero(
         error.bundle_path = str(tmp_path / "BUNDLE_deadlock_42.json")
         raise error
 
-    monkeypatch.setattr(cli, "run_synthetic", wedge)
+    monkeypatch.setattr("repro.telemetry.diff.run_described", wedge)
     code = cli.main(
         ["simulate", "--family", "serial_torus", "--chiplets", "2x1",
          "--nodes", "2x2", "--cycles", "500", "--no-record",

@@ -10,13 +10,15 @@ any cycle-level mechanism will move them — which is the point: behavioural
 changes must be deliberate, reviewed, and re-pinned (docs/architecture.md
 "Re-pinning").
 
-Note hetero_channel equals parallel_mesh here: at 2x2 chiplets Eq (5)
-never prefers the cube (H_P <= H_S for every pair), so the hetero-channel
-system degenerates to its parallel mesh, byte for byte.
+hetero_channel's pin sits on 4x2 chiplets of 2x3 nodes instead: at 2x2
+chiplets Eq (5) never prefers the cube (H_P <= H_S for every pair), so the
+hetero-channel system degenerates to its parallel mesh, byte for byte, and
+its pin would pin nothing the mesh's does not.
 """
 
 import pytest
 
+from repro.telemetry.diff import parse_sim_spec, resimulate
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import FAMILIES
 
@@ -31,13 +33,23 @@ def test_golden_uniform_run(family):
 
 
 def test_hetero_channel_degenerates_at_tiny_scale():
-    """Document the Eq (5) degeneracy the pinned numbers show."""
+    """Document the Eq (5) degeneracy: at 2x2 chiplets the hetero-channel
+    system runs its parallel mesh's run exactly, so its pin sits where the
+    cube is chosen."""
     from repro.routing.policies import HopCountSelector
 
-    selector = HopCountSelector(GRID)
-    for src in range(GRID.n_chiplets):
-        for dst in range(GRID.n_chiplets):
-            assert selector.select(src, dst) == "mesh"
-    mesh, channel = STORE["parallel_mesh-seed42"], STORE["hetero_channel-seed42"]
-    assert mesh["digest"]["final"] == channel["digest"]["final"]
-    assert mesh["stats"] == channel["stats"]
+    def picks(grid):
+        selector = HopCountSelector(grid)
+        chiplets = range(grid.n_chiplets)
+        return {selector.select(src, dst) for src in chiplets for dst in chiplets}
+
+    assert picks(GRID) == {"mesh"}
+    point = "sim:chiplets=2x2,nodes=3x3,rate=0.2,seed=5,cycles=200,warmup=50,family="
+    mesh, channel = (
+        resimulate(parse_sim_spec(point + family)) for family in ("parallel_mesh", "hetero_channel")
+    )
+    assert channel.digest["final"] == mesh.digest["final"]
+    assert channel.stats.summary() == mesh.stats.summary()
+
+    pinned = STORE["hetero_channel-seed42"]["digest"]["meta"]
+    assert picks(ChipletGrid(*pinned["chiplets"], *pinned["nodes"])) == {"mesh", "cube"}

@@ -4,7 +4,7 @@ Covers the ledger's accounting math with a fake clock, the timing seam
 (one cycle loop that laps the ledger at its phase boundaries), the
 engine-side conservation invariant across every system family, the
 passive-observer guarantee (attaching the ledger never changes simulated
-results), the strided extrapolation, the cProfile→speedscope folding, and
+results), the strided extrapolation, the cProfile→collapsed-stack folding, and
 the end-to-end acceptance story: an injected per-phase slowdown must show
 up in the bench history under the guilty phase's name, and never gate.
 """
@@ -39,12 +39,8 @@ from repro.telemetry.hostprof import (
     HostTimeLedger,
     collapsed_stacks,
     fold_profile,
-    load_speedscope,
     phase_of,
     render_host_table,
-    speedscope_document,
-    validate_speedscope,
-    write_speedscope,
 )
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import build_system
@@ -439,7 +435,7 @@ def test_router_work_lands_in_pipeline_phases():
     assert summary["phases"][RESIDUAL_PHASE]["share"] < 0.01
 
 
-# -- cProfile folding + speedscope -------------------------------------------
+# -- cProfile folding ----------------------------------------------------------
 def test_phase_of_mapping():
     assert phase_of("src/repro/noc/router.py", "_stage_rc_va") == "rc_va"
     assert phase_of("src/repro/noc/router.py", "_stage_sa") == "sa_st"
@@ -501,44 +497,15 @@ def test_fold_profile_produces_phase_rooted_stacks():
     phases_seen = {stack[1] for stack, _ in rows}
     assert "sa_st" in phases_seen and "link" in phases_seen
 
-    doc = speedscope_document(rows, name="unit")
-    validate_speedscope(doc)
-    text = collapsed_stacks(rows)
-    assert text.startswith("engine;")
-    for line in text.splitlines():
-        frames, weight = line.rsplit(" ", 1)
-        assert frames.count(";") == 2 and int(weight) > 0
-
-
-def test_speedscope_roundtrip_and_validation(tmp_path):
-    rows = [
-        (("engine", "sa_st", "repro/noc/router.py:_stage_sa"), 1_500_000),
-        (("engine", "link", "repro/noc/link.py:step"), 500_000),
+    # One collapsed-stack line per row, weighted in nanoseconds: a row of
+    # less than a microsecond of self time is kept too.
+    lines = collapsed_stacks(rows).splitlines()
+    assert [line.rsplit(" ", 1) for line in lines] == [
+        [";".join(stack), str(ns)] for stack, ns in rows
     ]
-    doc = speedscope_document(rows, name="roundtrip")
-    path = write_speedscope(doc, tmp_path / "deep" / "profile.speedscope.json")
-    loaded = load_speedscope(path)
-    assert loaded == doc
-    assert loaded["profiles"][0]["endValue"] == 2_000_000
-
-    with pytest.raises(ValueError, match="frames"):
-        validate_speedscope({"shared": {"frames": "nope"}, "profiles": []})
-    bad_type = speedscope_document(rows)
-    bad_type["profiles"][0]["type"] = "evented"
-    with pytest.raises(ValueError, match="unsupported profile type"):
-        validate_speedscope(bad_type)
-    mismatch = speedscope_document(rows)
-    mismatch["profiles"][0]["weights"] = [1]
-    with pytest.raises(ValueError, match="length mismatch"):
-        validate_speedscope(mismatch)
-    out_of_range = speedscope_document(rows)
-    out_of_range["profiles"][0]["samples"][0] = [999]
-    with pytest.raises(ValueError, match="out of range"):
-        validate_speedscope(out_of_range)
-    short_end = speedscope_document(rows)
-    short_end["profiles"][0]["endValue"] = 5
-    with pytest.raises(ValueError, match="endValue"):
-        validate_speedscope(short_end)
+    assert collapsed_stacks([(("engine", "link", "repro/noc/link.py:step"), 999)]) == (
+        "engine;link;repro/noc/link.py:step 999\n"
+    )
 
 
 # -- acceptance: the ledger names the guilty phase; regress never gates on it -----

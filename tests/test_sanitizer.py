@@ -91,9 +91,8 @@ class _CreditLeakLink(PipelinedLink):
         super().return_credit(vc, now, count)
 
 
-def test_credit_leaking_link_is_flagged():
-    config = SimConfig(sim_cycles=500, warmup_cycles=0)
-    grid = ChipletGrid(2, 2, 3, 3)
+def _mesh_of(link_factory, grid, config):
+    """A parallel mesh whose every link is built by ``link_factory``."""
     spec = build_system("parallel_mesh", grid, config)
     stats = Stats()
     network = Network(
@@ -103,14 +102,57 @@ def test_credit_leaking_link_is_flagged():
         ejection_bandwidth=config.ejection_bandwidth,
     )
     for channel in spec.channels:
-        network.add_channel(channel, _CreditLeakLink)
+        network.add_channel(channel, link_factory)
     network.set_routing(make_routing(spec))
     network.finalize()
+    return network, stats
+
+
+def test_credit_leaking_link_is_flagged():
+    config = SimConfig(sim_cycles=500, warmup_cycles=0)
+    grid = ChipletGrid(2, 2, 3, 3)
+    network, stats = _mesh_of(_CreditLeakLink, grid, config)
     checker = InvariantChecker(network)
     with pytest.raises(InvariantViolation) as excinfo:
         _run(network, stats, grid, config, cycles=500)
     assert excinfo.value.code == "CREDIT-LEAK"
     assert "lost" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("check_every", [1, 3])
+def test_a_credit_lost_as_its_link_goes_idle_is_flagged(check_every):
+    """The sweep checks the links on any work list since the last one: a
+    link that leaks in the step it goes idle, and never moves again, is
+    off the list the cycle ends with but on the one it began with."""
+    leaks = []
+
+    class _IdleLeakLink(PipelinedLink):
+        """Loses a transmitter credit in the step it goes idle for good:
+        it has carried the packet and every credit is home."""
+
+        def step(self, now):
+            busy = super().step(now)
+            out = self.src_router.outputs[self.src_port]
+            home = [self.dst_router.inputs[self.dst_port].buffer_depth] * out.n_vcs
+            if not busy and not leaks and self.flits_carried and out.credits == home:
+                leaks.append(now)
+                out.credits[0] -= 1
+            return busy
+
+    config = SimConfig()
+    grid = ChipletGrid(2, 1, 2, 2)
+    network, _stats = _mesh_of(_IdleLeakLink, grid, config)
+    checker = InvariantChecker(network, check_every=check_every)
+    network.inject(Packet(0, grid.n_nodes - 1, length=4, create_cycle=0))
+    with pytest.raises(InvariantViolation) as excinfo:
+        for now in range(200):
+            network.step(now)
+    assert excinfo.value.code == "CREDIT-LEAK"
+    [leaked_at] = leaks
+    # Caught by the first sweep at or after the leak, with the link idle.
+    assert leaked_at <= now < leaked_at + check_every
+    assert (now + 1) % check_every == 0 and checker.checks_run == (now + 1) // check_every
+    assert "vc 0:" in str(excinfo.value) and "(+1 credit(s) lost)" in str(excinfo.value)
 
 
 def test_dropped_flit_breaks_conservation():

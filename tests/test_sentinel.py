@@ -15,7 +15,7 @@ from repro.telemetry.sentinel import (
 )
 
 from .helpers import make_history, write_history
-from .test_bench_compare import make_bench_doc, make_case
+from .test_bench_compare import make_bench_doc, make_case, write_bench
 
 
 def series_of(values, metric="flit_hops_per_s", higher=True, aux=False, exact=False):
@@ -251,7 +251,6 @@ def test_sentinel_json_report_shape(tmp_path):
 def test_history_merges_bench_dirs_in_created_order(tmp_path):
     """Several --bench-dir arguments are one trajectory, ordered by the
     documents' `created` stamps (ties keep file order), keyed by file name."""
-    from repro.telemetry.bench import write_bench
 
     for directory, day, hops in (("new", 2, 500_000.0), ("old", 1, 400_000.0)):
         doc = make_bench_doc(fig11=make_case(hops=hops))
@@ -267,7 +266,7 @@ def test_history_merges_bench_dirs_in_created_order(tmp_path):
 def test_history_and_compare_share_one_metric_catalogue(bench_doc, tmp_path):
     """A pair and a trajectory are judged on one catalogue: every row that
     carries a bound, and never a host-time layer row."""
-    from repro.telemetry.bench import case_metrics, write_bench
+    from repro.telemetry.bench import case_metrics
 
     metrics = case_metrics(bench_doc["workloads"]["phy_steady_256"])
     judged = {name for name, m in metrics.items() if m.rel_floor is not None}
@@ -289,7 +288,6 @@ def test_history_and_compare_share_one_metric_catalogue(bench_doc, tmp_path):
 
 
 def test_history_tolerates_old_records_and_counts_skips(tmp_path):
-    from repro.telemetry.bench import write_bench
 
     # A --trace 0 document: end-to-end rows only, no per_layer block.
     write_bench(make_bench_doc(fig11=make_case(counts={})), tmp_path)

@@ -495,16 +495,12 @@ def test_run_synthetic_without_telemetry_has_none():
     assert result.telemetry is None
 
 
-def test_profiled_run_is_passive_and_folds_into_speedscope(small_grid):
+def test_profiled_run_is_passive_and_folds_into_stacks(small_grid):
     """``profile=True`` wraps the harness's one run call in cProfile; the
-    raw capture folds into phase-rooted stacks and a speedscope document."""
+    raw capture folds into phase-rooted collapsed stacks."""
     from repro.sim.config import SimConfig
     from repro.sim.experiment import run_synthetic
-    from repro.telemetry.hostprof import (
-        fold_profile,
-        speedscope_document,
-        validate_speedscope,
-    )
+    from repro.telemetry.hostprof import collapsed_stacks, fold_profile
     from repro.topology.system import build_system
 
     spec = build_system("parallel_mesh", small_grid, SimConfig(
@@ -517,7 +513,7 @@ def test_profiled_run_is_passive_and_folds_into_speedscope(small_grid):
     assert result.stats.summary() == plain.stats.summary()
     folded = fold_profile(result.telemetry.profile)
     assert folded and all(stack[0] == "engine" for stack, _ in folded)
-    validate_speedscope(speedscope_document(folded, name="unit"))
+    assert len(collapsed_stacks(folded).splitlines()) == len(folded)
 
 
 # -- epoch metrics edge cases -------------------------------------------------

@@ -9,13 +9,12 @@ from pathlib import Path
 import pytest
 
 from repro.telemetry import LIVE_SCHEMA_VERSION
-from repro.telemetry.bench import write_bench
 from repro.telemetry.runstore import RunStore
 from repro.telemetry.dashboard import SECTIONS, STALE_AFTER_SECONDS, render_fleet, render_sections
 from repro.telemetry.server import WatchService, make_server
 
 from .helpers import build_chain, run_cycles
-from .test_bench_compare import make_bench_doc, make_case
+from .test_bench_compare import make_bench_doc, make_case, write_bench
 from .test_runstore import make_record
 
 
