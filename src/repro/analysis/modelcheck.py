@@ -299,21 +299,20 @@ def check_network(
     if pool is None:
         n = model.table.network.n_nodes
         pool = [(s, d) for s in range(n) for d in range(n) if s != d]
-    focus = [model.channel_id[c] for c in focus_cycle if c in model.channel_id]
+    # A state's priority is (-focus fill, -occupancy), kept incrementally:
+    # each move changes both by the weights of the channels it touches (a
+    # channel counts once per appearance on the closed-walk focus cycle).
+    weight = [0] * model.n_channels
+    for c in focus_cycle:
+        if c in model.channel_id:
+            weight[model.channel_id[c]] += 1
     initial: State = tuple(() for _ in range(model.n_channels))
-
-    def priority(state: State) -> tuple[int, int]:
-        focus_fill = sum(len(state[cid]) for cid in focus)
-        total = sum(len(fifo) for fifo in state)
-        return (-focus_fill, -total)
 
     # Tie-break newest-first: among equally full states the search dives
     # (depth-first) instead of sweeping the whole equal-priority plateau,
     # which is what actually reaches "all suspect channels full" states.
     counter = 0
-    frontier: list[tuple[tuple[int, int], int, State]] = [
-        (priority(initial), -counter, initial)
-    ]
+    frontier: list[tuple[tuple[int, int], int, State]] = [((0, 0), 0, initial)]
     seen: set[State] = {initial}
     parents: dict[State, tuple[State, Move]] = {}
     explored = 0
@@ -322,10 +321,10 @@ def check_network(
         if explored >= max_states:
             truncated = True
             break
-        _prio, _tick, state = heapq.heappop(frontier)
+        (focus_fill, total), _tick, state = heapq.heappop(frontier)
         explored += 1
         moves = _channel_moves(model, state)
-        occupancy = sum(len(fifo) for fifo in state)
+        occupancy = -total
         if occupancy and not moves:
             trace = _build_trace(model, state, parents)
             return ModelCheckResult(
@@ -349,7 +348,14 @@ def check_network(
             seen.add(successor)
             parents[successor] = (state, move)
             counter += 1
-            heapq.heappush(frontier, (priority(successor), -counter, successor))
+            kind = move[0]
+            if kind == "hop":
+                priority = (focus_fill - weight[move[2]] + weight[move[1]], total)
+            elif kind == "eject":
+                priority = (focus_fill + weight[move[1]], total + 1)
+            else:
+                priority = (focus_fill - weight[move[3]], total - 1)
+            heapq.heappush(frontier, (priority, -counter, successor))
     return ModelCheckResult(
         verdict=VERDICT_REFUTED_BOUNDED if truncated else VERDICT_REFUTED_EXHAUSTIVE,
         explored=explored,

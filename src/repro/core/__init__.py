@@ -6,65 +6,18 @@ scheduling policies (Sec 5.3), the bandwidth-latency V-t model (Sec 5.1,
 Eq 2) and the weighted path-length model (Sec 5.2, Eq 3/4).
 """
 
-from importlib import import_module
+from repro import _lazy_exports
 
-__all__ = [
-    "AIB",
-    "BOW",
-    "SERDES",
-    "TABLE1",
-    "ApplicationAwarePolicy",
-    "BalancedPolicy",
-    "DispatchPolicy",
-    "EnergyEfficientPolicy",
-    "PassiveApplicationAwarePolicy",
-    "HeteroPhyLink",
-    "HeteroVTCurve",
-    "HopCostModel",
-    "InterfaceSpec",
-    "PerformanceFirstPolicy",
-    "ReorderBuffer",
-    "RobOverflowError",
-    "VTCurve",
-    "hetero_curve",
-    "hetero_phy_link_factory",
-    "lookup",
-    "pin_constrained_hetero",
-    "rob_capacity",
-]
-
-#: Public name -> the submodule that defines it, imported on first access
-#: (PEP 562; see ``repro/__init__.py``).
-_LAZY = {
-    **dict.fromkeys(("AIB", "BOW", "SERDES", "TABLE1", "InterfaceSpec", "lookup"), "interfaces"),
-    **dict.fromkeys(("HeteroPhyLink", "hetero_phy_link_factory"), "phy"),
-    **dict.fromkeys(("ReorderBuffer", "RobOverflowError", "rob_capacity"), "rob"),
-    **dict.fromkeys(
-        (
-            "ApplicationAwarePolicy",
-            "BalancedPolicy",
-            "DispatchPolicy",
-            "EnergyEfficientPolicy",
-            "PassiveApplicationAwarePolicy",
-            "PerformanceFirstPolicy",
-        ),
-        "scheduling",
+#: Submodule -> the public names it contributes, imported on first access.
+_EXPORTS = {
+    "interfaces": ("AIB", "BOW", "SERDES", "TABLE1", "InterfaceSpec", "lookup"),
+    "phy": ("HeteroPhyLink", "hetero_phy_link_factory"),
+    "rob": ("ReorderBuffer", "RobOverflowError", "rob_capacity"),
+    "scheduling": (
+        "ApplicationAwarePolicy", "BalancedPolicy", "DispatchPolicy", "EnergyEfficientPolicy",
+        "PassiveApplicationAwarePolicy", "PerformanceFirstPolicy",
     ),
-    **dict.fromkeys(
-        ("HeteroVTCurve", "VTCurve", "hetero_curve", "pin_constrained_hetero"), "vt_model"
-    ),
-    "HopCostModel": "weighted_path",
+    "vt_model": ("HeteroVTCurve", "VTCurve", "hetero_curve", "pin_constrained_hetero"),
+    "weighted_path": ("HopCostModel",),
 }
-
-
-def __getattr__(name: str):
-    try:
-        module = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -50,7 +50,7 @@ class HeteroPhyLink(Link):
         spec: ChannelSpec,
         policy: DispatchPolicy,
         *,
-        tx_fifo_depth: int = 16,
+        tx_fifo_depth: int,
         rob_capacity_override: Optional[int] = None,
     ) -> None:
         if spec.kind is not ChannelKind.HETERO_PHY:
@@ -327,7 +327,7 @@ class HeteroPhyLink(Link):
 def hetero_phy_link_factory(
     policy_factory: Callable[[], DispatchPolicy],
     *,
-    tx_fifo_depth: int = 16,
+    tx_fifo_depth: int,
     rob_capacity_override: Optional[int] = None,
 ) -> Callable[[ChannelSpec], Link]:
     """A link factory for :meth:`Network.add_channel`.

@@ -6,62 +6,19 @@ hetero-channel systems, Eq (5) subnetwork selection, the route table
 every static pass reads, and the Lemma-1 escape-channel analyser.
 """
 
-from importlib import import_module
+from repro import _lazy_exports
 
-__all__ = [
-    "CUBE",
-    "FaultTolerantRouting",
-    "UnroutableError",
-    "adaptive_link_indices",
-    "apply_faults",
-    "fail_random_links",
-    "EscapeAnalysis",
-    "FixedSelector",
-    "HeteroChannelRouting",
-    "HopCountSelector",
-    "HypercubeRouting",
-    "MESH",
-    "MeshRouting",
-    "RouteTable",
-    "TorusRouting",
-    "WeightedSelector",
-    "analyse_escape",
-    "make_routing",
-]
-
-#: Public name -> the submodule that defines it, imported on first access
-#: (PEP 562; see ``repro/__init__.py``).
-_LAZY = {
-    **dict.fromkeys(("EscapeAnalysis", "RouteTable", "analyse_escape"), "deadlock"),
-    **dict.fromkeys(
-        (
-            "FaultTolerantRouting",
-            "UnroutableError",
-            "adaptive_link_indices",
-            "apply_faults",
-            "fail_random_links",
-        ),
-        "fault",
+#: Submodule -> the public names it contributes, imported on first access.
+_EXPORTS = {
+    "deadlock": ("EscapeAnalysis", "RouteTable", "analyse_escape"),
+    "fault": (
+        "FaultTolerantRouting", "UnroutableError", "adaptive_link_indices", "apply_faults",
+        "fail_random_links",
     ),
-    **dict.fromkeys(
-        ("HeteroChannelRouting", "HypercubeRouting", "MeshRouting", "TorusRouting", "make_routing"),
-        "functions",
+    "functions": (
+        "HeteroChannelRouting", "HypercubeRouting", "MeshRouting", "TorusRouting",
+        "make_routing",
     ),
-    **dict.fromkeys(
-        ("CUBE", "MESH", "FixedSelector", "HopCountSelector", "WeightedSelector"),
-        "policies",
-    ),
+    "policies": ("CUBE", "MESH", "FixedSelector", "HopCountSelector", "WeightedSelector"),
 }
-
-
-def __getattr__(name: str):
-    try:
-        module = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -5,53 +5,17 @@ can depend on :mod:`repro.sim.config` without loading the engine, the
 network builder or the experiment harness, and without an import cycle.
 """
 
-from importlib import import_module
+from repro import _lazy_exports
 
-__all__ = [
-    "DEFAULT_CONFIG",
-    "DeadlockError",
-    "Engine",
-    "RunResult",
-    "SimConfig",
-    "Stats",
-    "SweepPoint",
-    "Workload",
-    "build_network",
-    "latency_rate_sweep",
-    "run_synthetic",
-    "run_trace",
-    "saturation_rate",
-]
-
-#: Public name -> the submodule that defines it, imported on first access
-#: (PEP 562; see ``repro/__init__.py``).
-_LAZY = {
-    **dict.fromkeys(("DEFAULT_CONFIG", "SimConfig"), "config"),
-    **dict.fromkeys(("DeadlockError", "Stats"), "stats"),
-    **dict.fromkeys(("Engine", "Workload"), "engine"),
-    "build_network": "build",
-    **dict.fromkeys(
-        (
-            "RunResult",
-            "SweepPoint",
-            "latency_rate_sweep",
-            "run_synthetic",
-            "run_trace",
-            "saturation_rate",
-        ),
-        "experiment",
+#: Submodule -> the public names it contributes, imported on first access.
+_EXPORTS = {
+    "config": ("DEFAULT_CONFIG", "SimConfig"),
+    "stats": ("DeadlockError", "Stats"),
+    "engine": ("Engine", "Workload"),
+    "build": ("build_network",),
+    "experiment": (
+        "RunResult", "SweepPoint", "latency_rate_sweep", "run_synthetic", "run_trace",
+        "saturation_rate",
     ),
 }
-
-
-def __getattr__(name: str):
-    try:
-        module = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

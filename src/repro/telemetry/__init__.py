@@ -61,10 +61,10 @@ reference simulator types under ``typing.TYPE_CHECKING``, the bench module
 never imports the simulator, and the dashboard does so inside functions only.
 """
 
-from importlib import import_module
+from repro import _lazy_exports
 
-#: Submodule -> the names it contributes to this namespace.
-_SUBMODULE_EXPORTS = {
+#: Submodule -> the public names it contributes, imported on first access.
+_EXPORTS = {
     "attribution": ("STAGES", "AttributionError", "LatencyLedger", "render_breakdown"),
     "bench": ("BENCH_SCHEMA_VERSION", "EventCounters", "case_metrics", "load_bench"),
     "bus": ("EVENT_NAMES", "NULL_BUS", "TelemetryBus"),
@@ -83,7 +83,8 @@ _SUBMODULE_EXPORTS = {
         "load_bundle", "validate_bundle", "write_bundle",
     ),
     "history": ("MetricSeries", "RunHistory", "SeriesPoint", "load_history"),
-    "hostprof": ("HostprofError", "HostTimeLedger", "render_host_table"),
+    # HOST_PHASES: the package-level name avoids clashing with attribution.STAGES.
+    "hostprof": ("HOST_PHASES=PHASES", "HostprofError", "HostTimeLedger", "render_host_table"),
     "live": (
         "LIVE_SCHEMA_VERSION", "LiveFeed", "LiveFeedError", "feed_status",
         "live_feed_path", "read_feed", "validate_live_event",
@@ -102,29 +103,4 @@ _SUBMODULE_EXPORTS = {
     "session": ("TelemetryConfig", "TelemetrySession"),
     "trace": ("ChromeTraceBuilder",),
 }
-#: Re-export -> (submodule, attribute there), resolved on first access.
-_EXPORTS = {
-    name: (module, name)
-    for module, names in _SUBMODULE_EXPORTS.items()
-    for name in names
-}
-# Package-level alias: avoids clashing with attribution.STAGES.
-_EXPORTS["HOST_PHASES"] = ("hostprof", "PHASES")
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    try:
-        module, attr = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module 'repro.telemetry' has no attribute {name!r}"
-        ) from None
-    value = getattr(import_module(f"{__name__}.{module}"), attr)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

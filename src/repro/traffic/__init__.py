@@ -4,50 +4,16 @@ Every random draw comes from :class:`~repro.traffic.rng.Stream`; traces
 keep their tables in standard-library ``array`` columns.
 """
 
-from importlib import import_module
+from repro import _lazy_exports
 
-__all__ = [
-    "FIGURE_PATTERNS",
-    "PARSEC_PROFILES",
-    "PATTERNS",
-    "RequestReplyWorkload",
-    "Stream",
-    "SyntheticWorkload",
-    "Trace",
-    "TraceRecord",
-    "TraceWorkload",
-    "TrafficPattern",
-    "embed_ranks",
-    "generate_cns_trace",
-    "generate_moc_trace",
-    "generate_parsec_trace",
-    "make_pattern",
-    "packetize",
-]
-
-#: Public name -> the submodule that defines it, imported on first access
-#: (PEP 562; see ``repro/__init__.py``).
-_LAZY = {
-    **dict.fromkeys(
-        ("embed_ranks", "generate_cns_trace", "generate_moc_trace", "packetize"), "hpc"
-    ),
-    "SyntheticWorkload": "injection",
-    **dict.fromkeys(("PARSEC_PROFILES", "generate_parsec_trace"), "parsec"),
-    **dict.fromkeys(("FIGURE_PATTERNS", "PATTERNS", "TrafficPattern", "make_pattern"), "patterns"),
-    "RequestReplyWorkload": "reqreply",
-    "Stream": "rng",
-    **dict.fromkeys(("Trace", "TraceRecord", "TraceWorkload"), "trace"),
+#: Submodule -> the public names it contributes, imported on first access.
+_EXPORTS = {
+    "hpc": ("embed_ranks", "generate_cns_trace", "generate_moc_trace", "packetize"),
+    "injection": ("SyntheticWorkload",),
+    "parsec": ("PARSEC_PROFILES", "generate_parsec_trace"),
+    "patterns": ("FIGURE_PATTERNS", "PATTERNS", "TrafficPattern", "make_pattern"),
+    "reqreply": ("RequestReplyWorkload",),
+    "rng": ("Stream",),
+    "trace": ("Trace", "TraceRecord", "TraceWorkload"),
 }
-
-
-def __getattr__(name: str):
-    try:
-        module = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -193,10 +193,15 @@ def mixed_chain(pipelined=PipelinedLink, hetero=HeteroPhyLink):
     """0 -on-chip-> 1 -hetero-PHY-> 2, every link built by a link factory."""
     stats = Stats()
     network = Network(3, stats)
+    config = SimConfig()
 
     def factory(spec):
         if spec.kind is ChannelKind.HETERO_PHY:
-            return hetero(spec, POLICIES["performance"].dispatch(SimConfig()))
+            return hetero(
+                spec,
+                POLICIES["performance"].dispatch(config),
+                tx_fifo_depth=config.tx_fifo_depth,
+            )
         return pipelined(spec)
 
     network.add_channel(chain_spec(0, 1), factory)

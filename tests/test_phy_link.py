@@ -18,7 +18,9 @@ def hetero_chain(policy="performance", **kwargs):
 
 def test_requires_hetero_spec():
     with pytest.raises(ValueError):
-        HeteroPhyLink(chain_spec(0, 1), PerformanceFirstPolicy())
+        HeteroPhyLink(
+            chain_spec(0, 1), PerformanceFirstPolicy(), tx_fifo_depth=SimConfig().tx_fifo_depth
+        )
 
 
 def test_single_flit_uses_parallel_phy():
