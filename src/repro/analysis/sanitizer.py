@@ -117,28 +117,16 @@ class InvariantChecker:
         # The network's link work list at the end of each cycle since the
         # last sweep, that sweep's own included (first sweep: every link).
         self._work_lists: list[list[Link]] = [network.links]
-        self._attached = False
-        self._install()
-
-    # -- instrumentation -----------------------------------------------------
-    def _install(self) -> None:
-        bus = self.network.telemetry
-        bus.subscribe("packet_inject", self._on_inject)
-        bus.subscribe("flit_send", self._on_flit_send)
-        bus.subscribe("flit_recv", self._on_flit_recv)
-        bus.subscribe("cycle_end", self._on_cycle_end)
-        self._attached = True
+        self._subscription = network.telemetry.attach({
+            "packet_inject": self._on_inject,
+            "flit_send": self._on_flit_send,
+            "flit_recv": self._on_flit_recv,
+            "cycle_end": self._on_cycle_end,
+        })
 
     def detach(self) -> None:
         """Unsubscribe every check; the network reverts to full speed."""
-        if not self._attached:
-            return
-        bus = self.network.telemetry
-        bus.unsubscribe("packet_inject", self._on_inject)
-        bus.unsubscribe("flit_send", self._on_flit_send)
-        bus.unsubscribe("flit_recv", self._on_flit_recv)
-        bus.unsubscribe("cycle_end", self._on_cycle_end)
-        self._attached = False
+        self._subscription.close()
 
     # -- bus callbacks -------------------------------------------------------
     def _on_inject(self, network: Network, packet: Packet) -> None:

@@ -237,9 +237,6 @@ def _cmd_simulate(args) -> int:
         _usage_error(args.command, "--stride and --pstats require --profile")
     meta = _meta_from_args(args)
     breakdown_wanted = args.latency_breakdown or args.breakdown_csv
-    epoch_wanted = bool(
-        args.metrics or args.trace or args.progress or breakdown_wanted or args.live
-    )
     run_id = None
     if args.live:
         # Allocate the registry run id up front so the live feed and
@@ -257,10 +254,10 @@ def _cmd_simulate(args) -> int:
         host_stride=args.stride or 1,
         latency_breakdown=bool(breakdown_wanted),
         breakdown_csv=args.breakdown_csv,
-        # A forensics-only config must not attach the epoch collector:
-        # plain runs stay zero-subscriber so same-seed invocations
-        # keep printing byte-identical output.
-        epoch_metrics=epoch_wanted,
+        # Only --metrics asks for the sampler itself; the session switches
+        # it on for its readers (trace, progress, health, live), so plain
+        # runs stay zero-subscriber.
+        epoch_metrics=bool(args.metrics),
         forensics=not args.no_forensics,
         bundle_dir=args.forensics_dir,
         flight_recorder=args.flight_recorder,

@@ -44,8 +44,7 @@ class RouteTracer:
         self.sample = sample or (lambda packet: True)
         #: pid -> list of (link_index, cycle)
         self.paths: dict[int, list[tuple[int, int]]] = {}
-        self._attached = True
-        network.telemetry.subscribe("link_accept", self._on_link_accept)
+        self._subscription = network.telemetry.attach({"link_accept": self._on_link_accept})
 
     def _on_link_accept(self, link: Link, flit: Flit, vc: int, now: int) -> None:
         if flit.is_head and self.sample(flit.packet):
@@ -53,9 +52,7 @@ class RouteTracer:
 
     def detach(self) -> None:
         """Stop tracing; recorded paths remain queryable."""
-        if self._attached:
-            self.network.telemetry.unsubscribe("link_accept", self._on_link_accept)
-            self._attached = False
+        self._subscription.close()
 
     # -- queries ------------------------------------------------------------
     def path_of(self, packet: Packet) -> list[int]:

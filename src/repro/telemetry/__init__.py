@@ -96,9 +96,8 @@ _EXPORTS = {
         "record_from_result",
     ),
     "sentinel": (
-        "SENTINEL_SCHEMA_VERSION", "MetricReport", "SentinelConfig",
-        "SentinelReport", "analyze_history", "detect_changepoint",
-        "render_sentinel",
+        "SENTINEL_SCHEMA_VERSION", "MetricReport", "SentinelReport",
+        "analyze_history", "detect_changepoint", "render_sentinel",
     ),
     "session": ("TelemetryConfig", "TelemetrySession"),
     "trace": ("ChromeTraceBuilder",),

@@ -145,30 +145,23 @@ class LatencyLedger:
         self._link_acc: dict[int, list[int]] = {}
         # router node -> [attributed queueing cycles, tails]
         self._router_acc: dict[int, list[int]] = {}
-        bus = network.telemetry
-        self._subscriptions = [
-            (name, bus.subscribe(name, handler))
-            for name, handler in (
-                ("packet_inject", self._on_inject),
-                ("route_compute", self._on_route_compute),
-                ("vc_alloc", self._on_vc_alloc),
-                ("credit_stall", self._on_credit_stall),
-                ("flit_send", self._on_flit_send),
-                ("flit_recv", self._on_flit_recv),
-                ("phy_dispatch", self._on_phy_dispatch),
-                ("rob_insert", self._on_rob_insert),
-                ("rob_release", self._on_rob_release),
-                ("packet_eject", self._on_eject),
-            )
-        ]
+        self._subscription = network.telemetry.attach({
+            "packet_inject": self._on_inject,
+            "route_compute": self._on_route_compute,
+            "vc_alloc": self._on_vc_alloc,
+            "credit_stall": self._on_credit_stall,
+            "flit_send": self._on_flit_send,
+            "flit_recv": self._on_flit_recv,
+            "phy_dispatch": self._on_phy_dispatch,
+            "rob_insert": self._on_rob_insert,
+            "rob_release": self._on_rob_release,
+            "packet_eject": self._on_eject,
+        })
 
     # -- lifecycle ----------------------------------------------------------
     def detach(self) -> None:
         """Unsubscribe every handler (idempotent)."""
-        bus = self._network.telemetry
-        for name, handler in self._subscriptions:
-            bus.unsubscribe(name, handler)
-        self._subscriptions = []
+        self._subscription.close()
 
     @property
     def packets(self) -> int:

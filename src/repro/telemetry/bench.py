@@ -62,8 +62,9 @@ class EventCounters:
 
             return on_event
 
-        for name in EVENT_NAMES:
-            network.telemetry.subscribe(name, counter(name))
+        self._subscription = network.telemetry.attach(
+            {name: counter(name) for name in EVENT_NAMES}
+        )
 
 
 def median_iqr(samples: Sequence[float]) -> tuple[float, float]:

@@ -20,7 +20,10 @@ so an uninstrumented run pays one attribute load and one ``is not None``
 test per event site — measured at well under the 5% wall-clock budget
 (see ``docs/observability.md``).  Subscribing rebinds the attribute to the
 callback (or to a fan-out dispatcher when several callbacks are attached);
-unsubscribing the last callback restores ``None``.
+unsubscribing the last callback restores ``None``.  A collector declares
+its callbacks as one ``{event: callback}`` table and hands it to
+:meth:`TelemetryBus.attach`, whose :class:`Subscription` handle undoes
+exactly that table on :meth:`~Subscription.close`.
 
 Event catalogue (arguments each callback receives):
 
@@ -68,7 +71,7 @@ Three properties every collector may rely on (the latency ledger does):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional
 
 #: All event names, in catalogue order.
 EVENT_NAMES: tuple[str, ...] = (
@@ -131,18 +134,20 @@ class TelemetryBus:
             return
         self._rebind(event)
 
-    def active(self, event: str) -> bool:
-        """True when at least one subscriber listens to ``event``."""
-        return bool(self._subscribers_for(event))
+    def attach(self, table: Mapping[str, Callback]) -> "Subscription":
+        """Subscribe every ``{event: callback}`` of ``table``, in its order.
+
+        Every event name is checked before the first subscription, so an
+        unknown one raises and subscribes nothing.
+        """
+        for event in table:
+            self._subscribers_for(event)
+        for event, callback in table.items():
+            self.subscribe(event, callback)
+        return Subscription(self, table)
 
     def subscriber_count(self, event: str) -> int:
         return len(self._subscribers_for(event))
-
-    def clear(self) -> None:
-        """Drop every subscription (all events go back to zero-cost)."""
-        for name in EVENT_NAMES:
-            self._subscribers[name].clear()
-            setattr(self, name, None)
 
     # -- internals ----------------------------------------------------------
     def _subscribers_for(self, event: str) -> list[Callback]:
@@ -170,6 +175,30 @@ class TelemetryBus:
                     target(*args)
 
             setattr(self, event, dispatch)
+
+
+class Subscription:
+    """What one :meth:`TelemetryBus.attach` subscribed, until :meth:`close`."""
+
+    __slots__ = ("_bus", "_table")
+
+    def __init__(self, bus: TelemetryBus, table: Mapping[str, Callback]) -> None:
+        self._bus = bus
+        self._table: Optional[dict[str, Callback]] = dict(table)
+
+    @property
+    def closed(self) -> bool:
+        return self._table is None
+
+    def close(self) -> None:
+        """Unsubscribe the table once and drop its callbacks (idempotent).
+
+        The callbacks are usually bound methods of the collector holding
+        this handle; dropping them leaves no reference cycle behind.
+        """
+        table, self._table = self._table, None
+        for event, callback in (table or {}).items():
+            self._bus.unsubscribe(event, callback)
 
 
 class _InertBus(TelemetryBus):

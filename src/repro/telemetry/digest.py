@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from .bus import EVENT_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.noc.flit import Flit, Packet
+    from repro.noc.flit import Packet
     from repro.noc.network import Network
 
 #: Version of the ``digest`` block schema (run records, pins).  Bump on incompatible changes; loaders reject blocks
@@ -135,26 +135,45 @@ class RunDigest:
         # process-global counter and are NOT stable across runs; injection
         # order is.
         self._pids: dict[int, int] = {}
-        self._attached = False
-        bus = network.telemetry
-        self._handlers = {
-            "packet_inject": self._on_packet_inject,
-            "packet_eject": self._on_packet_eject,
-            "route_compute": self._on_route_compute,
-            "vc_alloc": self._on_vc_alloc,
-            "flit_send": self._on_flit_send,
-            "flit_recv": self._on_flit_recv,
-            "link_accept": self._on_link_accept,
-            "credit_return": self._on_credit_return,
-            "credit_stall": self._on_credit_stall,
-            "phy_dispatch": self._on_phy_dispatch,
-            "rob_insert": self._on_rob,
-            "rob_release": self._on_rob_release,
+        pid, mix = self._pid, self._mix
+        # One row per bus event, mixing exactly the fields that define
+        # simulated behaviour (ids, ports, VCs) and never host-side state.
+        # Argument shapes follow the bus module's event catalogue.
+        self._subscription = network.telemetry.attach({
+            "packet_inject": lambda network, p: mix(
+                "packet_inject", pid(p), p.src, p.dst, p.length, p.create_cycle
+            ),
+            "packet_eject": lambda router, p, now: mix("packet_eject", router.node, pid(p)),
+            "route_compute": lambda router, p, in_port, in_vc, now: mix(
+                "route_compute", router.node, pid(p), in_port, in_vc
+            ),
+            "vc_alloc": lambda router, p, in_port, in_vc, out_port, out_vc, now: mix(
+                "vc_alloc", router.node, pid(p), in_port, in_vc, out_port, out_vc
+            ),
+            "flit_send": lambda router, f, out_port, out_vc, now: mix(
+                "flit_send", router.node, pid(f.packet), f.index, out_port, out_vc
+            ),
+            "flit_recv": lambda router, port, vc, f, now: mix(
+                "flit_recv", router.node, port, vc, pid(f.packet), f.index
+            ),
+            "link_accept": lambda link, f, vc, now: mix(
+                "link_accept", link.index, pid(f.packet), f.index, vc
+            ),
+            "credit_return": lambda link, vc, now: mix("credit_return", link.index, vc),
+            "credit_stall": lambda router, out_port, vc, now: mix(
+                "credit_stall", router.node, out_port, vc
+            ),
+            "phy_dispatch": lambda link, f, vc, phy, now: mix(
+                "phy_dispatch", link.index, pid(f.packet), f.index, vc, ord(phy[0])
+            ),
+            "rob_insert": lambda link, f, vc, now: mix(
+                "rob_insert", link.index, pid(f.packet), f.index, vc
+            ),
+            "rob_release": lambda link, f, vc, now: mix(
+                "rob_release", link.index, pid(f.packet), f.index, vc
+            ),
             "cycle_end": self._on_cycle_end,
-        }
-        for name, handler in self._handlers.items():
-            bus.subscribe(name, handler)
-        self._attached = True
+        })
 
     # -- canonical encoding --------------------------------------------------
     def _pid(self, packet: "Packet") -> int:
@@ -164,141 +183,12 @@ class RunDigest:
             canon = pids[packet.pid] = len(pids)
         return canon
 
-    def _mix(self, tag: int, *values: int) -> None:
-        acc = ((self._acc ^ tag) * _FNV_PRIME) & _MASK
+    def _mix(self, event: str, *values: int) -> None:
+        self.counts[event] += 1
+        acc = ((self._acc ^ _EVENT_TAG[event]) * _FNV_PRIME) & _MASK
         for value in values:
             acc = ((acc ^ (value & _MASK)) * _FNV_PRIME) & _MASK
         self._acc = acc
-
-    # -- event taps ----------------------------------------------------------
-    # One tap per event, mixing exactly the fields that define simulated
-    # behaviour (ids, ports, VCs) and never host-side state.  Argument
-    # shapes follow the bus module's event catalogue.
-
-    def _on_packet_inject(self, network: "Network", packet: "Packet") -> None:
-        self.counts["packet_inject"] += 1
-        self._mix(
-            _EVENT_TAG["packet_inject"],
-            self._pid(packet),
-            packet.src,
-            packet.dst,
-            packet.length,
-            packet.create_cycle,
-        )
-
-    def _on_packet_eject(self, router: Any, packet: "Packet", now: int) -> None:
-        self.counts["packet_eject"] += 1
-        self._mix(_EVENT_TAG["packet_eject"], router.node, self._pid(packet))
-
-    def _on_route_compute(
-        self, router: Any, packet: "Packet", in_port: int, in_vc: int, now: int
-    ) -> None:
-        self.counts["route_compute"] += 1
-        self._mix(
-            _EVENT_TAG["route_compute"],
-            router.node,
-            self._pid(packet),
-            in_port,
-            in_vc,
-        )
-
-    def _on_vc_alloc(
-        self,
-        router: Any,
-        packet: "Packet",
-        in_port: int,
-        in_vc: int,
-        out_port: int,
-        out_vc: int,
-        now: int,
-    ) -> None:
-        self.counts["vc_alloc"] += 1
-        self._mix(
-            _EVENT_TAG["vc_alloc"],
-            router.node,
-            self._pid(packet),
-            in_port,
-            in_vc,
-            out_port,
-            out_vc,
-        )
-
-    def _on_flit_send(
-        self, router: Any, flit: "Flit", out_port: int, out_vc: int, now: int
-    ) -> None:
-        self.counts["flit_send"] += 1
-        self._mix(
-            _EVENT_TAG["flit_send"],
-            router.node,
-            self._pid(flit.packet),
-            flit.index,
-            out_port,
-            out_vc,
-        )
-
-    def _on_flit_recv(
-        self, router: Any, port: int, vc: int, flit: "Flit", now: int
-    ) -> None:
-        self.counts["flit_recv"] += 1
-        self._mix(
-            _EVENT_TAG["flit_recv"],
-            router.node,
-            port,
-            vc,
-            self._pid(flit.packet),
-            flit.index,
-        )
-
-    def _on_link_accept(self, link: Any, flit: "Flit", vc: int, now: int) -> None:
-        self.counts["link_accept"] += 1
-        self._mix(
-            _EVENT_TAG["link_accept"],
-            link.index,
-            self._pid(flit.packet),
-            flit.index,
-            vc,
-        )
-
-    def _on_credit_return(self, link: Any, vc: int, now: int) -> None:
-        self.counts["credit_return"] += 1
-        self._mix(_EVENT_TAG["credit_return"], link.index, vc)
-
-    def _on_credit_stall(self, router: Any, out_port: int, vc: int, now: int) -> None:
-        self.counts["credit_stall"] += 1
-        self._mix(_EVENT_TAG["credit_stall"], router.node, out_port, vc)
-
-    def _on_phy_dispatch(
-        self, link: Any, flit: "Flit", vc: int, phy: str, now: int
-    ) -> None:
-        self.counts["phy_dispatch"] += 1
-        self._mix(
-            _EVENT_TAG["phy_dispatch"],
-            link.index,
-            self._pid(flit.packet),
-            flit.index,
-            vc,
-            ord(phy[0]),
-        )
-
-    def _on_rob(self, link: Any, flit: "Flit", vc: int, now: int) -> None:
-        self.counts["rob_insert"] += 1
-        self._mix(
-            _EVENT_TAG["rob_insert"],
-            link.index,
-            self._pid(flit.packet),
-            flit.index,
-            vc,
-        )
-
-    def _on_rob_release(self, link: Any, flit: "Flit", vc: int, now: int) -> None:
-        self.counts["rob_release"] += 1
-        self._mix(
-            _EVENT_TAG["rob_release"],
-            link.index,
-            self._pid(flit.packet),
-            flit.index,
-            vc,
-        )
 
     def _on_cycle_end(self, network: "Network", now: int) -> None:
         self.counts["cycle_end"] += 1
@@ -331,16 +221,8 @@ class RunDigest:
         )
 
     def detach(self) -> None:
-        """Unsubscribe every tap; the bus reverts to the zero-cost path."""
-        if not self._attached:
-            return
-        bus = self.network.telemetry
-        for name, handler in self._handlers.items():
-            bus.unsubscribe(name, handler)
-        # The bound taps point back at this digest; dropping them leaves it
-        # (and the network it names) to plain reference counting.
-        self._handlers = {}
-        self._attached = False
+        """Unsubscribe every row; the bus reverts to the zero-cost path."""
+        self._subscription.close()
 
     def summary(self) -> dict[str, Any]:
         """The schema-versioned ``digest`` block for records and artifacts."""

@@ -202,9 +202,13 @@ class FlightRecorder:
                 ) from None
         else:
             names = tuple(events)
-            unknown = [n for n in names if n not in EVENT_NAMES]
+            # ``cycle_end`` is the recorder's own clock, never a recorded event.
+            unknown = [n for n in names if n not in RECORDER_PRESETS["full"]]
             if unknown:
-                raise ValueError(f"unknown telemetry event(s): {', '.join(unknown)}")
+                raise ValueError(
+                    f"unknown telemetry event(s): {', '.join(unknown)}; "
+                    f"recordable: {', '.join(RECORDER_PRESETS['full'])}"
+                )
         self.network = network
         self.window = window
         self.max_events = max_events
@@ -214,16 +218,11 @@ class FlightRecorder:
         # One deque per event: the tap appends the raw args tuple and the
         # event name stays implicit, saving a tuple allocation per event.
         self._bufs: dict[str, deque[tuple]] = {name: deque() for name in names}
-        self._callbacks: dict[str, Callable[..., None]] = {}
         self._cycles_until_trim = self.TRIM_STRIDE
-        self._attached = False
-        bus = network.telemetry
-        for name in names:
-            callback = _make_tap(self._bufs[name].append)
-            self._callbacks[name] = callback
-            bus.subscribe(name, callback)
-        bus.subscribe("cycle_end", self._on_cycle_end)
-        self._attached = True
+        self._subscription = network.telemetry.attach({
+            **{name: _make_tap(buf.append) for name, buf in self._bufs.items()},
+            "cycle_end": self._on_cycle_end,
+        })
 
     def _on_cycle_end(self, network: "Network", now: int) -> None:
         # This runs every simulated cycle even when no events fired, so the
@@ -266,13 +265,7 @@ class FlightRecorder:
 
     def detach(self) -> None:
         """Unsubscribe every tap; the bus reverts to the zero-cost path."""
-        if not self._attached:
-            return
-        bus = self.network.telemetry
-        for name, callback in self._callbacks.items():
-            bus.unsubscribe(name, callback)
-        bus.unsubscribe("cycle_end", self._on_cycle_end)
-        self._attached = False
+        self._subscription.close()
 
     def __len__(self) -> int:
         self._trim()

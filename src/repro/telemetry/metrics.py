@@ -126,9 +126,6 @@ class EpochMetrics:
     warmup:
         Epochs starting before this cycle are flagged as warm-up and
         excluded from :meth:`epochs` / :meth:`totals` by default.
-    sample_buffers:
-        Sweep per-VC buffer occupancy at epoch boundaries (disable for
-        very large systems where only link series are wanted).
     readers:
         Callables handed each :class:`EpochSample` as it closes, in order.
     """
@@ -139,7 +136,6 @@ class EpochMetrics:
         *,
         epoch_length: int = 1_000,
         warmup: int = 0,
-        sample_buffers: bool = True,
         readers: Iterable[Callable[[EpochSample], None]] = (),
     ) -> None:
         if epoch_length < 1:
@@ -147,13 +143,11 @@ class EpochMetrics:
         self.network = network
         self.epoch_length = epoch_length
         self.warmup = warmup
-        self.sample_buffers = sample_buffers
         self.readers = list(readers)
         self.samples: list[EpochSample] = []
         self._stall_counts: dict[tuple[int, int, int], int] = {}
         self._epoch_start = 0
         self._next_boundary = epoch_length
-        self._closed = False
         # Counter baselines for differencing at epoch boundaries.
         self._base_link_flits = [link.flits_carried for link in network.links]
         self._base_phy: dict[int, tuple[int, int, int]] = {
@@ -163,9 +157,9 @@ class EpochMetrics:
         self._base_injected = stats.flits_injected
         self._base_delivered = stats.packets_delivered
         self._base_router_flits = stats.router_flits
-        bus = network.telemetry
-        bus.subscribe("cycle_end", self._on_cycle_end)
-        bus.subscribe("credit_stall", self._on_credit_stall)
+        self._subscription = network.telemetry.attach(
+            {"cycle_end": self._on_cycle_end, "credit_stall": self._on_credit_stall}
+        )
 
     # -- bus callbacks -----------------------------------------------------
     def _on_credit_stall(self, router: "Router", out_port: int, vc: int, now: int) -> None:
@@ -180,16 +174,12 @@ class EpochMetrics:
     # -- lifecycle ---------------------------------------------------------
     def finish(self, end_cycle: int) -> None:
         """Close a trailing partial epoch and detach from the bus."""
-        if not self._closed and end_cycle > self._epoch_start:
+        if not self._subscription.closed and end_cycle > self._epoch_start:
             self._close_epoch(end_cycle)
         self.detach()
 
     def detach(self) -> None:
-        if not self._closed:
-            bus = self.network.telemetry
-            bus.unsubscribe("cycle_end", self._on_cycle_end)
-            bus.unsubscribe("credit_stall", self._on_credit_stall)
-            self._closed = True
+        self._subscription.close()
 
     # -- epoch assembly ----------------------------------------------------
     def _phy_counters(self) -> list[tuple[int, tuple[int, int, int]]]:
@@ -230,12 +220,11 @@ class EpochMetrics:
             if occupancy or peak:
                 rob[index] = (occupancy, peak)
         buffer_occupancy: dict[tuple[int, int, int], int] = {}
-        if self.sample_buffers:
-            for router in network.routers:
-                for port in router.inputs:
-                    for vc in port.vcs:
-                        if vc.n:
-                            buffer_occupancy[(router.node, port.index, vc.index)] = vc.n
+        for router in network.routers:
+            for port in router.inputs:
+                for vc in port.vcs:
+                    if vc.n:
+                        buffer_occupancy[(router.node, port.index, vc.index)] = vc.n
         sample = EpochSample(
             index=len(self.samples),
             start=self._epoch_start,
@@ -335,114 +324,50 @@ class EpochMetrics:
         """Write the CSV files + ``metrics.json`` into ``directory``."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        written = [
-            self._write_epochs_csv(directory / "epochs.csv"),
-            self._write_link_csv(directory / "link_util.csv"),
-            self._write_buffers_csv(directory / "buffer_occupancy.csv"),
-            self._write_stalls_csv(directory / "credit_stalls.csv"),
-            self._write_rob_csv(directory / "rob.csv"),
-            self._write_phy_csv(directory / "phy_split.csv"),
+        specs = self.network.specs
+        samples = self.samples
+        tables: list[tuple[str, list[str], Iterable[list[Any]]]] = [
+            ("epochs.csv", [
+                "epoch", "start", "end", "warmup", "flits_injected",
+                "packets_delivered", "router_flits", "buffered", "in_flight",
+            ], (
+                [s.index, s.start, s.end, int(s.warmup), s.flits_injected,
+                 s.packets_delivered, s.router_flits, s.buffered, s.in_flight]
+                for s in samples
+            )),
+            ("link_util.csv", ["epoch", "link", "src", "dst", "kind", "flits", "util"], (
+                [s.index, i, specs[i].src, specs[i].dst, specs[i].kind.value,
+                 s.link_flits[i], f"{self.link_utilization(s, i):.6f}"]
+                for s in samples for i in sorted(s.link_flits)
+            )),
+            ("buffer_occupancy.csv", ["epoch", "node", "port", "vc", "flits"], (
+                [s.index, *key, s.buffer_occupancy[key]]
+                for s in samples for key in sorted(s.buffer_occupancy)
+            )),
+            ("credit_stalls.csv", ["epoch", "node", "out_port", "vc", "stall_cycles"], (
+                [s.index, *key, s.credit_stalls[key]]
+                for s in samples for key in sorted(s.credit_stalls)
+            )),
+            ("rob.csv", ["epoch", "link", "occupancy", "peak"], (
+                [s.index, i, *s.rob[i]] for s in samples for i in sorted(s.rob)
+            )),
+            ("phy_split.csv", ["epoch", "link", "parallel", "serial", "bypassed"], (
+                [s.index, i, *s.phy_split[i]] for s in samples for i in sorted(s.phy_split)
+            )),
         ]
+        written = []
+        for name, header, rows in tables:
+            path = directory / name
+            with path.open("w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(header)
+                writer.writerows(rows)
+            written.append(path)
         json_path = directory / "metrics.json"
         with json_path.open("w", encoding="utf-8") as handle:
             json.dump(self.to_json(), handle, indent=1)
         written.append(json_path)
         return written
-
-    def _write_epochs_csv(self, path: Path) -> Path:
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                [
-                    "epoch",
-                    "start",
-                    "end",
-                    "warmup",
-                    "flits_injected",
-                    "packets_delivered",
-                    "router_flits",
-                    "buffered",
-                    "in_flight",
-                ]
-            )
-            for sample in self.samples:
-                writer.writerow(
-                    [
-                        sample.index,
-                        sample.start,
-                        sample.end,
-                        int(sample.warmup),
-                        sample.flits_injected,
-                        sample.packets_delivered,
-                        sample.router_flits,
-                        sample.buffered,
-                        sample.in_flight,
-                    ]
-                )
-        return path
-
-    def _write_link_csv(self, path: Path) -> Path:
-        specs = self.network.specs
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["epoch", "link", "src", "dst", "kind", "flits", "util"])
-            for sample in self.samples:
-                for index in sorted(sample.link_flits):
-                    spec = specs[index]
-                    writer.writerow(
-                        [
-                            sample.index,
-                            index,
-                            spec.src,
-                            spec.dst,
-                            spec.kind.value,
-                            sample.link_flits[index],
-                            f"{self.link_utilization(sample, index):.6f}",
-                        ]
-                    )
-        return path
-
-    def _write_buffers_csv(self, path: Path) -> Path:
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["epoch", "node", "port", "vc", "flits"])
-            for sample in self.samples:
-                for (node, port, vc) in sorted(sample.buffer_occupancy):
-                    writer.writerow(
-                        [sample.index, node, port, vc, sample.buffer_occupancy[(node, port, vc)]]
-                    )
-        return path
-
-    def _write_stalls_csv(self, path: Path) -> Path:
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["epoch", "node", "out_port", "vc", "stall_cycles"])
-            for sample in self.samples:
-                for (node, port, vc) in sorted(sample.credit_stalls):
-                    writer.writerow(
-                        [sample.index, node, port, vc, sample.credit_stalls[(node, port, vc)]]
-                    )
-        return path
-
-    def _write_rob_csv(self, path: Path) -> Path:
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["epoch", "link", "occupancy", "peak"])
-            for sample in self.samples:
-                for index in sorted(sample.rob):
-                    occupancy, peak = sample.rob[index]
-                    writer.writerow([sample.index, index, occupancy, peak])
-        return path
-
-    def _write_phy_csv(self, path: Path) -> Path:
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["epoch", "link", "parallel", "serial", "bypassed"])
-            for sample in self.samples:
-                for index in sorted(sample.phy_split):
-                    parallel, serial, bypassed = sample.phy_split[index]
-                    writer.writerow([sample.index, index, parallel, serial, bypassed])
-        return path
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ An *exact* series (seed-determined counts, fingerprints, digest chains)
 needs no statistics: the first run that differs from the previous run of
 the same seed and ``smoke`` flag is the regression.
 
-A series with fewer than ``min_history`` finite points has no window to
+A series with fewer than :data:`MIN_HISTORY` finite points has no window to
 test: its latest run is judged against the one before it by
 :func:`~repro.telemetry.compare.classify` (``noise`` / ``regressed`` /
 ``improved``; ``n/a`` on an exact row when seed or ``smoke`` differ), so
@@ -41,7 +41,7 @@ Pure stdlib, no simulator imports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import median
 from typing import Any, Iterable, Optional, Sequence
 
@@ -65,24 +65,15 @@ SENTINEL_SCHEMA_VERSION = 1
 MIN_CULPRIT_SHARE_SHIFT = 0.005
 
 
-@dataclass(frozen=True)
-class SentinelConfig:
-    """Detector knobs (``repro regress`` runs the defaults)."""
-
-    window: int = 8  #: sliding-window width on each side of a split
-    min_history: int = 6  #: finite points below which only the newest pair is judged
-    min_segment: int = 3  #: smallest usable window at the series edges
-    rel_floor: float = DEFAULT_REL_FLOOR  #: relative noise floor on the median shift
-    iqr_k: float = DEFAULT_IQR_K  #: IQR multiplier of the noise band
-    min_effect: float = 0.85  #: rank-effect threshold (1.0 = clean step)
-
-    def __post_init__(self) -> None:
-        if self.window < self.min_segment:
-            raise ValueError("window must be >= min_segment")
-        if self.min_segment < 2:
-            raise ValueError("min_segment must be >= 2")
-        if not 0.0 < self.min_effect <= 1.0:
-            raise ValueError("min_effect must be in (0, 1]")
+# The detector's constants (``repro regress`` has no flag for them).
+#: Sliding-window width on each side of a split.
+WINDOW = 8
+#: Finite points below which only the newest pair is judged.
+MIN_HISTORY = 6
+#: Smallest usable window at the series edges.
+MIN_SEGMENT = 3
+#: Rank-effect threshold (1.0 = clean step).
+MIN_EFFECT = 0.85
 
 
 @dataclass(frozen=True)
@@ -180,12 +171,12 @@ def _rank_effect(pre: Sequence[float], post: Sequence[float]) -> float:
     return abs(2.0 * u - 1.0)
 
 
-def _noise_band(pre: Sequence[float], config: SentinelConfig) -> float:
-    return noise_band(*median_iqr(pre), config.rel_floor, config.iqr_k)
+def _noise_band(pre: Sequence[float], rel_floor: float) -> float:
+    return noise_band(*median_iqr(pre), rel_floor, DEFAULT_IQR_K)
 
 
 def detect_changepoint(
-    values: Sequence[float], config: SentinelConfig = SentinelConfig()
+    values: Sequence[float], rel_floor: float = DEFAULT_REL_FLOOR
 ) -> Optional[Changepoint]:
     """The strongest step in ``values`` that clears both gates, if any.
 
@@ -196,14 +187,14 @@ def detect_changepoint(
     finite = [(i, v) for i, v in enumerate(values) if math.isfinite(v)]
     n = len(finite)
     best: Optional[Changepoint] = None
-    for split in range(config.min_segment, n - config.min_segment + 1):
-        pre = [v for _, v in finite[max(0, split - config.window): split]]
-        post = [v for _, v in finite[split: split + config.window]]
+    for split in range(MIN_SEGMENT, n - MIN_SEGMENT + 1):
+        pre = [v for _, v in finite[max(0, split - WINDOW): split]]
+        post = [v for _, v in finite[split: split + WINDOW]]
         effect = _rank_effect(pre, post)
-        if effect < config.min_effect:
+        if effect < MIN_EFFECT:
             continue
         shift = median(post) - median(pre)
-        if abs(shift) <= _noise_band(pre, config):
+        if abs(shift) <= _noise_band(pre, rel_floor):
             continue
         candidate = Changepoint(
             index=finite[split][0],
@@ -222,7 +213,7 @@ def detect_changepoint(
 # ---------------------------------------------------------------------------
 
 
-def _analyze_series(series: MetricSeries, config: SentinelConfig) -> MetricReport:
+def _analyze_series(series: MetricSeries) -> MetricReport:
     report = MetricReport(
         case=series.case,
         metric=series.metric,
@@ -237,19 +228,18 @@ def _analyze_series(series: MetricSeries, config: SentinelConfig) -> MetricRepor
         return report
     report.latest = finite[-1]
     report.baseline = median(finite)
-    if series.rel_floor is not None:
-        config = replace(config, rel_floor=series.rel_floor)
+    rel_floor = DEFAULT_REL_FLOOR if series.rel_floor is None else series.rel_floor
     if series.exact and _analyze_exact(series, report).verdict == "regressed":
         return report
-    if len(finite) < config.min_history and len(values) > 1:
-        return _judge_last_pair(series, report, config)
+    if len(finite) < MIN_HISTORY and len(values) > 1:
+        return _judge_last_pair(series, report, rel_floor)
     if series.exact:
         return report
-    if len(finite) < config.min_history:
+    if len(finite) < MIN_HISTORY:
         report.verdict = "insufficient-history"
         return report
 
-    changepoint = detect_changepoint(values, config)
+    changepoint = detect_changepoint(values, rel_floor)
     if changepoint is None:
         report.verdict = "ok"
         return report
@@ -259,10 +249,10 @@ def _analyze_series(series: MetricSeries, config: SentinelConfig) -> MetricRepor
 
     # Verdict from the *trailing* window, so a since-fixed step reads ok.
     pre = [v for v in values[: changepoint.index] if math.isfinite(v)]
-    pre_window = pre[-config.window:]
-    trailing = finite[-config.window:]
+    pre_window = pre[-WINDOW:]
+    trailing = finite[-WINDOW:]
     drift = median(trailing) - median(pre_window)
-    if abs(drift) <= _noise_band(pre_window, config):
+    if abs(drift) <= _noise_band(pre_window, rel_floor):
         report.verdict = "ok"
     elif (drift < 0) == series.higher_is_better:
         report.verdict = "regressed"
@@ -292,14 +282,14 @@ def _analyze_exact(series: MetricSeries, report: MetricReport) -> MetricReport:
 
 
 def _judge_last_pair(
-    series: MetricSeries, report: MetricReport, config: SentinelConfig
+    series: MetricSeries, report: MetricReport, rel_floor: float
 ) -> MetricReport:
     """The latest run against the one before it: the rule for two runs."""
     before, after = series.points[-2:]
     verdict = classify(
         series.case, series.metric, before.value, after.value,
         higher_is_better=series.higher_is_better, iqr=max(before.iqr, after.iqr),
-        rel_floor=config.rel_floor, k=config.iqr_k, exact=series.exact,
+        rel_floor=rel_floor, exact=series.exact,
     ).verdict
     report.verdict = "n/a" if series.exact and before.inputs != after.inputs else verdict
     report.baseline, report.latest = before.value, after.value
@@ -332,10 +322,7 @@ def _culprit_hint(history: RunHistory, case: str, changepoint: Changepoint) -> s
 
 
 def analyze_history(
-    history: RunHistory,
-    config: SentinelConfig = SentinelConfig(),
-    *,
-    metric_prefixes: Iterable[str] = (),
+    history: RunHistory, *, metric_prefixes: Iterable[str] = ()
 ) -> SentinelReport:
     """Verdicts for every primary series (optionally prefix-filtered)."""
     prefixes = tuple(metric_prefixes)
@@ -343,7 +330,7 @@ def analyze_history(
     for series in history.ordered():
         if prefixes and not any(series.metric.startswith(p) for p in prefixes):
             continue
-        metric_report = _analyze_series(series, config)
+        metric_report = _analyze_series(series)
         if (
             metric_report.verdict == "regressed"
             and series.metric == THROUGHPUT
@@ -414,7 +401,6 @@ __all__ = [
     "Changepoint",
     "MetricReport",
     "SENTINEL_SCHEMA_VERSION",
-    "SentinelConfig",
     "SentinelReport",
     "analyze_history",
     "detect_changepoint",

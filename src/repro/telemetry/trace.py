@@ -82,15 +82,15 @@ class ChromeTraceBuilder:
             for index, link in enumerate(network.links)
             if getattr(link, "rob", None) is not None
         ]
-        self._closed = False
-        bus = network.telemetry
-        bus.subscribe("packet_inject", self._on_inject)
-        bus.subscribe("link_accept", self._on_link_accept)
-        bus.subscribe("flit_recv", self._on_flit_recv)
-        bus.subscribe("packet_eject", self._on_eject)
-        bus.subscribe("phy_dispatch", self._on_phy_dispatch)
-        bus.subscribe("rob_insert", self._on_rob_insert)
-        bus.subscribe("rob_release", self._on_rob_release)
+        self._subscription = network.telemetry.attach({
+            "packet_inject": self._on_inject,
+            "link_accept": self._on_link_accept,
+            "flit_recv": self._on_flit_recv,
+            "packet_eject": self._on_eject,
+            "phy_dispatch": self._on_phy_dispatch,
+            "rob_insert": self._on_rob_insert,
+            "rob_release": self._on_rob_release,
+        })
 
     # -- sampling ----------------------------------------------------------
     def _admit(self, packet: "Packet") -> bool:
@@ -192,7 +192,7 @@ class ChromeTraceBuilder:
     # -- epoch reader ------------------------------------------------------
     def on_epoch(self, sample: "EpochSample") -> None:
         """Write the counter tracks from one closed epoch, at its end."""
-        if self._closed:
+        if self._subscription.closed:
             return
         end = sample.end
         self.events.append(
@@ -208,17 +208,7 @@ class ChromeTraceBuilder:
     # -- output ------------------------------------------------------------
     def detach(self) -> None:
         """Unsubscribe from the bus (recording stops, events are kept)."""
-        if self._closed:
-            return
-        bus = self.network.telemetry
-        bus.unsubscribe("packet_inject", self._on_inject)
-        bus.unsubscribe("link_accept", self._on_link_accept)
-        bus.unsubscribe("flit_recv", self._on_flit_recv)
-        bus.unsubscribe("packet_eject", self._on_eject)
-        bus.unsubscribe("phy_dispatch", self._on_phy_dispatch)
-        bus.unsubscribe("rob_insert", self._on_rob_insert)
-        bus.unsubscribe("rob_release", self._on_rob_release)
-        self._closed = True
+        self._subscription.close()
 
     def to_dict(self) -> dict:
         """The trace document (Chrome trace-event JSON object form)."""

@@ -655,7 +655,7 @@ def test_regress_cli_metric_filter_and_bad_window(tmp_path, capsys):
     ]) == 0  # the step hits throughput, not memory
     out = capsys.readouterr().out
     assert "flit_hops_per_s" not in out
-    # The detector's knobs are SentinelConfig's defaults, not flags.
+    # The detector's window and thresholds are module constants, not flags.
     with pytest.raises(SystemExit) as excinfo:
         main(["regress", "--bench-dir", str(bench_dir), "--window", "1"])
     assert excinfo.value.code == 2

@@ -1,6 +1,7 @@
 """Tests for deterministic run digests (``repro.telemetry.digest``)."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.sim.experiment import run_synthetic
 from repro.telemetry import (
     DIGEST_ALGO,
     DIGEST_SCHEMA_VERSION,
+    EVENT_NAMES,
     DigestError,
     RunDigest,
     TelemetryConfig,
@@ -85,6 +87,20 @@ def test_detach_stops_the_taps():
     run_cycles(network, 20, start=20)
     assert digest.final == final
     assert digest.events_total == total
+
+
+def test_one_row_per_event_and_the_pins_exercise_every_row():
+    network, _stats = build_chain(2)
+    digest = RunDigest(network)
+    bus = network.telemetry
+    assert [bus.subscriber_count(name) for name in EVENT_NAMES] == [1] * len(EVENT_NAMES)
+    digest.detach()
+    # `repro golden check` re-observes every pin: together they reach every row.
+    census = Counter()
+    for pin in pins.load().values():
+        census.update(pin["digest"]["events"])
+        assert pin["digest"]["cycles"] > 0  # the cycle_end row
+    assert all(census[name] > 0 for name in EVENT_NAMES if name != "cycle_end")
 
 
 def test_raw_pids_are_canonicalized_across_runs():

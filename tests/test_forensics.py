@@ -297,6 +297,8 @@ def test_recorder_rejects_bad_configuration():
         FlightRecorder(network, events="verbose")
     with pytest.raises(ValueError, match="unknown telemetry event"):
         FlightRecorder(network, events=("no_such_event",))
+    with pytest.raises(ValueError, match="unknown telemetry event"):
+        FlightRecorder(network, events=("packet_eject", "cycle_end"))
     with pytest.raises(ValueError):
         FlightRecorder(network, window=0)
     with pytest.raises(ValueError):

@@ -20,16 +20,25 @@ import pytest
 
 import repro.analysis.reachability as reachability
 import repro.sim.experiment as experiment
-from repro.analysis import prove_family
+from repro.analysis import InvariantChecker, prove_family
 from repro.noc.flit import Flit, Packet
 from repro.noc.router import Router
+from repro.noc.tracing import RouteTracer
 from repro.routing.deadlock import RouteTable
 from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.experiment import latency_rate_sweep, run_synthetic, run_trace
 from repro.sim.stats import DrainTimeoutError, Stats
-from repro.telemetry import EpochMetrics, LatencyLedger, TelemetryConfig, resimulate
+from repro.telemetry import (
+    ChromeTraceBuilder,
+    EpochMetrics,
+    FlightRecorder,
+    LatencyLedger,
+    RunDigest,
+    TelemetryConfig,
+    resimulate,
+)
 from repro.telemetry.bus import EVENT_NAMES
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import build_system
@@ -220,6 +229,33 @@ def test_fault_mask_replay_leaves_no_cyclic_garbage(no_collector):
     assert gc.collect() == 0
     # The whole-family prover owns the network it builds as well.
     assert prove_family("hetero_channel", fault_masks=False).certified
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize(
+    "collector",
+    [
+        ChromeTraceBuilder, EpochMetrics, LatencyLedger, FlightRecorder, RunDigest,
+        InvariantChecker, RouteTracer,
+    ],
+    ids=lambda cls: cls.__name__,
+)
+def test_a_detached_collector_leaves_no_subscriber_and_no_cyclic_garbage(
+    collector, no_collector
+):
+    network, engine = uniform_engine(
+        "hetero_phy_torus", GRID, cycles=200, rate=0.2, seed=1
+    )
+    probe = collector(network)
+    assert any(network.telemetry.subscriber_count(e) for e in EVENT_NAMES)
+    engine.run(200)
+    probe.detach()
+    probe.detach()  # the second detach unsubscribes nothing
+    assert not any(network.telemetry.subscriber_count(e) for e in EVENT_NAMES)
+    network.close()
+    freed = weakref.ref(probe)
+    del probe, engine, network
+    assert freed() is None
     assert gc.collect() == 0
 
 

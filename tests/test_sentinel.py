@@ -8,7 +8,6 @@ import pytest
 from repro.telemetry.history import MetricSeries, SeriesPoint, load_history
 from repro.telemetry.sentinel import (
     SENTINEL_SCHEMA_VERSION,
-    SentinelConfig,
     analyze_history,
     detect_changepoint,
     render_sentinel,
@@ -51,46 +50,37 @@ def test_detector_rank_gate_resists_single_outliers():
 
 
 def test_detector_skips_nan_but_reports_original_index():
-    values = [100.0, float("nan"), 100.0, 100.0, float("nan"), 100.0,
-              80.0, 80.0, 80.0, float("nan"), 80.0, 80.0, 80.0]
-    cp = detect_changepoint(values, SentinelConfig(window=4, min_segment=2))
+    nan = float("nan")
+    values = [100.0, nan, 100.0, 100.0, nan, 100.0, 100.0, 100.0, nan, 100.0,
+              80.0, 80.0, 80.0, nan, 80.0, 80.0, 80.0, 80.0, nan, 80.0]
+    cp = detect_changepoint(values)
     assert cp is not None
     assert values[cp.index] == 80.0
-    assert cp.index == 6  # original-series coordinates, not finite-subsequence
+    assert cp.index == 10  # original-series coordinates, not finite-subsequence
 
 
 def test_detector_needs_min_segment_on_both_sides():
-    assert detect_changepoint([100.0, 80.0], SentinelConfig()) is None
-
-
-def test_config_validation():
-    with pytest.raises(ValueError, match="window must be >= min_segment"):
-        SentinelConfig(window=2, min_segment=3)
-    with pytest.raises(ValueError, match="min_segment must be >= 2"):
-        SentinelConfig(min_segment=1)
-    with pytest.raises(ValueError, match="min_effect"):
-        SentinelConfig(min_effect=0.0)
+    assert detect_changepoint([100.0, 80.0]) is None
 
 
 def test_sentinel_band_is_compares_threshold():
     """One band: the sentinel's window threshold is `noise_band` over the
     files' own median/IQR rule, i.e. what `classify` would use."""
     from repro.telemetry.bench import median_iqr
-    from repro.telemetry.compare import classify, noise_band
+    from repro.telemetry.compare import DEFAULT_IQR_K, DEFAULT_REL_FLOOR, classify, noise_band
     from repro.telemetry.sentinel import _noise_band
 
     samples = [100.0, 104.0, 97.0, 131.0, 99.0, 102.0, 95.0]
-    config = SentinelConfig()
     baseline, iqr = median_iqr(samples)
     assert iqr == pytest.approx(5.0)  # inclusive quartiles: 98.0 .. 103.0
-    band = _noise_band(samples, config)
-    assert band == noise_band(baseline, iqr, config.rel_floor, config.iqr_k)
+    band = _noise_band(samples, DEFAULT_REL_FLOOR)
+    assert band == noise_band(baseline, iqr, DEFAULT_REL_FLOOR, DEFAULT_IQR_K)
     assert band == pytest.approx(1.5 * 5.0)
     verdict = classify("c", "m", baseline, baseline + band, higher_is_better=True,
                        iqr=iqr)
     assert verdict.threshold == band and verdict.verdict == "noise"
     # A tight window falls back to the relative floor, again like compare.
-    assert _noise_band([100.0, 100.0, 100.0], config) == pytest.approx(5.0)
+    assert _noise_band([100.0, 100.0, 100.0], DEFAULT_REL_FLOOR) == pytest.approx(5.0)
 
 
 # -- verdicts ----------------------------------------------------------------

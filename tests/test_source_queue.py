@@ -37,7 +37,7 @@ def test_observers_count_backlog_packets_as_queued_flits():
         "parallel_mesh", ChipletGrid(2, 2, 4, 4), cycles=400, rate=0.8, seed=2
     )
     checker = InvariantChecker(network)  # flit conservation, every cycle
-    metrics = EpochMetrics(network, epoch_length=50, sample_buffers=True)
+    metrics = EpochMetrics(network, epoch_length=50)
     scans = []
 
     def work_lists_agree_with_full_scans(net, now):

@@ -29,7 +29,7 @@ def test_fresh_bus_is_zero_cost():
     bus = TelemetryBus()
     for name in EVENT_NAMES:
         assert getattr(bus, name) is None
-        assert not bus.active(name)
+        assert bus.subscriber_count(name) == 0
 
 
 def test_single_subscriber_binds_directly():
@@ -61,6 +61,10 @@ def test_unknown_event_rejected():
     bus = TelemetryBus()
     with pytest.raises(ValueError, match="unknown telemetry event"):
         bus.subscribe("no_such_event", lambda: None)
+    # A table naming one unknown event subscribes none of its rows.
+    with pytest.raises(ValueError, match="unknown telemetry event"):
+        bus.attach({"cycle_end": lambda *a: None, "no_such_event": lambda: None})
+    assert bus.subscriber_count("cycle_end") == 0
 
 
 def test_unsubscribe_absent_callback_is_noop():
@@ -69,18 +73,29 @@ def test_unsubscribe_absent_callback_is_noop():
     assert bus.cycle_end is None
 
 
-def test_clear_drops_everything():
+def test_closing_a_handle_drops_exactly_its_table():
     bus = TelemetryBus()
-    bus.subscribe("cycle_end", lambda *a: None)
-    bus.subscribe("flit_send", lambda *a: None)
-    bus.clear()
-    for name in EVENT_NAMES:
-        assert getattr(bus, name) is None
+    calls = []
+    other = bus.subscribe("cycle_end", lambda *a: calls.append("other"))
+    handle = bus.attach({
+        "cycle_end": lambda *a: calls.append("table"),
+        "flit_send": lambda *a: None,
+    })
+    assert not handle.closed
+    bus.cycle_end(None, 0)
+    assert calls == ["other", "table"]  # a table subscribes after what came before
+    handle.close()
+    handle.close()  # once only: the second close unsubscribes nothing
+    assert handle.closed
+    assert bus.cycle_end is other and bus.flit_send is None
+    assert [bus.subscriber_count(name) for name in EVENT_NAMES].count(0) == len(EVENT_NAMES) - 1
 
 
 def test_inert_bus_rejects_subscription():
     with pytest.raises(RuntimeError, match="inert"):
         NULL_BUS.subscribe("cycle_end", lambda *a: None)
+    with pytest.raises(RuntimeError, match="inert"):
+        NULL_BUS.attach({"cycle_end": lambda *a: None})
 
 
 # -- event emission on real networks ----------------------------------------
