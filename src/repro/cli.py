@@ -8,7 +8,7 @@ Run paper experiments and ad-hoc simulations from the shell::
     repro simulate --family hetero_phy_torus --chiplets 4x4 --nodes 4x4 \
                    --pattern uniform --rate 0.1 --seed 7
     repro simulate --metrics out/ --trace run.json --epoch 500
-    repro simulate --health --live --progress --epoch 500   # one sampling period
+    repro simulate --health --progress --epoch 500   # one sampling period
     repro prove --all --json prove.json   # static verification + certification, both modes
     repro prove --all --mode vct --no-fault-masks --no-record   # the quick path
     repro prove --family serial_torus --mode wormhole --max-states 8000
@@ -22,9 +22,8 @@ Run paper experiments and ad-hoc simulations from the shell::
     repro diff pin:fig11_hetero_phy "sim:family=hetero_phy_torus,nodes=4x4,rate=0.15"
     repro diff "sim:family=hetero_phy_torus,chiplets=2x2,nodes=4x4,rate=0.15" \
                "sim:family=hetero_phy_torus,chiplets=2x2,nodes=4x4,rate=0.15,perturb=900"
-    repro simulate --live              # stream a live feed while running
-    repro watch --port 8631            # live fleet dashboard over runs/
-    repro watch --once --out page.html # the same page, static
+    repro watch                        # the fleet snapshot of runs/ as JSON
+    repro watch --out page.html        # the fleet page, static
     repro postmortem forensics/BUNDLE_deadlock_557.json --html report.html
 
 Output is the plain-text table of the experiment (add ``--csv`` for CSV).
@@ -99,14 +98,6 @@ def _nonnegative_float(text: str) -> float:
     value = float(text)
     if not 0 <= value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type of an interval in seconds: a finite number > 0."""
-    value = float(text)
-    if not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
 
 
@@ -237,13 +228,6 @@ def _cmd_simulate(args) -> int:
         _usage_error(args.command, "--stride and --pstats require --profile")
     meta = _meta_from_args(args)
     breakdown_wanted = args.latency_breakdown or args.breakdown_csv
-    run_id = None
-    if args.live:
-        # Allocate the registry run id up front so the live feed and
-        # the run record join on one id in the fleet view.
-        from repro.telemetry.runstore import new_run_id
-
-        run_id = new_run_id()
     telemetry = TelemetryConfig(
         metrics_dir=args.metrics,
         trace_path=args.trace,
@@ -255,7 +239,7 @@ def _cmd_simulate(args) -> int:
         latency_breakdown=bool(breakdown_wanted),
         breakdown_csv=args.breakdown_csv,
         # Only --metrics asks for the sampler itself; the session switches
-        # it on for its readers (trace, progress, health, live), so plain
+        # it on for its readers (trace, progress, health), so plain
         # runs stay zero-subscriber.
         epoch_metrics=bool(args.metrics),
         forensics=not args.no_forensics,
@@ -265,9 +249,6 @@ def _cmd_simulate(args) -> int:
         recorder_events=args.recorder_events,
         health=args.health,
         health_stream=sys.stderr if args.health else None,
-        live=args.live,
-        live_dir=Path(args.runs_dir) / "live",
-        run_id=run_id,
         digest=args.digest,
     )
     try:
@@ -304,8 +285,6 @@ def _cmd_simulate(args) -> int:
         artifacts["trace"] = str(args.trace)
     if args.breakdown_csv:
         artifacts["breakdown_csv"] = str(args.breakdown_csv)
-    if result.telemetry is not None and result.telemetry.live is not None:
-        artifacts["live"] = str(result.telemetry.live.path)
     if args.profile:
         try:
             _profile(args, meta, result)
@@ -320,7 +299,7 @@ def _cmd_simulate(args) -> int:
         from repro.telemetry.runstore import RunStore, record_from_result
 
         record = record_from_result(
-            result, kind="simulate", label=args.family, artifacts=artifacts, run_id=run_id
+            result, kind="simulate", label=args.family, artifacts=artifacts
         )
         record_path = RunStore(args.runs_dir).append(record)
         artifacts["record"] = f"{record_path}#{record.run_id}"
@@ -484,20 +463,10 @@ def _cmd_golden(args) -> int:
 
 
 def _cmd_watch(args) -> int:
-    from repro.telemetry.server import WatchService, serve
+    from repro.telemetry.dashboard import Snapshot, render_fleet
 
-    if args.out and not args.once:
-        _usage_error(args.command, "--out requires --once")
-    service = WatchService(
-        args.runs_dir, poll_seconds=args.poll, top_runs=args.top, results_dir=args.results_dir
-    )
-    if not args.once:
-        serve(service, host=args.host, port=args.port)
-        return 0
-    snap = service.snapshot()
+    snap = Snapshot(args.runs_dir, top_runs=args.top, results_dir=args.results_dir)
     if args.out:
-        from repro.telemetry.dashboard import render_fleet
-
         _write_page(args.out, render_fleet(snap))
     else:
         print(json.dumps(snap.to_dict(), indent=1, sort_keys=True))
@@ -696,8 +665,8 @@ def main(argv: list[str] | None = None) -> int:
         type=_positive_int,
         default=1_000,
         help="the one sampling period in cycles: --metrics time series, "
-        "--trace counter tracks, --health checks, --live epoch events and "
-        "the --progress line (default: 1000)",
+        "--trace counter tracks, --health checks and the --progress line "
+        "(default: 1000)",
     )
     sim_p.add_argument(
         "--progress",
@@ -755,13 +724,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="check throughput / stall rate / occupancy / oldest-packet "
         "age at each --epoch boundary and flag anomalies live on stderr",
-    )
-    sim_p.add_argument(
-        "--live",
-        action="store_true",
-        help="stream run lifecycle / epoch / anomaly events to "
-        "<runs-dir>/live/<run_id>.jsonl while the run is in flight — "
-        "watch it with `repro watch`",
     )
     sim_p.add_argument(
         "--digest",
@@ -903,31 +865,14 @@ def main(argv: list[str] | None = None) -> int:
 
     watch_p = sub.add_parser(
         "watch",
-        help="serve the fleet dashboard (in-flight --live runs, failures, "
-        "paper figures, bench trajectory, run registry); --once --out "
-        "writes it as a static page",
-    )
-    watch_p.add_argument(
-        "--port",
-        type=int,
-        default=8631,
-        help="listen port (default: 8631; 0 picks a free port)",
-    )
-    watch_p.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
+        help="print the fleet snapshot (run registry) as JSON; --out writes "
+        "the fleet page (paper figures, bench trajectory, run registry) as "
+        "one static file",
     )
     watch_p.add_argument(
         "--runs-dir",
         default="runs",
         help="run-registry directory to observe (default: runs/)",
-    )
-    watch_p.add_argument(
-        "--poll",
-        type=_positive_float,
-        default=1.0,
-        metavar="SECONDS",
-        help="change-detection interval for the auto-updating pages "
-        "(default: 1.0)",
     )
     watch_p.add_argument(
         "--top",
@@ -942,16 +887,10 @@ def main(argv: list[str] | None = None) -> int:
         "fig11_<scale>.csv (default: benchmarks/results)",
     )
     watch_p.add_argument(
-        "--once",
-        action="store_true",
-        help="print the fleet state as JSON and exit instead of serving "
-        "(scriptable snapshot; also the CI smoke hook)",
-    )
-    watch_p.add_argument(
         "--out",
         metavar="FILE",
-        help="with --once: write the fleet page as one static, script-free "
-        "HTML file instead of printing JSON",
+        help="write the fleet page as one static, script-free HTML file "
+        "instead of printing JSON",
     )
     watch_p.set_defaults(func=_cmd_watch)
 

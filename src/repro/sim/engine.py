@@ -59,8 +59,8 @@ class Engine:
         self.hostprof = None
         #: Optional telemetry session.  When set, a failure escaping
         #: :meth:`run` / :meth:`run_until_drained` goes through its
-        #: ``fail`` hook — postmortem bundle and live-feed ``failure``
-        #: event — and gains a ``bundle_path`` attribute.
+        #: ``fail`` hook — the postmortem bundle — and gains a
+        #: ``bundle_path`` attribute.
         self.telemetry: Optional[TelemetrySession] = None
 
     def run(self, cycles: int) -> Stats:

@@ -182,18 +182,6 @@ def run_workload(
                     vct=None if vct else False,
                     config=config_block(spec.config),
                 )
-            if session.live is not None:
-                session.live.start(
-                    {
-                        "system": spec.name,
-                        "workload": workload_name,
-                        "policy": resolved_policy,
-                        "n_nodes": spec.grid.n_nodes,
-                        **({} if seed is None else {"seed": seed}),
-                        "warmup": warmup,
-                        "config_hash": config_hash,
-                    }
-                )
         run = engine.run_until_drained if drain else engine.run
         start = time.perf_counter()
         try:
@@ -243,7 +231,7 @@ def run_synthetic(
     """Simulate one synthetic-pattern point (one marker of Fig 11/14).
 
     Pass a :class:`~repro.telemetry.TelemetryConfig` as ``telemetry`` to
-    collect per-epoch metrics, a Chrome trace, live progress and/or a
+    collect per-epoch metrics, a Chrome trace, a progress line and/or a
     cProfile capture; the finalized session lands on ``RunResult.telemetry``.
     """
     config = spec.config

@@ -7,7 +7,7 @@
   tables (``repro.telemetry.attribution``);
 * :class:`EpochMetrics` / :class:`HealthMonitor` — per-epoch time-series
   collectors with CSV/JSON export, the one periodic sampler the health
-  monitor, live feed and progress line read, and the per-epoch health
+  monitor and progress line read, and the per-epoch health
   checks against :class:`HealthThresholds` (``repro.telemetry.metrics``);
 * :class:`ChromeTraceBuilder` — Perfetto-loadable Chrome trace-event
   export of sampled packets and component lanes
@@ -15,20 +15,16 @@
 * :class:`ProgressReporter` / :class:`EtaEstimator` — per-epoch
   cycles/sec + in-flight + delivered + ETA status line for long runs
   (``repro.telemetry.progress``);
-* :class:`LiveFeed` — schema-versioned JSONL streaming of run lifecycle,
-  epoch samples with speed/ETA, and health anomalies to
-  ``runs/live/<run_id>.jsonl`` for ``repro watch``
-  (``repro.telemetry.live``);
-* :mod:`repro.telemetry.dashboard` / :mod:`repro.telemetry.server` — the
-  fleet, run and postmortem pages (section lists over one source each)
-  and the stdlib SSE service behind ``repro watch`` (imported lazily);
+* :mod:`repro.telemetry.dashboard` — the fleet and postmortem pages
+  (section lists over one source each) that ``repro watch --out`` and
+  ``repro postmortem --html`` write (imported lazily);
 * :class:`FlightRecorder` / :func:`capture_bundle` — bounded event ring
   buffer and the postmortem bundle of a wedged run, rendered by ``repro
   postmortem`` (``repro.telemetry.forensics``);
 * :class:`TelemetryConfig` / :class:`TelemetrySession` — one-call
   attachment used by ``run_synthetic`` / ``run_trace`` and the
   ``repro simulate`` CLI, and the engine's failure hook
-  (``Engine.telemetry``: bundle + live ``failure`` event) and cProfile
+  (``Engine.telemetry``: the postmortem bundle) and cProfile
   capture (``repro.telemetry.session``);
 * :class:`RunDigest` — streaming platform-stable chained hash of every
   bus event, with checkpoint chains, the three-granularity differential
@@ -85,10 +81,6 @@ _EXPORTS = {
     "history": ("MetricSeries", "RunHistory", "SeriesPoint", "load_history"),
     # HOST_PHASES: the package-level name avoids clashing with attribution.STAGES.
     "hostprof": ("HOST_PHASES=PHASES", "HostprofError", "HostTimeLedger", "render_host_table"),
-    "live": (
-        "LIVE_SCHEMA_VERSION", "LiveFeed", "LiveFeedError", "feed_status",
-        "live_feed_path", "read_feed", "validate_live_event",
-    ),
     "metrics": ("EpochMetrics", "EpochSample", "HealthMonitor", "HealthThresholds"),
     "progress": ("EtaEstimator", "ProgressReporter", "format_eta"),
     "runstore": (

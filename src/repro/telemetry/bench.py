@@ -7,8 +7,8 @@ their samples, ``per_layer`` values and the ``fingerprint`` /
 ``repro bench`` with ``git_rev`` and ``created``.  This module measures
 nothing and never loads the simulator: it holds the file helpers, the
 median/IQR rule, and :func:`case_metrics`, the one catalogue ``repro
-regress``, the dashboard's performance panel and ``repro watch``'s
-``/api/bench`` read a workload block through.
+regress`` and the fleet page's performance panel read a workload block
+through.
 
 The catalogue's names, units, better-directions and end-to-end bounds are
 the root ``BENCHMARK.json``'s and the exact-count flags are

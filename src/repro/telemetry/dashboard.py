@@ -1,25 +1,21 @@
-"""The three HTML pages: one page model, three sources.
+"""The two HTML pages: one page model, two sources.
 
 Every page is a tuple of ``(heading, panel)`` sections over one source,
 joined by :func:`render_sections` and wrapped by :func:`render_page`:
 
 * the fleet page (:data:`SECTIONS`) reads a :class:`Snapshot`, which reads
   each source once — the run registry (``runs/runs.jsonl``, leniently,
-  counting skipped lines), the live feeds under ``runs/live/`` (folded,
-  the in-flight/stale split decided once), the bench history (the stored
+  counting skipped lines), the bench history (the stored
   ``BENCH_<n>.json`` files) and the paper-figure CSVs;
-* the run page (:data:`RUN_SECTIONS`) reads a :class:`RunView`: one live
-  feed plus the snapshot its determinism badge checks against;
 * the postmortem page (:data:`POSTMORTEM_SECTIONS`) reads one validated
   forensics bundle.  Its text form, :func:`render_bundle_text`, prints the
   same ``(headers, rows)`` tables with :func:`text_table`.
 
-``repro watch`` serves the fleet and run pages with an SSE hook
-(:mod:`repro.telemetry.server`), ``repro watch --once --out FILE`` writes
-the fleet page script-free and ``repro postmortem --html`` writes the
-postmortem page.  The page carries its own light/dark palette as CSS
-custom properties (the chart SVGs reference ``var(--series-N)``), so it
-respects ``prefers-color-scheme`` without any scripting.
+``repro watch --out FILE`` writes the fleet page and ``repro postmortem
+--html`` the postmortem page, both static and script-free.  The page
+carries its own light/dark palette as CSS custom properties (the chart
+SVGs reference ``var(--series-N)``), so it respects
+``prefers-color-scheme`` without any scripting.
 
 Import note: simulator modules are imported inside functions only (see
 the package initializer's import note).
@@ -31,12 +27,10 @@ import html
 import math
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .compare import fmt_metric
 from .forensics import event_line
-from .live import LIVE_SCHEMA_VERSION, feed_status, read_feed
-from .progress import format_eta
 from .runstore import RunRecord, RunStore, git_revision, utc_now_iso
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -45,31 +39,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .history import RunHistory
 
 
-#: A running feed without new events for this long is stale, not in flight.
-STALE_AFTER_SECONDS = 30.0
-
 #: Figure scales, largest first: the page draws the first with a fig11 CSV.
 SCALES = ("paper", "small", "tiny")
-
-
-def feed_paths(runs_dir: Path) -> list[Path]:
-    """The live feeds under ``runs_dir/live/``, most recently touched first."""
-    live_dir = runs_dir / "live"
-    if not live_dir.is_dir():
-        return []
-    return sorted(
-        live_dir.glob("*.jsonl"), key=lambda path: path.stat().st_mtime, reverse=True
-    )
 
 
 class Snapshot:
     """One read of everything the fleet page shows.
 
-    The registry is read on construction; the feeds, the bench history and
-    the results CSVs on first use — each at most once — so the panels, the
-    ``/api/runs`` document and the run page's badge answer from the same
-    reads.  All reads are lenient: a line being appended to must not break
-    the view.
+    The registry is read on construction; the bench history and the
+    results CSVs on first use — each at most once — so the panels and the
+    ``repro watch`` document answer from the same reads.  All reads are
+    lenient: a line being appended to must not break the view.
     """
 
     def __init__(
@@ -89,26 +69,6 @@ class Snapshot:
         self.registry = store.path
         self.records = store.load(strict=False)
         self.skipped = store.skipped
-
-    @cached_property
-    def live(self) -> list[dict[str, Any]]:
-        """Folded status of every live feed, most recently touched first."""
-        feeds = [(path, read_feed(path, strict=False)) for path in feed_paths(self.runs_dir)]
-        return [dict(feed_status(events), feed=str(path)) for path, events in feeds if events]
-
-    @cached_property
-    def in_flight(self) -> list[str]:
-        """Run ids of running feeds that wrote recently; other running feeds are stale."""
-        return [
-            status["run_id"]
-            for status in self.live
-            if status["state"] == "running"
-            and (status["age_seconds"] or 0.0) <= STALE_AFTER_SECONDS
-        ]
-
-    @property
-    def failures(self) -> list[dict[str, Any]]:
-        return [status for status in self.live if status["state"] == "failed"]
 
     @cached_property
     def history(self) -> "RunHistory":
@@ -139,23 +99,13 @@ class Snapshot:
             return None
         return summarize(self.results_dir, self.scale, self.results)
 
-    def digest_of(self, run_id: str) -> Optional[dict[str, Any]]:
-        """The newest digest block the registry holds for ``run_id``."""
-        return next(
-            (r.digest for r in reversed(self.records) if r.run_id == run_id and r.digest), None
-        )
-
     def to_dict(self) -> dict[str, Any]:
-        """The ``/api/runs`` document (``repro watch --once`` prints it)."""
+        """The snapshot document ``repro watch`` prints."""
         return {
             "generated": self.generated,
-            "schema_version": LIVE_SCHEMA_VERSION,
             "runs_dir": str(self.runs_dir),
             "records": len(self.records),
             "skipped": self.skipped,
-            "in_flight": self.in_flight,
-            "live": self.live,
-            "failures": self.failures,
             "recent": [record.to_dict() for record in self.records[-self.top_runs :]],
         }
 
@@ -253,64 +203,9 @@ def _alarm(value: Any) -> Html:
     return Html(f'<span class="alarm">{fmt_value(value)}</span>')
 
 
-def _run_cells(status: dict[str, Any]) -> list[Any]:
-    """A live run's link / system / workload cells."""
-    run_id = html.escape(status["run_id"])
-    meta = status["meta"]
-    return [Html(f'<a href="/run/{run_id}">{run_id}</a>'), meta.get("system", ""),
-            meta.get("workload", "")]
-
-
 def _record_cells(record: RunRecord, *fields: str) -> list[Any]:
     """A registry record's leading cells: ``created`` then ``fields``."""
     return [getattr(record, name) for name in ("created", *fields)]
-
-
-def progress_cells(status: dict[str, Any]) -> list[Any]:
-    """A live run's progress / cycle / cyc/s / eta table cells."""
-    from repro.viz import svg_progress_bar
-
-    cps = status["cps"]
-    return [
-        Html(svg_progress_bar(status["fraction"], title="completion")),
-        Html(f"{fmt_value(status['cycle'])} / "
-             f"{fmt_value(status['total_cycles'] or float('nan'))}"),
-        float(cps) if cps else "n/a",
-        format_eta(status["eta_seconds"]),
-    ]
-
-
-def in_flight_section(snap: Snapshot) -> str:
-    running = [s for s in snap.live if s["state"] == "running"]
-    if not running:
-        return _empty("no runs in flight — start one with <code>repro simulate --live</code>.")
-    return html_table(
-        ["run", "system", "workload", "progress", "cycle", "cyc/s", "eta",
-         "anomalies", "state"],
-        (
-            [
-                *_run_cells(status),
-                *progress_cells(status),
-                len(status["anomalies"]),
-                "running" if status["run_id"] in snap.in_flight else _alarm("stale"),
-            ]
-            for status in running
-        ),
-    )
-
-
-def failures_section(snap: Snapshot) -> str:
-    if not snap.failures:
-        return _empty("no failed live runs.")
-    return html_table(
-        ["run", "system", "workload", "died at cycle", "reason",
-         Html("postmortem bundle (<code>repro postmortem</code>)")],
-        (
-            [*_run_cells(status), status["cycle"], _alarm(status["reason"]),
-             _code(status["bundle"])]
-            for status in snap.failures
-        ),
-    )
 
 
 def _no_figures(snap: Snapshot) -> str:
@@ -693,8 +588,6 @@ Sections = Sequence[tuple[str, Callable[[Any], str]]]
 #: The fleet page: the registry warning (no heading), then one panel each.
 SECTIONS: Sections = (
     ("", skipped_warning),
-    ("Runs in flight", in_flight_section),
-    ("Recent failures", failures_section),
     ("Paper figure: Fig 11 latency-load curves", fig11_section),
     ("Paper-vs-measured agreement", agreement_section),
     ("Performance", perf_section),
@@ -707,17 +600,14 @@ SECTIONS: Sections = (
 
 def render_sections(sections: Sections, source: Any) -> str:
     """A page's panels over its one source: each under its ``<h2>`` (none
-    for an empty heading); a panel that renders '' drops out, heading too.
-    This is what the served pages re-push over SSE."""
+    for an empty heading); a panel that renders '' drops out, heading too."""
     parts = ((title, panel(source)) for title, panel in sections)
     return "".join(f"<h2>{title}</h2>{body}" if title else body for title, body in parts if body)
 
 
-def render_page(
-    title: str, sections: Sections, source: Any, *, meta: str = "", hook: str = ""
-) -> str:
-    """One page: ``title`` as heading, the ``meta`` line (HTML), the
-    sections over ``source`` and ``hook``, a served page's SSE script."""
+def render_page(title: str, sections: Sections, source: Any, *, meta: str = "") -> str:
+    """One page: ``title`` as heading, the ``meta`` line (HTML) and the
+    sections over ``source``."""
     meta_line = f'<p class="meta">{meta}</p>' if meta else ""
     body = render_sections(sections, source)
     return (
@@ -726,137 +616,19 @@ def render_page(
         f"<title>{html.escape(title)}</title>"
         f"<style>{PAGE_STYLE}</style></head>"
         f"<body class=\"viz-root\"><h1>{html.escape(title)}</h1>{meta_line}"
-        f'<main id="live">{body}</main>{hook}</body></html>\n'
+        f"<main>{body}</main></body></html>\n"
     )
 
 
-def render_fleet(snap: Snapshot, *, hook: str = "") -> str:
-    """The fleet page; ``hook`` is the served page's SSE script (static: none)."""
+def render_fleet(snap: Snapshot) -> str:
+    """The fleet page over one snapshot."""
     scale = f"scale {snap.scale}" if snap.scale else "no figures"
     meta = (
         f"registry {html.escape(str(snap.runs_dir))} · "
         f"results {html.escape(str(snap.results_dir))} ({scale}) · generated "
         f"{html.escape(snap.generated)} @ {html.escape(git_revision())}"
     )
-    return render_page("repro watch — fleet", SECTIONS, snap, meta=meta, hook=hook)
-
-
-class RunView(NamedTuple):
-    """The run page's source: one feed's folded status and its events, plus
-    the fleet snapshot the determinism badge checks against."""
-
-    status: dict[str, Any]
-    events: list[dict[str, Any]]
-    snap: Snapshot
-
-
-def status_banner(run: RunView) -> str:
-    """The run's identity line and, once it ended, how it ended."""
-    status, meta = run.status, run.status["meta"]
-    facts = [meta.get("system", "?"), meta.get("workload", "?"),
-             f"policy {meta.get('policy', '?')}", f"seed {meta.get('seed', '—')}"]
-    banner = (
-        '<p class="meta">' + " · ".join(html.escape(str(fact)) for fact in facts)
-        + ' · <a href="/">back to fleet</a></p>'
-    )
-    if status["state"] == "failed":
-        hint = f" — postmortem bundle {_code(status['bundle'])}" if status["bundle"] else ""
-        banner += (
-            f'<p class="alarm">failed at cycle {fmt_value(status["cycle"])}: '
-            f"{html.escape(str(status['reason']))} ({html.escape(str(status['error']))}){hint}</p>"
-        )
-    elif status["state"] == "finished":
-        banner += (
-            f'<p class="meta">finished at cycle {fmt_value(status["cycle"])} '
-            f"in {fmt_value(float(status['wall_seconds'] or 0.0))} s</p>"
-        )
-    return banner
-
-
-def determinism_badge(status: dict[str, Any], snap: Snapshot) -> str:
-    """The run page's determinism badge.
-
-    Cross-checks the live feed's final digest chain against the run's
-    registry record; feeds without a digest (plain runs, old feeds) get a
-    muted "no digest" badge rather than nothing, so the reproducibility
-    affordance is always visible.
-    """
-    final = (status.get("digest") or {}).get("final")
-    registry = (snap.digest_of(str(status.get("run_id", ""))) or {}).get("final")
-    if not final and not registry:
-        return (
-            '<p class="meta">determinism: no digest — re-run with '
-            "<code>repro simulate --digest --live</code>.</p>"
-        )
-    css = "meta"
-    if final and registry and final != registry:
-        css, verdict = "alarm", f"DIGEST MISMATCH — registry says {html.escape(str(registry))}"
-    elif final and registry:
-        verdict = "digest match (feed = registry)"
-    else:
-        verdict = f"digest present ({'live feed' if final else 'registry'} only)"
-    return (
-        f'<p class="{css}">determinism: {verdict} · '
-        f"<code>{html.escape(str(final or registry))}</code></p>"
-    )
-
-
-def run_progress(run: RunView) -> str:
-    status = run.status
-    return html_table(
-        ["progress", "cycle", "cyc/s", "eta", "delivered", "epochs"],
-        [[*progress_cells(status), float(status["delivered_fraction"] or float("nan")),
-          status["epochs"]]],
-    )
-
-
-def epochs_panel(run: RunView) -> str:
-    """Per-epoch delivery sparklines and the latest epochs ('' before the first)."""
-    from repro.viz import svg_sparkline
-
-    epochs = [event["epoch"] for event in run.events if event["kind"] == "epoch"]
-    if not epochs:
-        return ""
-    charts = "".join(
-        f"<figure>{svg_sparkline(values, width=360, height=48, title=title)}</figure>"
-        for title, values in (
-            ("packets delivered per epoch", [float(e["packets_delivered"]) for e in epochs]),
-            ("flits in the network at each epoch close",
-             [float(e["buffered"] + e["in_flight"]) for e in epochs]),
-        )
-    )
-    table = html_table(
-        ["epoch", "cycles", "injected", "delivered", "buffered", "in flight"],
-        (
-            [
-                e["index"],
-                Html(f"{fmt_value(e['start'])}–{fmt_value(e['end'])}"),
-                *(e[key] for key in
-                  ("flits_injected", "packets_delivered", "buffered", "in_flight")),
-            ]
-            for e in epochs[-12:]
-        ),
-    )
-    return f"{charts}<details><summary>latest epochs</summary>{table}</details>"
-
-
-def final_stats(run: RunView) -> str:
-    status = run.status
-    if status["state"] != "finished" or not status["stats"]:
-        return ""
-    table = html_table(["stat", "value"], sorted(status["stats"].items()))
-    return f"<details><summary>final stats</summary>{table}</details>"
-
-
-#: The run page: what happened, the badge, progress, then the detail panels.
-RUN_SECTIONS: Sections = (
-    ("", status_banner),
-    ("", lambda run: determinism_badge(run.status, run.snap)),
-    ("", run_progress),
-    ("Anomalies", lambda run: anomaly_panel(run.status["anomalies"])),
-    ("Per-epoch delivery", epochs_panel),
-    ("", final_stats),
-)
+    return render_page("repro watch — fleet", SECTIONS, snap, meta=meta)
 
 
 #: A table both forms print: column headers and rows of plain cell values.
@@ -885,7 +657,7 @@ def anomaly_table(anomalies: Sequence[dict[str, Any]]) -> Table:
 
 
 def anomaly_panel(anomalies: Sequence[dict[str, Any]]) -> str:
-    """Health anomalies as the run and postmortem pages show them ('' when none)."""
+    """Health anomalies as the postmortem page shows them ('' when none)."""
     headers, rows = anomaly_table(anomalies)
     return html_table(headers, ([c, _alarm(k), d] for c, k, d in rows)) if rows else ""
 

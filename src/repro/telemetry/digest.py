@@ -64,7 +64,7 @@ DIGEST_SCHEMA_VERSION = 1
 DIGEST_ALGO = "fnv64-chain-v1"
 
 #: Default cycles between checkpoint samples — matches the default epoch
-#: length so checkpoints line up with epoch boundaries in the live feed.
+#: length so checkpoints line up with the epoch sampler's boundaries.
 DEFAULT_CHECKPOINT_EVERY = 1_000
 
 # FNV-1a 64-bit parameters; the fold below deviates from textbook FNV only

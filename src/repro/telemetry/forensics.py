@@ -48,7 +48,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .bus import EVENT_NAMES
-from .live import Row, fits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.flit import Packet
@@ -572,10 +571,28 @@ def load_bundle(path: str | Path) -> dict[str, Any]:
     return bundle
 
 
+class Row(tuple):
+    """A :func:`fits` spec for a fixed-length list, typed item by item."""
+
+
+def fits(value: Any, spec: Any) -> bool:
+    """True when the JSON ``value`` has the shape ``spec`` gives: a type or
+    tuple of types, a dict (an object whose keys fit theirs), ``[item]`` (a
+    list of fitting items) or a :class:`Row`.  Bundles are checked with it
+    against what the postmortem pages read."""
+    if isinstance(spec, dict):
+        return isinstance(value, dict) and all(fits(value.get(k), s) for k, s in spec.items())
+    if isinstance(spec, Row):
+        return isinstance(value, list) and len(value) == len(spec) and all(map(fits, value, spec))
+    if isinstance(spec, list):
+        return isinstance(value, list) and all(fits(item, spec[0]) for item in value)
+    return isinstance(value, spec)
+
+
 _VERTEX = Row((str, int, int))  # a wait-for vertex: ("chan", link, vc) / ("inject", node, vc)
 
 #: What the postmortem renderers read, section by section: key -> (name in
-#: errors, :func:`~repro.telemetry.live.fits` spec).
+#: errors, :func:`fits` spec).
 _SECTIONS: dict[str, tuple[str, Any]] = {
     "network": ("network summary", {
         "n_nodes": int, "n_links": int, "buffered_flits": int, "in_flight_flits": int}),

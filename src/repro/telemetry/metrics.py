@@ -10,8 +10,8 @@ accounting listens to a per-event hook, and that event fires only under
 congestion.
 
 It is the only observer that samples network state on a clock: health
-checks, the live feed, the progress line and the Chrome trace's counter
-tracks are *readers* of its closed samples (``readers``, called in order
+checks, the progress line and the Chrome trace's counter tracks are
+*readers* of its closed samples (``readers``, called in order
 at each epoch close), so one occupancy scan per epoch serves them all.
 (The other ``cycle_end`` subscribers sample nothing: the flight recorder
 trims its window, the run digest chains the cycle, the sanitizer checks
@@ -79,10 +79,8 @@ class EpochSample:
     def to_json(self) -> dict[str, Any]:
         """One JSON-serializable epoch document.
 
-        The same shape lands in ``metrics.json`` (via
-        :meth:`EpochMetrics.to_json`) and in live-feed ``epoch`` events
-        (:class:`~repro.telemetry.live.LiveFeed`), so watch-side readers
-        and offline analysis parse one format.
+        The shape that lands in ``metrics.json`` (via
+        :meth:`EpochMetrics.to_json`).
         """
         return {
             "index": self.index,
@@ -391,7 +389,7 @@ class HealthAnomaly:
     detail: str
 
     def to_json(self) -> dict[str, Any]:
-        """JSON payload shared with bundles and live-feed events."""
+        """JSON payload of a bundle's or the run registry's anomaly list."""
         return asdict(self)
 
 
@@ -422,7 +420,7 @@ class HealthMonitor:
         #: ``(cycle, oldest in-flight age)`` per sampled epoch.
         self.ages: list[tuple[int, int]] = []
         self.anomalies: list[HealthAnomaly] = []
-        #: The anomalies the latest epoch raised (what the live feed streams).
+        #: The anomalies the latest epoch raised.
         self.raised: list[HealthAnomaly] = []
         self._active_flags: set[str] = set()
 

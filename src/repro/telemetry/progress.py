@@ -12,11 +12,9 @@ On an interactive terminal the line is rewritten in place with ``"\r"``;
 when the stream is not a TTY (CI logs, files, pipes) every update is
 written as its own newline-terminated line so logs stay readable.
 
-:class:`EtaEstimator` is the shared remaining-time model: an
+:class:`EtaEstimator` is the reporter's remaining-time model: an
 exponentially smoothed cycles-per-second estimate divided into the
-remaining horizon.  A session hands one estimator to the reporter and to
-the live feed (:class:`~repro.telemetry.live.LiveFeed`), so the ETA a
-terminal shows and the ETA ``repro watch`` shows agree.
+remaining horizon.
 """
 
 from __future__ import annotations
@@ -40,8 +38,7 @@ class EtaEstimator:
     which damps the burstiness of per-interval wall clocks; the ETA is
     the remaining cycles divided by that smoothed speed, or ``None``
     while no horizon or no speed estimate is available.  An update that
-    does not advance the cycle leaves the estimate alone, so several
-    readers of one epoch may share one estimator.
+    does not advance the cycle leaves the estimate alone.
     """
 
     def __init__(self, total_cycles: Optional[int] = None, *, alpha: float = 0.3) -> None:
@@ -50,8 +47,7 @@ class EtaEstimator:
         self.total_cycles = total_cycles
         self.alpha = alpha
         self.cps = math.nan
-        self._started = time.perf_counter()
-        self._last_wall = self._started
+        self._last_wall = time.perf_counter()
         self._last_cycle = 0
 
     def update(self, cycle: int) -> float:
@@ -79,11 +75,6 @@ class EtaEstimator:
             return None
         return max(0, self.total_cycles - cycle) / self.cps
 
-    @property
-    def wall_seconds(self) -> float:
-        """Wall-clock seconds since the estimator was created."""
-        return time.perf_counter() - self._started
-
 
 def format_eta(seconds: Optional[float]) -> str:
     """``"1:03:20"`` / ``"4:02"`` / ``"n/a"`` rendering of an ETA."""
@@ -106,10 +97,9 @@ class ProgressReporter:
         The run's statistics (delivery figures).
     stream:
         Destination text stream; defaults to ``sys.stderr``.
-    eta:
-        The speed / ETA estimator to share (default: a private one without
-        a horizon); when it knows the horizon, the status line includes
-        percentage completion and ETA.
+    total_cycles:
+        The run's horizon (None: unknown); when given, the status line
+        includes percentage completion and ETA.
     """
 
     def __init__(
@@ -117,11 +107,11 @@ class ProgressReporter:
         stats: "Stats",
         *,
         stream: Optional[IO[str]] = None,
-        eta: Optional[EtaEstimator] = None,
+        total_cycles: Optional[int] = None,
     ) -> None:
         self.stats = stats
         self.stream = stream if stream is not None else sys.stderr
-        self.eta = eta or EtaEstimator()
+        self.eta = EtaEstimator(total_cycles)
         self.updates = 0
         try:
             self._tty = bool(self.stream.isatty())

@@ -171,18 +171,12 @@ def record_from_result(
     git_rev: Optional[str] = None,
     artifacts: Optional[dict[str, str]] = None,
     extras: Optional[dict[str, float]] = None,
-    run_id: Optional[str] = None,
 ) -> RunRecord:
-    """Build a :class:`RunRecord` from a finished ``RunResult``.
-
-    Pass ``run_id`` to key the record by a pre-allocated id — ``--live``
-    runs do this so the registry record and the live feed
-    (``runs/live/<run_id>.jsonl``) join on one id in the fleet view.
-    """
+    """Build a :class:`RunRecord` from a finished ``RunResult``."""
     session = result.telemetry
     ledger = session.ledger if session is not None else None
     return RunRecord(
-        run_id=run_id or new_run_id(),
+        run_id=new_run_id(),
         created=utc_now_iso(),
         kind=kind,
         label=label or result.system,

@@ -21,9 +21,8 @@ from typing import IO, TYPE_CHECKING, Any, Optional
 from .attribution import LatencyLedger
 from .digest import RunDigest
 from .hostprof import HostTimeLedger
-from .live import LiveFeed
 from .metrics import EpochMetrics, HealthMonitor, HealthThresholds
-from .progress import EtaEstimator, ProgressReporter
+from .progress import ProgressReporter
 from .trace import ChromeTraceBuilder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,8 +46,7 @@ class TelemetryConfig:
     #: Output path for the Chrome trace-event JSON (None: no trace).
     trace_path: Optional[str | Path] = None
     #: The one sampling period in cycles: epoch metrics, health checks,
-    #: live-feed epochs, the progress line and the trace's counter tracks
-    #: all run on it.
+    #: the progress line and the trace's counter tracks all run on it.
     epoch_length: int = 1_000
     #: Emit a live progress line at each epoch close.
     progress: bool = False
@@ -71,9 +69,8 @@ class TelemetryConfig:
     breakdown_csv: Optional[str | Path] = None
     #: Collect per-epoch metrics.  On by default; the CLI turns it off for
     #: configs that exist only to carry forensics capture, so plain runs
-    #: keep the zero-subscriber fast path.  ``health``, ``live``,
-    #: ``progress`` and ``trace_path`` read the sampler's epochs and switch
-    #: it on themselves.
+    #: keep the zero-subscriber fast path.  ``health``, ``progress`` and
+    #: ``trace_path`` read the sampler's epochs and switch it on themselves.
     epoch_metrics: bool = True
     #: Capture a postmortem bundle when the run fails (deadlock, drain
     #: timeout, invariant violation; :meth:`TelemetrySession.fail`).  The
@@ -95,15 +92,6 @@ class TelemetryConfig:
     health_thresholds: Optional[HealthThresholds] = None
     #: Stream for live health-anomaly flags (None: keep them in memory).
     health_stream: Optional[IO[str]] = None
-    #: Stream run lifecycle / epoch / anomaly events to a schema-versioned
-    #: JSONL live feed under ``live_dir`` for ``repro watch`` (see
-    #: :class:`~repro.telemetry.live.LiveFeed`).
-    live: bool = False
-    #: Directory live feeds are appended under.
-    live_dir: str | Path = "runs/live"
-    #: Run id keying the feed file and joining it to the run registry
-    #: record (None: a fresh id is generated at attach time).
-    run_id: Optional[str] = None
     #: Attach the streaming :class:`~repro.telemetry.digest.RunDigest` —
     #: a platform-stable chained hash of every bus event, persisted on
     #: the run record (``digest`` block) for ``repro diff``.
@@ -135,9 +123,6 @@ class TelemetrySession:
     #: Host wall-time ledger (set when ``host_time`` was requested; the
     #: harness installs it as ``engine.hostprof``).
     hostprof: Optional[HostTimeLedger] = None
-    #: Live JSONL feed for ``repro watch`` (set when ``live`` was
-    #: requested; :meth:`fail` ends it with a terminal ``failure`` event).
-    live: Optional[LiveFeed] = None
     #: Streaming run digest (set when ``digest`` was requested).
     digest: Optional[RunDigest] = None
     #: Raw cProfile capture (set by the harness when ``profile`` was
@@ -160,7 +145,7 @@ class TelemetrySession:
         session = cls(network=network, config=config)
         if config.trace_path is not None:
             session.trace = ChromeTraceBuilder(network)
-        if config.epoch_metrics or config.health or config.live or config.progress or session.trace:
+        if config.epoch_metrics or config.health or config.progress or session.trace:
             session.metrics = EpochMetrics(
                 network, epoch_length=config.epoch_length, warmup=warmup
             )
@@ -184,37 +169,22 @@ class TelemetrySession:
                 checkpoint_every=config.digest_checkpoint_every,
                 capture=config.digest_capture,
             )
-        eta = EtaEstimator(total_cycles)
-        if config.live:
-            from .runstore import new_run_id
-
-            session.live = LiveFeed(
-                network,
-                run_id=config.run_id or new_run_id(),
-                directory=config.live_dir,
-                monitor=session.monitor,
-                digest=session.digest,
-                eta=eta,
-            )
         if config.progress:
             session.progress = ProgressReporter(
-                network.stats, stream=config.progress_stream, eta=eta
+                network.stats, stream=config.progress_stream, total_cycles=total_cycles
             )
         if session.metrics is not None:
-            # Health first: the feed streams the anomalies it just raised.
             session.metrics.readers = [
                 reader.on_epoch
-                for reader in (session.monitor, session.live, session.progress, session.trace)
+                for reader in (session.monitor, session.progress, session.trace)
                 if reader is not None
             ]
         return session
 
     def fail(self, reason: str, cycle: int, exc: BaseException) -> Optional[Path]:
         """The engine's failure hook: write a bundle when ``forensics`` is
-        on, end the live feed with a ``failure`` event pointing at it, and
-        return the bundle path.  Best effort: neither step masks ``exc``.
+        on and return its path.  Best effort: a failed write masks no ``exc``.
         """
-        path = None
         if self.config.forensics:
             try:
                 from .forensics import capture_bundle, write_bundle
@@ -223,20 +193,10 @@ class TelemetrySession:
                     self.network, now=cycle, reason=reason, error=exc,
                     recorder=self.recorder, monitor=self.monitor,
                 )
-                path = self.bundle_path = write_bundle(bundle, self.config.bundle_dir)
+                self.bundle_path = write_bundle(bundle, self.config.bundle_dir)
             except Exception:  # noqa: BLE001 - forensics must not mask the failure
                 pass
-        if self.live is not None:
-            try:
-                self.live.fail(
-                    reason,
-                    cycle,
-                    error=f"{type(exc).__name__}: {exc}",
-                    bundle=None if path is None else str(path),
-                )
-            except Exception:  # noqa: BLE001 - telemetry must not mask the failure
-                pass
-        return path
+        return self.bundle_path
 
     def forensics_summary(self) -> dict[str, Any]:
         """The run registry's ``forensics`` block (empty when nothing ran)."""
@@ -270,8 +230,4 @@ class TelemetrySession:
             self.recorder.detach()
         if self.digest is not None:
             self.digest.detach()
-        if self.live is not None:
-            # No-op when the engine's failure path already closed the
-            # feed with a terminal failure event.
-            self.written.append(self.live.finish(end_cycle))
         return self.written

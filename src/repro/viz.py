@@ -25,15 +25,14 @@ custom properties.
 * :func:`svg_node_heatmap` — inline-SVG per-node occupancy grid
   (``repro postmortem``'s router-occupancy panel);
 * :func:`svg_sparkline` — a compact inline trend line (the dashboard's
-  health panel, the run page's per-epoch delivery);
-* :func:`svg_progress_bar` — a determinate completion bar (runs in flight).
+  health panel);
 """
 
 from __future__ import annotations
 
 import html
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.noc.network import Network
 from repro.topology.system import SystemSpec
@@ -643,41 +642,6 @@ def svg_sparkline(
         f'<circle cx="{last_x:.1f}" cy="{last_y:.1f}" r="2.5" '
         f'fill="{stroke}"/></svg>'
     )
-
-
-def svg_progress_bar(
-    fraction: Optional[float],
-    *,
-    width: int = 160,
-    height: int = 14,
-    title: str = "",
-) -> str:
-    """Render a compact determinate progress bar.
-
-    The ``repro watch`` fleet view uses it for in-flight run completion;
-    track and fill take their colors from the page palette's CSS custom
-    properties, matching the other inline charts.  ``fraction`` outside
-    [0, 1] is clamped; ``None``/NaN renders the empty track with an
-    "n/a" tooltip (horizon unknown — e.g. trace replays).
-    """
-    head = _svg_open(width, height)
-    track = (
-        f'<rect x="0" y="0" width="{width}" height="{height}" rx="4" '
-        f'fill="var(--surface-2, #f4f3f1)"/>'
-    )
-    known = fraction is not None and not math.isnan(float(fraction))
-    if not known:
-        tooltip = html.escape(f"{title + ': ' if title else ''}n/a")
-        return f"{head}<title>{tooltip}</title>{track}</svg>"
-    clamped = min(1.0, max(0.0, float(fraction)))  # type: ignore[arg-type]
-    tooltip = html.escape(f"{title + ': ' if title else ''}{clamped:.0%}")
-    fill = ""
-    if clamped > 0:
-        fill = (
-            f'<rect x="0" y="0" width="{clamped * width:.1f}" '
-            f'height="{height}" rx="4" fill="{_series_color(0)}"/>'
-        )
-    return f"{head}<title>{tooltip}</title>{track}{fill}</svg>"
 
 
 def ascii_curve(

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -753,87 +755,24 @@ def test_dashboard_cli(tmp_path, capsys, monkeypatch):
     results = tmp_path / "results"
     write_fig11_csv(results)
     out_path = tmp_path / "dash.html"
-    argv = ["watch", "--once", "--out", str(out_path), "--results-dir", str(results),
+    argv = ["watch", "--out", str(out_path), "--results-dir", str(results),
             "--runs-dir", str(tmp_path / "runs")]
     assert main(argv) == 0
     assert f"wrote {out_path}" in capsys.readouterr().out
     page = out_path.read_text()
-    assert "<svg" in page and "Runs in flight" in page
-    assert "<script" not in page  # the static page has no SSE hook
-
-    with pytest.raises(SystemExit) as excinfo:
-        main(["watch", *argv[2:]])  # --out without --once: serving writes no file
-    assert excinfo.value.code == 2
-    assert "--out requires --once" in capsys.readouterr().err
+    assert "<svg" in page and "Performance" in page and "Paper figure" in page
+    assert "Runs in flight" not in page
+    assert "<script" not in page  # the static page has no script
 
 
 def test_watch_once_out_without_results_is_an_empty_state(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # no benchmarks/results, no BENCH files, no runs/
-    assert main(["watch", "--once", "--out", "page.html"]) == 0
+    assert main(["watch", "--out", "page.html"]) == 0
     page = (tmp_path / "page.html").read_text()
     # The figures and the agreement panel say so, like every other panel.
     assert page.count("no fig11 CSV in <code>benchmarks/results</code>") == 2
     assert "no bench history yet" in page and "no run records yet" in page
     assert "<svg" not in page
-
-
-def test_simulate_live_writes_feed_and_joins_registry(tmp_path, capsys):
-    from repro.telemetry.live import read_feed
-    from repro.telemetry.runstore import RunStore
-
-    runs_dir = tmp_path / "runs"
-    code = main(
-        [
-            *SIM_ARGS,
-            "--seed",
-            "7",
-            "--live",
-            "--epoch",
-            "500",
-            "--runs-dir",
-            str(runs_dir),
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    [record] = RunStore(runs_dir).load()
-    feed_path = runs_dir / "live" / f"{record.run_id}.jsonl"
-    assert feed_path.is_file()
-    assert record.artifacts["live"] == str(feed_path)
-    events = read_feed(feed_path)  # strict read: every event passes the schema
-    kinds = [e["kind"] for e in events]
-    assert kinds[0] == "start" and kinds[-1] == "finish"
-    assert kinds.count("epoch") == 3  # 1500 cycles at --epoch 500
-    # The feed and the registry record share one run id: the fleet view join.
-    assert all(e["run_id"] == record.run_id for e in events)
-    assert events[0]["meta"]["seed"] == 7
-    assert f"live={feed_path}" in out
-
-
-def test_simulate_live_does_not_perturb_results(tmp_path, capsys):
-    """The feed observes the run; the simulation itself must not change."""
-
-    def stats_block(text):
-        return [
-            line
-            for line in text.splitlines()
-            if ":" in line and not line.startswith(("wrote ", "artifacts "))
-        ]
-
-    assert main([*SIM_ARGS, "--seed", "11"]) == 0
-    plain = stats_block(capsys.readouterr().out)
-    assert main(
-        [*SIM_ARGS, "--seed", "11", "--live", "--runs-dir", str(tmp_path)]
-    ) == 0
-    live = stats_block(capsys.readouterr().out)
-    assert plain == live
-
-
-def test_simulate_live_validates_interval(tmp_path):
-    """The feed's interval is the one sampling period, --epoch."""
-    with pytest.raises(SystemExit):
-        main([*SIM_ARGS, "--live", "--epoch", "0",
-              "--runs-dir", str(tmp_path)])
 
 
 def test_health_raises_nothing_on_a_healthy_run_through_warmup(capsys):
@@ -871,16 +810,14 @@ def test_a_count_below_one_is_a_usage_error(argv, capsys):
         (["postmortem", "bundle.json", "--tail", "0"], "must be >= 1, got 0"),
         (["postmortem", "bundle.json", "--tail", "-3"], "must be >= 1, got -3"),
         (["watch", "--top", "0"], "must be >= 1, got 0"),
-        (["watch", "--poll", "-1"], "must be > 0, got -1"),
-        (["watch", "--poll", "nan"], "must be > 0, got nan"),
         (["simulate", "--recorder-window", "0"], "must be >= 1, got 0"),
     ],
     ids=lambda arg: " ".join(arg) if isinstance(arg, list) else None,
 )
 def test_a_count_or_interval_out_of_range_is_a_usage_error(argv, message, capsys):
     """`--tail 0` used to print the whole recorder tail (``[-0:]``), `--tail -3`
-    dropped its head, `watch --top 0` listed every record and `--poll -1`
-    made every SSE handler's `time.sleep` raise: each is now an argparse error."""
+    dropped its head and `watch --top 0` listed every record: each is now an
+    argparse error."""
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
@@ -890,23 +827,57 @@ def test_a_count_or_interval_out_of_range_is_a_usage_error(argv, message, capsys
 
 def test_watch_once_prints_fleet_state(tmp_path, capsys):
     runs_dir = tmp_path / "runs"
-    assert main([*SIM_ARGS, "--seed", "7", "--live", "--runs-dir",
-                 str(runs_dir)]) == 0
+    assert main([*SIM_ARGS, "--seed", "7", "--runs-dir", str(runs_dir)]) == 0
     capsys.readouterr()
-    code = main(["watch", "--once", "--runs-dir", str(runs_dir)])
+    code = main(["watch", "--runs-dir", str(runs_dir)])
     assert code == 0
     state = json.loads(capsys.readouterr().out)
     assert state["records"] == 1
     assert state["skipped"] == 0
-    [status] = state["live"]
-    assert status["state"] == "finished"
+    [recent] = state["recent"]
+    assert recent["seed"] == 7
+
+
+def test_watch_prints_the_snapshot_document(tmp_path):
+    """``repro watch`` prints one JSON object about the registry and exits
+    (in a child process, so a command that serves instead times out)."""
+    from repro.telemetry.runstore import RunStore
+
+    from .test_runstore import make_record
+
+    runs_dir = tmp_path / "runs"
+    RunStore(runs_dir).append(make_record())
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "watch", "--runs-dir", str(runs_dir)],
+        env=dict(os.environ, PYTHONPATH=str(src)), cwd=tmp_path, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    state = json.loads(done.stdout)
+    assert set(state) == {"generated", "runs_dir", "records", "skipped", "recent"}
+    assert state["records"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, unknown",
+    [(["simulate", "--live", "--no-record"], "--live"), (["watch", "--port", "1"], "--port 1")],
+    ids=lambda arg: " ".join(arg) if isinstance(arg, list) else None,
+)
+def test_the_removed_live_flags_are_usage_errors(argv, unknown, capsys):
+    """There is no live feed and no server: their flags are unknown arguments."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"repro: error: unrecognized arguments: {unknown}"
 
 
 def test_watch_once_warns_about_skipped_lines(tmp_path, capsys):
     runs_dir = tmp_path / "runs"
     runs_dir.mkdir()
     (runs_dir / "runs.jsonl").write_text("{corrupt\n")
-    assert main(["watch", "--once", "--runs-dir", str(runs_dir)]) == 0
+    assert main(["watch", "--runs-dir", str(runs_dir)]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["skipped"] == 1
     assert "skipped 1 unreadable registry line" in captured.err
@@ -924,7 +895,6 @@ def test_dashboard_cli_warns_about_skipped_lines(tmp_path, capsys, monkeypatch):
     code = main(
         [
             "watch",
-            "--once",
             "--out",
             str(tmp_path / "dash.html"),
             "--results-dir",

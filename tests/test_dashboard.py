@@ -1,5 +1,5 @@
 """Tests for the fleet page's panels (``repro.telemetry.dashboard``), on the
-static page ``repro watch --once --out`` writes."""
+static page ``repro watch --out`` writes."""
 
 from repro.exps.common import ExperimentResult
 from repro.telemetry.dashboard import Snapshot, render_fleet
@@ -36,10 +36,10 @@ def test_dashboard_renders_all_sections(tmp_path):
 
     page = build_page(results, bench_dirs=[bench_dir], runs=runs)
     assert page.startswith("<!DOCTYPE html>")
-    for title in ("Runs in flight", "Recent failures", "Paper figure: Fig 11",
-                  "Paper-vs-measured agreement", "Latency attribution", "Run health",
-                  "Determinism", "Recent runs"):
+    for title in ("Paper figure: Fig 11", "Paper-vs-measured agreement",
+                  "Latency attribution", "Run health", "Determinism", "Recent runs"):
         assert page.count(f"<h2>{title}") == 1, title
+    assert "Runs in flight" not in page and "Recent failures" not in page
     # fig11 curves + the one per-workload trajectory; no phase bars (the
     # docs carry no ns-per-flit-hop rows).
     assert page.count("<svg") == 2
@@ -85,7 +85,6 @@ def test_dashboard_empty_bench_and_runs_degrade_gracefully(tmp_path):
     assert page.count("no bench history yet") == 1  # one panel, one sentence
     assert "no BENCH_*.json files" in page and "repro bench" in page
     assert "no run records yet" in page
-    assert "no runs in flight" in page and "no failed live runs" in page
 
 
 def test_write_dashboard_creates_parents(tmp_path, capsys, monkeypatch):
@@ -95,7 +94,7 @@ def test_write_dashboard_creates_parents(tmp_path, capsys, monkeypatch):
     results = tmp_path / "results"
     write_fig11_csv(results)
     out = tmp_path / "deep" / "dashboard.html"
-    assert main(["watch", "--once", "--out", str(out), "--results-dir", str(results),
+    assert main(["watch", "--out", str(out), "--results-dir", str(results),
                  "--runs-dir", str(tmp_path / "runs")]) == 0
     assert out.read_text().startswith("<!DOCTYPE html>")
     assert f"wrote {out}" in capsys.readouterr().out

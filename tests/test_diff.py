@@ -502,79 +502,21 @@ def test_a_bad_config_value_is_a_clean_diff_error(capsys):
     )
 
 
-# -- watch / live integration -------------------------------------------------
-def test_live_feed_carries_digest_and_empty_feeds_fold(tmp_path):
-    from repro.noc.flit import Packet
-    from repro.telemetry import EtaEstimator, RunDigest, feed_status, read_feed
-    from repro.telemetry.live import LiveFeed
-
-    from .helpers import build_chain, run_cycles
-
-    network, _stats = build_chain(3)
-    digest = RunDigest(network)
-    feed = LiveFeed(
-        network, run_id="digestfeed001", directory=tmp_path / "live",
-        eta=EtaEstimator(40), digest=digest,
-    )
-    feed.start({"system": "chain", "workload": "unit"})
-    network.inject(Packet(0, 2, 4, 0))
-    run_cycles(network, 40)
-    path = feed.finish(40)
-    digest.detach()
-
-    status = feed_status(read_feed(path))
-    assert status["state"] == "finished"
-    assert status["digest"]["final"] == digest.final
-    assert status["digest"]["events_total"] == digest.events_total
-
-    # An empty feed (crashed before its start event) folds without error.
-    assert feed_status([])["state"] == "pending"
-    assert feed_status([])["digest"] is None
-
-
-def test_watch_determinism_badge_states(tmp_path):
-    from repro.telemetry.dashboard import determinism_badge
-    from repro.telemetry.server import WatchService
-
-    block = sim_diffable().digest
-    runs_dir = tmp_path / "runs"
-    store = RunStore(runs_dir)
-    store.append(make_record(run_id="match00000001", digest=block))
-    snap = WatchService(runs_dir, bench_dirs=[tmp_path]).snapshot()
-
-    none = determinism_badge({"run_id": "other", "digest": None}, snap)
-    assert "no digest" in none and "repro simulate --digest" in none
-
-    match = determinism_badge(
-        {"run_id": "match00000001", "digest": {"final": block["final"]}}, snap
-    )
-    assert "digest match" in match and block["final"] in match
-
-    mismatch = determinism_badge(
-        {"run_id": "match00000001", "digest": {"final": "f" * 16}}, snap
-    )
-    assert "DIGEST MISMATCH" in mismatch and 'class="alarm"' in mismatch
-
-    feed_only = determinism_badge(
-        {"run_id": "other", "digest": {"final": "a" * 16}}, snap
-    )
-    assert "live feed only" in feed_only
-    registry_only = determinism_badge(
-        {"run_id": "match00000001", "digest": None}, snap
-    )
-    assert "registry only" in registry_only
-
-
+# -- the fleet page ---------------------------------------------------------
 def test_fleet_and_dashboard_render_determinism_sections(tmp_path, committed):
-    from repro.telemetry.dashboard import SECTIONS, determinism_section, render_sections
-    from repro.telemetry.server import WatchService
+    from repro.telemetry.dashboard import (
+        SECTIONS,
+        Snapshot,
+        determinism_section,
+        render_sections,
+    )
 
     runs_dir = tmp_path / "runs"
     store = RunStore(runs_dir)
     block = sim_diffable().digest
     store.append(make_record(digest=block))
 
-    snap = WatchService(runs_dir, bench_dirs=[tmp_path], results_dir=tmp_path).snapshot()
+    snap = Snapshot(runs_dir, bench_dirs=[tmp_path], results_dir=tmp_path)
     assert "<h2>Determinism</h2>" in render_sections(SECTIONS, snap)
 
     # The committed store: every pin, and whether it describes itself.

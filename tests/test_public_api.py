@@ -70,7 +70,7 @@ def test_running_a_point_does_not_import_the_observatory():
     tracer, and none of the standard-library modules only registry writes
     need."""
     heavy = ("forensics", "bench", "compare", "diff", "sentinel", "history",
-             "dashboard", "server")
+             "dashboard")
     unused = (
         "repro.routing.deadlock", "repro.routing.fault", "repro.traffic.trace",
         "repro.traffic.hpc", "repro.traffic.parsec", "repro.traffic.reqreply",

@@ -1,6 +1,13 @@
 """Tests for the append-only run registry (``repro.telemetry.runstore``)."""
 
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -226,12 +233,12 @@ def test_runstore_loads_5k_records_within_budget(tmp_path):
     assert elapsed < 5.0, f"5k-record load took {elapsed:.2f}s"
 
 
-def test_older_schema_records_feed_status_and_sentinel(tmp_path):
+def test_older_schema_records_and_sentinel(tmp_path):
     """Records written before the breakdown/forensics/digest fields existed
-    still flow through the store and the fleet view's ``feed_status``; a
-    ``kind="bench"`` line from before PR 24 (it carried the suite's case
-    blocks in a ``bench`` field) is an unreadable line to lenient readers,
-    and the sentinel reads bench *files*, never the registry."""
+    still flow through the store; a ``kind="bench"`` line from before PR 24
+    (it carried the suite's case blocks in a ``bench`` field) is an
+    unreadable line to lenient readers, and the sentinel reads bench
+    *files*, never the registry."""
     store = RunStore(tmp_path / "runs")
     old = make_record(created="2026-01-01T00:00:00+00:00").to_dict()
     for newer_field in ("breakdown", "forensics", "digest"):
@@ -252,13 +259,6 @@ def test_older_schema_records_feed_status_and_sentinel(tmp_path):
     report = analyze_history(load_history([tmp_path / "runs"]))
     assert report.reports == [] and report.regressions() == []
 
-    from repro.telemetry.live import feed_status
-
-    # A minimal old-style feed: only the fields the first schema wrote.
-    status = feed_status([{"kind": "start", "run_id": "old-run", "cycle": 0}])
-    assert status["run_id"] == "old-run"
-    assert status["digest"] is None and status["bundle"] is None
-
 
 def test_lenient_load_counts_skipped_lines(tmp_path):
     store = RunStore(tmp_path)
@@ -277,3 +277,40 @@ def test_lenient_load_counts_skipped_lines(tmp_path):
     # The counter is per-read, not cumulative across reads.
     store.load(strict=False)
     assert store.skipped == 2
+
+
+def test_a_killed_run_leaves_a_readable_registry(tmp_path):
+    """SIGKILL mid-run (no ``finally`` runs): the registry still loads
+    strictly and holds exactly the record it held before the run."""
+    runs = tmp_path / "runs"
+    seeded = make_record()
+    RunStore(runs).append(seeded)
+    command = [
+        sys.executable, "-m", "repro.cli", "simulate",
+        "--family", "parallel_mesh", "--chiplets", "2x2", "--nodes", "3x3",
+        "--cycles", "10000000", "--rate", "0.1", "--progress", "--epoch", "50",
+        "--runs-dir", str(runs),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        # The first progress line: the run is past set-up and simulating.
+        deadline = time.monotonic() + 60
+        line = b""
+        while not line.endswith(b"\n") and time.monotonic() < deadline:
+            if select.select([child.stderr], [], [], 0.1)[0]:
+                chunk = os.read(child.stderr.fileno(), 1)
+                if not chunk:
+                    break
+                line += chunk
+        assert line.startswith(b"cycle "), line
+        assert child.poll() is None, "the run ended before it could be killed"
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+        child.stderr.close()
+    assert child.returncode == -signal.SIGKILL
+    assert RunStore(runs).load() == [seeded]
