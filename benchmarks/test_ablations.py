@@ -95,14 +95,12 @@ def test_ablation_bypass(benchmark, scale):
             stats = Stats(measure_from=config.warmup_cycles)
             network = build_network(spec, stats, dispatch_policy_factory=factory)
             urgent_latencies: list[int] = []
-            original = stats.note_packet_delivered
 
-            def tap(packet, now, original=original, sink=urgent_latencies, stats=stats):
+            def on_eject(router, packet, now, sink=urgent_latencies, stats=stats):
                 if packet.priority > 0 and packet.create_cycle >= stats.measure_from:
                     sink.append(now - packet.create_cycle)
-                original(packet, now)
 
-            stats.note_packet_delivered = tap
+            network.telemetry.subscribe("packet_eject", on_eject)
 
             class Mixed:
                 def __init__(self):

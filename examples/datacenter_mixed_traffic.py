@@ -61,16 +61,14 @@ def run_system(family: str, policy: str, grid: ChipletGrid, config: SimConfig):
     spec = build_system(family, grid, config)
     stats = Stats(measure_from=config.warmup_cycles)
     network = build_network(spec, stats, policy=policy)
-    # Collect per-class latency by hooking delivery.
+    # Collect per-class latency from the bus's ejection event.
     per_class: dict[str, list[int]] = {"sync": [], "bulk": []}
-    original = stats.note_packet_delivered
 
-    def tap(packet, now):
+    def on_eject(router, packet, now):
         if packet.create_cycle >= stats.measure_from:
             per_class[packet.msg_class].append(now - packet.create_cycle)
-        original(packet, now)
 
-    stats.note_packet_delivered = tap
+    network.telemetry.subscribe("packet_eject", on_eject)
     workload = MixedWorkload(grid.n_nodes, sync_rate=0.02, bulk_rate=0.016)
     Engine(network, workload, stats).run(config.sim_cycles)
     return {

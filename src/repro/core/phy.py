@@ -258,7 +258,7 @@ class HeteroPhyLink(Link):
         for packet, index, vc in released:
             if rob_release is not None:
                 rob_release(self, Flit(packet, index), vc, now)
-            # Arrival bookkeeping of ``Router.receive_flit``, inline.
+            # Arrival: the links are the only writers of input buffers.
             ivc = vcs[vc]
             ivc.n += 1
             if index == 0:

@@ -163,10 +163,8 @@ class Link:
         return self._credit_delay
 
     def _deliver_credits(self, now: int) -> None:
-        """Hand every due credit to the upstream output port.
-
-        The credit bookkeeping of ``Router.credit_arrive``, inline.
-        """
+        """Hand every due credit to the upstream output port (the links
+        are the only writers of a router's credit counters)."""
         queue = self._credit_queue
         if queue and queue[0][0] <= now:
             credits = self._src_credits
@@ -284,7 +282,7 @@ class PipelinedLink(Link):
     def step(self, now: int) -> bool:
         pipe = self._pipe
         if pipe and pipe[0][0] <= now:
-            # Arrival bookkeeping of ``Router.receive_flit``, inline.
+            # Arrival: the links are the only writers of input buffers.
             router = self.dst_router
             port = self.dst_port
             vcs = self._dst_vcs

@@ -174,38 +174,6 @@ class Router:
             self.active = True
             self.network._router_work.append(self)
 
-    # The two methods below are the one-call forms of what the links'
-    # delivery loops do inline (``PipelinedLink.step``,
-    # ``HeteroPhyLink._receive`` / ``_deliver_credits``); the loops own the
-    # bookkeeping for speed, and ``tests/test_link.py`` pins both forms
-    # equivalent.
-    def receive_flit(
-        self, port: int, vc_idx: int, packet: Packet, index: int, count: int, now: int
-    ) -> None:
-        """Flits ``index`` to ``index + count - 1`` of ``packet`` arrive from
-        an upstream link into an input VC buffer."""
-        vc = self.inputs[port].vcs[vc_idx]
-        vc.n += count
-        if index == 0:
-            vc.queue.append(packet)
-            if vc.state == VC_IDLE and not vc.queued:
-                vc.queued = True
-                self._pending.append(vc)
-        flit_recv = self._telemetry.flit_recv
-        if flit_recv is not None:
-            for i in range(index, index + count):
-                flit_recv(self, port, vc_idx, Flit(packet, i), now)
-        if not self.active:
-            self.active = True
-            self.network._router_work.append(self)
-
-    def credit_arrive(self, out_port: int, vc: int) -> None:
-        """A downstream buffer slot was freed."""
-        self.outputs[out_port].credits[vc] += 1
-        if not self.active:
-            self.active = True
-            self.network._router_work.append(self)
-
     # -- per-cycle operation ------------------------------------------------
     # ``Network.step`` runs ``_stage_rc_va`` then ``_stage_sa`` on every
     # router of its work list; the router stays listed while either of its

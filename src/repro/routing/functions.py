@@ -169,7 +169,10 @@ class HypercubeRouting:
 
     def __init__(self, spec: SystemSpec) -> None:
         if spec.config.n_vcs < 2:
-            raise ValueError("minus-first routing needs >= 2 virtual channels")
+            raise ValueError(
+                "minus-first routing needs n_vcs >= 2 virtual channels, "
+                f"got n_vcs={spec.config.n_vcs}"
+            )
         self.grid = spec.grid
         self.n_vcs = spec.config.n_vcs
         self.hosts = CubeHostIndex(spec)

@@ -144,7 +144,7 @@ class Engine:
     def _tick(self) -> None:
         now = self.cycle
         stats = self.stats
-        stats.now = now
+        moved = stats.router_flits
         # Timing seam: ``lap`` is the ledger's lap timer on a cycle it
         # samples, else None — then nothing below calls or reads a clock.
         ledger = self.hostprof
@@ -159,6 +159,8 @@ class Engine:
                 lap("inject")
             self.network.step(now)
             self.cycle = now + 1
+            if stats.router_flits != moved:
+                stats.last_movement_cycle = now
             if (
                 self.deadlock_threshold is not None
                 and now - stats.last_movement_cycle > self.deadlock_threshold

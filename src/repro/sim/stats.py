@@ -50,10 +50,11 @@ class Stats:
 
     def __init__(self, measure_from: int = 0) -> None:
         self.measure_from = measure_from
-        self.now = 0
-        # Progress tracking (used for deadlock detection).
-        self.last_movement_cycle = 0
+        #: Flits that crossed a router's switch, all run long.
         self.router_flits = 0
+        #: Last cycle ``router_flits`` grew: the engine's stall clock, written
+        #: by :class:`~repro.sim.engine.Engine` alone.
+        self.last_movement_cycle = 0
         # Link-level counters, indexed by channel-kind id (hot path).
         self._link_flits = [0] * len(KINDS_BY_ID)
         self._link_energy_pj = [0.0] * len(KINDS_BY_ID)
@@ -89,7 +90,6 @@ class Stats:
     def note_router_flit(self, count: int = 1) -> None:
         """``count`` flits crossed a router's switch this cycle."""
         self.router_flits += count
-        self.last_movement_cycle = self.now
 
     @property
     def link_flits(self) -> dict[ChannelKind, int]:

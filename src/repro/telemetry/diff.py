@@ -336,11 +336,14 @@ def run_described(
     if cycles is not None:
         horizon, drain = min(int(cycles), horizon), False
     described.update((key, meta.get(key)) for key in ("mix", "perturb", "checkpoint_every"))
-    return run_workload(
-        spec, workload, name, described, horizon, drain=drain,
-        policy=meta.get("policy") or None, warmup=warmup, telemetry=telemetry,
-        seed=meta.get("seed"), vct=vct,
-    )
+    try:
+        return run_workload(
+            spec, workload, name, described, horizon, drain=drain,
+            policy=meta.get("policy") or None, warmup=warmup, telemetry=telemetry,
+            seed=meta.get("seed"), vct=vct,
+        )
+    except ValueError as exc:  # a run fails as RuntimeError: this is the build
+        raise DiffError(str(exc)) from None
 
 
 def resimulate(

@@ -420,8 +420,6 @@ class HealthMonitor:
         #: ``(cycle, oldest in-flight age)`` per sampled epoch.
         self.ages: list[tuple[int, int]] = []
         self.anomalies: list[HealthAnomaly] = []
-        #: The anomalies the latest epoch raised.
-        self.raised: list[HealthAnomaly] = []
         self._active_flags: set[str] = set()
 
     def on_epoch(self, sample: "EpochSample") -> None:
@@ -463,16 +461,16 @@ class HealthMonitor:
                 f"{sample.buffered} flits buffered "
                 f"(limit {limits.max_buffered_flits})",
             ))
-        self.raised = [
+        raised = [
             HealthAnomaly(cycle=cycle, kind=kind, detail=detail)
             for kind, detail in findings
             if kind not in self._active_flags  # report rising edges only
         ]
         self._active_flags = {kind for kind, _ in findings}
-        self.anomalies.extend(self.raised)
-        if self.stream is not None and self.raised:
+        self.anomalies.extend(raised)
+        if self.stream is not None and raised:
             self.stream.writelines(
-                f"[health] cycle {cycle}: {a.kind}: {a.detail}\n" for a in self.raised
+                f"[health] cycle {cycle}: {a.kind}: {a.detail}\n" for a in raised
             )
             self.stream.flush()
 

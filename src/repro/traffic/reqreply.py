@@ -21,13 +21,13 @@ delivered fraction — is the fidelity metric.
 from __future__ import annotations
 
 import heapq
-import weakref
-from functools import partial
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.noc.flit import Packet
-from repro.sim.stats import Stats
 from .rng import Stream
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.noc.network import Network
 
 #: Netrace packet sizes (Sec 7.2).
 REQUEST_FLITS = 1
@@ -35,15 +35,14 @@ REPLY_FLITS = 9
 
 
 class RequestReplyWorkload:
-    """Closed-loop cache-style traffic bound to a Stats collector.
+    """Closed-loop cache-style traffic on one network.
 
     Parameters
     ----------
-    stats:
-        The run's statistics collector; the workload taps its delivery
-        notifications to drive the reply chain.
-    n_nodes:
-        System size; every node is both a core and a home slice.
+    network:
+        The network the workload drives.  Every node is both a core and a
+        home slice; :meth:`on_delivery` subscribes to its bus's
+        ``packet_eject`` to drive the reply chain.
     issue_rate:
         Request-issue probability per node per cycle (while MSHRs free).
     mshrs:
@@ -54,8 +53,7 @@ class RequestReplyWorkload:
 
     def __init__(
         self,
-        stats: Stats,
-        n_nodes: int,
+        network: "Network",
         *,
         issue_rate: float = 0.02,
         mshrs: int = 4,
@@ -63,6 +61,7 @@ class RequestReplyWorkload:
         until: Optional[int] = None,
         seed: int = 17,
     ) -> None:
+        n_nodes = network.n_nodes
         if n_nodes < 2:
             raise ValueError("need at least two nodes")
         if not 0 <= issue_rate <= 1:
@@ -86,25 +85,7 @@ class RequestReplyWorkload:
         self.transaction_latencies: list[int] = []
         self.requests_issued = 0
         self.replies_delivered = 0
-        self._install_tap(stats)
-
-    def _install_tap(self, stats: Stats) -> None:
-        """Chain :meth:`on_delivery` in front of ``stats.note_packet_delivered``.
-
-        The tap is stored on ``stats``, so it reaches ``Stats``' own method
-        through a weak proxy: the bound method would point back at ``stats``
-        and leave the pair as cyclic garbage.  An earlier tap is chained as is.
-        """
-        earlier = vars(stats).get("note_packet_delivered") or partial(
-            type(stats).note_packet_delivered, weakref.proxy(stats)
-        )
-        on_delivery = self.on_delivery
-
-        def tap(packet: Packet, now: int) -> None:
-            on_delivery(packet, now)
-            earlier(packet, now)
-
-        stats.note_packet_delivered = tap
+        network.telemetry.attach({"packet_eject": self.on_delivery})
 
     # -- engine protocol ------------------------------------------------------
     def step(self, now: int) -> Iterable[Packet]:
@@ -136,8 +117,9 @@ class RequestReplyWorkload:
                 packets.append(request)
         return packets
 
-    def on_delivery(self, packet: Packet, now: int) -> None:
-        """Advance the transaction state machine on each delivery."""
+    def on_delivery(self, _router: object, packet: Packet, now: int) -> None:
+        """Advance the transaction state machine on each delivery (the
+        ``packet_eject`` callback)."""
         transaction = self._transactions.pop(packet.pid, None)
         if transaction is not None:
             requester, issue_cycle = transaction

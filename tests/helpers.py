@@ -114,7 +114,6 @@ def build_chain(
 def run_cycles(network: Network, cycles: int, start: int = 0) -> int:
     """Step the network for a number of cycles; returns the next cycle."""
     for now in range(start, start + cycles):
-        network.stats.now = now
         network.step(now)
     return start + cycles
 

@@ -14,7 +14,7 @@ from repro.telemetry import (
     pins,
     resimulate,
 )
-from repro.telemetry.diff import PerturbedWorkload
+from repro.telemetry.diff import PerturbedWorkload, run_described
 from repro.telemetry.digest import chain_hex
 from repro.telemetry.runstore import RunStore
 
@@ -337,6 +337,29 @@ def test_cli_diff_rejects_a_spec_the_simulator_cannot_build(bad, capsys):
         main(["diff", spec, BASE_SPEC])
     message = str(caught.value.code)
     assert message.startswith(f"{spec}: ") and "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    ("bad", "field"),
+    [
+        ("family=parallel_mesh,policy=nosuch", "policy"),
+        ("family=parallel_mesh,policy=mesh", "policy"),
+        ("family=parallel_mesh,onchip_buffer=8", "onchip_buffer"),
+        ("family=hetero_phy_torus,interface_buffer=8", "interface_buffer"),
+        ("family=serial_hypercube,n_vcs=1", "n_vcs"),
+    ],
+)
+def test_a_system_the_builder_refuses_is_a_clean_diff_error(bad, field, capsys):
+    """``build_network``'s refusals (policy, buffer depth, VC count) are
+    bad operands, named by field, like the description's own."""
+    spec = f"sim:{bad},cycles=300,warmup=30"
+    with pytest.raises(DiffError, match=field):
+        run_described(parse_sim_spec(spec), telemetry=None)
+    with pytest.raises(SystemExit) as caught:
+        main(["diff", spec, BASE_SPEC])
+    message = str(caught.value.code)
+    assert message.startswith(f"{spec}: ") and field in message and "\n" not in message
     assert capsys.readouterr().out == ""
 
 

@@ -1,8 +1,9 @@
-"""Tests for the energy reporting helpers."""
+"""The energy model's per-packet report (Sec 8.3): the links charge each
+flit as they carry it, and ``Stats`` reports the measured packets' mean
+split on-chip / interface."""
 
 import pytest
 
-from repro.energy.model import EnergyReport, energy_report
 from repro.noc.flit import Packet
 from repro.sim.stats import Stats
 
@@ -15,18 +16,11 @@ def test_report_from_stats():
     packet.energy_interface_pj = 36.0
     stats.note_packet_injected(packet)
     stats.note_packet_delivered(packet, 10)
-    report = energy_report(stats)
-    assert report.onchip_pj == pytest.approx(12.0)
-    assert report.interface_pj == pytest.approx(36.0)
-    assert report.total_pj == pytest.approx(48.0)
-    assert report.interface_share == pytest.approx(0.75)
-    assert report.packets == 1
-
-
-def test_zero_energy_share():
-    report = EnergyReport(onchip_pj=0.0, interface_pj=0.0, packets=0)
-    assert report.interface_share == 0.0
-    assert report.total_pj == 0.0
+    report = stats.summary()
+    assert report["avg_energy_onchip_pj"] == pytest.approx(12.0)
+    assert report["avg_energy_interface_pj"] == pytest.approx(36.0)
+    assert report["avg_energy_pj"] == pytest.approx(48.0)
+    assert report["packets_delivered"] == 1
 
 
 def test_end_to_end_energy_report():
@@ -38,7 +32,8 @@ def test_end_to_end_energy_report():
     spec = build_system(
         "hetero_phy_torus", ChipletGrid(2, 2, 3, 3), SimConfig(sim_cycles=1_200, warmup_cycles=200)
     )
-    result = run_synthetic(spec, "uniform", 0.1, seed=2)
-    report = energy_report(result.stats)
-    assert report.total_pj > 0
-    assert 0 < report.interface_share < 1
+    stats = run_synthetic(spec, "uniform", 0.1, seed=2).stats
+    total = stats.avg_energy_pj
+    assert total == pytest.approx(stats.avg_energy_onchip_pj + stats.avg_energy_interface_pj)
+    assert total > 0
+    assert 0 < stats.avg_energy_interface_pj / total < 1

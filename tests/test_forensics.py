@@ -334,10 +334,11 @@ def test_health_monitor_flags_rising_edges_only():
     _grid, _config, network, _stats = _tiny_network()
     monitor = HealthMonitor(network, thresholds=HealthThresholds(max_packet_age=1))
     network.inject(Packet(0, 3, length=4, create_cycle=0))
-    for end in (1_001, 1_101):  # still over threshold: no second flag
-        monitor.on_epoch(_epoch(end - 100, end, delivered=1))
-    assert sum(a.kind == "packet-age" for a in monitor.anomalies) == 1
-    assert monitor.raised == []
+    monitor.on_epoch(_epoch(901, 1_001, delivered=1))
+    [first] = monitor.anomalies
+    assert first.kind == "packet-age" and first.cycle == 1_000
+    monitor.on_epoch(_epoch(1_001, 1_101, delivered=1))  # still over: no second flag
+    assert monitor.anomalies == [first]
 
 
 def test_health_monitor_skips_no_throughput_during_warmup():

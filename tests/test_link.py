@@ -107,7 +107,6 @@ def test_credits_throttle_when_downstream_blocked():
         network.inject(Packet(0, 2, 4, 0))
     max_occupancy = 0
     for now in range(60):
-        network.stats.now = now
         network.step(now)
         occupancy = network.routers[1].buffered_flits()
         max_occupancy = max(max_occupancy, occupancy)
@@ -122,113 +121,8 @@ def test_occupancy_tracks_in_flight():
     network.inject(packet)
     peak = 0
     for now in range(30):
-        network.stats.now = now
         network.step(now)
         peak = max(peak, link.occupancy)
     assert peak > 0
     assert link.occupancy == 0
 
-
-# -- delivery loops vs. the routers' one-call entry points ---------------------
-def _downstream_state(network):
-    """Everything a delivery can touch, in comparable (object-free) form."""
-    src, dst = network.routers
-    position = {id(ivc): (ivc.port, ivc.index) for port in dst.inputs for ivc in port.vcs}
-    return {
-        "vcs": [
-            (
-                ivc.port,
-                ivc.index,
-                [(packet.length, index) for packet, index in ivc.flits()],
-                ivc.state,
-                ivc.queued,
-            )
-            for port in dst.inputs
-            for ivc in port.vcs
-        ],
-        "pending": [position[id(ivc)] for ivc in dst._pending],
-        "credits": [list(out.credits) for out in src.outputs],
-        "active": [router.active for router in network.routers],
-        "work": [router.node for router in network._router_work],
-    }
-
-
-@pytest.mark.parametrize("kind", [ChannelKind.PARALLEL, ChannelKind.HETERO_PHY])
-def test_delivery_loops_match_single_item_entry_points(kind):
-    """A link's delivery loops and ``Router.receive_flit`` / ``credit_arrive``
-    are two forms of one bookkeeping.
-
-    Network A pushes runs of flits and credits through the link and steps
-    it; network B is handed the same flits and credits, at the same cycles,
-    by calling the router methods directly, one call per run of consecutive
-    flits.  Both must end in the same input-VC state, ``_pending`` order,
-    credit counts, activation and ``flit_recv`` event stream.
-    """
-    driven, _ = build_chain(2, kind, bandwidth=2, delay=3)
-    by_hand, _ = build_chain(2, kind, bandwidth=2, delay=3)
-    link = driven.links[0]
-
-    def flit_recv_log(network):
-        log: list[tuple] = []
-        network.telemetry.subscribe(
-            "flit_recv",
-            lambda router, port, vc, flit, now: log.append(
-                (router.node, port, vc, flit.packet.length, flit.index, now)
-            ),
-        )
-        return log
-
-    driven_events, hand_events = flit_recv_log(driven), flit_recv_log(by_hand)
-
-    # Two packets of distinct lengths (length doubles as the packet's name)
-    # on two VCs, fed at the link's width as runs (packet, first flit,
-    # flits, vc) and single flits; credits on both VCs, singly and in runs.
-    def make_feed():
-        a, b = Packet(0, 1, 3, 0), Packet(0, 1, 4, 0)
-        return {
-            0: [(a, 0, 2, 0)],
-            1: [(b, 0, 2, 1)],
-            2: [(a, 2, 1, 0), (b, 2, 1, 1)],
-            4: [(b, 3, 1, 1)],
-        }
-
-    credit_returns = {0: [(1, 2)], 1: [(0, 1), (1, 1)], 5: [(0, 2)]}
-    credit_arrivals: dict[int, list[int]] = {}
-    feed = make_feed()
-    for now in range(40):
-        for packet, index, count, vc in feed.get(now, []):
-            link.accept(packet, index, count, vc, now)
-        for vc, count in credit_returns.get(now, []):
-            link.return_credit(vc, now, count)
-            credit_arrivals.setdefault(now + link.credit_delay, []).extend([vc] * count)
-        link.step(now)
-    assert len(driven_events) == 7 and link.occupancy == 0
-
-    replay = {
-        packet.length: packet
-        for flits in make_feed().values()
-        for packet, _index, _count, _vc in flits
-    }
-    # The driven arrivals as runs: consecutive flits of one packet, on one
-    # VC, in one cycle.
-    runs: list[list] = []  # [cycle, port, vc, length, first index, flits]
-    for _node, port, vc, length, index, when in driven_events:
-        last = runs[-1] if runs else None
-        if last and last[:4] == [when, port, vc, length] and last[4] + last[5] == index:
-            last[5] += 1
-        else:
-            runs.append([when, port, vc, length, index, 1])
-    assert any(run[5] > 1 for run in runs)
-    src, dst = by_hand.routers
-    for now in range(40):
-        for when, port, vc, length, index, count in runs:
-            if when == now:
-                dst.receive_flit(port, vc, replay[length], index, count, now)
-        for vc in credit_arrivals.get(now, []):
-            src.credit_arrive(by_hand.links[0].src_port, vc)
-
-    assert hand_events == driven_events
-    assert _downstream_state(by_hand) == _downstream_state(driven)
-    # The heads found idle VCs, so both forms queued them for RC, in order.
-    assert _downstream_state(driven)["pending"] == [(1, 0), (1, 1)]
-    assert _downstream_state(driven)["work"] == [1, 0]

@@ -43,15 +43,13 @@ def test_overload_makes_progress_without_deadlock(family):
 def test_ban_mechanism_engages_under_congestion():
     spec, network, stats = make_network("hetero_channel", ChipletGrid(4, 4, 2, 2), CONFIG)
     banned_seen = 0
-    original = stats.note_packet_delivered
 
-    def tap(packet, now):
+    def on_eject(router, packet, now):
         nonlocal banned_seen
         if packet.adaptive_banned:
             banned_seen += 1
-        original(packet, now)
 
-    stats.note_packet_delivered = tap
+    network.telemetry.subscribe("packet_eject", on_eject)
     pattern = make_pattern("complement", 64)
     workload = SyntheticWorkload(pattern, 64, 0.8, 16, until=CONFIG.sim_cycles, seed=2)
     Engine(network, workload, stats).run(CONFIG.sim_cycles)
@@ -65,14 +63,12 @@ def test_hop_counts_bounded(family):
     network diameter even under congestion (livelock freedom)."""
     spec, network, stats = make_network(family, GRID, CONFIG)
     max_hops = 0
-    original = stats.note_packet_delivered
 
-    def tap(packet, now):
+    def on_eject(router, packet, now):
         nonlocal max_hops
         max_hops = max(max_hops, packet.hops_onchip + packet.hops_interface)
-        original(packet, now)
 
-    stats.note_packet_delivered = tap
+    network.telemetry.subscribe("packet_eject", on_eject)
     pattern = make_pattern("uniform", GRID.n_nodes)
     workload = SyntheticWorkload(pattern, GRID.n_nodes, 0.5, 16, until=CONFIG.sim_cycles, seed=3)
     Engine(network, workload, stats).run(CONFIG.sim_cycles)

@@ -109,7 +109,6 @@ def test_rob_occupancy_bounded_by_eq1():
         network.inject(Packet(0, 1, 16, 0))
     peak = 0
     for now in range(400):
-        network.stats.now = now
         network.step(now)
         peak = max(peak, link.rob.occupancy)
     bound = 2 * (20 - 5)

@@ -161,7 +161,7 @@ network = build_network(spec, Stats())
 assert fail_random_links(network, adaptive_link_indices(network, spec), 2, seed=1)
 stats = Stats()
 network = build_network(spec, stats)
-workload = RequestReplyWorkload(stats, grid.n_nodes, issue_rate=0.2)
+workload = RequestReplyWorkload(network, issue_rate=0.2)
 Engine(network, workload, stats).run(50)
 assert workload.requests_issued > 0
 assert "numpy" not in sys.modules

@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from repro.noc.network import Network
 from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.stats import Stats
+from repro.telemetry.digest import RunDigest
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import build_system
 from repro.traffic.reqreply import REPLY_FLITS, REQUEST_FLITS, RequestReplyWorkload
@@ -16,26 +18,37 @@ GRID = ChipletGrid(2, 2, 3, 3)
 CONFIG = SimConfig(sim_cycles=3_000, warmup_cycles=300)
 
 
-def run_closed_loop(family="hetero_phy_torus", **kwargs):
+def run_closed_loop(family="hetero_phy_torus", *, digest=False, **kwargs):
     spec = build_system(family, GRID, CONFIG)
     stats = Stats(measure_from=CONFIG.warmup_cycles)
     network = build_network(spec, stats)
-    workload = RequestReplyWorkload(
-        stats, GRID.n_nodes, until=CONFIG.sim_cycles - 800, **kwargs
-    )
+    if digest:
+        RunDigest(network)  # subscribes to packet_eject ahead of the workload
+    workload = RequestReplyWorkload(network, until=CONFIG.sim_cycles - 800, **kwargs)
     engine = Engine(network, workload, stats)
     engine.run_until_drained(CONFIG.sim_cycles + 100_000)
     return workload, stats
 
 
 def test_validation():
-    stats = Stats()
     with pytest.raises(ValueError):
-        RequestReplyWorkload(stats, 1)
+        RequestReplyWorkload(Network(1, Stats()))
+    network = Network(8, Stats())
     with pytest.raises(ValueError):
-        RequestReplyWorkload(stats, 8, issue_rate=1.5)
+        RequestReplyWorkload(network, issue_rate=1.5)
     with pytest.raises(ValueError):
-        RequestReplyWorkload(stats, 8, mshrs=0)
+        RequestReplyWorkload(network, mshrs=0)
+    assert network.telemetry.packet_eject is None  # a rejected workload subscribes nothing
+
+
+def test_a_second_packet_eject_subscriber_changes_nothing():
+    """The workload is one ``packet_eject`` subscriber among others: with a
+    digest on the bus too, every transaction takes the same cycles."""
+    plain, plain_stats = run_closed_loop(issue_rate=0.05)
+    digested, digested_stats = run_closed_loop(issue_rate=0.05, digest=True)
+    assert len(plain.transaction_latencies) == plain.requests_issued > 50
+    assert digested.transaction_latencies == plain.transaction_latencies
+    assert digested_stats.latencies == plain_stats.latencies
 
 
 def test_every_request_gets_exactly_one_reply():
@@ -58,9 +71,7 @@ def test_mshr_limit_respected():
     spec = build_system("hetero_phy_torus", GRID, CONFIG)
     stats = Stats(measure_from=CONFIG.warmup_cycles)
     network = build_network(spec, stats)
-    workload = RequestReplyWorkload(
-        stats, GRID.n_nodes, issue_rate=1.0, mshrs=2, until=2_000
-    )
+    workload = RequestReplyWorkload(network, issue_rate=1.0, mshrs=2, until=2_000)
     engine = Engine(network, workload, stats)
     peak = 0
     for _ in range(60):
@@ -84,14 +95,13 @@ def test_packet_sizes_match_netrace():
     spec = build_system("parallel_mesh", GRID, CONFIG)
     stats = Stats(measure_from=0)
     network = build_network(spec, stats)
-    workload = RequestReplyWorkload(stats, GRID.n_nodes, issue_rate=0.05, until=300)
+    workload = RequestReplyWorkload(network, issue_rate=0.05, until=300)
     sizes = set()
     for now in range(300):
         for packet in workload.step(now):
             sizes.add(packet.length)
             network.inject(packet)
             stats.note_packet_injected(packet)
-        stats.now = now
         network.step(now)
     assert sizes <= {REQUEST_FLITS, REPLY_FLITS}
     assert REQUEST_FLITS in sizes

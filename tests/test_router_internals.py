@@ -18,7 +18,6 @@ def test_vc_state_machine_lifecycle():
     network.inject(packet)
     ivc = router.inputs[Router.INJECT_PORT].vcs[0]
     assert ivc.state == VC_IDLE
-    network.stats.now = 0
     network.step(0)  # RC + VA complete within the cycle
     assert ivc.state == VC_ACTIVE
     assert ivc.out_port == 1
@@ -42,7 +41,6 @@ def test_output_vc_exclusive_ownership():
     b = Packet(0, 1, 8, 0)
     network.inject(a)
     network.inject(b)
-    network.stats.now = 0
     network.step(0)
     out = router.outputs[1]
     owners = [owner for owner in out.vc_owner if owner is not None]
@@ -59,7 +57,6 @@ def test_third_packet_waits_for_free_vc():
     network.finalize()
     for _ in range(3):
         network.inject(Packet(0, 1, 8, 0))
-    stats.now = 0
     network.step(0)
     router = network.routers[0]
     states = sorted(vc.state for vc in router.inputs[0].vcs)
@@ -144,7 +141,6 @@ def test_hetero_budget_respected_by_sa():
     for _ in range(6):
         network.inject(Packet(0, 1, 16, 0))
     for now in range(200):
-        network.stats.now = now
         network.step(now)
         assert accepts.count(now) <= 6
     assert len(accepts) == 6 * 16

@@ -121,18 +121,19 @@ def test_sweep_leaves_no_cyclic_garbage(built, no_collector):
 
 
 def test_closed_loop_run_leaves_no_cyclic_garbage(no_collector):
-    """The request/reply workload taps its ``Stats`` without a reference back."""
+    """The request/reply workload subscribes to the bus without a reference
+    back to the network."""
     spec = build_system("hetero_phy_torus", GRID, CONFIG)
     stats = Stats(measure_from=100)
     network = build_network(spec, stats)
-    workload = RequestReplyWorkload(stats, GRID.n_nodes, issue_rate=0.05, until=300)
+    workload = RequestReplyWorkload(network, issue_rate=0.05, until=300)
     Engine(network, workload, stats).run_until_drained(20_000)
     network.close()
     assert workload.replies_delivered == workload.requests_issued > 0
     assert stats.packets_delivered > 0
-    freed = weakref.ref(stats)
+    freed = [weakref.ref(stats), weakref.ref(network)]
     del network, workload, stats
-    assert freed() is None
+    assert [ref() for ref in freed] == [None, None]
     assert gc.collect() == 0
 
 

@@ -91,6 +91,15 @@ class _CreditLeakLink(PipelinedLink):
         super().return_credit(vc, now, count)
 
 
+class _ForgingLink(PipelinedLink):
+    """Delivers whatever run it is handed, in the same cycle — flits no
+    switch sent, in any order: a corrupted link."""
+
+    def forge(self, packet, index, count, vc, now):
+        self._pipe.append((now, packet, index, count, vc))
+        self.step(now)
+
+
 def _mesh_of(link_factory, grid, config):
     """A parallel mesh whose every link is built by ``link_factory``."""
     spec = build_system("parallel_mesh", grid, config)
@@ -170,34 +179,36 @@ def test_dropped_flit_breaks_conservation():
     assert excinfo.value.code == "FLIT-CONSERVATION"
 
 
-def test_out_of_order_delivery_is_flagged():
+def _forged_mesh():
+    """A sanitized 2x1(2x2) parallel mesh and the forging link into
+    router 1's port 1."""
     config = SimConfig()
-    grid = ChipletGrid(2, 1, 2, 2)
-    spec, network, stats = make_network("parallel_mesh", grid, config)
+    network, _ = _mesh_of(_ForgingLink, ChipletGrid(2, 1, 2, 2), config)
     InvariantChecker(network)
+    return network.routers[1].inputs[1].link
+
+
+def test_out_of_order_delivery_is_flagged():
+    link = _forged_mesh()
     packet = Packet(0, 1, length=2, create_cycle=0)
-    router = network.routers[1]
     with pytest.raises(InvariantViolation) as excinfo:
-        router.receive_flit(1, 0, packet, 1, 1, 0)  # body/tail before any head
+        link.forge(packet, 1, 1, 0, 0)  # body/tail before any head
     assert excinfo.value.code == "VC-ORDER"
 
     # Interleaving a foreign head mid-packet is equally illegal.
-    router.receive_flit(1, 0, packet, 0, 1, 0)
+    link.forge(packet, 0, 1, 0, 0)
     other = Packet(0, 1, length=2, create_cycle=0)
     with pytest.raises(InvariantViolation) as excinfo:
-        router.receive_flit(1, 0, other, 0, 1, 0)
+        link.forge(other, 0, 1, 0, 0)
     assert excinfo.value.code == "VC-ORDER"
 
 
 def test_skipped_flit_index_is_flagged():
-    config = SimConfig()
-    _, network, _ = make_network("parallel_mesh", ChipletGrid(2, 1, 2, 2), config)
-    InvariantChecker(network)
+    link = _forged_mesh()
     packet = Packet(0, 1, length=4, create_cycle=0)
-    router = network.routers[1]
-    router.receive_flit(1, 0, packet, 0, 1, 0)
+    link.forge(packet, 0, 1, 0, 0)
     with pytest.raises(InvariantViolation) as excinfo:
-        router.receive_flit(1, 0, packet, 2, 1, 0)
+        link.forge(packet, 2, 1, 0, 0)
     assert excinfo.value.code == "VC-ORDER"
     assert "received flit 2 of packet" in str(excinfo.value)
     assert "expected flit 1" in str(excinfo.value)
@@ -229,15 +240,11 @@ def test_corrupted_buffer_front_is_flagged_on_send():
 
 
 def test_buffer_overflow_is_flagged():
-    config = SimConfig()
-    grid = ChipletGrid(2, 1, 2, 2)
-    spec, network, stats = make_network("parallel_mesh", grid, config)
-    InvariantChecker(network)
-    router = network.routers[1]
-    depth = router.inputs[1].buffer_depth
+    link = _forged_mesh()
+    depth = link.dst_router.inputs[link.dst_port].buffer_depth
     with pytest.raises(InvariantViolation) as excinfo:
-        for i in range(depth + 1):
-            router.receive_flit(1, 0, Packet(0, 1, length=1, create_cycle=0), 0, 1, 0)
+        for _ in range(depth + 1):
+            link.forge(Packet(0, 1, length=1, create_cycle=0), 0, 1, 0, 0)
     assert excinfo.value.code == "BUF-OVERFLOW"
 
 

@@ -6,7 +6,16 @@ import pytest
 
 from repro.noc.channel import ChannelKind, KIND_IDS
 from repro.noc.flit import Packet
+from repro.sim.build import build_network
+from repro.sim.config import SimConfig
+from repro.sim.engine import Engine
 from repro.sim.stats import DeadlockError, Stats, percentile
+from repro.topology.grid import ChipletGrid
+from repro.topology.system import build_system
+from repro.traffic import SyntheticWorkload
+from repro.traffic.patterns import make_pattern
+
+from .helpers import ring_routing, uniform_engine
 
 
 def delivered_packet(create=0, arrive=30, length=4):
@@ -165,12 +174,45 @@ def test_throughput_rejects_nonpositive_windows():
             stats.throughput(n_nodes, cycles)
 
 
+def _stepped(engine, cycles, grew):
+    """Run ``engine`` one cycle at a time, listing in ``grew`` each cycle
+    ``router_flits`` grew."""
+    for _ in range(cycles):
+        before = engine.stats.router_flits
+        engine.run(1)
+        if engine.stats.router_flits > before:
+            grew.append(engine.cycle - 1)
+
+
 def test_progress_tracking():
+    """The engine alone keeps the stall clock: ``last_movement_cycle`` is
+    the last cycle ``router_flits`` grew, and a wedge's ``stalled_for``
+    counts from it."""
+    # Traffic that stops at cycle 200, then a hundred idle cycles or more.
+    network, engine = uniform_engine(
+        "parallel_mesh", ChipletGrid(2, 1, 2, 2), cycles=200, rate=0.1, seed=5
+    )
+    grew: list[int] = []
+    _stepped(engine, 400, grew)
+    assert network.buffered_flits() == 0 and grew[-1] < 300
+    assert engine.stats.last_movement_cycle == grew[-1]
+
+    # Eastward ring routing at rate 1.0 wedges: the watchdog fires once the
+    # clock is ``deadlock_threshold`` cycles stale.
+    config = SimConfig(sim_cycles=4_000, warmup_cycles=0)
+    grid = ChipletGrid(2, 1, 2, 2)
     stats = Stats()
-    stats.now = 42
-    stats.note_router_flit()
-    assert stats.last_movement_cycle == 42
-    assert stats.router_flits == 1
+    network = build_network(
+        build_system("serial_torus", grid, config), stats, routing=ring_routing
+    )
+    source = SyntheticWorkload(make_pattern("uniform", grid.n_nodes), grid.n_nodes, 1.0, 16, seed=3)
+    engine = Engine(network, source, stats, deadlock_threshold=300)
+    grew.clear()
+    with pytest.raises(DeadlockError) as excinfo:
+        _stepped(engine, 4_000, grew)
+    error = excinfo.value
+    assert stats.last_movement_cycle == grew[-1]
+    assert error.stalled_for == error.cycle - grew[-1] == 301
 
 
 def test_summary_keys():
