@@ -145,7 +145,14 @@ class HeteroPhyLink(Link):
             self._dispatch(now)
         credit_queue = self._credit_queue
         if credit_queue and credit_queue[0][0] <= now:
-            self._deliver_credits(now)
+            credits = self._src_credits
+            while credit_queue and credit_queue[0][0] <= now:
+                _, vc, count = credit_queue.pop(0)
+                credits[vc] += count
+            router = self.src_router
+            if not router.active:
+                router.active = True
+                self.network._router_work.append(router)
         # Live while any queue, pipe, pending credit or ROB slot is (the
         # ROB last: it is only asked when everything else has drained).
         return bool(
@@ -175,7 +182,8 @@ class HeteroPhyLink(Link):
         choose_phy = self.policy.choose_phy
         next_sn = self._next_sn
         phy_dispatch = self._telemetry.phy_dispatch
-        note_link_flit = self._stats.note_link_flit
+        kind_flits = self._kind_flits
+        kind_energies = self._kind_energy_pj
         kind_id = self._kind_id
         while True:
             # With bypass flits queued the parallel PHY goes to them; once
@@ -220,7 +228,8 @@ class HeteroPhyLink(Link):
             packet.energy_interface_pj += energy_pj
             if index == 0:
                 packet.hops_interface += 1
-            note_link_flit(kind_id, energy_pj, 1)
+            kind_flits[kind_id] += 1
+            kind_energies[kind_id] += energy_pj
 
     # -- receive side --------------------------------------------------------------
     def _receive(self, now: int) -> None:

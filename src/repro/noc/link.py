@@ -28,7 +28,7 @@ from .flit import FLIT_BITS, Flit, Packet
 from .vc import VC_IDLE, InputVC
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .network import Network, StatsSink
+    from .network import Network
     from .router import Router
 
 #: Latency-ledger stage charged for a tail flit's traversal of a link of
@@ -54,24 +54,25 @@ class Link:
 
     Subclasses implement :meth:`accept` (a run of flits enters the link at
     the transmitter) and :meth:`step` (advance internal pipelines, deliver
-    flits and credits).  The switch allocator consults :meth:`accept_budget`
-    before granting flits to the link in the current cycle and never
-    exceeds it.
+    flits and due credits).  Only a link whose budget can fall below its
+    bandwidth overrides :meth:`accept_budget`, and only such a link is
+    asked; the switch allocator never exceeds its answer.
 
-    :meth:`accept_budget`, :meth:`accept`, :meth:`return_credit` and
-    :meth:`step` are the seams of the cycle kernel: the router and the
-    network call each exactly once per budget query, *run* and link-cycle.
-    A run is ``count`` consecutive flits of one packet, on one VC, granted
-    in one cycle; it is one flit whenever the output had two contenders
-    (``docs/architecture.md``, "Hot path").  :meth:`accept` and
-    :meth:`return_credit` only keep the books: the granting router emits
-    their ``link_accept`` and ``credit_return`` events.  A subclass
-    overriding a seam sees every run (the fault-injecting links of
+    :meth:`accept`, :meth:`step` and an overridden :meth:`accept_budget`
+    are the seams left in the cycle kernel: the router and the network
+    call each exactly once per *run*, link-cycle and budget query.  A run
+    is ``count`` consecutive flits of one packet, on one VC, granted in one
+    cycle; it is one flit whenever the output had two contenders
+    (``docs/architecture.md``, "Hot path").  The rest of the books is kept
+    inline: the granting router queues a run's credits on the feeding link
+    and emits the run's ``credit_return`` and ``link_accept`` events, and
+    a link adds its flits and energy to the per-kind tallies of ``Stats``.
+    A subclass overriding a seam sees every run (the fault-injecting links of
     ``tests/test_sanitizer.py`` do) — with or without a host-time ledger
     attached, which times the same ``step`` from outside and charges it to
     :attr:`host_phase`.  Inside them the work is flat — a delivery loop
     writes arriving flits straight into the downstream
-    :class:`~repro.noc.vc.InputVC` and arriving credits straight into the
+    :class:`~repro.noc.vc.InputVC` and due credits straight into the
     upstream credit counters.
     """
 
@@ -87,7 +88,7 @@ class Link:
         self.dst_router: Optional["Router"] = None
         self.dst_port: int = -1
         self._index = -1
-        # (due cycle, vc, credits) in return order.
+        # (due cycle, vc, credits) in return order, queued by the router.
         self._credit_queue: list[tuple[int, int, int]] = []
         #: Total flits this link has carried (utilization analysis).
         self.flits_carried = 0
@@ -96,13 +97,15 @@ class Link:
         #: Ledger stage for tail-flit traversal (see TRAVERSAL_STAGES).
         self.traversal_stage = TRAVERSAL_STAGES[spec.kind]
         self._is_interface = spec.is_interface
-        self._credit_delay = max(1, spec.min_delay)
+        #: Cycles for a credit to reach the transmitter.
+        self.credit_delay = max(1, spec.min_delay)
         #: True while the link sits on ``network._link_work``.
         self.active = False
-        # Bound at attach(): the bus, the stats sink, and where deliveries
-        # land (downstream input VCs, upstream credit counters).
+        # Bound at attach(): the bus, the stats sink's per-kind tallies, and
+        # where deliveries land (downstream input VCs, upstream credits).
         self._telemetry: TelemetryBus = NULL_BUS
-        self._stats: "StatsSink"
+        self._kind_flits: list[int]
+        self._kind_energy_pj: list[float]
         self._dst_vcs: list[InputVC]
         self._src_credits: list[int]
 
@@ -122,7 +125,8 @@ class Link:
         self.dst_router = dst_router
         self.dst_port = dst_port
         self._telemetry = network.telemetry
-        self._stats = network.stats
+        self._kind_flits = network.stats.link_flits_by_kind
+        self._kind_energy_pj = network.stats.link_energy_pj_by_kind
         self._dst_vcs = dst_router.inputs[dst_port].vcs
         self._src_credits = src_router.outputs[src_port].credits
 
@@ -133,12 +137,12 @@ class Link:
 
     # -- transmit side ----------------------------------------------------
     def accept_budget(self, now: int) -> int:
-        """Flits the link can accept in cycle ``now``.
-
-        The router asks once per output per cycle, before any grant, so
-        no accept of the same cycle has to be subtracted.
+        """Flits the link can accept in cycle ``now``: its bandwidth, unless
+        a subclass overrides this (only then is it asked).  The router asks
+        once per output per cycle, before any grant, so no accept of the
+        same cycle has to be subtracted.
         """
-        raise NotImplementedError
+        return self.spec.total_bandwidth
 
     def accept(self, packet: Packet, index: int, count: int, vc: int, now: int) -> None:
         """Take flits ``index`` to ``index + count - 1`` of ``packet`` from
@@ -149,32 +153,6 @@ class Link:
     def step(self, now: int) -> bool:
         """Advance one cycle; return True while the link still holds state."""
         raise NotImplementedError
-
-    def return_credit(self, vc: int, now: int, count: int) -> None:
-        """Schedule ``count`` credits back to the transmitter for VC ``vc``."""
-        self._credit_queue.append((now + self._credit_delay, vc, count))
-        if not self.active:
-            self.active = True
-            self.network._link_work.append(self)
-
-    @property
-    def credit_delay(self) -> int:
-        """Cycles for a credit to reach the transmitter."""
-        return self._credit_delay
-
-    def _deliver_credits(self, now: int) -> None:
-        """Hand every due credit to the upstream output port (the links
-        are the only writers of a router's credit counters)."""
-        queue = self._credit_queue
-        if queue and queue[0][0] <= now:
-            credits = self._src_credits
-            while queue and queue[0][0] <= now:
-                _, vc, count = queue.pop(0)
-                credits[vc] += count
-            router = self.src_router
-            if not router.active:
-                router.active = True
-                self.network._router_work.append(router)
 
     # -- introspection (used by the invariant sanitizer) -------------------
     def pending_credits(self, vc: int) -> int:
@@ -241,39 +219,40 @@ class PipelinedLink(Link):
         # (due cycle, packet, first flit index, flits, vc) in accept order:
         # one entry per accepted run.
         self._pipe: list[tuple[int, Packet, int, int, int]] = []
-        self._bandwidth = spec.phy.bandwidth
         self._delay = spec.phy.delay
         self._energy_per_flit = FLIT_BITS * spec.phy.energy_pj_per_bit
 
-    def accept_budget(self, now: int) -> int:
-        return self._bandwidth
-
     def accept(self, packet: Packet, index: int, count: int, vc: int, now: int) -> None:
-        # Charge traversal energy and the hop to the packet.  Energy is added
-        # once per flit: a float sum depends on how it is grouped.
+        # Charge traversal energy to the packet and to the link kind's
+        # tally, and the hop to the packet.  Energy is added once per flit:
+        # a float sum depends on how it is grouped.
         self.flits_carried += count
+        kind_id = self._kind_id
+        self._kind_flits[kind_id] += count
         energy_pj = self._energy_per_flit
-        if self._is_interface:
+        kind_energies = self._kind_energy_pj
+        kind_energy = kind_energies[kind_id] + energy_pj
+        is_interface = self._is_interface
+        if is_interface:
             energy = packet.energy_interface_pj + energy_pj
-            if count > 1:
-                energy += energy_pj
-                if count > 2:
-                    for _ in range(count - 2):
-                        energy += energy_pj
+        else:
+            energy = packet.energy_onchip_pj + energy_pj
+        if count > 1:
+            energy += energy_pj
+            kind_energy += energy_pj
+            if count > 2:
+                for _ in range(count - 2):
+                    energy += energy_pj
+                    kind_energy += energy_pj
+        kind_energies[kind_id] = kind_energy
+        if is_interface:
             packet.energy_interface_pj = energy
             if index == 0:
                 packet.hops_interface += 1
         else:
-            energy = packet.energy_onchip_pj + energy_pj
-            if count > 1:
-                energy += energy_pj
-                if count > 2:
-                    for _ in range(count - 2):
-                        energy += energy_pj
             packet.energy_onchip_pj = energy
             if index == 0:
                 packet.hops_onchip += 1
-        self._stats.note_link_flit(self._kind_id, energy_pj, count)
         self._pipe.append((now + self._delay, packet, index, count, vc))
         if not self.active:
             self.active = True
@@ -302,8 +281,19 @@ class PipelinedLink(Link):
             if not router.active:
                 router.active = True
                 self.network._router_work.append(router)
-        self._deliver_credits(now)
-        return bool(pipe or self._credit_queue)
+        credit_queue = self._credit_queue
+        if credit_queue and credit_queue[0][0] <= now:
+            # Due credits: the links are the only writers of a router's
+            # credit counters.
+            credits = self._src_credits
+            while credit_queue and credit_queue[0][0] <= now:
+                _, vc, count = credit_queue.pop(0)
+                credits[vc] += count
+            router = self.src_router
+            if not router.active:
+                router.active = True
+                self.network._router_work.append(router)
+        return bool(pipe or credit_queue)
 
     @property
     def occupancy(self) -> int:

@@ -23,11 +23,13 @@ from .router import Router
 
 
 class StatsSink(Protocol):
-    """What the network needs from a statistics collector."""
+    """What the network needs from a statistics collector: the switch
+    flit count the routers add to, the per-kind tallies (indexed by
+    channel-kind id) the links add to, and the delivery note."""
 
-    def note_link_flit(self, kind_id: int, energy_pj: float, count: int) -> None: ...
-
-    def note_router_flit(self, count: int = 1) -> None: ...
+    router_flits: int
+    link_flits_by_kind: list[int]
+    link_energy_pj_by_kind: list[float]
 
     def note_packet_delivered(self, packet: Packet, now: int) -> None: ...
 

@@ -61,7 +61,8 @@ class InputPort:
 class OutputPort:
     """An output port: the transmitting side of a link, or the ejection port."""
 
-    __slots__ = ("index", "link", "n_vcs", "credits", "vc_owner", "rr_next", "bandwidth")
+    __slots__ = ("index", "link", "n_vcs", "credits", "vc_owner", "rr_next", "bandwidth",
+                 "asks_budget")
 
     def __init__(self, index: int, link: Optional[Link], n_vcs: int, credits: int, bandwidth: int) -> None:
         self.index = index
@@ -72,6 +73,11 @@ class OutputPort:
         self.vc_owner: list[Optional[InputVC]] = [None] * n_vcs
         self.rr_next = 0
         self.bandwidth = bandwidth
+        # True iff the link's budget can fall below ``bandwidth``: only a
+        # link that overrides ``Link.accept_budget`` is asked for it.
+        self.asks_budget = (
+            link is not None and type(link).accept_budget is not Link.accept_budget
+        )
 
     @property
     def is_ejection(self) -> bool:
@@ -272,10 +278,10 @@ class Router:
 
     # Switch allocation + transmission, as one flat pass.  A grant moves a
     # *run*: ``count`` consecutive flits of one packet, from one input VC,
-    # in this cycle.  Per run the only calls left are the link seams
-    # (``return_credit`` upstream, ``accept`` downstream) and the buffer
-    # pop.  The run's per-flit bus events are emitted here too, and no
-    # subscriber changes what a grant moves.
+    # in this cycle.  Per run the only call left is the downstream link's
+    # ``accept``; the run's credits go straight onto the upstream link's
+    # credit queue.  The run's per-flit bus events are emitted here too,
+    # and no subscriber changes what a grant moves.
     def _stage_sa(self, now: int) -> None:
         active = self._active
         # Requests per output port, in work-list order.  Most cycles see a
@@ -333,9 +339,10 @@ class Router:
                     for ivc in vcs:
                         if ivc.n and credits[ivc.out_vc] <= 0:
                             credit_stall(self, out_idx, ivc.out_vc, now)
-                link_budget = link.accept_budget(now)
-                if link_budget < budget:
-                    budget = link_budget
+                if out.asks_budget:
+                    link_budget = link.accept_budget(now)
+                    if link_budget < budget:
+                        budget = link_budget
             if budget <= 0:
                 continue
             # Rotate contenders for fairness, then grant greedily; one
@@ -385,7 +392,12 @@ class Router:
                         ivc.front = end
                     in_link = ivc.in_link
                     if in_link is not None:
-                        in_link.return_credit(ivc.index, now, count)
+                        in_link._credit_queue.append(
+                            (now + in_link.credit_delay, ivc.index, count)
+                        )
+                        if not in_link.active:
+                            in_link.active = True
+                            self.network._link_work.append(in_link)
                     if watched:
                         # Invariant 3, per flit of the run.
                         for i in range(index, end):
@@ -422,7 +434,7 @@ class Router:
                     # A run ends only where the contender can send no more.
                     progressed = not single
         if sent:
-            self._stats.note_router_flit(sent)
+            self._stats.router_flits += sent
 
     def _eject_packet(self, packet: Packet, now: int) -> None:
         """The tail flit left through the ejection port: the packet is done."""

@@ -50,14 +50,16 @@ class Stats:
 
     def __init__(self, measure_from: int = 0) -> None:
         self.measure_from = measure_from
-        #: Flits that crossed a router's switch, all run long.
+        #: Flits that crossed a router's switch, all run long: written by
+        #: the routers alone.
         self.router_flits = 0
         #: Last cycle ``router_flits`` grew: the engine's stall clock, written
         #: by :class:`~repro.sim.engine.Engine` alone.
         self.last_movement_cycle = 0
-        # Link-level counters, indexed by channel-kind id (hot path).
-        self._link_flits = [0] * len(KINDS_BY_ID)
-        self._link_energy_pj = [0.0] * len(KINDS_BY_ID)
+        #: Flits and energy (pJ) that crossed links, per channel-kind id:
+        #: written by the links alone, energy added once per flit.
+        self.link_flits_by_kind = [0] * len(KINDS_BY_ID)
+        self.link_energy_pj_by_kind = [0.0] * len(KINDS_BY_ID)
         # Measured packet population.
         self.latencies: list[int] = []
         self.packets_delivered = 0
@@ -70,36 +72,15 @@ class Stats:
         self.energy_onchip_pj = 0.0
         self.energy_interface_pj = 0.0
 
-    # -- sink protocol ------------------------------------------------------
-    def note_link_flit(self, kind_id: int, energy_pj: float, count: int) -> None:
-        """``count`` flits, ``energy_pj`` each, crossed a link of one kind.
-
-        The energy is added once per flit, so the float sum does not depend
-        on how the flits were grouped into runs.
-        """
-        self._link_flits[kind_id] += count
-        energies = self._link_energy_pj
-        energy = energies[kind_id] + energy_pj
-        if count > 1:
-            energy += energy_pj
-            if count > 2:
-                for _ in range(count - 2):
-                    energy += energy_pj
-        energies[kind_id] = energy
-
-    def note_router_flit(self, count: int = 1) -> None:
-        """``count`` flits crossed a router's switch this cycle."""
-        self.router_flits += count
-
     @property
     def link_flits(self) -> dict[ChannelKind, int]:
         """Flits transmitted per channel kind."""
-        return dict(zip(KINDS_BY_ID, self._link_flits))
+        return dict(zip(KINDS_BY_ID, self.link_flits_by_kind))
 
     @property
     def link_energy_pj(self) -> dict[ChannelKind, float]:
         """Link energy consumed per channel kind (pJ), all traffic."""
-        return dict(zip(KINDS_BY_ID, self._link_energy_pj))
+        return dict(zip(KINDS_BY_ID, self.link_energy_pj_by_kind))
 
     def note_packet_injected(self, packet: Packet) -> None:
         self.packets_injected += 1

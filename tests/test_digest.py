@@ -22,7 +22,7 @@ from repro.telemetry import (
 from repro.telemetry.sentinel import render_sentinel
 from repro.telemetry.diff import parse_sim_spec, resimulate
 from repro.telemetry.digest import chain_hex
-from repro.telemetry.runstore import RunRecord, RunStore, record_from_result
+from repro.telemetry.runstore import RunStore, record_from_result
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import build_system
 

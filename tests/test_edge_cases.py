@@ -1,7 +1,5 @@
 """Edge-case tests across pure helpers (degenerate grids, rounding, bounds)."""
 
-import math
-
 import pytest
 
 from repro.core.interfaces import AIB, SERDES

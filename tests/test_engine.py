@@ -4,7 +4,7 @@ import pytest
 
 from repro.noc.flit import Packet
 from repro.sim.engine import Engine
-from repro.sim.stats import DeadlockError, Stats
+from repro.sim.stats import DeadlockError
 
 from .helpers import build_chain
 

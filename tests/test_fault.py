@@ -5,7 +5,6 @@ import pytest
 from repro.noc.flit import Packet
 from repro.routing.deadlock import analyse_escape
 from repro.routing.fault import (
-    FaultTolerantRouting,
     UnroutableError,
     adaptive_link_indices,
     apply_faults,

@@ -5,8 +5,6 @@ properties: every measured packet is delivered exactly once and intact,
 energy totals are consistent, and runs are deterministic given a seed.
 """
 
-import math
-
 import pytest
 
 from repro.sim.config import SimConfig

@@ -12,10 +12,7 @@ import pytest
 from repro.noc.flit import Packet
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
-from repro.sim.experiment import run_synthetic
-from repro.sim.stats import Stats
 from repro.topology.grid import ChipletGrid
-from repro.topology.system import build_system
 from repro.traffic.injection import SyntheticWorkload
 from repro.traffic.patterns import make_pattern
 

@@ -303,7 +303,11 @@ def test_link_with_a_single_live_item_stays_on_the_work_list(holding):
     link = network.links[0]
     packet = Packet(0, 1, 1, 0)
     if holding == "credit":
-        link.return_credit(0, 0, 1)
+        # What a grant does with the slot it freed: queue one credit and
+        # list the idle link.
+        link._credit_queue.append((link.credit_delay, 0, 1))
+        link.active = True
+        network._link_work.append(link)
         wait = link.credit_delay  # delivered in that cycle's step
     elif holding == "rob":
         link._next_sn[0] = 1  # the flit's predecessor never shows up

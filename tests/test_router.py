@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.noc.channel import ChannelKind
 from repro.noc.flit import Packet
 from repro.noc.router import Router
 

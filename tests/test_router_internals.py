@@ -1,7 +1,5 @@
 """Deeper router-internals tests: allocation fairness, credits, ejection."""
 
-import pytest
-
 from repro.noc.channel import ChannelKind
 from repro.noc.flit import Packet
 from repro.noc.network import Network

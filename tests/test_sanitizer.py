@@ -78,17 +78,23 @@ def test_sanitizer_rejects_bad_check_every():
 
 
 class _CreditLeakLink(PipelinedLink):
-    """Drops exactly one credit return, once — a classic flow-control bug."""
+    """Loses exactly one returning credit from its credit queue, once — a
+    classic flow-control bug."""
 
     def __init__(self, spec):
         super().__init__(spec)
         self._leaked = False
 
-    def return_credit(self, vc, now, count):
-        if not self._leaked:
+    def step(self, now):
+        queue = self._credit_queue
+        if queue and not self._leaked:
             self._leaked = True
-            return
-        super().return_credit(vc, now, count)
+            due, vc, count = queue[0]
+            if count > 1:
+                queue[0] = (due, vc, count - 1)
+            else:
+                queue.pop(0)
+        return super().step(now)
 
 
 class _ForgingLink(PipelinedLink):

@@ -114,7 +114,7 @@ def test_list_fifos_stay_bounded(family, vct):
                 assert len(link._ser_pipe) <= link._ser_bw * link._ser_delay
                 longest["tx"] = max(longest["tx"], len(link._txq) + len(link._bypassq))
             else:
-                assert link.occupancy <= link._bandwidth * link._delay
+                assert link.occupancy <= link.spec.phy.bandwidth * link._delay
                 longest["pipe"] = max(longest["pipe"], link.occupancy)
 
     network.telemetry.subscribe("cycle_end", check)

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro.noc.channel import ChannelKind, KIND_IDS
+from repro.noc.channel import ChannelKind, ChannelSpec, PhyParams
 from repro.noc.flit import Packet
+from repro.noc.network import Network
 from repro.sim.build import build_network
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
@@ -73,31 +74,57 @@ def test_energy_split():
     assert stats.avg_hops == pytest.approx(4)
 
 
+def attached_links(stats, *phys):
+    """One attached :class:`PipelinedLink` per ``(kind, pJ/bit)``, chained
+    0 -> 1 -> ... in a network whose statistics sink is ``stats``."""
+    network = Network(len(phys) + 1, stats)
+    return [
+        network.add_channel(ChannelSpec(node, node + 1, kind, PhyParams(4, 1, pj_per_bit)))
+        for node, (kind, pj_per_bit) in enumerate(phys)
+    ]
+
+
 def test_link_counters_by_kind():
     stats = Stats()
-    stats.note_link_flit(KIND_IDS[ChannelKind.SERIAL], 153.6, 1)
-    stats.note_link_flit(KIND_IDS[ChannelKind.SERIAL], 153.6, 1)
-    stats.note_link_flit(KIND_IDS[ChannelKind.ONCHIP], 6.4, 1)
+    serial, onchip = attached_links(
+        stats, (ChannelKind.SERIAL, 2.4), (ChannelKind.ONCHIP, 0.1)
+    )
+    packet = Packet(0, 2, 2, 0)
+    serial.accept(packet, 0, 1, 0, 0)
+    serial.accept(packet, 1, 1, 0, 0)
+    onchip.accept(packet, 0, 1, 0, 1)
     assert stats.link_flits[ChannelKind.SERIAL] == 2
     assert stats.link_flits[ChannelKind.ONCHIP] == 1
+    assert stats.link_flits[ChannelKind.PARALLEL] == 0
     assert stats.link_energy_pj[ChannelKind.SERIAL] == pytest.approx(307.2)
+    assert stats.link_energy_pj[ChannelKind.ONCHIP] == pytest.approx(6.4)
+    assert (packet.hops_interface, packet.hops_onchip) == (1, 1)
 
 
 @pytest.mark.parametrize("count", [2, 3, 5])
 def test_a_run_of_flits_adds_energy_as_single_flits_do(count):
-    """A run's energy is added once per flit: ``x + e + e`` is not always
-    ``x + 2e`` in floats, and the fingerprint pins every bit."""
-    kind = KIND_IDS[ChannelKind.PARALLEL]
+    """A run's energy is added once per flit, to the packet and to its
+    link kind's tally: ``x + e + e`` is not always ``x + 2e`` in floats,
+    and the fingerprint pins every bit."""
+    # 64-bit flits: 0.1 and 0.7 pJ per flit.
+    phys = ((ChannelKind.PARALLEL, 0.1 / 64), (ChannelKind.PARALLEL, 0.7 / 64))
     singles, run = Stats(), Stats()
+    packets = []
     for stats in (singles, run):
-        stats.note_link_flit(kind, 0.1, 1)
-    for _ in range(count):
-        singles.note_link_flit(kind, 0.7, 1)
-    run.note_link_flit(kind, 0.7, count)
+        first, second = attached_links(stats, *phys)
+        packet = Packet(0, 2, count, 0)
+        packets.append(packet)
+        first.accept(packet, 0, 1, 0, 0)  # so neither sum starts at 0.0
+        if stats is singles:
+            for index in range(count):
+                second.accept(packet, index, 1, 0, 1)
+        else:
+            second.accept(packet, 0, count, 0, 1)
     assert run.link_flits == singles.link_flits
     assert repr(run.link_energy_pj[ChannelKind.PARALLEL]) == repr(
         singles.link_energy_pj[ChannelKind.PARALLEL]
     )
+    assert repr(packets[1].energy_interface_pj) == repr(packets[0].energy_interface_pj)
 
 
 def test_percentiles():

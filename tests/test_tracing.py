@@ -1,7 +1,5 @@
 """Tests for per-packet route tracing."""
 
-import pytest
-
 from repro.noc.channel import ChannelKind
 from repro.noc.flit import Packet
 from repro.noc.tracing import RouteTracer

@@ -5,12 +5,9 @@ import math
 import pytest
 
 from repro.sim.config import SimConfig
-from repro.sim.experiment import run_synthetic
 from repro.topology.grid import ChipletGrid
 from repro.topology.system import build_system
 from repro.viz import ascii_curve, link_utilization_table, render_topology, utilization_heatmap
-
-from .conftest import make_network
 
 
 def test_render_topology_mentions_structure():
